@@ -1,15 +1,16 @@
 """DET006 — contract declaration.
 
 Every backend name exposed through ``fusion.BACKENDS`` and
-``endtoend.PIPELINE_BACKENDS`` must resolve under the declared numeric
-contracts: a key in ``_BACKEND_PARITY`` (what ``parity_of`` consults)
-and the presence of ``parity_of`` / ``sampling_contract_of``
-themselves.  A backend added without a parity declaration ships with an
+``endtoend.PIPELINE_BACKENDS`` / ``STREAMING_PIPELINE_BACKENDS`` must
+resolve under the declared numeric contracts: a key in
+``_BACKEND_PARITY`` (what ``parity_of`` consults) and the presence of
+``parity_of`` / ``sampling_contract_of`` themselves.  A backend added without a parity declaration ships with an
 *undefined* correctness contract; a parity key with no backend is a
 stale declaration.  Pipeline backends may rename on the way to fusion
 (``endtoend._FUSION_BACKEND`` — e.g. ``batched`` runs its fusion stage
-as ``serial``); the rename table must be a literal dict and every
-pipeline backend must resolve through it to a declared fusion backend.
+as ``serial`` — and ``_STREAM_FUSION_BACKEND`` for the streaming
+pipeline); each rename table must be a literal dict and every pipeline
+backend must resolve through its table to a declared fusion backend.
 This is the one cross-module rule: it correlates ``fusion/base.py``
 with ``endtoend.py``.
 """
@@ -27,6 +28,13 @@ BASE_PATH = "src/repro/fusion/base.py"
 ENDTOEND_PATH = "src/repro/endtoend.py"
 
 _REQUIRED_FUNCS = ("parity_of", "sampling_contract_of")
+
+#: ``endtoend``'s (backend-name tuple, rename table) pairs: the record
+#: pipeline's and the streaming pipeline's.
+_RENAME_TABLES = (
+    ("PIPELINE_BACKENDS", "_FUSION_BACKEND"),
+    ("STREAMING_PIPELINE_BACKENDS", "_STREAM_FUSION_BACKEND"),
+)
 
 
 def _module_assign(tree: ast.Module, name: str) -> ast.expr | None:
@@ -161,7 +169,22 @@ def _check(files: Mapping[str, SourceFile]) -> Iterator[Finding]:
     endtoend = files.get(ENDTOEND_PATH)
     if endtoend is None or endtoend.tree is None:
         return
-    pipeline_node = _module_assign(endtoend.tree, "PIPELINE_BACKENDS")
+    for names, table in _RENAME_TABLES:
+        yield from _check_rename_table(
+            endtoend.tree, names, table, backends, parity_keys
+        )
+
+
+def _check_rename_table(
+    tree: ast.Module,
+    names: str,
+    table: str,
+    backends: tuple[str, ...],
+    parity_keys: tuple[str, ...],
+) -> Iterator[Finding]:
+    """Every backend in the ``names`` tuple must resolve, through the
+    literal ``table`` rename dict, to a declared fusion backend."""
+    pipeline_node = _module_assign(tree, names)
     if pipeline_node is None:
         return
     pipeline = _str_tuple(pipeline_node)
@@ -170,13 +193,13 @@ def _check(files: Mapping[str, SourceFile]) -> Iterator[Finding]:
             ENDTOEND_PATH,
             pipeline_node.lineno,
             RULE_ID,
-            "PIPELINE_BACKENDS must be a literal tuple of backend names",
+            f"{names} must be a literal tuple of backend names",
         )
         return
     # Pipeline backends may rename before reaching fusion (``batched``
     # runs its fusion stage as ``serial``); the rename table must itself
     # be a statically auditable literal.
-    mapping_node = _module_assign(endtoend.tree, "_FUSION_BACKEND")
+    mapping_node = _module_assign(tree, table)
     mapping: dict[str, str] = {}
     if mapping_node is not None:
         parsed = _dict_str_items(mapping_node)
@@ -185,7 +208,7 @@ def _check(files: Mapping[str, SourceFile]) -> Iterator[Finding]:
                 ENDTOEND_PATH,
                 mapping_node.lineno,
                 RULE_ID,
-                "_FUSION_BACKEND must be a literal str -> str dict "
+                f"{table} must be a literal str -> str dict "
                 "display so backend resolution is statically auditable",
             )
             return
@@ -196,8 +219,8 @@ def _check(files: Mapping[str, SourceFile]) -> Iterator[Finding]:
                     ENDTOEND_PATH,
                     mapping_node.lineno,
                     RULE_ID,
-                    f"_FUSION_BACKEND maps '{key}' which is not in "
-                    "PIPELINE_BACKENDS; stale contract declaration",
+                    f"{table} maps '{key}' which is not in "
+                    f"{names}; stale contract declaration",
                 )
 
     for backend in pipeline:
@@ -207,10 +230,9 @@ def _check(files: Mapping[str, SourceFile]) -> Iterator[Finding]:
                 ENDTOEND_PATH,
                 pipeline_node.lineno,
                 RULE_ID,
-                f"pipeline backend '{backend}' (fusion backend "
+                f"{names} entry '{backend}' (fusion backend "
                 f"'{resolved}') does not resolve under fusion's "
                 "BACKENDS/_BACKEND_PARITY contract declarations",
             )
-
 
 RULE = Rule(id=RULE_ID, title="contract declaration", check=check)

@@ -16,9 +16,10 @@ experiment of a session pays the generation cost, later ones share it.
 backend (serial scalar, process-pool parallel, or vectorized columnar) and
 prints a one-screen summary — the quickest way to compare backends.
 ``extract`` runs only the extraction stage (world + corpus generation, then
-the 12 extractors) under a serial or parallel backend, timing the stage and
-reporting record/error counts plus the parallel executor's fallback
-counters; the record stream is bit-identical across backends.
+the 12 extractors) under one of the four extraction backends (``serial``,
+``batched``, ``parallel``, ``hybrid``), timing the stage and reporting
+record/error counts plus the parallel executor's fallback counters; the
+record stream is bit-identical across backends.
 ``pipeline`` runs the whole thing — extraction → gold labeling → fusion —
 on a *single shared executor* (one worker pool for both stages; see
 :func:`repro.endtoend.run_end_to_end`), printing per-stage timings and the
@@ -326,6 +327,54 @@ def _run_extract(args) -> int:
     return 0
 
 
+def _print_pipeline_report(result, streaming: bool) -> None:
+    """The one-screen ``pipeline`` report.  The streaming flavour swaps
+    the scenario-cache line for the column store, adds the chunk count
+    and the ``matrix`` stage, and reports the peak RSS its run sampled."""
+    from repro.endtoend import peak_rss_mb
+
+    timings, metrics, diagnostics = result.timings, result.metrics, result.diagnostics
+    print(f"method:        {result.fusion.method}")
+    print(f"backend:       {result.backend}" + (" (streaming)" if streaming else ""))
+    print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
+    print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
+    print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
+    if "round_state" in diagnostics:
+        print(f"round state:   {diagnostics['round_state']}")
+    if streaming:
+        print(f"column store:  {diagnostics['column_store']}")
+    else:
+        print(f"scenario cache: {diagnostics.get('scenario_cache', 'off')}")
+    if "n_workers" in diagnostics:
+        print(f"workers:       {diagnostics['n_workers']}")
+    if "fallbacks_tiny" in diagnostics:
+        print(
+            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
+            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
+            f"{diagnostics.get('fallbacks_shm', 0)} shm"
+        )
+    print(
+        f"pages:         {diagnostics['n_pages']} "
+        f"-> records: {diagnostics['n_records']}"
+        + (
+            f" ({diagnostics['n_chunks']} chunks of {diagnostics['chunk_pages']})"
+            if streaming
+            else ""
+        )
+    )
+    for stage in ("setup", "extraction", "labeling", "matrix", "fusion", "total"):
+        if stage in timings:
+            print(f"{stage + ':':<15}{timings[stage]:.3f}s")
+    peak_rss = diagnostics["peak_rss_mb"] if streaming else peak_rss_mb()
+    print(f"peak rss:      {peak_rss:.1f} MiB")
+    print(f"rounds:        {result.fusion.rounds} (converged: {result.fusion.converged})")
+    print(f"triples:       {len(result.fusion.probabilities)}")
+    print(f"coverage:      {metrics['coverage']:.4f}")
+    print(f"deviation:     {metrics['deviation']:.4f} (weighted: {metrics['weighted_deviation']:.4f})")
+    print(f"auc-pr:        {metrics['auc_pr']:.4f}")
+    print(f"gold accuracy: {metrics['gold_accuracy']:.4f} (n={metrics['n_labelled']})")
+
+
 def _run_streaming_pipeline(args) -> int:
     from repro.endtoend import run_streaming_pipeline
     from repro.errors import ConfigError
@@ -342,42 +391,12 @@ def _run_streaming_pipeline(args) -> int:
     except ConfigError as err:
         print(f"repro-kf pipeline: error: {err}", file=sys.stderr)
         return 2
-
-    timings, metrics, diagnostics = result.timings, result.metrics, result.diagnostics
-    print(f"method:        {result.fusion.method}")
-    print(f"backend:       {result.backend} (streaming)")
-    print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
-    print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
-    print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
-    if "round_state" in diagnostics:
-        print(f"round state:   {diagnostics['round_state']}")
-    print(f"column store:  {diagnostics['column_store']}")
-    if "n_workers" in diagnostics:
-        print(f"workers:       {diagnostics['n_workers']}")
-    if "fallbacks_tiny" in diagnostics:
-        print(
-            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
-            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{diagnostics.get('fallbacks_shm', 0)} shm"
-        )
-    print(
-        f"pages:         {result.n_pages} -> records: {result.n_records} "
-        f"({diagnostics['n_chunks']} chunks of {diagnostics['chunk_pages']})"
-    )
-    for stage in ("setup", "extraction", "labeling", "matrix", "fusion", "total"):
-        print(f"{stage + ':':<15}{timings[stage]:.3f}s")
-    print(f"peak rss:      {diagnostics['peak_rss_mb']:.1f} MiB")
-    print(f"rounds:        {result.fusion.rounds} (converged: {result.fusion.converged})")
-    print(f"triples:       {len(result.fusion.probabilities)}")
-    print(f"coverage:      {metrics['coverage']:.4f}")
-    print(f"deviation:     {metrics['deviation']:.4f} (weighted: {metrics['weighted_deviation']:.4f})")
-    print(f"auc-pr:        {metrics['auc_pr']:.4f}")
-    print(f"gold accuracy: {metrics['gold_accuracy']:.4f} (n={metrics['n_labelled']})")
+    _print_pipeline_report(result, streaming=True)
     return 0
 
 
 def _run_pipeline(args) -> int:
-    from repro.endtoend import peak_rss_mb, run_end_to_end
+    from repro.endtoend import run_end_to_end
     from repro.errors import ConfigError
 
     if args.scale in STREAMING_SCALES:
@@ -394,37 +413,7 @@ def _run_pipeline(args) -> int:
     except ConfigError as err:
         print(f"repro-kf pipeline: error: {err}", file=sys.stderr)
         return 2
-
-    timings, metrics, diagnostics = result.timings, result.metrics, result.diagnostics
-    print(f"method:        {result.fusion.method}")
-    print(f"backend:       {result.backend}")
-    print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
-    print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
-    print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
-    if "round_state" in diagnostics:
-        print(f"round state:   {diagnostics['round_state']}")
-    print(f"scenario cache: {diagnostics.get('scenario_cache', 'off')}")
-    if "n_workers" in diagnostics:
-        print(f"workers:       {diagnostics['n_workers']}")
-    if "fallbacks_tiny" in diagnostics:
-        print(
-            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
-            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{diagnostics.get('fallbacks_shm', 0)} shm"
-        )
-    print(
-        f"pages:         {diagnostics['n_pages']} "
-        f"-> records: {diagnostics['n_records']}"
-    )
-    for stage in ("setup", "extraction", "labeling", "fusion", "total"):
-        print(f"{stage + ':':<15}{timings[stage]:.3f}s")
-    print(f"peak rss:      {peak_rss_mb():.1f} MiB")
-    print(f"rounds:        {result.fusion.rounds} (converged: {result.fusion.converged})")
-    print(f"triples:       {len(result.fusion.probabilities)}")
-    print(f"coverage:      {metrics['coverage']:.4f}")
-    print(f"deviation:     {metrics['deviation']:.4f} (weighted: {metrics['weighted_deviation']:.4f})")
-    print(f"auc-pr:        {metrics['auc_pr']:.4f}")
-    print(f"gold accuracy: {metrics['gold_accuracy']:.4f} (n={metrics['n_labelled']})")
+    _print_pipeline_report(result, streaming=False)
     return 0
 
 

@@ -142,6 +142,45 @@ def make_fuser(
     )
 
 
+def _validate_request(
+    backend: str, backends: tuple[str, ...], method: str, label: str, hint: str = ""
+) -> None:
+    """Reject a bad backend/method up front: extraction at the larger
+    scales is minutes of work a typo should not get to waste."""
+    if backend not in backends:
+        raise ConfigError(
+            f"{label} backend must be one of {backends}, got {backend!r}{hint}"
+        )
+    if method not in PIPELINE_METHODS:
+        raise ConfigError(
+            f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
+        )
+
+
+def _make_executor(backend: str, n_workers: int | None) -> Executor:
+    """The one executor both stages of a pipeline run share."""
+    if backend in ("parallel", "hybrid"):
+        return ParallelExecutor(max_workers=n_workers)
+    return SerialExecutor()
+
+
+def _stage_diagnostics(diagnostics: dict, backend: str, pipeline, executor) -> None:
+    """Add the extraction-stage and shared-executor keys to ``diagnostics``."""
+    diagnostics["extraction_synthesis"] = (
+        "batched" if backend in ("batched", "hybrid") else "scalar"
+    )
+    fallbacks = pipeline.synthesis_fallbacks()
+    if fallbacks:
+        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
+    if isinstance(executor, ParallelExecutor):
+        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
+        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
+        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
+        diagnostics["n_workers"] = executor.max_workers
+        diagnostics["round_state"] = executor.round_state_channel
+        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+
+
 @dataclass
 class EndToEndResult:
     """Everything one pipeline run produced.
@@ -215,16 +254,7 @@ def run_end_to_end(
     bit-identical to a fresh build; ``diagnostics["scenario_cache"]``
     reports ``hit`` / ``miss`` / ``off``.
     """
-    if backend not in PIPELINE_BACKENDS:
-        raise ConfigError(
-            f"pipeline backend must be one of {PIPELINE_BACKENDS}, got {backend!r}"
-        )
-    if method not in PIPELINE_METHODS:
-        # Validate up front: extraction at the larger scales is minutes of
-        # work a typo should not get to waste.
-        raise ConfigError(
-            f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
-        )
+    _validate_request(backend, PIPELINE_BACKENDS, method, "pipeline")
     if fusion_config is None:
         fusion_config = FusionConfig(
             seed=config.seed, backend=_FUSION_BACKEND[backend], n_workers=n_workers
@@ -232,20 +262,7 @@ def run_end_to_end(
 
     owns_executor = executor is None
     if executor is None:
-        executor = (
-            ParallelExecutor(max_workers=n_workers)
-            if backend in ("parallel", "hybrid")
-            else SerialExecutor()
-        )
-    # "hybrid" mirrors fusion's meaning for extraction too: parallel
-    # shards whose synthesis runs the batched kernel (bitwise parity,
-    # unlike fusion's tolerance parity).  "batched" passes through as
-    # the serial-executor batched-synthesis mode.
-    extraction_backend = {
-        "serial": "serial",
-        "batched": "batched",
-        "hybrid": "hybrid",
-    }.get(backend, "parallel")
+        executor = _make_executor(backend, n_workers)
 
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
@@ -258,7 +275,12 @@ def run_end_to_end(
         timings["setup"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        records = pipeline.run(corpus, backend=extraction_backend, executor=executor)
+        # Extraction takes the pipeline backend name as is.  "hybrid"
+        # mirrors fusion's meaning there: parallel shards whose synthesis
+        # runs the batched kernel (bitwise parity, unlike fusion's
+        # tolerance parity); "batched" is the serial-executor
+        # batched-synthesis mode.
+        records = pipeline.run(corpus, backend=backend, executor=executor)
         # pipeline.run withdraws the fleet from the shared executor at the
         # stage boundary, so the pool restart (when fusion installs the
         # claim columns) does not re-ship it to workers that never use it.
@@ -291,19 +313,7 @@ def run_end_to_end(
     diagnostics["n_records"] = len(records)
     diagnostics["n_pages"] = len(corpus.pages)
     diagnostics["scenario_cache"] = cache_status
-    diagnostics["extraction_synthesis"] = (
-        "batched" if extraction_backend in ("batched", "hybrid") else "scalar"
-    )
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-        diagnostics["n_workers"] = executor.max_workers
-        diagnostics["round_state"] = executor.round_state_channel
-        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    _stage_diagnostics(diagnostics, backend, pipeline, executor)
 
     return EndToEndResult(
         scenario=scenario,
@@ -369,17 +379,14 @@ def run_streaming_pipeline(
     views.  ``diagnostics["peak_rss_mb"]`` records the process peak RSS
     after the run.
     """
-    if backend not in STREAMING_PIPELINE_BACKENDS:
-        raise ConfigError(
-            f"streaming pipeline backend must be one of "
-            f"{STREAMING_PIPELINE_BACKENDS}, got {backend!r} — the serial "
-            "path materialises dict claim views, which the out-of-core "
-            "tier forbids (see docs/SCALING.md)"
-        )
-    if method not in PIPELINE_METHODS:
-        raise ConfigError(
-            f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
-        )
+    _validate_request(
+        backend,
+        STREAMING_PIPELINE_BACKENDS,
+        method,
+        "streaming pipeline",
+        hint=" — the serial path materialises dict claim views, which the "
+        "out-of-core tier forbids (see docs/SCALING.md)",
+    )
     if fusion_config is None:
         fusion_config = FusionConfig(
             seed=config.seed,
@@ -391,11 +398,7 @@ def run_streaming_pipeline(
     # granularity, so resolve it from a gold-less probe fuser up front.
     granularity = make_fuser(method, fusion_config, {}).config.granularity
 
-    executor = (
-        ParallelExecutor(max_workers=n_workers)
-        if backend in ("parallel", "hybrid")
-        else SerialExecutor()
-    )
+    executor = _make_executor(backend, n_workers)
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
     mapped: MappedColumnarClaims | None = None
@@ -464,19 +467,7 @@ def run_streaming_pipeline(
     diagnostics["chunk_pages"] = chunk_pages
     diagnostics["copy_window"] = copy_window
     diagnostics["column_store"] = column_store
-    diagnostics["extraction_synthesis"] = (
-        "batched" if backend in ("batched", "hybrid") else "scalar"
-    )
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-        diagnostics["n_workers"] = executor.max_workers
-        diagnostics["round_state"] = executor.round_state_channel
-        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    _stage_diagnostics(diagnostics, backend, pipeline, executor)
     diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)
 
     return StreamingResult(

@@ -250,7 +250,33 @@ class ExtractionPipeline:
         ``backend`` overrides the pipeline default for this call;
         ``executor`` overrides both with a caller-managed executor (which
         the caller also closes — the CLI uses this to read the fallback
-        counters afterwards).
+        counters afterwards).  The single-chunk case of
+        :meth:`run_stream`.
+        """
+        return [
+            record
+            for records in self.run_stream([corpus.pages], backend, n_workers, executor)
+            for record in records
+        ]
+
+    def run_stream(
+        self,
+        chunks,
+        backend: str | None = None,
+        n_workers: int | None = None,
+        executor: Executor | None = None,
+    ):
+        """Extract page chunks one at a time: the out-of-core form of :meth:`run`.
+
+        ``chunks`` is an iterable of page lists (e.g.
+        :func:`repro.world.webgen.stream_corpus`); each chunk is sharded
+        through one map job — same backends, same wire codec, same
+        per-page record order — handed to the executor as received, and
+        yields that chunk's flattened record list.  The fleet is
+        installed pool-resident *once* for the whole stream (per-chunk
+        install/withdraw would restart the pool on every chunk), and
+        withdrawn when the stream ends; peak memory is one chunk of pages
+        plus its records.
         """
         requested = backend if backend is not None else self.backend
         if requested not in EXTRACTION_BACKENDS:
@@ -281,64 +307,8 @@ class ExtractionPipeline:
             codec=RECORD_WIRE_CODEC,
         )
         try:
-            per_page = executor.run_map(corpus.pages, job)
-        finally:
-            if owns_executor:
-                executor.close()
-            else:
-                # A shared executor outlives this stage: withdraw the
-                # fleet so the next stage's pool restart does not re-ship
-                # it to workers that never use it.
-                executor.uninstall_state(EXTRACT_FLEET_KEY)
-        return [record for page_records in per_page for record in page_records]
-
-    def run_stream(
-        self,
-        chunks,
-        backend: str | None = None,
-        n_workers: int | None = None,
-        executor: Executor | None = None,
-    ):
-        """Extract page chunks one at a time: the out-of-core twin of :meth:`run`.
-
-        ``chunks`` is an iterable of page lists (e.g.
-        :func:`repro.world.webgen.stream_corpus`); each chunk is sharded
-        through the same map job :meth:`run` uses — same backends, same
-        wire codec, same per-page record order — and yields that chunk's
-        flattened record list.  The fleet is installed pool-resident
-        *once* for the whole stream (per-chunk install/withdraw would
-        restart the pool on every chunk), and withdrawn when the stream
-        ends; peak memory is one chunk of pages plus its records.
-        """
-        requested = backend if backend is not None else self.backend
-        if requested not in EXTRACTION_BACKENDS:
-            raise ConfigError(
-                f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
-                f"got {requested!r}"
-            )
-        owns_executor = executor is None
-        if executor is None:
-            if requested in _POOLED_BACKENDS:
-                executor = ParallelExecutor(
-                    max_workers=n_workers if n_workers is not None else self.n_workers
-                )
-            else:
-                executor = SerialExecutor()
-        executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
-        map_shard = (
-            _extract_shard_batched
-            if requested in _BATCHED_SYNTHESIS_BACKENDS
-            else _extract_shard
-        )
-        job = ShardedMapJob(
-            name="extract.pages",
-            map_shard=map_shard,
-            key_fn=_page_url,
-            codec=RECORD_WIRE_CODEC,
-        )
-        try:
             for pages in chunks:
-                per_page = executor.run_map(list(pages), job)
+                per_page = executor.run_map(pages, job)
                 yield [
                     record for page_records in per_page for record in page_records
                 ]
@@ -346,6 +316,9 @@ class ExtractionPipeline:
             if owns_executor:
                 executor.close()
             else:
+                # A shared executor outlives this stage: withdraw the
+                # fleet so the next stage's pool restart does not re-ship
+                # it to workers that never use it.
                 executor.uninstall_state(EXTRACT_FLEET_KEY)
 
     def synthesis_fallbacks(self) -> tuple[str, ...]:

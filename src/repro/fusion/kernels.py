@@ -60,7 +60,6 @@ __all__ = [
     "popaccu_round",
     "vote_round",
     "stage2_accuracies",
-    "theta_fallback_probabilities",
 ]
 
 #: Accuracy clamp shared by the scalar references (accu.py, popaccu.py) and
@@ -232,13 +231,3 @@ def stage2_accuracies(
     new_acc = np.where(updated, sums / np.maximum(counts, 1.0), 0.0)
     return new_acc, updated
 
-
-def theta_fallback_probabilities(
-    cols: ColumnarClaims, accuracies: np.ndarray
-) -> np.ndarray:
-    """Per-row mean accuracy of the row's own provenances (θ-filter fallback)."""
-    if cols.n_rows == 0:
-        return np.zeros(0, dtype=np.float64)
-    acc = accuracies[cols.claim_prov]
-    counts = np.diff(cols.row_ptr).astype(np.float64)
-    return _segment_sum(acc, cols.row_ptr) / counts

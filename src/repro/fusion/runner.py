@@ -21,33 +21,44 @@ The §4.3 refinements plug in here:
   the fraction of their LCWA-labelled triples that are true (for a
   deterministic ``gold_sample_rate`` subsample), instead of the default.
 
-Execution backends (``FusionConfig.backend``):
+Execution backends (``FusionConfig.backend``).  ``serial`` is the
+reference every parity contract is stated against: scalar per-item
+posteriors over the dict claim views, through the in-process MapReduce
+engine (:func:`_run_mapreduce`).  The other three share **one
+column-native round loop** (:func:`_run_columnar`: round state is arrays
+over the columnar claim index, dicts are built once in Stage III) and
+differ along two orthogonal axes derived from the backend name
+(:func:`_column_plan`) — *where* each stage runs and *which kernel* scores
+it:
 
-- ``serial`` — the reference path: scalar per-item posteriors through the
-  in-process MapReduce engine;
-- ``parallel`` — the *columnar shuffle* (:mod:`repro.fusion.shuffle`):
-  the claim columns are installed pool-resident once per pool, each round
+====================  ==========================  =========================
+where \\ kernel       scalar reference (bitwise)  batched numpy (tolerance)
+====================  ==========================  =========================
+in-process, whole     — (that is ``serial``)      ``vectorized``
+matrix
+sharded over the      ``parallel``                ``hybrid``
+executor's pool
+====================  ==========================  =========================
+
+- **sharded** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
+  claim columns are installed pool-resident once per pool, each round
   dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
-  map-only jobs over integer item/provenance ids (round state crosses as
-  contiguous float64/bool buffers — no ``Claim``/``Triple`` objects in
-  shard payloads), and workers run the identical scalar kernels —
+  map-only jobs over integer item/provenance ids, and round state crosses
+  as contiguous float64/bool buffers — no ``Claim``/``Triple`` objects in
+  shard payloads;
+- **scalar kernel** — workers run the identical scalar kernels,
   bit-identical to ``serial`` on fork *and* spawn, at any worker count.
-  Reducer-input sampling (``L``) no longer degrades this path: sampled
+  Reducer-input sampling (``L``) does not degrade this path: sampled
   subsets are defined in canonical order (see below) and the shard
   workers re-draw them identically against the resident columns;
-- ``vectorized`` — both stages batched as numpy array operations over the
-  cached columnar claim index (:mod:`repro.fusion.kernels`), skipping the
-  per-item Python loop entirely.  Requires ``item_posterior_fn`` to carry
-  a ``batch_round`` method (the built-in kernels do) and reverts to
-  ``serial`` when reducer-input sampling would engage (the batched
-  kernels score whole rounds and cannot subset per item);
-- ``hybrid`` — the composition: the columnar shuffle's sharded dispatch
-  *with* the vectorized kernels inside each shard
-  (:class:`~repro.fusion.shuffle.HybridStage1Shard`), so every worker
-  runs one batched kernel call per shard instead of N scalar updates.
-  Requires ``batch_round`` like ``vectorized``; degrades to the scalar
-  ``parallel`` shards (never to serial) when the kernel has no batched
-  form or sampling must engage.
+- **batched kernel** — each stage is a fixed number of numpy array
+  operations (:mod:`repro.fusion.kernels`) over the whole matrix or over
+  each shard's slice of it (:class:`~repro.fusion.shuffle.HybridStage1Shard`),
+  skipping the per-item Python loop.  Requires ``item_posterior_fn`` to
+  carry a ``batch_round`` method (the built-in kernels do) and no
+  sampling pressure (the batched kernels score whole rounds and cannot
+  subset per item); otherwise ``vectorized`` reverts to ``serial`` and
+  ``hybrid`` degrades to the scalar ``parallel`` shards (never to serial).
 
 **Parity.**  ``serial``/``parallel`` honour the ``bitwise`` contract
 (identical floats, any worker count/start method);
@@ -56,9 +67,10 @@ absolute, :data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched
 summation order differs.  Tolerance parity through an *iterated* θ-filter
 needs one extra guarantee: the discrete ``A(S) >= θ`` decisions must not
 flip on last-ulp drift (POPACCU parks many accuracies exactly at θ), so
-both batched paths recompute θ-boundary accuracies through the exact
-serial dataflow each round (:data:`THETA_RESCUE_BAND`).  Every run
-records the contract it honoured in ``result.diagnostics["parity"]``.
+the loop recomputes θ-boundary accuracies through the exact serial
+dataflow whenever the batched kernels ran (:data:`THETA_RESCUE_BAND`).
+Every run records the contract it honoured in
+``result.diagnostics["parity"]``.
 
 **Canonical-order sampling.**  Stage-I samples a data item's claims in
 ``(triple, provenance)`` canonical order; Stage-II samples a provenance's
@@ -83,19 +95,21 @@ do exactly that.  Caller-managed executors are not closed here.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
+    BACKENDS,
     FusionConfig,
     FusionResult,
     parity_of,
     sampling_contract_of,
 )
-from repro.fusion.matrix import ColumnarClaimMatrix
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
@@ -375,28 +389,30 @@ def run_bayesian_fusion(
     experiment).  ``backend`` overrides ``config.backend`` for this run.
     ``executor`` supplies a caller-managed executor — shared with other
     pipeline stages and *not* closed here (the caller closes it); only
-    the ``serial`` and ``parallel`` backends consult it.
+    the ``serial``, ``parallel`` and ``hybrid`` backends consult it.
     """
     requested = backend if backend is not None else config.backend
+    if requested not in BACKENDS:
+        raise ConfigError(f"backend must be one of {BACKENDS}, got {requested!r}")
     matrix = fusion_input.claims(config.granularity)
-
-    if requested == "vectorized":
-        cols = matrix.columnar()
-        if hasattr(item_posterior_fn, "batch_round") and not sampling_would_engage(
-            cols, config
-        ):
-            return _run_vectorized(
-                matrix,
-                cols,
-                config,
-                item_posterior_fn,
-                method_name,
-                gold_labels,
-                track_rounds,
-                requested,
-            )
-        # No batched form (e.g. a closure posterior) or sampling must
-        # engage: the scalar reference path is the defined behaviour.
+    if requested == "serial":
+        return _run_mapreduce(
+            matrix,
+            config,
+            item_posterior_fn,
+            method_name,
+            gold_labels,
+            track_rounds,
+            requested,
+            backend_used=requested,
+            executor=executor,
+        )
+    cols = matrix.columnar()
+    plan = _column_plan(requested, cols, config, item_posterior_fn)
+    if plan is None:
+        # ``vectorized`` without a batched form (e.g. a closure posterior)
+        # or with sampling engaged: the scalar reference path is the
+        # defined behaviour.
         return _run_mapreduce(
             matrix,
             config,
@@ -407,44 +423,16 @@ def run_bayesian_fusion(
             requested,
             backend_used="serial (vectorized fallback)",
         )
-    if requested in ("parallel", "hybrid"):
-        cols = matrix.columnar()
-        # Hybrid runs batched kernels per shard; without a batched form,
-        # or when per-item sampling must engage (batched kernels score
-        # whole rounds), it degrades to the scalar parallel shards —
-        # which handle canonical-order sampling themselves — never to
-        # the in-process serial reference.
-        hybrid = (
-            requested == "hybrid"
-            and hasattr(item_posterior_fn, "batch_round")
-            and not sampling_would_engage(cols, config)
-        )
-        backend_used = requested if hybrid or requested == "parallel" else (
-            "parallel (hybrid fallback)"
-        )
-        return _run_parallel_columnar(
-            matrix,
-            cols,
-            config,
-            item_posterior_fn,
-            method_name,
-            gold_labels,
-            track_rounds,
-            requested,
-            executor=executor,
-            hybrid=hybrid,
-            backend_used=backend_used,
-        )
-    return _run_mapreduce(
-        matrix,
+    return _run_columnar(
+        cols,
         config,
         item_posterior_fn,
         method_name,
         gold_labels,
         track_rounds,
         requested,
-        backend_used=requested,
-        executor=executor,
+        plan,
+        executor,
     )
 
 
@@ -565,7 +553,7 @@ def _finalize_scalar_result(
     round_probabilities: list[dict[Triple, float]] | None,
     diagnostics: dict,
 ) -> FusionResult:
-    """Stage III + result assembly, shared by the serial and columnar paths.
+    """Stage III + result assembly of the serial reference.
 
     Dedup by triple, applying the fallbacks for filtered items: scored
     triples keep their posterior; under the θ-filter an unscored triple
@@ -601,199 +589,51 @@ def _finalize_scalar_result(
     return result
 
 
-def _finalize_columnar_result(
-    cols: ColumnarClaims,
-    posteriors: dict[Triple, float],
-    accuracies: dict[ProvKey, float],
-    config: FusionConfig,
-    method_name: str,
-    rounds_run: int,
-    converged: bool,
-    round_probabilities: list[dict[Triple, float]] | None,
-    diagnostics: dict,
-) -> FusionResult:
-    """Stage III over the columns — no dict claim views required.
-
-    The column-native twin of :func:`_finalize_scalar_result` for inputs
-    that never built a record-backed ``ClaimMatrix`` (the out-of-core
-    path, where the dict views would cost gigabytes).  Value-identical
-    to the scalar version: rows are unique triples, a row's claim span
-    lists provenance ids ascending, and ascending provenance id *is*
-    ``sorted(provs)`` order because the provenance vocabulary is sorted
-    — so the θ-fallback mean sums in exactly the same order.
-    """
-    probabilities: dict[Triple, float] = {}
-    unpredicted: set[Triple] = set()
-    provenances = cols.provenances
-    claim_prov = cols.claim_prov
-    row_ptr = cols.row_ptr
-    for r, triple in enumerate(cols.triples):
-        if triple in posteriors:
-            probabilities[triple] = posteriors[triple]
-        elif config.min_accuracy is not None:
-            row_prov_ids = claim_prov[int(row_ptr[r]) : int(row_ptr[r + 1])].tolist()
-            probabilities[triple] = sum(
-                accuracies[provenances[p]] for p in row_prov_ids
-            ) / len(row_prov_ids)
-        else:
-            unpredicted.add(triple)
-
-    result = FusionResult(
-        method=method_name,
-        probabilities=probabilities,
-        unpredicted=unpredicted,
-        accuracies=accuracies,
-        rounds=rounds_run,
-        converged=converged,
-        diagnostics=diagnostics,
-    )
-    if round_probabilities is not None:
-        result.diagnostics["round_probabilities"] = round_probabilities
-    result.validate()
-    return result
-
-
-def _run_parallel_columnar(
-    matrix,
-    cols: ColumnarClaims,
-    config: FusionConfig,
-    item_posterior_fn: ItemPosteriorFn,
-    method_name: str,
-    gold_labels: dict[Triple, bool] | None,
-    track_rounds: bool,
+def _column_plan(
     requested: str,
-    executor: Executor | None = None,
-    hybrid: bool = False,
-    backend_used: str = "parallel",
-) -> FusionResult:
-    """The columnar-shuffle path (see :mod:`repro.fusion.shuffle`).
+    cols: ColumnarClaims,
+    config: FusionConfig,
+    kernel,
+    include_stage2: bool = True,
+) -> tuple[bool, bool, str] | None:
+    """Derive ``(sharded, batched, backend_used)`` from the backend name.
 
-    Accuracy state lives in a float64 array indexed by provenance id and
-    crosses to workers once per round on the executors' round-state
-    channel (shared-memory segments where available; the shard specs
-    carry only the tiny handle); the claim columns are pool-resident.
-    With ``hybrid=False`` workers run
-    the scalar posterior kernels over claims dicts rebuilt from the
-    columns — every float operation matches the serial reference
-    bit-for-bit, on fork and spawn pools alike, because the kernels sum
-    in canonical order (sampling included: the shards re-draw the
-    canonical-order subsets).  With ``hybrid=True`` workers run one
-    batched numpy kernel call per shard over a slice of the resident
-    columns — tolerance parity, scalar wall-clock divided by the worker
-    count.
+    The two axes of the module docstring's table: *where* each stage runs
+    and *which kernel* scores it, with the degradations applied.  None
+    means ``vectorized`` cannot batch and the serial reference must run.
+    ``include_stage2`` is forwarded to :func:`sampling_would_engage`.
     """
+    batched = (
+        requested != "parallel"
+        and hasattr(kernel, "batch_round")
+        and not sampling_would_engage(cols, config, include_stage2)
+    )
+    if requested == "vectorized":
+        return (False, True, requested) if batched else None
+    if batched or requested == "parallel":
+        return True, batched, requested
+    return True, False, "parallel (hybrid fallback)"
+
+
+@contextmanager
+def _column_executor(
+    cols: ColumnarClaims, config: FusionConfig, sharded: bool, executor: Executor | None
+):
+    """Where a column-native stage runs.
+
+    Yields None for the in-process whole-matrix variant; otherwise the
+    caller's executor — or a pool owned (and closed) here — with the
+    claim columns installed pool-resident.
+    """
+    if not sharded:
+        yield None
+        return
     owns_executor = executor is None
-    if executor is None:
+    if owns_executor:
         executor = make_executor(config, "parallel")
-    shuffle.install_fusion_columns(executor, cols)
-
-    n_provs = len(cols.provenances)
-    accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
-    evaluated = np.zeros(n_provs, dtype=bool)
-
-    gold_initialized = 0
-    if gold_labels:
-        sampled = _gold_subsample(gold_labels, config.gold_sample_rate, config.seed)
-        for p in range(n_provs):
-            rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-            labels = [
-                sampled[cols.triples[r]] for r in rows if cols.triples[r] in sampled
-            ]
-            if labels:
-                accuracies[p] = sum(labels) / len(labels)
-                evaluated[p] = True
-                gold_initialized += 1
-
-    def active_mask(round_index: int) -> np.ndarray:
-        active = np.ones(n_provs, dtype=bool)
-        if config.filter_by_coverage and round_index > 0:
-            active &= evaluated
-        if config.min_accuracy is not None:
-            active &= accuracies >= config.min_accuracy
-        return active
-
-    posteriors: dict[Triple, float] = {}
-    round_probabilities: list[dict[Triple, float]] = []
-    rounds_run = 0
-    converged = False
     try:
-        for round_index in range(config.max_rounds):
-            active = active_mask(round_index)
-            require_repeated = config.filter_by_coverage and round_index == 0
-            state1 = shuffle.install_stage1_state(executor, accuracies, active)
-            if hybrid:
-                job1 = shuffle.hybrid_stage1_job(
-                    "fusion.stage1",
-                    cols,
-                    item_posterior_fn,
-                    state1,
-                    require_repeated,
-                )
-            else:
-                job1 = shuffle.stage1_job(
-                    "fusion.stage1",
-                    cols,
-                    item_posterior_fn,
-                    state1,
-                    require_repeated,
-                    sample_limit=config.sample_limit,
-                    seed=config.seed,
-                )
-            per_item = executor.run_map(range(cols.n_items), job1)
-            posteriors, posteriors_arr, scored = shuffle.merge_stage1_outputs(
-                cols, per_item
-            )
-            state2 = shuffle.install_stage2_state(
-                executor, posteriors_arr, scored, active
-            )
-            if hybrid:
-                job2 = shuffle.hybrid_stage2_job("fusion.stage2", cols, state2)
-            else:
-                job2 = shuffle.stage2_job(
-                    "fusion.stage2",
-                    cols,
-                    state2,
-                    sample_limit=config.sample_limit,
-                    seed=config.seed,
-                )
-            new_accuracies = executor.run_map(range(n_provs), job2)
-            if hybrid and config.min_accuracy is not None:
-                # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
-                boundary = [
-                    p
-                    for p, accuracy in enumerate(new_accuracies)
-                    if accuracy is not None
-                    and abs(accuracy - config.min_accuracy) <= THETA_RESCUE_BAND
-                ]
-                if boundary:
-                    rescued = _exact_boundary_accuracies(
-                        cols, item_posterior_fn, accuracies, active, scored, boundary
-                    )
-                    for p, value in rescued.items():
-                        new_accuracies[p] = value
-            delta = 0.0
-            for p, accuracy in enumerate(new_accuracies):
-                if accuracy is None:
-                    continue
-                delta = max(delta, abs(accuracy - accuracies[p]))
-                accuracies[p] = accuracy
-                evaluated[p] = True
-            rounds_run = round_index + 1
-            if track_rounds:
-                round_probabilities.append(dict(posteriors))
-            if delta < config.convergence_tol:
-                converged = True
-                break
-        fallback_diagnostics = (
-            {
-                "fallbacks_tiny": executor.fallbacks_tiny,
-                "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                "fallbacks_shm": executor.fallbacks_shm,
-            }
-            if isinstance(executor, ParallelExecutor)
-            else {}
-        )
-        round_state_channel = getattr(executor, "round_state_channel", "in-process")
+        shuffle.install_fusion_columns(executor, cols)
+        yield executor
     finally:
         # Release the round's shared-memory segment even on a
         # caller-managed executor (its close() would also do this, but a
@@ -802,67 +642,128 @@ def _run_parallel_columnar(
         if owns_executor:
             executor.close()
 
-    accuracies_out = {
-        prov: float(accuracies[p]) for p, prov in enumerate(cols.provenances)
-    }
+
+def _sharded_diagnostics(executor: Executor | None) -> dict:
+    """Round-state channel and fallback counters of a sharded run."""
+    if executor is None:
+        return {}
     diagnostics = {
-        "n_items": cols.n_items,
-        "n_provenances": n_provs,
-        "n_claims": cols.n_claims,
-        "gold_initialized": gold_initialized,
-        "n_active_final": int(active_mask(rounds_run).sum()),
-        "backend": requested,
-        "backend_used": backend_used,
-        "parity": parity_of(backend_used),
-        "sampling": sampling_contract_of(config),
-        "round_state": round_state_channel,
-        **fallback_diagnostics,
+        "round_state": getattr(executor, "round_state_channel", "in-process")
     }
-    if isinstance(matrix, ColumnarClaimMatrix):
-        # Column-backed input (the out-of-core path): finalize straight
-        # from the columns so the dict claim views never materialise.
-        return _finalize_columnar_result(
-            cols=cols,
-            posteriors=posteriors,
-            accuracies=accuracies_out,
-            config=config,
-            method_name=method_name,
-            rounds_run=rounds_run,
-            converged=converged,
-            round_probabilities=round_probabilities if track_rounds else None,
-            diagnostics=diagnostics,
-        )
-    return _finalize_scalar_result(
-        matrix=matrix,
-        posteriors=posteriors,
-        accuracies=accuracies_out,
-        config=config,
-        method_name=method_name,
-        rounds_run=rounds_run,
-        converged=converged,
-        round_probabilities=round_probabilities if track_rounds else None,
-        diagnostics=diagnostics,
+    if isinstance(executor, ParallelExecutor):
+        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
+        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
+        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
+    return diagnostics
+
+
+def _column_stage1(
+    cols: ColumnarClaims,
+    kernel,
+    accuracies: np.ndarray,
+    active: np.ndarray,
+    require_repeated: bool,
+    config: FusionConfig,
+    executor: Executor | None,
+    batched: bool,
+    name: str = "fusion.stage1",
+) -> kernels.RoundPosteriors:
+    """Stage I of one round: a posterior and a scored flag per row.
+
+    In-process (``executor`` None) the batched kernel scores the whole
+    matrix in one call.  Sharded, the round's accuracies and active mask
+    cross once on the round-state channel (shared-memory segments where
+    available; the shard specs carry only the tiny handle) and each shard
+    of item ids runs the batched or the scalar kernel.  ``name`` seeds the
+    scalar shards' canonical-order sampling draw: it must be the serial
+    job's name for sampled subsets to stay bitwise.
+    """
+    if executor is None:
+        return kernel.batch_round(cols, accuracies, active, require_repeated)
+    state = shuffle.install_stage1_state(executor, accuracies, active)
+    job = shuffle.stage1_job(
+        name,
+        cols,
+        kernel,
+        state,
+        require_repeated,
+        batched,
+        sample_limit=config.sample_limit,
+        seed=config.seed,
+    )
+    return shuffle.merge_stage1_outputs(
+        cols, executor.run_map(range(cols.n_items), job)
     )
 
 
-def _run_vectorized(
-    matrix,
+def _column_stage2(
+    cols: ColumnarClaims,
+    round_result: kernels.RoundPosteriors,
+    active: np.ndarray,
+    config: FusionConfig,
+    executor: Executor | None,
+    batched: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stage II of one round: ``(new_acc, updated)`` per provenance id.
+
+    ``updated`` marks the provenances that received an estimate (active
+    and supporting at least one scored row) — exactly the keys the serial
+    Stage-II reducer emits; ``new_acc`` is meaningful only there.
+    """
+    if executor is None:
+        return kernels.stage2_accuracies(cols, round_result, active)
+    state = shuffle.install_stage2_state(
+        executor, round_result.posteriors, round_result.scored, active
+    )
+    job = shuffle.stage2_job(
+        "fusion.stage2",
+        cols,
+        state,
+        batched,
+        sample_limit=config.sample_limit,
+        seed=config.seed,
+    )
+    outputs = executor.run_map(range(len(cols.provenances)), job)
+    updated = np.array([value is not None for value in outputs], dtype=bool)
+    new_acc = np.array(
+        [0.0 if value is None else value for value in outputs], dtype=np.float64
+    )
+    return new_acc, updated
+
+
+def _scored_posteriors(
+    cols: ColumnarClaims, round_result: kernels.RoundPosteriors
+) -> dict[Triple, float]:
+    """The scored rows of one Stage-I result as ``{triple: posterior}``."""
+    rows = np.flatnonzero(round_result.scored)
+    return {
+        cols.triples[r]: posterior
+        for r, posterior in zip(rows.tolist(), round_result.posteriors[rows].tolist())
+    }
+
+
+def _run_columnar(
     cols: ColumnarClaims,
     config: FusionConfig,
-    kernel,
+    kernel: ItemPosteriorFn,
     method_name: str,
     gold_labels: dict[Triple, bool] | None,
     track_rounds: bool,
     requested: str,
+    plan: tuple[bool, bool, str],
+    executor: Executor | None,
 ) -> FusionResult:
-    """The batched numpy path: whole rounds as array operations.
+    """The column-native round loop behind ``parallel``/``vectorized``/``hybrid``.
 
-    Accuracy state lives in a float64 array indexed by provenance id;
-    posteriors in a float64 array indexed by row (= unique triple).  The
-    Python dict outputs are materialised once at the end (Stage III), so
-    the per-round cost is a fixed number of numpy kernels regardless of
-    item count.
+    Round state is arrays only: accuracies in a float64 array indexed by
+    provenance id, posteriors and the scored mask indexed by row (= unique
+    triple).  The Python dict outputs are materialised once at the end
+    (Stage III), so no dict claim view is ever required — which is what
+    lets the out-of-core path fuse straight from mapped columns.  ``plan``
+    (:func:`_column_plan`) fixes where the two per-round stage calls run
+    and which kernel scores them; nothing else differs between backends.
     """
+    sharded, batched, backend_used = plan
     n_provs = len(cols.provenances)
     accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
     evaluated = np.zeros(n_provs, dtype=bool)
@@ -895,68 +796,73 @@ def _run_vectorized(
     round_probabilities: list[dict[Triple, float]] = []
     rounds_run = 0
     converged = False
-    for round_index in range(config.max_rounds):
-        active = active_mask(round_index)
-        require_repeated = config.filter_by_coverage and round_index == 0
-        round_result = kernel.batch_round(cols, accuracies, active, require_repeated)
-        new_acc, updated = kernels.stage2_accuracies(cols, round_result, active)
-        if config.min_accuracy is not None:
-            # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
-            boundary = np.flatnonzero(
-                updated & (np.abs(new_acc - config.min_accuracy) <= THETA_RESCUE_BAND)
+    with _column_executor(cols, config, sharded, executor) as where:
+        for round_index in range(config.max_rounds):
+            active = active_mask(round_index)
+            require_repeated = config.filter_by_coverage and round_index == 0
+            round_result = _column_stage1(
+                cols, kernel, accuracies, active, require_repeated, config, where,
+                batched,
             )
-            if boundary.size:
-                rescued = _exact_boundary_accuracies(
-                    cols, kernel, accuracies, active, round_result.scored, boundary
+            new_acc, updated = _column_stage2(
+                cols, round_result, active, config, where, batched
+            )
+            if batched and config.min_accuracy is not None:
+                # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
+                # (The scalar shards are already exact, and may have sampled.)
+                boundary = np.flatnonzero(
+                    updated
+                    & (np.abs(new_acc - config.min_accuracy) <= THETA_RESCUE_BAND)
                 )
-                for p, value in rescued.items():
-                    new_acc[p] = value
-        delta = (
-            float(np.max(np.abs(new_acc - accuracies)[updated]))
-            if updated.any()
-            else 0.0
-        )
-        accuracies = np.where(updated, new_acc, accuracies)
-        evaluated |= updated
-        rounds_run = round_index + 1
-        if track_rounds:
-            round_probabilities.append(
-                {
-                    cols.triples[r]: float(round_result.posteriors[r])
-                    for r in np.flatnonzero(round_result.scored)
-                }
+                if boundary.size:
+                    rescued = _exact_boundary_accuracies(
+                        cols, kernel, accuracies, active, round_result.scored, boundary
+                    )
+                    for p, value in rescued.items():
+                        new_acc[p] = value
+            delta = (
+                float(np.max(np.abs(new_acc - accuracies)[updated]))
+                if updated.any()
+                else 0.0
             )
-        if delta < config.convergence_tol:
-            converged = True
-            break
+            accuracies = np.where(updated, new_acc, accuracies)
+            evaluated |= updated
+            rounds_run = round_index + 1
+            if track_rounds:
+                round_probabilities.append(_scored_posteriors(cols, round_result))
+            if delta < config.convergence_tol:
+                converged = True
+                break
+        sharded_diagnostics = _sharded_diagnostics(where)
 
-    # Stage III: rows are already unique triples; unscored rows take the
-    # θ-fallback (mean accuracy of their own provenances) or go unpredicted.
+    # Stage III: rows are already unique triples.  Scored rows keep their
+    # posterior; under the θ-filter an unscored row falls back to the mean
+    # accuracy of its own provenances — a row's claim span lists provenance
+    # ids ascending, which *is* ``sorted(provs)`` order because the
+    # provenance vocabulary is sorted, so the mean sums in exactly the
+    # serial reference's order; otherwise the row is *unpredicted*.
     probabilities: dict[Triple, float] = {}
     unpredicted: set[Triple] = set()
-    fallback = (
-        kernels.theta_fallback_probabilities(cols, accuracies)
-        if config.min_accuracy is not None
-        else None
-    )
-    scored = round_result.scored
-    post = round_result.posteriors
+    final_accuracies = accuracies.tolist()
+    posteriors = round_result.posteriors.tolist()
+    scored = round_result.scored.tolist()
+    claim_prov, row_ptr = cols.claim_prov, cols.row_ptr
     for r, triple in enumerate(cols.triples):
         if scored[r]:
-            probabilities[triple] = float(post[r])
-        elif fallback is not None:
-            probabilities[triple] = float(fallback[r])
+            probabilities[triple] = posteriors[r]
+        elif config.min_accuracy is not None:
+            prov_ids = claim_prov[row_ptr[r] : row_ptr[r + 1]].tolist()
+            probabilities[triple] = sum(
+                final_accuracies[p] for p in prov_ids
+            ) / len(prov_ids)
         else:
             unpredicted.add(triple)
 
-    accuracies_out = {
-        prov: float(accuracies[p]) for p, prov in enumerate(cols.provenances)
-    }
     result = FusionResult(
         method=method_name,
         probabilities=probabilities,
         unpredicted=unpredicted,
-        accuracies=accuracies_out,
+        accuracies=dict(zip(cols.provenances, final_accuracies)),
         rounds=rounds_run,
         converged=converged,
         diagnostics={
@@ -966,9 +872,10 @@ def _run_vectorized(
             "gold_initialized": gold_initialized,
             "n_active_final": int(active_mask(rounds_run).sum()),
             "backend": requested,
-            "backend_used": "vectorized",
-            "parity": parity_of("vectorized"),
+            "backend_used": backend_used,
+            "parity": parity_of(backend_used),
             "sampling": sampling_contract_of(config),
+            **sharded_diagnostics,
         },
     )
     if track_rounds:

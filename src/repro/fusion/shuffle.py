@@ -77,6 +77,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.fusion.kernels import RoundPosteriors
 from repro.fusion.observations import ColumnarClaims, ProvKey, ragged_gather
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
@@ -101,8 +102,6 @@ __all__ = [
     "HybridStage2Shard",
     "stage1_job",
     "stage2_job",
-    "hybrid_stage1_job",
-    "hybrid_stage2_job",
     "merge_stage1_outputs",
 ]
 
@@ -404,29 +403,39 @@ class HybridStage2Shard:
 def stage1_job(
     name: str,
     cols: ColumnarClaims,
-    posterior_fn: Callable,
+    kernel: Callable,
     state: RoundStateHandle,
     require_repeated: bool,
+    batched: bool,
     sample_limit: int | None = None,
     seed: int = 0,
 ) -> ShardedMapJob:
-    """The scalar Stage-I round as a map-only job over item ids.
+    """One Stage-I round as a map-only job over item ids.
 
-    ``state`` is the handle :func:`install_stage1_state` returned for
-    this round.  ``key_fn`` resolves the item's canonical key in the
+    ``batched`` picks the shard family: one batched ``kernel.batch_round``
+    call per shard (:class:`HybridStage1Shard`) or the scalar kernel per
+    item (:class:`Stage1ColumnarShard`, which also honours the sampling
+    bound).  ``state`` is the handle :func:`install_stage1_state` returned
+    for this round.  ``key_fn`` resolves the item's canonical key in the
     parent (it never pickles), so shard assignment matches the stable
     crc32 partitioning every other sharded stage uses.
     """
-    return ShardedMapJob(
-        name=name,
-        map_shard=Stage1ColumnarShard(
-            posterior_fn=posterior_fn,
+    if batched:
+        map_shard = HybridStage1Shard(
+            kernel=kernel, state=state, require_repeated=require_repeated
+        )
+    else:
+        map_shard = Stage1ColumnarShard(
+            posterior_fn=kernel,
             state=state,
             require_repeated=require_repeated,
             name=name,
             sample_limit=sample_limit,
             seed=seed,
-        ),
+        )
+    return ShardedMapJob(
+        name=name,
+        map_shard=map_shard,
         key_fn=lambda j: cols.items[j].canonical(),
     )
 
@@ -435,68 +444,37 @@ def stage2_job(
     name: str,
     cols: ColumnarClaims,
     state: RoundStateHandle,
+    batched: bool,
     sample_limit: int | None = None,
     seed: int = 0,
 ) -> ShardedMapJob:
-    """The scalar Stage-II round as a map-only job over provenance ids.
+    """One Stage-II round as a map-only job over provenance ids.
 
-    ``state`` is the handle :func:`install_stage2_state` returned for
-    this round.
+    ``batched`` picks :class:`HybridStage2Shard` over the scalar
+    :class:`Stage2ColumnarShard`; ``state`` is the handle
+    :func:`install_stage2_state` returned for this round.
     """
+    if batched:
+        map_shard = HybridStage2Shard(state=state)
+    else:
+        map_shard = Stage2ColumnarShard(
+            state=state, name=name, sample_limit=sample_limit, seed=seed
+        )
     return ShardedMapJob(
         name=name,
-        map_shard=Stage2ColumnarShard(
-            state=state,
-            name=name,
-            sample_limit=sample_limit,
-            seed=seed,
-        ),
-        key_fn=lambda p: cols.provenances[p],
-    )
-
-
-def hybrid_stage1_job(
-    name: str,
-    cols: ColumnarClaims,
-    kernel: Callable,
-    state: RoundStateHandle,
-    require_repeated: bool,
-) -> ShardedMapJob:
-    """The hybrid Stage-I round: batched kernels per shard of item ids."""
-    return ShardedMapJob(
-        name=name,
-        map_shard=HybridStage1Shard(
-            kernel=kernel,
-            state=state,
-            require_repeated=require_repeated,
-        ),
-        key_fn=lambda j: cols.items[j].canonical(),
-    )
-
-
-def hybrid_stage2_job(
-    name: str,
-    cols: ColumnarClaims,
-    state: RoundStateHandle,
-) -> ShardedMapJob:
-    """The hybrid Stage-II round: batched reduce per shard of prov ids."""
-    return ShardedMapJob(
-        name=name,
-        map_shard=HybridStage2Shard(state=state),
+        map_shard=map_shard,
         key_fn=lambda p: cols.provenances[p],
     )
 
 
 def merge_stage1_outputs(
     cols: ColumnarClaims, per_item: list[list[tuple[int, float]]]
-) -> tuple[dict[Triple, float], np.ndarray, np.ndarray]:
-    """Collect shard outputs into the posterior dict + row arrays."""
-    posteriors_arr = np.zeros(cols.n_rows, dtype=np.float64)
+) -> RoundPosteriors:
+    """Collect the shards' ``(row_id, posterior)`` pairs into row arrays."""
+    posteriors = np.zeros(cols.n_rows, dtype=np.float64)
     scored = np.zeros(cols.n_rows, dtype=bool)
-    posteriors: dict[Triple, float] = {}
     for pairs in per_item:
         for r, value in pairs:
-            posteriors_arr[r] = value
+            posteriors[r] = value
             scored[r] = True
-            posteriors[cols.triples[r]] = value
-    return posteriors, posteriors_arr, scored
+    return RoundPosteriors(posteriors=posteriors, scored=scored)

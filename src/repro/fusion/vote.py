@@ -7,8 +7,10 @@ the Figure 8 pipeline, which is exactly how it is implemented here (through
 the MapReduce engine, so VOTE exercises the same dataflow as the Bayesian
 methods).
 
-Backends: ``serial`` runs the scalar reducers in-process; ``parallel``
-runs Stage I through the columnar shuffle (:mod:`repro.fusion.shuffle`) —
+Backends: ``serial`` runs the scalar reducers in-process; the other three
+run Stage I once through the runner's column-native Stage-I helper
+(:mod:`repro.fusion.runner` has the where × kernel table).  ``parallel``
+shards it over the columnar shuffle (:mod:`repro.fusion.shuffle`) —
 pool-resident claim columns, integer-id shard payloads, bit-identical to
 serial on fork and spawn, including under canonical-order reducer-input
 sampling; ``vectorized`` computes all ``m/n`` ratios in one numpy pass
@@ -22,19 +24,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fusion import kernels, shuffle
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionResult, parity_of, sampling_contract_of
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.runner import (
     Stage1Reducer,
+    _column_executor,
+    _column_plan,
+    _column_stage1,
+    _scored_posteriors,
+    _sharded_diagnostics,
     make_executor,
-    sampling_would_engage,
     stage1_mapper,
     stage1_sample_key,
 )
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
-from repro.mapreduce.executors import ParallelExecutor
 
 __all__ = ["vote_item_posteriors", "VoteKernel", "Vote"]
 
@@ -87,108 +92,44 @@ class Vote(Fuser):
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         matrix = fusion_input.claims(self.config.granularity)
-        backend_used = self.config.backend
-        if self.config.backend == "vectorized":
-            cols = matrix.columnar()
-            if not sampling_would_engage(cols, self.config, include_stage2=False):
-                return self._fuse_vectorized(cols)
-            backend_used = "serial (vectorized fallback)"
-        elif self.config.backend in ("parallel", "hybrid"):
-            cols = matrix.columnar()
-            hybrid = self.config.backend == "hybrid" and not sampling_would_engage(
-                cols, self.config, include_stage2=False
-            )
-            return self._fuse_columnar(cols, executor, hybrid=hybrid)
-        return self._fuse_mapreduce(matrix, backend_used)
-
-    def _fuse_vectorized(self, cols: ColumnarClaims) -> FusionResult:
-        round_result = kernels.vote_round(cols)
-        result = FusionResult(
-            method=self.name,
-            probabilities={
-                triple: float(round_result.posteriors[r])
-                for r, triple in enumerate(cols.triples)
-            },
-            rounds=0,
-            converged=True,
-            diagnostics={
-                "backend": "vectorized",
-                "backend_used": "vectorized",
-                "parity": parity_of("vectorized"),
-                "sampling": sampling_contract_of(self.config),
-            },
+        backend = self.config.backend
+        if backend == "serial":
+            return self._fuse_mapreduce(matrix, backend)
+        cols = matrix.columnar()
+        plan = _column_plan(
+            backend, cols, self.config, VoteKernel(), include_stage2=False
         )
-        result.validate()
-        return result
-
-    def _fuse_columnar(
-        self, cols: ColumnarClaims, executor=None, hybrid: bool = False
-    ) -> FusionResult:
-        """Stage I through the columnar shuffle.
-
-        Rows are already unique triples, so the serial path's Stage-III
-        dedup is structurally a no-op here: the per-row ``m/n`` ratios are
-        the final probabilities.  Scalar shards (``hybrid=False``) are
-        bit-identical to serial — sampling included, via the
-        canonical-order draw; hybrid shards run the batched ``m/n`` kernel
-        per shard at tolerance parity.
-        """
-        if hybrid:
-            backend_used = "hybrid"
-        elif self.config.backend == "hybrid":
-            backend_used = "parallel (hybrid fallback)"
-        else:
-            backend_used = "parallel"
-        owns_executor = executor is None
-        if executor is None:
-            executor = make_executor(self.config, "parallel")
-        shuffle.install_fusion_columns(executor, cols)
+        if plan is None:
+            return self._fuse_mapreduce(matrix, "serial (vectorized fallback)")
+        sharded, batched, backend_used = plan
         n_provs = len(cols.provenances)
-        state = shuffle.install_stage1_state(
-            executor,
-            np.zeros(n_provs, dtype=np.float64),
-            np.ones(n_provs, dtype=bool),
+        with _column_executor(cols, self.config, sharded, executor) as where:
+            round_result = _column_stage1(
+                cols,
+                VoteKernel(),
+                np.zeros(n_provs, dtype=np.float64),
+                np.ones(n_provs, dtype=bool),
+                False,
+                self.config,
+                where,
+                batched,
+                name="vote.stage1",
+            )
+            sharded_diagnostics = _sharded_diagnostics(where)
+        # Rows are already unique triples, so the serial path's Stage-III
+        # dedup is structurally a no-op here: the scored rows' ``m/n``
+        # ratios are the final probabilities.  Unscored rows (possible
+        # only under sampling) stay absent, as in the serial reference.
+        return self._result(
+            _scored_posteriors(cols, round_result), backend_used, sharded_diagnostics
         )
-        if hybrid:
-            job = shuffle.hybrid_stage1_job(
-                "vote.stage1",
-                cols,
-                VoteKernel(),
-                state,
-                require_repeated=False,
-            )
-        else:
-            job = shuffle.stage1_job(
-                "vote.stage1",
-                cols,
-                VoteKernel(),
-                state,
-                require_repeated=False,
-                sample_limit=self.config.sample_limit,
-                seed=self.config.seed,
-            )
-        try:
-            per_item = executor.run_map(range(cols.n_items), job)
-            fallback_diagnostics = (
-                {
-                    "fallbacks_tiny": executor.fallbacks_tiny,
-                    "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                    "fallbacks_shm": executor.fallbacks_shm,
-                }
-                if isinstance(executor, ParallelExecutor)
-                else {}
-            )
-            round_state_channel = getattr(
-                executor, "round_state_channel", "in-process"
-            )
-        finally:
-            shuffle.uninstall_fusion_round_state(executor)
-            if owns_executor:
-                executor.close()
-        probabilities, _arr, _scored = shuffle.merge_stage1_outputs(cols, per_item)
+
+    def _result(
+        self, probabilities: dict[Triple, float], backend_used: str, extra: dict
+    ) -> FusionResult:
         result = FusionResult(
             method=self.name,
-            probabilities={t: float(p) for t, p in probabilities.items()},
+            probabilities=probabilities,
             rounds=0,
             converged=True,
             diagnostics={
@@ -196,8 +137,7 @@ class Vote(Fuser):
                 "backend_used": backend_used,
                 "parity": parity_of(backend_used),
                 "sampling": sampling_contract_of(self.config),
-                "round_state": round_state_channel,
-                **fallback_diagnostics,
+                **extra,
             },
         )
         result.validate()
@@ -233,17 +173,6 @@ class Vote(Fuser):
             deduped = engine.run(scored, stage3)
         finally:
             executor.close()
-        result = FusionResult(
-            method=self.name,
-            probabilities={triple: float(p) for triple, p in deduped},
-            rounds=0,
-            converged=True,
-            diagnostics={
-                "backend": self.config.backend,
-                "backend_used": backend_used,
-                "parity": parity_of(backend_used),
-                "sampling": sampling_contract_of(self.config),
-            },
+        return self._result(
+            {triple: float(p) for triple, p in deduped}, backend_used, {}
         )
-        result.validate()
-        return result

@@ -366,6 +366,20 @@ class TestDET006Contracts:
         }
         assert _rules_fired(files, DET006) == ["DET006"]
 
+    def test_bad_streaming_mapping_resolves_to_undeclared_backend(self):
+        # The streaming pipeline's rename table is audited like the
+        # record pipeline's.
+        files = {
+            self.BASE: BASE_OK,
+            self.ENDTOEND: (
+                "PIPELINE_BACKENDS = ('serial', 'parallel')\n"
+                "STREAMING_PIPELINE_BACKENDS = ('batched', 'parallel')\n"
+                "_STREAM_FUSION_BACKEND = "
+                "{'batched': 'quantum', 'parallel': 'parallel'}\n"
+            ),
+        }
+        assert _rules_fired(files, DET006) == ["DET006"]
+
     def test_bad_stale_mapping_key(self):
         files = {
             self.BASE: BASE_OK,

@@ -21,6 +21,7 @@ import pickle
 import pytest
 
 from repro.datasets import build_scenario, small_config
+from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.extract.records import ExtractionRecord
 from repro.fusion import (
     FusionConfig,
@@ -125,6 +126,26 @@ class TestHybridParity:
             assert hybrid.diagnostics[key] == serial.diagnostics[key], key
         assert serial.diagnostics["parity"] == "bitwise"
         assert hybrid.diagnostics["parity"] == "tolerance"
+
+
+class TestOneColumnLoop:
+    @pytest.mark.parametrize("method", PIPELINE_METHODS)
+    def test_vectorized_equals_hybrid(self, small_scenario, method):
+        """``vectorized`` and ``hybrid`` are the same round loop and the
+        same kernels, in-process vs sharded: their results are equal as
+        dicts — bit for bit — for every method, θ-fallback rows included."""
+        vectorized, hybrid = [
+            make_fuser(
+                method,
+                FusionConfig(seed=0, backend=backend, n_workers=2),
+                small_scenario.gold,
+            ).fuse(small_scenario.fusion_input())
+            for backend in ("vectorized", "hybrid")
+        ]
+        assert hybrid.diagnostics["backend_used"] == "hybrid"
+        assert vectorized.probabilities == hybrid.probabilities
+        assert vectorized.accuracies == hybrid.accuracies
+        assert vectorized.unpredicted == hybrid.unpredicted
 
 
 class TestThetaBoundaryRescue:

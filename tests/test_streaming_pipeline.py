@@ -44,9 +44,9 @@ def _assert_bitwise(streaming, record, exact_metrics=True):
         assert streaming.metrics == record.metrics
     else:
         # The metric reductions iterate the probabilities dict in
-        # insertion order, which differs between the columnar finalize
-        # and the record path — identical values, last-ulp summation
-        # drift allowed.
+        # insertion order, which differs between the column-native
+        # Stage III and the serial oracle's record-order finalize —
+        # identical values, last-ulp summation drift allowed.
         assert streaming.metrics == pytest.approx(record.metrics, abs=1e-12)
 
 
@@ -86,7 +86,9 @@ class TestStreamingEqualsRecordPath:
         record = run_end_to_end(
             tiny_config(seed=SEED), backend="hybrid", n_workers=2
         )
-        _assert_bitwise(streaming, record, exact_metrics=False)
+        # One column-native Stage III: both finalise in ``cols.triples``
+        # order, so even the insertion-order-sensitive metrics are exact.
+        _assert_bitwise(streaming, record, exact_metrics=True)
 
 
 class TestMappedEqualsMemory:
