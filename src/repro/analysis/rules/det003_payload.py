@@ -5,7 +5,7 @@ Shard payloads (the ``*Shard`` dataclasses in
 wire on every round.  The runtime audit (``scan_payload_types``) rejects
 numpy buffers and rich domain objects at execution time; this rule is
 its static companion — it reads the dataclass *field annotations* so a
-smuggled ``np.ndarray`` or ``Claim`` fails review, not a parity test
+smuggled ``np.ndarray`` or ``Triple`` fails review, not a parity test
 three PRs later.  Allowed: primitives, ids, containers of the same, and
 the two pointer types workers dereference locally — the ~300-byte
 ``RoundStateHandle`` (shared-memory segments) and the

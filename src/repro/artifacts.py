@@ -261,6 +261,36 @@ def _dump_world(world: World) -> bytes:
         world._wrong_pools = pools
 
 
+def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) -> None:
+    """Write ``files`` plus ``meta.json`` into ``final_dir``, all or nothing.
+
+    Everything lands in a ``.tmp-<pid>`` sibling first and is renamed into
+    place, so a crashed writer leaves no half-readable directory (only a
+    ``.tmp-`` leftover for ``cache prune``) and any failure removes the
+    temp directory before re-raising.
+    """
+    final_dir.parent.mkdir(parents=True, exist_ok=True)
+    temp_dir = final_dir.with_name(final_dir.name + f".tmp-{os.getpid()}")
+    if temp_dir.exists():
+        shutil.rmtree(temp_dir)
+    temp_dir.mkdir(parents=True)
+    try:
+        for name, blob in files.items():
+            (temp_dir / name).write_bytes(blob)
+        (temp_dir / _META).write_text(json.dumps(meta, indent=2) + "\n")
+        try:
+            os.rename(temp_dir, final_dir)
+        except OSError:
+            # Lost the publish race to a concurrent writer of the same
+            # key: the published content is bit-equivalent, keep it.
+            if not (final_dir / _META).exists():
+                raise
+            shutil.rmtree(temp_dir)
+    except Exception:
+        shutil.rmtree(temp_dir, ignore_errors=True)
+        raise
+
+
 def save_scenario_artifact(
     cache_dir: Path | str,
     seed: int,
@@ -316,26 +346,7 @@ def save_scenario_artifact(
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
 
-    final_dir.parent.mkdir(parents=True, exist_ok=True)
-    temp_dir = final_dir.with_name(final_dir.name + f".tmp-{os.getpid()}")
-    if temp_dir.exists():
-        shutil.rmtree(temp_dir)
-    temp_dir.mkdir(parents=True)
-    try:
-        for name, blob in files.items():
-            (temp_dir / name).write_bytes(blob)
-        (temp_dir / _META).write_text(json.dumps(meta, indent=2) + "\n")
-        try:
-            os.rename(temp_dir, final_dir)
-        except OSError:
-            # Lost the publish race to a concurrent writer of the same
-            # key: the published artifact is bit-equivalent, keep it.
-            if not (final_dir / _META).exists():
-                raise
-            shutil.rmtree(temp_dir)
-    except Exception:
-        shutil.rmtree(temp_dir, ignore_errors=True)
-        raise
+    _publish_atomically(final_dir, files, meta)
     return final_dir
 
 
@@ -490,24 +501,7 @@ def save_column_store(
             for name, blob in files.items()
         },
     }
-    final_dir.parent.mkdir(parents=True, exist_ok=True)
-    temp_dir = final_dir.with_name(final_dir.name + f".tmp-{os.getpid()}")
-    if temp_dir.exists():
-        shutil.rmtree(temp_dir)
-    temp_dir.mkdir(parents=True)
-    try:
-        for name, blob in files.items():
-            (temp_dir / name).write_bytes(blob)
-        (temp_dir / _META).write_text(json.dumps(meta, indent=2) + "\n")
-        try:
-            os.rename(temp_dir, final_dir)
-        except OSError:
-            if not (final_dir / _META).exists():
-                raise
-            shutil.rmtree(temp_dir)
-    except Exception:
-        shutil.rmtree(temp_dir, ignore_errors=True)
-        raise
+    _publish_atomically(final_dir, files, meta)
     return handle
 
 

@@ -44,12 +44,8 @@ from repro.datasets.scenario import (
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
-from repro.fusion.matrix import (
-    ClaimAccumulator,
-    ColumnarFusionInput,
-    MappedColumnarClaims,
-    persist_columns,
-)
+from repro.fusion.matrix import MappedColumnarClaims, persist_columns
+from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import Executor, ParallelExecutor, SerialExecutor
@@ -365,7 +361,7 @@ def run_streaming_pipeline(
     (:func:`repro.world.webgen.stream_corpus` →
     :meth:`~repro.extract.pipeline.ExtractionPipeline.run_stream`) and
     folded straight into a
-    :class:`~repro.fusion.matrix.ClaimAccumulator`; the corpus and the
+    :class:`~repro.fusion.observations.ClaimAccumulator`; the corpus and the
     record list are never materialised.  With ``cache_dir`` set the
     claim columns are published to the content-addressed column store
     and fusion runs over read-only memory-mapped views
@@ -375,23 +371,31 @@ def run_streaming_pipeline(
     (``"memory"``) — bitwise-identical either way, by test.
 
     ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`;
-    ``serial`` is rejected because serial fusion rebuilds the dict claim
-    views.  ``diagnostics["peak_rss_mb"]`` records the process peak RSS
+    ``serial`` is rejected — as the argument and as a caller-supplied
+    ``fusion_config.backend`` — because serial fusion rebuilds the dict
+    claim views.  ``diagnostics["peak_rss_mb"]`` records the process peak RSS
     after the run.
     """
+    serial_ban = (
+        " — the serial path materialises dict claim views, which the "
+        "out-of-core tier forbids (see docs/SCALING.md)"
+    )
     _validate_request(
-        backend,
-        STREAMING_PIPELINE_BACKENDS,
-        method,
-        "streaming pipeline",
-        hint=" — the serial path materialises dict claim views, which the "
-        "out-of-core tier forbids (see docs/SCALING.md)",
+        backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline", serial_ban
     )
     if fusion_config is None:
         fusion_config = FusionConfig(
             seed=config.seed,
             backend=_STREAM_FUSION_BACKEND[backend],
             n_workers=n_workers,
+        )
+    elif fusion_config.backend not in _STREAM_FUSION_BACKEND.values():
+        # The ban is on the fusion backend that will actually run, not
+        # just on the ``backend`` argument.
+        raise ConfigError(
+            f"streaming pipeline fusion_config.backend must be one of "
+            f"{tuple(_STREAM_FUSION_BACKEND.values())}, "
+            f"got {fusion_config.backend!r}{serial_ban}"
         )
     # The fuser preset decides the effective provenance granularity
     # (POPACCU+ overrides it); the accumulator must fold records at that
@@ -452,7 +456,7 @@ def run_streaming_pipeline(
 
         start = time.perf_counter()
         fuser = make_fuser(method, fusion_config, gold)
-        fusion_result = fuser.fuse(ColumnarFusionInput(cols), executor=executor)
+        fusion_result = fuser.fuse(FusionInput.from_columns(cols), executor=executor)
         timings["fusion"] = time.perf_counter() - start
     finally:
         executor.close()

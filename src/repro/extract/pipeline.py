@@ -219,39 +219,29 @@ def _page_url(page: WebPage) -> str:
 class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
 
-    ``backend``/``n_workers`` set the default execution backend for
-    :meth:`run` (overridable per call): ``serial`` is the in-process
-    reference, ``batched`` runs the in-process synthesis kernel,
-    ``parallel`` shards pages by stable URL hash over a process pool, and
-    ``hybrid`` runs the synthesis kernel inside each parallel shard — all
-    bit-identical to ``serial``.
+    The execution backend is chosen per :meth:`run` / :meth:`run_stream`
+    call: ``serial`` (the default) is the in-process reference,
+    ``batched`` runs the in-process synthesis kernel, ``parallel`` shards
+    pages by stable URL hash over a process pool, and ``hybrid`` runs the
+    synthesis kernel inside each parallel shard — all bit-identical to
+    ``serial``.
     """
 
     extractors: list[Extractor]
-    backend: str = "serial"
-    n_workers: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in EXTRACTION_BACKENDS:
-            raise ConfigError(
-                f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
-                f"got {self.backend!r}"
-            )
 
     def run(
         self,
         corpus: WebCorpus,
-        backend: str | None = None,
+        backend: str = "serial",
         n_workers: int | None = None,
         executor: Executor | None = None,
     ) -> list[ExtractionRecord]:
         """All classified extraction records, page-major then extractor-major.
 
-        ``backend`` overrides the pipeline default for this call;
-        ``executor`` overrides both with a caller-managed executor (which
-        the caller also closes — the CLI uses this to read the fallback
-        counters afterwards).  The single-chunk case of
-        :meth:`run_stream`.
+        ``executor`` supplies a caller-managed executor in place of the
+        one ``backend`` / ``n_workers`` would create (the caller also
+        closes it — the CLI uses this to read the fallback counters
+        afterwards).  The single-chunk case of :meth:`run_stream`.
         """
         return [
             record
@@ -262,7 +252,7 @@ class ExtractionPipeline:
     def run_stream(
         self,
         chunks,
-        backend: str | None = None,
+        backend: str = "serial",
         n_workers: int | None = None,
         executor: Executor | None = None,
     ):
@@ -278,18 +268,15 @@ class ExtractionPipeline:
         withdrawn when the stream ends; peak memory is one chunk of pages
         plus its records.
         """
-        requested = backend if backend is not None else self.backend
-        if requested not in EXTRACTION_BACKENDS:
+        if backend not in EXTRACTION_BACKENDS:
             raise ConfigError(
                 f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
-                f"got {requested!r}"
+                f"got {backend!r}"
             )
         owns_executor = executor is None
         if executor is None:
-            if requested in _POOLED_BACKENDS:
-                executor = ParallelExecutor(
-                    max_workers=n_workers if n_workers is not None else self.n_workers
-                )
+            if backend in _POOLED_BACKENDS:
+                executor = ParallelExecutor(max_workers=n_workers)
             else:
                 executor = SerialExecutor()
         # The fleet is heavyweight, invariant state: install it once per
@@ -297,7 +284,7 @@ class ExtractionPipeline:
         executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
         map_shard = (
             _extract_shard_batched
-            if requested in _BATCHED_SYNTHESIS_BACKENDS
+            if backend in _BATCHED_SYNTHESIS_BACKENDS
             else _extract_shard
         )
         job = ShardedMapJob(

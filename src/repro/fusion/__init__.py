@@ -25,7 +25,7 @@ execution.  ``serial``/``parallel`` honour the bitwise parity contract,
 """
 
 from repro.fusion.provenance import Granularity, provenance_key
-from repro.fusion.observations import Claim, ColumnarClaims, ColumnarSlice, FusionInput
+from repro.fusion.observations import ColumnarClaims, ColumnarSlice, FusionInput
 from repro.fusion.base import (
     BACKENDS,
     PARITY_BITWISE,
@@ -51,7 +51,6 @@ from repro.fusion.presets import (
 __all__ = [
     "Granularity",
     "provenance_key",
-    "Claim",
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",

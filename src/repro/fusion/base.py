@@ -132,7 +132,7 @@ class FusionConfig:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
         Execution backend (see :data:`BACKENDS`): ``serial`` (default),
-        ``parallel`` (process-pool sharded reduce, bit-identical),
+        ``parallel`` (scalar kernels in process-pool shards, bit-identical),
         ``vectorized`` (batched numpy Stage I/II over the columnar
         index), or ``hybrid`` (batched kernels inside each parallel
         shard).  ``serial``/``parallel`` honour the ``bitwise`` parity

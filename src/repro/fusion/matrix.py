@@ -1,15 +1,11 @@
-"""Out-of-core claim matrix: mapped columns and streaming accumulation.
+"""Out-of-core claim matrix: mapped columns over the column store.
 
 The `web` scale tier never materialises extraction records or the dict
-claim views for the whole corpus.  This module supplies the three pieces
-that replace them:
+claim views for the whole corpus.
+:class:`~repro.fusion.observations.ClaimAccumulator` folds each extraction
+chunk straight into the canonical claim columns; this module supplies the
+storage half:
 
-- :class:`ClaimAccumulator` folds each extraction chunk straight into
-  integer space (triple/provenance vocabularies plus ``(row, prov)``
-  claim pairs) and emits a :class:`~repro.fusion.observations.ColumnarClaims`
-  in exactly the canonical layout ``ColumnarClaims.from_items`` would
-  have produced from the same records — field-for-field, so every
-  downstream parity contract carries over unchanged.
 - :class:`MappedColumnarClaims` is a ``ColumnarClaims`` whose numeric
   columns are read-only ``np.memmap`` views over a published column
   store (:func:`repro.artifacts.save_column_store`).  Pickling it ships
@@ -19,10 +15,11 @@ that replace them:
   per-round vectors to the claim matrix itself.  The object columns
   (``items``/``triples``/``provenances``) load lazily on first touch:
   the hybrid shards never touch them, so hybrid workers stay numeric.
-- :class:`ColumnarClaimMatrix` / :class:`ColumnarFusionInput` adapt a
-  bare column set to the ``ClaimMatrix`` / ``FusionInput`` surface the
-  fusion runner consumes, building the dict views lazily (small-scale
-  parity tests) or never (the column-native finalize path).
+- :func:`persist_columns` publishes an in-memory column set and maps it
+  back.
+
+Fusion consumes either kind of column set through
+:meth:`FusionInput.from_columns <repro.fusion.observations.FusionInput.from_columns>`.
 """
 
 from __future__ import annotations
@@ -32,18 +29,25 @@ import pickle
 import numpy as np
 
 from repro.artifacts import ColumnHandle, _dumps, save_column_store
-from repro.extract.records import ExtractionRecord
-from repro.fusion.observations import ColumnarClaims, ProvKey
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.observations import (
+    ClaimAccumulator,
+    ColumnarClaims,
+    FusionInput,
+    ProvKey,
+)
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
     "ClaimAccumulator",
-    "ColumnarClaimMatrix",
     "ColumnarFusionInput",
     "MappedColumnarClaims",
     "persist_columns",
 ]
+
+#: The pre-fold spelling of :meth:`FusionInput.from_columns`, kept
+#: importable for ``benchmarks/kfbench``.
+ColumnarFusionInput = FusionInput.from_columns
 
 #: Numeric CSR columns, persisted one ``.npy`` each (plus the cached
 #: canonical rank, so mapped columns never re-sort triples to build it).
@@ -171,236 +175,3 @@ def persist_columns(
     mapped = MappedColumnarClaims(handle)
     mapped.adopt_objects(cols.items, cols.triples, cols.provenances)
     return mapped
-
-
-class ColumnarClaimMatrix:
-    """A ``ClaimMatrix``-shaped adapter over a bare column set.
-
-    The parallel/hybrid fusion paths are column-native except for the
-    final scalar result assembly; this adapter lets them run without a
-    record-built ``ClaimMatrix``.  The dict views (``items`` /
-    ``prov_triples``) build lazily from the columns — bit-identical to
-    the record-built dicts because the columnar layout is canonical
-    (sorted items, sorted triples per item, sorted provenances per row)
-    — so the serial/mapreduce backend still works at small scale, while
-    the column-native finalize never touches them at all.
-    """
-
-    def __init__(self, cols: ColumnarClaims) -> None:
-        self._cols = cols
-        self.granularity = cols.granularity
-        self._items: dict[DataItem, dict[Triple, set[ProvKey]]] | None = None
-        self._prov_triples: dict[ProvKey, set[Triple]] | None = None
-
-    def columnar(self) -> ColumnarClaims:
-        return self._cols
-
-    @property
-    def items(self) -> dict[DataItem, dict[Triple, set[ProvKey]]]:
-        if self._items is None:
-            cols = self._cols
-            item_ptr = cols.item_ptr
-            row_ptr = cols.row_ptr
-            claim_prov = cols.claim_prov
-            provenances = cols.provenances
-            triples = cols.triples
-            items: dict[DataItem, dict[Triple, set[ProvKey]]] = {}
-            for j, item in enumerate(cols.items):
-                triple_map: dict[Triple, set[ProvKey]] = {}
-                for r in range(int(item_ptr[j]), int(item_ptr[j + 1])):
-                    triple_map[triples[r]] = {
-                        provenances[p]
-                        for p in claim_prov[int(row_ptr[r]) : int(row_ptr[r + 1])].tolist()
-                    }
-                items[item] = triple_map
-            self._items = items
-        return self._items
-
-    @property
-    def prov_triples(self) -> dict[ProvKey, set[Triple]]:
-        if self._prov_triples is None:
-            cols = self._cols
-            prov_ptr = cols.prov_ptr
-            prov_rows = cols.prov_rows
-            triples = cols.triples
-            self._prov_triples = {
-                prov: {
-                    triples[r]
-                    for r in prov_rows[int(prov_ptr[p]) : int(prov_ptr[p + 1])].tolist()
-                }
-                for p, prov in enumerate(cols.provenances)
-            }
-        return self._prov_triples
-
-    def n_claims(self) -> int:
-        return self._cols.n_claims
-
-    def provenance_support(self) -> dict[ProvKey, int]:
-        counts = self._cols.prov_row_counts()
-        return {
-            prov: int(counts[p]) for p, prov in enumerate(self._cols.provenances)
-        }
-
-    def claims_of_item(self, item: DataItem) -> dict[Triple, set[ProvKey]]:
-        return self.items.get(item, {})
-
-    def all_triples(self) -> list[Triple]:
-        return sorted(self._cols.triples)
-
-
-class ColumnarFusionInput:
-    """A ``FusionInput``-shaped wrapper over one prebuilt column set.
-
-    The streaming pipeline builds columns directly (no record list), so
-    ``claims()`` serves the one granularity the columns were built at
-    and refuses others — a granularity sweep needs the record path.
-    """
-
-    def __init__(self, cols: ColumnarClaims) -> None:
-        self._matrix = ColumnarClaimMatrix(cols)
-
-    def claims(self, granularity: Granularity) -> ColumnarClaimMatrix:
-        if granularity != self._matrix.granularity:
-            raise ValueError(
-                f"columns were accumulated at granularity "
-                f"{self._matrix.granularity.value!r}; re-extract to fuse at "
-                f"{granularity.value!r}"
-            )
-        return self._matrix
-
-    def unique_triples(self) -> list[Triple]:
-        return sorted(self._matrix.columnar().triples)
-
-    def __len__(self) -> int:
-        return self._matrix.columnar().n_claims
-
-
-class ClaimAccumulator:
-    """Fold extraction chunks into claim columns without keeping records.
-
-    ``add_records`` interns each record's triple and provenance key and
-    appends one integer ``(row, prov)`` pair per record; ``build``
-    dedupes the pairs, permutes rows into the canonical item-major
-    layout and emits a ``ColumnarClaims`` equal field-for-field to
-    ``ClaimMatrix.build(all_records, granularity).columnar()`` — the
-    property the streaming parity tests pin.  Peak state is the two
-    vocabularies plus ~16 bytes per raw claim.
-    """
-
-    def __init__(self, granularity: Granularity) -> None:
-        self.granularity = granularity
-        self._row_of: dict[Triple, int] = {}
-        self._row_items: list[DataItem] = []
-        self._prov_of: dict[ProvKey, int] = {}
-        self._pairs: list[np.ndarray] = []
-        self.n_records = 0
-
-    def add_records(self, records: list[ExtractionRecord]) -> None:
-        if not records:
-            return
-        row_of = self._row_of
-        prov_of = self._prov_of
-        pairs = np.empty((len(records), 2), dtype=np.int64)
-        for i, record in enumerate(records):
-            triple = record.triple
-            row = row_of.get(triple)
-            if row is None:
-                row = len(row_of)
-                row_of[triple] = row
-                self._row_items.append(triple.data_item)
-            key = provenance_key(record, self.granularity)
-            prov = prov_of.get(key)
-            if prov is None:
-                prov = len(prov_of)
-                prov_of[key] = prov
-            pairs[i, 0] = row
-            pairs[i, 1] = prov
-        self._pairs.append(pairs)
-        self.n_records += len(records)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self._row_of)
-
-    def unique_triples(self) -> list[Triple]:
-        return sorted(self._row_of)
-
-    def build(self) -> ColumnarClaims:
-        n_rows = len(self._row_of)
-        arrival_triples = list(self._row_of)
-        row_items = self._row_items
-        # Canonical row order: items sorted field-wise, triples sorted
-        # within each item — tuple comparison gives exactly the
-        # from_items() nesting order.
-        order = sorted(
-            range(n_rows), key=lambda r: (row_items[r], arrival_triples[r])
-        )
-        row_remap = np.empty(n_rows, dtype=np.int64)
-        row_remap[np.asarray(order, dtype=np.int64)] = np.arange(
-            n_rows, dtype=np.int64
-        )
-        triples = [arrival_triples[r] for r in order]
-
-        items: list[DataItem] = []
-        row_item = np.empty(n_rows, dtype=np.int64)
-        for new_row, r in enumerate(order):
-            item = row_items[r]
-            if not items or item != items[-1]:
-                items.append(item)
-            row_item[new_row] = len(items) - 1
-        item_ptr = np.zeros(len(items) + 1, dtype=np.int64)
-        if n_rows:
-            counts = np.bincount(row_item, minlength=len(items))
-            np.cumsum(counts, out=item_ptr[1:])
-
-        provenances = sorted(self._prov_of)
-        prov_remap = np.empty(len(provenances), dtype=np.int64)
-        for new_prov, key in enumerate(provenances):
-            prov_remap[self._prov_of[key]] = new_prov
-
-        if self._pairs:
-            raw = np.concatenate(self._pairs)
-            new_rows = row_remap[raw[:, 0]]
-            new_provs = prov_remap[raw[:, 1]]
-            # Dedup + sort by (row, prov) in one encoded key: claims land
-            # grouped by row with provenances ascending — CSR order, and
-            # prov-id order is sorted-ProvKey order by construction.
-            n_provs = len(provenances)
-            combined = np.unique(new_rows * np.int64(n_provs) + new_provs)
-            claim_row = combined // n_provs
-            claim_prov = combined % n_provs
-        else:
-            claim_row = np.zeros(0, dtype=np.int64)
-            claim_prov = np.zeros(0, dtype=np.int64)
-
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        if n_rows:
-            claim_counts = np.bincount(claim_row, minlength=n_rows)
-            np.cumsum(claim_counts, out=row_ptr[1:])
-
-        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
-        transpose = np.argsort(claim_prov, kind="stable")
-        prov_rows = claim_row[transpose]
-        prov_counts = np.bincount(claim_prov, minlength=len(provenances))
-        prov_ptr = np.zeros(len(provenances) + 1, dtype=np.int64)
-        np.cumsum(prov_counts, out=prov_ptr[1:])
-
-        return ColumnarClaims(
-            granularity=self.granularity,
-            items=items,
-            triples=triples,
-            provenances=provenances,
-            row_item=row_item,
-            item_ptr=item_ptr,
-            claim_prov=claim_prov,
-            row_ptr=row_ptr,
-            prov_rows=prov_rows,
-            prov_ptr=prov_ptr,
-        )
-
-    def release(self) -> None:
-        """Drop the accumulation state (vocabularies + pair chunks)."""
-        self._row_of = {}
-        self._row_items = []
-        self._prov_of = {}
-        self._pairs = []

@@ -8,19 +8,24 @@ and caches that matrix per granularity, so the same extraction run can be
 fused under many configurations cheaply (the granularity sweep of
 Figure 10 does exactly that).
 
-Two views of the same matrix coexist:
+The matrix has one primary form and one derived form:
 
-- the **dict view** (``ClaimMatrix.items`` / ``prov_triples``), convenient
-  for per-item logic and the MapReduce reducers;
-- the **columnar view** (:class:`ColumnarClaims`, via
-  :meth:`ClaimMatrix.columnar`), an int-coded CSR layout built once and
-  cached, which the vectorized posterior kernels of
-  :mod:`repro.fusion.kernels` consume.  A *row* is one unique
+- the **columnar form** (:class:`ColumnarClaims`, via
+  :meth:`ClaimMatrix.columnar`) is primary: an int-coded CSR layout built
+  once, straight from the records, by :class:`ClaimAccumulator` (or handed
+  in prebuilt by the streaming pipeline) and cached.  The column-native
+  round loop, the shard workers and the vectorized posterior kernels of
+  :mod:`repro.fusion.kernels` read nothing else.  A *row* is one unique
   ``(data item, triple)`` pair — and because a triple determines its data
   item, rows are exactly the unique triples; a *claim* is one
   ``(row, provenance)`` support edge.  Rows are grouped contiguously by
   item and claims contiguously by row, so every per-item and per-row
-  aggregate is a ``np.add.reduceat`` over a pointer array.
+  aggregate is a ``np.add.reduceat`` over a pointer array;
+- the **dict views** (``ClaimMatrix.items`` / ``prov_triples``) are
+  derived, built on first access and only for the code that wants
+  per-item Python logic: the ``serial`` reference (the MapReduce
+  reducers) and the §5 extension fusers.  A ``vectorized`` / ``parallel``
+  / ``hybrid`` fuse never builds them.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from repro.fusion.provenance import Granularity, provenance_key
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
-    "Claim",
+    "ClaimAccumulator",
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",
@@ -44,33 +49,49 @@ __all__ = [
 ProvKey = tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Claim:
-    """One unique (triple, provenance) cell of the knowledge-fusion input."""
-
-    triple: Triple
-    provenance: ProvKey
-
-
 @dataclass
 class FusionInput:
-    """Extraction records plus cached claim matrices per granularity."""
+    """Extraction records plus cached claim matrices per granularity.
 
-    records: list[ExtractionRecord]
+    :meth:`from_columns` wraps one prebuilt column set instead (the
+    streaming pipeline never holds a record list): ``records`` is then
+    None and ``claims()`` serves the one granularity the columns were
+    built at — a granularity sweep needs the record path.
+    """
+
+    records: list[ExtractionRecord] | None
     _cache: dict[Granularity, "ClaimMatrix"] = field(default_factory=dict, repr=False)
+
+    @staticmethod
+    def from_columns(cols: "ColumnarClaims") -> "FusionInput":
+        matrix = ClaimMatrix(cols.granularity, columns=cols)
+        return FusionInput(None, {cols.granularity: matrix})
 
     def claims(self, granularity: Granularity) -> "ClaimMatrix":
         matrix = self._cache.get(granularity)
         if matrix is None:
+            if self.records is None:
+                (held,) = self._cache
+                raise ValueError(
+                    f"columns were accumulated at granularity {held.value!r}; "
+                    f"re-extract to fuse at {granularity.value!r}"
+                )
             matrix = ClaimMatrix.build(self.records, granularity)
             self._cache[granularity] = matrix
         return matrix
 
     def unique_triples(self) -> list[Triple]:
         """All distinct extracted triples (the paper's 1.6B 'unique')."""
+        if self.records is None:
+            (matrix,) = self._cache.values()
+            return sorted(matrix.columnar().triples)
         return sorted({record.triple for record in self.records})
 
     def __len__(self) -> int:
+        """Records held — or, over bare columns, unique claims."""
+        if self.records is None:
+            (matrix,) = self._cache.values()
+            return matrix.n_claims()
         return len(self.records)
 
 
@@ -231,7 +252,12 @@ class ColumnarClaims:
         items_map: dict[DataItem, dict[Triple, set[ProvKey]]],
         granularity: Granularity = Granularity.EXTRACTOR_URL,
     ) -> "ColumnarClaims":
-        """Build the columnar view from the dict view (sorted, canonical)."""
+        """The canonical layout, spelled out from the dict views.
+
+        The executable specification :class:`ClaimAccumulator` is tested
+        against — a reference, not a production path (nothing in ``src/``
+        calls it).
+        """
         items = sorted(items_map)
         provenances = sorted(
             {prov for triple_map in items_map.values() for provs in triple_map.values() for prov in provs}
@@ -279,42 +305,222 @@ class ColumnarClaims:
         )
 
 
-@dataclass
+class ClaimAccumulator:
+    """Fold extraction chunks into claim columns without keeping records.
+
+    ``add_records`` interns each record's triple and provenance key and
+    appends one integer ``(row, prov)`` pair per record; ``build``
+    dedupes the pairs, permutes rows into the canonical item-major
+    layout and emits a ``ColumnarClaims`` equal field-for-field to
+    ``ColumnarClaims.from_items`` over the same records' dict views, under
+    any chunking — the property the accumulator parity tests pin.  Peak
+    state is the two vocabularies plus ~16 bytes per raw claim.
+    """
+
+    def __init__(self, granularity: Granularity) -> None:
+        self.granularity = granularity
+        self._row_of: dict[Triple, int] = {}
+        self._row_items: list[DataItem] = []
+        self._prov_of: dict[ProvKey, int] = {}
+        self._pairs: list[np.ndarray] = []
+        self.n_records = 0
+
+    def add_records(self, records: list[ExtractionRecord]) -> None:
+        if not records:
+            return
+        row_of = self._row_of
+        prov_of = self._prov_of
+        pairs = np.empty((len(records), 2), dtype=np.int64)
+        for i, record in enumerate(records):
+            triple = record.triple
+            row = row_of.get(triple)
+            if row is None:
+                row = len(row_of)
+                row_of[triple] = row
+                self._row_items.append(triple.data_item)
+            key = provenance_key(record, self.granularity)
+            prov = prov_of.get(key)
+            if prov is None:
+                prov = len(prov_of)
+                prov_of[key] = prov
+            pairs[i, 0] = row
+            pairs[i, 1] = prov
+        self._pairs.append(pairs)
+        self.n_records += len(records)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self._row_of)
+
+    def unique_triples(self) -> list[Triple]:
+        return sorted(self._row_of)
+
+    def build(self) -> ColumnarClaims:
+        n_rows = len(self._row_of)
+        arrival_triples = list(self._row_of)
+        row_items = self._row_items
+        # Canonical row order: items sorted field-wise, triples sorted
+        # within each item — tuple comparison gives exactly the
+        # from_items() nesting order.
+        order = sorted(
+            range(n_rows), key=lambda r: (row_items[r], arrival_triples[r])
+        )
+        row_remap = np.empty(n_rows, dtype=np.int64)
+        row_remap[np.asarray(order, dtype=np.int64)] = np.arange(
+            n_rows, dtype=np.int64
+        )
+        triples = [arrival_triples[r] for r in order]
+
+        items: list[DataItem] = []
+        row_item = np.empty(n_rows, dtype=np.int64)
+        for new_row, r in enumerate(order):
+            item = row_items[r]
+            if not items or item != items[-1]:
+                items.append(item)
+            row_item[new_row] = len(items) - 1
+        item_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+        if n_rows:
+            counts = np.bincount(row_item, minlength=len(items))
+            np.cumsum(counts, out=item_ptr[1:])
+
+        provenances = sorted(self._prov_of)
+        prov_remap = np.empty(len(provenances), dtype=np.int64)
+        for new_prov, key in enumerate(provenances):
+            prov_remap[self._prov_of[key]] = new_prov
+
+        if self._pairs:
+            raw = np.concatenate(self._pairs)
+            new_rows = row_remap[raw[:, 0]]
+            new_provs = prov_remap[raw[:, 1]]
+            # Dedup + sort by (row, prov) in one encoded key: claims land
+            # grouped by row with provenances ascending — CSR order, and
+            # prov-id order is sorted-ProvKey order by construction.
+            n_provs = len(provenances)
+            combined = np.unique(new_rows * np.int64(n_provs) + new_provs)
+            claim_row = combined // n_provs
+            claim_prov = combined % n_provs
+        else:
+            claim_row = np.zeros(0, dtype=np.int64)
+            claim_prov = np.zeros(0, dtype=np.int64)
+
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        if n_rows:
+            claim_counts = np.bincount(claim_row, minlength=n_rows)
+            np.cumsum(claim_counts, out=row_ptr[1:])
+
+        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
+        transpose = np.argsort(claim_prov, kind="stable")
+        prov_rows = claim_row[transpose]
+        prov_counts = np.bincount(claim_prov, minlength=len(provenances))
+        prov_ptr = np.zeros(len(provenances) + 1, dtype=np.int64)
+        np.cumsum(prov_counts, out=prov_ptr[1:])
+
+        return ColumnarClaims(
+            granularity=self.granularity,
+            items=items,
+            triples=triples,
+            provenances=provenances,
+            row_item=row_item,
+            item_ptr=item_ptr,
+            claim_prov=claim_prov,
+            row_ptr=row_ptr,
+            prov_rows=prov_rows,
+            prov_ptr=prov_ptr,
+        )
+
+    def release(self) -> None:
+        """Drop the accumulation state (vocabularies + pair chunks)."""
+        self._row_of = {}
+        self._row_items = []
+        self._prov_of = {}
+        self._pairs = []
+
+
 class ClaimMatrix:
     """The deduplicated claim structure for one granularity.
 
+    Built from extraction ``records`` or from prebuilt ``columns`` (exactly
+    one).  :meth:`columnar` is the primary form; the dict views are
+    derived on first access:
+
     ``items``: data item -> {triple -> set of supporting provenances}.
     ``prov_triples``: provenance -> unique triples it supports.
-    The columnar CSR view is built lazily by :meth:`columnar` and cached.
+
+    Views derived from records keep record *arrival* order — the serial
+    reference finalises, and calibration sums, in that order — while views
+    derived from bare columns come out in the columns' canonical order
+    (equal as dicts; sets and dict equality ignore order).
     """
 
-    granularity: Granularity
-    items: dict[DataItem, dict[Triple, set[ProvKey]]]
-    prov_triples: dict[ProvKey, set[Triple]]
-    _columnar: ColumnarClaims | None = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        granularity: Granularity,
+        records: list[ExtractionRecord] | None = None,
+        columns: ColumnarClaims | None = None,
+    ) -> None:
+        if (records is None) == (columns is None):
+            raise ValueError("ClaimMatrix takes exactly one of records= / columns=")
+        self.granularity = granularity
+        self._records = records
+        self._columnar = columns
+        self._views: tuple[dict, dict] | None = None  # (items, prov_triples)
 
     @staticmethod
     def build(
         records: list[ExtractionRecord], granularity: Granularity
     ) -> "ClaimMatrix":
-        items: dict[DataItem, dict[Triple, set[ProvKey]]] = {}
-        prov_triples: dict[ProvKey, set[Triple]] = {}
-        for record in records:
-            key = provenance_key(record, granularity)
-            triple_map = items.setdefault(record.triple.data_item, {})
-            triple_map.setdefault(record.triple, set()).add(key)
-            prov_triples.setdefault(key, set()).add(record.triple)
-        return ClaimMatrix(
-            granularity=granularity, items=items, prov_triples=prov_triples
-        )
+        return ClaimMatrix(granularity, records=records)
 
     def columnar(self) -> ColumnarClaims:
-        """The cached int-coded CSR view (built on first use)."""
+        """The cached int-coded CSR form (built on first use)."""
         if self._columnar is None:
-            self._columnar = ColumnarClaims.from_items(self.items, self.granularity)
+            accumulator = ClaimAccumulator(self.granularity)
+            accumulator.add_records(self._records)
+            self._columnar = accumulator.build()
         return self._columnar
 
+    def _dict_views(self):
+        if self._views is None:
+            items: dict[DataItem, dict[Triple, set[ProvKey]]] = {}
+            prov_triples: dict[ProvKey, set[Triple]] = {}
+            if self._records is not None:
+                for record in self._records:
+                    key = provenance_key(record, self.granularity)
+                    triple_map = items.setdefault(record.triple.data_item, {})
+                    triple_map.setdefault(record.triple, set()).add(key)
+                    prov_triples.setdefault(key, set()).add(record.triple)
+            else:
+                cols = self._columnar
+                triples, provenances = cols.triples, cols.provenances
+                item_ptr, row_ptr = cols.item_ptr.tolist(), cols.row_ptr.tolist()
+                prov_ptr = cols.prov_ptr.tolist()
+                for j, item in enumerate(cols.items):
+                    items[item] = {
+                        triples[r]: {
+                            provenances[p]
+                            for p in cols.claim_prov[row_ptr[r] : row_ptr[r + 1]].tolist()
+                        }
+                        for r in range(item_ptr[j], item_ptr[j + 1])
+                    }
+                for p, prov in enumerate(provenances):
+                    rows = cols.prov_rows[prov_ptr[p] : prov_ptr[p + 1]].tolist()
+                    prov_triples[prov] = {triples[r] for r in rows}
+            self._views = (items, prov_triples)
+        return self._views
+
+    @property
+    def items(self) -> dict[DataItem, dict[Triple, set[ProvKey]]]:
+        return self._dict_views()[0]
+
+    @property
+    def prov_triples(self) -> dict[ProvKey, set[Triple]]:
+        return self._dict_views()[1]
+
     def n_claims(self) -> int:
+        # Never forces a column build: the serial path has the dict views
+        # in hand and a whole accumulator pass just to count is ~10% of it.
+        if self._columnar is not None:
+            return self._columnar.n_claims
         return sum(
             len(provs)
             for triple_map in self.items.values()

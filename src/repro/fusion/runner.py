@@ -44,8 +44,8 @@ executor's pool
   claim columns are installed pool-resident once per pool, each round
   dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
   map-only jobs over integer item/provenance ids, and round state crosses
-  as contiguous float64/bool buffers — no ``Claim``/``Triple`` objects in
-  shard payloads;
+  as contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects
+  in shard payloads;
 - **scalar kernel** — workers run the identical scalar kernels,
   bit-identical to ``serial`` on fork *and* spawn, at any worker count.
   Reducer-input sampling (``L``) does not degrade this path: sampled
@@ -90,7 +90,9 @@ because the posterior kernel would not pickle).
 A caller-managed executor can be threaded through ``run_bayesian_fusion``
 (and ``Fuser.fuse``) so extraction and fusion share one worker pool — the
 ``repro-kf pipeline`` subcommand / :func:`repro.endtoend.run_end_to_end`
-do exactly that.  Caller-managed executors are not closed here.
+do exactly that.  Caller-managed executors are not closed here, and the
+``serial`` reference ignores one (its keyed engine is in-process: no
+worker is started on its behalf).
 """
 
 from __future__ import annotations
@@ -101,10 +103,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.errors import ConfigError
 from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
-    BACKENDS,
     FusionConfig,
     FusionResult,
     parity_of,
@@ -113,12 +113,11 @@ from repro.fusion.base import (
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
-from repro.mapreduce.executors import Executor, ParallelExecutor, SerialExecutor
+from repro.mapreduce.executors import Executor, ParallelExecutor
 from repro.rng import split_seed
 
 __all__ = [
     "run_bayesian_fusion",
-    "make_executor",
     "sampling_would_engage",
     "stage1_mapper",
     "stage1_sample_key",
@@ -161,7 +160,6 @@ def stage1_sample_key(value):
     Matches the columnar claim layout (triples canonically sorted within
     the item, provenances sorted within each row), so shard workers
     re-draw identical sampled subsets against the resident columns.
-    Module-level so parallel reduce shards can pickle it.
     """
     triple, prov = value
     return (triple.canonical(), prov)
@@ -179,8 +177,7 @@ def stage2_sample_key(value):
 
 @dataclass(frozen=True, eq=False)
 class Stage1Reducer:
-    """Per-item posterior reducer; module-level dataclass so the parallel
-    backend can pickle it into worker processes."""
+    """Per-item posterior reducer of the serial reference (and of VOTE's)."""
 
     posterior_fn: ItemPosteriorFn
     accuracies: dict[ProvKey, float]
@@ -247,7 +244,7 @@ def _stage2(
 ) -> dict[ProvKey, float]:
     """Map scored triples by provenance; reduce to accuracy estimates."""
 
-    def mapper(pair):  # runs in-process; only the reducer ships to workers
+    def mapper(pair):
         prov, triple = pair
         return [(prov, (triple, posteriors[triple]))]
 
@@ -347,12 +344,6 @@ def _exact_boundary_accuracies(
     return exact
 
 
-def make_executor(config: FusionConfig, backend: str) -> Executor:
-    if backend in ("parallel", "hybrid"):
-        return ParallelExecutor(max_workers=config.n_workers)
-    return SerialExecutor()
-
-
 def sampling_would_engage(
     cols: ColumnarClaims, config: FusionConfig, include_stage2: bool = True
 ) -> bool:
@@ -379,21 +370,17 @@ def run_bayesian_fusion(
     method_name: str,
     gold_labels: dict[Triple, bool] | None = None,
     track_rounds: bool = False,
-    backend: str | None = None,
     executor: Executor | None = None,
 ) -> FusionResult:
     """Run the full iterative pipeline and return a :class:`FusionResult`.
 
     ``track_rounds=True`` stores the per-round probability snapshots in
     ``result.diagnostics["round_probabilities"]`` (used by the Figure 14
-    experiment).  ``backend`` overrides ``config.backend`` for this run.
-    ``executor`` supplies a caller-managed executor — shared with other
-    pipeline stages and *not* closed here (the caller closes it); only
-    the ``serial``, ``parallel`` and ``hybrid`` backends consult it.
+    experiment).  ``executor`` supplies a caller-managed executor — shared
+    with other pipeline stages and *not* closed here (the caller closes
+    it); only the sharded backends (``parallel``, ``hybrid``) consult it.
     """
-    requested = backend if backend is not None else config.backend
-    if requested not in BACKENDS:
-        raise ConfigError(f"backend must be one of {BACKENDS}, got {requested!r}")
+    requested = config.backend
     matrix = fusion_input.claims(config.granularity)
     if requested == "serial":
         return _run_mapreduce(
@@ -405,7 +392,6 @@ def run_bayesian_fusion(
             track_rounds,
             requested,
             backend_used=requested,
-            executor=executor,
         )
     cols = matrix.columnar()
     plan = _column_plan(requested, cols, config, item_posterior_fn)
@@ -445,13 +431,9 @@ def _run_mapreduce(
     track_rounds: bool,
     requested: str,
     backend_used: str,
-    executor: Executor | None = None,
 ) -> FusionResult:
     """The scalar engine path (the serial reference)."""
-    owns_executor = executor is None
-    if executor is None:
-        executor = make_executor(config, backend_used)
-    engine = MapReduceEngine(executor)
+    engine = MapReduceEngine()
     default = config.default_accuracy
 
     all_provs = set(matrix.prov_triples)
@@ -480,43 +462,30 @@ def _run_mapreduce(
     round_probabilities: list[dict[Triple, float]] = []
     rounds_run = 0
     converged = False
-    try:
-        for round_index in range(config.max_rounds):
-            active = active_set(round_index)
-            require_repeated = config.filter_by_coverage and round_index == 0
-            posteriors = _stage1(
-                engine,
-                matrix,
-                active,
-                accuracies,
-                item_posterior_fn,
-                config,
-                require_repeated,
-            )
-            new_accuracies = _stage2(engine, matrix, active, posteriors, config)
-            delta = 0.0
-            for prov, accuracy in new_accuracies.items():
-                delta = max(delta, abs(accuracy - accuracies[prov]))
-                accuracies[prov] = accuracy
-                evaluated.add(prov)
-            rounds_run = round_index + 1
-            if track_rounds:
-                round_probabilities.append(dict(posteriors))
-            if delta < config.convergence_tol:
-                converged = True
-                break
-        fallback_diagnostics = (
-            {
-                "fallbacks_tiny": executor.fallbacks_tiny,
-                "fallbacks_unpicklable": executor.fallbacks_unpicklable,
-                "fallbacks_shm": executor.fallbacks_shm,
-            }
-            if isinstance(executor, ParallelExecutor)
-            else {}
+    for round_index in range(config.max_rounds):
+        active = active_set(round_index)
+        require_repeated = config.filter_by_coverage and round_index == 0
+        posteriors = _stage1(
+            engine,
+            matrix,
+            active,
+            accuracies,
+            item_posterior_fn,
+            config,
+            require_repeated,
         )
-    finally:
-        if owns_executor:
-            engine.executor.close()
+        new_accuracies = _stage2(engine, matrix, active, posteriors, config)
+        delta = 0.0
+        for prov, accuracy in new_accuracies.items():
+            delta = max(delta, abs(accuracy - accuracies[prov]))
+            accuracies[prov] = accuracy
+            evaluated.add(prov)
+        rounds_run = round_index + 1
+        if track_rounds:
+            round_probabilities.append(dict(posteriors))
+        if delta < config.convergence_tol:
+            converged = True
+            break
 
     return _finalize_scalar_result(
         matrix=matrix,
@@ -537,7 +506,6 @@ def _run_mapreduce(
             "backend_used": backend_used,
             "parity": parity_of(backend_used),
             "sampling": sampling_contract_of(config),
-            **fallback_diagnostics,
         },
     )
 
@@ -630,7 +598,7 @@ def _column_executor(
         return
     owns_executor = executor is None
     if owns_executor:
-        executor = make_executor(config, "parallel")
+        executor = ParallelExecutor(max_workers=config.n_workers)
     try:
         shuffle.install_fusion_columns(executor, cols)
         yield executor

@@ -22,7 +22,7 @@ canonical columnar form (:class:`~repro.fusion.observations.ColumnarClaims`
   :data:`FUSION_ROUND_KEY`) — each **shard task payload** is therefore a
   list of integer item/provenance ids plus, inside the per-job spec, only
   the tiny :class:`~repro.mapreduce.executors.RoundStateHandle`: no
-  ``Claim``, ``Triple``, ``DataItem``, ``ExtractionRecord``, *or numpy
+  ``Triple``, ``DataItem``, ``ExtractionRecord``, *or numpy
   buffer* ever rides in a shard payload (the test suite audits this with
   :func:`~repro.mapreduce.codec.scan_payload_types`);
 - both stages run on the executors' shared map-only protocol

@@ -34,7 +34,6 @@ from repro.fusion.runner import (
     _column_stage1,
     _scored_posteriors,
     _sharded_diagnostics,
-    make_executor,
     stage1_mapper,
     stage1_sample_key,
 )
@@ -144,8 +143,7 @@ class Vote(Fuser):
         return result
 
     def _fuse_mapreduce(self, matrix, backend_used: str) -> FusionResult:
-        executor = make_executor(self.config, backend_used)
-        engine = MapReduceEngine(executor)
+        engine = MapReduceEngine()
 
         claims = [
             (item, triple, prov)
@@ -161,18 +159,15 @@ class Vote(Fuser):
             seed=self.config.seed,
             sample_key=stage1_sample_key,
         )
-        try:
-            scored = engine.run(claims, stage1)
+        scored = engine.run(claims, stage1)
 
-            # Stage III: dedup by triple (probabilities agree per item already).
-            stage3 = MapReduceJob(
-                name="vote.stage3",
-                mapper=_vote_stage3_mapper,
-                reducer=_vote_stage3_reducer,
-            )
-            deduped = engine.run(scored, stage3)
-        finally:
-            executor.close()
+        # Stage III: dedup by triple (probabilities agree per item already).
+        stage3 = MapReduceJob(
+            name="vote.stage3",
+            mapper=_vote_stage3_mapper,
+            reducer=_vote_stage3_reducer,
+        )
+        deduped = engine.run(scored, stage3)
         return self._result(
             {triple: float(p) for triple, p in deduped}, backend_used, {}
         )

@@ -5,13 +5,14 @@ This package provides the same dataflow semantics — map, shuffle (grouped,
 deterministically ordered), reduce, with per-reducer input *sampling*
 (the paper's ``L``) and multi-stage iteration with forced termination
 (the paper's ``R``) — as an in-process engine suitable for laptop scale.
-Execution is pluggable: the reduce phase runs through an
-:class:`~repro.mapreduce.executors.Executor` — serial in-process by
-default, or sharded across a process pool by
-:class:`~repro.mapreduce.executors.ParallelExecutor` with bit-identical
-output.  Executors also run map-only jobs
-(:class:`~repro.mapreduce.executors.ShardedMapJob`, key-hash-sharded with
-outputs in input order) — the protocol the extraction stage scales on.
+That keyed dataflow (:class:`MapReduceEngine`) is the reference the
+``serial`` fusion backend runs on.  Pooled execution is a separate,
+map-only protocol: an :class:`~repro.mapreduce.executors.Executor` runs
+:class:`~repro.mapreduce.executors.ShardedMapJob` jobs (key-hash-sharded,
+outputs in input order) — serial in-process by default, or across a
+process pool by :class:`~repro.mapreduce.executors.ParallelExecutor` with
+bit-identical output — which both the extraction stage and the columnar
+fusion stages scale on.
 """
 
 from repro.mapreduce.codec import WireCodec

@@ -13,7 +13,7 @@ is the single place that contract lives:
   ``records_from_wire``) is the canonical instance.
 - :func:`scan_payload_types` — a recursive audit of a payload's value
   types, used by the test suite to *prove* that shard payloads carry no
-  heavyweight domain objects (``Claim``/``Triple``/``ExtractionRecord``),
+  heavyweight domain objects (``Triple``/``DataItem``/``ExtractionRecord``),
   only primitives, tuples, and contiguous numpy buffers.
 
 The contract both producers follow (see ``mapreduce/README.md``):

@@ -13,12 +13,11 @@ implementation relies on:
   deterministic per-key sample is taken before reducing — the skew-taming
   trick the paper uses against 2.7M-claim data items.
 
-*Where* the reduce runs is delegated to an executor
-(:mod:`repro.mapreduce.executors`): the default
-:class:`~repro.mapreduce.executors.SerialExecutor` reduces in-process;
-:class:`~repro.mapreduce.executors.ParallelExecutor` shards the shuffle by
-stable key hash across a process pool while preserving sorted-key output
-order and per-key sampling, so both backends produce identical results.
+This keyed dataflow is the in-process engine of the ``serial`` fusion
+reference, nothing more: it takes no executor and starts no worker.  The
+sharded backends reproduce its results — sampled subsets included — over
+int-coded columns through the executors' map-only protocol
+(:mod:`repro.mapreduce.executors`, :mod:`repro.fusion.shuffle`).
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import FusionError
-from repro.mapreduce.executors import (
-    Executor,
-    SerialExecutor,
-    map_and_shuffle,
-    reduce_serial,
-    sample_values,
-)
+from repro.mapreduce.executors import sample_positions
 
 __all__ = ["MapReduceJob", "MapReduceEngine"]
 
@@ -56,8 +49,7 @@ class MapReduceJob:
     be reproducible by sharded backends that enumerate values in a
     different (but canonically sortable) order — the fusion stages over
     the columnar shuffle — must set it; ``None`` keeps the legacy
-    value-order draw.  The callable must be picklable (module-level) so
-    parallel reduce shards can apply it in workers.
+    value-order draw.
     """
 
     name: str
@@ -76,28 +68,36 @@ class MapReduceJob:
 
 
 class MapReduceEngine:
-    """In-process engine running one job at a time through an executor."""
-
-    def __init__(self, executor: Executor | None = None) -> None:
-        self.executor: Executor = executor if executor is not None else SerialExecutor()
+    """In-process engine: map, shuffle, sorted-key reduce with sampling."""
 
     def run(self, records: Iterable[Any], job: MapReduceJob) -> list[Any]:
         """Execute ``job`` over ``records`` and return all reducer outputs."""
-        return self.executor.run(records, job)
+        groups: dict[Any, list] = {}
+        for record in records:
+            for key, value in job.mapper(record):
+                groups.setdefault(key, []).append(value)
+        outputs: list[Any] = []
+        for key in sorted(groups):
+            outputs.extend(job.reducer(key, sample_values(groups[key], key, job)))
+        return outputs
 
-    def map_and_shuffle(
-        self, records: Iterable[Any], mapper: Mapper
-    ) -> dict[Any, list]:
-        """The map phase plus grouping; exposed for tests and diagnostics."""
-        return map_and_shuffle(records, mapper)
 
-    def reduce(self, groups: dict[Any, list], job: MapReduceJob) -> list[Any]:
-        """The reduce phase over pre-grouped data, keys in sorted order."""
-        return reduce_serial(groups, job)
+def sample_values(values: list, key: Any, job: MapReduceJob) -> list:
+    """Deterministic per-key sample of reducer input (the paper's L).
 
-    @staticmethod
-    def sample_values(values: list, key: Any, job: MapReduceJob) -> list:
-        """Deterministic per-key sample of reducer input (the paper's L)."""
-        return sample_values(
-            values, key, job.name, job.sample_limit, job.seed, job.sample_key
-        )
+    Without ``job.sample_key`` the sample depends on ``(seed, name, key)``
+    and the *value order* — historically the scalar dataflow's arrival
+    order, which no sharded backend can reproduce.  With it the values
+    are put in canonical order before the positional draw, making the
+    sampled subset a property of the key's value *set*: any backend that
+    enumerates the same values canonically (the columnar shuffle does, by
+    construction of its sorted CSR layout) picks the identical subset.
+    """
+    positions = sample_positions(
+        len(values), key, job.name, job.sample_limit, job.seed
+    )
+    if positions is None:
+        return values
+    if job.sample_key is not None:
+        values = sorted(values, key=job.sample_key)
+    return [values[i] for i in positions]

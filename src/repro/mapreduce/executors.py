@@ -1,37 +1,43 @@
-"""Pluggable execution backends for the MapReduce engine.
+"""Pluggable execution backends: one pooled job protocol, map-only.
 
-The engine's dataflow contract (map → deterministic grouped shuffle →
-sorted-key reduce with per-key sampling) is fixed; *where* the reduce work
-runs is an :class:`Executor` policy:
+Every job an executor runs is a :class:`ShardedMapJob` — an
+order-insensitive map over keyed items, sharded by a *stable* hash (crc32
+of ``repr(key)``, immune to ``PYTHONHASHSEED``), with outputs re-emitted
+in the input order — and *where* its shards run is an :class:`Executor`
+policy:
 
-- :class:`SerialExecutor` — everything in-process, keys reduced in sorted
-  order.  The default, and the reference behaviour.
-- :class:`ParallelExecutor` — map and shuffle stay in-process; the grouped
-  keys are sharded by a *stable* hash (crc32 of ``repr(key)``, immune to
-  ``PYTHONHASHSEED``) and each shard's reduce runs in a
-  ``concurrent.futures.ProcessPoolExecutor`` worker.  Workers return
-  ``(key, outputs)`` pairs and the parent re-emits them in globally sorted
-  key order, so the output sequence — and the deterministic per-key
-  sampling, which depends only on ``(seed, job name, key)`` — is
+- :class:`SerialExecutor` — one in-process pass.  The default, and the
+  reference behaviour.
+- :class:`ParallelExecutor` — each shard runs in a
+  ``concurrent.futures.ProcessPoolExecutor`` worker and the parent slots
+  every output back at its input index, so the output sequence is
   bit-identical to the serial backend.
 
-Bit-identity across start methods requires reducers whose float summation
-order does not depend on hash randomization: a reducer that sums a set in
-iteration order gives ``PYTHONHASHSEED``-dependent last-ulp results, and a
-``spawn`` worker draws its own hash seed.  The fusion reducers therefore
-sum in canonical (sorted) order, which makes serial, ``fork``-parallel and
-``spawn``-parallel output bit-identical; pools default to ``fork`` where
-available (cheapest state inheritance) and accept an explicit
-``start_method`` otherwise.
+This is the protocol the extraction stage runs on — each shard of pages
+is extracted in a worker and the parent reassembles the corpus-order
+record stream — and the fusion stages as well (items are integer
+item/provenance ids into pool-resident columns; see
+:mod:`repro.fusion.shuffle`).  The keyed map → shuffle → sorted-key
+reduce dataflow of the serial reference is *not* an executor job: it is
+the in-process engine of :mod:`repro.mapreduce.engine`.
 
-Reducers shipped to workers must be picklable (module-level functions or
-dataclasses; the fusion stages satisfy this).  When a reducer cannot be
-pickled — e.g. the closure-based reducers third-party extensions may pass —
-the parallel executor transparently falls back to in-process reduction and
-counts the event in ``fallbacks_unpicklable``; jobs too small for dispatch
-overhead to pay off are counted in ``fallbacks_tiny``; round-state installs
-that had to cross inline instead of through shared memory are counted in
-``fallbacks_shm`` (``fallbacks`` sums all three).
+Bit-identity across start methods requires shard bodies whose float
+summation order does not depend on hash randomization: a body that sums a
+set in iteration order gives ``PYTHONHASHSEED``-dependent last-ulp
+results, and a ``spawn`` worker draws its own hash seed.  The fusion
+shards therefore sum in canonical (sorted) order, which makes serial,
+``fork``-parallel and ``spawn``-parallel output bit-identical; pools
+default to ``fork`` where available (cheapest state inheritance) and
+accept an explicit ``start_method`` otherwise.
+
+Work units shipped to workers must be picklable (module-level functions
+or dataclasses; the extraction and fusion shards satisfy this).  When one
+cannot be pickled — e.g. a closure posterior a third-party extension
+passes — the parallel executor transparently runs the job in-process and
+counts the event in ``fallbacks_unpicklable``; jobs too small for
+dispatch overhead to pay off are counted in ``fallbacks_tiny``;
+round-state installs that had to cross inline instead of through shared
+memory are counted in ``fallbacks_shm`` (``fallbacks`` sums all three).
 
 **Per-round state.**  State that changes once per *round* but is read by
 every shard of that round (fusion's accuracy/posterior/active-mask
@@ -46,15 +52,6 @@ instead of once per shard dispatch.  Where shared memory is unavailable
 the channel degrades to an inline pickled payload (counted in
 ``fallbacks_shm``); in-process executors and fallback paths resolve the
 handle from the parent-side registry without any copy at all.
-
-Besides the keyed map-reduce contract, executors also run *map-only* jobs
-(:class:`ShardedMapJob`): an order-insensitive map over keyed items,
-sharded by the same stable key hash, with outputs re-emitted in the input
-order.  This is the protocol the extraction stage runs on — each shard of
-pages is extracted in a worker and the parent reassembles the corpus-order
-record stream, bit-identical to the serial loop — and, since the columnar
-shuffle, the fusion stages as well (items are integer item/provenance ids
-into pool-resident columns; see :mod:`repro.fusion.shuffle`).
 
 **Pool-resident worker state.**  Heavyweight invariant objects (the
 extraction stage's 12-extractor fleet, fusion's columnar claim index) are
@@ -93,7 +90,6 @@ __all__ = [
     "ShardedMapJob",
     "shard_for_key",
     "map_serial",
-    "reduce_serial",
     "sample_positions",
     "worker_state",
 ]
@@ -305,15 +301,6 @@ def _round_segment_layout(
     return tuple(layout), max(offset, 1)
 
 
-def map_and_shuffle(records: Iterable[Any], mapper: Callable) -> dict[Any, list]:
-    """The map phase plus grouping (insertion-ordered value lists)."""
-    groups: dict[Any, list] = {}
-    for record in records:
-        for key, value in mapper(record):
-            groups.setdefault(key, []).append(value)
-    return groups
-
-
 def sample_positions(
     n_values: int, key: Any, name: str, sample_limit: int | None, seed: int
 ) -> list[int] | None:
@@ -336,66 +323,9 @@ def sample_positions(
     return sorted(int(x) for x in picked)
 
 
-def sample_values(
-    values: list,
-    key: Any,
-    name: str,
-    sample_limit: int | None,
-    seed: int,
-    sample_key: Callable[[Any], Any] | None = None,
-) -> list:
-    """Deterministic per-key sample of reducer input (the paper's L).
-
-    Without ``sample_key`` the sample depends on ``(seed, name, key)`` and
-    the *value order* — historically the scalar dataflow's arrival order,
-    which no sharded backend can reproduce.  With ``sample_key`` the values
-    are put in canonical order before the positional draw, making the
-    sampled subset a property of the key's value *set*: any backend that
-    enumerates the same values canonically (the columnar shuffle does, by
-    construction of its sorted CSR layout) picks the identical subset.
-    """
-    positions = sample_positions(len(values), key, name, sample_limit, seed)
-    if positions is None:
-        return values
-    if sample_key is not None:
-        values = sorted(values, key=sample_key)
-    return [values[i] for i in positions]
-
-
 def shard_for_key(key: Any, n_shards: int) -> int:
     """Stable shard assignment: crc32 of ``repr(key)``, not ``hash()``."""
     return zlib.crc32(repr(key).encode("utf-8")) % n_shards
-
-
-@dataclass(frozen=True)
-class _ReduceSpec:
-    """The picklable slice of a job a reduce worker needs."""
-
-    name: str
-    reducer: Callable
-    sample_limit: int | None
-    seed: int
-    sample_key: Callable | None = None
-
-
-def _reduce_shard(
-    spec_bytes: bytes, items: list[tuple[Any, list]]
-) -> list[tuple[Any, list]]:
-    """Worker body: sample + reduce each key of one shard.
-
-    In-shard order is irrelevant — the parent re-emits outputs in global
-    sorted-key order, and sampling depends only on ``(seed, name, key)``.
-    The spec arrives pre-pickled so the parent serializes it exactly once
-    per job instead of once per shard.
-    """
-    spec: _ReduceSpec = pickle.loads(spec_bytes)
-    outputs: list[tuple[Any, list]] = []
-    for key, values in items:
-        sampled = sample_values(
-            values, key, spec.name, spec.sample_limit, spec.seed, spec.sample_key
-        )
-        outputs.append((key, list(spec.reducer(key, sampled))))
-    return outputs
 
 
 @dataclass(frozen=True)
@@ -411,32 +341,18 @@ class ShardedMapJob:
 
     ``key_fn`` yields the stable shard key for an item (hashed with
     :func:`shard_for_key`; it runs only in the parent and need not
-    pickle).  ``map_shard`` and the optional wire codec must be picklable
-    for the parallel backend; ``encode`` compacts each output in the
-    worker before it crosses the process boundary and ``decode`` restores
-    it in the parent — the extraction stage uses this to ship records as
-    compact tuples instead of full pickled dataclass lists.  A
-    :class:`~repro.mapreduce.codec.WireCodec` can be passed as ``codec``
-    instead of the two callables (the shared codec-layer spelling); the
-    two forms are mutually exclusive.
+    pickle).  ``map_shard`` and the optional wire ``codec``'s ``encode``
+    must be picklable for the parallel backend: ``encode`` compacts each
+    output in the worker before it crosses the process boundary and
+    ``decode`` restores it in the parent — the extraction stage uses this
+    to ship records as compact tuples instead of full pickled dataclass
+    lists.
     """
 
     name: str
     map_shard: Callable[[list], list]
     key_fn: Callable[[Any], Any]
-    encode: Callable[[Any], Any] | None = None
-    decode: Callable[[Any], Any] | None = None
     codec: WireCodec | None = None
-
-    def __post_init__(self) -> None:
-        if self.codec is not None:
-            if self.encode is not None or self.decode is not None:
-                raise ValueError(
-                    f"job {self.name}: pass either codec= or encode=/decode=, "
-                    "not both"
-                )
-            object.__setattr__(self, "encode", self.codec.encode)
-            object.__setattr__(self, "decode", self.codec.decode)
 
 
 def _map_shard_worker(
@@ -470,24 +386,12 @@ def map_serial(items: list, job: ShardedMapJob) -> list:
     return outputs
 
 
-def reduce_serial(groups: dict[Any, list], job) -> list[Any]:
-    """The reference reduce: sorted keys, per-key sampling, in-process."""
-    sample_key = getattr(job, "sample_key", None)
-    outputs: list[Any] = []
-    for key in sorted(groups):
-        sampled = sample_values(
-            groups[key], key, job.name, job.sample_limit, job.seed, sample_key
-        )
-        outputs.extend(job.reducer(key, sampled))
-    return outputs
-
-
 @runtime_checkable
 class Executor(Protocol):
-    """Execution policy: run one job over records, return reducer outputs.
+    """Execution policy: where the shards of a map-only job run.
 
-    ``run`` executes a keyed map-reduce job; ``run_map`` a map-only
-    :class:`ShardedMapJob` (outputs in input order).  ``install_state``
+    ``run_map`` executes a :class:`ShardedMapJob` (outputs in input
+    order) — the only job protocol.  ``install_state``
     makes a heavyweight invariant object available to shard callables via
     :func:`worker_state` (crossing the process boundary once per pool, or
     not at all for in-process execution).  ``install_round_state`` is the
@@ -499,8 +403,6 @@ class Executor(Protocol):
     segments); it must be safe to call repeatedly and on executors that
     never ran a job.
     """
-
-    def run(self, records: Iterable[Any], job) -> list[Any]: ...
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]: ...
 
@@ -518,7 +420,7 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """In-process map, shuffle, and sorted-key reduce (reference behaviour)."""
+    """One in-process pass per job, no wire codec (reference behaviour)."""
 
     name = "serial"
 
@@ -529,9 +431,6 @@ class SerialExecutor:
     def __init__(self) -> None:
         self._installed: dict[str, Any] = {}
         self._round_installed: dict[str, int] = {}
-
-    def run(self, records: Iterable[Any], job) -> list[Any]:
-        return reduce_serial(map_and_shuffle(records, job.mapper), job)
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
         return map_serial(list(items), job)
@@ -576,11 +475,11 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Process-pool reduce, sharded by stable key hash.
+    """Process-pool map, sharded by stable key hash.
 
     ``max_workers`` defaults to the CPU count (minimum 2, so the backend is
-    exercised even on single-core hosts); ``min_keys`` is the group-count
-    threshold below which dispatch overhead cannot pay off and the reduce
+    exercised even on single-core hosts); ``min_keys`` is the item-count
+    threshold below which dispatch overhead cannot pay off and the job
     runs in-process.  ``start_method`` pins the multiprocessing start
     method (``"fork"``/``"spawn"``/``"forkserver"``; None prefers fork
     where available — cheapest pool start, and installed state is
@@ -797,46 +696,6 @@ class ParallelExecutor:
             )
         return self._pool
 
-    def run(self, records: Iterable[Any], job) -> list[Any]:
-        groups = map_and_shuffle(records, job.mapper)
-        sorted_keys = sorted(groups)
-        if len(sorted_keys) < self.min_keys:
-            self.fallbacks_tiny += 1
-            return reduce_serial(groups, job)
-        if self._unpicklable_state:
-            # Installed state never reached the workers; the parent-side
-            # registry still resolves, so run the job in-process.
-            self.fallbacks_unpicklable += 1
-            return reduce_serial(groups, job)
-        spec = _ReduceSpec(
-            name=job.name,
-            reducer=job.reducer,
-            sample_limit=job.sample_limit,
-            seed=job.seed,
-            sample_key=getattr(job, "sample_key", None),
-        )
-        try:
-            spec_bytes = pickle.dumps(spec)
-        except Exception:
-            self.fallbacks_unpicklable += 1
-            return reduce_serial(groups, job)
-
-        n_shards = min(self.max_workers * 4, len(sorted_keys))
-        shards: list[list[tuple[Any, list]]] = [[] for _ in range(n_shards)]
-        for key in sorted_keys:
-            shards[shard_for_key(key, n_shards)].append((key, groups[key]))
-
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_reduce_shard, spec_bytes, shard) for shard in shards if shard
-        ]
-        by_key: dict[Any, list] = {}
-        for future in futures:
-            for key, outputs in future.result():
-                by_key[key] = outputs
-        # Re-emit in global sorted-key order: bit-identical to serial.
-        return [output for key in sorted_keys for output in by_key[key]]
-
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
         """Run a map-only job over a process pool, outputs in input order."""
         items = list(items)
@@ -849,7 +708,9 @@ class ParallelExecutor:
             self.fallbacks_unpicklable += 1
             return map_serial(items, job)
         try:
-            spec_bytes = pickle.dumps((job.map_shard, job.encode))
+            spec_bytes = pickle.dumps(
+                (job.map_shard, job.codec.encode if job.codec else None)
+            )
         except Exception:
             self.fallbacks_unpicklable += 1
             return map_serial(items, job)
@@ -868,7 +729,7 @@ class ParallelExecutor:
         outputs: list[Any] = [None] * len(items)
         for future in futures:
             for index, output in future.result():
-                outputs[index] = job.decode(output) if job.decode else output
+                outputs[index] = job.codec.decode(output) if job.codec else output
         return outputs
 
     def close(self) -> None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExtractionError
-from repro.extract.pipeline import ExtractionPipeline, classify_record
+from repro.extract.pipeline import classify_record
 from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
@@ -173,8 +173,6 @@ class TestBackends:
 
         with pytest.raises(ConfigError):
             tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="gpu")
-        with pytest.raises(ConfigError):
-            ExtractionPipeline(tiny_scenario.pipeline.extractors, backend="gpu")
 
     def test_parallel_bit_identical_to_serial(self, tiny_scenario):
         parallel = tiny_scenario.pipeline.run(
@@ -206,12 +204,6 @@ class TestBackends:
             )
             assert executor.fallbacks == 0
         assert records == tiny_scenario.records
-
-    def test_parallel_pipeline_default_backend(self, tiny_scenario):
-        pipeline = ExtractionPipeline(
-            tiny_scenario.pipeline.extractors, backend="parallel", n_workers=2
-        )
-        assert pipeline.run(tiny_scenario.corpus) == tiny_scenario.records
 
     def test_caller_managed_executor_reused_and_counted(self, tiny_scenario):
         from repro.mapreduce.executors import ParallelExecutor

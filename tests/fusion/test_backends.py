@@ -202,20 +202,6 @@ class TestConfigSurface:
         with pytest.raises(ConfigError):
             FusionConfig(backend="gpu")
 
-    def test_invalid_backend_override_rejected(self, micro_scenario):
-        """The per-call ``backend=`` override is validated like the config
-        field — a typo must not silently run (and report) serial."""
-        from repro.fusion.popaccu import PopAccuKernel
-
-        with pytest.raises(ConfigError, match="vectorised"):
-            run_bayesian_fusion(
-                fusion_input=micro_scenario.fusion_input(),
-                config=FusionConfig(),
-                item_posterior_fn=PopAccuKernel(),
-                method_name="POPACCU",
-                backend="vectorised",
-            )
-
     def test_invalid_n_workers_rejected(self):
         with pytest.raises(ConfigError):
             FusionConfig(n_workers=0)

@@ -9,7 +9,7 @@ Three properties, each load-bearing:
 2. **Shuffle invariance**: permuting the extraction-record stream does
    not change the parallel fused output (the columnar layout is
    canonical, not insertion-ordered).
-3. **Payload purity**: no ``Claim``/``Triple``/``DataItem``/
+3. **Payload purity**: no ``Triple``/``DataItem``/
    ``ExtractionRecord`` object — and, since the shared-memory round-state
    channel, *no numpy buffer either* — ever rides in a fusion shard task
    payload: only integer ids, primitives, and the tiny round-state handle
@@ -26,7 +26,7 @@ import pytest
 
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, popaccu, popaccu_plus, vote
-from repro.fusion.observations import Claim, FusionInput
+from repro.fusion.observations import FusionInput
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
@@ -37,7 +37,7 @@ from repro.mapreduce.executors import ParallelExecutor
 pytestmark = pytest.mark.parallel_backend
 
 #: Types that must never appear in a shard task payload.
-FORBIDDEN = (Claim, Triple, DataItem, ExtractionRecord)
+FORBIDDEN = (Triple, DataItem, ExtractionRecord)
 
 WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")

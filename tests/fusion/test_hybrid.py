@@ -8,7 +8,7 @@ What ``backend="hybrid"`` promises, tested on real seeded scenarios:
    workers, under both fork and spawn start methods.  Bitwise equality is
    *not* promised: the in-shard kernels sum in array order.
 2. **Payload purity**: hybrid shard payloads are integer ids plus
-   contiguous buffers and the picklable kernel — no ``Claim``/``Triple``/
+   contiguous buffers and the picklable kernel — no ``Triple``/
    ``DataItem``/``ExtractionRecord`` objects cross per shard.
 3. **Graceful degradation**: kernels without a batched form, and runs
    where reducer-input sampling engages, degrade to the scalar parallel
@@ -30,7 +30,6 @@ from repro.fusion import (
     popaccu_plus,
     vote,
 )
-from repro.fusion.observations import Claim
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
@@ -40,7 +39,7 @@ from repro.mapreduce.executors import ParallelExecutor
 
 pytestmark = pytest.mark.parallel_backend
 
-FORBIDDEN = (Claim, Triple, DataItem, ExtractionRecord)
+FORBIDDEN = (Triple, DataItem, ExtractionRecord)
 
 WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")

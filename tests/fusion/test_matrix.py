@@ -2,10 +2,11 @@
 
 Two contracts pin the whole `web` tier to the record-path semantics:
 
-1. **Accumulator parity** — ``ClaimAccumulator`` fed any chunking of the
-   records builds a ``ColumnarClaims`` equal field-for-field to
-   ``ClaimMatrix.build(records, g).columnar()``.  Every downstream
-   backend-parity guarantee rides on this.
+1. **Accumulator parity** — ``ClaimAccumulator`` (the one production
+   column builder) fed any chunking of the records builds a
+   ``ColumnarClaims`` equal field-for-field to the reference layout
+   ``ColumnarClaims.from_items`` spells out from the dict views.  Every
+   downstream backend-parity guarantee rides on this.
 2. **Mapped == in-memory** — a ``MappedColumnarClaims`` re-opened from
    the published store is numerically identical to the arrays it was
    built from; the mmap layer is a storage format, never a numeric
@@ -29,15 +30,15 @@ from repro.artifacts import (
     prune_cache,
     save_column_store,
 )
-from repro.fusion.matrix import (
-    NUMERIC_COLUMNS,
+from repro.endtoend import PIPELINE_METHODS, make_fuser
+from repro.fusion.base import FusionConfig
+from repro.fusion.matrix import NUMERIC_COLUMNS, MappedColumnarClaims, persist_columns
+from repro.fusion.observations import (
     ClaimAccumulator,
-    ColumnarClaimMatrix,
-    ColumnarFusionInput,
-    MappedColumnarClaims,
-    persist_columns,
+    ClaimMatrix,
+    ColumnarClaims,
+    FusionInput,
 )
-from repro.fusion.observations import ClaimMatrix
 from repro.fusion.provenance import Granularity
 
 GRANULARITIES = (
@@ -73,7 +74,11 @@ class TestClaimAccumulator:
     @pytest.mark.parametrize("granularity", GRANULARITIES)
     def test_equals_record_built_columns(self, tiny_scenario, granularity):
         records = tiny_scenario.records
-        expected = ClaimMatrix.build(records, granularity).columnar()
+        # The expected side is the reference builder over the dict views,
+        # not ``.columnar()`` — that *is* the accumulator now.
+        expected = ColumnarClaims.from_items(
+            ClaimMatrix.build(records, granularity).items, granularity
+        )
         built = _accumulate(records, granularity, 97).build()
         _assert_columns_equal(built, expected)
 
@@ -245,19 +250,48 @@ class TestPruneCache:
 
 
 class TestColumnarAdapters:
-    def test_matrix_adapter_equals_record_built(self, tiny_scenario, tiny_columns):
-        reference = ClaimMatrix.build(
-            tiny_scenario.records, Granularity.EXTRACTOR_SITE
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_column_built_matrix_equals_record_built(self, tiny_scenario, granularity):
+        reference = ClaimMatrix.build(tiny_scenario.records, granularity)
+        cols = reference.columnar()
+        _assert_columns_equal(
+            cols, ColumnarClaims.from_items(reference.items, granularity)
         )
-        adapter = ColumnarClaimMatrix(tiny_columns)
-        assert adapter.items == reference.items
-        assert adapter.prov_triples == reference.prov_triples
-        assert adapter.n_claims() == reference.n_claims()
-        assert adapter.provenance_support() == reference.provenance_support()
-        assert adapter.all_triples() == reference.all_triples()
+        from_columns = ClaimMatrix(granularity, columns=cols)
+        assert from_columns.columnar() is cols
+        assert from_columns.items == reference.items
+        assert from_columns.prov_triples == reference.prov_triples
+        assert from_columns.n_claims() == reference.n_claims() == cols.n_claims
+        assert from_columns.provenance_support() == reference.provenance_support()
+        assert from_columns.all_triples() == reference.all_triples()
+
+    def test_matrix_takes_exactly_one_source(self, tiny_scenario, tiny_columns):
+        with pytest.raises(ValueError, match="exactly one"):
+            ClaimMatrix(Granularity.EXTRACTOR_SITE)
+        with pytest.raises(ValueError, match="exactly one"):
+            ClaimMatrix(
+                Granularity.EXTRACTOR_SITE,
+                records=tiny_scenario.records,
+                columns=tiny_columns,
+            )
+
+    def test_record_views_keep_arrival_order(self, tiny_scenario):
+        """The serial reference finalises in ``items`` order, so views
+        derived from records must not come out canonically sorted."""
+        records = tiny_scenario.records
+        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_SITE)
+        arrival = list(dict.fromkeys(record.triple.data_item for record in records))
+        assert list(matrix.items) == arrival
+        assert arrival != sorted(arrival)
+
+    def test_n_claims_does_not_force_a_column_build(self, tiny_scenario):
+        matrix = ClaimMatrix.build(tiny_scenario.records, Granularity.EXTRACTOR_SITE)
+        n_claims = matrix.n_claims()
+        assert matrix._columnar is None
+        assert n_claims == matrix.columnar().n_claims
 
     def test_fusion_input_serves_one_granularity(self, tiny_columns):
-        fusion_input = ColumnarFusionInput(tiny_columns)
+        fusion_input = FusionInput.from_columns(tiny_columns)
         assert (
             fusion_input.claims(Granularity.EXTRACTOR_SITE).columnar()
             is tiny_columns
@@ -266,3 +300,29 @@ class TestColumnarAdapters:
             fusion_input.claims(Granularity.URL_ONLY)
         assert len(fusion_input) == tiny_columns.n_claims
         assert fusion_input.unique_triples() == sorted(tiny_columns.triples)
+
+    def test_vectorized_fuse_never_builds_dict_views(self, tiny_scenario):
+        fusion_input = FusionInput(tiny_scenario.records)
+        fuser = make_fuser("popaccu", FusionConfig(backend="vectorized"))
+        result = fuser.fuse(fusion_input)
+        assert result.diagnostics["backend_used"] == "vectorized"
+        assert fusion_input.claims(fuser.config.granularity)._views is None
+
+    @pytest.mark.parametrize("method", PIPELINE_METHODS)
+    def test_serial_over_columns_equals_serial_over_records(
+        self, tiny_scenario, method
+    ):
+        """The serial reference still runs over bare columns at small
+        scale: its dict views derive from them, equal to the record-built
+        ones, so the fused result is equal as dicts."""
+        gold = tiny_scenario.gold
+        fuser = make_fuser(method, FusionConfig(backend="serial"), gold)
+        from_records = FusionInput(tiny_scenario.records)
+        cols = from_records.claims(fuser.config.granularity).columnar()
+        expected = fuser.fuse(from_records)
+        actual = fuser.fuse(FusionInput.from_columns(cols))
+        assert actual.probabilities == expected.probabilities
+        assert actual.accuracies == expected.accuracies
+        assert actual.unpredicted == expected.unpredicted
+        assert actual.rounds == expected.rounds
+        assert actual.diagnostics == expected.diagnostics

@@ -1,9 +1,8 @@
-"""Unit tests for the execution backends of the MapReduce engine."""
+"""Unit tests for the executors: the pooled, map-only job protocol."""
 
 import pytest
 
 from repro.mapreduce.codec import WireCodec, scan_payload_types
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import (
     Executor,
     ParallelExecutor,
@@ -16,100 +15,61 @@ from repro.mapreduce.executors import (
 pytestmark = pytest.mark.parallel_backend
 
 
-def _split_mapper(text):
-    return [(word, 1) for word in text.split()]
-
-
-def _count_reducer(word, ones):
-    return [(word, sum(ones))]
-
-
-def _tuple_reducer(key, values):
-    return [(key, tuple(values))]
-
-
-def word_count_job(sample_limit=None, seed=0):
-    return MapReduceJob(
-        name="wordcount",
-        mapper=_split_mapper,
-        reducer=_count_reducer,
-        sample_limit=sample_limit,
-        seed=seed,
-    )
-
-
-CORPUS = ["a b a", "b c", "d e f g a", "c c c"]
-
-
 @pytest.fixture(scope="module")
 def parallel():
     with ParallelExecutor(max_workers=2) as executor:
         yield executor
 
 
+PROTOCOL = (
+    "run_map",
+    "install_state",
+    "uninstall_state",
+    "install_round_state",
+    "uninstall_round_state",
+    "close",
+)
+
+
 class TestProtocol:
-    def test_executors_satisfy_protocol(self):
-        assert isinstance(SerialExecutor(), Executor)
-        assert isinstance(ParallelExecutor(), Executor)
+    @pytest.mark.parametrize("executor_type", [SerialExecutor, ParallelExecutor])
+    def test_executors_satisfy_protocol(self, executor_type):
+        executor = executor_type()
+        assert isinstance(executor, Executor)
+        for method in PROTOCOL:
+            assert callable(getattr(executor, method)), method
 
-    def test_engine_defaults_to_serial(self):
-        assert isinstance(MapReduceEngine().executor, SerialExecutor)
-
-
-class TestParallelMatchesSerial:
-    def test_word_count_identical(self, parallel):
-        job = word_count_job()
-        serial_out = SerialExecutor().run(CORPUS, job)
-        parallel_out = parallel.run(CORPUS, job)
-        assert parallel_out == serial_out
-        assert parallel.fallbacks == 0
-
-    def test_output_key_order_is_sorted(self, parallel):
-        job = word_count_job()
-        keys = [key for key, _count in parallel.run(CORPUS, job)]
-        assert keys == sorted(keys)
-
-    def test_sampling_identical_across_backends(self, parallel):
-        data = [f"k{i % 7} v{i}" for i in range(300)]
-        job = MapReduceJob(
-            name="pick",
-            mapper=_split_mapper,
-            reducer=_tuple_reducer,
-            sample_limit=5,
-            seed=42,
-        )
-        assert parallel.run(data, job) == SerialExecutor().run(data, job)
-
-    def test_engine_with_parallel_executor(self, parallel):
-        engine = MapReduceEngine(parallel)
-        assert dict(engine.run(["a b a", "b c"], word_count_job())) == {
-            "a": 2,
-            "b": 2,
-            "c": 1,
+    def test_protocol_is_exactly_the_six_methods(self):
+        """One job protocol: no keyed-reduce ``run`` beside ``run_map``."""
+        declared = {
+            name for name in vars(Executor) if not name.startswith("_")
         }
+        assert declared == set(PROTOCOL)
+        assert not hasattr(SerialExecutor, "run")
+        assert not hasattr(ParallelExecutor, "run")
+
+    @pytest.mark.parametrize("method", ["vote", "popaccu"])
+    def test_serial_fuse_handed_a_pool_starts_no_worker(self, micro_scenario, method):
+        """The serial reference's keyed engine is in-process: a caller's
+        pool is ignored, not fed pickled claim lists."""
+        from repro.endtoend import make_fuser
+        from repro.fusion import FusionConfig
+
+        fusion_input = micro_scenario.fusion_input()
+        fuser = make_fuser(method, FusionConfig(backend="serial", max_rounds=2))
+        plain = fuser.fuse(fusion_input)
+        with ParallelExecutor(max_workers=2) as executor:
+            pooled = fuser.fuse(fusion_input, executor=executor)
+            assert executor._pool is None
+            assert executor.fallbacks == 0
+        assert pooled.probabilities == plain.probabilities
+        assert list(pooled.probabilities) == list(plain.probabilities)
+        assert pooled.accuracies == plain.accuracies
+        assert pooled.diagnostics == plain.diagnostics
+        assert not any(key.startswith("fallbacks_") for key in pooled.diagnostics)
 
 
 class TestFallbacks:
-    def test_unpicklable_reducer_falls_back_to_serial(self, parallel):
-        job = MapReduceJob(
-            name="closure",
-            mapper=_split_mapper,
-            reducer=lambda key, values: [(key, sum(values))],  # not picklable
-        )
-        before = parallel.fallbacks_unpicklable
-        before_tiny = parallel.fallbacks_tiny
-        out = parallel.run(CORPUS, job)
-        assert parallel.fallbacks_unpicklable == before + 1
-        assert parallel.fallbacks_tiny == before_tiny
-        assert out == SerialExecutor().run(CORPUS, job)
-
-    def test_tiny_group_count_falls_back(self):
-        with ParallelExecutor(max_workers=2, min_keys=100) as executor:
-            out = executor.run(CORPUS, word_count_job())
-            assert executor.fallbacks_tiny == 1
-            assert executor.fallbacks_unpicklable == 0
-            assert out == SerialExecutor().run(CORPUS, word_count_job())
-
     def test_fallbacks_sums_all_counters(self):
         executor = ParallelExecutor(max_workers=2)
         executor.fallbacks_tiny = 2
@@ -136,13 +96,9 @@ def _decode_out(wire):
     return value
 
 
-def square_map_job(encode=None, decode=None):
+def square_map_job(codec=None):
     return ShardedMapJob(
-        name="square",
-        map_shard=_square_shard,
-        key_fn=_identity_key,
-        encode=encode,
-        decode=decode,
+        name="square", map_shard=_square_shard, key_fn=_identity_key, codec=codec
     )
 
 
@@ -162,7 +118,7 @@ class TestShardedMap:
         assert parallel.fallbacks_tiny == 0
 
     def test_wire_codec_round_trips(self, parallel):
-        job = square_map_job(encode=_encode_out, decode=_decode_out)
+        job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_out))
         assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
 
     def test_serial_path_skips_wire_codec(self):
@@ -170,7 +126,7 @@ class TestShardedMap:
         def boom(_value):
             raise AssertionError("codec ran in-process")
 
-        job = square_map_job(encode=boom, decode=boom)
+        job = square_map_job(WireCodec(encode=boom, decode=boom))
         assert SerialExecutor().run_map(self.ITEMS, job) == [
             i * i for i in self.ITEMS
         ]
@@ -333,14 +289,6 @@ class TestWireCodecLayer:
             i * i for i in TestShardedMap.ITEMS
         ]
 
-    def test_codec_and_callables_mutually_exclusive(self):
-        codec = WireCodec(encode=_encode_out, decode=_decode_out)
-        with pytest.raises(ValueError, match="not both"):
-            ShardedMapJob(
-                name="square", map_shard=_square_shard, key_fn=_identity_key,
-                codec=codec, encode=_encode_out,
-            )
-
     def test_scan_payload_types_sees_through_containers(self):
         import numpy as np
 
@@ -371,12 +319,3 @@ class TestSharding:
         assignments = [shard_for_key(key, 8) for key in keys]
         assert assignments == [shard_for_key(key, 8) for key in keys]
         assert all(0 <= shard < 8 for shard in assignments)
-
-    def test_all_keys_survive_sharding(self, parallel):
-        data = [f"w{i}" for i in range(200)]
-        job = MapReduceJob(
-            name="identity", mapper=lambda r: [(r, r)], reducer=_tuple_reducer
-        )
-        # Lambda mapper is fine (maps in-process); reducer must pickle.
-        out = dict(parallel.run(data, job))
-        assert set(out) == set(data)

@@ -135,6 +135,16 @@ class TestStreamingSurface:
         with pytest.raises(ConfigError, match="out-of-core"):
             run_streaming_pipeline(tiny_config(seed=SEED), backend="serial")
 
+    def test_serial_fusion_config_is_rejected_too(self):
+        """The ban covers the fusion backend that would actually run: a
+        caller-supplied config must not slip serial past the check."""
+        with pytest.raises(ConfigError, match="out-of-core"):
+            run_streaming_pipeline(
+                tiny_config(seed=SEED),
+                fusion_config=FusionConfig(backend="serial"),
+                backend="batched",
+            )
+
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown fusion method"):
             run_streaming_pipeline(tiny_config(seed=SEED), method="nope")
