@@ -13,20 +13,17 @@ Usage::
 The scenario is generated deterministically from the seed; the first
 experiment of a session pays the generation cost, later ones share it.
 ``fuse`` runs a single fusion method end-to-end under a chosen execution
-backend (serial scalar, process-pool parallel, or vectorized columnar) and
-prints a one-screen summary — the quickest way to compare backends.
-``extract`` runs only the extraction stage (world + corpus generation, then
-the 12 extractors) under one of the four extraction backends (``serial``,
-``batched``, ``parallel``, ``hybrid``), timing the stage and reporting
-record/error counts plus the parallel executor's fallback counters; the
-record stream is bit-identical across backends.
-``pipeline`` runs the whole thing — extraction → gold labeling → fusion —
-on a *single shared executor* (one worker pool for both stages; see
+backend and prints a one-screen summary — the quickest way to compare
+backends.  ``extract`` runs only the extraction stage (world + corpus
+generation, then the 12 extractors), timing the stage and reporting
+record/error counts plus a pooled executor's fallback counters; the
+record stream is bit-identical across backends.  ``pipeline`` runs the
+whole thing — extraction → gold labeling → fusion — on a *single shared
+executor* (one worker pool for both stages; see
 :func:`repro.endtoend.run_end_to_end`), printing per-stage timings and the
-headline metrics; ``serial`` and ``parallel`` output is bit-identical,
-``hybrid`` (batched fusion kernels inside each parallel shard) honours
-the 1e-9 tolerance parity contract — the reported ``parity`` line says
-which applied.
+headline metrics; the reported ``parity`` line says which numeric
+contract applied.  Each ``--backend`` takes its stage's spellings of the
+execution modes in the README's "Execution backends" table.
 """
 
 from __future__ import annotations
@@ -273,39 +270,39 @@ def _run_fuse(args) -> int:
 def _run_extract(args) -> int:
     from collections import Counter
 
-    from repro.mapreduce.executors import ParallelExecutor, SerialExecutor
+    from repro.errors import ConfigError
+    from repro.mapreduce.executors import EXECUTION_MODES
     from repro.world.webgen import generate_corpus
     from repro.world.worldgen import generate_world
 
-    config = _SCALES[args.scale](seed=args.seed)
-    start = time.perf_counter()
-    world = generate_world(config.world, config.seed)
-    corpus = generate_corpus(world, config.web, config.seed)
-    pipeline = build_extraction_pipeline(config, world)
-    setup_elapsed = time.perf_counter() - start
-
-    executor = (
-        ParallelExecutor(max_workers=args.workers)
-        if args.backend in ("parallel", "hybrid")
-        else SerialExecutor()
-    )
-    start = time.perf_counter()
+    plan = EXECUTION_MODES[args.backend]
     try:
+        executor = plan.executor(args.workers)
+    except ConfigError as err:
+        print(f"repro-kf extract: error: {err}", file=sys.stderr)
+        return 2
+    try:
+        config = _SCALES[args.scale](seed=args.seed)
+        start = time.perf_counter()
+        world = generate_world(config.world, config.seed)
+        corpus = generate_corpus(world, config.web, config.seed)
+        pipeline = build_extraction_pipeline(config, world)
+        setup_elapsed = time.perf_counter() - start
+
+        start = time.perf_counter()
         records = pipeline.run(corpus, backend=args.backend, executor=executor)
     finally:
         executor.close()
     elapsed = time.perf_counter() - start
+    pool = executor.diagnostics()
 
     per_extractor = Counter(record.extractor for record in records)
     errors = sum(1 for record in records if record.is_extraction_error)
     top = ", ".join(f"{name}:{n}" for name, n in per_extractor.most_common(4))
     fallbacks = pipeline.synthesis_fallbacks()
-    synthesis = (
-        "batched" if args.backend in ("batched", "hybrid") else "scalar"
-    )
     print(f"backend:       {args.backend}")
     print(
-        f"synthesis:     {synthesis}"
+        f"synthesis:     {plan.kernel}"
         + (f" (scalar fallback: {', '.join(fallbacks)})" if fallbacks else "")
     )
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")
@@ -317,12 +314,12 @@ def _run_extract(args) -> int:
     print(f"records:       {len(records)} (top extractors: {top})")
     if records:
         print(f"error records: {errors} ({errors / len(records):.1%})")
-    if isinstance(executor, ParallelExecutor):
-        print(f"workers:       {executor.max_workers}")
+    if plan.pooled:
+        print(f"workers:       {pool['n_workers']}")
         print(
-            f"fallbacks:     {executor.fallbacks_tiny} tiny, "
-            f"{executor.fallbacks_unpicklable} unpicklable, "
-            f"{executor.fallbacks_shm} shm"
+            f"fallbacks:     {pool['fallbacks_tiny']} tiny, "
+            f"{pool['fallbacks_unpicklable']} unpicklable, "
+            f"{pool['fallbacks_shm']} shm"
         )
     return 0
 

@@ -158,18 +158,16 @@ def build_scenario(
     config: ScenarioConfig,
     use_cache: bool = True,
     backend: str = "serial",
-    n_workers: int | None = None,
     executor=None,
     cache_dir: str | Path | None = None,
 ) -> Scenario:
     """Generate (or fetch from cache) the scenario for ``config``.
 
-    ``backend`` selects the extraction execution backend (``serial`` or
-    ``parallel``); the records are bit-identical either way, so it is not
-    part of the cache key.  ``executor`` optionally supplies a
-    caller-managed executor for the extraction stage (the caller closes
-    it), for callers that share one worker pool across scenario builds or
-    with downstream fusion.  (:func:`repro.endtoend.run_end_to_end`
+    ``backend`` selects the extraction execution backend; the records are
+    bit-identical under every one, so it is not part of the cache key.
+    ``executor`` optionally supplies a caller-managed executor for the
+    extraction stage (the caller closes it), for callers that share one
+    worker pool across scenario builds or with downstream fusion.  (:func:`repro.endtoend.run_end_to_end`
     builds the stages directly — it needs per-stage timings — but shares
     :func:`build_extraction_pipeline` and :func:`label_gold` with this
     path.)
@@ -192,9 +190,7 @@ def build_scenario(
     )
 
     pipeline = build_extraction_pipeline(config, world)
-    records = pipeline.run(
-        corpus, backend=backend, n_workers=n_workers, executor=executor
-    )
+    records = pipeline.run(corpus, backend=backend, executor=executor)
 
     gold = label_gold(freebase, records)
 

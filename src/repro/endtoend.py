@@ -11,14 +11,11 @@ hand-off cheap: extraction installs the 12-extractor fleet, fusion
 installs the columnar claim index; the pool restarts exactly once at the
 stage boundary and never re-ships state per shard.
 
-``backend="parallel"`` output is **bit-identical to the serial path**:
-the record stream, gold labels, fused probabilities, accuracies and
-unpredicted set equal the serial reference exactly (the regression suite
-asserts this at several worker counts and under both fork and spawn start
-methods).  ``backend="hybrid"`` keeps extraction bit-identical but runs
-fusion through the batched in-shard kernels, honouring the documented
-1e-9 **tolerance** parity contract instead
-(``result.diagnostics["parity"]`` records which contract applied).
+What a ``backend`` means for each stage, and the numeric contract it
+honours against the serial path (``bitwise`` — the record stream, gold
+labels, fused probabilities, accuracies and unpredicted set are equal
+exactly — or the 1e-9 ``tolerance``), is the README's "Execution backends"
+table; ``result.diagnostics["parity"]`` records which contract applied.
 
 ``repro-kf pipeline`` is the CLI face of this function; the headline
 metrics it reports (calibration deviation, AUC-PR, coverage) are the
@@ -48,7 +45,13 @@ from repro.fusion.matrix import MappedColumnarClaims, persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
 from repro.kb.triples import Triple
-from repro.mapreduce.executors import Executor, ParallelExecutor, SerialExecutor
+from repro.mapreduce.executors import (
+    EXECUTION_MODES,
+    PIPELINE_MODES,
+    ExecutionPlan,
+    Executor,
+    fusion_mode_name,
+)
 from repro.world.facts import build_freebase_snapshot
 from repro.world.webgen import stream_corpus
 from repro.world.worldgen import generate_world
@@ -69,39 +72,15 @@ __all__ = [
 PIPELINE_METHODS = ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 
 #: Execution backends the pipeline can run both stages under.
-#: ``batched`` keeps the serial executor but routes extraction synthesis
-#: through the vectorised kernels (fusion stays serial), so it is
-#: bit-identical to ``serial`` end to end.  ``hybrid`` shares the
-#: parallel executor across stages and runs batched kernels inside each
-#: shard: extraction synthesis stays bitwise, fusion honours the
-#: tolerance contract.
-PIPELINE_BACKENDS = ("serial", "batched", "parallel", "hybrid")
+PIPELINE_BACKENDS = PIPELINE_MODES
 
-#: Fusion backend each pipeline backend runs its fusion stage under.
-#: ``batched`` is an extraction-stage notion — fusion has no
-#: serial-executor batched mode, so it drops to plain serial (bitwise)
-#: there.  DET006 audits this mapping: every pipeline backend must
-#: resolve to a fusion backend with a declared parity contract.
-_FUSION_BACKEND = {
-    "serial": "serial",
-    "batched": "serial",
-    "parallel": "parallel",
-    "hybrid": "hybrid",
-}
-
-#: Backends the *streaming* pipeline supports.  ``serial`` is excluded
-#: by design: serial fusion materialises the dict claim views, which is
+#: Backends the *streaming* pipeline supports: all but the scalar
+#: in-process reference, whose fusion materialises the dict claim views —
 #: exactly what the out-of-core tier must never do (docs/SCALING.md has
-#: the memory model).  Each remaining backend maps to a column-native
-#: fusion backend with a declared parity contract — ``batched`` runs
-#: fusion vectorized (the serial-executor column path), not serial.
-STREAMING_PIPELINE_BACKENDS = ("batched", "parallel", "hybrid")
-
-_STREAM_FUSION_BACKEND = {
-    "batched": "vectorized",
-    "parallel": "parallel",
-    "hybrid": "hybrid",
-}
+#: the memory model).
+STREAMING_PIPELINE_BACKENDS = tuple(
+    name for name in PIPELINE_BACKENDS if not EXECUTION_MODES[name].reference
+)
 
 
 def peak_rss_mb() -> float:
@@ -153,28 +132,16 @@ def _validate_request(
         )
 
 
-def _make_executor(backend: str, n_workers: int | None) -> Executor:
-    """The one executor both stages of a pipeline run share."""
-    if backend in ("parallel", "hybrid"):
-        return ParallelExecutor(max_workers=n_workers)
-    return SerialExecutor()
-
-
-def _stage_diagnostics(diagnostics: dict, backend: str, pipeline, executor) -> None:
+def _stage_diagnostics(
+    diagnostics: dict, plan: ExecutionPlan, pipeline, executor: Executor
+) -> None:
     """Add the extraction-stage and shared-executor keys to ``diagnostics``."""
-    diagnostics["extraction_synthesis"] = (
-        "batched" if backend in ("batched", "hybrid") else "scalar"
-    )
+    diagnostics["extraction_synthesis"] = plan.kernel
     fallbacks = pipeline.synthesis_fallbacks()
     if fallbacks:
         diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-        diagnostics["n_workers"] = executor.max_workers
-        diagnostics["round_state"] = executor.round_state_channel
-        diagnostics["state_bytes_shipped"] = executor.state_bytes_shipped
+    if plan.pooled:
+        diagnostics.update(executor.diagnostics())
 
 
 @dataclass
@@ -236,29 +203,31 @@ def run_end_to_end(
 ) -> EndToEndResult:
     """Run extraction → gold labeling → fusion on one shared executor.
 
-    ``backend`` selects the execution mode for *both* stages: ``serial``,
-    ``batched`` (serial executor, vectorised synthesis kernels —
-    bit-identical to serial), ``parallel`` (bit-identical to serial), or
-    ``hybrid`` (batched kernels inside each parallel shard for both
-    stages — extraction synthesis stays bitwise-identical, fusion is
-    tolerance parity; see :mod:`repro.fusion.runner`).  A
-    caller-managed ``executor`` overrides the executor choice (and is not
-    closed here).  The fusion configuration inherits the scenario seed
-    and the requested backend unless ``fusion_config`` pins them
-    explicitly.  ``cache_dir`` enables the on-disk scenario artifact
-    cache (:func:`repro.artifacts.setup_worldgen`) for the setup stage —
+    ``backend`` (one of :data:`PIPELINE_BACKENDS`) selects the execution
+    mode for *both* stages.  Extraction takes it as is and is bit-identical
+    under every one.  Fusion follows it onto the pool, but an in-process
+    pipeline fuses on the scalar reference — which keeps ``batched``
+    bit-identical to ``serial`` end to end.  A caller-managed ``executor``
+    overrides the executor choice (and is not closed here).  The fusion
+    configuration inherits the scenario seed and that backend unless
+    ``fusion_config`` pins them explicitly.  ``cache_dir`` enables the
+    on-disk scenario artifact cache
+    (:func:`repro.artifacts.setup_worldgen`) for the setup stage —
     bit-identical to a fresh build; ``diagnostics["scenario_cache"]``
     reports ``hit`` / ``miss`` / ``off``.
     """
     _validate_request(backend, PIPELINE_BACKENDS, method, "pipeline")
+    plan = EXECUTION_MODES[backend]
     if fusion_config is None:
         fusion_config = FusionConfig(
-            seed=config.seed, backend=_FUSION_BACKEND[backend], n_workers=n_workers
+            seed=config.seed,
+            backend=backend if plan.pooled else "serial",
+            n_workers=n_workers,
         )
 
     owns_executor = executor is None
-    if executor is None:
-        executor = _make_executor(backend, n_workers)
+    if owns_executor:
+        executor = plan.executor(n_workers)
 
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
@@ -271,11 +240,6 @@ def run_end_to_end(
         timings["setup"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        # Extraction takes the pipeline backend name as is.  "hybrid"
-        # mirrors fusion's meaning there: parallel shards whose synthesis
-        # runs the batched kernel (bitwise parity, unlike fusion's
-        # tolerance parity); "batched" is the serial-executor
-        # batched-synthesis mode.
         records = pipeline.run(corpus, backend=backend, executor=executor)
         # pipeline.run withdraws the fleet from the shared executor at the
         # stage boundary, so the pool restart (when fusion installs the
@@ -309,7 +273,7 @@ def run_end_to_end(
     diagnostics["n_records"] = len(records)
     diagnostics["n_pages"] = len(corpus.pages)
     diagnostics["scenario_cache"] = cache_status
-    _stage_diagnostics(diagnostics, backend, pipeline, executor)
+    _stage_diagnostics(diagnostics, plan, pipeline, executor)
 
     return EndToEndResult(
         scenario=scenario,
@@ -370,11 +334,12 @@ def run_streaming_pipeline(
     files zero-copy.  Without it fusion runs over the in-memory columns
     (``"memory"``) — bitwise-identical either way, by test.
 
-    ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`;
-    ``serial`` is rejected — as the argument and as a caller-supplied
-    ``fusion_config.backend`` — because serial fusion rebuilds the dict
-    claim views.  ``diagnostics["peak_rss_mb"]`` records the process peak RSS
-    after the run.
+    ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`, and
+    fusion runs the same mode under its fusion-stage spelling.  The scalar
+    in-process reference is rejected — as the argument and as a
+    caller-supplied ``fusion_config.backend`` — because its fusion rebuilds
+    the dict claim views.  ``diagnostics["peak_rss_mb"]`` records the
+    process peak RSS after the run.
     """
     serial_ban = (
         " — the serial path materialises dict claim views, which the "
@@ -383,26 +348,27 @@ def run_streaming_pipeline(
     _validate_request(
         backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline", serial_ban
     )
+    if chunk_pages < 1:
+        # Same reason: stream_corpus would only say so after the setup stage.
+        raise ConfigError(f"chunk_pages must be >= 1, got {chunk_pages}")
+    plan = EXECUTION_MODES[backend]
     if fusion_config is None:
         fusion_config = FusionConfig(
-            seed=config.seed,
-            backend=_STREAM_FUSION_BACKEND[backend],
-            n_workers=n_workers,
+            seed=config.seed, backend=fusion_mode_name(plan), n_workers=n_workers
         )
-    elif fusion_config.backend not in _STREAM_FUSION_BACKEND.values():
+    elif EXECUTION_MODES[fusion_config.backend].reference:
         # The ban is on the fusion backend that will actually run, not
         # just on the ``backend`` argument.
         raise ConfigError(
-            f"streaming pipeline fusion_config.backend must be one of "
-            f"{tuple(_STREAM_FUSION_BACKEND.values())}, "
-            f"got {fusion_config.backend!r}{serial_ban}"
+            f"streaming pipeline fusion_config.backend must not be "
+            f"{fusion_config.backend!r}{serial_ban}"
         )
     # The fuser preset decides the effective provenance granularity
     # (POPACCU+ overrides it); the accumulator must fold records at that
     # granularity, so resolve it from a gold-less probe fuser up front.
     granularity = make_fuser(method, fusion_config, {}).config.granularity
 
-    executor = _make_executor(backend, n_workers)
+    executor = plan.executor(n_workers)
     timings: dict[str, float] = {}
     start_total = time.perf_counter()
     mapped: MappedColumnarClaims | None = None
@@ -471,7 +437,7 @@ def run_streaming_pipeline(
     diagnostics["chunk_pages"] = chunk_pages
     diagnostics["copy_window"] = copy_window
     diagnostics["column_store"] = column_store
-    _stage_diagnostics(diagnostics, backend, pipeline, executor)
+    _stage_diagnostics(diagnostics, plan, pipeline, executor)
     diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)
 
     return StreamingResult(

@@ -17,19 +17,21 @@ the page's hidden assertion it came from:
 Fusion never sees these tags; the test suite checks that stripping the
 debug channel does not change fusion output.
 
-Execution backends (``ExtractionPipeline.run(backend=...)``):
+Execution modes (``ExtractionPipeline.run(backend=...)``, one of
+:data:`EXTRACTION_BACKENDS`; the README's "Execution backends" table has
+every spelling).  All of them emit the **bit-identical** record stream;
+the mode's :class:`~repro.mapreduce.executors.ExecutionPlan` fixes two
+things:
 
-- ``serial`` — the reference path: one in-process pass over pages ×
-  extractors (page-major, extractor-major emission order);
-- ``parallel`` — the corpus is sharded by stable page-URL hash
-  (:func:`~repro.mapreduce.executors.shard_for_key`) and each shard's
-  page × extractor extraction + classification runs in a process-pool
-  worker via the executors' map-only protocol
+- **where** — in-process is one pass over pages × extractors (page-major,
+  extractor-major emission order).  Pooled, the corpus is sharded by
+  stable page-URL hash (:func:`~repro.mapreduce.executors.shard_for_key`)
+  and each shard's page × extractor extraction + classification runs in
+  a process-pool worker via the executors' map-only protocol
   (:class:`~repro.mapreduce.executors.ShardedMapJob`).  Extraction is
   order-insensitive by design — every noisy draw derives from
   ``split_seed(seed, extractor, url)`` — and the parent re-emits each
-  page's records at the page's corpus position, so the parallel record
-  stream is bit-identical to the serial one.  Shard outputs cross the
+  page's records at the page's corpus position.  Shard outputs cross the
   process boundary as compact tuples (the
   :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec), not
   pickled dataclass lists, and the 12-extractor fleet (entity linkers
@@ -37,17 +39,15 @@ Execution backends (``ExtractionPipeline.run(backend=...)``):
   :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`, so
   it crosses the process boundary once per pool — not once per shard —
   on both fork and spawn start methods;
-- ``batched`` — one in-process pass like ``serial``, but each shard runs
-  record synthesis through the vectorised kernel
+- **which kernel** — scalar is an ``extract_page`` call per covered page
+  (the frozen parity reference).  Batched, each shard runs record
+  synthesis through the vectorised kernel
   (:func:`~repro.extract.synthesis.synthesize_batch`: one seed-array
   pass per extractor instead of a ``SeedSequence``/``Generator`` build
   per page, with per-predicate emit plans hoisted out of the record
-  loop).  Bit-identical to ``serial`` — the scalar ``extract_page`` is
-  the kernel's frozen parity reference.  Extractors without a family
-  kernel fall back to scalar ``extract_page`` inside the batch (see
-  :meth:`ExtractionPipeline.synthesis_fallbacks`);
-- ``hybrid`` — ``parallel`` sharding with the ``batched`` synthesis
-  kernel inside each worker: the fastest path, still bit-identical.
+  loop).  Extractors without a family kernel fall back to scalar
+  ``extract_page`` inside the batch (see
+  :meth:`ExtractionPipeline.synthesis_fallbacks`).
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Schema
 from repro.mapreduce.executors import (
+    EXECUTION_MODES,
+    PIPELINE_MODES,
     Executor,
-    ParallelExecutor,
-    SerialExecutor,
     ShardedMapJob,
     worker_state,
 )
@@ -81,13 +81,7 @@ from repro.world.webgen import WebCorpus, WebPage
 __all__ = ["build_extractor", "ExtractionPipeline", "EXTRACTION_BACKENDS"]
 
 #: Execution backends for the extraction stage (see module docstring).
-EXTRACTION_BACKENDS = ("serial", "batched", "parallel", "hybrid")
-
-#: Backends whose shards run the batched synthesis kernel.
-_BATCHED_SYNTHESIS_BACKENDS = frozenset({"batched", "hybrid"})
-
-#: Backends that shard over a process pool.
-_POOLED_BACKENDS = frozenset({"parallel", "hybrid"})
+EXTRACTION_BACKENDS = PIPELINE_MODES
 
 #: Registry key the extractor fleet is installed under (pool-resident).
 EXTRACT_FLEET_KEY = "extract.fleet"
@@ -220,11 +214,8 @@ class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
 
     The execution backend is chosen per :meth:`run` / :meth:`run_stream`
-    call: ``serial`` (the default) is the in-process reference,
-    ``batched`` runs the in-process synthesis kernel, ``parallel`` shards
-    pages by stable URL hash over a process pool, and ``hybrid`` runs the
-    synthesis kernel inside each parallel shard — all bit-identical to
-    ``serial``.
+    call from :data:`EXTRACTION_BACKENDS` (default ``serial``, the
+    in-process scalar reference); every one is bit-identical to it.
     """
 
     extractors: list[Extractor]
@@ -273,23 +264,16 @@ class ExtractionPipeline:
                 f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
                 f"got {backend!r}"
             )
+        plan = EXECUTION_MODES[backend]
         owns_executor = executor is None
-        if executor is None:
-            if backend in _POOLED_BACKENDS:
-                executor = ParallelExecutor(max_workers=n_workers)
-            else:
-                executor = SerialExecutor()
+        if owns_executor:
+            executor = plan.executor(n_workers)
         # The fleet is heavyweight, invariant state: install it once per
         # pool instead of pickling it into every shard task.
         executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
-        map_shard = (
-            _extract_shard_batched
-            if backend in _BATCHED_SYNTHESIS_BACKENDS
-            else _extract_shard
-        )
         job = ShardedMapJob(
             name="extract.pages",
-            map_shard=map_shard,
+            map_shard=_extract_shard_batched if plan.batched else _extract_shard,
             key_fn=_page_url,
             codec=RECORD_WIRE_CODEC,
         )
@@ -312,7 +296,7 @@ class ExtractionPipeline:
         """Names of extractors without a batched synthesis kernel.
 
         These fall back to scalar :meth:`~repro.extract.base.Extractor.extract_page`
-        inside ``batched``/``hybrid`` runs (still bit-identical); callers
+        inside batched-kernel runs (still bit-identical); callers
         surface the names in diagnostics so a silently-scalar fleet is
         visible.  Empty for the stock 12-extractor fleet — every family
         ships a kernel.

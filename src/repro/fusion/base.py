@@ -18,6 +18,12 @@ from repro.errors import ConfigError
 from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
+from repro.mapreduce.executors import (
+    EXECUTION_MODES,
+    FUSION_MODES,
+    ExecutionPlan,
+    fusion_mode_name,
+)
 
 __all__ = [
     "BACKENDS",
@@ -25,26 +31,17 @@ __all__ = [
     "PARITY_TOLERANCE",
     "PARITY_TOLERANCE_ABS",
     "parity_of",
+    "backend_contract",
     "sampling_contract_of",
     "FusionConfig",
     "FusionResult",
     "Fuser",
 ]
 
-#: Execution backends for the fusion pipeline:
-#: - ``serial``: scalar per-item posteriors through the in-process engine;
-#: - ``parallel``: same scalar reducers, sharded over a process pool
-#:   (bit-identical to ``serial``);
-#: - ``vectorized``: batched numpy kernels over the columnar claim index
-#:   (matches ``serial`` to :data:`PARITY_TOLERANCE_ABS`; falls back to
-#:   ``serial`` when the posterior function has no batched form or
-#:   sampling must engage);
-#: - ``hybrid``: the vectorized kernels *inside* each parallel shard —
-#:   pool workers run one batched kernel call per shard of pool-resident
-#:   columns instead of N scalar updates (tolerance parity; degrades to
-#:   the scalar ``parallel`` path when the posterior function has no
-#:   batched form or sampling must engage).
-BACKENDS = ("serial", "parallel", "vectorized", "hybrid")
+#: Execution backends for the fusion pipeline: the fusion-stage view of
+#: the one mode table (:data:`repro.mapreduce.executors.EXECUTION_MODES`;
+#: the README's "Execution backends" table has the contracts).
+BACKENDS = FUSION_MODES
 
 #: Numeric parity contracts a fusion run can honour (recorded per run in
 #: ``result.diagnostics["parity"]``):
@@ -64,27 +61,34 @@ PARITY_TOLERANCE = "tolerance"
 #: test suite and benchmarks assert.
 PARITY_TOLERANCE_ABS = 1e-9
 
-#: Which parity each *executed* backend honours.  Keyed by the resolved
-#: ``backend_used`` stem — fallback paths (``"serial (vectorized
-#: fallback)"``, ``"parallel (hybrid fallback)"``) run scalar kernels and
-#: are therefore bitwise.
-_BACKEND_PARITY = {
-    "serial": PARITY_BITWISE,
-    "parallel": PARITY_BITWISE,
-    "vectorized": PARITY_TOLERANCE,
-    "hybrid": PARITY_TOLERANCE,
-}
-
 
 def parity_of(backend_used: str) -> str:
     """The numeric parity contract of a resolved ``backend_used`` string.
 
-    Fallback spellings such as ``"serial (vectorized fallback)"`` or
-    ``"parallel (hybrid fallback)"`` ran the scalar kernels and are
-    bitwise; only runs that actually executed batched kernels
-    (``"vectorized"``, ``"hybrid"``) are tolerance-parity.
+    ``tolerance`` iff a batched kernel actually ran.  The fallback
+    spellings (``"serial (vectorized fallback)"``, ``"parallel (hybrid
+    fallback)"``) name the scalar mode that ran, so they are bitwise; a
+    stem that is no fusion backend is an error, never silently bitwise.
     """
-    return _BACKEND_PARITY.get(backend_used, PARITY_BITWISE)
+    stem = backend_used.split(" ", 1)[0]
+    if stem not in BACKENDS:
+        raise ConfigError(
+            f"backend_used {backend_used!r} does not start with one of {BACKENDS}"
+        )
+    return PARITY_TOLERANCE if EXECUTION_MODES[stem].batched else PARITY_BITWISE
+
+
+def backend_contract(requested: str, ran: ExecutionPlan) -> dict[str, str]:
+    """The ``backend`` / ``backend_used`` / ``parity`` diagnostics of a run
+    that was asked for ``requested`` and executed the ``ran`` mode.
+
+    When a batched kernel could not engage, ``ran`` is the scalar mode in
+    the same place, spelled ``"<ran> (<requested> fallback)"``.
+    """
+    used = fusion_mode_name(ran)
+    if used != requested:
+        used = f"{used} ({requested} fallback)"
+    return {"backend": requested, "backend_used": used, "parity": parity_of(used)}
 
 
 def sampling_contract_of(config: "FusionConfig") -> str:
@@ -131,16 +135,12 @@ class FusionConfig:
     seed:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
-        Execution backend (see :data:`BACKENDS`): ``serial`` (default),
-        ``parallel`` (scalar kernels in process-pool shards, bit-identical),
-        ``vectorized`` (batched numpy Stage I/II over the columnar
-        index), or ``hybrid`` (batched kernels inside each parallel
-        shard).  ``serial``/``parallel`` honour the ``bitwise`` parity
-        contract, ``vectorized``/``hybrid`` the ``tolerance`` one (see
-        :func:`parity_of`).
+        Execution backend, one of :data:`BACKENDS` (default ``serial``).
+        Scalar-kernel modes honour the ``bitwise`` parity contract,
+        batched-kernel modes the ``tolerance`` one (see :func:`parity_of`).
     n_workers:
-        Worker-process count for the ``parallel`` and ``hybrid``
-        backends (None = CPU count); ignored by the other backends.
+        Worker-process count for the pooled backends (None = CPU
+        count); ignored by the in-process ones.
     """
 
     granularity: Granularity = Granularity.EXTRACTOR_URL

@@ -21,33 +21,25 @@ The §4.3 refinements plug in here:
   the fraction of their LCWA-labelled triples that are true (for a
   deterministic ``gold_sample_rate`` subsample), instead of the default.
 
-Execution backends (``FusionConfig.backend``).  ``serial`` is the
-reference every parity contract is stated against: scalar per-item
-posteriors over the dict claim views, through the in-process MapReduce
-engine (:func:`_run_mapreduce`).  The other three share **one
+Execution modes (``FusionConfig.backend``; the README's "Execution
+backends" table has every spelling and its contract).  The scalar
+in-process mode is the reference every parity contract is stated against:
+per-item posteriors over the dict claim views, through the in-process
+MapReduce engine (:func:`_run_mapreduce`).  Every other mode runs **one
 column-native round loop** (:func:`_run_columnar`: round state is arrays
-over the columnar claim index, dicts are built once in Stage III) and
-differ along two orthogonal axes derived from the backend name
-(:func:`_column_plan`) — *where* each stage runs and *which kernel* scores
-it:
+over the columnar claim index, dicts are built once in Stage III) under an
+:class:`~repro.mapreduce.executors.ExecutionPlan` whose two fields are the
+only thing that differs between them:
 
-====================  ==========================  =========================
-where \\ kernel       scalar reference (bitwise)  batched numpy (tolerance)
-====================  ==========================  =========================
-in-process, whole     — (that is ``serial``)      ``vectorized``
-matrix
-sharded over the      ``parallel``                ``hybrid``
-executor's pool
-====================  ==========================  =========================
-
-- **sharded** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
+- **pooled** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
   claim columns are installed pool-resident once per pool, each round
   dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
   map-only jobs over integer item/provenance ids, and round state crosses
   as contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects
-  in shard payloads;
+  in shard payloads.  Not pooled, each stage is one call over the whole
+  matrix;
 - **scalar kernel** — workers run the identical scalar kernels,
-  bit-identical to ``serial`` on fork *and* spawn, at any worker count.
+  bit-identical to the reference on fork *and* spawn, at any worker count.
   Reducer-input sampling (``L``) does not degrade this path: sampled
   subsets are defined in canonical order (see below) and the shard
   workers re-draw them identically against the resident columns;
@@ -57,13 +49,14 @@ executor's pool
   skipping the per-item Python loop.  Requires ``item_posterior_fn`` to
   carry a ``batch_round`` method (the built-in kernels do) and no
   sampling pressure (the batched kernels score whole rounds and cannot
-  subset per item); otherwise ``vectorized`` reverts to ``serial`` and
-  ``hybrid`` degrades to the scalar ``parallel`` shards (never to serial).
+  subset per item); otherwise the scalar kernel runs *in the same place*
+  (:func:`_runnable_plan`) — in-process that is the reference itself,
+  pooled it is the scalar shards, never the reference.
 
-**Parity.**  ``serial``/``parallel`` honour the ``bitwise`` contract
-(identical floats, any worker count/start method);
-``vectorized``/``hybrid`` honour the ``tolerance`` contract (1e-9
-absolute, :data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched
+**Parity.**  Scalar-kernel runs honour the ``bitwise`` contract
+(identical floats, any worker count/start method); runs where a batched
+kernel actually ran honour the ``tolerance`` contract (1e-9 absolute,
+:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched
 summation order differs.  Tolerance parity through an *iterated* θ-filter
 needs one extra guarantee: the discrete ``A(S) >= θ`` decisions must not
 flip on last-ulp drift (POPACCU parks many accuracies exactly at θ), so
@@ -82,23 +75,24 @@ it bit-for-bit.  ``result.diagnostics["sampling"]`` records
 ``"canonical-order"`` whenever ``L`` is configured.
 
 ``result.diagnostics["backend"]`` records what was requested and
-``["backend_used"]`` what actually ran; ``parallel``/``hybrid`` runs also
-report the executor's ``fallbacks_tiny`` / ``fallbacks_unpicklable``
-counters (jobs that ran in-process because dispatch could not pay off, or
-because the posterior kernel would not pickle).
+``["backend_used"]`` what actually ran
+(:func:`repro.fusion.base.backend_contract`); pooled runs also carry the
+executor's own ``diagnostics()`` (round-state channel, worker count,
+``fallbacks_*`` counters — jobs that ran in-process because dispatch could
+not pay off, or because the posterior kernel would not pickle).
 
 A caller-managed executor can be threaded through ``run_bayesian_fusion``
 (and ``Fuser.fuse``) so extraction and fusion share one worker pool — the
 ``repro-kf pipeline`` subcommand / :func:`repro.endtoend.run_end_to_end`
-do exactly that.  Caller-managed executors are not closed here, and the
-``serial`` reference ignores one (its keyed engine is in-process: no
+do exactly that.  Caller-managed executors are not closed here, and only
+pooled modes consult one (the reference's keyed engine is in-process: no
 worker is started on its behalf).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -107,13 +101,13 @@ from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
     FusionConfig,
     FusionResult,
-    parity_of,
+    backend_contract,
     sampling_contract_of,
 )
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
-from repro.mapreduce.executors import Executor, ParallelExecutor
+from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan, Executor
 from repro.rng import split_seed
 
 __all__ = [
@@ -378,47 +372,18 @@ def run_bayesian_fusion(
     ``result.diagnostics["round_probabilities"]`` (used by the Figure 14
     experiment).  ``executor`` supplies a caller-managed executor — shared
     with other pipeline stages and *not* closed here (the caller closes
-    it); only the sharded backends (``parallel``, ``hybrid``) consult it.
+    it); only pooled modes consult it.
     """
-    requested = config.backend
     matrix = fusion_input.claims(config.granularity)
-    if requested == "serial":
+    plan, cols = _runnable_plan(config, matrix, item_posterior_fn)
+    if plan.reference:
         return _run_mapreduce(
-            matrix,
-            config,
-            item_posterior_fn,
-            method_name,
-            gold_labels,
-            track_rounds,
-            requested,
-            backend_used=requested,
-        )
-    cols = matrix.columnar()
-    plan = _column_plan(requested, cols, config, item_posterior_fn)
-    if plan is None:
-        # ``vectorized`` without a batched form (e.g. a closure posterior)
-        # or with sampling engaged: the scalar reference path is the
-        # defined behaviour.
-        return _run_mapreduce(
-            matrix,
-            config,
-            item_posterior_fn,
-            method_name,
-            gold_labels,
-            track_rounds,
-            requested,
-            backend_used="serial (vectorized fallback)",
+            matrix, config, item_posterior_fn, method_name, gold_labels,
+            track_rounds, plan,
         )
     return _run_columnar(
-        cols,
-        config,
-        item_posterior_fn,
-        method_name,
-        gold_labels,
-        track_rounds,
-        requested,
-        plan,
-        executor,
+        cols, config, item_posterior_fn, method_name, gold_labels,
+        track_rounds, plan, executor,
     )
 
 
@@ -429,8 +394,7 @@ def _run_mapreduce(
     method_name: str,
     gold_labels: dict[Triple, bool] | None,
     track_rounds: bool,
-    requested: str,
-    backend_used: str,
+    ran: ExecutionPlan,
 ) -> FusionResult:
     """The scalar engine path (the serial reference)."""
     engine = MapReduceEngine()
@@ -502,9 +466,7 @@ def _run_mapreduce(
             "n_claims": matrix.n_claims(),
             "gold_initialized": gold_initialized,
             "n_active_final": len(active_set(rounds_run)),
-            "backend": requested,
-            "backend_used": backend_used,
-            "parity": parity_of(backend_used),
+            **backend_contract(config.backend, ran),
             "sampling": sampling_contract_of(config),
         },
     )
@@ -557,48 +519,49 @@ def _finalize_scalar_result(
     return result
 
 
-def _column_plan(
-    requested: str,
-    cols: ColumnarClaims,
-    config: FusionConfig,
-    kernel,
-    include_stage2: bool = True,
-) -> tuple[bool, bool, str] | None:
-    """Derive ``(sharded, batched, backend_used)`` from the backend name.
+def _runnable_plan(
+    config: FusionConfig, matrix, kernel, include_stage2: bool = True
+) -> tuple[ExecutionPlan, ColumnarClaims | None]:
+    """The mode that will actually run, and the claim columns it runs over.
 
-    The two axes of the module docstring's table: *where* each stage runs
-    and *which kernel* scores it, with the degradations applied.  None
-    means ``vectorized`` cannot batch and the serial reference must run.
-    ``include_stage2`` is forwarded to :func:`sampling_would_engage`.
+    That is ``config.backend``'s plan, minus the batched kernel when it
+    cannot engage (no ``batch_round`` form, or sampling pressure —
+    ``include_stage2`` is forwarded to :func:`sampling_would_engage`): the
+    scalar kernel then runs in the same place, which for an in-process
+    plan is the serial reference.  The reference takes the matrix's dict
+    views, so no columns are built on its behalf when it was asked for.
     """
+    plan = EXECUTION_MODES[config.backend]
+    if plan.reference:
+        return plan, None
+    cols = matrix.columnar()
     batched = (
-        requested != "parallel"
+        plan.batched
         and hasattr(kernel, "batch_round")
         and not sampling_would_engage(cols, config, include_stage2)
     )
-    if requested == "vectorized":
-        return (False, True, requested) if batched else None
-    if batched or requested == "parallel":
-        return True, batched, requested
-    return True, False, "parallel (hybrid fallback)"
+    return replace(plan, batched=batched), cols
 
 
 @contextmanager
 def _column_executor(
-    cols: ColumnarClaims, config: FusionConfig, sharded: bool, executor: Executor | None
+    cols: ColumnarClaims,
+    config: FusionConfig,
+    plan: ExecutionPlan,
+    executor: Executor | None,
 ):
     """Where a column-native stage runs.
 
     Yields None for the in-process whole-matrix variant; otherwise the
-    caller's executor — or a pool owned (and closed) here — with the
-    claim columns installed pool-resident.
+    caller's executor — or one owned (and closed) here — with the claim
+    columns installed pool-resident.
     """
-    if not sharded:
+    if not plan.pooled:
         yield None
         return
     owns_executor = executor is None
     if owns_executor:
-        executor = ParallelExecutor(max_workers=config.n_workers)
+        executor = plan.executor(config.n_workers)
     try:
         shuffle.install_fusion_columns(executor, cols)
         yield executor
@@ -609,20 +572,6 @@ def _column_executor(
         shuffle.uninstall_fusion_round_state(executor)
         if owns_executor:
             executor.close()
-
-
-def _sharded_diagnostics(executor: Executor | None) -> dict:
-    """Round-state channel and fallback counters of a sharded run."""
-    if executor is None:
-        return {}
-    diagnostics = {
-        "round_state": getattr(executor, "round_state_channel", "in-process")
-    }
-    if isinstance(executor, ParallelExecutor):
-        diagnostics["fallbacks_tiny"] = executor.fallbacks_tiny
-        diagnostics["fallbacks_unpicklable"] = executor.fallbacks_unpicklable
-        diagnostics["fallbacks_shm"] = executor.fallbacks_shm
-    return diagnostics
 
 
 def _column_stage1(
@@ -717,21 +666,19 @@ def _run_columnar(
     method_name: str,
     gold_labels: dict[Triple, bool] | None,
     track_rounds: bool,
-    requested: str,
-    plan: tuple[bool, bool, str],
+    plan: ExecutionPlan,
     executor: Executor | None,
 ) -> FusionResult:
-    """The column-native round loop behind ``parallel``/``vectorized``/``hybrid``.
+    """The column-native round loop behind every mode but the reference.
 
     Round state is arrays only: accuracies in a float64 array indexed by
     provenance id, posteriors and the scored mask indexed by row (= unique
     triple).  The Python dict outputs are materialised once at the end
     (Stage III), so no dict claim view is ever required — which is what
     lets the out-of-core path fuse straight from mapped columns.  ``plan``
-    (:func:`_column_plan`) fixes where the two per-round stage calls run
+    (:func:`_runnable_plan`) fixes where the two per-round stage calls run
     and which kernel scores them; nothing else differs between backends.
     """
-    sharded, batched, backend_used = plan
     n_provs = len(cols.provenances)
     accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
     evaluated = np.zeros(n_provs, dtype=bool)
@@ -764,18 +711,18 @@ def _run_columnar(
     round_probabilities: list[dict[Triple, float]] = []
     rounds_run = 0
     converged = False
-    with _column_executor(cols, config, sharded, executor) as where:
+    with _column_executor(cols, config, plan, executor) as where:
         for round_index in range(config.max_rounds):
             active = active_mask(round_index)
             require_repeated = config.filter_by_coverage and round_index == 0
             round_result = _column_stage1(
                 cols, kernel, accuracies, active, require_repeated, config, where,
-                batched,
+                plan.batched,
             )
             new_acc, updated = _column_stage2(
-                cols, round_result, active, config, where, batched
+                cols, round_result, active, config, where, plan.batched
             )
-            if batched and config.min_accuracy is not None:
+            if plan.batched and config.min_accuracy is not None:
                 # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
                 # (The scalar shards are already exact, and may have sampled.)
                 boundary = np.flatnonzero(
@@ -801,7 +748,7 @@ def _run_columnar(
             if delta < config.convergence_tol:
                 converged = True
                 break
-        sharded_diagnostics = _sharded_diagnostics(where)
+        executor_diagnostics = where.diagnostics() if plan.pooled else {}
 
     # Stage III: rows are already unique triples.  Scored rows keep their
     # posterior; under the θ-filter an unscored row falls back to the mean
@@ -839,11 +786,9 @@ def _run_columnar(
             "n_claims": cols.n_claims,
             "gold_initialized": gold_initialized,
             "n_active_final": int(active_mask(rounds_run).sum()),
-            "backend": requested,
-            "backend_used": backend_used,
-            "parity": parity_of(backend_used),
+            **backend_contract(config.backend, plan),
             "sampling": sampling_contract_of(config),
-            **sharded_diagnostics,
+            **executor_diagnostics,
         },
     )
     if track_rounds:

@@ -94,7 +94,6 @@ __all__ = [
     "install_fusion_columns",
     "install_stage1_state",
     "install_stage2_state",
-    "uninstall_fusion_columns",
     "uninstall_fusion_round_state",
     "Stage1ColumnarShard",
     "Stage2ColumnarShard",
@@ -121,16 +120,12 @@ def install_fusion_columns(executor: Executor, cols: ColumnarClaims) -> None:
     The canonical row ranking is materialised first so workers receive it
     prebuilt instead of each re-sorting the triple column.  Crosses the
     process boundary once per pool; in-process executors just register the
-    object.
+    object.  The columns are not withdrawn when a fusion run ends: a
+    shared executor's next fuse over the same columns reinstalls an
+    identical value, which is a no-op instead of a pool restart.
     """
     cols.canonical_rank()
-    executor.install_state(FUSION_COLUMNS_KEY, cols)
-
-
-def uninstall_fusion_columns(executor: Executor) -> None:
-    """Withdraw the pool-resident columns installed by
-    :func:`install_fusion_columns`."""
-    executor.uninstall_state(FUSION_COLUMNS_KEY)
+    executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
 def uninstall_fusion_round_state(executor: Executor) -> None:

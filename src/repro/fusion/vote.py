@@ -7,17 +7,14 @@ the Figure 8 pipeline, which is exactly how it is implemented here (through
 the MapReduce engine, so VOTE exercises the same dataflow as the Bayesian
 methods).
 
-Backends: ``serial`` runs the scalar reducers in-process; the other three
-run Stage I once through the runner's column-native Stage-I helper
-(:mod:`repro.fusion.runner` has the where × kernel table).  ``parallel``
-shards it over the columnar shuffle (:mod:`repro.fusion.shuffle`) —
-pool-resident claim columns, integer-id shard payloads, bit-identical to
-serial on fork and spawn, including under canonical-order reducer-input
-sampling; ``vectorized`` computes all ``m/n`` ratios in one numpy pass
-over the columnar claim index; ``hybrid`` runs that batched kernel inside
-each parallel shard.  The vectorized path falls back to ``serial`` — and
-the hybrid path to the scalar ``parallel`` shards — when sampling would
-engage (batched kernels score whole rounds and cannot subset per item).
+Execution modes: the reference runs the scalar reducers in-process; every
+other mode runs Stage I once through the runner's column-native Stage-I
+helper under the same :class:`~repro.mapreduce.executors.ExecutionPlan`
+derivation as the Bayesian methods (:mod:`repro.fusion.runner`) — pooled
+over the columnar shuffle (bit-identical on fork and spawn, including
+under canonical-order reducer-input sampling), batched as one numpy pass
+of ``m/n`` ratios, scalar in the same place when sampling would engage
+(batched kernels score whole rounds and cannot subset per item).
 """
 
 from __future__ import annotations
@@ -25,20 +22,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fusion import kernels
-from repro.fusion.base import Fuser, FusionResult, parity_of, sampling_contract_of
+from repro.fusion.base import (
+    Fuser,
+    FusionResult,
+    backend_contract,
+    sampling_contract_of,
+)
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.runner import (
     Stage1Reducer,
     _column_executor,
-    _column_plan,
     _column_stage1,
+    _runnable_plan,
     _scored_posteriors,
-    _sharded_diagnostics,
     stage1_mapper,
     stage1_sample_key,
 )
 from repro.kb.triples import Triple
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
+from repro.mapreduce.executors import ExecutionPlan
 
 __all__ = ["vote_item_posteriors", "VoteKernel", "Vote"]
 
@@ -91,18 +93,13 @@ class Vote(Fuser):
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         matrix = fusion_input.claims(self.config.granularity)
-        backend = self.config.backend
-        if backend == "serial":
-            return self._fuse_mapreduce(matrix, backend)
-        cols = matrix.columnar()
-        plan = _column_plan(
-            backend, cols, self.config, VoteKernel(), include_stage2=False
+        plan, cols = _runnable_plan(
+            self.config, matrix, VoteKernel(), include_stage2=False
         )
-        if plan is None:
-            return self._fuse_mapreduce(matrix, "serial (vectorized fallback)")
-        sharded, batched, backend_used = plan
+        if plan.reference:
+            return self._fuse_mapreduce(matrix, plan)
         n_provs = len(cols.provenances)
-        with _column_executor(cols, self.config, sharded, executor) as where:
+        with _column_executor(cols, self.config, plan, executor) as where:
             round_result = _column_stage1(
                 cols,
                 VoteKernel(),
@@ -111,20 +108,20 @@ class Vote(Fuser):
                 False,
                 self.config,
                 where,
-                batched,
+                plan.batched,
                 name="vote.stage1",
             )
-            sharded_diagnostics = _sharded_diagnostics(where)
+            executor_diagnostics = where.diagnostics() if plan.pooled else {}
         # Rows are already unique triples, so the serial path's Stage-III
         # dedup is structurally a no-op here: the scored rows' ``m/n``
         # ratios are the final probabilities.  Unscored rows (possible
         # only under sampling) stay absent, as in the serial reference.
         return self._result(
-            _scored_posteriors(cols, round_result), backend_used, sharded_diagnostics
+            _scored_posteriors(cols, round_result), plan, executor_diagnostics
         )
 
     def _result(
-        self, probabilities: dict[Triple, float], backend_used: str, extra: dict
+        self, probabilities: dict[Triple, float], ran: ExecutionPlan, extra: dict
     ) -> FusionResult:
         result = FusionResult(
             method=self.name,
@@ -132,9 +129,7 @@ class Vote(Fuser):
             rounds=0,
             converged=True,
             diagnostics={
-                "backend": self.config.backend,
-                "backend_used": backend_used,
-                "parity": parity_of(backend_used),
+                **backend_contract(self.config.backend, ran),
                 "sampling": sampling_contract_of(self.config),
                 **extra,
             },
@@ -142,7 +137,7 @@ class Vote(Fuser):
         result.validate()
         return result
 
-    def _fuse_mapreduce(self, matrix, backend_used: str) -> FusionResult:
+    def _fuse_mapreduce(self, matrix, ran: ExecutionPlan) -> FusionResult:
         engine = MapReduceEngine()
 
         claims = [
@@ -169,5 +164,5 @@ class Vote(Fuser):
         )
         deduped = engine.run(scored, stage3)
         return self._result(
-            {triple: float(p) for triple, p in deduped}, backend_used, {}
+            {triple: float(p) for triple, p in deduped}, ran, {}
         )

@@ -3,8 +3,9 @@
 The paper scales fusion with a three-stage MapReduce pipeline (Figure 8).
 This package provides the same dataflow semantics — map, shuffle (grouped,
 deterministically ordered), reduce, with per-reducer input *sampling*
-(the paper's ``L``) and multi-stage iteration with forced termination
-(the paper's ``R``) — as an in-process engine suitable for laptop scale.
+(the paper's ``L``) — as an in-process engine suitable for laptop scale
+(the round loop and its forced termination ``R`` live in
+:mod:`repro.fusion.runner`).
 That keyed dataflow (:class:`MapReduceEngine`) is the reference the
 ``serial`` fusion backend runs on.  Pooled execution is a separate,
 map-only protocol: an :class:`~repro.mapreduce.executors.Executor` runs
@@ -25,7 +26,6 @@ from repro.mapreduce.executors import (
     ShardedMapJob,
     worker_state,
 )
-from repro.mapreduce.job import IterativeJob, run_iterative
 
 __all__ = [
     "MapReduceEngine",
@@ -37,6 +37,4 @@ __all__ = [
     "ShardedMapJob",
     "WireCodec",
     "worker_state",
-    "IterativeJob",
-    "run_iterative",
 ]

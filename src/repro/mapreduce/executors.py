@@ -63,6 +63,11 @@ fetch them back with :func:`worker_state`, which also resolves in-process
 parent's registry.  Installing new state after the pool has started
 restarts the pool (once per pipeline stage, not per job); see
 ``mapreduce/README.md`` for the full protocol.
+
+**Execution modes.**  Which executor a backend name means — and which
+kernel its shards run — is the :data:`EXECUTION_MODES` table at the end
+of this module (name → :class:`ExecutionPlan`); it is the only place in
+``src/`` that knows a backend name.
 """
 
 from __future__ import annotations
@@ -79,10 +84,16 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.mapreduce.codec import WireCodec
 from repro.rng import split_seed
 
 __all__ = [
+    "EXECUTION_MODES",
+    "FUSION_MODES",
+    "PIPELINE_MODES",
+    "ExecutionPlan",
+    "fusion_mode_name",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",
@@ -398,7 +409,10 @@ class Executor(Protocol):
     faster-changing channel: it publishes one round's numpy arrays (via
     shared memory where available) and returns the
     :class:`RoundStateHandle` shard callables resolve them with — the
-    arrays cross once per round, never per shard.  ``close()`` releases
+    arrays cross once per round, never per shard.  ``diagnostics()``
+    reports how the executor ran what it was given (round-state channel,
+    and for a pool its size, fallback counters and shipped state bytes)
+    under the keys run ``diagnostics`` dicts publish.  ``close()`` releases
     any held resources (worker pools, installed state, shared-memory
     segments); it must be safe to call repeatedly and on executors that
     never ran a job.
@@ -416,17 +430,13 @@ class Executor(Protocol):
 
     def uninstall_round_state(self, key: str) -> None: ...
 
+    def diagnostics(self) -> dict: ...
+
     def close(self) -> None: ...
 
 
 class SerialExecutor:
     """One in-process pass per job, no wire codec (reference behaviour)."""
-
-    name = "serial"
-
-    #: In-process executors resolve round state straight from the parent
-    #: registry; nothing ever crosses a process boundary.
-    round_state_channel = "in-process"
 
     def __init__(self) -> None:
         self._installed: dict[str, Any] = {}
@@ -460,6 +470,11 @@ class SerialExecutor:
         cached = _ROUND_CACHE.get(key)
         if generation is not None and cached is not None and cached[0] == generation:
             _evict_round_cache(key)
+
+    def diagnostics(self) -> dict:
+        """Round state resolves straight from the parent registry; nothing
+        ever crosses a process boundary."""
+        return {"round_state": "in-process"}
 
     def close(self) -> None:
         for key in list(self._installed):
@@ -496,8 +511,6 @@ class ParallelExecutor:
     ``multiprocessing.shared_memory``, degrades it to an inline pickled
     payload, counted per install in ``fallbacks_shm``).
     """
-
-    name = "parallel"
 
     def __init__(
         self,
@@ -556,6 +569,17 @@ class ParallelExecutor:
         if self.fallbacks_shm > 0 or not self.use_shared_memory:
             return "inline (shm fallback)"
         return "shared-memory"
+
+    def diagnostics(self) -> dict:
+        """The pool's size, round-state channel and degradation counters."""
+        return {
+            "round_state": self.round_state_channel,
+            "fallbacks_tiny": self.fallbacks_tiny,
+            "fallbacks_unpicklable": self.fallbacks_unpicklable,
+            "fallbacks_shm": self.fallbacks_shm,
+            "n_workers": self.max_workers,
+            "state_bytes_shipped": self.state_bytes_shipped,
+        }
 
     def install_state(self, key: str, value: Any) -> None:
         """Make ``value`` pool-resident under ``key``.
@@ -748,3 +772,69 @@ class ParallelExecutor:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+# ---------------------------------------------------------------------------
+# Execution modes: the one table that knows a backend name
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExecutionPlan:
+    """The two execution choices a stage has (arXiv 1503.00302 §4, Fig. 8).
+
+    ``pooled`` is *where* it runs — sharded over a process pool, or
+    in-process; ``batched`` is *which kernel* scores it — batched numpy,
+    or the scalar reference.  Every contract a run reports (the executor,
+    the shard body, ``backend_used``, ``parity``) is derived from these
+    two fields; the README's "Execution backends" table states them.
+    """
+
+    pooled: bool
+    batched: bool
+
+    @property
+    def reference(self) -> bool:
+        """True for the scalar in-process mode every parity contract is
+        stated against."""
+        return not (self.pooled or self.batched)
+
+    @property
+    def kernel(self) -> str:
+        """The kernel axis as reports spell it."""
+        return "batched" if self.batched else "scalar"
+
+    def executor(self, n_workers: int | None = None) -> Executor:
+        """A fresh executor for this mode (the caller closes it): the one
+        place a mode picks between the in-process and the pooled executor."""
+        if n_workers is not None and n_workers < 1:
+            raise ConfigError(f"n_workers must be >= 1 or None, got {n_workers}")
+        if self.pooled:
+            return ParallelExecutor(max_workers=n_workers)
+        return SerialExecutor()
+
+
+#: Every public backend spelling and what it means.  The in-process
+#: batched mode has two: the extraction stage and the pipelines call it
+#: ``batched``, the fusion stage ``vectorized``.  Insertion order is the
+#: order of the public backend tuples (and so of the CLI ``choices=``).
+#: DET006 keeps this a module-level literal; nothing else in ``src/``
+#: compares backend names.
+EXECUTION_MODES = {
+    "serial": ExecutionPlan(pooled=False, batched=False),
+    "batched": ExecutionPlan(pooled=False, batched=True),
+    "parallel": ExecutionPlan(pooled=True, batched=False),
+    "vectorized": ExecutionPlan(pooled=False, batched=True),
+    "hybrid": ExecutionPlan(pooled=True, batched=True),
+}
+
+#: The fusion stage's vocabulary (``FusionConfig.backend``, ``backend_used``).
+FUSION_MODES = tuple(name for name in EXECUTION_MODES if name != "batched")
+
+#: The extraction stage's and the pipelines' vocabulary.
+PIPELINE_MODES = tuple(name for name in EXECUTION_MODES if name != "vectorized")
+
+
+def fusion_mode_name(plan: ExecutionPlan) -> str:
+    """The fusion-stage spelling of ``plan``."""
+    return next(name for name in FUSION_MODES if EXECUTION_MODES[name] == plan)

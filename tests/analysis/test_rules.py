@@ -288,125 +288,62 @@ class TestDET005Clock:
         assert _rules_fired({ANY_PATH: snippet}, DET005) == []
 
 
-BASE_OK = (
-    "PARITY_BITWISE = 'bitwise'\n"
-    "PARITY_TOLERANCE = 'tolerance'\n"
-    "BACKENDS = ('serial', 'parallel')\n"
-    "_BACKEND_PARITY = {'serial': PARITY_BITWISE, 'parallel': PARITY_BITWISE}\n"
-    "def parity_of(backend_used):\n"
-    "    return _BACKEND_PARITY[backend_used.split(' ')[0]]\n"
-    "def sampling_contract_of(config):\n"
-    "    return 'canonical-order'\n"
+TABLE_OK = (
+    "EXECUTION_MODES = {\n"
+    "    'serial': ExecutionPlan(pooled=False, batched=False),\n"
+    "    'hybrid': ExecutionPlan(pooled=True, batched=True),\n"
+    "}\n"
 )
 
 
 class TestDET006Contracts:
-    BASE = "src/repro/fusion/base.py"
-    ENDTOEND = "src/repro/endtoend.py"
+    TABLE = "src/repro/mapreduce/executors.py"
 
-    def test_good_declared_backends(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: "PIPELINE_BACKENDS = ('serial', 'parallel')\n",
-        }
-        assert _rules_fired(files, DET006) == []
+    def _fired(self, source):
+        return _rules_fired({self.TABLE: source}, DET006)
 
-    def test_bad_backend_without_parity_entry(self):
-        files = {
-            self.BASE: BASE_OK.replace(
-                "BACKENDS = ('serial', 'parallel')",
-                "BACKENDS = ('serial', 'parallel', 'quantum')",
+    def test_good_literal_table(self):
+        assert self._fired(TABLE_OK) == []
+
+    def test_bad_missing_table(self):
+        assert self._fired("OTHER = {}\n") == ["DET006"]
+
+    def test_bad_non_literal_table(self):
+        assert self._fired(
+            "EXECUTION_MODES = {name: plan_for(name) for name in NAMES}\n"
+        ) == ["DET006"]
+
+    def test_bad_non_literal_key(self):
+        assert self._fired(
+            TABLE_OK.replace("'hybrid':", "HYBRID:")
+        ) == ["DET006"]
+
+    def test_bad_duplicate_key(self):
+        assert self._fired(
+            TABLE_OK.replace("'hybrid':", "'serial':")
+        ) == ["DET006"]
+
+    def test_bad_computed_field(self):
+        assert self._fired(
+            TABLE_OK.replace("pooled=True", "pooled=HAS_CORES")
+        ) == ["DET006"]
+
+    def test_bad_positional_fields(self):
+        # (True, True) does not say which axis is which; keywords do.
+        assert self._fired(
+            TABLE_OK.replace(
+                "ExecutionPlan(pooled=True, batched=True)",
+                "ExecutionPlan(True, True)",
             )
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
+        ) == ["DET006"]
 
-    def test_bad_stale_parity_key(self):
-        files = {
-            self.BASE: BASE_OK.replace(
-                "BACKENDS = ('serial', 'parallel')\n",
-                "BACKENDS = ('serial',)\n",
+    def test_bad_value_is_not_a_plan(self):
+        assert self._fired(
+            TABLE_OK.replace(
+                "ExecutionPlan(pooled=True, batched=True)", "'parallel'"
             )
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
+        ) == ["DET006"]
 
-    def test_bad_missing_resolver(self):
-        files = {
-            self.BASE: BASE_OK.replace(
-                "def sampling_contract_of(config):\n"
-                "    return 'canonical-order'\n",
-                "",
-            )
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_bad_pipeline_backend_undeclared(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: "PIPELINE_BACKENDS = ('serial', 'hybrid')\n",
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_good_pipeline_backend_resolved_by_mapping(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: (
-                "PIPELINE_BACKENDS = ('serial', 'batched')\n"
-                "_FUSION_BACKEND = {'serial': 'serial', 'batched': 'serial'}\n"
-            ),
-        }
-        assert _rules_fired(files, DET006) == []
-
-    def test_bad_mapping_resolves_to_undeclared_backend(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: (
-                "PIPELINE_BACKENDS = ('serial', 'batched')\n"
-                "_FUSION_BACKEND = {'serial': 'serial', 'batched': 'quantum'}\n"
-            ),
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_bad_streaming_mapping_resolves_to_undeclared_backend(self):
-        # The streaming pipeline's rename table is audited like the
-        # record pipeline's.
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: (
-                "PIPELINE_BACKENDS = ('serial', 'parallel')\n"
-                "STREAMING_PIPELINE_BACKENDS = ('batched', 'parallel')\n"
-                "_STREAM_FUSION_BACKEND = "
-                "{'batched': 'quantum', 'parallel': 'parallel'}\n"
-            ),
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_bad_stale_mapping_key(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: (
-                "PIPELINE_BACKENDS = ('serial',)\n"
-                "_FUSION_BACKEND = {'serial': 'serial', 'batched': 'serial'}\n"
-            ),
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_bad_non_literal_mapping(self):
-        files = {
-            self.BASE: BASE_OK,
-            self.ENDTOEND: (
-                "PIPELINE_BACKENDS = ('serial',)\n"
-                "_FUSION_BACKEND = {'serial': SERIAL}\n"
-            ),
-        }
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_bad_non_literal_backends(self):
-        files = {self.BASE: BASE_OK.replace(
-            "BACKENDS = ('serial', 'parallel')",
-            "BACKENDS = tuple(_discover())",
-        )}
-        assert _rules_fired(files, DET006) == ["DET006"]
-
-    def test_absent_base_module_is_silent(self):
-        # Fixture sets without base.py have no contract surface to check.
+    def test_absent_table_module_is_silent(self):
+        # Fixture sets without executors.py have no contract surface to check.
         assert _rules_fired({ANY_PATH: "x = 1\n"}, DET006) == []

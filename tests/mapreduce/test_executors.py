@@ -27,6 +27,7 @@ PROTOCOL = (
     "uninstall_state",
     "install_round_state",
     "uninstall_round_state",
+    "diagnostics",
     "close",
 )
 
@@ -39,7 +40,7 @@ class TestProtocol:
         for method in PROTOCOL:
             assert callable(getattr(executor, method)), method
 
-    def test_protocol_is_exactly_the_six_methods(self):
+    def test_protocol_is_exactly_these_methods(self):
         """One job protocol: no keyed-reduce ``run`` beside ``run_map``."""
         declared = {
             name for name in vars(Executor) if not name.startswith("_")

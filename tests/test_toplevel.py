@@ -117,6 +117,14 @@ class TestCLI:
         # Stock fleet: every family ships a kernel, no scalar fallback.
         assert "scalar fallback" not in out
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_extract_invalid_workers_exits_2(self, capsys, workers):
+        # Same validation (and exit code) as fuse/pipeline: 0 used to run
+        # on the CPU-count default, -1 died in run_map with an IndexError.
+        argv = ["extract", "--scale", "tiny", "--backend", "parallel"]
+        assert main([*argv, "--workers", workers]) == 2
+        assert "n_workers must be >= 1" in capsys.readouterr().err
+
     def test_extract_backends_report_identical_record_counts(self, capsys):
         main(["extract", "--scale", "tiny", "--seed", "7"])
         serial_out = capsys.readouterr().out
@@ -291,6 +299,12 @@ class TestCLIStreamingScale:
         assert main(["pipeline", "--scale", "web", "--backend", "serial"]) == 2
         err = capsys.readouterr().err
         assert "out-of-core" in err and "SCALING.md" in err
+
+    def test_web_rejects_bad_chunk_pages(self, capsys):
+        # Rejected with the backend/method checks, not after the setup stage.
+        assert main(["pipeline", "--scale", "web", "--backend", "batched",
+                     "--chunk-pages", "0"]) == 2
+        assert "chunk_pages must be >= 1" in capsys.readouterr().err
 
     def test_web_is_pipeline_only(self):
         for subcommand in (["run", "fig9"], ["fuse", "popaccu"], ["extract"]):

@@ -8,10 +8,10 @@ suite (``tests/test_docs.py``):
    (anchors stripped; absolute URLs skipped).
 2. **CLI docs out of sync** — every ``repro-kf <subcommand>`` mention in
    the docs must name a real subcommand of the argparse parser, every
-   fusion backend in ``repro.fusion.BACKENDS`` (and pipeline backend in
-   ``repro.endtoend.PIPELINE_BACKENDS``) must be documented in the README
-   backend matrix, and the README must mention every subcommand the CLI
-   actually exposes.
+   backend spelling in the one mode table
+   (``repro.mapreduce.executors.EXECUTION_MODES``) must be documented in
+   the README backend table, and the README must mention every
+   subcommand the CLI actually exposes.
 3. **Benchmark entrypoints out of sync** — every ``benchmarks/<x>.py``
    script the docs mention must exist (the 25 ad-hoc ``bench_fig*``
    scripts were replaced by the registry runner), and the README must
@@ -86,11 +86,10 @@ def check_links(root: Path = REPO_ROOT) -> list[str]:
     return errors
 
 
-def _cli_surface() -> tuple[set[str], set[str], set[str]]:
-    """(subcommands, fusion backends, pipeline backends) from the code."""
+def _cli_surface() -> tuple[set[str], set[str]]:
+    """(subcommands, backend spellings) from the code."""
     from repro.cli import _build_parser
-    from repro.endtoend import PIPELINE_BACKENDS
-    from repro.fusion import BACKENDS
+    from repro.mapreduce.executors import EXECUTION_MODES
 
     import argparse
 
@@ -98,13 +97,13 @@ def _cli_surface() -> tuple[set[str], set[str], set[str]]:
     for action in _build_parser()._actions:
         if isinstance(action, argparse._SubParsersAction):
             subcommands.update(action.choices)
-    return subcommands, set(BACKENDS), set(PIPELINE_BACKENDS)
+    return subcommands, set(EXECUTION_MODES)
 
 
 def check_cli_sync(root: Path = REPO_ROOT) -> list[str]:
     """Doc'd subcommands exist; real subcommands and backends are doc'd."""
     errors: list[str] = []
-    subcommands, backends, pipeline_backends = _cli_surface()
+    subcommands, backends = _cli_surface()
 
     mentioned: set[str] = set()
     for name in CLI_DOCS:
@@ -133,13 +132,7 @@ def check_cli_sync(root: Path = REPO_ROOT) -> list[str]:
     for backend in sorted(backends):
         if f"`{backend}`" not in readme:
             errors.append(
-                f"README.md: fusion backend {backend!r} missing from the "
-                "backend matrix"
-            )
-    for backend in sorted(pipeline_backends):
-        if f"`{backend}`" not in readme:
-            errors.append(
-                f"README.md: pipeline backend {backend!r} undocumented"
+                f"README.md: backend {backend!r} missing from the backend table"
             )
     return errors
 
