@@ -348,9 +348,11 @@ def run_streaming_pipeline(
     _validate_request(
         backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline", serial_ban
     )
+    # Same reason: stream_corpus would only say so after the setup stage.
     if chunk_pages < 1:
-        # Same reason: stream_corpus would only say so after the setup stage.
         raise ConfigError(f"chunk_pages must be >= 1, got {chunk_pages}")
+    if copy_window is not None and copy_window < 0:
+        raise ConfigError(f"copy_window must be >= 0 or None, got {copy_window}")
     plan = EXECUTION_MODES[backend]
     if fusion_config is None:
         fusion_config = FusionConfig(

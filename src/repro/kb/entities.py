@@ -10,7 +10,8 @@ is the paper's *entity-linkage* error class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from repro.errors import SchemaError
 
@@ -47,6 +48,14 @@ class EntityRegistry:
     _by_type: dict[str, list[str]] = field(default_factory=dict)
     _by_surface: dict[str, list[str]] = field(default_factory=dict)
 
+    @cached_property
+    def _typed(self) -> dict[str, tuple[Entity, ...]]:
+        """Memo behind :meth:`of_type`; derived, so neither compared nor pickled."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def add(self, entity: Entity) -> Entity:
         if entity.entity_id in self._by_id:
             raise SchemaError(f"duplicate entity {entity.entity_id}")
@@ -55,6 +64,7 @@ class EntityRegistry:
         self._by_id[entity.entity_id] = entity
         for type_id in entity.type_ids:
             self._by_type.setdefault(type_id, []).append(entity.entity_id)
+            self._typed.pop(type_id, None)
         for form in entity.surface_forms():
             bucket = self._by_surface.setdefault(form, [])
             if entity.entity_id not in bucket:
@@ -80,9 +90,17 @@ class EntityRegistry:
         """All entity ids in insertion order."""
         return list(self._by_id)
 
-    def of_type(self, type_id: str) -> list[Entity]:
-        """Entities belonging to ``type_id``, in insertion order."""
-        return [self._by_id[eid] for eid in self._by_type.get(type_id, [])]
+    def of_type(self, type_id: str) -> tuple[Entity, ...]:
+        """Entities belonging to ``type_id``, in insertion order.
+
+        The same tuple on every call until an entity of that type is added.
+        """
+        members = self._typed.get(type_id)
+        if members is None:
+            members = self._typed[type_id] = tuple(
+                self._by_id[eid] for eid in self._by_type.get(type_id, ())
+            )
+        return members
 
     def candidates_for(self, surface: str) -> list[Entity]:
         """Entities whose name or alias equals ``surface``.

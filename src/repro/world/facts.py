@@ -16,11 +16,12 @@ truth set of every data item.  Two derived artifacts matter downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from repro.kb.entities import EntityRegistry
+from repro.kb.entities import Entity, EntityRegistry
 from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.schema import Schema, ValueKind
 from repro.kb.store import KnowledgeBase
@@ -60,9 +61,55 @@ class SourceAssertion:
         return not self.true_in_world
 
 
+class _WorldTables:
+    """Lookup tables derived from a finished :class:`World`.
+
+    They exist so that page generation costs O(page), not O(world): what
+    used to be a walk over every truth per wrong string draw, and a
+    rebuilt entity pool per page, is one walk here plus two memos.
+
+    - ``strings`` / ``positions`` — every ``StringValue`` truth in
+      ``truths`` iteration order, and ``text -> ascending positions`` of
+      the values carrying that text (the peers a wrong string draw must
+      skip);
+    - ``topic_pools`` — per distinct ``SiteProfile.topic_types``, the
+      entity pool and its normalised popularity vector, filled on demand
+      by :meth:`World.topic_pool`;
+    - ``entity_items`` — per entity id, the data items that have truths,
+      filled on demand by :meth:`World.items_of`.
+    """
+
+    __slots__ = ("strings", "positions", "topic_pools", "entity_items")
+
+    def __init__(self, truths: dict[DataItem, tuple[Value, ...]]) -> None:
+        self.strings: list[StringValue] = [
+            value
+            for values in truths.values()
+            for value in values
+            if isinstance(value, StringValue)
+        ]
+        self.positions: dict[str, list[int]] = {}
+        for position, value in enumerate(self.strings):
+            self.positions.setdefault(value.text, []).append(position)
+        self.topic_pools: dict[
+            tuple[str, ...], tuple[tuple[Entity, ...], np.ndarray]
+        ] = {}
+        self.entity_items: dict[str, tuple[DataItem, ...]] = {}
+
+
 @dataclass
 class World:
-    """Ground-truth world produced by :func:`repro.world.worldgen.generate_world`."""
+    """Ground-truth world produced by :func:`repro.world.worldgen.generate_world`.
+
+    A world is finished when ``generate_world`` returns it: nothing
+    mutates ``truths``, ``entities`` or ``popularity`` afterwards, and
+    the lookup tables behind :meth:`topic_pool`, :meth:`items_of` and the
+    wrong string draw (:class:`_WorldTables`) are built from those three
+    as they are at first use.  The tables are derived state only: not a
+    dataclass field, so they take no part in ``==`` / ``repr``, and never
+    pickled (the artifact pickler writes ``cls(*fields)``; stock pickling
+    goes through :meth:`__getstate__`).
+    """
 
     config: WorldConfig
     master_seed: int
@@ -75,6 +122,14 @@ class World:
     _wrong_pools: dict[DataItem, tuple[tuple[Value, ...], np.ndarray]] = field(
         default_factory=dict, repr=False
     )
+
+    @cached_property
+    def _tables(self) -> _WorldTables:
+        return _WorldTables(self.truths)
+
+    def __getstate__(self) -> dict:
+        # Fields only: the tables stay behind and are rebuilt on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Truth queries
@@ -113,6 +168,42 @@ class World:
 
     def data_items(self) -> list[DataItem]:
         return list(self.truths)
+
+    def items_of(self, entity: Entity) -> tuple[DataItem, ...]:
+        """``entity``'s data items that have truths, in schema predicate order."""
+        memo = self._tables.entity_items
+        items = memo.get(entity.entity_id)
+        if items is None:
+            candidates = (
+                DataItem(entity.entity_id, predicate.pid)
+                for predicate in self.schema.predicates_of_type(entity.primary_type)
+            )
+            items = tuple(item for item in candidates if self.truths.get(item))
+            memo[entity.entity_id] = items
+        return items
+
+    def topic_pool(
+        self, topic_types: tuple[str, ...]
+    ) -> tuple[tuple[Entity, ...], np.ndarray]:
+        """The entities of ``topic_types`` and their normalised popularity.
+
+        Type by type in the given order, registry order within a type —
+        the pool a page of a site with these topics picks its entities
+        from.
+        """
+        memo = self._tables.topic_pools
+        cached = memo.get(topic_types)
+        if cached is None:
+            pool = tuple(
+                entity
+                for type_id in topic_types
+                for entity in self.entities.of_type(type_id)
+            )
+            weights = np.array(
+                [self.popularity.get(entity.entity_id, 1e-9) for entity in pool]
+            )
+            cached = memo[topic_types] = (pool, weights / weights.sum())
+        return cached
 
     def true_triples(self):
         """Iterate every exactly-true triple in the world."""
@@ -157,6 +248,13 @@ class World:
     def _plausible_wrong_value(
         self, predicate, item: DataItem, rng: np.random.Generator
     ) -> Value | None:
+        """One candidate wrong value for ``item``, of the predicate's kind.
+
+        ENTITY: any entity of the object type; NUMBER / DATE: a typical
+        corruption of the item's first truth; STRING: another text taken
+        from the string truths of the whole world (see below).  May
+        return a truth or a repeat -- :meth:`wrong_pool` filters those.
+        """
         truths = self.truths.get(item, ())
         if predicate.value_kind is ValueKind.ENTITY:
             candidates = self.entities.of_type(predicate.object_type_id)
@@ -202,19 +300,25 @@ class World:
             year = min(max(year, 1850), 2013)
             return DateValue(f"{year:04d}-{month:02d}-{day:02d}")
         # STRING: any other word from the same literal vocabulary would be
-        # ideal; lacking the vocab here, perturb by suffix or reuse another
-        # item's truth of the same predicate.
+        # ideal; lacking the vocab here, reuse a string truth with another
+        # text from anywhere in the world -- any item, any predicate, one
+        # uniform draw over all of them (the generated corpora are frozen
+        # on exactly this) -- or perturb by suffix when there is none.
         for truth in truths:
             if isinstance(truth, StringValue):
-                peers = [
-                    v
-                    for vs in self.truths.values()
-                    for v in vs
-                    if isinstance(v, StringValue) and v.text != truth.text
-                ]
-                if peers:
-                    return peers[int(rng.integers(len(peers)))]
-                return StringValue(truth.text + "s")
+                tables = self._tables
+                excluded = tables.positions[truth.text]
+                n_peers = len(tables.strings) - len(excluded)
+                if not n_peers:
+                    return StringValue(truth.text + "s")
+                # The k-th string truth once the ``excluded`` positions
+                # are skipped, without listing the peers.
+                k = int(rng.integers(n_peers))
+                for position in excluded:
+                    if position > k:
+                        break
+                    k += 1
+                return tables.strings[k]
         return StringValue(f"unknown-{int(rng.integers(1_000_000))}")
 
     def draw_wrong_value(

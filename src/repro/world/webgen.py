@@ -21,6 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.kb.entities import Entity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import EntityRef, Value
@@ -35,6 +36,7 @@ from repro.world.content import (
     Sentence,
     TextDocument,
     WebTable,
+    content_type_of,
 )
 from repro.world.facts import SourceAssertion, World
 from repro.world.labels import (
@@ -109,8 +111,6 @@ class WebCorpus:
         content_counts: dict[str, int] = {}
         for page in self.pages:
             for element in page.elements:
-                from repro.world.content import content_type_of
-
                 key = content_type_of(element)
                 content_counts[key] = content_counts.get(key, 0) + 1
         return {
@@ -194,16 +194,9 @@ def _pick_entities(
     rng: np.random.Generator,
     max_entities: int,
 ) -> list[Entity]:
-    pool: list[Entity] = []
-    weights: list[float] = []
-    for type_id in site.topic_types:
-        for entity in world.entities.of_type(type_id):
-            pool.append(entity)
-            weights.append(world.popularity.get(entity.entity_id, 1e-9))
+    pool, probs = world.topic_pool(site.topic_types)
     if not pool:
         return []
-    probs = np.array(weights)
-    probs = probs / probs.sum()
     n = int(rng.integers(1, max_entities + 1))
     n = min(n, len(pool))
     picked = rng.choice(len(pool), size=n, replace=False, p=probs)
@@ -357,12 +350,30 @@ def _render_dom(
     return DomTree(subject=_subject_mention(world, subject, site, rng), rows=tuple(rows))
 
 
+#: What ``_render_text`` phrases one predicate with: the single-object
+#: templates, their normalised weights, and the conjunction template.
+_TextMenu = tuple[list[TemplateSpec], np.ndarray, TemplateSpec | None]
+
+
+def _text_menus(templates: dict[str, TemplateSpec]) -> dict[str, _TextMenu]:
+    """The menu of every predicate some template's first slot asserts."""
+    menus: dict[str, _TextMenu] = {}
+    for pid in dict.fromkeys(spec.slots[0] for spec in templates.values()):
+        menu = templates_for_predicate(templates, pid)
+        singles = [t for t in menu if t.n_objects == 1 and not t.merged]
+        conj = next((t for t in menu if t.n_objects == 2 and not t.merged), None)
+        weights = np.array([t.weight for t in singles])
+        menus[pid] = (singles, weights / weights.sum(), conj)
+    return menus
+
+
 def _render_text(
     world: World,
     site: SiteProfile,
     subject: str,
     asserted: list[tuple[int, SourceAssertion]],
     templates: dict[str, TemplateSpec],
+    menus: dict[str, _TextMenu],
     rng,
 ) -> TextDocument:
     subject_mention = _subject_mention(world, subject, site, rng)
@@ -377,7 +388,6 @@ def _render_text(
     if len(born) == 2 and rng.random() < 0.5:
         date_index, date_assertion = born["birth_date"]
         place_index, place_assertion = born["birth_place"]
-        type_id = date_assertion.triple.predicate.rsplit("/", 2)
         template_id = f"t.{date_assertion.triple.predicate.rsplit('/', 1)[0].replace('/', '.')}.born_full"
         spec = templates.get(template_id)
         if spec is not None:
@@ -402,11 +412,10 @@ def _render_text(
         by_pid.setdefault(assertion.triple.predicate, []).append((index, assertion))
     for pid in sorted(by_pid):
         group = by_pid[pid]
-        menu = templates_for_predicate(templates, pid)
-        if not menu:
+        menu = menus.get(pid)
+        if menu is None:
             continue
-        singles = [t for t in menu if t.n_objects == 1 and not t.merged]
-        conj = next((t for t in menu if t.n_objects == 2 and not t.merged), None)
+        singles, single_probs, conj = menu
         while group:
             if conj is not None and len(group) >= 2 and rng.random() < 0.5:
                 (i0, a0), (i1, a1) = group[0], group[1]
@@ -428,8 +437,7 @@ def _render_text(
                 continue
             index, assertion = group[0]
             group = group[1:]
-            weights = np.array([t.weight for t in singles])
-            spec = singles[int(rng.choice(len(singles), p=weights / weights.sum()))]
+            spec = singles[int(rng.choice(len(singles), p=single_probs))]
             obj0 = _value_mention(world, assertion.triple.obj, site, rng, index)
             sentences.append(
                 Sentence(
@@ -532,7 +540,7 @@ def stream_corpus(
     seed: int,
     chunk_pages: int = 2048,
     copy_window: int | None = 1024,
-):
+) -> Iterator[list[WebPage]]:
     """Yield the corpus as page chunks without materialising it.
 
     The out-of-core generator behind the ``web`` scale tier: pages are
@@ -545,10 +553,24 @@ def stream_corpus(
     chunks equal ``generate_corpus(...).pages`` exactly (the streaming
     parity anchor); any finite window defines its own corpus — the
     ``web`` tier's semantics, deterministic in ``(config, seed,
-    window)``.
+    window)``.  Both sizes are checked here, at the call, not at the
+    first ``next()``.
     """
     if chunk_pages < 1:
-        raise ValueError(f"chunk_pages must be >= 1, got {chunk_pages}")
+        raise ConfigError(f"chunk_pages must be >= 1, got {chunk_pages}")
+    if copy_window is not None and copy_window < 0:
+        raise ConfigError(f"copy_window must be >= 0 or None, got {copy_window}")
+    return _stream_chunks(world, config, seed, chunk_pages, copy_window)
+
+
+def _stream_chunks(
+    world: World,
+    config: WebConfig,
+    seed: int,
+    chunk_pages: int,
+    copy_window: int | None,
+) -> Iterator[list[WebPage]]:
+    """The generator behind :func:`stream_corpus`, arguments already checked."""
     rng = named_rng(seed, "webgen")
     sites = _make_sites(world, config, rng)
     pool: object = [] if copy_window is None else deque(maxlen=copy_window)
@@ -577,6 +599,12 @@ def _corpus_pages(
     or a bounded recent-page window (:func:`stream_corpus`).
     """
     templates = build_templates(world.schema)
+    menus = _text_menus(templates)
+    # Per site: the content types and their normalised mix.
+    mixes: dict[str, tuple[list[str], np.ndarray]] = {}
+    for domain, site in sites.items():
+        weights = np.array([w for _, w in site.content_weights])
+        mixes[domain] = ([k for k, _ in site.content_weights], weights / weights.sum())
 
     domains = sorted(sites)
     site_weights = zipf_weights(len(domains), 1.05)
@@ -616,12 +644,9 @@ def _corpus_pages(
         entities = _pick_entities(world, site, rng, config.max_entities_per_page)
         budget = 1 + int(rng.geometric(1.0 / config.facts_per_page_mean))
         fresh_budget = max(0, budget - len(assertions))
-        subject_items: list[DataItem] = []
-        for entity in entities:
-            for predicate in world.schema.predicates_of_type(entity.primary_type):
-                item = DataItem(entity.entity_id, predicate.pid)
-                if world.truth_values(item):
-                    subject_items.append(item)
+        subject_items = [
+            item for entity in entities for item in world.items_of(entity)
+        ]
         if subject_items:
             picked_items = rng.permutation(len(subject_items))[:fresh_budget]
             for item_index in sorted(int(x) for x in picked_items):
@@ -639,9 +664,7 @@ def _corpus_pages(
             by_subject.setdefault(assertion.triple.subject, []).append(
                 (index, assertion)
             )
-        mix_names = [k for k, _ in site.content_weights]
-        mix_probs = np.array([w for _, w in site.content_weights])
-        mix_probs = mix_probs / mix_probs.sum()
+        mix_names, mix_probs = mixes[domain]
         elements: list[ContentElement] = []
         table_groups: dict[str, list[tuple[str, list[tuple[int, SourceAssertion]]]]] = {}
         for subject in sorted(by_subject):
@@ -654,7 +677,9 @@ def _corpus_pages(
                 elements.append(_render_dom(world, site, subject, asserted, rng))
             elif choice == "TXT":
                 elements.append(
-                    _render_text(world, site, subject, asserted, templates, rng)
+                    _render_text(
+                        world, site, subject, asserted, templates, menus, rng
+                    )
                 )
             else:
                 elements.append(_render_ano(world, site, subject, asserted, rng))

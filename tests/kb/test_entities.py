@@ -1,5 +1,7 @@
 """Unit tests for entities and the registry."""
 
+import pickle
+
 import pytest
 
 from repro.errors import SchemaError
@@ -66,7 +68,26 @@ class TestRegistry:
     def test_of_type(self, registry):
         people = registry.of_type("people/person")
         assert [e.entity_id for e in people] == ["/m/1"]
-        assert registry.of_type("no/such") == []
+        assert registry.of_type("no/such") == ()
+
+    def test_of_type_hands_out_one_cached_tuple(self, registry):
+        assert registry.of_type("book/book") is registry.of_type("book/book")
+
+    def test_add_refreshes_of_type(self, registry):
+        before = registry.of_type("book/book")
+        assert registry.of_type("no/such") == ()
+        registry.add(Entity("/m/4", ("book/book", "no/such"), "Germinal"))
+        assert [e.entity_id for e in registry.of_type("book/book")] == ["/m/2", "/m/4"]
+        assert [e.entity_id for e in registry.of_type("no/such")] == ["/m/4"]
+        assert [e.entity_id for e in before] == ["/m/2"]
+
+    def test_of_type_memo_is_neither_compared_nor_pickled(self, registry):
+        cold = pickle.dumps(registry)
+        twin = pickle.loads(cold)
+        registry.of_type("book/book")
+        assert registry == twin
+        assert pickle.dumps(registry) == cold
+        assert "_typed" not in repr(registry)
 
     def test_candidates_for_unambiguous_name(self, registry):
         assert [e.entity_id for e in registry.candidates_for("Tom Cruise")] == ["/m/1"]

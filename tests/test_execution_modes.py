@@ -9,6 +9,7 @@ public surface, so deriving them from the table would test nothing.
 
 import pytest
 
+from repro import endtoend
 from repro.datasets import tiny_config
 from repro.endtoend import (
     PIPELINE_BACKENDS,
@@ -187,4 +188,12 @@ class TestStreamingChunkPages:
         with pytest.raises(ConfigError, match="chunk_pages must be >= 1"):
             run_streaming_pipeline(
                 tiny_config(seed=7), backend="batched", chunk_pages=chunk_pages
+            )
+
+    def test_bad_copy_window_is_a_config_error_before_setup(self, monkeypatch):
+        """It used to surface as deque's bare ValueError, after the setup stage."""
+        monkeypatch.setattr(endtoend, "generate_world", pytest.fail)
+        with pytest.raises(ConfigError, match="copy_window must be >= 0"):
+            run_streaming_pipeline(
+                tiny_config(seed=7), backend="batched", copy_window=-5
             )
