@@ -21,7 +21,6 @@ KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/shuffle.py",
     "src/repro/extract/kernels.py",
     "src/repro/extract/synthesis.py",
-    "src/repro/mapreduce/engine.py",
     "src/repro/mapreduce/executors.py",
     "src/repro/mapreduce/codec.py",
 )

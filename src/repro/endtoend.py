@@ -4,12 +4,16 @@ The paper's system is one pipeline — extract triples from a web corpus,
 then fuse them — and both stages here run on the same executor protocol
 (:mod:`repro.mapreduce.executors`).  :func:`run_end_to_end` wires that up
 explicitly: a single :class:`~repro.mapreduce.executors.ParallelExecutor`
-(or :class:`~repro.mapreduce.executors.SerialExecutor`) carries the
-extraction shards *and* every fusion round, so worker processes are paid
-for once per run, not once per stage.  Pool-resident state makes the
-hand-off cheap: extraction installs the 12-extractor fleet, fusion
-installs the columnar claim index; the pool restarts exactly once at the
-stage boundary and never re-ships state per shard.
+carries the extraction shards *and* every fusion round, so worker
+processes are paid for once per run, not once per stage.  Pool-resident
+state makes the hand-off cheap: extraction installs the 12-extractor
+fleet, fusion installs the columnar claim index; the pool restarts
+exactly once at the stage boundary and never re-ships state per shard.
+In-process, extraction runs on a
+:class:`~repro.mapreduce.executors.SerialExecutor` and fusion is plain
+calls over the claim columns.  Every fusion mode reads only those
+columns, so the streaming pipeline (:func:`run_streaming_pipeline`)
+accepts the same backends as the in-memory one.
 
 What a ``backend`` means for each stage, and the numeric contract it
 honours against the serial path (``bitwise`` — the record stream, gold
@@ -74,13 +78,10 @@ PIPELINE_METHODS = ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 #: Execution backends the pipeline can run both stages under.
 PIPELINE_BACKENDS = PIPELINE_MODES
 
-#: Backends the *streaming* pipeline supports: all but the scalar
-#: in-process reference, whose fusion materialises the dict claim views —
-#: exactly what the out-of-core tier must never do (docs/SCALING.md has
-#: the memory model).
-STREAMING_PIPELINE_BACKENDS = tuple(
-    name for name in PIPELINE_BACKENDS if not EXECUTION_MODES[name].reference
-)
+#: Backends the *streaming* pipeline supports: every fusion mode runs
+#: over claim columns, so all of them (docs/SCALING.md has the memory
+#: model, and what ``serial`` costs at ``web``).
+STREAMING_PIPELINE_BACKENDS = PIPELINE_BACKENDS
 
 
 def peak_rss_mb() -> float:
@@ -118,13 +119,13 @@ def make_fuser(
 
 
 def _validate_request(
-    backend: str, backends: tuple[str, ...], method: str, label: str, hint: str = ""
+    backend: str, backends: tuple[str, ...], method: str, label: str
 ) -> None:
     """Reject a bad backend/method up front: extraction at the larger
     scales is minutes of work a typo should not get to waste."""
     if backend not in backends:
         raise ConfigError(
-            f"{label} backend must be one of {backends}, got {backend!r}{hint}"
+            f"{label} backend must be one of {backends}, got {backend!r}"
         )
     if method not in PIPELINE_METHODS:
         raise ConfigError(
@@ -206,7 +207,7 @@ def run_end_to_end(
     ``backend`` (one of :data:`PIPELINE_BACKENDS`) selects the execution
     mode for *both* stages.  Extraction takes it as is and is bit-identical
     under every one.  Fusion follows it onto the pool, but an in-process
-    pipeline fuses on the scalar reference — which keeps ``batched``
+    pipeline fuses ``serial`` (the scalar kernel) — which keeps ``batched``
     bit-identical to ``serial`` end to end.  A caller-managed ``executor``
     overrides the executor choice (and is not closed here).  The fusion
     configuration inherits the scenario seed and that backend unless
@@ -335,18 +336,13 @@ def run_streaming_pipeline(
     (``"memory"``) — bitwise-identical either way, by test.
 
     ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`, and
-    fusion runs the same mode under its fusion-stage spelling.  The scalar
-    in-process reference is rejected — as the argument and as a
-    caller-supplied ``fusion_config.backend`` — because its fusion rebuilds
-    the dict claim views.  ``diagnostics["peak_rss_mb"]`` records the
-    process peak RSS after the run.
+    fusion runs the same mode under its fusion-stage spelling (unlike
+    :func:`run_end_to_end`, ``batched`` therefore fuses ``vectorized``).
+    ``diagnostics["peak_rss_mb"]`` records the process peak RSS after the
+    run.
     """
-    serial_ban = (
-        " — the serial path materialises dict claim views, which the "
-        "out-of-core tier forbids (see docs/SCALING.md)"
-    )
     _validate_request(
-        backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline", serial_ban
+        backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline"
     )
     # Same reason: stream_corpus would only say so after the setup stage.
     if chunk_pages < 1:
@@ -357,13 +353,6 @@ def run_streaming_pipeline(
     if fusion_config is None:
         fusion_config = FusionConfig(
             seed=config.seed, backend=fusion_mode_name(plan), n_workers=n_workers
-        )
-    elif EXECUTION_MODES[fusion_config.backend].reference:
-        # The ban is on the fusion backend that will actually run, not
-        # just on the ``backend`` argument.
-        raise ConfigError(
-            f"streaming pipeline fusion_config.backend must not be "
-            f"{fusion_config.backend!r}{serial_ban}"
         )
     # The fuser preset decides the effective provenance granularity
     # (POPACCU+ overrides it); the accumulator must fold records at that

@@ -19,11 +19,10 @@ the scalar posterior sums floats in sorted order (see
 :func:`accu_item_posteriors`), which is what makes serial and parallel
 runs bit-identical.  *Canonical-order sampling*: when the reducer-input
 bound ``L`` engages, a data item's claims are sampled against their
-``(triple, provenance)`` canonical order
-(:func:`repro.fusion.runner.stage1_sample_key`) — the columnar claim
-layout's native order — so sampled subsets are identical whether drawn by
-the serial engine or re-drawn inside a parallel shard
-(:class:`repro.fusion.shuffle.Stage1ColumnarShard`).
+``(triple, provenance)`` canonical order — the columnar claim layout's
+native order — so sampled subsets are identical whether drawn in-process
+or inside a parallel shard (:func:`repro.fusion.shuffle.scalar_stage1`
+either way).
 """
 
 from __future__ import annotations

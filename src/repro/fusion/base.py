@@ -171,6 +171,10 @@ class FusionConfig:
             )
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
+        if self.sample_limit is not None and self.sample_limit < 1:
+            raise ConfigError(
+                f"sample_limit must be >= 1 or None, got {self.sample_limit}"
+            )
         if self.min_accuracy is not None and not 0.0 <= self.min_accuracy <= 1.0:
             raise ConfigError(
                 f"min_accuracy must be in [0, 1] or None, got {self.min_accuracy}"

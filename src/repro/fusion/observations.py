@@ -23,9 +23,10 @@ The matrix has one primary form and one derived form:
   aggregate is a ``np.add.reduceat`` over a pointer array;
 - the **dict views** (``ClaimMatrix.items`` / ``prov_triples``) are
   derived, built on first access and only for the code that wants
-  per-item Python logic: the ``serial`` reference (the MapReduce
-  reducers) and the §5 extension fusers.  A ``vectorized`` / ``parallel``
-  / ``hybrid`` fuse never builds them.
+  per-item Python logic: the §5 extension fusers and the test suite's
+  dict-engine oracle.  No fusion backend builds them; what ``serial``
+  keeps of them is their iteration order, carried as one row permutation
+  (:meth:`ClaimMatrix.arrival_rows`).
 """
 
 from __future__ import annotations
@@ -428,6 +429,19 @@ class ClaimAccumulator:
             prov_ptr=prov_ptr,
         )
 
+    def arrival_rows(self, cols: ColumnarClaims) -> np.ndarray:
+        """The rows of ``cols`` (this accumulator's :meth:`build`) in
+        record-arrival order: data items by first arrival, each item's
+        triples by first arrival — the nesting order of the dict views
+        over the same records."""
+        arrival = np.fromiter(
+            map(self._row_of.__getitem__, cols.triples), np.int64, cols.n_rows
+        )
+        if not cols.n_rows:
+            return arrival
+        item_arrival = np.minimum.reduceat(arrival, cols.item_ptr[:-1])
+        return np.lexsort((arrival, item_arrival[cols.row_item]))
+
     def release(self) -> None:
         """Drop the accumulation state (vocabularies + pair chunks)."""
         self._row_of = {}
@@ -446,10 +460,12 @@ class ClaimMatrix:
     ``items``: data item -> {triple -> set of supporting provenances}.
     ``prov_triples``: provenance -> unique triples it supports.
 
-    Views derived from records keep record *arrival* order — the serial
-    reference finalises, and calibration sums, in that order — while views
+    Views derived from records keep record *arrival* order, while views
     derived from bare columns come out in the columns' canonical order
     (equal as dicts; sets and dict equality ignore order).
+    :meth:`arrival_rows` is that order over the columns' rows: the
+    ``serial`` backend emits in it, so order-sensitive sums over its
+    output (the calibration metrics) are frozen against it.
     """
 
     def __init__(
@@ -463,6 +479,7 @@ class ClaimMatrix:
         self.granularity = granularity
         self._records = records
         self._columnar = columns
+        self._arrival_rows: np.ndarray | None = None
         self._views: tuple[dict, dict] | None = None  # (items, prov_triples)
 
     @staticmethod
@@ -477,7 +494,15 @@ class ClaimMatrix:
             accumulator = ClaimAccumulator(self.granularity)
             accumulator.add_records(self._records)
             self._columnar = accumulator.build()
+            self._arrival_rows = accumulator.arrival_rows(self._columnar)
         return self._columnar
+
+    def arrival_rows(self) -> np.ndarray | None:
+        """The columns' rows in the order ``items`` nests them
+        (:meth:`ClaimAccumulator.arrival_rows`), or None over bare
+        columns, whose views nest in row order already."""
+        self.columnar()
+        return self._arrival_rows
 
     def _dict_views(self):
         if self._views is None:
@@ -517,15 +542,7 @@ class ClaimMatrix:
         return self._dict_views()[1]
 
     def n_claims(self) -> int:
-        # Never forces a column build: the serial path has the dict views
-        # in hand and a whole accumulator pass just to count is ~10% of it.
-        if self._columnar is not None:
-            return self._columnar.n_claims
-        return sum(
-            len(provs)
-            for triple_map in self.items.values()
-            for provs in triple_map.values()
-        )
+        return self.columnar().n_claims
 
     def provenance_support(self) -> dict[ProvKey, int]:
         """Unique-triple count per provenance (the coverage-filter signal)."""

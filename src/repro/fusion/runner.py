@@ -22,27 +22,29 @@ The §4.3 refinements plug in here:
   deterministic ``gold_sample_rate`` subsample), instead of the default.
 
 Execution modes (``FusionConfig.backend``; the README's "Execution
-backends" table has every spelling and its contract).  The scalar
-in-process mode is the reference every parity contract is stated against:
-per-item posteriors over the dict claim views, through the in-process
-MapReduce engine (:func:`_run_mapreduce`).  Every other mode runs **one
-column-native round loop** (:func:`_run_columnar`: round state is arrays
-over the columnar claim index, dicts are built once in Stage III) under an
-:class:`~repro.mapreduce.executors.ExecutionPlan` whose two fields are the
-only thing that differs between them:
+backends" table has every spelling and its contract).  Every mode runs
+**one column-native round loop** (:func:`_run_columnar`: round state is
+arrays over the columnar claim index, dicts are built once in Stage III)
+under an :class:`~repro.mapreduce.executors.ExecutionPlan` whose two
+fields are the only thing that differs between them:
 
 - **pooled** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
   claim columns are installed pool-resident once per pool, each round
   dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
   map-only jobs over integer item/provenance ids, and round state crosses
   as contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects
-  in shard payloads.  Not pooled, each stage is one call over the whole
-  matrix;
-- **scalar kernel** — workers run the identical scalar kernels,
-  bit-identical to the reference on fork *and* spawn, at any worker count.
-  Reducer-input sampling (``L``) does not degrade this path: sampled
-  subsets are defined in canonical order (see below) and the shard
-  workers re-draw them identically against the resident columns;
+  in shard payloads.  Not pooled, each stage is one in-process call over
+  every item / provenance id;
+- **scalar kernel** — one posterior call per data item and one
+  canonical-order mean per provenance
+  (:func:`~repro.fusion.shuffle.scalar_stage1` /
+  :func:`~repro.fusion.shuffle.scalar_stage2`, the only scalar stage
+  bodies in ``src/``).  In-process that is ``serial``, the mode every
+  parity contract is stated against; pool workers run the identical
+  bodies, bit-identical to it on fork *and* spawn, at any worker count.
+  Reducer-input sampling (``L``) is part of these bodies: sampled subsets
+  are defined in canonical order (see below), which is the order the
+  columns enumerate values in;
 - **batched kernel** — each stage is a fixed number of numpy array
   operations (:mod:`repro.fusion.kernels`) over the whole matrix or over
   each shard's slice of it (:class:`~repro.fusion.shuffle.HybridStage1Shard`),
@@ -50,8 +52,13 @@ only thing that differs between them:
   carry a ``batch_round`` method (the built-in kernels do) and no
   sampling pressure (the batched kernels score whole rounds and cannot
   subset per item); otherwise the scalar kernel runs *in the same place*
-  (:func:`_runnable_plan`) — in-process that is the reference itself,
-  pooled it is the scalar shards, never the reference.
+  (:func:`_runnable_plan`) — in-process that is ``serial``, pooled it is
+  the scalar shards.
+
+The dict/MapReduce-engine transcription of the same dataflow that used to
+be ``serial`` is the test suite's reference oracle
+(``tests/oracle/fusion.py``): ``serial`` must equal it on every output,
+iteration order included.
 
 **Parity.**  Scalar-kernel runs honour the ``bitwise`` contract
 (identical floats, any worker count/start method); runs where a batched
@@ -60,19 +67,25 @@ kernel actually ran honour the ``tolerance`` contract (1e-9 absolute,
 summation order differs.  Tolerance parity through an *iterated* θ-filter
 needs one extra guarantee: the discrete ``A(S) >= θ`` decisions must not
 flip on last-ulp drift (POPACCU parks many accuracies exactly at θ), so
-the loop recomputes θ-boundary accuracies through the exact serial
-dataflow whenever the batched kernels ran (:data:`THETA_RESCUE_BAND`).
+the loop recomputes θ-boundary accuracies with the scalar stage bodies
+whenever the batched kernels ran (:data:`THETA_RESCUE_BAND`).
 Every run records the contract it honoured in
 ``result.diagnostics["parity"]``.
 
 **Canonical-order sampling.**  Stage-I samples a data item's claims in
 ``(triple, provenance)`` canonical order; Stage-II samples a provenance's
-scored triples in canonical triple order (the jobs' ``sample_key``).  The
-sampled subset is therefore a property of the key's value *set*, not the
-scalar dataflow's arrival order — which is what lets the parallel shards
-(whose columnar layout enumerates values in exactly that order) reproduce
-it bit-for-bit.  ``result.diagnostics["sampling"]`` records
+scored triples in canonical triple order.  The sampled subset is
+therefore a property of the key's value *set*, not of the order records
+arrived in — and the columnar layout enumerates values in exactly that
+order, so the draw is positional over the columns wherever the scalar
+bodies run.  ``result.diagnostics["sampling"]`` records
 ``"canonical-order"`` whenever ``L`` is configured.
+
+**Output order.**  ``result.probabilities`` is written in canonical row
+order, except that ``serial`` over a records-built matrix writes it in
+record-arrival order (:func:`_emission_order`) — the order it has always
+had, which order-sensitive float sums downstream (the calibration
+metrics) are frozen against.
 
 ``result.diagnostics["backend"]`` records what was requested and
 ``["backend_used"]`` what actually ran
@@ -85,14 +98,14 @@ A caller-managed executor can be threaded through ``run_bayesian_fusion``
 (and ``Fuser.fuse``) so extraction and fusion share one worker pool — the
 ``repro-kf pipeline`` subcommand / :func:`repro.endtoend.run_end_to_end`
 do exactly that.  Caller-managed executors are not closed here, and only
-pooled modes consult one (the reference's keyed engine is in-process: no
-worker is started on its behalf).
+pooled modes consult one (an in-process mode starts no worker on a pool
+it is handed).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -104,20 +117,17 @@ from repro.fusion.base import (
     backend_contract,
     sampling_contract_of,
 )
-from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
+from repro.fusion.observations import (
+    ClaimMatrix,
+    ColumnarClaims,
+    FusionInput,
+    ProvKey,
+)
 from repro.kb.triples import Triple
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan, Executor
 from repro.rng import split_seed
 
-__all__ = [
-    "run_bayesian_fusion",
-    "sampling_would_engage",
-    "stage1_mapper",
-    "stage1_sample_key",
-    "stage2_sample_key",
-    "Stage1Reducer",
-]
+__all__ = ["run_bayesian_fusion", "sampling_would_engage"]
 
 ItemPosteriorFn = Callable[
     [dict[Triple, set[ProvKey]], dict[ProvKey, float]], dict[Triple, float]
@@ -138,128 +148,6 @@ def _gold_subsample(
     return sampled
 
 
-def stage1_mapper(claim):
-    """Fan one ``(item, triple, prov)`` claim out under its item key.
-
-    Shared by the Bayesian runner and VOTE — the Stage-I dataflow keys
-    claims identically everywhere.
-    """
-    item, triple, prov = claim
-    return [(item.canonical(), (triple, prov))]
-
-
-def stage1_sample_key(value):
-    """Canonical order of one Stage-I value: ``(triple, provenance)``.
-
-    Matches the columnar claim layout (triples canonically sorted within
-    the item, provenances sorted within each row), so shard workers
-    re-draw identical sampled subsets against the resident columns.
-    """
-    triple, prov = value
-    return (triple.canonical(), prov)
-
-
-def stage2_sample_key(value):
-    """Canonical order of one Stage-II value: the triple.
-
-    The same order the Stage-II reducer sums in (``sorted(seen)``), and
-    the resident columns' ``canonical_rank`` — sampling and summation
-    stay aligned across backends.
-    """
-    return value[0].canonical()
-
-
-@dataclass(frozen=True, eq=False)
-class Stage1Reducer:
-    """Per-item posterior reducer of the serial reference (and of VOTE's)."""
-
-    posterior_fn: ItemPosteriorFn
-    accuracies: dict[ProvKey, float]
-    require_repeated: bool
-
-    def __call__(self, _item_key, values):
-        claims: dict[Triple, set[ProvKey]] = {}
-        for triple, prov in values:
-            claims.setdefault(triple, set()).add(prov)
-        if self.require_repeated and not any(len(p) >= 2 for p in claims.values()):
-            return []
-        return list(self.posterior_fn(claims, self.accuracies).items())
-
-
-def _stage2_reducer(prov, values):
-    """Mean posterior of a provenance's (deduplicated) scored triples.
-
-    Summed in canonical triple order (not insertion order) so the result
-    is hash-seed independent and matches the columnar shard workers
-    bit-for-bit.
-    """
-    seen: dict[Triple, float] = {}
-    for triple, probability in values:
-        seen[triple] = probability
-    if not seen:
-        return []
-    return [(prov, sum(seen[t] for t in sorted(seen)) / len(seen))]
-
-
-def _stage1(
-    engine: MapReduceEngine,
-    matrix,
-    active: set[ProvKey],
-    accuracies: dict[ProvKey, float],
-    item_posterior_fn: ItemPosteriorFn,
-    config: FusionConfig,
-    require_repeated: bool,
-) -> dict[Triple, float]:
-    """Map claims by data item; reduce to per-triple posteriors."""
-    claim_stream = [
-        (item, triple, prov)
-        for item, triple_map in matrix.items.items()
-        for triple, provs in triple_map.items()
-        for prov in sorted(provs)
-        if prov in active
-    ]
-    job = MapReduceJob(
-        name="fusion.stage1",
-        mapper=stage1_mapper,
-        reducer=Stage1Reducer(item_posterior_fn, accuracies, require_repeated),
-        sample_limit=config.sample_limit,
-        seed=config.seed,
-        sample_key=stage1_sample_key,
-    )
-    return dict(engine.run(claim_stream, job))
-
-
-def _stage2(
-    engine: MapReduceEngine,
-    matrix,
-    active: set[ProvKey],
-    posteriors: dict[Triple, float],
-    config: FusionConfig,
-) -> dict[ProvKey, float]:
-    """Map scored triples by provenance; reduce to accuracy estimates."""
-
-    def mapper(pair):
-        prov, triple = pair
-        return [(prov, (triple, posteriors[triple]))]
-
-    pairs = [
-        (prov, triple)
-        for prov, triples in matrix.prov_triples.items()
-        if prov in active
-        for triple in triples
-        if triple in posteriors
-    ]
-    job = MapReduceJob(
-        name="fusion.stage2",
-        mapper=mapper,
-        reducer=_stage2_reducer,
-        sample_limit=config.sample_limit,
-        seed=config.seed,
-        sample_key=stage2_sample_key,
-    )
-    return dict(engine.run(pairs, job))
-
-
 #: Half-width of the θ-boundary rescue band used by the tolerance-parity
 #: backends (vectorized / hybrid).  The accuracy filter ``A(S) >= θ`` is a
 #: *discrete* decision over a continuous estimate, and the POPACCU valleys
@@ -267,75 +155,43 @@ def _stage2(
 #: summation difference would flip filter membership and snowball into
 #: O(1) output divergence over the rounds.  Any provenance whose batched
 #: Stage-II estimate lands within this band of θ therefore has its
-#: accuracy *recomputed through the exact serial scalar dataflow*
-#: (canonical-order sums over scalar per-item posteriors), making every
-#: θ-decision bit-identical to serial while the continuous mass of the
-#: computation stays batched.  The band must dwarf the batched-vs-scalar
+#: accuracy *recomputed with the scalar stage bodies* (canonical-order
+#: sums over scalar per-item posteriors), making every θ-decision
+#: bit-identical to serial while the continuous mass of the computation
+#: stays batched.  The band must dwarf the batched-vs-scalar
 #: numeric drift (~1e-12) and be dwarfed by any meaningful accuracy
 #: difference; 1e-6 sits comfortably between.
 THETA_RESCUE_BAND = 1e-6
 
 
-def _scalar_item_posteriors(
+def _rescued_accuracies(
     cols: ColumnarClaims,
-    posterior_fn: ItemPosteriorFn,
-    accuracy_of: dict[ProvKey, float],
-    active: np.ndarray,
-    item: int,
-) -> dict[Triple, float]:
-    """One item's posteriors through the exact serial scalar dataflow."""
-    claims: dict[Triple, set[ProvKey]] = {}
-    for r in range(cols.item_ptr[item], cols.item_ptr[item + 1]):
-        provs = {
-            cols.provenances[p]
-            for p in cols.claim_prov[cols.row_ptr[r] : cols.row_ptr[r + 1]]
-            if active[p]
-        }
-        if provs:
-            claims[cols.triples[r]] = provs
-    return posterior_fn(claims, accuracy_of) if claims else {}
-
-
-def _exact_boundary_accuracies(
-    cols: ColumnarClaims,
-    posterior_fn: ItemPosteriorFn,
+    kernel: ItemPosteriorFn,
     round_accuracies: np.ndarray,
     active: np.ndarray,
     scored: np.ndarray,
-    boundary_provs,
-) -> dict[int, float]:
-    """Serial-exact Stage-II accuracies for the θ-boundary provenances.
+    boundary: np.ndarray,
+) -> list[float | None]:
+    """Scalar-kernel Stage-II accuracies for the θ-boundary provenances.
 
     ``round_accuracies`` must be the accuracies the round's Stage I ran
     with (pre-update); ``scored`` the round's scored-row mask, which is
-    pure boolean logic and therefore already bitwise across backends.
-    Reproduces the serial reducer exactly: scalar per-item posteriors,
-    deduplicated per triple, summed in canonical order.
+    pure boolean logic and therefore already bitwise across kernels.
+    Runs the scalar mode's own two stage bodies — Stage I over just the
+    data items behind the boundary provenances' scored rows, Stage II
+    over just those provenances — so each value is the float the scalar
+    mode would have produced.  (Sampling cannot be engaged here: the
+    batched kernels never run under sampling pressure.)
     """
-    accuracy_of: dict[ProvKey, float] = dict(
-        zip(cols.provenances, round_accuracies.tolist())
+    rows = np.concatenate(
+        [cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]] for p in boundary]
     )
-    rank = cols.canonical_rank()
-    item_cache: dict[int, dict[Triple, float]] = {}
-    exact: dict[int, float] = {}
-    for p in boundary_provs:
-        rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-        rows = rows[scored[rows]]
-        if rows.size == 0:
-            continue
-        ordered = rows[np.argsort(rank[rows], kind="stable")]
-        total = 0.0
-        for r in ordered.tolist():
-            item = int(cols.row_item[r])
-            posteriors = item_cache.get(item)
-            if posteriors is None:
-                posteriors = _scalar_item_posteriors(
-                    cols, posterior_fn, accuracy_of, active, item
-                )
-                item_cache[item] = posteriors
-            total += posteriors[cols.triples[r]]
-        exact[int(p)] = total / int(ordered.size)
-    return exact
+    items = np.unique(cols.row_item[rows[scored[rows]]])
+    exact = shuffle.merge_stage1_outputs(
+        cols,
+        shuffle.scalar_stage1(cols, kernel, round_accuracies, active, False, items),
+    )
+    return shuffle.scalar_stage2(cols, exact.posteriors, scored, active, boundary)
 
 
 def sampling_would_engage(
@@ -376,164 +232,23 @@ def run_bayesian_fusion(
     """
     matrix = fusion_input.claims(config.granularity)
     plan, cols = _runnable_plan(config, matrix, item_posterior_fn)
-    if plan.reference:
-        return _run_mapreduce(
-            matrix, config, item_posterior_fn, method_name, gold_labels,
-            track_rounds, plan,
-        )
     return _run_columnar(
         cols, config, item_posterior_fn, method_name, gold_labels,
-        track_rounds, plan, executor,
+        track_rounds, plan, executor, _emission_order(matrix, plan),
     )
-
-
-def _run_mapreduce(
-    matrix,
-    config: FusionConfig,
-    item_posterior_fn: ItemPosteriorFn,
-    method_name: str,
-    gold_labels: dict[Triple, bool] | None,
-    track_rounds: bool,
-    ran: ExecutionPlan,
-) -> FusionResult:
-    """The scalar engine path (the serial reference)."""
-    engine = MapReduceEngine()
-    default = config.default_accuracy
-
-    all_provs = set(matrix.prov_triples)
-    accuracies: dict[ProvKey, float] = {prov: default for prov in sorted(all_provs)}
-    evaluated: set[ProvKey] = set()
-
-    gold_initialized = 0
-    if gold_labels:
-        sampled = _gold_subsample(gold_labels, config.gold_sample_rate, config.seed)
-        for prov, triples in matrix.prov_triples.items():
-            labels = [sampled[t] for t in triples if t in sampled]
-            if labels:
-                accuracies[prov] = sum(labels) / len(labels)
-                evaluated.add(prov)
-                gold_initialized += 1
-
-    def active_set(round_index: int) -> set[ProvKey]:
-        active = set(all_provs)
-        if config.filter_by_coverage and round_index > 0:
-            active &= evaluated
-        if config.min_accuracy is not None:
-            active = {p for p in active if accuracies[p] >= config.min_accuracy}
-        return active
-
-    posteriors: dict[Triple, float] = {}
-    round_probabilities: list[dict[Triple, float]] = []
-    rounds_run = 0
-    converged = False
-    for round_index in range(config.max_rounds):
-        active = active_set(round_index)
-        require_repeated = config.filter_by_coverage and round_index == 0
-        posteriors = _stage1(
-            engine,
-            matrix,
-            active,
-            accuracies,
-            item_posterior_fn,
-            config,
-            require_repeated,
-        )
-        new_accuracies = _stage2(engine, matrix, active, posteriors, config)
-        delta = 0.0
-        for prov, accuracy in new_accuracies.items():
-            delta = max(delta, abs(accuracy - accuracies[prov]))
-            accuracies[prov] = accuracy
-            evaluated.add(prov)
-        rounds_run = round_index + 1
-        if track_rounds:
-            round_probabilities.append(dict(posteriors))
-        if delta < config.convergence_tol:
-            converged = True
-            break
-
-    return _finalize_scalar_result(
-        matrix=matrix,
-        posteriors=posteriors,
-        accuracies=accuracies,
-        config=config,
-        method_name=method_name,
-        rounds_run=rounds_run,
-        converged=converged,
-        round_probabilities=round_probabilities if track_rounds else None,
-        diagnostics={
-            "n_items": len(matrix.items),
-            "n_provenances": len(all_provs),
-            "n_claims": matrix.n_claims(),
-            "gold_initialized": gold_initialized,
-            "n_active_final": len(active_set(rounds_run)),
-            **backend_contract(config.backend, ran),
-            "sampling": sampling_contract_of(config),
-        },
-    )
-
-
-def _finalize_scalar_result(
-    matrix,
-    posteriors: dict[Triple, float],
-    accuracies: dict[ProvKey, float],
-    config: FusionConfig,
-    method_name: str,
-    rounds_run: int,
-    converged: bool,
-    round_probabilities: list[dict[Triple, float]] | None,
-    diagnostics: dict,
-) -> FusionResult:
-    """Stage III + result assembly of the serial reference.
-
-    Dedup by triple, applying the fallbacks for filtered items: scored
-    triples keep their posterior; under the θ-filter an unscored triple
-    falls back to the mean accuracy of its own provenances (summed in
-    canonical order for hash-seed independence); otherwise it is
-    *unpredicted*.
-    """
-    probabilities: dict[Triple, float] = {}
-    unpredicted: set[Triple] = set()
-    for item, triple_map in matrix.items.items():
-        for triple, provs in triple_map.items():
-            if triple in posteriors:
-                probabilities[triple] = posteriors[triple]
-            elif config.min_accuracy is not None:
-                probabilities[triple] = sum(
-                    accuracies[p] for p in sorted(provs)
-                ) / len(provs)
-            else:
-                unpredicted.add(triple)
-
-    result = FusionResult(
-        method=method_name,
-        probabilities=probabilities,
-        unpredicted=unpredicted,
-        accuracies=accuracies,
-        rounds=rounds_run,
-        converged=converged,
-        diagnostics=diagnostics,
-    )
-    if round_probabilities is not None:
-        result.diagnostics["round_probabilities"] = round_probabilities
-    result.validate()
-    return result
 
 
 def _runnable_plan(
-    config: FusionConfig, matrix, kernel, include_stage2: bool = True
-) -> tuple[ExecutionPlan, ColumnarClaims | None]:
+    config: FusionConfig, matrix: ClaimMatrix, kernel, include_stage2: bool = True
+) -> tuple[ExecutionPlan, ColumnarClaims]:
     """The mode that will actually run, and the claim columns it runs over.
 
     That is ``config.backend``'s plan, minus the batched kernel when it
     cannot engage (no ``batch_round`` form, or sampling pressure —
     ``include_stage2`` is forwarded to :func:`sampling_would_engage`): the
-    scalar kernel then runs in the same place, which for an in-process
-    plan is the serial reference.  The reference takes the matrix's dict
-    views, so no columns are built on its behalf when it was asked for.
+    scalar kernel then runs in the same place.
     """
     plan = EXECUTION_MODES[config.backend]
-    if plan.reference:
-        return plan, None
     cols = matrix.columnar()
     batched = (
         plan.batched
@@ -541,6 +256,19 @@ def _runnable_plan(
         and not sampling_would_engage(cols, config, include_stage2)
     )
     return replace(plan, batched=batched), cols
+
+
+def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | None:
+    """The row order Stage III and the round snapshots emit in, as a
+    permutation of row ids — None for the columns' canonical row order.
+
+    Output order is part of the bitwise contract: order-sensitive sums
+    over ``result.probabilities`` (the calibration deviation) move by an
+    ulp with it.  The scalar in-process mode emits a records-built matrix
+    in record-arrival order; every other mode, and any matrix over bare
+    columns, emits canonical rows.
+    """
+    return matrix.arrival_rows() if plan.reference else None
 
 
 @contextmanager
@@ -552,7 +280,8 @@ def _column_executor(
 ):
     """Where a column-native stage runs.
 
-    Yields None for the in-process whole-matrix variant; otherwise the
+    Yields None for the in-process modes (a caller's executor is then
+    never touched: a pool handed to one stays unstarted); otherwise the
     caller's executor — or one owned (and closed) here — with the claim
     columns installed pool-resident.
     """
@@ -588,29 +317,35 @@ def _column_stage1(
     """Stage I of one round: a posterior and a scored flag per row.
 
     In-process (``executor`` None) the batched kernel scores the whole
-    matrix in one call.  Sharded, the round's accuracies and active mask
-    cross once on the round-state channel (shared-memory segments where
-    available; the shard specs carry only the tiny handle) and each shard
-    of item ids runs the batched or the scalar kernel.  ``name`` seeds the
-    scalar shards' canonical-order sampling draw: it must be the serial
-    job's name for sampled subsets to stay bitwise.
+    matrix in one call and the scalar kernel walks every item id.
+    Sharded, the round's accuracies and active mask cross once on the
+    round-state channel (shared-memory segments where available; the
+    shard specs carry only the tiny handle) and each shard of item ids
+    runs the batched or the scalar kernel.  ``name`` seeds the scalar
+    kernel's canonical-order sampling draw, so a method must use one name
+    in every mode for sampled subsets to stay bitwise.
     """
-    if executor is None:
+    if executor is None and batched:
         return kernel.batch_round(cols, accuracies, active, require_repeated)
-    state = shuffle.install_stage1_state(executor, accuracies, active)
-    job = shuffle.stage1_job(
-        name,
-        cols,
-        kernel,
-        state,
-        require_repeated,
-        batched,
-        sample_limit=config.sample_limit,
-        seed=config.seed,
-    )
-    return shuffle.merge_stage1_outputs(
-        cols, executor.run_map(range(cols.n_items), job)
-    )
+    if executor is None:
+        per_item = shuffle.scalar_stage1(
+            cols, kernel, accuracies, active, require_repeated,
+            range(cols.n_items), name, config.sample_limit, config.seed,
+        )
+    else:
+        state = shuffle.install_stage1_state(executor, accuracies, active)
+        job = shuffle.stage1_job(
+            name,
+            cols,
+            kernel,
+            state,
+            require_repeated,
+            batched,
+            sample_limit=config.sample_limit,
+            seed=config.seed,
+        )
+        per_item = executor.run_map(range(cols.n_items), job)
+    return shuffle.merge_stage1_outputs(cols, per_item)
 
 
 def _column_stage2(
@@ -624,23 +359,30 @@ def _column_stage2(
     """Stage II of one round: ``(new_acc, updated)`` per provenance id.
 
     ``updated`` marks the provenances that received an estimate (active
-    and supporting at least one scored row) — exactly the keys the serial
-    Stage-II reducer emits; ``new_acc`` is meaningful only there.
+    and supporting at least one scored row); ``new_acc`` is meaningful
+    only there.
     """
-    if executor is None:
+    if executor is None and batched:
         return kernels.stage2_accuracies(cols, round_result, active)
-    state = shuffle.install_stage2_state(
-        executor, round_result.posteriors, round_result.scored, active
-    )
-    job = shuffle.stage2_job(
-        "fusion.stage2",
-        cols,
-        state,
-        batched,
-        sample_limit=config.sample_limit,
-        seed=config.seed,
-    )
-    outputs = executor.run_map(range(len(cols.provenances)), job)
+    prov_ids = range(len(cols.provenances))
+    if executor is None:
+        outputs = shuffle.scalar_stage2(
+            cols, round_result.posteriors, round_result.scored, active,
+            prov_ids, "fusion.stage2", config.sample_limit, config.seed,
+        )
+    else:
+        state = shuffle.install_stage2_state(
+            executor, round_result.posteriors, round_result.scored, active
+        )
+        job = shuffle.stage2_job(
+            "fusion.stage2",
+            cols,
+            state,
+            batched,
+            sample_limit=config.sample_limit,
+            seed=config.seed,
+        )
+        outputs = executor.run_map(prov_ids, job)
     updated = np.array([value is not None for value in outputs], dtype=bool)
     new_acc = np.array(
         [0.0 if value is None else value for value in outputs], dtype=np.float64
@@ -649,10 +391,16 @@ def _column_stage2(
 
 
 def _scored_posteriors(
-    cols: ColumnarClaims, round_result: kernels.RoundPosteriors
+    cols: ColumnarClaims,
+    round_result: kernels.RoundPosteriors,
+    order: np.ndarray | None = None,
 ) -> dict[Triple, float]:
-    """The scored rows of one Stage-I result as ``{triple: posterior}``."""
-    rows = np.flatnonzero(round_result.scored)
+    """The scored rows of one Stage-I result as ``{triple: posterior}``,
+    in ``order`` (:func:`_emission_order`)."""
+    if order is None:
+        rows = np.flatnonzero(round_result.scored)
+    else:
+        rows = order[round_result.scored[order]]
     return {
         cols.triples[r]: posterior
         for r, posterior in zip(rows.tolist(), round_result.posteriors[rows].tolist())
@@ -668,8 +416,9 @@ def _run_columnar(
     track_rounds: bool,
     plan: ExecutionPlan,
     executor: Executor | None,
+    order: np.ndarray | None,
 ) -> FusionResult:
-    """The column-native round loop behind every mode but the reference.
+    """The column-native round loop behind every mode.
 
     Round state is arrays only: accuracies in a float64 array indexed by
     provenance id, posteriors and the scored mask indexed by row (= unique
@@ -677,7 +426,9 @@ def _run_columnar(
     (Stage III), so no dict claim view is ever required — which is what
     lets the out-of-core path fuse straight from mapped columns.  ``plan``
     (:func:`_runnable_plan`) fixes where the two per-round stage calls run
-    and which kernel scores them; nothing else differs between backends.
+    and which kernel scores them, ``order`` (:func:`_emission_order`) the
+    order the dict outputs are written in; nothing else differs between
+    backends.
     """
     n_provs = len(cols.provenances)
     accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
@@ -724,17 +475,15 @@ def _run_columnar(
             )
             if plan.batched and config.min_accuracy is not None:
                 # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
-                # (The scalar shards are already exact, and may have sampled.)
+                # (The scalar kernel is already exact, and may have sampled.)
                 boundary = np.flatnonzero(
                     updated
                     & (np.abs(new_acc - config.min_accuracy) <= THETA_RESCUE_BAND)
                 )
                 if boundary.size:
-                    rescued = _exact_boundary_accuracies(
+                    new_acc[boundary] = _rescued_accuracies(
                         cols, kernel, accuracies, active, round_result.scored, boundary
                     )
-                    for p, value in rescued.items():
-                        new_acc[p] = value
             delta = (
                 float(np.max(np.abs(new_acc - accuracies)[updated]))
                 if updated.any()
@@ -744,7 +493,9 @@ def _run_columnar(
             evaluated |= updated
             rounds_run = round_index + 1
             if track_rounds:
-                round_probabilities.append(_scored_posteriors(cols, round_result))
+                round_probabilities.append(
+                    _scored_posteriors(cols, round_result, order)
+                )
             if delta < config.convergence_tol:
                 converged = True
                 break
@@ -754,15 +505,16 @@ def _run_columnar(
     # posterior; under the θ-filter an unscored row falls back to the mean
     # accuracy of its own provenances — a row's claim span lists provenance
     # ids ascending, which *is* ``sorted(provs)`` order because the
-    # provenance vocabulary is sorted, so the mean sums in exactly the
-    # serial reference's order; otherwise the row is *unpredicted*.
+    # provenance vocabulary is sorted, so the mean is a canonical-order
+    # sum; otherwise the row is *unpredicted*.
     probabilities: dict[Triple, float] = {}
     unpredicted: set[Triple] = set()
     final_accuracies = accuracies.tolist()
     posteriors = round_result.posteriors.tolist()
     scored = round_result.scored.tolist()
-    claim_prov, row_ptr = cols.claim_prov, cols.row_ptr
-    for r, triple in enumerate(cols.triples):
+    triples, claim_prov, row_ptr = cols.triples, cols.claim_prov, cols.row_ptr
+    for r in range(cols.n_rows) if order is None else order.tolist():
+        triple = triples[r]
         if scored[r]:
             probabilities[triple] = posteriors[r]
         elif config.min_accuracy is not None:

@@ -1,14 +1,17 @@
-"""Columnar shuffle: fusion's shards as int ids over pool-resident columns.
+"""The scalar stage bodies, and fusion's shards over pool-resident columns.
 
-The paper runs every fusion stage as sharded MapReduce over compact
-key-partitioned records.  The first parallel backend here approximated
-that by pickling each shard's grouped ``(Triple, ProvKey)`` value lists
-into the workers — byte-for-byte the *heaviest* possible wire format, and
-the overhead ROADMAP called out as the blocker to real multi-core wins.
+**The scalar stage bodies.**  :func:`scalar_stage1` (one posterior call
+per data item) and :func:`scalar_stage2` (one canonical-order mean per
+provenance) are the only scalar Stage I / Stage II in ``src/``.  They are
+plain functions of the claim columns
+(:class:`~repro.fusion.observations.ColumnarClaims` — int-coded CSR over
+sorted items/triples/provenances) and one round's arrays: the ``serial``
+mode calls them in-process over every id, the scalar shards below call
+them in pool workers over a shard of ids, and the runner's θ-rescue calls
+them for the boundary ids.
 
-This module replaces that object shuffle.  The claim matrix already has a
-canonical columnar form (:class:`~repro.fusion.observations.ColumnarClaims`
-— int-coded CSR over sorted items/triples/provenances), so:
+**The columnar shuffle.**  The paper runs every fusion stage as sharded
+MapReduce over compact key-partitioned records.  Pooled, that is:
 
 - the **columns themselves** (triples, provenances, pointer arrays, the
   canonical row ranking) are installed *pool-resident* once per pool via
@@ -32,42 +35,27 @@ canonical columnar form (:class:`~repro.fusion.observations.ColumnarClaims`
 Two shard families share that wire format:
 
 - the **scalar shards** (:class:`Stage1ColumnarShard` /
-  :class:`Stage2ColumnarShard`) rebuild each data item's
-  ``dict[Triple, set[ProvKey]]`` from the resident columns and call the
-  *scalar* posterior kernel — the ``parallel`` backend;
+  :class:`Stage2ColumnarShard`) resolve the resident columns and the
+  round's arrays and call the scalar stage bodies — the ``parallel``
+  backend;
 - the **hybrid shards** (:class:`HybridStage1Shard` /
   :class:`HybridStage2Shard`) slice the resident columns
   (:meth:`~repro.fusion.observations.ColumnarClaims.slice_items`) and run
   the *batched* numpy kernels of :mod:`repro.fusion.kernels` — one
-  vectorized kernel call per shard instead of N scalar per-item updates,
-  multiplying the ~40x kernel win by the worker count.
+  vectorized kernel call per shard instead of N scalar per-item updates.
 
-**The parity contract.**  The scalar shards perform the identical float
-operations the serial backend performs, in the identical order, because
-the scalar kernels sum in canonical (sorted) order rather than
-set-iteration order.  That makes serial, fork-parallel and spawn-parallel
-output **bit-identical** at any worker count, independent of
-``PYTHONHASHSEED`` (a ``spawn`` worker draws its own hash seed; summing in
-set order would leak it into the last ulp).  The hybrid shards instead
-honour the **tolerance** contract
-(:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`, 1e-9 absolute): numpy's
-``reduceat``/pairwise summation visits the same addends in a different
-order, so results match the scalar reference only to ~1e-12.  Which
-contract a run honoured is recorded in
-``result.diagnostics["parity"]`` (``"bitwise"`` | ``"tolerance"``).
-
-**Canonical-order sampling.**  Reducer-input sampling (the paper's ``L``)
-is defined in canonical order: a key's values are put in sorted order —
-``(triple, provenance)`` for Stage I, canonical triple order for Stage II
-— before the deterministic positional draw
-(:func:`~repro.mapreduce.executors.sample_positions`).  The columnar CSR
-layout *is* that order (items hold triples sorted canonically, each row's
-provenances sorted), so the scalar shards re-draw identical subsets
-against the resident columns and sampled parallel runs stay bit-identical
-to serial — the old degrade-to-``"serial (parallel fallback)"`` behaviour
-is gone.  The batched hybrid kernels cannot subset per item, so under
-sampling pressure the runner swaps hybrid's Stage I/II jobs for the
-scalar shards (``backend_used == "parallel (hybrid fallback)"``).
+**Contracts** (stated in full in :mod:`repro.fusion.runner`).  ``serial``
+and the scalar shards run the same bodies, which sum floats and draw
+reducer-input samples (the paper's ``L``,
+:func:`~repro.mapreduce.executors.sample_positions`) in canonical (sorted)
+order — the columnar CSR layout's own order, never set-iteration order —
+so serial, fork-parallel and spawn-parallel output is **bit-identical** at
+any worker count, independent of ``PYTHONHASHSEED``.  The hybrid shards
+honour the **tolerance** contract instead
+(:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`): ``reduceat`` visits the
+same addends in a different order.  They cannot subset per item, so under
+sampling pressure the runner swaps them for the scalar shards
+(``backend_used == "parallel (hybrid fallback)"``).
 """
 
 from __future__ import annotations
@@ -95,6 +83,8 @@ __all__ = [
     "install_stage1_state",
     "install_stage2_state",
     "uninstall_fusion_round_state",
+    "scalar_stage1",
+    "scalar_stage2",
     "Stage1ColumnarShard",
     "Stage2ColumnarShard",
     "HybridStage1Shard",
@@ -168,28 +158,142 @@ def install_stage2_state(
     )
 
 
+def scalar_stage1(
+    cols: ColumnarClaims,
+    posterior_fn: Callable,
+    accuracies: np.ndarray,
+    active: np.ndarray,
+    require_repeated: bool,
+    item_ids,
+    name: str = "fusion.stage1",
+    sample_limit: int | None = None,
+    seed: int = 0,
+) -> list[list[tuple[int, float]]]:
+    """Scalar Stage I: score ``item_ids``, one per-item posterior call each.
+
+    The one scalar Stage-I body in ``src/``: the ``serial`` mode calls it
+    in-process over every item, :class:`Stage1ColumnarShard` calls it in
+    each pool worker, and the θ-rescue calls it for the boundary items.
+    Each item's output is a list of ``(row_id, posterior)`` pairs (empty
+    when the item is filtered).
+
+    When the sampling bound engages for an item, its active claims are
+    subset by the canonical-order draw: the columnar claim order (rows
+    canonically sorted within the item, provenances sorted within each
+    row) is the sorted value order the contract is defined over, and the
+    positional draw depends only on ``(seed, name, item key)`` — so the
+    sampled subset, and therefore the posterior floats, are the same
+    wherever this runs.
+    """
+    items = cols.items
+    provenances = cols.provenances
+    triples = cols.triples
+    item_ptr, row_ptr = cols.item_ptr, cols.row_ptr
+    claim_prov = cols.claim_prov
+    accuracy_of: dict[ProvKey, float] = dict(zip(provenances, accuracies.tolist()))
+    outputs: list[list[tuple[int, float]]] = []
+    for j in item_ids:
+        claims: dict[Triple, set[ProvKey]] = {}
+        kept_rows: list[int] = []
+        n_active = 0
+        for r in range(item_ptr[j], item_ptr[j + 1]):
+            provs = {
+                provenances[p]
+                for p in claim_prov[row_ptr[r] : row_ptr[r + 1]]
+                if active[p]
+            }
+            if provs:
+                claims[triples[r]] = provs
+                kept_rows.append(int(r))
+                n_active += len(provs)
+        if not claims:
+            outputs.append([])
+            continue
+        if sample_limit is not None and n_active > sample_limit:
+            positions = sample_positions(
+                n_active, items[j].canonical(), name, sample_limit, seed
+            )
+            # Enumerate the item's active claims in canonical order —
+            # the columnar layout order — and keep the drawn subset.
+            pairs = [
+                (r, prov)
+                for r in kept_rows
+                for prov in sorted(claims[triples[r]])
+            ]
+            claims, kept_rows = {}, []
+            for i in positions:
+                r, prov = pairs[i]
+                if triples[r] not in claims:
+                    claims[triples[r]] = set()
+                    kept_rows.append(r)
+                claims[triples[r]].add(prov)
+        if require_repeated and not any(
+            len(provs) >= 2 for provs in claims.values()
+        ):
+            outputs.append([])
+            continue
+        posteriors = posterior_fn(claims, accuracy_of)
+        outputs.append([(r, posteriors[triples[r]]) for r in kept_rows])
+    return outputs
+
+
+def scalar_stage2(
+    cols: ColumnarClaims,
+    posteriors: np.ndarray,
+    scored: np.ndarray,
+    active: np.ndarray,
+    prov_ids,
+    name: str = "fusion.stage2",
+    sample_limit: int | None = None,
+    seed: int = 0,
+) -> list[float | None]:
+    """Scalar Stage II: re-estimate the accuracies of ``prov_ids``.
+
+    The one scalar Stage-II body in ``src/`` (same three callers as
+    :func:`scalar_stage1`).  Output per provenance is the mean posterior
+    of its scored triples, summed in canonical triple order (not row or
+    hash order, so the float is the same in every process), or None when
+    the provenance is inactive or scored nothing this round.
+
+    Sampling follows the same canonical-order contract as Stage I: the
+    provenance's scored rows are ordered by the canonical triple ranking
+    before the positional draw.
+    """
+    rank = cols.canonical_rank()
+    outputs: list[float | None] = []
+    for p in prov_ids:
+        if not active[p]:
+            outputs.append(None)
+            continue
+        rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
+        rows = rows[scored[rows]]
+        if rows.size == 0:
+            outputs.append(None)
+            continue
+        ordered = rows[np.argsort(rank[rows], kind="stable")]
+        positions = sample_positions(
+            int(ordered.size), cols.provenances[p], name, sample_limit, seed
+        )
+        if positions is not None:
+            ordered = ordered[np.asarray(positions, dtype=np.int64)]
+        total = 0.0
+        for value in posteriors[ordered].tolist():
+            total += value
+        outputs.append(total / int(ordered.size))
+    return outputs
+
+
 @dataclass(frozen=True)
 class Stage1ColumnarShard:
-    """One scalar Stage-I dispatch: score a shard of data items.
+    """One scalar Stage-I dispatch: :func:`scalar_stage1` over a shard.
 
     Pickled once per job; carries only the picklable posterior kernel
     plus the :class:`~repro.mapreduce.executors.RoundStateHandle` naming
     the round's accuracy vector and active mask (the buffers themselves
     live in shared memory, crossing once per round — see
     :func:`install_stage1_state`).  Shard items are integer item ids into
-    the pool-resident columns.
-
-    Each item's output is a list of ``(row_id, posterior)`` pairs (empty
-    when the item is filtered), satisfying the one-output-per-item
+    the pool-resident columns; one output per item satisfies the
     ``run_map`` contract.
-
-    When the sampling bound engages for an item, its active claims are
-    subset by the canonical-order draw: the columnar claim order (rows
-    canonically sorted within the item, provenances sorted within each
-    row) is exactly the serial reducer's sorted value order, and the
-    positional draw depends only on ``(seed, name, item key)`` — so the
-    sampled subset, and therefore the posterior floats, match the serial
-    reference bit-for-bit.
     """
 
     posterior_fn: Callable
@@ -200,84 +304,27 @@ class Stage1ColumnarShard:
     seed: int = 0
 
     def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
-        cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
         round_state = self.state.load()
-        items = cols.items
-        provenances = cols.provenances
-        triples = cols.triples
-        item_ptr, row_ptr = cols.item_ptr, cols.row_ptr
-        claim_prov, active = cols.claim_prov, round_state["active"]
-        # Same float64 values the serial reducer sees in its dict.
-        accuracy_of: dict[ProvKey, float] = dict(
-            zip(provenances, round_state["accuracies"].tolist())
+        return scalar_stage1(
+            worker_state(FUSION_COLUMNS_KEY),
+            self.posterior_fn,
+            round_state["accuracies"],
+            round_state["active"],
+            self.require_repeated,
+            item_ids,
+            self.name,
+            self.sample_limit,
+            self.seed,
         )
-        outputs: list[list[tuple[int, float]]] = []
-        for j in item_ids:
-            claims: dict[Triple, set[ProvKey]] = {}
-            kept_rows: list[int] = []
-            n_active = 0
-            for r in range(item_ptr[j], item_ptr[j + 1]):
-                provs = {
-                    provenances[p]
-                    for p in claim_prov[row_ptr[r] : row_ptr[r + 1]]
-                    if active[p]
-                }
-                if provs:
-                    claims[triples[r]] = provs
-                    kept_rows.append(int(r))
-                    n_active += len(provs)
-            if not claims:
-                outputs.append([])
-                continue
-            if self.sample_limit is not None and n_active > self.sample_limit:
-                positions = sample_positions(
-                    n_active,
-                    items[j].canonical(),
-                    self.name,
-                    self.sample_limit,
-                    self.seed,
-                )
-                # Enumerate the item's active claims in canonical order —
-                # the columnar layout order — and keep the drawn subset.
-                pairs = [
-                    (r, prov)
-                    for r in kept_rows
-                    for prov in sorted(claims[triples[r]])
-                ]
-                claims, kept_rows = {}, []
-                for i in positions:
-                    r, prov = pairs[i]
-                    if triples[r] not in claims:
-                        claims[triples[r]] = set()
-                        kept_rows.append(r)
-                    claims[triples[r]].add(prov)
-            if self.require_repeated and not any(
-                len(provs) >= 2 for provs in claims.values()
-            ):
-                outputs.append([])
-                continue
-            posteriors = self.posterior_fn(claims, accuracy_of)
-            outputs.append([(r, posteriors[triples[r]]) for r in kept_rows])
-        return outputs
 
 
 @dataclass(frozen=True)
 class Stage2ColumnarShard:
-    """One scalar Stage-II dispatch: re-estimate a shard of accuracies.
+    """One scalar Stage-II dispatch: :func:`scalar_stage2` over a shard.
 
     Shard items are integer provenance ids; the round's posteriors and
     scored/active masks cross once per round on the round-state channel
     (:func:`install_stage2_state`) — the spec carries only the handle.
-    Output per provenance is its new accuracy (mean posterior of its
-    scored triples, summed in canonical triple order — bit-identical to
-    the serial Stage-II reducer) or None when the provenance is inactive
-    or scored nothing this round, mirroring the keys the serial reducer
-    emits.
-
-    Sampling follows the same canonical-order contract as Stage I: the
-    provenance's scored rows are ordered by the resident canonical triple
-    ranking (the serial reducer's ``sorted(seen)`` order) before the
-    positional draw, so sampled means match serial bit-for-bit.
     """
 
     state: RoundStateHandle  # names the round's posteriors/scored/active
@@ -286,37 +333,17 @@ class Stage2ColumnarShard:
     seed: int = 0
 
     def __call__(self, prov_ids: list[int]) -> list[float | None]:
-        cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
         round_state = self.state.load()
-        posteriors = round_state["posteriors"]
-        scored = round_state["scored"]
-        active = round_state["active"]
-        rank = cols.canonical_rank()
-        outputs: list[float | None] = []
-        for p in prov_ids:
-            if not active[p]:
-                outputs.append(None)
-                continue
-            rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-            rows = rows[scored[rows]]
-            if rows.size == 0:
-                outputs.append(None)
-                continue
-            ordered = rows[np.argsort(rank[rows], kind="stable")]
-            positions = sample_positions(
-                int(ordered.size),
-                cols.provenances[p],
-                self.name,
-                self.sample_limit,
-                self.seed,
-            )
-            if positions is not None:
-                ordered = ordered[np.asarray(positions, dtype=np.int64)]
-            total = 0.0
-            for value in posteriors[ordered].tolist():
-                total += value
-            outputs.append(total / int(ordered.size))
-        return outputs
+        return scalar_stage2(
+            worker_state(FUSION_COLUMNS_KEY),
+            round_state["posteriors"],
+            round_state["scored"],
+            round_state["active"],
+            prov_ids,
+            self.name,
+            self.sample_limit,
+            self.seed,
+        )
 
 
 @dataclass(frozen=True)

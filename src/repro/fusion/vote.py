@@ -3,18 +3,18 @@
 §4.1: "if a data item D = (s, p) has n provenances in total and a triple
 T = (s, p, o) has m provenances, the probability of T is p(T) = m/n."
 No source-quality estimation, no iteration — only Stage I and Stage III of
-the Figure 8 pipeline, which is exactly how it is implemented here (through
-the MapReduce engine, so VOTE exercises the same dataflow as the Bayesian
-methods).
+the Figure 8 pipeline, which is exactly how it is implemented here: one
+call of the runner's column-native Stage-I helper, so VOTE exercises the
+same dataflow as the Bayesian methods.
 
-Execution modes: the reference runs the scalar reducers in-process; every
-other mode runs Stage I once through the runner's column-native Stage-I
-helper under the same :class:`~repro.mapreduce.executors.ExecutionPlan`
-derivation as the Bayesian methods (:mod:`repro.fusion.runner`) — pooled
-over the columnar shuffle (bit-identical on fork and spawn, including
-under canonical-order reducer-input sampling), batched as one numpy pass
-of ``m/n`` ratios, scalar in the same place when sampling would engage
-(batched kernels score whole rounds and cannot subset per item).
+Execution modes follow the same
+:class:`~repro.mapreduce.executors.ExecutionPlan` derivation as the
+Bayesian methods (:mod:`repro.fusion.runner`) — scalar per-item ratios
+in-process (``serial``) or pooled over the columnar shuffle (bit-identical
+on fork and spawn, including under canonical-order reducer-input
+sampling), batched as one numpy pass of ``m/n`` ratios, scalar in the same
+place when sampling would engage (batched kernels score whole rounds and
+cannot subset per item).
 """
 
 from __future__ import annotations
@@ -30,16 +30,12 @@ from repro.fusion.base import (
 )
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.runner import (
-    Stage1Reducer,
     _column_executor,
     _column_stage1,
     _runnable_plan,
     _scored_posteriors,
-    stage1_mapper,
-    stage1_sample_key,
 )
 from repro.kb.triples import Triple
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import ExecutionPlan
 
 __all__ = ["vote_item_posteriors", "VoteKernel", "Vote"]
@@ -76,12 +72,14 @@ class VoteKernel:
         return kernels.vote_round(cols, active, require_repeated)
 
 
-def _vote_stage3_mapper(pair):
-    return [(pair[0].canonical(), pair)]
+def _emission_order(cols: ColumnarClaims, plan: ExecutionPlan) -> np.ndarray | None:
+    """The row order probabilities are written in (None: canonical rows).
 
-
-def _vote_stage3_reducer(_key, values):
-    return [values[0]]
+    Stage III keys by triple, and the scalar in-process mode emits in that
+    key order — canonical triple order — for every input; see
+    :func:`repro.fusion.runner._emission_order` for why the order is kept.
+    """
+    return np.argsort(cols.canonical_rank()) if plan.reference else None
 
 
 class Vote(Fuser):
@@ -96,8 +94,6 @@ class Vote(Fuser):
         plan, cols = _runnable_plan(
             self.config, matrix, VoteKernel(), include_stage2=False
         )
-        if plan.reference:
-            return self._fuse_mapreduce(matrix, plan)
         n_provs = len(cols.provenances)
         with _column_executor(cols, self.config, plan, executor) as where:
             round_result = _column_stage1(
@@ -112,57 +108,22 @@ class Vote(Fuser):
                 name="vote.stage1",
             )
             executor_diagnostics = where.diagnostics() if plan.pooled else {}
-        # Rows are already unique triples, so the serial path's Stage-III
-        # dedup is structurally a no-op here: the scored rows' ``m/n``
-        # ratios are the final probabilities.  Unscored rows (possible
-        # only under sampling) stay absent, as in the serial reference.
-        return self._result(
-            _scored_posteriors(cols, round_result), plan, executor_diagnostics
-        )
-
-    def _result(
-        self, probabilities: dict[Triple, float], ran: ExecutionPlan, extra: dict
-    ) -> FusionResult:
+        # Rows are already unique triples, so Stage III's dedup by triple
+        # is structurally a no-op: the scored rows' ``m/n`` ratios are the
+        # final probabilities.  Unscored rows (possible only under
+        # sampling) stay absent.
         result = FusionResult(
             method=self.name,
-            probabilities=probabilities,
+            probabilities=_scored_posteriors(
+                cols, round_result, _emission_order(cols, plan)
+            ),
             rounds=0,
             converged=True,
             diagnostics={
-                **backend_contract(self.config.backend, ran),
+                **backend_contract(self.config.backend, plan),
                 "sampling": sampling_contract_of(self.config),
-                **extra,
+                **executor_diagnostics,
             },
         )
         result.validate()
         return result
-
-    def _fuse_mapreduce(self, matrix, ran: ExecutionPlan) -> FusionResult:
-        engine = MapReduceEngine()
-
-        claims = [
-            (item, triple, prov)
-            for item, triple_map in matrix.items.items()
-            for triple, provs in triple_map.items()
-            for prov in provs
-        ]
-        stage1 = MapReduceJob(
-            name="vote.stage1",
-            mapper=stage1_mapper,
-            reducer=Stage1Reducer(VoteKernel(), {}, require_repeated=False),
-            sample_limit=self.config.sample_limit,
-            seed=self.config.seed,
-            sample_key=stage1_sample_key,
-        )
-        scored = engine.run(claims, stage1)
-
-        # Stage III: dedup by triple (probabilities agree per item already).
-        stage3 = MapReduceJob(
-            name="vote.stage3",
-            mapper=_vote_stage3_mapper,
-            reducer=_vote_stage3_reducer,
-        )
-        deduped = engine.run(scored, stage3)
-        return self._result(
-            {triple: float(p) for triple, p in deduped}, ran, {}
-        )

@@ -1,23 +1,22 @@
-"""Local MapReduce engine.
+"""Local MapReduce execution.
 
 The paper scales fusion with a three-stage MapReduce pipeline (Figure 8).
-This package provides the same dataflow semantics — map, shuffle (grouped,
-deterministically ordered), reduce, with per-reducer input *sampling*
-(the paper's ``L``) — as an in-process engine suitable for laptop scale
-(the round loop and its forced termination ``R`` live in
-:mod:`repro.fusion.runner`).
-That keyed dataflow (:class:`MapReduceEngine`) is the reference the
-``serial`` fusion backend runs on.  Pooled execution is a separate,
-map-only protocol: an :class:`~repro.mapreduce.executors.Executor` runs
+This package provides the execution half at laptop scale: one map-only
+protocol — an :class:`~repro.mapreduce.executors.Executor` runs
 :class:`~repro.mapreduce.executors.ShardedMapJob` jobs (key-hash-sharded,
-outputs in input order) — serial in-process by default, or across a
-process pool by :class:`~repro.mapreduce.executors.ParallelExecutor` with
+outputs in input order), serial in-process by default or across a process
+pool by :class:`~repro.mapreduce.executors.ParallelExecutor` with
 bit-identical output — which both the extraction stage and the columnar
-fusion stages scale on.
+fusion stages scale on, plus the deterministic per-reducer input
+*sampling* draw (the paper's ``L``,
+:func:`~repro.mapreduce.executors.sample_positions`).  The round loop, its
+forced termination ``R`` and the two stage bodies live in
+:mod:`repro.fusion.runner` / :mod:`repro.fusion.shuffle`; the keyed map →
+shuffle → sorted-key reduce engine the fusion reference oracle runs on
+lives with that oracle, under ``tests/oracle/``.
 """
 
 from repro.mapreduce.codec import WireCodec
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import (
     Executor,
     ParallelExecutor,
@@ -28,8 +27,6 @@ from repro.mapreduce.executors import (
 )
 
 __all__ = [
-    "MapReduceEngine",
-    "MapReduceJob",
     "Executor",
     "SerialExecutor",
     "ParallelExecutor",

@@ -17,9 +17,8 @@ This is the protocol the extraction stage runs on — each shard of pages
 is extracted in a worker and the parent reassembles the corpus-order
 record stream — and the fusion stages as well (items are integer
 item/provenance ids into pool-resident columns; see
-:mod:`repro.fusion.shuffle`).  The keyed map → shuffle → sorted-key
-reduce dataflow of the serial reference is *not* an executor job: it is
-the in-process engine of :mod:`repro.mapreduce.engine`.
+:mod:`repro.fusion.shuffle`).  The in-process fusion modes do not go
+through an executor at all.
 
 Bit-identity across start methods requires shard bodies whose float
 summation order does not depend on hash randomization: a body that sums a
@@ -322,10 +321,9 @@ def sample_positions(
     on ``(seed, name, repr(key))`` and ``n_values`` — never on where the
     values live — so any backend that can enumerate a key's values *in the
     same order* reproduces the same subset bit-for-bit.  The fusion stages
-    pin that order to the canonical (sorted) one via ``sample_key``; the
-    columnar shard workers re-draw these positions against the
-    pool-resident columns (whose layout *is* the canonical order) instead
-    of falling back to serial.
+    pin that order to the canonical (sorted) one, which is the claim
+    columns' layout order: the scalar stage bodies draw these positions
+    against the columns in-process and in pool workers alike.
     """
     if sample_limit is None or n_values <= sample_limit:
         return None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fusion.base import FusionConfig, FusionResult
+from repro.fusion.base import BACKENDS, FusionConfig, FusionResult
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
@@ -31,6 +31,16 @@ class TestFusionConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             FusionConfig(**kwargs)
+
+    @pytest.mark.parametrize("sample_limit", [0, -3])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rejects_sample_limit_below_one(self, backend, sample_limit):
+        """Used to get past construction on every backend: ``parallel``
+        then returned every triple unpredicted for 0 and died inside numpy
+        for -3, ``serial`` / ``vectorized`` raised only mid-fuse."""
+        with pytest.raises(ConfigError, match="sample_limit must be >= 1 or None"):
+            FusionConfig(backend=backend, sample_limit=sample_limit)
+        assert FusionConfig(backend=backend, sample_limit=None).sample_limit is None
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

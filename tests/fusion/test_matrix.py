@@ -276,19 +276,31 @@ class TestColumnarAdapters:
             )
 
     def test_record_views_keep_arrival_order(self, tiny_scenario):
-        """The serial reference finalises in ``items`` order, so views
-        derived from records must not come out canonically sorted."""
+        """The ``serial`` backend (like the oracle) emits in ``items``
+        order, so views derived from records must not come out
+        canonically sorted."""
         records = tiny_scenario.records
         matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_SITE)
         arrival = list(dict.fromkeys(record.triple.data_item for record in records))
         assert list(matrix.items) == arrival
         assert arrival != sorted(arrival)
 
-    def test_n_claims_does_not_force_a_column_build(self, tiny_scenario):
+    def test_arrival_rows_is_the_view_nesting_order(self, tiny_scenario, tiny_columns):
+        """The one row permutation ``serial`` carries instead of the dict
+        views: item first arrival, then triple first arrival."""
         matrix = ClaimMatrix.build(tiny_scenario.records, Granularity.EXTRACTOR_SITE)
-        n_claims = matrix.n_claims()
-        assert matrix._columnar is None
-        assert n_claims == matrix.columnar().n_claims
+        rows = matrix.arrival_rows()
+        assert matrix._views is None  # derived from the accumulator, not the views
+        cols = matrix.columnar()
+        assert sorted(rows.tolist()) == list(range(cols.n_rows))
+        assert [cols.triples[r] for r in rows.tolist()] == [
+            triple for triple_map in matrix.items.values() for triple in triple_map
+        ]
+        # Bare columns nest in row order already: no permutation to carry.
+        from_columns = ClaimMatrix(Granularity.EXTRACTOR_SITE, columns=tiny_columns)
+        assert from_columns.arrival_rows() is None
+        empty = ClaimMatrix.build([], Granularity.EXTRACTOR_SITE)
+        assert empty.arrival_rows().tolist() == []
 
     def test_fusion_input_serves_one_granularity(self, tiny_columns):
         fusion_input = FusionInput.from_columns(tiny_columns)
@@ -301,20 +313,22 @@ class TestColumnarAdapters:
         assert len(fusion_input) == tiny_columns.n_claims
         assert fusion_input.unique_triples() == sorted(tiny_columns.triples)
 
-    def test_vectorized_fuse_never_builds_dict_views(self, tiny_scenario):
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
+    @pytest.mark.parametrize("method", ["vote", "popaccu"])
+    def test_fuse_never_builds_dict_views(self, tiny_scenario, method, backend):
         fusion_input = FusionInput(tiny_scenario.records)
-        fuser = make_fuser("popaccu", FusionConfig(backend="vectorized"))
+        fuser = make_fuser(method, FusionConfig(backend=backend))
         result = fuser.fuse(fusion_input)
-        assert result.diagnostics["backend_used"] == "vectorized"
+        assert result.diagnostics["backend_used"] == backend
         assert fusion_input.claims(fuser.config.granularity)._views is None
 
     @pytest.mark.parametrize("method", PIPELINE_METHODS)
     def test_serial_over_columns_equals_serial_over_records(
         self, tiny_scenario, method
     ):
-        """The serial reference still runs over bare columns at small
-        scale: its dict views derive from them, equal to the record-built
-        ones, so the fused result is equal as dicts."""
+        """``serial`` over bare columns equals ``serial`` over the records
+        they were built from as dicts (only the emission order differs:
+        canonical rows vs record arrival)."""
         gold = tiny_scenario.gold
         fuser = make_fuser(method, FusionConfig(backend="serial"), gold)
         from_records = FusionInput(tiny_scenario.records)

@@ -5,8 +5,8 @@ order* — a property of the scalar dataflow no sharded backend could
 reproduce, so any ``L`` that engaged silently degraded the parallel
 backend to the in-process serial reference.  The contract now: when
 sampling engages, a key's values are put in canonical (sorted) order
-before the deterministic positional draw (``MapReduceJob.sample_key``;
-``sample_positions`` in the executors).  Consequences, each tested here:
+before the deterministic positional draw (``sample_positions`` in the
+executors; the oracle engine's ``MapReduceJob.sample_key``).  Consequences, each tested here:
 
 1. Sampled subsets are a function of the value *set* — serial output is
    invariant under extraction-record shuffling even when L engages.
@@ -23,8 +23,8 @@ import random
 import pytest
 
 from repro.fusion import FusionConfig, FusionInput, accu, popaccu, popaccu_plus
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.executors import ParallelExecutor, sample_positions
+from tests.oracle.engine import MapReduceEngine, MapReduceJob
 
 WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")

@@ -1,9 +1,9 @@
-"""Unit tests for the MapReduce engine."""
+"""Unit tests for the keyed MapReduce engine of the fusion reference oracle."""
 
 import pytest
 
 from repro.errors import FusionError
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
+from tests.oracle.engine import MapReduceEngine, MapReduceJob
 
 
 def word_count_job(sample_limit=None):

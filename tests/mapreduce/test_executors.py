@@ -49,20 +49,30 @@ class TestProtocol:
         assert not hasattr(SerialExecutor, "run")
         assert not hasattr(ParallelExecutor, "run")
 
+    @pytest.mark.parametrize("backend, sample_limit", [("serial", None), ("vectorized", 2)])
     @pytest.mark.parametrize("method", ["vote", "popaccu"])
-    def test_serial_fuse_handed_a_pool_starts_no_worker(self, micro_scenario, method):
-        """The serial reference's keyed engine is in-process: a caller's
-        pool is ignored, not fed pickled claim lists."""
+    def test_serial_fuse_handed_a_pool_starts_no_worker(
+        self, micro_scenario, method, backend, sample_limit
+    ):
+        """The in-process scalar mode — asked for, or fallen back to under
+        sampling pressure — never consults a caller's executor: nothing is
+        installed on the pool, no job is run, no worker is started."""
         from repro.endtoend import make_fuser
         from repro.fusion import FusionConfig
 
         fusion_input = micro_scenario.fusion_input()
-        fuser = make_fuser(method, FusionConfig(backend="serial", max_rounds=2))
+        fuser = make_fuser(
+            method,
+            FusionConfig(backend=backend, sample_limit=sample_limit, max_rounds=2),
+        )
         plain = fuser.fuse(fusion_input)
+        assert plain.diagnostics["backend_used"].split()[0] == "serial"
         with ParallelExecutor(max_workers=2) as executor:
             pooled = fuser.fuse(fusion_input, executor=executor)
             assert executor._pool is None
             assert executor.fallbacks == 0
+            assert executor.state_bytes_shipped == 0
+            assert not executor._installed and not executor._round_installed
         assert pooled.probabilities == plain.probabilities
         assert list(pooled.probabilities) == list(plain.probabilities)
         assert pooled.accuracies == plain.accuracies

@@ -13,11 +13,12 @@ implementation relies on:
   deterministic per-key sample is taken before reducing — the skew-taming
   trick the paper uses against 2.7M-claim data items.
 
-This keyed dataflow is the in-process engine of the ``serial`` fusion
-reference, nothing more: it takes no executor and starts no worker.  The
-sharded backends reproduce its results — sampled subsets included — over
-int-coded columns through the executors' map-only protocol
-(:mod:`repro.mapreduce.executors`, :mod:`repro.fusion.shuffle`).
+This keyed dataflow is the in-process engine of the fusion reference
+oracle (:mod:`tests.oracle.fusion`), nothing more: it takes no executor
+and starts no worker.  It was ``repro.mapreduce.engine`` until the
+``serial`` backend stopped running on it, and moved here unchanged.  The
+production backends reproduce its results — sampled subsets included —
+over int-coded columns (:mod:`repro.fusion.shuffle`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 These check the algebraic invariants the paper's methods rely on, over
 arbitrary claim matrices: probabilities live in [0, 1], per-item mass is
 bounded, agreement helps, and POPACCU's signature behaviours hold for any
-accuracy level — not just the defaults exercised by the unit tests.
+accuracy level — not just the defaults exercised by the unit tests.  The
+same claim-set strategy also feeds whole fuses, where ``serial`` must
+equal the dict-engine oracle (``tests/oracle``) exactly.
 """
 
 import math
@@ -12,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fusion import FusionConfig, FusionInput, accu, popaccu, vote
 from repro.fusion.accu import accu_item_posteriors
+from repro.fusion.observations import ColumnarClaims
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.fusion import assert_equal_in_order, oracle_fuse
 
 
 def t(name: str) -> Triple:
@@ -168,3 +173,36 @@ class TestCrossMethodProperties:
         ):
             posteriors = fn()
             assert posteriors[top] >= posteriors[bottom] - 1e-9
+
+
+class TestSerialEqualsOracle:
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=3),
+        st.sampled_from([vote, accu, popaccu]),
+        st.booleans(),
+        st.sampled_from([None, 0.5]),
+        st.sampled_from([None, 1, 3]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_whole_fuse_matches_the_dict_engine(
+        self, matrices, preset, by_coverage, theta, sample_limit
+    ):
+        """Several drawn data items (the i-th re-subjected to ``/m/i``; its
+        drawn accuracies are not used) fused ``serial`` and through the
+        oracle: every output equal, iteration order included."""
+        items_map = {}
+        for i, (claims, _accuracies) in enumerate(matrices):
+            for triple, provs in claims.items():
+                moved = Triple(f"/m/{i}", triple.predicate, triple.obj)
+                items_map.setdefault(moved.data_item, {})[moved] = provs
+        config = FusionConfig(
+            filter_by_coverage=by_coverage,
+            min_accuracy=theta,
+            sample_limit=sample_limit,
+        )
+        cols = ColumnarClaims.from_items(items_map, config.granularity)
+        fuser = preset(config)
+        assert_equal_in_order(
+            fuser.fuse(FusionInput.from_columns(cols)),
+            oracle_fuse(fuser, FusionInput.from_columns(cols)),
+        )

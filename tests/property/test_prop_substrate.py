@@ -7,8 +7,8 @@ from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.store import KnowledgeBase
 from repro.kb.triples import Triple
 from repro.kb.values import NumberValue, StringValue, parse_value
-from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.rng import named_rng, stream_seed, zipf_weights
+from tests.oracle.engine import MapReduceEngine, MapReduceJob
 
 text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126),

@@ -59,6 +59,26 @@ class TestDocsLint:
         )
         assert docs_lint.check_bench_sync(tmp_path) == []
 
+    def test_documented_names_resolve(self):
+        docs_lint = _load_docs_lint()
+        assert docs_lint.check_dotted_names() == []
+
+    def test_dotted_names_catch_a_deleted_name(self, tmp_path):
+        """A name that left ``src/`` (here: the engine that moved under
+        ``tests/oracle``) must not stay documented; modules, attributes
+        and call spellings that do exist pass."""
+        docs_lint = _load_docs_lint()
+        (tmp_path / "README.md").write_text(
+            "`repro.fusion`, `repro.fusion.runner.run_bayesian_fusion()` and\n"
+            "`repro.mapreduce.executors.EXECUTION_MODES` exist;\n"
+            "`repro.mapreduce.engine.MapReduceEngine` and\n"
+            "`repro.fusion.runner.no_such_name` do not.\n"
+        )
+        errors = docs_lint.check_dotted_names(tmp_path)
+        assert len(errors) == 2
+        assert "`repro.fusion.runner.no_such_name`" in errors[0]
+        assert "`repro.mapreduce.engine.MapReduceEngine`" in errors[1]
+
     def test_front_door_exists(self):
         """The acceptance criterion verbatim: the front door files exist
         and ROADMAP links them."""

@@ -31,7 +31,7 @@ pytestmark = pytest.mark.parallel_backend
 
 #: name -> ((pooled, batched), the entry points that accept the name).
 MODES = {
-    "serial": ((False, False), {"fusion", "extraction", "pipeline"}),
+    "serial": ((False, False), {"fusion", "extraction", "pipeline", "streaming"}),
     "batched": ((False, True), {"extraction", "pipeline", "streaming"}),
     "parallel": ((True, False), {"fusion", "extraction", "pipeline", "streaming"}),
     "vectorized": ((False, True), {"fusion"}),
@@ -46,6 +46,7 @@ END_TO_END = {
     "hybrid": ("hybrid", "tolerance"),
 }
 STREAMING = {
+    "serial": ("serial", "bitwise"),
     "batched": ("vectorized", "tolerance"),
     "parallel": ("parallel", "bitwise"),
     "hybrid": ("hybrid", "tolerance"),
@@ -75,7 +76,7 @@ class TestTable:
         assert BACKENDS == ("serial", "parallel", "vectorized", "hybrid")
         assert EXTRACTION_BACKENDS == ("serial", "batched", "parallel", "hybrid")
         assert PIPELINE_BACKENDS == ("serial", "batched", "parallel", "hybrid")
-        assert STREAMING_PIPELINE_BACKENDS == ("batched", "parallel", "hybrid")
+        assert STREAMING_PIPELINE_BACKENDS == ("serial", "batched", "parallel", "hybrid")
 
     @pytest.mark.parametrize("name", [*MODES, "gpu"])
     def test_each_entry_point_accepts_exactly_its_vocabulary(

@@ -2,10 +2,10 @@
 
 The parity plan (docs/SCALING.md): each streaming backend must match the
 record-path run of its *own* fusion backend bitwise — streaming
-``parallel`` equals record-path ``serial`` (the parallel fusion backend
-is bitwise vs serial by contract), streaming ``batched`` equals the
-record path run under vectorized fusion, streaming ``hybrid`` equals
-record-path ``hybrid`` — and the tolerance backends stay within the
+``serial`` and ``parallel`` equal record-path ``serial`` (the parallel
+fusion backend is bitwise vs serial by contract), streaming ``batched``
+equals the record path run under vectorized fusion, streaming ``hybrid``
+equals record-path ``hybrid`` — and the tolerance backends stay within the
 1e-9 contract of serial.  Orthogonally, running the same streaming
 backend over memory-mapped columns (``cache_dir`` set) must be
 bitwise-identical to the in-memory columns: the mmap layer is a storage
@@ -19,13 +19,10 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import tiny_config
-from repro.endtoend import (
-    STREAMING_PIPELINE_BACKENDS,
-    run_end_to_end,
-    run_streaming_pipeline,
-)
+from repro.endtoend import run_end_to_end, run_streaming_pipeline
 from repro.fusion import FusionConfig
 from repro.fusion.base import ConfigError
+from repro.fusion.observations import ClaimMatrix
 
 SEED = 7
 TOLERANCE = 1e-9
@@ -44,9 +41,9 @@ def _assert_bitwise(streaming, record, exact_metrics=True):
         assert streaming.metrics == record.metrics
     else:
         # The metric reductions iterate the probabilities dict in
-        # insertion order, which differs between the column-native
-        # Stage III and the serial oracle's record-order finalize —
-        # identical values, last-ulp summation drift allowed.
+        # insertion order, which differs between Stage III over bare
+        # columns (canonical rows) and record-path ``serial`` (record
+        # arrival) — identical values, last-ulp summation drift allowed.
         assert streaming.metrics == pytest.approx(record.metrics, abs=1e-12)
 
 
@@ -73,6 +70,34 @@ class TestStreamingEqualsRecordPath:
         streaming = _stream("batched")
         serial = run_end_to_end(tiny_config(seed=SEED), backend="serial")
         _assert_close(streaming, serial)
+
+    def test_serial_matches_serial_record_path(self, monkeypatch):
+        """Scalar in-process fusion straight over the accumulated columns:
+        legal out of core because it never builds a dict claim view."""
+        monkeypatch.setattr(ClaimMatrix, "_dict_views", pytest.fail)
+        streaming = _stream("serial")
+        serial = run_end_to_end(tiny_config(seed=SEED), backend="serial")
+        _assert_bitwise(streaming, serial, exact_metrics=False)
+        assert streaming.fusion.unpredicted == serial.fusion.unpredicted
+        assert streaming.fusion.rounds == serial.fusion.rounds
+        diagnostics = streaming.diagnostics
+        assert (diagnostics["backend_used"], diagnostics["parity"]) == (
+            "serial",
+            "bitwise",
+        )
+        assert diagnostics["extraction_synthesis"] == "scalar"
+        assert "n_workers" not in diagnostics
+
+    def test_serial_fusion_config_on_a_batched_stream(self):
+        """``fusion_config`` picks the fusion mode independently of the
+        extraction ``backend``: batched extraction + scalar fusion is the
+        streaming spelling of record-path ``batched``."""
+        streaming = _stream(
+            "batched", fusion_config=FusionConfig(seed=SEED, backend="serial")
+        )
+        record = run_end_to_end(tiny_config(seed=SEED), backend="batched")
+        _assert_bitwise(streaming, record, exact_metrics=False)
+        assert streaming.diagnostics["backend_used"] == "serial"
 
     @pytest.mark.parallel_backend
     def test_parallel_matches_serial_bitwise(self):
@@ -131,20 +156,6 @@ class TestStreamingDeterminism:
 
 
 class TestStreamingSurface:
-    def test_serial_backend_is_rejected(self):
-        with pytest.raises(ConfigError, match="out-of-core"):
-            run_streaming_pipeline(tiny_config(seed=SEED), backend="serial")
-
-    def test_serial_fusion_config_is_rejected_too(self):
-        """The ban covers the fusion backend that would actually run: a
-        caller-supplied config must not slip serial past the check."""
-        with pytest.raises(ConfigError, match="out-of-core"):
-            run_streaming_pipeline(
-                tiny_config(seed=SEED),
-                fusion_config=FusionConfig(backend="serial"),
-                backend="batched",
-            )
-
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown fusion method"):
             run_streaming_pipeline(tiny_config(seed=SEED), method="nope")
@@ -170,7 +181,3 @@ class TestStreamingSurface:
             "shared-memory",
             "inline (shm fallback)",
         )
-
-    def test_backend_list_excludes_serial(self):
-        assert "serial" not in STREAMING_PIPELINE_BACKENDS
-        assert set(STREAMING_PIPELINE_BACKENDS) == {"batched", "parallel", "hybrid"}

@@ -294,11 +294,18 @@ class TestCLICache:
 
 
 class TestCLIStreamingScale:
-    def test_web_rejects_serial_backend(self, capsys):
-        # Validation fires before any generation work, so this is cheap.
-        assert main(["pipeline", "--scale", "web", "--backend", "serial"]) == 2
-        err = capsys.readouterr().err
-        assert "out-of-core" in err and "SCALING.md" in err
+    def test_web_accepts_serial_backend(self, capsys, monkeypatch):
+        """The streaming route used to refuse ``serial``; driven here with
+        the ``web`` preset swapped for ``tiny`` so it runs in a second."""
+        from repro import cli
+        from repro.datasets import tiny_config
+
+        monkeypatch.setattr(cli, "_SCALES", dict(cli._SCALES, web=tiny_config))
+        assert main(["pipeline", "--scale", "web", "--backend", "serial",
+                     "--seed", "7", "--chunk-pages", "32"]) == 0
+        out = capsys.readouterr().out
+        assert "backend used:  serial" in out
+        assert "3 chunks of 32" in out
 
     def test_web_rejects_bad_chunk_pages(self, capsys):
         # Rejected with the backend/method checks, not after the setup stage.

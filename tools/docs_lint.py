@@ -1,6 +1,6 @@
 """Docs lint: keep the documentation front door from rotting.
 
-Three classes of drift this catches, all run in CI and in the tier-1
+Six classes of drift this catches, all run in CI and in the tier-1
 suite (``tests/test_docs.py``):
 
 1. **Dead relative links** — every ``[text](target)`` in the tracked
@@ -26,6 +26,10 @@ suite (``tests/test_docs.py``):
    exposes (``repro.cli._SCALES``) must have a row in the README
    scale-preset table, so adding a tier without documenting its memory
    and wall-clock expectations fails CI.
+6. **Documented names that no longer exist** — every back-ticked
+   ``repro.<dotted.path>`` in the tracked docs must resolve by import +
+   ``getattr``, so a change that deletes or moves a module, function or
+   constant cannot leave it documented.
 
 Usage::
 
@@ -34,6 +38,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -67,6 +72,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CLI_MENTION = re.compile(r"repro-kf\s+([a-z][a-z0-9_-]*)")
 _BENCH_SCRIPT = re.compile(r"benchmarks/([A-Za-z0-9_]+\.py)")
 _TOOL_SCRIPT = re.compile(r"tools/([A-Za-z0-9_]+\.py)")
+#: A back-tick followed by a dotted path rooted at the package; whatever
+#: trails the path inside the back-ticks (``()``, arguments) is ignored.
+_DOTTED_NAME = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)")
 
 
 def check_links(root: Path = REPO_ROOT) -> list[str]:
@@ -213,6 +221,39 @@ def check_scale_sync(root: Path = REPO_ROOT) -> list[str]:
     return errors
 
 
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` names a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+def check_dotted_names(root: Path = REPO_ROOT) -> list[str]:
+    """Every back-ticked ``repro.<dotted.path>`` in the docs still exists."""
+    errors: list[str] = []
+    for name in LINKED_DOCS:
+        doc = root / name
+        if not doc.exists():
+            # Already reported by check_links for tracked docs.
+            continue
+        for dotted in sorted(set(_DOTTED_NAME.findall(doc.read_text()))):
+            if not _resolves(dotted):
+                errors.append(
+                    f"{name}: documents `{dotted}`, which does not resolve "
+                    "(import + getattr)"
+                )
+    return errors
+
+
 def run_lint(root: Path = REPO_ROOT) -> list[str]:
     return (
         check_links(root)
@@ -220,6 +261,7 @@ def run_lint(root: Path = REPO_ROOT) -> list[str]:
         + check_bench_sync(root)
         + check_tool_sync(root)
         + check_scale_sync(root)
+        + check_dotted_names(root)
     )
 
 
