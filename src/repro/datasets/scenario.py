@@ -138,7 +138,8 @@ def label_gold(
     :func:`repro.endtoend.run_end_to_end`, so the two construction paths
     cannot drift.
     """
-    return label_gold_triples(freebase, sorted({record.triple for record in records}))
+    unique = sorted({record.triple for record in records}, key=Triple.canonical)
+    return label_gold_triples(freebase, unique)
 
 
 def label_gold_triples(

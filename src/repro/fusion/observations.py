@@ -12,8 +12,12 @@ The matrix has one primary form and one derived form:
 
 - the **columnar form** (:class:`ColumnarClaims`, via
   :meth:`ClaimMatrix.columnar`) is primary: an int-coded CSR layout built
-  once, straight from the records, by :class:`ClaimAccumulator` (or handed
-  in prebuilt by the streaming pipeline) and cached.  The column-native
+  by :class:`ClaimAccumulator` (or handed in prebuilt by the streaming
+  pipeline) and cached.  The accumulator interns each record once — a
+  triple code and four provenance-string codes — and is shared by all of
+  a :class:`FusionInput`'s granularities: the row layout is computed once
+  per vocabulary, and each granularity's provenance ids and claim CSR are
+  array operations over the code columns.  The column-native
   round loop, the shard workers and the vectorized posterior kernels of
   :mod:`repro.fusion.kernels` read nothing else.  A *row* is one unique
   ``(data item, triple)`` pair — and because a triple determines its data
@@ -31,12 +35,14 @@ The matrix has one primary form and one derived form:
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.extract.records import ExtractionRecord
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.provenance import KEY_FIELDS, Granularity, provenance_key
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
@@ -54,6 +60,11 @@ ProvKey = tuple[str, ...]
 class FusionInput:
     """Extraction records plus cached claim matrices per granularity.
 
+    The records are interned once, into one :class:`ClaimAccumulator`
+    every granularity's columns are built from — so the second and later
+    ``claims(g).columnar()`` of a granularity sweep cost array operations
+    only.
+
     :meth:`from_columns` wraps one prebuilt column set instead (the
     streaming pipeline never holds a record list): ``records`` is then
     None and ``claims()`` serves the one granularity the columns were
@@ -62,6 +73,7 @@ class FusionInput:
 
     records: list[ExtractionRecord] | None
     _cache: dict[Granularity, "ClaimMatrix"] = field(default_factory=dict, repr=False)
+    _accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
@@ -77,16 +89,24 @@ class FusionInput:
                     f"columns were accumulated at granularity {held.value!r}; "
                     f"re-extract to fuse at {granularity.value!r}"
                 )
-            matrix = ClaimMatrix.build(self.records, granularity)
+            matrix = ClaimMatrix(
+                granularity, records=self.records, accumulated=self._accumulated
+            )
             self._cache[granularity] = matrix
         return matrix
+
+    def _accumulated(self) -> "ClaimAccumulator":
+        if self._accumulator is None:
+            self._accumulator = _accumulate(self.records)
+        return self._accumulator
 
     def unique_triples(self) -> list[Triple]:
         """All distinct extracted triples (the paper's 1.6B 'unique')."""
         if self.records is None:
             (matrix,) = self._cache.values()
-            return sorted(matrix.columnar().triples)
-        return sorted({record.triple for record in self.records})
+            cols = matrix.columnar()
+            return [cols.triples[r] for r in np.argsort(cols.canonical_rank()).tolist()]
+        return self._accumulated().unique_triples()
 
     def __len__(self) -> int:
         """Records held — or, over bare columns, unique claims."""
@@ -109,6 +129,24 @@ def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return np.repeat(starts - ptr[:-1], counts) + np.arange(total, dtype=np.int64)
+
+
+def _inverse(permutation: np.ndarray) -> np.ndarray:
+    """The inverse permutation: element -> its position in ``permutation``."""
+    inverse = np.empty(len(permutation), dtype=np.int64)
+    inverse[permutation] = np.arange(len(permutation), dtype=np.int64)
+    return inverse
+
+
+def _sorted_table(values: list) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` sorted, and each value's index in that table.
+
+    Values are strings or tuples of strings, so every comparison the sort
+    makes is C-level — never a ``Triple`` / ``DataItem`` ``__lt__``.
+    """
+    table = sorted(set(values))
+    index = {value: i for i, value in enumerate(table)}
+    return table, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 @dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
@@ -212,14 +250,8 @@ class ColumnarClaims:
         once and cached — pool-resident state carries it to workers.
         """
         if self._canonical_rank is None:
-            order = sorted(
-                range(len(self.triples)), key=lambda r: self.triples[r].canonical()
-            )
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[np.asarray(order, dtype=np.int64)] = np.arange(
-                len(order), dtype=np.int64
-            )
-            self._canonical_rank = rank
+            _, canonical = _sorted_table([triple.canonical() for triple in self.triples])
+            self._canonical_rank = _inverse(np.argsort(canonical, kind="stable"))
         return self._canonical_rank
 
     def slice_items(self, item_ids) -> ColumnarSlice:
@@ -306,156 +338,245 @@ class ColumnarClaims:
         )
 
 
+class _Vocabulary(dict):
+    """Key -> dense int code in first-arrival order (a miss assigns the next)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
+
+
+@dataclass(eq=False)
+class _Layout:
+    """What no granularity changes: the row layout and the string order.
+
+    Computed once per vocabulary state and shared — list objects included
+    — by every ``ColumnarClaims`` one accumulator builds.
+    """
+
+    items: list[DataItem]
+    triples: list[Triple]
+    row_item: np.ndarray
+    item_ptr: np.ndarray
+    canonical_rank: np.ndarray
+    arrival_rows: np.ndarray
+    row_of_arrival: np.ndarray  # arrival row code -> canonical row
+    predicates: list[str]  # the distinct predicates, sorted
+    row_predicate: np.ndarray  # canonical row -> index into predicates
+    strings: list[str]  # the provenance strings, sorted
+    string_rank: np.ndarray  # string code -> index into strings
+
+
+#: Code columns ``add_records`` appends per record, in column order.
+_CODE_FIELDS = ("row", "extractor", "url", "site", "pattern")
+
+
 class ClaimAccumulator:
     """Fold extraction chunks into claim columns without keeping records.
 
-    ``add_records`` interns each record's triple and provenance key and
-    appends one integer ``(row, prov)`` pair per record; ``build``
-    dedupes the pairs, permutes rows into the canonical item-major
-    layout and emits a ``ColumnarClaims`` equal field-for-field to
-    ``ColumnarClaims.from_items`` over the same records' dict views, under
-    any chunking — the property the accumulator parity tests pin.  Peak
-    state is the two vocabularies plus ~16 bytes per raw claim.
+    Accumulation is granularity-free: ``add_records`` interns each
+    record's triple and its four provenance strings once, appending five
+    int32 codes per record against the accumulator's own vocabularies.
+    ``build`` is numpy from there, at any granularity: the row layout
+    (canonical item-major order, the arrival permutation, the canonical
+    rank) is computed once per vocabulary from precomputed string keys;
+    provenance ids are dense string ranks combined one key component at a
+    time, and ``ProvKey`` tuples are decoded for the unique keys only.
+    The result equals ``ColumnarClaims.from_items`` over the same
+    records' dict views field for field, under any chunking — the
+    property the accumulator parity tests pin.  Peak state is the
+    vocabularies plus 20 bytes per record.
     """
 
     def __init__(self, granularity: Granularity) -> None:
         self.granularity = granularity
-        self._row_of: dict[Triple, int] = {}
-        self._row_items: list[DataItem] = []
-        self._prov_of: dict[ProvKey, int] = {}
-        self._pairs: list[np.ndarray] = []
+        self._row_of = _Vocabulary()  # Triple -> arrival row code
+        self._string_of = _Vocabulary()  # extractor / url / site / pattern
+        self._codes: list[np.ndarray] = []  # per chunk: int32[5, n]
+        self._layout: _Layout | None = None
         self.n_records = 0
 
     def add_records(self, records: list[ExtractionRecord]) -> None:
         if not records:
             return
         row_of = self._row_of
-        prov_of = self._prov_of
-        pairs = np.empty((len(records), 2), dtype=np.int64)
-        for i, record in enumerate(records):
-            triple = record.triple
-            row = row_of.get(triple)
-            if row is None:
-                row = len(row_of)
-                row_of[triple] = row
-                self._row_items.append(triple.data_item)
-            key = provenance_key(record, self.granularity)
-            prov = prov_of.get(key)
-            if prov is None:
-                prov = len(prov_of)
-                prov_of[key] = prov
-            pairs[i, 0] = row
-            pairs[i, 1] = prov
-        self._pairs.append(pairs)
+        string_of = self._string_of
+        codes: list[int] = []
+        extend = codes.extend
+        for record in records:
+            extractor = record.extractor
+            pattern = record.pattern
+            if pattern is None:
+                pattern = f"{extractor}:-"  # as provenance_key spells it
+            extend(
+                (
+                    row_of[record.triple],
+                    string_of[extractor],
+                    string_of[record.url],
+                    string_of[record.site],
+                    string_of[pattern],
+                )
+            )
+        self._codes.append(
+            np.array(codes, dtype=np.int32).reshape(-1, len(_CODE_FIELDS)).T
+        )
+        self._layout = None
         self.n_records += len(records)
 
     @property
     def n_rows(self) -> int:
         return len(self._row_of)
 
-    def unique_triples(self) -> list[Triple]:
-        return sorted(self._row_of)
+    def _laid_out(self) -> _Layout:
+        if self._layout is None:
+            self._layout = self._lay_out()
+        return self._layout
 
-    def build(self) -> ColumnarClaims:
-        n_rows = len(self._row_of)
+    def _lay_out(self) -> _Layout:
         arrival_triples = list(self._row_of)
-        row_items = self._row_items
-        # Canonical row order: items sorted field-wise, triples sorted
-        # within each item — tuple comparison gives exactly the
-        # from_items() nesting order.
-        order = sorted(
-            range(n_rows), key=lambda r: (row_items[r], arrival_triples[r])
+        n_rows = len(arrival_triples)
+        # Dense ids in sorted-string order, for the two things rows sort by:
+        # their data item (field-wise) and their canonical string.
+        item_table, row_item = _sorted_table(
+            [(triple.subject, triple.predicate) for triple in arrival_triples]
         )
-        row_remap = np.empty(n_rows, dtype=np.int64)
-        row_remap[np.asarray(order, dtype=np.int64)] = np.arange(
-            n_rows, dtype=np.int64
+        _, row_canonical = _sorted_table(
+            [triple.canonical() for triple in arrival_triples]
         )
-        triples = [arrival_triples[r] for r in order]
+        # Canonical row order: items sorted, triples sorted within each
+        # item — the from_items() nesting order.
+        order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
+        row_of_arrival = _inverse(order)
+        triples = [arrival_triples[a] for a in order.tolist()]
+        row_item = row_item[order]
+        item_ptr = np.zeros(len(item_table) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_item, minlength=len(item_table)), out=item_ptr[1:])
 
-        items: list[DataItem] = []
-        row_item = np.empty(n_rows, dtype=np.int64)
-        for new_row, r in enumerate(order):
-            item = row_items[r]
-            if not items or item != items[-1]:
-                items.append(item)
-            row_item[new_row] = len(items) - 1
-        item_ptr = np.zeros(len(items) + 1, dtype=np.int64)
+        # Record-arrival order: items by first arrival, each item's
+        # triples by first arrival — how the dict views nest.
+        arrival_rows = order
         if n_rows:
-            counts = np.bincount(row_item, minlength=len(items))
-            np.cumsum(counts, out=item_ptr[1:])
+            item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
+            arrival_rows = np.lexsort((order, item_arrival[row_item]))
 
-        provenances = sorted(self._prov_of)
-        prov_remap = np.empty(len(provenances), dtype=np.int64)
-        for new_prov, key in enumerate(provenances):
-            prov_remap[self._prov_of[key]] = new_prov
-
-        if self._pairs:
-            raw = np.concatenate(self._pairs)
-            new_rows = row_remap[raw[:, 0]]
-            new_provs = prov_remap[raw[:, 1]]
-            # Dedup + sort by (row, prov) in one encoded key: claims land
-            # grouped by row with provenances ascending — CSR order, and
-            # prov-id order is sorted-ProvKey order by construction.
-            n_provs = len(provenances)
-            combined = np.unique(new_rows * np.int64(n_provs) + new_provs)
-            claim_row = combined // n_provs
-            claim_prov = combined % n_provs
-        else:
-            claim_row = np.zeros(0, dtype=np.int64)
-            claim_prov = np.zeros(0, dtype=np.int64)
-
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        if n_rows:
-            claim_counts = np.bincount(claim_row, minlength=n_rows)
-            np.cumsum(claim_counts, out=row_ptr[1:])
-
-        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
-        transpose = np.argsort(claim_prov, kind="stable")
-        prov_rows = claim_row[transpose]
-        prov_counts = np.bincount(claim_prov, minlength=len(provenances))
-        prov_ptr = np.zeros(len(provenances) + 1, dtype=np.int64)
-        np.cumsum(prov_counts, out=prov_ptr[1:])
-
-        return ColumnarClaims(
-            granularity=self.granularity,
-            items=items,
+        predicates, item_predicate = _sorted_table([item[1] for item in item_table])
+        strings, string_rank = _sorted_table(list(self._string_of))
+        return _Layout(
+            items=[DataItem(*item) for item in item_table],
             triples=triples,
-            provenances=provenances,
             row_item=row_item,
             item_ptr=item_ptr,
+            canonical_rank=_inverse(np.argsort(row_canonical[order], kind="stable")),
+            arrival_rows=arrival_rows,
+            row_of_arrival=row_of_arrival,
+            predicates=predicates,
+            row_predicate=item_predicate[row_item],
+            strings=strings,
+            string_rank=string_rank,
+        )
+
+    def unique_triples(self) -> list[Triple]:
+        """The distinct triples in sorted (canonical-string) order."""
+        layout = self._laid_out()
+        return [layout.triples[r] for r in np.argsort(layout.canonical_rank).tolist()]
+
+    def build(self, granularity: Granularity | None = None) -> ColumnarClaims:
+        """The claim columns at ``granularity`` (default: the constructor's)."""
+        if granularity is None:
+            granularity = self.granularity
+        layout = self._laid_out()
+        n_rows = len(layout.triples)
+        codes = np.concatenate(
+            [np.zeros((len(_CODE_FIELDS), 0), dtype=np.int32), *self._codes], axis=1
+        )
+        record_row = layout.row_of_arrival[codes[0]]
+
+        def component(name: str, records) -> tuple[np.ndarray, list[str]]:
+            """One key component of ``records``: each one's rank in the
+            component's sorted string table, and that table."""
+            if name == "predicate":
+                return layout.row_predicate[record_row[records]], layout.predicates
+            codes_of = codes[_CODE_FIELDS.index(name)]
+            return layout.string_rank[codes_of[records]], layout.strings
+
+        # Fold the components left to right into one dense id whose
+        # integer order is the tuple order of the strings; re-densifying
+        # after every component bounds the radix product by
+        # n_records * table size.
+        fields = KEY_FIELDS[granularity]
+        record_prov = np.zeros(codes.shape[1], dtype=np.int64)
+        first = np.zeros(0, dtype=np.int64)  # first record of each provenance
+        for name in fields:
+            ranks, table = component(name, slice(None))
+            _, first, record_prov = np.unique(
+                record_prov * len(table) + ranks,
+                return_index=True,
+                return_inverse=True,
+            )
+        decoded = (component(name, first) for name in fields)
+        provenances: list[ProvKey] = list(
+            zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in decoded))
+        )
+        n_provs = len(provenances)
+
+        # Dedup + sort by (row, prov) in one encoded key: claims land
+        # grouped by row with provenances ascending — CSR order.
+        claim_row, claim_prov = np.divmod(
+            np.unique(record_row * n_provs + record_prov), max(n_provs, 1)
+        )
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(claim_row, minlength=n_rows), out=row_ptr[1:])
+        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
+        prov_rows = claim_row[np.argsort(claim_prov, kind="stable")]
+        prov_ptr = np.zeros(n_provs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(claim_prov, minlength=n_provs), out=prov_ptr[1:])
+
+        return ColumnarClaims(
+            granularity=granularity,
+            items=layout.items,
+            triples=layout.triples,
+            provenances=provenances,
+            row_item=layout.row_item,
+            item_ptr=layout.item_ptr,
             claim_prov=claim_prov,
             row_ptr=row_ptr,
             prov_rows=prov_rows,
             prov_ptr=prov_ptr,
+            _canonical_rank=layout.canonical_rank,
         )
 
     def arrival_rows(self, cols: ColumnarClaims) -> np.ndarray:
-        """The rows of ``cols`` (this accumulator's :meth:`build`) in
-        record-arrival order: data items by first arrival, each item's
-        triples by first arrival — the nesting order of the dict views
-        over the same records."""
-        arrival = np.fromiter(
-            map(self._row_of.__getitem__, cols.triples), np.int64, cols.n_rows
-        )
-        if not cols.n_rows:
-            return arrival
-        item_arrival = np.minimum.reduceat(arrival, cols.item_ptr[:-1])
-        return np.lexsort((arrival, item_arrival[cols.row_item]))
+        """The rows of ``cols`` (this accumulator's :meth:`build`, at any
+        granularity — the rows are the same) in record-arrival order:
+        data items by first arrival, each item's triples by first arrival
+        — the nesting order of the dict views over the same records."""
+        return self._laid_out().arrival_rows
 
     def release(self) -> None:
-        """Drop the accumulation state (vocabularies + pair chunks)."""
-        self._row_of = {}
-        self._row_items = []
-        self._prov_of = {}
-        self._pairs = []
+        """Drop the accumulation state (vocabularies, code chunks, layout)."""
+        self._row_of = _Vocabulary()
+        self._string_of = _Vocabulary()
+        self._codes = []
+        self._layout = None
+
+
+def _accumulate(records: list[ExtractionRecord]) -> ClaimAccumulator:
+    # The granularity is build()'s default only; every caller names its own.
+    accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+    accumulator.add_records(records)
+    return accumulator
 
 
 class ClaimMatrix:
     """The deduplicated claim structure for one granularity.
 
     Built from extraction ``records`` or from prebuilt ``columns`` (exactly
-    one).  :meth:`columnar` is the primary form; the dict views are
-    derived on first access:
+    one); ``accumulated`` supplies the records' accumulator when a
+    :class:`FusionInput` shares one between its granularities.
+    :meth:`columnar` is the primary form; the dict views are derived on
+    first access:
 
     ``items``: data item -> {triple -> set of supporting provenances}.
     ``prov_triples``: provenance -> unique triples it supports.
@@ -473,12 +594,14 @@ class ClaimMatrix:
         granularity: Granularity,
         records: list[ExtractionRecord] | None = None,
         columns: ColumnarClaims | None = None,
+        accumulated: Callable[[], ClaimAccumulator] | None = None,
     ) -> None:
         if (records is None) == (columns is None):
             raise ValueError("ClaimMatrix takes exactly one of records= / columns=")
         self.granularity = granularity
         self._records = records
         self._columnar = columns
+        self._accumulated = accumulated or functools.partial(_accumulate, records)
         self._arrival_rows: np.ndarray | None = None
         self._views: tuple[dict, dict] | None = None  # (items, prov_triples)
 
@@ -491,9 +614,8 @@ class ClaimMatrix:
     def columnar(self) -> ColumnarClaims:
         """The cached int-coded CSR form (built on first use)."""
         if self._columnar is None:
-            accumulator = ClaimAccumulator(self.granularity)
-            accumulator.add_records(self._records)
-            self._columnar = accumulator.build()
+            accumulator = self._accumulated()
+            self._columnar = accumulator.build(self.granularity)
             self._arrival_rows = accumulator.arrival_rows(self._columnar)
         return self._columnar
 

@@ -14,9 +14,9 @@ sampling (`L`-sampled subsets are drawn against sorted ``(triple,
 provenance)`` order, reproducible inside parallel shards; see
 :mod:`repro.fusion.runner` and :mod:`repro.fusion.shuffle`).
 
-Formulation (documented in DESIGN.md §4): candidates are the observed
-values plus an explicit OTHER ("the truth is none of the observed
-values").  With ``m(v)`` = #provenances claiming ``v`` and ``m(D)`` the
+Formulation (this docstring is its one written statement): candidates
+are the observed values plus an explicit OTHER ("the truth is none of
+the observed values").  With ``m(v)`` = #provenances claiming ``v`` and ``m(D)`` the
 item total, the log-likelihood of the observations if ``v`` is true is
 
     L(v) = Σ_{S∈S(v)} ln A(S)

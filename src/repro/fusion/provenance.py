@@ -18,7 +18,7 @@ import enum
 from repro.errors import FusionError
 from repro.extract.records import ExtractionRecord
 
-__all__ = ["Granularity", "provenance_key", "PROVENANCE_LEVELS"]
+__all__ = ["Granularity", "provenance_key", "KEY_FIELDS", "PROVENANCE_LEVELS"]
 
 
 class Granularity(enum.Enum):
@@ -38,6 +38,25 @@ PROVENANCE_LEVELS: tuple[Granularity, ...] = (
     Granularity.EXTRACTOR_SITE_PREDICATE,
     Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN,
 )
+
+
+#: The record fields each granularity keys on, in key order — the table
+#: form of :func:`provenance_key`, which the claim accumulator applies to
+#: whole code columns (``predicate`` is the triple's; a missing
+#: ``pattern`` reads ``"<extractor>:-"``).
+KEY_FIELDS: dict[Granularity, tuple[str, ...]] = {
+    Granularity.EXTRACTOR_URL: ("extractor", "url"),
+    Granularity.EXTRACTOR_SITE: ("extractor", "site"),
+    Granularity.EXTRACTOR_SITE_PREDICATE: ("extractor", "site", "predicate"),
+    Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN: (
+        "extractor",
+        "site",
+        "predicate",
+        "pattern",
+    ),
+    Granularity.EXTRACTOR_PATTERN_ONLY: ("pattern",),
+    Granularity.URL_ONLY: ("url",),
+}
 
 
 def provenance_key(record: ExtractionRecord, granularity: Granularity) -> tuple[str, ...]:

@@ -437,15 +437,20 @@ def _run_columnar(
     gold_initialized = 0
     if gold_labels:
         sampled = _gold_subsample(gold_labels, config.gold_sample_rate, config.seed)
-        for p in range(n_provs):
-            rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-            labels = [
-                sampled[cols.triples[r]] for r in rows if cols.triples[r] in sampled
-            ]
-            if labels:
-                accuracies[p] = sum(labels) / len(labels)
-                evaluated[p] = True
-                gold_initialized += 1
+        # One dict probe per row, then integer counts per provenance over
+        # the transposed CSR (n_true / n_labelled is the labels' mean).
+        row_label = np.fromiter(
+            (-1 if label is None else label for label in map(sampled.get, cols.triples)),
+            np.int8,
+            cols.n_rows,
+        )
+        claim_label = row_label[cols.prov_rows]
+        claim_prov = np.repeat(np.arange(n_provs), np.diff(cols.prov_ptr))
+        n_labelled = np.bincount(claim_prov[claim_label >= 0], minlength=n_provs)
+        n_true = np.bincount(claim_prov[claim_label == 1], minlength=n_provs)
+        evaluated = n_labelled > 0
+        accuracies[evaluated] = n_true[evaluated] / n_labelled[evaluated]
+        gold_initialized = int(evaluated.sum())
 
     def active_mask(round_index: int) -> np.ndarray:
         active = np.ones(n_provs, dtype=bool)

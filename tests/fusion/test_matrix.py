@@ -30,16 +30,19 @@ from repro.artifacts import (
     prune_cache,
     save_column_store,
 )
+from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.fusion.base import FusionConfig
-from repro.fusion.matrix import NUMERIC_COLUMNS, MappedColumnarClaims, persist_columns
+from repro.fusion.matrix import MappedColumnarClaims, persist_columns
 from repro.fusion.observations import (
     ClaimAccumulator,
     ClaimMatrix,
-    ColumnarClaims,
     FusionInput,
 )
 from repro.fusion.provenance import Granularity
+from repro.kb.triples import DataItem, Triple
+from repro.kb.values import StringValue
+from tests.oracle.columns import assert_columns_equal, reference_columns
 
 GRANULARITIES = (
     Granularity.EXTRACTOR_SITE,
@@ -51,18 +54,6 @@ def _chunks(records, size):
     return [records[i : i + size] for i in range(0, len(records), size)]
 
 
-def _assert_columns_equal(actual, expected):
-    assert actual.granularity == expected.granularity
-    assert list(actual.items) == list(expected.items)
-    assert list(actual.triples) == list(expected.triples)
-    assert list(actual.provenances) == list(expected.provenances)
-    for name in NUMERIC_COLUMNS:
-        got, want = getattr(actual, name), getattr(expected, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
-    assert np.array_equal(actual.canonical_rank(), expected.canonical_rank())
-
-
 def _accumulate(records, granularity, chunk_size):
     accumulator = ClaimAccumulator(granularity)
     for chunk in _chunks(records, chunk_size):
@@ -71,31 +62,97 @@ def _accumulate(records, granularity, chunk_size):
 
 
 class TestClaimAccumulator:
-    @pytest.mark.parametrize("granularity", GRANULARITIES)
-    def test_equals_record_built_columns(self, tiny_scenario, granularity):
+    @pytest.mark.parametrize("chunk_size", [1, 13, None])
+    def test_one_accumulator_builds_every_granularity(self, tiny_scenario, chunk_size):
+        """Accumulation is granularity-free: one fold of the records, any
+        chunking, serves all six flattenings."""
         records = tiny_scenario.records
-        # The expected side is the reference builder over the dict views,
-        # not ``.columnar()`` — that *is* the accumulator now.
-        expected = ColumnarClaims.from_items(
-            ClaimMatrix.build(records, granularity).items, granularity
+        accumulator = _accumulate(
+            records, Granularity.EXTRACTOR_SITE, chunk_size or len(records)
         )
-        built = _accumulate(records, granularity, 97).build()
-        _assert_columns_equal(built, expected)
-
-    def test_chunking_is_invisible(self, tiny_scenario):
-        records = tiny_scenario.records
-        granularity = Granularity.EXTRACTOR_SITE
-        one = _accumulate(records, granularity, len(records)).build()
-        many = _accumulate(records, granularity, 13).build()
-        _assert_columns_equal(many, one)
-
-    def test_unique_triples_sorted(self, tiny_scenario):
-        records = tiny_scenario.records
-        accumulator = _accumulate(records, Granularity.EXTRACTOR_SITE, 50)
+        assert accumulator.n_records == len(records)
         assert accumulator.unique_triples() == sorted(
             {record.triple for record in records}
         )
-        assert accumulator.n_records == len(records)
+        for granularity in Granularity:
+            matrix, expected = reference_columns(records, granularity)
+            built = accumulator.build(granularity)
+            assert_columns_equal(built, expected)
+            # Row-level outputs, by their definitions: the views' nesting
+            # order and the rank in the global canonical-string order.
+            assert [
+                built.triples[r] for r in accumulator.arrival_rows(built).tolist()
+            ] == [triple for triple_map in matrix.items.values() for triple in triple_map]
+            assert [
+                built.triples[r] for r in np.argsort(built.canonical_rank()).tolist()
+            ] == sorted(built.triples, key=lambda triple: triple.canonical())
+        assert_columns_equal(
+            accumulator.build(), accumulator.build(Granularity.EXTRACTOR_SITE)
+        )
+
+    def test_chunks_added_after_a_build_are_folded_in(self, tiny_scenario):
+        records = tiny_scenario.records
+        granularity = Granularity.EXTRACTOR_SITE
+        accumulator = ClaimAccumulator(granularity)
+        accumulator.add_records(records[:100])
+        partial = accumulator.build()
+        accumulator.add_records(records[100:])
+        assert partial.n_rows < accumulator.n_rows
+        assert_columns_equal(accumulator.build(), reference_columns(records, granularity)[1])
+
+    def test_fusion_input_folds_its_records_once(self, tiny_scenario):
+        """A granularity sweep (Fig. 10, the method ladder) re-fuses the
+        same extractions: every granularity after the first must come out
+        of the shared accumulator, not a second pass over the records."""
+
+        class CountingList(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        records = CountingList(tiny_scenario.records)
+        fusion_input = FusionInput(records)
+        fusion_input.unique_triples()
+        for granularity in (
+            Granularity.EXTRACTOR_URL,
+            Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN,
+        ):
+            cols = fusion_input.claims(granularity).columnar()
+            assert_columns_equal(
+                cols, reference_columns(tiny_scenario.records, granularity)[1]
+            )
+        assert records.iterations == 1
+
+    def test_build_never_compares_triples_or_items(self, tiny_scenario, monkeypatch):
+        """Every sort on the build / labelling path keys on precomputed
+        strings; a Python-level ``__lt__`` per comparison is what made the
+        build cost more than the fuses."""
+        calls = []
+        for cls in (Triple, DataItem):
+            original = cls.__lt__
+            monkeypatch.setattr(
+                cls,
+                "__lt__",
+                lambda self, other, original=original: (
+                    calls.append(type(self).__name__) or original(self, other)
+                ),
+            )
+        assert Triple("a", "p", StringValue("x")) < Triple("b", "p", StringValue("x"))
+        assert calls == ["Triple"]  # the counter counts
+        del calls[:]
+
+        records = tiny_scenario.records
+        fusion_input = FusionInput(records)
+        matrix = fusion_input.claims(Granularity.EXTRACTOR_SITE_PREDICATE)
+        cols = matrix.columnar()
+        matrix.arrival_rows()
+        cols.canonical_rank()
+        fusion_input.unique_triples()
+        FusionInput.from_columns(cols).unique_triples()
+        label_gold(tiny_scenario.freebase, records)
+        assert calls == []
 
     def test_release_drops_state(self, tiny_scenario):
         accumulator = _accumulate(
@@ -123,7 +180,7 @@ class TestMappedColumns:
     def test_persist_roundtrip_is_bitwise(self, tiny_columns, tmp_path):
         mapped = persist_columns(tiny_columns, tmp_path)
         try:
-            _assert_columns_equal(mapped, tiny_columns)
+            assert_columns_equal(mapped, tiny_columns)
             assert mapped.objects_loaded()  # adopted, no re-unpickle
         finally:
             mapped.close()
@@ -150,7 +207,7 @@ class TestMappedColumns:
             clone = pickle.loads(blob)
             try:
                 assert not clone.objects_loaded()
-                _assert_columns_equal(clone, tiny_columns)
+                assert_columns_equal(clone, tiny_columns)
             finally:
                 clone.close()
         finally:
@@ -252,11 +309,9 @@ class TestPruneCache:
 class TestColumnarAdapters:
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_column_built_matrix_equals_record_built(self, tiny_scenario, granularity):
-        reference = ClaimMatrix.build(tiny_scenario.records, granularity)
+        reference, expected = reference_columns(tiny_scenario.records, granularity)
         cols = reference.columnar()
-        _assert_columns_equal(
-            cols, ColumnarClaims.from_items(reference.items, granularity)
-        )
+        assert_columns_equal(cols, expected)
         from_columns = ClaimMatrix(granularity, columns=cols)
         assert from_columns.columnar() is cols
         assert from_columns.items == reference.items
