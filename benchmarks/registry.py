@@ -322,7 +322,7 @@ def pipeline_case(ctx: BenchContext) -> dict:
 def _streaming_pipeline_case(ctx: BenchContext) -> dict:
     """The ``pipeline`` case's out-of-core branch (``--scale web``).
 
-    One measured :func:`~repro.endtoend.run_streaming_pipeline` pass
+    One measured streamed :func:`~repro.endtoend.run_end_to_end` pass
     under the ``hybrid`` backend — a web-scale run is minutes of
     wall-clock, so unlike the in-memory branch it is a single round, not
     best-of-N (the envelope records ``timing_rounds: 1``).  The parity
@@ -335,15 +335,16 @@ def _streaming_pipeline_case(ctx: BenchContext) -> dict:
     when a cache directory was supplied, and the hybrid tolerance
     contract engaged.
     """
-    from repro.endtoend import peak_rss_mb, run_streaming_pipeline
+    from repro.endtoend import peak_rss_mb, run_end_to_end
 
     config = SCALES[ctx.scale](seed=ctx.seed)
-    result = run_streaming_pipeline(
+    result = run_end_to_end(
         config,
         method="popaccu+",
         backend="hybrid",
         n_workers=ctx.workers,
         cache_dir=ctx.cache_dir,
+        chunk_pages=2048,
     )
     diagnostics = result.diagnostics
     assert diagnostics["parity"] == "tolerance"

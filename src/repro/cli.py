@@ -22,7 +22,10 @@ whole thing — extraction → gold labeling → fusion — on a *single shared
 executor* (one worker pool for both stages; see
 :func:`repro.endtoend.run_end_to_end`), printing per-stage timings and the
 headline metrics; the reported ``parity`` line says which numeric
-contract applied.  Each ``--backend`` takes its stage's spellings of the
+contract applied.  It is one function call at every scale: a streaming
+scale (``web``) passes ``chunk_pages`` so the corpus is never
+materialised, and the report prints whatever the one result type
+carries.  Each ``--backend`` takes its stage's spellings of the
 execution modes in the README's "Execution backends" table.
 """
 
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from repro.datasets import (
@@ -59,8 +61,6 @@ _SCALES = {
 #: materialise the corpus/record list, which the out-of-core tier forbids.
 _MATERIALISED_SCALES = sorted(set(_SCALES) - STREAMING_SCALES)
 
-_FUSE_METHODS = PIPELINE_METHODS
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fuse", help="run one fusion method under a chosen execution backend"
     )
     fuse_parser.add_argument(
-        "method", choices=_FUSE_METHODS, help="fusion method preset"
+        "method", choices=PIPELINE_METHODS, help="fusion method preset"
     )
     fuse_parser.add_argument(
         "--backend",
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "method",
         nargs="?",
         default="popaccu+",
-        choices=_FUSE_METHODS,
+        choices=PIPELINE_METHODS,
         help="fusion method preset (default: popaccu+)",
     )
     pipeline_parser.add_argument(
@@ -225,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_fuse(args) -> int:
-    from repro.endtoend import make_fuser
+    from repro.endtoend import make_fuser, timed_stage
     from repro.errors import ConfigError
     from repro.fusion import FusionConfig
 
@@ -239,9 +239,9 @@ def _run_fuse(args) -> int:
     scenario = build_scenario(_SCALES[args.scale](seed=args.seed))
     fuser = make_fuser(args.method, config, scenario.gold)
 
-    start = time.perf_counter()
-    result = fuser.fuse(scenario.fusion_input())
-    elapsed = time.perf_counter() - start
+    timings: dict[str, float] = {}
+    with timed_stage(timings, "fusion"):
+        result = fuser.fuse(scenario.fusion_input())
 
     print(f"method:        {result.method}")
     print(f"backend:       {result.diagnostics.get('backend', args.backend)}")
@@ -256,7 +256,7 @@ def _run_fuse(args) -> int:
             f"{result.diagnostics['fallbacks_unpicklable']} unpicklable, "
             f"{result.diagnostics.get('fallbacks_shm', 0)} shm"
         )
-    print(f"fusion time:   {elapsed:.3f}s")
+    print(f"fusion time:   {timings['fusion']:.3f}s")
     print(f"rounds:        {result.rounds} (converged: {result.converged})")
     print(f"triples:       {len(result.probabilities)}")
     print(f"unpredicted:   {len(result.unpredicted)}")
@@ -270,6 +270,7 @@ def _run_fuse(args) -> int:
 def _run_extract(args) -> int:
     from collections import Counter
 
+    from repro.endtoend import timed_stage
     from repro.errors import ConfigError
     from repro.mapreduce.executors import EXECUTION_MODES
     from repro.world.webgen import generate_corpus
@@ -281,19 +282,20 @@ def _run_extract(args) -> int:
     except ConfigError as err:
         print(f"repro-kf extract: error: {err}", file=sys.stderr)
         return 2
+    timings: dict[str, float] = {}
     try:
         config = _SCALES[args.scale](seed=args.seed)
-        start = time.perf_counter()
-        world = generate_world(config.world, config.seed)
-        corpus = generate_corpus(world, config.web, config.seed)
-        pipeline = build_extraction_pipeline(config, world)
-        setup_elapsed = time.perf_counter() - start
-
-        start = time.perf_counter()
-        records = pipeline.run(corpus, backend=args.backend, executor=executor)
+        with timed_stage(timings, "setup"):
+            world = generate_world(config.world, config.seed)
+            corpus = generate_corpus(world, config.web, config.seed)
+            pipeline = build_extraction_pipeline(config, world)
+        # Clocked before the pool is torn down, like ``pipeline``'s
+        # ``extraction`` stage for the same work.
+        with timed_stage(timings, "extraction"):
+            records = pipeline.run(corpus, backend=args.backend, executor=executor)
     finally:
         executor.close()
-    elapsed = time.perf_counter() - start
+    elapsed = timings["extraction"]
     pool = executor.diagnostics()
 
     per_extractor = Counter(record.extractor for record in records)
@@ -306,7 +308,7 @@ def _run_extract(args) -> int:
         + (f" (scalar fallback: {', '.join(fallbacks)})" if fallbacks else "")
     )
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")
-    print(f"setup time:    {setup_elapsed:.3f}s (world + corpus + extractors)")
+    print(f"setup time:    {timings['setup']:.3f}s (world + corpus + extractors)")
     print(
         f"extract time:  {elapsed:.3f}s"
         + (f" ({len(records) / elapsed:.0f} records/s)" if elapsed > 0 else "")
@@ -324,24 +326,23 @@ def _run_extract(args) -> int:
     return 0
 
 
-def _print_pipeline_report(result, streaming: bool) -> None:
-    """The one-screen ``pipeline`` report.  The streaming flavour swaps
-    the scenario-cache line for the column store, adds the chunk count
-    and the ``matrix`` stage, and reports the peak RSS its run sampled."""
-    from repro.endtoend import peak_rss_mb
-
+def _print_pipeline_report(result) -> None:
+    """The one-screen ``pipeline`` report.  It prints what the result has:
+    a streamed run reports its column store, chunk count and ``matrix``
+    stage where a materialised one reports the scenario cache."""
     timings, metrics, diagnostics = result.timings, result.metrics, result.diagnostics
+    streaming = " (streaming)" if result.scenario is None else ""
     print(f"method:        {result.fusion.method}")
-    print(f"backend:       {result.backend}" + (" (streaming)" if streaming else ""))
+    print(f"backend:       {result.backend}{streaming}")
     print(f"backend used:  {diagnostics.get('backend_used', 'serial')}")
     print(f"parity:        {diagnostics.get('parity', 'bitwise')}")
     print(f"sampling:      {diagnostics.get('sampling', 'unbounded')}")
     if "round_state" in diagnostics:
         print(f"round state:   {diagnostics['round_state']}")
-    if streaming:
+    if "column_store" in diagnostics:
         print(f"column store:  {diagnostics['column_store']}")
-    else:
-        print(f"scenario cache: {diagnostics.get('scenario_cache', 'off')}")
+    if "scenario_cache" in diagnostics:
+        print(f"setup cache:   {diagnostics['scenario_cache']}")
     if "n_workers" in diagnostics:
         print(f"workers:       {diagnostics['n_workers']}")
     if "fallbacks_tiny" in diagnostics:
@@ -351,19 +352,16 @@ def _print_pipeline_report(result, streaming: bool) -> None:
             f"{diagnostics.get('fallbacks_shm', 0)} shm"
         )
     print(
-        f"pages:         {diagnostics['n_pages']} "
-        f"-> records: {diagnostics['n_records']}"
+        f"pages:         {result.n_pages} -> records: {result.n_records}"
         + (
             f" ({diagnostics['n_chunks']} chunks of {diagnostics['chunk_pages']})"
-            if streaming
+            if "chunk_pages" in diagnostics
             else ""
         )
     )
-    for stage in ("setup", "extraction", "labeling", "matrix", "fusion", "total"):
-        if stage in timings:
-            print(f"{stage + ':':<15}{timings[stage]:.3f}s")
-    peak_rss = diagnostics["peak_rss_mb"] if streaming else peak_rss_mb()
-    print(f"peak rss:      {peak_rss:.1f} MiB")
+    for stage, elapsed in timings.items():
+        print(f"{stage + ':':<15}{elapsed:.3f}s")
+    print(f"peak rss:      {diagnostics['peak_rss_mb']:.1f} MiB")
     print(f"rounds:        {result.fusion.rounds} (converged: {result.fusion.converged})")
     print(f"triples:       {len(result.fusion.probabilities)}")
     print(f"coverage:      {metrics['coverage']:.4f}")
@@ -372,32 +370,9 @@ def _print_pipeline_report(result, streaming: bool) -> None:
     print(f"gold accuracy: {metrics['gold_accuracy']:.4f} (n={metrics['n_labelled']})")
 
 
-def _run_streaming_pipeline(args) -> int:
-    from repro.endtoend import run_streaming_pipeline
-    from repro.errors import ConfigError
-
-    try:
-        result = run_streaming_pipeline(
-            config=_SCALES[args.scale](seed=args.seed),
-            method=args.method,
-            backend=args.backend,
-            n_workers=args.workers,
-            chunk_pages=args.chunk_pages,
-            cache_dir=args.cache_dir,
-        )
-    except ConfigError as err:
-        print(f"repro-kf pipeline: error: {err}", file=sys.stderr)
-        return 2
-    _print_pipeline_report(result, streaming=True)
-    return 0
-
-
 def _run_pipeline(args) -> int:
     from repro.endtoend import run_end_to_end
     from repro.errors import ConfigError
-
-    if args.scale in STREAMING_SCALES:
-        return _run_streaming_pipeline(args)
 
     try:
         result = run_end_to_end(
@@ -406,11 +381,13 @@ def _run_pipeline(args) -> int:
             backend=args.backend,
             n_workers=args.workers,
             cache_dir=args.cache_dir,
+            # The streaming scales' corpus must never be materialised.
+            chunk_pages=args.chunk_pages if args.scale in STREAMING_SCALES else None,
         )
     except ConfigError as err:
         print(f"repro-kf pipeline: error: {err}", file=sys.stderr)
         return 2
-    _print_pipeline_report(result, streaming=False)
+    _print_pipeline_report(result)
     return 0
 
 

@@ -5,8 +5,8 @@
   benchmarks run against it.
 - ``medium``: a few × larger for stability checks of the headline results.
 - ``web``: the out-of-core tier (~10⁶ extraction records); only the
-  streaming pipeline (:func:`repro.endtoend.run_streaming_pipeline`)
-  runs it in bounded memory — see ``docs/SCALING.md``.
+  streamed pipeline (:func:`repro.endtoend.run_end_to_end` with
+  ``chunk_pages`` set) runs it in bounded memory — see ``docs/SCALING.md``.
 
 All presets keep the paper's *shape* knobs (skew exponents, error rates,
 content mix) identical — only the budget scales, so statistics computed on
@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 #: Scale names whose corpus must be streamed, never materialised; the
-#: CLI/bench route these through the streaming pipeline.
+#: CLI/bench run these with ``chunk_pages`` set.
 STREAMING_SCALES = frozenset({"web"})
 
 

@@ -134,9 +134,10 @@ def label_gold(
 ) -> dict[Triple, bool]:
     """The LCWA gold standard over the unique extracted triples.
 
-    One definition shared by :func:`build_scenario` and
-    :func:`repro.endtoend.run_end_to_end`, so the two construction paths
-    cannot drift.
+    :func:`build_scenario`'s spelling: the dedup/sort pass over a record
+    list, then :func:`label_gold_triples` — the one labeling definition,
+    which :func:`repro.endtoend.run_end_to_end` calls directly because its
+    records are already interned.
     """
     unique = sorted({record.triple for record in records}, key=Triple.canonical)
     return label_gold_triples(freebase, unique)
@@ -147,10 +148,10 @@ def label_gold_triples(
 ) -> dict[Triple, bool]:
     """LCWA labels for an already-deduplicated sorted triple list.
 
-    The streaming pipeline never holds its extraction records, only the
-    accumulated claim rows — this is :func:`label_gold` with the
-    dedup/sort step supplied by the caller (the rows are exactly the
-    unique triples, so the two definitions coincide).
+    The pipeline interns its records into a claim accumulator as they
+    arrive (and, streamed, never holds them) — this is :func:`label_gold`
+    with the dedup/sort step supplied by the caller (the accumulated rows
+    are exactly the unique triples, so the two definitions coincide).
     """
     return LCWALabeler(freebase).label_many(unique)
 
@@ -170,8 +171,8 @@ def build_scenario(
     extraction stage (the caller closes it), for callers that share one
     worker pool across scenario builds or with downstream fusion.  (:func:`repro.endtoend.run_end_to_end`
     builds the stages directly — it needs per-stage timings — but shares
-    :func:`build_extraction_pipeline` and :func:`label_gold` with this
-    path.)
+    :func:`build_extraction_pipeline` and :func:`label_gold_triples` with
+    this path.)
 
     ``cache_dir`` points worldgen at the on-disk scenario artifact cache
     (:func:`repro.artifacts.setup_worldgen`): a hit loads the world,

@@ -1,29 +1,29 @@
 """The end-to-end pipeline: extraction → fusion on one shared executor.
 
 The paper's system is one pipeline — extract triples from a web corpus,
-then fuse them — and both stages here run on the same executor protocol
-(:mod:`repro.mapreduce.executors`).  :func:`run_end_to_end` wires that up
-explicitly: a single :class:`~repro.mapreduce.executors.ParallelExecutor`
-carries the extraction shards *and* every fusion round, so worker
-processes are paid for once per run, not once per stage.  Pool-resident
-state makes the hand-off cheap: extraction installs the 12-extractor
-fleet, fusion installs the columnar claim index; the pool restarts
-exactly once at the stage boundary and never re-ships state per shard.
-In-process, extraction runs on a
-:class:`~repro.mapreduce.executors.SerialExecutor` and fusion is plain
-calls over the claim columns.  Every fusion mode reads only those
-columns, so the streaming pipeline (:func:`run_streaming_pipeline`)
-accepts the same backends as the in-memory one.
+then fuse them — and :func:`run_end_to_end` is its one body here: setup →
+extraction → gold labeling → (claim columns) → fusion, each stage written
+once and clocked by :func:`timed_stage`.  A *materialised* run is the
+single-chunk case of a *streamed* one (``chunk_pages`` picks; the web
+tier of docs/SCALING.md streams).  Either way each record is interned
+once, into one :class:`~repro.fusion.observations.ClaimAccumulator`, and
+both stages run on the same executor protocol
+(:mod:`repro.mapreduce.executors`): a single
+:class:`~repro.mapreduce.executors.ParallelExecutor` carries the
+extraction shards *and* every fusion round, so worker processes are paid
+for once per run, not once per stage.  Pool-resident state makes the
+hand-off cheap: extraction installs the 12-extractor fleet, fusion
+installs the columnar claim index; the pool restarts exactly once at the
+stage boundary and never re-ships state per shard.  In-process,
+extraction runs on a :class:`~repro.mapreduce.executors.SerialExecutor`
+and fusion is plain calls over the claim columns.
 
 What a ``backend`` means for each stage, and the numeric contract it
 honours against the serial path (``bitwise`` — the record stream, gold
 labels, fused probabilities, accuracies and unpredicted set are equal
 exactly — or the 1e-9 ``tolerance``), is the README's "Execution backends"
 table; ``result.diagnostics["parity"]`` records which contract applied.
-
-``repro-kf pipeline`` is the CLI face of this function; the headline
-metrics it reports (calibration deviation, AUC-PR, coverage) are the
-quantities the golden regression test freezes for the ``small`` scenario.
+``repro-kf pipeline`` is the CLI face of this function.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import resource
 import sys
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,20 +40,19 @@ from repro.datasets.scenario import (
     Scenario,
     ScenarioConfig,
     build_extraction_pipeline,
-    label_gold,
-    label_gold_triples,
+    # kfbench's planted-slowdown self-test wraps this name; see run_streaming_pipeline.
+    label_gold_triples as label_gold,
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
-from repro.fusion.matrix import MappedColumnarClaims, persist_columns
+from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
     PIPELINE_MODES,
-    ExecutionPlan,
     Executor,
     fusion_mode_name,
 )
@@ -63,25 +63,29 @@ from repro.world.worldgen import generate_world
 __all__ = [
     "PIPELINE_BACKENDS",
     "PIPELINE_METHODS",
-    "STREAMING_PIPELINE_BACKENDS",
     "EndToEndResult",
-    "StreamingResult",
     "make_fuser",
     "peak_rss_mb",
     "run_end_to_end",
     "run_streaming_pipeline",
+    "timed_stage",
 ]
 
+#: Fusion method name -> preset, in ladder order.  Every preset takes the
+#: :class:`FusionConfig`; ``popaccu+`` also takes the gold labels.
+_PRESETS = {
+    "vote": vote,
+    "accu": accu,
+    "popaccu": popaccu,
+    "popaccu+unsup": popaccu_plus_unsup,
+    "popaccu+": popaccu_plus,
+}
+
 #: Fusion method presets the pipeline (and the CLI) can run.
-PIPELINE_METHODS = ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
+PIPELINE_METHODS = tuple(_PRESETS)
 
 #: Execution backends the pipeline can run both stages under.
 PIPELINE_BACKENDS = PIPELINE_MODES
-
-#: Backends the *streaming* pipeline supports: every fusion mode runs
-#: over claim columns, so all of them (docs/SCALING.md has the memory
-#: model, and what ``serial`` costs at ``web``).
-STREAMING_PIPELINE_BACKENDS = PIPELINE_BACKENDS
 
 
 def peak_rss_mb() -> float:
@@ -97,52 +101,31 @@ def peak_rss_mb() -> float:
     return peak / 1024
 
 
+def _preset(method: str):
+    """The preset ``method`` names — the one place an unknown name is rejected."""
+    if method not in _PRESETS:
+        raise ConfigError(
+            f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
+        )
+    return _PRESETS[method]
+
+
 def make_fuser(
     method: str,
     config: FusionConfig,
     gold_labels: dict[Triple, bool] | None = None,
 ) -> Fuser:
     """Resolve a method name from :data:`PIPELINE_METHODS` to a fuser."""
-    if method == "vote":
-        return vote(config)
-    if method == "accu":
-        return accu(config)
-    if method == "popaccu":
-        return popaccu(config)
-    if method == "popaccu+unsup":
-        return popaccu_plus_unsup(config)
-    if method == "popaccu+":
-        return popaccu_plus(gold_labels, config)
-    raise ConfigError(
-        f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
-    )
+    preset = _preset(method)
+    return preset(gold_labels, config) if preset is popaccu_plus else preset(config)
 
 
-def _validate_request(
-    backend: str, backends: tuple[str, ...], method: str, label: str
-) -> None:
-    """Reject a bad backend/method up front: extraction at the larger
-    scales is minutes of work a typo should not get to waste."""
-    if backend not in backends:
-        raise ConfigError(
-            f"{label} backend must be one of {backends}, got {backend!r}"
-        )
-    if method not in PIPELINE_METHODS:
-        raise ConfigError(
-            f"unknown fusion method {method!r}; expected one of {PIPELINE_METHODS}"
-        )
-
-
-def _stage_diagnostics(
-    diagnostics: dict, plan: ExecutionPlan, pipeline, executor: Executor
-) -> None:
-    """Add the extraction-stage and shared-executor keys to ``diagnostics``."""
-    diagnostics["extraction_synthesis"] = plan.kernel
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
-    if plan.pooled:
-        diagnostics.update(executor.diagnostics())
+@contextmanager
+def timed_stage(timings: dict[str, float], stage: str):
+    """Clock a ``with`` body that completes into ``timings[stage]`` (seconds)."""
+    start = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - start
 
 
 @dataclass
@@ -150,18 +133,23 @@ class EndToEndResult:
     """Everything one pipeline run produced.
 
     ``timings`` holds per-stage wall-clock seconds under the keys
-    ``setup`` (world + corpus + extractor construction), ``extraction``,
-    ``labeling`` (LCWA gold), ``fusion``, and ``total``.  ``metrics``
-    holds the headline numbers against the gold standard: calibration
+    ``setup`` (world + corpus + extractor construction), ``extraction``
+    (interning the records included), ``labeling`` (LCWA gold),
+    ``fusion``, and ``total``; a streamed run adds ``matrix``
+    (claim-column assembly + persistence) and has no ``scenario`` —
+    nothing corpus-sized survived it, only the counts.  ``metrics`` holds
+    the headline numbers against the gold standard: calibration
     ``deviation`` / ``weighted_deviation``, ``auc_pr``, ``coverage``
     (fraction of unique triples scored), and ``gold_accuracy`` (fraction
     of gold-labelled predictions on the right side of p = 0.5).
     """
 
-    scenario: Scenario
+    scenario: Scenario | None
     fusion: FusionResult
     backend: str
     n_workers: int | None
+    n_pages: int
+    n_records: int
     timings: dict[str, float] = field(default_factory=dict)
     metrics: dict[str, float] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
@@ -201,111 +189,156 @@ def run_end_to_end(
     n_workers: int | None = None,
     executor: Executor | None = None,
     cache_dir: str | Path | None = None,
+    chunk_pages: int | None = None,
+    copy_window: int | None = 1024,
 ) -> EndToEndResult:
     """Run extraction → gold labeling → fusion on one shared executor.
 
+    ``chunk_pages=None`` is the *materialised* case: one chunk, the whole
+    corpus of :func:`repro.artifacts.setup_worldgen` (``cache_dir`` is its
+    on-disk artifact cache, bit-identical to a fresh build;
+    ``diagnostics["scenario_cache"]`` reports ``hit`` / ``miss`` /
+    ``off``), with the records kept and returned in ``result.scenario``.
+    A number is the *streamed* case: :func:`repro.world.webgen.stream_corpus`
+    chunks of that many pages (``copy_window`` bounds its copy pool) are
+    extracted, folded into the claim accumulator and dropped.  With
+    ``cache_dir`` its claim columns are published to the content-addressed
+    column store and fusion runs over read-only memory-mapped views
+    (``diagnostics["column_store"] = "mapped"``), without it over the
+    in-memory columns (``"memory"``) — bitwise-identical either way, by test.
+
     ``backend`` (one of :data:`PIPELINE_BACKENDS`) selects the execution
-    mode for *both* stages.  Extraction takes it as is and is bit-identical
-    under every one.  Fusion follows it onto the pool, but an in-process
-    pipeline fuses ``serial`` (the scalar kernel) — which keeps ``batched``
-    bit-identical to ``serial`` end to end.  A caller-managed ``executor``
-    overrides the executor choice (and is not closed here).  The fusion
-    configuration inherits the scenario seed and that backend unless
-    ``fusion_config`` pins them explicitly.  ``cache_dir`` enables the
-    on-disk scenario artifact cache
-    (:func:`repro.artifacts.setup_worldgen`) for the setup stage —
-    bit-identical to a fresh build; ``diagnostics["scenario_cache"]``
-    reports ``hit`` / ``miss`` / ``off``.
+    mode for *both* stages; extraction is bit-identical under every one.
+    A caller-managed ``executor`` overrides the executor choice (and is
+    not closed here).  The fusion configuration inherits the scenario
+    seed and the backend (as spelled below) unless ``fusion_config`` pins
+    them.  ``diagnostics["peak_rss_mb"]`` is the process peak RSS after
+    the run.
     """
-    _validate_request(backend, PIPELINE_BACKENDS, method, "pipeline")
+    streamed = chunk_pages is not None
+    # Rejected before any work: a typo must not waste minutes of extraction.
+    if backend not in PIPELINE_BACKENDS:
+        raise ConfigError(
+            f"pipeline backend must be one of {PIPELINE_BACKENDS}, got {backend!r}"
+        )
+    _preset(method)
+    if streamed and chunk_pages < 1:
+        raise ConfigError(f"chunk_pages must be >= 1, got {chunk_pages}")
+    if copy_window is not None and copy_window < 0:
+        raise ConfigError(f"copy_window must be >= 0 or None, got {copy_window}")
     plan = EXECUTION_MODES[backend]
     if fusion_config is None:
+        # The one policy difference between the two cases: a materialised
+        # in-process run fuses the scalar kernel, which keeps ``batched``
+        # bit-identical to ``serial`` end to end.
         fusion_config = FusionConfig(
             seed=config.seed,
-            backend=backend if plan.pooled else "serial",
+            backend=fusion_mode_name(plan) if plan.pooled or streamed else "serial",
             n_workers=n_workers,
         )
 
-    owns_executor = executor is None
-    if owns_executor:
-        executor = plan.executor(n_workers)
-
     timings: dict[str, float] = {}
-    start_total = time.perf_counter()
-    try:
-        start = time.perf_counter()
-        world, freebase, corpus, cache_status = setup_worldgen(
-            config.seed, config.world, config.web, cache_dir
-        )
-        pipeline = build_extraction_pipeline(config, world)
-        timings["setup"] = time.perf_counter() - start
+    records: list = []  # a streamed run keeps none
+    chunk_sizes: list[int] = []
+    with timed_stage(timings, "total"), ExitStack() as owned:
+        if executor is None:
+            executor = owned.enter_context(plan.executor(n_workers))
 
-        start = time.perf_counter()
-        records = pipeline.run(corpus, backend=backend, executor=executor)
-        # pipeline.run withdraws the fleet from the shared executor at the
-        # stage boundary, so the pool restart (when fusion installs the
-        # claim columns) does not re-ship it to workers that never use it.
-        timings["extraction"] = time.perf_counter() - start
+        with timed_stage(timings, "setup"):
+            if streamed:
+                world = generate_world(config.world, config.seed)
+                freebase = build_freebase_snapshot(world)
+                chunks = stream_corpus(
+                    world, config.web, config.seed, chunk_pages, copy_window
+                )
+                store = {"chunk_pages": chunk_pages, "copy_window": copy_window}
+            else:
+                world, freebase, corpus, cache_status = setup_worldgen(
+                    config.seed, config.world, config.web, cache_dir
+                )
+                chunks = [corpus.pages]
+                store = {"scenario_cache": cache_status}
+            pipeline = build_extraction_pipeline(config, world)
 
-        start = time.perf_counter()
-        gold = label_gold(freebase, records)
-        timings["labeling"] = time.perf_counter() - start
+        with timed_stage(timings, "extraction"):
+            accumulator = ClaimAccumulator(fusion_config.granularity)
 
-        scenario = Scenario(
-            config=config,
-            world=world,
-            freebase=freebase,
-            corpus=corpus,
-            pipeline=pipeline,
-            records=records,
-            gold=gold,
-        )
+            def counted(pages):
+                chunk_sizes.append(len(pages))
+                return pages
 
-        start = time.perf_counter()
-        fuser = make_fuser(method, fusion_config, gold)
-        fusion_result = fuser.fuse(scenario.fusion_input(), executor=executor)
-        timings["fusion"] = time.perf_counter() - start
-    finally:
-        if owns_executor:
-            executor.close()
-    timings["total"] = time.perf_counter() - start_total
+            for chunk_records in pipeline.run_stream(
+                map(counted, chunks), backend=backend, executor=executor
+            ):
+                accumulator.add_records(chunk_records)
+                if not streamed:
+                    records.extend(chunk_records)
 
+        with timed_stage(timings, "labeling"):
+            gold = label_gold(freebase, accumulator.unique_triples())
+            fuser = make_fuser(method, fusion_config, gold)
+
+        if streamed:
+            scenario = None
+            with timed_stage(timings, "matrix"):
+                # The preset's granularity: POPACCU+ overrides the configured one.
+                cols = accumulator.build(fuser.config.granularity)
+                accumulator.release()
+                store["column_store"] = "memory"
+                if cache_dir is not None:
+                    try:
+                        cols = persist_columns(cols, cache_dir)
+                        owned.callback(cols.close)
+                        store["column_store"] = "mapped"
+                    except OSError:
+                        # An unwritable/full cache directory degrades to
+                        # the in-memory columns — same bits, higher RSS.
+                        store["column_store"] = "memory (persist fallback)"
+            # Bare columns: Stage III emits in canonical row order.
+            fusion_input = FusionInput.from_columns(cols)
+        else:
+            # The records share the accumulator they were interned into, so
+            # fusion (at any granularity) never walks them again, and
+            # ``serial`` emits in record-arrival order.
+            scenario = Scenario(
+                config=config,
+                world=world,
+                freebase=freebase,
+                corpus=corpus,
+                pipeline=pipeline,
+                records=records,
+                gold=gold,
+                _fusion_input=FusionInput(records, accumulator=accumulator),
+            )
+            fusion_input = scenario.fusion_input()
+
+        with timed_stage(timings, "fusion"):
+            fusion_result = fuser.fuse(fusion_input, executor=executor)
+
+    n_pages, n_records = sum(chunk_sizes), accumulator.n_records
     diagnostics = dict(fusion_result.diagnostics)
-    diagnostics["n_records"] = len(records)
-    diagnostics["n_pages"] = len(corpus.pages)
-    diagnostics["scenario_cache"] = cache_status
-    _stage_diagnostics(diagnostics, plan, pipeline, executor)
+    diagnostics.update(
+        n_records=n_records, n_pages=n_pages, n_chunks=len(chunk_sizes), **store
+    )
+    diagnostics["extraction_synthesis"] = plan.kernel
+    fallbacks = pipeline.synthesis_fallbacks()
+    if fallbacks:
+        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
+    if plan.pooled:
+        diagnostics.update(executor.diagnostics())
+    diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)
 
     return EndToEndResult(
         scenario=scenario,
         fusion=fusion_result,
         backend=backend,
         n_workers=n_workers,
+        n_pages=n_pages,
+        n_records=n_records,
         timings=timings,
         metrics=headline_metrics(fusion_result, gold),
         diagnostics=diagnostics,
     )
-
-
-@dataclass
-class StreamingResult:
-    """Everything one out-of-core pipeline run produced.
-
-    The streaming twin of :class:`EndToEndResult` — there is no
-    ``scenario`` because nothing corpus-sized survives the run: pages
-    and records exist one chunk at a time and the claim matrix lives in
-    (optionally memory-mapped) columns.  ``timings`` adds a ``matrix``
-    stage (claim-column assembly + persistence) to the usual keys.
-    """
-
-    fusion: FusionResult
-    backend: str
-    n_workers: int | None
-    n_pages: int
-    n_records: int
-    timings: dict[str, float] = field(default_factory=dict)
-    metrics: dict[str, float] = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
 
 
 def run_streaming_pipeline(
@@ -317,127 +350,11 @@ def run_streaming_pipeline(
     chunk_pages: int = 2048,
     copy_window: int | None = 1024,
     cache_dir: str | Path | None = None,
-) -> StreamingResult:
-    """Run the pipeline out of core: chunked worldgen + extraction,
-    accumulated claim columns, memory-mapped fusion.
-
-    The ``web`` scale tier's entry point.  Pages are generated and
-    extracted ``chunk_pages`` at a time
-    (:func:`repro.world.webgen.stream_corpus` →
-    :meth:`~repro.extract.pipeline.ExtractionPipeline.run_stream`) and
-    folded straight into a
-    :class:`~repro.fusion.observations.ClaimAccumulator`; the corpus and the
-    record list are never materialised.  With ``cache_dir`` set the
-    claim columns are published to the content-addressed column store
-    and fusion runs over read-only memory-mapped views
-    (``diagnostics["column_store"] = "mapped"``); workers receive a
-    ~300-byte :class:`~repro.artifacts.ColumnHandle` and re-map the
-    files zero-copy.  Without it fusion runs over the in-memory columns
-    (``"memory"``) — bitwise-identical either way, by test.
-
-    ``backend`` must be one of :data:`STREAMING_PIPELINE_BACKENDS`, and
-    fusion runs the same mode under its fusion-stage spelling (unlike
-    :func:`run_end_to_end`, ``batched`` therefore fuses ``vectorized``).
-    ``diagnostics["peak_rss_mb"]`` records the process peak RSS after the
-    run.
-    """
-    _validate_request(
-        backend, STREAMING_PIPELINE_BACKENDS, method, "streaming pipeline"
-    )
-    # Same reason: stream_corpus would only say so after the setup stage.
-    if chunk_pages < 1:
-        raise ConfigError(f"chunk_pages must be >= 1, got {chunk_pages}")
-    if copy_window is not None and copy_window < 0:
-        raise ConfigError(f"copy_window must be >= 0 or None, got {copy_window}")
-    plan = EXECUTION_MODES[backend]
-    if fusion_config is None:
-        fusion_config = FusionConfig(
-            seed=config.seed, backend=fusion_mode_name(plan), n_workers=n_workers
-        )
-    # The fuser preset decides the effective provenance granularity
-    # (POPACCU+ overrides it); the accumulator must fold records at that
-    # granularity, so resolve it from a gold-less probe fuser up front.
-    granularity = make_fuser(method, fusion_config, {}).config.granularity
-
-    executor = plan.executor(n_workers)
-    timings: dict[str, float] = {}
-    start_total = time.perf_counter()
-    mapped: MappedColumnarClaims | None = None
-    try:
-        start = time.perf_counter()
-        world = generate_world(config.world, config.seed)
-        freebase = build_freebase_snapshot(world)
-        pipeline = build_extraction_pipeline(config, world)
-        timings["setup"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        accumulator = ClaimAccumulator(granularity)
-        n_pages = 0
-        n_records = 0
-        n_chunks = 0
-
-        def counted_chunks():
-            nonlocal n_pages
-            for pages in stream_corpus(
-                world, config.web, config.seed, chunk_pages, copy_window
-            ):
-                n_pages += len(pages)
-                yield pages
-
-        for records in pipeline.run_stream(
-            counted_chunks(), backend=backend, executor=executor
-        ):
-            accumulator.add_records(records)
-            n_records += len(records)
-            n_chunks += 1
-        timings["extraction"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        gold = label_gold_triples(freebase, accumulator.unique_triples())
-        timings["labeling"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        cols = accumulator.build()
-        accumulator.release()
-        column_store = "memory"
-        if cache_dir is not None:
-            try:
-                mapped = persist_columns(cols, cache_dir)
-                cols = mapped
-                column_store = "mapped"
-            except OSError:
-                # An unwritable/full cache directory degrades to the
-                # in-memory columns — same bits, higher RSS.
-                column_store = "memory (persist fallback)"
-        timings["matrix"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        fuser = make_fuser(method, fusion_config, gold)
-        fusion_result = fuser.fuse(FusionInput.from_columns(cols), executor=executor)
-        timings["fusion"] = time.perf_counter() - start
-    finally:
-        executor.close()
-        if mapped is not None:
-            mapped.close()
-    timings["total"] = time.perf_counter() - start_total
-
-    diagnostics = dict(fusion_result.diagnostics)
-    diagnostics["n_records"] = n_records
-    diagnostics["n_pages"] = n_pages
-    diagnostics["n_chunks"] = n_chunks
-    diagnostics["chunk_pages"] = chunk_pages
-    diagnostics["copy_window"] = copy_window
-    diagnostics["column_store"] = column_store
-    _stage_diagnostics(diagnostics, plan, pipeline, executor)
-    diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)
-
-    return StreamingResult(
-        fusion=fusion_result,
-        backend=backend,
-        n_workers=n_workers,
-        n_pages=n_pages,
-        n_records=n_records,
-        timings=timings,
-        metrics=headline_metrics(fusion_result, gold),
-        diagnostics=diagnostics,
+) -> EndToEndResult:
+    """The streamed case of :func:`run_end_to_end` under its old name and
+    ``web``-tier defaults, kept importable for ``benchmarks/kfbench`` —
+    delete (with the ``label_gold`` alias) in the next ``[benchmark]`` PR."""
+    return run_end_to_end(
+        config, method, fusion_config, backend, n_workers,
+        cache_dir=cache_dir, chunk_pages=chunk_pages, copy_window=copy_window,
     )

@@ -12,8 +12,8 @@ The matrix has one primary form and one derived form:
 
 - the **columnar form** (:class:`ColumnarClaims`, via
   :meth:`ClaimMatrix.columnar`) is primary: an int-coded CSR layout built
-  by :class:`ClaimAccumulator` (or handed in prebuilt by the streaming
-  pipeline) and cached.  The accumulator interns each record once — a
+  by :class:`ClaimAccumulator` (or handed in prebuilt by a streamed
+  pipeline run) and cached.  The accumulator interns each record once — a
   triple code and four provenance-string codes — and is shared by all of
   a :class:`FusionInput`'s granularities: the row layout is computed once
   per vocabulary, and each granularity's provenance ids and claim CSR are
@@ -63,17 +63,18 @@ class FusionInput:
     The records are interned once, into one :class:`ClaimAccumulator`
     every granularity's columns are built from — so the second and later
     ``claims(g).columnar()`` of a granularity sweep cost array operations
-    only.
+    only.  A caller that already folded these records into an accumulator
+    (a materialised pipeline run) passes it as ``accumulator``.
 
-    :meth:`from_columns` wraps one prebuilt column set instead (the
-    streaming pipeline never holds a record list): ``records`` is then
+    :meth:`from_columns` wraps one prebuilt column set instead (a
+    streamed pipeline run never holds a record list): ``records`` is then
     None and ``claims()`` serves the one granularity the columns were
     built at — a granularity sweep needs the record path.
     """
 
     records: list[ExtractionRecord] | None
     _cache: dict[Granularity, "ClaimMatrix"] = field(default_factory=dict, repr=False)
-    _accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
+    accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
@@ -96,9 +97,9 @@ class FusionInput:
         return matrix
 
     def _accumulated(self) -> "ClaimAccumulator":
-        if self._accumulator is None:
-            self._accumulator = _accumulate(self.records)
-        return self._accumulator
+        if self.accumulator is None:
+            self.accumulator = _accumulate(self.records)
+        return self.accumulator
 
     def unique_triples(self) -> list[Triple]:
         """All distinct extracted triples (the paper's 1.6B 'unique')."""

@@ -11,12 +11,7 @@ import pytest
 
 from repro import endtoend
 from repro.datasets import tiny_config
-from repro.endtoend import (
-    PIPELINE_BACKENDS,
-    STREAMING_PIPELINE_BACKENDS,
-    run_end_to_end,
-    run_streaming_pipeline,
-)
+from repro.endtoend import PIPELINE_BACKENDS, PIPELINE_METHODS, run_end_to_end
 from repro.errors import ConfigError
 from repro.extract import EXTRACTION_BACKENDS
 from repro.fusion import BACKENDS, FusionConfig, parity_of
@@ -29,7 +24,8 @@ from repro.mapreduce.executors import (
 
 pytestmark = pytest.mark.parallel_backend
 
-#: name -> ((pooled, batched), the entry points that accept the name).
+#: name -> ((pooled, batched), the entry points that accept the name);
+#: ``pipeline`` / ``streaming`` are the two cases of ``run_end_to_end``.
 MODES = {
     "serial": ((False, False), {"fusion", "extraction", "pipeline", "streaming"}),
     "batched": ((False, True), {"extraction", "pipeline", "streaming"}),
@@ -38,18 +34,20 @@ MODES = {
     "hybrid": ((True, True), {"fusion", "extraction", "pipeline", "streaming"}),
 }
 
-#: What each pipeline backend's fusion stage must report at ``tiny``.
-END_TO_END = {
-    "serial": ("serial", "bitwise"),
-    "batched": ("serial", "bitwise"),
-    "parallel": ("parallel", "bitwise"),
-    "hybrid": ("hybrid", "tolerance"),
-}
-STREAMING = {
-    "serial": ("serial", "bitwise"),
-    "batched": ("vectorized", "tolerance"),
-    "parallel": ("parallel", "bitwise"),
-    "hybrid": ("hybrid", "tolerance"),
+#: ``chunk_pages`` of the two pipeline cases.
+CASES = {"pipeline": None, "streaming": 32}
+
+#: What each pipeline backend's fusion stage must report at ``tiny``: the
+#: mode's fusion spelling, except a materialised in-process run fuses serial.
+FUSION_STAGE = {
+    ("pipeline", "serial"): ("serial", "bitwise"),
+    ("pipeline", "batched"): ("serial", "bitwise"),
+    ("pipeline", "parallel"): ("parallel", "bitwise"),
+    ("pipeline", "hybrid"): ("hybrid", "tolerance"),
+    ("streaming", "serial"): ("serial", "bitwise"),
+    ("streaming", "batched"): ("vectorized", "tolerance"),
+    ("streaming", "parallel"): ("parallel", "bitwise"),
+    ("streaming", "hybrid"): ("hybrid", "tolerance"),
 }
 
 
@@ -76,7 +74,8 @@ class TestTable:
         assert BACKENDS == ("serial", "parallel", "vectorized", "hybrid")
         assert EXTRACTION_BACKENDS == ("serial", "batched", "parallel", "hybrid")
         assert PIPELINE_BACKENDS == ("serial", "batched", "parallel", "hybrid")
-        assert STREAMING_PIPELINE_BACKENDS == ("serial", "batched", "parallel", "hybrid")
+        assert not hasattr(endtoend, "STREAMING_PIPELINE_BACKENDS")  # one pipeline
+        assert PIPELINE_METHODS == ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 
     @pytest.mark.parametrize("name", [*MODES, "gpu"])
     def test_each_entry_point_accepts_exactly_its_vocabulary(
@@ -96,12 +95,14 @@ class TestTable:
                     )
                 ),
             }
-        for label, run in (
-            ("pipeline", run_end_to_end),
-            ("streaming", run_streaming_pipeline),
-        ):
+        for label, chunk_pages in CASES.items():
             with pytest.raises(ConfigError) as rejected:
-                run(tiny_config(seed=7), method="no-such-method", backend=name)
+                run_end_to_end(
+                    tiny_config(seed=7),
+                    method="no-such-method",
+                    backend=name,
+                    chunk_pages=chunk_pages,
+                )
             accepted[label] = "unknown fusion method" in str(rejected.value)
         expected = MODES.get(name, (None, set()))[1]
         assert {label for label, ok in accepted.items() if ok} == expected
@@ -135,32 +136,22 @@ class TestTable:
 
 
 class TestDerivedContracts:
-    @pytest.mark.parametrize("backend", END_TO_END)
-    def test_end_to_end_backend_used_and_parity(self, backend):
+    @pytest.mark.parametrize("case, backend", FUSION_STAGE)
+    def test_pipeline_backend_used_and_parity(self, case, backend):
         result = run_end_to_end(
-            tiny_config(seed=7), backend=backend, n_workers=_workers(backend)
+            tiny_config(seed=7),
+            backend=backend,
+            n_workers=_workers(backend),
+            chunk_pages=CASES[case],
         )
         diagnostics = result.diagnostics
-        assert (diagnostics["backend_used"], diagnostics["parity"]) == END_TO_END[
-            backend
+        assert (diagnostics["backend_used"], diagnostics["parity"]) == FUSION_STAGE[
+            case, backend
         ]
         assert diagnostics["extraction_synthesis"] == (
             "batched" if EXECUTION_MODES[backend].batched else "scalar"
         )
         assert ("n_workers" in diagnostics) == EXECUTION_MODES[backend].pooled
-
-    @pytest.mark.parametrize("backend", STREAMING)
-    def test_streaming_backend_used_and_parity(self, backend):
-        result = run_streaming_pipeline(
-            tiny_config(seed=7),
-            backend=backend,
-            n_workers=_workers(backend),
-            chunk_pages=32,
-        )
-        diagnostics = result.diagnostics
-        assert (diagnostics["backend_used"], diagnostics["parity"]) == STREAMING[
-            backend
-        ]
 
     @pytest.mark.parametrize(
         "backend_used, parity",
@@ -183,18 +174,25 @@ class TestDerivedContracts:
             parity_of(backend_used)
 
 
-class TestStreamingChunkPages:
-    @pytest.mark.parametrize("chunk_pages", [0, -5])
-    def test_bad_chunk_pages_is_a_config_error(self, chunk_pages):
-        with pytest.raises(ConfigError, match="chunk_pages must be >= 1"):
-            run_streaming_pipeline(
-                tiny_config(seed=7), backend="batched", chunk_pages=chunk_pages
-            )
-
-    def test_bad_copy_window_is_a_config_error_before_setup(self, monkeypatch):
-        """It used to surface as deque's bare ValueError, after the setup stage."""
+class TestOneValidation:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"chunk_pages": 0}, "chunk_pages must be >= 1"),
+            ({"chunk_pages": -5}, "chunk_pages must be >= 1"),
+            # It used to surface as deque's bare ValueError, after the setup stage.
+            ({"chunk_pages": 16, "copy_window": -5}, "copy_window must be >= 0"),
+            ({"copy_window": -5}, "copy_window must be >= 0"),
+            ({"method": "nope"}, "unknown fusion method"),
+            ({"chunk_pages": 16, "method": "nope"}, "unknown fusion method"),
+            ({"backend": "gpu"}, "pipeline backend must be one of"),
+            ({"chunk_pages": 16, "backend": "vectorized"}, "pipeline backend must be one of"),
+        ],
+    )
+    def test_bad_request_is_a_config_error_before_any_work(
+        self, bad, message, monkeypatch
+    ):
         monkeypatch.setattr(endtoend, "generate_world", pytest.fail)
-        with pytest.raises(ConfigError, match="copy_window must be >= 0"):
-            run_streaming_pipeline(
-                tiny_config(seed=7), backend="batched", copy_window=-5
-            )
+        monkeypatch.setattr(endtoend, "setup_worldgen", pytest.fail)
+        with pytest.raises(ConfigError, match=message):
+            run_end_to_end(tiny_config(seed=7), **bad)

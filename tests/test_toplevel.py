@@ -93,6 +93,28 @@ class TestCLI:
         assert "backend:       serial" in out
         assert "records:" in out and "extract time:" in out
 
+    def test_extract_time_excludes_executor_teardown(self, capsys, monkeypatch):
+        """On a clock that ticks once per reading: the extraction clock
+        used to be read after ``executor.close()``, billing pool teardown
+        (here 1000 ticks) to the stage."""
+        import itertools
+        import time
+
+        from repro.mapreduce.executors import SerialExecutor
+
+        clock = itertools.count()
+        close = SerialExecutor.close
+
+        def slow_close(self):
+            for _ in range(1000):
+                next(clock)
+            close(self)
+
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+        monkeypatch.setattr(SerialExecutor, "close", slow_close)
+        assert main(["extract", "--scale", "tiny", "--seed", "7"]) == 0
+        assert "extract time:  1.000s" in capsys.readouterr().out
+
     def test_extract_parallel_reports_fallbacks(self, capsys):
         assert (
             main(
@@ -208,6 +230,9 @@ class TestCLIPipeline:
         for stage in ("setup:", "extraction:", "labeling:", "fusion:", "total:"):
             assert stage in out
         assert "auc-pr:" in out and "gold accuracy:" in out
+        # One 15-column label gutter ("scenario cache: " used to be 16).
+        assert "setup cache:   off" in out
+        assert all(line[14] == " " and line[15] != " " for line in out.splitlines())
 
     @pytest.mark.parallel_backend
     def test_pipeline_parallel_reports_workers_and_fallbacks(self, capsys):
