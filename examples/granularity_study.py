@@ -33,9 +33,8 @@ def main() -> None:
 
     rows = []
     for label, granularity in LEVELS:
-        matrix = fusion_input.claims(granularity)
-        support = list(matrix.provenance_support().values())
-        singletons = sum(1 for s in support if s == 1) / len(support)
+        support = fusion_input.claims(granularity).columnar().prov_row_counts()
+        singletons = (support == 1).mean()
         config = replace(FusionConfig(), granularity=granularity)
         result = popaccu(config).fuse(fusion_input)
         metrics = metrics_for(result.probabilities, scenario.gold)

@@ -19,6 +19,11 @@ KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/kernels.py",
     "src/repro/fusion/runner.py",
     "src/repro/fusion/shuffle.py",
+    "src/repro/fusion/extensions/rounds.py",
+    "src/repro/fusion/extensions/split_quality.py",
+    "src/repro/fusion/extensions/functionality.py",
+    "src/repro/fusion/extensions/hierarchy.py",
+    "src/repro/fusion/extensions/confidence.py",
     "src/repro/extract/kernels.py",
     "src/repro/extract/synthesis.py",
     "src/repro/mapreduce/executors.py",

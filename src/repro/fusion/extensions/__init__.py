@@ -17,6 +17,11 @@ modelling changes this package implements, each as a drop-in
 - :class:`ConfidenceWeightedFuser` — direction 5: weight claims by the
   extractor's reported confidence, rank-normalised per extractor so that
   miscalibrated extractors (TBL1, ANO) cannot poison the vote.
+
+Each is an initial state and one array ``step`` over the claim columns,
+driven by the one round loop of :mod:`repro.fusion.extensions.rounds`;
+the dict implementations they replaced are the 1e-9 comparand under
+``tests/oracle/extensions.py``.
 """
 
 from repro.fusion.extensions.split_quality import SplitQualityFuser

@@ -17,26 +17,23 @@ to scale the claim's vote count in an ACCU-style posterior:
 Records without a confidence get weight 0.5.  Accuracy re-estimation is
 likewise weighted, so a provenance is judged mostly by the claims it was
 confident about.
+
+Confidences live on the extraction records, so this fuser — alone among
+the fusers — cannot fuse bare columns.
 """
 
 from __future__ import annotations
 
-import bisect
-import math
-from collections import defaultdict
+import numpy as np
 
+from repro.errors import FusionError
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionResult
-from repro.fusion.observations import FusionInput
+from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
+from repro.fusion.observations import ColumnarClaims, FusionInput, _sorted_table
 from repro.fusion.provenance import provenance_key
-from repro.kb.triples import DataItem, Triple
 
 __all__ = ["ConfidenceWeightedFuser"]
-
-_EPS = 1e-3
-
-
-def _clamp(x: float) -> float:
-    return min(max(x, _EPS), 1.0 - _EPS)
 
 
 class ConfidenceWeightedFuser(Fuser):
@@ -46,93 +43,83 @@ class ConfidenceWeightedFuser(Fuser):
     def name(self) -> str:
         return "CONFACCU"
 
-    def _normalised_weights(
-        self, fusion_input: FusionInput
-    ) -> dict[tuple[Triple, tuple], float]:
-        """Weight per (triple, provenance) claim in [0.05, 1.0]."""
-        by_extractor: dict[str, list[float]] = defaultdict(list)
-        for record in fusion_input.records:
-            if record.confidence is not None:
-                by_extractor[record.extractor].append(record.confidence)
-        sorted_confidences = {
-            extractor: sorted(values) for extractor, values in by_extractor.items()
-        }
-        weights: dict[tuple[Triple, tuple], float] = {}
-        for record in fusion_input.records:
-            key = (record.triple, provenance_key(record, self.config.granularity))
-            if record.confidence is None:
-                weight = 0.5
-            else:
-                ranks = sorted_confidences[record.extractor]
-                position = bisect.bisect_right(ranks, record.confidence)
-                weight = max(0.05, position / len(ranks))
-            # A claim backed by several records keeps its best weight.
-            weights[key] = max(weights.get(key, 0.0), weight)
-        return weights
+    def claim_weights(
+        self, fusion_input: FusionInput, cols: ColumnarClaims
+    ) -> np.ndarray:
+        """Weight in [0.05, 1.0] of each claim of ``cols`` (aligned with
+        ``cols.claim_prov``), from the confidences of ``fusion_input``'s
+        records at ``cols.granularity``."""
+        records = fusion_input.records
+        if records is None:
+            raise FusionError(
+                f"{self.name} weights claims by the extraction records' "
+                "confidences; this fusion input holds bare claim columns"
+            )
+        n_provs = len(cols.provenances)
+        row_of = {triple: r for r, triple in enumerate(cols.triples)}
+        prov_of = {prov: p for p, prov in enumerate(cols.provenances)}
+        record_key = np.fromiter(
+            (
+                row_of[record.triple] * n_provs
+                + prov_of[provenance_key(record, cols.granularity)]
+                for record in records
+            ),
+            np.int64,
+            len(records),
+        )
+        # Claims are sorted by (row, provenance), so by this key.
+        record_claim = np.searchsorted(
+            claim_rows(cols) * n_provs + cols.claim_prov, record_key
+        )
+
+        confident = np.array([record.confidence is not None for record in records], dtype=bool)
+        confidence = np.array(
+            [record.confidence or 0.0 for record in records], dtype=np.float64
+        )
+        extractors, record_extractor = _sorted_table(
+            [record.extractor for record in records]
+        )
+        weight = np.full(len(records), 0.5)
+        for e in range(len(extractors)):
+            # Rank within the extractor's own confidence distribution.
+            mine = np.flatnonzero(confident & (record_extractor == e))
+            ranks = np.sort(confidence[mine])
+            position = np.searchsorted(ranks, confidence[mine], side="right")
+            weight[mine] = np.maximum(0.05, position / len(mine))
+        # A claim backed by several records keeps its best weight.
+        claim_weight = np.zeros(cols.n_claims)
+        np.maximum.at(claim_weight, record_claim, weight)
+        return claim_weight
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        matrix = fusion_input.claims(config.granularity)
-        weights = self._normalised_weights(fusion_input)
-        accuracies = {prov: config.default_accuracy for prov in matrix.prov_triples}
-        n_false = config.n_false_values
+        cols = fusion_input.claims(config.granularity).columnar()
+        weight = self.claim_weights(fusion_input, cols)
+        claim_row = claim_rows(cols)
+        n_provs = len(cols.provenances)
+        weight_total = np.bincount(cols.claim_prov, weight, n_provs)
+        observed = np.ones(cols.n_rows, dtype=bool)
 
-        def item_posteriors(
-            item: DataItem, triple_map
-        ) -> dict[Triple, float]:
-            vote_counts: dict[Triple, float] = {}
-            for triple, provs in triple_map.items():
-                votes = 0.0
-                for prov in provs:
-                    accuracy = _clamp(accuracies[prov])
-                    weight = weights.get((triple, prov), 0.5)
-                    votes += weight * math.log(
-                        n_false * accuracy / (1.0 - accuracy)
-                    )
-                vote_counts[triple] = votes
-            k = len(vote_counts)
-            peak = max(max(vote_counts.values()), 0.0)
-            denominator = sum(
-                math.exp(v - peak) for v in vote_counts.values()
-            ) + max(n_false + 1 - k, 0) * math.exp(-peak)
-            return {
-                triple: math.exp(v - peak) / denominator
-                for triple, v in vote_counts.items()
-            }
+        def step(state):
+            (accuracies,) = state
+            votes = weight * kernels.accu_claim_votes(
+                cols, accuracies, config.n_false_values
+            )
+            posteriors = kernels.accu_softmax(
+                cols,
+                kernels._segment_sum(votes, cols.row_ptr),
+                observed,
+                config.n_false_values,
+            )
+            weighted = np.bincount(
+                cols.claim_prov, weight * posteriors[claim_row], n_provs
+            )
+            return posteriors, (weighted / weight_total,)
 
-        posteriors: dict[Triple, float] = {}
-        rounds = 0
-        converged = False
-        for _round in range(config.max_rounds):
-            posteriors = {}
-            for item, triple_map in matrix.items.items():
-                posteriors.update(item_posteriors(item, triple_map))
-            delta = 0.0
-            sums: dict = defaultdict(float)
-            totals: dict = defaultdict(float)
-            for prov, triples in matrix.prov_triples.items():
-                for triple in triples:
-                    weight = weights.get((triple, prov), 0.5)
-                    sums[prov] += weight * posteriors[triple]
-                    totals[prov] += weight
-            for prov in matrix.prov_triples:
-                if totals[prov] > 0:
-                    new_accuracy = sums[prov] / totals[prov]
-                    delta = max(delta, abs(new_accuracy - accuracies[prov]))
-                    accuracies[prov] = new_accuracy
-            rounds += 1
-            if delta < config.convergence_tol:
-                converged = True
-                break
-
-        result = FusionResult(
-            method=self.name,
-            probabilities=posteriors,
-            accuracies=accuracies,
-            rounds=rounds,
-            converged=converged,
-            diagnostics={"n_items": len(matrix.items)},
+        result, (accuracies,) = fuse_rounds(
+            self.name, cols, config,
+            (np.full(n_provs, config.default_accuracy),), step,
         )
-        result.validate()
+        result.accuracies = dict(zip(cols.provenances, accuracies.tolist()))
         return result

@@ -27,20 +27,19 @@ exactly what the single-truth methods cannot do.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionResult
-from repro.fusion.observations import FusionInput
+from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
+from repro.fusion.observations import FusionInput, _sorted_table
 from repro.fusion.popaccu import PopAccu
-from repro.kb.triples import Triple
 
 __all__ = ["MultiTruthFuser"]
 
-_EPS = 1e-3
 
-
-def _clamp(x: float) -> float:
-    return min(max(x, _EPS), 1.0 - _EPS)
+def _clamp(x: np.ndarray) -> np.ndarray:
+    return np.clip(x, kernels.ACC_FLOOR, kernels.ACC_CEIL)
 
 
 class MultiTruthFuser(Fuser):
@@ -51,7 +50,7 @@ class MultiTruthFuser(Fuser):
         return "MULTITRUTH"
 
     def learned_functionality(
-        self, fusion_input: FusionInput
+        self, fusion_input: FusionInput, executor=None
     ) -> dict[str, float]:
         """Expected #true values per data item, per predicate.
 
@@ -61,119 +60,95 @@ class MultiTruthFuser(Fuser):
         but most actors participate in many movies").
         """
         bootstrap = PopAccu(self.config, gold_labels=self.gold_labels).fuse(
-            fusion_input
+            fusion_input, executor
         )
-        per_item: dict = defaultdict(float)
-        for triple, probability in bootstrap.probabilities.items():
-            per_item[triple.data_item] += probability
-        by_predicate: dict[str, list[float]] = defaultdict(list)
-        for item, expected in per_item.items():
-            by_predicate[item.predicate].append(expected)
+        cols = fusion_input.claims(self.config.granularity).columnar()
+        probability = np.array(
+            [bootstrap.probabilities.get(triple, np.nan) for triple in cols.triples],
+            dtype=np.float64,
+        )
+        scored = np.flatnonzero(~np.isnan(probability))
+        expected = np.bincount(cols.row_item[scored], probability[scored], cols.n_items)
+        # Items the bootstrap scored no value of say nothing about their predicate.
+        seen = np.bincount(cols.row_item[scored], minlength=cols.n_items) > 0
+        predicates, item_predicate = _sorted_table([item.predicate for item in cols.items])
+        n_items = np.bincount(item_predicate[seen], minlength=len(predicates))
+        total = np.bincount(item_predicate[seen], expected[seen], len(predicates))
         return {
-            predicate: max(sum(values) / len(values), 0.05)
-            for predicate, values in by_predicate.items()
+            predicate: max(t / n, 0.05)
+            for predicate, t, n in zip(predicates, total.tolist(), n_items.tolist())
+            if n
         }
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
-        # executor accepted per the Fuser contract; this fuser runs in-process.
+        # The bootstrap pass honours config.backend (and so the executor);
+        # the EM itself runs in-process.
         config = self.config
-        functionality = self.learned_functionality(fusion_input)
-        matrix = fusion_input.claims(config.granularity)
-
-        # Per-item structures: which provenances claim which triple.
-        items = matrix.items
-        prov_triples = matrix.prov_triples
+        functionality = self.learned_functionality(fusion_input, executor)
+        cols = fusion_input.claims(config.granularity).columnar()
+        n_provs = len(cols.provenances)
+        row_item, claim_prov = cols.row_item, cols.claim_prov
+        claim_row = claim_rows(cols)
 
         # Priors: an item with k observed values and expected f truths has
         # per-value prior ~ f/k (clamped into (0,1)).
-        prior: dict[Triple, float] = {}
-        for item, triple_map in items.items():
-            f = functionality.get(item.predicate, 1.0)
-            k = max(len(triple_map), 1)
-            pi = _clamp(f / k)
-            for triple in triple_map:
-                prior[triple] = pi
+        item_functionality = np.array(
+            [functionality.get(item.predicate, 1.0) for item in cols.items]
+        )
+        prior = _clamp(item_functionality / np.diff(cols.item_ptr))[row_item]
+
+        # The distinct (item, provenance) pairs: who could have claimed
+        # each of an item's values.
+        pair_item, pair_prov = np.divmod(
+            np.unique(row_item[claim_row] * n_provs + claim_prov), max(n_provs, 1)
+        )
 
         # Smoothing: sens/spec shrink toward their priors (0.7 / 0.9) with
         # pseudo-count 2.  A flat 0.5-mean smoothing would be fatal here:
         # items whose values are *all* true leave the specificity estimate
         # dataless, and a 0.5 specificity makes claims uninformative.
         sens_prior, spec_prior, strength = 0.7, 0.9, 2.0
-        sens = {prov: sens_prior for prov in prov_triples}
-        spec = {prov: spec_prior for prov in prov_triples}
-        probabilities: dict[Triple, float] = dict(prior)
 
-        import math
+        def log_likelihood(log_prior, claiming, silent):
+            """Per row: every provenance of its item silent, then the row's
+            claimers switched from their silent term to their claiming one."""
+            return (
+                log_prior
+                + np.bincount(pair_item, silent[pair_prov], cols.n_items)[row_item]
+                + kernels._segment_sum((claiming - silent)[claim_prov], cols.row_ptr)
+            )
 
-        rounds = 0
-        converged = False
-        for _round in range(config.max_rounds):
-            new_probabilities: dict[Triple, float] = {}
-            for item, triple_map in items.items():
-                item_provs = {
-                    prov for provs in triple_map.values() for prov in provs
-                }
-                for triple, provs in triple_map.items():
-                    log_true = math.log(prior[triple])
-                    log_false = math.log(1.0 - prior[triple])
-                    for prov in item_provs:
-                        s = _clamp(sens[prov])
-                        c = _clamp(spec[prov])
-                        if prov in provs:
-                            log_true += math.log(s)
-                            log_false += math.log(1.0 - c)
-                        else:
-                            log_true += math.log(1.0 - s)
-                            log_false += math.log(c)
-                    peak = max(log_true, log_false)
-                    numerator = math.exp(log_true - peak)
-                    new_probabilities[triple] = numerator / (
-                        numerator + math.exp(log_false - peak)
-                    )
+        def expected(values):
+            """Per provenance: ``values`` summed over the rows it claims, and
+            over every row of the items it claims anything of."""
+            item_values = kernels._segment_sum(values, cols.item_ptr)
+            return (
+                np.bincount(claim_prov, values[claim_row], n_provs),
+                np.bincount(pair_prov, item_values[pair_item], n_provs),
+            )
+
+        def step(state):
+            sens, spec = _clamp(state[0]), _clamp(state[1])
+            log_true = log_likelihood(np.log(prior), np.log(sens), np.log(1.0 - sens))
+            log_false = log_likelihood(
+                np.log(1.0 - prior), np.log(1.0 - spec), np.log(spec)
+            )
+            peak = np.maximum(log_true, log_false)
+            numerator = np.exp(log_true - peak)
+            posteriors = numerator / (numerator + np.exp(log_false - peak))
             # M-step: sensitivity = P(claim | true), specificity =
             # P(silent | false), estimated over each provenance's items.
-            delta = 0.0
-            for prov, claimed in prov_triples.items():
-                expected_true_claimed = 0.0
-                expected_true_total = 0.0
-                expected_false_claimed = 0.0
-                expected_false_total = 0.0
-                seen_items = {t.data_item for t in claimed}
-                for item in seen_items:
-                    for triple in items[item]:
-                        p = new_probabilities[triple]
-                        claimed_here = prov in items[item][triple]
-                        expected_true_total += p
-                        expected_false_total += 1.0 - p
-                        if claimed_here:
-                            expected_true_claimed += p
-                            expected_false_claimed += 1.0 - p
-                new_sens = (expected_true_claimed + strength * sens_prior) / (
-                    expected_true_total + strength
-                )
-                new_spec = (
-                    expected_false_total
-                    - expected_false_claimed
-                    + strength * spec_prior
-                ) / (expected_false_total + strength)
-                delta = max(delta, abs(new_sens - sens[prov]), abs(new_spec - spec[prov]))
-                sens[prov] = new_sens
-                spec[prov] = new_spec
-            probabilities = new_probabilities
-            rounds += 1
-            if delta < config.convergence_tol:
-                converged = True
-                break
+            true_claimed, true_total = expected(posteriors)
+            false_claimed, false_total = expected(1.0 - posteriors)
+            new_sens = (true_claimed + strength * sens_prior) / (true_total + strength)
+            new_spec = (false_total - false_claimed + strength * spec_prior) / (
+                false_total + strength
+            )
+            return posteriors, (new_sens, new_spec)
 
-        result = FusionResult(
-            method=self.name,
-            probabilities=probabilities,
-            rounds=rounds,
-            converged=converged,
-            diagnostics={
-                "functionality": functionality,
-                "n_items": len(items),
-            },
+        result, _state = fuse_rounds(
+            self.name, cols, config,
+            (np.full(n_provs, sens_prior), np.full(n_provs, spec_prior)), step,
         )
-        result.validate()
+        result.diagnostics["functionality"] = functionality
         return result

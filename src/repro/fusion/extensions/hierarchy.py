@@ -23,23 +23,18 @@ the specific/general false negatives of Figure 17.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
+import numpy as np
 
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionConfig, FusionResult
-from repro.fusion.observations import FusionInput, ProvKey
+from repro.fusion.extensions.rounds import fuse_rounds
+from repro.fusion.observations import ColumnarClaims, FusionInput
 from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.schema import Schema
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef
 
 __all__ = ["HierarchicalFuser"]
-
-_EPS = 1e-3
-
-
-def _clamp(x: float) -> float:
-    return min(max(x, _EPS), 1.0 - _EPS)
 
 
 class HierarchicalFuser(Fuser):
@@ -86,78 +81,60 @@ class HierarchicalFuser(Fuser):
             return self.lambda_down**distance
         return 0.0
 
-    def _item_posteriors(
-        self,
-        claims: dict[Triple, set[ProvKey]],
-        accuracies: dict[ProvKey, float],
-    ) -> dict[Triple, float]:
-        """Weighted-vote posteriors over the observed values.
-
-        Each candidate's vote count accumulates τ(S) from every claim,
-        scaled by the hierarchy support weight; the posterior for a
-        candidate is a logistic over its votes against the unobserved-value
-        baseline, which deliberately does *not* normalise across candidates
-        (a chain of compatible values may all be true).
-        """
-        n_false = self.config.n_false_values
-        posteriors: dict[Triple, float] = {}
-        for candidate in claims:
-            votes = 0.0
-            for claimed, provs in claims.items():
-                weight = self._support_weight(claimed, candidate)
-                if weight <= 0.0:
-                    continue
-                for prov in provs:
-                    accuracy = _clamp(accuracies[prov])
-                    votes += weight * math.log(
-                        n_false * accuracy / (1.0 - accuracy)
-                    )
-            # Logistic against N uniformly-likely false values.
-            posteriors[candidate] = 1.0 / (1.0 + n_false * math.exp(-votes))
-        return posteriors
+    def support(
+        self, cols: ColumnarClaims
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(candidate row, claimed row, weight)`` for every pair of rows
+        of one data item where a claim of the second supports the first
+        (weight > 0; every row supports itself at weight 1)."""
+        triples = cols.triples
+        item_ptr = cols.item_ptr.tolist()
+        candidates: list[int] = []
+        claimed: list[int] = []
+        weights: list[float] = []
+        for j in range(cols.n_items):
+            rows = range(item_ptr[j], item_ptr[j + 1])
+            for candidate in rows:
+                for row in rows:
+                    weight = self._support_weight(triples[row], triples[candidate])
+                    if weight > 0.0:
+                        candidates.append(candidate)
+                        claimed.append(row)
+                        weights.append(weight)
+        return (
+            np.array(candidates, dtype=np.int64),
+            np.array(claimed, dtype=np.int64),
+            np.array(weights, dtype=np.float64),
+        )
 
     # ------------------------------------------------------------------
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        matrix = fusion_input.claims(config.granularity)
-        accuracies = {
-            prov: config.default_accuracy for prov in matrix.prov_triples
-        }
+        cols = fusion_input.claims(config.granularity).columnar()
+        candidate, claimed, weight = self.support(cols)
+        n_false = config.n_false_values
 
-        posteriors: dict[Triple, float] = {}
-        rounds = 0
-        converged = False
-        for _round in range(config.max_rounds):
-            posteriors = {}
-            for item, triple_map in matrix.items.items():
-                posteriors.update(
-                    self._item_posteriors(
-                        {t: set(p) for t, p in triple_map.items()}, accuracies
-                    )
-                )
-            delta = 0.0
-            by_prov: dict[ProvKey, list[float]] = defaultdict(list)
-            for item, triple_map in matrix.items.items():
-                for triple, provs in triple_map.items():
-                    for prov in provs:
-                        by_prov[prov].append(posteriors[triple])
-            for prov, values in by_prov.items():
-                new_accuracy = sum(values) / len(values)
-                delta = max(delta, abs(new_accuracy - accuracies[prov]))
-                accuracies[prov] = new_accuracy
-            rounds += 1
-            if delta < config.convergence_tol:
-                converged = True
-                break
+        def step(state):
+            (accuracies,) = state
+            # Each candidate's vote count accumulates τ(S) from every
+            # claim, scaled by the hierarchy support weight; the posterior
+            # is a logistic over its votes against N uniformly-likely
+            # false values, which deliberately does *not* normalise across
+            # candidates (a chain of compatible values may all be true).
+            row_votes = kernels._segment_sum(
+                kernels.accu_claim_votes(cols, accuracies, n_false), cols.row_ptr
+            )
+            votes = np.bincount(candidate, weight * row_votes[claimed], cols.n_rows)
+            posteriors = 1.0 / (1.0 + n_false * np.exp(-votes))
+            means = kernels._segment_sum(
+                posteriors[cols.prov_rows], cols.prov_ptr
+            ) / np.diff(cols.prov_ptr)
+            return posteriors, (means,)
 
-        result = FusionResult(
-            method=self.name,
-            probabilities=posteriors,
-            accuracies=accuracies,
-            rounds=rounds,
-            converged=converged,
-            diagnostics={"n_items": len(matrix.items)},
+        result, (accuracies,) = fuse_rounds(
+            self.name, cols, config,
+            (np.full(len(cols.provenances), config.default_accuracy),), step,
         )
-        result.validate()
+        result.accuracies = dict(zip(cols.provenances, accuracies.tolist()))
         return result

@@ -27,24 +27,23 @@ claim.
 An extractor that makes the same mistake on many sources drags ``q_E``
 down globally — exactly the signal Figure 18 shows is buried by the
 (Extractor, URL) cross-product.
+
+The model's deduplicated ``(triple, extractor, site)`` claims *are* the
+claim columns at ``Granularity.EXTRACTOR_SITE``, whatever
+``config.granularity`` says.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
-from repro.fusion.accu import accu_item_posteriors
+from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionConfig, FusionResult
-from repro.fusion.observations import FusionInput
-from repro.kb.triples import DataItem, Triple
+from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
+from repro.fusion.observations import FusionInput, _sorted_table
+from repro.fusion.provenance import Granularity
 
 __all__ = ["SplitQualityFuser"]
-
-_EPS = 1e-3
-
-
-def _clamp(x: float) -> float:
-    return min(max(x, _EPS), 1.0 - _EPS)
 
 
 class SplitQualityFuser(Fuser):
@@ -72,90 +71,52 @@ class SplitQualityFuser(Fuser):
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        # Claims: (item, triple, extractor, site), deduplicated.
-        claims: set[tuple[DataItem, Triple, str, str]] = set()
-        for record in fusion_input.records:
-            claims.add(
-                (record.triple.data_item, record.triple, record.extractor, record.site)
+        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE).columnar()
+        extractors, prov_extractor = _sorted_table([e for e, _site in cols.provenances])
+        sites, prov_site = _sorted_table([s for _extractor, s in cols.provenances])
+        claim_row = claim_rows(cols)
+        claim_extractor = prov_extractor[cols.claim_prov]
+        claim_site = prov_site[cols.claim_prov]
+        everyone = np.ones(len(cols.provenances), dtype=bool)
+        prior = config.default_accuracy
+
+        def shrunk_mean(codes, weights, values, strength, size):
+            """Per code: the weighted mean of ``values``, shrunk toward the
+            prior with pseudo-count ``strength``."""
+            return (strength * prior + np.bincount(codes, weights * values, size)) / (
+                strength + np.bincount(codes, weights, size)
             )
-        by_item: dict[DataItem, dict[Triple, set[tuple[str, str]]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        ext_triples: dict[str, set[tuple[Triple, str]]] = defaultdict(set)
-        site_triples: dict[str, set[tuple[Triple, str]]] = defaultdict(set)
-        for item, triple, extractor, site in claims:
-            by_item[item][triple].add((extractor, site))
-            ext_triples[extractor].add((triple, site))
-            site_triples[site].add((triple, extractor))
 
-        q = {extractor: config.default_accuracy for extractor in ext_triples}
-        a = {site: config.default_accuracy for site in site_triples}
-
-        posteriors: dict[Triple, float] = {}
-        rounds = 0
-        converged = False
-        for _round in range(config.max_rounds):
-            # Stage I: per-item posteriors with factored accuracies.  The
-            # pair accuracy q·a plays the per-provenance accuracy role in
-            # the standard ACCU posterior.
-            posteriors = {}
-            for item, triple_map in by_item.items():
-                pair_accuracy = {
-                    pair: _clamp(q[pair[0]] * a[pair[1]])
-                    for pairs in triple_map.values()
-                    for pair in pairs
-                }
-                item_posteriors = accu_item_posteriors(
-                    {t: set(pairs) for t, pairs in triple_map.items()},
-                    pair_accuracy,
-                    config.n_false_values,
-                )
-                posteriors.update(item_posteriors)
+        def step(state):
+            q, a = state
+            # Stage I: the pair accuracy q·a plays the per-provenance
+            # accuracy role in the standard ACCU posterior.
+            posteriors = kernels.accu_round(
+                cols, q[prov_extractor] * a[prov_site], everyone, config.n_false_values
+            ).posteriors
             # Stage II: re-estimate the factors, cross-weighted and shrunk
             # toward the prior (see module docstring).
-            prior = config.default_accuracy
-            delta = 0.0
-            new_q = {}
-            for extractor, observations in ext_triples.items():
-                weight_total = self.extractor_prior_strength
-                weighted = self.extractor_prior_strength * prior
-                for triple, site in observations:
-                    weight = a[site]
-                    weighted += weight * posteriors[triple]
-                    weight_total += weight
-                new_q[extractor] = weighted / weight_total
-            new_a = {}
-            for site, observations in site_triples.items():
-                weight_total = self.site_prior_strength
-                weighted = self.site_prior_strength * prior
-                for triple, extractor in observations:
-                    weight = q[extractor]
-                    weighted += weight * posteriors[triple]
-                    weight_total += weight
-                new_a[site] = weighted / weight_total
-            for extractor, value in new_q.items():
-                delta = max(delta, abs(value - q[extractor]))
-                q[extractor] = value
-            for site, value in new_a.items():
-                delta = max(delta, abs(value - a[site]))
-                a[site] = value
-            rounds += 1
-            if delta < config.convergence_tol:
-                converged = True
-                break
+            claimed = posteriors[claim_row]
+            new_q = shrunk_mean(
+                claim_extractor, a[claim_site], claimed,
+                self.extractor_prior_strength, len(q),
+            )
+            new_a = shrunk_mean(
+                claim_site, q[claim_extractor], claimed,
+                self.site_prior_strength, len(a),
+            )
+            return posteriors, (new_q, new_a)
 
-        result = FusionResult(
-            method=self.name,
-            probabilities=posteriors,
-            accuracies={("ext", e): v for e, v in q.items()}
-            | {("site", s): v for s, v in a.items()},
-            rounds=rounds,
-            converged=converged,
-            diagnostics={
-                "extractor_quality": dict(q),
-                "site_accuracy": dict(a),
-                "n_items": len(by_item),
-            },
+        result, (q, a) = fuse_rounds(
+            self.name, cols, config,
+            (np.full(len(extractors), prior), np.full(len(sites), prior)),
+            step,
         )
-        result.validate()
+        quality = dict(zip(extractors, q.tolist()))
+        accuracy = dict(zip(sites, a.tolist()))
+        result.accuracies = {("ext", e): v for e, v in quality.items()} | {
+            ("site", s): v for s, v in accuracy.items()
+        }
+        result.diagnostics["extractor_quality"] = quality
+        result.diagnostics["site_accuracy"] = accuracy
         return result

@@ -56,7 +56,9 @@ __all__ = [
     "ACC_FLOOR",
     "ACC_CEIL",
     "RoundPosteriors",
+    "accu_claim_votes",
     "accu_round",
+    "accu_softmax",
     "popaccu_round",
     "vote_round",
     "stage2_accuracies",
@@ -118,20 +120,35 @@ def accu_round(
     claim_active, m_row, observed, item_ok = _support_and_activity(
         cols, active, require_repeated
     )
-    acc = np.clip(accuracies, ACC_FLOOR, ACC_CEIL)[cols.claim_prov]
-    tau = np.log(n_false * acc / (1.0 - acc)) * claim_active
+    tau = accu_claim_votes(cols, accuracies, n_false) * claim_active
     vote_row = _segment_sum(tau, cols.row_ptr)
+    return RoundPosteriors(
+        posteriors=accu_softmax(cols, vote_row, observed, n_false),
+        scored=observed & item_ok[cols.row_item],
+    )
 
+
+def accu_claim_votes(
+    cols: ColumnarClaims, accuracies: np.ndarray, n_false: int
+) -> np.ndarray:
+    """ACCU's vote count ``τ(S) = ln(N·A/(1−A))`` of each claim's provenance."""
+    acc = np.clip(accuracies, ACC_FLOOR, ACC_CEIL)[cols.claim_prov]
+    return np.log(n_false * acc / (1.0 - acc))
+
+
+def accu_softmax(
+    cols: ColumnarClaims, vote_row: np.ndarray, observed: np.ndarray, n_false: int
+) -> np.ndarray:
+    """ACCU's per-item softmax of row vote counts over the full domain:
+    the ``observed`` rows plus ``max(N + 1 − k, 0)`` unobserved values at
+    vote count 0 (rows not ``observed`` get posterior 0)."""
     k_item = _segment_sum(observed.astype(np.float64), cols.item_ptr)
     vote_masked = np.where(observed, vote_row, -np.inf)
     peak = np.maximum(np.maximum.reduceat(vote_masked, cols.item_ptr[:-1]), 0.0)
     expv = np.where(observed, np.exp(vote_row - peak[cols.row_item]), 0.0)
     unobserved = np.maximum(n_false + 1 - k_item, 0.0)
     denom = _segment_sum(expv, cols.item_ptr) + unobserved * np.exp(-peak)
-    posteriors = expv / denom[cols.row_item]
-    return RoundPosteriors(
-        posteriors=posteriors, scored=observed & item_ok[cols.row_item]
-    )
+    return expv / denom[cols.row_item]
 
 
 def popaccu_round(

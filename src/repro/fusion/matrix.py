@@ -1,7 +1,7 @@
 """Out-of-core claim matrix: mapped columns over the column store.
 
-The `web` scale tier never materialises extraction records or the dict
-claim views for the whole corpus.
+The `web` scale tier never materialises the whole corpus's extraction
+records.
 :class:`~repro.fusion.observations.ClaimAccumulator` folds each extraction
 chunk straight into the canonical claim columns; this module supplies the
 storage half:

@@ -8,29 +8,28 @@ and caches that matrix per granularity, so the same extraction run can be
 fused under many configurations cheaply (the granularity sweep of
 Figure 10 does exactly that).
 
-The matrix has one primary form and one derived form:
+The matrix has one form, the **columnar** one (:class:`ColumnarClaims`, via
+:meth:`ClaimMatrix.columnar`): an int-coded CSR layout built by
+:class:`ClaimAccumulator` (or handed in prebuilt by a streamed pipeline
+run) and cached.  The accumulator interns each record once — a triple
+code and four provenance-string codes — and is shared by all of a
+:class:`FusionInput`'s granularities: the row layout is computed once per
+vocabulary, and each granularity's provenance ids and claim CSR are array
+operations over the code columns.  The column-native round loop, the
+shard workers, the vectorized posterior kernels of
+:mod:`repro.fusion.kernels` and the §5 extension fusers
+(:mod:`repro.fusion.extensions`) read nothing else.  A *row* is one unique
+``(data item, triple)`` pair — and because a triple determines its data
+item, rows are exactly the unique triples; a *claim* is one
+``(row, provenance)`` support edge.  Rows are grouped contiguously by
+item and claims contiguously by row, so every per-item and per-row
+aggregate is a ``np.add.reduceat`` over a pointer array.
 
-- the **columnar form** (:class:`ColumnarClaims`, via
-  :meth:`ClaimMatrix.columnar`) is primary: an int-coded CSR layout built
-  by :class:`ClaimAccumulator` (or handed in prebuilt by a streamed
-  pipeline run) and cached.  The accumulator interns each record once — a
-  triple code and four provenance-string codes — and is shared by all of
-  a :class:`FusionInput`'s granularities: the row layout is computed once
-  per vocabulary, and each granularity's provenance ids and claim CSR are
-  array operations over the code columns.  The column-native
-  round loop, the shard workers and the vectorized posterior kernels of
-  :mod:`repro.fusion.kernels` read nothing else.  A *row* is one unique
-  ``(data item, triple)`` pair — and because a triple determines its data
-  item, rows are exactly the unique triples; a *claim* is one
-  ``(row, provenance)`` support edge.  Rows are grouped contiguously by
-  item and claims contiguously by row, so every per-item and per-row
-  aggregate is a ``np.add.reduceat`` over a pointer array;
-- the **dict views** (``ClaimMatrix.items`` / ``prov_triples``) are
-  derived, built on first access and only for the code that wants
-  per-item Python logic: the §5 extension fusers and the test suite's
-  dict-engine oracle.  No fusion backend builds them; what ``serial``
-  keeps of them is their iteration order, carried as one row permutation
-  (:meth:`ClaimMatrix.arrival_rows`).
+The per-item dict views this layout replaced (data item -> triple -> set
+of provenances) exist only in the test suite, as the oracles' input
+(``tests/oracle/columns.py``); what ``serial`` keeps of them is their
+iteration order, carried as one row permutation
+(:meth:`ClaimMatrix.arrival_rows`).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.extract.records import ExtractionRecord
-from repro.fusion.provenance import KEY_FIELDS, Granularity, provenance_key
+from repro.fusion.provenance import KEY_FIELDS, Granularity
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
@@ -199,8 +198,8 @@ class ColumnarClaims:
       and ``claim_prov[c]`` is the supporting provenance.
 
     ``prov_rows``/``prov_ptr`` is the transposed CSR: provenance ``p``
-    supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the columnar
-    form of ``ClaimMatrix.prov_triples``, feeding Stage II).
+    supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the unique
+    triples of each provenance, feeding Stage II).
     """
 
     granularity: Granularity
@@ -281,63 +280,6 @@ class ColumnarClaims:
             row_ptr=row_ptr,
         )
 
-    @staticmethod
-    def from_items(
-        items_map: dict[DataItem, dict[Triple, set[ProvKey]]],
-        granularity: Granularity = Granularity.EXTRACTOR_URL,
-    ) -> "ColumnarClaims":
-        """The canonical layout, spelled out from the dict views.
-
-        The executable specification :class:`ClaimAccumulator` is tested
-        against — a reference, not a production path (nothing in ``src/``
-        calls it).
-        """
-        items = sorted(items_map)
-        provenances = sorted(
-            {prov for triple_map in items_map.values() for provs in triple_map.values() for prov in provs}
-        )
-        prov_index = {prov: p for p, prov in enumerate(provenances)}
-
-        triples: list[Triple] = []
-        row_item: list[int] = []
-        item_ptr = [0]
-        row_ptr = [0]
-        claim_prov: list[int] = []
-        for j, item in enumerate(items):
-            triple_map = items_map[item]
-            for triple in sorted(triple_map):
-                triples.append(triple)
-                row_item.append(j)
-                for prov in sorted(triple_map[triple]):
-                    claim_prov.append(prov_index[prov])
-                row_ptr.append(len(claim_prov))
-            item_ptr.append(len(triples))
-
-        claim_prov_arr = np.asarray(claim_prov, dtype=np.int64)
-        row_ptr_arr = np.asarray(row_ptr, dtype=np.int64)
-        # Transpose: claims sorted by (prov, row) give the per-prov row CSR.
-        claim_row = np.repeat(
-            np.arange(len(triples), dtype=np.int64), np.diff(row_ptr_arr)
-        )
-        order = np.argsort(claim_prov_arr, kind="stable")
-        prov_rows = claim_row[order]
-        prov_counts = np.bincount(claim_prov_arr, minlength=len(provenances))
-        prov_ptr = np.zeros(len(provenances) + 1, dtype=np.int64)
-        np.cumsum(prov_counts, out=prov_ptr[1:])
-
-        return ColumnarClaims(
-            granularity=granularity,
-            items=items,
-            triples=triples,
-            provenances=provenances,
-            row_item=np.asarray(row_item, dtype=np.int64),
-            item_ptr=np.asarray(item_ptr, dtype=np.int64),
-            claim_prov=claim_prov_arr,
-            row_ptr=row_ptr_arr,
-            prov_rows=prov_rows,
-            prov_ptr=prov_ptr,
-        )
-
 
 class _Vocabulary(dict):
     """Key -> dense int code in first-arrival order (a miss assigns the next)."""
@@ -385,9 +327,10 @@ class ClaimAccumulator:
     rank) is computed once per vocabulary from precomputed string keys;
     provenance ids are dense string ranks combined one key component at a
     time, and ``ProvKey`` tuples are decoded for the unique keys only.
-    The result equals ``ColumnarClaims.from_items`` over the same
-    records' dict views field for field, under any chunking — the
-    property the accumulator parity tests pin.  Peak state is the
+    The result equals the layout spelled out object by object from the
+    same records' dict views (``tests/oracle/columns.py``) field for
+    field, under any chunking — the property the accumulator parity
+    tests pin.  Peak state is the
     vocabularies plus 20 bytes per record.
     """
 
@@ -446,8 +389,7 @@ class ClaimAccumulator:
         _, row_canonical = _sorted_table(
             [triple.canonical() for triple in arrival_triples]
         )
-        # Canonical row order: items sorted, triples sorted within each
-        # item — the from_items() nesting order.
+        # Canonical row order: items sorted, triples sorted within each item.
         order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
         row_of_arrival = _inverse(order)
         triples = [arrival_triples[a] for a in order.tolist()]
@@ -456,7 +398,7 @@ class ClaimAccumulator:
         np.cumsum(np.bincount(row_item, minlength=len(item_table)), out=item_ptr[1:])
 
         # Record-arrival order: items by first arrival, each item's
-        # triples by first arrival — how the dict views nest.
+        # triples by first arrival.
         arrival_rows = order
         if n_rows:
             item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
@@ -552,7 +494,7 @@ class ClaimAccumulator:
         """The rows of ``cols`` (this accumulator's :meth:`build`, at any
         granularity — the rows are the same) in record-arrival order:
         data items by first arrival, each item's triples by first arrival
-        — the nesting order of the dict views over the same records."""
+        — how a dict keyed item -> triple nests over the same records."""
         return self._laid_out().arrival_rows
 
     def release(self) -> None:
@@ -571,23 +513,15 @@ def _accumulate(records: list[ExtractionRecord]) -> ClaimAccumulator:
 
 
 class ClaimMatrix:
-    """The deduplicated claim structure for one granularity.
+    """The deduplicated claim columns of one granularity, built on demand.
 
     Built from extraction ``records`` or from prebuilt ``columns`` (exactly
     one); ``accumulated`` supplies the records' accumulator when a
     :class:`FusionInput` shares one between its granularities.
-    :meth:`columnar` is the primary form; the dict views are derived on
-    first access:
-
-    ``items``: data item -> {triple -> set of supporting provenances}.
-    ``prov_triples``: provenance -> unique triples it supports.
-
-    Views derived from records keep record *arrival* order, while views
-    derived from bare columns come out in the columns' canonical order
-    (equal as dicts; sets and dict equality ignore order).
-    :meth:`arrival_rows` is that order over the columns' rows: the
-    ``serial`` backend emits in it, so order-sensitive sums over its
-    output (the calibration metrics) are frozen against it.
+    :meth:`columnar` is the matrix; :meth:`arrival_rows` is the order the
+    records first named its rows in — the ``serial`` backend emits in it,
+    so order-sensitive sums over its output (the calibration metrics) are
+    frozen against it.
     """
 
     def __init__(
@@ -600,11 +534,9 @@ class ClaimMatrix:
         if (records is None) == (columns is None):
             raise ValueError("ClaimMatrix takes exactly one of records= / columns=")
         self.granularity = granularity
-        self._records = records
         self._columnar = columns
         self._accumulated = accumulated or functools.partial(_accumulate, records)
         self._arrival_rows: np.ndarray | None = None
-        self._views: tuple[dict, dict] | None = None  # (items, prov_triples)
 
     @staticmethod
     def build(
@@ -621,62 +553,11 @@ class ClaimMatrix:
         return self._columnar
 
     def arrival_rows(self) -> np.ndarray | None:
-        """The columns' rows in the order ``items`` nests them
+        """The columns' rows in record-arrival order
         (:meth:`ClaimAccumulator.arrival_rows`), or None over bare
-        columns, whose views nest in row order already."""
+        columns, which carry no arrival order."""
         self.columnar()
         return self._arrival_rows
 
-    def _dict_views(self):
-        if self._views is None:
-            items: dict[DataItem, dict[Triple, set[ProvKey]]] = {}
-            prov_triples: dict[ProvKey, set[Triple]] = {}
-            if self._records is not None:
-                for record in self._records:
-                    key = provenance_key(record, self.granularity)
-                    triple_map = items.setdefault(record.triple.data_item, {})
-                    triple_map.setdefault(record.triple, set()).add(key)
-                    prov_triples.setdefault(key, set()).add(record.triple)
-            else:
-                cols = self._columnar
-                triples, provenances = cols.triples, cols.provenances
-                item_ptr, row_ptr = cols.item_ptr.tolist(), cols.row_ptr.tolist()
-                prov_ptr = cols.prov_ptr.tolist()
-                for j, item in enumerate(cols.items):
-                    items[item] = {
-                        triples[r]: {
-                            provenances[p]
-                            for p in cols.claim_prov[row_ptr[r] : row_ptr[r + 1]].tolist()
-                        }
-                        for r in range(item_ptr[j], item_ptr[j + 1])
-                    }
-                for p, prov in enumerate(provenances):
-                    rows = cols.prov_rows[prov_ptr[p] : prov_ptr[p + 1]].tolist()
-                    prov_triples[prov] = {triples[r] for r in rows}
-            self._views = (items, prov_triples)
-        return self._views
-
-    @property
-    def items(self) -> dict[DataItem, dict[Triple, set[ProvKey]]]:
-        return self._dict_views()[0]
-
-    @property
-    def prov_triples(self) -> dict[ProvKey, set[Triple]]:
-        return self._dict_views()[1]
-
     def n_claims(self) -> int:
         return self.columnar().n_claims
-
-    def provenance_support(self) -> dict[ProvKey, int]:
-        """Unique-triple count per provenance (the coverage-filter signal)."""
-        return {key: len(triples) for key, triples in self.prov_triples.items()}
-
-    def claims_of_item(self, item: DataItem) -> dict[Triple, set[ProvKey]]:
-        return self.items.get(item, {})
-
-    def all_triples(self) -> list[Triple]:
-        return sorted(
-            triple
-            for triple_map in self.items.values()
-            for triple in triple_map
-        )

@@ -1,10 +1,16 @@
 """Tests for the §5 future-direction fusers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.errors import FusionError
 from repro.experiments.common import metrics_for
 from repro.extract.records import ExtractionRecord
-from repro.fusion import FusionConfig, FusionInput, popaccu
+from repro.fusion import FusionConfig, FusionInput, Granularity, popaccu
 from repro.fusion.extensions import (
     ConfidenceWeightedFuser,
     HierarchicalFuser,
@@ -13,6 +19,7 @@ from repro.fusion.extensions import (
 )
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
+from repro.mapreduce.executors import ExecutionPlan, SerialExecutor
 
 
 def rec(subject, obj, extractor, url, predicate="t/t/p", confidence=None):
@@ -243,10 +250,36 @@ class TestConfidenceWeighted:
             rec("/m/5", "e", "EXT", "http://e2.org/p", confidence=0.95),
             rec("/m/6", "f", "EXT", "http://e3.org/p", confidence=0.99),
         ]
-        weights = fuser._normalised_weights(FusionInput(records))
-        mid_06 = next(w for (t, _p), w in weights.items() if t.subject == "/m/1")
-        ext_06 = next(w for (t, _p), w in weights.items() if t.subject == "/m/4")
-        assert mid_06 > ext_06
+        fusion_input = FusionInput(records)
+        cols = fusion_input.claims(fuser.config.granularity).columnar()
+        weights = fuser.claim_weights(fusion_input, cols)
+        # One claim per row here, so the weight column is indexed by row.
+        by_subject = {
+            triple.subject: weight
+            for triple, weight in zip(cols.triples, weights.tolist(), strict=True)
+        }
+        assert by_subject["/m/1"] == 1.0  # MID's own maximum
+        assert by_subject["/m/4"] == pytest.approx(1 / 3)  # EXT's own minimum
+
+    def test_claim_keeps_its_best_record_weight(self):
+        """Two records of one claim (two patterns): the weight column holds
+        the larger rank; a confidence-less record weighs 0.5."""
+        records = [
+            rec("/m/a", "v", "E1", "http://s1.org/p", confidence=0.1),
+            rec("/m/a", "v", "E1", "http://s1.org/p", confidence=0.9),
+            rec("/m/b", "w", "E1", "http://s2.org/p", confidence=0.5),
+            rec("/m/c", "x", "E2", "http://s3.org/p"),
+        ]
+        fusion_input = FusionInput(records)
+        cols = fusion_input.claims(Granularity.EXTRACTOR_URL).columnar()
+        weights = ConfidenceWeightedFuser().claim_weights(fusion_input, cols)
+        assert weights.tolist() == [1.0, pytest.approx(2 / 3), 0.5]
+
+    def test_bare_columns_are_rejected(self, tiny_scenario):
+        """Confidences live on the records; columns alone cannot carry them."""
+        cols = tiny_scenario.fusion_input().claims(Granularity.EXTRACTOR_URL).columnar()
+        with pytest.raises(FusionError, match="confidences"):
+            ConfidenceWeightedFuser().fuse(FusionInput.from_columns(cols))
 
     def test_better_auc_than_unweighted_accu_on_scenario(self, tiny_scenario):
         """The ablation claim: confidence weighting should not hurt AUC-PR
@@ -259,3 +292,102 @@ class TestConfidenceWeighted:
         weighted_metrics = metrics_for(weighted.probabilities, tiny_scenario.gold)
         plain_metrics = metrics_for(plain.probabilities, tiny_scenario.gold)
         assert weighted_metrics.auc_pr > plain_metrics.auc_pr - 0.05
+
+
+def _fusers(world):
+    """The four fusers as every caller configures them."""
+    return (
+        SplitQualityFuser(FusionConfig()),
+        MultiTruthFuser(FusionConfig(max_rounds=3)),
+        HierarchicalFuser(world.schema, world.hierarchy, FusionConfig(max_rounds=3)),
+        ConfidenceWeightedFuser(FusionConfig()),
+    )
+
+
+class TestReadTheClaimColumns:
+    def test_bare_columns_fuse_like_the_records(self, tiny_scenario):
+        """The three fusers that need nothing but the claims fuse a
+        record-less input, and equal the record-built run exactly."""
+        from_records = tiny_scenario.fusion_input()
+        for fuser in _fusers(tiny_scenario.world)[:3]:
+            granularity = (
+                Granularity.EXTRACTOR_SITE
+                if isinstance(fuser, SplitQualityFuser)
+                else fuser.config.granularity
+            )
+            cols = from_records.claims(granularity).columnar()
+            ours = fuser.fuse(FusionInput.from_columns(cols))
+            theirs = fuser.fuse(from_records)
+            assert list(ours.probabilities.items()) == list(theirs.probabilities.items())
+            assert ours.accuracies == theirs.accuracies
+            assert ours.diagnostics == theirs.diagnostics
+            assert (ours.rounds, ours.converged) == (theirs.rounds, theirs.converged)
+
+    def test_multitruth_bootstrap_shares_the_callers_executor(
+        self, tiny_scenario, monkeypatch
+    ):
+        """A pooled ``config.backend`` with a caller-managed executor: the
+        bootstrap POPACCU pass must run on it, not start a second pool."""
+        monkeypatch.setattr(ExecutionPlan, "executor", pytest.fail)
+        fuser = MultiTruthFuser(FusionConfig(max_rounds=2, backend="hybrid"))
+        executor = SerialExecutor()
+        try:
+            pooled = fuser.fuse(tiny_scenario.fusion_input(), executor=executor)
+        finally:
+            executor.close()
+        serial = MultiTruthFuser(FusionConfig(max_rounds=2)).fuse(
+            tiny_scenario.fusion_input()
+        )
+        assert pooled.probabilities == pytest.approx(serial.probabilities, abs=1e-9)
+
+    def test_output_is_independent_of_the_hash_seed(self):
+        """No float is summed in ``set`` order: a digest over every output,
+        in result order, is the same under two ``PYTHONHASHSEED`` values."""
+        root = Path(__file__).resolve().parents[2]
+        digests = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": str(root / "src"),
+                },
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 4
+        assert digests[0] == digests[1]
+
+
+#: Prints one sha256 per extension fuser at ``tiny``: over
+#: ``(triple.canonical(), repr(p))`` in result order, then the ``repr`` of
+#: the accuracies and of every learned factor (dict order included).
+_DIGEST_SCRIPT = """
+import hashlib
+from repro.datasets import build_scenario, tiny_config
+from repro.fusion import FusionConfig
+from repro.fusion.extensions import (
+    ConfidenceWeightedFuser, HierarchicalFuser, MultiTruthFuser, SplitQualityFuser,
+)
+
+scenario = build_scenario(tiny_config(seed=7))
+world = scenario.world
+for fuser in (
+    SplitQualityFuser(FusionConfig()),
+    MultiTruthFuser(FusionConfig(max_rounds=3)),
+    HierarchicalFuser(world.schema, world.hierarchy, FusionConfig(max_rounds=3)),
+    ConfidenceWeightedFuser(FusionConfig()),
+):
+    result = fuser.fuse(scenario.fusion_input())
+    digest = hashlib.sha256()
+    for triple, probability in result.probabilities.items():
+        digest.update(repr((triple.canonical(), repr(probability))).encode())
+    digest.update(repr(result.accuracies).encode())
+    for key in ("extractor_quality", "site_accuracy", "functionality"):
+        digest.update(repr(result.diagnostics.get(key)).encode())
+    print(digest.hexdigest())
+"""

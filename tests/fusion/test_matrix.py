@@ -5,8 +5,8 @@ Two contracts pin the whole `web` tier to the record-path semantics:
 1. **Accumulator parity** — ``ClaimAccumulator`` (the one production
    column builder) fed any chunking of the records builds a
    ``ColumnarClaims`` equal field-for-field to the reference layout
-   ``ColumnarClaims.from_items`` spells out from the dict views.  Every
-   downstream backend-parity guarantee rides on this.
+   ``tests.oracle.columns.columns_from_items`` spells out from the dict
+   views.  Every downstream backend-parity guarantee rides on this.
 2. **Mapped == in-memory** — a ``MappedColumnarClaims`` re-opened from
    the published store is numerically identical to the arrays it was
    built from; the mmap layer is a storage format, never a numeric
@@ -42,7 +42,7 @@ from repro.fusion.observations import (
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import StringValue
-from tests.oracle.columns import assert_columns_equal, reference_columns
+from tests.oracle.columns import DictClaims, assert_columns_equal, reference_columns
 
 GRANULARITIES = (
     Granularity.EXTRACTOR_SITE,
@@ -310,15 +310,15 @@ class TestColumnarAdapters:
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_column_built_matrix_equals_record_built(self, tiny_scenario, granularity):
         reference, expected = reference_columns(tiny_scenario.records, granularity)
-        cols = reference.columnar()
+        cols = ClaimMatrix.build(tiny_scenario.records, granularity).columnar()
         assert_columns_equal(cols, expected)
         from_columns = ClaimMatrix(granularity, columns=cols)
         assert from_columns.columnar() is cols
-        assert from_columns.items == reference.items
-        assert from_columns.prov_triples == reference.prov_triples
         assert from_columns.n_claims() == reference.n_claims() == cols.n_claims
-        assert from_columns.provenance_support() == reference.provenance_support()
-        assert from_columns.all_triples() == reference.all_triples()
+        # The dict views read back out of the columns are the records' own.
+        views = DictClaims(granularity, columns=cols)
+        assert views.items == reference.items
+        assert views.prov_triples == reference.prov_triples
 
     def test_matrix_takes_exactly_one_source(self, tiny_scenario, tiny_columns):
         with pytest.raises(ValueError, match="exactly one"):
@@ -335,9 +335,9 @@ class TestColumnarAdapters:
         order, so views derived from records must not come out
         canonically sorted."""
         records = tiny_scenario.records
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_SITE)
+        views = DictClaims(Granularity.EXTRACTOR_SITE, records=records)
         arrival = list(dict.fromkeys(record.triple.data_item for record in records))
-        assert list(matrix.items) == arrival
+        assert list(views.items) == arrival
         assert arrival != sorted(arrival)
 
     def test_arrival_rows_is_the_view_nesting_order(self, tiny_scenario, tiny_columns):
@@ -345,11 +345,11 @@ class TestColumnarAdapters:
         views: item first arrival, then triple first arrival."""
         matrix = ClaimMatrix.build(tiny_scenario.records, Granularity.EXTRACTOR_SITE)
         rows = matrix.arrival_rows()
-        assert matrix._views is None  # derived from the accumulator, not the views
         cols = matrix.columnar()
         assert sorted(rows.tolist()) == list(range(cols.n_rows))
+        views = DictClaims(Granularity.EXTRACTOR_SITE, records=tiny_scenario.records)
         assert [cols.triples[r] for r in rows.tolist()] == [
-            triple for triple_map in matrix.items.values() for triple in triple_map
+            triple for triple_map in views.items.values() for triple in triple_map
         ]
         # Bare columns nest in row order already: no permutation to carry.
         from_columns = ClaimMatrix(Granularity.EXTRACTOR_SITE, columns=tiny_columns)
@@ -367,15 +367,6 @@ class TestColumnarAdapters:
             fusion_input.claims(Granularity.URL_ONLY)
         assert len(fusion_input) == tiny_columns.n_claims
         assert fusion_input.unique_triples() == sorted(tiny_columns.triples)
-
-    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
-    @pytest.mark.parametrize("method", ["vote", "popaccu"])
-    def test_fuse_never_builds_dict_views(self, tiny_scenario, method, backend):
-        fusion_input = FusionInput(tiny_scenario.records)
-        fuser = make_fuser(method, FusionConfig(backend=backend))
-        result = fuser.fuse(fusion_input)
-        assert result.diagnostics["backend_used"] == backend
-        assert fusion_input.claims(fuser.config.granularity)._views is None
 
     @pytest.mark.parametrize("method", PIPELINE_METHODS)
     def test_serial_over_columns_equals_serial_over_records(

@@ -35,10 +35,9 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/p"),
             rec("b", "E1", "http://s.org/q"),
         ]
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL)
-        item = DataItem("/m/1", "t/t/p")
-        assert set(matrix.items) == {item}
-        assert len(matrix.claims_of_item(item)) == 2
+        cols = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar()
+        assert cols.items == [DataItem("/m/1", "t/t/p")]
+        assert cols.item_ptr.tolist() == [0, 2]
 
     def test_prov_triples_unique(self):
         records = [
@@ -46,9 +45,9 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/p", pattern="x"),
             rec("b", "E1", "http://s.org/p"),
         ]
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL)
-        support = matrix.provenance_support()
-        assert support[("E1", "http://s.org/p")] == 2
+        cols = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar()
+        assert cols.provenances == [("E1", "http://s.org/p")]
+        assert cols.prov_row_counts().tolist() == [2]
 
     def test_all_triples_sorted_unique(self):
         records = [
@@ -56,8 +55,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/q"),
             rec("a", "E2", "http://s.org/p"),
         ]
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL)
-        triples = matrix.all_triples()
+        triples = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar().triples
         assert len(triples) == 2
         assert triples == sorted(triples)
 

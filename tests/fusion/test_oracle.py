@@ -24,6 +24,7 @@ from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.fusion import FusionConfig, FusionInput
 from repro.fusion.runner import run_bayesian_fusion
 from repro.fusion.vote import Vote
+from tests.oracle.columns import dict_claims
 from tests.oracle.fusion import assert_equal_in_order, kernel_of, oracle_fuse
 
 #: Config overrides applied on top of each method preset (the POPACCU+
@@ -79,7 +80,7 @@ class TestSerialEqualsOracle:
         # Their own order is Stage III's: record arrival, scored rows only.
         emitted = [
             triple
-            for triple_map in theirs.claims(fuser.config.granularity).items.values()
+            for triple_map in dict_claims(theirs, fuser.config.granularity).items.values()
             for triple in triple_map
         ]
         for snapshot in snapshots:

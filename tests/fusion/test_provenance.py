@@ -73,4 +73,4 @@ class TestKeys:
         fusion_input = tiny_scenario.fusion_input()
         fine = fusion_input.claims(Granularity.EXTRACTOR_URL)
         coarse = fusion_input.claims(Granularity.EXTRACTOR_SITE)
-        assert len(coarse.prov_triples) <= len(fine.prov_triples)
+        assert len(coarse.columnar().provenances) <= len(fine.columnar().provenances)

@@ -8,8 +8,8 @@ per key in sorted key order by the keyed engine of :mod:`tests.oracle.engine`,
 over the ``ClaimMatrix`` dict views.  It moved here verbatim (function
 bodies unchanged; the two ``Vote`` methods became functions of the fuser),
 so it shares no stage code with ``src/``: only the per-item posterior
-functions, the claim matrix's dict views and ``FusionConfig`` /
-``FusionResult``.
+functions, ``FusionConfig`` / ``FusionResult``, and the claim matrix's
+dict views — which live beside it now (:mod:`tests.oracle.columns`).
 
 ``tests/fusion/test_oracle.py`` holds ``serial`` equal to it on every
 output — probabilities and accuracies *including iteration order*,
@@ -42,6 +42,7 @@ from repro.fusion.vote import Vote, VoteKernel
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan
 from repro.rng import split_seed
+from tests.oracle.columns import dict_claims
 from tests.oracle.engine import MapReduceEngine, MapReduceJob
 
 __all__ = [
@@ -70,7 +71,7 @@ def oracle_bayesian_fusion(
 ) -> FusionResult:
     """``run_bayesian_fusion`` through the dict engine."""
     return _run_mapreduce(
-        fusion_input.claims(config.granularity), config, item_posterior_fn,
+        dict_claims(fusion_input, config.granularity), config, item_posterior_fn,
         method_name, gold_labels, track_rounds, _SERIAL,
     )
 
@@ -78,7 +79,7 @@ def oracle_bayesian_fusion(
 def oracle_vote(fusion_input: FusionInput, config: FusionConfig) -> FusionResult:
     """``Vote(config).fuse`` through the dict engine."""
     return _fuse_mapreduce(
-        Vote(config), fusion_input.claims(config.granularity), _SERIAL
+        Vote(config), dict_claims(fusion_input, config.granularity), _SERIAL
     )
 
 

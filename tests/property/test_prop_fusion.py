@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from repro.fusion import FusionConfig, FusionInput, accu, popaccu, vote
 from repro.fusion.accu import accu_item_posteriors
-from repro.fusion.observations import ColumnarClaims
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.columns import columns_from_items
 from tests.oracle.fusion import assert_equal_in_order, oracle_fuse
 
 
@@ -200,7 +200,7 @@ class TestSerialEqualsOracle:
             min_accuracy=theta,
             sample_limit=sample_limit,
         )
-        cols = ColumnarClaims.from_items(items_map, config.granularity)
+        cols = columns_from_items(items_map, config.granularity)
         fuser = preset(config)
         assert_equal_in_order(
             fuser.fuse(FusionInput.from_columns(cols)),

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from repro.fusion import kernels
 from repro.fusion.accu import accu_item_posteriors
-from repro.fusion.observations import ColumnarClaims
 from repro.fusion.popaccu import popaccu_item_posteriors
 from repro.fusion.vote import vote_item_posteriors
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.columns import columns_from_items
 
 TOL = 1e-9
 
@@ -63,7 +63,7 @@ def columnar_of(*claim_dicts):
             items_map.setdefault(triple.data_item, {}).setdefault(
                 triple, set()
             ).update(provs)
-    return ColumnarClaims.from_items(items_map)
+    return columns_from_items(items_map)
 
 
 def acc_array(cols, accuracies):
@@ -212,7 +212,7 @@ class TestBatchStructure:
         assert_parity(expected, batched)
 
     def test_empty_batch(self):
-        cols = ColumnarClaims.from_items({})
+        cols = columns_from_items({})
         assert cols.n_rows == 0 and cols.n_items == 0 and cols.n_claims == 0
         for round_result in (
             kernels.accu_round(cols, np.zeros(0), np.zeros(0, bool), 100),

