@@ -68,21 +68,6 @@ TOLERANCE_PARITY_ABS = 1e-9
 #: Minimum vectorized-over-serial speedup the ``backends`` case enforces.
 MIN_VECTORIZED_SPEEDUP = 3.0
 
-#: Minimum batched-over-scalar classification speedup the
-#: ``extraction_stages`` case enforces (``classify_batch`` vs the
-#: per-record ``classify_record`` reference, bitwise-identical output).
-MIN_CLASSIFY_SPEEDUP = 2.0
-
-#: Minimum batched-over-scalar synthesis speedup the ``extraction_stages``
-#: case enforces (``synthesize_batch`` vs the per-page ``extract_page``
-#: reference, bitwise-identical records).  Measured speedups run ~2.5-3.2x
-#: depending on host load (the shared floor — RNG draws, frozen ``Triple``
-#: construction, linker lookups — is identical work on both sides, and the
-#: single-vCPU CI boxes swing the walk/draw cost mix); the enforced floor
-#: sits below that band, mirroring how ``MIN_CLASSIFY_SPEEDUP`` relates to
-#: its ~3.2x typical measurement.
-MIN_SYNTHESIS_SPEEDUP = 2.0
-
 #: Peak-RSS ceiling (MiB) the ``pipeline`` case enforces at the ``web``
 #: scale.  The materialised web corpus + record list would run well past
 #: 10 GiB (72k pages, ~10⁶ heavyweight record objects, ~28x ``small``);
@@ -544,145 +529,6 @@ def extraction_case(ctx: BenchContext) -> dict:
         "bit_identical": True,
         "best_of": {b: round(s, 4) for b, s in timings.items()},
         "timings_ms": {b: round(s * 1000, 1) for b, s in timings.items()},
-    }
-
-
-@register(
-    "extraction_stages",
-    "the extraction stage decomposed: coverage masks, scalar extract_page "
-    "vs the synthesize_batch kernel, and scalar classify_record vs the "
-    "classify_batch kernel (records asserted bit-identical before timing; "
-    "both kernels >= 2x their scalar reference)",
-)
-def extraction_stages_case(ctx: BenchContext) -> dict:
-    """Stage breakdown behind the ``extraction`` headline number.
-
-    Synthesis and classification are timed separately so each kernel's
-    speedup is visible instead of being diluted by the other stage's
-    cost.  The scalar ``synthesis`` stage is the pipeline-faithful
-    reference loop (coverage masks + per-page ``extract_page``, exactly
-    what the pre-kernel serial backend ran); ``synthesis_batch`` times
-    :func:`~repro.extract.synthesis.synthesize_batch` against bench-held
-    masks and a warm :class:`~repro.extract.synthesis.SynthesisCaches` —
-    mask reuse and cache persistence are how the batched pipeline
-    backends actually run the kernel (coverage has its own stage), and
-    the scalar loop's linker memos are equally warm across rounds.  Both
-    classifiers are timed against *pristine* (unannotated) records —
-    the kernel annotates in place and the scalar reference's no-copy
-    fast path would otherwise make re-classification artificially cheap
-    — so each timed round resets the debug channels to their synthesis
-    defaults first (untimed).
-    """
-    from repro.extract.kernels import classify_batch
-    from repro.extract.synthesis import SynthesisCaches, synthesize_batch
-    from repro.extract.pipeline import classify_record
-
-    scenario = ctx.scenario()
-    pipeline = scenario.pipeline
-    pages = list(scenario.corpus.pages)
-    extractors = pipeline.extractors
-
-    def coverage() -> list:
-        return [extractor.coverage_mask(pages) for extractor in extractors]
-
-    def synthesize() -> list:
-        masks = coverage()
-        per_page = []
-        for index, page in enumerate(pages):
-            records = []
-            for extractor, mask in zip(extractors, masks):
-                if mask[index]:
-                    records.extend(extractor.extract_page(page))
-            per_page.append(records)
-        return per_page
-
-    held_masks = coverage()
-    warm_caches = SynthesisCaches()
-
-    def synthesize_kernel() -> list:
-        return synthesize_batch(
-            extractors, pages, masks=held_masks, caches=warm_caches
-        )
-
-    per_page = synthesize()
-    # Synthesis parity first: the kernel's record stream equals the
-    # scalar reference page-for-page, bit-for-bit (same dataclass
-    # equality the property suite asserts per extractor).
-    kernel_per_page = synthesize_kernel()
-    assert kernel_per_page == per_page  # bitwise, before timing
-    batches = list(zip(pages, per_page))
-
-    # Parity first: the scalar reference's output records equal the
-    # kernel's in-place annotation bit-for-bit.  The reference runs on a
-    # second, independently synthesized (deterministic, so bit-identical)
-    # record set — classify_record returns the *same* object on the
-    # no-change path, and comparing against aliases of records the kernel
-    # just mutated would vacuously pass.
-    scalar_records = [
-        classify_record(record, page)
-        for page, page_records in zip(pages, synthesize())
-        for record in page_records
-    ]
-    changed = classify_batch(batches)
-    kernel_records = [
-        record for page_records in per_page for record in page_records
-    ]
-    assert kernel_records == scalar_records  # bitwise, before timing
-
-    def reset() -> None:
-        # Back to synthesis defaults (fresh records carry error_kind=None,
-        # source_error=False) so each timed round classifies cold.
-        for page_records in per_page:
-            for record in page_records:
-                object.__setattr__(record.debug, "error_kind", None)
-                object.__setattr__(record.debug, "source_error", False)
-
-    def timed_classify(fn) -> float:
-        best = None
-        for _ in range(TIMING_ROUNDS):
-            reset()
-            start = time.perf_counter()
-            fn()
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        return best
-
-    timings = {
-        "coverage": _best_of(coverage),
-        "synthesis": _best_of(synthesize),
-        "synthesis_batch": _best_of(synthesize_kernel),
-        "classify_scalar": timed_classify(
-            lambda: [
-                classify_record(record, page)
-                for page, page_records in batches
-                for record in page_records
-            ]
-        ),
-        "classify_batch": timed_classify(lambda: classify_batch(batches)),
-    }
-    speedup = timings["classify_scalar"] / timings["classify_batch"]
-    assert speedup >= MIN_CLASSIFY_SPEEDUP, (
-        f"classify_batch only {speedup:.2f}x faster than the scalar "
-        f"reference (required >= {MIN_CLASSIFY_SPEEDUP}x)"
-    )
-    synthesis_speedup = timings["synthesis"] / timings["synthesis_batch"]
-    assert synthesis_speedup >= MIN_SYNTHESIS_SPEEDUP, (
-        f"synthesize_batch only {synthesis_speedup:.2f}x faster than the "
-        f"scalar reference (required >= {MIN_SYNTHESIS_SPEEDUP}x)"
-    )
-    return {
-        "n_pages": len(pages),
-        "n_records": len(kernel_records),
-        "bit_identical": True,
-        "changed_on_first_pass": changed,
-        "best_of": {
-            stage: round(seconds, 4) for stage, seconds in timings.items()
-        },
-        "timings_ms": {
-            stage: round(seconds * 1000, 1) for stage, seconds in timings.items()
-        },
-        "classify_speedup": round(speedup, 2),
-        "synthesis_speedup": round(synthesis_speedup, 2),
     }
 
 

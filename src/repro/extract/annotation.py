@@ -31,8 +31,8 @@ class AnnotationExtractor(Extractor):
     def __init__(self, profile, schema, linker, seed) -> None:
         super().__init__(profile, schema, linker, seed)
         self._prop_map = self._build_map()
-        # Batched-kernel memo: itemprop -> emit_plan or None for
-        # unmapped/unknown props; pure per prop.
+        # Memo: itemprop -> emit_plan or None for unmapped/unknown
+        # props; pure per prop.
         self._prop_plans: dict[str, tuple | None] = {}
 
     def _build_map(self) -> dict[str, str]:
@@ -61,40 +61,6 @@ class AnnotationExtractor(Extractor):
             mapping.setdefault(prop, target)
         return mapping
 
-    def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        rng = self.page_rng(page.url)
-        records: list[ExtractionRecord] = []
-        for element in page.elements:
-            if not isinstance(element, AnnotationBlock):
-                continue
-            subject_id = self.link_subject(element.subject)
-            if subject_id is None:
-                continue
-            pool = tuple(mention for _prop, mention in element.props)
-            for prop, mention in element.props:
-                pid = self._prop_map.get(prop)
-                if pid is None:
-                    continue
-                predicate = self.schema.predicates.get(pid)
-                if predicate is None:
-                    continue
-                record = self.emit(
-                    page=page,
-                    subject_id=subject_id,
-                    predicate=predicate,
-                    mention=mention,
-                    rng=rng,
-                    pattern=None,
-                    reliability=self.reliability_for(prop),
-                    alternates=pool,
-                )
-                if record is not None:
-                    records.append(record)
-        return records
-
-    # ------------------------------------------------------------------
-    # Batched synthesis kernel (bitwise twin of extract_page)
-    # ------------------------------------------------------------------
     def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
         records: list[ExtractionRecord] = []
         resolve = self.linker.resolve

@@ -14,7 +14,6 @@ so corpus-level extraction is reproducible and insensitive to page order.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,24 +21,21 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.extract.confidence import ConfidenceModel, make_confidence_model
+from repro.extract.kernels import classify_batch
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionDebug, ExtractionRecord
-from repro.kb.schema import Predicate, Schema, ValueKind
-from repro.kb.triples import Triple
-from repro.kb.values import EntityRef, StringValue, Value
+from repro.extract.records import ExtractionRecord
+from repro.extract.synthesis import (
+    PageRNGBank,
+    SynthesisCaches,
+    _gc_paused,
+    make_emitter,
+    seed_array,
+)
+from repro.kb.schema import Schema
 from repro.rng import split_seed, stream_seed
-from repro.world.content import Mention
-from repro.world.literals import parse_literal, parse_literal_naive
 from repro.world.webgen import WebCorpus, WebPage
 
 __all__ = ["ExtractorProfile", "Extractor"]
-
-_KIND_OF_VALUEKIND = {
-    ValueKind.ENTITY: "entity",
-    ValueKind.STRING: "string",
-    ValueKind.NUMBER: "number",
-    ValueKind.DATE: "date",
-}
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,8 @@ class ExtractorProfile:
 
 
 class Extractor(abc.ABC):
-    """Base class: page eligibility, linking, parsing, record emission."""
+    """Base class: page eligibility and the per-page-seeded batch driver;
+    a family supplies the walk over its content (:meth:`_synthesize_page`)."""
 
     def __init__(
         self,
@@ -170,10 +167,6 @@ class Extractor(abc.ABC):
         # Memo for reliability_for(): pattern/label keys repeat across
         # pages and the draw is pure in (seed, name, key).
         self._reliability_cache: dict[str, float] = {}
-        # Last (covered urls, PageRNGBank) pair of extract_pages_batch:
-        # the bank is a pure function of (seed, name, urls), so repeat
-        # runs over the same covered set reuse the seeded streams.
-        self._rng_bank_cache: tuple[tuple[str, ...], object] | None = None
 
     @property
     def name(self) -> str:
@@ -182,24 +175,15 @@ class Extractor(abc.ABC):
     # ------------------------------------------------------------------
     # Page eligibility
     # ------------------------------------------------------------------
-    def covers(self, page: WebPage) -> bool:
-        """Deterministically decide whether this extractor processes ``page``."""
-        profile = self.profile
-        if profile.category_set is not None and page.category not in profile.category_set:
-            return False
-        if profile.page_coverage >= 1.0:
-            return True
-        draw = split_seed(self.seed, "coverage", self.name, page.url) % 1_000_000
-        return draw / 1_000_000.0 < profile.page_coverage
-
     def coverage_mask(self, pages: Sequence[WebPage]) -> np.ndarray:
-        """Batched :meth:`covers` over ``pages``: one pass per extractor.
+        """Deterministically decide which of ``pages`` this extractor processes.
 
-        Bit-identical to calling :meth:`covers` per page, but the seed
-        derivation ``split_seed(seed, "coverage", name, url)`` is factored
-        into a shared per-extractor prefix so each page costs one hash
-        instead of three — the coverage draws dominate pipeline dispatch
-        on large corpora (12 extractors × every page).
+        A page is covered when its site category is one the profile runs
+        on and its draw ``split_seed(seed, "coverage", name, url)`` falls
+        under ``page_coverage``.  The seed derivation is factored into a
+        shared per-extractor prefix so each page costs one hash instead
+        of three — the coverage draws dominate pipeline dispatch on large
+        corpora (12 extractors × every page).
         """
         profile = self.profile
         n = len(pages)
@@ -221,155 +205,6 @@ class Extractor(abc.ABC):
             mask &= (draws / 1_000_000.0) < profile.page_coverage
         return mask
 
-    def page_rng(self, url: str) -> np.random.Generator:
-        return np.random.default_rng(split_seed(self.seed, "extract", self.name, url))
-
-    # ------------------------------------------------------------------
-    # Linking and parsing
-    # ------------------------------------------------------------------
-    def link_entity(self, mention: Mention, predicate: Predicate | None) -> str | None:
-        """Resolve an entity mention, honouring the type-hint knob."""
-        hint = None
-        if self.profile.use_type_hints and predicate is not None:
-            hint = predicate.object_type_id
-        return self.linker.resolve(mention.surface, type_hint=hint)
-
-    def link_subject(self, mention: Mention, type_hint: str | None = None) -> str | None:
-        hint = type_hint if self.profile.use_type_hints else None
-        return self.linker.resolve(mention.surface, type_hint=hint)
-
-    def parse_value(self, surface: str, kind: str) -> Value | None:
-        if self.profile.naive_dates:
-            return parse_literal_naive(surface, kind)
-        return parse_literal(surface, kind)
-
-    # ------------------------------------------------------------------
-    # Record emission
-    # ------------------------------------------------------------------
-    def emit(
-        self,
-        page: WebPage,
-        subject_id: str,
-        predicate: Predicate,
-        mention: Mention,
-        rng: np.random.Generator,
-        pattern: str | None,
-        reliability: float,
-        structure_penalty: float = 1.0,
-        slot_mismatch: bool = False,
-        alternates: tuple[Mention, ...] = (),
-    ) -> ExtractionRecord | None:
-        """Turn one (subject, predicate, object-mention) into a record.
-
-        Returns None when the extractor's checks reject the mention.
-        Applies misgrab (wrong-mention association against ``alternates``),
-        kind checking, entity linkage (with string fallback), literal
-        parsing, span mangling, and the confidence model.
-        """
-        profile = self.profile
-        if (
-            alternates
-            and profile.misgrab_rate > 0
-            and rng.random() < profile.misgrab_rate * (1.0 - reliability)
-        ):
-            # Exclude alternates by surface and kind, not object identity:
-            # any same-surface same-kind alternate (a duplicate rendering of
-            # this fact, or a different fact that happens to share the
-            # surface) reproduces the correct triple when "misgrabbed", so
-            # flagging it as a slot mismatch would mark a correct
-            # extraction as a triple-identification error.
-            pool = [
-                m
-                for m in alternates
-                if m.kind != "empty"
-                and (m.surface != mention.surface or m.kind != mention.kind)
-            ]
-            if pool:
-                mention = pool[int(rng.integers(len(pool)))]
-                slot_mismatch = True
-                structure_penalty *= 0.8
-        if mention.kind == "empty":
-            return None
-        if profile.value_kinds is not None and mention.kind not in profile.value_kinds:
-            return None
-        expected_kind = _KIND_OF_VALUEKIND[predicate.value_kind]
-        if profile.kind_checking and mention.kind != expected_kind:
-            # One exception: an entity mention can still satisfy a
-            # *string*-valued predicate through the string fallback — the
-            # raw surface is a well-kinded string object (the paper's
-            # raw-string objects).  Everything else fails the kind check.
-            if not (
-                mention.kind == "entity"
-                and expected_kind == "string"
-                and profile.string_fallback
-            ):
-                return None
-
-        span_corrupted = False
-        surface = mention.surface
-        if (
-            profile.mangle_rate > 0
-            and rng.random() < profile.mangle_rate * (1.0 - reliability)
-            and " " in surface
-        ):
-            # Span error: keep only the last token ("Mapother IV" style).
-            surface = surface.rsplit(" ", 1)[-1]
-            span_corrupted = True
-
-        ambiguity = 1
-        value: Value | None
-        if mention.kind == "entity" and profile.kind_checking and expected_kind == "string":
-            # Kind-checked string predicate (the exception above): emit the
-            # raw surface without linking — an EntityRef object would
-            # contradict the extractor's own kind check.
-            value = StringValue(surface)
-        elif mention.kind == "entity":
-            ambiguity = max(1, self.linker.ambiguity(surface))
-            linked = self.linker.resolve(
-                surface,
-                type_hint=(
-                    predicate.object_type_id if profile.use_type_hints else None
-                ),
-            )
-            if linked is not None:
-                value = EntityRef(linked)
-            elif profile.string_fallback and not profile.kind_checking:
-                # A kind checker never downgrades an *entity*-valued
-                # predicate's object to a raw string.
-                value = StringValue(surface)
-            else:
-                return None
-        else:
-            value = self.parse_value(surface, mention.kind)
-            if value is None:
-                return None
-
-        # math.sqrt over np.sqrt: IEEE-identical on scalars and ~10x
-        # cheaper than routing one float through a ufunc.
-        signal = (
-            reliability
-            * structure_penalty
-            * (1.0 / math.sqrt(ambiguity))
-        )
-        confidence = None
-        if self.confidence_model is not None:
-            confidence = self.confidence_model.transform(float(signal), rng)
-
-        return ExtractionRecord(
-            triple=Triple(subject_id, predicate.pid, value),
-            extractor=self.name,
-            url=page.url,
-            site=page.site,
-            content_type=self.record_content_type,
-            pattern=pattern,
-            confidence=confidence,
-            debug=ExtractionDebug(
-                asserted_index=mention.fact_ref,
-                span_corrupted=span_corrupted,
-                slot_mismatch=slot_mismatch,
-            ),
-        )
-
     # Subclasses set this to the content type their records carry.
     record_content_type: str = "TXT"
 
@@ -377,69 +212,45 @@ class Extractor(abc.ABC):
     # Extraction API
     # ------------------------------------------------------------------
     @abc.abstractmethod
+    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
+        """The family's walk over ``page``: every (subject, predicate,
+        mention) it identifies goes through ``emit`` — the prebound record
+        emitter of :func:`repro.extract.synthesis.make_emitter`, already
+        switched onto this page's RNG stream — with an
+        :func:`~repro.extract.synthesis.emit_plan` carrying the
+        per-predicate constants."""
+
     def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        """All records this extractor produces from ``page``."""
-
-    #: Family synthesis kernel: ``_synthesize_page(page, emit)`` returns
-    #: the page's records through a prebound batch emitter (see
-    #: :func:`repro.extract.synthesis.make_emitter`).  ``None`` means the
-    #: family has no kernel and :meth:`extract_pages_batch` falls back to
-    #: scalar :meth:`extract_page` per page — still bit-identical.
-    _synthesize_page = None
-
-    @property
-    def has_synthesis_kernel(self) -> bool:
-        """Whether this extractor ships a batched synthesis kernel."""
-        return type(self)._synthesize_page is not None
+        """All records this extractor produces from ``page``, whether or
+        not it covers it: the one-page case of :meth:`extract_pages_batch`."""
+        return self.extract_pages_batch([page], mask=np.ones(1, dtype=bool))[0]
 
     def extract_pages_batch(
         self,
         pages: Sequence[WebPage],
         mask: np.ndarray | None = None,
-        caches=None,
+        caches: SynthesisCaches | None = None,
     ) -> list[list[ExtractionRecord]]:
-        """Batched :meth:`extract_page` over ``pages``: one list per page.
+        """The records of every page of ``pages``: one list per page.
 
-        Bit-identical to ``[extract_page(page) if covered else [] for
-        page]`` — the scalar method stays the parity reference, exactly
-        like ``classify_record`` vs ``classify_batch``.  The batched path
-        derives one seed per covered page via a shared-prefix seed array
-        (the ``(seed, "extract", name, url)`` keying of :meth:`page_rng`),
-        provisions the per-page generators through one vectorised
-        :class:`~repro.extract.synthesis.PageRNGBank`, and replays each
-        page's draws through the family kernel; uncovered pages get an
-        empty list without consuming any seed.
+        ``mask`` (default :meth:`coverage_mask`) says which pages to
+        process; the others get an empty list without consuming any seed.
+        One seed per covered page comes from a shared-prefix seed array
+        keyed ``(seed, "extract", name, url)``, the per-page generators
+        are provisioned through one vectorised
+        :class:`~repro.extract.synthesis.PageRNGBank`, and each page's
+        draws replay through :meth:`_synthesize_page`.
         """
-        # Deferred import: synthesis imports this module for the emit
-        # reference at closure-build time.
-        from repro.extract.synthesis import (
-            PageRNGBank,
-            SynthesisCaches,
-            _gc_paused,
-            make_emitter,
-            seed_array,
-        )
-
         if mask is None:
             mask = self.coverage_mask(pages)
         per_page: list[list[ExtractionRecord]] = [[] for _ in pages]
         covered = np.flatnonzero(mask).tolist()
         if not covered:
             return per_page
-        if type(self)._synthesize_page is None:
-            extract_page = self.extract_page
-            for index in covered:
-                per_page[index] = extract_page(pages[index])
-            return per_page
         if caches is None:
             caches = SynthesisCaches()
-        urls = tuple(pages[index].url for index in covered)
-        cached_bank = self._rng_bank_cache
-        if cached_bank is not None and cached_bank[0] == urls:
-            bank = cached_bank[1]
-        else:
-            bank = PageRNGBank(seed_array(self.seed, ("extract", self.name), urls))
-            self._rng_bank_cache = (urls, bank)
+        urls = [pages[index].url for index in covered]
+        bank = PageRNGBank(seed_array(self.seed, ("extract", self.name), urls))
         emit = make_emitter(self, bank.generator, caches)
         synthesize_page = self._synthesize_page
         reset = bank.reset
@@ -452,18 +263,11 @@ class Extractor(abc.ABC):
     def extract_corpus(self, corpus: WebCorpus) -> list[ExtractionRecord]:
         """Classified extraction over every covered page of ``corpus``.
 
-        Records pass through the same injected-error classification as
-        :meth:`ExtractionPipeline.run <repro.extract.pipeline.ExtractionPipeline.run>`,
-        and synthesis runs through the same batching entry point
-        (:meth:`extract_pages_batch`) the pipeline's batched backends
-        use, so single-extractor runs hit the same kernel path as full
-        pipeline runs — bit-identical to the scalar per-page loop either
-        way.
+        Records pass through the same injected-error classification
+        (:func:`~repro.extract.kernels.classify_batch`) and the same
+        synthesis entry point (:meth:`extract_pages_batch`) as
+        :meth:`ExtractionPipeline.run <repro.extract.pipeline.ExtractionPipeline.run>`.
         """
-        # Deferred import: pipeline/kernels import this module for the
-        # base class and the record types.
-        from repro.extract.kernels import classify_batch
-
         per_page = self.extract_pages_batch(corpus.pages)
         batches = [
             (page, page_records)

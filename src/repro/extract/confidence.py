@@ -23,24 +23,40 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["ConfidenceModel", "make_confidence_model"]
 
 
-def _clip(x: float) -> float:
-    return float(min(1.0, max(0.0, x)))
-
-
 class ConfidenceModel(abc.ABC):
-    """Transforms a raw correctness signal into a reported confidence."""
+    """Transforms a raw correctness signal into a reported confidence.
+
+    The arithmetic is written for the record emitter's inner loop, two
+    spellings in particular (both bitwise-equal to the textbook form —
+    ``tests/oracle/extract.py::transform`` — and held to it by the tests):
+
+    - noise is ``float(standard_normal()) * noise``, not
+      ``rng.normal(0.0, noise)``: ``Generator.normal`` consumes exactly
+      one standard-normal variate and computes ``loc + scale * z`` in IEEE
+      doubles, so with ``loc = 0.0`` the product is the identical value
+      while skipping the loc/scale argument broadcast;
+    - clipping to [0, 1] is a chained comparison, not ``min``/``max``:
+      the same object for in-range ``x`` and the same literal bound
+      otherwise (``x`` is never ``-0.0`` — every clipped quantity is a
+      sum or product of non-negative terms).
+
+    ``np.tanh`` stays: numpy routes scalars through its own SIMD tanh,
+    which does *not* match ``math.tanh`` bit-for-bit.
+    """
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def transform(self, signal: float, rng: np.random.Generator) -> float | None:
-        """Reported confidence for a record with raw ``signal`` in [0, 1]."""
+    def bind(self, generator: np.random.Generator) -> Callable[[float], float]:
+        """``report(signal)``: the reported confidence for a record with
+        raw ``signal`` in [0, 1], its noise drawn from ``generator``."""
 
 
 @dataclass
@@ -50,8 +66,15 @@ class CalibratedConfidence(ConfidenceModel):
     noise: float = 0.08
     name: str = "calibrated"
 
-    def transform(self, signal: float, rng: np.random.Generator) -> float:
-        return _clip(signal + float(rng.normal(0.0, self.noise)))
+    def bind(self, generator):
+        standard_normal = generator.standard_normal
+        noise = self.noise
+
+        def report(signal):
+            x = signal + float(standard_normal()) * noise
+            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
+
+        return report
 
 
 @dataclass
@@ -62,11 +85,21 @@ class ExtremeConfidence(ConfidenceModel):
     noise: float = 0.05
     name: str = "extreme"
 
-    def transform(self, signal: float, rng: np.random.Generator) -> float:
-        noisy = _clip(signal + float(rng.normal(0.0, self.noise)))
-        # Logistic sharpening around 0.5.
-        centered = (noisy - 0.5) * self.sharpness
-        return _clip(0.5 + 0.5 * float(np.tanh(centered)))
+    def bind(self, generator):
+        standard_normal = generator.standard_normal
+        noise = self.noise
+        sharpness = self.sharpness
+        tanh = np.tanh
+
+        def report(signal):
+            noisy = signal + float(standard_normal()) * noise
+            if not 0.0 <= noisy <= 1.0:
+                noisy = 1.0 if noisy > 1.0 else 0.0
+            # Logistic sharpening around 0.5.
+            x = 0.5 + 0.5 * float(tanh((noisy - 0.5) * sharpness))
+            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
+
+        return report
 
 
 @dataclass
@@ -77,9 +110,19 @@ class CenteredConfidence(ConfidenceModel):
     noise: float = 0.06
     name: str = "centered"
 
-    def transform(self, signal: float, rng: np.random.Generator) -> float:
-        noisy = _clip(signal + float(rng.normal(0.0, self.noise)))
-        return _clip(0.5 + (noisy - 0.5) * self.compression)
+    def bind(self, generator):
+        standard_normal = generator.standard_normal
+        noise = self.noise
+        compression = self.compression
+
+        def report(signal):
+            noisy = signal + float(standard_normal()) * noise
+            if not 0.0 <= noisy <= 1.0:
+                noisy = 1.0 if noisy > 1.0 else 0.0
+            x = 0.5 + (noisy - 0.5) * compression
+            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
+
+        return report
 
 
 @dataclass
@@ -89,11 +132,17 @@ class PeakedConfidence(ConfidenceModel):
     noise: float = 0.07
     name: str = "peaked"
 
-    def transform(self, signal: float, rng: np.random.Generator) -> float:
-        # Records the extractor is most sure of get medium reports, and
-        # vice versa: reported = 1 - |signal - 0.5| * 2 folded around 0.55.
-        folded = 1.0 - abs(signal - 0.55) * 1.6
-        return _clip(folded + float(rng.normal(0.0, self.noise)))
+    def bind(self, generator):
+        standard_normal = generator.standard_normal
+        noise = self.noise
+
+        def report(signal):
+            # Records the extractor is most sure of get medium reports, and
+            # vice versa: reported = 1 - |signal - 0.5| * 2 folded around 0.55.
+            x = 1.0 - abs(signal - 0.55) * 1.6 + float(standard_normal()) * noise
+            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
+
+        return report
 
 
 @dataclass
@@ -102,8 +151,13 @@ class UninformativeConfidence(ConfidenceModel):
 
     name: str = "uninformative"
 
-    def transform(self, signal: float, rng: np.random.Generator) -> float:
-        return float(rng.beta(0.4, 0.4))
+    def bind(self, generator):
+        beta = generator.beta
+
+        def report(signal):
+            return float(beta(0.4, 0.4))
+
+        return report
 
 
 _MODELS = {

@@ -18,15 +18,13 @@ overlap of Figure 3 arises.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.linkage import EntityLinker
 from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
 from repro.kb.schema import Schema
 from repro.rng import split_seed
-from repro.world.content import DomRow, DomTree, Mention, WebTable
+from repro.world.content import DomTree, WebTable
 from repro.world.labels import dom_label, tbl_header
 from repro.world.webgen import WebPage
 
@@ -60,9 +58,9 @@ class DomExtractor(Extractor):
         # Memo for _resolve_label(): pure in (label, subject_type), and
         # the same row labels recur on every page of a type.
         self._label_cache: dict[tuple[str, str | None], str | None] = {}
-        # Batched-kernel memos, all pure in their keys: per-row emit
-        # plans, the merged-row Born / Birthplace plan pairs, and
-        # per-header plans for the table-as-DOM walk.
+        # Memos, all pure in their keys: per-row emit plans, the
+        # merged-row Born / Birthplace plan pairs, and per-header plans
+        # for the table-as-DOM walk.
         self._row_plans: dict[tuple[str, str], tuple | None] = {}
         self._merged_preds: dict[tuple[str, str], tuple] = {}
         self._tbl_plans: dict[tuple[str, str], tuple | None] = {}
@@ -133,143 +131,10 @@ class DomExtractor(Extractor):
         return f"{self.name}:{subject_type or 'any'}:{label}"
 
     # ------------------------------------------------------------------
-    def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        rng = self.page_rng(page.url)
-        records: list[ExtractionRecord] = []
-        for element in page.elements:
-            if isinstance(element, DomTree):
-                records.extend(self._extract_tree(page, element, rng))
-            elif isinstance(element, WebTable) and "TBL" in self.profile.content_types:
-                records.extend(self._extract_table_as_dom(page, element, rng))
-        return records
-
-    def _extract_tree(
-        self, page: WebPage, tree: DomTree, rng: np.random.Generator
-    ) -> list[ExtractionRecord]:
-        subject_id = self.link_subject(tree.subject)
-        if subject_id is None:
-            return []
-        subject_type = self.linker.registry.get(subject_id).primary_type
-        pool = tuple(cell for row in tree.rows for cell in row.cells)
-        records: list[ExtractionRecord] = []
-        for row in tree.rows:
-            records.extend(
-                self._extract_row(page, subject_id, subject_type, row, pool, rng)
-            )
-        return records
-
-    def _extract_row(
-        self,
-        page: WebPage,
-        subject_id: str,
-        subject_type: str,
-        row: DomRow,
-        pool: tuple[Mention, ...],
-        rng: np.random.Generator,
-    ) -> list[ExtractionRecord]:
-        records: list[ExtractionRecord] = []
-        if row.merged and self.profile.handles_merged:
-            # Understands the nested structure: route each cell to the
-            # right predicate by sub-label (when rendered) or value kind.
-            for index, cell in enumerate(row.cells):
-                sub = (
-                    row.cell_labels[index]
-                    if row.cell_labels is not None
-                    else {"date": "date", "entity": "place"}.get(cell.kind)
-                )
-                if sub == "date":
-                    pid = self._typed_map.get((subject_type, "Born"))
-                elif sub == "place":
-                    pid = self._typed_map.get((subject_type, "Birthplace"))
-                else:
-                    continue  # the name cell — correctly skipped
-                if pid is None:
-                    continue
-                predicate = self.schema.predicates[pid]
-                record = self.emit(
-                    page=page,
-                    subject_id=subject_id,
-                    predicate=predicate,
-                    mention=cell,
-                    rng=rng,
-                    pattern=self._pattern_id(subject_type, row.label),
-                    reliability=self.reliability_for(f"{subject_type}:{row.label}"),
-                )
-                if record is not None:
-                    records.append(record)
-            return records
-
-        pid = self._resolve_label(row.label, subject_type)
-        if pid is None:
-            return records
-        predicate = self.schema.predicates.get(pid)
-        if predicate is None:
-            return records
-        reliability = self.reliability_for(f"{subject_type}:{row.label}")
-        structure_penalty = 0.55 if row.merged else 1.0
-        for cell in row.cells:
-            record = self.emit(
-                page=page,
-                subject_id=subject_id,
-                predicate=predicate,
-                mention=cell,
-                rng=rng,
-                pattern=self._pattern_id(subject_type, row.label),
-                reliability=reliability,
-                structure_penalty=structure_penalty,
-                slot_mismatch=row.merged,
-                alternates=pool,
-            )
-            if record is not None:
-                records.append(record)
-        return records
-
-    # ------------------------------------------------------------------
-    def _extract_table_as_dom(
-        self, page: WebPage, table: WebTable, rng: np.random.Generator
-    ) -> list[ExtractionRecord]:
-        """Walk a table the way a generic tree-walker would: assume the
-        first column is the subject and headers are row labels."""
-        records: list[ExtractionRecord] = []
-        for row in table.rows:
-            if not row:
-                continue
-            subject_mention = row[0]
-            if subject_mention.kind != "entity":
-                continue
-            subject_id = self.link_subject(subject_mention)
-            if subject_id is None:
-                continue
-            subject_type = self.linker.registry.get(subject_id).primary_type
-            row_pool = tuple(row[1:])
-            for column in range(1, min(len(row), len(table.headers))):
-                pid = self._resolve_label(table.headers[column], subject_type)
-                if pid is None:
-                    continue
-                predicate = self.schema.predicates.get(pid)
-                if predicate is None:
-                    continue
-                record = self.emit(
-                    page=page,
-                    subject_id=subject_id,
-                    predicate=predicate,
-                    mention=row[column],
-                    rng=rng,
-                    pattern=self._pattern_id(subject_type, table.headers[column]),
-                    reliability=self.reliability_for(f"tbl:{table.headers[column]}"),
-                    alternates=row_pool,
-                )
-                if record is not None:
-                    records.append(record)
-        return records
-
-    # ------------------------------------------------------------------
-    # Batched synthesis kernel (bitwise twin of extract_page)
-    # ------------------------------------------------------------------
     def _row_plan(self, subject_type: str, label: str) -> tuple | None:
         """The :func:`~repro.extract.synthesis.emit_plan` for a plain row
-        (or None for unmapped labels) — the per-row derivations of
-        ``_extract_row``, pure in the key."""
+        (or None for unmapped labels) — label resolution, pattern id and
+        reliability, pure in the key."""
         plan = self._row_plans.get((subject_type, label), False)
         if plan is False:
             pid = self._resolve_label(label, subject_type)
@@ -322,6 +187,8 @@ class DomExtractor(Extractor):
         for row in rows:
             label = row.label
             if row.merged and handles_merged:
+                # Understands the nested structure: route each cell to the
+                # right predicate by sub-label (when rendered) or value kind.
                 born_plan, place_plan = self._merged_row_plan(subject_type, label)
                 cell_labels = row.cell_labels
                 for index, cell in enumerate(row.cells):
@@ -334,7 +201,7 @@ class DomExtractor(Extractor):
                     elif sub == "place":
                         plan = place_plan
                     else:
-                        continue
+                        continue  # the name cell — correctly skipped
                     if plan is None:
                         continue
                     record = emit(page, subject_id, plan, cell)
@@ -358,6 +225,8 @@ class DomExtractor(Extractor):
                     append(record)
 
     def _synthesize_table_as_dom(self, page, table, emit, records) -> None:
+        """Walk a table the way a generic tree-walker would: assume the
+        first column is the subject and headers are row labels."""
         resolve = self.linker.resolve
         registry_get = self.linker.registry.get
         tbl_plans = self._tbl_plans

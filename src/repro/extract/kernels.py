@@ -1,32 +1,30 @@
 """Batched extraction-error classification over record columns.
 
-The scalar per-record classifier
-(:func:`repro.extract.pipeline.classify_record`) is the reference
-implementation; this module recomputes the same five-way branch —
+The five-way branch of the pipeline's injected-error classification —
 fabricated mention / span corruption / exact match / slot mismatch /
-predicate vs entity linkage — for *every* record of a shard in a handful
-of array operations, the same reference-plus-kernel pattern as
-:mod:`repro.fusion.kernels`.
+predicate vs entity linkage — computed for *every* record of a shard in
+a handful of array operations.  The per-record ``classify_record`` it
+replaced is its oracle (``tests/oracle/extract.py``).
 
 Column layout: records are flattened corpus-major across their pages.
 Each record only ever compares against *one* assertion (its page-local
 ``asserted_index``), so the comparison stage is elementwise, not a join:
 one pass pairs every record with its assertion and fills four boolean
 columns (assertion present, triple equality, predicate equality, source
-error) using the exact same ``==`` the scalar reference tests.  The
-five-way branch, the changed-channel detection, and the write-back
-selection then run vectorized over those columns.  Every comparison is
-an exact equality/bool operation, which makes the kernel's parity
-contract **bitwise**, not a float tolerance: the annotated records equal
-the scalar reference's output record-for-record.
+error) using the exact same ``==`` the oracle tests.  The five-way
+branch, the changed-channel detection, and the write-back selection then
+run vectorized over those columns.  Every comparison is an exact
+equality/bool operation, which makes the kernel's parity contract
+**bitwise**, not a float tolerance: the annotated records equal the
+oracle's output record-for-record.
 
 Ownership: the kernel annotates records **in place** (writing
 ``error_kind`` / ``source_error`` into each record's debug channel), so
 callers must own the records exclusively — which the extraction pipeline
 does, classification runs on records synthesized moments earlier and not
-yet visible anywhere else.  Re-running the kernel (or the scalar
-reference) over already-annotated records is a no-op: both recompute the
-same classification and leave correct channels untouched.
+yet visible anywhere else.  Re-running the kernel over already-annotated
+records is a no-op: it recomputes the same classification and leaves
+correct channels untouched.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ import numpy as np
 from repro.errors import ExtractionError
 from repro.extract.records import ErrorKind, ExtractionRecord
 
-# Record synthesis has the same reference-plus-kernel structure as
-# classification; the synthesis kernels live in their own module
+# The synthesis kernels live in their own module
 # (:mod:`repro.extract.synthesis`) and are re-exported here so callers
 # find both extraction kernels behind one name.
 from repro.extract.synthesis import SynthesisCaches, synthesize_batch
@@ -50,8 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = ["SynthesisCaches", "classify_batch", "synthesize_batch"]
 
 #: The classification outcomes as integer codes, in branch order: the
-#: scalar reference's five-way branch collapses to one nested
-#: ``np.where`` over these.
+#: five-way branch collapses to one nested ``np.where`` over these.
 _KIND_OF_CODE: tuple[ErrorKind | None, ...] = (
     None,
     ErrorKind.TRIPLE_IDENTIFICATION,
@@ -70,8 +66,6 @@ def classify_batch(
     per-page lists a shard produces).  Annotates the records' debug
     channels in place — see the module docstring for the ownership
     contract — and returns the number of records whose channel changed.
-    Bit-identical to applying
-    :func:`~repro.extract.pipeline.classify_record` per record.
     """
     records: list[ExtractionRecord] = []
     for _page, page_records in batches:
@@ -90,8 +84,7 @@ def classify_batch(
 
     # The pairing pass: each record against its one claimed assertion.
     # Four boolean columns come out of a single corpus-major sweep; the
-    # equality tested here is literally the scalar reference's
-    # ``record.triple == asserted.triple``.
+    # equality tested is ``record.triple == asserted.triple``.
     has_assertion = np.empty(n, dtype=bool)
     triple_match = np.empty(n, dtype=bool)
     predicate_match = np.empty(n, dtype=bool)
@@ -125,7 +118,7 @@ def classify_batch(
         (debug.slot_mismatch for debug in debugs), bool, count=n
     )
 
-    # The five-way branch, in the reference's order: fabricated or
+    # The five-way branch, in the module docstring's order: fabricated or
     # span-corrupted or (mismatched slot that is not an exact match) →
     # triple identification; exact match → no extraction error; wrong
     # predicate → predicate linkage; else → entity linkage.

@@ -19,40 +19,34 @@ debug channel does not change fusion output.
 
 Execution modes (``ExtractionPipeline.run(backend=...)``, one of
 :data:`EXTRACTION_BACKENDS`; the README's "Execution backends" table has
-every spelling).  All of them emit the **bit-identical** record stream;
-the mode's :class:`~repro.mapreduce.executors.ExecutionPlan` fixes two
-things:
+every spelling).  All of them run the same kernels and emit the
+**bit-identical** record stream; the mode's
+:class:`~repro.mapreduce.executors.ExecutionPlan` only fixes **where**:
 
-- **where** — in-process is one pass over pages × extractors (page-major,
-  extractor-major emission order).  Pooled, the corpus is sharded by
-  stable page-URL hash (:func:`~repro.mapreduce.executors.shard_for_key`)
-  and each shard's page × extractor extraction + classification runs in
-  a process-pool worker via the executors' map-only protocol
-  (:class:`~repro.mapreduce.executors.ShardedMapJob`).  Extraction is
-  order-insensitive by design — every noisy draw derives from
-  ``split_seed(seed, extractor, url)`` — and the parent re-emits each
-  page's records at the page's corpus position.  Shard outputs cross the
-  process boundary as compact tuples (the
+- in-process is one shard — coverage masks, record synthesis
+  (:func:`~repro.extract.synthesis.synthesize_batch`: one seed-array pass
+  per extractor, per-predicate emit plans hoisted out of the record
+  loop) and classification (:func:`~repro.extract.kernels.classify_batch`)
+  over the whole page list, emitted page-major, extractor-major;
+- pooled, the corpus is sharded by stable page-URL hash
+  (:func:`~repro.mapreduce.executors.shard_for_key`) and each shard runs
+  that same body in a process-pool worker via the executors' map-only
+  protocol (:class:`~repro.mapreduce.executors.ShardedMapJob`).
+  Extraction is order-insensitive by design — every noisy draw derives
+  from ``split_seed(seed, extractor, url)`` — and the parent re-emits
+  each page's records at the page's corpus position.  Shard outputs cross
+  the process boundary as compact tuples (the
   :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec), not
   pickled dataclass lists, and the 12-extractor fleet (entity linkers
   included) is installed *pool-resident* via
   :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`, so
   it crosses the process boundary once per pool — not once per shard —
-  on both fork and spawn start methods;
-- **which kernel** — scalar is an ``extract_page`` call per covered page
-  (the frozen parity reference).  Batched, each shard runs record
-  synthesis through the vectorised kernel
-  (:func:`~repro.extract.synthesis.synthesize_batch`: one seed-array
-  pass per extractor instead of a ``SeedSequence``/``Generator`` build
-  per page, with per-predicate emit plans hoisted out of the record
-  loop).  Extractors without a family kernel fall back to scalar
-  ``extract_page`` inside the batch (see
-  :meth:`ExtractionPipeline.synthesis_fallbacks`).
+  on both fork and spawn start methods.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import ConfigError, ExtractionError
 from repro.extract.annotation import AnnotationExtractor
@@ -60,11 +54,8 @@ from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.dom import DomExtractor
 from repro.extract.kernels import classify_batch
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import (
-    RECORD_WIRE_CODEC,
-    ErrorKind,
-    ExtractionRecord,
-)
+from repro.extract.records import RECORD_WIRE_CODEC, ExtractionRecord
+from repro.extract.synthesis import SynthesisCaches, synthesize_batch
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Schema
@@ -113,89 +104,16 @@ def build_extractor(
     raise ExtractionError(f"no extractor family for content type {primary!r}")
 
 
-def classify_record(record: ExtractionRecord, page: WebPage) -> ExtractionRecord:
-    """Fill ``record.debug`` with the injected-error classification.
-
-    Pure scalar reference: returns a new record when the classification
-    differs from what the debug channel already carries, and ``record``
-    itself — no copies — when it is already correct (the common case on
-    re-classification, and the exact-match fast path either way, since
-    fresh records default to ``error_kind=None`` / ``source_error=False``).
-    The batched :func:`repro.extract.kernels.classify_batch` must agree
-    with this function record-for-record; the parity tests compare them
-    bitwise.
-    """
-    debug = record.debug
-    if debug is None:
-        raise ExtractionError(
-            f"record from {record.extractor} lacks a debug channel; "
-            "was it stripped before classification?"
-        )
-    if debug.asserted_index is None:
-        kind: ErrorKind | None = ErrorKind.TRIPLE_IDENTIFICATION
-        source_error = False
-    else:
-        asserted = page.assertions[debug.asserted_index]
-        if debug.span_corrupted:
-            kind = ErrorKind.TRIPLE_IDENTIFICATION
-        elif record.triple == asserted.triple:
-            kind = None
-        elif debug.slot_mismatch:
-            kind = ErrorKind.TRIPLE_IDENTIFICATION
-        elif record.triple.predicate != asserted.triple.predicate:
-            kind = ErrorKind.PREDICATE_LINKAGE
-        else:
-            kind = ErrorKind.ENTITY_LINKAGE
-        source_error = kind is None and asserted.source_error
-    if debug.error_kind is kind and debug.source_error == source_error:
-        return record
-    new = replace(debug, error_kind=kind, source_error=source_error)
-    return replace(record, debug=new)
-
-
 def _extract_shard(pages: list[WebPage]) -> list[list[ExtractionRecord]]:
-    """One shard's extraction: the seed-identical page × extractor loop.
+    """One shard's extraction: one classified record list per page.
 
     Runs against the pool-resident fleet (``EXTRACT_FLEET_KEY``) — the
     shard task itself is just this function reference plus the page list,
     so the 12 extractors (linkers included) never ride in a shard
-    payload.  Returns one classified record list per page.  Page coverage
-    is decided by one batched
-    :meth:`~repro.extract.base.Extractor.coverage_mask` pass per extractor
-    instead of a per-page ``covers()`` call, and error classification by
-    one shard-wide :func:`~repro.extract.kernels.classify_batch` kernel
-    call instead of per-record :func:`classify_record` (bitwise-identical
-    — see the kernel's parity contract).
-    """
-    extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
-    masks = [extractor.coverage_mask(pages) for extractor in extractors]
-    per_page: list[list[ExtractionRecord]] = []
-    for index, page in enumerate(pages):
-        records: list[ExtractionRecord] = []
-        for extractor, mask in zip(extractors, masks):
-            if mask[index]:
-                records.extend(extractor.extract_page(page))
-        per_page.append(records)
-    classify_batch(list(zip(pages, per_page)))
-    return per_page
-
-
-def _extract_shard_batched(pages: list[WebPage]) -> list[list[ExtractionRecord]]:
-    """One shard's extraction through the batched synthesis kernel.
-
-    The kernel twin of :func:`_extract_shard`: the same pool-resident
-    fleet and coverage masks, but record synthesis runs through
-    :func:`~repro.extract.synthesis.synthesize_batch` (vectorised
-    per-page seeding, hoisted emit plans) instead of a scalar
-    ``extract_page`` call per covered page — bit-identical output, since
-    every extractor kernel is a parity twin of its scalar reference and
-    extractors without a kernel fall back to ``extract_page`` inside
-    ``extract_pages_batch``.  One :class:`~repro.extract.synthesis.SynthesisCaches`
-    spans the shard, so ambiguity/parse memos warm across pages *and*
+    payload.  One :class:`~repro.extract.synthesis.SynthesisCaches` spans
+    the shard, so ambiguity/parse memos warm across pages *and*
     extractors.
     """
-    from repro.extract.synthesis import SynthesisCaches, synthesize_batch
-
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
     masks = [extractor.coverage_mask(pages) for extractor in extractors]
     per_page = synthesize_batch(
@@ -214,8 +132,8 @@ class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
 
     The execution backend is chosen per :meth:`run` / :meth:`run_stream`
-    call from :data:`EXTRACTION_BACKENDS` (default ``serial``, the
-    in-process scalar reference); every one is bit-identical to it.
+    call from :data:`EXTRACTION_BACKENDS` (default ``serial``); all of
+    them emit the same bits, the name only picks in-process or pool.
     """
 
     extractors: list[Extractor]
@@ -257,23 +175,26 @@ class ExtractionPipeline:
         installed pool-resident *once* for the whole stream (per-chunk
         install/withdraw would restart the pool on every chunk), and
         withdrawn when the stream ends; peak memory is one chunk of pages
-        plus its records.
+        plus its records.  ``backend`` / ``n_workers`` are validated at
+        the call, not at the first ``next()``.
         """
         if backend not in EXTRACTION_BACKENDS:
             raise ConfigError(
                 f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
                 f"got {backend!r}"
             )
-        plan = EXECUTION_MODES[backend]
         owns_executor = executor is None
         if owns_executor:
-            executor = plan.executor(n_workers)
+            executor = EXECUTION_MODES[backend].executor(n_workers)
+        return self._stream(chunks, executor, owns_executor)
+
+    def _stream(self, chunks, executor: Executor, owns_executor: bool):
         # The fleet is heavyweight, invariant state: install it once per
         # pool instead of pickling it into every shard task.
         executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
         job = ShardedMapJob(
             name="extract.pages",
-            map_shard=_extract_shard_batched if plan.batched else _extract_shard,
+            map_shard=_extract_shard,
             key_fn=_page_url,
             codec=RECORD_WIRE_CODEC,
         )
@@ -293,19 +214,12 @@ class ExtractionPipeline:
                 executor.uninstall_state(EXTRACT_FLEET_KEY)
 
     def synthesis_fallbacks(self) -> tuple[str, ...]:
-        """Names of extractors without a batched synthesis kernel.
+        """Always ``()``: every extractor runs the one synthesis path.
 
-        These fall back to scalar :meth:`~repro.extract.base.Extractor.extract_page`
-        inside batched-kernel runs (still bit-identical); callers
-        surface the names in diagnostics so a silently-scalar fleet is
-        visible.  Empty for the stock 12-extractor fleet — every family
-        ships a kernel.
+        A stub for ``benchmarks/kfbench``, which counts the names it
+        returns; it goes with the ``[benchmark]`` PR of ROADMAP item 5(c).
         """
-        return tuple(
-            extractor.name
-            for extractor in self.extractors
-            if not extractor.has_synthesis_kernel
-        )
+        return ()
 
     def by_name(self, name: str) -> Extractor:
         for extractor in self.extractors:

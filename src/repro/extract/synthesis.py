@@ -1,14 +1,12 @@
-"""Batched record synthesis: the ``extract_pages_batch`` kernel layer.
+"""Record synthesis: per-page RNG streams, the record emitter, the fleet driver.
 
-Record synthesis (:meth:`~repro.extract.base.Extractor.extract_page`) is
-the last un-vectorised extraction stage: template matching, linkage,
-reliability/ambiguity lookups, RNG draws and per-record object
-construction, one page at a time.  This module batches it the way
-classification was batched (:mod:`repro.extract.kernels`): the scalar
-``extract_page`` stays the **bitwise parity reference**, and the batched
-path must reproduce its record stream byte-for-byte — the same
-reference-plus-kernel twin convention as ``classify_record`` /
-``classify_batch``.
+An extractor turns a page into records by walking its content
+(:meth:`~repro.extract.base.Extractor._synthesize_page`, one per family)
+and pushing every (subject, predicate, mention) it identifies through one
+record emitter.  This module is everything around the walk; it is the one
+implementation of record synthesis, held bit for bit to the scalar walk
+it replaced (``tests/oracle/extract.py``) and to committed record-stream
+fingerprints (``tests/extract/test_pipeline.py``).
 
 Why the draws themselves cannot be columnised: a page's generator is
 ``default_rng(split_seed(seed, "extract", name, url))`` and its draw
@@ -16,7 +14,7 @@ Why the draws themselves cannot be columnised: a page's generator is
 ``integers`` draw before the mangle draw; ``beta``/``normal`` use
 rejection sampling with variable bitstream consumption).  Reordering or
 batching the draws would change every downstream value and break the
-golden metrics.  What *can* be vectorised is everything around them:
+golden metrics.  What *is* vectorised is everything around them:
 
 - **Seed-array keying** — per-page seeds ``(seed, extractor, url)`` are
   produced by one :func:`seed_array` call (the shared ``split_seed``
@@ -34,16 +32,13 @@ golden metrics.  What *can* be vectorised is everything around them:
   are pure functions of their inputs; :class:`SynthesisCaches` memoises
   them batch-wide, which is bitwise-safe because equal inputs produce
   equal (``==``) values.
-- **Emission** — :func:`make_emitter` builds a closure twin of
-  :meth:`Extractor.emit` with every attribute/method resolved once per
-  batch instead of once per record.
+- **Emission** — :func:`make_emitter` builds the emitter as a closure
+  with every attribute/method resolved once per batch instead of once
+  per record, and :func:`emit_plan` carries the per-predicate constants.
 
 :func:`synthesize_batch` drives a whole fleet over a page list in the
-pipeline's canonical order (page-major, extractor-major) and is the one
-batching entry point behind ``ExtractionPipeline.run`` and
-``Extractor.extract_corpus``.  Extractors without a family kernel fall
-back to scalar ``extract_page`` inside the batch — tagged by
-:func:`fallback_names` so pipeline diagnostics can report it.
+pipeline's canonical order (page-major, extractor-major) and is the
+entry point behind ``ExtractionPipeline.run``.
 """
 
 from __future__ import annotations
@@ -56,9 +51,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.extract.records import ExtractionDebug, ExtractionRecord
+from repro.kb.schema import ValueKind
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
 from repro.rng import split_seed, stream_seed
+from repro.world.literals import parse_literal, parse_literal_naive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.extract.base import Extractor
@@ -68,7 +65,6 @@ __all__ = [
     "PageRNGBank",
     "SynthesisCaches",
     "emit_plan",
-    "fallback_names",
     "make_emitter",
     "seed_array",
     "synthesize_batch",
@@ -249,9 +245,7 @@ class PageRNGBank:
         seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
         state_hi, state_lo, inc_hi, inc_lo = _pcg64_states(_seedseq_words(seeds))
         # Fully-formed state dicts up front: reset() then costs exactly
-        # one state-setter call (~1 µs vs ~10 µs for default_rng).  The
-        # dicts are build-once state, not per-reset garbage — banks are
-        # memoised per extractor across batches.
+        # one state-setter call (~1 µs vs ~10 µs for default_rng).
         self._states = [
             {
                 "bit_generator": "PCG64",
@@ -310,22 +304,27 @@ class SynthesisCaches:
 
 _MISSING = object()
 
+_KIND_OF_VALUEKIND = {
+    ValueKind.ENTITY: "entity",
+    ValueKind.STRING: "string",
+    ValueKind.NUMBER: "number",
+    ValueKind.DATE: "date",
+}
+
 
 def emit_plan(extractor: "Extractor", predicate, pattern, reliability: float) -> tuple:
-    """Per-callsite constants the scalar ``emit`` re-derives per record.
+    """Everything the emitter needs that is constant per callsite.
 
     Pure in ``(extractor profile, predicate, pattern, reliability)`` —
-    family kernels build one plan per memo key (template slot, DOM row
-    label, table column, itemprop) and hand it to the batch emitter.
-    The thresholds are the exact products the scalar reference computes
-    (``rate * (1.0 - reliability)``), precomputed once.  The reference's
-    *draw-consumption* gates test the raw rate, not the threshold (a
-    zero threshold with a positive rate still consumes a draw) — those
-    gates are profile-level constants, so :func:`make_emitter` binds
-    them once per extractor rather than carrying them per plan.
+    families build one plan per memo key (template slot, DOM row label,
+    table column, itemprop) and hand it to the emitter.  The thresholds
+    are the products ``rate * (1.0 - reliability)``, computed once.  The
+    emitter's *draw-consumption* gates test the raw rate, not the
+    threshold (a zero threshold with a positive rate still consumes a
+    draw) — those gates are profile-level constants, so
+    :func:`make_emitter` binds them once per extractor rather than
+    carrying them per plan.
     """
-    from repro.extract.base import _KIND_OF_VALUEKIND
-
     profile = extractor.profile
     return (
         predicate.pid,
@@ -338,107 +337,25 @@ def emit_plan(extractor: "Extractor", predicate, pattern, reliability: float) ->
     )
 
 
-def _confidence_twin(model, generator: np.random.Generator):
-    """A prebound twin of ``model.transform(signal, generator)``.
-
-    Each branch repeats its model's float arithmetic with two
-    value-preserving rewrites, both verified bitwise against the
-    reference:
-
-    - ``float(rng.normal(0.0, noise))`` becomes
-      ``float(standard_normal()) * noise`` — ``Generator.normal``
-      consumes exactly one standard-normal variate and computes
-      ``loc + scale * z`` in IEEE doubles, so with ``loc = 0.0`` the
-      product is the identical value (multiplication is bitwise
-      commutative; adding ``0.0`` is the identity for every non-negative
-      addend this model produces) while skipping the loc/scale argument
-      broadcast;
-    - ``float(min(1.0, max(0.0, x)))`` becomes a chained-comparison
-      conditional — same selected object for in-range ``x`` and the same
-      literal bound otherwise (``x`` is never ``-0.0``: every clipped
-      quantity is a sum or product of non-negative terms).
-
-    ``np.tanh`` is kept as-is: numpy routes scalars through its own
-    SIMD tanh, which does *not* match ``math.tanh`` bit-for-bit.
-    Unknown models fall through to the generic ``transform`` call.
-    """
-    if model is None:
-        return None
-    name = model.name
-    standard_normal = generator.standard_normal
-    if name == "calibrated":
-        noise = model.noise
-
-        def twin(signal):
-            x = signal + float(standard_normal()) * noise
-            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
-
-        return twin
-    if name == "extreme":
-        noise = model.noise
-        sharpness = model.sharpness
-        tanh = np.tanh
-
-        def twin(signal):
-            noisy = signal + float(standard_normal()) * noise
-            if not 0.0 <= noisy <= 1.0:
-                noisy = 1.0 if noisy > 1.0 else 0.0
-            x = 0.5 + 0.5 * float(tanh((noisy - 0.5) * sharpness))
-            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
-
-        return twin
-    if name == "centered":
-        noise = model.noise
-        compression = model.compression
-
-        def twin(signal):
-            noisy = signal + float(standard_normal()) * noise
-            if not 0.0 <= noisy <= 1.0:
-                noisy = 1.0 if noisy > 1.0 else 0.0
-            x = 0.5 + (noisy - 0.5) * compression
-            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
-
-        return twin
-    if name == "peaked":
-        noise = model.noise
-
-        def twin(signal):
-            x = 1.0 - abs(signal - 0.55) * 1.6 + float(standard_normal()) * noise
-            return x if 0.0 <= x <= 1.0 else (1.0 if x > 1.0 else 0.0)
-
-        return twin
-    if name == "uninformative":
-        beta = generator.beta
-
-        def twin(signal):
-            return float(beta(0.4, 0.4))
-
-        return twin
-    transform = model.transform
-
-    def twin(signal):
-        return transform(signal, generator)
-
-    return twin
-
-
 def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches: SynthesisCaches):
-    """A closure twin of :meth:`Extractor.emit`, locals prebound.
+    """The record emitter of ``extractor``, drawing from ``generator``.
 
     The returned ``emit(page, subject_id, plan, mention,
-    structure_penalty, slot_mismatch, alternates)`` consumes draws from
-    ``generator`` in exactly the scalar order (misgrab → misgrab index →
-    mangle → confidence), so a page synthesised through it is
-    bit-identical to ``extract_page`` — every branch below mirrors the
-    reference line-for-line, with profile/linker/cache lookups hoisted
-    out of the per-record path and the per-predicate derivations carried
-    by an :func:`emit_plan` tuple.
+    structure_penalty, slot_mismatch, alternates)`` turns one (subject,
+    predicate, object-mention) into a record, or None when the
+    extractor's checks reject the mention.  It applies misgrab
+    (wrong-mention association against ``alternates``), kind checking,
+    span mangling, entity linkage (with string fallback), literal parsing
+    and the confidence model, consuming draws in a fixed order (misgrab →
+    misgrab index → mangle → confidence) — the order every committed
+    record stream depends on.  Profile/linker/cache lookups are hoisted
+    out of the per-record path; the per-predicate derivations arrive in
+    the :func:`emit_plan` tuple.
     """
-    from repro.world.literals import parse_literal, parse_literal_naive
-
     profile = extractor.profile
     linker = extractor.linker
     naive_dates = profile.naive_dates
+    model = extractor.confidence_model
 
     # Every hoisted constant rides in as a keyword-only default so the
     # hot path reads them as function locals (LOAD_FAST), not closure
@@ -446,8 +363,8 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
     # identity memo for the misgrab pool's empty-mention prefilter —
     # callers reuse one ``alternates`` tuple across an element's
     # mentions, and list-comprehension filtering is order-preserving, so
-    # splitting the reference's one filter into a memoised base pass
-    # plus a per-mention pass yields the identical pool list.
+    # a memoised base pass plus a per-mention pass yields the same pool
+    # list as one filter over ``alternates``.
     def emit(
         page,
         subject_id,
@@ -472,7 +389,7 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
         strings=caches.strings,
         rng_random=generator.random,
         rng_integers=generator.integers,
-        twin=_confidence_twin(extractor.confidence_model, generator),
+        report=None if model is None else model.bind(generator),
         parse=parse_literal_naive if naive_dates else parse_literal,
         sqrt=math.sqrt,
         record_type=ExtractionRecord,
@@ -499,6 +416,12 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
                 _pool_memo[1] = base
             surface = mention.surface
             kind = mention.kind
+            # Exclude alternates by surface and kind, not object identity:
+            # any same-surface same-kind alternate (a duplicate rendering of
+            # this fact, or a different fact that happens to share the
+            # surface) reproduces the correct triple when "misgrabbed", so
+            # flagging it as a slot mismatch would mark a correct
+            # extraction as a triple-identification error.
             pool = [m for m in base if m.surface != surface or m.kind != kind]
             if pool:
                 mention = pool[int(rng_integers(len(pool)))]
@@ -510,6 +433,10 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
         if value_kinds is not None and kind not in value_kinds:
             return None
         if kind_checking and kind != expected_kind:
+            # One exception: an entity mention can still satisfy a
+            # *string*-valued predicate through the string fallback — the
+            # raw surface is a well-kinded string object (the paper's
+            # raw-string objects).  Everything else fails the kind check.
             if not (
                 kind == "entity" and expected_kind == "string" and string_fallback
             ):
@@ -518,11 +445,15 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
         span_corrupted = False
         surface = mention.surface
         if do_mangle and rng_random() < mangle_threshold and " " in surface:
+            # Span error: keep only the last token ("Mapother IV" style).
             surface = surface.rsplit(" ", 1)[-1]
             span_corrupted = True
 
         ambiguity = 1
         if kind == "entity" and kind_checking and expected_kind == "string":
+            # Kind-checked string predicate (the exception above): emit the
+            # raw surface without linking — an EntityRef object would
+            # contradict the extractor's own kind check.
             value = strings.get(surface)
             if value is None:
                 value = strings[surface] = StringValue(surface)
@@ -538,6 +469,8 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
                 if value is None:
                     value = entity_refs[linked] = EntityRef(linked)
             elif string_fallback and not kind_checking:
+                # A kind checker never downgrades an *entity*-valued
+                # predicate's object to a raw string.
                 value = strings.get(surface)
                 if value is None:
                     value = strings[surface] = StringValue(surface)
@@ -550,8 +483,10 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
             if value is None:
                 return None
 
+        # math.sqrt over np.sqrt: IEEE-identical on scalars and ~10x
+        # cheaper than routing one float through a ufunc.
         signal = reliability * structure_penalty * (1.0 / sqrt(ambiguity))
-        confidence = None if twin is None else twin(signal)
+        confidence = None if report is None else report(signal)
 
         return record_type(
             triple_type(subject_id, pid, value),
@@ -572,30 +507,15 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
 # ---------------------------------------------------------------------------
 
 
-def fallback_names(extractors: Sequence["Extractor"]) -> tuple[str, ...]:
-    """Names of fleet members lacking a family synthesis kernel.
-
-    These run scalar ``extract_page`` inside ``synthesize_batch`` (still
-    bit-identical); the pipeline surfaces them in its diagnostics the way
-    fusion tags its hybrid fallback.
-    """
-    return tuple(
-        extractor.name
-        for extractor in extractors
-        if not extractor.has_synthesis_kernel
-    )
-
-
 def synthesize_batch(
     extractors: Sequence["Extractor"],
     pages: Sequence["WebPage"],
     masks: Sequence[np.ndarray] | None = None,
     caches: SynthesisCaches | None = None,
 ) -> list[list[ExtractionRecord]]:
-    """Batched synthesis for a whole fleet: one record list per page.
+    """Synthesis for a whole fleet: one (unclassified) record list per page.
 
-    Bit-identical to the scalar loop ``[extractor.extract_page(page) for
-    covered extractor]`` in the pipeline's canonical order (page-major,
+    Records come in the pipeline's canonical order (page-major,
     extractor-major within a page) — each extractor's per-page sublists
     are produced by :meth:`Extractor.extract_pages_batch` and stitched
     back in fleet order.  ``masks`` (one boolean coverage mask per

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from repro.extract.base import Extractor
 from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
@@ -35,9 +33,8 @@ class TableExtractor(Extractor):
 
     def __init__(self, profile, schema, linker, seed) -> None:
         super().__init__(profile, schema, linker, seed)
-        # Batched-kernel memo: (header, subject_type) -> mapped pid, the
-        # pure ``_map_header`` resolution (the scalar path recomputes it
-        # per table — it stays the unmemoized parity reference).
+        # Memo: (header, subject_type) -> mapped pid, the pure
+        # ``_map_header`` resolution.
         self._header_plans: dict[tuple[str, str | None], str | None] = {}
 
     # ------------------------------------------------------------------
@@ -84,65 +81,12 @@ class TableExtractor(Extractor):
         return candidates[0]  # naive: global first candidate
 
     # ------------------------------------------------------------------
-    def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        rng = self.page_rng(page.url)
-        records: list[ExtractionRecord] = []
-        for element in page.elements:
-            if isinstance(element, WebTable):
-                records.extend(self._extract_table(page, element, rng))
-        return records
-
-    def _extract_table(
-        self, page: WebPage, table: WebTable, rng: np.random.Generator
-    ) -> list[ExtractionRecord]:
-        subject_col = self._subject_column(table)
-        subject_type = self._majority_type(table, subject_col)
-        column_pids: dict[int, str] = {}
-        for col, header in enumerate(table.headers):
-            if col == subject_col:
-                continue
-            pid = self._map_header(header, subject_type)
-            if pid is not None:
-                column_pids[col] = pid
-        records: list[ExtractionRecord] = []
-        for row in table.rows:
-            if subject_col >= len(row) or row[subject_col].kind != "entity":
-                continue
-            subject_id = self.link_subject(row[subject_col], type_hint=subject_type)
-            if subject_id is None:
-                continue
-            row_pool = tuple(
-                cell for col, cell in enumerate(row) if col != subject_col
-            )
-            for col, pid in column_pids.items():
-                if col >= len(row):
-                    continue
-                predicate = self.schema.predicates.get(pid)
-                if predicate is None:
-                    continue
-                record = self.emit(
-                    page=page,
-                    subject_id=subject_id,
-                    predicate=predicate,
-                    mention=row[col],
-                    rng=rng,
-                    pattern=None,
-                    reliability=self.reliability_for(f"hdr:{table.headers[col]}"),
-                    alternates=row_pool,
-                )
-                if record is not None:
-                    records.append(record)
-        return records
-
-    # ------------------------------------------------------------------
-    # Batched synthesis kernel (bitwise twin of extract_page)
-    # ------------------------------------------------------------------
     def _synthesize_table(self, page, table, emit, records) -> None:
         subject_col = self._subject_column(table)
         subject_type = self._majority_type(table, subject_col)
         header_plans = self._header_plans
-        # Column plan: everything the scalar path re-derives per row
-        # (predicate object, reliability draw) resolved once per table.
+        # Column plan: predicate and reliability draw, resolved once per
+        # table instead of once per row.
         plan: list[tuple] = []
         for col, header in enumerate(table.headers):
             if col == subject_col:

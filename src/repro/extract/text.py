@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.linkage import EntityLinker
 from repro.extract.records import ExtractionRecord
@@ -56,8 +54,8 @@ class TextExtractor(Extractor):
         super().__init__(profile, schema, linker, seed)
         self.templates = templates
         self.patterns = self._build_library()
-        # Memo for the batched kernel: template_id -> sentence plan (the
-        # pattern/predicate/slot resolution, pure per template).
+        # Memo: template_id -> sentence plan (the pattern/predicate/slot
+        # resolution, pure per template).
         self._sentence_plans: dict[str, tuple | None] = {}
 
     # ------------------------------------------------------------------
@@ -119,80 +117,16 @@ class TextExtractor(Extractor):
         return len(self.patterns)
 
     # ------------------------------------------------------------------
-    def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        rng = self.page_rng(page.url)
-        records: list[ExtractionRecord] = []
-        for element in page.elements:
-            if not isinstance(element, TextDocument):
-                continue
-            # The document-wide mention pool is what a sloppy pattern can
-            # accidentally associate with its predicate (misgrab).
-            pool = tuple(
-                mention
-                for sentence in element.sentences
-                for mention in sentence.objects
-            )
-            for sentence in element.sentences:
-                records.extend(self._extract_sentence(page, sentence, pool, rng))
-        return records
-
-    def _extract_sentence(
-        self,
-        page: WebPage,
-        sentence,
-        pool: tuple,
-        rng: np.random.Generator,
-    ) -> list[ExtractionRecord]:
-        pattern = self.patterns.get(sentence.template_id)
-        if pattern is None:
-            return []
-        spec = self.templates[sentence.template_id]
-        believed = self.schema.predicates.get(pattern.predicate)
-        if believed is None:
-            return []
-        subject_id = self.link_subject(sentence.subject, type_hint=believed.type_id)
-        if subject_id is None:
-            return []
-        records: list[ExtractionRecord] = []
-        merged_penalty = 0.65 if (spec.merged and not pattern.handles_merged) else 1.0
-        for slot, mention in enumerate(sentence.objects):
-            declared = spec.slots[slot]
-            if slot == 0 or not spec.merged:
-                emitted_pid = pattern.predicate
-            elif pattern.handles_merged:
-                emitted_pid = declared
-            else:
-                emitted_pid = pattern.predicate
-            predicate = self.schema.predicates.get(emitted_pid)
-            if predicate is None:
-                continue
-            record = self.emit(
-                page=page,
-                subject_id=subject_id,
-                predicate=predicate,
-                mention=mention,
-                rng=rng,
-                pattern=pattern.pattern_id,
-                reliability=pattern.reliability,
-                structure_penalty=merged_penalty,
-                slot_mismatch=(emitted_pid != declared and slot > 0),
-                alternates=pool,
-            )
-            if record is not None:
-                records.append(record)
-        return records
-
-    # ------------------------------------------------------------------
-    # Batched synthesis kernel (bitwise twin of extract_page)
-    # ------------------------------------------------------------------
     def _sentence_plan(self, template_id: str) -> tuple | None:
-        """Everything ``_extract_sentence`` derives per template, hoisted.
+        """Everything a sentence's extraction derives from its template.
 
         Pure in ``template_id``: the pattern lookup, the believed
-        predicate, the subject type hint, the merged penalty, and the
-        per-slot ``(emit_plan, slot_mismatch)`` resolution.  ``None``
-        means the template produces no records (no pattern, or the
-        believed predicate is unknown).
+        predicate, the subject type hint, the merged penalty (a pattern
+        that does not understand a merged phrasing flattens both slots
+        onto its one predicate), and the per-slot ``(emit_plan,
+        slot_mismatch)`` resolution.  ``None`` means the template
+        produces no records (no pattern, or the believed predicate is
+        unknown).
         """
         pattern = self.patterns.get(template_id)
         if pattern is None:
@@ -237,8 +171,10 @@ class TextExtractor(Extractor):
             if not isinstance(element, TextDocument):
                 continue
             sentences = element.sentences
-            # The document-wide misgrab pool, built on first use: pure,
-            # so deferring it past pattern-less sentences is bit-safe.
+            # The document-wide mention pool is what a sloppy pattern can
+            # accidentally associate with its predicate (misgrab).  Built
+            # on first use: pure, so deferring it past pattern-less
+            # sentences is bit-safe.
             pool = None
             for sentence in sentences:
                 template_id = sentence.template_id

@@ -782,10 +782,11 @@ class ExecutionPlan:
     """The two execution choices a stage has (arXiv 1503.00302 §4, Fig. 8).
 
     ``pooled`` is *where* it runs — sharded over a process pool, or
-    in-process; ``batched`` is *which kernel* scores it — batched numpy,
-    or the scalar reference.  Every contract a run reports (the executor,
-    the shard body, ``backend_used``, ``parity``) is derived from these
-    two fields; the README's "Execution backends" table states them.
+    in-process; ``batched`` is *which kernel* scores a fusion round —
+    batched numpy, or the scalar reference (extraction has one kernel and
+    reads only ``pooled``).  Every contract a run reports (the executor,
+    ``backend_used``, ``parity``) is derived from these two fields; the
+    README's "Execution backends" table states them.
     """
 
     pooled: bool
@@ -796,11 +797,6 @@ class ExecutionPlan:
         """True for the scalar in-process mode every parity contract is
         stated against."""
         return not (self.pooled or self.batched)
-
-    @property
-    def kernel(self) -> str:
-        """The kernel axis as reports spell it."""
-        return "batched" if self.batched else "scalar"
 
     def executor(self, n_workers: int | None = None) -> Executor:
         """A fresh executor for this mode (the caller closes it): the one

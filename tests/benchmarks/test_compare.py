@@ -313,7 +313,7 @@ class TestCompareCli:
 class TestCommittedBaselines:
     """The repo's own blessed baselines stay coherent with the registry."""
 
-    CASES = ("pipeline", "extraction_stages")
+    CASES = ("pipeline",)
 
     @pytest.mark.parametrize("case", CASES)
     def test_committed_baseline_is_wellformed(self, case):
@@ -350,10 +350,6 @@ class TestCommittedBaselines:
             "needs at least two runner-class fingerprints"
         )
 
-    def test_extraction_baseline_times_both_synthesis_paths(self):
-        baseline = cmp.load_baseline("extraction_stages")
-        assert {"synthesis", "synthesis_batch"} <= set(baseline["stages"])
-
 
 class TestScaleQualifiedStems:
     """Scale tiers get their own envelope/baseline stems, so the web
@@ -367,7 +363,7 @@ class TestScaleQualifiedStems:
     def test_other_scales_qualify(self):
         assert cmp.stem_of("pipeline", "web") == "pipeline--web"
         assert cmp.stem_of("pipeline", "tiny") == "pipeline--tiny"
-        assert cmp.stem_of("extraction_stages", "web") == "extraction_stages--web"
+        assert cmp.stem_of("extraction", "web") == "extraction--web"
 
     def test_bless_routes_by_scale(self, tmp_path):
         cmp.update_baseline(make_envelope(), tmp_path)

@@ -6,12 +6,14 @@ import pytest
 from repro.errors import ConfigError
 from repro.extract.base import ExtractorProfile
 from repro.extract.linkage import EntityLinker
+from repro.extract.synthesis import SynthesisCaches, emit_plan, make_emitter
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Predicate, ValueKind
 from repro.kb.values import StringValue
 from repro.world.content import Mention
 from repro.world.labels import build_templates
 from repro.world.webgen import WebPage
+from tests.oracle import extract as oracle
 
 
 def make_profile(**kwargs):
@@ -59,13 +61,17 @@ def page(url="http://wiki0.example.org/p1", category="wiki"):
     )
 
 
+def covers(extractor, p):
+    return bool(extractor.coverage_mask([p])[0])
+
+
 class TestCoverage:
     def test_category_restriction(self, text_extractor):
-        assert not text_extractor.covers(page(category="general"))
+        assert not covers(text_extractor, page(category="general"))
 
     def test_coverage_deterministic(self, text_extractor):
         p = page()
-        assert text_extractor.covers(p) == text_extractor.covers(p)
+        assert covers(text_extractor, p) == covers(text_extractor, p)
 
     def test_coverage_rate_respected(self, small_world):
         linker = EntityLinker(
@@ -77,7 +83,7 @@ class TestCoverage:
             profile, small_world.schema, linker, templates, seed=1
         )
         covered = sum(
-            extractor.covers(page(url=f"http://s.org/p{i}", category="general"))
+            covers(extractor, page(url=f"http://s.org/p{i}", category="general"))
             for i in range(400)
         )
         assert 120 <= covered <= 280  # ~50% with deterministic hash draws
@@ -91,7 +97,7 @@ class TestCoverage:
             make_profile(name="full"), small_world.schema, linker, templates, seed=1
         )
         assert all(
-            extractor.covers(page(url=f"http://s.org/p{i}", category="general"))
+            covers(extractor, page(url=f"http://s.org/p{i}", category="general"))
             for i in range(50)
         )
 
@@ -115,7 +121,7 @@ class TestCoverageMask:
         ]
         mask = extractor.coverage_mask(pages)
         assert mask.dtype == np.bool_
-        assert list(mask) == [extractor.covers(p) for p in pages]
+        assert list(mask) == [oracle.covers(extractor, p) for p in pages]
 
     def test_full_coverage_no_category_filter(self, small_world):
         linker = EntityLinker(
@@ -141,6 +147,30 @@ def emit_extractor(small_world, **profile_kwargs):
     return TextExtractor(profile, small_world.schema, linker, templates, seed=1)
 
 
+def emit(extractor, predicate, mention, reliability, alternates=()):
+    """One record through the emitter, which must agree with the oracle's
+    scalar ``emit`` on the same draw stream."""
+    record = make_emitter(extractor, np.random.default_rng(0), SynthesisCaches())(
+        page(),
+        "/m/1",
+        emit_plan(extractor, predicate, None, reliability),
+        mention,
+        alternates=alternates,
+    )
+    assert record == oracle.emit(
+        extractor,
+        page=page(),
+        subject_id="/m/1",
+        predicate=predicate,
+        mention=mention,
+        rng=np.random.default_rng(0),
+        pattern=None,
+        reliability=reliability,
+        alternates=alternates,
+    )
+    return record
+
+
 STRING_PREDICATE = Predicate(
     pid="t/thing/motto", type_id="t/thing", value_kind=ValueKind.STRING
 )
@@ -158,14 +188,10 @@ class TestEmitStringFallback:
     fallback arm was unreachable — the kind check fired first)."""
 
     def emit(self, small_world, predicate, **profile_kwargs):
-        extractor = emit_extractor(small_world, **profile_kwargs)
-        return extractor.emit(
-            page=page(),
-            subject_id="/m/1",
-            predicate=predicate,
-            mention=Mention(surface="No Such Entity Anywhere", kind="entity", fact_ref=0),
-            rng=np.random.default_rng(0),
-            pattern=None,
+        return emit(
+            emit_extractor(small_world, **profile_kwargs),
+            predicate,
+            Mention(surface="No Such Entity Anywhere", kind="entity", fact_ref=0),
             reliability=1.0,
         )
 
@@ -218,13 +244,10 @@ class TestEmitMisgrabPool:
         extractor = emit_extractor(
             small_world, kind_checking=False, misgrab_rate=1.0
         )
-        return extractor.emit(
-            page=page(),
-            subject_id="/m/1",
-            predicate=STRING_PREDICATE,
-            mention=mention,
-            rng=np.random.default_rng(0),
-            pattern=None,
+        return emit(
+            extractor,
+            STRING_PREDICATE,
+            mention,
             reliability=0.0,  # misgrab probability = rate * (1 - reliability) = 1
             alternates=alternates,
         )

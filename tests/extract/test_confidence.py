@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.extract.confidence import make_confidence_model
+from tests.oracle.extract import transform
 
 
 @pytest.fixture
@@ -33,13 +34,24 @@ class TestRange:
         model = make_confidence_model(name)
         for signal in np.linspace(0, 1, 21):
             for _ in range(10):
-                value = model.transform(float(signal), rng)
+                value = model.bind(rng)(float(signal))
                 assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_bitwise_equal_to_the_textbook_form(self, name):
+        # The models spell noise and clipping for the emitter's inner
+        # loop; the oracle keeps rng.normal / min / max.
+        model = make_confidence_model(name)
+        report = model.bind(np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        for signal in np.linspace(-0.2, 1.2, 57):
+            assert report(float(signal)) == transform(model, float(signal), reference)
 
 
 class TestShapes:
     def _mean_response(self, model, signal, rng, n=300):
-        return float(np.mean([model.transform(signal, rng) for _ in range(n)]))
+        report = model.bind(rng)
+        return float(np.mean([report(signal) for _ in range(n)]))
 
     def test_calibrated_tracks_signal(self, rng):
         model = make_confidence_model("calibrated")

@@ -229,7 +229,7 @@ class TestNoiseMechanisms:
     ):
         """Regression: extract_corpus used to skip classify_record, so its
         debug channels silently carried error_kind=None everywhere."""
-        from repro.extract.pipeline import classify_record
+        from tests.oracle.extract import classify_record
 
         extractor = perfect_extractor(
             DomExtractor,

@@ -1,8 +1,8 @@
 """Unit tests for the batched extraction-error classification kernel.
 
 :func:`repro.extract.kernels.classify_batch` annotates records in place
-and must agree with the scalar reference
-(:func:`repro.extract.pipeline.classify_record`) bit-for-bit — the
+and must agree with the scalar oracle
+(:func:`tests.oracle.extract.classify_record`) bit-for-bit — the
 parity tests here compare full records, never just the error kinds.
 """
 
@@ -10,12 +10,12 @@ import pytest
 
 from repro.errors import ExtractionError
 from repro.extract.kernels import classify_batch
-from repro.extract.pipeline import classify_record
 from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
 from repro.world.facts import SourceAssertion
 from repro.world.webgen import WebPage
+from tests.oracle.extract import classify_record, covers, extract_page
 
 ASSERTED = Triple("/m/1", "t/t/p", EntityRef("/m/2"))
 OTHER = Triple("/m/1", "t/t/q", EntityRef("/m/3"))
@@ -144,16 +144,16 @@ class TestClassifyBatch:
 
 
 def synthesize(scenario):
-    """Fresh unclassified records from the scenario's fleet, per page."""
+    """Fresh unclassified records from the scenario's fleet, per page,
+    walked by the scalar oracle."""
     pages = list(scenario.corpus.pages)
     extractors = scenario.pipeline.extractors
-    masks = [extractor.coverage_mask(pages) for extractor in extractors]
     per_page = []
-    for index, page in enumerate(pages):
+    for page in pages:
         records = []
-        for extractor, mask in zip(extractors, masks):
-            if mask[index]:
-                records.extend(extractor.extract_page(page))
+        for extractor in extractors:
+            if covers(extractor, page):
+                records.extend(extract_page(extractor, page))
         per_page.append(records)
     return pages, per_page
 

@@ -1,14 +1,21 @@
 """Unit tests for the extraction pipeline and error classification."""
 
+import hashlib
+
 import pytest
 
-from repro.errors import ExtractionError
-from repro.extract.pipeline import classify_record
+from repro.datasets import small_config, tiny_config
+from repro.datasets.scenario import build_extraction_pipeline
+from repro.errors import ConfigError, ExtractionError
+from repro.extract.kernels import classify_batch
+from repro.extract.pipeline import EXTRACTION_BACKENDS
 from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
 from repro.world.facts import SourceAssertion
-from repro.world.webgen import WebPage
+from repro.world.webgen import WebPage, generate_corpus
+from repro.world.worldgen import generate_world
+from tests.oracle import extract as oracle
 
 ASSERTED = Triple("/m/1", "t/t/p", EntityRef("/m/2"))
 
@@ -36,6 +43,14 @@ def make_record(triple, **debug_kwargs):
         content_type="DOM",
         debug=ExtractionDebug(**debug_kwargs),
     )
+
+
+def classify_record(record, page):
+    """``record`` classified by the kernel, which must agree with the oracle."""
+    expected = oracle.classify_record(record, page)
+    classify_batch([(page, [record])])
+    assert record == expected
+    return record
 
 
 class TestClassification:
@@ -101,23 +116,26 @@ class TestClassification:
     def test_stripped_debug_rejected(self):
         record = make_record(ASSERTED, asserted_index=0).without_debug()
         with pytest.raises(ExtractionError):
-            classify_record(record, make_page())
+            oracle.classify_record(record, make_page())
 
+    # The oracle's copy discipline, which the parity tests lean on: it
+    # never mutates its input, so a kernel run over the same records
+    # cannot alias the expectation.
     def test_already_correct_returns_same_object(self):
         # Fresh exact-match records carry the right channel already
         # (error_kind=None, source_error=False): no copies on this path.
         fresh = make_record(ASSERTED, asserted_index=0)
-        assert classify_record(fresh, make_page()) is fresh
+        assert oracle.classify_record(fresh, make_page()) is fresh
         # Re-classifying an annotated record is also copy-free.
-        annotated = classify_record(
+        annotated = oracle.classify_record(
             make_record(ASSERTED, asserted_index=None), make_page()
         )
         assert annotated.debug.error_kind is ErrorKind.TRIPLE_IDENTIFICATION
-        assert classify_record(annotated, make_page()) is annotated
+        assert oracle.classify_record(annotated, make_page()) is annotated
 
     def test_changed_classification_returns_new_record(self):
         record = make_record(ASSERTED, asserted_index=None)
-        classified = classify_record(record, make_page())
+        classified = oracle.classify_record(record, make_page())
         assert classified is not record
         assert record.debug.error_kind is None  # the input is untouched
 
@@ -147,6 +165,66 @@ class TestPipeline:
         records = tiny_scenario.pipeline.run(tiny_scenario.corpus)
         assert records == tiny_scenario.records
 
+    def test_matches_the_scalar_oracle(self, tiny_scenario):
+        per_page = oracle.extract_records(
+            tiny_scenario.pipeline.extractors, tiny_scenario.corpus.pages
+        )
+        assert [r for records in per_page for r in records] == tiny_scenario.records
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"backend": "bogus"}, {"backend": "hybrid", "n_workers": 0}]
+    )
+    def test_run_stream_validates_at_the_call(self, tiny_scenario, kwargs):
+        # Not at the first next(): nothing below iterates the stream.
+        with pytest.raises(ConfigError):
+            tiny_scenario.pipeline.run_stream([tiny_scenario.corpus.pages], **kwargs)
+
+
+#: (preset, seed) -> sha256 over ``repr(record)`` of the classified record
+#: stream, computed at 50498c8 — the last commit whose ``serial`` backend
+#: walked pages through the scalar ``extract_page`` bodies that now live in
+#: ``tests/oracle/extract.py``.  They pin the kernels to those bytes
+#: independently of the oracle module; never re-bless them to make a change
+#: pass.
+RECORD_FINGERPRINTS = {
+    ("tiny", 0): "ff63dd09f65c5d707c0ac9ab9aaff31451573563ba4cc6c6f018b3b9b1c548eb",
+    ("tiny", 1): "063c212ba84ddf00156e70623d8ca7c15a3a5f69580db576764588dde9d00d7c",
+    ("tiny", 2): "cfc9402e137dcea18b39e18aa5a4684fe418f96a06d400de569c52db403d6af9",
+    ("small", 0): "ca729c80d8bbfdfffa63b04ee5ce14dc9d22d3b131c8fd7dd220beac6adbb6b3",
+}
+_PRESETS = {"tiny": tiny_config, "small": small_config}
+
+
+def records_fingerprint(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parallel_backend
+class TestFrozenRecordStream:
+    @pytest.mark.parametrize("preset,seed", sorted(RECORD_FINGERPRINTS))
+    def test_fingerprints_are_the_committed_ones(self, preset, seed):
+        config = _PRESETS[preset](seed)
+        world = generate_world(config.world, config.seed)
+        corpus = generate_corpus(world, config.web, config.seed)
+        pipeline = build_extraction_pipeline(config, world)
+        expected = RECORD_FINGERPRINTS[preset, seed]
+        for backend in EXTRACTION_BACKENDS:
+            records = pipeline.run(corpus, backend=backend, n_workers=2)
+            assert records_fingerprint(records) == expected, backend
+        # extract_corpus is extractor-major; a stable sort by page position
+        # restores the pipeline's page-major, extractor-major order.
+        position = {page.url: index for index, page in enumerate(corpus.pages)}
+        per_extractor = [
+            record
+            for extractor in pipeline.extractors
+            for record in extractor.extract_corpus(corpus)
+        ]
+        per_extractor.sort(key=lambda record: position[record.url])
+        assert records_fingerprint(per_extractor) == expected
+
 
 @pytest.mark.parallel_backend
 class TestBackends:
@@ -169,8 +247,6 @@ class TestBackends:
         assert records == tiny_scenario.records
 
     def test_unknown_backend_rejected(self, tiny_scenario):
-        from repro.errors import ConfigError
-
         with pytest.raises(ConfigError):
             tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="gpu")
 
@@ -181,8 +257,7 @@ class TestBackends:
         assert parallel == tiny_scenario.records
 
     def test_batched_bit_identical_to_serial(self, tiny_scenario):
-        # Serial executor, batched synthesis kernels: the bitwise twin
-        # of the scalar extract_page loop, observed through the backend.
+        # The other in-process spelling: same executor, same kernels.
         batched = tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="batched")
         assert batched == tiny_scenario.records
 
@@ -191,8 +266,8 @@ class TestBackends:
     def test_hybrid_bit_identical_at_any_worker_count(
         self, tiny_scenario, n_workers, start_method
     ):
-        """Batched synthesis inside parallel shards: bitwise-identical to
-        the serial stream at every worker count under both start methods
+        """Synthesis inside parallel shards: bitwise-identical to the
+        serial stream at every worker count under both start methods
         (the kernels reseed per page, so sharding cannot shift draws)."""
         from repro.mapreduce.executors import ParallelExecutor
 

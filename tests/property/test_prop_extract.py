@@ -1,8 +1,8 @@
 """Coverage-mask ↔ per-page ``covers`` parity, property-based.
 
-:meth:`~repro.extract.base.Extractor.coverage_mask` is the batched face
-of :meth:`~repro.extract.base.Extractor.covers`; the extraction pipeline
-decides which pages an extractor sees through the mask, so any
+:meth:`~repro.extract.base.Extractor.coverage_mask` must agree with the
+scalar oracle's per-page ``covers`` (``tests/oracle/extract.py``); the
+extraction pipeline decides which pages an extractor sees through the mask, so any
 divergence silently changes the record stream.  The properties here run
 arbitrary page selections (duplicates, reorderings, empty lists) through
 the full 12-extractor fleet — deterministic-coverage and
@@ -19,6 +19,7 @@ from repro.extract.linkage import EntityLinker
 from repro.extract.text import TextExtractor
 from repro.world.labels import build_templates
 from repro.world.webgen import WebPage
+from tests.oracle.extract import covers
 
 
 def select_pages(pages, indices):
@@ -35,7 +36,7 @@ class TestFleetCoverageMaskParity:
             mask = extractor.coverage_mask(pages)
             assert mask.dtype == np.bool_
             assert mask.shape == (len(pages),)
-            assert list(mask) == [extractor.covers(page) for page in pages]
+            assert list(mask) == [covers(extractor, page) for page in pages]
 
     def test_fleet_has_both_profile_shapes(self, tiny_scenario):
         # The property above only means something if the fleet really
@@ -89,7 +90,7 @@ class TestConstructedProfiles:
         )
         pages = [make_page(index, category) for index, category in spec]
         mask = extractor.coverage_mask(pages)
-        assert list(mask) == [extractor.covers(page) for page in pages]
+        assert list(mask) == [covers(extractor, page) for page in pages]
         uncovered_categories = {
             page.category for page, hit in zip(pages, mask) if not hit
         }
@@ -113,4 +114,4 @@ class TestConstructedProfiles:
         pages = [make_page(index, CATEGORIES[index % 4]) for index in indices]
         mask = extractor.coverage_mask(pages)
         assert mask.all()
-        assert list(mask) == [extractor.covers(page) for page in pages]
+        assert list(mask) == [covers(extractor, page) for page in pages]

@@ -1,16 +1,16 @@
-"""Batched synthesis ↔ scalar ``extract_page`` bitwise parity, property-based.
+"""Synthesis kernels ↔ the scalar oracle's ``extract_page``, property-based.
 
-:meth:`~repro.extract.base.Extractor.extract_pages_batch` and the
-fleet-level :func:`~repro.extract.synthesis.synthesize_batch` driver are
-the batched faces of scalar :meth:`~repro.extract.base.Extractor.extract_page`
-— the same twin convention as ``classify_record``/``classify_batch``
-(see ``test_prop_kernels``), except the contract here is **bitwise**:
-record lists must compare equal field-for-field, confidence floats and
-debug payloads included.  The batched path reseeds per page from a
-vectorised seed array keyed on ``(seed, "extract", name, url)``, so any
-drift — a generator consumed out of turn, a cache returning a
-near-equal object, a seed derived differently from numpy's
-``SeedSequence`` — shows up as a record mismatch.
+:meth:`~repro.extract.base.Extractor.extract_pages_batch` (whose
+one-page case is ``Extractor.extract_page``) and the fleet-level
+:func:`~repro.extract.synthesis.synthesize_batch` driver must reproduce
+the scalar walk of ``tests/oracle/extract.py`` — the same convention as
+``classify_record``/``classify_batch`` (see ``test_prop_kernels``), and
+the contract is **bitwise**: record lists must compare equal
+field-for-field, confidence floats and debug payloads included.  The
+kernels reseed per page from a vectorised seed array keyed on
+``(seed, "extract", name, url)``, so any drift — a generator consumed
+out of turn, a cache returning a near-equal object, a seed derived
+differently from numpy's ``SeedSequence`` — shows up as a record mismatch.
 
 The properties run the full 12-extractor fleet (confidence models on
 and off, all four content families) over page selections with
@@ -27,16 +27,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extract.base import ExtractorProfile
-from repro.extract.linkage import EntityLinker
 from repro.extract.synthesis import (
     PageRNGBank,
     SynthesisCaches,
-    fallback_names,
     seed_array,
     synthesize_batch,
 )
-from repro.extract.text import TextExtractor
 from repro.rng import split_seed
 from repro.world.content import (
     AnnotationBlock,
@@ -45,8 +41,8 @@ from repro.world.content import (
     TextDocument,
     WebTable,
 )
-from repro.world.labels import build_templates
 from repro.world.webgen import WebPage
+from tests.oracle.extract import covers, extract_page
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -60,7 +56,7 @@ def select_pages(pages, indices):
 def scalar_reference(extractor, pages, mask):
     """The frozen scalar loop ``extract_pages_batch`` must reproduce."""
     return [
-        extractor.extract_page(page) if covered else []
+        extract_page(extractor, page) if covered else []
         for page, covered in zip(pages, mask)
     ]
 
@@ -71,8 +67,8 @@ def fleet_scalar_reference(extractors, pages):
     for page in pages:
         records = []
         for extractor in extractors:
-            if extractor.covers(page):
-                records.extend(extractor.extract_page(page))
+            if covers(extractor, page):
+                records.extend(extract_page(extractor, page))
         per_page.append(records)
     return per_page
 
@@ -157,7 +153,6 @@ class TestFleetBatchParity:
         # confidence models both on and off, several model families.
         extractors = tiny_scenario.pipeline.extractors
         assert len(extractors) == 12
-        assert all(extractor.has_synthesis_kernel for extractor in extractors)
         assert {type(e).__name__ for e in extractors} == {
             "TextExtractor",
             "DomExtractor",
@@ -192,6 +187,10 @@ class TestFleetBatchParity:
         batch = synthesize_batch(extractors, pages)
         assert batch == fleet_scalar_reference(extractors, pages)
         assert sum(len(records) for records in batch) > 0
+        # ... and so does the one-page case, covered or not.
+        for extractor in extractors:
+            for page in pages:
+                assert extractor.extract_page(page) == extract_page(extractor, page)
 
     def test_record_equality_is_field_sensitive(self, tiny_scenario):
         # The ``==`` the parity assertions lean on must compare every
@@ -430,48 +429,6 @@ class TestSeedDerivation:
 
 
 # ---------------------------------------------------------------------------
-# Scalar fallback (extractor without a family kernel)
-# ---------------------------------------------------------------------------
-
-
-def make_fallback_extractor(world):
-    class NoKernelText(TextExtractor):
-        _synthesize_page = None
-
-    profile = ExtractorProfile(name="TXT-NOKERNEL", content_types=("TXT",))
-    linker = EntityLinker("EL-X", world.entities, world.popularity, seed=3)
-    return NoKernelText(
-        profile, world.schema, linker, build_templates(world.schema), seed=11
-    )
-
-
-class TestScalarFallback:
-    def test_fallback_advertises_no_kernel(self, tiny_scenario):
-        fallback = make_fallback_extractor(tiny_scenario.world)
-        assert not fallback.has_synthesis_kernel
-        fleet = tiny_scenario.pipeline.extractors
-        assert fallback_names(list(fleet) + [fallback]) == ("TXT-NOKERNEL",)
-        assert fallback_names(fleet) == ()
-        assert tiny_scenario.pipeline.synthesis_fallbacks() == ()
-
-    @settings(max_examples=20, deadline=None)
-    @given(indices=st.lists(st.integers(0, 10_000), max_size=10))
-    def test_fallback_batch_matches_scalar(self, tiny_scenario, indices):
-        fallback = make_fallback_extractor(tiny_scenario.world)
-        pages = select_pages(list(tiny_scenario.corpus.pages), indices)
-        mask = fallback.coverage_mask(pages)
-        assert fallback.extract_pages_batch(pages) == scalar_reference(
-            fallback, pages, mask
-        )
-
-    def test_fallback_inside_synthesize_batch(self, tiny_scenario):
-        fallback = make_fallback_extractor(tiny_scenario.world)
-        pages = list(tiny_scenario.corpus.pages)[:10]
-        fleet = list(tiny_scenario.pipeline.extractors) + [fallback]
-        assert synthesize_batch(fleet, pages) == fleet_scalar_reference(fleet, pages)
-
-
-# ---------------------------------------------------------------------------
 # Cache sharing
 # ---------------------------------------------------------------------------
 
@@ -488,10 +445,9 @@ class TestCachesSharing:
                 pages, caches=SynthesisCaches()
             ) == extractor.extract_pages_batch(pages, caches=shared)
 
-    def test_warm_caches_and_bank_memo_replay_identically(self, tiny_scenario):
-        # Second call reuses the memoised PageRNGBank (same URL tuple)
-        # and the warm SynthesisCaches — exactly how the pipeline's
-        # batched backends run shard after shard.
+    def test_warm_caches_replay_identically(self, tiny_scenario):
+        # Second call reuses the warm SynthesisCaches — exactly how the
+        # pipeline runs shard after shard.
         pages = list(tiny_scenario.corpus.pages)[:15]
         extractors = tiny_scenario.pipeline.extractors
         caches = SynthesisCaches()

@@ -148,9 +148,7 @@ class TestDerivedContracts:
         assert (diagnostics["backend_used"], diagnostics["parity"]) == FUSION_STAGE[
             case, backend
         ]
-        assert diagnostics["extraction_synthesis"] == (
-            "batched" if EXECUTION_MODES[backend].batched else "scalar"
-        )
+        assert diagnostics["extraction_synthesis"] == "batched"
         assert ("n_workers" in diagnostics) == EXECUTION_MODES[backend].pooled
 
     @pytest.mark.parametrize(

@@ -98,7 +98,7 @@ class TestStreamingEqualsRecordPath:
             "serial",
             "bitwise",
         )
-        assert diagnostics["extraction_synthesis"] == "scalar"
+        assert diagnostics["extraction_synthesis"] == "batched"
         assert "n_workers" not in diagnostics
 
     def test_serial_fusion_config_on_a_batched_stream(self):
