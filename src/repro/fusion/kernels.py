@@ -16,14 +16,16 @@ at least one active provenance).  :func:`stage2_accuracies` is the matching
 batched Stage-II update (mean posterior of each provenance's scored
 triples, via the transposed CSR).
 
-The kernels are consumed two ways: whole-matrix by the ``vectorized``
-backend, and shard-at-a-time by the ``hybrid`` backend — each parallel
-worker calls ``batch_round`` on a
+The Stage-I kernels are consumed two ways: whole-matrix by the
+``vectorized`` backend, and shard-at-a-time by the ``hybrid`` backend —
+each parallel worker calls ``batch_round`` on a
 :class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-columns, so the kernels must only touch the CSR pointer/index attributes
+columns, so they must only touch the CSR pointer/index attributes
 (``item_ptr``/``row_ptr``/``row_item``/``claim_prov``/``n_rows``), which
-both views provide.  In hybrid workers the ``accuracies``/``active``
-inputs are **read-only views over shared-memory round state**
+both views provide.  :func:`stage2_accuracies` always runs whole-matrix,
+in the parent, for both backends.  In hybrid workers the
+``accuracies``/``active`` inputs are **read-only views over shared-memory
+round state**
 (:meth:`~repro.mapreduce.executors.RoundStateHandle.load`), so kernels
 must never write into their inputs — derive new arrays (as ``np.clip``
 etc. already do) instead of mutating in place.

@@ -14,7 +14,8 @@ storage half:
   through the page cache — the PR 5 shared-memory channel extended from
   per-round vectors to the claim matrix itself.  The object columns
   (``items``/``triples``/``provenances``) load lazily on first touch:
-  the hybrid shards never touch them, so hybrid workers stay numeric.
+  the batched Stage-I shard never touches them, so hybrid workers stay
+  numeric.
 - :func:`persist_columns` publishes an in-memory column set and maps it
   back.
 

@@ -119,9 +119,8 @@ class FusionInput:
 def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
 
-    The CSR-segment gather shared by :meth:`ColumnarClaims.slice_items`
-    and the hybrid Stage-II shard — subtle index arithmetic that must
-    live in exactly one place.
+    The CSR-segment gather behind :meth:`ColumnarClaims.slice_items` (its
+    one caller: rows per item, then claims per row).
     """
     total = int(counts.sum())
     if total == 0:

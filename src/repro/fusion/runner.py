@@ -30,30 +30,33 @@ fields are the only thing that differs between them:
 
 - **pooled** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
   claim columns are installed pool-resident once per pool, each round
-  dispatches both stages as :class:`~repro.mapreduce.executors.ShardedMapJob`
-  map-only jobs over integer item/provenance ids, and round state crosses
-  as contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects
-  in shard payloads.  Not pooled, each stage is one in-process call over
-  every item / provenance id;
+  dispatches Stage I as one :class:`~repro.mapreduce.executors.ShardedMapJob`
+  map-only job over integer item ids, and its round state crosses as
+  contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects in
+  shard payloads.  Not pooled, Stage I is one in-process call over every
+  item id.  Stage II is one in-process call over every provenance id in
+  every mode — the same call, pooled or not;
 - **scalar kernel** — one posterior call per data item and one
   canonical-order mean per provenance
   (:func:`~repro.fusion.shuffle.scalar_stage1` /
   :func:`~repro.fusion.shuffle.scalar_stage2`, the only scalar stage
   bodies in ``src/``).  In-process that is ``serial``, the mode every
   parity contract is stated against; pool workers run the identical
-  bodies, bit-identical to it on fork *and* spawn, at any worker count.
+  Stage-I body, bit-identical to it on fork *and* spawn, at any worker
+  count.
   Reducer-input sampling (``L``) is part of these bodies: sampled subsets
   are defined in canonical order (see below), which is the order the
   columns enumerate values in;
 - **batched kernel** — each stage is a fixed number of numpy array
-  operations (:mod:`repro.fusion.kernels`) over the whole matrix or over
-  each shard's slice of it (:class:`~repro.fusion.shuffle.HybridStage1Shard`),
-  skipping the per-item Python loop.  Requires ``item_posterior_fn`` to
+  operations (:mod:`repro.fusion.kernels`) over the whole matrix, or for
+  pooled Stage I over each shard's slice of it
+  (:class:`~repro.fusion.shuffle.Stage1Shard`), skipping the per-item
+  Python loop.  Requires ``item_posterior_fn`` to
   carry a ``batch_round`` method (the built-in kernels do) and no
   sampling pressure (the batched kernels score whole rounds and cannot
   subset per item); otherwise the scalar kernel runs *in the same place*
   (:func:`_runnable_plan`) — in-process that is ``serial``, pooled it is
-  the scalar shards.
+  ``parallel``.
 
 The dict/MapReduce-engine transcription of the same dataflow that used to
 be ``serial`` is the test suite's reference oracle
@@ -295,7 +298,7 @@ def _column_executor(
         shuffle.install_fusion_columns(executor, cols)
         yield executor
     finally:
-        # Release the round's shared-memory segment even on a
+        # Release the last round's shared-memory segment even on a
         # caller-managed executor (its close() would also do this, but a
         # shared executor may outlive the fusion stage by a long time).
         shuffle.uninstall_fusion_round_state(executor)
@@ -321,9 +324,10 @@ def _column_stage1(
     Sharded, the round's accuracies and active mask cross once on the
     round-state channel (shared-memory segments where available; the
     shard specs carry only the tiny handle) and each shard of item ids
-    runs the batched or the scalar kernel.  ``name`` seeds the scalar
-    kernel's canonical-order sampling draw, so a method must use one name
-    in every mode for sampled subsets to stay bitwise.
+    runs the batched or the scalar kernel — the round's one map job.
+    ``name`` seeds the scalar kernel's canonical-order sampling draw, so a
+    method must use one name in every mode for sampled subsets to stay
+    bitwise.
     """
     if executor is None and batched:
         return kernel.batch_round(cols, accuracies, active, require_repeated)
@@ -353,36 +357,22 @@ def _column_stage2(
     round_result: kernels.RoundPosteriors,
     active: np.ndarray,
     config: FusionConfig,
-    executor: Executor | None,
     batched: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stage II of one round: ``(new_acc, updated)`` per provenance id.
+    """Stage II of one round, in-process in every mode: ``(new_acc,
+    updated)`` per provenance id.
 
     ``updated`` marks the provenances that received an estimate (active
     and supporting at least one scored row); ``new_acc`` is meaningful
     only there.
     """
-    if executor is None and batched:
+    if batched:
         return kernels.stage2_accuracies(cols, round_result, active)
-    prov_ids = range(len(cols.provenances))
-    if executor is None:
-        outputs = shuffle.scalar_stage2(
-            cols, round_result.posteriors, round_result.scored, active,
-            prov_ids, "fusion.stage2", config.sample_limit, config.seed,
-        )
-    else:
-        state = shuffle.install_stage2_state(
-            executor, round_result.posteriors, round_result.scored, active
-        )
-        job = shuffle.stage2_job(
-            "fusion.stage2",
-            cols,
-            state,
-            batched,
-            sample_limit=config.sample_limit,
-            seed=config.seed,
-        )
-        outputs = executor.run_map(prov_ids, job)
+    outputs = shuffle.scalar_stage2(
+        cols, round_result.posteriors, round_result.scored, active,
+        range(len(cols.provenances)), "fusion.stage2", config.sample_limit,
+        config.seed,
+    )
     updated = np.array([value is not None for value in outputs], dtype=bool)
     new_acc = np.array(
         [0.0 if value is None else value for value in outputs], dtype=np.float64
@@ -425,8 +415,8 @@ def _run_columnar(
     triple).  The Python dict outputs are materialised once at the end
     (Stage III), so no dict claim view is ever required — which is what
     lets the out-of-core path fuse straight from mapped columns.  ``plan``
-    (:func:`_runnable_plan`) fixes where the two per-round stage calls run
-    and which kernel scores them, ``order`` (:func:`_emission_order`) the
+    (:func:`_runnable_plan`) fixes where Stage I runs and which kernel
+    scores both stages, ``order`` (:func:`_emission_order`) the
     order the dict outputs are written in; nothing else differs between
     backends.
     """
@@ -476,7 +466,7 @@ def _run_columnar(
                 plan.batched,
             )
             new_acc, updated = _column_stage2(
-                cols, round_result, active, config, where, plan.batched
+                cols, round_result, active, config, plan.batched
             )
             if plan.batched and config.min_accuracy is not None:
                 # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.

@@ -1,60 +1,57 @@
-"""The scalar stage bodies, and fusion's shards over pool-resident columns.
+"""The scalar stage bodies, and fusion's Stage-I shard over pool-resident columns.
 
 **The scalar stage bodies.**  :func:`scalar_stage1` (one posterior call
 per data item) and :func:`scalar_stage2` (one canonical-order mean per
 provenance) are the only scalar Stage I / Stage II in ``src/``.  They are
 plain functions of the claim columns
 (:class:`~repro.fusion.observations.ColumnarClaims` — int-coded CSR over
-sorted items/triples/provenances) and one round's arrays: the ``serial``
-mode calls them in-process over every id, the scalar shards below call
-them in pool workers over a shard of ids, and the runner's θ-rescue calls
-them for the boundary ids.
+sorted items/triples/provenances) and one round's arrays: the runner
+calls them in-process over every id (Stage I only in the in-process
+``serial`` mode, Stage II in every scalar-kernel mode), the shard below
+calls :func:`scalar_stage1` in pool workers over a shard of item ids, and
+the runner's θ-rescue calls both for the boundary ids.
 
-**The columnar shuffle.**  The paper runs every fusion stage as sharded
-MapReduce over compact key-partitioned records.  Pooled, that is:
+**The columnar shuffle.**  The paper's Figure 8 shuffles both fusion
+stages; here only Stage I — the per-item posteriors, where the work is —
+is a map job.  Stage II (one mean per provenance) always runs in the
+parent, on the call the in-process modes make.  Pooled, one round is:
 
 - the **columns themselves** (triples, provenances, pointer arrays, the
   canonical row ranking) are installed *pool-resident* once per pool via
   :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`
   (:func:`install_fusion_columns`), on fork and spawn alike;
-- the **round state** (the accuracy/posterior/active-mask vectors that
-  change every round) crosses once per round through the executors'
-  round-state channel
+- the **round state** (the accuracy vector and active mask, which change
+  every round) crosses once per round through the executors' round-state
+  channel
   (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`,
   shared-memory segments with a pickled-inline fallback, installed under
   :data:`FUSION_ROUND_KEY`) — each **shard task payload** is therefore a
-  list of integer item/provenance ids plus, inside the per-job spec, only
-  the tiny :class:`~repro.mapreduce.executors.RoundStateHandle`: no
-  ``Triple``, ``DataItem``, ``ExtractionRecord``, *or numpy
-  buffer* ever rides in a shard payload (the test suite audits this with
+  list of integer item ids plus, inside the per-job spec, only the tiny
+  :class:`~repro.mapreduce.executors.RoundStateHandle`: no ``Triple``,
+  ``DataItem``, ``ExtractionRecord``, *or numpy buffer* ever rides in a
+  shard payload (the test suite audits this with
   :func:`~repro.mapreduce.codec.scan_payload_types`);
-- both stages run on the executors' shared map-only protocol
-  (:class:`~repro.mapreduce.executors.ShardedMapJob` / ``run_map``), the
-  same codec layer extraction shards use.
-
-Two shard families share that wire format:
-
-- the **scalar shards** (:class:`Stage1ColumnarShard` /
-  :class:`Stage2ColumnarShard`) resolve the resident columns and the
-  round's arrays and call the scalar stage bodies — the ``parallel``
-  backend;
-- the **hybrid shards** (:class:`HybridStage1Shard` /
-  :class:`HybridStage2Shard`) slice the resident columns
-  (:meth:`~repro.fusion.observations.ColumnarClaims.slice_items`) and run
-  the *batched* numpy kernels of :mod:`repro.fusion.kernels` — one
-  vectorized kernel call per shard instead of N scalar per-item updates.
+- Stage I runs as one :class:`Stage1Shard` job on the executors' shared
+  map-only protocol (:class:`~repro.mapreduce.executors.ShardedMapJob` /
+  ``run_map``), the same codec layer extraction shards use.  The shard
+  either calls :func:`scalar_stage1` (the ``parallel`` backend) or slices
+  the resident columns
+  (:meth:`~repro.fusion.observations.ColumnarClaims.slice_items`) and
+  runs the *batched* numpy kernel of :mod:`repro.fusion.kernels` — one
+  vectorized call per shard instead of N scalar per-item updates (the
+  ``hybrid`` backend).
 
 **Contracts** (stated in full in :mod:`repro.fusion.runner`).  ``serial``
-and the scalar shards run the same bodies, which sum floats and draw
+and the scalar shard run the same bodies, which sum floats and draw
 reducer-input samples (the paper's ``L``,
 :func:`~repro.mapreduce.executors.sample_positions`) in canonical (sorted)
 order — the columnar CSR layout's own order, never set-iteration order —
 so serial, fork-parallel and spawn-parallel output is **bit-identical** at
-any worker count, independent of ``PYTHONHASHSEED``.  The hybrid shards
-honour the **tolerance** contract instead
+any worker count, independent of ``PYTHONHASHSEED``.  The batched shard
+honours the **tolerance** contract instead
 (:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`): ``reduceat`` visits the
-same addends in a different order.  They cannot subset per item, so under
-sampling pressure the runner swaps them for the scalar shards
+same addends in a different order.  It cannot subset per item, so under
+sampling pressure the runner runs the scalar kernel instead
 (``backend_used == "parallel (hybrid fallback)"``).
 """
 
@@ -66,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from repro.fusion.kernels import RoundPosteriors
-from repro.fusion.observations import ColumnarClaims, ProvKey, ragged_gather
+from repro.fusion.observations import ColumnarClaims, ProvKey
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
     Executor,
@@ -81,16 +78,11 @@ __all__ = [
     "FUSION_ROUND_KEY",
     "install_fusion_columns",
     "install_stage1_state",
-    "install_stage2_state",
     "uninstall_fusion_round_state",
     "scalar_stage1",
     "scalar_stage2",
-    "Stage1ColumnarShard",
-    "Stage2ColumnarShard",
-    "HybridStage1Shard",
-    "HybridStage2Shard",
+    "Stage1Shard",
     "stage1_job",
-    "stage2_job",
     "merge_stage1_outputs",
 ]
 
@@ -98,33 +90,29 @@ __all__ = [
 #: :func:`repro.mapreduce.executors.worker_state`).
 FUSION_COLUMNS_KEY = "fusion.columns"
 
-#: Round-state key the per-round buffers are installed under.  Both stages
-#: share it: Stage II's install supersedes Stage I's within a round, so at
-#: most one shared-memory segment per fusion run is ever live.
+#: Round-state key the per-round Stage-I buffers are installed under.  One
+#: install per round; each supersedes (and unlinks) the last, so at most
+#: one shared-memory segment per fusion run is ever live.
 FUSION_ROUND_KEY = "fusion.round"
 
 
 def install_fusion_columns(executor: Executor, cols: ColumnarClaims) -> None:
-    """Make ``cols`` pool-resident for the stage shards.
+    """Make ``cols`` pool-resident for the Stage-I shards.
 
-    The canonical row ranking is materialised first so workers receive it
-    prebuilt instead of each re-sorting the triple column.  Crosses the
-    process boundary once per pool; in-process executors just register the
-    object.  The columns are not withdrawn when a fusion run ends: a
-    shared executor's next fuse over the same columns reinstalls an
-    identical value, which is a no-op instead of a pool restart.
+    The canonical row ranking is materialised first, so the pickled value
+    is the same before and after the parent's Stage II caches it — a
+    shared executor's next fuse over the same columns then reinstalls an
+    identical value, which is a no-op instead of a pool restart.  Crosses
+    the process boundary once per pool; in-process executors just register
+    the object.  The columns are not withdrawn when a fusion run ends.
     """
     cols.canonical_rank()
     executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
 def uninstall_fusion_round_state(executor: Executor) -> None:
-    """Release the round-state channel both stage installers publish on.
-
-    One call per round regardless of which stage installed last: the
-    stages share :data:`FUSION_ROUND_KEY`, so this unlinks whatever
-    segment is currently live.
-    """
+    """Release the round-state channel :func:`install_stage1_state`
+    publishes on: one call per run, unlinking the last round's segment."""
     executor.uninstall_round_state(FUSION_ROUND_KEY)
 
 
@@ -136,23 +124,6 @@ def install_stage1_state(
         FUSION_ROUND_KEY,
         {
             "accuracies": np.asarray(accuracies, dtype=np.float64),
-            "active": np.asarray(active, dtype=bool),
-        },
-    )
-
-
-def install_stage2_state(
-    executor: Executor,
-    posteriors: np.ndarray,
-    scored: np.ndarray,
-    active: np.ndarray,
-) -> RoundStateHandle:
-    """Publish one round's Stage-II inputs on the round-state channel."""
-    return executor.install_round_state(
-        FUSION_ROUND_KEY,
-        {
-            "posteriors": np.asarray(posteriors, dtype=np.float64),
-            "scored": np.asarray(scored, dtype=bool),
             "active": np.asarray(active, dtype=bool),
         },
     )
@@ -172,8 +143,8 @@ def scalar_stage1(
     """Scalar Stage I: score ``item_ids``, one per-item posterior call each.
 
     The one scalar Stage-I body in ``src/``: the ``serial`` mode calls it
-    in-process over every item, :class:`Stage1ColumnarShard` calls it in
-    each pool worker, and the θ-rescue calls it for the boundary items.
+    in-process over every item, :class:`Stage1Shard` calls it in each pool
+    worker, and the θ-rescue calls it for the boundary items.
     Each item's output is a list of ``(row_id, posterior)`` pairs (empty
     when the item is filtered).
 
@@ -249,10 +220,11 @@ def scalar_stage2(
 ) -> list[float | None]:
     """Scalar Stage II: re-estimate the accuracies of ``prov_ids``.
 
-    The one scalar Stage-II body in ``src/`` (same three callers as
-    :func:`scalar_stage1`).  Output per provenance is the mean posterior
-    of its scored triples, summed in canonical triple order (not row or
-    hash order, so the float is the same in every process), or None when
+    The one scalar Stage-II body in ``src/``, always run in the parent:
+    the runner calls it over every provenance in each scalar-kernel round,
+    pooled or not, and the θ-rescue calls it for the boundary provenances.
+    Output per provenance is the mean posterior of its scored triples,
+    summed in canonical triple order (not row or hash order), or None when
     the provenance is inactive or scored nothing this round.
 
     Sampling follows the same canonical-order contract as Stage I: the
@@ -284,141 +256,53 @@ def scalar_stage2(
 
 
 @dataclass(frozen=True)
-class Stage1ColumnarShard:
-    """One scalar Stage-I dispatch: :func:`scalar_stage1` over a shard.
+class Stage1Shard:
+    """One Stage-I dispatch over a shard of item ids.
 
-    Pickled once per job; carries only the picklable posterior kernel
-    plus the :class:`~repro.mapreduce.executors.RoundStateHandle` naming
-    the round's accuracy vector and active mask (the buffers themselves
-    live in shared memory, crossing once per round — see
-    :func:`install_stage1_state`).  Shard items are integer item ids into
-    the pool-resident columns; one output per item satisfies the
-    ``run_map`` contract.
+    Pickled once per job; carries the picklable posterior kernel plus the
+    :class:`~repro.mapreduce.executors.RoundStateHandle` naming the
+    round's accuracy vector and active mask (the buffers themselves live
+    in shared memory, crossing once per round — see
+    :func:`install_stage1_state`).  ``batched`` picks the kernel: one
+    ``kernel.batch_round`` call over a
+    :class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
+    columns (tolerance parity: only the float summation order differs),
+    or :func:`scalar_stage1` per item, which also honours the sampling
+    bound (bitwise parity).  Either way the output is one list of
+    ``(row_id, posterior)`` pairs per item, so the parent-side merge is
+    shared.
     """
 
-    posterior_fn: Callable
+    kernel: Callable  # batched: must expose batch_round(cols, acc, active, repeated)
     state: RoundStateHandle  # names the round's accuracies + active mask
     require_repeated: bool
+    batched: bool
     name: str = "fusion.stage1"
     sample_limit: int | None = None
     seed: int = 0
 
     def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
-        round_state = self.state.load()
-        return scalar_stage1(
-            worker_state(FUSION_COLUMNS_KEY),
-            self.posterior_fn,
-            round_state["accuracies"],
-            round_state["active"],
-            self.require_repeated,
-            item_ids,
-            self.name,
-            self.sample_limit,
-            self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class Stage2ColumnarShard:
-    """One scalar Stage-II dispatch: :func:`scalar_stage2` over a shard.
-
-    Shard items are integer provenance ids; the round's posteriors and
-    scored/active masks cross once per round on the round-state channel
-    (:func:`install_stage2_state`) — the spec carries only the handle.
-    """
-
-    state: RoundStateHandle  # names the round's posteriors/scored/active
-    name: str = "fusion.stage2"
-    sample_limit: int | None = None
-    seed: int = 0
-
-    def __call__(self, prov_ids: list[int]) -> list[float | None]:
-        round_state = self.state.load()
-        return scalar_stage2(
-            worker_state(FUSION_COLUMNS_KEY),
-            round_state["posteriors"],
-            round_state["scored"],
-            round_state["active"],
-            prov_ids,
-            self.name,
-            self.sample_limit,
-            self.seed,
-        )
-
-
-@dataclass(frozen=True)
-class HybridStage1Shard:
-    """One hybrid Stage-I dispatch: one batched kernel call per shard.
-
-    The kernel must expose ``batch_round`` (the built-in
-    ``AccuKernel``/``PopAccuKernel``/``VoteKernel`` do); it runs over a
-    :class:`~repro.fusion.observations.ColumnarSlice` of the
-    pool-resident columns, replacing the shard's per-item Python loop
-    with a fixed number of array operations.  Wire format is identical to
-    the scalar shard — ``(row_id, posterior)`` pairs per item — so the
-    parent-side merge is shared; only the float summation order differs
-    (tolerance parity, not bitwise).
-    """
-
-    kernel: Callable  # must expose batch_round(cols, acc, active, repeated)
-    state: RoundStateHandle  # names the round's accuracies + active mask
-    require_repeated: bool
-
-    def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
         cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
         round_state = self.state.load()
+        accuracies, active = round_state["accuracies"], round_state["active"]
+        if not self.batched:
+            return scalar_stage1(
+                cols, self.kernel, accuracies, active, self.require_repeated,
+                item_ids, self.name, self.sample_limit, self.seed,
+            )
         part = cols.slice_items(item_ids)
         round_result = self.kernel.batch_round(
-            part, round_state["accuracies"], round_state["active"],
-            self.require_repeated,
+            part, accuracies, active, self.require_repeated
         )
         scored = round_result.scored
         posteriors = round_result.posteriors
-        outputs: list[list[tuple[int, float]]] = []
-        for i in range(part.n_items):
-            begin, end = part.item_ptr[i], part.item_ptr[i + 1]
-            outputs.append(
-                [
-                    (int(part.rows[r]), float(posteriors[r]))
-                    for r in range(begin, end)
-                    if scored[r]
-                ]
-            )
-        return outputs
-
-
-@dataclass(frozen=True)
-class HybridStage2Shard:
-    """One hybrid Stage-II dispatch: batched accuracy re-estimation.
-
-    Gathers the shard provenances' supported rows from the transposed CSR
-    in one set of array operations and reduces mean scored-triple
-    posteriors with ``np.add.reduceat`` — the shard-local equivalent of
-    :func:`repro.fusion.kernels.stage2_accuracies`.  Summation runs in
-    row-id order rather than canonical triple order, hence tolerance (not
-    bitwise) parity.
-    """
-
-    state: RoundStateHandle  # names the round's posteriors/scored/active
-
-    def __call__(self, prov_ids: list[int]) -> list[float | None]:
-        cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
-        round_state = self.state.load()
-        active = round_state["active"]
-        ids = np.asarray(prov_ids, dtype=np.int64)
-        counts = cols.prov_ptr[ids + 1] - cols.prov_ptr[ids]
-        ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        # Every provenance supports >= 1 row by construction, so no
-        # reduceat segment is empty.
-        rows = cols.prov_rows[ragged_gather(cols.prov_ptr[ids], counts)]
-        scored_here = round_state["scored"][rows]
-        contrib = np.where(scored_here, round_state["posteriors"][rows], 0.0)
-        sums = np.add.reduceat(contrib, ptr[:-1])
-        ns = np.add.reduceat(scored_here.astype(np.float64), ptr[:-1])
         return [
-            float(sums[i] / ns[i]) if active[p] and ns[i] > 0 else None
-            for i, p in enumerate(ids)
+            [
+                (int(part.rows[r]), float(posteriors[r]))
+                for r in range(part.item_ptr[i], part.item_ptr[i + 1])
+                if scored[r]
+            ]
+            for i in range(part.n_items)
         ]
 
 
@@ -434,58 +318,23 @@ def stage1_job(
 ) -> ShardedMapJob:
     """One Stage-I round as a map-only job over item ids.
 
-    ``batched`` picks the shard family: one batched ``kernel.batch_round``
-    call per shard (:class:`HybridStage1Shard`) or the scalar kernel per
-    item (:class:`Stage1ColumnarShard`, which also honours the sampling
-    bound).  ``state`` is the handle :func:`install_stage1_state` returned
-    for this round.  ``key_fn`` resolves the item's canonical key in the
-    parent (it never pickles), so shard assignment matches the stable
-    crc32 partitioning every other sharded stage uses.
+    ``state`` is the handle :func:`install_stage1_state` returned for this
+    round.  ``key_fn`` resolves the item's canonical key in the parent (it
+    never pickles), so shard assignment matches the stable crc32
+    partitioning every other sharded stage uses.
     """
-    if batched:
-        map_shard = HybridStage1Shard(
-            kernel=kernel, state=state, require_repeated=require_repeated
-        )
-    else:
-        map_shard = Stage1ColumnarShard(
-            posterior_fn=kernel,
+    return ShardedMapJob(
+        name=name,
+        map_shard=Stage1Shard(
+            kernel=kernel,
             state=state,
             require_repeated=require_repeated,
+            batched=batched,
             name=name,
             sample_limit=sample_limit,
             seed=seed,
-        )
-    return ShardedMapJob(
-        name=name,
-        map_shard=map_shard,
+        ),
         key_fn=lambda j: cols.items[j].canonical(),
-    )
-
-
-def stage2_job(
-    name: str,
-    cols: ColumnarClaims,
-    state: RoundStateHandle,
-    batched: bool,
-    sample_limit: int | None = None,
-    seed: int = 0,
-) -> ShardedMapJob:
-    """One Stage-II round as a map-only job over provenance ids.
-
-    ``batched`` picks :class:`HybridStage2Shard` over the scalar
-    :class:`Stage2ColumnarShard`; ``state`` is the handle
-    :func:`install_stage2_state` returned for this round.
-    """
-    if batched:
-        map_shard = HybridStage2Shard(state=state)
-    else:
-        map_shard = Stage2ColumnarShard(
-            state=state, name=name, sample_limit=sample_limit, seed=seed
-        )
-    return ShardedMapJob(
-        name=name,
-        map_shard=map_shard,
-        key_fn=lambda p: cols.provenances[p],
     )
 
 

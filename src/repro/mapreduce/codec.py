@@ -28,7 +28,8 @@ The contract both producers follow (see ``mapreduce/README.md``):
    ``spawn`` start methods.
 3. **Per-round state never rides in a payload either.**  Buffers that
    change each round but are shared by every shard of the round (a
-   fusion round's accuracy/posterior/active vectors) cross through the
+   fusion round's accuracy vector and active mask — the one map stage of
+   a round, Stage I, reads nothing else) cross through the
    executors' round-state channel
    (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`
    — shared-memory segments, pickled-inline fallback); the spec carries

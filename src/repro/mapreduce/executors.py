@@ -15,16 +15,16 @@ policy:
 
 This is the protocol the extraction stage runs on — each shard of pages
 is extracted in a worker and the parent reassembles the corpus-order
-record stream — and the fusion stages as well (items are integer
-item/provenance ids into pool-resident columns; see
-:mod:`repro.fusion.shuffle`).  The in-process fusion modes do not go
-through an executor at all.
+record stream — and fusion's Stage I as well, one job per round (items
+are integer item ids into pool-resident columns; see
+:mod:`repro.fusion.shuffle`; Stage II runs in the parent).  The
+in-process fusion modes do not go through an executor at all.
 
 Bit-identity across start methods requires shard bodies whose float
 summation order does not depend on hash randomization: a body that sums a
 set in iteration order gives ``PYTHONHASHSEED``-dependent last-ulp
 results, and a ``spawn`` worker draws its own hash seed.  The fusion
-shards therefore sum in canonical (sorted) order, which makes serial,
+shard therefore sums in canonical (sorted) order, which makes serial,
 ``fork``-parallel and ``spawn``-parallel output bit-identical; pools
 default to ``fork`` where available (cheapest state inheritance) and
 accept an explicit ``start_method`` otherwise.
@@ -39,8 +39,8 @@ round-state installs that had to cross inline instead of through shared
 memory are counted in ``fallbacks_shm`` (``fallbacks`` sums all three).
 
 **Per-round state.**  State that changes once per *round* but is read by
-every shard of that round (fusion's accuracy/posterior/active-mask
-vectors) gets its own channel: :meth:`install_round_state` places the
+every shard of that round (fusion's accuracy vector and active mask)
+gets its own channel: :meth:`install_round_state` places the
 round's arrays in ``multiprocessing.shared_memory`` segments and returns a
 tiny :class:`RoundStateHandle` — shard callables carry only the handle
 (segment name + array layout, a few hundred bytes) and resolve the arrays
@@ -157,7 +157,7 @@ def _release_parent_state(installed: dict[str, Any], key: str) -> None:
 # ---------------------------------------------------------------------------
 # Per-round state: shared-memory buffers behind a tiny picklable handle
 # ---------------------------------------------------------------------------
-# Round state (fusion's per-round accuracy/posterior/active vectors) changes
+# Round state (fusion's per-round accuracy vector and active mask) changes
 # too often for the pool initializer (restarting the pool every round would
 # dwarf the work) but is identical across every shard of a round — so it
 # crosses through named shared-memory segments instead.  The parent writes
@@ -364,6 +364,11 @@ class ShardedMapJob:
     codec: WireCodec | None = None
 
 
+#: Jobs with fewer items than this run in-process: one item is one shard,
+#: and a pool round trip cannot beat the parent running it directly.
+_MIN_KEYS = 2
+
+
 def _map_shard_worker(
     spec_bytes: bytes, indexed_items: list[tuple[int, Any]]
 ) -> list[tuple[int, Any]]:
@@ -491,9 +496,9 @@ class ParallelExecutor:
     """Process-pool map, sharded by stable key hash.
 
     ``max_workers`` defaults to the CPU count (minimum 2, so the backend is
-    exercised even on single-core hosts); ``min_keys`` is the item-count
-    threshold below which dispatch overhead cannot pay off and the job
-    runs in-process.  ``start_method`` pins the multiprocessing start
+    exercised even on single-core hosts).  A job of fewer than
+    :data:`_MIN_KEYS` items cannot pay for dispatch and runs in-process.
+    ``start_method`` pins the multiprocessing start
     method (``"fork"``/``"spawn"``/``"forkserver"``; None prefers fork
     where available — cheapest pool start, and installed state is
     inherited by memory copy).  The pool is created lazily and reused
@@ -505,22 +510,16 @@ class ParallelExecutor:
     so new workers see the full registry — once per pipeline stage, never
     per shard.  Per-round state (:meth:`install_round_state`) never
     restarts the pool: it crosses through shared-memory segments workers
-    attach lazily (``use_shared_memory=False``, or a failing
-    ``multiprocessing.shared_memory``, degrades it to an inline pickled
-    payload, counted per install in ``fallbacks_shm``).
+    attach lazily (a failing ``multiprocessing.shared_memory`` degrades it
+    to an inline pickled payload for the rest of the executor's life,
+    counted per install in ``fallbacks_shm``).
     """
 
     def __init__(
-        self,
-        max_workers: int | None = None,
-        min_keys: int = 2,
-        start_method: str | None = None,
-        use_shared_memory: bool = True,
+        self, max_workers: int | None = None, start_method: str | None = None
     ) -> None:
         self.max_workers = max_workers or max(2, os.cpu_count() or 1)
-        self.min_keys = min_keys
         self.start_method = start_method
-        self.use_shared_memory = use_shared_memory
         self.fallbacks_tiny = 0  # jobs too small for dispatch to pay off
         self.fallbacks_unpicklable = 0  # jobs whose work unit cannot pickle
         self.fallbacks_shm = 0  # round-state installs that crossed inline
@@ -531,6 +530,7 @@ class ParallelExecutor:
         self._unpicklable_state: set[str] = set()
         self._round_segments: dict[str, shared_memory.SharedMemory] = {}
         self._round_installed: dict[str, int] = {}
+        self._shm_failed = False  # latched by the first failed segment
 
     @property
     def fallbacks(self) -> int:
@@ -564,7 +564,7 @@ class ParallelExecutor:
         segment; ``"inline (shm fallback)"`` once any install had to ride
         pickled inside the shard specs instead.
         """
-        if self.fallbacks_shm > 0 or not self.use_shared_memory:
+        if self.fallbacks_shm > 0:
             return "inline (shm fallback)"
         return "shared-memory"
 
@@ -647,14 +647,14 @@ class ParallelExecutor:
         generation = next(_ROUND_GENERATIONS)
         self._release_round_segment(key)
         handle: RoundStateHandle | None = None
-        if self.use_shared_memory:
+        if not self._shm_failed:
             layout, size = _round_segment_layout(arrays)
             try:
                 segment = shared_memory.SharedMemory(create=True, size=size)
             except Exception:
                 # No usable /dev/shm (or equivalent): degrade for the rest
                 # of this executor's life rather than probing every round.
-                self.use_shared_memory = False
+                self._shm_failed = True
             else:
                 for spec in layout:
                     np.ndarray(
@@ -721,7 +721,7 @@ class ParallelExecutor:
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
         """Run a map-only job over a process pool, outputs in input order."""
         items = list(items)
-        if len(items) < self.min_keys:
+        if len(items) < _MIN_KEYS:
             self.fallbacks_tiny += 1
             return map_serial(items, job)
         if self._unpicklable_state:

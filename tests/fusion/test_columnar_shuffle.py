@@ -14,16 +14,22 @@ Three properties, each load-bearing:
    channel, *no numpy buffer either* — ever rides in a fusion shard task
    payload: only integer ids, primitives, and the tiny round-state handle
    cross per shard.  The heavyweight columns cross once through the pool
-   initializer; the per-round accuracy/posterior/active buffers cross
-   once per round through shared memory.
+   initializer; the per-round accuracy/active buffers cross once per
+   round through shared memory.
+4. **One map stage per round**: a pooled round dispatches Stage I and
+   nothing else (Stage II runs in the parent), and its output is pinned
+   to fingerprints computed while Stage II was still a map job.
 """
 
+import hashlib
 import pickle
 import random
 
 import numpy as np
 import pytest
 
+from repro.datasets import build_scenario, tiny_config
+from repro.endtoend import make_fuser
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, popaccu, popaccu_plus, vote
 from repro.fusion.observations import FusionInput
@@ -261,3 +267,91 @@ class TestPayloadPurity:
             assert not offenders, (
                 f"extraction spec still ships the fleet: {offenders}"
             )
+
+
+#: sha256 of pooled fused output at ``tiny`` seed 0, 2 workers, per
+#: (backend, method, L).  Computed at the commit where both stages were
+#: still map jobs — never re-bless them to make a change pass.  At L=2
+#: ``hybrid`` runs the scalar kernel (``parallel (hybrid fallback)``), so
+#: its hashes equal ``parallel``'s.
+POOLED_FUSION_FINGERPRINTS = {
+    ("parallel", "popaccu", 1_000_000): "b188620c8840bf129196109f3e59018ee2d9dae2c011798e4c3618facc4f2b6e",
+    ("parallel", "popaccu", 2): "bf957c0180475dc4c7b704cb8d38c7ff8345b40186064b7028e920bd17d0fac5",
+    ("parallel", "popaccu+", 1_000_000): "2dd842baf9d3ec9b34f0249e4b457700986671ad721be5d4d4aae875139da2ff",
+    ("parallel", "popaccu+", 2): "9d4872dced7691f6b48d65f245f173cd0b60188e4d8f7fc3bef5b9b32bad657e",
+    ("parallel", "accu", 1_000_000): "44ff2237e72cc73d5ed4779f996fd200d02e0eedc6c85fb0ef67d09dd619edab",
+    ("parallel", "accu", 2): "4eec66eb3c80a3387bce51ed06ee303f7176d038f82975cd9f227f0d8e861264",
+    ("hybrid", "popaccu", 1_000_000): "80aef266b695b911dea2e741218b9a74c3fb17150092565efd8bc79bf41bee29",
+    ("hybrid", "popaccu", 2): "bf957c0180475dc4c7b704cb8d38c7ff8345b40186064b7028e920bd17d0fac5",
+    ("hybrid", "popaccu+", 1_000_000): "ec463d56822ce3cd09c6b150e36e94bfe0ac6fd0bfac0acd9bb4c70c6826386a",
+    ("hybrid", "popaccu+", 2): "9d4872dced7691f6b48d65f245f173cd0b60188e4d8f7fc3bef5b9b32bad657e",
+    ("hybrid", "accu", 1_000_000): "d0c06f485d5cfb19350f6ebd25ddff186721657eba8aafedd1bec9d0261009ab",
+    ("hybrid", "accu", 2): "4eec66eb3c80a3387bce51ed06ee303f7176d038f82975cd9f227f0d8e861264",
+}
+
+
+def pooled_fingerprint(result) -> str:
+    """sha256 over the probabilities (dict order, ``float.hex``), the
+    accuracies (dict order), and the sorted unpredicted set."""
+    digest = hashlib.sha256()
+    for triple, p in result.probabilities.items():
+        digest.update(repr((triple.canonical(), p.hex())).encode())
+    for prov, a in result.accuracies.items():
+        digest.update(repr((prov, a.hex())).encode())
+    for canonical in sorted(t.canonical() for t in result.unpredicted):
+        digest.update(canonical.encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def tiny_seed0():
+    return build_scenario(tiny_config(seed=0))
+
+
+class TestOneMapStagePerRound:
+    @pytest.mark.parametrize(
+        "backend, method, sample_limit", sorted(POOLED_FUSION_FINGERPRINTS)
+    )
+    def test_fingerprints_are_the_committed_ones(
+        self, tiny_seed0, backend, method, sample_limit
+    ):
+        config = FusionConfig(backend=backend, n_workers=2, sample_limit=sample_limit)
+        result = make_fuser(method, config, tiny_seed0.gold).fuse(
+            tiny_seed0.fusion_input()
+        )
+        expected = POOLED_FUSION_FINGERPRINTS[backend, method, sample_limit]
+        assert pooled_fingerprint(result) == expected
+
+    @pytest.mark.parametrize(
+        "method, backend, job_name",
+        [
+            ("popaccu", "hybrid", "fusion.stage1"),
+            ("popaccu", "parallel", "fusion.stage1"),
+            ("vote", "hybrid", "vote.stage1"),
+        ],
+    )
+    def test_one_job_and_one_install_per_round(
+        self, micro_scenario, monkeypatch, method, backend, job_name
+    ):
+        jobs: list[str] = []
+        installs: list[str] = []
+        run_map = ParallelExecutor.run_map
+        install_round_state = ParallelExecutor.install_round_state
+
+        def spy_run_map(self, items, job):
+            jobs.append(job.name)
+            return run_map(self, items, job)
+
+        def spy_install(self, key, arrays):
+            installs.append(key)
+            return install_round_state(self, key, arrays)
+
+        monkeypatch.setattr(ParallelExecutor, "run_map", spy_run_map)
+        monkeypatch.setattr(ParallelExecutor, "install_round_state", spy_install)
+        result = make_fuser(method, FusionConfig(backend=backend)).fuse(
+            micro_scenario.fusion_input()
+        )
+        assert result.diagnostics["backend_used"] == backend
+        assert set(jobs) == {job_name}
+        rounds = 1 if method == "vote" else result.rounds  # VOTE: rounds == 0
+        assert len(jobs) == len(installs) == rounds

@@ -189,7 +189,7 @@ class TestHybridFallbacks:
 
     def test_sampling_degrades_to_scalar_parallel_bitwise(self, micro_scenario):
         """Batched kernels cannot subset per item, so sampling pressure
-        swaps in the scalar shards — which stay bit-identical to serial
+        swaps in the scalar kernel — which stays bit-identical to serial
         via the canonical-order sampling contract."""
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu(FusionConfig(sample_limit=2, backend="serial")).fuse(

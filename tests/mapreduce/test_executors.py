@@ -143,10 +143,10 @@ class TestShardedMap:
         ]
 
     def test_tiny_item_count_falls_back(self):
-        with ParallelExecutor(max_workers=2, min_keys=100) as executor:
-            out = executor.run_map(self.ITEMS, square_map_job())
-            assert out == [i * i for i in self.ITEMS]
+        with ParallelExecutor(max_workers=2) as executor:
+            assert executor.run_map([7], square_map_job()) == [49]
             assert executor.fallbacks_tiny == 1
+            assert executor._pool is None  # a one-item job starts no worker
 
     def test_unpicklable_map_falls_back(self, parallel):
         job = ShardedMapJob(
@@ -228,13 +228,11 @@ class TestWorkerState:
             assert executor._pool is not first_pool
 
     def test_state_resolves_on_in_process_fallback(self):
-        # min_keys forces the tiny fallback: the shard body must still
-        # find the state through the parent-side registry.
-        with ParallelExecutor(max_workers=2, min_keys=100) as executor:
+        # A one-item job takes the tiny fallback: the shard body must
+        # still find the state through the parent-side registry.
+        with ParallelExecutor(max_workers=2) as executor:
             executor.install_state("test.offset", 5)
-            assert executor.run_map(self.ITEMS, offset_map_job()) == [
-                i + 5 for i in self.ITEMS
-            ]
+            assert executor.run_map([3], offset_map_job()) == [8]
             assert executor.fallbacks_tiny == 1
 
     def test_close_uninstalls_parallel_state(self):

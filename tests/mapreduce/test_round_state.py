@@ -8,8 +8,8 @@ Four properties, each load-bearing:
 2. **Generations**: a new install under the same key supersedes the old
    one — workers never serve a stale round's buffers — and two executors
    sharing a key cannot collide (generations are globally unique).
-3. **Degraded fallback**: when shared memory is unavailable (disabled or
-   failing at segment creation) the channel degrades to inline pickled
+3. **Degraded fallback**: when shared memory is unavailable (segment
+   creation fails) the channel degrades to inline pickled
    payloads — counted in ``fallbacks_shm``, tagged in the
    ``round_state_channel``, and numerically indistinguishable.
 4. **No leaks**: every segment an executor created is unlinked by the
@@ -87,11 +87,11 @@ class TestInProcessResolution:
 
     def test_parallel_parent_side_resolution(self):
         """Tiny jobs fall back in-process; the handle must resolve there."""
-        with ParallelExecutor(max_workers=2, min_keys=100) as executor:
+        with ParallelExecutor(max_workers=2) as executor:
             handle = executor.install_round_state(
                 "test.round", {"values": np.arange(4, dtype=np.float64)}
             )
-            assert executor.run_map([2, 0], _reader_job(handle)) == [2.0, 0.0]
+            assert executor.run_map([2], _reader_job(handle)) == [2.0]
             assert executor.fallbacks_tiny == 1
 
 
@@ -151,9 +151,26 @@ class TestWorkerResolution:
         assert out == [(float(a), bool(m)) for a, m in zip(acc, mask)]
 
 
+def _without_shared_memory(monkeypatch) -> list[int]:
+    """Make every segment creation fail, as on a host with no /dev/shm;
+    returns the list the failed attempts are recorded in."""
+    attempts: list[int] = []
+    real = shared_memory.SharedMemory
+
+    def exploding(*args, **kwargs):
+        if kwargs.get("create"):
+            attempts.append(kwargs.get("size", 0))
+            raise OSError("no /dev/shm here")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executors.shared_memory, "SharedMemory", exploding)
+    return attempts
+
+
 class TestDegradedFallback:
-    def test_disabled_shared_memory_goes_inline(self):
-        with ParallelExecutor(max_workers=2, use_shared_memory=False) as executor:
+    def test_failing_shared_memory_goes_inline(self, monkeypatch):
+        _without_shared_memory(monkeypatch)
+        with ParallelExecutor(max_workers=2) as executor:
             handle = executor.install_round_state(
                 "test.round", {"values": np.arange(16, dtype=np.float64)}
             )
@@ -166,28 +183,21 @@ class TestDegradedFallback:
     def test_segment_creation_failure_degrades_permanently(self, monkeypatch):
         """A failing shared_memory module must not take the run down —
         the executor degrades to the inline channel and stays there."""
-        real = shared_memory.SharedMemory
-
-        def exploding(*args, **kwargs):
-            if kwargs.get("create"):
-                raise OSError("no /dev/shm here")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(executors.shared_memory, "SharedMemory", exploding)
+        attempts = _without_shared_memory(monkeypatch)
         with ParallelExecutor(max_workers=2) as executor:
             handle = executor.install_round_state(
                 "test.round", {"values": np.ones(8)}
             )
             assert handle.inline is not None
-            assert not executor.use_shared_memory  # degraded for good
             assert executor.fallbacks_shm == 1
             again = executor.install_round_state(
                 "test.round", {"values": np.ones(8)}
             )
             assert again.inline is not None
             assert executor.fallbacks_shm == 2
+            assert len(attempts) == 1  # degraded for good: no second probe
 
-    def test_inline_fusion_still_bit_identical(self, micro_scenario):
+    def test_inline_fusion_still_bit_identical(self, micro_scenario, monkeypatch):
         """The fallback channel is a wire format, not a semantic: fused
         output equals the shared-memory (and serial) reference exactly,
         and the degrade is tagged in the run's diagnostics."""
@@ -195,7 +205,8 @@ class TestDegradedFallback:
 
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu(backend="serial").fuse(fusion_input)
-        with ParallelExecutor(max_workers=2, use_shared_memory=False) as executor:
+        _without_shared_memory(monkeypatch)
+        with ParallelExecutor(max_workers=2) as executor:
             inline = popaccu(backend="parallel").fuse(
                 fusion_input, executor=executor
             )
@@ -251,7 +262,7 @@ class TestNoLeaks:
                 micro_scenario.fusion_input(), executor=executor
             )
             assert result.diagnostics["round_state"] == "shared-memory"
-            # Two installs per round (Stage I + Stage II), every one
-            # already unlinked by the time fuse() returned.
-            assert len(created) >= 2 * result.rounds
+            # One install per round (Stage I only), every one already
+            # unlinked by the time fuse() returned.
+            assert len(created) == result.rounds
             self._assert_unlinked(created)
