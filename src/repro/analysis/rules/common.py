@@ -10,7 +10,8 @@ import ast
 from typing import Iterator
 
 #: Modules that run inside reducers / kernels: the code whose iteration
-#: order and clock access decide bitwise parity.  DET002 scopes its
+#: order and clock access decide bitwise parity (the metric sums included:
+#: the calibration and PR cores fold floats in input order).  DET002 scopes its
 #: set-iteration check here; DET005 scopes wall-clock/env here.
 KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/accu.py",
@@ -26,6 +27,8 @@ KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/extensions/confidence.py",
     "src/repro/extract/kernels.py",
     "src/repro/extract/synthesis.py",
+    "src/repro/eval/calibration.py",
+    "src/repro/eval/pr.py",
     "src/repro/mapreduce/executors.py",
     "src/repro/mapreduce/codec.py",
 )

@@ -160,24 +160,17 @@ def headline_metrics(
 ) -> dict[str, float]:
     """The frozen-by-the-golden-test summary of one fusion run.
 
-    Delegates the calibration/PR numbers to
-    :func:`repro.experiments.common.metrics_for` — the same derivation
-    the figure experiments use — and adds the threshold accuracy.
+    Delegates to :func:`repro.experiments.common.metrics_for` — the same
+    derivation the figure experiments use.
     """
     metrics = metrics_for(result.probabilities, gold, coverage=result.coverage())
-    labelled = [
-        (probability, gold[triple])
-        for triple, probability in result.probabilities.items()
-        if triple in gold
-    ]
-    correct = sum(1 for probability, label in labelled if (probability >= 0.5) == label)
     return {
         "deviation": metrics.dev,
         "weighted_deviation": metrics.wdev,
         "auc_pr": metrics.auc_pr,
         "coverage": metrics.coverage,
-        "gold_accuracy": correct / len(labelled) if labelled else 0.0,
-        "n_labelled": len(labelled),
+        "gold_accuracy": metrics.gold_accuracy,
+        "n_labelled": metrics.n_labelled,
     }
 
 

@@ -12,11 +12,19 @@ triples) to its predicted centre:
 
 Only gold-labelled triples participate; unlabelled triples are invisible to
 the metric, exactly as in the paper's gold-standard protocol.
+
+The metrics are computed over arrays: :func:`labelled_arrays` turns a
+``{triple: probability}`` dict into ``(p, y)`` with one gold probe per
+triple, and the ``*_from_arrays`` functions here and in
+:mod:`repro.eval.pr` read only those.  The dict entry points are adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice, repeat
+
+import numpy as np
 
 from repro.errors import EvaluationError
 from repro.kb.triples import Triple
@@ -25,7 +33,9 @@ __all__ = [
     "CalibrationBucket",
     "CalibrationCurve",
     "calibration_curve",
+    "calibration_from_arrays",
     "deviation",
+    "labelled_arrays",
     "weighted_deviation",
 ]
 
@@ -66,35 +76,54 @@ class CalibrationCurve:
         return weighted_deviation(self)
 
 
+def labelled_arrays(
+    probabilities: dict[Triple, float], gold: dict[Triple, bool]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, y)`` over the gold-labelled keys of ``probabilities``, in its
+    iteration order: float64 probabilities and bool labels — the input of
+    every metric here and in :mod:`repro.eval.pr`.
+
+    One gold probe per key.  A labelled probability outside [0, 1]
+    raises, naming the first such triple.
+    """
+    n = len(probabilities)
+    label = np.fromiter(map(gold.get, probabilities, repeat(-1)), np.int8, n)
+    p = np.fromiter(probabilities.values(), np.float64, n)
+    labelled = label >= 0
+    bad = np.flatnonzero(labelled & ~((p >= 0.0) & (p <= 1.0)))
+    if bad.size:
+        triple = next(islice(probabilities, int(bad[0]), None))
+        raise EvaluationError(
+            f"probability out of range for {triple.canonical()}: {float(p[bad[0]])}"
+        )
+    return p[labelled], label[labelled] == 1
+
+
 def calibration_curve(
     probabilities: dict[Triple, float],
     gold: dict[Triple, bool],
     n_buckets: int = DEFAULT_BUCKETS,
 ) -> CalibrationCurve:
-    """Bucket ``probabilities`` against ``gold`` labels.
-
-    Buckets 0..n-1 cover ``[i/n, (i+1)/n)``; bucket n holds exactly 1.0.
-    """
+    """Bucket ``probabilities`` against ``gold`` labels."""
     if n_buckets < 1:
         raise EvaluationError(f"n_buckets must be >= 1, got {n_buckets}")
-    sums = [0.0] * (n_buckets + 1)
-    trues = [0] * (n_buckets + 1)
-    counts = [0] * (n_buckets + 1)
-    for triple, probability in probabilities.items():
-        label = gold.get(triple)
-        if label is None:
-            continue
-        if not 0.0 <= probability <= 1.0:
-            raise EvaluationError(
-                f"probability out of range for {triple.canonical()}: {probability}"
-            )
-        if probability >= 1.0:
-            index = n_buckets
-        else:
-            index = int(probability * n_buckets)
-        counts[index] += 1
-        sums[index] += probability
-        trues[index] += int(label)
+    return calibration_from_arrays(*labelled_arrays(probabilities, gold), n_buckets)
+
+
+def calibration_from_arrays(
+    p: np.ndarray, y: np.ndarray, n_buckets: int = DEFAULT_BUCKETS
+) -> CalibrationCurve:
+    """Bucket labelled probabilities ``p`` (labels ``y``, see
+    :func:`labelled_arrays`).
+
+    Buckets 0..n-1 cover ``[i/n, (i+1)/n)``; bucket n holds exactly 1.0.
+    A weighted ``bincount`` adds in input order, so each bucket's sum is
+    the same float a sequential loop over ``p`` gives.
+    """
+    bucket = np.where(p >= 1.0, n_buckets, (p * n_buckets).astype(np.int64))
+    counts = np.bincount(bucket, minlength=n_buckets + 1).tolist()
+    sums = np.bincount(bucket, weights=p, minlength=n_buckets + 1).tolist()
+    trues = np.bincount(bucket[y], minlength=n_buckets + 1).tolist()
     buckets = []
     for index in range(n_buckets + 1):
         low = index / n_buckets if index < n_buckets else 1.0

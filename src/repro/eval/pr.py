@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import EvaluationError
+from repro.eval.calibration import labelled_arrays
 from repro.kb.triples import Triple
 
-__all__ = ["PRCurve", "pr_curve", "auc_pr"]
+__all__ = ["PRCurve", "pr_curve", "pr_from_arrays", "auc_pr"]
 
 
 @dataclass(frozen=True)
@@ -37,42 +40,40 @@ def pr_curve(
     probabilities: dict[Triple, float], gold: dict[Triple, bool]
 ) -> PRCurve:
     """PR curve of ``probabilities`` against ``gold``."""
-    scored = [
-        (probability, gold[triple])
-        for triple, probability in probabilities.items()
-        if triple in gold
-    ]
-    if not scored:
+    return pr_from_arrays(*labelled_arrays(probabilities, gold))
+
+
+def pr_from_arrays(p: np.ndarray, y: np.ndarray) -> PRCurve:
+    """PR curve of labelled probabilities ``p`` with labels ``y`` (see
+    :func:`repro.eval.calibration.labelled_arrays`).
+
+    A stable sort by decreasing ``p``; each block of equal probabilities
+    ends at a change of value and adds one point, from the running true
+    count at the block's end.
+    """
+    if p.size == 0:
         raise EvaluationError("no labelled triples to build a PR curve from")
-    n_true = sum(1 for _p, label in scored if label)
+    n_true = int(np.count_nonzero(y))
     if n_true == 0:
         raise EvaluationError("no true triples in the gold standard slice")
-    scored.sort(key=lambda pair: -pair[0])
-
-    recalls: list[float] = []
-    precisions: list[float] = []
-    seen = 0
-    seen_true = 0
-    index = 0
-    while index < len(scored):
-        # Consume a whole tie-block at once.
-        threshold = scored[index][0]
-        while index < len(scored) and scored[index][0] == threshold:
-            seen += 1
-            seen_true += int(scored[index][1])
-            index += 1
-        recalls.append(seen_true / n_true)
-        precisions.append(seen_true / seen)
+    order = np.argsort(-p, kind="stable")
+    ranked = p[order]
+    block_end = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    seen_true = np.cumsum(y[order])[block_end]
     return PRCurve(
-        recalls=tuple(recalls),
-        precisions=tuple(precisions),
+        recalls=tuple((seen_true / n_true).tolist()),
+        precisions=tuple((seen_true / (block_end + 1)).tolist()),
         n_true=n_true,
-        n_labelled=len(scored),
+        n_labelled=int(p.size),
     )
 
 
 def auc_pr(curve: PRCurve) -> float:
-    """Trapezoid area under the PR curve (anchored at recall 0)."""
+    """Trapezoid area under the PR curve (anchored at recall 0).
+
+    Summed left to right in a plain loop: ``np.sum`` adds pairwise, which
+    would move the last bits of every committed AUC-PR.
+    """
     recalls = (0.0, *curve.recalls)
     precisions = (curve.precisions[0], *curve.precisions)
     area = 0.0

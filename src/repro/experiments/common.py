@@ -9,9 +9,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.datasets.scenario import Scenario
-from repro.eval.calibration import calibration_curve, deviation, weighted_deviation
-from repro.eval.pr import auc_pr, pr_curve
+from repro.eval.calibration import (
+    calibration_from_arrays,
+    deviation,
+    labelled_arrays,
+    weighted_deviation,
+)
+from repro.eval.pr import auc_pr, pr_from_arrays
 from repro.fusion import (
     FusionResult,
     accu,
@@ -50,12 +57,15 @@ def standard_fusion_results(scenario: Scenario) -> dict[str, FusionResult]:
 
 @dataclass(frozen=True)
 class Metrics:
-    """The paper's three headline measures for one method."""
+    """The paper's three headline measures for one method, plus the
+    fraction of its labelled predictions on the right side of p = 0.5."""
 
     dev: float
     wdev: float
     auc_pr: float
     coverage: float
+    gold_accuracy: float
+    n_labelled: int
 
     def row(self) -> tuple[float, float, float]:
         return (self.dev, self.wdev, self.auc_pr)
@@ -66,13 +76,18 @@ def metrics_for(
     gold: dict[Triple, bool],
     coverage: float = 1.0,
 ) -> Metrics:
-    curve = calibration_curve(probabilities, gold)
-    pr = pr_curve(probabilities, gold)
+    """All measures from one ``(p, y)`` pass over ``probabilities``
+    (:func:`repro.eval.calibration.labelled_arrays`)."""
+    p, y = labelled_arrays(probabilities, gold)
+    curve = calibration_from_arrays(p, y)
+    pr = pr_from_arrays(p, y)  # raises unless p has labelled entries
     return Metrics(
         dev=deviation(curve),
         wdev=weighted_deviation(curve),
         auc_pr=auc_pr(pr),
         coverage=coverage,
+        gold_accuracy=int(np.count_nonzero((p >= 0.5) == y)) / p.size,
+        n_labelled=p.size,
     )
 
 

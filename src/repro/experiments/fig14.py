@@ -16,7 +16,7 @@ from repro.eval.calibration import calibration_curve, weighted_deviation
 from repro.experiments.common import metrics_for
 from repro.experiments.registry import ExperimentResult
 from repro.fusion import FusionConfig
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 from repro.report import format_table
 
@@ -28,7 +28,7 @@ def _tracked_run(scenario, config, gold):
     return run_bayesian_fusion(
         fusion_input=scenario.fusion_input(),
         config=config,
-        item_posterior_fn=lambda claims, acc: popaccu_item_posteriors(claims, acc),
+        item_posterior_fn=PopAccuKernel(),
         method_name="POPACCU",
         gold_labels=gold,
         track_rounds=True,
@@ -68,7 +68,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         result = run_bayesian_fusion(
             fusion_input=scenario.fusion_input(),
             config=config,
-            item_posterior_fn=lambda claims, acc: popaccu_item_posteriors(claims, acc),
+            item_posterior_fn=PopAccuKernel(),
             method_name="POPACCU",
         )
         metrics = metrics_for(result.probabilities, scenario.gold)

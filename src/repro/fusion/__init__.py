@@ -12,10 +12,12 @@ The 3-D knowledge-fusion input is flattened to 2-D by treating a
 :class:`~repro.fusion.provenance.Granularity` selects the paper's
 alternative flattenings.
 
-Posterior math exists in two parity-tested forms: scalar per-item
-reference implementations (``*_item_posteriors``) and batched numpy
-kernels (:mod:`repro.fusion.kernels`) over the columnar claim index
-(:class:`~repro.fusion.observations.ColumnarClaims`);
+Posterior math exists in two parity-tested forms over the columnar claim
+index (:class:`~repro.fusion.observations.ColumnarClaims`).  Calling a
+kernel (``VoteKernel``, ``AccuKernel``, ``PopAccuKernel``) scores one
+data item from its rows' provenance accuracies, listed in canonical
+order; its ``batch_round`` scores a whole round through the numpy
+kernels of :mod:`repro.fusion.kernels`.
 ``FusionConfig.backend`` selects scalar-serial, process-pool-parallel,
 vectorized, or hybrid (batched kernels inside each parallel shard)
 execution.  ``serial``/``parallel`` honour the bitwise parity contract,
@@ -37,9 +39,9 @@ from repro.fusion.base import (
     parity_of,
     sampling_contract_of,
 )
-from repro.fusion.vote import Vote, VoteKernel, vote_item_posteriors
-from repro.fusion.accu import Accu, AccuKernel, accu_item_posteriors
-from repro.fusion.popaccu import PopAccu, PopAccuKernel, popaccu_item_posteriors
+from repro.fusion.vote import Vote, VoteKernel
+from repro.fusion.accu import Accu, AccuKernel
+from repro.fusion.popaccu import PopAccu, PopAccuKernel
 from repro.fusion.presets import (
     vote,
     accu,
@@ -69,9 +71,6 @@ __all__ = [
     "VoteKernel",
     "AccuKernel",
     "PopAccuKernel",
-    "vote_item_posteriors",
-    "accu_item_posteriors",
-    "popaccu_item_posteriors",
     "vote",
     "accu",
     "popaccu",

@@ -1,7 +1,7 @@
 """Batched numpy posterior kernels over the columnar claim layout.
 
-The scalar per-item posteriors (``accu_item_posteriors``,
-``popaccu_item_posteriors``, ``vote_item_posteriors``) are the reference
+The scalar kernels (calling ``AccuKernel`` / ``PopAccuKernel`` /
+``VoteKernel`` on one data item's row accuracies) are the reference
 implementations; this module recomputes the same Stage-I math for *all*
 data items of a round in a handful of array operations over a
 :class:`~repro.fusion.observations.ColumnarClaims` index.  The layout
@@ -66,7 +66,7 @@ __all__ = [
     "stage2_accuracies",
 ]
 
-#: Accuracy clamp shared by the scalar references (accu.py, popaccu.py) and
+#: Accuracy clamp shared by the scalar kernels (accu.py, popaccu.py) and
 #: the batched kernels below — the scalar↔vectorized parity contract
 #: depends on both paths clamping identically.
 ACC_FLOOR = 1e-3
@@ -113,7 +113,7 @@ def accu_round(
 ) -> RoundPosteriors:
     """Batched ACCU: softmax of summed vote counts over the full domain.
 
-    Mirrors ``accu_item_posteriors``: vote count ``τ(S) = ln(N·A/(1−A))``
+    Mirrors the scalar ``AccuKernel``: vote count ``τ(S) = ln(N·A/(1−A))``
     summed per row, softmax per item against the observed rows plus
     ``max(N + 1 − k, 0)`` unobserved values at vote count 0.
     """
@@ -161,7 +161,7 @@ def popaccu_round(
 ) -> RoundPosteriors:
     """Batched POPACCU: empirical false-value popularity, explicit OTHER.
 
-    Mirrors ``popaccu_item_posteriors``.  With per-row aggregates
+    Mirrors the scalar ``PopAccuKernel``.  With per-row aggregates
     ``lt = Σ ln A``, ``lf = Σ ln(1−A)``, support ``m``, and per-item totals
     ``LF = Σ lf``, ``T = Σ m·ln m``, ``m(D) = Σ m``, the scalar candidate
     score telescopes to
@@ -215,7 +215,7 @@ def vote_round(
     active: np.ndarray | None = None,
     require_repeated: bool = False,
 ) -> RoundPosteriors:
-    """Batched VOTE: ``p(T) = m/n`` per row (``vote_item_posteriors``)."""
+    """Batched VOTE: ``p(T) = m/n`` per row (the scalar ``VoteKernel``)."""
     if cols.n_rows == 0:
         return _empty_round()
     if active is None:

@@ -119,8 +119,9 @@ class FusionInput:
 def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
 
-    The CSR-segment gather behind :meth:`ColumnarClaims.slice_items` (its
-    one caller: rows per item, then claims per row).
+    The CSR-segment gather: rows per item and claims per row
+    (:meth:`ColumnarClaims.slice_items`), rows per provenance (the scalar
+    Stage II), claims per unscored row (the θ fallback of Stage III).
     """
     total = int(counts.sum())
     if total == 0:
@@ -212,6 +213,7 @@ class ColumnarClaims:
     prov_rows: np.ndarray  # concatenated row ids per provenance
     prov_ptr: np.ndarray  # prov p rows: [prov_ptr[p], prov_ptr[p+1])
     _canonical_rank: np.ndarray | None = field(default=None, repr=False)
+    _canonical_prov_rows: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_items(self) -> int:
@@ -244,14 +246,28 @@ class ColumnarClaims:
         triples by canonical string — ``("a", "x") < ("ab", "y")`` as
         tuples but ``"a|x" > "ab|y"`` as strings, because ``"|"`` sorts
         after every alphanumeric.  Reducers that must sum floats in
-        ``sorted(triples)`` order (the Stage-II mean, for bit-identity
-        with the serial backend) therefore order rows by this rank, built
-        once and cached — pool-resident state carries it to workers.
+        ``sorted(triples)`` order (the scalar Stage-II mean, via
+        :meth:`canonical_prov_rows`) therefore order rows by this rank,
+        built once and cached — pool-resident state carries it to workers.
         """
         if self._canonical_rank is None:
             _, canonical = _sorted_table([triple.canonical() for triple in self.triples])
             self._canonical_rank = _inverse(np.argsort(canonical, kind="stable"))
         return self._canonical_rank
+
+    def canonical_prov_rows(self) -> np.ndarray:
+        """``prov_rows`` with each provenance's rows in canonical triple
+        order (:meth:`canonical_rank`) — over the same ``prov_ptr`` spans.
+
+        The scalar Stage II sums each provenance's posteriors in this
+        order; built once (one int64 per claim) and cached.
+        """
+        if self._canonical_prov_rows is None:
+            n_provs = len(self.prov_ptr) - 1
+            prov_of = np.repeat(np.arange(n_provs), np.diff(self.prov_ptr))
+            order = np.lexsort((self.canonical_rank()[self.prov_rows], prov_of))
+            self._canonical_prov_rows = np.asarray(self.prov_rows)[order]
+        return self._canonical_prov_rows
 
     def slice_items(self, item_ids) -> ColumnarSlice:
         """A local CSR view over ``item_ids`` for the hybrid shard kernels.

@@ -9,7 +9,7 @@ than forced toward truth.
 
 POPACCU honours the same cross-backend contracts as ACCU: canonical-order
 float summation (bitwise serial/parallel parity — see
-:func:`popaccu_item_posteriors`) and canonical-order reducer-input
+:meth:`PopAccuKernel.__call__`) and canonical-order reducer-input
 sampling (`L`-sampled subsets are drawn against sorted ``(triple,
 provenance)`` order, reproducible inside parallel shards; see
 :mod:`repro.fusion.runner` and :mod:`repro.fusion.shuffle`).
@@ -36,89 +36,66 @@ from dataclasses import dataclass
 
 from repro.fusion import kernels
 from repro.fusion.base import Fuser, FusionResult
-from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
+from repro.fusion.observations import ColumnarClaims, FusionInput
 from repro.fusion.runner import run_bayesian_fusion
-from repro.kb.triples import Triple
 
-__all__ = ["popaccu_item_posteriors", "PopAccuKernel", "PopAccu"]
-
-
-def _clamped(accuracy: float) -> float:
-    return min(max(accuracy, kernels.ACC_FLOOR), kernels.ACC_CEIL)
-
-
-def popaccu_item_posteriors(
-    claims: dict[Triple, set[ProvKey]],
-    accuracies: dict[ProvKey, float],
-) -> dict[Triple, float]:
-    """Posterior probability of each observed value of one data item.
-
-    Floats are summed in canonical (sorted) order, never in set iteration
-    order, so the result is independent of ``PYTHONHASHSEED`` — see
-    :func:`repro.fusion.accu.accu_item_posteriors` for why the
-    serial/parallel bit-identity contract needs this.
-    """
-    if not claims:
-        return {}
-    triples = sorted(claims)
-    support = {t: len(claims[t]) for t in triples}
-    total = sum(support.values())
-    log_true: dict[Triple, float] = {}
-    log_false: dict[Triple, float] = {}
-    for triple in triples:
-        lt = 0.0
-        lf = 0.0
-        for prov in sorted(claims[triple]):
-            accuracy = _clamped(accuracies[prov])
-            lt += math.log(accuracy)
-            lf += math.log(1.0 - accuracy)
-        log_true[triple] = lt
-        log_false[triple] = lf
-
-    scores: dict[Triple, float] = {}
-    for candidate in triples:
-        rest = total - support[candidate]
-        score = log_true[candidate]
-        for other in triples:
-            if other is candidate:
-                continue
-            # All of `other`'s provenances provided a false value whose
-            # empirical popularity (given `candidate` is true) is
-            # m(other)/rest.
-            score += log_false[other]
-            score += support[other] * math.log(support[other] / rest)
-        scores[candidate] = score
-    # OTHER: every observed value is false, popularity m(v)/m(D).
-    other_score = 0.0
-    for triple in triples:
-        other_score += log_false[triple]
-        other_score += support[triple] * math.log(support[triple] / total)
-
-    peak = max(max(scores.values()), other_score)
-    denominator = math.exp(other_score - peak) + sum(
-        math.exp(s - peak) for s in scores.values()
-    )
-    return {
-        triple: math.exp(score - peak) / denominator
-        for triple, score in scores.items()
-    }
+__all__ = ["PopAccuKernel", "PopAccu"]
 
 
 @dataclass(frozen=True)
 class PopAccuKernel:
     """The POPACCU posterior as a pluggable, picklable kernel.
 
-    Scalar reference per item via :func:`popaccu_item_posteriors`; batched
-    per round via :func:`repro.fusion.kernels.popaccu_round`.  A frozen
-    dataclass so the parallel backend can pickle it into workers.
+    Scalar per data item by calling it; batched per round via
+    :func:`repro.fusion.kernels.popaccu_round`.  A frozen dataclass so the
+    parallel backend can pickle it into workers.
     """
 
-    def __call__(
-        self,
-        claims: dict[Triple, set[ProvKey]],
-        accuracies: dict[ProvKey, float],
-    ) -> dict[Triple, float]:
-        return popaccu_item_posteriors(claims, accuracies)
+    def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
+        """Posterior of each row of one data item; input and summation
+        order as :meth:`repro.fusion.accu.AccuKernel.__call__`."""
+        if not row_accuracies:
+            return []
+        floor, ceil, log = kernels.ACC_FLOOR, kernels.ACC_CEIL, math.log
+        support = [len(accuracies) for accuracies in row_accuracies]
+        total = sum(support)
+        log_true: list[float] = []
+        log_false: list[float] = []
+        for accuracies in row_accuracies:
+            lt = 0.0
+            lf = 0.0
+            for accuracy in accuracies:
+                accuracy = min(max(accuracy, floor), ceil)
+                lt += log(accuracy)
+                lf += log(1.0 - accuracy)
+            log_true.append(lt)
+            log_false.append(lf)
+
+        rows = range(len(support))
+        scores: list[float] = []
+        for candidate in rows:
+            rest = total - support[candidate]
+            score = log_true[candidate]
+            for other in rows:
+                if other == candidate:
+                    continue
+                # All of `other`'s provenances provided a false value whose
+                # empirical popularity (given `candidate` is true) is
+                # m(other)/rest.
+                score += log_false[other]
+                score += support[other] * log(support[other] / rest)
+            scores.append(score)
+        # OTHER: every observed value is false, popularity m(v)/m(D).
+        other_score = 0.0
+        for row in rows:
+            other_score += log_false[row]
+            other_score += support[row] * log(support[row] / total)
+
+        peak = max(max(scores), other_score)
+        denominator = math.exp(other_score - peak) + sum(
+            math.exp(s - peak) for s in scores
+        )
+        return [math.exp(score - peak) / denominator for score in scores]
 
     def batch_round(
         self, cols: ColumnarClaims, accuracies, active, require_repeated: bool

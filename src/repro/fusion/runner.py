@@ -36,7 +36,8 @@ fields are the only thing that differs between them:
   shard payloads.  Not pooled, Stage I is one in-process call over every
   item id.  Stage II is one in-process call over every provenance id in
   every mode — the same call, pooled or not;
-- **scalar kernel** — one posterior call per data item and one
+- **scalar kernel** — one kernel call per data item (on its rows'
+  provenance accuracies, listed by id in canonical order) and one
   canonical-order mean per provenance
   (:func:`~repro.fusion.shuffle.scalar_stage1` /
   :func:`~repro.fusion.shuffle.scalar_stage2`, the only scalar stage
@@ -113,6 +114,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
     FusionConfig,
@@ -124,7 +126,7 @@ from repro.fusion.observations import (
     ClaimMatrix,
     ColumnarClaims,
     FusionInput,
-    ProvKey,
+    ragged_gather,
 )
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan, Executor
@@ -132,9 +134,9 @@ from repro.rng import split_seed
 
 __all__ = ["run_bayesian_fusion", "sampling_would_engage"]
 
-ItemPosteriorFn = Callable[
-    [dict[Triple, set[ProvKey]], dict[ProvKey, float]], dict[Triple, float]
-]
+#: A scalar posterior kernel: per row of one data item, its active
+#: provenances' accuracies (canonical order) -> one posterior per row.
+ItemPosteriorFn = Callable[[list[list[float]]], list[float]]
 
 
 def _gold_subsample(
@@ -186,9 +188,8 @@ def _rescued_accuracies(
     mode would have produced.  (Sampling cannot be engaged here: the
     batched kernels never run under sampling pressure.)
     """
-    rows = np.concatenate(
-        [cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]] for p in boundary]
-    )
+    spans = ragged_gather(cols.prov_ptr[boundary], cols.prov_row_counts()[boundary])
+    rows = cols.prov_rows[spans]
     items = np.unique(cols.row_item[rows[scored[rows]]])
     exact = shuffle.merge_stage1_outputs(
         cols,
@@ -386,15 +387,20 @@ def _scored_posteriors(
     order: np.ndarray | None = None,
 ) -> dict[Triple, float]:
     """The scored rows of one Stage-I result as ``{triple: posterior}``,
-    in ``order`` (:func:`_emission_order`)."""
+    in ``order`` (:func:`_emission_order`); a posterior outside [0, 1]
+    raises, naming its triple."""
     if order is None:
         rows = np.flatnonzero(round_result.scored)
     else:
         rows = order[round_result.scored[order]]
-    return {
-        cols.triples[r]: posterior
-        for r, posterior in zip(rows.tolist(), round_result.posteriors[rows].tolist())
-    }
+    values = round_result.posteriors[rows]
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise ConfigError(
+            f"probability out of range for "
+            f"{cols.triples[rows[bad[0]]].canonical()}: {float(values[bad[0]])}"
+        )
+    return dict(zip(map(cols.triples.__getitem__, rows.tolist()), values.tolist()))
 
 
 def _run_columnar(
@@ -413,7 +419,8 @@ def _run_columnar(
     Round state is arrays only: accuracies in a float64 array indexed by
     provenance id, posteriors and the scored mask indexed by row (= unique
     triple).  The Python dict outputs are materialised once at the end
-    (Stage III), so no dict claim view is ever required — which is what
+    (Stage III, one ``dict(zip(...))`` over the emitted rows), so no dict
+    claim view is ever required — which is what
     lets the out-of-core path fuse straight from mapped columns.  ``plan``
     (:func:`_runnable_plan`) fixes where Stage I runs and which kernel
     scores both stages, ``order`` (:func:`_emission_order`) the
@@ -502,29 +509,29 @@ def _run_columnar(
     # ids ascending, which *is* ``sorted(provs)`` order because the
     # provenance vocabulary is sorted, so the mean is a canonical-order
     # sum; otherwise the row is *unpredicted*.
-    probabilities: dict[Triple, float] = {}
-    unpredicted: set[Triple] = set()
-    final_accuracies = accuracies.tolist()
-    posteriors = round_result.posteriors.tolist()
-    scored = round_result.scored.tolist()
-    triples, claim_prov, row_ptr = cols.triples, cols.claim_prov, cols.row_ptr
-    for r in range(cols.n_rows) if order is None else order.tolist():
-        triple = triples[r]
-        if scored[r]:
-            probabilities[triple] = posteriors[r]
-        elif config.min_accuracy is not None:
-            prov_ids = claim_prov[row_ptr[r] : row_ptr[r + 1]].tolist()
-            probabilities[triple] = sum(
-                final_accuracies[p] for p in prov_ids
-            ) / len(prov_ids)
-        else:
-            unpredicted.add(triple)
+    final = round_result
+    if config.min_accuracy is not None:
+        final = kernels.RoundPosteriors(
+            posteriors=round_result.posteriors.copy(),
+            scored=np.ones(cols.n_rows, dtype=bool),
+        )
+        rows = np.flatnonzero(~round_result.scored)
+        counts = cols.row_ptr[rows + 1] - cols.row_ptr[rows]
+        claims = ragged_gather(cols.row_ptr[rows], counts)
+        row_accuracies = accuracies[cols.claim_prov[claims]].tolist()
+        means, end = [], 0
+        for count in counts.tolist():
+            start, end = end, end + count
+            means.append(sum(row_accuracies[start:end]) / count)
+        final.posteriors[rows] = means
 
     result = FusionResult(
         method=method_name,
-        probabilities=probabilities,
-        unpredicted=unpredicted,
-        accuracies=dict(zip(cols.provenances, final_accuracies)),
+        probabilities=_scored_posteriors(cols, final, order),
+        unpredicted=set(
+            map(cols.triples.__getitem__, np.flatnonzero(~final.scored).tolist())
+        ),
+        accuracies=dict(zip(cols.provenances, accuracies.tolist())),
         rounds=rounds_run,
         converged=converged,
         diagnostics={
@@ -540,5 +547,4 @@ def _run_columnar(
     )
     if track_rounds:
         result.diagnostics["round_probabilities"] = round_probabilities
-    result.validate()
     return result

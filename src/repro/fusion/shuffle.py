@@ -1,15 +1,16 @@
 """The scalar stage bodies, and fusion's Stage-I shard over pool-resident columns.
 
-**The scalar stage bodies.**  :func:`scalar_stage1` (one posterior call
-per data item) and :func:`scalar_stage2` (one canonical-order mean per
-provenance) are the only scalar Stage I / Stage II in ``src/``.  They are
-plain functions of the claim columns
-(:class:`~repro.fusion.observations.ColumnarClaims` — int-coded CSR over
-sorted items/triples/provenances) and one round's arrays: the runner
-calls them in-process over every id (Stage I only in the in-process
-``serial`` mode, Stage II in every scalar-kernel mode), the shard below
-calls :func:`scalar_stage1` in pool workers over a shard of item ids, and
-the runner's θ-rescue calls both for the boundary ids.
+**The scalar stage bodies.**  :func:`scalar_stage1` (one kernel call per
+data item, on lists of its rows' provenance accuracies) and
+:func:`scalar_stage2` (one canonical-order mean per provenance) are the
+only scalar Stage I / Stage II in ``src/``.  They are plain functions of
+the claim columns (:class:`~repro.fusion.observations.ColumnarClaims` —
+int-coded CSR over sorted items/triples/provenances) and one round's
+arrays, and work on ids throughout: no ``Triple`` is hashed or compared
+in a round.  The runner calls them in-process over every id (Stage I only
+in the in-process ``serial`` mode, Stage II in every scalar-kernel mode),
+the shard below calls :func:`scalar_stage1` in pool workers over a shard
+of item ids, and the runner's θ-rescue calls both for the boundary ids.
 
 **The columnar shuffle.**  The paper's Figure 8 shuffles both fusion
 stages; here only Stage I — the per-item posteriors, where the work is —
@@ -17,7 +18,8 @@ is a map job.  Stage II (one mean per provenance) always runs in the
 parent, on the call the in-process modes make.  Pooled, one round is:
 
 - the **columns themselves** (triples, provenances, pointer arrays, the
-  canonical row ranking) are installed *pool-resident* once per pool via
+  canonical row ranking and provenance CSR) are installed
+  *pool-resident* once per pool via
   :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`
   (:func:`install_fusion_columns`), on fork and spawn alike;
 - the **round state** (the accuracy vector and active mask, which change
@@ -58,13 +60,13 @@ sampling pressure the runner runs the scalar kernel instead
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Callable
 
 import numpy as np
 
 from repro.fusion.kernels import RoundPosteriors
-from repro.fusion.observations import ColumnarClaims, ProvKey
-from repro.kb.triples import Triple
+from repro.fusion.observations import ColumnarClaims, ragged_gather
 from repro.mapreduce.executors import (
     Executor,
     RoundStateHandle,
@@ -99,14 +101,15 @@ FUSION_ROUND_KEY = "fusion.round"
 def install_fusion_columns(executor: Executor, cols: ColumnarClaims) -> None:
     """Make ``cols`` pool-resident for the Stage-I shards.
 
-    The canonical row ranking is materialised first, so the pickled value
-    is the same before and after the parent's Stage II caches it — a
-    shared executor's next fuse over the same columns then reinstalls an
-    identical value, which is a no-op instead of a pool restart.  Crosses
+    The canonical-order provenance CSR (and row ranking) is materialised
+    first, so the pickled value is the same before and after the parent's
+    Stage II caches it — a shared executor's next fuse over the same
+    columns then reinstalls an identical value, which is a no-op instead
+    of a pool restart.  Crosses
     the process boundary once per pool; in-process executors just register
     the object.  The columns are not withdrawn when a fusion run ends.
     """
-    cols.canonical_rank()
+    cols.canonical_prov_rows()
     executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
@@ -131,7 +134,7 @@ def install_stage1_state(
 
 def scalar_stage1(
     cols: ColumnarClaims,
-    posterior_fn: Callable,
+    kernel: Callable[[list[list[float]]], list[float]],
     accuracies: np.ndarray,
     active: np.ndarray,
     require_repeated: bool,
@@ -140,13 +143,15 @@ def scalar_stage1(
     sample_limit: int | None = None,
     seed: int = 0,
 ) -> list[list[tuple[int, float]]]:
-    """Scalar Stage I: score ``item_ids``, one per-item posterior call each.
+    """Scalar Stage I: score ``item_ids``, one kernel call each.
 
     The one scalar Stage-I body in ``src/``: the ``serial`` mode calls it
     in-process over every item, :class:`Stage1Shard` calls it in each pool
-    worker, and the θ-rescue calls it for the boundary items.
-    Each item's output is a list of ``(row_id, posterior)`` pairs (empty
-    when the item is filtered).
+    worker, and the θ-rescue calls it for the boundary items.  The kernel
+    gets one list of active provenance accuracies per kept row, rows and
+    provenances in the columns' canonical order, and returns one posterior
+    per row.  Each item's output is a list of ``(row_id, posterior)``
+    pairs (empty when the item is filtered).
 
     When the sampling bound engages for an item, its active claims are
     subset by the canonical-order draw: the columnar claim order (rows
@@ -156,55 +161,45 @@ def scalar_stage1(
     sampled subset, and therefore the posterior floats, are the same
     wherever this runs.
     """
-    items = cols.items
-    provenances = cols.provenances
-    triples = cols.triples
-    item_ptr, row_ptr = cols.item_ptr, cols.row_ptr
-    claim_prov = cols.claim_prov
-    accuracy_of: dict[ProvKey, float] = dict(zip(provenances, accuracies.tolist()))
+    part = cols.slice_items(item_ids)
+    accuracy_of = accuracies.tolist()
+    is_active = active.tolist()
+    global_row = part.rows.tolist()
+    item_ptr, row_ptr = part.item_ptr.tolist(), part.row_ptr.tolist()
+    claim_prov = part.claim_prov.tolist()
     outputs: list[list[tuple[int, float]]] = []
-    for j in item_ids:
-        claims: dict[Triple, set[ProvKey]] = {}
+    for i, j in enumerate(item_ids):
         kept_rows: list[int] = []
-        n_active = 0
-        for r in range(item_ptr[j], item_ptr[j + 1]):
-            provs = {
-                provenances[p]
-                for p in claim_prov[row_ptr[r] : row_ptr[r + 1]]
-                if active[p]
-            }
+        row_provs: list[list[int]] = []
+        for r in range(item_ptr[i], item_ptr[i + 1]):
+            provs = [p for p in claim_prov[row_ptr[r] : row_ptr[r + 1]] if is_active[p]]
             if provs:
-                claims[triples[r]] = provs
-                kept_rows.append(int(r))
-                n_active += len(provs)
-        if not claims:
+                kept_rows.append(global_row[r])
+                row_provs.append(provs)
+        if not kept_rows:
             outputs.append([])
             continue
+        n_active = sum(map(len, row_provs))
         if sample_limit is not None and n_active > sample_limit:
             positions = sample_positions(
-                n_active, items[j].canonical(), name, sample_limit, seed
+                n_active, cols.items[j].canonical(), name, sample_limit, seed
             )
-            # Enumerate the item's active claims in canonical order —
-            # the columnar layout order — and keep the drawn subset.
-            pairs = [
-                (r, prov)
-                for r in kept_rows
-                for prov in sorted(claims[triples[r]])
-            ]
-            claims, kept_rows = {}, []
-            for i in positions:
-                r, prov = pairs[i]
-                if triples[r] not in claims:
-                    claims[triples[r]] = set()
+            # Enumerate the item's active claims in canonical order — the
+            # columnar layout order — and regroup the drawn (ascending)
+            # positions by row.
+            pairs = [(r, p) for r, provs in zip(kept_rows, row_provs) for p in provs]
+            kept_rows, row_provs = [], []
+            for position in positions:
+                r, p = pairs[position]
+                if not kept_rows or kept_rows[-1] != r:
                     kept_rows.append(r)
-                claims[triples[r]].add(prov)
-        if require_repeated and not any(
-            len(provs) >= 2 for provs in claims.values()
-        ):
+                    row_provs.append([])
+                row_provs[-1].append(p)
+        if require_repeated and not any(len(provs) >= 2 for provs in row_provs):
             outputs.append([])
             continue
-        posteriors = posterior_fn(claims, accuracy_of)
-        outputs.append([(r, posteriors[triples[r]]) for r in kept_rows])
+        posteriors = kernel([[accuracy_of[p] for p in provs] for provs in row_provs])
+        outputs.append(list(zip(kept_rows, posteriors)))
     return outputs
 
 
@@ -224,34 +219,38 @@ def scalar_stage2(
     the runner calls it over every provenance in each scalar-kernel round,
     pooled or not, and the θ-rescue calls it for the boundary provenances.
     Output per provenance is the mean posterior of its scored triples,
-    summed in canonical triple order (not row or hash order), or None when
-    the provenance is inactive or scored nothing this round.
+    summed in canonical triple order (``cols.canonical_prov_rows()``), or
+    None when the provenance is inactive or scored nothing this round.
 
     Sampling follows the same canonical-order contract as Stage I: the
-    provenance's scored rows are ordered by the canonical triple ranking
-    before the positional draw.
+    positional draw runs over the provenance's scored rows in that order.
     """
-    rank = cols.canonical_rank()
+    ids = np.asarray(prov_ids, dtype=np.int64)
+    counts = cols.prov_ptr[ids + 1] - cols.prov_ptr[ids]
+    rows = cols.canonical_prov_rows()[ragged_gather(cols.prov_ptr[ids], counts)]
+    kept = scored[rows].tolist()
+    values = posteriors[rows].tolist()
+    is_active = active.tolist()
     outputs: list[float | None] = []
-    for p in prov_ids:
-        if not active[p]:
+    end = 0
+    for p, count in zip(ids.tolist(), counts.tolist()):
+        start, end = end, end + count
+        if not is_active[p]:
             outputs.append(None)
             continue
-        rows = cols.prov_rows[cols.prov_ptr[p] : cols.prov_ptr[p + 1]]
-        rows = rows[scored[rows]]
-        if rows.size == 0:
+        ordered = list(compress(values[start:end], kept[start:end]))
+        if not ordered:
             outputs.append(None)
             continue
-        ordered = rows[np.argsort(rank[rows], kind="stable")]
         positions = sample_positions(
-            int(ordered.size), cols.provenances[p], name, sample_limit, seed
+            len(ordered), cols.provenances[p], name, sample_limit, seed
         )
         if positions is not None:
-            ordered = ordered[np.asarray(positions, dtype=np.int64)]
+            ordered = [ordered[position] for position in positions]
         total = 0.0
-        for value in posteriors[ordered].tolist():
+        for value in ordered:
             total += value
-        outputs.append(total / int(ordered.size))
+        outputs.append(total / len(ordered))
     return outputs
 
 
@@ -273,7 +272,7 @@ class Stage1Shard:
     shared.
     """
 
-    kernel: Callable  # batched: must expose batch_round(cols, acc, active, repeated)
+    kernel: Callable  # scalar: row accuracies -> posteriors; batched: .batch_round
     state: RoundStateHandle  # names the round's accuracies + active mask
     require_repeated: bool
     batched: bool
@@ -342,10 +341,10 @@ def merge_stage1_outputs(
     cols: ColumnarClaims, per_item: list[list[tuple[int, float]]]
 ) -> RoundPosteriors:
     """Collect the shards' ``(row_id, posterior)`` pairs into row arrays."""
+    pairs = list(chain.from_iterable(per_item))
+    rows = np.array([r for r, _value in pairs], dtype=np.int64)
     posteriors = np.zeros(cols.n_rows, dtype=np.float64)
+    posteriors[rows] = [value for _r, value in pairs]
     scored = np.zeros(cols.n_rows, dtype=bool)
-    for pairs in per_item:
-        for r, value in pairs:
-            posteriors[r] = value
-            scored[r] = True
+    scored[rows] = True
     return RoundPosteriors(posteriors=posteriors, scored=scored)

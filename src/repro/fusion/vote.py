@@ -28,43 +28,30 @@ from repro.fusion.base import (
     backend_contract,
     sampling_contract_of,
 )
-from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
+from repro.fusion.observations import ColumnarClaims, FusionInput
 from repro.fusion.runner import (
     _column_executor,
     _column_stage1,
     _runnable_plan,
     _scored_posteriors,
 )
-from repro.kb.triples import Triple
 from repro.mapreduce.executors import ExecutionPlan
 
-__all__ = ["vote_item_posteriors", "VoteKernel", "Vote"]
-
-
-def vote_item_posteriors(
-    claims: dict[Triple, set[ProvKey]],
-    accuracies: dict[ProvKey, float] | None = None,
-) -> dict[Triple, float]:
-    """Scalar reference: ``p(T) = m/n`` for one data item.
-
-    ``accuracies`` is accepted (and ignored) so VOTE matches the posterior
-    signature of the Bayesian kernels.
-    """
-    total = sum(len(provs) for provs in claims.values())
-    if total == 0:
-        return {}
-    return {triple: len(provs) / total for triple, provs in claims.items()}
+__all__ = ["VoteKernel", "Vote"]
 
 
 class VoteKernel:
     """The VOTE posterior as a pluggable kernel (scalar + batched)."""
 
-    def __call__(
-        self,
-        claims: dict[Triple, set[ProvKey]],
-        accuracies: dict[ProvKey, float] | None = None,
-    ) -> dict[Triple, float]:
-        return vote_item_posteriors(claims, accuracies)
+    def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
+        """``p(T) = m/n`` for each row of one data item; only the lengths
+        of ``row_accuracies`` (each row's support ``m``) are read, so VOTE
+        shares the Bayesian kernels' scalar signature."""
+        support = [len(accuracies) for accuracies in row_accuracies]
+        total = sum(support)
+        if total == 0:
+            return []
+        return [m / total for m in support]
 
     def batch_round(
         self, cols: ColumnarClaims, accuracies=None, active=None, require_repeated=False
@@ -112,7 +99,7 @@ class Vote(Fuser):
         # is structurally a no-op: the scored rows' ``m/n`` ratios are the
         # final probabilities.  Unscored rows (possible only under
         # sampling) stay absent.
-        result = FusionResult(
+        return FusionResult(
             method=self.name,
             probabilities=_scored_posteriors(
                 cols, round_result, _emission_order(cols, plan)
@@ -125,5 +112,3 @@ class Vote(Fuser):
                 **executor_diagnostics,
             },
         )
-        result.validate()
-        return result

@@ -6,13 +6,18 @@ import pytest
 
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, FusionInput, accu
-from repro.fusion.accu import accu_item_posteriors
+from repro.fusion.accu import AccuKernel
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.posteriors import kernel_posteriors
 
 
 def t(obj):
     return Triple("/m/1", "t/t/p", StringValue(obj))
+
+
+def accu_posteriors(claims, accuracies, n_false):
+    return kernel_posteriors(AccuKernel(n_false), claims, accuracies)
 
 
 def rec(obj, extractor, url):
@@ -27,25 +32,25 @@ def rec(obj, extractor, url):
 
 class TestPosteriorMath:
     def test_empty_claims(self):
-        assert accu_item_posteriors({}, {}, 100) == {}
+        assert AccuKernel(100)([]) == []
 
     def test_single_default_source_sticks_to_a(self):
         """One source at accuracy A=0.8 with N=100 false values: the
         posterior is exactly A (τ=ln(400); 400/(400+100) = 0.8)."""
-        posteriors = accu_item_posteriors({t("a"): {("S",)}}, {("S",): 0.8}, 100)
+        posteriors = accu_posteriors({t("a"): {("S",)}}, {("S",): 0.8}, 100)
         assert posteriors[t("a")] == pytest.approx(0.8)
 
     def test_vote_count_formula(self):
         # τ(S) = ln(N·A/(1−A)); check via a two-source agreement.
         accuracy = {("S1",): 0.8, ("S2",): 0.8}
-        posteriors = accu_item_posteriors({t("a"): {("S1",), ("S2",)}}, accuracy, 100)
+        posteriors = accu_posteriors({t("a"): {("S1",), ("S2",)}}, accuracy, 100)
         tau = math.log(100 * 0.8 / 0.2)
         expected = math.exp(2 * tau) / (math.exp(2 * tau) + 100)
         assert posteriors[t("a")] == pytest.approx(expected)
 
     def test_higher_accuracy_source_wins_conflict(self):
         accuracy = {("good",): 0.95, ("bad",): 0.55}
-        posteriors = accu_item_posteriors(
+        posteriors = accu_posteriors(
             {t("a"): {("good",)}, t("b"): {("bad",)}}, accuracy, 100
         )
         assert posteriors[t("a")] > posteriors[t("b")]
@@ -53,17 +58,17 @@ class TestPosteriorMath:
     def test_posteriors_never_exceed_one(self):
         accuracy = {(f"S{i}",): 0.99 for i in range(20)}
         claims = {t("a"): set(accuracy)}
-        posteriors = accu_item_posteriors(claims, accuracy, 100)
+        posteriors = accu_posteriors(claims, accuracy, 100)
         assert 0.0 <= posteriors[t("a")] <= 1.0
 
     def test_low_accuracy_source_votes_against(self):
         """A source with accuracy below 1/(N+1) has negative vote count, so
         its value gets less mass than an unobserved one."""
-        posteriors = accu_item_posteriors({t("a"): {("S",)}}, {("S",): 0.001}, 100)
+        posteriors = accu_posteriors({t("a"): {("S",)}}, {("S",): 0.001}, 100)
         assert posteriors[t("a")] < 1.0 / 101
 
     def test_extreme_accuracy_clamped(self):
-        posteriors = accu_item_posteriors({t("a"): {("S",)}}, {("S",): 1.0}, 100)
+        posteriors = accu_posteriors({t("a"): {("S",)}}, {("S",): 1.0}, 100)
         assert 0.0 <= posteriors[t("a")] <= 1.0
 
 

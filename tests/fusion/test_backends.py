@@ -24,7 +24,7 @@ from repro.fusion import (
     popaccu_plus_unsup,
     vote,
 )
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 
 
@@ -139,9 +139,7 @@ class TestFallbacks:
         result = run_bayesian_fusion(
             fusion_input=fusion_input,
             config=config,
-            item_posterior_fn=lambda claims, acc: popaccu_item_posteriors(
-                claims, acc
-            ),
+            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
             method_name="POPACCU-closure",
         )
         assert result.diagnostics["backend_used"] == "serial (vectorized fallback)"

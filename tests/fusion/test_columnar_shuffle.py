@@ -33,7 +33,7 @@ from repro.endtoend import make_fuser
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, popaccu, popaccu_plus, vote
 from repro.fusion.observations import FusionInput
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
 from repro.mapreduce import executors
@@ -145,9 +145,7 @@ class TestFallbacks:
             result = run_bayesian_fusion(
                 fusion_input=fusion_input,
                 config=config,
-                item_posterior_fn=lambda claims, acc: popaccu_item_posteriors(
-                    claims, acc
-                ),
+                item_posterior_fn=lambda rows: PopAccuKernel()(rows),
                 method_name="POPACCU-closure",
                 executor=executor,
             )

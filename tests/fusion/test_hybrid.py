@@ -30,7 +30,7 @@ from repro.fusion import (
     popaccu_plus,
     vote,
 )
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
 from repro.mapreduce import executors
@@ -175,9 +175,7 @@ class TestHybridFallbacks:
         result = run_bayesian_fusion(
             fusion_input=fusion_input,
             config=FusionConfig(backend="hybrid", max_rounds=2),
-            item_posterior_fn=lambda claims, acc: popaccu_item_posteriors(
-                claims, acc
-            ),
+            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
             method_name="POPACCU-closure",
         )
         assert result.diagnostics["backend_used"] == "parallel (hybrid fallback)"

@@ -22,10 +22,12 @@ import pytest
 from repro.datasets import build_scenario, small_config
 from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.fusion import FusionConfig, FusionInput
+from repro.fusion.accu import Accu, AccuKernel
+from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 from repro.fusion.vote import Vote
 from tests.oracle.columns import dict_claims
-from tests.oracle.fusion import assert_equal_in_order, kernel_of, oracle_fuse
+from tests.oracle.fusion import assert_equal_in_order, oracle_fuse
 
 #: Config overrides applied on top of each method preset (the POPACCU+
 #: presets pin coverage + θ themselves, so for them the first three
@@ -70,8 +72,13 @@ class TestSerialEqualsOracle:
     def test_round_snapshots(self, tiny_scenario, method, variant):
         fuser = _fuser(method, variant, tiny_scenario.gold)
         ours, theirs = _inputs(tiny_scenario, fuser, "records")
+        kernel = (
+            AccuKernel(fuser.config.n_false_values)
+            if isinstance(fuser, Accu)
+            else PopAccuKernel()
+        )
         serial = run_bayesian_fusion(
-            ours, fuser.config, kernel_of(fuser), fuser.name, fuser.gold_labels,
+            ours, fuser.config, kernel, fuser.name, fuser.gold_labels,
             track_rounds=True,
         )
         assert_equal_in_order(serial, oracle_fuse(fuser, theirs, track_rounds=True))

@@ -4,13 +4,19 @@ import pytest
 
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, popaccu
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.accu import AccuKernel
+from repro.fusion.popaccu import PopAccuKernel
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.posteriors import kernel_posteriors
 
 
 def t(obj):
     return Triple("/m/1", "t/t/p", StringValue(obj))
+
+
+def popaccu_posteriors(claims, accuracies):
+    return kernel_posteriors(PopAccuKernel(), claims, accuracies)
 
 
 def rec(obj, extractor, url):
@@ -27,21 +33,21 @@ class TestPosteriorMath:
     """The paper's §4.2 'sticking' behaviours are exact predictions."""
 
     def test_empty_claims(self):
-        assert popaccu_item_posteriors({}, {}) == {}
+        assert PopAccuKernel()([]) == []
 
     def test_single_default_provenance_sticks_to_08(self):
-        posteriors = popaccu_item_posteriors({t("a"): {("S",)}}, {("S",): 0.8})
+        posteriors = popaccu_posteriors({t("a"): {("S",)}}, {("S",): 0.8})
         assert posteriors[t("a")] == pytest.approx(0.8)
 
     def test_two_agreeing_defaults(self):
         accuracy = {("S1",): 0.8, ("S2",): 0.8}
-        posteriors = popaccu_item_posteriors({t("a"): {("S1",), ("S2",)}}, accuracy)
+        posteriors = popaccu_posteriors({t("a"): {("S1",), ("S2",)}}, accuracy)
         # L(a) = 0.64, L(OTHER) = 0.04 -> 0.9412...
         assert posteriors[t("a")] == pytest.approx(0.64 / 0.68)
 
     def test_two_conflicting_defaults_near_half(self):
         accuracy = {("S1",): 0.8, ("S2",): 0.8}
-        posteriors = popaccu_item_posteriors(
+        posteriors = popaccu_posteriors(
             {t("a"): {("S1",)}, t("b"): {("S2",)}}, accuracy
         )
         assert posteriors[t("a")] == pytest.approx(posteriors[t("b")])
@@ -54,26 +60,24 @@ class TestPosteriorMath:
             t("b"): {("S3",), ("S4",)},
             t("c"): {("S5",)},
         }
-        posteriors = popaccu_item_posteriors(claims, accuracy)
+        posteriors = popaccu_posteriors(claims, accuracy)
         assert sum(posteriors.values()) <= 1.0 + 1e-9
 
     def test_popular_false_value_discounted_vs_accu(self):
         """POPACCU's raison d'etre: a value repeated by many provenances is
         partially explained as a *popular false value*, so its posterior is
         lower than ACCU's for the same observations."""
-        from repro.fusion.accu import accu_item_posteriors
-
         accuracy = {(f"S{i}",): 0.8 for i in range(12)}
         claims = {
             t("copied"): {(f"S{i}",) for i in range(9)},
             t("minority"): {("S9",), ("S10",), ("S11",)},
         }
-        pop = popaccu_item_posteriors(claims, accuracy)
-        acc = accu_item_posteriors(claims, accuracy, 100)
+        pop = popaccu_posteriors(claims, accuracy)
+        acc = kernel_posteriors(AccuKernel(100), claims, accuracy)
         assert pop[t("copied")] < acc[t("copied")]
 
     def test_extreme_accuracy_clamped(self):
-        posteriors = popaccu_item_posteriors({t("a"): {("S",)}}, {("S",): 1.0})
+        posteriors = popaccu_posteriors({t("a"): {("S",)}}, {("S",): 1.0})
         assert 0.0 <= posteriors[t("a")] <= 1.0
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, FusionInput
-from repro.fusion.popaccu import PopAccu, popaccu_item_posteriors
+from repro.fusion.popaccu import PopAccu, PopAccuKernel
 from repro.fusion.runner import _gold_subsample, run_bayesian_fusion
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
@@ -99,7 +99,7 @@ class TestTrackRounds:
         result = run_bayesian_fusion(
             fusion_input=tiny_scenario.fusion_input(),
             config=config,
-            item_posterior_fn=lambda c, a: popaccu_item_posteriors(c, a),
+            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
             method_name="POPACCU",
             track_rounds=True,
         )

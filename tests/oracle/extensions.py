@@ -4,9 +4,12 @@ Until the four fusers of :mod:`repro.fusion.extensions` became array steps
 over the claim columns, each carried a private dict round loop over the
 ``ClaimMatrix`` dict views.  Those implementations moved here unchanged
 (class bodies verbatim from ``src/repro/fusion/extensions/`` at 344e2b2;
-the one edit is where the views come from —
+the edits are where the views come from —
 :func:`tests.oracle.columns.dict_claims` instead of
-``fusion_input.claims(...)``) and are the comparand of
+``fusion_input.claims(...)`` — and where the posterior math comes from:
+the dict ACCU posterior of :mod:`tests.oracle.posteriors`, and MULTITRUTH's
+POPACCU bootstrap through :func:`tests.oracle.fusion.oracle_fuse`, so no
+posterior math is imported from ``src/``) and are the comparand of
 ``tests/fusion/test_extensions_oracle.py``: every probability, accuracy and
 learned factor of the column fusers must sit within 1e-9 of these, with
 identical ``rounds`` / ``converged``.
@@ -22,7 +25,6 @@ import bisect
 import math
 from collections import defaultdict
 
-from repro.fusion.accu import accu_item_posteriors
 from repro.fusion.base import Fuser, FusionConfig, FusionResult
 from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.popaccu import PopAccu
@@ -32,6 +34,8 @@ from repro.kb.schema import Schema
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import EntityRef
 from tests.oracle.columns import dict_claims
+from tests.oracle.fusion import oracle_fuse
+from tests.oracle.posteriors import accu_item_posteriors
 
 __all__ = [
     "ConfidenceWeightedFuser",
@@ -188,8 +192,8 @@ class MultiTruthFuser(Fuser):
         average over their items ("most people only have a single spouse,
         but most actors participate in many movies").
         """
-        bootstrap = PopAccu(self.config, gold_labels=self.gold_labels).fuse(
-            fusion_input
+        bootstrap = oracle_fuse(
+            PopAccu(self.config, gold_labels=self.gold_labels), fusion_input
         )
         per_item: dict = defaultdict(float)
         for triple, probability in bootstrap.probabilities.items():

@@ -7,9 +7,12 @@ literally — claims fanned out under their data-item key, grouped, reduced
 per key in sorted key order by the keyed engine of :mod:`tests.oracle.engine`,
 over the ``ClaimMatrix`` dict views.  It moved here verbatim (function
 bodies unchanged; the two ``Vote`` methods became functions of the fuser),
-so it shares no stage code with ``src/``: only the per-item posterior
-functions, ``FusionConfig`` / ``FusionResult``, and the claim matrix's
-dict views — which live beside it now (:mod:`tests.oracle.columns`).
+so it shares no stage code with ``src/``, and no posterior math either:
+items are scored by the dict posterior functions ``src/``'s scalar
+kernels replaced (:mod:`tests.oracle.posteriors`).  From ``src/`` it
+takes ``FusionConfig`` / ``FusionResult``, the fuser classes (only to
+read their configuration) and the contract tags; the claim matrix's dict
+views live beside it (:mod:`tests.oracle.columns`).
 
 ``tests/fusion/test_oracle.py`` holds ``serial`` equal to it on every
 output — probabilities and accuracies *including iteration order*,
@@ -26,9 +29,10 @@ differential by hand::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
-from repro.fusion.accu import Accu, AccuKernel
+from repro.fusion.accu import Accu
 from repro.fusion.base import (
     Fuser,
     FusionConfig,
@@ -37,13 +41,18 @@ from repro.fusion.base import (
     sampling_contract_of,
 )
 from repro.fusion.observations import FusionInput, ProvKey
-from repro.fusion.popaccu import PopAccu, PopAccuKernel
-from repro.fusion.vote import Vote, VoteKernel
+from repro.fusion.popaccu import PopAccu
+from repro.fusion.vote import Vote
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan
 from repro.rng import split_seed
 from tests.oracle.columns import dict_claims
 from tests.oracle.engine import MapReduceEngine, MapReduceJob
+from tests.oracle.posteriors import (
+    accu_item_posteriors,
+    popaccu_item_posteriors,
+    vote_item_posteriors,
+)
 
 __all__ = [
     "assert_equal_in_order",
@@ -99,11 +108,12 @@ def assert_equal_in_order(serial: FusionResult, oracle: FusionResult) -> None:
 
 
 def kernel_of(fuser: Fuser) -> ItemPosteriorFn:
-    """The per-item posterior a built-in Bayesian fuser hands the runner."""
+    """The dict form of the per-item posterior a built-in Bayesian fuser
+    scores with."""
     if isinstance(fuser, Accu):
-        return AccuKernel(fuser.config.n_false_values)
+        return partial(accu_item_posteriors, n_false=fuser.config.n_false_values)
     if isinstance(fuser, PopAccu):
-        return PopAccuKernel()
+        return popaccu_item_posteriors
     raise TypeError(f"no oracle for {type(fuser).__name__}")
 
 
@@ -436,7 +446,7 @@ def _fuse_mapreduce(self: Vote, matrix, ran: ExecutionPlan) -> FusionResult:
     stage1 = MapReduceJob(
         name="vote.stage1",
         mapper=stage1_mapper,
-        reducer=Stage1Reducer(VoteKernel(), {}, require_repeated=False),
+        reducer=Stage1Reducer(vote_item_posteriors, {}, require_repeated=False),
         sample_limit=self.config.sample_limit,
         seed=self.config.seed,
         sample_key=stage1_sample_key,

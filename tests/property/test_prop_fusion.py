@@ -15,12 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion import FusionConfig, FusionInput, accu, popaccu, vote
-from repro.fusion.accu import accu_item_posteriors
-from repro.fusion.popaccu import popaccu_item_posteriors
+from repro.fusion.accu import AccuKernel
+from repro.fusion.popaccu import PopAccuKernel
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 from tests.oracle.columns import columns_from_items
 from tests.oracle.fusion import assert_equal_in_order, oracle_fuse
+from tests.oracle.posteriors import kernel_posteriors
+
+
+def accu_posteriors(claims, accuracies, n_false):
+    return kernel_posteriors(AccuKernel(n_false), claims, accuracies)
+
+
+def popaccu_posteriors(claims, accuracies):
+    return kernel_posteriors(PopAccuKernel(), claims, accuracies)
 
 
 def t(name: str) -> Triple:
@@ -28,16 +37,14 @@ def t(name: str) -> Triple:
 
 
 @st.composite
-def claim_matrices(draw):
-    """A random data item: values, provenances, accuracies."""
+def claim_matrices(
+    draw, accuracy=st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
+):
+    """A random data item: values, provenances, accuracies (each drawn
+    from ``accuracy``)."""
     n_values = draw(st.integers(min_value=1, max_value=5))
     n_provs = draw(st.integers(min_value=n_values, max_value=12))
-    accuracies = {
-        (f"S{i}",): draw(
-            st.floats(min_value=0.01, max_value=0.99, allow_nan=False)
-        )
-        for i in range(n_provs)
-    }
+    accuracies = {(f"S{i}",): draw(accuracy) for i in range(n_provs)}
     # Partition provenances over values so every value has >= 1 claim.
     assignment = sorted(
         draw(
@@ -60,7 +67,7 @@ class TestAccuProperties:
     @settings(max_examples=150, deadline=None)
     def test_posteriors_are_probabilities(self, matrix, n_false):
         claims, accuracies = matrix
-        posteriors = accu_item_posteriors(claims, accuracies, n_false)
+        posteriors = accu_posteriors(claims, accuracies, n_false)
         assert set(posteriors) == set(claims)
         for probability in posteriors.values():
             assert 0.0 <= probability <= 1.0
@@ -73,13 +80,13 @@ class TestAccuProperties:
         positive vote count) cannot lower a value's posterior."""
         claims, accuracies = matrix
         target = next(iter(claims))
-        before = accu_item_posteriors(claims, accuracies, 100)[target]
+        before = accu_posteriors(claims, accuracies, 100)[target]
         extra = ("S_extra",)
         accuracies2 = dict(accuracies)
         accuracies2[extra] = 0.9
         claims2 = {k: set(v) for k, v in claims.items()}
         claims2[target].add(extra)
-        after = accu_item_posteriors(claims2, accuracies2, 100)[target]
+        after = accu_posteriors(claims2, accuracies2, 100)[target]
         assert after >= before - 1e-9
 
     @given(
@@ -90,7 +97,7 @@ class TestAccuProperties:
     def test_single_source_posterior_equals_accuracy(self, accuracy, n_false):
         """With one source, ACCU's posterior is exactly the accuracy, for
         any A and N: e^τ / (e^τ + N) with τ = ln(N·A/(1−A)) simplifies to A."""
-        posteriors = accu_item_posteriors({t("a"): {("S",)}}, {("S",): accuracy}, n_false)
+        posteriors = accu_posteriors({t("a"): {("S",)}}, {("S",): accuracy}, n_false)
         assert posteriors[t("a")] == pytest.approx(accuracy, abs=1e-9)
 
 
@@ -99,7 +106,7 @@ class TestPopAccuProperties:
     @settings(max_examples=150, deadline=None)
     def test_posteriors_are_probabilities(self, matrix):
         claims, accuracies = matrix
-        posteriors = popaccu_item_posteriors(claims, accuracies)
+        posteriors = popaccu_posteriors(claims, accuracies)
         assert set(posteriors) == set(claims)
         for probability in posteriors.values():
             assert 0.0 <= probability <= 1.0
@@ -111,7 +118,7 @@ class TestPopAccuProperties:
     def test_single_provenance_sticks_to_accuracy(self, accuracy):
         """The Figure 9 'valley' generator: a lone provenance's claim keeps
         exactly the provenance's accuracy as its probability."""
-        posteriors = popaccu_item_posteriors({t("a"): {("S",)}}, {("S",): accuracy})
+        posteriors = popaccu_posteriors({t("a"): {("S",)}}, {("S",): accuracy})
         assert posteriors[t("a")] == pytest.approx(accuracy, abs=1e-9)
 
     @given(claim_matrices())
@@ -123,8 +130,8 @@ class TestPopAccuProperties:
             Triple("/m/1", "t/t/p", StringValue("renamed_" + tr.obj.text)): provs
             for tr, provs in claims.items()
         }
-        original = sorted(popaccu_item_posteriors(claims, accuracies).values())
-        rerun = sorted(popaccu_item_posteriors(renamed, accuracies).values())
+        original = sorted(popaccu_posteriors(claims, accuracies).values())
+        rerun = sorted(popaccu_posteriors(renamed, accuracies).values())
         assert original == pytest.approx(rerun)
 
     @given(
@@ -136,11 +143,11 @@ class TestPopAccuProperties:
         """All provenances agreeing yields a higher posterior for the value
         than the same provenances split across two values."""
         accuracies = {(f"S{i}",): accuracy for i in range(n_provs)}
-        unanimous = popaccu_item_posteriors(
+        unanimous = popaccu_posteriors(
             {t("a"): {(f"S{i}",) for i in range(n_provs)}}, accuracies
         )[t("a")]
         half = n_provs // 2 or 1
-        split = popaccu_item_posteriors(
+        split = popaccu_posteriors(
             {
                 t("a"): {(f"S{i}",) for i in range(half)},
                 t("b"): {(f"S{i}",) for i in range(half, n_provs)},
@@ -168,8 +175,8 @@ class TestCrossMethodProperties:
         if len(claims[top]) == len(claims[bottom]):
             return
         for fn in (
-            lambda: accu_item_posteriors(claims, accuracies, 100),
-            lambda: popaccu_item_posteriors(claims, accuracies),
+            lambda: accu_posteriors(claims, accuracies, 100),
+            lambda: popaccu_posteriors(claims, accuracies),
         ):
             posteriors = fn()
             assert posteriors[top] >= posteriors[bottom] - 1e-9

@@ -1,8 +1,9 @@
 """Scalar ↔ vectorized posterior parity, property-based.
 
 The batched numpy kernels of :mod:`repro.fusion.kernels` must reproduce
-the scalar reference implementations (``accu_item_posteriors``,
-``popaccu_item_posteriors``, ``vote_item_posteriors``) to 1e-9 on
+the scalar reference implementations (the dict forms of
+``tests/oracle/posteriors.py``, which the ``src/`` scalar kernels equal
+bit for bit) to 1e-9 on
 arbitrary claim matrices — including the awkward corners: a single
 provenance, more observed values than ACCU's assumed domain (k > N),
 unanimous items, multi-item batches, and empty inputs.
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion import kernels
-from repro.fusion.accu import accu_item_posteriors
-from repro.fusion.popaccu import popaccu_item_posteriors
-from repro.fusion.vote import vote_item_posteriors
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 from tests.oracle.columns import columns_from_items
+from tests.oracle.posteriors import (
+    accu_item_posteriors,
+    popaccu_item_posteriors,
+    vote_item_posteriors,
+)
 
 TOL = 1e-9
 

@@ -1,14 +1,24 @@
-"""Property-based tests for the evaluation metrics."""
+"""Property-based tests for the evaluation metrics.
+
+The metrics run on one array core (``labelled_arrays`` and the
+``*_from_arrays`` functions); the dict loops it replaced are
+``tests/oracle/eval.py``, and the core must equal them exactly.
+"""
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import EvaluationError
 from repro.eval.calibration import calibration_curve, deviation, weighted_deviation
 from repro.eval.kappa import kappa
 from repro.eval.pr import auc_pr, pr_curve
+from repro.experiments.common import metrics_for
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle import eval as oracle
 
 
 def t(index: int) -> Triple:
@@ -99,6 +109,98 @@ class TestPRProperties:
         curve = pr_curve(probabilities, gold)
         for precision in curve.precisions:
             assert 0.0 <= precision <= 1.0
+
+
+@st.composite
+def tied_predictions(draw):
+    """Probabilities drawn from a few values (so tie blocks form), 0.0 and
+    1.0 among them, labels True / False / absent, and gold keys that have
+    no probability."""
+    values = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, 1.0, 0.5, 0.05, 0.95]),
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    n = draw(st.integers(min_value=0, max_value=60))
+    probabilities = {}
+    gold = {}
+    for i in range(n):
+        probabilities[t(i)] = draw(st.sampled_from(values))
+        label = draw(st.sampled_from([True, False, None]))
+        if label is not None:
+            gold[t(i)] = label
+    for i in range(n, n + draw(st.integers(min_value=0, max_value=5))):
+        gold[t(i)] = draw(st.booleans())
+    return probabilities, gold
+
+
+def outcome(metric, *args):
+    """``metric(*args)``, or the message of the EvaluationError it raised."""
+    try:
+        return metric(*args)
+    except EvaluationError as error:
+        return ("raised", str(error))
+
+
+class TestArrayCoreEqualsTheDictLoops:
+    @given(tied_predictions())
+    @settings(max_examples=300, deadline=None)
+    def test_calibration_curve(self, prediction):
+        probabilities, gold = prediction
+        assert calibration_curve(probabilities, gold) == oracle.calibration_curve(
+            probabilities, gold
+        )
+
+    @given(tied_predictions())
+    @settings(max_examples=300, deadline=None)
+    def test_pr_curve_and_auc(self, prediction):
+        probabilities, gold = prediction
+        ours = outcome(pr_curve, probabilities, gold)
+        assert ours == outcome(oracle.pr_curve, probabilities, gold)
+        if not isinstance(ours, tuple):
+            assert auc_pr(ours) == oracle.auc_pr(ours)
+
+    @given(tied_predictions())
+    @settings(max_examples=200, deadline=None)
+    def test_headline_measures(self, prediction):
+        probabilities, gold = prediction
+        ours = outcome(metrics_for, probabilities, gold)
+        try:
+            curve = oracle.calibration_curve(probabilities, gold)
+            area = oracle.auc_pr(oracle.pr_curve(probabilities, gold))
+        except EvaluationError as error:
+            assert ours == ("raised", str(error))
+            return
+        assert ours.row() == (deviation(curve), weighted_deviation(curve), area)
+
+
+class TestEvaluationErrors:
+    def test_no_labelled_triples(self):
+        with pytest.raises(EvaluationError, match="no labelled triples"):
+            metrics_for({t(0): 0.5}, {t(1): True})
+
+    def test_no_true_triples(self):
+        with pytest.raises(EvaluationError, match="no true triples"):
+            metrics_for({t(0): 0.5, t(1): 0.7}, {t(0): False, t(1): False})
+
+    def test_out_of_range_probability_names_the_triple(self):
+        probabilities = {t(0): 0.5, t(1): 1.5, t(2): -0.5}
+        gold = {t(0): True, t(1): True, t(2): True}
+        message = f"probability out of range for {t(1).canonical()}: 1.5"
+        for metric in (metrics_for, calibration_curve, oracle.calibration_curve):
+            with pytest.raises(EvaluationError, match=re.escape(message)):
+                metric(probabilities, gold)
+
+    def test_unlabelled_out_of_range_probability_is_ignored(self):
+        probabilities = {t(0): 0.5, t(1): 1.5}
+        assert calibration_curve(probabilities, {t(0): True}) == (
+            oracle.calibration_curve(probabilities, {t(0): True})
+        )
 
 
 class TestKappaProperties:
