@@ -9,11 +9,11 @@ Three kinds of case live here:
 
 - **stage** cases (``pipeline``, ``backends``, ``sampling``,
   ``extraction``) — the performance benchmarks proper.  Each one
-  *asserts its backends' documented parity contract* (serial == parallel
-  bitwise; vectorized/hybrid within the 1e-9
-  ``repro.fusion.PARITY_TOLERANCE_ABS`` tolerance) **before** reporting a
-  single timing, so a comparison can never quietly measure two different
-  computations.
+  *asserts its backends' documented parity contract* (extraction records
+  bitwise in every mode; vectorized/hybrid fusion within the 1e-9
+  ``repro.fusion.PARITY_TOLERANCE_ABS`` tolerance of serial, and hybrid ==
+  vectorized bitwise) **before** reporting a single timing, so a
+  comparison can never quietly measure two different computations.
 - **experiment** cases (``fig3`` … ``fig22``, ``table1`` … ``table3``) —
   regenerate one paper artifact on the shared scenario, persist the
   rendered report to ``benchmarks/results/<id>.txt`` and run the
@@ -24,7 +24,7 @@ Three kinds of case live here:
 
 Every case takes a :class:`BenchContext` — the shared, *warm* resources
 of one runner invocation: scenarios are built once per scale and the
-parallel cases share one live :class:`ParallelExecutor` (one pool paid
+pooled runs share one live :class:`ParallelExecutor` (one pool paid
 for per invocation, the way a long-running service would hold it), and
 returns a JSON-serializable report the runner wraps into
 ``benchmarks/results/BENCH_<case>.json``.
@@ -32,7 +32,6 @@ returns a JSON-serializable report the runner wraps into
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import platform
 import time
@@ -94,7 +93,7 @@ class BenchContext:
 
     ``scenario()`` builds (and caches) the deterministic scenario for the
     context's scale; ``executor()`` returns the invocation-wide warm
-    :class:`ParallelExecutor` every parallel case shares — the pool and
+    :class:`ParallelExecutor` every pooled run shares — the pool and
     its resident state are paid for once, not once per case.  ``close()``
     releases the pool (the runner calls it in a ``finally``).
     ``cache_dir`` (``--cache-dir``) points worldgen at the on-disk
@@ -192,17 +191,17 @@ def _best_of(fn, rounds: int = TIMING_ROUNDS) -> float:
 
 @register(
     "pipeline",
-    "end-to-end per-stage wall-clock: serial vs parallel vs hybrid on one "
-    "shared executor each (serial==parallel asserted bitwise, hybrid "
-    "metrics within 1e-9, before any timing is reported)",
+    "end-to-end per-stage wall-clock: serial vs hybrid, the pooled run on "
+    "the shared executor (records asserted bitwise, hybrid metrics within "
+    "1e-9, before any timing is reported)",
 )
 def pipeline_case(ctx: BenchContext) -> dict:
     """Port of the old ``bench_pipeline.py`` script mode.
 
-    The parallel and hybrid runs share the context's warm executor; the
-    serial run owns a throwaway ``SerialExecutor`` as before.  The report
-    is the artifact the ROADMAP speedup numbers (and the CI
-    ``perf-crossover`` lane) come from.
+    The hybrid runs share the context's warm executor; the serial run
+    owns a throwaway ``SerialExecutor`` as before.  The report is the
+    artifact the ROADMAP speedup numbers (and the CI ``perf-crossover``
+    lane) come from.
     """
     from repro.endtoend import run_end_to_end
     from repro.fusion import PARITY_TOLERANCE_ABS
@@ -214,23 +213,21 @@ def pipeline_case(ctx: BenchContext) -> dict:
 
     config = SCALES[ctx.scale](seed=ctx.seed)
     executor = ctx.executor()
-    serial = run_end_to_end(
-        config, method="popaccu+", backend="serial", cache_dir=ctx.cache_dir
-    )
-    parallel = run_end_to_end(
-        config, method="popaccu+", backend="parallel",
-        n_workers=ctx.workers, executor=executor, cache_dir=ctx.cache_dir,
-    )
-    hybrid = run_end_to_end(
-        config, method="popaccu+", backend="hybrid",
-        n_workers=ctx.workers, executor=executor, cache_dir=ctx.cache_dir,
-    )
 
-    # Parity first, timings second: serial == parallel bit-for-bit,
-    # hybrid within the documented tolerance contract.
-    assert serial.fusion.probabilities == parallel.fusion.probabilities
-    assert serial.fusion.accuracies == parallel.fusion.accuracies
-    assert serial.scenario.records == parallel.scenario.records
+    def run(backend: str):
+        if backend == "serial":
+            return run_end_to_end(
+                config, method="popaccu+", backend="serial", cache_dir=ctx.cache_dir
+            )
+        return run_end_to_end(
+            config, method="popaccu+", backend=backend,
+            n_workers=ctx.workers, executor=executor, cache_dir=ctx.cache_dir,
+        )
+
+    serial, hybrid = run("serial"), run("hybrid")
+
+    # Parity first, timings second: the record stream bit-for-bit, hybrid
+    # fusion within the documented tolerance contract.
     assert hybrid.fusion.diagnostics["backend_used"] == "hybrid"
     assert hybrid.scenario.records == serial.scenario.records
     hybrid_metric_delta = max(
@@ -245,32 +242,12 @@ def pipeline_case(ctx: BenchContext) -> dict:
     # counts as round 1).  The cold ``stages`` numbers below stay in the
     # report for eyeballing, but the perf-trajectory comparator gates on
     # these: best-of-N over a warm pool is what survives runner noise.
-    stage_rounds: dict[str, list[dict]] = {
-        "serial": [serial.timings],
-        "parallel": [parallel.timings],
-        "hybrid": [hybrid.timings],
+    first = {"serial": serial, "hybrid": hybrid}
+    stage_rounds = {
+        backend: [result.timings]
+        + [run(backend).timings for _ in range(TIMING_ROUNDS - 1)]
+        for backend, result in first.items()
     }
-    for _ in range(TIMING_ROUNDS - 1):
-        stage_rounds["serial"].append(
-            run_end_to_end(
-                config, method="popaccu+", backend="serial",
-                cache_dir=ctx.cache_dir,
-            ).timings
-        )
-        stage_rounds["parallel"].append(
-            run_end_to_end(
-                config, method="popaccu+", backend="parallel",
-                n_workers=ctx.workers, executor=executor,
-                cache_dir=ctx.cache_dir,
-            ).timings
-        )
-        stage_rounds["hybrid"].append(
-            run_end_to_end(
-                config, method="popaccu+", backend="hybrid",
-                n_workers=ctx.workers, executor=executor,
-                cache_dir=ctx.cache_dir,
-            ).timings
-        )
     best_of = {
         f"{backend}.{stage}": round(min(t[stage] for t in rounds), 4)
         for backend, rounds in stage_rounds.items()
@@ -284,21 +261,17 @@ def pipeline_case(ctx: BenchContext) -> dict:
         "best_of": best_of,
         "n_pages": serial.diagnostics["n_pages"],
         "n_records": serial.diagnostics["n_records"],
-        "workers": parallel.diagnostics.get("n_workers"),
+        "workers": hybrid.diagnostics.get("n_workers"),
         "bit_identical": True,
         "scenario_cache": serial.diagnostics.get("scenario_cache", "off"),
         "hybrid_parity": hybrid.fusion.diagnostics["parity"],
         "hybrid_max_metric_delta": hybrid_metric_delta,
-        "round_state": parallel.diagnostics.get("round_state"),
-        "stages": {
-            "serial": round3(serial.timings),
-            "parallel": round3(parallel.timings),
-            "hybrid": round3(hybrid.timings),
-        },
+        "round_state": hybrid.diagnostics.get("round_state"),
+        "stages": {backend: round3(result.timings) for backend, result in first.items()},
         "parallel_fallbacks": {
-            "tiny": parallel.diagnostics.get("fallbacks_tiny", 0),
-            "unpicklable": parallel.diagnostics.get("fallbacks_unpicklable", 0),
-            "shm": parallel.diagnostics.get("fallbacks_shm", 0),
+            "tiny": hybrid.diagnostics.get("fallbacks_tiny", 0),
+            "unpicklable": hybrid.diagnostics.get("fallbacks_unpicklable", 0),
+            "shm": hybrid.diagnostics.get("fallbacks_shm", 0),
         },
         "metrics": {name: round(v, 6) for name, v in serial.metrics.items()},
     }
@@ -374,61 +347,77 @@ def _streaming_pipeline_case(ctx: BenchContext) -> dict:
     }
 
 
-@register(
-    "backends",
-    "one POPACCU round under all four fusion backends on the shared warm "
-    "executor (parallel bitwise, vectorized/hybrid 1e-9, vectorized >= 3x "
-    "serial) -> results/backends.txt",
-)
-def backends_case(ctx: BenchContext) -> dict:
-    from repro.fusion import FusionConfig, popaccu
+def _popaccu_round_results(ctx: BenchContext, sample_limit: int | None) -> tuple:
+    """One POPACCU round under every fusion backend, parity asserted.
+
+    Returns ``(run, results, max_delta)``: ``run(backend)`` repeats the
+    round (hybrid on the context's shared warm executor); ``results`` are
+    the first, parity-checked runs — ``vectorized`` / ``hybrid`` report
+    their own name and ``tolerance``, equal each other bit for bit, and
+    sit within the 1e-9 contract of ``serial`` with the same θ outcome;
+    ``max_delta`` is the largest probability difference to serial.
+    """
+    from repro.fusion import BACKENDS, FusionConfig, popaccu
 
     fusion_input = ctx.scenario().fusion_input()
     executor = ctx.executor()
 
     def run(backend: str):
-        config = FusionConfig(max_rounds=1, convergence_tol=0.0, backend=backend)
-        if backend in ("parallel", "hybrid"):
-            return popaccu(config).fuse(fusion_input, executor=executor)
-        return popaccu(config).fuse(fusion_input)
+        config = FusionConfig(
+            max_rounds=1, convergence_tol=0.0, backend=backend,
+            sample_limit=sample_limit,
+        )
+        return popaccu(config).fuse(fusion_input, executor=executor)
 
     # Warm the shared caches (claim matrix + columnar index + pool) once,
     # the way any multi-round fusion run would.
-    results = {
-        backend: run(backend)
-        for backend in ("serial", "parallel", "vectorized", "hybrid")
-    }
-    assert results["vectorized"].diagnostics["backend_used"] == "vectorized"
-    assert results["hybrid"].diagnostics["backend_used"] == "hybrid"
-
-    # Parity before timing.  Parallel is bit-identical under fork
-    # (spawn-only platforms agree to the last ulp — see
-    # repro.mapreduce.executors); vectorized and hybrid honour the 1e-9
-    # tolerance contract.
-    serial = results["serial"]
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert results["parallel"].probabilities == serial.probabilities
-    else:  # pragma: no cover - spawn-only platforms
-        for triple, probability in serial.probabilities.items():
-            assert abs(results["parallel"].probabilities[triple] - probability) < 1e-12
+    results = {backend: run(backend) for backend in BACKENDS}
+    serial, vectorized, hybrid = (results[b] for b in ("serial", "vectorized", "hybrid"))
+    for backend, result in results.items():
+        assert result.diagnostics["backend_used"] == backend, result.diagnostics
+    assert vectorized.diagnostics["parity"] == hybrid.diagnostics["parity"] == "tolerance"
+    assert list(hybrid.probabilities.items()) == list(vectorized.probabilities.items())
+    assert hybrid.accuracies == vectorized.accuracies
     max_delta = 0.0
-    for backend in ("vectorized", "hybrid"):
-        for triple, probability in serial.probabilities.items():
-            delta = abs(results[backend].probabilities[triple] - probability)
-            max_delta = max(max_delta, delta)
-            assert delta <= TOLERANCE_PARITY_ABS, (backend, triple)
+    for triple, probability in serial.probabilities.items():
+        delta = abs(vectorized.probabilities[triple] - probability)
+        max_delta = max(max_delta, delta)
+        assert delta <= TOLERANCE_PARITY_ABS, triple
+    assert set(vectorized.probabilities) == set(serial.probabilities)
+    assert (
+        vectorized.diagnostics["n_active_final"] == serial.diagnostics["n_active_final"]
+    )
+    return run, results, max_delta
 
-    timings = {backend: _best_of(lambda b=backend: run(b)) for backend in results}
-    speedup = timings["serial"] / timings["vectorized"]
-    lines = [
-        "POPACCU single round, shared session scenario "
-        f"({len(serial.probabilities)} fused triples); best of {TIMING_ROUNDS}",
+
+def _timing_lines(title: str, timings: dict) -> list[str]:
+    return [
+        title,
         *(
             f"{backend:>12}: {seconds * 1000:9.1f} ms"
             for backend, seconds in sorted(timings.items(), key=lambda kv: kv[1])
         ),
-        f"vectorized speedup over serial-scalar: {speedup:.1f}x",
+        f"vectorized speedup over serial-scalar: "
+        f"{timings['serial'] / timings['vectorized']:.1f}x",
     ]
+
+
+@register(
+    "backends",
+    "one POPACCU round under all three fusion backends on the shared warm "
+    "executor (vectorized/hybrid 1e-9 of serial and bitwise equal, "
+    "vectorized >= 3x serial) -> results/backends.txt",
+)
+def backends_case(ctx: BenchContext) -> dict:
+    run, results, max_delta = _popaccu_round_results(ctx, None)
+    serial = results["serial"]
+    timings = {backend: _best_of(lambda b=backend: run(b)) for backend in results}
+    speedup = timings["serial"] / timings["vectorized"]
+    lines = _timing_lines(
+        "POPACCU single round, shared session scenario "
+        f"({len(serial.probabilities)} fused triples); best of {TIMING_ROUNDS}",
+        timings,
+    )
     (ctx.results_dir / "backends.txt").write_text("\n".join(lines) + "\n")
     assert speedup >= MIN_VECTORIZED_SPEEDUP, (
         f"vectorized backend only {speedup:.2f}x faster than scalar "
@@ -439,69 +428,43 @@ def backends_case(ctx: BenchContext) -> dict:
         "timings_ms": {b: round(s * 1000, 1) for b, s in timings.items()},
         "vectorized_speedup": round(speedup, 2),
         "tolerance_max_delta": max_delta,
-        "round_state": results["parallel"].diagnostics.get("round_state"),
+        "round_state": results["hybrid"].diagnostics.get("round_state"),
         "n_triples": len(serial.probabilities),
     }
 
 
 @register(
     "sampling",
-    "an L-sampled POPACCU round: canonical-order sampling keeps the "
-    "parallel backend engaged and bit-identical -> results/sampling.txt",
+    "an L-sampled POPACCU round under all three fusion backends: sampling "
+    "is one claim mask every kernel reads, so each backend keeps its "
+    "kernel (parity asserted first) -> results/sampling.txt",
 )
 def sampling_case(ctx: BenchContext) -> dict:
-    from repro.fusion import FusionConfig, popaccu
-
-    fusion_input = ctx.scenario().fusion_input()
-    executor = ctx.executor()
     # Engage sampling on a meaningful fraction of items without gutting
     # the workload (the small scenario's largest items carry ~40 claims).
     sample_limit = 5
-
-    def run(backend: str):
-        config = FusionConfig(
-            max_rounds=1,
-            convergence_tol=0.0,
-            backend=backend,
-            sample_limit=sample_limit,
-        )
-        if backend == "parallel":
-            return popaccu(config).fuse(fusion_input, executor=executor)
-        return popaccu(config).fuse(fusion_input)
-
-    results = {backend: run(backend) for backend in ("serial", "parallel")}
-    parallel = results["parallel"]
-    assert parallel.diagnostics["backend_used"] == "parallel", (
-        "sampling must no longer force the serial fallback"
-    )
-    assert parallel.diagnostics["sampling"] == "canonical-order"
-    if "fork" in multiprocessing.get_all_start_methods():
-        assert parallel.probabilities == results["serial"].probabilities
-
+    run, results, max_delta = _popaccu_round_results(ctx, sample_limit)
+    assert all(r.diagnostics["sampling"] == "canonical-order" for r in results.values())
     timings = {backend: _best_of(lambda b=backend: run(b)) for backend in results}
-    lines = [
+    lines = _timing_lines(
         f"POPACCU single round, L={sample_limit} (sampling engaged), "
         f"canonical-order contract; best of {TIMING_ROUNDS}",
-        *(
-            f"{backend:>12}: {seconds * 1000:9.1f} ms"
-            for backend, seconds in sorted(timings.items(), key=lambda kv: kv[1])
-        ),
-        f"parallel backend_used: {parallel.diagnostics['backend_used']} "
-        "(no serial fallback)",
-    ]
+        timings,
+    ) + ["every backend_used == backend requested (no kernel swap)"]
     (ctx.results_dir / "sampling.txt").write_text("\n".join(lines) + "\n")
     return {
         "sample_limit": sample_limit,
         "best_of": {b: round(s, 4) for b, s in timings.items()},
         "timings_ms": {b: round(s * 1000, 1) for b, s in timings.items()},
-        "backend_used": parallel.diagnostics["backend_used"],
-        "sampling": parallel.diagnostics["sampling"],
+        "tolerance_max_delta": max_delta,
+        "backend_used": {b: r.diagnostics["backend_used"] for b, r in results.items()},
+        "sampling": results["serial"].diagnostics["sampling"],
     }
 
 
 @register(
     "extraction",
-    "the extraction stage alone, serial vs parallel over the shared warm "
+    "the extraction stage alone, serial vs hybrid over the shared warm "
     "executor (record stream asserted bit-identical before timing)",
 )
 def extraction_case(ctx: BenchContext) -> dict:
@@ -511,16 +474,16 @@ def extraction_case(ctx: BenchContext) -> dict:
 
     serial_records = pipeline.run(corpus, backend="serial")
     fallbacks_before = executor.fallbacks_unpicklable
-    parallel_records = pipeline.run(corpus, backend="parallel", executor=executor)
-    assert parallel_records == serial_records  # bitwise, before timing
+    hybrid_records = pipeline.run(corpus, backend="hybrid", executor=executor)
+    assert hybrid_records == serial_records  # bitwise, before timing
     # Delta, not the lifetime counter: the executor is shared across the
     # whole runner invocation and earlier cases may fall back legitimately.
     assert executor.fallbacks_unpicklable == fallbacks_before
 
     timings = {
         "serial": _best_of(lambda: pipeline.run(corpus, backend="serial")),
-        "parallel": _best_of(
-            lambda: pipeline.run(corpus, backend="parallel", executor=executor)
+        "hybrid": _best_of(
+            lambda: pipeline.run(corpus, backend="hybrid", executor=executor)
         ),
     }
     return {

@@ -6,7 +6,7 @@ Usage::
     repro-kf run fig9 [--scale small] [--seed 0]
     repro-kf run all --scale tiny
     repro-kf fuse popaccu --backend vectorized [--scale small] [--seed 0]
-    repro-kf extract --backend parallel [--scale small] [--seed 0]
+    repro-kf extract --backend hybrid [--scale small] [--seed 0]
     repro-kf pipeline popaccu+ --backend hybrid [--workers 4]
     python -m repro.cli run table2
 
@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel backend (default: CPU count)",
+        help="worker processes for the pooled backend (default: CPU count)",
     )
 
     extract_parser = sub.add_parser(
@@ -125,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel backend (default: CPU count)",
+        help="worker processes for the pooled backend (default: CPU count)",
     )
 
     pipeline_parser = sub.add_parser(
@@ -144,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=PIPELINE_BACKENDS,
         default="serial",
         help="execution backend for both stages (default: serial); "
-        "hybrid = parallel extraction + batched in-shard fusion kernels",
+        "hybrid = pooled extraction + batched in-shard fusion kernels",
     )
     pipeline_parser.add_argument(
         "--scale",
@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for the parallel backend (default: CPU count)",
+        help="worker processes for the pooled backend (default: CPU count)",
     )
     pipeline_parser.add_argument(
         "--cache-dir",

@@ -18,10 +18,10 @@ kernel (``VoteKernel``, ``AccuKernel``, ``PopAccuKernel``) scores one
 data item from its rows' provenance accuracies, listed in canonical
 order; its ``batch_round`` scores a whole round through the numpy
 kernels of :mod:`repro.fusion.kernels`.
-``FusionConfig.backend`` selects scalar-serial, process-pool-parallel,
-vectorized, or hybrid (batched kernels inside each parallel shard)
-execution.  ``serial``/``parallel`` honour the bitwise parity contract,
-``vectorized``/``hybrid`` the 1e-9 tolerance one
+``FusionConfig.backend`` selects scalar-serial, vectorized, or hybrid
+(batched kernels inside each process-pool shard) execution.  ``serial``
+honours the bitwise parity contract, ``vectorized``/``hybrid`` the 1e-9
+tolerance one
 (:data:`~repro.fusion.base.PARITY_TOLERANCE_ABS`); see
 ``docs/ARCHITECTURE.md`` for the full backend matrix.
 """

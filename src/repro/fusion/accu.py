@@ -17,12 +17,12 @@ Iteration (accuracy re-estimation) lives in :mod:`repro.fusion.runner`.
 Two cross-backend contracts anchor here.  *Canonical-order summation*:
 the scalar posterior (:meth:`AccuKernel.__call__`) sums floats in the
 order its row accuracies arrive, which is the claim columns' canonical
-(sorted) order — what makes serial and parallel runs bit-identical.
-*Canonical-order sampling*: when the reducer-input bound ``L`` engages,
-a data item's claims are sampled against their ``(triple, provenance)``
-canonical order — the columnar claim layout's native order — so sampled
-subsets are identical whether drawn in-process or inside a parallel
-shard (:func:`repro.fusion.shuffle.scalar_stage1` either way).
+(sorted) order — what makes serial runs independent of
+``PYTHONHASHSEED``.  *Canonical-order sampling*: when the reducer-input
+bound ``L`` engages, a data item's claims are sampled against their
+``(triple, provenance)`` canonical order — the columnar claim layout's
+native order — once per round, into the claim keep-mask every kernel
+reads (:func:`repro.fusion.shuffle.stage1_keep`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class AccuKernel:
     Calling it scores one data item on the scalar path; :meth:`batch_round`
     scores every item of a round at once through the numpy kernel
     (:func:`repro.fusion.kernels.accu_round`).  Being a frozen dataclass —
-    not a closure — it survives pickling into the parallel backend's
+    not a closure — it survives pickling into the ``hybrid`` backend's
     worker processes.
     """
 
@@ -73,10 +73,10 @@ class AccuKernel:
         return [math.exp(count - peak) / denominator for count in vote_counts]
 
     def batch_round(
-        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool
+        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None
     ) -> kernels.RoundPosteriors:
         return kernels.accu_round(
-            cols, accuracies, active, self.n_false, require_repeated
+            cols, accuracies, active, self.n_false, require_repeated, keep
         )
 
 

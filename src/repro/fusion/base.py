@@ -18,12 +18,7 @@ from repro.errors import ConfigError
 from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
-from repro.mapreduce.executors import (
-    EXECUTION_MODES,
-    FUSION_MODES,
-    ExecutionPlan,
-    fusion_mode_name,
-)
+from repro.mapreduce.executors import EXECUTION_MODES, FUSION_MODES
 
 __all__ = [
     "BACKENDS",
@@ -45,9 +40,8 @@ BACKENDS = FUSION_MODES
 
 #: Numeric parity contracts a fusion run can honour (recorded per run in
 #: ``result.diagnostics["parity"]``):
-#: - ``bitwise``: every float operation matches the serial reference in
-#:   the identical order — outputs are equal bit-for-bit, at any worker
-#:   count and start method, independent of ``PYTHONHASHSEED``;
+#: - ``bitwise``: the serial reference itself — canonical-order float
+#:   sums, independent of ``PYTHONHASHSEED``;
 #: - ``tolerance``: batched summation order differs from the scalar
 #:   reference, so outputs agree only to :data:`PARITY_TOLERANCE_ABS`
 #:   (absolute).  Golden tests may freeze exact numbers only for
@@ -62,33 +56,19 @@ PARITY_TOLERANCE = "tolerance"
 PARITY_TOLERANCE_ABS = 1e-9
 
 
-def parity_of(backend_used: str) -> str:
-    """The numeric parity contract of a resolved ``backend_used`` string.
-
-    ``tolerance`` iff a batched kernel actually ran.  The fallback
-    spellings (``"serial (vectorized fallback)"``, ``"parallel (hybrid
-    fallback)"``) name the scalar mode that ran, so they are bitwise; a
-    stem that is no fusion backend is an error, never silently bitwise.
-    """
-    stem = backend_used.split(" ", 1)[0]
-    if stem not in BACKENDS:
-        raise ConfigError(
-            f"backend_used {backend_used!r} does not start with one of {BACKENDS}"
-        )
-    return PARITY_TOLERANCE if EXECUTION_MODES[stem].batched else PARITY_BITWISE
+def parity_of(backend: str) -> str:
+    """The numeric parity contract of fusion backend ``backend``:
+    ``tolerance`` iff it runs the batched kernel.  A name that is no
+    fusion backend is an error, never silently bitwise."""
+    if backend not in BACKENDS:
+        raise ConfigError(f"backend {backend!r} is not one of {BACKENDS}")
+    return PARITY_TOLERANCE if EXECUTION_MODES[backend].batched else PARITY_BITWISE
 
 
-def backend_contract(requested: str, ran: ExecutionPlan) -> dict[str, str]:
+def backend_contract(backend: str) -> dict[str, str]:
     """The ``backend`` / ``backend_used`` / ``parity`` diagnostics of a run
-    that was asked for ``requested`` and executed the ``ran`` mode.
-
-    When a batched kernel could not engage, ``ran`` is the scalar mode in
-    the same place, spelled ``"<ran> (<requested> fallback)"``.
-    """
-    used = fusion_mode_name(ran)
-    if used != requested:
-        used = f"{used} ({requested} fallback)"
-    return {"backend": requested, "backend_used": used, "parity": parity_of(used)}
+    of ``backend`` — the mode that runs is the one requested."""
+    return {"backend": backend, "backend_used": backend, "parity": parity_of(backend)}
 
 
 def sampling_contract_of(config: "FusionConfig") -> str:
@@ -96,8 +76,8 @@ def sampling_contract_of(config: "FusionConfig") -> str:
 
     ``"canonical-order"`` when the sampling bound ``L`` is set: sampled
     subsets are drawn against each key's values in canonical (sorted)
-    order, so every backend — serial, parallel shards, fallbacks — picks
-    identical subsets.  ``"unbounded"`` when sampling is disabled.
+    order, once per round in the parent, so every backend reads identical
+    subsets.  ``"unbounded"`` when sampling is disabled.
     """
     return "canonical-order" if config.sample_limit is not None else "unbounded"
 
@@ -136,8 +116,9 @@ class FusionConfig:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
         Execution backend, one of :data:`BACKENDS` (default ``serial``).
-        Scalar-kernel modes honour the ``bitwise`` parity contract,
-        batched-kernel modes the ``tolerance`` one (see :func:`parity_of`).
+        The scalar ``serial`` mode honours the ``bitwise`` parity
+        contract, the batched-kernel modes the ``tolerance`` one (see
+        :func:`parity_of`).
     n_workers:
         Worker-process count for the pooled backends (None = CPU
         count); ignored by the in-process ones.

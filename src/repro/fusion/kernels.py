@@ -14,13 +14,19 @@ Each kernel returns a :class:`RoundPosteriors`: a posterior per row plus a
 ``scored`` mask (rows whose item passed the round's filters and that kept
 at least one active provenance).  :func:`stage2_accuracies` is the matching
 batched Stage-II update (mean posterior of each provenance's scored
-triples, via the transposed CSR).
+triples, via the transposed CSR).  Reducer-input sampling (the paper's
+``L``) reaches every kernel the same way: an optional trailing ``keep``
+claim mask, built once per round by
+:func:`repro.fusion.shuffle.stage1_keep` / :func:`~repro.fusion.shuffle.stage2_keep`
+(None when no group exceeds ``L``) — a dropped claim is treated exactly
+like one of an inactive provenance.
 
 The Stage-I kernels are consumed two ways: whole-matrix by the
 ``vectorized`` backend, and shard-at-a-time by the ``hybrid`` backend —
-each parallel worker calls ``batch_round`` on a
+each pool worker calls ``batch_round`` on a
 :class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-columns, so they must only touch the CSR pointer/index attributes
+columns (with the keep-mask sliced by its ``claims``), so they must only
+touch the CSR pointer/index attributes
 (``item_ptr``/``row_ptr``/``row_item``/``claim_prov``/``n_rows``), which
 both views provide.  :func:`stage2_accuracies` always runs whole-matrix,
 in the parent, for both backends.  In hybrid workers the
@@ -37,11 +43,10 @@ benchmarks assert is 1e-9 absolute.  Exact bitwise equality is *not*
 guaranteed, because ``np.add.reduceat`` visits the same addends in array
 order (with pairwise blocking) while the scalar references sum in
 canonical (sorted) order.  The scalar references' canonical-order
-summation is itself load-bearing: it is what makes the serial and
-scalar-parallel backends independent of ``PYTHONHASHSEED`` (a dict/set
-iteration order would leak each worker's hash seed into the last ulp) and
-therefore bit-identical to each other — the ``bitwise`` contract the
-golden tests freeze.  The batched kernels inherit hash-seed independence
+summation is itself load-bearing: it is what makes the serial backend
+independent of ``PYTHONHASHSEED`` (a dict/set iteration order would leak
+the hash seed into the last ulp) — the ``bitwise`` contract the golden
+tests freeze.  The batched kernels inherit hash-seed independence
 trivially: they never iterate a hash-ordered container at all, only
 integer-indexed arrays whose layout is canonically sorted at build time.
 """
@@ -93,10 +98,19 @@ def _segment_sum(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
 
 
 def _support_and_activity(
-    cols: ColumnarClaims, active: np.ndarray, require_repeated: bool
+    cols: ColumnarClaims,
+    active: np.ndarray,
+    require_repeated: bool,
+    keep: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-claim activity, per-row support, observed-row and item masks."""
+    """Per-claim activity, per-row support, observed-row and item masks.
+
+    A claim is active when its provenance is and — under sampling — the
+    round's claim keep-mask kept it.
+    """
     claim_active = active[cols.claim_prov]
+    if keep is not None:
+        claim_active = claim_active & keep
     m_row = _segment_sum(claim_active.astype(np.float64), cols.row_ptr)
     observed = m_row > 0
     row_support_max = np.maximum.reduceat(m_row, cols.item_ptr[:-1])
@@ -110,6 +124,7 @@ def accu_round(
     active: np.ndarray,
     n_false: int,
     require_repeated: bool = False,
+    keep: np.ndarray | None = None,
 ) -> RoundPosteriors:
     """Batched ACCU: softmax of summed vote counts over the full domain.
 
@@ -120,7 +135,7 @@ def accu_round(
     if cols.n_rows == 0:
         return _empty_round()
     claim_active, m_row, observed, item_ok = _support_and_activity(
-        cols, active, require_repeated
+        cols, active, require_repeated, keep
     )
     tau = accu_claim_votes(cols, accuracies, n_false) * claim_active
     vote_row = _segment_sum(tau, cols.row_ptr)
@@ -158,6 +173,7 @@ def popaccu_round(
     accuracies: np.ndarray,
     active: np.ndarray,
     require_repeated: bool = False,
+    keep: np.ndarray | None = None,
 ) -> RoundPosteriors:
     """Batched POPACCU: empirical false-value popularity, explicit OTHER.
 
@@ -175,7 +191,7 @@ def popaccu_round(
     if cols.n_rows == 0:
         return _empty_round()
     claim_active, m_row, observed, item_ok = _support_and_activity(
-        cols, active, require_repeated
+        cols, active, require_repeated, keep
     )
     acc = np.clip(accuracies, ACC_FLOOR, ACC_CEIL)[cols.claim_prov]
     lt_row = _segment_sum(np.log(acc) * claim_active, cols.row_ptr)
@@ -214,6 +230,7 @@ def vote_round(
     cols: ColumnarClaims,
     active: np.ndarray | None = None,
     require_repeated: bool = False,
+    keep: np.ndarray | None = None,
 ) -> RoundPosteriors:
     """Batched VOTE: ``p(T) = m/n`` per row (the scalar ``VoteKernel``)."""
     if cols.n_rows == 0:
@@ -221,7 +238,7 @@ def vote_round(
     if active is None:
         active = np.ones(len(cols.provenances), dtype=bool)
     _claim_active, m_row, observed, item_ok = _support_and_activity(
-        cols, active, require_repeated
+        cols, active, require_repeated, keep
     )
     total_item = _segment_sum(m_row, cols.item_ptr)
     posteriors = m_row / np.maximum(total_item, 1.0)[cols.row_item]
@@ -234,15 +251,19 @@ def stage2_accuracies(
     cols: ColumnarClaims,
     round_result: RoundPosteriors,
     active: np.ndarray,
+    keep: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched Stage II: mean scored-triple posterior per active provenance.
 
     Returns ``(accuracies, updated)``: the new accuracy estimate per
     provenance and a mask of provenances that actually received one (were
     active and supported at least one scored row this round) — exactly the
-    provenances the scalar Stage-II reducer emits.
+    provenances the scalar Stage-II reducer emits.  ``keep`` is the
+    round's Stage-II keep-mask over ``prov_rows`` under sampling.
     """
     scored_here = round_result.scored[cols.prov_rows]
+    if keep is not None:
+        scored_here &= keep
     contrib = np.where(scored_here, round_result.posteriors[cols.prov_rows], 0.0)
     sums = _segment_sum(contrib, cols.prov_ptr)
     counts = _segment_sum(scored_here.astype(np.float64), cols.prov_ptr)

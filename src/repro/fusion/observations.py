@@ -156,11 +156,12 @@ class ColumnarSlice:
     The batched posterior kernels (:mod:`repro.fusion.kernels`) only touch
     the CSR pointer/index arrays, so a *slice* carrying remapped local
     pointers over the selected items' rows and claims lets the same
-    kernels score one parallel shard — the ``hybrid`` backend's unit of
+    kernels score one pool shard — the ``hybrid`` backend's unit of
     work.  ``rows`` maps each local row back to its global row id (for
     re-emitting posteriors against the full matrix); ``claim_prov`` keeps
     *global* provenance ids so the per-pool accuracy/active buffers index
-    directly.
+    directly, and ``claims`` maps each local claim to its global claim id
+    (so a round's claim keep-mask slices with one gather).
     """
 
     rows: np.ndarray  # local row -> global row id
@@ -168,6 +169,7 @@ class ColumnarSlice:
     item_ptr: np.ndarray  # local item j rows: [item_ptr[j], item_ptr[j+1])
     claim_prov: np.ndarray  # local claim -> GLOBAL provenance index
     row_ptr: np.ndarray  # local row r claims: [row_ptr[r], row_ptr[r+1])
+    claims: np.ndarray  # local claim -> global claim id
 
     @property
     def n_items(self) -> int:
@@ -200,6 +202,10 @@ class ColumnarClaims:
     ``prov_rows``/``prov_ptr`` is the transposed CSR: provenance ``p``
     supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the unique
     triples of each provenance, feeding Stage II).
+
+    The two canonical-order caches are parent-side only: pickles (the
+    pool-resident install) leave them out, so the pickled value does not
+    depend on whether they were built yet.
     """
 
     granularity: Granularity
@@ -213,7 +219,14 @@ class ColumnarClaims:
     prov_rows: np.ndarray  # concatenated row ids per provenance
     prov_ptr: np.ndarray  # prov p rows: [prov_ptr[p], prov_ptr[p+1])
     _canonical_rank: np.ndarray | None = field(default=None, repr=False)
-    _canonical_prov_rows: np.ndarray | None = field(default=None, repr=False)
+    _canonical_prov_order: np.ndarray | None = field(default=None, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_canonical_rank", "_canonical_prov_order")
+        }
 
     @property
     def n_items(self) -> int:
@@ -245,29 +258,32 @@ class ColumnarClaims:
         sorted within each item), which is *not* the same as sorting all
         triples by canonical string — ``("a", "x") < ("ab", "y")`` as
         tuples but ``"a|x" > "ab|y"`` as strings, because ``"|"`` sorts
-        after every alphanumeric.  Reducers that must sum floats in
-        ``sorted(triples)`` order (the scalar Stage-II mean, via
-        :meth:`canonical_prov_rows`) therefore order rows by this rank,
-        built once and cached — pool-resident state carries it to workers.
+        after every alphanumeric.  Stage II's canonical order (the scalar
+        mean, and its sampling draw) therefore orders rows by this rank
+        (:meth:`canonical_prov_order`), built once and cached.
         """
         if self._canonical_rank is None:
             _, canonical = _sorted_table([triple.canonical() for triple in self.triples])
             self._canonical_rank = _inverse(np.argsort(canonical, kind="stable"))
         return self._canonical_rank
 
-    def canonical_prov_rows(self) -> np.ndarray:
-        """``prov_rows`` with each provenance's rows in canonical triple
-        order (:meth:`canonical_rank`) — over the same ``prov_ptr`` spans.
+    def canonical_prov_order(self) -> np.ndarray:
+        """Positions into ``prov_rows`` listing each provenance's rows in
+        canonical triple order (:meth:`canonical_rank`): a permutation
+        within each ``prov_ptr`` span, so ``prov_rows[order]`` keeps the
+        spans.
 
         The scalar Stage II sums each provenance's posteriors in this
-        order; built once (one int64 per claim) and cached.
+        order and Stage-II sampling draws over it; built once (one int64
+        per claim) and cached.
         """
-        if self._canonical_prov_rows is None:
+        if self._canonical_prov_order is None:
             n_provs = len(self.prov_ptr) - 1
             prov_of = np.repeat(np.arange(n_provs), np.diff(self.prov_ptr))
-            order = np.lexsort((self.canonical_rank()[self.prov_rows], prov_of))
-            self._canonical_prov_rows = np.asarray(self.prov_rows)[order]
-        return self._canonical_prov_rows
+            self._canonical_prov_order = np.lexsort(
+                (self.canonical_rank()[self.prov_rows], prov_of)
+            )
+        return self._canonical_prov_order
 
     def slice_items(self, item_ids) -> ColumnarSlice:
         """A local CSR view over ``item_ids`` for the hybrid shard kernels.
@@ -293,6 +309,7 @@ class ColumnarClaims:
             item_ptr=item_ptr,
             claim_prov=self.claim_prov[claims],
             row_ptr=row_ptr,
+            claims=claims,
         )
 
 

@@ -8,10 +8,9 @@ repeated by many provenances is explained as a popular false value rather
 than forced toward truth.
 
 POPACCU honours the same cross-backend contracts as ACCU: canonical-order
-float summation (bitwise serial/parallel parity — see
-:meth:`PopAccuKernel.__call__`) and canonical-order reducer-input
-sampling (`L`-sampled subsets are drawn against sorted ``(triple,
-provenance)`` order, reproducible inside parallel shards; see
+float summation (see :meth:`PopAccuKernel.__call__`) and canonical-order
+reducer-input sampling (`L`-sampled subsets are drawn against sorted
+``(triple, provenance)`` order into one per-round claim mask; see
 :mod:`repro.fusion.runner` and :mod:`repro.fusion.shuffle`).
 
 Formulation (this docstring is its one written statement): candidates
@@ -48,7 +47,7 @@ class PopAccuKernel:
 
     Scalar per data item by calling it; batched per round via
     :func:`repro.fusion.kernels.popaccu_round`.  A frozen dataclass so the
-    parallel backend can pickle it into workers.
+    ``hybrid`` backend can pickle it into workers.
     """
 
     def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
@@ -98,9 +97,9 @@ class PopAccuKernel:
         return [math.exp(score - peak) / denominator for score in scores]
 
     def batch_round(
-        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool
+        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None
     ) -> kernels.RoundPosteriors:
-        return kernels.popaccu_round(cols, accuracies, active, require_repeated)
+        return kernels.popaccu_round(cols, accuracies, active, require_repeated, keep)
 
 
 class PopAccu(Fuser):

@@ -6,7 +6,7 @@ and re-estimates each provenance's accuracy as the mean posterior of its
 unique triples; the two stages alternate until the accuracies move less
 than the tolerance or the round budget ``R`` is spent; Stage III
 deduplicates by triple and emits the result.  Both reducers honour the
-sampling bound ``L``.
+sampling bound ``L`` through one per-round claim mask (see below).
 
 The §4.3 refinements plug in here:
 
@@ -28,62 +28,56 @@ arrays over the columnar claim index, dicts are built once in Stage III)
 under an :class:`~repro.mapreduce.executors.ExecutionPlan` whose two
 fields are the only thing that differs between them:
 
-- **pooled** — the *columnar shuffle* (:mod:`repro.fusion.shuffle`): the
-  claim columns are installed pool-resident once per pool, each round
-  dispatches Stage I as one :class:`~repro.mapreduce.executors.ShardedMapJob`
-  map-only job over integer item ids, and its round state crosses as
-  contiguous float64/bool buffers — no ``Triple``/``DataItem`` objects in
-  shard payloads.  Not pooled, Stage I is one in-process call over every
-  item id.  Stage II is one in-process call over every provenance id in
-  every mode — the same call, pooled or not;
-- **scalar kernel** — one kernel call per data item (on its rows'
-  provenance accuracies, listed by id in canonical order) and one
+- **scalar kernel** (``serial``) — one kernel call per data item (on its
+  rows' provenance accuracies, listed by id in canonical order) and one
   canonical-order mean per provenance
   (:func:`~repro.fusion.shuffle.scalar_stage1` /
   :func:`~repro.fusion.shuffle.scalar_stage2`, the only scalar stage
-  bodies in ``src/``).  In-process that is ``serial``, the mode every
-  parity contract is stated against; pool workers run the identical
-  Stage-I body, bit-identical to it on fork *and* spawn, at any worker
-  count.
-  Reducer-input sampling (``L``) is part of these bodies: sampled subsets
-  are defined in canonical order (see below), which is the order the
-  columns enumerate values in;
-- **batched kernel** — each stage is a fixed number of numpy array
-  operations (:mod:`repro.fusion.kernels`) over the whole matrix, or for
-  pooled Stage I over each shard's slice of it
-  (:class:`~repro.fusion.shuffle.Stage1Shard`), skipping the per-item
-  Python loop.  Requires ``item_posterior_fn`` to
-  carry a ``batch_round`` method (the built-in kernels do) and no
-  sampling pressure (the batched kernels score whole rounds and cannot
-  subset per item); otherwise the scalar kernel runs *in the same place*
-  (:func:`_runnable_plan`) — in-process that is ``serial``, pooled it is
-  ``parallel``.
+  bodies in ``src/``), in-process: the mode every parity contract is
+  stated against;
+- **batched kernel** (``vectorized``, ``hybrid``) — each stage is a fixed
+  number of numpy array operations (:mod:`repro.fusion.kernels`) over
+  the whole matrix, skipping the per-item Python loop.  Requires
+  ``item_posterior_fn`` to carry a ``batch_round`` method (the built-in
+  kernels do); a posterior without one is a :class:`ConfigError` before
+  any work;
+- **pooled** (``hybrid``) — the *columnar shuffle*
+  (:mod:`repro.fusion.shuffle`): the claim columns are installed
+  pool-resident once per pool, each round dispatches Stage I as one
+  :class:`~repro.mapreduce.executors.ShardedMapJob` map-only job over
+  integer item ids, each shard scoring its slice of the columns with the
+  batched kernel, and the round state crosses as contiguous buffers — no
+  ``Triple``/``DataItem`` objects in shard payloads.  Stage II is one
+  in-process call over every provenance id in every mode — the same
+  call, pooled or not.
 
 The dict/MapReduce-engine transcription of the same dataflow that used to
 be ``serial`` is the test suite's reference oracle
 (``tests/oracle/fusion.py``): ``serial`` must equal it on every output,
 iteration order included.
 
-**Parity.**  Scalar-kernel runs honour the ``bitwise`` contract
-(identical floats, any worker count/start method); runs where a batched
-kernel actually ran honour the ``tolerance`` contract (1e-9 absolute,
+**Parity.**  ``serial`` honours the ``bitwise`` contract; the batched
+modes honour the ``tolerance`` contract (1e-9 absolute,
 :data:`repro.fusion.base.PARITY_TOLERANCE_ABS`) because batched
-summation order differs.  Tolerance parity through an *iterated* θ-filter
-needs one extra guarantee: the discrete ``A(S) >= θ`` decisions must not
-flip on last-ulp drift (POPACCU parks many accuracies exactly at θ), so
-the loop recomputes θ-boundary accuracies with the scalar stage bodies
-whenever the batched kernels ran (:data:`THETA_RESCUE_BAND`).
-Every run records the contract it honoured in
-``result.diagnostics["parity"]``.
+summation order differs — and equal each other bit for bit.  Tolerance
+parity through an *iterated* θ-filter needs one extra guarantee: the
+discrete ``A(S) >= θ`` decisions must not flip on last-ulp drift (POPACCU
+parks many accuracies exactly at θ), so the loop recomputes θ-boundary
+accuracies with the scalar stage bodies whenever the batched kernels ran
+(:data:`THETA_RESCUE_BAND`).  Every run records the contract it honoured
+in ``result.diagnostics["parity"]``.
 
-**Canonical-order sampling.**  Stage-I samples a data item's claims in
-``(triple, provenance)`` canonical order; Stage-II samples a provenance's
-scored triples in canonical triple order.  The sampled subset is
-therefore a property of the key's value *set*, not of the order records
-arrived in — and the columnar layout enumerates values in exactly that
-order, so the draw is positional over the columns wherever the scalar
-bodies run.  ``result.diagnostics["sampling"]`` records
-``"canonical-order"`` whenever ``L`` is configured.
+**Sampling lives in one mask builder.**  Each round the parent builds
+Stage I's claim keep-mask (:func:`~repro.fusion.shuffle.stage1_keep`:
+items with more than ``L`` active claims keep ``L`` drawn in canonical
+``(triple, provenance)`` order) and, after Stage I, Stage II's
+(:func:`~repro.fusion.shuffle.stage2_keep`: provenances with more than
+``L`` scored rows keep ``L`` drawn in canonical triple order); each is
+None when no group exceeds ``L``.  Every kernel of the round — scalar,
+batched, pooled shard, θ-rescue — reads the same masks, so the sampled
+subset is a property of the claim *set*, identical in every mode, and
+sampling never swaps a kernel.  ``result.diagnostics["sampling"]``
+records ``"canonical-order"`` whenever ``L`` is configured.
 
 **Output order.**  ``result.probabilities`` is written in canonical row
 order, except that ``serial`` over a records-built matrix writes it in
@@ -91,8 +85,8 @@ record-arrival order (:func:`_emission_order`) — the order it has always
 had, which order-sensitive float sums downstream (the calibration
 metrics) are frozen against.
 
-``result.diagnostics["backend"]`` records what was requested and
-``["backend_used"]`` what actually ran
+``result.diagnostics["backend"]`` / ``["backend_used"]`` name the mode
+that ran — no mode swaps in another
 (:func:`repro.fusion.base.backend_contract`); pooled runs also carry the
 executor's own ``diagnostics()`` (round-state channel, worker count,
 ``fallbacks_*`` counters — jobs that ran in-process because dispatch could
@@ -109,7 +103,6 @@ it is handed).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -132,7 +125,7 @@ from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan, Executor
 from repro.rng import split_seed
 
-__all__ = ["run_bayesian_fusion", "sampling_would_engage"]
+__all__ = ["run_bayesian_fusion"]
 
 #: A scalar posterior kernel: per row of one data item, its active
 #: provenances' accuracies (canonical order) -> one posterior per row.
@@ -176,45 +169,32 @@ def _rescued_accuracies(
     active: np.ndarray,
     scored: np.ndarray,
     boundary: np.ndarray,
-) -> list[float | None]:
+    keep1: np.ndarray | None,
+    keep2: np.ndarray | None,
+) -> np.ndarray:
     """Scalar-kernel Stage-II accuracies for the θ-boundary provenances.
 
     ``round_accuracies`` must be the accuracies the round's Stage I ran
-    with (pre-update); ``scored`` the round's scored-row mask, which is
-    pure boolean logic and therefore already bitwise across kernels.
-    Runs the scalar mode's own two stage bodies — Stage I over just the
-    data items behind the boundary provenances' scored rows, Stage II
-    over just those provenances — so each value is the float the scalar
-    mode would have produced.  (Sampling cannot be engaged here: the
-    batched kernels never run under sampling pressure.)
+    with (pre-update); ``scored`` the round's scored-row mask and
+    ``keep1`` / ``keep2`` its two sampling masks, all pure boolean logic
+    and therefore already bitwise across kernels.  Runs the scalar mode's
+    own two stage bodies — Stage I over just the data items behind the
+    boundary provenances' scored rows, Stage II over just those
+    provenances — so each value is the float the scalar mode would have
+    produced.
     """
     spans = ragged_gather(cols.prov_ptr[boundary], cols.prov_row_counts()[boundary])
     rows = cols.prov_rows[spans]
     items = np.unique(cols.row_item[rows[scored[rows]]])
     exact = shuffle.merge_stage1_outputs(
         cols,
-        shuffle.scalar_stage1(cols, kernel, round_accuracies, active, False, items),
+        shuffle.scalar_stage1(
+            cols, kernel, round_accuracies, active, False, items, keep1
+        ),
     )
-    return shuffle.scalar_stage2(cols, exact.posteriors, scored, active, boundary)
-
-
-def sampling_would_engage(
-    cols: ColumnarClaims, config: FusionConfig, include_stage2: bool = True
-) -> bool:
-    """True when some reducer group could exceed the sampling bound L.
-
-    ``include_stage2=False`` restricts the check to the item-keyed Stage-I
-    groups, for dataflows (VOTE) whose only sampled job groups by item.
-    """
-    if config.sample_limit is None:
-        return False
-    if cols.n_rows == 0:
-        return False
-    if cols.item_claim_counts().max(initial=0) > config.sample_limit:
-        return True
-    return include_stage2 and bool(
-        cols.prov_row_counts().max(initial=0) > config.sample_limit
-    )
+    return shuffle.scalar_stage2(
+        cols, exact.posteriors, scored, active, boundary, keep2
+    )[0]
 
 
 def run_bayesian_fusion(
@@ -232,34 +212,20 @@ def run_bayesian_fusion(
     ``result.diagnostics["round_probabilities"]`` (used by the Figure 14
     experiment).  ``executor`` supplies a caller-managed executor — shared
     with other pipeline stages and *not* closed here (the caller closes
-    it); only pooled modes consult it.
-    """
-    matrix = fusion_input.claims(config.granularity)
-    plan, cols = _runnable_plan(config, matrix, item_posterior_fn)
-    return _run_columnar(
-        cols, config, item_posterior_fn, method_name, gold_labels,
-        track_rounds, plan, executor, _emission_order(matrix, plan),
-    )
-
-
-def _runnable_plan(
-    config: FusionConfig, matrix: ClaimMatrix, kernel, include_stage2: bool = True
-) -> tuple[ExecutionPlan, ColumnarClaims]:
-    """The mode that will actually run, and the claim columns it runs over.
-
-    That is ``config.backend``'s plan, minus the batched kernel when it
-    cannot engage (no ``batch_round`` form, or sampling pressure —
-    ``include_stage2`` is forwarded to :func:`sampling_would_engage`): the
-    scalar kernel then runs in the same place.
+    it); only pooled modes consult it.  A batched mode needs a posterior
+    with a ``batch_round`` form: without one it raises before any work.
     """
     plan = EXECUTION_MODES[config.backend]
-    cols = matrix.columnar()
-    batched = (
-        plan.batched
-        and hasattr(kernel, "batch_round")
-        and not sampling_would_engage(cols, config, include_stage2)
+    if plan.batched and not hasattr(item_posterior_fn, "batch_round"):
+        raise ConfigError(
+            f"backend {config.backend!r} runs the batched kernel, but "
+            f"{method_name}'s posterior has no batch_round form; use 'serial'"
+        )
+    matrix = fusion_input.claims(config.granularity)
+    return _run_columnar(
+        matrix.columnar(), config, item_posterior_fn, method_name, gold_labels,
+        track_rounds, plan, executor, _emission_order(matrix, plan),
     )
-    return replace(plan, batched=batched), cols
 
 
 def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | None:
@@ -313,7 +279,7 @@ def _column_stage1(
     accuracies: np.ndarray,
     active: np.ndarray,
     require_repeated: bool,
-    config: FusionConfig,
+    keep: np.ndarray | None,
     executor: Executor | None,
     batched: bool,
     name: str = "fusion.stage1",
@@ -322,63 +288,49 @@ def _column_stage1(
 
     In-process (``executor`` None) the batched kernel scores the whole
     matrix in one call and the scalar kernel walks every item id.
-    Sharded, the round's accuracies and active mask cross once on the
+    Sharded, the round's accuracies, active mask and claim keep-mask
+    (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on the
     round-state channel (shared-memory segments where available; the
     shard specs carry only the tiny handle) and each shard of item ids
-    runs the batched or the scalar kernel — the round's one map job.
-    ``name`` seeds the scalar kernel's canonical-order sampling draw, so a
-    method must use one name in every mode for sampled subsets to stay
-    bitwise.
+    runs the batched kernel — the round's one map job, named ``name``.
     """
-    if executor is None and batched:
-        return kernel.batch_round(cols, accuracies, active, require_repeated)
-    if executor is None:
-        per_item = shuffle.scalar_stage1(
+    if executor is not None:
+        state = shuffle.install_stage1_state(executor, accuracies, active, keep)
+        job = shuffle.stage1_job(name, cols, kernel, state, require_repeated)
+        return shuffle.merge_stage1_outputs(
+            cols, executor.run_map(range(cols.n_items), job)
+        )
+    if batched:
+        return kernel.batch_round(cols, accuracies, active, require_repeated, keep)
+    return shuffle.merge_stage1_outputs(
+        cols,
+        shuffle.scalar_stage1(
             cols, kernel, accuracies, active, require_repeated,
-            range(cols.n_items), name, config.sample_limit, config.seed,
-        )
-    else:
-        state = shuffle.install_stage1_state(executor, accuracies, active)
-        job = shuffle.stage1_job(
-            name,
-            cols,
-            kernel,
-            state,
-            require_repeated,
-            batched,
-            sample_limit=config.sample_limit,
-            seed=config.seed,
-        )
-        per_item = executor.run_map(range(cols.n_items), job)
-    return shuffle.merge_stage1_outputs(cols, per_item)
+            range(cols.n_items), keep,
+        ),
+    )
 
 
 def _column_stage2(
     cols: ColumnarClaims,
     round_result: kernels.RoundPosteriors,
     active: np.ndarray,
-    config: FusionConfig,
+    keep: np.ndarray | None,
     batched: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stage II of one round, in-process in every mode: ``(new_acc,
     updated)`` per provenance id.
 
     ``updated`` marks the provenances that received an estimate (active
-    and supporting at least one scored row); ``new_acc`` is meaningful
-    only there.
+    and supporting at least one scored, kept row); ``new_acc`` is
+    meaningful only there.
     """
     if batched:
-        return kernels.stage2_accuracies(cols, round_result, active)
-    outputs = shuffle.scalar_stage2(
+        return kernels.stage2_accuracies(cols, round_result, active, keep)
+    return shuffle.scalar_stage2(
         cols, round_result.posteriors, round_result.scored, active,
-        range(len(cols.provenances)), "fusion.stage2", config.sample_limit,
-        config.seed,
+        range(len(cols.provenances)), keep,
     )
-    updated = np.array([value is not None for value in outputs], dtype=bool)
-    new_acc = np.array(
-        [0.0 if value is None else value for value in outputs], dtype=np.float64
-    )
-    return new_acc, updated
 
 
 def _scored_posteriors(
@@ -422,10 +374,9 @@ def _run_columnar(
     (Stage III, one ``dict(zip(...))`` over the emitted rows), so no dict
     claim view is ever required — which is what
     lets the out-of-core path fuse straight from mapped columns.  ``plan``
-    (:func:`_runnable_plan`) fixes where Stage I runs and which kernel
-    scores both stages, ``order`` (:func:`_emission_order`) the
-    order the dict outputs are written in; nothing else differs between
-    backends.
+    fixes where Stage I runs and which kernel scores both stages,
+    ``order`` (:func:`_emission_order`) the order the dict outputs are
+    written in; nothing else differs between backends.
     """
     n_provs = len(cols.provenances)
     accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
@@ -468,23 +419,29 @@ def _run_columnar(
         for round_index in range(config.max_rounds):
             active = active_mask(round_index)
             require_repeated = config.filter_by_coverage and round_index == 0
+            keep1 = shuffle.stage1_keep(
+                cols, active, "fusion.stage1", config.sample_limit, config.seed
+            )
             round_result = _column_stage1(
-                cols, kernel, accuracies, active, require_repeated, config, where,
+                cols, kernel, accuracies, active, require_repeated, keep1, where,
                 plan.batched,
             )
+            keep2 = shuffle.stage2_keep(
+                cols, round_result.scored, active, config.sample_limit, config.seed
+            )
             new_acc, updated = _column_stage2(
-                cols, round_result, active, config, plan.batched
+                cols, round_result, active, keep2, plan.batched
             )
             if plan.batched and config.min_accuracy is not None:
                 # Keep every θ-filter decision bitwise: see THETA_RESCUE_BAND.
-                # (The scalar kernel is already exact, and may have sampled.)
                 boundary = np.flatnonzero(
                     updated
                     & (np.abs(new_acc - config.min_accuracy) <= THETA_RESCUE_BAND)
                 )
                 if boundary.size:
                     new_acc[boundary] = _rescued_accuracies(
-                        cols, kernel, accuracies, active, round_result.scored, boundary
+                        cols, kernel, accuracies, active, round_result.scored,
+                        boundary, keep1, keep2,
                     )
             delta = (
                 float(np.max(np.abs(new_acc - accuracies)[updated]))
@@ -540,7 +497,7 @@ def _run_columnar(
             "n_claims": cols.n_claims,
             "gold_initialized": gold_initialized,
             "n_active_final": int(active_mask(rounds_run).sum()),
-            **backend_contract(config.backend, plan),
+            **backend_contract(config.backend),
             "sampling": sampling_contract_of(config),
             **executor_diagnostics,
         },

@@ -1,60 +1,47 @@
-"""The scalar stage bodies, and fusion's Stage-I shard over pool-resident columns.
+"""The round's sampling masks, the scalar stage bodies, and fusion's Stage-I shard.
+
+**Sampling** (the paper's ``L``) is one draw, :func:`stage1_keep` /
+:func:`stage2_keep`, run in the parent once per stage per round: each
+group larger than ``L`` keeps ``L`` of its values, drawn by
+:func:`~repro.mapreduce.executors.sample_positions` in canonical (sorted)
+order — the columns' own layout order — so the subset depends only on
+the claim *set*.  The result is a claim keep-mask (None when no group
+exceeds ``L``) that every kernel of the round reads: the scalar bodies
+below, the batched kernels, the pooled shard, the θ-rescue.
 
 **The scalar stage bodies.**  :func:`scalar_stage1` (one kernel call per
 data item, on lists of its rows' provenance accuracies) and
 :func:`scalar_stage2` (one canonical-order mean per provenance) are the
-only scalar Stage I / Stage II in ``src/``.  They are plain functions of
-the claim columns (:class:`~repro.fusion.observations.ColumnarClaims` —
-int-coded CSR over sorted items/triples/provenances) and one round's
-arrays, and work on ids throughout: no ``Triple`` is hashed or compared
-in a round.  The runner calls them in-process over every id (Stage I only
-in the in-process ``serial`` mode, Stage II in every scalar-kernel mode),
-the shard below calls :func:`scalar_stage1` in pool workers over a shard
-of item ids, and the runner's θ-rescue calls both for the boundary ids.
+only scalar Stage I / Stage II in ``src/``: plain functions of the claim
+columns (:class:`~repro.fusion.observations.ColumnarClaims`) and one
+round's arrays, working on ids — no ``Triple`` is hashed in a round.
+They run in-process only: over every id in ``serial``, over the
+θ-boundary ids in the runner's rescue.
 
-**The columnar shuffle.**  The paper's Figure 8 shuffles both fusion
-stages; here only Stage I — the per-item posteriors, where the work is —
-is a map job.  Stage II (one mean per provenance) always runs in the
-parent, on the call the in-process modes make.  Pooled, one round is:
+**The columnar shuffle.**  Figure 8 shuffles both fusion stages; here
+only Stage I — the per-item posteriors, where the work is — is a map job,
+pooled by ``hybrid``.  Stage II always runs in the parent, on the call
+the in-process modes make.  Pooled, one round is:
 
-- the **columns themselves** (triples, provenances, pointer arrays, the
-  canonical row ranking and provenance CSR) are installed
-  *pool-resident* once per pool via
-  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`
-  (:func:`install_fusion_columns`), on fork and spawn alike;
-- the **round state** (the accuracy vector and active mask, which change
-  every round) crosses once per round through the executors' round-state
-  channel
-  (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`,
-  shared-memory segments with a pickled-inline fallback, installed under
-  :data:`FUSION_ROUND_KEY`) — each **shard task payload** is therefore a
-  list of integer item ids plus, inside the per-job spec, only the tiny
+- the **columns** are installed *pool-resident* once per pool
+  (:func:`install_fusion_columns`, via
+  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`);
+- the **round state** (accuracy vector, active mask, and the Stage-I
+  keep-mask when sampling engages) crosses once per round on the
+  round-state channel under :data:`FUSION_ROUND_KEY` — so a **shard task
+  payload** is a list of integer item ids plus the tiny
   :class:`~repro.mapreduce.executors.RoundStateHandle`: no ``Triple``,
-  ``DataItem``, ``ExtractionRecord``, *or numpy buffer* ever rides in a
-  shard payload (the test suite audits this with
-  :func:`~repro.mapreduce.codec.scan_payload_types`);
-- Stage I runs as one :class:`Stage1Shard` job on the executors' shared
-  map-only protocol (:class:`~repro.mapreduce.executors.ShardedMapJob` /
-  ``run_map``), the same codec layer extraction shards use.  The shard
-  either calls :func:`scalar_stage1` (the ``parallel`` backend) or slices
-  the resident columns
+  ``DataItem``, ``ExtractionRecord`` *or numpy buffer* (the test suite
+  audits this with :func:`~repro.mapreduce.codec.scan_payload_types`);
+- Stage I runs as one :class:`Stage1Shard` job on the executors' map-only
+  protocol: each shard slices the resident columns
   (:meth:`~repro.fusion.observations.ColumnarClaims.slice_items`) and
-  runs the *batched* numpy kernel of :mod:`repro.fusion.kernels` — one
-  vectorized call per shard instead of N scalar per-item updates (the
-  ``hybrid`` backend).
+  runs the batched kernel once.
 
-**Contracts** (stated in full in :mod:`repro.fusion.runner`).  ``serial``
-and the scalar shard run the same bodies, which sum floats and draw
-reducer-input samples (the paper's ``L``,
-:func:`~repro.mapreduce.executors.sample_positions`) in canonical (sorted)
-order — the columnar CSR layout's own order, never set-iteration order —
-so serial, fork-parallel and spawn-parallel output is **bit-identical** at
-any worker count, independent of ``PYTHONHASHSEED``.  The batched shard
-honours the **tolerance** contract instead
-(:data:`repro.fusion.base.PARITY_TOLERANCE_ABS`): ``reduceat`` visits the
-same addends in a different order.  It cannot subset per item, so under
-sampling pressure the runner runs the scalar kernel instead
-(``backend_used == "parallel (hybrid fallback)"``).
+Every batched aggregate is per item or per row, so a shard's slice
+scores exactly as the whole matrix does: ``hybrid`` equals in-process
+``vectorized`` bit for bit, sampled or not (the contracts are stated in
+full in :mod:`repro.fusion.runner`).
 """
 
 from __future__ import annotations
@@ -81,6 +68,8 @@ __all__ = [
     "install_fusion_columns",
     "install_stage1_state",
     "uninstall_fusion_round_state",
+    "stage1_keep",
+    "stage2_keep",
     "scalar_stage1",
     "scalar_stage2",
     "Stage1Shard",
@@ -101,15 +90,12 @@ FUSION_ROUND_KEY = "fusion.round"
 def install_fusion_columns(executor: Executor, cols: ColumnarClaims) -> None:
     """Make ``cols`` pool-resident for the Stage-I shards.
 
-    The canonical-order provenance CSR (and row ranking) is materialised
-    first, so the pickled value is the same before and after the parent's
-    Stage II caches it — a shared executor's next fuse over the same
-    columns then reinstalls an identical value, which is a no-op instead
-    of a pool restart.  Crosses
-    the process boundary once per pool; in-process executors just register
-    the object.  The columns are not withdrawn when a fusion run ends.
+    Crosses the process boundary once per pool; in-process executors just
+    register the object.  The pickled value leaves out the parent-side
+    canonical-order caches, so a shared executor's next fuse over the same
+    columns reinstalls an identical value — a no-op, not a pool restart.
+    The columns are not withdrawn when a fusion run ends.
     """
-    cols.canonical_prov_rows()
     executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
@@ -120,16 +106,72 @@ def uninstall_fusion_round_state(executor: Executor) -> None:
 
 
 def install_stage1_state(
-    executor: Executor, accuracies: np.ndarray, active: np.ndarray
+    executor: Executor,
+    accuracies: np.ndarray,
+    active: np.ndarray,
+    keep: np.ndarray | None = None,
 ) -> RoundStateHandle:
-    """Publish one round's Stage-I inputs on the round-state channel."""
-    return executor.install_round_state(
-        FUSION_ROUND_KEY,
-        {
-            "accuracies": np.asarray(accuracies, dtype=np.float64),
-            "active": np.asarray(active, dtype=bool),
-        },
+    """Publish one round's Stage-I inputs on the round-state channel (the
+    claim keep-mask only when sampling engaged)."""
+    arrays = {
+        "accuracies": np.asarray(accuracies, dtype=np.float64),
+        "active": np.asarray(active, dtype=bool),
+    }
+    if keep is not None:
+        arrays["keep"] = keep
+    return executor.install_round_state(FUSION_ROUND_KEY, arrays)
+
+
+def _sampled_keep(ptr, eligible, key_of, name, sample_limit, seed) -> np.ndarray | None:
+    """The one sampling draw.  Group ``g`` owns canonical positions
+    ``ptr[g]:ptr[g+1]``, the ``eligible`` ones being its reducer input;
+    each group with more than ``sample_limit`` of them keeps only the
+    drawn ones.  A mask over canonical positions, None if nothing drew."""
+    counts = np.diff(np.concatenate(([0], np.cumsum(eligible)))[ptr])
+    keep = None
+    for group in np.flatnonzero(counts > sample_limit).tolist():
+        start, end = int(ptr[group]), int(ptr[group + 1])
+        values = start + np.flatnonzero(eligible[start:end])
+        if keep is None:
+            keep = np.ones(len(eligible), dtype=bool)
+        keep[start:end] = False
+        keep[values[sample_positions(len(values), key_of(group), name, sample_limit, seed)]] = True
+    return keep
+
+
+def stage1_keep(cols: ColumnarClaims, active, name: str, sample_limit, seed) -> np.ndarray | None:
+    """Stage I's claim keep-mask for one round (None: nothing sampled).
+
+    An item's reducer input is its active claims in claim order — rows
+    canonically sorted within the item, provenances within each row — the
+    canonical ``(triple, provenance)`` order; ``name`` is the Stage-I job
+    name (``fusion.stage1`` / ``vote.stage1``) seeding the draw.
+    """
+    if sample_limit is None or cols.item_claim_counts().max(initial=0) <= sample_limit:
+        return None
+    return _sampled_keep(
+        cols.row_ptr[cols.item_ptr], active[cols.claim_prov],
+        lambda j: cols.items[j].canonical(), name, sample_limit, seed,
     )
+
+
+def stage2_keep(cols: ColumnarClaims, scored, active, sample_limit, seed) -> np.ndarray | None:
+    """Stage II's keep-mask over ``prov_rows`` for one round (None:
+    nothing sampled).  An active provenance's reducer input is its scored
+    rows in canonical triple order (``cols.canonical_prov_order()``)."""
+    if sample_limit is None or cols.prov_row_counts().max(initial=0) <= sample_limit:
+        return None
+    order = cols.canonical_prov_order()
+    eligible = scored[cols.prov_rows[order]] & np.repeat(active, cols.prov_row_counts())
+    drawn = _sampled_keep(
+        cols.prov_ptr, eligible, cols.provenances.__getitem__, "fusion.stage2",
+        sample_limit, seed,
+    )
+    if drawn is None:
+        return None
+    keep = np.empty_like(drawn)
+    keep[order] = drawn
+    return keep
 
 
 def scalar_stage1(
@@ -139,27 +181,17 @@ def scalar_stage1(
     active: np.ndarray,
     require_repeated: bool,
     item_ids,
-    name: str = "fusion.stage1",
-    sample_limit: int | None = None,
-    seed: int = 0,
+    keep: np.ndarray | None = None,
 ) -> list[list[tuple[int, float]]]:
     """Scalar Stage I: score ``item_ids``, one kernel call each.
 
     The one scalar Stage-I body in ``src/``: the ``serial`` mode calls it
-    in-process over every item, :class:`Stage1Shard` calls it in each pool
-    worker, and the θ-rescue calls it for the boundary items.  The kernel
-    gets one list of active provenance accuracies per kept row, rows and
-    provenances in the columns' canonical order, and returns one posterior
-    per row.  Each item's output is a list of ``(row_id, posterior)``
-    pairs (empty when the item is filtered).
-
-    When the sampling bound engages for an item, its active claims are
-    subset by the canonical-order draw: the columnar claim order (rows
-    canonically sorted within the item, provenances sorted within each
-    row) is the sorted value order the contract is defined over, and the
-    positional draw depends only on ``(seed, name, item key)`` — so the
-    sampled subset, and therefore the posterior floats, are the same
-    wherever this runs.
+    over every item, and the θ-rescue for the boundary items.  The kernel
+    gets one list of active (and, under sampling, kept — :func:`stage1_keep`)
+    provenance accuracies per row that has any, rows and provenances in
+    the columns' canonical order, and returns one posterior per row.  Each
+    item's output is a list of ``(row_id, posterior)`` pairs (empty when
+    the item is filtered).
     """
     part = cols.slice_items(item_ids)
     accuracy_of = accuracies.tolist()
@@ -167,35 +199,24 @@ def scalar_stage1(
     global_row = part.rows.tolist()
     item_ptr, row_ptr = part.item_ptr.tolist(), part.row_ptr.tolist()
     claim_prov = part.claim_prov.tolist()
+    claim_kept = [True] * len(claim_prov) if keep is None else keep[part.claims].tolist()
     outputs: list[list[tuple[int, float]]] = []
-    for i, j in enumerate(item_ids):
+    for i in range(len(item_ptr) - 1):
         kept_rows: list[int] = []
         row_provs: list[list[int]] = []
         for r in range(item_ptr[i], item_ptr[i + 1]):
-            provs = [p for p in claim_prov[row_ptr[r] : row_ptr[r + 1]] if is_active[p]]
+            start, end = row_ptr[r], row_ptr[r + 1]
+            provs = [
+                p
+                for p, kept in zip(claim_prov[start:end], claim_kept[start:end])
+                if kept and is_active[p]
+            ]
             if provs:
                 kept_rows.append(global_row[r])
                 row_provs.append(provs)
-        if not kept_rows:
-            outputs.append([])
-            continue
-        n_active = sum(map(len, row_provs))
-        if sample_limit is not None and n_active > sample_limit:
-            positions = sample_positions(
-                n_active, cols.items[j].canonical(), name, sample_limit, seed
-            )
-            # Enumerate the item's active claims in canonical order — the
-            # columnar layout order — and regroup the drawn (ascending)
-            # positions by row.
-            pairs = [(r, p) for r, provs in zip(kept_rows, row_provs) for p in provs]
-            kept_rows, row_provs = [], []
-            for position in positions:
-                r, p = pairs[position]
-                if not kept_rows or kept_rows[-1] != r:
-                    kept_rows.append(r)
-                    row_provs.append([])
-                row_provs[-1].append(p)
-        if require_repeated and not any(len(provs) >= 2 for provs in row_provs):
+        if not kept_rows or (
+            require_repeated and not any(len(provs) >= 2 for provs in row_provs)
+        ):
             outputs.append([])
             continue
         posteriors = kernel([[accuracy_of[p] for p in provs] for provs in row_provs])
@@ -209,49 +230,38 @@ def scalar_stage2(
     scored: np.ndarray,
     active: np.ndarray,
     prov_ids,
-    name: str = "fusion.stage2",
-    sample_limit: int | None = None,
-    seed: int = 0,
-) -> list[float | None]:
+    keep: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Scalar Stage II: re-estimate the accuracies of ``prov_ids``.
 
     The one scalar Stage-II body in ``src/``, always run in the parent:
-    the runner calls it over every provenance in each scalar-kernel round,
-    pooled or not, and the θ-rescue calls it for the boundary provenances.
-    Output per provenance is the mean posterior of its scored triples,
-    summed in canonical triple order (``cols.canonical_prov_rows()``), or
-    None when the provenance is inactive or scored nothing this round.
-
-    Sampling follows the same canonical-order contract as Stage I: the
-    positional draw runs over the provenance's scored rows in that order.
+    the ``serial`` mode calls it over every provenance, the θ-rescue for
+    the boundary provenances.  Returns ``(new_acc, updated)`` per id, as
+    :func:`repro.fusion.kernels.stage2_accuracies` does: the mean
+    posterior of each active provenance's scored (and, under sampling,
+    kept — :func:`stage2_keep`) triples, summed in canonical triple order;
+    ``updated`` is False where there is none.
     """
     ids = np.asarray(prov_ids, dtype=np.int64)
     counts = cols.prov_ptr[ids + 1] - cols.prov_ptr[ids]
-    rows = cols.canonical_prov_rows()[ragged_gather(cols.prov_ptr[ids], counts)]
-    kept = scored[rows].tolist()
-    values = posteriors[rows].tolist()
-    is_active = active.tolist()
-    outputs: list[float | None] = []
+    entries = cols.canonical_prov_order()[ragged_gather(cols.prov_ptr[ids], counts)]
+    rows = cols.prov_rows[entries]
+    kept = scored[rows] if keep is None else scored[rows] & keep[entries]
+    kept, values = kept.tolist(), posteriors[rows].tolist()
+    new_acc = np.zeros(len(ids), dtype=np.float64)
+    updated = active[ids].copy()
     end = 0
-    for p, count in zip(ids.tolist(), counts.tolist()):
+    for i, count in enumerate(counts.tolist()):
         start, end = end, end + count
-        if not is_active[p]:
-            outputs.append(None)
-            continue
         ordered = list(compress(values[start:end], kept[start:end]))
-        if not ordered:
-            outputs.append(None)
+        if not (updated[i] and ordered):
+            updated[i] = False
             continue
-        positions = sample_positions(
-            len(ordered), cols.provenances[p], name, sample_limit, seed
-        )
-        if positions is not None:
-            ordered = [ordered[position] for position in positions]
         total = 0.0
         for value in ordered:
             total += value
-        outputs.append(total / len(ordered))
-    return outputs
+        new_acc[i] = total / len(ordered)
+    return new_acc, updated
 
 
 @dataclass(frozen=True)
@@ -260,38 +270,30 @@ class Stage1Shard:
 
     Pickled once per job; carries the picklable posterior kernel plus the
     :class:`~repro.mapreduce.executors.RoundStateHandle` naming the
-    round's accuracy vector and active mask (the buffers themselves live
-    in shared memory, crossing once per round — see
-    :func:`install_stage1_state`).  ``batched`` picks the kernel: one
+    round's accuracy vector, active mask and (when sampling engaged) claim
+    keep-mask — the buffers themselves live in shared memory, crossing
+    once per round (:func:`install_stage1_state`).  The shard runs one
     ``kernel.batch_round`` call over a
     :class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-    columns (tolerance parity: only the float summation order differs),
-    or :func:`scalar_stage1` per item, which also honours the sampling
-    bound (bitwise parity).  Either way the output is one list of
-    ``(row_id, posterior)`` pairs per item, so the parent-side merge is
-    shared.
+    columns and returns one list of ``(row_id, posterior)`` pairs per
+    item.
     """
 
-    kernel: Callable  # scalar: row accuracies -> posteriors; batched: .batch_round
-    state: RoundStateHandle  # names the round's accuracies + active mask
+    kernel: Callable  # carries .batch_round
+    state: RoundStateHandle  # names the round's accuracies, active (+ keep) masks
     require_repeated: bool
-    batched: bool
-    name: str = "fusion.stage1"
-    sample_limit: int | None = None
-    seed: int = 0
 
     def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
         cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
         round_state = self.state.load()
-        accuracies, active = round_state["accuracies"], round_state["active"]
-        if not self.batched:
-            return scalar_stage1(
-                cols, self.kernel, accuracies, active, self.require_repeated,
-                item_ids, self.name, self.sample_limit, self.seed,
-            )
         part = cols.slice_items(item_ids)
+        keep = round_state.get("keep")
         round_result = self.kernel.batch_round(
-            part, accuracies, active, self.require_repeated
+            part,
+            round_state["accuracies"],
+            round_state["active"],
+            self.require_repeated,
+            None if keep is None else keep[part.claims],
         )
         scored = round_result.scored
         posteriors = round_result.posteriors
@@ -311,9 +313,6 @@ def stage1_job(
     kernel: Callable,
     state: RoundStateHandle,
     require_repeated: bool,
-    batched: bool,
-    sample_limit: int | None = None,
-    seed: int = 0,
 ) -> ShardedMapJob:
     """One Stage-I round as a map-only job over item ids.
 
@@ -324,15 +323,7 @@ def stage1_job(
     """
     return ShardedMapJob(
         name=name,
-        map_shard=Stage1Shard(
-            kernel=kernel,
-            state=state,
-            require_repeated=require_repeated,
-            batched=batched,
-            name=name,
-            sample_limit=sample_limit,
-            seed=seed,
-        ),
+        map_shard=Stage1Shard(kernel=kernel, state=state, require_repeated=require_repeated),
         key_fn=lambda j: cols.items[j].canonical(),
     )
 

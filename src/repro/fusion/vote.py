@@ -10,18 +10,18 @@ same dataflow as the Bayesian methods.
 Execution modes follow the same
 :class:`~repro.mapreduce.executors.ExecutionPlan` derivation as the
 Bayesian methods (:mod:`repro.fusion.runner`) — scalar per-item ratios
-in-process (``serial``) or pooled over the columnar shuffle (bit-identical
-on fork and spawn, including under canonical-order reducer-input
-sampling), batched as one numpy pass of ``m/n`` ratios, scalar in the same
-place when sampling would engage (batched kernels score whole rounds and
-cannot subset per item).
+in-process (``serial``), or one numpy pass of ``m/n`` ratios, in-process
+(``vectorized``) or per shard of the columnar shuffle (``hybrid``).
+Reducer-input sampling is the same Stage-I claim keep-mask the Bayesian
+methods build (:func:`repro.fusion.shuffle.stage1_keep`, job name
+``vote.stage1``), read by whichever kernel runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fusion import kernels
+from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
     Fuser,
     FusionResult,
@@ -29,13 +29,8 @@ from repro.fusion.base import (
     sampling_contract_of,
 )
 from repro.fusion.observations import ColumnarClaims, FusionInput
-from repro.fusion.runner import (
-    _column_executor,
-    _column_stage1,
-    _runnable_plan,
-    _scored_posteriors,
-)
-from repro.mapreduce.executors import ExecutionPlan
+from repro.fusion.runner import _column_executor, _column_stage1, _scored_posteriors
+from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan
 
 __all__ = ["VoteKernel", "Vote"]
 
@@ -54,9 +49,14 @@ class VoteKernel:
         return [m / total for m in support]
 
     def batch_round(
-        self, cols: ColumnarClaims, accuracies=None, active=None, require_repeated=False
+        self,
+        cols: ColumnarClaims,
+        accuracies=None,
+        active=None,
+        require_repeated=False,
+        keep=None,
     ) -> kernels.RoundPosteriors:
-        return kernels.vote_round(cols, active, require_repeated)
+        return kernels.vote_round(cols, active, require_repeated, keep)
 
 
 def _emission_order(cols: ColumnarClaims, plan: ExecutionPlan) -> np.ndarray | None:
@@ -77,19 +77,21 @@ class Vote(Fuser):
         return "VOTE"
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
-        matrix = fusion_input.claims(self.config.granularity)
-        plan, cols = _runnable_plan(
-            self.config, matrix, VoteKernel(), include_stage2=False
-        )
+        plan = EXECUTION_MODES[self.config.backend]
+        cols = fusion_input.claims(self.config.granularity).columnar()
         n_provs = len(cols.provenances)
+        active = np.ones(n_provs, dtype=bool)
+        keep = shuffle.stage1_keep(
+            cols, active, "vote.stage1", self.config.sample_limit, self.config.seed
+        )
         with _column_executor(cols, self.config, plan, executor) as where:
             round_result = _column_stage1(
                 cols,
                 VoteKernel(),
                 np.zeros(n_provs, dtype=np.float64),
-                np.ones(n_provs, dtype=bool),
+                active,
                 False,
-                self.config,
+                keep,
                 where,
                 plan.batched,
                 name="vote.stage1",
@@ -107,7 +109,7 @@ class Vote(Fuser):
             rounds=0,
             converged=True,
             diagnostics={
-                **backend_contract(self.config.backend, plan),
+                **backend_contract(self.config.backend),
                 "sampling": sampling_contract_of(self.config),
                 **executor_diagnostics,
             },

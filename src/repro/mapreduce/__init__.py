@@ -9,7 +9,8 @@ pool by :class:`~repro.mapreduce.executors.ParallelExecutor` with
 bit-identical output — which both the extraction stage and the columnar
 fusion stages scale on, plus the deterministic per-reducer input
 *sampling* draw (the paper's ``L``,
-:func:`~repro.mapreduce.executors.sample_positions`).  The round loop, its
+:func:`~repro.mapreduce.executors.sample_positions`, which fusion's one
+mask builder calls).  The round loop, its
 forced termination ``R`` and the two stage bodies live in
 :mod:`repro.fusion.runner` / :mod:`repro.fusion.shuffle`; the keyed map →
 shuffle → sorted-key reduce engine the fusion reference oracle runs on

@@ -23,17 +23,18 @@ in-process fusion modes do not go through an executor at all.
 Bit-identity across start methods requires shard bodies whose float
 summation order does not depend on hash randomization: a body that sums a
 set in iteration order gives ``PYTHONHASHSEED``-dependent last-ulp
-results, and a ``spawn`` worker draws its own hash seed.  The fusion
-shard therefore sums in canonical (sorted) order, which makes serial,
-``fork``-parallel and ``spawn``-parallel output bit-identical; pools
-default to ``fork`` where available (cheapest state inheritance) and
-accept an explicit ``start_method`` otherwise.
+results, and a ``spawn`` worker draws its own hash seed.  The shard
+bodies (extraction's, fusion's batched Stage I) only ever iterate arrays
+and lists in a fixed order, which makes in-process, ``fork``-pooled and
+``spawn``-pooled output bit-identical; pools default to ``fork`` where
+available (cheapest state inheritance) and accept an explicit
+``start_method`` otherwise.
 
 Work units shipped to workers must be picklable (module-level functions
 or dataclasses; the extraction and fusion shards satisfy this).  When one
-cannot be pickled — e.g. a closure posterior a third-party extension
-passes — the parallel executor transparently runs the job in-process and
-counts the event in ``fallbacks_unpicklable``; jobs too small for
+cannot be pickled — e.g. a kernel object holding a closure — the parallel
+executor transparently runs the job in-process and counts the event in
+``fallbacks_unpicklable``; jobs too small for
 dispatch overhead to pay off are counted in ``fallbacks_tiny``;
 round-state installs that had to cross inline instead of through shared
 memory are counted in ``fallbacks_shm`` (``fallbacks`` sums all three).
@@ -320,10 +321,10 @@ def sample_positions(
     values, or None when sampling does not engage.  The draw depends only
     on ``(seed, name, repr(key))`` and ``n_values`` — never on where the
     values live — so any backend that can enumerate a key's values *in the
-    same order* reproduces the same subset bit-for-bit.  The fusion stages
-    pin that order to the canonical (sorted) one, which is the claim
-    columns' layout order: the scalar stage bodies draw these positions
-    against the columns in-process and in pool workers alike.
+    same order* reproduces the same subset bit-for-bit.  Fusion pins that
+    order to the canonical (sorted) one, the claim columns' layout order,
+    and draws once per round in the parent, into the claim keep-masks
+    every kernel reads (:mod:`repro.fusion.shuffle`).
     """
     if sample_limit is None or n_values <= sample_limit:
         return None
@@ -784,7 +785,8 @@ class ExecutionPlan:
     ``pooled`` is *where* it runs — sharded over a process pool, or
     in-process; ``batched`` is *which kernel* scores a fusion round —
     batched numpy, or the scalar reference (extraction has one kernel and
-    reads only ``pooled``).  Every contract a run reports (the executor,
+    reads only ``pooled``).  The pool runs only the batched kernel: the
+    scalar one is the in-process reference.  Every contract a run reports (the executor,
     ``backend_used``, ``parity``) is derived from these two fields; the
     README's "Execution backends" table states them.
     """
@@ -817,7 +819,6 @@ class ExecutionPlan:
 EXECUTION_MODES = {
     "serial": ExecutionPlan(pooled=False, batched=False),
     "batched": ExecutionPlan(pooled=False, batched=True),
-    "parallel": ExecutionPlan(pooled=True, batched=False),
     "vectorized": ExecutionPlan(pooled=False, batched=True),
     "hybrid": ExecutionPlan(pooled=True, batched=True),
 }

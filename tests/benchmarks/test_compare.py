@@ -334,9 +334,8 @@ class TestCommittedBaselines:
         baseline = cmp.load_baseline("pipeline")
         assert baseline["contracts"]["bit_identical"] is True
         assert baseline["contracts"]["hybrid_parity"] == "tolerance"
-        assert {"serial.fusion", "parallel.fusion", "hybrid.fusion"} <= set(
-            baseline["stages"]
-        )
+        assert {"serial.fusion", "hybrid.fusion"} <= set(baseline["stages"])
+        assert not any(stage.startswith("parallel.") for stage in baseline["stages"])
 
     @pytest.mark.parametrize("case", CASES)
     def test_committed_baseline_blesses_multiple_runner_classes(self, case):

@@ -250,12 +250,6 @@ class TestBackends:
         with pytest.raises(ConfigError):
             tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="gpu")
 
-    def test_parallel_bit_identical_to_serial(self, tiny_scenario):
-        parallel = tiny_scenario.pipeline.run(
-            tiny_scenario.corpus, backend="parallel", n_workers=2
-        )
-        assert parallel == tiny_scenario.records
-
     def test_batched_bit_identical_to_serial(self, tiny_scenario):
         # The other in-process spelling: same executor, same kernels.
         batched = tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="batched")
@@ -293,7 +287,7 @@ class TestBackends:
             assert first == second == tiny_scenario.records
             assert executor.fallbacks == 0
 
-    @pytest.mark.parametrize("backend", ["serial", "parallel"])
+    @pytest.mark.parametrize("backend", ["serial", "hybrid"])
     def test_page_order_shuffle_invariance(self, tiny_scenario, backend):
         """Per-page output is insensitive to corpus page order: every noisy
         draw derives from (seed, extractor, url), so shuffling pages only
@@ -307,7 +301,7 @@ class TestBackends:
         order = np.random.default_rng(99).permutation(len(corpus.pages))
         shuffled.pages = [corpus.pages[i] for i in order]
 
-        kwargs = {"n_workers": 2} if backend == "parallel" else {}
+        kwargs = {"n_workers": 2} if backend == "hybrid" else {}
         records = tiny_scenario.pipeline.run(shuffled, backend=backend, **kwargs)
 
         def by_page(record_list):

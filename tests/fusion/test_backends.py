@@ -1,15 +1,13 @@
-"""Backend regression tests: serial / parallel / vectorized fusion.
+"""Backend regression tests: serial / vectorized fusion.
 
 The contract, tested on real seeded scenarios:
 
-- ``parallel`` is **bit-identical** to ``serial`` on every start method
-  (the columnar shuffle runs the same scalar kernels, which sum in
-  canonical order, so worker hash randomization cannot leak into the
-  floats — see tests/fusion/test_columnar_shuffle.py for the full
-  worker-count × start-method matrix);
-- ``vectorized`` matches ``serial`` to 1e-9 (summation order differs);
-- backends that cannot engage (closure posteriors, sampling pressure)
-  fall back to the serial reference and still produce correct results.
+- ``vectorized`` matches ``serial`` to 1e-9 (summation order differs),
+  sampled or not — sampling is a claim mask both kernels read;
+- a batched mode needs a posterior with a batched form: a closure
+  posterior is a ``ConfigError`` before any work, never a silent swap to
+  the scalar kernel.  (The pooled ``hybrid`` mode's worker-count ×
+  start-method matrix is tests/fusion/test_columnar_shuffle.py.)
 """
 
 import pytest
@@ -48,34 +46,6 @@ def assert_close(result_a, result_b, tol=1e-9):
     assert result_a.unpredicted == result_b.unpredicted
     assert result_a.rounds == result_b.rounds
     assert result_a.converged == result_b.converged
-
-
-@pytest.mark.parallel_backend
-class TestParallelDeterminism:
-    def test_popaccu_bit_identical(self, micro_scenario):
-        fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(backend="serial").fuse(fusion_input)
-        parallel = popaccu(backend="parallel").fuse(fusion_input)
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert_identical(serial, parallel)
-
-    def test_popaccu_plus_bit_identical(self, micro_scenario):
-        """Same-seed POPACCU+ (all refinements + gold) across backends."""
-        fusion_input = micro_scenario.fusion_input()
-        serial = popaccu_plus(micro_scenario.gold, backend="serial").fuse(
-            fusion_input
-        )
-        parallel = popaccu_plus(micro_scenario.gold, backend="parallel").fuse(
-            fusion_input
-        )
-        assert_identical(serial, parallel)
-
-    def test_vote_bit_identical(self, micro_scenario):
-        fusion_input = micro_scenario.fusion_input()
-        assert_identical(
-            vote(backend="serial").fuse(fusion_input),
-            vote(backend="parallel").fuse(fusion_input),
-        )
 
 
 class TestVectorizedParity:
@@ -131,26 +101,41 @@ class TestVectorizedParity:
             assert vectorized.diagnostics[key] == serial.diagnostics[key], key
 
 
-class TestFallbacks:
-    def test_closure_posterior_falls_back_to_serial(self, micro_scenario):
-        """Extensions pass plain closures; vectorized must degrade safely."""
+class TestBatchedKernelRequired:
+    @pytest.mark.parametrize("backend", ["vectorized", "hybrid"])
+    def test_closure_posterior_is_a_config_error(
+        self, micro_scenario, monkeypatch, backend
+    ):
+        """No ``batch_round`` under a batched mode: rejected before the
+        claim matrix is even built."""
         fusion_input = micro_scenario.fusion_input()
-        config = FusionConfig(backend="vectorized", max_rounds=2)
+        monkeypatch.setattr(fusion_input, "claims", pytest.fail)
+        with pytest.raises(ConfigError, match="batch_round"):
+            run_bayesian_fusion(
+                fusion_input=fusion_input,
+                config=FusionConfig(backend=backend, max_rounds=2),
+                item_posterior_fn=lambda rows: PopAccuKernel()(rows),
+                method_name="POPACCU-closure",
+            )
+
+    def test_closure_posterior_runs_serial(self, micro_scenario):
+        fusion_input = micro_scenario.fusion_input()
         result = run_bayesian_fusion(
             fusion_input=fusion_input,
-            config=config,
+            config=FusionConfig(backend="serial", max_rounds=2),
             item_posterior_fn=lambda rows: PopAccuKernel()(rows),
             method_name="POPACCU-closure",
         )
-        assert result.diagnostics["backend_used"] == "serial (vectorized fallback)"
-        reference = popaccu(
-            FusionConfig(backend="serial", max_rounds=2)
-        ).fuse(fusion_input)
-        assert result.probabilities == reference.probabilities
+        reference = popaccu(FusionConfig(backend="serial", max_rounds=2)).fuse(
+            fusion_input
+        )
+        assert_identical(reference, result)
 
-    def test_sampling_pressure_falls_back_to_serial(self, micro_scenario):
-        """A tiny L forces reducer-input sampling: the scalar dataflow is
-        the defined behaviour, so the vectorized backend must defer."""
+
+class TestVectorizedRounds:
+    def test_sampling_keeps_the_batched_kernel(self, micro_scenario):
+        """A tiny L engages reducer-input sampling in both stages; the
+        vectorized backend reads the same claim masks as serial."""
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu(
             FusionConfig(sample_limit=2, backend="serial")
@@ -158,10 +143,9 @@ class TestFallbacks:
         vectorized = popaccu(
             FusionConfig(sample_limit=2, backend="vectorized")
         ).fuse(fusion_input)
-        assert (
-            vectorized.diagnostics["backend_used"] == "serial (vectorized fallback)"
-        )
-        assert_identical(serial, vectorized)
+        assert vectorized.diagnostics["backend_used"] == "vectorized"
+        assert vectorized.diagnostics["parity"] == "tolerance"
+        assert_close(serial, vectorized)
 
     def test_track_rounds_supported_by_vectorized(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
@@ -193,7 +177,7 @@ def run_popaccu_tracked(backend, fusion_input):
 
 class TestConfigSurface:
     def test_backend_constants(self):
-        assert BACKENDS == ("serial", "parallel", "vectorized", "hybrid")
+        assert BACKENDS == ("serial", "vectorized", "hybrid")
         assert FusionConfig().backend == "serial"
 
     def test_invalid_backend_rejected(self):

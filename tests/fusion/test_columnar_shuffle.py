@@ -1,24 +1,25 @@
-"""The columnar-shuffle contract for fusion's parallel backend.
+"""The columnar-shuffle contract for fusion's pooled backend (``hybrid``).
 
-Three properties, each load-bearing:
+Four properties, each load-bearing:
 
-1. **Parity**: parallel fused output is *bit-identical* to serial — at
-   1, 2 and 4 workers, under both the fork and spawn start methods (the
-   scalar kernels sum in canonical order, so worker hash randomization
-   cannot leak into the floats).
+1. **Parity**: hybrid fused output is *bit-identical* to in-process
+   ``vectorized`` — at 1, 2 and 4 workers, under both the fork and spawn
+   start methods (every batched aggregate is per item or per row, so a
+   shard's slice scores exactly as the whole matrix does).
 2. **Shuffle invariance**: permuting the extraction-record stream does
-   not change the parallel fused output (the columnar layout is
+   not change the pooled fused output (the columnar layout is
    canonical, not insertion-ordered).
 3. **Payload purity**: no ``Triple``/``DataItem``/
    ``ExtractionRecord`` object — and, since the shared-memory round-state
    channel, *no numpy buffer either* — ever rides in a fusion shard task
    payload: only integer ids, primitives, and the tiny round-state handle
    cross per shard.  The heavyweight columns cross once through the pool
-   initializer; the per-round accuracy/active buffers cross once per
-   round through shared memory.
+   initializer; the per-round accuracy/active buffers (and, under
+   sampling, the claim keep-mask) cross once per round through shared
+   memory.
 4. **One map stage per round**: a pooled round dispatches Stage I and
-   nothing else (Stage II runs in the parent), and its output is pinned
-   to fingerprints computed while Stage II was still a map job.
+   nothing else (Stage II runs in the parent), and outputs are pinned to
+   fingerprints computed while Stage II was still a map job.
 """
 
 import hashlib
@@ -31,7 +32,13 @@ import pytest
 from repro.datasets import build_scenario, tiny_config
 from repro.endtoend import make_fuser
 from repro.extract.records import ExtractionRecord
-from repro.fusion import FusionConfig, popaccu, popaccu_plus, vote
+from repro.fusion import (
+    PARITY_TOLERANCE_ABS,
+    FusionConfig,
+    popaccu,
+    popaccu_plus,
+    vote,
+)
 from repro.fusion.observations import FusionInput
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
@@ -49,12 +56,12 @@ WORKER_COUNTS = (1, 2, 4)
 START_METHODS = ("fork", "spawn")
 
 
-def assert_bit_identical(serial, parallel):
-    assert parallel.probabilities == serial.probabilities
-    assert parallel.accuracies == serial.accuracies
-    assert parallel.unpredicted == serial.unpredicted
-    assert parallel.rounds == serial.rounds
-    assert parallel.converged == serial.converged
+def assert_bit_identical(expected, actual):
+    assert list(actual.probabilities.items()) == list(expected.probabilities.items())
+    assert actual.accuracies == expected.accuracies
+    assert actual.unpredicted == expected.unpredicted
+    assert actual.rounds == expected.rounds
+    assert actual.converged == expected.converged
 
 
 class TestParity:
@@ -65,38 +72,34 @@ class TestParity:
     ):
         """The flagship (filters + gold init) across the full matrix."""
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu_plus(micro_scenario.gold, backend="serial").fuse(
+        vectorized = popaccu_plus(micro_scenario.gold, backend="vectorized").fuse(
             fusion_input
         )
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
-            parallel = popaccu_plus(micro_scenario.gold, backend="parallel").fuse(
+            hybrid = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
                 fusion_input, executor=executor
             )
             assert executor.fallbacks_unpicklable == 0
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert_bit_identical(serial, parallel)
+        assert hybrid.diagnostics["backend_used"] == "hybrid"
+        assert_bit_identical(vectorized, hybrid)
 
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_vote_bit_identical(self, micro_scenario, start_method):
         fusion_input = micro_scenario.fusion_input()
-        serial = vote(backend="serial").fuse(fusion_input)
+        vectorized = vote(backend="vectorized").fuse(fusion_input)
         with ParallelExecutor(
             max_workers=2, start_method=start_method
         ) as executor:
-            parallel = vote(backend="parallel").fuse(
-                fusion_input, executor=executor
-            )
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert parallel.probabilities == serial.probabilities
+            hybrid = vote(backend="hybrid").fuse(fusion_input, executor=executor)
+        assert hybrid.diagnostics["backend_used"] == "hybrid"
+        assert_bit_identical(vectorized, hybrid)
 
-    def test_track_rounds_matches_serial(self, micro_scenario):
+    def test_track_rounds_matches_vectorized(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
 
         def run(backend):
-            from repro.fusion.popaccu import PopAccuKernel
-
             return run_bayesian_fusion(
                 fusion_input=fusion_input,
                 config=FusionConfig(backend=backend, max_rounds=2),
@@ -105,84 +108,72 @@ class TestParity:
                 track_rounds=True,
             )
 
-        serial, parallel = run("serial"), run("parallel")
+        vectorized, hybrid = run("vectorized"), run("hybrid")
         assert (
-            serial.diagnostics["round_probabilities"]
-            == parallel.diagnostics["round_probabilities"]
+            vectorized.diagnostics["round_probabilities"]
+            == hybrid.diagnostics["round_probabilities"]
         )
 
     def test_diagnostics_match_serial(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
         serial = popaccu(backend="serial").fuse(fusion_input)
-        parallel = popaccu(backend="parallel").fuse(fusion_input)
+        hybrid = popaccu(backend="hybrid").fuse(fusion_input)
         for key in ("n_items", "n_provenances", "n_claims", "n_active_final",
                     "gold_initialized"):
-            assert parallel.diagnostics[key] == serial.diagnostics[key], key
+            assert hybrid.diagnostics[key] == serial.diagnostics[key], key
 
 
 class TestShuffleInvariance:
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_record_order_does_not_change_parallel_output(
+    def test_record_order_does_not_change_pooled_output(
         self, micro_scenario, seed
     ):
-        serial = popaccu(backend="serial").fuse(micro_scenario.fusion_input())
+        vectorized = popaccu(backend="vectorized").fuse(micro_scenario.fusion_input())
         shuffled = list(micro_scenario.records)
         random.Random(seed).shuffle(shuffled)
-        parallel = popaccu(backend="parallel").fuse(FusionInput(shuffled))
-        assert_bit_identical(serial, parallel)
+        hybrid = popaccu(backend="hybrid").fuse(FusionInput(shuffled))
+        assert_bit_identical(vectorized, hybrid)
 
 
-class TestFallbacks:
-    def test_closure_posterior_runs_in_process_but_identical(
-        self, micro_scenario
-    ):
-        """An unpicklable kernel cannot ship to workers: the job runs
-        in-process over the same columnar shards (the parent registry
-        resolves the resident columns), is counted, and stays exact."""
+class TestInProcessDegrades:
+    def test_unpicklable_kernel_runs_in_process_but_identical(self, micro_scenario):
+        """A kernel that cannot ship to workers runs the job in-process over
+        the same columnar shards (the parent registry resolves the resident
+        columns), is counted, and stays exact."""
+
+        class LocalKernel(PopAccuKernel):  # local classes do not pickle
+            pass
+
         fusion_input = micro_scenario.fusion_input()
-        config = FusionConfig(backend="parallel", max_rounds=2)
         with ParallelExecutor(max_workers=2) as executor:
             result = run_bayesian_fusion(
                 fusion_input=fusion_input,
-                config=config,
-                item_posterior_fn=lambda rows: PopAccuKernel()(rows),
-                method_name="POPACCU-closure",
+                config=FusionConfig(backend="hybrid", max_rounds=2),
+                item_posterior_fn=LocalKernel(),
+                method_name="POPACCU",
                 executor=executor,
             )
             assert executor.fallbacks_unpicklable > 0
-        assert result.diagnostics["backend_used"] == "parallel"
+        assert result.diagnostics["backend_used"] == "hybrid"
         assert result.diagnostics["fallbacks_unpicklable"] > 0
-        reference = popaccu(FusionConfig(backend="serial", max_rounds=2)).fuse(
+        reference = popaccu(FusionConfig(backend="vectorized", max_rounds=2)).fuse(
             fusion_input
         )
-        assert result.probabilities == reference.probabilities
+        assert_bit_identical(reference, result)
 
-    def test_sampling_no_longer_falls_back_to_serial(self, micro_scenario):
-        """Canonical-order sampling: the shard workers re-draw the same
-        sampled subsets against the resident columns, so sampling no
-        longer degrades the parallel backend to the serial reference."""
+    def test_vote_sampling_keeps_the_pooled_batched_kernel(self, micro_scenario):
+        """Sampling is a per-round claim mask every kernel reads: a sampled
+        pooled VOTE stays ``hybrid`` and equals sampled ``vectorized``."""
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(FusionConfig(sample_limit=2, backend="serial")).fuse(
+        vectorized = vote(FusionConfig(sample_limit=2, backend="vectorized")).fuse(
             fusion_input
         )
-        parallel = popaccu(FusionConfig(sample_limit=2, backend="parallel")).fuse(
+        hybrid = vote(FusionConfig(sample_limit=2, backend="hybrid")).fuse(
             fusion_input
         )
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert parallel.diagnostics["sampling"] == "canonical-order"
-        assert_bit_identical(serial, parallel)
-
-    def test_vote_sampling_no_longer_falls_back(self, micro_scenario):
-        fusion_input = micro_scenario.fusion_input()
-        serial = vote(FusionConfig(sample_limit=2, backend="serial")).fuse(
-            fusion_input
-        )
-        parallel = vote(FusionConfig(sample_limit=2, backend="parallel")).fuse(
-            fusion_input
-        )
-        assert parallel.diagnostics["backend_used"] == "parallel"
-        assert parallel.diagnostics["sampling"] == "canonical-order"
-        assert parallel.probabilities == serial.probabilities
+        assert hybrid.diagnostics["backend_used"] == "hybrid"
+        assert hybrid.diagnostics["sampling"] == "canonical-order"
+        assert_bit_identical(vectorized, hybrid)
 
 
 class TestPayloadPurity:
@@ -198,7 +189,7 @@ class TestPayloadPurity:
         monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
         return recorded
 
-    def _assert_payloads_clean(self, recorded, forbid_arrays=False):
+    def _assert_payloads_clean(self, recorded):
         assert recorded, "no shard tasks were dispatched"
         for args in recorded:
             spec_bytes, shard = args
@@ -214,35 +205,30 @@ class TestPayloadPurity:
                 assert not offenders, (
                     f"shard payload carries domain objects: {offenders}"
                 )
-                if forbid_arrays:
-                    assert not any(
-                        issubclass(t, np.ndarray) for t in types
-                    ), (
-                        "shard payload carries a numpy buffer — per-round "
-                        "state must cross on the round-state channel, not "
-                        "in the spec"
-                    )
+                assert not any(issubclass(t, np.ndarray) for t in types), (
+                    "shard payload carries a numpy buffer — per-round "
+                    "state must cross on the round-state channel, not "
+                    "in the spec"
+                )
 
-    def test_fusion_shards_carry_no_claim_objects(
-        self, micro_scenario, monkeypatch
+    @pytest.mark.parametrize("sample_limit", [1_000_000, 2])
+    def test_fusion_shards_carry_no_claim_objects_or_buffers(
+        self, micro_scenario, monkeypatch, sample_limit
     ):
+        """Sampled runs included: the claim keep-mask rides the round-state
+        channel, never the spec."""
         recorded = self._record_submissions(monkeypatch)
-        result = popaccu_plus(micro_scenario.gold, backend="parallel").fuse(
-            micro_scenario.fusion_input()
-        )
-        assert result.diagnostics["backend_used"] == "parallel"
-        self._assert_payloads_clean(recorded, forbid_arrays=True)
-
-    def test_hybrid_shards_carry_no_buffers(self, micro_scenario, monkeypatch):
-        recorded = self._record_submissions(monkeypatch)
-        result = popaccu(backend="hybrid").fuse(micro_scenario.fusion_input())
+        result = popaccu_plus(
+            micro_scenario.gold, FusionConfig(sample_limit=sample_limit),
+            backend="hybrid",
+        ).fuse(micro_scenario.fusion_input())
         assert result.diagnostics["backend_used"] == "hybrid"
-        self._assert_payloads_clean(recorded, forbid_arrays=True)
+        self._assert_payloads_clean(recorded)
 
     def test_vote_shards_carry_no_claim_objects(self, micro_scenario, monkeypatch):
         recorded = self._record_submissions(monkeypatch)
-        vote(backend="parallel").fuse(micro_scenario.fusion_input())
-        self._assert_payloads_clean(recorded, forbid_arrays=True)
+        vote(backend="hybrid").fuse(micro_scenario.fusion_input())
+        self._assert_payloads_clean(recorded)
 
     def test_extraction_shards_carry_no_extractor_objects(
         self, micro_scenario, monkeypatch
@@ -253,7 +239,7 @@ class TestPayloadPurity:
         recorded = self._record_submissions(monkeypatch)
         with ParallelExecutor(max_workers=2) as executor:
             micro_scenario.pipeline.run(
-                micro_scenario.corpus, backend="parallel", executor=executor
+                micro_scenario.corpus, backend="hybrid", executor=executor
             )
         assert recorded, "no shard tasks were dispatched"
         for args in recorded:
@@ -267,33 +253,34 @@ class TestPayloadPurity:
             )
 
 
-#: sha256 of pooled fused output at ``tiny`` seed 0, 2 workers, per
-#: (backend, method, L).  Computed at the commit where both stages were
-#: still map jobs — never re-bless them to make a change pass.  At L=2
-#: ``hybrid`` runs the scalar kernel (``parallel (hybrid fallback)``), so
-#: its hashes equal ``parallel``'s.
+#: sha256 of fused output at ``tiny`` seed 0, per (backend, method, L).
+#: Computed with 2 workers at the commit where both stages were still map
+#: jobs — never re-bless them to make a change pass.  The ``serial``
+#: hashes were computed by a pooled scalar mode the mode table used to
+#: have, which was bit-identical to ``serial``; :func:`pooled_fingerprint`
+#: reads probabilities in canonical row order, the order that mode wrote.
 POOLED_FUSION_FINGERPRINTS = {
-    ("parallel", "popaccu", 1_000_000): "b188620c8840bf129196109f3e59018ee2d9dae2c011798e4c3618facc4f2b6e",
-    ("parallel", "popaccu", 2): "bf957c0180475dc4c7b704cb8d38c7ff8345b40186064b7028e920bd17d0fac5",
-    ("parallel", "popaccu+", 1_000_000): "2dd842baf9d3ec9b34f0249e4b457700986671ad721be5d4d4aae875139da2ff",
-    ("parallel", "popaccu+", 2): "9d4872dced7691f6b48d65f245f173cd0b60188e4d8f7fc3bef5b9b32bad657e",
-    ("parallel", "accu", 1_000_000): "44ff2237e72cc73d5ed4779f996fd200d02e0eedc6c85fb0ef67d09dd619edab",
-    ("parallel", "accu", 2): "4eec66eb3c80a3387bce51ed06ee303f7176d038f82975cd9f227f0d8e861264",
+    ("serial", "popaccu", 1_000_000): "b188620c8840bf129196109f3e59018ee2d9dae2c011798e4c3618facc4f2b6e",
+    ("serial", "popaccu", 2): "bf957c0180475dc4c7b704cb8d38c7ff8345b40186064b7028e920bd17d0fac5",
+    ("serial", "popaccu+", 1_000_000): "2dd842baf9d3ec9b34f0249e4b457700986671ad721be5d4d4aae875139da2ff",
+    ("serial", "popaccu+", 2): "9d4872dced7691f6b48d65f245f173cd0b60188e4d8f7fc3bef5b9b32bad657e",
+    ("serial", "accu", 1_000_000): "44ff2237e72cc73d5ed4779f996fd200d02e0eedc6c85fb0ef67d09dd619edab",
+    ("serial", "accu", 2): "4eec66eb3c80a3387bce51ed06ee303f7176d038f82975cd9f227f0d8e861264",
     ("hybrid", "popaccu", 1_000_000): "80aef266b695b911dea2e741218b9a74c3fb17150092565efd8bc79bf41bee29",
-    ("hybrid", "popaccu", 2): "bf957c0180475dc4c7b704cb8d38c7ff8345b40186064b7028e920bd17d0fac5",
     ("hybrid", "popaccu+", 1_000_000): "ec463d56822ce3cd09c6b150e36e94bfe0ac6fd0bfac0acd9bb4c70c6826386a",
-    ("hybrid", "popaccu+", 2): "9d4872dced7691f6b48d65f245f173cd0b60188e4d8f7fc3bef5b9b32bad657e",
     ("hybrid", "accu", 1_000_000): "d0c06f485d5cfb19350f6ebd25ddff186721657eba8aafedd1bec9d0261009ab",
-    ("hybrid", "accu", 2): "4eec66eb3c80a3387bce51ed06ee303f7176d038f82975cd9f227f0d8e861264",
 }
 
 
-def pooled_fingerprint(result) -> str:
-    """sha256 over the probabilities (dict order, ``float.hex``), the
-    accuracies (dict order), and the sorted unpredicted set."""
+def pooled_fingerprint(result, cols) -> str:
+    """sha256 over the probabilities (canonical row order of ``cols``,
+    ``float.hex``), the accuracies (dict order), and the sorted
+    unpredicted set."""
     digest = hashlib.sha256()
-    for triple, p in result.probabilities.items():
-        digest.update(repr((triple.canonical(), p.hex())).encode())
+    for triple in cols.triples:
+        if triple in result.probabilities:
+            p = result.probabilities[triple]
+            digest.update(repr((triple.canonical(), p.hex())).encode())
     for prov, a in result.accuracies.items():
         digest.update(repr((prov, a.hex())).encode())
     for canonical in sorted(t.canonical() for t in result.unpredicted):
@@ -306,6 +293,14 @@ def tiny_seed0():
     return build_scenario(tiny_config(seed=0))
 
 
+def _fuse(scenario, method, backend, sample_limit):
+    config = FusionConfig(backend=backend, n_workers=2, sample_limit=sample_limit)
+    fuser = make_fuser(method, config, scenario.gold)
+    fusion_input = scenario.fusion_input()
+    result = fuser.fuse(fusion_input)
+    return result, fusion_input.claims(fuser.config.granularity).columnar()
+
+
 class TestOneMapStagePerRound:
     @pytest.mark.parametrize(
         "backend, method, sample_limit", sorted(POOLED_FUSION_FINGERPRINTS)
@@ -313,26 +308,44 @@ class TestOneMapStagePerRound:
     def test_fingerprints_are_the_committed_ones(
         self, tiny_seed0, backend, method, sample_limit
     ):
-        config = FusionConfig(backend=backend, n_workers=2, sample_limit=sample_limit)
-        result = make_fuser(method, config, tiny_seed0.gold).fuse(
-            tiny_seed0.fusion_input()
-        )
+        result, cols = _fuse(tiny_seed0, method, backend, sample_limit)
         expected = POOLED_FUSION_FINGERPRINTS[backend, method, sample_limit]
-        assert pooled_fingerprint(result) == expected
+        assert pooled_fingerprint(result, cols) == expected
+
+    @pytest.mark.parametrize("method", ["popaccu", "popaccu+", "accu"])
+    def test_sampled_hybrid_contract(self, tiny_seed0, method):
+        """Sampled ``hybrid`` equals sampled ``vectorized`` bit for bit and
+        sampled ``serial`` within the tolerance contract, with the same
+        rounds and θ-filter outcome."""
+        results = {
+            backend: _fuse(tiny_seed0, method, backend, 2)[0]
+            for backend in ("serial", "vectorized", "hybrid")
+        }
+        serial, hybrid = results["serial"], results["hybrid"]
+        assert hybrid.diagnostics["backend_used"] == "hybrid"
+        assert hybrid.diagnostics["parity"] == "tolerance"
+        assert_bit_identical(results["vectorized"], hybrid)
+        assert set(hybrid.probabilities) == set(serial.probabilities)
+        for triple, probability in serial.probabilities.items():
+            assert abs(hybrid.probabilities[triple] - probability) <= PARITY_TOLERANCE_ABS
+        for prov, accuracy in serial.accuracies.items():
+            assert abs(hybrid.accuracies[prov] - accuracy) <= PARITY_TOLERANCE_ABS
+        assert hybrid.rounds == serial.rounds
+        assert hybrid.diagnostics["n_active_final"] == serial.diagnostics["n_active_final"]
 
     @pytest.mark.parametrize(
-        "method, backend, job_name",
+        "method, sample_limit, job_name",
         [
-            ("popaccu", "hybrid", "fusion.stage1"),
-            ("popaccu", "parallel", "fusion.stage1"),
-            ("vote", "hybrid", "vote.stage1"),
+            ("popaccu", 1_000_000, "fusion.stage1"),
+            ("popaccu", 2, "fusion.stage1"),
+            ("vote", 1_000_000, "vote.stage1"),
         ],
     )
     def test_one_job_and_one_install_per_round(
-        self, micro_scenario, monkeypatch, method, backend, job_name
+        self, micro_scenario, monkeypatch, method, sample_limit, job_name
     ):
         jobs: list[str] = []
-        installs: list[str] = []
+        installs: list[tuple[str, ...]] = []
         run_map = ParallelExecutor.run_map
         install_round_state = ParallelExecutor.install_round_state
 
@@ -341,15 +354,16 @@ class TestOneMapStagePerRound:
             return run_map(self, items, job)
 
         def spy_install(self, key, arrays):
-            installs.append(key)
+            installs.append(tuple(arrays))
             return install_round_state(self, key, arrays)
 
         monkeypatch.setattr(ParallelExecutor, "run_map", spy_run_map)
         monkeypatch.setattr(ParallelExecutor, "install_round_state", spy_install)
-        result = make_fuser(method, FusionConfig(backend=backend)).fuse(
-            micro_scenario.fusion_input()
-        )
-        assert result.diagnostics["backend_used"] == backend
+        config = FusionConfig(backend="hybrid", sample_limit=sample_limit)
+        result = make_fuser(method, config).fuse(micro_scenario.fusion_input())
+        assert result.diagnostics["backend_used"] == "hybrid"
         assert set(jobs) == {job_name}
         rounds = 1 if method == "vote" else result.rounds  # VOTE: rounds == 0
         assert len(jobs) == len(installs) == rounds
+        # The keep-mask crosses only when sampling engages.
+        assert all(("keep" in arrays) == (sample_limit == 2) for arrays in installs)

@@ -3,17 +3,16 @@
 What ``backend="hybrid"`` promises, tested on real seeded scenarios:
 
 1. **Tolerance parity**: hybrid fused output matches the serial scalar
-   reference (and therefore the bit-identical scalar-parallel backend)
-   within 1e-9 absolute — on the ``small`` scenario, at 1, 2 and 4
-   workers, under both fork and spawn start methods.  Bitwise equality is
-   *not* promised: the in-shard kernels sum in array order.
-2. **Payload purity**: hybrid shard payloads are integer ids plus
+   reference within 1e-9 absolute — on the ``small`` scenario, at 1, 2
+   and 4 workers, under both fork and spawn start methods.  Bitwise
+   equality with serial is *not* promised: the in-shard kernels sum in
+   array order.  Bitwise equality with in-process ``vectorized`` is.
+2. **Sampling keeps the kernel**: with the reducer-input bound engaged
+   (``small``, L=5) every method still runs batched, pooled or not,
+   within tolerance of sampled serial and with the same θ-filter outcome.
+3. **Payload purity**: hybrid shard payloads are integer ids plus
    contiguous buffers and the picklable kernel — no ``Triple``/
    ``DataItem``/``ExtractionRecord`` objects cross per shard.
-3. **Graceful degradation**: kernels without a batched form, and runs
-   where reducer-input sampling engages, degrade to the scalar parallel
-   shards (``"parallel (hybrid fallback)"``, bitwise) — never to the
-   in-process serial reference.
 """
 
 import pickle
@@ -30,8 +29,6 @@ from repro.fusion import (
     popaccu_plus,
     vote,
 )
-from repro.fusion.popaccu import PopAccuKernel
-from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
 from repro.mapreduce import executors
 from repro.mapreduce.codec import scan_payload_types
@@ -89,20 +86,6 @@ class TestHybridParity:
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert hybrid.diagnostics["parity"] == "tolerance"
         assert_tolerance_parity(small_serial_reference, hybrid)
-
-    def test_matches_scalar_parallel_within_tolerance(
-        self, small_scenario, small_serial_reference
-    ):
-        """Hybrid vs the bit-identical scalar-parallel backend directly."""
-        parallel = popaccu_plus(small_scenario.gold, backend="parallel").fuse(
-            small_scenario.fusion_input()
-        )
-        assert parallel.diagnostics["parity"] == "bitwise"
-        assert parallel.probabilities == small_serial_reference.probabilities
-        hybrid = popaccu_plus(small_scenario.gold, backend="hybrid").fuse(
-            small_scenario.fusion_input()
-        )
-        assert_tolerance_parity(parallel, hybrid)
 
     def test_vote_hybrid(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
@@ -168,50 +151,35 @@ class TestThetaBoundaryRescue:
         assert_tolerance_parity(small_serial_reference, vectorized)
 
 
-class TestHybridFallbacks:
-    def test_closure_kernel_degrades_to_scalar_parallel(self, micro_scenario):
-        """No ``batch_round`` → the scalar parallel shards, not serial."""
-        fusion_input = micro_scenario.fusion_input()
-        result = run_bayesian_fusion(
-            fusion_input=fusion_input,
-            config=FusionConfig(backend="hybrid", max_rounds=2),
-            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
-            method_name="POPACCU-closure",
-        )
-        assert result.diagnostics["backend_used"] == "parallel (hybrid fallback)"
-        assert result.diagnostics["parity"] == "bitwise"
-        reference = popaccu(FusionConfig(backend="serial", max_rounds=2)).fuse(
-            fusion_input
-        )
-        assert result.probabilities == reference.probabilities
+#: The sampling bound of the ``small`` sampled checks: engaged on a
+#: meaningful fraction of items (the largest carry ~40 claims).
+SMALL_L = 5
 
-    def test_sampling_degrades_to_scalar_parallel_bitwise(self, micro_scenario):
-        """Batched kernels cannot subset per item, so sampling pressure
-        swaps in the scalar kernel — which stays bit-identical to serial
-        via the canonical-order sampling contract."""
-        fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(FusionConfig(sample_limit=2, backend="serial")).fuse(
-            fusion_input
-        )
-        hybrid = popaccu(FusionConfig(sample_limit=2, backend="hybrid")).fuse(
-            fusion_input
-        )
-        assert hybrid.diagnostics["backend_used"] == "parallel (hybrid fallback)"
-        assert hybrid.diagnostics["parity"] == "bitwise"
-        assert hybrid.diagnostics["sampling"] == "canonical-order"
-        assert hybrid.probabilities == serial.probabilities
-        assert hybrid.accuracies == serial.accuracies
 
-    def test_vote_sampling_degrades_to_scalar_parallel(self, micro_scenario):
-        fusion_input = micro_scenario.fusion_input()
-        serial = vote(FusionConfig(sample_limit=2, backend="serial")).fuse(
-            fusion_input
+class TestSampledSmall:
+    @pytest.mark.parametrize("method", ["vote", "accu", "popaccu", "popaccu+"])
+    def test_batched_modes_stay_batched_under_sampling(self, small_scenario, method):
+        results = {
+            backend: make_fuser(
+                method,
+                FusionConfig(seed=0, backend=backend, n_workers=2, sample_limit=SMALL_L),
+                small_scenario.gold,
+            ).fuse(small_scenario.fusion_input())
+            for backend in ("serial", "vectorized", "hybrid")
+        }
+        serial = results["serial"]
+        for backend in ("vectorized", "hybrid"):
+            result = results[backend]
+            assert result.diagnostics["backend_used"] == backend
+            assert result.diagnostics["parity"] == "tolerance"
+            assert_tolerance_parity(serial, result)
+            assert result.diagnostics.get("n_active_final") == serial.diagnostics.get(
+                "n_active_final"
+            )
+        assert list(results["hybrid"].probabilities.items()) == list(
+            results["vectorized"].probabilities.items()
         )
-        hybrid = vote(FusionConfig(sample_limit=2, backend="hybrid")).fuse(
-            fusion_input
-        )
-        assert hybrid.diagnostics["backend_used"] == "parallel (hybrid fallback)"
-        assert hybrid.probabilities == serial.probabilities
+        assert results["hybrid"].accuracies == results["vectorized"].accuracies
 
 
 class TestHybridPayloadPurity:

@@ -154,6 +154,21 @@ class TestClaimAccumulator:
         label_gold(tiny_scenario.freebase, records)
         assert calls == []
 
+    def test_pickle_leaves_out_the_parent_side_caches(self, tiny_scenario):
+        """Workers read neither canonical-order cache, so the pickled
+        columns (what a pool install ships) are the same bytes before and
+        after the parent builds them — reinstalling stays a no-op — and
+        an unpickled copy rebuilds them to equal arrays."""
+        cols = FusionInput(tiny_scenario.records).claims(Granularity.EXTRACTOR_SITE).columnar()
+        before = pickle.dumps(cols)
+        order = cols.canonical_prov_order()
+        assert pickle.dumps(cols) == before
+        copy = pickle.loads(before)
+        assert copy._canonical_rank is None and copy._canonical_prov_order is None
+        assert np.array_equal(copy.canonical_rank(), cols.canonical_rank())
+        assert np.array_equal(copy.canonical_prov_order(), order)
+        assert_columns_equal(copy, cols)
+
     def test_release_drops_state(self, tiny_scenario):
         accumulator = _accumulate(
             tiny_scenario.records, Granularity.EXTRACTOR_SITE, 50

@@ -51,12 +51,12 @@ class TestProtocol:
 
     @pytest.mark.parametrize("backend, sample_limit", [("serial", None), ("vectorized", 2)])
     @pytest.mark.parametrize("method", ["vote", "popaccu"])
-    def test_serial_fuse_handed_a_pool_starts_no_worker(
+    def test_in_process_fuse_handed_a_pool_starts_no_worker(
         self, micro_scenario, method, backend, sample_limit
     ):
-        """The in-process scalar mode — asked for, or fallen back to under
-        sampling pressure — never consults a caller's executor: nothing is
-        installed on the pool, no job is run, no worker is started."""
+        """An in-process mode — scalar, or batched under sampling — never
+        consults a caller's executor: nothing is installed on the pool, no
+        job is run, no worker is started."""
         from repro.endtoend import make_fuser
         from repro.fusion import FusionConfig
 
@@ -66,7 +66,7 @@ class TestProtocol:
             FusionConfig(backend=backend, sample_limit=sample_limit, max_rounds=2),
         )
         plain = fuser.fuse(fusion_input)
-        assert plain.diagnostics["backend_used"].split()[0] == "serial"
+        assert plain.diagnostics["backend_used"] == backend
         with ParallelExecutor(max_workers=2) as executor:
             pooled = fuser.fuse(fusion_input, executor=executor)
             assert executor._pool is None

@@ -199,19 +199,21 @@ class TestDegradedFallback:
 
     def test_inline_fusion_still_bit_identical(self, micro_scenario, monkeypatch):
         """The fallback channel is a wire format, not a semantic: fused
-        output equals the shared-memory (and serial) reference exactly,
-        and the degrade is tagged in the run's diagnostics."""
-        from repro.fusion import popaccu
+        output equals the shared-memory (and in-process vectorized)
+        reference exactly, sampled runs included, and the degrade is
+        tagged in the run's diagnostics."""
+        from repro.fusion import FusionConfig, popaccu
 
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(backend="serial").fuse(fusion_input)
+        config = FusionConfig(sample_limit=2)
+        vectorized = popaccu(config, backend="vectorized").fuse(fusion_input)
         _without_shared_memory(monkeypatch)
         with ParallelExecutor(max_workers=2) as executor:
-            inline = popaccu(backend="parallel").fuse(
+            inline = popaccu(config, backend="hybrid").fuse(
                 fusion_input, executor=executor
             )
-        assert inline.probabilities == serial.probabilities
-        assert inline.accuracies == serial.accuracies
+        assert inline.probabilities == vectorized.probabilities
+        assert inline.accuracies == vectorized.accuracies
         assert inline.diagnostics["round_state"] == "inline (shm fallback)"
         assert inline.diagnostics["fallbacks_shm"] > 0
 
@@ -258,7 +260,7 @@ class TestNoLeaks:
         from repro.fusion import popaccu
 
         with ParallelExecutor(max_workers=2) as executor:
-            result = popaccu(backend="parallel").fuse(
+            result = popaccu(backend="hybrid").fuse(
                 micro_scenario.fusion_input(), executor=executor
             )
             assert result.diagnostics["round_state"] == "shared-memory"

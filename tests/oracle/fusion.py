@@ -44,7 +44,6 @@ from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.popaccu import PopAccu
 from repro.fusion.vote import Vote
 from repro.kb.triples import Triple
-from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan
 from repro.rng import split_seed
 from tests.oracle.columns import dict_claims
 from tests.oracle.engine import MapReduceEngine, MapReduceJob
@@ -66,10 +65,6 @@ ItemPosteriorFn = Callable[
     [dict[Triple, set[ProvKey]], dict[ProvKey, float]], dict[Triple, float]
 ]
 
-#: The mode the oracle reports having run: it is what ``serial`` was.
-_SERIAL = EXECUTION_MODES["serial"]
-
-
 def oracle_bayesian_fusion(
     fusion_input: FusionInput,
     config: FusionConfig,
@@ -81,15 +76,13 @@ def oracle_bayesian_fusion(
     """``run_bayesian_fusion`` through the dict engine."""
     return _run_mapreduce(
         dict_claims(fusion_input, config.granularity), config, item_posterior_fn,
-        method_name, gold_labels, track_rounds, _SERIAL,
+        method_name, gold_labels, track_rounds,
     )
 
 
 def oracle_vote(fusion_input: FusionInput, config: FusionConfig) -> FusionResult:
     """``Vote(config).fuse`` through the dict engine."""
-    return _fuse_mapreduce(
-        Vote(config), dict_claims(fusion_input, config.granularity), _SERIAL
-    )
+    return _fuse_mapreduce(Vote(config), dict_claims(fusion_input, config.granularity))
 
 
 def assert_equal_in_order(serial: FusionResult, oracle: FusionResult) -> None:
@@ -278,7 +271,6 @@ def _run_mapreduce(
     method_name: str,
     gold_labels: dict[Triple, bool] | None,
     track_rounds: bool,
-    ran: ExecutionPlan,
 ) -> FusionResult:
     """The scalar engine path (the serial reference)."""
     engine = MapReduceEngine()
@@ -350,7 +342,7 @@ def _run_mapreduce(
             "n_claims": matrix.n_claims(),
             "gold_initialized": gold_initialized,
             "n_active_final": len(active_set(rounds_run)),
-            **backend_contract(config.backend, ran),
+            **backend_contract(config.backend),
             "sampling": sampling_contract_of(config),
         },
     )
@@ -416,16 +408,14 @@ def _vote_stage3_reducer(_key, values):
     return [values[0]]
 
 
-def _result(
-    self: Vote, probabilities: dict[Triple, float], ran: ExecutionPlan, extra: dict
-) -> FusionResult:
+def _result(self: Vote, probabilities: dict[Triple, float], extra: dict) -> FusionResult:
     result = FusionResult(
         method=self.name,
         probabilities=probabilities,
         rounds=0,
         converged=True,
         diagnostics={
-            **backend_contract(self.config.backend, ran),
+            **backend_contract(self.config.backend),
             "sampling": sampling_contract_of(self.config),
             **extra,
         },
@@ -434,7 +424,7 @@ def _result(
     return result
 
 
-def _fuse_mapreduce(self: Vote, matrix, ran: ExecutionPlan) -> FusionResult:
+def _fuse_mapreduce(self: Vote, matrix) -> FusionResult:
     engine = MapReduceEngine()
 
     claims = [
@@ -460,4 +450,4 @@ def _fuse_mapreduce(self: Vote, matrix, ran: ExecutionPlan) -> FusionResult:
         reducer=_vote_stage3_reducer,
     )
     deduped = engine.run(scored, stage3)
-    return _result(self, {triple: float(p) for triple, p in deduped}, ran, {})
+    return _result(self, {triple: float(p) for triple, p in deduped}, {})

@@ -5,18 +5,24 @@ arbitrary claim matrices: probabilities live in [0, 1], per-item mass is
 bounded, agreement helps, and POPACCU's signature behaviours hold for any
 accuracy level — not just the defaults exercised by the unit tests.  The
 same claim-set strategy also feeds whole fuses, where ``serial`` must
-equal the dict-engine oracle (``tests/oracle``) exactly.
+equal the dict-engine oracle (``tests/oracle``) exactly, and the
+metamorphic properties of reducer-input sampling (``L``) that need no
+oracle at all.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, FusionInput, accu, popaccu, vote
 from repro.fusion.accu import AccuKernel
 from repro.fusion.popaccu import PopAccuKernel
+from repro.fusion.runner import run_bayesian_fusion
+from repro.fusion.vote import VoteKernel
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 from tests.oracle.columns import columns_from_items
@@ -194,22 +200,131 @@ class TestSerialEqualsOracle:
     def test_whole_fuse_matches_the_dict_engine(
         self, matrices, preset, by_coverage, theta, sample_limit
     ):
-        """Several drawn data items (the i-th re-subjected to ``/m/i``; its
-        drawn accuracies are not used) fused ``serial`` and through the
-        oracle: every output equal, iteration order included."""
-        items_map = {}
-        for i, (claims, _accuracies) in enumerate(matrices):
-            for triple, provs in claims.items():
-                moved = Triple(f"/m/{i}", triple.predicate, triple.obj)
-                items_map.setdefault(moved.data_item, {})[moved] = provs
+        """Several drawn data items (:func:`_items_map`) fused ``serial``
+        and through the oracle: every output equal, iteration order
+        included."""
         config = FusionConfig(
             filter_by_coverage=by_coverage,
             min_accuracy=theta,
             sample_limit=sample_limit,
         )
-        cols = columns_from_items(items_map, config.granularity)
+        cols = columns_from_items(_items_map(matrices), config.granularity)
         fuser = preset(config)
         assert_equal_in_order(
             fuser.fuse(FusionInput.from_columns(cols)),
             oracle_fuse(fuser, FusionInput.from_columns(cols)),
         )
+
+
+def _items_map(matrices) -> dict:
+    """Several drawn data items, the i-th re-subjected to ``/m/i`` (their
+    drawn accuracies are not used): provenances recur across items."""
+    items_map: dict = {}
+    for i, (claims, _accuracies) in enumerate(matrices):
+        for triple, provs in claims.items():
+            moved = Triple(f"/m/{i}", triple.predicate, triple.obj)
+            items_map.setdefault(moved.data_item, {})[moved] = provs
+    return items_map
+
+
+def _tracked_fuse(kernel, cols, config):
+    return run_bayesian_fusion(
+        FusionInput.from_columns(cols), config, kernel, "M", track_rounds=True
+    )
+
+
+KERNELS = [VoteKernel(), AccuKernel(), PopAccuKernel()]
+
+
+class TestSamplingMetamorphic:
+    """Properties of reducer-input sampling that need no oracle."""
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from(KERNELS),
+        st.sampled_from(["serial", "vectorized"]),
+        st.booleans(),
+        st.sampled_from([None, 0.5]),
+        st.integers(min_value=0, max_value=3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_limit_at_least_every_group_is_no_sampling(
+        self, matrices, kernel, backend, by_coverage, theta, slack
+    ):
+        """``L`` >= the largest Stage-I item and Stage-II provenance gives
+        bitwise the same result as ``L = None``."""
+        config = FusionConfig(
+            backend=backend, filter_by_coverage=by_coverage, min_accuracy=theta,
+            sample_limit=None,
+        )
+        cols = columns_from_items(_items_map(matrices), config.granularity)
+        largest = max(
+            int(cols.item_claim_counts().max()), int(cols.prov_row_counts().max())
+        )
+        unbounded = _tracked_fuse(kernel, cols, config)
+        bounded = _tracked_fuse(
+            kernel, cols, replace(config, sample_limit=largest + slack)
+        )
+        assert list(bounded.probabilities.items()) == list(unbounded.probabilities.items())
+        assert list(bounded.accuracies.items()) == list(unbounded.accuracies.items())
+        assert bounded.unpredicted == unbounded.unpredicted
+        assert (bounded.rounds, bounded.converged) == (unbounded.rounds, unbounded.converged)
+        assert bounded.diagnostics.pop("sampling") == "canonical-order"
+        assert unbounded.diagnostics.pop("sampling") == "unbounded"
+        assert bounded.diagnostics == unbounded.diagnostics
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from(KERNELS),
+        st.sampled_from(["serial", "vectorized"]),
+        st.booleans(),
+        st.sampled_from([None, 0.5]),
+        st.sampled_from([None, 1, 2, 3]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rounds_stay_probabilities(
+        self, matrices, kernel, backend, by_coverage, theta, sample_limit
+    ):
+        """Every round snapshot's single-truth posteriors sum to at most 1
+        per data item, and every final accuracy lies in [0, 1] — sampled
+        or not."""
+        config = FusionConfig(
+            backend=backend, filter_by_coverage=by_coverage, min_accuracy=theta,
+            sample_limit=sample_limit,
+        )
+        cols = columns_from_items(_items_map(matrices), config.granularity)
+        result = _tracked_fuse(kernel, cols, config)
+        for snapshot in result.diagnostics["round_probabilities"]:
+            mass: dict = {}
+            for triple, probability in snapshot.items():
+                mass[triple.data_item] = mass.get(triple.data_item, 0.0) + probability
+            assert all(total <= 1.0 + 1e-12 for total in mass.values()), mass
+        assert all(0.0 <= accuracy <= 1.0 for accuracy in result.accuracies.values())
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([vote, accu, popaccu]),
+        st.sampled_from([1, 2, 3]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sampled_vectorized_is_record_order_invariant(
+        self, matrices, preset, sample_limit, rng
+    ):
+        """Sampled subsets are drawn in canonical order, so permuting the
+        record stream (duplicates included) cannot move a single bit."""
+        records = [
+            ExtractionRecord(triple, "E", f"http://s/{prov[0]}", "s", "TXT")
+            for provs_of in _items_map(matrices).values()
+            for triple, provs in provs_of.items()
+            for prov in sorted(provs)
+            for _copy in range(1 + len(prov[0]) % 2)
+        ]
+        permuted = list(records)
+        rng.shuffle(permuted)
+        fuser = preset(FusionConfig(backend="vectorized", sample_limit=sample_limit))
+        baseline = fuser.fuse(FusionInput(records))
+        reordered = fuser.fuse(FusionInput(permuted))
+        assert list(reordered.probabilities.items()) == list(baseline.probabilities.items())
+        assert list(reordered.accuracies.items()) == list(baseline.accuracies.items())
+        assert reordered.unpredicted == baseline.unpredicted

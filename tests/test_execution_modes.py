@@ -29,7 +29,6 @@ pytestmark = pytest.mark.parallel_backend
 MODES = {
     "serial": ((False, False), {"fusion", "extraction", "pipeline", "streaming"}),
     "batched": ((False, True), {"extraction", "pipeline", "streaming"}),
-    "parallel": ((True, False), {"fusion", "extraction", "pipeline", "streaming"}),
     "vectorized": ((False, True), {"fusion"}),
     "hybrid": ((True, True), {"fusion", "extraction", "pipeline", "streaming"}),
 }
@@ -42,11 +41,9 @@ CASES = {"pipeline": None, "streaming": 32}
 FUSION_STAGE = {
     ("pipeline", "serial"): ("serial", "bitwise"),
     ("pipeline", "batched"): ("serial", "bitwise"),
-    ("pipeline", "parallel"): ("parallel", "bitwise"),
     ("pipeline", "hybrid"): ("hybrid", "tolerance"),
     ("streaming", "serial"): ("serial", "bitwise"),
     ("streaming", "batched"): ("vectorized", "tolerance"),
-    ("streaming", "parallel"): ("parallel", "bitwise"),
     ("streaming", "hybrid"): ("hybrid", "tolerance"),
 }
 
@@ -64,20 +61,20 @@ def _accepted(call):
 
 
 class TestTable:
-    def test_table_is_exactly_the_five_spellings(self):
+    def test_table_is_exactly_the_four_spellings(self):
         assert {
             name: (plan.pooled, plan.batched)
             for name, plan in EXECUTION_MODES.items()
         } == {name: fields for name, (fields, _) in MODES.items()}
 
     def test_public_tuples_keep_contents_and_order(self):
-        assert BACKENDS == ("serial", "parallel", "vectorized", "hybrid")
-        assert EXTRACTION_BACKENDS == ("serial", "batched", "parallel", "hybrid")
-        assert PIPELINE_BACKENDS == ("serial", "batched", "parallel", "hybrid")
+        assert BACKENDS == ("serial", "vectorized", "hybrid")
+        assert EXTRACTION_BACKENDS == ("serial", "batched", "hybrid")
+        assert PIPELINE_BACKENDS == ("serial", "batched", "hybrid")
         assert not hasattr(endtoend, "STREAMING_PIPELINE_BACKENDS")  # one pipeline
         assert PIPELINE_METHODS == ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 
-    @pytest.mark.parametrize("name", [*MODES, "gpu"])
+    @pytest.mark.parametrize("name", [*MODES, "parallel", "gpu"])
     def test_each_entry_point_accepts_exactly_its_vocabulary(
         self, tiny_scenario, name
     ):
@@ -113,7 +110,6 @@ class TestTable:
             ("serial", SerialExecutor),
             ("batched", SerialExecutor),
             ("vectorized", SerialExecutor),
-            ("parallel", ParallelExecutor),
             ("hybrid", ParallelExecutor),
         ],
     )
@@ -131,7 +127,7 @@ class TestTable:
     def test_extraction_rejects_bad_worker_count(self, tiny_scenario, n_workers):
         with pytest.raises(ConfigError, match="n_workers must be >= 1"):
             tiny_scenario.pipeline.run(
-                tiny_scenario.corpus, backend="parallel", n_workers=n_workers
+                tiny_scenario.corpus, backend="hybrid", n_workers=n_workers
             )
 
 
@@ -152,24 +148,25 @@ class TestDerivedContracts:
         assert ("n_workers" in diagnostics) == EXECUTION_MODES[backend].pooled
 
     @pytest.mark.parametrize(
-        "backend_used, parity",
+        "backend, parity",
         [
             ("serial", "bitwise"),
-            ("parallel", "bitwise"),
             ("vectorized", "tolerance"),
             ("hybrid", "tolerance"),
-            ("serial (vectorized fallback)", "bitwise"),
-            ("parallel (hybrid fallback)", "bitwise"),
         ],
     )
-    def test_parity_of_known_spellings(self, backend_used, parity):
-        assert parity_of(backend_used) == parity
+    def test_parity_of_known_spellings(self, backend, parity):
+        assert parity_of(backend) == parity
 
-    @pytest.mark.parametrize("backend_used", ["gpu", "batched", "", "gpu (serial fallback)"])
-    def test_parity_of_unknown_stem_raises(self, backend_used):
-        """An unknown stem used to be silently blessed as bitwise."""
+    @pytest.mark.parametrize(
+        "backend",
+        ["gpu", "batched", "", "parallel", "serial (vectorized fallback)"],
+    )
+    def test_parity_of_unknown_name_raises(self, backend):
+        """An unknown name used to be silently blessed as bitwise; the
+        fallback spellings are gone with the fallbacks."""
         with pytest.raises(ConfigError):
-            parity_of(backend_used)
+            parity_of(backend)
 
 
 class TestOneValidation:

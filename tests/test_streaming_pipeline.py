@@ -113,11 +113,6 @@ class TestStreamingEqualsRecordPath:
         assert streaming.diagnostics["backend_used"] == "serial"
 
     @pytest.mark.parallel_backend
-    def test_parallel_matches_serial_bitwise(self, serial_record):
-        streaming = _stream("parallel", n_workers=2)
-        _assert_bitwise(streaming, serial_record, exact_metrics=False)
-
-    @pytest.mark.parallel_backend
     def test_hybrid_matches_record_hybrid_bitwise(self):
         streaming = _stream("hybrid", n_workers=2)
         record = run_end_to_end(
@@ -136,10 +131,9 @@ class TestMappedEqualsMemory:
         _assert_bitwise(mapped, batched_stream)
 
     @pytest.mark.parallel_backend
-    @pytest.mark.parametrize("backend", ["parallel", "hybrid"])
-    def test_pooled_mapped_is_bitwise(self, backend, tmp_path):
-        memory = _stream(backend, n_workers=2)
-        mapped = _stream(backend, n_workers=2, cache_dir=tmp_path)
+    def test_pooled_mapped_is_bitwise(self, tmp_path):
+        memory = _stream("hybrid", n_workers=2)
+        mapped = _stream("hybrid", n_workers=2, cache_dir=tmp_path)
         assert mapped.diagnostics["column_store"] == "mapped"
         _assert_bitwise(mapped, memory)
 

@@ -115,16 +115,16 @@ class TestCLI:
         assert main(["extract", "--scale", "tiny", "--seed", "7"]) == 0
         assert "extract time:  1.000s" in capsys.readouterr().out
 
-    def test_extract_parallel_reports_fallbacks(self, capsys):
+    def test_extract_hybrid_reports_fallbacks(self, capsys):
         assert (
             main(
                 ["extract", "--scale", "tiny", "--seed", "7",
-                 "--backend", "parallel", "--workers", "2"]
+                 "--backend", "hybrid", "--workers", "2"]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "backend:       parallel" in out
+        assert "backend:       hybrid" in out
         assert "fallbacks:" in out and "tiny" in out and "unpicklable" in out
 
     def test_extract_batched_reports_synthesis_mode(self, capsys):
@@ -143,7 +143,7 @@ class TestCLI:
     def test_extract_invalid_workers_exits_2(self, capsys, workers):
         # Same validation (and exit code) as fuse/pipeline: 0 used to run
         # on the CPU-count default, -1 died in run_map with an IndexError.
-        argv = ["extract", "--scale", "tiny", "--backend", "parallel"]
+        argv = ["extract", "--scale", "tiny", "--backend", "hybrid"]
         assert main([*argv, "--workers", workers]) == 2
         assert "n_workers must be >= 1" in capsys.readouterr().err
 
@@ -151,7 +151,7 @@ class TestCLI:
         main(["extract", "--scale", "tiny", "--seed", "7"])
         serial_out = capsys.readouterr().out
         line = next(l for l in serial_out.splitlines() if l.startswith("records:"))
-        for extra in (["--backend", "parallel", "--workers", "2"],
+        for extra in (["--backend", "hybrid", "--workers", "2"],
                       ["--backend", "batched"]):
             main(["extract", "--scale", "tiny", "--seed", "7", *extra])
             assert line in capsys.readouterr().out
@@ -167,24 +167,12 @@ class TestCLIFuse:
         assert "coverage:" in out
 
     @pytest.mark.parallel_backend
-    def test_fuse_parallel_reports_fallback_diagnostics(self, capsys):
-        assert (
-            main(["fuse", "popaccu+", "--scale", "tiny", "--seed", "7",
-                  "--backend", "parallel", "--workers", "2"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "backend:       parallel" in out
-        assert "backend used:  parallel" in out
-        assert "fallbacks:" in out and "unpicklable" in out
-
-    @pytest.mark.parallel_backend
     def test_fuse_backend_round_trip_identical_summary(self, capsys):
         """Numbers lines (rounds/triples/coverage/mean) must agree across
-        every backend — serial, parallel, vectorized, hybrid (the
-        tolerance backends' 1e-9 drift vanishes at 4-decimal display)."""
+        every backend — serial, vectorized, hybrid (the tolerance
+        backends' 1e-9 drift vanishes at 4-decimal display)."""
         summaries = {}
-        for backend in ("serial", "parallel", "vectorized", "hybrid"):
+        for backend in ("serial", "vectorized", "hybrid"):
             assert (
                 main(["fuse", "popaccu", "--scale", "tiny", "--seed", "7",
                       "--backend", backend])
@@ -196,7 +184,6 @@ class TestCLIFuse:
                 if line.startswith(("rounds:", "triples:", "unpredicted:",
                                     "coverage:", "mean p(true):"))
             ]
-        assert summaries["serial"] == summaries["parallel"]
         assert summaries["serial"] == summaries["vectorized"]
         assert summaries["serial"] == summaries["hybrid"]
 
@@ -211,6 +198,7 @@ class TestCLIFuse:
         assert "backend:       hybrid" in out
         assert "backend used:  hybrid" in out
         assert "parity:        tolerance" in out
+        assert "fallbacks:" in out and "unpicklable" in out
 
     def test_fuse_invalid_workers_exits_2(self, capsys):
         assert main(["fuse", "popaccu", "--workers", "0"]) == 2
@@ -235,22 +223,22 @@ class TestCLIPipeline:
         assert all(line[14] == " " and line[15] != " " for line in out.splitlines())
 
     @pytest.mark.parallel_backend
-    def test_pipeline_parallel_reports_workers_and_fallbacks(self, capsys):
+    def test_pipeline_hybrid_reports_workers_and_fallbacks(self, capsys):
         assert (
             main(["pipeline", "vote", "--scale", "tiny", "--seed", "7",
-                  "--backend", "parallel", "--workers", "2"])
+                  "--backend", "hybrid", "--workers", "2"])
             == 0
         )
         out = capsys.readouterr().out
         assert "method:        VOTE" in out
-        assert "backend:       parallel" in out
+        assert "backend:       hybrid" in out
         assert "workers:       2" in out
         assert "fallbacks:" in out and "tiny" in out and "unpicklable" in out
 
     @pytest.mark.parallel_backend
     def test_pipeline_backend_round_trip_identical_metrics(self, capsys):
         metric_lines = {}
-        for backend in ("serial", "batched", "parallel", "hybrid"):
+        for backend in ("serial", "batched", "hybrid"):
             assert (
                 main(["pipeline", "popaccu+", "--scale", "tiny", "--seed", "7",
                       "--backend", backend])
@@ -263,7 +251,6 @@ class TestCLIPipeline:
                                     "deviation:", "auc-pr:", "gold accuracy:"))
             ]
         assert metric_lines["serial"] == metric_lines["batched"]
-        assert metric_lines["serial"] == metric_lines["parallel"]
         # Hybrid's 1e-9 tolerance drift is invisible at display precision.
         assert metric_lines["serial"] == metric_lines["hybrid"]
 
