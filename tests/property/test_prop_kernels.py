@@ -6,7 +6,9 @@ the scalar reference implementations (the dict forms of
 bit for bit) to 1e-9 on
 arbitrary claim matrices — including the awkward corners: a single
 provenance, more observed values than ACCU's assumed domain (k > N),
-unanimous items, multi-item batches, and empty inputs.
+unanimous items, multi-item batches, and empty inputs.  The sampling
+keep-mask every kernel takes is held to the same oracle: a dropped claim
+scores exactly like a claim that was never made.
 """
 
 import numpy as np
@@ -237,3 +239,91 @@ class TestBatchStructure:
         )
         reduced = {t("a"): {("S0",), ("S1",)}}
         assert_parity(popaccu_item_posteriors(reduced, accuracies), batched)
+
+
+def stage1_rounds(cols, accuracies, keep=None):
+    """Every batched Stage-I kernel's round, all provenances active."""
+    acc = acc_array(cols, accuracies)
+    active = np.ones(len(cols.provenances), bool)
+    return {
+        "accu": kernels.accu_round(cols, acc, active, 100, False, keep),
+        "popaccu": kernels.popaccu_round(cols, acc, active, False, keep),
+        "vote": kernels.vote_round(cols, active, False, keep),
+    }
+
+
+def claim_rows(cols):
+    """The row of each claim."""
+    return np.repeat(np.arange(cols.n_rows), np.diff(cols.row_ptr))
+
+
+def bool_lists(size):
+    return st.lists(st.booleans(), min_size=size, max_size=size)
+
+
+class TestKeepMask:
+    """Reducer-input sampling reaches the kernels as a trailing claim
+    keep-mask: a dropped claim counts exactly like an absent one."""
+
+    @given(claim_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_keeping_every_claim_is_no_mask(self, matrix):
+        claims, accuracies = matrix
+        cols = columnar_of(claims)
+        unmasked = stage1_rounds(cols, accuracies)
+        masked = stage1_rounds(cols, accuracies, np.ones(cols.n_claims, bool))
+        for name, round_result in unmasked.items():
+            assert np.array_equal(round_result.scored, masked[name].scored), name
+            assert np.array_equal(
+                round_result.posteriors, masked[name].posteriors
+            ), name
+        active = np.ones(len(cols.provenances), bool)
+        stage2 = kernels.stage2_accuracies(cols, unmasked["popaccu"], active)
+        kept = kernels.stage2_accuracies(
+            cols, unmasked["popaccu"], active, np.ones(len(cols.prov_rows), bool)
+        )
+        assert np.array_equal(stage2[0], kept[0])
+        assert np.array_equal(stage2[1], kept[1])
+
+    @given(claim_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dropped_claims_equal_removed_claims(self, matrix, data):
+        claims, accuracies = matrix
+        cols = columnar_of(claims)
+        keep = np.array(data.draw(bool_lists(cols.n_claims)), dtype=bool)
+        reduced: dict = {}
+        for claim, row in enumerate(claim_rows(cols)):
+            if keep[claim]:
+                reduced.setdefault(cols.triples[row], set()).add(
+                    cols.provenances[cols.claim_prov[claim]]
+                )
+        masked = stage1_rounds(cols, accuracies, keep)
+        assert_parity(
+            accu_item_posteriors(reduced, accuracies, 100),
+            batch_as_dict(cols, masked["accu"]),
+        )
+        assert_parity(
+            popaccu_item_posteriors(reduced, accuracies),
+            batch_as_dict(cols, masked["popaccu"]),
+        )
+        assert_parity(vote_item_posteriors(reduced), batch_as_dict(cols, masked["vote"]))
+
+    @given(claim_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_stage2_mask_drops_rows_from_the_mean(self, matrix, data):
+        claims, accuracies = matrix
+        cols = columnar_of(claims)
+        keep = np.array(data.draw(bool_lists(len(cols.prov_rows))), dtype=bool)
+        round_result = stage1_rounds(cols, accuracies)["popaccu"]
+        active = np.ones(len(cols.provenances), bool)
+        new_acc, updated = kernels.stage2_accuracies(cols, round_result, active, keep)
+        for prov in range(len(cols.provenances)):
+            span = range(cols.prov_ptr[prov], cols.prov_ptr[prov + 1])
+            kept = [
+                float(round_result.posteriors[cols.prov_rows[i]])
+                for i in span
+                if keep[i] and round_result.scored[cols.prov_rows[i]]
+            ]
+            assert bool(updated[prov]) == bool(kept)
+            if kept:
+                assert new_acc[prov] == pytest.approx(sum(kept) / len(kept), abs=TOL)
