@@ -31,7 +31,10 @@ Pages load as a :class:`LazyPageList`: the columns materialize at load
 time (they are what setup-stage consumers touch), while each page's
 assertion/element body is decoded from the payload on first access — so
 a warm-cache pipeline's *setup* stage is pure I/O and page decoding
-rides inside the extraction pass that actually consumes the pages.
+rides inside the extraction pass that actually consumes the pages.  That
+pass takes :meth:`LazyPageList.stored_pages` instead of pages: each
+extraction shard decodes its own with :func:`decode_page`, so the parent
+decodes none.
 
 Correctness contract: a cache hit is **bit-identical** to a fresh build
 — same world, same corpus, and therefore the same extraction records.
@@ -52,7 +55,7 @@ import os
 import pickle
 import shutil
 from pathlib import Path
-from typing import Iterator, Sequence, overload
+from typing import Iterator, NamedTuple, Sequence, overload
 
 import numpy as np
 
@@ -66,6 +69,8 @@ __all__ = [
     "COLUMN_FORMAT",
     "ColumnHandle",
     "LazyPageList",
+    "StoredPage",
+    "decode_page",
     "code_version",
     "scenario_artifact_key",
     "artifact_dir_for",
@@ -182,6 +187,34 @@ def artifact_dir_for(cache_dir: Path | str, key: str) -> Path:
     return Path(cache_dir) / f"scenario-{key[:24]}"
 
 
+class StoredPage(NamedTuple):
+    """One page as the artifact stores it, not yet decoded.
+
+    The identity columns plus the page's fast-pickled ``(assertions,
+    elements)`` body — primitives that pickle at memory-copy speed, which
+    is why an artifact-backed extraction chunk crosses the pool wire in
+    this form and each shard decodes its own pages.  ``url`` is the field
+    sharding keys on, as for a :class:`WebPage`.
+    """
+
+    url: str
+    site: str
+    category: str
+    body: bytes
+
+
+def decode_page(stored: StoredPage) -> WebPage:
+    """The page ``stored`` holds, equal (``==``) to the generated one."""
+    assertions, elements = pickle.loads(stored.body)
+    return WebPage(
+        url=stored.url,
+        site=stored.site,
+        category=stored.category,
+        assertions=assertions,
+        elements=elements,
+    )
+
+
 class LazyPageList(Sequence):
     """A sequence of :class:`WebPage` decoded from an artifact on demand.
 
@@ -190,6 +223,7 @@ class LazyPageList(Sequence):
     shared payload buffer on first access and memoized, so iterating the
     list yields pages equal (``==``) to the originally generated ones
     while opening the artifact costs only the column load.
+    :meth:`stored_pages` hands out the undecoded form instead.
     """
 
     def __init__(
@@ -210,19 +244,24 @@ class LazyPageList(Sequence):
     def __len__(self) -> int:
         return len(self._urls)
 
+    def _stored(self, index: int) -> StoredPage:
+        start, end = self._offsets[index], self._offsets[index + 1]
+        return StoredPage(
+            self._urls[index],
+            self._sites[index],
+            self._categories[index],
+            self._payload[start:end],
+        )
+
+    def stored_pages(self) -> list[StoredPage]:
+        """Every page in its stored form, in order; decodes and memoizes
+        nothing."""
+        return [self._stored(index) for index in range(len(self))]
+
     def _materialize(self, index: int) -> WebPage:
         page = self._pages[index]
         if page is None:
-            start, end = self._offsets[index], self._offsets[index + 1]
-            assertions, elements = pickle.loads(self._payload[start:end])
-            page = WebPage(
-                url=self._urls[index],
-                site=self._sites[index],
-                category=self._categories[index],
-                assertions=assertions,
-                elements=elements,
-            )
-            self._pages[index] = page
+            page = self._pages[index] = decode_page(self._stored(index))
         return page
 
     @overload

@@ -34,20 +34,35 @@ every spelling).  All of them run the same kernels and emit the
   protocol (:class:`~repro.mapreduce.executors.ShardedMapJob`).
   Extraction is order-insensitive by design — every noisy draw derives
   from ``split_seed(seed, extractor, url)`` — and the parent re-emits
-  each page's records at the page's corpus position.  Shard outputs cross
-  the process boundary as compact tuples (the
+  each page's records at the page's corpus position.
+
+What crosses the process boundary, per pooled chunk:
+
+- **in**, the pages.  A chunk loaded from the scenario artifact (a
+  :class:`~repro.artifacts.LazyPageList`) is handed to the executor as
+  its :class:`~repro.artifacts.StoredPage` slices — url, site, category
+  and the artifact's own fast-pickled body bytes — and the shard decodes
+  its pages with :func:`~repro.artifacts.decode_page`, the function the
+  list itself decodes with.  The parent decodes no page, and the wire
+  carries bytes instead of re-pickled ``WebPage`` dataclasses.  Any other
+  chunk (a fresh build, a streamed chunk) crosses as its ``WebPage``
+  list.  The branch is on the chunk's type, never on the executor, so the
+  in-process modes take the same items;
+- **out**, each page's records as compact tuples (the
   :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec), not
-  pickled dataclass lists, and the 12-extractor fleet (entity linkers
-  included) is installed *pool-resident* via
-  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`, so
-  it crosses the process boundary once per pool — not once per shard —
-  on both fork and spawn start methods.
+  pickled dataclass lists;
+- **once per pool**, the 12-extractor fleet (entity linkers included),
+  installed *pool-resident* via
+  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state` on
+  both fork and spawn start methods.  A fork pool starts from a frozen
+  parent heap (see :mod:`repro.mapreduce.executors`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.artifacts import LazyPageList, StoredPage, decode_page
 from repro.errors import ConfigError, ExtractionError
 from repro.extract.annotation import AnnotationExtractor
 from repro.extract.base import Extractor, ExtractorProfile
@@ -104,16 +119,21 @@ def build_extractor(
     raise ExtractionError(f"no extractor family for content type {primary!r}")
 
 
-def _extract_shard(pages: list[WebPage]) -> list[list[ExtractionRecord]]:
+def _extract_shard(
+    items: list[WebPage] | list[StoredPage],
+) -> list[list[ExtractionRecord]]:
     """One shard's extraction: one classified record list per page.
 
     Runs against the pool-resident fleet (``EXTRACT_FLEET_KEY``) — the
     shard task itself is just this function reference plus the page list,
     so the 12 extractors (linkers included) never ride in a shard
-    payload.  One :class:`~repro.extract.synthesis.SynthesisCaches` spans
-    the shard, so ambiguity/parse memos warm across pages *and*
-    extractors.
+    payload.  Stored pages are decoded here, in the shard.  One
+    :class:`~repro.extract.synthesis.SynthesisCaches` spans the shard, so
+    ambiguity/parse memos warm across pages *and* extractors.
     """
+    pages = [
+        decode_page(item) if isinstance(item, StoredPage) else item for item in items
+    ]
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
     masks = [extractor.coverage_mask(pages) for extractor in extractors]
     per_page = synthesize_batch(
@@ -123,7 +143,7 @@ def _extract_shard(pages: list[WebPage]) -> list[list[ExtractionRecord]]:
     return per_page
 
 
-def _page_url(page: WebPage) -> str:
+def _page_url(page: WebPage | StoredPage) -> str:
     return page.url
 
 
@@ -200,6 +220,8 @@ class ExtractionPipeline:
         )
         try:
             for pages in chunks:
+                if isinstance(pages, LazyPageList):
+                    pages = pages.stored_pages()
                 per_page = executor.run_map(pages, job)
                 yield [
                     record for page_records in per_page for record in page_records

@@ -28,7 +28,8 @@ bodies (extraction's, fusion's batched Stage I) only ever iterate arrays
 and lists in a fixed order, which makes in-process, ``fork``-pooled and
 ``spawn``-pooled output bit-identical; pools default to ``fork`` where
 available (cheapest state inheritance) and accept an explicit
-``start_method`` otherwise.
+``start_method`` otherwise.  A fresh pool forks from a frozen parent
+heap (:func:`_frozen_heap`).
 
 Work units shipped to workers must be picklable (module-level functions
 or dataclasses; the extraction and fusion shards satisfy this).  When one
@@ -72,12 +73,14 @@ of this module (name → :class:`ExecutionPlan`); it is the only place in
 
 from __future__ import annotations
 
+import gc
 import itertools
 import multiprocessing
 import os
 import pickle
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
@@ -370,6 +373,28 @@ class ShardedMapJob:
 _MIN_KEYS = 2
 
 
+@contextmanager
+def _frozen_heap(starting_pool: bool):
+    """Freeze the parent's heap across a block that forks pool workers.
+
+    The ``gc.freeze()`` recipe of the CPython ``gc`` docs for fork pools:
+    a worker inherits the parent's objects in the permanent generation, so
+    its collections never traverse (or copy-on-write dirty) the heap it
+    inherited.  The parent unfreezes on the way out, raise or not.  A
+    caller that already froze objects keeps them frozen: ``unfreeze``
+    cannot tell its objects from ours, so then the block runs unfrozen and
+    the freeze count is left as found.
+    """
+    if not starting_pool or gc.get_freeze_count():
+        yield
+        return
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def _map_shard_worker(
     spec_bytes: bytes, indexed_items: list[tuple[int, Any]]
 ) -> list[tuple[int, Any]]:
@@ -497,7 +522,8 @@ class ParallelExecutor:
     """Process-pool map, sharded by stable key hash.
 
     ``max_workers`` defaults to the CPU count (minimum 2, so the backend is
-    exercised even on single-core hosts).  A job of fewer than
+    exercised even on single-core hosts); a value below 1 is a
+    :class:`~repro.errors.ConfigError`.  A job of fewer than
     :data:`_MIN_KEYS` items cannot pay for dispatch and runs in-process.
     ``start_method`` pins the multiprocessing start
     method (``"fork"``/``"spawn"``/``"forkserver"``; None prefers fork
@@ -519,6 +545,8 @@ class ParallelExecutor:
     def __init__(
         self, max_workers: int | None = None, start_method: str | None = None
     ) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise ConfigError(f"max_workers must be >= 1 or None, got {max_workers}")
         self.max_workers = max_workers or max(2, os.cpu_count() or 1)
         self.start_method = start_method
         self.fallbacks_tiny = 0  # jobs too small for dispatch to pay off
@@ -743,12 +771,14 @@ class ParallelExecutor:
         for index, item in enumerate(items):
             shards[shard_for_key(job.key_fn(item), n_shards)].append((index, item))
 
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(_map_shard_worker, spec_bytes, shard)
-            for shard in shards
-            if shard
-        ]
+        # A fresh pool forks its workers inside the first submit.
+        with _frozen_heap(self._pool is None):
+            pool = self._ensure_pool()
+            futures = [
+                pool.submit(_map_shard_worker, spec_bytes, shard)
+                for shard in shards
+                if shard
+            ]
         outputs: list[Any] = [None] * len(items)
         for future in futures:
             for index, output in future.result():

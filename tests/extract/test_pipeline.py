@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.artifacts import LazyPageList, StoredPage, setup_worldgen
 from repro.datasets import small_config, tiny_config
 from repro.datasets.scenario import build_extraction_pipeline
 from repro.errors import ConfigError, ExtractionError
@@ -12,6 +13,9 @@ from repro.extract.pipeline import EXTRACTION_BACKENDS
 from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
+from repro.mapreduce import executors
+from repro.mapreduce.codec import scan_payload_types
+from repro.mapreduce.executors import ParallelExecutor, SerialExecutor
 from repro.world.facts import SourceAssertion
 from repro.world.webgen import WebPage, generate_corpus
 from repro.world.worldgen import generate_world
@@ -237,8 +241,6 @@ class TestBackends:
         """The resident fleet crosses via the pool initializer, so spawn
         workers (fresh interpreters) must reproduce the serial stream
         exactly, like fork workers do."""
-        from repro.mapreduce.executors import ParallelExecutor
-
         with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
             records = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, executor=executor
@@ -263,8 +265,6 @@ class TestBackends:
         """Synthesis inside parallel shards: bitwise-identical to the
         serial stream at every worker count under both start methods
         (the kernels reseed per page, so sharding cannot shift draws)."""
-        from repro.mapreduce.executors import ParallelExecutor
-
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
@@ -275,8 +275,6 @@ class TestBackends:
         assert records == tiny_scenario.records
 
     def test_caller_managed_executor_reused_and_counted(self, tiny_scenario):
-        from repro.mapreduce.executors import ParallelExecutor
-
         with ParallelExecutor(max_workers=2) as executor:
             first = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, executor=executor
@@ -319,3 +317,61 @@ class TestBackends:
             for record in grouped.get(page.url, [])
         ]
         assert records == expected
+
+
+@pytest.fixture(scope="module")
+def scenario_cache(tmp_path_factory, tiny_scenario):
+    """A scenario artifact cache holding ``tiny_scenario``'s worldgen bundle."""
+    config = tiny_scenario.config
+    cache_dir = tmp_path_factory.mktemp("scenario-cache")
+    *_bundle, status = setup_worldgen(config.seed, config.world, config.web, cache_dir)
+    assert status == "miss"
+    return cache_dir
+
+
+def _cache_hit_pages(tiny_scenario, cache_dir) -> LazyPageList:
+    config = tiny_scenario.config
+    _world, _freebase, corpus, status = setup_worldgen(
+        config.seed, config.world, config.web, cache_dir
+    )
+    assert status == "hit"
+    assert isinstance(corpus.pages, LazyPageList)
+    return corpus
+
+
+@pytest.mark.parallel_backend
+class TestStoredPages:
+    """An artifact-backed chunk crosses as its stored page bytes: each shard
+    decodes its own pages and the parent's ``LazyPageList`` decodes none."""
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_pooled_hit_ships_stored_pages_and_decodes_none(
+        self, tiny_scenario, scenario_cache, start_method, monkeypatch
+    ):
+        corpus = _cache_hit_pages(tiny_scenario, scenario_cache)
+        submitted = []
+        submit = executors.ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            submitted.append(args)
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
+        with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
+            records = tiny_scenario.pipeline.run(corpus, executor=executor)
+            assert executor.fallbacks == 0
+        assert records == tiny_scenario.records
+        assert corpus.pages._pages == [None] * len(corpus.pages)
+        assert submitted, "no shard tasks were dispatched"
+        for _spec_bytes, shard in submitted:
+            types = scan_payload_types(shard)
+            assert StoredPage in types
+            assert WebPage not in types
+
+    def test_in_process_hit_decodes_in_the_shard_too(
+        self, tiny_scenario, scenario_cache
+    ):
+        corpus = _cache_hit_pages(tiny_scenario, scenario_cache)
+        records = tiny_scenario.pipeline.run(corpus, executor=SerialExecutor())
+        assert records == tiny_scenario.records
+        assert corpus.pages._pages == [None] * len(corpus.pages)

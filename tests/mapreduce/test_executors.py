@@ -1,7 +1,11 @@
 """Unit tests for the executors: the pooled, map-only job protocol."""
 
+import gc
+
 import pytest
 
+from repro.errors import ConfigError
+from repro.mapreduce import executors
 from repro.mapreduce.codec import WireCodec, scan_payload_types
 from repro.mapreduce.executors import (
     Executor,
@@ -78,6 +82,13 @@ class TestProtocol:
         assert pooled.accuracies == plain.accuracies
         assert pooled.diagnostics == plain.diagnostics
         assert not any(key.startswith("fallbacks_") for key in pooled.diagnostics)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("max_workers", [0, -1])
+    def test_invalid_max_workers_rejected(self, max_workers):
+        with pytest.raises(ConfigError, match="max_workers must be >= 1"):
+            ParallelExecutor(max_workers=max_workers)
 
 
 class TestFallbacks:
@@ -166,6 +177,60 @@ class TestShardedMap:
         )
         with pytest.raises(ValueError):
             SerialExecutor().run_map(self.ITEMS, job)
+
+
+class TestFrozenFork:
+    """A fresh pool forks from a frozen heap; the caller's gc state is
+    left exactly as it was found."""
+
+    ITEMS = list(range(17))
+
+    def _spy_submit(self, monkeypatch, fail=False):
+        """Record the freeze count at every submit (optionally failing it)."""
+        counts = []
+        submit = executors.ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args, **kwargs):
+            counts.append(gc.get_freeze_count())
+            if fail:
+                raise OSError("fork failed")
+            return submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
+        return counts
+
+    def test_fresh_pool_forks_frozen_and_gc_state_is_restored(self, monkeypatch):
+        entry = (gc.get_freeze_count(), gc.isenabled())
+        counts = self._spy_submit(monkeypatch)
+        with ParallelExecutor(max_workers=2) as executor:
+            job = square_map_job()
+            assert executor.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
+            assert (gc.get_freeze_count(), gc.isenabled()) == entry
+            assert counts and all(count > entry[0] for count in counts)
+            # A warm pool forks nothing, so nothing is frozen.
+            del counts[:]
+            assert executor.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
+            assert counts and all(count == entry[0] for count in counts)
+        assert (gc.get_freeze_count(), gc.isenabled()) == entry
+
+    def test_a_callers_freeze_survives(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with ParallelExecutor(max_workers=2) as executor:
+                executor.run_map(self.ITEMS, square_map_job())
+                assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_a_pool_start_that_raises_still_unfreezes(self, monkeypatch):
+        entry = gc.get_freeze_count()
+        counts = self._spy_submit(monkeypatch, fail=True)
+        with ParallelExecutor(max_workers=2) as executor:
+            with pytest.raises(OSError, match="fork failed"):
+                executor.run_map(self.ITEMS, square_map_job())
+        assert counts and counts[0] > entry
+        assert gc.get_freeze_count() == entry
 
 
 def _offset_shard(items):

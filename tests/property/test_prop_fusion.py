@@ -6,8 +6,8 @@ bounded, agreement helps, and POPACCU's signature behaviours hold for any
 accuracy level — not just the defaults exercised by the unit tests.  The
 same claim-set strategy also feeds whole fuses, where ``serial`` must
 equal the dict-engine oracle (``tests/oracle``) exactly, and the
-metamorphic properties of reducer-input sampling (``L``) that need no
-oracle at all.
+metamorphic properties — value relabelling, reducer-input sampling
+(``L``) — that need no oracle at all.
 """
 
 import math
@@ -225,6 +225,56 @@ def _items_map(matrices) -> dict:
             moved = Triple(f"/m/{i}", triple.predicate, triple.obj)
             items_map.setdefault(moved.data_item, {})[moved] = provs
     return items_map
+
+
+def _relabel(triple: Triple) -> Triple:
+    """``v<k>`` -> ``w<9-k>``: a bijection on the drawn values (k <= 4)
+    that reverses their canonical order inside every data item."""
+    value = StringValue(f"w{9 - int(triple.obj.text[1:])}")
+    return Triple(triple.subject, triple.predicate, value)
+
+
+class TestRelabellingMetamorphic:
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([vote, accu, popaccu]),
+        st.sampled_from(["serial", "vectorized"]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_relabelling_values_moves_no_posterior_or_accuracy(
+        self, matrices, preset, backend, by_coverage
+    ):
+        """Renaming object values reorders each item's rows (and so every
+        per-provenance sum) but is not evidence: each relabelled triple
+        keeps its probability and each provenance its accuracy, to 1e-12.
+        θ and L stay off — a threshold an ulp can flip, and a draw made in
+        canonical order, are not invariant by design."""
+        items_map = _items_map(matrices)
+        relabelled = {
+            item: {_relabel(triple): provs for triple, provs in claims.items()}
+            for item, claims in items_map.items()
+        }
+        config = FusionConfig(backend=backend, filter_by_coverage=by_coverage)
+        fuser = preset(config)
+
+        def fuse(items):
+            cols = columns_from_items(items, config.granularity)
+            return fuser.fuse(FusionInput.from_columns(cols))
+
+        base, moved = fuse(items_map), fuse(relabelled)
+        assert moved.unpredicted == {_relabel(triple) for triple in base.unpredicted}
+        assert set(moved.probabilities) == set(map(_relabel, base.probabilities))
+        for triple, probability in base.probabilities.items():
+            assert math.isclose(
+                moved.probabilities[_relabel(triple)], probability,
+                rel_tol=0, abs_tol=1e-12,
+            )
+        assert set(moved.accuracies) == set(base.accuracies)
+        for prov, accuracy in base.accuracies.items():
+            assert math.isclose(
+                moved.accuracies[prov], accuracy, rel_tol=0, abs_tol=1e-12
+            )
 
 
 def _tracked_fuse(kernel, cols, config):
