@@ -16,7 +16,7 @@ experiment of a session pays the generation cost, later ones share it.
 backend and prints a one-screen summary — the quickest way to compare
 backends.  ``extract`` runs only the extraction stage (world + corpus
 generation, then the 12 extractors), timing the stage and reporting
-record/error counts plus a pooled executor's fallback counters; the
+record/error counts plus a pooled executor's worker count; the
 record stream is bit-identical across backends.  ``pipeline`` runs the
 whole thing — extraction → gold labeling → fusion — on a *single shared
 executor* (one worker pool for both stages; see
@@ -250,12 +250,6 @@ def _run_fuse(args) -> int:
     print(f"sampling:      {result.diagnostics.get('sampling', 'unbounded')}")
     if "round_state" in result.diagnostics:
         print(f"round state:   {result.diagnostics['round_state']}")
-    if "fallbacks_tiny" in result.diagnostics:
-        print(
-            f"fallbacks:     {result.diagnostics['fallbacks_tiny']} tiny, "
-            f"{result.diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{result.diagnostics.get('fallbacks_shm', 0)} shm"
-        )
     print(f"fusion time:   {timings['fusion']:.3f}s")
     print(f"rounds:        {result.rounds} (converged: {result.converged})")
     print(f"triples:       {len(result.probabilities)}")
@@ -296,7 +290,6 @@ def _run_extract(args) -> int:
     finally:
         executor.close()
     elapsed = timings["extraction"]
-    pool = executor.diagnostics()
 
     per_extractor = Counter(record.extractor for record in records)
     errors = sum(1 for record in records if record.is_extraction_error)
@@ -313,12 +306,7 @@ def _run_extract(args) -> int:
     if records:
         print(f"error records: {errors} ({errors / len(records):.1%})")
     if plan.pooled:
-        print(f"workers:       {pool['n_workers']}")
-        print(
-            f"fallbacks:     {pool['fallbacks_tiny']} tiny, "
-            f"{pool['fallbacks_unpicklable']} unpicklable, "
-            f"{pool['fallbacks_shm']} shm"
-        )
+        print(f"workers:       {executor.diagnostics()['n_workers']}")
     return 0
 
 
@@ -341,12 +329,6 @@ def _print_pipeline_report(result) -> None:
         print(f"setup cache:   {diagnostics['scenario_cache']}")
     if "n_workers" in diagnostics:
         print(f"workers:       {diagnostics['n_workers']}")
-    if "fallbacks_tiny" in diagnostics:
-        print(
-            f"fallbacks:     {diagnostics['fallbacks_tiny']} tiny, "
-            f"{diagnostics['fallbacks_unpicklable']} unpicklable, "
-            f"{diagnostics.get('fallbacks_shm', 0)} shm"
-        )
     print(
         f"pages:         {result.n_pages} -> records: {result.n_records}"
         + (

@@ -169,8 +169,7 @@ class ExtractionPipeline:
 
         ``executor`` supplies a caller-managed executor in place of the
         one ``backend`` / ``n_workers`` would create (the caller also
-        closes it — the CLI uses this to read the fallback counters
-        afterwards).  The single-chunk case of :meth:`run_stream`.
+        closes it).  The single-chunk case of :meth:`run_stream`.
         """
         return [
             record

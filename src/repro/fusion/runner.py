@@ -88,16 +88,16 @@ metrics) are frozen against.
 ``result.diagnostics["backend"]`` / ``["backend_used"]`` name the mode
 that ran — no mode swaps in another
 (:func:`repro.fusion.base.backend_contract`); pooled runs also carry the
-executor's own ``diagnostics()`` (round-state channel, worker count,
-``fallbacks_*`` counters — jobs that ran in-process because dispatch could
-not pay off, or because the posterior kernel would not pickle).
+executor's own ``diagnostics()`` (worker count, shipped state bytes).
 
 A caller-managed executor can be threaded through ``run_bayesian_fusion``
 (and ``Fuser.fuse``) so extraction and fusion share one worker pool — the
 ``repro-kf pipeline`` subcommand / :func:`repro.endtoend.run_end_to_end`
 do exactly that.  Caller-managed executors are not closed here, and only
 pooled modes consult one (an in-process mode starts no worker on a pool
-it is handed).
+it is handed); a pooled mode handed an executor that is not a
+:class:`~repro.mapreduce.executors.ParallelExecutor` is a
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -122,7 +122,12 @@ from repro.fusion.observations import (
     ragged_gather,
 )
 from repro.kb.triples import Triple
-from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan, Executor
+from repro.mapreduce.executors import (
+    EXECUTION_MODES,
+    ExecutionPlan,
+    Executor,
+    ParallelExecutor,
+)
 from repro.rng import split_seed
 
 __all__ = ["run_bayesian_fusion"]
@@ -252,8 +257,9 @@ def _column_executor(
 
     Yields None for the in-process modes (a caller's executor is then
     never touched: a pool handed to one stays unstarted); otherwise the
-    caller's executor — or one owned (and closed) here — with the claim
-    columns installed pool-resident.
+    caller's pool — or one owned (and closed) here — with the claim
+    columns installed pool-resident.  A pooled mode handed any other
+    executor raises before any work.
     """
     if not plan.pooled:
         yield None
@@ -261,6 +267,11 @@ def _column_executor(
     owns_executor = executor is None
     if owns_executor:
         executor = plan.executor(config.n_workers)
+    elif not isinstance(executor, ParallelExecutor):
+        raise ConfigError(
+            f"backend {config.backend!r} runs on a process pool, but was "
+            f"handed a {type(executor).__name__}; pass a ParallelExecutor or none"
+        )
     try:
         shuffle.install_fusion_columns(executor, cols)
         yield executor
@@ -280,7 +291,7 @@ def _column_stage1(
     active: np.ndarray,
     require_repeated: bool,
     keep: np.ndarray | None,
-    executor: Executor | None,
+    executor: ParallelExecutor | None,
     batched: bool,
     name: str = "fusion.stage1",
 ) -> kernels.RoundPosteriors:
@@ -290,8 +301,8 @@ def _column_stage1(
     matrix in one call and the scalar kernel walks every item id.
     Sharded, the round's accuracies, active mask and claim keep-mask
     (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on the
-    round-state channel (shared-memory segments where available; the
-    shard specs carry only the tiny handle) and each shard of item ids
+    round-state channel (one shared-memory segment; the shard specs
+    carry only the tiny handle) and each shard of item ids
     runs the batched kernel — the round's one map job, named ``name``.
     """
     if executor is not None:

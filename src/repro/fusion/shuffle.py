@@ -55,7 +55,7 @@ import numpy as np
 from repro.fusion.kernels import RoundPosteriors
 from repro.fusion.observations import ColumnarClaims, ragged_gather
 from repro.mapreduce.executors import (
-    Executor,
+    ParallelExecutor,
     RoundStateHandle,
     ShardedMapJob,
     sample_positions,
@@ -87,26 +87,26 @@ FUSION_COLUMNS_KEY = "fusion.columns"
 FUSION_ROUND_KEY = "fusion.round"
 
 
-def install_fusion_columns(executor: Executor, cols: ColumnarClaims) -> None:
+def install_fusion_columns(executor: ParallelExecutor, cols: ColumnarClaims) -> None:
     """Make ``cols`` pool-resident for the Stage-I shards.
 
-    Crosses the process boundary once per pool; in-process executors just
-    register the object.  The pickled value leaves out the parent-side
-    canonical-order caches, so a shared executor's next fuse over the same
-    columns reinstalls an identical value — a no-op, not a pool restart.
-    The columns are not withdrawn when a fusion run ends.
+    Crosses the process boundary once per pool.  The pickled value leaves
+    out the parent-side canonical-order caches, so a shared executor's
+    next fuse over the same columns reinstalls an identical value — a
+    no-op, not a pool restart.  The columns are not withdrawn when a
+    fusion run ends.
     """
     executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
-def uninstall_fusion_round_state(executor: Executor) -> None:
+def uninstall_fusion_round_state(executor: ParallelExecutor) -> None:
     """Release the round-state channel :func:`install_stage1_state`
     publishes on: one call per run, unlinking the last round's segment."""
     executor.uninstall_round_state(FUSION_ROUND_KEY)
 
 
 def install_stage1_state(
-    executor: Executor,
+    executor: ParallelExecutor,
     accuracies: np.ndarray,
     active: np.ndarray,
     keep: np.ndarray | None = None,

@@ -32,7 +32,7 @@ The contract both producers follow (see ``mapreduce/README.md``):
    a round, Stage I, reads nothing else) cross through the
    executors' round-state channel
    (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`
-   — shared-memory segments, pickled-inline fallback); the spec carries
+   — one shared-memory segment per round); the spec carries
    only the tiny :class:`~repro.mapreduce.executors.RoundStateHandle`.
 4. **Codecs are exact.**  ``decode(encode(x))`` must round-trip ``x``
    bit-for-bit; the serial path skips the codec entirely, so any lossy

@@ -8,10 +8,11 @@ policy:
 
 - :class:`SerialExecutor` — one in-process pass.  The default, and the
   reference behaviour.
-- :class:`ParallelExecutor` — each shard runs in a
-  ``concurrent.futures.ProcessPoolExecutor`` worker and the parent slots
-  every output back at its input index, so the output sequence is
-  bit-identical to the serial backend.
+- :class:`ParallelExecutor` — every non-empty job runs in a
+  ``concurrent.futures.ProcessPoolExecutor``, each shard in a worker, and
+  the parent slots every output back at its input index, so the output
+  sequence is bit-identical to the serial backend.  A pooled job never
+  runs in the parent.
 
 This is the protocol the extraction stage runs on — each shard of pages
 is extracted in a worker and the parent reassembles the corpus-order
@@ -32,38 +33,32 @@ available (cheapest state inheritance) and accept an explicit
 heap (:func:`_frozen_heap`).
 
 Work units shipped to workers must be picklable (module-level functions
-or dataclasses; the extraction and fusion shards satisfy this).  When one
-cannot be pickled — e.g. a kernel object holding a closure — the parallel
-executor transparently runs the job in-process and counts the event in
-``fallbacks_unpicklable``; jobs too small for
-dispatch overhead to pay off are counted in ``fallbacks_tiny``;
-round-state installs that had to cross inline instead of through shared
-memory are counted in ``fallbacks_shm`` (``fallbacks`` sums all three).
+or dataclasses; the extraction and fusion shards satisfy this).  A work
+unit or an installed state value that will not pickle is a
+:class:`~repro.errors.ConfigError` naming the job or the key.
 
 **Per-round state.**  State that changes once per *round* but is read by
 every shard of that round (fusion's accuracy vector and active mask)
-gets its own channel: :meth:`install_round_state` places the
-round's arrays in ``multiprocessing.shared_memory`` segments and returns a
-tiny :class:`RoundStateHandle` — shard callables carry only the handle
-(segment name + array layout, a few hundred bytes) and resolve the arrays
-with ``handle.load()``, attaching each segment at most once per worker per
-round.  The buffers therefore cross the process boundary **zero** times
-(the parent writes them straight into shared memory once per round)
-instead of once per shard dispatch.  Where shared memory is unavailable
-the channel degrades to an inline pickled payload (counted in
-``fallbacks_shm``); in-process executors and fallback paths resolve the
-handle from the parent-side registry without any copy at all.
+gets its own channel: :meth:`ParallelExecutor.install_round_state` places
+the round's arrays in one ``multiprocessing.shared_memory`` segment and
+returns a tiny :class:`RoundStateHandle` — shard callables carry only the
+handle (segment name + array layout, a few hundred bytes) and resolve the
+arrays with ``handle.load()`` in the worker, attaching the segment at
+most once per worker per round.  The buffers therefore cross the process
+boundary **zero** times (the parent writes them straight into shared
+memory once per round) instead of once per shard dispatch.  A segment
+that cannot be created raises from the install.
 
 **Pool-resident worker state.**  Heavyweight invariant objects (the
 extraction stage's 12-extractor fleet, fusion's columnar claim index) are
-*installed* on an executor via :meth:`install_state` and cross the process
-boundary exactly once per pool — through the pool initializer, on both
-``fork`` and ``spawn`` — instead of once per shard task.  Shard callables
-fetch them back with :func:`worker_state`, which also resolves in-process
-(serial execution and fallback paths) because installs mirror into the
-parent's registry.  Installing new state after the pool has started
-restarts the pool (once per pipeline stage, not per job); see
-``mapreduce/README.md`` for the full protocol.
+*installed* on an executor via :meth:`~Executor.install_state` and cross
+the process boundary exactly once per pool — through the pool
+initializer, on both ``fork`` and ``spawn`` — instead of once per shard
+task.  Shard callables fetch them back with :func:`worker_state`, which
+resolves in a worker and, under :class:`SerialExecutor`, in the parent.
+Installing new state after the pool has started restarts the pool (once
+per pipeline stage, not per job); see ``mapreduce/README.md`` for the
+full protocol.
 
 **Execution modes.**  Which executor a backend name means — and which
 kernel its shards run — is the :data:`EXECUTION_MODES` table at the end
@@ -103,7 +98,6 @@ __all__ = [
     "RoundStateHandle",
     "ShardedMapJob",
     "shard_for_key",
-    "map_serial",
     "sample_positions",
     "worker_state",
 ]
@@ -113,10 +107,9 @@ __all__ = [
 # Pool-resident worker state
 # ---------------------------------------------------------------------------
 # One process-wide registry.  In a worker it is filled exactly once, by the
-# pool initializer; in the parent it mirrors whatever the executors running
-# in this process have installed, so the same shard callables work on the
-# serial path and on the parallel fallback paths.  Keys are namespaced by
-# producer ("extract.fleet", "fusion.columns"); later installs win.
+# pool initializer; in the parent, by SerialExecutor.install_state, so the
+# same shard callables run in-process.  Keys are namespaced by producer
+# ("extract.fleet", "fusion.columns"); later installs win.
 
 _WORKER_STATE: dict[str, Any] = {}
 
@@ -131,9 +124,8 @@ def worker_state(key: str) -> Any:
     """Fetch pool-resident state installed under ``key``.
 
     Works in workers (filled by the pool initializer) and in the parent
-    (filled directly by :meth:`SerialExecutor.install_state` /
-    :meth:`ParallelExecutor.install_state`), so shard callables are
-    agnostic to where they run.
+    (filled by :meth:`SerialExecutor.install_state`), so shard callables
+    are agnostic to where they run.
     """
     try:
         return _WORKER_STATE[key]
@@ -144,18 +136,15 @@ def worker_state(key: str) -> Any:
         ) from None
 
 
-def _release_parent_state(installed: dict[str, Any], key: str) -> None:
-    """Remove one executor's parent-side registry entry for ``key``.
-
-    Guarded by identity: if another executor has since installed its own
-    value under the same key (later installs win), that live value is
-    left untouched — only our own is withdrawn.
-    """
-    if key not in installed:
-        return
-    value = installed.pop(key)
-    if key in _WORKER_STATE and _WORKER_STATE[key] is value:
-        del _WORKER_STATE[key]
+def _pickled(value: Any, what: str) -> bytes:
+    """``pickle.dumps(value)``, or a :class:`ConfigError` naming ``what``:
+    a pooled executor has no in-process path to fall back on."""
+    try:
+        return pickle.dumps(value)
+    except (pickle.PicklingError, AttributeError, TypeError) as err:
+        raise ConfigError(
+            f"{what} cannot be pickled for the process pool: {err}"
+        ) from err
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +162,8 @@ def _release_parent_state(installed: dict[str, Any], key: str) -> None:
 
 _ROUND_GENERATIONS = itertools.count(1)
 
-#: Per-process cache of resolved round state: key -> (generation, arrays,
-#: attached SharedMemory or None).  In the parent it is filled directly by
-#: ``install_round_state`` (zero-copy); in a worker, lazily by
-#: :meth:`RoundStateHandle.load`.
+#: Per-worker cache of attached round state: key -> (generation, arrays,
+#: attached SharedMemory), filled lazily by :meth:`RoundStateHandle.load`.
 _ROUND_CACHE: dict[str, tuple[int, dict[str, np.ndarray], Any]] = {}
 
 #: Segment offsets are padded to this alignment so every array view is
@@ -185,17 +172,16 @@ _SHM_ALIGN = 16
 
 
 def _evict_round_cache(key: str) -> None:
-    """Drop one cached round state, unmapping its segment if attached."""
+    """Drop one cached round state, unmapping its segment."""
     cached = _ROUND_CACHE.pop(key, None)
     if cached is None:
         return
     _generation, arrays, shm = cached
-    if shm is not None:
-        arrays.clear()  # release the buffer views before unmapping
-        try:
-            shm.close()
-        except BufferError:  # pragma: no cover - a view escaped; GC will unmap
-            pass
+    arrays.clear()  # release the buffer views before unmapping
+    try:
+        shm.close()
+    except BufferError:  # pragma: no cover - a view escaped; GC will unmap
+        pass
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -224,78 +210,44 @@ class _ShmArraySpec:
     offset: int
 
 
+def _segment_views(buf, layout: tuple[_ShmArraySpec, ...]) -> dict[str, np.ndarray]:
+    """One array view per spec over a segment's buffer."""
+    return {
+        spec.key: np.ndarray(
+            spec.shape, dtype=np.dtype(spec.dtype), buffer=buf, offset=spec.offset
+        )
+        for spec in layout
+    }
+
+
 @dataclass(frozen=True)
 class RoundStateHandle:
-    """A tiny picklable reference to one round's array state.
+    """A tiny picklable reference to one round's arrays in shared memory.
 
-    Exactly one of three channels backs it:
-
-    - ``segment`` — the arrays live in a named shared-memory segment;
-      ``load()`` attaches it (once per worker per generation) and returns
-      read-only zero-copy views.
-    - ``inline`` — the pickled-fallback path: the arrays ride pickled
-      inside the handle itself (so inside the job spec, as before shared
-      memory existed); still decoded at most once per worker per
-      generation.
-    - neither — parent-resident only (``SerialExecutor``, and the
-      in-process resolution every handle also supports): ``load()`` hits
-      the parent-side cache without any copy.
+    ``segment`` names the segment :meth:`ParallelExecutor.install_round_state`
+    wrote the arrays into and ``layout`` says where each one lives.  A
+    shard body calls ``load()`` in its worker: the segment is attached at
+    most once per worker per generation, and the arrays come back as
+    read-only zero-copy views.
     """
 
     key: str
     generation: int
-    segment: str | None = None
-    layout: tuple[_ShmArraySpec, ...] = ()
-    inline: bytes | None = None
+    segment: str
+    layout: tuple[_ShmArraySpec, ...]
 
     def load(self) -> dict[str, np.ndarray]:
-        """Resolve the round's arrays, attaching/decoding at most once."""
+        """Resolve the round's arrays, attaching at most once."""
         cached = _ROUND_CACHE.get(self.key)
         if cached is not None and cached[0] == self.generation:
             return cached[1]
         _evict_round_cache(self.key)
-        if self.segment is not None:
-            shm = _attach_segment(self.segment)
-            arrays: dict[str, np.ndarray] = {}
-            for spec in self.layout:
-                view = np.ndarray(
-                    spec.shape,
-                    dtype=np.dtype(spec.dtype),
-                    buffer=shm.buf,
-                    offset=spec.offset,
-                )
-                view.setflags(write=False)
-                arrays[spec.key] = view
-            _ROUND_CACHE[self.key] = (self.generation, arrays, shm)
-        elif self.inline is not None:
-            # Same read-only contract as the shared-memory views, so a
-            # shard that writes into round state fails identically on
-            # every channel instead of only on multi-core hosts.
-            arrays = _readonly_views(pickle.loads(self.inline))
-            _ROUND_CACHE[self.key] = (self.generation, arrays, None)
-        else:
-            raise RuntimeError(
-                f"round state {self.key!r} (generation {self.generation}) is "
-                "parent-resident only and cannot be resolved in this process"
-            )
+        shm = _attach_segment(self.segment)
+        arrays = _segment_views(shm.buf, self.layout)
+        for view in arrays.values():
+            view.setflags(write=False)
+        _ROUND_CACHE[self.key] = (self.generation, arrays, shm)
         return arrays
-
-
-def _readonly_views(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Read-only views sharing each array's memory (originals untouched).
-
-    Every channel hands shards the same contract: writing into round
-    state raises, whether the arrays came from shared memory, the inline
-    fallback, or the parent-side registry — while the installer's own
-    arrays stay writable (the fusion runner updates its accuracy vector
-    in place between rounds).
-    """
-    views: dict[str, np.ndarray] = {}
-    for key, array in arrays.items():
-        view = array.view()
-        view.setflags(write=False)
-        views[key] = view
-    return views
 
 
 def _round_segment_layout(
@@ -368,11 +320,6 @@ class ShardedMapJob:
     codec: WireCodec | None = None
 
 
-#: Jobs with fewer items than this run in-process: one item is one shard,
-#: and a pool round trip cannot beat the parent running it directly.
-_MIN_KEYS = 2
-
-
 @contextmanager
 def _frozen_heap(starting_pool: bool):
     """Freeze the parent's heap across a block that forks pool workers.
@@ -415,17 +362,6 @@ def _map_shard_worker(
     return [(index, output) for (index, _item), output in zip(indexed_items, outputs)]
 
 
-def map_serial(items: list, job: ShardedMapJob) -> list:
-    """The reference map-only path: one in-process pass, no wire codec."""
-    outputs = list(job.map_shard(items))
-    if len(outputs) != len(items):
-        raise ValueError(
-            f"job {job.name}: map_shard returned {len(outputs)} outputs "
-            f"for {len(items)} items; the contract is one per item"
-        )
-    return outputs
-
-
 @runtime_checkable
 class Executor(Protocol):
     """Execution policy: where the shards of a map-only job run.
@@ -434,17 +370,13 @@ class Executor(Protocol):
     order) — the only job protocol.  ``install_state``
     makes a heavyweight invariant object available to shard callables via
     :func:`worker_state` (crossing the process boundary once per pool, or
-    not at all for in-process execution).  ``install_round_state`` is the
-    faster-changing channel: it publishes one round's numpy arrays (via
-    shared memory where available) and returns the
-    :class:`RoundStateHandle` shard callables resolve them with — the
-    arrays cross once per round, never per shard.  ``diagnostics()``
-    reports how the executor ran what it was given (round-state channel,
-    and for a pool its size, fallback counters and shipped state bytes)
-    under the keys run ``diagnostics`` dicts publish.  ``close()`` releases
-    any held resources (worker pools, installed state, shared-memory
+    not at all for in-process execution).  ``diagnostics()`` reports how
+    a pool ran what it was given (its size and shipped state bytes) under
+    the keys run ``diagnostics`` dicts publish.  ``close()`` releases any
+    held resources (worker pools, installed state, shared-memory
     segments); it must be safe to call repeatedly and on executors that
-    never ran a job.
+    never ran a job.  Per-round state is a pool-only channel
+    (:meth:`ParallelExecutor.install_round_state`).
     """
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]: ...
@@ -452,12 +384,6 @@ class Executor(Protocol):
     def install_state(self, key: str, value: Any) -> None: ...
 
     def uninstall_state(self, key: str) -> None: ...
-
-    def install_round_state(
-        self, key: str, arrays: dict[str, np.ndarray]
-    ) -> RoundStateHandle: ...
-
-    def uninstall_round_state(self, key: str) -> None: ...
 
     def diagnostics(self) -> dict: ...
 
@@ -469,10 +395,16 @@ class SerialExecutor:
 
     def __init__(self) -> None:
         self._installed: dict[str, Any] = {}
-        self._round_installed: dict[str, int] = {}
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
-        return map_serial(list(items), job)
+        items = list(items)
+        outputs = list(job.map_shard(items))
+        if len(outputs) != len(items):
+            raise ValueError(
+                f"job {job.name}: map_shard returned {len(outputs)} outputs "
+                f"for {len(items)} items; the contract is one per item"
+            )
+        return outputs
 
     def install_state(self, key: str, value: Any) -> None:
         """Register ``value`` for :func:`worker_state` lookup (in-process)."""
@@ -480,36 +412,25 @@ class SerialExecutor:
         self._installed[key] = value
 
     def uninstall_state(self, key: str) -> None:
-        """Drop ``key`` from the registry (no-op if absent)."""
-        _release_parent_state(self._installed, key)
+        """Drop ``key`` from the registry (no-op if absent).
 
-    def install_round_state(
-        self, key: str, arrays: dict[str, np.ndarray]
-    ) -> RoundStateHandle:
-        """Register one round's arrays parent-side (zero copy, no segment)."""
-        generation = next(_ROUND_GENERATIONS)
-        _evict_round_cache(key)
-        _ROUND_CACHE[key] = (generation, _readonly_views(arrays), None)
-        self._round_installed[key] = generation
-        return RoundStateHandle(key=key, generation=generation)
-
-    def uninstall_round_state(self, key: str) -> None:
-        """Drop this executor's round state under ``key`` (no-op if absent)."""
-        generation = self._round_installed.pop(key, None)
-        cached = _ROUND_CACHE.get(key)
-        if generation is not None and cached is not None and cached[0] == generation:
-            _evict_round_cache(key)
+        Guarded by identity: if another executor has since installed its
+        own value under the same key (later installs win), that live value
+        is left untouched — only our own is withdrawn.
+        """
+        if key not in self._installed:
+            return
+        value = self._installed.pop(key)
+        if key in _WORKER_STATE and _WORKER_STATE[key] is value:
+            del _WORKER_STATE[key]
 
     def diagnostics(self) -> dict:
-        """Round state resolves straight from the parent registry; nothing
-        ever crosses a process boundary."""
-        return {"round_state": "in-process"}
+        """Nothing to report: nothing crosses a process boundary."""
+        return {}
 
     def close(self) -> None:
         for key in list(self._installed):
-            _release_parent_state(self._installed, key)
-        for key in list(self._round_installed):
-            self.uninstall_round_state(key)
+            self.uninstall_state(key)
 
     def __enter__(self) -> "SerialExecutor":
         return self
@@ -523,24 +444,29 @@ class ParallelExecutor:
 
     ``max_workers`` defaults to the CPU count (minimum 2, so the backend is
     exercised even on single-core hosts); a value below 1 is a
-    :class:`~repro.errors.ConfigError`.  A job of fewer than
-    :data:`_MIN_KEYS` items cannot pay for dispatch and runs in-process.
-    ``start_method`` pins the multiprocessing start
-    method (``"fork"``/``"spawn"``/``"forkserver"``; None prefers fork
-    where available — cheapest pool start, and installed state is
-    inherited by memory copy).  The pool is created lazily and reused
-    across jobs (fusion runs many rounds through one executor); call
-    :meth:`close` or use the executor as a context manager to release it.
+    :class:`~repro.errors.ConfigError`.  ``start_method`` pins the
+    multiprocessing start method (``"fork"``/``"spawn"``/``"forkserver"``;
+    None prefers fork where available — cheapest pool start, and
+    installed state is inherited by memory copy).  The pool is created
+    lazily and reused across jobs (fusion runs many rounds through one
+    executor); call :meth:`close` or use the executor as a context manager
+    to release it.
 
+    Every non-empty job runs in the pool; nothing runs in the parent.
     State installed with :meth:`install_state` reaches workers through the
     pool initializer; installing *after* the pool has started restarts it
     so new workers see the full registry — once per pipeline stage, never
     per shard.  Per-round state (:meth:`install_round_state`) never
     restarts the pool: it crosses through shared-memory segments workers
-    attach lazily (a failing ``multiprocessing.shared_memory`` degrades it
-    to an inline pickled payload for the rest of the executor's life,
-    counted per install in ``fallbacks_shm``).
+    attach lazily.
     """
+
+    #: Always 0: every job runs in the pool, on one round-state channel.
+    #: A stub for ``benchmarks/kfbench``, which counts it (like the
+    #: constant ``fallbacks_*`` / ``round_state`` keys of
+    #: :meth:`diagnostics`); it goes with the ``[benchmark]`` PR of
+    #: ROADMAP item 9(a).
+    fallbacks = 0
 
     def __init__(
         self, max_workers: int | None = None, start_method: str | None = None
@@ -549,28 +475,10 @@ class ParallelExecutor:
             raise ConfigError(f"max_workers must be >= 1 or None, got {max_workers}")
         self.max_workers = max_workers or max(2, os.cpu_count() or 1)
         self.start_method = start_method
-        self.fallbacks_tiny = 0  # jobs too small for dispatch to pay off
-        self.fallbacks_unpicklable = 0  # jobs whose work unit cannot pickle
-        self.fallbacks_shm = 0  # round-state installs that crossed inline
         self.state_bytes_shipped = 0  # cumulative pickled install payloads
         self._pool: ProcessPoolExecutor | None = None
         self._state_blobs: dict[str, bytes] = {}
-        self._installed: dict[str, Any] = {}
-        self._unpicklable_state: set[str] = set()
         self._round_segments: dict[str, shared_memory.SharedMemory] = {}
-        self._round_installed: dict[str, int] = {}
-        self._shm_failed = False  # latched by the first failed segment
-
-    @property
-    def fallbacks(self) -> int:
-        """Total degraded events despite the parallel backend: jobs that
-        ran in-process (tiny or unpicklable) plus round-state installs
-        that crossed inline rather than through shared memory."""
-        return (
-            self.fallbacks_tiny
-            + self.fallbacks_unpicklable
-            + self.fallbacks_shm
-        )
 
     @property
     def state_bytes(self) -> int:
@@ -585,25 +493,18 @@ class ParallelExecutor:
         """
         return sum(len(blob) for blob in self._state_blobs.values())
 
-    @property
-    def round_state_channel(self) -> str:
-        """How this executor's round state crosses to workers.
-
-        ``"shared-memory"`` when every install so far went through a
-        segment; ``"inline (shm fallback)"`` once any install had to ride
-        pickled inside the shard specs instead.
-        """
-        if self.fallbacks_shm > 0:
-            return "inline (shm fallback)"
-        return "shared-memory"
-
     def diagnostics(self) -> dict:
-        """The pool's size, round-state channel and degradation counters."""
+        """The pool's size and shipped state bytes.
+
+        ``round_state`` and the three ``fallbacks_*`` keys are constants
+        kept for ``benchmarks/kfbench``, which pins them (see
+        :attr:`fallbacks`).
+        """
         return {
-            "round_state": self.round_state_channel,
-            "fallbacks_tiny": self.fallbacks_tiny,
-            "fallbacks_unpicklable": self.fallbacks_unpicklable,
-            "fallbacks_shm": self.fallbacks_shm,
+            "round_state": "shared-memory",
+            "fallbacks_tiny": 0,
+            "fallbacks_unpicklable": 0,
+            "fallbacks_shm": 0,
             "n_workers": self.max_workers,
             "state_bytes_shipped": self.state_bytes_shipped,
         }
@@ -612,26 +513,11 @@ class ParallelExecutor:
         """Make ``value`` pool-resident under ``key``.
 
         The value is pickled once, here; workers unpickle it once each, in
-        the pool initializer.  It is also registered in the parent so
-        :func:`worker_state` resolves on the in-process fallback paths.
-        Reinstalling an identical value is a no-op; new state after the
-        pool has started triggers one pool restart.
-
-        A value that cannot pickle is registered parent-side only and the
-        executor degrades to in-process execution (counted per job in
-        ``fallbacks_unpicklable``) until the key is replaced or
-        uninstalled — the same graceful path an unpicklable work unit
-        takes.
+        the pool initializer.  Reinstalling an identical value is a no-op;
+        new state after the pool has started triggers one pool restart.  A
+        value that will not pickle is a :class:`ConfigError` naming the key.
         """
-        self._installed[key] = value
-        _WORKER_STATE[key] = value
-        try:
-            blob = pickle.dumps(value)
-        except Exception:
-            self._unpicklable_state.add(key)
-            self._state_blobs.pop(key, None)
-            return
-        self._unpicklable_state.discard(key)
+        blob = _pickled(value, f"installed state {key!r}")
         if self._state_blobs.get(key) == blob:
             return
         self._state_blobs[key] = blob
@@ -648,9 +534,7 @@ class ParallelExecutor:
         ``install_state`` does not re-ship state only an earlier stage
         needed.
         """
-        _release_parent_state(self._installed, key)
         self._state_blobs.pop(key, None)
-        self._unpicklable_state.discard(key)
 
     def install_round_state(
         self, key: str, arrays: dict[str, np.ndarray]
@@ -661,63 +545,25 @@ class ParallelExecutor:
         previous round's segment under ``key`` is unlinked first, so at
         most one segment per key is ever live) and the returned handle
         names it — shard payloads stay a few hundred bytes no matter how
-        many provenances the round tracks.  The live arrays are also
-        cached parent-side so the in-process fallback paths resolve the
-        handle with zero copies.  Arrays must not be mutated between the
-        install and the last job that reads the handle (the next install
-        snapshots them afresh).
-
-        When shared memory is unavailable the handle carries the arrays
-        pickled inline instead — they ride in the job spec as they did
-        before this channel existed — and the degrade is counted in
-        ``fallbacks_shm``.
+        many provenances the round tracks.  The arrays are copied, so the
+        caller may mutate its own between rounds.  A segment that cannot
+        be created raises here.
         """
-        arrays = {k: np.ascontiguousarray(v) for k, v in arrays.items()}
-        generation = next(_ROUND_GENERATIONS)
-        self._release_round_segment(key)
-        handle: RoundStateHandle | None = None
-        if not self._shm_failed:
-            layout, size = _round_segment_layout(arrays)
-            try:
-                segment = shared_memory.SharedMemory(create=True, size=size)
-            except Exception:
-                # No usable /dev/shm (or equivalent): degrade for the rest
-                # of this executor's life rather than probing every round.
-                self._shm_failed = True
-            else:
-                for spec in layout:
-                    np.ndarray(
-                        spec.shape,
-                        dtype=np.dtype(spec.dtype),
-                        buffer=segment.buf,
-                        offset=spec.offset,
-                    )[...] = arrays[spec.key]
-                self._round_segments[key] = segment
-                handle = RoundStateHandle(
-                    key=key,
-                    generation=generation,
-                    segment=segment.name,
-                    layout=layout,
-                )
-        if handle is None:
-            self.fallbacks_shm += 1
-            handle = RoundStateHandle(
-                key=key, generation=generation, inline=pickle.dumps(arrays)
-            )
-        _evict_round_cache(key)
-        _ROUND_CACHE[key] = (generation, _readonly_views(arrays), None)
-        self._round_installed[key] = generation
-        return handle
+        self.uninstall_round_state(key)
+        layout, size = _round_segment_layout(arrays)
+        segment = shared_memory.SharedMemory(create=True, size=size)
+        self._round_segments[key] = segment
+        for name, view in _segment_views(segment.buf, layout).items():
+            view[...] = arrays[name]
+        return RoundStateHandle(
+            key=key,
+            generation=next(_ROUND_GENERATIONS),
+            segment=segment.name,
+            layout=layout,
+        )
 
     def uninstall_round_state(self, key: str) -> None:
-        """Unlink ``key``'s segment and drop its parent cache entry."""
-        self._release_round_segment(key)
-        generation = self._round_installed.pop(key, None)
-        cached = _ROUND_CACHE.get(key)
-        if generation is not None and cached is not None and cached[0] == generation:
-            _evict_round_cache(key)
-
-    def _release_round_segment(self, key: str) -> None:
+        """Unlink ``key``'s segment (no-op if absent)."""
         segment = self._round_segments.pop(key, None)
         if segment is None:
             return
@@ -748,23 +594,18 @@ class ParallelExecutor:
         return self._pool
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
-        """Run a map-only job over a process pool, outputs in input order."""
+        """Run a map-only job over the process pool, outputs in input order.
+
+        An empty job returns ``[]`` without touching the pool; a work unit
+        that will not pickle is a :class:`ConfigError` naming the job.
+        """
         items = list(items)
-        if len(items) < _MIN_KEYS:
-            self.fallbacks_tiny += 1
-            return map_serial(items, job)
-        if self._unpicklable_state:
-            # Installed state never reached the workers; the parent-side
-            # registry still resolves, so run the job in-process.
-            self.fallbacks_unpicklable += 1
-            return map_serial(items, job)
-        try:
-            spec_bytes = pickle.dumps(
-                (job.map_shard, job.codec.encode if job.codec else None)
-            )
-        except Exception:
-            self.fallbacks_unpicklable += 1
-            return map_serial(items, job)
+        if not items:
+            return []
+        spec_bytes = _pickled(
+            (job.map_shard, job.codec.encode if job.codec else None),
+            f"job {job.name!r}",
+        )
 
         n_shards = min(self.max_workers * 4, len(items))
         shards: list[list[tuple[int, Any]]] = [[] for _ in range(n_shards)]
@@ -789,12 +630,9 @@ class ParallelExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        for key in list(self._installed):
-            _release_parent_state(self._installed, key)
-        for key in list(self._round_installed) + list(self._round_segments):
+        for key in list(self._round_segments):
             self.uninstall_round_state(key)
         self._state_blobs.clear()
-        self._unpicklable_state.clear()
 
     def __enter__(self) -> "ParallelExecutor":
         return self

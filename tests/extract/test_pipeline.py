@@ -245,7 +245,6 @@ class TestBackends:
             records = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, executor=executor
             )
-            assert executor.fallbacks == 0
         assert records == tiny_scenario.records
 
     def test_unknown_backend_rejected(self, tiny_scenario):
@@ -271,7 +270,6 @@ class TestBackends:
             records = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, backend="hybrid", executor=executor
             )
-            assert executor.fallbacks == 0
         assert records == tiny_scenario.records
 
     def test_caller_managed_executor_reused_and_counted(self, tiny_scenario):
@@ -283,7 +281,6 @@ class TestBackends:
                 tiny_scenario.corpus, executor=executor
             )
             assert first == second == tiny_scenario.records
-            assert executor.fallbacks == 0
 
     @pytest.mark.parametrize("backend", ["serial", "hybrid"])
     def test_page_order_shuffle_invariance(self, tiny_scenario, backend):
@@ -359,7 +356,6 @@ class TestStoredPages:
         monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
         with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
             records = tiny_scenario.pipeline.run(corpus, executor=executor)
-            assert executor.fallbacks == 0
         assert records == tiny_scenario.records
         assert corpus.pages._pages == [None] * len(corpus.pages)
         assert submitted, "no shard tasks were dispatched"

@@ -31,6 +31,7 @@ import pytest
 
 from repro.datasets import build_scenario, tiny_config
 from repro.endtoend import make_fuser
+from repro.errors import ConfigError
 from repro.extract.records import ExtractionRecord
 from repro.fusion import (
     PARITY_TOLERANCE_ABS,
@@ -45,7 +46,7 @@ from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import DataItem, Triple
 from repro.mapreduce import executors
 from repro.mapreduce.codec import scan_payload_types
-from repro.mapreduce.executors import ParallelExecutor
+from repro.mapreduce.executors import ParallelExecutor, SerialExecutor
 
 pytestmark = pytest.mark.parallel_backend
 
@@ -81,7 +82,6 @@ class TestParity:
             hybrid = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
                 fusion_input, executor=executor
             )
-            assert executor.fallbacks_unpicklable == 0
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert_bit_identical(vectorized, hybrid)
 
@@ -136,30 +136,38 @@ class TestShuffleInvariance:
 
 
 class TestInProcessDegrades:
-    def test_unpicklable_kernel_runs_in_process_but_identical(self, micro_scenario):
-        """A kernel that cannot ship to workers runs the job in-process over
-        the same columnar shards (the parent registry resolves the resident
-        columns), is counted, and stays exact."""
+    """A pooled fuse has no in-process path to degrade to: what used to
+    run in the parent under a ``hybrid`` label now raises instead."""
+
+    def test_unpicklable_kernel_is_a_config_error(self, micro_scenario):
+        """A kernel that cannot ship to workers fails the first round's
+        job, naming it, and leaves no segment registered."""
 
         class LocalKernel(PopAccuKernel):  # local classes do not pickle
             pass
 
-        fusion_input = micro_scenario.fusion_input()
         with ParallelExecutor(max_workers=2) as executor:
-            result = run_bayesian_fusion(
-                fusion_input=fusion_input,
-                config=FusionConfig(backend="hybrid", max_rounds=2),
-                item_posterior_fn=LocalKernel(),
-                method_name="POPACCU",
-                executor=executor,
-            )
-            assert executor.fallbacks_unpicklable > 0
-        assert result.diagnostics["backend_used"] == "hybrid"
-        assert result.diagnostics["fallbacks_unpicklable"] > 0
-        reference = popaccu(FusionConfig(backend="vectorized", max_rounds=2)).fuse(
-            fusion_input
-        )
-        assert_bit_identical(reference, result)
+            with pytest.raises(ConfigError, match="job 'fusion.stage1' cannot be pickled"):
+                run_bayesian_fusion(
+                    fusion_input=micro_scenario.fusion_input(),
+                    config=FusionConfig(backend="hybrid", max_rounds=2),
+                    item_posterior_fn=LocalKernel(),
+                    method_name="POPACCU",
+                    executor=executor,
+                )
+            assert executor._round_segments == {}
+            assert executor._pool is None
+
+    @pytest.mark.parametrize("method", ["vote", "popaccu"])
+    def test_pooled_fuse_handed_an_in_process_executor_is_a_config_error(
+        self, micro_scenario, method
+    ):
+        """``hybrid`` on a caller's ``SerialExecutor`` raises before any
+        work instead of running in the parent."""
+        fuser = make_fuser(method, FusionConfig(backend="hybrid"))
+        with SerialExecutor() as executor:
+            with pytest.raises(ConfigError, match="handed a SerialExecutor"):
+                fuser.fuse(micro_scenario.fusion_input(), executor=executor)
 
     def test_vote_sampling_keeps_the_pooled_batched_kernel(self, micro_scenario):
         """Sampling is a per-round claim mask every kernel reads: a sampled

@@ -19,7 +19,7 @@ from repro.fusion.extensions import (
 )
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
-from repro.mapreduce.executors import ExecutionPlan, SerialExecutor
+from repro.mapreduce.executors import ExecutionPlan, ParallelExecutor
 
 
 def rec(subject, obj, extractor, url, predicate="t/t/p", confidence=None):
@@ -323,18 +323,17 @@ class TestReadTheClaimColumns:
             assert ours.diagnostics == theirs.diagnostics
             assert (ours.rounds, ours.converged) == (theirs.rounds, theirs.converged)
 
+    @pytest.mark.parallel_backend
     def test_multitruth_bootstrap_shares_the_callers_executor(
         self, tiny_scenario, monkeypatch
     ):
-        """A pooled ``config.backend`` with a caller-managed executor: the
+        """A pooled ``config.backend`` with a caller-managed pool: the
         bootstrap POPACCU pass must run on it, not start a second pool."""
         monkeypatch.setattr(ExecutionPlan, "executor", pytest.fail)
         fuser = MultiTruthFuser(FusionConfig(max_rounds=2, backend="hybrid"))
-        executor = SerialExecutor()
-        try:
+        with ParallelExecutor(max_workers=2) as executor:
             pooled = fuser.fuse(tiny_scenario.fusion_input(), executor=executor)
-        finally:
-            executor.close()
+            assert executor._pool is not None
         serial = MultiTruthFuser(FusionConfig(max_rounds=2)).fuse(
             tiny_scenario.fusion_input()
         )

@@ -82,7 +82,6 @@ class TestHybridParity:
             hybrid = popaccu_plus(small_scenario.gold, backend="hybrid").fuse(
                 small_scenario.fusion_input(), executor=executor
             )
-            assert executor.fallbacks_unpicklable == 0
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert hybrid.diagnostics["parity"] == "tolerance"
         assert_tolerance_parity(small_serial_reference, hybrid)

@@ -1,6 +1,7 @@
 """Unit tests for the executors: the pooled, map-only job protocol."""
 
 import gc
+import os
 
 import pytest
 
@@ -25,15 +26,7 @@ def parallel():
         yield executor
 
 
-PROTOCOL = (
-    "run_map",
-    "install_state",
-    "uninstall_state",
-    "install_round_state",
-    "uninstall_round_state",
-    "diagnostics",
-    "close",
-)
+PROTOCOL = ("run_map", "install_state", "uninstall_state", "diagnostics", "close")
 
 
 class TestProtocol:
@@ -52,6 +45,9 @@ class TestProtocol:
         assert declared == set(PROTOCOL)
         assert not hasattr(SerialExecutor, "run")
         assert not hasattr(ParallelExecutor, "run")
+        # Round state is a pool-only channel: nothing resolves it in-process.
+        assert not hasattr(SerialExecutor, "install_round_state")
+        assert SerialExecutor().diagnostics() == {}
 
     @pytest.mark.parametrize("backend, sample_limit", [("serial", None), ("vectorized", 2)])
     @pytest.mark.parametrize("method", ["vote", "popaccu"])
@@ -74,9 +70,8 @@ class TestProtocol:
         with ParallelExecutor(max_workers=2) as executor:
             pooled = fuser.fuse(fusion_input, executor=executor)
             assert executor._pool is None
-            assert executor.fallbacks == 0
             assert executor.state_bytes_shipped == 0
-            assert not executor._installed and not executor._round_installed
+            assert not executor._state_blobs and not executor._round_segments
         assert pooled.probabilities == plain.probabilities
         assert list(pooled.probabilities) == list(plain.probabilities)
         assert pooled.accuracies == plain.accuracies
@@ -91,21 +86,16 @@ class TestConstruction:
             ParallelExecutor(max_workers=max_workers)
 
 
-class TestFallbacks:
-    def test_fallbacks_sums_all_counters(self):
-        executor = ParallelExecutor(max_workers=2)
-        executor.fallbacks_tiny = 2
-        executor.fallbacks_unpicklable = 3
-        executor.fallbacks_shm = 4
-        assert executor.fallbacks == 9
-
-
 def _square_shard(items):
     return [item * item for item in items]
 
 
 def _identity_key(item):
     return item
+
+
+def _pid_shard(items):
+    return [os.getpid() for _item in items]
 
 
 def _encode_out(value):
@@ -137,7 +127,6 @@ class TestShardedMap:
         assert parallel.run_map(self.ITEMS, job) == SerialExecutor().run_map(
             self.ITEMS, job
         )
-        assert parallel.fallbacks_tiny == 0
 
     def test_wire_codec_round_trips(self, parallel):
         job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_out))
@@ -153,21 +142,29 @@ class TestShardedMap:
             i * i for i in self.ITEMS
         ]
 
-    def test_tiny_item_count_falls_back(self):
+    def test_one_item_job_runs_in_the_pool(self):
+        """No job is too small for the pool: one item is one shard in a
+        worker, never a run in the parent."""
+        job = ShardedMapJob(name="pid", map_shard=_pid_shard, key_fn=_identity_key)
         with ParallelExecutor(max_workers=2) as executor:
-            assert executor.run_map([7], square_map_job()) == [49]
-            assert executor.fallbacks_tiny == 1
-            assert executor._pool is None  # a one-item job starts no worker
+            [pid] = executor.run_map([7], job)
+            assert pid != os.getpid()
 
-    def test_unpicklable_map_falls_back(self, parallel):
+    def test_empty_job_starts_no_worker(self):
+        with ParallelExecutor(max_workers=2) as executor:
+            assert executor.run_map([], square_map_job()) == []
+            assert executor._pool is None
+
+    def test_unpicklable_map_is_a_config_error(self, parallel):
+        """A work unit that cannot reach a worker raises, naming the job —
+        it is not run in the parent instead."""
         job = ShardedMapJob(
             name="closure",
             map_shard=lambda items: [i * i for i in items],  # not picklable
             key_fn=_identity_key,
         )
-        before = parallel.fallbacks_unpicklable
-        assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
-        assert parallel.fallbacks_unpicklable == before + 1
+        with pytest.raises(ConfigError, match="job 'closure' cannot be pickled"):
+            parallel.run_map(self.ITEMS, job)
 
     def test_wrong_output_arity_rejected(self):
         job = ShardedMapJob(
@@ -265,7 +262,15 @@ class TestWorkerState:
             assert executor.run_map(self.ITEMS, offset_map_job()) == [
                 i + 1000 for i in self.ITEMS
             ]
-            assert executor.fallbacks == 0
+
+    def test_parallel_install_stays_out_of_the_parent_registry(self):
+        """Pool-resident state lives in the workers only: no job runs in
+        the parent, so the parent registry is never filled."""
+        with ParallelExecutor(max_workers=2) as executor:
+            executor.install_state("test.offset", 5)
+            with pytest.raises(RuntimeError, match="test.offset"):
+                worker_state("test.offset")
+            assert executor.run_map([3], offset_map_job()) == [8]
 
     def test_missing_state_raises_with_hint(self):
         with pytest.raises(RuntimeError, match="install_state"):
@@ -292,39 +297,24 @@ class TestWorkerState:
             ]
             assert executor._pool is not first_pool
 
-    def test_state_resolves_on_in_process_fallback(self):
-        # A one-item job takes the tiny fallback: the shard body must
-        # still find the state through the parent-side registry.
-        with ParallelExecutor(max_workers=2) as executor:
-            executor.install_state("test.offset", 5)
-            assert executor.run_map([3], offset_map_job()) == [8]
-            assert executor.fallbacks_tiny == 1
-
     def test_close_uninstalls_parallel_state(self):
         executor = ParallelExecutor(max_workers=2)
         executor.install_state("test.offset", 7)
         executor.close()
-        with pytest.raises(RuntimeError):
-            worker_state("test.offset")
+        assert executor.state_bytes == 0
 
-    def test_unpicklable_state_degrades_to_in_process(self):
-        """State that will not pickle never reaches workers; jobs run
-        in-process against the parent registry and are counted, exactly
-        like an unpicklable work unit."""
+    def test_unpicklable_state_is_a_config_error(self):
+        """State that will not pickle cannot reach a worker: the install
+        raises, naming the key, and leaves the installed state as it was."""
         with ParallelExecutor(max_workers=2) as executor:
-            executor.install_state("test.offset", 10)  # lambda-free baseline
+            executor.install_state("test.offset", 10)
             unpicklable = {"offset": 10, "hook": lambda: None}
-            executor.install_state("test.unpicklable", unpicklable)
+            with pytest.raises(ConfigError, match="'test.unpicklable' cannot be pickled"):
+                executor.install_state("test.unpicklable", unpicklable)
+            assert set(executor._state_blobs) == {"test.offset"}
             assert executor.run_map(self.ITEMS, offset_map_job()) == [
                 i + 10 for i in self.ITEMS
             ]
-            assert executor.fallbacks_unpicklable == 1
-            # Replacing the bad state restores real dispatch.
-            executor.install_state("test.unpicklable", {"offset": 10})
-            assert executor.run_map(self.ITEMS, offset_map_job()) == [
-                i + 10 for i in self.ITEMS
-            ]
-            assert executor.fallbacks_unpicklable == 1
 
     def test_uninstall_state_drops_key_from_future_pools(self):
         with ParallelExecutor(max_workers=2) as executor:

@@ -6,8 +6,9 @@ bounded, agreement helps, and POPACCU's signature behaviours hold for any
 accuracy level — not just the defaults exercised by the unit tests.  The
 same claim-set strategy also feeds whole fuses, where ``serial`` must
 equal the dict-engine oracle (``tests/oracle``) exactly, and the
-metamorphic properties — value relabelling, reducer-input sampling
-(``L``) — that need no oracle at all.
+metamorphic properties — value and provenance relabelling, a record a
+coarser granularity folds away, reducer-input sampling (``L``) — that
+need no oracle at all.
 """
 
 import math
@@ -21,6 +22,7 @@ from repro.extract.records import ExtractionRecord
 from repro.fusion import FusionConfig, FusionInput, accu, popaccu, vote
 from repro.fusion.accu import AccuKernel
 from repro.fusion.popaccu import PopAccuKernel
+from repro.fusion.provenance import Granularity
 from repro.fusion.runner import run_bayesian_fusion
 from repro.fusion.vote import VoteKernel
 from repro.kb.triples import Triple
@@ -275,6 +277,93 @@ class TestRelabellingMetamorphic:
             assert math.isclose(
                 moved.accuracies[prov], accuracy, rel_tol=0, abs_tol=1e-12
             )
+
+
+class TestProvenanceMetamorphic:
+    """Provenance identity is not evidence: renaming sources, or adding a
+    record a granularity folds into an existing claim, moves nothing.
+    θ and L stay off, as for value relabelling."""
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([vote, accu, popaccu]),
+        st.sampled_from(["serial", "vectorized"]),
+        st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_reversing_provenance_order_moves_no_posterior_or_accuracy(
+        self, matrices, preset, backend, by_coverage
+    ):
+        """Relabel the provenances so their sorted order reverses: every
+        row's provenance list (and so every Stage-I sum) runs backwards,
+        but each triple keeps its probability and each provenance — under
+        its new name — its accuracy, to 1e-12."""
+        items_map = _items_map(matrices)
+        provs = sorted(
+            {p for claims in items_map.values() for ps in claims.values() for p in ps}
+        )
+        rename = {prov: (f"R{len(provs) - 1 - k:03d}",) for k, prov in enumerate(provs)}
+        assert sorted(rename, key=rename.get) == provs[::-1]
+        relabelled = {
+            item: {triple: {rename[p] for p in ps} for triple, ps in claims.items()}
+            for item, claims in items_map.items()
+        }
+        config = FusionConfig(backend=backend, filter_by_coverage=by_coverage)
+        fuser = preset(config)
+
+        def fuse(items):
+            cols = columns_from_items(items, config.granularity)
+            return fuser.fuse(FusionInput.from_columns(cols))
+
+        base, moved = fuse(items_map), fuse(relabelled)
+        assert moved.unpredicted == base.unpredicted
+        assert set(moved.probabilities) == set(base.probabilities)
+        for triple, probability in base.probabilities.items():
+            assert math.isclose(
+                moved.probabilities[triple], probability, rel_tol=0, abs_tol=1e-12
+            )
+        assert set(moved.accuracies) == {rename[prov] for prov in base.accuracies}
+        for prov, accuracy in base.accuracies.items():
+            assert math.isclose(
+                moved.accuracies[rename[prov]], accuracy, rel_tol=0, abs_tol=1e-12
+            )
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([vote, accu, popaccu]),
+        st.sampled_from(["serial", "vectorized"]),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_a_record_differing_only_in_url_is_a_no_op_per_site(
+        self, matrices, preset, backend, by_coverage, data
+    ):
+        """Under ``EXTRACTOR_SITE`` a second page of the same site repeating
+        an existing extraction adds no claim — one provenance, one triple —
+        so the fuse is bitwise the same, output order included."""
+        records = [
+            ExtractionRecord(triple, "E", f"http://{prov[0]}/a", prov[0], "TXT")
+            for provs_of in _items_map(matrices).values()
+            for triple, provs in provs_of.items()
+            for prov in sorted(provs)
+        ]
+        copied = data.draw(st.sampled_from(records))
+        extended = [*records, replace(copied, url=copied.url.replace("/a", "/b"))]
+        fuser = preset(
+            FusionConfig(
+                backend=backend,
+                filter_by_coverage=by_coverage,
+                granularity=Granularity.EXTRACTOR_SITE,
+            )
+        )
+        base = fuser.fuse(FusionInput(records))
+        more = fuser.fuse(FusionInput(extended))
+        assert list(more.probabilities.items()) == list(base.probabilities.items())
+        assert list(more.accuracies.items()) == list(base.accuracies.items())
+        assert more.unpredicted == base.unpredicted
+        assert (more.rounds, more.converged) == (base.rounds, base.converged)
+        assert more.diagnostics == base.diagnostics
 
 
 def _tracked_fuse(kernel, cols, config):

@@ -252,7 +252,4 @@ class TestStreamingSurface:
     def test_pooled_diagnostics_report_state_bytes(self):
         result = _stream("hybrid", n_workers=2)
         assert result.diagnostics["state_bytes_shipped"] > 0
-        assert result.diagnostics["round_state"] in (
-            "shared-memory",
-            "inline (shm fallback)",
-        )
+        assert result.diagnostics["round_state"] == "shared-memory"

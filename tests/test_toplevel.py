@@ -115,7 +115,7 @@ class TestCLI:
         assert main(["extract", "--scale", "tiny", "--seed", "7"]) == 0
         assert "extract time:  1.000s" in capsys.readouterr().out
 
-    def test_extract_hybrid_reports_fallbacks(self, capsys):
+    def test_extract_hybrid_reports_workers(self, capsys):
         assert (
             main(
                 ["extract", "--scale", "tiny", "--seed", "7",
@@ -125,7 +125,8 @@ class TestCLI:
         )
         out = capsys.readouterr().out
         assert "backend:       hybrid" in out
-        assert "fallbacks:" in out and "tiny" in out and "unpicklable" in out
+        assert "workers:       2" in out
+        assert "fallbacks:" not in out  # a pooled job never runs in-process
 
     def test_extract_batched_reports_synthesis_mode(self, capsys):
         assert (
@@ -198,7 +199,7 @@ class TestCLIFuse:
         assert "backend:       hybrid" in out
         assert "backend used:  hybrid" in out
         assert "parity:        tolerance" in out
-        assert "fallbacks:" in out and "unpicklable" in out
+        assert "round state:   shared-memory" in out
 
     def test_fuse_invalid_workers_exits_2(self, capsys):
         assert main(["fuse", "popaccu", "--workers", "0"]) == 2
@@ -223,7 +224,7 @@ class TestCLIPipeline:
         assert all(line[14] == " " and line[15] != " " for line in out.splitlines())
 
     @pytest.mark.parallel_backend
-    def test_pipeline_hybrid_reports_workers_and_fallbacks(self, capsys):
+    def test_pipeline_hybrid_reports_workers(self, capsys):
         assert (
             main(["pipeline", "vote", "--scale", "tiny", "--seed", "7",
                   "--backend", "hybrid", "--workers", "2"])
@@ -233,7 +234,7 @@ class TestCLIPipeline:
         assert "method:        VOTE" in out
         assert "backend:       hybrid" in out
         assert "workers:       2" in out
-        assert "fallbacks:" in out and "tiny" in out and "unpicklable" in out
+        assert "fallbacks:" not in out
 
     @pytest.mark.parallel_backend
     def test_pipeline_backend_round_trip_identical_metrics(self, capsys):
