@@ -306,7 +306,9 @@ def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) ->
     Everything lands in a ``.tmp-<pid>`` sibling first and is renamed into
     place, so a crashed writer leaves no half-readable directory (only a
     ``.tmp-`` leftover for ``cache prune``) and any failure removes the
-    temp directory before re-raising.
+    temp directory before re-raising.  An existing ``final_dir`` is kept
+    only if it holds exactly this publish (same ``meta``, every file at
+    its size); a damaged one is replaced.
     """
     final_dir.parent.mkdir(parents=True, exist_ok=True)
     temp_dir = final_dir.with_name(final_dir.name + f".tmp-{os.getpid()}")
@@ -320,14 +322,27 @@ def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) ->
         try:
             os.rename(temp_dir, final_dir)
         except OSError:
-            # Lost the publish race to a concurrent writer of the same
-            # key: the published content is bit-equivalent, keep it.
-            if not (final_dir / _META).exists():
-                raise
-            shutil.rmtree(temp_dir)
+            if _published(final_dir, files, meta):
+                # Lost the publish race to a concurrent writer of the same
+                # key: the published content is bit-equivalent, keep it.
+                shutil.rmtree(temp_dir)
+            else:
+                shutil.rmtree(final_dir, ignore_errors=True)
+                os.rename(temp_dir, final_dir)
     except Exception:
         shutil.rmtree(temp_dir, ignore_errors=True)
         raise
+
+
+def _published(directory: Path, files: dict[str, bytes], meta: dict) -> bool:
+    """True when ``directory`` holds ``meta`` and every file at its size."""
+    try:
+        return json.loads((directory / _META).read_text()) == meta and all(
+            (directory / name).stat().st_size == len(blob)
+            for name, blob in files.items()
+        )
+    except (OSError, json.JSONDecodeError):
+        return False
 
 
 def save_scenario_artifact(
@@ -341,14 +356,12 @@ def save_scenario_artifact(
 
     Returns the artifact directory.  Publication is atomic (temp
     directory + rename): a crashed writer leaves no half-readable
-    artifact, and a concurrent writer of the same key harmlessly loses
-    the rename race.
+    artifact, a concurrent writer of the same key harmlessly loses the
+    rename race, and a damaged artifact under the key (one that
+    :func:`load_scenario_artifact` misses on) is replaced.
     """
     key = scenario_artifact_key(seed, world.config, corpus.config)
     final_dir = artifact_dir_for(cache_dir, key)
-    if (final_dir / _META).exists():
-        return final_dir
-
     pages = list(corpus.pages)
     bodies = [_dumps((page.assertions, page.elements)) for page in pages]
     offsets = np.zeros(len(bodies) + 1, dtype=np.int64)
@@ -642,8 +655,8 @@ def setup_worldgen(
     is ``"off"`` (no cache directory), ``"miss"`` (generated fresh and
     saved), or ``"hit"`` (loaded from the artifact).  Used by
     :func:`repro.datasets.scenario.build_scenario`,
-    :func:`repro.endtoend.run_end_to_end` and the benchmark registry so
-    all three share one cache discipline.
+    :func:`repro.endtoend.run_end_to_end` and kfbench so all three share
+    one cache discipline.
     """
     if cache_dir is not None:
         loaded = load_scenario_artifact(cache_dir, seed, world_config, web_config)

@@ -1,45 +1,44 @@
-"""The benchmark runner CLI: exit codes, envelope schema, failure
-isolation, flag validation, and the --compare / --update-baseline gate.
+"""The result-reproduction runner CLI: exit codes, failure isolation and
+flag validation.
 
 The registry is monkeypatched with throwaway cases so the CLI paths run
-in milliseconds; the real case bodies are exercised by the benchmark
-lanes, not tier-1.
+in milliseconds; the real case bodies are exercised by CI's
+reproduction drift gate, not tier-1.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 import benchmarks.run as run_mod
-from benchmarks.registry import TIMING_ROUNDS, BenchCase
+from benchmarks.registry import BenchCase
 
 
-def _case(name: str, body, description: str = "test case") -> BenchCase:
-    return BenchCase(name=name, run=body, description=description)
+def _case(name: str, body) -> BenchCase:
+    return BenchCase(name=name, run=body, description="test case", kind="experiment")
 
 
-def _ok_report(ctx) -> dict:
-    return {
-        "bit_identical": True,
-        "n_records": 7,
-        "best_of": {"stage.a": 0.01, "stage.b": 0.02},
-    }
+def _writes(name: str):
+    def run(ctx) -> None:
+        (ctx.results_dir / f"{name}.txt").write_text(f"{name}\n")
+
+    return run
+
+
+def _raises(error: Exception):
+    def run(ctx) -> None:
+        raise error
+
+    return run
 
 
 @pytest.fixture
-def fake_registry(monkeypatch, tmp_path):
+def fake_registry(monkeypatch):
     registry = {
-        "alpha": _case("alpha", _ok_report),
-        "boom": _case(
-            "boom", lambda ctx: (_ for _ in ()).throw(KeyError("lost-shard"))
-        ),
-        "contract": _case(
-            "contract",
-            lambda ctx: (_ for _ in ()).throw(AssertionError("parity broke")),
-        ),
-        "omega": _case("omega", _ok_report),
+        "alpha": _case("alpha", _writes("alpha")),
+        "boom": _case("boom", _raises(KeyError("lost-shard"))),
+        "contract": _case("contract", _raises(AssertionError("parity broke"))),
+        "omega": _case("omega", _writes("omega")),
     }
     monkeypatch.setattr(run_mod, "REGISTRY", registry)
     return registry
@@ -63,16 +62,12 @@ class TestSelection:
         assert exc.value.code == 2
         assert "mutually exclusive" in capsys.readouterr().err
 
-    def test_update_baseline_requires_compare(self, fake_registry, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(tmp_path, "--case", "alpha", "--update-baseline")
-        assert exc.value.code == 2
-
-    def test_all_runs_every_registered_case(self, fake_registry, tmp_path):
+    def test_all_runs_every_registered_case(self, fake_registry, tmp_path, capsys):
         assert run_cli(tmp_path, "--all") == 1  # boom + contract fail
         results = tmp_path / "results"
-        assert (results / "BENCH_alpha.json").exists()
-        assert (results / "BENCH_omega.json").exists()
+        assert (results / "alpha.txt").exists()
+        assert (results / "omega.txt").exists()
+        assert "2 case(s) failed: boom, contract" in capsys.readouterr().err
 
     def test_list_exits_zero(self, fake_registry, tmp_path, capsys):
         assert run_mod.main(["--list"]) == 0
@@ -95,9 +90,8 @@ class TestFailureIsolation:
         assert "Traceback" in err and "lost-shard" in err
         assert "1 case(s) failed: boom" in err
         results = tmp_path / "results"
-        assert (results / "BENCH_alpha.json").exists()
-        assert (results / "BENCH_omega.json").exists()
-        assert not (results / "BENCH_boom.json").exists()
+        assert (results / "alpha.txt").exists()
+        assert (results / "omega.txt").exists()
 
     def test_assertion_failure_still_reported_without_traceback(
         self, fake_registry, tmp_path, capsys
@@ -106,136 +100,10 @@ class TestFailureIsolation:
         assert code == 1
         err = capsys.readouterr().err
         assert "contract: FAILED — parity broke" in err
-        assert (tmp_path / "results" / "BENCH_omega.json").exists()
+        assert "Traceback" not in err
+        assert (tmp_path / "results" / "omega.txt").exists()
 
-    def test_all_green_exits_zero(self, fake_registry, tmp_path):
+    def test_all_green_exits_zero(self, fake_registry, tmp_path, capsys):
         assert run_cli(tmp_path, "--case", "alpha", "--case", "omega") == 0
-
-
-class TestEnvelopeSchema:
-    def test_envelope_carries_the_trajectory_fields(self, fake_registry, tmp_path):
-        assert run_cli(tmp_path, "--case", "alpha") == 0
-        envelope = json.loads(
-            (tmp_path / "results" / "BENCH_alpha.json").read_text()
-        )
-        assert envelope["case"] == "alpha"
-        assert envelope["kind"] == "stage"
-        assert envelope["scale"] == "small"
-        assert envelope["seed"] == 0
-        # Environment fingerprint facts.
-        for key in ("python", "machine", "cpu_count", "workers"):
-            assert envelope[key], key
-        # Trajectory provenance: a real commit hash in a git checkout.
-        assert isinstance(envelope["git_commit"], str)
-        assert len(envelope["git_commit"]) >= 12
-        # Cold single pass AND best-of-N live side by side; only the
-        # latter is comparable against baselines.
-        assert envelope["elapsed_seconds"] >= 0
-        assert envelope["timing_rounds"] == TIMING_ROUNDS
-        assert envelope["best_of_seconds"] == {"stage.a": 0.01, "stage.b": 0.02}
-        assert envelope["report"]["best_of"] == envelope["best_of_seconds"]
-
-    def test_caseless_report_gets_empty_best_of(self, monkeypatch, tmp_path):
-        registry = {"bare": _case("bare", lambda ctx: {"anything": 1})}
-        monkeypatch.setattr(run_mod, "REGISTRY", registry)
-        assert run_cli(tmp_path, "--case", "bare") == 0
-        envelope = json.loads(
-            (tmp_path / "results" / "BENCH_bare.json").read_text()
-        )
-        assert envelope["best_of_seconds"] == {}
-
-
-class TestCompareMode:
-    def baselines(self, tmp_path):
-        return str(tmp_path / "baselines")
-
-    def test_update_baseline_blesses_and_exits_zero(self, fake_registry, tmp_path):
-        code = run_cli(
-            tmp_path, "--case", "alpha", "--compare", "--update-baseline",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 0
-        baseline = json.loads(
-            (tmp_path / "baselines" / "BASELINE_alpha.json").read_text()
-        )
-        assert baseline["stages"] == ["stage.a", "stage.b"]
-        assert baseline["contracts"] == {"bit_identical": True, "n_records": 7}
-
-    def test_compare_round_trip_exits_zero(self, fake_registry, tmp_path, capsys):
-        run_cli(
-            tmp_path, "--case", "alpha", "--compare", "--update-baseline",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        code = run_cli(
-            tmp_path, "--case", "alpha", "--compare",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 0
-        assert "compare OK" in capsys.readouterr().out
-        diff = (tmp_path / "results" / "COMPARE_alpha.txt").read_text()
-        assert "verdict: OK" in diff
-
-    def test_compare_without_baseline_fails(self, fake_registry, tmp_path, capsys):
-        code = run_cli(
-            tmp_path, "--case", "alpha", "--compare",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 1
-        assert "no committed baseline" in capsys.readouterr().err
-
-    def test_timing_regression_fails_and_writes_diff(
-        self, fake_registry, tmp_path, monkeypatch, capsys
-    ):
-        run_cli(
-            tmp_path, "--case", "alpha", "--compare", "--update-baseline",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-
-        def slow(ctx):
-            report = _ok_report(ctx)
-            report["best_of"] = {"stage.a": 10.0, "stage.b": 0.02}
-            return report
-
-        run_mod.REGISTRY["alpha"] = _case("alpha", slow)
-        code = run_cli(
-            tmp_path, "--case", "alpha", "--compare",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "regressed against baseline" in err
-        diff = (tmp_path / "results" / "COMPARE_alpha.txt").read_text()
-        assert "verdict: REGRESSION" in diff
-        assert "timing regression" in diff
-
-    def test_disappearing_stage_fails_compare(
-        self, fake_registry, tmp_path, capsys
-    ):
-        run_cli(
-            tmp_path, "--case", "alpha", "--compare", "--update-baseline",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        run_mod.REGISTRY["alpha"] = _case(
-            "alpha",
-            lambda ctx: {
-                "bit_identical": True,
-                "n_records": 7,
-                "best_of": {"stage.a": 0.01},
-            },
-        )
-        code = run_cli(
-            tmp_path, "--case", "alpha", "--compare",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 1
-        assert "'stage.b' disappeared" in capsys.readouterr().err
-
-    def test_failed_case_is_not_compared(self, fake_registry, tmp_path, capsys):
-        code = run_cli(
-            tmp_path, "--case", "boom", "--compare",
-            "--baselines-dir", self.baselines(tmp_path),
-        )
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "boom: ERROR" in captured.err
-        assert not (tmp_path / "results" / "COMPARE_boom.txt").exists()
+        out = capsys.readouterr().out
+        assert "alpha: OK" in out and "omega: OK" in out

@@ -366,6 +366,18 @@ class TestProvenanceMetamorphic:
         assert more.diagnostics == base.diagnostics
 
 
+def _records(matrices) -> list[ExtractionRecord]:
+    """One record per drawn claim, on one site (URL = the provenance),
+    doubled for provenances with an odd-length name."""
+    return [
+        ExtractionRecord(triple, "E", f"http://s/{prov[0]}", "s", "TXT")
+        for provs_of in _items_map(matrices).values()
+        for triple, provs in provs_of.items()
+        for prov in sorted(provs)
+        for _copy in range(1 + len(prov[0]) % 2)
+    ]
+
+
 def _tracked_fuse(kernel, cols, config):
     return run_bayesian_fusion(
         FusionInput.from_columns(cols), config, kernel, "M", track_rounds=True
@@ -452,13 +464,7 @@ class TestSamplingMetamorphic:
     ):
         """Sampled subsets are drawn in canonical order, so permuting the
         record stream (duplicates included) cannot move a single bit."""
-        records = [
-            ExtractionRecord(triple, "E", f"http://s/{prov[0]}", "s", "TXT")
-            for provs_of in _items_map(matrices).values()
-            for triple, provs in provs_of.items()
-            for prov in sorted(provs)
-            for _copy in range(1 + len(prov[0]) % 2)
-        ]
+        records = _records(matrices)
         permuted = list(records)
         rng.shuffle(permuted)
         fuser = preset(FusionConfig(backend="vectorized", sample_limit=sample_limit))
@@ -467,3 +473,65 @@ class TestSamplingMetamorphic:
         assert list(reordered.probabilities.items()) == list(baseline.probabilities.items())
         assert list(reordered.accuracies.items()) == list(baseline.accuracies.items())
         assert reordered.unpredicted == baseline.unpredicted
+
+
+class TestSerialMetamorphic:
+    """Whole-fuse properties of ``serial``, the reference mode."""
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([vote, accu, popaccu]),
+        st.booleans(),
+        st.sampled_from([None, 0.5]),
+        st.sampled_from([None, 1, 3]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_record_permutation_moves_no_value(
+        self, matrices, preset, by_coverage, theta, sample_limit, rng
+    ):
+        """``serial`` emits in record-arrival order, but every sum runs in
+        canonical order: a permuted record stream gives equal dicts and
+        sets, bit for bit (emission order is not compared)."""
+        records = _records(matrices)
+        permuted = list(records)
+        rng.shuffle(permuted)
+        fuser = preset(
+            FusionConfig(
+                filter_by_coverage=by_coverage,
+                min_accuracy=theta,
+                sample_limit=sample_limit,
+            )
+        )
+        base = fuser.fuse(FusionInput(records))
+        moved = fuser.fuse(FusionInput(permuted))
+        assert moved.probabilities == base.probabilities
+        assert moved.accuracies == base.accuracies
+        assert moved.unpredicted == base.unpredicted
+
+    @given(
+        st.lists(claim_matrices(), min_size=1, max_size=4),
+        st.sampled_from([accu, popaccu]),
+        st.booleans(),
+        st.lists(
+            st.floats(min_value=0.0, max_value=0.8), min_size=2, max_size=2, unique=True
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_theta_filter_is_monotone(self, matrices, preset, by_coverage, thetas):
+        """In one round every provenance starts at ``default_accuracy``
+        (0.8), so any θ ≤ 0.8 keeps them all active and the round's
+        accuracies do not depend on θ; a higher θ then leaves no more
+        provenances active."""
+        low, high = sorted(thetas)
+        cols = columns_from_items(_items_map(matrices), FusionConfig().granularity)
+
+        def fuse(theta):
+            config = FusionConfig(
+                max_rounds=1, filter_by_coverage=by_coverage, min_accuracy=theta
+            )
+            return preset(config).fuse(FusionInput.from_columns(cols))
+
+        loose, strict = fuse(low), fuse(high)
+        assert strict.accuracies == loose.accuracies
+        assert strict.diagnostics["n_active_final"] <= loose.diagnostics["n_active_final"]

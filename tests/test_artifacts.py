@@ -174,6 +174,35 @@ class TestCorruptionHandling:
         assert self.load(clone) is None
 
 
+class TestRepair:
+    """A damaged artifact is republished, not missed on forever."""
+
+    def worldgen(self, cache_dir):
+        return artifacts.setup_worldgen(CONFIG.seed, CONFIG.world, CONFIG.web, cache_dir)
+
+    def test_truncated_payload_is_republished(self, warm_cache, tmp_path):
+        corpus = warm_cache[3]
+        assert self.worldgen(tmp_path)[3] == "miss"
+        key = artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web)
+        payload = artifacts.artifact_dir_for(tmp_path, key) / "payload.bin"
+        payload.write_bytes(payload.read_bytes()[:-1])
+
+        assert self.worldgen(tmp_path)[3] == "miss"
+        *_bundle, repaired, status = self.worldgen(tmp_path)
+        assert status == "hit"
+        assert list(repaired.pages) == list(corpus.pages)
+        assert [p.name for p in tmp_path.iterdir()] == [payload.parent.name]
+
+    def test_lost_race_keeps_an_intact_publish(self, tmp_path):
+        final_dir = tmp_path / "scenario-x"
+        files, meta = {"a.bin": b"abc"}, {"key": "x"}
+        artifacts._publish_atomically(final_dir, files, meta)
+        inode = (final_dir / "a.bin").stat().st_ino
+        artifacts._publish_atomically(final_dir, files, meta)
+        assert (final_dir / "a.bin").stat().st_ino == inode
+        assert [p.name for p in tmp_path.iterdir()] == ["scenario-x"]
+
+
 class TestDownstreamBitIdentity:
     def test_records_and_gold_match_fresh_build(self, warm_cache):
         from repro.datasets.scenario import build_extraction_pipeline, label_gold

@@ -40,22 +40,22 @@ class TestDocsLint:
         docs_lint = _load_docs_lint()
         assert docs_lint.check_tool_sync() == []
 
-    def test_bench_sync_requires_the_perf_trajectory_surface(self, tmp_path):
-        """A README that stops documenting the comparator or the
-        --compare gate is a lint failure, not silent rot."""
+    def test_bench_sync_requires_the_runner_and_kfbench(self, tmp_path):
+        """A README that stops documenting the reproduction runner or the
+        kfbench timer — or still names the deleted comparator — is a lint
+        failure, not silent rot."""
         docs_lint = _load_docs_lint()
         (tmp_path / "benchmarks").mkdir()
-        for script in ("run.py", "compare.py"):
-            (tmp_path / "benchmarks" / script).write_text("")
+        (tmp_path / "benchmarks" / "run.py").write_text("")
         readme = tmp_path / "README.md"
 
-        readme.write_text("Use benchmarks/run.py only.\n")
+        readme.write_text("Use benchmarks/run.py, gate via benchmarks/compare.py.\n")
         errors = docs_lint.check_bench_sync(tmp_path)
-        assert any("benchmarks/compare.py" in e for e in errors)
-        assert any("--compare" in e for e in errors)
+        assert any("python -m benchmarks.kfbench" in e for e in errors)
+        assert any("benchmarks/compare.py, which does not exist" in e for e in errors)
 
         readme.write_text(
-            "Run benchmarks/run.py --compare, gate via benchmarks/compare.py.\n"
+            "Reproduce with benchmarks/run.py; time with python -m benchmarks.kfbench.\n"
         )
         assert docs_lint.check_bench_sync(tmp_path) == []
 

@@ -13,11 +13,10 @@ suite (``tests/test_docs.py``):
    the README backend table, and the README must mention every
    subcommand the CLI actually exposes.
 3. **Benchmark entrypoints out of sync** — every ``benchmarks/<x>.py``
-   script the docs mention must exist (the 25 ad-hoc ``bench_fig*``
-   scripts were replaced by the registry runner), and the README must
-   document the ``benchmarks/run.py`` entrypoint itself plus the
-   perf-trajectory surface (``benchmarks/compare.py`` and the
-   ``--compare`` regression gate).
+   script the docs mention must exist, and the README must document both
+   programs under ``benchmarks/``: the result-reproduction runner
+   (``benchmarks/run.py``) and the one timer, kfbench
+   (``python -m benchmarks.kfbench``).
 4. **Tool entrypoints out of sync** — every lint entrypoint under
    ``tools/`` (docs lint, contracts lint) must be mentioned somewhere in
    the tracked docs, and every ``tools/<x>.py`` the docs mention must
@@ -146,7 +145,7 @@ def check_cli_sync(root: Path = REPO_ROOT) -> list[str]:
 
 
 def check_bench_sync(root: Path = REPO_ROOT) -> list[str]:
-    """Doc'd benchmark scripts exist; the runner itself is documented."""
+    """Doc'd benchmark scripts exist; both benchmark programs are documented."""
     errors: list[str] = []
     for name in BENCH_DOCS:
         doc = root / name
@@ -157,17 +156,14 @@ def check_bench_sync(root: Path = REPO_ROOT) -> list[str]:
             if not (root / "benchmarks" / script).exists():
                 errors.append(
                     f"{name}: references benchmarks/{script}, which does "
-                    "not exist (bench cases live in the registry now)"
+                    "not exist"
                 )
     readme_path = root / "README.md"
     if readme_path.exists():
         readme = readme_path.read_text()
-        # The perf-trajectory surface must stay documented alongside the
-        # runner itself: an ungated benchmark is a number nobody trusts.
         for token, what in (
-            ("benchmarks/run.py", "the benchmark runner entrypoint"),
-            ("benchmarks/compare.py", "the perf-trajectory comparator"),
-            ("--compare", "the baseline regression gate flag"),
+            ("benchmarks/run.py", "the result-reproduction runner"),
+            ("python -m benchmarks.kfbench", "the kfbench timer"),
         ):
             if token not in readme:
                 errors.append(f"README.md: {what} {token} is undocumented")
