@@ -2,8 +2,8 @@
 flag validation.
 
 The registry is monkeypatched with throwaway cases so the CLI paths run
-in milliseconds; the real case bodies are exercised by CI's
-reproduction drift gate, not tier-1.
+in milliseconds; the real case bodies are exercised by
+``test_reproduction.py``.
 """
 
 from __future__ import annotations

@@ -59,6 +59,22 @@ class TestDocsLint:
         )
         assert docs_lint.check_bench_sync(tmp_path) == []
 
+    def test_bench_sync_ignores_the_test_tree(self, tmp_path):
+        """``tests/benchmarks/<x>.py`` is a test module, not a missing
+        ``benchmarks/`` script; ``./benchmarks/<x>.py`` still is one."""
+        docs_lint = _load_docs_lint()
+        (tmp_path / "benchmarks").mkdir()
+        (tmp_path / "benchmarks" / "run.py").write_text("")
+        readme = tmp_path / "README.md"
+        runner = "Reproduce with benchmarks/run.py; time with python -m benchmarks.kfbench.\n"
+
+        readme.write_text(runner + "Pinned by tests/benchmarks/test_reproduction.py.\n")
+        assert docs_lint.check_bench_sync(tmp_path) == []
+
+        readme.write_text(runner + "Gate via ./benchmarks/compare.py.\n")
+        errors = docs_lint.check_bench_sync(tmp_path)
+        assert any("benchmarks/compare.py, which does not exist" in e for e in errors)
+
     def test_documented_names_resolve(self):
         docs_lint = _load_docs_lint()
         assert docs_lint.check_dotted_names() == []

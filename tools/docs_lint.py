@@ -69,7 +69,8 @@ REQUIRED_TOOLS = ("tools/docs_lint.py", "tools/contracts_lint.py")
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CLI_MENTION = re.compile(r"repro-kf\s+([a-z][a-z0-9_-]*)")
-_BENCH_SCRIPT = re.compile(r"benchmarks/([A-Za-z0-9_]+\.py)")
+# The lookbehind skips other trees' benchmarks/ dirs (tests/benchmarks/...).
+_BENCH_SCRIPT = re.compile(r"(?<![\w-]/)benchmarks/([A-Za-z0-9_]+\.py)")
 _TOOL_SCRIPT = re.compile(r"tools/([A-Za-z0-9_]+\.py)")
 #: A back-tick followed by a dotted path rooted at the package; whatever
 #: trails the path inside the back-ticks (``()``, arguments) is ignored.
