@@ -110,7 +110,13 @@ def main(argv: list[str] | None = None) -> int:
             REGISTRY[name].run(ctx)
         except AssertionError as error:
             failures.append(name)
-            print(f"{name}: FAILED — {error}", file=sys.stderr)
+            # A bare ``assert`` has an empty message: name the failing check.
+            where = traceback.extract_tb(error.__traceback__)[-1]
+            reason = f"{error} " if str(error) else ""
+            print(
+                f"{name}: FAILED — {reason}at {where.filename}:{where.lineno}: {where.line}",
+                file=sys.stderr,
+            )
         except Exception as error:
             # Any other exception (registry KeyError, missing file, ...)
             # must not abort the whole run: record it, keep going, exit

@@ -77,7 +77,6 @@ __all__ = [
     "save_scenario_artifact",
     "load_scenario_artifact",
     "save_column_store",
-    "open_column_store",
     "prune_cache",
     "setup_worldgen",
 ]
@@ -491,9 +490,6 @@ class ColumnHandle:
     def path_of(self, name: str) -> Path:
         return Path(self.directory) / name
 
-    def manifest(self) -> dict[str, tuple[int, str]]:
-        return {name: (size, digest) for name, size, digest in self.files}
-
 
 def column_store_dir_for(cache_dir: Path | str, key: str) -> Path:
     return Path(cache_dir) / f"columns-{key[:24]}"
@@ -555,49 +551,6 @@ def save_column_store(
     }
     _publish_atomically(final_dir, files, meta)
     return handle
-
-
-def open_column_store(directory: Path | str, verify: bool = False) -> ColumnHandle | None:
-    """Validate a published column store and return its handle, or None.
-
-    A miss is any mismatch: unreadable metadata, a different layout
-    format, or files whose sizes drifted from the manifest.  With
-    ``verify=True`` every file's checksum is recomputed (the corruption
-    check; skipped on the hot path, where the small-scale bitwise-parity
-    tests enforce the contract instead).
-    """
-    directory = Path(directory)
-    try:
-        meta = json.loads((directory / _META).read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if meta.get("format") != COLUMN_FORMAT or meta.get("kind") != "columns":
-        return None
-    manifest = meta.get("files")
-    granularity = meta.get("granularity")
-    key = meta.get("key")
-    if not isinstance(manifest, dict) or not isinstance(granularity, str) or not key:
-        return None
-    try:
-        for name, entry in manifest.items():
-            path = directory / name
-            if path.stat().st_size != entry.get("bytes"):
-                return None
-            if verify:
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                if digest != entry.get("sha256"):
-                    return None
-    except OSError:
-        return None
-    return ColumnHandle(
-        directory=str(directory),
-        key=key,
-        granularity=granularity,
-        files=tuple(
-            (name, int(manifest[name]["bytes"]), str(manifest[name]["sha256"]))
-            for name in sorted(manifest)
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

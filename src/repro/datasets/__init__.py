@@ -8,7 +8,7 @@ laptop-scale configurations (``tiny`` for tests, ``small`` for benches,
 calibrated against the paper's Table 2.
 """
 
-from repro.datasets.profiles import EXTRACTOR_PROFILES, profile_by_name
+from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.datasets.presets import (
     STREAMING_SCALES,
     medium_config,
@@ -25,7 +25,6 @@ from repro.datasets.scenario import (
 
 __all__ = [
     "EXTRACTOR_PROFILES",
-    "profile_by_name",
     "tiny_config",
     "small_config",
     "medium_config",

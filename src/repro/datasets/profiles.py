@@ -30,10 +30,9 @@ ANO    145M     0.28  0.30           corrupted ontology map
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
 from repro.extract.base import ExtractorProfile
 
-__all__ = ["EXTRACTOR_PROFILES", "profile_by_name"]
+__all__ = ["EXTRACTOR_PROFILES"]
 
 
 EXTRACTOR_PROFILES: tuple[ExtractorProfile, ...] = (
@@ -271,14 +270,3 @@ EXTRACTOR_PROFILES: tuple[ExtractorProfile, ...] = (
         confidence="uninformative",
     ),
 )
-
-
-def profile_by_name(name: str) -> ExtractorProfile:
-    """Look up one of the 12 built-in profiles."""
-    for profile in EXTRACTOR_PROFILES:
-        if profile.name == name:
-            return profile
-    raise ConfigError(
-        f"unknown extractor {name!r}; available: "
-        f"{[p.name for p in EXTRACTOR_PROFILES]}"
-    )

@@ -79,15 +79,6 @@ class Scenario:
     def unique_triples(self) -> list[Triple]:
         return self.fusion_input().unique_triples()
 
-    def labeler(self) -> LCWALabeler:
-        return LCWALabeler(self.freebase)
-
-    def page_by_url(self, url: str):
-        for page in self.corpus.pages:
-            if page.url == url:
-                return page
-        raise KeyError(url)
-
     # ------------------------------------------------------------------
     # Headline statistics (Table 1 shape)
     # ------------------------------------------------------------------

@@ -20,10 +20,8 @@ from repro.eval.calibration import (
 from repro.eval.pr import PRCurve, pr_curve, auc_pr
 from repro.eval.kappa import kappa
 from repro.eval.analysis import ErrorBreakdown, analyze_errors
-from repro.eval.gold import GoldStandard
 
 __all__ = [
-    "GoldStandard",
     "CalibrationCurve",
     "calibration_curve",
     "deviation",

@@ -69,12 +69,6 @@ class CalibrationCurve:
         """(predicted, real) pairs for non-empty buckets — the plotted curve."""
         return [(b.predicted, b.real) for b in self.buckets if b.count > 0]
 
-    def deviation(self) -> float:
-        return deviation(self)
-
-    def weighted_deviation(self) -> float:
-        return weighted_deviation(self)
-
 
 def labelled_arrays(
     probabilities: dict[Triple, float], gold: dict[Triple, bool]

@@ -32,9 +32,6 @@ class PRCurve:
     def points(self) -> list[tuple[float, float]]:
         return list(zip(self.recalls, self.precisions))
 
-    def auc(self) -> float:
-        return auc_pr(self)
-
 
 def pr_curve(
     probabilities: dict[Triple, float], gold: dict[Triple, bool]

@@ -5,6 +5,11 @@ initialisation vs gold-standard initialisation — the paper observes a big
 move after round 1 with default init, near-flatness with gold init.
 Right: the (L, R) table — sampling L=1K instead of 1M and terminating at
 R=5 instead of 25 barely changes the measures.
+
+The ``L`` row is vacuous at ``tiny`` and ``small``: L=1K draws only for a
+data item with more than 1,000 claims, and the largest ``small`` item
+holds 526, so ``L=1K, R=5`` prints the ``L=1M, R=5`` numbers.  Sampling
+first engages at ``--scale medium`` (an item there holds 1,557 claims).
 """
 
 from __future__ import annotations

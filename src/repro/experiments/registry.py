@@ -20,9 +20,6 @@ class ExperimentResult:
     text: str
     data: dict = field(default_factory=dict)
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.text
-
 
 def _load_runners() -> dict[str, Callable[[Scenario], ExperimentResult]]:
     # Imported lazily to avoid a costly import cycle at package import.
@@ -89,7 +86,7 @@ def _runners() -> dict[str, Callable[[Scenario], ExperimentResult]]:
 
 
 class _Registry:
-    """Mapping-like read-only view over the lazily-loaded runners."""
+    """``EXPERIMENTS[id]``: the runner of one experiment, loaded lazily."""
 
     def __getitem__(self, experiment_id: str):
         try:
@@ -99,21 +96,6 @@ class _Registry:
                 f"unknown experiment {experiment_id!r}; "
                 f"available: {sorted(_runners())}"
             ) from None
-
-    def __iter__(self):
-        return iter(_runners())
-
-    def __len__(self) -> int:
-        return len(_runners())
-
-    def __contains__(self, experiment_id: str) -> bool:
-        return experiment_id in _runners()
-
-    def items(self):
-        return _runners().items()
-
-    def keys(self):
-        return _runners().keys()
 
 
 EXPERIMENTS = _Registry()

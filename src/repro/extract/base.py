@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.extract.confidence import ConfidenceModel, make_confidence_model
-from repro.extract.kernels import classify_batch
 from repro.extract.linkage import EntityLinker
 from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import (
@@ -33,7 +32,7 @@ from repro.extract.synthesis import (
 )
 from repro.kb.schema import Schema
 from repro.rng import split_seed, stream_seed
-from repro.world.webgen import WebCorpus, WebPage
+from repro.world.webgen import WebPage
 
 __all__ = ["ExtractorProfile", "Extractor"]
 
@@ -220,11 +219,6 @@ class Extractor(abc.ABC):
         :func:`~repro.extract.synthesis.emit_plan` carrying the
         per-predicate constants."""
 
-    def extract_page(self, page: WebPage) -> list[ExtractionRecord]:
-        """All records this extractor produces from ``page``, whether or
-        not it covers it: the one-page case of :meth:`extract_pages_batch`."""
-        return self.extract_pages_batch([page], mask=np.ones(1, dtype=bool))[0]
-
     def extract_pages_batch(
         self,
         pages: Sequence[WebPage],
@@ -259,23 +253,6 @@ class Extractor(abc.ABC):
                 reset(slot)
                 per_page[index] = synthesize_page(pages[index], emit)
         return per_page
-
-    def extract_corpus(self, corpus: WebCorpus) -> list[ExtractionRecord]:
-        """Classified extraction over every covered page of ``corpus``.
-
-        Records pass through the same injected-error classification
-        (:func:`~repro.extract.kernels.classify_batch`) and the same
-        synthesis entry point (:meth:`extract_pages_batch`) as
-        :meth:`ExtractionPipeline.run <repro.extract.pipeline.ExtractionPipeline.run>`.
-        """
-        per_page = self.extract_pages_batch(corpus.pages)
-        batches = [
-            (page, page_records)
-            for page, page_records in zip(corpus.pages, per_page)
-            if page_records
-        ]
-        classify_batch(batches)
-        return [record for _page, records in batches for record in records]
 
     def reliability_for(self, key: str) -> float:
         """Deterministic per-(extractor, key) reliability draw from the

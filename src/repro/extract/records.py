@@ -14,7 +14,7 @@ checks that fusion results are invariant to stripping the debug channel.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.kb.triples import Triple
 from repro.mapreduce.codec import WireCodec
@@ -86,21 +86,10 @@ class ExtractionRecord:
     confidence: float | None = None
     debug: ExtractionDebug | None = None
 
-    def without_debug(self) -> "ExtractionRecord":
-        """A copy with the debug channel stripped (public view)."""
-        if self.debug is None:
-            return self
-        return replace(self, debug=None)
-
     @property
     def is_extraction_error(self) -> bool:
         """Analysis helper; requires the debug channel."""
         return self.debug is not None and self.debug.error_kind is not None
-
-    @property
-    def is_source_error(self) -> bool:
-        """Analysis helper; requires the debug channel."""
-        return self.debug is not None and self.debug.source_error
 
 
 # ---------------------------------------------------------------------------

@@ -263,9 +263,6 @@ class PageRNGBank:
         self._bit_generator = np.random.PCG64(0)
         self.generator = np.random.Generator(self._bit_generator)
 
-    def __len__(self) -> int:
-        return len(self._states)
-
     def reset(self, slot: int) -> np.random.Generator:
         """Point the bank's generator at page ``slot``'s stream."""
         self._bit_generator.state = self._states[slot]

@@ -12,10 +12,9 @@ storage half:
   only the ~300-byte :class:`~repro.artifacts.ColumnHandle`; each pool
   worker re-maps the files, so the static columns are shared zero-copy
   through the page cache — the PR 5 shared-memory channel extended from
-  per-round vectors to the claim matrix itself.  The object columns
-  (``items``/``triples``/``provenances``) load lazily on first touch:
-  the batched Stage-I shard never touches them, so hybrid workers stay
-  numeric.
+  per-round vectors to the claim matrix itself.  A worker's copy has no
+  object columns (``items``/``triples``/``provenances``): the batched
+  Stage-I shard never touches them, so hybrid workers stay numeric.
 - :func:`persist_columns` publishes an in-memory column set and maps it
   back.
 
@@ -24,8 +23,6 @@ Fusion consumes either kind of column set through
 """
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 
@@ -61,8 +58,6 @@ NUMERIC_COLUMNS = (
     "prov_ptr",
 )
 RANK_COLUMN = "canonical_rank"
-_OBJECT_COLUMNS = ("items", "triples", "provenances")
-_OBJECTS_FILE = "objects.pkl"
 
 
 class MappedColumnarClaims(ColumnarClaims):
@@ -70,11 +65,11 @@ class MappedColumnarClaims(ColumnarClaims):
 
     Constructed from a :class:`~repro.artifacts.ColumnHandle`; the
     numeric columns and the canonical rank open eagerly as read-only
-    memmaps, while the object columns unpickle from ``objects.pkl`` on
-    first attribute access (``__getattr__`` fires because the dataclass
-    declares no class-level default for them).  ``__reduce__`` ships the
-    handle only, so installing an instance as pool-resident state costs
-    a few hundred bytes per worker regardless of matrix size.
+    memmaps.  The object columns are the lists :func:`persist_columns`
+    adopts; ``objects.pkl`` holds them on disk, and nothing reads it back.
+    ``__reduce__`` ships the handle only, so installing an instance as
+    pool-resident state costs a few hundred bytes per worker regardless
+    of matrix size.
     """
 
     def __init__(self, handle: ColumnHandle) -> None:
@@ -89,21 +84,6 @@ class MappedColumnarClaims(ColumnarClaims):
             handle.path_of(f"{RANK_COLUMN}.npy"), mmap_mode="r"
         )
         self._closed = False
-
-    def __getattr__(self, name: str):
-        if name in _OBJECT_COLUMNS:
-            self._load_objects()
-            return self.__dict__[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def _load_objects(self) -> None:
-        with open(self.handle.path_of(_OBJECTS_FILE), "rb") as fh:
-            items, triples, provenances = pickle.load(fh)
-        self.items = items
-        self.triples = triples
-        self.provenances = provenances
 
     def adopt_objects(
         self,
@@ -121,22 +101,8 @@ class MappedColumnarClaims(ColumnarClaims):
         self.triples = triples
         self.provenances = provenances
 
-    def objects_loaded(self) -> bool:
-        return "triples" in self.__dict__
-
     def __reduce__(self):
         return (type(self), (self.handle,))
-
-    def __repr__(self) -> str:  # the dataclass repr would force objects.pkl
-        return (
-            f"{type(self).__name__}(key={self.handle.key[:12]!r}, "
-            f"n_rows={self.n_rows}, n_claims={self.n_claims}, "
-            f"closed={self._closed})"
-        )
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         """Release every mapped view (and its file descriptor).

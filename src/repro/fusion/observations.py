@@ -108,13 +108,6 @@ class FusionInput:
             return [cols.triples[r] for r in np.argsort(cols.canonical_rank()).tolist()]
         return self._accumulated().unique_triples()
 
-    def __len__(self) -> int:
-        """Records held — or, over bare columns, unique claims."""
-        if self.records is None:
-            (matrix,) = self._cache.values()
-            return matrix.n_claims()
-        return len(self.records)
-
 
 def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
@@ -178,10 +171,6 @@ class ColumnarSlice:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
-
-    @property
-    def n_claims(self) -> int:
-        return len(self.claim_prov)
 
 
 @dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
@@ -401,10 +390,6 @@ class ClaimAccumulator:
         self._layout = None
         self.n_records += len(records)
 
-    @property
-    def n_rows(self) -> int:
-        return len(self._row_of)
-
     def _laid_out(self) -> _Layout:
         if self._layout is None:
             self._layout = self._lay_out()
@@ -570,12 +555,6 @@ class ClaimMatrix:
         self._accumulated = accumulated or functools.partial(_accumulate, records)
         self._arrival_rows: np.ndarray | None = None
 
-    @staticmethod
-    def build(
-        records: list[ExtractionRecord], granularity: Granularity
-    ) -> "ClaimMatrix":
-        return ClaimMatrix(granularity, records=records)
-
     def columnar(self) -> ColumnarClaims:
         """The cached int-coded CSR form (built on first use)."""
         if self._columnar is None:
@@ -590,6 +569,3 @@ class ClaimMatrix:
         columns, which carry no arrival order."""
         self.columnar()
         return self._arrival_rows
-
-    def n_claims(self) -> int:
-        return self.columnar().n_claims

@@ -74,9 +74,6 @@ class EntityRegistry:
     def __len__(self) -> int:
         return len(self._by_id)
 
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._by_id
-
     def __iter__(self):
         return iter(self._by_id.values())
 
@@ -85,10 +82,6 @@ class EntityRegistry:
             return self._by_id[entity_id]
         except KeyError:
             raise SchemaError(f"unknown entity {entity_id!r}") from None
-
-    def ids(self) -> list[str]:
-        """All entity ids in insertion order."""
-        return list(self._by_id)
 
     def of_type(self, type_id: str) -> tuple[Entity, ...]:
         """Entities belonging to ``type_id``, in insertion order.
@@ -109,9 +102,3 @@ class EntityRegistry:
         surface form with more than one candidate is *ambiguous*.
         """
         return [self._by_id[eid] for eid in self._by_surface.get(surface, [])]
-
-    def ambiguous_surfaces(self) -> list[str]:
-        """All surface forms shared by at least two entities."""
-        return sorted(
-            form for form, eids in self._by_surface.items() if len(eids) > 1
-        )

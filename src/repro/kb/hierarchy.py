@@ -41,9 +41,6 @@ class ValueHierarchy:
         self._parent[child] = parent
         self._children.setdefault(parent, []).append(child)
 
-    def parent(self, entity_id: str) -> str | None:
-        return self._parent.get(entity_id)
-
     def children(self, entity_id: str) -> list[str]:
         return list(self._children.get(entity_id, []))
 
@@ -56,10 +53,6 @@ class ValueHierarchy:
             cursor = self._parent.get(cursor)
         return chain
 
-    def chain(self, entity_id: str) -> list[str]:
-        """``[entity_id, parent, ..., root]`` — the full containment chain."""
-        return [entity_id, *self.ancestors(entity_id)]
-
     def is_ancestor(self, ancestor: str, descendant: str) -> bool:
         """True if ``ancestor`` strictly contains ``descendant``."""
         return ancestor in self.ancestors(descendant)
@@ -67,22 +60,3 @@ class ValueHierarchy:
     def related(self, a: str, b: str) -> bool:
         """True if one of ``a``/``b`` contains the other (or they are equal)."""
         return a == b or self.is_ancestor(a, b) or self.is_ancestor(b, a)
-
-    def depth(self, entity_id: str) -> int:
-        """0 for roots, 1 for their children, and so on."""
-        return len(self.ancestors(entity_id))
-
-    def roots(self) -> list[str]:
-        """All known entities with no parent, in insertion order."""
-        seen = dict.fromkeys(self._children)
-        seen.update(dict.fromkeys(self._parent))
-        return [eid for eid in seen if eid not in self._parent]
-
-    def members(self) -> list[str]:
-        """Every entity id that appears in the hierarchy."""
-        seen = dict.fromkeys(self._parent)
-        seen.update(dict.fromkeys(self._children))
-        return list(seen)
-
-    def __contains__(self, entity_id: str) -> bool:
-        return entity_id in self._parent or entity_id in self._children

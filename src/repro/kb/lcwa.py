@@ -59,11 +59,3 @@ class LCWALabeler:
             elif label is Label.FALSE:
                 labels[triple] = False
         return labels
-
-    def coverage(self, triples) -> float:
-        """Fraction of triples that receive a label (the paper saw 40%)."""
-        triples = list(triples)
-        if not triples:
-            return 0.0
-        labelled = sum(1 for t in triples if self.label(t) is not Label.UNKNOWN)
-        return labelled / len(triples)

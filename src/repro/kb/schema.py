@@ -88,11 +88,6 @@ class Predicate:
                 f"entity-valued predicate {self.pid} needs an object_type_id"
             )
 
-    @property
-    def name(self) -> str:
-        """The last path segment, e.g. ``birth_date``."""
-        return self.pid.rsplit("/", 1)[-1]
-
 
 @dataclass(frozen=True, slots=True)
 class EntityType:
@@ -105,14 +100,6 @@ class EntityType:
             raise SchemaError(
                 f"type id must be '<domain>/<name>', got {self.type_id!r}"
             )
-
-    @property
-    def domain(self) -> str:
-        return self.type_id.split("/", 1)[0]
-
-    @property
-    def name(self) -> str:
-        return self.type_id.split("/", 1)[1]
 
 
 @dataclass
@@ -144,25 +131,12 @@ class Schema:
         except KeyError:
             raise SchemaError(f"unknown predicate {pid!r}") from None
 
-    def entity_type(self, type_id: str) -> EntityType:
-        try:
-            return self.types[type_id]
-        except KeyError:
-            raise SchemaError(f"unknown type {type_id!r}") from None
-
     def predicates_of_type(self, type_id: str) -> list[Predicate]:
         """All predicates attached to ``type_id``, in pid order."""
         return sorted(
             (p for p in self.predicates.values() if p.type_id == type_id),
             key=lambda p: p.pid,
         )
-
-    def functional_share(self) -> float:
-        """Fraction of predicates that are functional (cf. Table 3)."""
-        if not self.predicates:
-            raise SchemaError("empty schema has no functional share")
-        functional = sum(1 for p in self.predicates.values() if p.functional)
-        return functional / len(self.predicates)
 
     def validate(self) -> None:
         """Check cross-references (confusable_with, object types)."""

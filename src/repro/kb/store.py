@@ -1,16 +1,14 @@
 """Indexed triple store.
 
 :class:`KnowledgeBase` is the Freebase stand-in: a set of triples with
-indexes by data item, subject, and predicate.  It is used twice in the
-pipeline — once as the *snapshot* against which the LCWA gold standard is
-built, and once as the destination the fused triples would be written to.
+an index by data item.  It is used twice in the pipeline — once as the
+*snapshot* against which the LCWA gold standard is built, and once as
+the destination the fused triples would be written to.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import Value
@@ -20,7 +18,7 @@ __all__ = ["KnowledgeBase"]
 
 @dataclass
 class KnowledgeBase:
-    """A set of knowledge triples with the indexes fusion needs.
+    """A set of knowledge triples with the index LCWA labelling needs.
 
     The store is append-only (Freebase snapshots do not lose facts during a
     fusion run); adding a duplicate triple is a no-op so ingestion is
@@ -30,8 +28,6 @@ class KnowledgeBase:
     name: str = "kb"
     _triples: set[Triple] = field(default_factory=set)
     _by_item: dict[DataItem, list[Triple]] = field(default_factory=dict)
-    _by_subject: dict[str, list[Triple]] = field(default_factory=dict)
-    _by_predicate: dict[str, list[Triple]] = field(default_factory=dict)
 
     def add(self, triple: Triple) -> bool:
         """Insert ``triple``; return True if it was new."""
@@ -39,22 +35,10 @@ class KnowledgeBase:
             return False
         self._triples.add(triple)
         self._by_item.setdefault(triple.data_item, []).append(triple)
-        self._by_subject.setdefault(triple.subject, []).append(triple)
-        self._by_predicate.setdefault(triple.predicate, []).append(triple)
         return True
-
-    def add_all(self, triples: Iterable[Triple]) -> int:
-        """Insert many triples; return how many were new."""
-        return sum(1 for t in triples if self.add(t))
-
-    def __len__(self) -> int:
-        return len(self._triples)
 
     def __contains__(self, triple: Triple) -> bool:
         return triple in self._triples
-
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
 
     def has_item(self, item: DataItem) -> bool:
         """True if the KB knows *any* value for this data item.
@@ -67,36 +51,3 @@ class KnowledgeBase:
     def values_for(self, item: DataItem) -> list[Value]:
         """The object values the KB stores for ``item`` (possibly many)."""
         return [t.obj for t in self._by_item.get(item, [])]
-
-    def triples_for(self, item: DataItem) -> list[Triple]:
-        return list(self._by_item.get(item, []))
-
-    def triples_of_subject(self, subject: str) -> list[Triple]:
-        return list(self._by_subject.get(subject, []))
-
-    def triples_of_predicate(self, predicate: str) -> list[Triple]:
-        return list(self._by_predicate.get(predicate, []))
-
-    def data_items(self) -> list[DataItem]:
-        return list(self._by_item)
-
-    def subjects(self) -> list[str]:
-        return list(self._by_subject)
-
-    def predicates(self) -> list[str]:
-        return list(self._by_predicate)
-
-    def item_value_counts(self) -> Counter:
-        """#values per data item — the truth-count distribution of Fig 20."""
-        return Counter({item: len(ts) for item, ts in self._by_item.items()})
-
-    def stats(self) -> dict[str, int]:
-        """Headline counts in the shape of the paper's Table 1."""
-        objects = {t.obj for t in self._triples}
-        return {
-            "triples": len(self._triples),
-            "subjects": len(self._by_subject),
-            "predicates": len(self._by_predicate),
-            "objects": len(objects),
-            "data_items": len(self._by_item),
-        }

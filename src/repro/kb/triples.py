@@ -25,9 +25,6 @@ class DataItem:
     def canonical(self) -> str:
         return f"{self.subject}|{self.predicate}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
-
 
 @dataclass(frozen=True, slots=True)
 class Triple:
@@ -50,21 +47,6 @@ class Triple:
             return NotImplemented
         return self.canonical() < other.canonical()
 
-    def __le__(self, other: "Triple") -> bool:
-        if not isinstance(other, Triple):
-            return NotImplemented
-        return self.canonical() <= other.canonical()
-
-    def __gt__(self, other: "Triple") -> bool:
-        if not isinstance(other, Triple):
-            return NotImplemented
-        return self.canonical() > other.canonical()
-
-    def __ge__(self, other: "Triple") -> bool:
-        if not isinstance(other, Triple):
-            return NotImplemented
-        return self.canonical() >= other.canonical()
-
     @property
     def data_item(self) -> DataItem:
         return DataItem(self.subject, self.predicate)
@@ -85,6 +67,3 @@ class Triple:
             raise ValueError(f"not a canonical triple string: {text!r}")
         subject, predicate, value_text = parts
         return Triple(subject, predicate, parse_value(value_text))
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()

@@ -24,9 +24,6 @@ class EntityRef:
     def canonical(self) -> str:
         return f"entity:{self.entity_id}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class StringValue:
@@ -36,9 +33,6 @@ class StringValue:
 
     def canonical(self) -> str:
         return f"string:{self.text}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -67,9 +61,6 @@ class NumberValue:
             return f"number:{int(self.value)}"
         return f"number:{self.value:g}"
 
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class DateValue:
@@ -79,9 +70,6 @@ class DateValue:
 
     def canonical(self) -> str:
         return f"date:{self.iso}"
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical()
 
 
 Value = Union[EntityRef, StringValue, NumberValue, DateValue]

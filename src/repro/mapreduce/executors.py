@@ -480,19 +480,6 @@ class ParallelExecutor:
         self._state_blobs: dict[str, bytes] = {}
         self._round_segments: dict[str, shared_memory.SharedMemory] = {}
 
-    @property
-    def state_bytes(self) -> int:
-        """Pickled bytes of the currently installed pool-resident state.
-
-        What a pool (re)start ships to *each* worker.  The out-of-core
-        tier's headline: memory-mapped claim columns install as a
-        ~kilobyte :class:`~repro.artifacts.ColumnHandle` here where the
-        in-memory columns would ship megabytes per worker
-        (``state_bytes_shipped`` accumulates the same quantity across
-        the executor's whole life).
-        """
-        return sum(len(blob) for blob in self._state_blobs.values())
-
     def diagnostics(self) -> dict:
         """The pool's size and shipped state bytes.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "format_kv"]
+__all__ = ["format_table", "format_series"]
 
 
 def _cell(value: object, float_digits: int) -> str:
@@ -63,8 +63,3 @@ def format_series(
     return format_table(
         [x_label, y_label], list(points), title=name, float_digits=float_digits
     )
-
-
-def format_kv(pairs: Iterable[tuple[str, object]], float_digits: int = 3) -> str:
-    """Render ``key: value`` lines with floats formatted consistently."""
-    return "\n".join(f"{k}: {_cell(v, float_digits)}" for k, v in pairs)

@@ -132,16 +132,3 @@ class AnnotationBlock:
 
 
 ContentElement = Union[TextDocument, DomTree, WebTable, AnnotationBlock]
-
-
-def content_type_of(element: ContentElement) -> str:
-    """The paper's content-type tag (TXT/DOM/TBL/ANO) for ``element``."""
-    if isinstance(element, TextDocument):
-        return "TXT"
-    if isinstance(element, DomTree):
-        return "DOM"
-    if isinstance(element, WebTable):
-        return "TBL"
-    if isinstance(element, AnnotationBlock):
-        return "ANO"
-    raise TypeError(f"not a content element: {element!r}")

@@ -16,7 +16,7 @@ truth set of every data item.  Two derived artifacts matter downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -107,8 +107,7 @@ class World:
     wrong string draw (:class:`_WorldTables`) are built from those three
     as they are at first use.  The tables are derived state only: not a
     dataclass field, so they take no part in ``==`` / ``repr``, and never
-    pickled (the artifact pickler writes ``cls(*fields)``; stock pickling
-    goes through :meth:`__getstate__`).
+    reach an artifact (its pickler writes ``cls(*fields)``).
     """
 
     config: WorldConfig
@@ -126,10 +125,6 @@ class World:
     @cached_property
     def _tables(self) -> _WorldTables:
         return _WorldTables(self.truths)
-
-    def __getstate__(self) -> dict:
-        # Fields only: the tables stay behind and are rebuilt on demand.
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Truth queries
@@ -166,9 +161,6 @@ class World:
         """Exactly true, or a true generalisation."""
         return self.is_true_exact(triple) or self.is_generalization(triple)
 
-    def data_items(self) -> list[DataItem]:
-        return list(self.truths)
-
     def items_of(self, entity: Entity) -> tuple[DataItem, ...]:
         """``entity``'s data items that have truths, in schema predicate order."""
         memo = self._tables.entity_items
@@ -204,12 +196,6 @@ class World:
             )
             cached = memo[topic_types] = (pool, weights / weights.sum())
         return cached
-
-    def true_triples(self):
-        """Iterate every exactly-true triple in the world."""
-        for item, values in self.truths.items():
-            for value in values:
-                yield Triple(item.subject, item.predicate, value)
 
     # ------------------------------------------------------------------
     # Wrong-value pools

@@ -36,7 +36,6 @@ from repro.world.content import (
     Sentence,
     TextDocument,
     WebTable,
-    content_type_of,
 )
 from repro.world.facts import SourceAssertion, World
 from repro.world.labels import (
@@ -98,29 +97,6 @@ class WebCorpus:
     config: WebConfig
     sites: dict[str, SiteProfile]
     pages: list[WebPage] = field(default_factory=list)
-
-    def pages_of_site(self, domain: str) -> list[WebPage]:
-        return [p for p in self.pages if p.site == domain]
-
-    def n_assertions(self) -> int:
-        return sum(len(p.assertions) for p in self.pages)
-
-    def stats(self) -> dict[str, float]:
-        """Headline corpus statistics (used by the Table 1 experiment)."""
-        per_page = [len(p.assertions) for p in self.pages]
-        content_counts: dict[str, int] = {}
-        for page in self.pages:
-            for element in page.elements:
-                key = content_type_of(element)
-                content_counts[key] = content_counts.get(key, 0) + 1
-        return {
-            "sites": len(self.sites),
-            "pages": len(self.pages),
-            "assertions": sum(per_page),
-            "mean_assertions_per_page": float(np.mean(per_page)) if per_page else 0.0,
-            "median_assertions_per_page": float(np.median(per_page)) if per_page else 0.0,
-            **{f"elements_{k}": v for k, v in sorted(content_counts.items())},
-        }
 
 
 # ---------------------------------------------------------------------------

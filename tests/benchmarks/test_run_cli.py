@@ -32,12 +32,19 @@ def _raises(error: Exception):
     return run
 
 
+def _bare_assert(ctx) -> None:
+    # What a failing bare ``assert`` raises; pytest would rewrite a real one
+    # here to carry a message.
+    raise AssertionError
+
+
 @pytest.fixture
 def fake_registry(monkeypatch):
     registry = {
         "alpha": _case("alpha", _writes("alpha")),
         "boom": _case("boom", _raises(KeyError("lost-shard"))),
         "contract": _case("contract", _raises(AssertionError("parity broke"))),
+        "bare": _case("bare", _bare_assert),
         "omega": _case("omega", _writes("omega")),
     }
     monkeypatch.setattr(run_mod, "REGISTRY", registry)
@@ -63,11 +70,11 @@ class TestSelection:
         assert "mutually exclusive" in capsys.readouterr().err
 
     def test_all_runs_every_registered_case(self, fake_registry, tmp_path, capsys):
-        assert run_cli(tmp_path, "--all") == 1  # boom + contract fail
+        assert run_cli(tmp_path, "--all") == 1  # bare + boom + contract fail
         results = tmp_path / "results"
         assert (results / "alpha.txt").exists()
         assert (results / "omega.txt").exists()
-        assert "2 case(s) failed: boom, contract" in capsys.readouterr().err
+        assert "3 case(s) failed: bare, boom, contract" in capsys.readouterr().err
 
     def test_list_exits_zero(self, fake_registry, tmp_path, capsys):
         assert run_mod.main(["--list"]) == 0
@@ -100,6 +107,17 @@ class TestFailureIsolation:
         assert code == 1
         err = capsys.readouterr().err
         assert "contract: FAILED — parity broke" in err
+        assert "Traceback" not in err
+        assert (tmp_path / "results" / "omega.txt").exists()
+
+    def test_bare_assert_names_the_failing_check(self, fake_registry, tmp_path, capsys):
+        # Regression: a bare ``assert`` printed "bare: FAILED — " and nothing
+        # after the dash.
+        code = run_cli(tmp_path, "--case", "bare", "--case", "omega")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"bare: FAILED — at {__file__}:" in err
+        assert err.splitlines()[0].endswith(": raise AssertionError")
         assert "Traceback" not in err
         assert (tmp_path / "results" / "omega.txt").exists()
 

@@ -6,11 +6,9 @@ from repro.datasets import (
     EXTRACTOR_PROFILES,
     build_scenario,
     medium_config,
-    profile_by_name,
     small_config,
     tiny_config,
 )
-from repro.errors import ConfigError
 
 
 class TestProfiles:
@@ -43,14 +41,11 @@ class TestProfiles:
         assert no_conf == {"DOM5", "TBL2"}
 
     def test_site_restrictions_match_paper(self):
-        assert profile_by_name("TXT4").site_categories == ("wiki",)
-        assert profile_by_name("DOM5").site_categories == ("wiki",)
-        assert profile_by_name("TXT3").site_categories == ("news",)
-        assert profile_by_name("DOM1").site_categories is None
-
-    def test_unknown_profile_raises(self):
-        with pytest.raises(ConfigError):
-            profile_by_name("TXT99")
+        profiles = {p.name: p for p in EXTRACTOR_PROFILES}
+        assert profiles["TXT4"].site_categories == ("wiki",)
+        assert profiles["DOM5"].site_categories == ("wiki",)
+        assert profiles["TXT3"].site_categories == ("news",)
+        assert profiles["DOM1"].site_categories is None
 
 
 class TestPresets:
@@ -93,12 +88,6 @@ class TestScenario:
 
     def test_fusion_input_cached(self, tiny_scenario):
         assert tiny_scenario.fusion_input() is tiny_scenario.fusion_input()
-
-    def test_page_lookup(self, tiny_scenario):
-        url = tiny_scenario.corpus.pages[0].url
-        assert tiny_scenario.page_by_url(url).url == url
-        with pytest.raises(KeyError):
-            tiny_scenario.page_by_url("http://nowhere.example.org/x")
 
     def test_different_seeds_differ(self, tiny_scenario, tiny_scenario_alt_seed):
         assert tiny_scenario.records != tiny_scenario_alt_seed.records

@@ -95,10 +95,3 @@ class TestDeviation:
             deviation(curve)
         with pytest.raises(EvaluationError):
             weighted_deviation(curve)
-
-    def test_curve_methods_match_functions(self):
-        probabilities = {t("a"): 0.7, t("b"): 0.2}
-        gold = {t("a"): True, t("b"): False}
-        curve = calibration_curve(probabilities, gold)
-        assert curve.deviation() == deviation(curve)
-        assert curve.weighted_deviation() == weighted_deviation(curve)

@@ -67,12 +67,6 @@ class TestAUC:
         # Random ranking's AUC-PR ~= base rate.
         assert area == pytest.approx(0.3, abs=0.07)
 
-    def test_auc_matches_curve_method(self):
-        probabilities = {t("a"): 0.9, t("b"): 0.1}
-        gold = {t("a"): True, t("b"): False}
-        curve = pr_curve(probabilities, gold)
-        assert curve.auc() == auc_pr(curve)
-
     def test_better_ranking_higher_auc(self):
         gold = {t(f"x{i}"): i < 10 for i in range(100)}
         good = {t(f"x{i}"): 1.0 - i / 100 for i in range(100)}

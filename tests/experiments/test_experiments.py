@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments import experiment_ids, run_experiment
 
 ALL_IDS = [
     "table1", "table2", "table3",
@@ -20,10 +20,6 @@ class TestRegistry:
     def test_unknown_id_raises(self, tiny_scenario):
         with pytest.raises(ExperimentError):
             run_experiment("fig99", tiny_scenario)
-
-    def test_registry_mapping_protocol(self):
-        assert "fig9" in EXPERIMENTS
-        assert len(EXPERIMENTS) == len(ALL_IDS)
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)

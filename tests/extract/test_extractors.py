@@ -6,12 +6,14 @@ every error downstream is therefore attributable to a deliberately-enabled
 noise mechanism.
 """
 
+import numpy as np
 import pytest
 
 from repro.extract.annotation import AnnotationExtractor
 from repro.extract.base import ExtractorProfile
 from repro.extract.dom import DomExtractor
 from repro.extract.linkage import EntityLinker
+from repro.extract.pipeline import ExtractionPipeline
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.world.config import WebConfig, WorldConfig
@@ -82,11 +84,16 @@ def perfect_extractor(family, name, content, clean_world, linker, **extra):
     return family(profile, clean_world.schema, linker, seed=13)
 
 
+def extract_page(extractor, page):
+    """Every record ``extractor`` draws from ``page``, covered or not."""
+    return extractor.extract_pages_batch([page], mask=np.ones(1, dtype=bool))[0]
+
+
 def assert_faithful(extractor, corpus):
     """Every record of a perfect extractor equals its source assertion."""
     total = 0
     for page in corpus.pages:
-        for record in extractor.extract_page(page):
+        for record in extract_page(extractor, page):
             total += 1
             assert record.debug is not None
             index = record.debug.asserted_index
@@ -133,7 +140,7 @@ class TestPerfectExtractorsAreFaithful:
         )
         total = 0
         for page in clean_corpus.pages:
-            for record in extractor.extract_page(page):
+            for record in extract_page(extractor, page):
                 total += 1
                 asserted = page.assertions[record.debug.asserted_index].triple
                 if record.triple == asserted:
@@ -164,7 +171,7 @@ class TestNoiseMechanisms:
         )
         mismatches = 0
         for page in clean_corpus.pages:
-            for record in extractor.extract_page(page):
+            for record in extract_page(extractor, page):
                 index = record.debug.asserted_index
                 if index is None or record.triple != page.assertions[index].triple:
                     mismatches += 1
@@ -201,11 +208,11 @@ class TestNoiseMechanisms:
         extractor = perfect_extractor(
             DomExtractor, "DOMC", ("DOM",), clean_world, linker, confidence="none"
         )
-        records = extractor.extract_corpus(clean_corpus)
+        records = ExtractionPipeline([extractor]).run(clean_corpus)
         assert records
         assert all(r.confidence is None for r in records)
-        # extract_corpus classifies like the pipeline: a perfect extractor
-        # on a clean corpus carries only clean debug channels.
+        # A perfect extractor on a clean corpus carries only clean debug
+        # channels once the pipeline has classified its records.
         assert all(r.debug is not None and r.debug.error_kind is None for r in records)
 
     def test_value_kind_restriction(self, clean_world, clean_corpus, linker):
@@ -219,16 +226,16 @@ class TestNoiseMechanisms:
             linker,
             value_kinds=("entity",),
         )
-        records = extractor.extract_corpus(clean_corpus)
+        records = ExtractionPipeline([extractor]).run(clean_corpus)
         assert records
         assert all(isinstance(r.triple.obj, EntityRef) for r in records)
         assert all(r.debug is not None and r.debug.error_kind is None for r in records)
 
-    def test_extract_corpus_classifies_like_pipeline(
+    def test_single_extractor_pipeline_classifies_its_records(
         self, clean_world, clean_corpus, linker
     ):
-        """Regression: extract_corpus used to skip classify_record, so its
-        debug channels silently carried error_kind=None everywhere."""
+        """A one-extractor pipeline classifies like the oracle does, so a
+        misgrab-heavy extractor surfaces concrete error kinds."""
         from tests.oracle.extract import classify_record
 
         extractor = perfect_extractor(
@@ -242,7 +249,7 @@ class TestNoiseMechanisms:
             reliability_mean=0.2,
             reliability_concentration=30.0,
         )
-        records = extractor.extract_corpus(clean_corpus)
+        records = ExtractionPipeline([extractor]).run(clean_corpus)
         assert records
         pages = {page.url: page for page in clean_corpus.pages}
         reclassified = [classify_record(r, pages[r.url]) for r in records]
@@ -309,6 +316,6 @@ class TestTableSpecifics:
         ]
         if not offset_pages:
             pytest.skip("no offset-subject tables rendered in this corpus")
-        naive_records = [r for p in offset_pages for r in naive.extract_page(p)]
-        smart_records = [r for p in offset_pages for r in smart.extract_page(p)]
+        naive_records = [r for p in offset_pages for r in extract_page(naive, p)]
+        smart_records = [r for p in offset_pages for r in extract_page(smart, p)]
         assert len(smart_records) > len(naive_records)

@@ -26,19 +26,6 @@ def make_record(**kwargs):
     return ExtractionRecord(**defaults)
 
 
-class TestWithoutDebug:
-    def test_strips_debug(self):
-        record = make_record()
-        public = record.without_debug()
-        assert public.debug is None
-        assert public.triple == record.triple
-        assert public.confidence == record.confidence
-
-    def test_noop_when_already_stripped(self):
-        record = make_record(debug=None)
-        assert record.without_debug() is record
-
-
 class TestErrorFlags:
     def test_extraction_error_flag(self):
         record = make_record(
@@ -47,24 +34,20 @@ class TestErrorFlags:
             )
         )
         assert record.is_extraction_error
-        assert not record.is_source_error
 
     def test_source_error_flag(self):
         record = make_record(
             debug=ExtractionDebug(asserted_index=0, source_error=True)
         )
-        assert record.is_source_error
         assert not record.is_extraction_error
 
     def test_clean_record(self):
         record = make_record()
         assert not record.is_extraction_error
-        assert not record.is_source_error
 
     def test_flags_false_without_debug(self):
         record = make_record(debug=None)
         assert not record.is_extraction_error
-        assert not record.is_source_error
 
 
 class TestWireFormat:

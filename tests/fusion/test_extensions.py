@@ -170,7 +170,7 @@ class TestHierarchical:
         region = next(
             (
                 r
-                for r in hierarchy.members()
+                for r in (entity.entity_id for entity in world.entities)
                 if len(hierarchy.children(r)) >= 2
                 and all(not hierarchy.children(c) for c in hierarchy.children(r))
             ),

@@ -1,7 +1,7 @@
 """Unit tests for claim-matrix construction."""
 
 from repro.extract.records import ExtractionRecord
-from repro.fusion.observations import ClaimMatrix, FusionInput
+from repro.fusion.observations import FusionInput
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import StringValue
@@ -22,20 +22,20 @@ class TestClaimMatrix:
     def test_dedup_same_cell(self):
         # Same extractor+url claiming the same triple twice is one claim.
         records = [rec("a", "E1", "http://s.org/p"), rec("a", "E1", "http://s.org/p")]
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL)
-        assert matrix.n_claims() == 1
+        matrix = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
+        assert matrix.columnar().n_claims == 1
 
     def test_distinct_extractors_distinct_claims(self):
         records = [rec("a", "E1", "http://s.org/p"), rec("a", "E2", "http://s.org/p")]
-        matrix = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL)
-        assert matrix.n_claims() == 2
+        matrix = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
+        assert matrix.columnar().n_claims == 2
 
     def test_items_grouping(self):
         records = [
             rec("a", "E1", "http://s.org/p"),
             rec("b", "E1", "http://s.org/q"),
         ]
-        cols = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar()
+        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar()
         assert cols.items == [DataItem("/m/1", "t/t/p")]
         assert cols.item_ptr.tolist() == [0, 2]
 
@@ -45,7 +45,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/p", pattern="x"),
             rec("b", "E1", "http://s.org/p"),
         ]
-        cols = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar()
+        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar()
         assert cols.provenances == [("E1", "http://s.org/p")]
         assert cols.prov_row_counts().tolist() == [2]
 
@@ -55,7 +55,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/q"),
             rec("a", "E2", "http://s.org/p"),
         ]
-        triples = ClaimMatrix.build(records, Granularity.EXTRACTOR_URL).columnar().triples
+        triples = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar().triples
         assert len(triples) == 2
         assert triples == sorted(triples)
 
@@ -78,9 +78,3 @@ class TestFusionInput:
             [rec("a", "E1", "http://s.org/p"), rec("a", "E2", "http://s.org/q")]
         )
         assert len(fusion_input.unique_triples()) == 1
-
-    def test_len_counts_records(self):
-        fusion_input = FusionInput(
-            [rec("a", "E1", "http://s.org/p"), rec("a", "E2", "http://s.org/q")]
-        )
-        assert len(fusion_input) == 2

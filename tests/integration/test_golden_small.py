@@ -94,17 +94,3 @@ class TestExtractionBackendAxis:
         other = "batched" if small_run.backend == "serial" else "serial"
         records = scenario.pipeline.run(scenario.corpus, backend=other)
         assert records == scenario.records
-
-    def test_extract_corpus_matches_the_pipeline_stream(self, small_run):
-        # ``extract_corpus`` and ``ExtractionPipeline.run`` share one
-        # batching entry point (``extract_pages_batch``): a
-        # single-extractor corpus run must reproduce its slice of the
-        # pipeline's classified stream exactly.
-        scenario = small_run.scenario
-        for extractor in scenario.pipeline.extractors:
-            records = extractor.extract_corpus(scenario.corpus)
-            assert records == [
-                record
-                for record in scenario.records
-                if record.extractor == extractor.name
-            ]

@@ -105,7 +105,9 @@ class TestSection44AndFigures:
         extraction = sum(
             1 for r in tiny_scenario.records if r.is_extraction_error
         )
-        source = sum(1 for r in tiny_scenario.records if r.is_source_error)
+        source = sum(
+            1 for r in tiny_scenario.records if r.debug is not None and r.debug.source_error
+        )
         assert extraction > source
 
     def test_fp_mix_contains_cwa_artifacts(self, tiny_scenario):

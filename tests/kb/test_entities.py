@@ -48,10 +48,8 @@ class TestEntity:
 
 
 class TestRegistry:
-    def test_len_and_contains(self, registry):
+    def test_len(self, registry):
         assert len(registry) == 3
-        assert "/m/1" in registry
-        assert "/m/99" not in registry
 
     def test_duplicate_rejected(self, registry):
         with pytest.raises(SchemaError):
@@ -98,9 +96,6 @@ class TestRegistry:
 
     def test_candidates_for_alias(self, registry):
         assert [e.entity_id for e in registry.candidates_for("T. Cruise")] == ["/m/1"]
-
-    def test_ambiguous_surfaces(self, registry):
-        assert registry.ambiguous_surfaces() == ["Les Miserables"]
 
     def test_iteration_order_is_insertion_order(self, registry):
         assert [e.entity_id for e in registry] == ["/m/1", "/m/2", "/m/3"]

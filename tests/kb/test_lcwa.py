@@ -59,13 +59,3 @@ class TestLabelMany:
         assert len(labels) == 2
         assert labels[triples[0]] is True
         assert labels[triples[1]] is False
-
-    def test_coverage(self, labeler):
-        triples = [
-            Triple("/m/1", "birth_date", DateValue("1962-07-03")),
-            Triple("/m/9", "birth_date", DateValue("1999-01-01")),
-        ]
-        assert labeler.coverage(triples) == pytest.approx(0.5)
-
-    def test_coverage_empty(self, labeler):
-        assert labeler.coverage([]) == 0.0

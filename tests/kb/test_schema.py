@@ -43,11 +43,6 @@ def make_schema() -> Schema:
 
 
 class TestEntityType:
-    def test_domain_and_name(self):
-        t = EntityType("people/person")
-        assert t.domain == "people"
-        assert t.name == "person"
-
     @pytest.mark.parametrize("bad", ["person", "a/b/c", ""])
     def test_rejects_malformed_ids(self, bad):
         with pytest.raises(SchemaError):
@@ -74,14 +69,6 @@ class TestPredicate:
     def test_entity_valued_needs_object_type(self):
         with pytest.raises(SchemaError):
             Predicate(pid="t/t/p", type_id="t/t", value_kind=ValueKind.ENTITY)
-
-    def test_name_is_last_segment(self):
-        p = Predicate(
-            pid="people/person/birth_date",
-            type_id="people/person",
-            value_kind=ValueKind.DATE,
-        )
-        assert p.name == "birth_date"
 
 
 class TestSchema:
@@ -117,13 +104,6 @@ class TestSchema:
         schema = make_schema()
         pids = [p.pid for p in schema.predicates_of_type("book/book")]
         assert pids == ["book/book/author", "book/book/editor"]
-
-    def test_functional_share(self):
-        assert make_schema().functional_share() == pytest.approx(1 / 3)
-
-    def test_functional_share_empty_schema_raises(self):
-        with pytest.raises(SchemaError):
-            Schema().functional_share()
 
     def test_validate_passes_on_consistent_schema(self):
         make_schema().validate()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.kb.store import KnowledgeBase
 from repro.kb.triples import DataItem, Triple
-from repro.kb.values import DateValue, EntityRef, StringValue
+from repro.kb.values import DateValue, StringValue
 
 
 @pytest.fixture
@@ -24,16 +24,7 @@ class TestAdd:
     def test_add_duplicate_is_noop(self, kb):
         triple = Triple("/m/1", "p/t/birth_date", DateValue("1962-07-03"))
         assert kb.add(triple) is False
-        assert len(kb) == 4
-
-    def test_add_all_counts_new(self, kb):
-        added = kb.add_all(
-            [
-                Triple("/m/1", "p/t/birth_date", DateValue("1962-07-03")),  # dup
-                Triple("/m/3", "p/t/birth_date", DateValue("1980-02-02")),
-            ]
-        )
-        assert added == 1
+        assert kb.values_for(triple.data_item) == [DateValue("1962-07-03")]
 
 
 class TestLookup:
@@ -48,34 +39,3 @@ class TestLookup:
     def test_values_for(self, kb):
         values = set(kb.values_for(DataItem("/m/1", "p/t/profession")))
         assert values == {StringValue("actor"), StringValue("producer")}
-
-    def test_triples_of_subject(self, kb):
-        assert len(kb.triples_of_subject("/m/1")) == 3
-
-    def test_triples_of_predicate(self, kb):
-        assert len(kb.triples_of_predicate("p/t/birth_date")) == 2
-
-    def test_data_items(self, kb):
-        assert len(kb.data_items()) == 3
-
-
-class TestStats:
-    def test_stats_counts(self, kb):
-        stats = kb.stats()
-        assert stats == {
-            "triples": 4,
-            "subjects": 2,
-            "predicates": 2,
-            "objects": 4,
-            "data_items": 3,
-        }
-
-    def test_item_value_counts(self, kb):
-        counts = kb.item_value_counts()
-        assert counts[DataItem("/m/1", "p/t/profession")] == 2
-
-    def test_objects_deduplicated_across_subjects(self):
-        store = KnowledgeBase()
-        store.add(Triple("/m/1", "p", EntityRef("/m/9")))
-        store.add(Triple("/m/2", "p", EntityRef("/m/9")))
-        assert store.stats()["objects"] == 1

@@ -36,7 +36,6 @@ class TestTriple:
         b = Triple("/m/1", "p", StringValue("b"))
         assert a < b
         assert b > a
-        assert a <= a and a >= a
 
     def test_comparison_with_non_triple_raises(self, triple):
         with pytest.raises(TypeError):

@@ -301,7 +301,7 @@ class TestWorkerState:
         executor = ParallelExecutor(max_workers=2)
         executor.install_state("test.offset", 7)
         executor.close()
-        assert executor.state_bytes == 0
+        assert executor._state_blobs == {}
 
     def test_unpicklable_state_is_a_config_error(self):
         """State that will not pickle cannot reach a worker: the install

@@ -44,11 +44,7 @@ class TestStoreProperties:
     def test_store_counts_consistent(self, rows):
         kb = KnowledgeBase()
         triples = [Triple(s or "s", p or "p", StringValue(o)) for s, p, o in rows]
-        kb.add_all(triples)
-        stats = kb.stats()
-        assert stats["triples"] == len(set(triples))
-        assert stats["data_items"] <= stats["triples"]
-        assert stats["subjects"] <= stats["data_items"]
+        assert sum(kb.add(triple) for triple in triples) == len(set(triples))
         for triple in triples:
             assert triple in kb
             assert kb.has_item(triple.data_item)
@@ -61,9 +57,7 @@ class TestHierarchyProperties:
         h = ValueHierarchy()
         for i in range(n - 1):
             h.add_edge(f"n{i}", f"n{i + 1}")
-        assert h.depth("n0") == n - 1
-        assert h.chain("n0") == [f"n{i}" for i in range(n)]
-        assert h.roots() == [f"n{n - 1}"]
+        assert h.ancestors("n0") == [f"n{i}" for i in range(1, n)]
 
     @given(st.integers(min_value=2, max_value=20), st.data())
     @settings(max_examples=50, deadline=None)

@@ -50,8 +50,8 @@ class TestSetupWorldgen:
         assert status == "hit"
         assert world2.truths == world.truths
         assert world2.popularity == world.popularity
-        assert freebase2.stats() == freebase.stats()
-        assert list(freebase2.data_items()) == list(freebase.data_items())
+        assert freebase2 == freebase
+        assert list(freebase2._by_item) == list(freebase._by_item)
         assert corpus2.sites == corpus.sites
         assert list(corpus2.pages) == list(corpus.pages)
 

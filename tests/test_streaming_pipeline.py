@@ -195,7 +195,7 @@ class TestOneBody:
         # A granularity the run did not fuse at (POPACCU+ picks its own)
         # still comes off the shared accumulator.
         fusion_input = result.scenario.fusion_input()
-        assert fusion_input.claims(Granularity.EXTRACTOR_URL).n_claims() > 0
+        assert fusion_input.claims(Granularity.EXTRACTOR_URL).columnar().n_claims > 0
         assert sum(seen) == result.n_records
 
     @pytest.mark.parametrize("chunk_pages", [None, 16])

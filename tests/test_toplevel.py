@@ -13,7 +13,7 @@ from repro.errors import (
     ReproError,
     SchemaError,
 )
-from repro.report import format_kv, format_series, format_table
+from repro.report import format_series, format_table
 
 
 class TestErrors:
@@ -50,11 +50,6 @@ class TestReport:
     def test_format_series(self):
         out = format_series("S", [(1, 2.0)], "x", "y")
         assert "S" in out and "x" in out
-
-    def test_format_kv(self):
-        out = format_kv([("k", 0.5), ("n", 3)])
-        assert "k: 0.500" in out
-        assert "n: 3" in out
 
 
 class TestPackage:

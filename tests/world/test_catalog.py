@@ -33,7 +33,8 @@ class TestBuildSchema:
         """Table 3: 72% of predicates are non-functional; the catalogue
         should be in that neighbourhood (±20 points) at full size."""
         schema, _ = build_schema(len(CATALOG))
-        non_functional = 1.0 - schema.functional_share()
+        predicates = schema.predicates.values()
+        non_functional = sum(not p.functional for p in predicates) / len(predicates)
         assert 0.3 <= non_functional <= 0.8
 
     def test_confusable_pairs_survive(self):

@@ -1,43 +1,12 @@
-"""Unit tests for content models and the content-type tagger."""
+"""Unit tests for the content models."""
 
 import pytest
 
-from repro.world.content import (
-    AnnotationBlock,
-    DomRow,
-    DomTree,
-    Mention,
-    Sentence,
-    TextDocument,
-    WebTable,
-    content_type_of,
-)
+from repro.world.content import DomRow, Mention, Sentence, WebTable
 
 
 def mention(surface="X", kind="entity", fact_ref=None):
     return Mention(surface=surface, kind=kind, fact_ref=fact_ref)
-
-
-class TestContentTypeOf:
-    def test_text(self):
-        doc = TextDocument(sentences=())
-        assert content_type_of(doc) == "TXT"
-
-    def test_dom(self):
-        tree = DomTree(subject=mention(), rows=())
-        assert content_type_of(tree) == "DOM"
-
-    def test_table(self):
-        table = WebTable(caption="c", headers=("Name",), rows=())
-        assert content_type_of(table) == "TBL"
-
-    def test_annotation(self):
-        block = AnnotationBlock(subject=mention(), props=())
-        assert content_type_of(block) == "ANO"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(TypeError):
-            content_type_of("not content")
 
 
 class TestStructures:

@@ -43,10 +43,6 @@ class TestTruthQueries:
         item = next(iter(small_world.truths))
         assert small_world.truth_count(item) == len(small_world.truths[item])
 
-    def test_true_triples_iterates_all(self, small_world):
-        n = sum(len(v) for v in small_world.truths.values())
-        assert len(list(small_world.true_triples())) == n
-
 
 class TestWrongPools:
     def test_pool_excludes_truths(self, small_world):
@@ -85,22 +81,22 @@ class TestFreebaseSnapshot:
     def test_snapshot_deterministic(self, small_world):
         a = build_freebase_snapshot(small_world)
         b = build_freebase_snapshot(small_world)
-        assert set(a) == set(b)
+        assert a == b
 
     def test_snapshot_covers_subset_of_items(self, small_world):
         snapshot = build_freebase_snapshot(small_world)
-        coverage = len(snapshot.data_items()) / len(small_world.truths)
+        coverage = sum(map(snapshot.has_item, small_world.truths)) / len(small_world.truths)
         expected = small_world.config.freebase_item_coverage
         assert coverage == pytest.approx(expected, abs=0.12)
 
     def test_snapshot_mostly_true(self, small_world):
         snapshot = build_freebase_snapshot(small_world)
-        truths = sum(1 for t in snapshot if small_world.is_true(t))
-        assert truths / len(snapshot) > 0.9
+        truths = sum(1 for t in snapshot._triples if small_world.is_true(t))
+        assert truths / len(snapshot._triples) > 0.9
 
     def test_snapshot_contains_some_errors(self):
         config = WorldConfig(n_types=6, n_entities=300, freebase_error_rate=0.2)
         world = generate_world(config, seed=9)
         snapshot = build_freebase_snapshot(world)
-        wrong = sum(1 for t in snapshot if not world.is_true(t))
+        wrong = sum(1 for t in snapshot._triples if not world.is_true(t))
         assert wrong > 0

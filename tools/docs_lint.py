@@ -18,7 +18,7 @@ suite (``tests/test_docs.py``):
    (``benchmarks/run.py``) and the one timer, kfbench
    (``python -m benchmarks.kfbench``).
 4. **Tool entrypoints out of sync** — every lint entrypoint under
-   ``tools/`` (docs lint, contracts lint) must be mentioned somewhere in
+   ``tools/`` (docs lint, contracts lint, reach census) must be mentioned somewhere in
    the tracked docs, and every ``tools/<x>.py`` the docs mention must
    exist.
 5. **Scale presets out of sync** — every ``--scale`` preset the CLI
@@ -65,7 +65,11 @@ TOOL_DOCS = CLI_DOCS + ("ROADMAP.md",)
 
 #: Lint entrypoints that must stay documented: an undocumented checker
 #: is a checker nobody runs locally before CI tells them about it.
-REQUIRED_TOOLS = ("tools/docs_lint.py", "tools/contracts_lint.py")
+REQUIRED_TOOLS = (
+    "tools/docs_lint.py",
+    "tools/contracts_lint.py",
+    "tools/reach_census.py",
+)
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _CLI_MENTION = re.compile(r"repro-kf\s+([a-z][a-z0-9_-]*)")
