@@ -1,9 +1,11 @@
 """Unit tests for PR curves and AUC-PR."""
 
+import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
-from repro.eval.pr import auc_pr, pr_curve
+from repro.eval.calibration import labelled_arrays
+from repro.eval.pr import auc_pr, pr_curve, pr_from_arrays
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
@@ -72,3 +74,30 @@ class TestAUC:
         good = {t(f"x{i}"): 1.0 - i / 100 for i in range(100)}
         flat = {t(f"x{i}"): 0.5 for i in range(100)}
         assert auc_pr(pr_curve(good, gold)) > auc_pr(pr_curve(flat, gold))
+
+    def test_single_block_auc_is_the_base_rate(self):
+        curve = pr_from_arrays(np.full(8, 0.5), np.array([True] * 2 + [False] * 6))
+        assert curve.points() == [(1.0, 0.25)]
+        assert auc_pr(curve) == pytest.approx(0.25)
+
+
+class TestFromArrays:
+    def test_dict_entry_point_is_the_array_path(self):
+        rng = np.random.default_rng(5)
+        probabilities = {t(f"x{i}"): float(rng.integers(0, 10)) / 10 for i in range(150)}
+        gold = {triple: bool(rng.random() < 0.4) for triple in probabilities}
+        assert pr_curve(probabilities, gold) == pr_from_arrays(
+            *labelled_arrays(probabilities, gold)
+        )
+
+    def test_tie_blocks_end_at_value_changes(self):
+        p = np.array([0.5, 0.9, 0.1, 0.5])
+        y = np.array([True, True, False, False])
+        curve = pr_from_arrays(p, y)
+        assert curve.recalls == (0.5, 1.0, 1.0)
+        assert curve.precisions == (1.0, 2 / 3, 0.5)
+        assert (curve.n_true, curve.n_labelled) == (2, 4)
+
+    def test_empty_arrays_rejected(self):
+        with pytest.raises(EvaluationError, match="no labelled"):
+            pr_from_arrays(np.zeros(0), np.zeros(0, dtype=bool))

@@ -4,8 +4,11 @@ import pytest
 
 from repro.errors import EvaluationError
 from repro.eval.stats import (
+    AccuracyPoint,
     accuracy_by_int,
     bucketize_accuracy,
+    confidence_accuracy_curve,
+    confidence_coverage_curve,
     coverage_by_confidence_threshold,
     probability_histogram,
     skew_summary,
@@ -133,3 +136,47 @@ class TestCoverageByThreshold:
     def test_empty_rejected(self):
         with pytest.raises(EvaluationError):
             coverage_by_confidence_threshold([])
+
+
+class TestConfidenceCurves:
+    def test_accuracy_curve_buckets_by_confidence(self):
+        records = [
+            rec("a", "E1", "http://s.org/p", confidence=0.05),
+            rec("b", "E1", "http://s.org/p", confidence=0.55),
+            rec("c", "E1", "http://s.org/p", confidence=0.58),
+            rec("d", "E1", "http://s.org/p", confidence=1.0),
+        ]
+        gold = {t("a"): False, t("b"): True, t("c"): False, t("d"): True}
+        points = confidence_accuracy_curve(records, gold, n_buckets=10)
+        assert [(p.x, p.n, p.accuracy) for p in points] == [
+            (0.0, 1, 0.0),
+            (0.5, 2, 0.5),
+            (0.9, 1, 1.0),
+        ]
+
+    def test_accuracy_curve_skips_unscored_and_unlabelled_records(self):
+        records = [
+            rec("a", "E1", "http://s.org/p", confidence=None),
+            rec("b", "E1", "http://s.org/p", confidence=0.7),
+            rec("c", "E1", "http://s.org/p", confidence=0.7),
+        ]
+        gold = {t("a"): True, t("b"): True}
+        points = confidence_accuracy_curve(records, gold)
+        assert points == [AccuracyPoint(x=0.7, n=1, accuracy=1.0)]
+
+    def test_coverage_curve_is_the_cumulative_share(self):
+        records = [
+            rec(f"x{i}", "E1", "http://s.org/p", confidence=c)
+            for i, c in enumerate((0.1, 0.2, 0.2, 0.9))
+        ]
+        records.append(rec("none", "E1", "http://s.org/p", confidence=None))
+        points = dict(confidence_coverage_curve(records, n_buckets=10))
+        assert len(points) == 11
+        assert points[0.0] == 0.0
+        assert points[0.1] == pytest.approx(0.25)
+        assert points[0.5] == pytest.approx(0.75)
+        assert points[1.0] == pytest.approx(1.0)
+
+    def test_coverage_curve_needs_a_confidence(self):
+        with pytest.raises(EvaluationError):
+            confidence_coverage_curve([rec("a", "E1", "http://s.org/p")])

@@ -75,3 +75,60 @@ class TestScaleInvariance:
             )
             base = metrics_for(results["VOTE"].probabilities, scenario.gold)
             assert plus.auc_pr > base.auc_pr
+
+
+class TestPipelineHelpers:
+    def test_timed_stage_clocks_the_body(self, monkeypatch):
+        import itertools
+        import time
+
+        from repro.endtoend import timed_stage
+
+        clock = itertools.count(10, 5)
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(clock)))
+        timings = {"setup": 1.0}
+        with timed_stage(timings, "fusion"):
+            pass
+        assert timings == {"setup": 1.0, "fusion": 5.0}
+
+    def test_timed_stage_records_nothing_when_the_body_raises(self):
+        from repro.endtoend import timed_stage
+
+        timings = {}
+        with pytest.raises(RuntimeError):
+            with timed_stage(timings, "fusion"):
+                raise RuntimeError("boom")
+        assert timings == {}
+
+    def test_make_fuser_rejects_an_unknown_method(self):
+        from repro.endtoend import make_fuser
+        from repro.errors import ConfigError
+        from repro.fusion.base import FusionConfig
+
+        with pytest.raises(ConfigError, match="bayes"):
+            make_fuser("bayes", FusionConfig())
+
+    def test_only_popaccu_plus_takes_the_gold_labels(self, tiny_scenario):
+        from repro.endtoend import PIPELINE_METHODS, make_fuser
+        from repro.fusion.base import FusionConfig
+
+        gold = tiny_scenario.gold
+        for method in PIPELINE_METHODS:
+            fuser = make_fuser(method, FusionConfig(), gold)
+            expected = gold if method == "popaccu+" else None
+            assert fuser.gold_labels is expected, method
+
+    def test_headline_metrics_summarise_the_labelled_predictions(self, tiny_scenario):
+        from repro.endtoend import headline_metrics
+
+        result = vote().fuse(tiny_scenario.fusion_input())
+        metrics = headline_metrics(result, tiny_scenario.gold)
+        labelled = [t for t in result.probabilities if t in tiny_scenario.gold]
+        assert metrics["n_labelled"] == len(labelled) > 0
+        assert metrics["coverage"] == result.coverage()
+        right = sum(
+            (result.probabilities[t] >= 0.5) == tiny_scenario.gold[t] for t in labelled
+        )
+        assert metrics["gold_accuracy"] == right / len(labelled)
+        assert 0.0 <= metrics["weighted_deviation"] <= 1.0
+        assert 0.0 < metrics["auc_pr"] <= 1.0

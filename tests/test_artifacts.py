@@ -9,8 +9,11 @@ and a loader that finds anything off (key, sizes, checksums) must miss,
 never guess.
 """
 
+import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import artifacts
@@ -233,3 +236,81 @@ class TestDownstreamBitIdentity:
         assert isinstance(warm.corpus.pages, artifacts.LazyPageList)
         assert warm.records == cold.records
         assert warm.gold == cold.gold
+
+
+class TestStoredPages:
+    @pytest.fixture
+    def lazy(self, warm_cache):
+        cache_dir, *_ = warm_cache
+        _world, _freebase, corpus, status = artifacts.setup_worldgen(
+            CONFIG.seed, CONFIG.world, CONFIG.web, cache_dir
+        )
+        assert status == "hit"
+        return corpus.pages
+
+    def test_stored_pages_decode_to_the_generated_pages(self, lazy, warm_cache):
+        corpus = warm_cache[3]
+        stored = lazy.stored_pages()
+        assert [page.url for page in stored] == [page.url for page in corpus.pages]
+        assert [artifacts.decode_page(page) for page in stored] == list(corpus.pages)
+
+    def test_stored_pages_decode_and_memoize_nothing(self, lazy):
+        lazy.stored_pages()
+        assert lazy._pages == [None] * len(lazy)
+
+    def test_pages_decode_once(self, lazy):
+        assert lazy[0] is lazy[0]
+        assert lazy[-1] is lazy[len(lazy) - 1]
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_out_of_range_index_raises(self, lazy, offset):
+        index = len(lazy) + offset if offset else -len(lazy) - 1
+        with pytest.raises(IndexError):
+            lazy[index]
+
+
+class TestColumnStore:
+    ARRAYS = {"row_ptr": np.array([0, 2, 3]), "claim_prov": np.array([1, 0, 1])}
+
+    def publish(self, cache_dir, granularity="extractor_site", arrays=None, objects=b"o"):
+        return artifacts.save_column_store(
+            cache_dir, granularity, arrays or self.ARRAYS, objects
+        )
+
+    def test_publish_is_content_addressed(self, tmp_path):
+        handle = self.publish(tmp_path)
+        assert Path(handle.directory) == artifacts.column_store_dir_for(tmp_path, handle.key)
+        assert self.publish(tmp_path) == handle
+        changed = dict(self.ARRAYS, row_ptr=np.array([0, 1, 3]))
+        assert self.publish(tmp_path, arrays=changed).key != handle.key
+        assert self.publish(tmp_path, objects=b"p").key != handle.key
+
+    def test_granularity_is_part_of_the_key(self, tmp_path):
+        site = self.publish(tmp_path, granularity="extractor_site")
+        url = self.publish(tmp_path, granularity="extractor_url")
+        assert site.key != url.key and site.directory != url.directory
+
+    def test_manifest_matches_the_published_files(self, tmp_path):
+        handle = self.publish(tmp_path)
+        names = [name for name, _size, _digest in handle.files]
+        assert names == ["claim_prov.npy", "objects.pkl", "row_ptr.npy"]
+        for name, size, digest in handle.files:
+            blob = handle.path_of(name).read_bytes()
+            assert len(blob) == size
+            assert hashlib.sha256(blob).hexdigest() == digest
+        assert np.array_equal(np.load(handle.path_of("row_ptr.npy")), self.ARRAYS["row_ptr"])
+        meta = json.loads(handle.path_of("meta.json").read_text())
+        assert meta["kind"] == "columns" and meta["key"] == handle.key
+
+    def test_republish_keeps_the_existing_store(self, tmp_path):
+        handle = self.publish(tmp_path)
+        inode = handle.path_of("objects.pkl").stat().st_ino
+        self.publish(tmp_path)
+        assert handle.path_of("objects.pkl").stat().st_ino == inode
+        assert [p.name for p in tmp_path.iterdir()] == [Path(handle.directory).name]
+
+    def test_current_store_is_not_stale(self, tmp_path, monkeypatch):
+        self.publish(tmp_path)
+        assert artifacts.prune_cache(tmp_path) == []
+        monkeypatch.setattr(artifacts, "_code_version_cache", "deadbeef")
+        assert len(artifacts.prune_cache(tmp_path)) == 1

@@ -51,6 +51,15 @@ class TestReport:
         out = format_series("S", [(1, 2.0)], "x", "y")
         assert "S" in out and "x" in out
 
+    def test_bools_and_ints_are_not_formatted_as_floats(self):
+        table = format_table(("flag", "n"), [(True, 3), (False, 12)])
+        assert table.splitlines()[2:] == ["True   3 ", "False  12"]
+
+    def test_format_series_float_digits(self):
+        out = format_series("S", [(0.5, 0.123456)], float_digits=4)
+        assert out.splitlines() == ["S", "x       y     ", "------  ------",
+                                    "0.5000  0.1235"]
+
 
 class TestPackage:
     def test_version(self):

@@ -64,6 +64,31 @@ class TestShapes:
             assert 1 <= month <= 12
             assert 1 <= day <= 28
 
+    def test_species_name_is_a_binomial(self, forge):
+        genus, epithet = forge.species_name().split()
+        assert genus[0].isupper() and epithet.islower()
+
+    def test_award_and_landmark_shapes(self, forge):
+        assert forge.award().endswith(" Prize")
+        landmark = forge.landmark().split()
+        assert landmark[0] == "The" and len(landmark) == 3
+
+    def test_closed_vocabularies_draw_from_their_pools(self, forge):
+        from repro.world import naming
+
+        for method, pool in (
+            ("color", naming._COLORS),
+            ("habitat", naming._HABITATS),
+            ("platform", naming._PLATFORMS),
+        ):
+            draws = {getattr(forge, method)() for _ in range(200)}
+            assert draws == set(pool)
+
+    def test_exhausted_draws_get_a_numbered_name(self, forge):
+        assert forge._unique(lambda: "Echo") == "Echo"
+        assert forge._unique(lambda: "Echo") == "Echo 1"
+        assert "Echo 1" in forge._used
+
     def test_literal_vocabularies_nonempty(self, forge):
         for method in (
             "profession",
