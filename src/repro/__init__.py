@@ -19,7 +19,8 @@ which pattern).  It ships the full stack the paper depends on:
   analysis;
 - :mod:`repro.datasets` — scenario builders calibrated to the paper's
   Tables 1-2;
-- :mod:`repro.experiments` — one runner per table and figure.
+- :mod:`repro.experiments` — one module per table, figure and §5
+  direction, each with its named checks.
 
 Quickstart
 ----------

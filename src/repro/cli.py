@@ -4,7 +4,7 @@ Usage::
 
     repro-kf list
     repro-kf run fig9 [--scale small] [--seed 0]
-    repro-kf run all --scale tiny
+    repro-kf run all --scale small --out-dir benchmarks/results
     repro-kf fuse popaccu --backend vectorized [--scale small] [--seed 0]
     repro-kf extract --backend hybrid [--scale small] [--seed 0]
     repro-kf pipeline popaccu+ --backend hybrid [--workers 4]
@@ -12,6 +12,9 @@ Usage::
 
 The scenario is generated deterministically from the seed; the first
 experiment of a session pays the generation cost, later ones share it.
+``run`` also evaluates each experiment's named checks: a failed check or
+a crashed experiment is named on stderr and the exit code is 1, while
+the remaining experiments still run.
 ``fuse`` runs a single fusion method end-to-end under a chosen execution
 backend and prints a one-screen summary — the quickest way to compare
 backends.  ``extract`` runs only the extraction stage (world + corpus
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from repro.datasets import (
@@ -69,8 +73,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiment ids")
-    run_parser = sub.add_parser("run", help="run one experiment (or 'all')")
-    run_parser.add_argument("experiment", help="experiment id, e.g. fig9, or 'all'")
+    run_parser = sub.add_parser(
+        "run", help="run one experiment (or 'all') and evaluate its checks"
+    )
+    run_parser.add_argument(
+        "experiment",
+        choices=(*experiment_ids(), "all"),
+        metavar="experiment",
+        help="experiment id (see 'repro-kf list'), e.g. fig9, or 'all'",
+    )
     run_parser.add_argument(
         "--scale",
         choices=_MATERIALISED_SCALES,
@@ -78,6 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario preset (default: small)",
     )
     run_parser.add_argument("--seed", type=int, default=0, help="master seed")
+    run_parser.add_argument(
+        "--out-dir",
+        type=Path,
+        default=None,
+        help="also write each report to DIR/<id>.txt",
+    )
 
     fuse_parser = sub.add_parser(
         "fuse", help="run one fusion method under a chosen execution backend"
@@ -369,6 +386,38 @@ def _run_pipeline(args) -> int:
     return 0
 
 
+def _run_experiments(args) -> int:
+    """Print (and with ``--out-dir`` write) every selected report.  A failed
+    check or a crashed experiment is named on stderr and makes the exit
+    code 1; the remaining experiments still run."""
+    scenario = build_scenario(_SCALES[args.scale](seed=args.seed))
+    ids = experiment_ids() if args.experiment == "all" else (args.experiment,)
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    failed: list[str] = []
+    for experiment_id in ids:
+        try:
+            result = run_experiment(experiment_id, scenario)
+        except Exception:
+            failed.append(experiment_id)
+            print(f"{experiment_id}: ERROR", file=sys.stderr)
+            traceback.print_exc(file=sys.stderr)
+            continue
+        print(result.text)
+        print()
+        if args.out_dir is not None:
+            (args.out_dir / f"{experiment_id}.txt").write_text(result.text + "\n")
+        broken = [name for name, passed in result.checks.items() if not passed]
+        if broken:
+            failed.append(experiment_id)
+            print(f"{experiment_id}: FAILED {', '.join(broken)}", file=sys.stderr)
+    if failed:
+        print(
+            f"{len(failed)} experiment(s) failed: {', '.join(failed)}", file=sys.stderr
+        )
+    return 1 if failed else 0
+
+
 def _run_cache(args) -> int:
     from repro.artifacts import prune_cache
 
@@ -413,13 +462,7 @@ def main(argv: list[str] | None = None) -> int:
         return _run_cache(args)
     if args.command == "lint":
         return _run_lint(args)
-    scenario = build_scenario(_SCALES[args.scale](seed=args.seed))
-    ids = experiment_ids() if args.experiment == "all" else [args.experiment]
-    for experiment_id in ids:
-        result = run_experiment(experiment_id, scenario)
-        print(result.text)
-        print()
-    return 0
+    return _run_experiments(args)
 
 
 def _entry() -> int:  # pragma: no cover - thin wrapper

@@ -52,3 +52,12 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "four_granularities": lambda d: len(d) == 4,
+    "granularity_changes_provenances": lambda d: (
+        d["(Ext, Site, Pred, Pattern)"]["n_provenances"]
+        != d["(Extractor, URL)"]["n_provenances"]
+    ),
+}

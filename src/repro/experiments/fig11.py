@@ -59,3 +59,9 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "bycov_filters_some": lambda d: d["BYCOV"]["predicted_share"] < 1.0,
+    "nofiltering_predicts_all": lambda d: d["NOFILTERING"]["predicted_share"] == 1.0,
+}

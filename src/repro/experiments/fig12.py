@@ -62,3 +62,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "full_gold_beats_default": lambda d: d["100%"]["auc_pr"] > d["default"]["auc_pr"],
+}

@@ -62,3 +62,11 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "gold_lowers_wdev": lambda d: d["+GoldStandard"]["wdev"] < d["POPACCU"]["wdev"],
+    "gold_raises_auc_pr": lambda d: (
+        d["+GoldStandard"]["auc_pr"] > d["POPACCU"]["auc_pr"]
+    ),
+}

@@ -101,3 +101,12 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"per_round_wdev": per_round, "lr_table": lr_data},
     )
+
+
+CHECKS = {
+    "five_default_rounds": lambda d: len(d["per_round_wdev"]["DefaultAccu"]) == 5,
+    "sampling_keeps_wdev": lambda d: (
+        abs(d["lr_table"]["L=1K, R=5"]["wdev"] - d["lr_table"]["L=1M, R=5"]["wdev"])
+        < 0.02
+    ),
+}

@@ -42,3 +42,10 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "popaccu_plus_best_auc_pr": lambda d: (
+        d["POPACCU+"]["auc_pr"] == max(m["auc_pr"] for m in d.values())
+    ),
+}

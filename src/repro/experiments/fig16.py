@@ -35,3 +35,12 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"histogram": histogram, "share_low": low, "share_high": high},
     )
+
+
+CHECKS = {
+    # The paper sees 80% of triples below 0.1 or above 0.9; polarisation
+    # is weaker at laptop scale (fewer provenances per item), so the
+    # check asserts the direction, not the paper's magnitude.
+    "polarised": lambda d: d["share_low"] + d["share_high"] > 0.3,
+    "low_outweighs_high": lambda d: d["share_low"] > d["share_high"],
+}

@@ -76,3 +76,12 @@ def run(scenario: Scenario) -> ExperimentResult:
             "fn_categories": dict(breakdown.fn_categories),
         },
     )
+
+
+CHECKS = {
+    "has_false_positives": lambda d: d["n_false_positives"] > 0,
+    "has_false_negatives": lambda d: d["n_false_negatives"] > 0,
+    "multiple_truths_explain_false_negatives": lambda d: (
+        "multiple_truths" in d["fn_categories"]
+    ),
+}

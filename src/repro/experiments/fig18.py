@@ -79,3 +79,18 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+def _more_extractors_more_accurate(data: dict) -> bool:
+    single = {e: a for e, _n, a in data["1 extractor"]}
+    multi_key = next(k for k in data if k.startswith(">="))
+    multi = {e: a for e, _n, a in data[multi_key]}
+    gaps = [multi[e] - single[e] for e in set(single) & set(multi)]
+    return bool(gaps) and sum(gaps) / len(gaps) > 0
+
+
+CHECKS = {
+    # Some #extractions bucket is in both series, and on those buckets
+    # more extractors mean higher accuracy on average.
+    "more_extractors_more_accurate": _more_extractors_more_accurate,
+}

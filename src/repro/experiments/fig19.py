@@ -83,3 +83,11 @@ def run(scenario: Scenario) -> ExperimentResult:
             "cross_type": cross_summary,
         },
     )
+
+
+CHECKS = {
+    "counts_partition_pairs": lambda d: (
+        d["same_type"]["n"] + d["cross_type"]["n"] == len(d["pairs"])
+    ),
+    "some_cross_type_negative": lambda d: d["cross_type"]["negative"] > 0,
+}

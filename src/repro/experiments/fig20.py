@@ -41,3 +41,11 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"distribution": distribution, "share_zero": zero, "share_one": one},
     )
+
+
+CHECKS = {
+    # Items with 0 or 1 truths dominate (paper: 95%).
+    "few_truths_dominate": lambda d: (
+        dict(d["distribution"])["0"] + dict(d["distribution"])["1"] > 0.8
+    ),
+}

@@ -75,3 +75,10 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "four_extractors": lambda d: set(d) == {"TXT1", "DOM2", "TBL1", "ANO"},
+    # DOM2 reports extremes: most confidences at the edges.
+    "dom2_reports_extremes": lambda d: dict(d["DOM2"]["coverage"])[0.1] > 0.3,
+}

@@ -28,3 +28,12 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"points": points},
     )
+
+
+CHECKS = {
+    # Even theta = 0.1 already loses triples.
+    "low_theta_loses_triples": lambda d: dict(d["points"])[0.1] < 1.0,
+    "higher_theta_loses_more": lambda d: (
+        dict(d["points"])[0.9] < dict(d["points"])[0.1]
+    ),
+}

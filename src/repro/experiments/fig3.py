@@ -58,3 +58,17 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"contributions": contributions, "overlaps": overlaps, "total": total},
     )
+
+
+CHECKS = {
+    "dom_contributes_most": lambda d: (
+        d["contributions"]["DOM"] == max(d["contributions"].values())
+    ),
+    "tbl_contributes_least": lambda d: (
+        d["contributions"]["TBL"] == min(d["contributions"].values())
+    ),
+    # Overlaps are small relative to contributions.
+    "overlaps_below_half_of_dom": lambda d: (
+        max(d["overlaps"].values()) < d["contributions"]["DOM"] * 0.5
+    ),
+}

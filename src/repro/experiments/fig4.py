@@ -55,3 +55,11 @@ def run(scenario: Scenario) -> ExperimentResult:
             "share_high": high,
         },
     )
+
+
+CHECKS = {
+    "share_low_is_proper": lambda d: 0.0 < d["share_low"] < 1.0,
+    "histogram_sums_to_one": lambda d: (
+        abs(sum(share for _bucket, share in d["histogram"]) - 1.0) < 1e-9
+    ),
+}

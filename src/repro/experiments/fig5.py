@@ -72,3 +72,9 @@ def run(scenario: Scenario) -> ExperimentResult:
             "share_above_half": above_half,
         },
     )
+
+
+CHECKS = {
+    "mean_gap_above_tenth": lambda d: d["mean_gap"] > 0.1,  # paper: 0.32
+    "some_gap_above_half": lambda d: d["share_above_half"] > 0.0,  # paper: 21%
+}

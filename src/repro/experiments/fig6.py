@@ -35,3 +35,15 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"points": [(p.x, p.n, p.accuracy) for p in points]},
     )
+
+
+def _four_extractors_beat_one(data: dict) -> bool:
+    lows = [a for x, _n, a in data["points"] if x == 1]
+    highs = [a for x, _n, a in data["points"] if x >= 4]
+    return not highs or not lows or max(highs) > lows[0]
+
+
+CHECKS = {
+    "has_points": lambda d: bool(d["points"]),
+    "four_extractors_beat_one": _four_extractors_beat_one,
+}

@@ -58,3 +58,11 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"points": points, "single_url_accuracy": single_accuracy},
     )
+
+
+CHECKS = {
+    "single_url_unreliable": lambda d: d["points"][0][2] < 0.6,
+    "more_urls_more_accurate": lambda d: (
+        max(a for _e, _n, a in d["points"]) > d["points"][0][2]
+    ),
+}

@@ -54,3 +54,10 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "vote_lowest_auc_pr": lambda d: (
+        d["VOTE"]["auc_pr"] == min(d[m]["auc_pr"] for m in ("VOTE", "ACCU", "POPACCU"))
+    ),
+}

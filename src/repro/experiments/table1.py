@@ -78,3 +78,12 @@ def run(scenario: Scenario) -> ExperimentResult:
             "skews": skews,
         },
     )
+
+
+CHECKS = {
+    "over_1000_unique_triples": lambda d: d["counts"]["#Triples (unique)"] > 1000,
+    # The paper's hallmark: median far below mean (heavy head, long tail).
+    "triples_per_entity_skewed": lambda d: (
+        d["skews"]["#Triples/entity"]["median"] < d["skews"]["#Triples/entity"]["mean"]
+    ),
+}

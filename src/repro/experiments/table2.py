@@ -83,3 +83,16 @@ def run(scenario: Scenario) -> ExperimentResult:
     return ExperimentResult(
         experiment_id=EXPERIMENT_ID, title=TITLE, text=text, data=data
     )
+
+
+CHECKS = {
+    "twelve_extractors": lambda d: len(d) == 12,
+    # The quality spread: careful extractors far above sloppy ones.
+    "txt4_far_above_dom2": lambda d: (
+        d["TXT4"]["accuracy"] > d["DOM2"]["accuracy"] + 0.3
+    ),
+    # Volume ordering: DOM1 is the largest contributor, as in the paper.
+    "dom1_contributes_most": lambda d: (
+        d["DOM1"]["records"] == max(e["records"] for e in d.values())
+    ),
+}

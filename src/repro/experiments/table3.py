@@ -69,3 +69,10 @@ def run(scenario: Scenario) -> ExperimentResult:
         text=text,
         data={"functional": functional, "non_functional": non_functional},
     )
+
+
+CHECKS = {
+    "mostly_non_functional": lambda d: (
+        d["non_functional"]["predicates"] > d["functional"]["predicates"]
+    ),
+}

@@ -73,7 +73,7 @@ class TestDET001Rng:
         assert _rules_fired({ANY_PATH: snippet}, DET001) == []
 
     def test_outside_src_repro_is_ignored(self):
-        assert _rules_fired({"benchmarks/run.py": "import random\n"}, DET001) == []
+        assert _rules_fired({"benchmarks/kfbench/rep.py": "import random\n"}, DET001) == []
 
 
 class TestDET002Order:

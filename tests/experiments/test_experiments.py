@@ -3,14 +3,15 @@
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments import experiment_ids, run_experiment
+from repro.experiments import ExperimentResult, experiment_ids, run_experiment
 
-ALL_IDS = [
+ALL_IDS = (
     "table1", "table2", "table3",
     "fig3", "fig4", "fig5", "fig6", "fig7",
     "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
     "fig17", "fig18", "fig19", "fig20", "fig21", "fig22",
-]
+    "ext_split", "ext_funct", "ext_hier", "ext_conf",
+)
 
 
 class TestRegistry:
@@ -20,6 +21,26 @@ class TestRegistry:
     def test_unknown_id_raises(self, tiny_scenario):
         with pytest.raises(ExperimentError):
             run_experiment("fig99", tiny_scenario)
+
+    def test_empty_data_raises(self, tiny_scenario, monkeypatch):
+        import repro.experiments.table3 as table3
+
+        monkeypatch.setattr(
+            table3, "run", lambda scenario: ExperimentResult("table3", "T", "text")
+        )
+        with pytest.raises(ExperimentError, match="no data"):
+            run_experiment("table3", tiny_scenario)
+
+    def test_every_check_is_evaluated(self, tiny_scenario):
+        # The checks are calibrated at small.  Here TXT4 has no labelled
+        # triple, so table2's quality-spread check cannot evaluate: it
+        # fails, and the check after it is still evaluated.
+        checks = run_experiment("table2", tiny_scenario).checks
+        assert checks == {
+            "twelve_extractors": True,
+            "txt4_far_above_dom2": False,
+            "dom1_contributes_most": True,
+        }
 
 
 @pytest.mark.parametrize("experiment_id", ALL_IDS)

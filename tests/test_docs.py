@@ -40,23 +40,19 @@ class TestDocsLint:
         docs_lint = _load_docs_lint()
         assert docs_lint.check_tool_sync() == []
 
-    def test_bench_sync_requires_the_runner_and_kfbench(self, tmp_path):
-        """A README that stops documenting the reproduction runner or the
-        kfbench timer — or still names the deleted comparator — is a lint
-        failure, not silent rot."""
+    def test_bench_sync_requires_kfbench(self, tmp_path):
+        """A README that stops documenting the kfbench timer — or still
+        names a deleted script — is a lint failure, not silent rot."""
         docs_lint = _load_docs_lint()
         (tmp_path / "benchmarks").mkdir()
-        (tmp_path / "benchmarks" / "run.py").write_text("")
         readme = tmp_path / "README.md"
 
-        readme.write_text("Use benchmarks/run.py, gate via benchmarks/compare.py.\n")
+        readme.write_text("Gate via benchmarks/compare.py.\n")
         errors = docs_lint.check_bench_sync(tmp_path)
         assert any("python -m benchmarks.kfbench" in e for e in errors)
         assert any("benchmarks/compare.py, which does not exist" in e for e in errors)
 
-        readme.write_text(
-            "Reproduce with benchmarks/run.py; time with python -m benchmarks.kfbench.\n"
-        )
+        readme.write_text("Time with python -m benchmarks.kfbench.\n")
         assert docs_lint.check_bench_sync(tmp_path) == []
 
     def test_bench_sync_ignores_the_test_tree(self, tmp_path):
@@ -64,9 +60,8 @@ class TestDocsLint:
         ``benchmarks/`` script; ``./benchmarks/<x>.py`` still is one."""
         docs_lint = _load_docs_lint()
         (tmp_path / "benchmarks").mkdir()
-        (tmp_path / "benchmarks" / "run.py").write_text("")
         readme = tmp_path / "README.md"
-        runner = "Reproduce with benchmarks/run.py; time with python -m benchmarks.kfbench.\n"
+        runner = "Time with python -m benchmarks.kfbench.\n"
 
         readme.write_text(runner + "Pinned by tests/benchmarks/test_reproduction.py.\n")
         assert docs_lint.check_bench_sync(tmp_path) == []

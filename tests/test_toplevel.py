@@ -81,11 +81,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "functional" in out.lower()
 
-    def test_unknown_experiment_raises(self):
-        from repro.errors import ExperimentError
-
-        with pytest.raises(ExperimentError):
+    def test_unknown_experiment_raises(self, capsys):
+        # A usage error, rejected before any scenario is built.
+        with pytest.raises(SystemExit) as exc:
             main(["run", "fig99", "--scale", "tiny"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'fig99'" in capsys.readouterr().err
 
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
@@ -160,6 +161,47 @@ class TestCLI:
                       ["--backend", "batched"]):
             main(["extract", "--scale", "tiny", "--seed", "7", *extra])
             assert line in capsys.readouterr().out
+
+
+class TestCLIRunIsolation:
+    """``repro-kf run``'s exit code and failure isolation, with the
+    scenario and the experiments faked so the paths run in milliseconds;
+    the real experiments run in ``tests/benchmarks/test_reproduction.py``."""
+
+    @pytest.fixture(autouse=True)
+    def fake_experiments(self, monkeypatch):
+        from repro import cli
+        from repro.experiments import ExperimentResult
+
+        def fake(experiment_id, scenario):
+            if experiment_id == "fig9":
+                raise KeyError("lost-shard")
+            checks = {"holds": True, "spread": experiment_id != "table2"}
+            text = f"{experiment_id} report"
+            return ExperimentResult(experiment_id, experiment_id, text, {"n": 1}, checks)
+
+        monkeypatch.setattr(cli, "build_scenario", lambda config: None)
+        monkeypatch.setattr(cli, "run_experiment", fake)
+
+    def test_a_crash_does_not_stop_the_rest(self, tmp_path, capsys):
+        from repro.experiments import experiment_ids
+
+        assert main(["run", "all", "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "fig9: ERROR" in err
+        assert "Traceback" in err and "lost-shard" in err
+        assert "table2: FAILED spread" in err
+        assert "2 experiment(s) failed: table2, fig9" in err
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(f"{i}.txt" for i in experiment_ids() if i != "fig9")
+        assert (tmp_path / "table2.txt").read_text() == "table2 report\n"
+
+    def test_all_green_exits_zero(self, tmp_path, capsys):
+        assert main(["run", "fig10", "--out-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "fig10 report\n\n"
+        assert captured.err == ""
+        assert [path.name for path in tmp_path.iterdir()] == ["fig10.txt"]
 
 
 class TestCLIFuse:

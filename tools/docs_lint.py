@@ -13,9 +13,8 @@ suite (``tests/test_docs.py``):
    the README backend table, and the README must mention every
    subcommand the CLI actually exposes.
 3. **Benchmark entrypoints out of sync** — every ``benchmarks/<x>.py``
-   script the docs mention must exist, and the README must document both
-   programs under ``benchmarks/``: the result-reproduction runner
-   (``benchmarks/run.py``) and the one timer, kfbench
+   script the docs mention must exist, and the README must document the
+   one program under ``benchmarks/``, the timer kfbench
    (``python -m benchmarks.kfbench``).
 4. **Tool entrypoints out of sync** — every lint entrypoint under
    ``tools/`` (docs lint, contracts lint, reach census) must be mentioned somewhere in
@@ -150,7 +149,7 @@ def check_cli_sync(root: Path = REPO_ROOT) -> list[str]:
 
 
 def check_bench_sync(root: Path = REPO_ROOT) -> list[str]:
-    """Doc'd benchmark scripts exist; both benchmark programs are documented."""
+    """Doc'd benchmark scripts exist; the kfbench timer is documented."""
     errors: list[str] = []
     for name in BENCH_DOCS:
         doc = root / name
@@ -164,14 +163,9 @@ def check_bench_sync(root: Path = REPO_ROOT) -> list[str]:
                     "not exist"
                 )
     readme_path = root / "README.md"
-    if readme_path.exists():
-        readme = readme_path.read_text()
-        for token, what in (
-            ("benchmarks/run.py", "the result-reproduction runner"),
-            ("python -m benchmarks.kfbench", "the kfbench timer"),
-        ):
-            if token not in readme:
-                errors.append(f"README.md: {what} {token} is undocumented")
+    token = "python -m benchmarks.kfbench"
+    if readme_path.exists() and token not in readme_path.read_text():
+        errors.append(f"README.md: the kfbench timer {token} is undocumented")
     return errors
 
 

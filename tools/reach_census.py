@@ -7,7 +7,8 @@ and reports every function under ``src/repro`` that none of them entered:
 - every ``repro-kf`` subcommand, each method x backend, at ``tiny``;
 - ``run_end_to_end`` streamed under every pipeline backend, with and
   without a column store;
-- ``benchmarks/run.py --all`` at ``tiny`` and ``small``;
+- ``repro-kf run all --out-dir`` at ``tiny`` and ``small``: every
+  experiment, its checks and its report;
 - the six ``examples/``;
 - kfbench's four workloads (cold prepare, reference, rep, traced
   prepare and replica), in process at the quick ``tiny`` size.
@@ -238,10 +239,10 @@ def census(src: Path, package: str, run: Callable[[], object], allow_list: Path)
 # ---------------------------------------------------------------------------
 
 
-def _script(path: Path, *argv: str) -> None:
+def _script(path: Path) -> None:
     """Run ``path`` as ``__main__``; its exit code does not matter here."""
     saved = sys.argv
-    sys.argv = [str(path), *argv]
+    sys.argv = [str(path)]
     try:
         runpy.run_path(str(path), run_name="__main__")
     except SystemExit:
@@ -287,7 +288,6 @@ def run_entry_points(scratch: Path) -> None:
     tiny = ("--scale", "tiny", "--workers", "2")
     cache = str(scratch / "cli-cache")
     repro_kf(["list"])
-    repro_kf(["run", "all", "--scale", "tiny"])
     repro_kf(["lint"])
     repro_kf(["lint", "--format", "json"])
     for method in PIPELINE_METHODS:
@@ -314,7 +314,7 @@ def run_entry_points(scratch: Path) -> None:
 
     for scale in ("tiny", "small"):
         out = str(scratch / f"results-{scale}")
-        _script(REPO_ROOT / "benchmarks" / "run.py", "--all", "--scale", scale, "--out-dir", out)
+        repro_kf(["run", "all", "--scale", scale, "--out-dir", out])
     for example in sorted((REPO_ROOT / "examples").glob("*.py")):
         _script(example)
 
