@@ -34,9 +34,9 @@ import io
 import json
 import re
 import tokenize
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Finding",
@@ -81,14 +81,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "message": self.message,
-        }
 
 
 @dataclass(frozen=True)
@@ -422,8 +414,8 @@ def render_json(result: LintResult) -> str:
             "ok": result.ok,
             "n_files": result.n_files,
             "rules": list(result.rules),
-            "findings": [finding.to_json() for finding in result.findings],
-            "suppressed": [finding.to_json() for finding in result.suppressed],
+            "findings": [asdict(finding) for finding in result.findings],
+            "suppressed": [asdict(finding) for finding in result.suppressed],
         },
         indent=2,
     )

@@ -475,11 +475,10 @@ def load_scenario_artifact(
 class ColumnHandle:
     """A pure-primitive pointer at one published column store.
 
-    This is what crosses the pool wire when mapped columns are installed
-    as pool-resident state: directory + content key + a per-file
-    ``(name, size, sha256)`` manifest — never the arrays themselves.
-    Workers re-map the files from the page cache, so the claim columns
-    are shared zero-copy across the pool.
+    Directory + content key + a per-file ``(name, size, sha256)``
+    manifest — never the arrays themselves;
+    :class:`~repro.fusion.matrix.MappedColumnarClaims` maps the files it
+    names.
     """
 
     directory: str

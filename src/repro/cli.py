@@ -370,6 +370,9 @@ def _run_pipeline(args) -> int:
     from repro.errors import ConfigError
 
     try:
+        # Checked here too: the materialised scales never pass it on.
+        if args.chunk_pages < 1:
+            raise ConfigError(f"chunk_pages must be >= 1, got {args.chunk_pages}")
         result = run_end_to_end(
             config=_SCALES[args.scale](seed=args.seed),
             method=args.method,

@@ -11,10 +11,11 @@ both stages run on the same executor protocol
 (:mod:`repro.mapreduce.executors`): a single
 :class:`~repro.mapreduce.executors.ParallelExecutor` carries the
 extraction shards *and* every fusion round, so worker processes are paid
-for once per run, not once per stage.  Pool-resident state makes the
-hand-off cheap: extraction installs the 12-extractor fleet, fusion
-installs the columnar claim index; the pool restarts exactly once at the
-stage boundary and never re-ships state per shard.  In-process,
+for once per run, not once per stage.  Extraction installs the
+12-extractor fleet pool-resident; fusion installs nothing (each round's
+shared-memory segment carries the claim CSR its shards slice), so the
+workers are forked once, never restarted at the stage boundary, and no
+state is re-shipped per shard.  In-process,
 extraction runs on a :class:`~repro.mapreduce.executors.SerialExecutor`
 and fusion is plain calls over the claim columns.
 

@@ -230,8 +230,9 @@ class ExtractionPipeline:
                 executor.close()
             else:
                 # A shared executor outlives this stage: withdraw the
-                # fleet so the next stage's pool restart does not re-ship
-                # it to workers that never use it.
+                # fleet so a later pool (re)start does not re-ship it.
+                # Fusion installs nothing, so the running workers keep
+                # serving it without a restart.
                 executor.uninstall_state(EXTRACT_FLEET_KEY)
 
     def synthesis_fallbacks(self) -> tuple[str, ...]:

@@ -24,9 +24,9 @@ like one of an inactive provenance.
 The Stage-I kernels are consumed two ways: whole-matrix by the
 ``vectorized`` backend, and shard-at-a-time by the ``hybrid`` backend —
 each pool worker calls ``batch_round`` on a
-:class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-columns (with the keep-mask sliced by its ``claims``), so they must only
-touch the CSR pointer/index attributes
+:class:`~repro.fusion.observations.ColumnarSlice` of the round's
+shared-memory CSR (with the keep-mask sliced by its ``claims``), so they
+must only touch the CSR pointer/index attributes
 (``item_ptr``/``row_ptr``/``row_item``/``claim_prov``/``n_rows``), which
 both views provide.  :func:`stage2_accuracies` always runs whole-matrix,
 in the parent, for both backends.  In hybrid workers the

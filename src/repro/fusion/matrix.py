@@ -8,13 +8,11 @@ storage half:
 
 - :class:`MappedColumnarClaims` is a ``ColumnarClaims`` whose numeric
   columns are read-only ``np.memmap`` views over a published column
-  store (:func:`repro.artifacts.save_column_store`).  Pickling it ships
-  only the ~300-byte :class:`~repro.artifacts.ColumnHandle`; each pool
-  worker re-maps the files, so the static columns are shared zero-copy
-  through the page cache — the PR 5 shared-memory channel extended from
-  per-round vectors to the claim matrix itself.  A worker's copy has no
-  object columns (``items``/``triples``/``provenances``): the batched
-  Stage-I shard never touches them, so hybrid workers stay numeric.
+  store (:func:`repro.artifacts.save_column_store`), so the parent's
+  static columns live in the page cache, not on its heap.  It stays in
+  the parent: a pooled round copies the three Stage-I arrays from the
+  mapping into its shared-memory segment
+  (:func:`repro.fusion.shuffle.install_stage1_state`).
 - :func:`persist_columns` publishes an in-memory column set and maps it
   back.
 
@@ -67,9 +65,6 @@ class MappedColumnarClaims(ColumnarClaims):
     numeric columns and the canonical rank open eagerly as read-only
     memmaps.  The object columns are the lists :func:`persist_columns`
     adopts; ``objects.pkl`` holds them on disk, and nothing reads it back.
-    ``__reduce__`` ships the handle only, so installing an instance as
-    pool-resident state costs a few hundred bytes per worker regardless
-    of matrix size.
     """
 
     def __init__(self, handle: ColumnHandle) -> None:
@@ -93,23 +88,19 @@ class MappedColumnarClaims(ColumnarClaims):
     ) -> None:
         """Seed the object columns from lists the caller already holds.
 
-        Parent-side convenience after :func:`persist_columns`: avoids an
-        immediate re-unpickle of what was just written.  Workers are
-        unaffected — ``__reduce__`` ships the handle, never the lists.
+        Convenience after :func:`persist_columns`: avoids an immediate
+        re-unpickle of what was just written.
         """
         self.items = items
         self.triples = triples
         self.provenances = provenances
 
-    def __reduce__(self):
-        return (type(self), (self.handle,))
-
     def close(self) -> None:
         """Release every mapped view (and its file descriptor).
 
-        The instance must not be used afterwards; the round-state
-        lifecycle calls this right after the columns are uninstalled
-        from the pool.
+        The instance must not be used afterwards; a streamed pipeline
+        run calls this when it ends, after fusion has unlinked its last
+        round's segment.
         """
         if self._closed:
             return

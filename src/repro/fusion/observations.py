@@ -50,6 +50,7 @@ __all__ = [
     "ColumnarSlice",
     "FusionInput",
     "ragged_gather",
+    "slice_csr",
 ]
 
 ProvKey = tuple[str, ...]
@@ -113,7 +114,7 @@ def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
 
     The CSR-segment gather: rows per item and claims per row
-    (:meth:`ColumnarClaims.slice_items`), rows per provenance (the scalar
+    (:func:`slice_csr`), rows per provenance (the scalar
     Stage II), claims per unscored row (the θ fallback of Stage III).
     """
     total = int(counts.sum())
@@ -173,6 +174,37 @@ class ColumnarSlice:
         return len(self.rows)
 
 
+def slice_csr(item_ptr, row_ptr, claim_prov, item_ids) -> ColumnarSlice:
+    """A local CSR view over ``item_ids`` for the batched shard kernels.
+
+    The body of :meth:`ColumnarClaims.slice_items`, over the three
+    Stage-I arrays only, so a pool shard can slice the copies its round's
+    shared-memory segment carries.  Pure numpy gathers (no Python loop
+    over rows or claims), so the per-shard setup cost stays a handful of
+    array ops.  Items keep the order given; rows/claims stay contiguous
+    per item/row, preserving the layout invariant the ``reduceat``-based
+    kernels rely on.
+    """
+    ids = np.asarray(item_ids, dtype=np.int64)
+    row_counts = item_ptr[ids + 1] - item_ptr[ids]
+    rows = ragged_gather(item_ptr[ids], row_counts)
+    local_item_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=local_item_ptr[1:])
+    row_item = np.repeat(np.arange(len(ids), dtype=np.int64), row_counts)
+    claim_counts = row_ptr[rows + 1] - row_ptr[rows]
+    claims = ragged_gather(row_ptr[rows], claim_counts)
+    local_row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(claim_counts, out=local_row_ptr[1:])
+    return ColumnarSlice(
+        rows=rows,
+        row_item=row_item,
+        item_ptr=local_item_ptr,
+        claim_prov=claim_prov[claims],
+        row_ptr=local_row_ptr,
+        claims=claims,
+    )
+
+
 @dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
 class ColumnarClaims:
     """Int-coded CSR view of a claim matrix for the vectorized kernels.
@@ -191,10 +223,6 @@ class ColumnarClaims:
     ``prov_rows``/``prov_ptr`` is the transposed CSR: provenance ``p``
     supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the unique
     triples of each provenance, feeding Stage II).
-
-    The two canonical-order caches are parent-side only: pickles (the
-    pool-resident install) leave them out, so the pickled value does not
-    depend on whether they were built yet.
     """
 
     granularity: Granularity
@@ -209,13 +237,6 @@ class ColumnarClaims:
     prov_ptr: np.ndarray  # prov p rows: [prov_ptr[p], prov_ptr[p+1])
     _canonical_rank: np.ndarray | None = field(default=None, repr=False)
     _canonical_prov_order: np.ndarray | None = field(default=None, repr=False)
-
-    def __getstate__(self) -> dict:
-        return {
-            name: value
-            for name, value in self.__dict__.items()
-            if name not in ("_canonical_rank", "_canonical_prov_order")
-        }
 
     @property
     def n_items(self) -> int:
@@ -275,31 +296,8 @@ class ColumnarClaims:
         return self._canonical_prov_order
 
     def slice_items(self, item_ids) -> ColumnarSlice:
-        """A local CSR view over ``item_ids`` for the hybrid shard kernels.
-
-        Pure numpy gathers (no Python loop over rows or claims), so the
-        per-shard setup cost stays a handful of array ops.  Items keep the
-        order given; rows/claims stay contiguous per item/row, preserving
-        the layout invariant the ``reduceat``-based kernels rely on.
-        """
-        ids = np.asarray(item_ids, dtype=np.int64)
-        row_counts = self.item_ptr[ids + 1] - self.item_ptr[ids]
-        rows = ragged_gather(self.item_ptr[ids], row_counts)
-        item_ptr = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=item_ptr[1:])
-        row_item = np.repeat(np.arange(len(ids), dtype=np.int64), row_counts)
-        claim_counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
-        claims = ragged_gather(self.row_ptr[rows], claim_counts)
-        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(claim_counts, out=row_ptr[1:])
-        return ColumnarSlice(
-            rows=rows,
-            row_item=row_item,
-            item_ptr=item_ptr,
-            claim_prov=self.claim_prov[claims],
-            row_ptr=row_ptr,
-            claims=claims,
-        )
+        """A local CSR view over ``item_ids`` (:func:`slice_csr`)."""
+        return slice_csr(self.item_ptr, self.row_ptr, self.claim_prov, item_ids)
 
 
 class _Vocabulary(dict):

@@ -42,12 +42,13 @@ fields are the only thing that differs between them:
   kernels do); a posterior without one is a :class:`ConfigError` before
   any work;
 - **pooled** (``hybrid``) — the *columnar shuffle*
-  (:mod:`repro.fusion.shuffle`): the claim columns are installed
-  pool-resident once per pool, each round dispatches Stage I as one
+  (:mod:`repro.fusion.shuffle`): each round publishes Stage I's claim
+  CSR and round state as contiguous buffers in one shared-memory
+  segment and dispatches Stage I as one
   :class:`~repro.mapreduce.executors.ShardedMapJob` map-only job over
-  integer item ids, each shard scoring its slice of the columns with the
-  batched kernel, and the round state crosses as contiguous buffers — no
-  ``Triple``/``DataItem`` objects in shard payloads.  Stage II is one
+  integer item ids, each shard scoring its slice of the CSR with the
+  batched kernel — no ``Triple``/``DataItem`` objects in shard payloads,
+  and nothing installed pool-resident.  Stage II is one
   in-process call over every provenance id in every mode — the same
   call, pooled or not.
 
@@ -248,7 +249,6 @@ def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | No
 
 @contextmanager
 def _column_executor(
-    cols: ColumnarClaims,
     config: FusionConfig,
     plan: ExecutionPlan,
     executor: Executor | None,
@@ -257,9 +257,10 @@ def _column_executor(
 
     Yields None for the in-process modes (a caller's executor is then
     never touched: a pool handed to one stays unstarted); otherwise the
-    caller's pool — or one owned (and closed) here — with the claim
-    columns installed pool-resident.  A pooled mode handed any other
-    executor raises before any work.
+    caller's pool — or one owned (and closed) here.  Nothing is installed
+    pool-resident (each round's segment carries Stage I's CSR), so a pool
+    the extraction stage started runs fusion without a restart.  A pooled
+    mode handed any other executor raises before any work.
     """
     if not plan.pooled:
         yield None
@@ -273,7 +274,6 @@ def _column_executor(
             f"handed a {type(executor).__name__}; pass a ParallelExecutor or none"
         )
     try:
-        shuffle.install_fusion_columns(executor, cols)
         yield executor
     finally:
         # Release the last round's shared-memory segment even on a
@@ -299,14 +299,14 @@ def _column_stage1(
 
     In-process (``executor`` None) the batched kernel scores the whole
     matrix in one call and the scalar kernel walks every item id.
-    Sharded, the round's accuracies, active mask and claim keep-mask
-    (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on the
-    round-state channel (one shared-memory segment; the shard specs
+    Sharded, the round's CSR, accuracies, active mask and claim
+    keep-mask (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on
+    the round-state channel (one shared-memory segment; the shard specs
     carry only the tiny handle) and each shard of item ids
     runs the batched kernel — the round's one map job, named ``name``.
     """
     if executor is not None:
-        state = shuffle.install_stage1_state(executor, accuracies, active, keep)
+        state = shuffle.install_stage1_state(executor, cols, accuracies, active, keep)
         job = shuffle.stage1_job(name, cols, kernel, state, require_repeated)
         return shuffle.merge_stage1_outputs(
             cols, executor.run_map(range(cols.n_items), job)
@@ -426,7 +426,7 @@ def _run_columnar(
     round_probabilities: list[dict[Triple, float]] = []
     rounds_run = 0
     converged = False
-    with _column_executor(cols, config, plan, executor) as where:
+    with _column_executor(config, plan, executor) as where:
         for round_index in range(config.max_rounds):
             active = active_mask(round_index)
             require_repeated = config.filter_by_coverage and round_index == 0

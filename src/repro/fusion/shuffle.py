@@ -23,20 +23,21 @@ only Stage I — the per-item posteriors, where the work is — is a map job,
 pooled by ``hybrid``.  Stage II always runs in the parent, on the call
 the in-process modes make.  Pooled, one round is:
 
-- the **columns** are installed *pool-resident* once per pool
-  (:func:`install_fusion_columns`, via
-  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`);
-- the **round state** (accuracy vector, active mask, and the Stage-I
-  keep-mask when sampling engages) crosses once per round on the
-  round-state channel under :data:`FUSION_ROUND_KEY` — so a **shard task
-  payload** is a list of integer item ids plus the tiny
+- the **round state** — Stage I's CSR (``item_ptr``, ``row_ptr``,
+  ``claim_prov``), the accuracy vector, the active mask, and the Stage-I
+  keep-mask when sampling engages — crosses once per round, in one
+  shared-memory segment on the round-state channel under
+  :data:`FUSION_ROUND_KEY` (:func:`install_stage1_state`) — so a **shard
+  task payload** is a list of integer item ids plus the tiny
   :class:`~repro.mapreduce.executors.RoundStateHandle`: no ``Triple``,
   ``DataItem``, ``ExtractionRecord`` *or numpy buffer* (the test suite
   audits this with :func:`~repro.mapreduce.codec.scan_payload_types`);
+  fusion installs no pool-resident state, so a pool shared with
+  extraction is never restarted;
 - Stage I runs as one :class:`Stage1Shard` job on the executors' map-only
-  protocol: each shard slices the resident columns
-  (:meth:`~repro.fusion.observations.ColumnarClaims.slice_items`) and
-  runs the batched kernel once.
+  protocol: each shard slices the segment's CSR views
+  (:func:`~repro.fusion.observations.slice_csr`) and runs the batched
+  kernel once.
 
 Every batched aggregate is per item or per row, so a shard's slice
 scores exactly as the whole matrix does: ``hybrid`` equals in-process
@@ -53,19 +54,16 @@ from typing import Callable
 import numpy as np
 
 from repro.fusion.kernels import RoundPosteriors
-from repro.fusion.observations import ColumnarClaims, ragged_gather
+from repro.fusion.observations import ColumnarClaims, ragged_gather, slice_csr
 from repro.mapreduce.executors import (
     ParallelExecutor,
     RoundStateHandle,
     ShardedMapJob,
     sample_positions,
-    worker_state,
 )
 
 __all__ = [
-    "FUSION_COLUMNS_KEY",
     "FUSION_ROUND_KEY",
-    "install_fusion_columns",
     "install_stage1_state",
     "uninstall_fusion_round_state",
     "stage1_keep",
@@ -77,26 +75,10 @@ __all__ = [
     "merge_stage1_outputs",
 ]
 
-#: Registry key the fusion columns are installed under (see
-#: :func:`repro.mapreduce.executors.worker_state`).
-FUSION_COLUMNS_KEY = "fusion.columns"
-
 #: Round-state key the per-round Stage-I buffers are installed under.  One
 #: install per round; each supersedes (and unlinks) the last, so at most
 #: one shared-memory segment per fusion run is ever live.
 FUSION_ROUND_KEY = "fusion.round"
-
-
-def install_fusion_columns(executor: ParallelExecutor, cols: ColumnarClaims) -> None:
-    """Make ``cols`` pool-resident for the Stage-I shards.
-
-    Crosses the process boundary once per pool.  The pickled value leaves
-    out the parent-side canonical-order caches, so a shared executor's
-    next fuse over the same columns reinstalls an identical value — a
-    no-op, not a pool restart.  The columns are not withdrawn when a
-    fusion run ends.
-    """
-    executor.install_state(FUSION_COLUMNS_KEY, cols)  # det: ignore[DET004] -- kept resident across fuses on a shared executor; its close() releases it
 
 
 def uninstall_fusion_round_state(executor: ParallelExecutor) -> None:
@@ -107,13 +89,19 @@ def uninstall_fusion_round_state(executor: ParallelExecutor) -> None:
 
 def install_stage1_state(
     executor: ParallelExecutor,
+    cols: ColumnarClaims,
     accuracies: np.ndarray,
     active: np.ndarray,
     keep: np.ndarray | None = None,
 ) -> RoundStateHandle:
-    """Publish one round's Stage-I inputs on the round-state channel (the
-    claim keep-mask only when sampling engaged)."""
+    """Publish one round's Stage-I inputs on the round-state channel: the
+    CSR :class:`Stage1Shard` slices, the accuracies and active mask, and
+    the claim keep-mask only when sampling engaged.  Mapped columns are
+    copied from their column store into the segment."""
     arrays = {
+        "item_ptr": cols.item_ptr,
+        "row_ptr": cols.row_ptr,
+        "claim_prov": cols.claim_prov,
         "accuracies": np.asarray(accuracies, dtype=np.float64),
         "active": np.asarray(active, dtype=bool),
     }
@@ -270,23 +258,24 @@ class Stage1Shard:
 
     Pickled once per job; carries the picklable posterior kernel plus the
     :class:`~repro.mapreduce.executors.RoundStateHandle` naming the
-    round's accuracy vector, active mask and (when sampling engaged) claim
-    keep-mask — the buffers themselves live in shared memory, crossing
-    once per round (:func:`install_stage1_state`).  The shard runs one
+    round's segment — Stage I's CSR, accuracy vector, active mask and
+    (when sampling engaged) claim keep-mask, crossing once per round
+    (:func:`install_stage1_state`).  The shard runs one
     ``kernel.batch_round`` call over a
-    :class:`~repro.fusion.observations.ColumnarSlice` of the pool-resident
-    columns and returns one list of ``(row_id, posterior)`` pairs per
-    item.
+    :class:`~repro.fusion.observations.ColumnarSlice` of those views and
+    returns one list of ``(row_id, posterior)`` pairs per item.
     """
 
     kernel: Callable  # carries .batch_round
-    state: RoundStateHandle  # names the round's accuracies, active (+ keep) masks
+    state: RoundStateHandle  # names the round's CSR, accuracies, active (+ keep)
     require_repeated: bool
 
     def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
-        cols: ColumnarClaims = worker_state(FUSION_COLUMNS_KEY)
         round_state = self.state.load()
-        part = cols.slice_items(item_ids)
+        part = slice_csr(
+            round_state["item_ptr"], round_state["row_ptr"],
+            round_state["claim_prov"], item_ids,
+        )
         keep = round_state.get("keep")
         round_result = self.kernel.batch_round(
             part,

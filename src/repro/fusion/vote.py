@@ -84,7 +84,7 @@ class Vote(Fuser):
         keep = shuffle.stage1_keep(
             cols, active, "vote.stage1", self.config.sample_limit, self.config.seed
         )
-        with _column_executor(cols, self.config, plan, executor) as where:
+        with _column_executor(self.config, plan, executor) as where:
             round_result = _column_stage1(
                 cols,
                 VoteKernel(),

@@ -21,15 +21,16 @@ The contract both producers follow (see ``mapreduce/README.md``):
 1. **Shard task payloads are flat.**  Work items cross as primitives
    (ints, strings) or numpy arrays.
 2. **Heavyweight invariant state never rides in a payload.**  Objects
-   that every shard needs but no shard changes (the extractor fleet, the
-   columnar claim index) are installed *pool-resident* via
+   that every shard needs but no shard changes (the extractor fleet) are
+   installed *pool-resident* via
    :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`,
    crossing once per pool — not once per shard — on both ``fork`` and
    ``spawn`` start methods.
 3. **Per-round state never rides in a payload either.**  Buffers that
    change each round but are shared by every shard of the round (a
-   fusion round's accuracy vector and active mask — the one map stage of
-   a round, Stage I, reads nothing else) cross through the
+   fusion round's accuracy vector and active mask, and the claim CSR
+   beside them — the one map stage of a round, Stage I, reads nothing
+   else) cross through the
    executors' round-state channel
    (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`
    — one shared-memory segment per round); the spec carries

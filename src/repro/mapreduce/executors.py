@@ -17,9 +17,10 @@ policy:
 This is the protocol the extraction stage runs on — each shard of pages
 is extracted in a worker and the parent reassembles the corpus-order
 record stream — and fusion's Stage I as well, one job per round (items
-are integer item ids into pool-resident columns; see
-:mod:`repro.fusion.shuffle`; Stage II runs in the parent).  The
-in-process fusion modes do not go through an executor at all.
+are integer item ids into the claim CSR the round's shared-memory
+segment carries; see :mod:`repro.fusion.shuffle`; Stage II runs in the
+parent).  The in-process fusion modes do not go through an executor at
+all.
 
 Bit-identity across start methods requires shard bodies whose float
 summation order does not depend on hash randomization: a body that sums a
@@ -46,19 +47,21 @@ handle (segment name + array layout, a few hundred bytes) and resolve the
 arrays with ``handle.load()`` in the worker, attaching the segment at
 most once per worker per round.  The buffers therefore cross the process
 boundary **zero** times (the parent writes them straight into shared
-memory once per round) instead of once per shard dispatch.  A segment
-that cannot be created raises from the install.
+memory once per round) instead of once per shard dispatch.  Fusion puts
+its Stage-I claim CSR in the same segment, so its shards need no
+pool-resident state.  A segment that cannot be created raises from the
+install.
 
 **Pool-resident worker state.**  Heavyweight invariant objects (the
-extraction stage's 12-extractor fleet, fusion's columnar claim index) are
-*installed* on an executor via :meth:`~Executor.install_state` and cross
-the process boundary exactly once per pool — through the pool
-initializer, on both ``fork`` and ``spawn`` — instead of once per shard
-task.  Shard callables fetch them back with :func:`worker_state`, which
-resolves in a worker and, under :class:`SerialExecutor`, in the parent.
-Installing new state after the pool has started restarts the pool (once
-per pipeline stage, not per job); see ``mapreduce/README.md`` for the
-full protocol.
+extraction stage's 12-extractor fleet) are *installed* on an executor
+via :meth:`~Executor.install_state` and cross the process boundary
+exactly once per pool — through the pool initializer, on both ``fork``
+and ``spawn`` — instead of once per shard task.  Shard callables fetch
+them back with :func:`worker_state`, which resolves in a worker and,
+under :class:`SerialExecutor`, in the parent.  Installing new state
+after the pool has started restarts the pool; fusion installs none, so
+a pipeline run's one pool serves both stages.  See
+``mapreduce/README.md`` for the full protocol.
 
 **Execution modes.**  Which executor a backend name means — and which
 kernel its shards run — is the :data:`EXECUTION_MODES` table at the end
@@ -77,7 +80,7 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -109,7 +112,7 @@ __all__ = [
 # One process-wide registry.  In a worker it is filled exactly once, by the
 # pool initializer; in the parent, by SerialExecutor.install_state, so the
 # same shard callables run in-process.  Keys are namespaced by producer
-# ("extract.fleet", "fusion.columns"); later installs win.
+# ("extract.fleet"); later installs win.
 
 _WORKER_STATE: dict[str, Any] = {}
 
@@ -191,8 +194,9 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     on ``close()``).  Python 3.13+ exposes ``track=False`` so the attach
     leaves no tracker registration at all; on older versions the
     attach-side registration lands in the process tree's *shared*
-    resource tracker, where it is an idempotent duplicate of the parent's
-    create-side registration and is removed by the parent's ``unlink()``.
+    resource tracker (the pool starts it before any worker), where it is
+    an idempotent duplicate of the parent's create-side registration and
+    is removed by the parent's ``unlink()``.
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
@@ -455,10 +459,9 @@ class ParallelExecutor:
     Every non-empty job runs in the pool; nothing runs in the parent.
     State installed with :meth:`install_state` reaches workers through the
     pool initializer; installing *after* the pool has started restarts it
-    so new workers see the full registry — once per pipeline stage, never
-    per shard.  Per-round state (:meth:`install_round_state`) never
-    restarts the pool: it crosses through shared-memory segments workers
-    attach lazily.
+    so new workers see the full registry — never per shard.  Per-round
+    state (:meth:`install_round_state`) never restarts the pool: it
+    crosses through shared-memory segments workers attach lazily.
     """
 
     #: Always 0: every job runs in the pool, on one round-state channel.
@@ -562,6 +565,12 @@ class ParallelExecutor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Workers forked before the parent's resource tracker runs
+            # would start trackers of their own, which report every
+            # round-state segment a worker attached (Python < 3.13) as
+            # leaked, and unlink it, when the worker exits.  Started
+            # first, the parent's is the one every worker shares.
+            resource_tracker.ensure_running()
             method = self.start_method
             if method is None:
                 method = (

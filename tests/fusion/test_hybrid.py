@@ -13,14 +13,18 @@ What ``backend="hybrid"`` promises, tested on real seeded scenarios:
 3. **Payload purity**: hybrid shard payloads are integer ids plus
    contiguous buffers and the picklable kernel — no ``Triple``/
    ``DataItem``/``ExtractionRecord`` objects cross per shard.
+4. **One pool, nothing resident**: fusion installs no pool-resident
+   state, so a pipeline run forks its workers once and a fuse on a fresh
+   pool ships no state bytes.
 """
 
+import multiprocessing
 import pickle
 
 import pytest
 
-from repro.datasets import build_scenario, small_config
-from repro.endtoend import PIPELINE_METHODS, make_fuser
+from repro.datasets import build_scenario, small_config, tiny_config
+from repro.endtoend import PIPELINE_METHODS, make_fuser, run_end_to_end
 from repro.extract.records import ExtractionRecord
 from repro.fusion import (
     FusionConfig,
@@ -213,3 +217,32 @@ class TestHybridPayloadPurity:
                 assert not offenders, (
                     f"hybrid shard payload carries domain objects: {offenders}"
                 )
+
+
+@pytest.mark.parametrize("start_method", START_METHODS)
+class TestOnePool:
+    def test_pipeline_starts_one_pool(self, monkeypatch, start_method):
+        """Extraction and every fusion round share one set of workers:
+        the fusion stage installs nothing, so the pool is never restarted
+        at the stage boundary."""
+        pools = []
+
+        class CountingPool(executors.ProcessPoolExecutor):
+            def __init__(self, *args, mp_context=None, **kwargs):
+                pools.append(self)
+                super().__init__(
+                    *args, mp_context=multiprocessing.get_context(start_method), **kwargs
+                )
+
+        monkeypatch.setattr(executors, "ProcessPoolExecutor", CountingPool)
+        result = run_end_to_end(tiny_config(seed=0), backend="hybrid", n_workers=2)
+        assert result.fusion.diagnostics["backend_used"] == "hybrid"
+        assert len(pools) == 1
+
+    def test_fuse_ships_no_installed_state(self, micro_scenario, start_method):
+        with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
+            result = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
+                micro_scenario.fusion_input(), executor=executor
+            )
+            assert executor.state_bytes_shipped == 0
+        assert result.diagnostics["state_bytes_shipped"] == 0

@@ -10,14 +10,13 @@ Two contracts pin the whole `web` tier to the record-path semantics:
 2. **Mapped == in-memory** — a ``MappedColumnarClaims`` re-opened from
    the published store is numerically identical to the arrays it was
    built from; the mmap layer is a storage format, never a numeric
-   change.  Plus the lifecycle half: pickling ships only the handle and
-   ``close()`` releases the file descriptors.
+   change.  Plus the lifecycle half: ``close()`` releases the file
+   descriptors.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import sys
 
 import numpy as np
@@ -27,7 +26,7 @@ from repro.artifacts import prune_cache
 from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.fusion.base import FusionConfig
-from repro.fusion.matrix import NUMERIC_COLUMNS, MappedColumnarClaims, persist_columns
+from repro.fusion.matrix import MappedColumnarClaims, persist_columns
 from repro.fusion.observations import (
     ClaimAccumulator,
     ClaimMatrix,
@@ -148,21 +147,6 @@ class TestClaimAccumulator:
         label_gold(tiny_scenario.freebase, records)
         assert calls == []
 
-    def test_pickle_leaves_out_the_parent_side_caches(self, tiny_scenario):
-        """Workers read neither canonical-order cache, so the pickled
-        columns (what a pool install ships) are the same bytes before and
-        after the parent builds them — reinstalling stays a no-op — and
-        an unpickled copy rebuilds them to equal arrays."""
-        cols = FusionInput(tiny_scenario.records).claims(Granularity.EXTRACTOR_SITE).columnar()
-        before = pickle.dumps(cols)
-        order = cols.canonical_prov_order()
-        assert pickle.dumps(cols) == before
-        copy = pickle.loads(before)
-        assert copy._canonical_rank is None and copy._canonical_prov_order is None
-        assert np.array_equal(copy.canonical_rank(), cols.canonical_rank())
-        assert np.array_equal(copy.canonical_prov_order(), order)
-        assert_columns_equal(copy, cols)
-
     def test_release_drops_state(self, tiny_scenario):
         accumulator = _accumulate(
             tiny_scenario.records, Granularity.EXTRACTOR_SITE, 50
@@ -188,20 +172,6 @@ class TestMappedColumns:
         mapped = persist_columns(tiny_columns, tmp_path)
         try:
             assert_columns_equal(mapped, tiny_columns)
-        finally:
-            mapped.close()
-
-    def test_pickle_ships_only_the_handle(self, tiny_columns, tmp_path):
-        mapped = persist_columns(tiny_columns, tmp_path)
-        try:
-            blob = pickle.dumps(mapped)
-            assert len(blob) < 2048
-            clone = pickle.loads(blob)
-            try:
-                for name in NUMERIC_COLUMNS:
-                    assert np.array_equal(getattr(clone, name), getattr(tiny_columns, name))
-            finally:
-                clone.close()
         finally:
             mapped.close()
 

@@ -13,14 +13,20 @@ Four properties, each load-bearing:
    fuse propagates the error with every segment it made unlinked.
 4. **No leaks**: every segment an executor created is unlinked by the
    next install under its key, by ``uninstall_round_state``, and by
-   ``close()`` — nothing survives in ``/dev/shm`` after a run.
+   ``close()`` — nothing survives in ``/dev/shm`` after a run, and no
+   resource tracker reports one as leaked.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,3 +240,43 @@ class TestNoLeaks:
             # unlinked by the time fuse() returned.
             assert len(created) == result.rounds
             _assert_unlinked(created)
+
+    @pytest.mark.parallel_backend
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_pool_forked_before_any_segment_reports_no_leak(self):
+        """A shared executor's pool is forked by extraction, before fusion
+        creates its first segment.  Its workers must still share the
+        parent's resource tracker: a tracker of their own would, when the
+        worker exits, report every segment it attached as leaked and try
+        to unlink it."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.mapreduce.executors import ParallelExecutor, ShardedMapJob
+            from tests.mapreduce.test_round_state import _reader_job
+
+            def identity(items):
+                return items
+
+            with ParallelExecutor(max_workers=2, start_method="fork") as executor:
+                executor.run_map(
+                    list(range(4)),
+                    ShardedMapJob(name="warm", map_shard=identity, key_fn=int),
+                )
+                handle = executor.install_round_state(
+                    "test.round", {"values": np.arange(4.0)}
+                )
+                print(executor.run_map(list(range(4)), _reader_job(handle)))
+            """
+        )
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root), str(root / "src")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, cwd=root, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[0.0, 1.0, 2.0, 3.0]"
+        assert "resource_tracker" not in done.stderr

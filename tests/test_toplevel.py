@@ -372,6 +372,16 @@ class TestCLIStreamingScale:
                      "--chunk-pages", "0"]) == 2
         assert "chunk_pages must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["tiny", "small", "medium"])
+    @pytest.mark.parametrize("chunk_pages", ["0", "-3"])
+    def test_materialised_scales_reject_bad_chunk_pages(self, capsys, scale, chunk_pages):
+        # The value is streaming-only, but a bad one is a usage error
+        # everywhere, before any generation.
+        assert main(["pipeline", "--scale", scale, "--chunk-pages", chunk_pages]) == 2
+        captured = capsys.readouterr()
+        assert "chunk_pages must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_web_is_pipeline_only(self):
         for subcommand in (["run", "fig9"], ["fuse", "popaccu"], ["extract"]):
             with pytest.raises(SystemExit):
