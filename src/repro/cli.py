@@ -424,6 +424,13 @@ def _run_experiments(args) -> int:
 def _run_cache(args) -> int:
     from repro.artifacts import prune_cache
 
+    # A mistyped path would otherwise read as a clean cache.
+    if not args.cache_dir.is_dir():
+        print(
+            f"repro-kf cache prune: error: {args.cache_dir} is not a directory",
+            file=sys.stderr,
+        )
+        return 2
     stale = prune_cache(args.cache_dir, apply=args.apply)
     if not stale:
         print(f"cache {args.cache_dir}: nothing stale")

@@ -17,7 +17,7 @@ truth set of every data item.  Two derived artifacts matter downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,11 +33,21 @@ from repro.kb.values import (
     StringValue,
     Value,
 )
-from repro.rng import split_seed, zipf_weights
+from repro.rng import WeightedChoice, split_seed, zipf_weights
 from repro.world.catalog import TypeSpec
 from repro.world.config import WorldConfig
 
 __all__ = ["World", "SourceAssertion", "build_freebase_snapshot"]
+
+
+@cache
+def _zipf_by_length(n: int) -> WeightedChoice:
+    """The popular-wrong-value draw over a pool of ``n`` values.
+
+    Zipf weights depend only on the pool length, so every wrong pool of
+    one length shares one weight vector and one CDF.
+    """
+    return WeightedChoice(zipf_weights(n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,8 +83,9 @@ class _WorldTables:
       the values carrying that text (the peers a wrong string draw must
       skip);
     - ``topic_pools`` — per distinct ``SiteProfile.topic_types``, the
-      entity pool and its normalised popularity vector, filled on demand
-      by :meth:`World.topic_pool`;
+      entity pool and the weighted draw over its normalised popularity
+      (the vector and its CDF), filled on demand by
+      :meth:`World.topic_pool`;
     - ``entity_items`` — per entity id, the data items that have truths,
       filled on demand by :meth:`World.items_of`.
     """
@@ -92,7 +103,7 @@ class _WorldTables:
         for position, value in enumerate(self.strings):
             self.positions.setdefault(value.text, []).append(position)
         self.topic_pools: dict[
-            tuple[str, ...], tuple[tuple[Entity, ...], np.ndarray]
+            tuple[str, ...], tuple[tuple[Entity, ...], WeightedChoice]
         ] = {}
         self.entity_items: dict[str, tuple[DataItem, ...]] = {}
 
@@ -176,12 +187,13 @@ class World:
 
     def topic_pool(
         self, topic_types: tuple[str, ...]
-    ) -> tuple[tuple[Entity, ...], np.ndarray]:
-        """The entities of ``topic_types`` and their normalised popularity.
+    ) -> tuple[tuple[Entity, ...], WeightedChoice]:
+        """The entities of ``topic_types`` and the draw by their popularity.
 
         Type by type in the given order, registry order within a type —
         the pool a page of a site with these topics picks its entities
-        from.
+        from; the :class:`~repro.rng.WeightedChoice` holds the normalised
+        popularity vector (``.p``) and its CDF.
         """
         memo = self._tables.topic_pools
         cached = memo.get(topic_types)
@@ -194,7 +206,10 @@ class World:
             weights = np.array(
                 [self.popularity.get(entity.entity_id, 1e-9) for entity in pool]
             )
-            cached = memo[topic_types] = (pool, weights / weights.sum())
+            cached = memo[topic_types] = (
+                pool,
+                WeightedChoice(weights / weights.sum()),
+            )
         return cached
 
     # ------------------------------------------------------------------
@@ -203,7 +218,8 @@ class World:
     def wrong_pool(self, item: DataItem) -> tuple[tuple[Value, ...], np.ndarray]:
         """The shared pool of plausible wrong values for ``item``.
 
-        Returns ``(values, weights)`` where weights are Zipf-normalised;
+        Returns ``(values, weights)`` where weights are Zipf-normalised
+        (one read-only array shared by every pool of the same length);
         deterministic per item (seeded by the item's canonical form), and
         cached.  Sources that err on this item draw from this pool, which is
         what makes some wrong values *popular*.
@@ -227,7 +243,7 @@ class World:
             seen.add(candidate)
             pool.append(candidate)
         values = tuple(pool)
-        weights = zipf_weights(len(values)) if values else np.array([])
+        weights = _zipf_by_length(len(values)).p if values else np.array([])
         self._wrong_pools[item] = (values, weights)
         return values, weights
 
@@ -312,15 +328,15 @@ class World:
     ) -> Value | None:
         """Draw a wrong value for ``item``.
 
-        ``popular=True`` draws from the shared Zipf pool (recurring wrong
-        values); otherwise draws uniformly from the pool's tail, standing in
-        for one-off source mistakes.
+        ``popular=True`` draws from the shared pool by its Zipf weights
+        (recurring wrong values); otherwise draws uniformly over the whole
+        pool, standing in for one-off source mistakes.
         """
-        values, weights = self.wrong_pool(item)
+        values, _ = self.wrong_pool(item)
         if not values:
             return None
         if popular:
-            index = int(rng.choice(len(values), p=weights))
+            index = _zipf_by_length(len(values)).draw(rng)
         else:
             index = int(rng.integers(len(values)))
         return values[index]

@@ -25,7 +25,7 @@ from repro.errors import ConfigError
 from repro.kb.entities import Entity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import EntityRef, Value
-from repro.rng import named_rng, zipf_weights
+from repro.rng import WeightedChoice, named_rng, zipf_weights
 from repro.world.config import WebConfig
 from repro.world.content import (
     AnnotationBlock,
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 _CATEGORIES = ("wiki", "news", "general")
+
+#: A general site's date style: ISO, US or EU.
+_DATE_STYLES = (DATE_STYLE_ISO, DATE_STYLE_US, DATE_STYLE_EU)
+_DATE_STYLE_CHOICE = WeightedChoice([0.4, 0.4, 0.2])
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,7 +113,7 @@ def _make_sites(
     type_weights = np.array(
         [spec.entity_weight for spec in sorted(world.specs, key=lambda s: s.type_id)]
     )
-    type_weights = type_weights / type_weights.sum()
+    type_choice = WeightedChoice(type_weights / type_weights.sum())
     n_wiki = max(1, config.n_sites // 40)
     n_news = max(1, config.n_sites // 10)
     sites: dict[str, SiteProfile] = {}
@@ -135,13 +139,9 @@ def _make_sites(
             if category == "news":
                 date_style = DATE_STYLE_US
             else:
-                date_style = [DATE_STYLE_ISO, DATE_STYLE_US, DATE_STYLE_EU][
-                    int(rng.choice(3, p=[0.4, 0.4, 0.2]))
-                ]
+                date_style = _DATE_STYLES[_DATE_STYLE_CHOICE.draw(rng)]
             n_topics = int(rng.integers(1, min(4, len(type_ids)) + 1))
-            picked = rng.choice(
-                len(type_ids), size=n_topics, replace=False, p=type_weights
-            )
+            picked = type_choice.draw_distinct(rng, n_topics)
             topics = tuple(sorted(type_ids[i] for i in picked))
         # Per-site content mix: Dirichlet jitter around the corpus mix.
         jitter = rng.dirichlet(mix_base * 12 + 0.08)
@@ -170,13 +170,12 @@ def _pick_entities(
     rng: np.random.Generator,
     max_entities: int,
 ) -> list[Entity]:
-    pool, probs = world.topic_pool(site.topic_types)
+    pool, popularity = world.topic_pool(site.topic_types)
     if not pool:
         return []
     n = int(rng.integers(1, max_entities + 1))
     n = min(n, len(pool))
-    picked = rng.choice(len(pool), size=n, replace=False, p=probs)
-    return [pool[i] for i in picked]
+    return [pool[i] for i in popularity.draw_distinct(rng, n)]
 
 
 def _assert_item(
@@ -327,8 +326,8 @@ def _render_dom(
 
 
 #: What ``_render_text`` phrases one predicate with: the single-object
-#: templates, their normalised weights, and the conjunction template.
-_TextMenu = tuple[list[TemplateSpec], np.ndarray, TemplateSpec | None]
+#: templates, the weighted draw over them, and the conjunction template.
+_TextMenu = tuple[list[TemplateSpec], WeightedChoice, TemplateSpec | None]
 
 
 def _text_menus(templates: dict[str, TemplateSpec]) -> dict[str, _TextMenu]:
@@ -339,7 +338,7 @@ def _text_menus(templates: dict[str, TemplateSpec]) -> dict[str, _TextMenu]:
         singles = [t for t in menu if t.n_objects == 1 and not t.merged]
         conj = next((t for t in menu if t.n_objects == 2 and not t.merged), None)
         weights = np.array([t.weight for t in singles])
-        menus[pid] = (singles, weights / weights.sum(), conj)
+        menus[pid] = (singles, WeightedChoice(weights / weights.sum()), conj)
     return menus
 
 
@@ -391,7 +390,7 @@ def _render_text(
         menu = menus.get(pid)
         if menu is None:
             continue
-        singles, single_probs, conj = menu
+        singles, single_choice, conj = menu
         while group:
             if conj is not None and len(group) >= 2 and rng.random() < 0.5:
                 (i0, a0), (i1, a1) = group[0], group[1]
@@ -413,7 +412,7 @@ def _render_text(
                 continue
             index, assertion = group[0]
             group = group[1:]
-            spec = singles[int(rng.choice(len(singles), p=single_probs))]
+            spec = singles[single_choice.draw(rng)]
             obj0 = _value_mention(world, assertion.triple.obj, site, rng, index)
             sentences.append(
                 Sentence(
@@ -576,11 +575,14 @@ def _corpus_pages(
     """
     templates = build_templates(world.schema)
     menus = _text_menus(templates)
-    # Per site: the content types and their normalised mix.
-    mixes: dict[str, tuple[list[str], np.ndarray]] = {}
+    # Per site: the content types and the weighted draw over its mix.
+    mixes: dict[str, tuple[list[str], WeightedChoice]] = {}
     for domain, site in sites.items():
         weights = np.array([w for _, w in site.content_weights])
-        mixes[domain] = ([k for k, _ in site.content_weights], weights / weights.sum())
+        mixes[domain] = (
+            [k for k, _ in site.content_weights],
+            WeightedChoice(weights / weights.sum()),
+        )
 
     domains = sorted(sites)
     site_weights = zipf_weights(len(domains), 1.05)
@@ -640,12 +642,12 @@ def _corpus_pages(
             by_subject.setdefault(assertion.triple.subject, []).append(
                 (index, assertion)
             )
-        mix_names, mix_probs = mixes[domain]
+        mix_names, mix_choice = mixes[domain]
         elements: list[ContentElement] = []
         table_groups: dict[str, list[tuple[str, list[tuple[int, SourceAssertion]]]]] = {}
         for subject in sorted(by_subject):
             asserted = by_subject[subject]
-            choice = mix_names[int(rng.choice(len(mix_names), p=mix_probs))]
+            choice = mix_names[mix_choice.draw(rng)]
             if choice == "TBL":
                 type_id = world.entities.get(subject).primary_type
                 table_groups.setdefault(type_id, []).append((subject, asserted))

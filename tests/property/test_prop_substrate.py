@@ -1,5 +1,7 @@
 """Property-based tests for substrate data structures."""
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +9,7 @@ from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.store import KnowledgeBase
 from repro.kb.triples import Triple
 from repro.kb.values import NumberValue, StringValue, parse_value
-from repro.rng import named_rng, stream_seed, zipf_weights
+from repro.rng import WeightedChoice, named_rng, stream_seed, zipf_weights
 from tests.oracle.engine import MapReduceEngine, MapReduceJob
 
 text = st.text(
@@ -104,6 +106,61 @@ class TestRngProperties:
         assert len(weights) == n
         assert abs(weights.sum() - 1.0) < 1e-9
         assert all(weights[i] >= weights[i + 1] for i in range(n - 1))
+
+
+@st.composite
+def weight_vectors(draw):
+    """Normalised weights of length 1-300: zeros, heavy skew, ties."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    skew = draw(st.sampled_from([0.0, 1.0, 4.0, 30.0]))
+    zero_share = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    shape = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    weights = shape.random(n) ** (1.0 + skew)
+    weights[shape.random(n) < zero_share] = 0.0
+    if not weights.any():
+        weights[int(shape.integers(n))] = 1.0
+    return weights / weights.sum()
+
+
+class TestWeightedChoice:
+    """``WeightedChoice`` is ``Generator.choice(..., p=...)``, draw for draw."""
+
+    @given(weight_vectors(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_generator_choice(self, p, seed):
+        n = len(p)
+        weighted = WeightedChoice(p)
+        numpy_rng = np.random.default_rng(seed)
+        our_rng = np.random.default_rng(seed)
+        for k in range(int(np.count_nonzero(p)) + 1):
+            assert weighted.draw(our_rng) == int(numpy_rng.choice(n, p=p))
+            assert (
+                weighted.draw_distinct(our_rng, k)
+                == numpy_rng.choice(n, size=k, replace=False, p=p).tolist()
+            )
+        assert our_rng.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.5, -0.1, 0.6],
+            [np.nan, 1.0],
+            [0.5, 0.5 + 1e-6],
+            [0.6, 0.6],
+        ],
+    )
+    def test_rejects_what_numpy_rejects(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+        with pytest.raises(ValueError):
+            WeightedChoice(p)
+
+    def test_rejects_more_draws_than_positive_weights(self):
+        p = [0.5, 0.0, 0.5]
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, size=3, replace=False, p=p)
+        with pytest.raises(ValueError):
+            WeightedChoice(p).draw_distinct(np.random.default_rng(0), 3)
 
 
 class TestMapReduceProperties:

@@ -347,6 +347,18 @@ class TestCLICache:
         assert f"pruned: {leftover}" in capsys.readouterr().out
         assert not leftover.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_prune_rejects_a_path_that_is_not_a_directory(
+        self, tmp_path, capsys, kind
+    ):
+        path = tmp_path / "cache-typo"
+        if kind == "file":
+            path.write_text("not a cache")
+        assert main(["cache", "prune", "--cache-dir", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "nothing stale" not in captured.out
+        assert f"error: {path} is not a directory" in captured.err
+
     def test_cache_requires_a_subcommand(self):
         with pytest.raises(SystemExit):
             main(["cache"])

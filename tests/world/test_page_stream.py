@@ -4,19 +4,24 @@ Page generation consumes one sequential ``named_rng(seed, "webgen")``
 stream, so every committed envelope (``expected.json``, the golden
 ``small`` test) depends on each draw landing exactly where it does today.
 The fingerprints below were computed before :class:`repro.world.facts.World`
-got its lookup tables and must never need re-blessing for a change that
-only makes generation cheaper.  The naive scan the tables replaced lives
-on here, as the oracle of the differential test.
+got its lookup tables (``("small", 7)`` and :data:`WEB_HEAD_FINGERPRINT`:
+before weighted draws left ``Generator.choice``) and must never need
+re-blessing for a change that only makes generation cheaper.  The naive
+scan the tables replaced lives on here, as the oracle of the differential
+test.
 """
 
 import dataclasses
 import hashlib
+import importlib.util
+import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import artifacts
-from repro.datasets import small_config, tiny_config
+from repro.datasets import small_config, tiny_config, web_config
 from repro.errors import ConfigError
 from repro.kb.entities import EntityRegistry
 from repro.kb.schema import Predicate, ValueKind
@@ -50,7 +55,17 @@ FINGERPRINTS = {
         "483448b80a13ccaf6893ed12dfde4567aed79e49e84ca8f285e8259a38ed0142",
         "19d21d3bcce937a71a89aa2da8b4cd4a1a50684fdc1d5032c0d1871f39b01f8b",
     ),
+    ("small", 7): (
+        "077ebab1e854d1e890cd7ca3200eeda9a73e86aca305c0cbbb3d9783e85b87b3",
+        "ac52fb09e7fd20bc55148ba75ab8fd92cca478338e726c229c2477ac96df10be",
+        "0e6825089db241d20ec19a0b6ec70f29f893260a6b1c763bc72c13867a233cd9",
+    ),
 }
+#: sha256 of the first 1,024 pages of ``web_config(0)``, streamed at
+#: ``(512, 1024)``: the topic pools of the 6,000-entity ``web`` world.
+WEB_HEAD_FINGERPRINT = (
+    "1e44c80ef585dee3abac0b74dcd93d7bccbe54c12665e77c14b2524baa57409c"
+)
 _PRESETS = {"tiny": tiny_config, "small": small_config}
 
 
@@ -93,6 +108,14 @@ class TestFrozenBits:
         ) == FINGERPRINTS[preset, seed]
         # The streaming parity anchor at this preset, page for page.
         assert streamed(world, config, 512, None) == materialised
+
+    def test_web_head_is_the_committed_one(self):
+        config = web_config(0)
+        world = generate_world(config.world, config.seed)
+        chunks = stream_corpus(world, config.web, config.seed, 512, 1024)
+        head = [page for chunk in itertools.islice(chunks, 2) for page in chunk]
+        assert len(head) == 1024
+        assert pages_fingerprint(head) == WEB_HEAD_FINGERPRINT
 
 
 class TestStreamingParity:
@@ -211,8 +234,40 @@ class _CountingTruths(dict):
         return super().__iter__()
 
 
+class _CountingRng:
+    """A generator that counts its weighted ``choice(..., p=...)`` calls."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.weighted_choices = 0
+
+    def choice(self, *args, **kwargs):
+        if kwargs.get("p") is not None or len(args) > 3:
+            self.weighted_choices += 1
+        return self._rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestCostIsPerPage:
     """Counts, not timings: what generation may touch per page and per draw."""
+
+    def test_one_weighted_numpy_choice_per_corpus(self, tiny, monkeypatch):
+        # Every other weighted draw goes through a CDF built once per
+        # weight vector; only the whole-vector page->site draw is numpy's.
+        config, world, materialised = tiny
+        streams = []
+        named_rng = webgen.named_rng
+
+        def counted(*args):
+            streams.append(_CountingRng(named_rng(*args)))
+            return streams[-1]
+
+        monkeypatch.setattr(webgen, "named_rng", counted)
+        world = dataclasses.replace(world, _wrong_pools={})  # no tables yet
+        assert generate_corpus(world, config.web, config.seed).pages == materialised
+        assert [rng.weighted_choices for rng in streams] == [1]
 
     @pytest.mark.parametrize("n_pages", [20, 80])
     def test_truths_are_walked_once_per_world(self, tiny, n_pages):
@@ -268,3 +323,21 @@ class TestTablesAreDerivedState:
         assert world._tables.strings
         assert world == twin
         assert repr(world) == repr(twin)
+
+
+class TestPageRateTool:
+    """``tools/page_rate.py``: the drain CI times page generation with."""
+
+    def test_reports_the_pages_the_stream_yields(self, tiny, capsys):
+        config, world, _ = tiny
+        path = Path(__file__).resolve().parents[2] / "tools" / "page_rate.py"
+        spec = importlib.util.spec_from_file_location("page_rate", path)
+        page_rate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(page_rate)
+        assert page_rate.main(["--scale", "tiny"]) == 0
+        report = dict(
+            line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+        )
+        assert int(report["pages"]) == len(streamed(world, config, 2048, 1024))
+        assert float(report["seconds"]) > 0
+        assert float(report["us/page"]) > 0
