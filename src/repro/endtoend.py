@@ -223,7 +223,7 @@ def run_end_to_end(
     plan = EXECUTION_MODES[backend]
     if fusion_config is None:
         # The one policy difference between the two cases: a materialised
-        # in-process run fuses the scalar kernel, which keeps ``batched``
+        # in-process run fuses the exact kernel, which keeps ``batched``
         # bit-identical to ``serial`` end to end.
         fusion_config = FusionConfig(
             seed=config.seed,

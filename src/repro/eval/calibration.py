@@ -140,7 +140,10 @@ def deviation(curve: CalibrationCurve) -> float:
     populated = [b for b in curve.buckets if b.count > 0]
     if not populated:
         raise EvaluationError("calibration curve has no labelled triples")
-    return sum((b.predicted - b.real) ** 2 for b in populated) / len(populated)
+    total = 0.0  # left to right: 3.12's builtin sum() would compensate
+    for b in populated:
+        total += (b.predicted - b.real) ** 2
+    return total / len(populated)
 
 
 def weighted_deviation(curve: CalibrationCurve) -> float:
@@ -148,5 +151,7 @@ def weighted_deviation(curve: CalibrationCurve) -> float:
     populated = [b for b in curve.buckets if b.count > 0]
     if not populated:
         raise EvaluationError("calibration curve has no labelled triples")
-    total = sum(b.count for b in populated)
-    return sum(b.count * (b.predicted - b.real) ** 2 for b in populated) / total
+    loss = 0.0  # left to right, as in deviation()
+    for b in populated:
+        loss += b.count * (b.predicted - b.real) ** 2
+    return loss / sum(b.count for b in populated)

@@ -13,12 +13,12 @@ The 3-D knowledge-fusion input is flattened to 2-D by treating a
 alternative flattenings.
 
 Posterior math exists in two parity-tested forms over the columnar claim
-index (:class:`~repro.fusion.observations.ColumnarClaims`).  Calling a
-kernel (``VoteKernel``, ``AccuKernel``, ``PopAccuKernel``) scores one
-data item from its rows' provenance accuracies, listed in canonical
-order; its ``batch_round`` scores a whole round through the numpy
-kernels of :mod:`repro.fusion.kernels`.
-``FusionConfig.backend`` selects scalar-serial, vectorized, or hybrid
+index (:class:`~repro.fusion.observations.ColumnarClaims`), both scoring
+a whole round at once through :mod:`repro.fusion.kernels`: a kernel's
+(``VoteKernel``, ``AccuKernel``, ``PopAccuKernel``) ``exact_round``
+keeps the per-item formulas' summation order and libm ``log`` / ``exp``,
+its ``batch_round`` is a few ``reduceat`` passes.
+``FusionConfig.backend`` selects exact serial, vectorized, or hybrid
 (batched kernels inside each process-pool shard) execution.  ``serial``
 honours the bitwise parity contract, ``vectorized``/``hybrid`` the 1e-9
 tolerance one

@@ -15,9 +15,10 @@ values; provenances are independent, each with accuracy ``A(S)``.
 Iteration (accuracy re-estimation) lives in :mod:`repro.fusion.runner`.
 
 Two cross-backend contracts anchor here.  *Canonical-order summation*:
-the scalar posterior (:meth:`AccuKernel.__call__`) sums floats in the
-order its row accuracies arrive, which is the claim columns' canonical
-(sorted) order — what makes serial runs independent of
+the exact posterior (:meth:`AccuKernel.exact_round`) sums each row's
+``τ(S)`` left to right over its provenances, and the softmax denominator
+over the item's rows, in the claim columns' canonical (sorted) order, then
+adds the unobserved mass — what makes serial runs independent of
 ``PYTHONHASHSEED``.  *Canonical-order sampling*: when the reducer-input
 bound ``L`` engages, a data item's claims are sampled against their
 ``(triple, provenance)`` canonical order — the columnar claim layout's
@@ -27,7 +28,6 @@ reads (:func:`repro.fusion.shuffle.stage1_keep`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.fusion import kernels
@@ -42,8 +42,9 @@ __all__ = ["AccuKernel", "Accu"]
 class AccuKernel:
     """The ACCU posterior as a pluggable, picklable kernel.
 
-    Calling it scores one data item on the scalar path; :meth:`batch_round`
-    scores every item of a round at once through the numpy kernel
+    :meth:`exact_round` scores every item of a round in the order the
+    formulas above spell out (:func:`repro.fusion.kernels.accu_exact_round`,
+    ``serial``); :meth:`batch_round` through the batched numpy kernel
     (:func:`repro.fusion.kernels.accu_round`).  Being a frozen dataclass —
     not a closure — it survives pickling into the ``hybrid`` backend's
     worker processes.
@@ -51,26 +52,12 @@ class AccuKernel:
 
     n_false: int = 100
 
-    def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
-        """Posterior of each row (observed value) of one data item, from
-        each row's provenance accuracies in canonical order — the order
-        every float is summed in."""
-        if not row_accuracies:
-            return []
-        n_false, floor, ceil = self.n_false, kernels.ACC_FLOOR, kernels.ACC_CEIL
-        log = math.log
-        vote_counts: list[float] = []
-        for accuracies in row_accuracies:
-            count = 0.0
-            for accuracy in accuracies:
-                accuracy = min(max(accuracy, floor), ceil)
-                count += log(n_false * accuracy / (1.0 - accuracy))
-            vote_counts.append(count)
-        k = len(vote_counts)
-        peak = max(max(vote_counts), 0.0)  # unobserved values sit at vote count 0
-        denominator = sum(math.exp(c - peak) for c in vote_counts)
-        denominator += max(n_false + 1 - k, 0) * math.exp(-peak)
-        return [math.exp(count - peak) / denominator for count in vote_counts]
+    def exact_round(
+        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None
+    ) -> kernels.RoundPosteriors:
+        return kernels.accu_exact_round(
+            cols, accuracies, active, self.n_false, require_repeated, keep
+        )
 
     def batch_round(
         self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None

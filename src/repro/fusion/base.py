@@ -42,7 +42,7 @@ BACKENDS = FUSION_MODES
 #: ``result.diagnostics["parity"]``):
 #: - ``bitwise``: the serial reference itself — canonical-order float
 #:   sums, independent of ``PYTHONHASHSEED``;
-#: - ``tolerance``: batched summation order differs from the scalar
+#: - ``tolerance``: batched summation order differs from the exact
 #:   reference, so outputs agree only to :data:`PARITY_TOLERANCE_ABS`
 #:   (absolute).  Golden tests may freeze exact numbers only for
 #:   ``bitwise`` runs.
@@ -50,7 +50,7 @@ PARITY_BITWISE = "bitwise"
 PARITY_TOLERANCE = "tolerance"
 
 #: The documented absolute tolerance of ``tolerance``-parity backends
-#: (vectorized / hybrid) against the scalar serial reference.  The
+#: (vectorized / hybrid) against the exact serial reference.  The
 #: kernels empirically sit near 1e-12; 1e-9 is the contractual bound the
 #: test suite and benchmarks assert.
 PARITY_TOLERANCE_ABS = 1e-9
@@ -116,7 +116,7 @@ class FusionConfig:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
         Execution backend, one of :data:`BACKENDS` (default ``serial``).
-        The scalar ``serial`` mode honours the ``bitwise`` parity
+        The exact ``serial`` mode honours the ``bitwise`` parity
         contract, the batched-kernel modes the ``tolerance`` one (see
         :func:`parity_of`).
     n_workers:

@@ -114,7 +114,7 @@ def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenate ``[starts[k], starts[k]+counts[k])`` ranges, vectorized.
 
     The CSR-segment gather: rows per item and claims per row
-    (:func:`slice_csr`), rows per provenance (the scalar
+    (:func:`slice_csr`), rows per provenance (the exact
     Stage II), claims per unscored row (the θ fallback of Stage III).
     """
     total = int(counts.sum())
@@ -268,7 +268,7 @@ class ColumnarClaims:
         sorted within each item), which is *not* the same as sorting all
         triples by canonical string — ``("a", "x") < ("ab", "y")`` as
         tuples but ``"a|x" > "ab|y"`` as strings, because ``"|"`` sorts
-        after every alphanumeric.  Stage II's canonical order (the scalar
+        after every alphanumeric.  Stage II's canonical order (the exact
         mean, and its sampling draw) therefore orders rows by this rank
         (:meth:`canonical_prov_order`), built once and cached.
         """
@@ -283,7 +283,7 @@ class ColumnarClaims:
         within each ``prov_ptr`` span, so ``prov_rows[order]`` keeps the
         spans.
 
-        The scalar Stage II sums each provenance's posteriors in this
+        The exact Stage II sums each provenance's posteriors in this
         order and Stage-II sampling draws over it; built once (one int64
         per claim) and cached.
         """

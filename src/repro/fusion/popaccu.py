@@ -8,7 +8,7 @@ repeated by many provenances is explained as a popular false value rather
 than forced toward truth.
 
 POPACCU honours the same cross-backend contracts as ACCU: canonical-order
-float summation (see :meth:`PopAccuKernel.__call__`) and canonical-order
+float summation (see :meth:`PopAccuKernel.exact_round`) and canonical-order
 reducer-input sampling (`L`-sampled subsets are drawn against sorted
 ``(triple, provenance)`` order into one per-round claim mask; see
 :mod:`repro.fusion.runner` and :mod:`repro.fusion.shuffle`).
@@ -30,7 +30,6 @@ two agreeing → ≈0.94; two conflicting → ≈0.5 (the Figure 9 valleys).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.fusion import kernels
@@ -45,56 +44,15 @@ __all__ = ["PopAccuKernel", "PopAccu"]
 class PopAccuKernel:
     """The POPACCU posterior as a pluggable, picklable kernel.
 
-    Scalar per data item by calling it; batched per round via
-    :func:`repro.fusion.kernels.popaccu_round`.  A frozen dataclass so the
-    ``hybrid`` backend can pickle it into workers.
+    Exact per round via :func:`repro.fusion.kernels.popaccu_exact_round`
+    (``serial``), batched via :func:`repro.fusion.kernels.popaccu_round`.
+    A frozen dataclass so the ``hybrid`` backend can pickle it into workers.
     """
 
-    def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
-        """Posterior of each row of one data item; input and summation
-        order as :meth:`repro.fusion.accu.AccuKernel.__call__`."""
-        if not row_accuracies:
-            return []
-        floor, ceil, log = kernels.ACC_FLOOR, kernels.ACC_CEIL, math.log
-        support = [len(accuracies) for accuracies in row_accuracies]
-        total = sum(support)
-        log_true: list[float] = []
-        log_false: list[float] = []
-        for accuracies in row_accuracies:
-            lt = 0.0
-            lf = 0.0
-            for accuracy in accuracies:
-                accuracy = min(max(accuracy, floor), ceil)
-                lt += log(accuracy)
-                lf += log(1.0 - accuracy)
-            log_true.append(lt)
-            log_false.append(lf)
-
-        rows = range(len(support))
-        scores: list[float] = []
-        for candidate in rows:
-            rest = total - support[candidate]
-            score = log_true[candidate]
-            for other in rows:
-                if other == candidate:
-                    continue
-                # All of `other`'s provenances provided a false value whose
-                # empirical popularity (given `candidate` is true) is
-                # m(other)/rest.
-                score += log_false[other]
-                score += support[other] * log(support[other] / rest)
-            scores.append(score)
-        # OTHER: every observed value is false, popularity m(v)/m(D).
-        other_score = 0.0
-        for row in rows:
-            other_score += log_false[row]
-            other_score += support[row] * log(support[row] / total)
-
-        peak = max(max(scores), other_score)
-        denominator = math.exp(other_score - peak) + sum(
-            math.exp(s - peak) for s in scores
-        )
-        return [math.exp(score - peak) / denominator for score in scores]
+    def exact_round(
+        self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None
+    ) -> kernels.RoundPosteriors:
+        return kernels.popaccu_exact_round(cols, accuracies, active, require_repeated, keep)
 
     def batch_round(
         self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None

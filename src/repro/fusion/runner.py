@@ -28,19 +28,17 @@ arrays over the columnar claim index, dicts are built once in Stage III)
 under an :class:`~repro.mapreduce.executors.ExecutionPlan` whose two
 fields are the only thing that differs between them:
 
-- **scalar kernel** (``serial``) — one kernel call per data item (on its
-  rows' provenance accuracies, listed by id in canonical order) and one
-  canonical-order mean per provenance
-  (:func:`~repro.fusion.shuffle.scalar_stage1` /
-  :func:`~repro.fusion.shuffle.scalar_stage2`, the only scalar stage
-  bodies in ``src/``), in-process: the mode every parity contract is
-  stated against;
-- **batched kernel** (``vectorized``, ``hybrid``) — each stage is a fixed
-  number of numpy array operations (:mod:`repro.fusion.kernels`) over
-  the whole matrix, skipping the per-item Python loop.  Requires
-  ``item_posterior_fn`` to carry a ``batch_round`` method (the built-in
-  kernels do); a posterior without one is a :class:`ConfigError` before
-  any work;
+- **exact kernel** (``serial``) — the posterior's ``exact_round`` and
+  :func:`~repro.fusion.kernels.exact_stage2_accuracies`, in-process:
+  array kernels over the whole matrix that keep the per-item formulas'
+  summation order and libm transcendentals, so every float is the one a
+  per-item loop in canonical order would give — the mode every parity
+  contract is stated against;
+- **batched kernel** (``vectorized``, ``hybrid``) — ``batch_round`` and
+  :func:`~repro.fusion.kernels.stage2_accuracies`: a fixed number of
+  ``reduceat`` passes (:mod:`repro.fusion.kernels`).  A posterior without
+  the forms its mode scores with is a :class:`ConfigError` before any
+  work;
 - **pooled** (``hybrid``) — the *columnar shuffle*
   (:mod:`repro.fusion.shuffle`): each round publishes Stage I's claim
   CSR and round state as contiguous buffers in one shared-memory
@@ -64,7 +62,7 @@ summation order differs — and equal each other bit for bit.  Tolerance
 parity through an *iterated* θ-filter needs one extra guarantee: the
 discrete ``A(S) >= θ`` decisions must not flip on last-ulp drift (POPACCU
 parks many accuracies exactly at θ), so the loop recomputes θ-boundary
-accuracies with the scalar stage bodies whenever the batched kernels ran
+accuracies with the exact kernels whenever the batched kernels ran
 (:data:`THETA_RESCUE_BAND`).  Every run records the contract it honoured
 in ``result.diagnostics["parity"]``.
 
@@ -74,7 +72,7 @@ items with more than ``L`` active claims keep ``L`` drawn in canonical
 ``(triple, provenance)`` order) and, after Stage I, Stage II's
 (:func:`~repro.fusion.shuffle.stage2_keep`: provenances with more than
 ``L`` scored rows keep ``L`` drawn in canonical triple order); each is
-None when no group exceeds ``L``.  Every kernel of the round — scalar,
+None when no group exceeds ``L``.  Every kernel of the round — exact,
 batched, pooled shard, θ-rescue — reads the same masks, so the sampled
 subset is a property of the claim *set*, identical in every mode, and
 sampling never swaps a kernel.  ``result.diagnostics["sampling"]``
@@ -104,7 +102,6 @@ it is handed); a pooled mode handed an executor that is not a
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable
 
 import numpy as np
 
@@ -133,10 +130,6 @@ from repro.rng import split_seed
 
 __all__ = ["run_bayesian_fusion"]
 
-#: A scalar posterior kernel: per row of one data item, its active
-#: provenances' accuracies (canonical order) -> one posterior per row.
-ItemPosteriorFn = Callable[[list[list[float]]], list[float]]
-
 
 def _gold_subsample(
     gold_labels: dict[Triple, bool], rate: float, seed: int
@@ -159,10 +152,10 @@ def _gold_subsample(
 #: summation difference would flip filter membership and snowball into
 #: O(1) output divergence over the rounds.  Any provenance whose batched
 #: Stage-II estimate lands within this band of θ therefore has its
-#: accuracy *recomputed with the scalar stage bodies* (canonical-order
-#: sums over scalar per-item posteriors), making every θ-decision
-#: bit-identical to serial while the continuous mass of the computation
-#: stays batched.  The band must dwarf the batched-vs-scalar
+#: accuracy *recomputed with the exact kernels* (``serial``'s own two
+#: stages, over just the items and provenances involved), making every
+#: θ-decision bit-identical to serial while the continuous mass of the
+#: computation stays batched.  The band must dwarf the batched-vs-exact
 #: numeric drift (~1e-12) and be dwarfed by any meaningful accuracy
 #: difference; 1e-6 sits comfortably between.
 THETA_RESCUE_BAND = 1e-6
@@ -170,7 +163,7 @@ THETA_RESCUE_BAND = 1e-6
 
 def _rescued_accuracies(
     cols: ColumnarClaims,
-    kernel: ItemPosteriorFn,
+    kernel,
     round_accuracies: np.ndarray,
     active: np.ndarray,
     scored: np.ndarray,
@@ -178,35 +171,35 @@ def _rescued_accuracies(
     keep1: np.ndarray | None,
     keep2: np.ndarray | None,
 ) -> np.ndarray:
-    """Scalar-kernel Stage-II accuracies for the θ-boundary provenances.
+    """Exact-kernel Stage-II accuracies for the θ-boundary provenances.
 
     ``round_accuracies`` must be the accuracies the round's Stage I ran
     with (pre-update); ``scored`` the round's scored-row mask and
     ``keep1`` / ``keep2`` its two sampling masks, all pure boolean logic
-    and therefore already bitwise across kernels.  Runs the scalar mode's
-    own two stage bodies — Stage I over just the data items behind the
-    boundary provenances' scored rows, Stage II over just those
-    provenances — so each value is the float the scalar mode would have
+    and therefore already bitwise across kernels.  Runs the ``serial``
+    mode's own two exact stages — Stage I over a slice of just the data
+    items behind the boundary provenances' scored rows, Stage II over just
+    those provenances — so each value is the float ``serial`` would have
     produced.
     """
     spans = ragged_gather(cols.prov_ptr[boundary], cols.prov_row_counts()[boundary])
     rows = cols.prov_rows[spans]
-    items = np.unique(cols.row_item[rows[scored[rows]]])
-    exact = shuffle.merge_stage1_outputs(
-        cols,
-        shuffle.scalar_stage1(
-            cols, kernel, round_accuracies, active, False, items, keep1
-        ),
+    part = cols.slice_items(np.unique(cols.row_item[rows[scored[rows]]]))
+    exact = kernel.exact_round(
+        part, round_accuracies, active, False,
+        None if keep1 is None else keep1[part.claims],
     )
-    return shuffle.scalar_stage2(
-        cols, exact.posteriors, scored, active, boundary, keep2
+    posteriors = np.zeros(cols.n_rows, dtype=np.float64)
+    posteriors[part.rows] = exact.posteriors
+    return kernels.exact_stage2_accuracies(
+        cols, kernels.RoundPosteriors(posteriors, scored), active, keep2, boundary
     )[0]
 
 
 def run_bayesian_fusion(
     fusion_input: FusionInput,
     config: FusionConfig,
-    item_posterior_fn: ItemPosteriorFn,
+    item_posterior_fn,
     method_name: str,
     gold_labels: dict[Triple, bool] | None = None,
     track_rounds: bool = False,
@@ -218,14 +211,18 @@ def run_bayesian_fusion(
     ``result.diagnostics["round_probabilities"]`` (used by the Figure 14
     experiment).  ``executor`` supplies a caller-managed executor — shared
     with other pipeline stages and *not* closed here (the caller closes
-    it); only pooled modes consult it.  A batched mode needs a posterior
-    with a ``batch_round`` form: without one it raises before any work.
+    it); only pooled modes consult it.  ``item_posterior_fn`` is a kernel
+    object (``AccuKernel`` etc.) with an ``exact_round`` form, which
+    ``serial`` and the θ-rescue score with; the batched modes also need
+    its ``batch_round``.  A missing form raises before any work.
     """
     plan = EXECUTION_MODES[config.backend]
-    if plan.batched and not hasattr(item_posterior_fn, "batch_round"):
+    needed = ("batch_round", "exact_round") if plan.batched else ("exact_round",)
+    missing = [form for form in needed if not hasattr(item_posterior_fn, form)]
+    if missing:
         raise ConfigError(
-            f"backend {config.backend!r} runs the batched kernel, but "
-            f"{method_name}'s posterior has no batch_round form; use 'serial'"
+            f"backend {config.backend!r} needs a posterior with "
+            f"{' and '.join(needed)}; {method_name}'s has no {' or '.join(missing)}"
         )
     matrix = fusion_input.claims(config.granularity)
     return _run_columnar(
@@ -240,7 +237,7 @@ def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | No
 
     Output order is part of the bitwise contract: order-sensitive sums
     over ``result.probabilities`` (the calibration deviation) move by an
-    ulp with it.  The scalar in-process mode emits a records-built matrix
+    ulp with it.  The exact in-process mode emits a records-built matrix
     in record-arrival order; every other mode, and any matrix over bare
     columns, emits canonical rows.
     """
@@ -297,8 +294,8 @@ def _column_stage1(
 ) -> kernels.RoundPosteriors:
     """Stage I of one round: a posterior and a scored flag per row.
 
-    In-process (``executor`` None) the batched kernel scores the whole
-    matrix in one call and the scalar kernel walks every item id.
+    In-process (``executor`` None) one kernel call scores the whole
+    matrix — ``batch_round`` if ``batched``, else ``exact_round``.
     Sharded, the round's CSR, accuracies, active mask and claim
     keep-mask (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on
     the round-state channel (one shared-memory segment; the shard specs
@@ -311,15 +308,8 @@ def _column_stage1(
         return shuffle.merge_stage1_outputs(
             cols, executor.run_map(range(cols.n_items), job)
         )
-    if batched:
-        return kernel.batch_round(cols, accuracies, active, require_repeated, keep)
-    return shuffle.merge_stage1_outputs(
-        cols,
-        shuffle.scalar_stage1(
-            cols, kernel, accuracies, active, require_repeated,
-            range(cols.n_items), keep,
-        ),
-    )
+    score = kernel.batch_round if batched else kernel.exact_round
+    return score(cols, accuracies, active, require_repeated, keep)
 
 
 def _column_stage2(
@@ -336,12 +326,8 @@ def _column_stage2(
     and supporting at least one scored, kept row); ``new_acc`` is
     meaningful only there.
     """
-    if batched:
-        return kernels.stage2_accuracies(cols, round_result, active, keep)
-    return shuffle.scalar_stage2(
-        cols, round_result.posteriors, round_result.scored, active,
-        range(len(cols.provenances)), keep,
-    )
+    update = kernels.stage2_accuracies if batched else kernels.exact_stage2_accuracies
+    return update(cols, round_result, active, keep)
 
 
 def _scored_posteriors(
@@ -369,7 +355,7 @@ def _scored_posteriors(
 def _run_columnar(
     cols: ColumnarClaims,
     config: FusionConfig,
-    kernel: ItemPosteriorFn,
+    kernel,
     method_name: str,
     gold_labels: dict[Triple, bool] | None,
     track_rounds: bool,
@@ -473,10 +459,10 @@ def _run_columnar(
 
     # Stage III: rows are already unique triples.  Scored rows keep their
     # posterior; under the θ-filter an unscored row falls back to the mean
-    # accuracy of its own provenances — a row's claim span lists provenance
-    # ids ascending, which *is* ``sorted(provs)`` order because the
-    # provenance vocabulary is sorted, so the mean is a canonical-order
-    # sum; otherwise the row is *unpredicted*.
+    # accuracy of its own provenances, summed left to right over its claim
+    # span — provenance ids ascending, which *is* ``sorted(provs)`` order
+    # because the provenance vocabulary is sorted; otherwise the row is
+    # *unpredicted*.
     final = round_result
     if config.min_accuracy is not None:
         final = kernels.RoundPosteriors(
@@ -486,12 +472,10 @@ def _run_columnar(
         rows = np.flatnonzero(~round_result.scored)
         counts = cols.row_ptr[rows + 1] - cols.row_ptr[rows]
         claims = ragged_gather(cols.row_ptr[rows], counts)
-        row_accuracies = accuracies[cols.claim_prov[claims]].tolist()
-        means, end = [], 0
-        for count in counts.tolist():
-            start, end = end, end + count
-            means.append(sum(row_accuracies[start:end]) / count)
-        final.posteriors[rows] = means
+        final.posteriors[rows] = (
+            kernels.ordered_segment_sums(accuracies[cols.claim_prov[claims]], counts)
+            / counts
+        )
 
     result = FusionResult(
         method=method_name,

@@ -1,4 +1,4 @@
-"""The round's sampling masks, the scalar stage bodies, and fusion's Stage-I shard.
+"""The round's sampling masks and fusion's Stage-I shard.
 
 **Sampling** (the paper's ``L``) is one draw, :func:`stage1_keep` /
 :func:`stage2_keep`, run in the parent once per stage per round: each
@@ -6,17 +6,9 @@ group larger than ``L`` keeps ``L`` of its values, drawn by
 :func:`~repro.mapreduce.executors.sample_positions` in canonical (sorted)
 order — the columns' own layout order — so the subset depends only on
 the claim *set*.  The result is a claim keep-mask (None when no group
-exceeds ``L``) that every kernel of the round reads: the scalar bodies
-below, the batched kernels, the pooled shard, the θ-rescue.
-
-**The scalar stage bodies.**  :func:`scalar_stage1` (one kernel call per
-data item, on lists of its rows' provenance accuracies) and
-:func:`scalar_stage2` (one canonical-order mean per provenance) are the
-only scalar Stage I / Stage II in ``src/``: plain functions of the claim
-columns (:class:`~repro.fusion.observations.ColumnarClaims`) and one
-round's arrays, working on ids — no ``Triple`` is hashed in a round.
-They run in-process only: over every id in ``serial``, over the
-θ-boundary ids in the runner's rescue.
+exceeds ``L``) that every kernel of the round reads: the exact and the
+batched kernels (:mod:`repro.fusion.kernels`), the pooled shard, the
+θ-rescue.
 
 **The columnar shuffle.**  Figure 8 shuffles both fusion stages; here
 only Stage I — the per-item posteriors, where the work is — is a map job,
@@ -48,13 +40,13 @@ full in :mod:`repro.fusion.runner`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from repro.fusion.kernels import RoundPosteriors
-from repro.fusion.observations import ColumnarClaims, ragged_gather, slice_csr
+from repro.fusion.observations import ColumnarClaims, slice_csr
 from repro.mapreduce.executors import (
     ParallelExecutor,
     RoundStateHandle,
@@ -68,8 +60,6 @@ __all__ = [
     "uninstall_fusion_round_state",
     "stage1_keep",
     "stage2_keep",
-    "scalar_stage1",
-    "scalar_stage2",
     "Stage1Shard",
     "stage1_job",
     "merge_stage1_outputs",
@@ -160,96 +150,6 @@ def stage2_keep(cols: ColumnarClaims, scored, active, sample_limit, seed) -> np.
     keep = np.empty_like(drawn)
     keep[order] = drawn
     return keep
-
-
-def scalar_stage1(
-    cols: ColumnarClaims,
-    kernel: Callable[[list[list[float]]], list[float]],
-    accuracies: np.ndarray,
-    active: np.ndarray,
-    require_repeated: bool,
-    item_ids,
-    keep: np.ndarray | None = None,
-) -> list[list[tuple[int, float]]]:
-    """Scalar Stage I: score ``item_ids``, one kernel call each.
-
-    The one scalar Stage-I body in ``src/``: the ``serial`` mode calls it
-    over every item, and the θ-rescue for the boundary items.  The kernel
-    gets one list of active (and, under sampling, kept — :func:`stage1_keep`)
-    provenance accuracies per row that has any, rows and provenances in
-    the columns' canonical order, and returns one posterior per row.  Each
-    item's output is a list of ``(row_id, posterior)`` pairs (empty when
-    the item is filtered).
-    """
-    part = cols.slice_items(item_ids)
-    accuracy_of = accuracies.tolist()
-    is_active = active.tolist()
-    global_row = part.rows.tolist()
-    item_ptr, row_ptr = part.item_ptr.tolist(), part.row_ptr.tolist()
-    claim_prov = part.claim_prov.tolist()
-    claim_kept = [True] * len(claim_prov) if keep is None else keep[part.claims].tolist()
-    outputs: list[list[tuple[int, float]]] = []
-    for i in range(len(item_ptr) - 1):
-        kept_rows: list[int] = []
-        row_provs: list[list[int]] = []
-        for r in range(item_ptr[i], item_ptr[i + 1]):
-            start, end = row_ptr[r], row_ptr[r + 1]
-            provs = [
-                p
-                for p, kept in zip(claim_prov[start:end], claim_kept[start:end])
-                if kept and is_active[p]
-            ]
-            if provs:
-                kept_rows.append(global_row[r])
-                row_provs.append(provs)
-        if not kept_rows or (
-            require_repeated and not any(len(provs) >= 2 for provs in row_provs)
-        ):
-            outputs.append([])
-            continue
-        posteriors = kernel([[accuracy_of[p] for p in provs] for provs in row_provs])
-        outputs.append(list(zip(kept_rows, posteriors)))
-    return outputs
-
-
-def scalar_stage2(
-    cols: ColumnarClaims,
-    posteriors: np.ndarray,
-    scored: np.ndarray,
-    active: np.ndarray,
-    prov_ids,
-    keep: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar Stage II: re-estimate the accuracies of ``prov_ids``.
-
-    The one scalar Stage-II body in ``src/``, always run in the parent:
-    the ``serial`` mode calls it over every provenance, the θ-rescue for
-    the boundary provenances.  Returns ``(new_acc, updated)`` per id, as
-    :func:`repro.fusion.kernels.stage2_accuracies` does: the mean
-    posterior of each active provenance's scored (and, under sampling,
-    kept — :func:`stage2_keep`) triples, summed in canonical triple order;
-    ``updated`` is False where there is none.
-    """
-    ids = np.asarray(prov_ids, dtype=np.int64)
-    counts = cols.prov_ptr[ids + 1] - cols.prov_ptr[ids]
-    entries = cols.canonical_prov_order()[ragged_gather(cols.prov_ptr[ids], counts)]
-    rows = cols.prov_rows[entries]
-    kept = scored[rows] if keep is None else scored[rows] & keep[entries]
-    kept, values = kept.tolist(), posteriors[rows].tolist()
-    new_acc = np.zeros(len(ids), dtype=np.float64)
-    updated = active[ids].copy()
-    end = 0
-    for i, count in enumerate(counts.tolist()):
-        start, end = end, end + count
-        ordered = list(compress(values[start:end], kept[start:end]))
-        if not (updated[i] and ordered):
-            updated[i] = False
-            continue
-        total = 0.0
-        for value in ordered:
-            total += value
-        new_acc[i] = total / len(ordered)
-    return new_acc, updated
 
 
 @dataclass(frozen=True)

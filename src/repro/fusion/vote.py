@@ -9,9 +9,9 @@ same dataflow as the Bayesian methods.
 
 Execution modes follow the same
 :class:`~repro.mapreduce.executors.ExecutionPlan` derivation as the
-Bayesian methods (:mod:`repro.fusion.runner`) — scalar per-item ratios
-in-process (``serial``), or one numpy pass of ``m/n`` ratios, in-process
-(``vectorized``) or per shard of the columnar shuffle (``hybrid``).
+Bayesian methods (:mod:`repro.fusion.runner`) — one numpy pass of
+``m/n`` ratios, in-process (``serial``, ``vectorized``) or per shard of
+the columnar shuffle (``hybrid``).
 Reducer-input sampling is the same Stage-I claim keep-mask the Bayesian
 methods build (:func:`repro.fusion.shuffle.stage1_keep`, job name
 ``vote.stage1``), read by whichever kernel runs.
@@ -36,17 +36,11 @@ __all__ = ["VoteKernel", "Vote"]
 
 
 class VoteKernel:
-    """The VOTE posterior as a pluggable kernel (scalar + batched)."""
+    """The VOTE posterior as a pluggable kernel: ``p(T) = m/n`` per row.
 
-    def __call__(self, row_accuracies: list[list[float]]) -> list[float]:
-        """``p(T) = m/n`` for each row of one data item; only the lengths
-        of ``row_accuracies`` (each row's support ``m``) are read, so VOTE
-        shares the Bayesian kernels' scalar signature."""
-        support = [len(accuracies) for accuracies in row_accuracies]
-        total = sum(support)
-        if total == 0:
-            return []
-        return [m / total for m in support]
+    Its one kernel is both forms: ``m/n`` on integer counts is correctly
+    rounded however the counts were summed.
+    """
 
     def batch_round(
         self,
@@ -58,11 +52,13 @@ class VoteKernel:
     ) -> kernels.RoundPosteriors:
         return kernels.vote_round(cols, active, require_repeated, keep)
 
+    exact_round = batch_round
+
 
 def _emission_order(cols: ColumnarClaims, plan: ExecutionPlan) -> np.ndarray | None:
     """The row order probabilities are written in (None: canonical rows).
 
-    Stage III keys by triple, and the scalar in-process mode emits in that
+    Stage III keys by triple, and the exact in-process mode emits in that
     key order — canonical triple order — for every input; see
     :func:`repro.fusion.runner._emission_order` for why the order is kept.
     """

@@ -648,9 +648,9 @@ class ExecutionPlan:
 
     ``pooled`` is *where* it runs — sharded over a process pool, or
     in-process; ``batched`` is *which kernel* scores a fusion round —
-    batched numpy, or the scalar reference (extraction has one kernel and
+    batched numpy, or the exact reference (extraction has one kernel and
     reads only ``pooled``).  The pool runs only the batched kernel: the
-    scalar one is the in-process reference.  Every contract a run reports (the executor,
+    exact one is the in-process reference.  Every contract a run reports (the executor,
     ``backend_used``, ``parity``) is derived from these two fields; the
     README's "Execution backends" table states them.
     """
@@ -660,7 +660,7 @@ class ExecutionPlan:
 
     @property
     def reference(self) -> bool:
-        """True for the scalar in-process mode every parity contract is
+        """True for the exact in-process mode every parity contract is
         stated against."""
         return not (self.pooled or self.batched)
 

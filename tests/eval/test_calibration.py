@@ -1,10 +1,14 @@
 """Unit tests for calibration curves, deviation, weighted deviation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import EvaluationError
 from repro.eval.calibration import (
+    CalibrationBucket,
+    CalibrationCurve,
     calibration_curve,
     calibration_from_arrays,
     deviation,
@@ -155,3 +159,28 @@ class TestFromArrays:
         for value in p.tolist():
             total += value
         assert curve.buckets[0].predicted == total / 5
+
+
+class TestSummationOrder:
+    """The deviations sum left to right on every interpreter.
+
+    CPython 3.12's builtin ``sum()`` of floats compensates (Neumaier);
+    3.11's adds left to right, and the committed outputs hold 3.11's bits.
+    One unit bucket followed by four buckets of squared error ~1e-16
+    separates the two: left to right each 1e-16 is absorbed by the 1.0.
+    """
+
+    CURVE = CalibrationCurve(
+        buckets=(CalibrationBucket(0.95, 1.0, 1, 1.0, 0.0),)
+        + (CalibrationBucket(0.0, 0.05, 1, 1e-8, 0.0),) * 4,
+        n_labelled=5,
+    )
+
+    def test_deviation_is_the_left_to_right_sum(self):
+        errors = [(b.predicted - b.real) ** 2 for b in self.CURVE.buckets]
+        naive = 0.0
+        for error in errors:
+            naive += error
+        assert naive != math.fsum(errors)
+        assert deviation(self.CURVE) == naive / 5
+        assert weighted_deviation(self.CURVE) == naive / 5

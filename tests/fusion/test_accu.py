@@ -32,7 +32,7 @@ def rec(obj, extractor, url):
 
 class TestPosteriorMath:
     def test_empty_claims(self):
-        assert AccuKernel(100)([]) == []
+        assert accu_posteriors({}, {}, 100) == {}
 
     def test_single_default_source_sticks_to_a(self):
         """One source at accuracy A=0.8 with N=100 false values: the

@@ -4,9 +4,10 @@ The contract, tested on real seeded scenarios:
 
 - ``vectorized`` matches ``serial`` to 1e-9 (summation order differs),
   sampled or not — sampling is a claim mask both kernels read;
-- a batched mode needs a posterior with a batched form: a closure
-  posterior is a ``ConfigError`` before any work, never a silent swap to
-  the scalar kernel.  (The pooled ``hybrid`` mode's worker-count ×
+- every mode needs a posterior with the form it scores with
+  (``exact_round`` for ``serial`` and the θ-rescue, ``batch_round`` for
+  the batched modes): a closure posterior is a ``ConfigError`` before any
+  work, never a silent swap of kernel.  (The pooled ``hybrid`` mode's worker-count ×
   start-method matrix is tests/fusion/test_columnar_shuffle.py.)
 """
 
@@ -24,14 +25,6 @@ from repro.fusion import (
 )
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
-
-
-def assert_identical(result_a, result_b):
-    assert result_a.probabilities == result_b.probabilities
-    assert result_a.accuracies == result_b.accuracies
-    assert result_a.unpredicted == result_b.unpredicted
-    assert result_a.rounds == result_b.rounds
-    assert result_a.converged == result_b.converged
 
 
 def assert_close(result_a, result_b, tol=1e-9):
@@ -114,22 +107,41 @@ class TestBatchedKernelRequired:
             run_bayesian_fusion(
                 fusion_input=fusion_input,
                 config=FusionConfig(backend=backend, max_rounds=2),
-                item_posterior_fn=lambda rows: PopAccuKernel()(rows),
+                item_posterior_fn=lambda rows: rows,
                 method_name="POPACCU-closure",
             )
 
-    def test_closure_posterior_runs_serial(self, micro_scenario):
+    def test_closure_posterior_is_a_config_error_in_serial(
+        self, micro_scenario, monkeypatch
+    ):
+        """No ``exact_round`` under ``serial``: rejected before the claim
+        matrix is even built, as a batched mode rejects no ``batch_round``."""
         fusion_input = micro_scenario.fusion_input()
-        result = run_bayesian_fusion(
-            fusion_input=fusion_input,
-            config=FusionConfig(backend="serial", max_rounds=2),
-            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
-            method_name="POPACCU-closure",
-        )
-        reference = popaccu(FusionConfig(backend="serial", max_rounds=2)).fuse(
-            fusion_input
-        )
-        assert_identical(reference, result)
+        monkeypatch.setattr(fusion_input, "claims", pytest.fail)
+        with pytest.raises(ConfigError, match="exact_round"):
+            run_bayesian_fusion(
+                fusion_input=fusion_input,
+                config=FusionConfig(backend="serial", max_rounds=2),
+                item_posterior_fn=lambda rows: rows,
+                method_name="POPACCU-closure",
+            )
+
+    def test_batched_modes_need_the_exact_form_too(self, micro_scenario, monkeypatch):
+        """``exact_round`` is the reference form the θ-rescue scores with,
+        so a batched mode rejects a posterior without one as well."""
+
+        class BatchOnly:
+            batch_round = PopAccuKernel().batch_round
+
+        fusion_input = micro_scenario.fusion_input()
+        monkeypatch.setattr(fusion_input, "claims", pytest.fail)
+        with pytest.raises(ConfigError, match="exact_round"):
+            run_bayesian_fusion(
+                fusion_input=fusion_input,
+                config=FusionConfig(backend="vectorized"),
+                item_posterior_fn=BatchOnly(),
+                method_name="POPACCU-batch-only",
+            )
 
 
 class TestVectorizedRounds:

@@ -33,7 +33,7 @@ class TestPosteriorMath:
     """The paper's §4.2 'sticking' behaviours are exact predictions."""
 
     def test_empty_claims(self):
-        assert PopAccuKernel()([]) == []
+        assert popaccu_posteriors({}, {}) == {}
 
     def test_single_default_provenance_sticks_to_08(self):
         posteriors = popaccu_posteriors({t("a"): {("S",)}}, {("S",): 0.8})

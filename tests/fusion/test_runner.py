@@ -99,7 +99,7 @@ class TestTrackRounds:
         result = run_bayesian_fusion(
             fusion_input=tiny_scenario.fusion_input(),
             config=config,
-            item_posterior_fn=lambda rows: PopAccuKernel()(rows),
+            item_posterior_fn=PopAccuKernel(),
             method_name="POPACCU",
             track_rounds=True,
         )

@@ -6,9 +6,11 @@ the in-process scalar point of the column-native round loop
 literally — claims fanned out under their data-item key, grouped, reduced
 per key in sorted key order by the keyed engine of :mod:`tests.oracle.engine`,
 over the ``ClaimMatrix`` dict views.  It moved here verbatim (function
-bodies unchanged; the two ``Vote`` methods became functions of the fuser),
+bodies unchanged, but for the two float ``sum()`` calls spelled as the
+``total += v`` loops they were on CPython 3.11; the two ``Vote`` methods
+became functions of the fuser),
 so it shares no stage code with ``src/``, and no posterior math either:
-items are scored by the dict posterior functions ``src/``'s scalar
+items are scored by the dict posterior functions ``src/``'s per-item
 kernels replaced (:mod:`tests.oracle.posteriors`).  From ``src/`` it
 takes ``FusionConfig`` / ``FusionResult``, the fuser classes (only to
 read their configuration) and the contract tags; the claim matrix's dict
@@ -202,7 +204,10 @@ def _stage2_reducer(prov, values):
         seen[triple] = probability
     if not seen:
         return []
-    return [(prov, sum(seen[t] for t in sorted(seen)) / len(seen))]
+    total = 0.0  # a plain loop: 3.12's builtin sum() compensates
+    for t in sorted(seen):
+        total += seen[t]
+    return [(prov, total / len(seen))]
 
 
 def _stage1(
@@ -374,9 +379,10 @@ def _finalize_scalar_result(
             if triple in posteriors:
                 probabilities[triple] = posteriors[triple]
             elif config.min_accuracy is not None:
-                probabilities[triple] = sum(
-                    accuracies[p] for p in sorted(provs)
-                ) / len(provs)
+                total = 0.0  # a plain loop: 3.12's builtin sum() compensates
+                for p in sorted(provs):
+                    total += accuracies[p]
+                probabilities[triple] = total / len(provs)
             else:
                 unpredicted.add(triple)
 

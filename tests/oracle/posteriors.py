@@ -4,20 +4,25 @@ Until the scalar stage bodies went id-based, each built-in kernel scored
 one data item as ``(claims: dict[Triple, set[ProvKey]], accuracies:
 dict[ProvKey, float]) -> dict[Triple, float]``.  Those three functions
 moved here verbatim (bodies unchanged from ``src/repro/fusion/{accu,
-popaccu,vote}.py`` at fc42308; the clamp bounds are restated rather than
+popaccu,vote}.py`` at fc42308, except that each builtin ``sum()`` of
+floats is spelled as the ``total += v`` loop it was on CPython 3.11 —
+3.12's ``sum()`` compensates; the clamp bounds are restated rather than
 imported) and are what the oracles score items with:
 :func:`tests.oracle.fusion.kernel_of` hands them to the dict engine, and
 the extension oracles (:mod:`tests.oracle.extensions`) call
-:func:`accu_item_posteriors`.  ``src/`` scores the same math over lists
-of row accuracies (``AccuKernel`` / ``PopAccuKernel`` / ``VoteKernel``),
-held ``==`` to these by ``tests/property/test_prop_posteriors.py``.
+:func:`accu_item_posteriors`.  ``src/`` scores the same math for a whole
+round at once (``exact_round`` of ``AccuKernel`` / ``PopAccuKernel`` /
+``VoteKernel``), held ``==`` to these by
+``tests/property/test_prop_posteriors.py``.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.fusion.observations import ProvKey
+import numpy as np
+
+from repro.fusion.observations import ColumnarSlice, ProvKey
 from repro.kb.triples import Triple
 
 __all__ = [
@@ -36,15 +41,38 @@ ACC_CEIL = 1.0 - 1e-3
 def kernel_posteriors(
     kernel, claims: dict[Triple, set[ProvKey]], accuracies: dict[ProvKey, float]
 ) -> dict[Triple, float]:
-    """A ``src/`` scalar kernel scored on one item given as dict claims.
+    """A ``src/`` kernel's ``exact_round`` scored on one item given as
+    dict claims, every provenance active.
 
-    Rows and provenances are handed over sorted — the order the claim
-    columns list them in — and the posteriors keyed back by triple, so
-    the result compares ``==`` with the dict forms below.
+    The item becomes a one-item CSR in the claim columns' order — rows
+    are the sorted triples, each row's claims its provenances' ids in the
+    sorted provenance list — and the posteriors are keyed back by triple,
+    so the result compares ``==`` with the dict forms below.
     """
     triples = sorted(claims)
-    rows = [[accuracies[prov] for prov in sorted(claims[triple])] for triple in triples]
-    return dict(zip(triples, kernel(rows)))
+    provs = sorted(set().union(*claims.values())) if claims else []
+    prov_id = {prov: i for i, prov in enumerate(provs)}
+    row_provs = [sorted(prov_id[prov] for prov in claims[triple]) for triple in triples]
+    lengths = [len(row) for row in row_provs]
+    csr = ColumnarSlice(
+        rows=np.arange(len(triples)),
+        row_item=np.zeros(len(triples), dtype=np.int64),
+        item_ptr=np.array([0, len(triples)] if triples else [0], dtype=np.int64),
+        claim_prov=np.array([p for row in row_provs for p in row], dtype=np.int64),
+        row_ptr=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        claims=np.arange(sum(lengths)),
+    )
+    result = kernel.exact_round(
+        csr,
+        np.array([accuracies[prov] for prov in provs], dtype=np.float64),
+        np.ones(len(provs), dtype=bool),
+        False,
+    )
+    return {
+        triple: float(result.posteriors[row])
+        for row, triple in enumerate(triples)
+        if result.scored[row]
+    }
 
 
 def _clamped(accuracy: float) -> float:
@@ -84,7 +112,9 @@ def accu_item_posteriors(
     k = len(vote_counts)
     peak = max(vote_counts.values())
     peak = max(peak, 0.0)  # unobserved values sit at vote count 0
-    denominator = sum(math.exp(c - peak) for c in vote_counts.values())
+    denominator = 0.0
+    for c in vote_counts.values():
+        denominator += math.exp(c - peak)
     denominator += max(n_false + 1 - k, 0) * math.exp(-peak)
     return {
         triple: math.exp(count - peak) / denominator
@@ -145,9 +175,10 @@ def popaccu_item_posteriors(
         other_score += support[triple] * math.log(support[triple] / total)
 
     peak = max(max(scores.values()), other_score)
-    denominator = math.exp(other_score - peak) + sum(
-        math.exp(s - peak) for s in scores.values()
-    )
+    exp_sum = 0.0
+    for s in scores.values():
+        exp_sum += math.exp(s - peak)
+    denominator = math.exp(other_score - peak) + exp_sum
     return {
         triple: math.exp(score - peak) / denominator
         for triple, score in scores.items()

@@ -1,8 +1,8 @@
-"""Scalar ↔ vectorized posterior parity, property-based.
+"""Exact ↔ batched posterior parity, property-based.
 
 The batched numpy kernels of :mod:`repro.fusion.kernels` must reproduce
-the scalar reference implementations (the dict forms of
-``tests/oracle/posteriors.py``, which the ``src/`` scalar kernels equal
+the reference implementations (the dict forms of
+``tests/oracle/posteriors.py``, which the ``src/`` exact kernels equal
 bit for bit) to 1e-9 on
 arbitrary claim matrices — including the awkward corners: a single
 provenance, more observed values than ACCU's assumed domain (k > N),
