@@ -85,7 +85,7 @@ __all__ = [
 ARTIFACT_FORMAT = 1
 
 #: Bumped when the column-store layout changes shape.
-COLUMN_FORMAT = 1
+COLUMN_FORMAT = 2
 
 _META = "meta.json"
 _PICKLES = ("world.pkl", "freebase.pkl", "sites.pkl")
@@ -509,20 +509,17 @@ def save_column_store(
     cache_dir: Path | str,
     granularity: str,
     arrays: dict[str, np.ndarray],
-    objects: bytes,
 ) -> ColumnHandle:
     """Publish claim columns under their content address.
 
-    ``arrays`` maps column names to int64 arrays (saved as ``.npy``);
-    ``objects`` is the pickled object-column blob (saved verbatim).
-    Publication is atomic (temp directory + rename) and idempotent: a
+    ``arrays`` maps column names to int64 arrays (saved as ``.npy``); the
+    key covers their digests.  Publication is atomic (temp directory + rename) and idempotent: a
     store whose content already exists is reused, and a concurrent
     writer of the same key harmlessly loses the rename race.
     """
     files: dict[str, bytes] = {
         f"{name}.npy": _npy_bytes(array) for name, array in arrays.items()
     }
-    files["objects.pkl"] = objects
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in files.items()}
     key = _column_store_key(granularity, digests)
     final_dir = column_store_dir_for(cache_dir, key)
@@ -562,9 +559,10 @@ def prune_cache(cache_dir: Path | str, apply: bool = False) -> list[Path]:
 
     The content-addressed key means a stale entry is never *loaded* —
     but nothing ever deleted it either, so directories written by old
-    code versions accumulate forever.  Stale = a ``scenario-*`` or
-    ``columns-*`` entry whose recorded code version no longer matches
-    the current one, whose metadata is unreadable, or a leftover
+    code versions or layouts accumulate forever.  Stale = a
+    ``scenario-*`` or ``columns-*`` entry whose recorded code version or
+    format (:data:`ARTIFACT_FORMAT` / :data:`COLUMN_FORMAT`) no longer
+    matches the current one, whose metadata is unreadable, or a leftover
     ``.tmp-*`` publish directory from a crashed writer.  Returns the
     stale paths (sorted); the default is a dry run.
     """
@@ -587,7 +585,8 @@ def prune_cache(cache_dir: Path | str, apply: bool = False) -> list[Path]:
         except (OSError, json.JSONDecodeError):
             stale.append(entry)
             continue
-        if meta.get("code_version") != current:
+        current_format = ARTIFACT_FORMAT if name.startswith("scenario-") else COLUMN_FORMAT
+        if meta.get("code_version") != current or meta.get("format") != current_format:
             stale.append(entry)
     if apply:
         for entry in stale:

@@ -8,9 +8,10 @@
   streamed pipeline (:func:`repro.endtoend.run_end_to_end` with
   ``chunk_pages`` set) runs it in bounded memory — see ``docs/SCALING.md``.
 
-All presets keep the paper's *shape* knobs (skew exponents, error rates,
-content mix) identical — only the budget scales, so statistics computed on
-``small`` and ``medium`` should agree in shape.
+The presets set only the four sizes; the paper's *shape* statistics
+(skew exponents, error rates, content mix) are module constants under
+``repro/world/``, so statistics computed on ``small`` and ``medium``
+should agree in shape.
 """
 
 from __future__ import annotations

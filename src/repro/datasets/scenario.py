@@ -20,7 +20,6 @@ from pathlib import Path
 
 from repro.artifacts import setup_worldgen
 from repro.datasets.profiles import EXTRACTOR_PROFILES
-from repro.extract.base import ExtractorProfile
 from repro.extract.linkage import EntityLinker
 from repro.extract.pipeline import ExtractionPipeline, build_extractor
 from repro.extract.records import ExtractionRecord
@@ -45,15 +44,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything that determines a scenario, hashable for caching."""
+    """Everything that determines a scenario, hashable for caching.
+
+    Every scenario runs the same twelve extractors,
+    :data:`~repro.datasets.profiles.EXTRACTOR_PROFILES`.
+    """
 
     seed: int = 0
     world: WorldConfig = field(default_factory=WorldConfig)
     web: WebConfig = field(default_factory=WebConfig)
-    extractors: tuple[ExtractorProfile, ...] = EXTRACTOR_PROFILES
 
     def cache_key(self) -> str:
-        return repr((self.seed, self.world, self.web, self.extractors))
+        return repr((self.seed, self.world, self.web))
 
 
 @dataclass
@@ -115,7 +117,7 @@ def build_extraction_pipeline(config: ScenarioConfig, world: World) -> Extractio
         build_extractor(
             profile, world.schema, linkers[profile.linker], templates, config.seed
         )
-        for profile in config.extractors
+        for profile in EXTRACTOR_PROFILES
     ]
     return ExtractionPipeline(extractors)
 

@@ -30,6 +30,11 @@ __all__ = [
     "triple_support",
 ]
 
+#: Figure 20 shows truth counts 0-5 exactly and folds the rest into ">5".
+_MAX_EXACT_TRUTHS = 5
+#: Figure 21 buckets extraction confidence into deciles.
+_CONFIDENCE_BUCKETS = 10
+
 
 def skew_summary(counts: Sequence[int]) -> dict[str, float]:
     """Mean / median / min / max — the Table 1 skew row format."""
@@ -113,28 +118,25 @@ def probability_histogram(
     return [(i / n_buckets, c / total) for i, c in enumerate(counts)]
 
 
-def truth_count_distribution(
-    truth_counts: Iterable[int], max_exact: int = 5
-) -> list[tuple[str, float]]:
-    """Share of data items per #truths (Figure 20); folds >max into one bin."""
+def truth_count_distribution(truth_counts: Iterable[int]) -> list[tuple[str, float]]:
+    """Share of data items per #truths (Figure 20); folds >5 into one bin."""
+    tail = f">{_MAX_EXACT_TRUTHS}"
     counter: Counter = Counter()
     total = 0
     for count in truth_counts:
-        key = str(count) if count <= max_exact else f">{max_exact}"
+        key = str(count) if count <= _MAX_EXACT_TRUTHS else tail
         counter[key] += 1
         total += 1
     if total == 0:
         raise EvaluationError("no truth counts given")
-    order = [str(i) for i in range(0, max_exact + 1)] + [f">{max_exact}"]
+    order = [str(i) for i in range(0, _MAX_EXACT_TRUTHS + 1)] + [tail]
     return [(key, counter.get(key, 0) / total) for key in order]
 
 
 def confidence_accuracy_curve(
-    records: Iterable[ExtractionRecord],
-    gold: dict[Triple, bool],
-    n_buckets: int = 10,
+    records: Iterable[ExtractionRecord], gold: dict[Triple, bool]
 ) -> list[AccuracyPoint]:
-    """Accuracy by extraction-confidence bucket (Figure 21, right panel).
+    """Accuracy by extraction-confidence decile (Figure 21, right panel).
 
     Records without a confidence are excluded (the paper's no-confidence
     extractors are likewise absent from its Figure 21).
@@ -144,12 +146,12 @@ def confidence_accuracy_curve(
         for record in records
         if record.confidence is not None and record.triple in gold
     ]
-    edges = [i / n_buckets for i in range(n_buckets)]
+    edges = [i / _CONFIDENCE_BUCKETS for i in range(_CONFIDENCE_BUCKETS)]
     return bucketize_accuracy(pairs, edges)
 
 
 def confidence_coverage_curve(
-    records: Iterable[ExtractionRecord], n_buckets: int = 10
+    records: Iterable[ExtractionRecord],
 ) -> list[tuple[float, float]]:
     """Cumulative share of records with confidence ≤ x (Figure 21, left)."""
     confidences = sorted(
@@ -159,8 +161,8 @@ def confidence_coverage_curve(
         raise EvaluationError("no records carry a confidence")
     total = len(confidences)
     points = []
-    for i in range(n_buckets + 1):
-        x = i / n_buckets
+    for i in range(_CONFIDENCE_BUCKETS + 1):
+        x = i / _CONFIDENCE_BUCKETS
         covered = sum(1 for c in confidences if c <= x)
         points.append((x, covered / total))
     return points

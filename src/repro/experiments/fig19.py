@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from itertools import combinations
 
+from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.datasets.scenario import Scenario
 from repro.eval.kappa import kappa
 from repro.experiments.registry import ExperimentResult
@@ -29,7 +30,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     universe = {record.triple for record in scenario.records}
     primary_content = {
         profile.name: profile.content_types[0]
-        for profile in scenario.config.extractors
+        for profile in EXTRACTOR_PROFILES
     }
 
     rows = []

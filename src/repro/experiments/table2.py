@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.datasets.scenario import Scenario
 from repro.experiments.common import unique_triple_accuracy
 from repro.experiments.registry import ExperimentResult
@@ -29,7 +30,7 @@ def run(scenario: Scenario) -> ExperimentResult:
 
     rows = []
     data = {}
-    order = [p.name for p in scenario.config.extractors]
+    order = [p.name for p in EXTRACTOR_PROFILES]
     for name in order:
         records = by_extractor.get(name, [])
         triples = {r.triple for r in records}

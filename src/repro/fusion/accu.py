@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.fusion import kernels
-from repro.fusion.base import Fuser, FusionResult
+from repro.fusion.base import N_FALSE_VALUES, Fuser, FusionResult
 from repro.fusion.observations import ColumnarClaims, FusionInput
 from repro.fusion.runner import run_bayesian_fusion
 
@@ -50,7 +50,7 @@ class AccuKernel:
     worker processes.
     """
 
-    n_false: int = 100
+    n_false: int = N_FALSE_VALUES
 
     def exact_round(
         self, cols: ColumnarClaims, accuracies, active, require_repeated: bool, keep=None
@@ -78,7 +78,7 @@ class Accu(Fuser):
         return run_bayesian_fusion(
             fusion_input=fusion_input,
             config=self.config,
-            item_posterior_fn=AccuKernel(self.config.n_false_values),
+            item_posterior_fn=AccuKernel(),
             method_name=self.name,
             gold_labels=self.gold_labels,
             executor=executor,

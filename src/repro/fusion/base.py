@@ -1,12 +1,14 @@
 """Fuser interface, configuration, and result type.
 
 All fusers share one configuration surface (:class:`FusionConfig`) carrying
-the paper's parameters — ``N`` uniformly-distributed false values and
-default accuracy ``A`` for the Bayesian analysis, sampling bound ``L``,
-round budget ``R``, the provenance granularity, and the two provenance
-filters of §4.3.2.  Gold-standard labels for semi-supervised accuracy
-initialisation (§4.3.3) are passed to the fuser separately because they
-are data, not configuration.
+the parameters the paper's experiments vary — sampling bound ``L``, round
+budget ``R``, the provenance granularity, the two provenance filters of
+§4.3.2 and the gold sample of §4.3.3 — plus the execution backend.  The
+two it fixes, ``N`` uniformly-distributed false values and default
+accuracy ``A`` of the Bayesian analysis, are the module constants
+:data:`N_FALSE_VALUES` and :data:`DEFAULT_ACCURACY`.  Gold-standard labels
+for semi-supervised accuracy initialisation (§4.3.3) are passed to the
+fuser separately because they are data, not configuration.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, FUSION_MODES
 
 __all__ = [
+    "N_FALSE_VALUES",
+    "DEFAULT_ACCURACY",
     "BACKENDS",
     "PARITY_BITWISE",
     "PARITY_TOLERANCE",
@@ -32,6 +36,14 @@ __all__ = [
     "FusionResult",
     "Fuser",
 ]
+
+#: ACCU's ``N``: the count of uniformly-distributed false values the
+#: Bayesian analysis assumes per data item.  The paper fixes it at 100.
+N_FALSE_VALUES = 100
+
+#: The initial accuracy ``A`` of every provenance; the paper's 0.8.  One
+#: default provenance then gives a lone claim probability 0.8.
+DEFAULT_ACCURACY = 0.8
 
 #: Execution backends for the fusion pipeline: the fusion-stage view of
 #: the one mode table (:data:`repro.mapreduce.executors.EXECUTION_MODES`;
@@ -86,15 +98,13 @@ def sampling_contract_of(config: "FusionConfig") -> str:
 class FusionConfig:
     """Shared fusion parameters (paper defaults).
 
+    ``N`` and ``A`` are not fields: see :data:`N_FALSE_VALUES` and
+    :data:`DEFAULT_ACCURACY`.
+
     Attributes
     ----------
     granularity:
         How records are flattened into provenances (§4.1 / §4.3.1).
-    n_false_values:
-        ACCU's ``N``: the assumed count of uniformly-distributed false
-        values per data item (default 100).
-    default_accuracy:
-        The initial accuracy ``A`` of every provenance (default 0.8).
     max_rounds:
         Forced termination after ``R`` rounds (default 5).
     sample_limit:
@@ -125,8 +135,6 @@ class FusionConfig:
     """
 
     granularity: Granularity = Granularity.EXTRACTOR_URL
-    n_false_values: int = 100
-    default_accuracy: float = 0.8
     max_rounds: int = 5
     sample_limit: int | None = 1_000_000
     convergence_tol: float = 1e-4
@@ -144,12 +152,6 @@ class FusionConfig:
             )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1 or None, got {self.n_workers}")
-        if self.n_false_values < 1:
-            raise ConfigError(f"n_false_values must be >= 1, got {self.n_false_values}")
-        if not 0.0 < self.default_accuracy < 1.0:
-            raise ConfigError(
-                f"default_accuracy must be in (0, 1), got {self.default_accuracy}"
-            )
         if self.max_rounds < 1:
             raise ConfigError(f"max_rounds must be >= 1, got {self.max_rounds}")
         if self.sample_limit is not None and self.sample_limit < 1:

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import FusionError
 from repro.fusion import kernels
-from repro.fusion.base import Fuser, FusionResult
+from repro.fusion.base import DEFAULT_ACCURACY, N_FALSE_VALUES, Fuser, FusionResult
 from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
 from repro.fusion.observations import ColumnarClaims, FusionInput, _sorted_table
 from repro.fusion.provenance import provenance_key
@@ -103,14 +103,12 @@ class ConfidenceWeightedFuser(Fuser):
 
         def step(state):
             (accuracies,) = state
-            votes = weight * kernels.accu_claim_votes(
-                cols, accuracies, config.n_false_values
-            )
+            votes = weight * kernels.accu_claim_votes(cols, accuracies, N_FALSE_VALUES)
             posteriors = kernels.accu_softmax(
                 cols,
                 kernels._segment_sum(votes, cols.row_ptr),
                 observed,
-                config.n_false_values,
+                N_FALSE_VALUES,
             )
             weighted = np.bincount(
                 cols.claim_prov, weight * posteriors[claim_row], n_provs
@@ -119,7 +117,7 @@ class ConfidenceWeightedFuser(Fuser):
 
         result, (accuracies,) = fuse_rounds(
             self.name, cols, config,
-            (np.full(n_provs, config.default_accuracy),), step,
+            (np.full(n_provs, DEFAULT_ACCURACY),), step,
         )
         result.accuracies = dict(zip(cols.provenances, accuracies.tolist()))
         return result

@@ -9,9 +9,9 @@ probability for CA."
 This fuser reweights the vote counts of hierarchical-predicate items:
 
 - a claim of value ``v`` contributes weight 1 to ``v`` itself;
-- weight ``lambda_up**d`` to each ancestor at distance ``d`` (several
+- weight ``LAMBDA_UP**d`` to each ancestor at distance ``d`` (several
   conflicting cities in one state agree on the state);
-- weight ``lambda_down**d`` to each descendant at distance ``d`` (a state
+- weight ``LAMBDA_DOWN**d`` to each descendant at distance ``d`` (a state
   claim is weak evidence for any one of its cities).
 
 Weighted ACCU votes then score the observed values (non-hierarchical items
@@ -26,7 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fusion import kernels
-from repro.fusion.base import Fuser, FusionConfig, FusionResult
+from repro.fusion.base import (
+    DEFAULT_ACCURACY,
+    N_FALSE_VALUES,
+    Fuser,
+    FusionConfig,
+    FusionResult,
+)
 from repro.fusion.extensions.rounds import fuse_rounds
 from repro.fusion.observations import ColumnarClaims, FusionInput
 from repro.kb.hierarchy import ValueHierarchy
@@ -40,20 +46,23 @@ __all__ = ["HierarchicalFuser"]
 class HierarchicalFuser(Fuser):
     """ACCU with support propagation along a value hierarchy."""
 
+    #: Support a claim lends each ancestor, per level up: several
+    #: conflicting cities in one state agree on the state.
+    LAMBDA_UP = 0.6
+    #: Support a claim lends each descendant, per level down: a state claim
+    #: is weak evidence for any one of its cities.
+    LAMBDA_DOWN = 0.15
+
     def __init__(
         self,
         schema: Schema,
         hierarchy: ValueHierarchy,
         config: FusionConfig | None = None,
         gold_labels=None,
-        lambda_up: float = 0.6,
-        lambda_down: float = 0.15,
     ) -> None:
         super().__init__(config, gold_labels)
         self.schema = schema
         self.hierarchy = hierarchy
-        self.lambda_up = lambda_up
-        self.lambda_down = lambda_down
 
     @property
     def name(self) -> str:
@@ -75,10 +84,10 @@ class HierarchicalFuser(Fuser):
         candidate_id = candidate.obj.entity_id
         if self.hierarchy.is_ancestor(candidate_id, claimed_id):
             distance = self.hierarchy.ancestors(claimed_id).index(candidate_id) + 1
-            return self.lambda_up**distance
+            return self.LAMBDA_UP**distance
         if self.hierarchy.is_ancestor(claimed_id, candidate_id):
             distance = self.hierarchy.ancestors(candidate_id).index(claimed_id) + 1
-            return self.lambda_down**distance
+            return self.LAMBDA_DOWN**distance
         return 0.0
 
     def support(
@@ -113,7 +122,7 @@ class HierarchicalFuser(Fuser):
         config = self.config
         cols = fusion_input.claims(config.granularity).columnar()
         candidate, claimed, weight = self.support(cols)
-        n_false = config.n_false_values
+        n_false = N_FALSE_VALUES
 
         def step(state):
             (accuracies,) = state
@@ -134,7 +143,7 @@ class HierarchicalFuser(Fuser):
 
         result, (accuracies,) = fuse_rounds(
             self.name, cols, config,
-            (np.full(len(cols.provenances), config.default_accuracy),), step,
+            (np.full(len(cols.provenances), DEFAULT_ACCURACY),), step,
         )
         result.accuracies = dict(zip(cols.provenances, accuracies.tolist()))
         return result

@@ -38,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fusion import kernels
-from repro.fusion.base import Fuser, FusionConfig, FusionResult
+from repro.fusion.base import DEFAULT_ACCURACY, N_FALSE_VALUES, Fuser, FusionResult
 from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
 from repro.fusion.observations import FusionInput, _sorted_table
 from repro.fusion.provenance import Granularity
@@ -47,22 +47,13 @@ __all__ = ["SplitQualityFuser"]
 
 
 class SplitQualityFuser(Fuser):
-    """Factored extractor × source accuracy model.
+    """Factored extractor × source accuracy model."""
 
-    ``extractor_prior_strength`` / ``site_prior_strength`` are the
-    pseudo-counts of the shrinkage toward the default accuracy.
-    """
-
-    def __init__(
-        self,
-        config: FusionConfig | None = None,
-        gold_labels=None,
-        extractor_prior_strength: float = 1.0,
-        site_prior_strength: float = 2.0,
-    ) -> None:
-        super().__init__(config, gold_labels)
-        self.extractor_prior_strength = extractor_prior_strength
-        self.site_prior_strength = site_prior_strength
+    #: Pseudo-counts of the shrinkage toward the default accuracy: one
+    #: observation for an extractor's fidelity, two for a site's accuracy
+    #: (most sites carry very few triples).
+    EXTRACTOR_PRIOR_STRENGTH = 1.0
+    SITE_PRIOR_STRENGTH = 2.0
 
     @property
     def name(self) -> str:
@@ -78,7 +69,7 @@ class SplitQualityFuser(Fuser):
         claim_extractor = prov_extractor[cols.claim_prov]
         claim_site = prov_site[cols.claim_prov]
         everyone = np.ones(len(cols.provenances), dtype=bool)
-        prior = config.default_accuracy
+        prior = DEFAULT_ACCURACY
 
         def shrunk_mean(codes, weights, values, strength, size):
             """Per code: the weighted mean of ``values``, shrunk toward the
@@ -92,18 +83,18 @@ class SplitQualityFuser(Fuser):
             # Stage I: the pair accuracy q·a plays the per-provenance
             # accuracy role in the standard ACCU posterior.
             posteriors = kernels.accu_round(
-                cols, q[prov_extractor] * a[prov_site], everyone, config.n_false_values
+                cols, q[prov_extractor] * a[prov_site], everyone, N_FALSE_VALUES
             ).posteriors
             # Stage II: re-estimate the factors, cross-weighted and shrunk
             # toward the prior (see module docstring).
             claimed = posteriors[claim_row]
             new_q = shrunk_mean(
                 claim_extractor, a[claim_site], claimed,
-                self.extractor_prior_strength, len(q),
+                self.EXTRACTOR_PRIOR_STRENGTH, len(q),
             )
             new_a = shrunk_mean(
                 claim_site, q[claim_extractor], claimed,
-                self.site_prior_strength, len(a),
+                self.SITE_PRIOR_STRENGTH, len(a),
             )
             return posteriors, (new_q, new_a)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.artifacts import ColumnHandle, _dumps, save_column_store
+from repro.artifacts import ColumnHandle, save_column_store
 from repro.fusion.observations import (
     ClaimAccumulator,
     ColumnarClaims,
@@ -63,8 +63,8 @@ class MappedColumnarClaims(ColumnarClaims):
 
     Constructed from a :class:`~repro.artifacts.ColumnHandle`; the
     numeric columns and the canonical rank open eagerly as read-only
-    memmaps.  The object columns are the lists :func:`persist_columns`
-    adopts; ``objects.pkl`` holds them on disk, and nothing reads it back.
+    memmaps.  The object columns are not on disk: they are the lists
+    :func:`persist_columns` adopts from the columns it published.
     """
 
     def __init__(self, handle: ColumnHandle) -> None:
@@ -86,11 +86,8 @@ class MappedColumnarClaims(ColumnarClaims):
         triples: list[Triple],
         provenances: list[ProvKey],
     ) -> None:
-        """Seed the object columns from lists the caller already holds.
-
-        Convenience after :func:`persist_columns`: avoids an immediate
-        re-unpickle of what was just written.
-        """
+        """Seed the object columns from lists the caller already holds
+        (:func:`persist_columns` hands over the ones it published beside)."""
         self.items = items
         self.triples = triples
         self.provenances = provenances
@@ -122,14 +119,13 @@ def persist_columns(
 ) -> MappedColumnarClaims:
     """Publish ``cols`` to the column store and return the mapped view.
 
-    The in-memory arrays are written once (content-addressed, atomic)
-    and the returned instance maps them back read-only, with the object
-    columns adopted from ``cols`` so the parent pays no re-unpickle.
+    The numeric arrays are written once (content-addressed, atomic) and
+    the returned instance maps them back read-only; the object columns
+    are adopted from ``cols`` and never written.
     """
     arrays = {name: np.ascontiguousarray(getattr(cols, name)) for name in NUMERIC_COLUMNS}
     arrays[RANK_COLUMN] = np.ascontiguousarray(cols.canonical_rank())
-    objects = _dumps((cols.items, cols.triples, cols.provenances))
-    handle = save_column_store(cache_dir, cols.granularity.value, arrays, objects)
+    handle = save_column_store(cache_dir, cols.granularity.value, arrays)
     mapped = MappedColumnarClaims(handle)
     mapped.adopt_objects(cols.items, cols.triples, cols.provenances)
     return mapped

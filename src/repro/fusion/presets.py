@@ -4,8 +4,8 @@
   (Extractor, URL) granularity with paper defaults (N=100, A=0.8, R=5,
   L=1M);
 - :func:`popaccu_plus_unsup` — POPACCU + refinements I-III (coverage
-  filter, (Extractor, Site, Predicate, Pattern) granularity, θ=0.5
-  accuracy filter); still unsupervised;
+  filter, (Extractor, Site, Predicate, Pattern) granularity, accuracy
+  filter at :data:`PLUS_THETA`); still unsupervised;
 - :func:`popaccu_plus` — the semi-supervised flagship: all of the above
   plus gold-standard accuracy initialisation.
 
@@ -26,7 +26,12 @@ from repro.fusion.provenance import Granularity
 from repro.fusion.vote import Vote
 from repro.kb.triples import Triple
 
-__all__ = ["vote", "accu", "popaccu", "popaccu_plus_unsup", "popaccu_plus"]
+__all__ = ["vote", "accu", "popaccu", "popaccu_plus_unsup", "popaccu_plus", "PLUS_THETA"]
+
+#: §4.3.2 refinement III's θ in both POPACCU+ presets: provenances whose
+#: accuracy falls below it are ignored.  The presets set it as the
+#: config's ``min_accuracy``, replacing any value the caller's config had.
+PLUS_THETA = 0.5
 
 
 def _with_backend(config: FusionConfig, backend: str | None) -> FusionConfig:
@@ -52,13 +57,13 @@ def popaccu(
     return PopAccu(_with_backend(config or FusionConfig(), backend))
 
 
-def _plus_config(base: FusionConfig | None, theta: float) -> FusionConfig:
+def _plus_config(base: FusionConfig | None) -> FusionConfig:
     config = base or FusionConfig()
     return replace(
         config,
         granularity=Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN,
         filter_by_coverage=True,
-        min_accuracy=theta,
+        min_accuracy=PLUS_THETA,
     )
 
 
@@ -79,18 +84,15 @@ class PopAccuPlus(PopAccu):
 
 
 def popaccu_plus_unsup(
-    config: FusionConfig | None = None,
-    theta: float = 0.5,
-    backend: str | None = None,
+    config: FusionConfig | None = None, backend: str | None = None
 ) -> PopAccu:
     """POPACCU+ without the gold standard (changes I-III of §4.3.4)."""
-    return PopAccuPlusUnsup(_with_backend(_plus_config(config, theta), backend))
+    return PopAccuPlusUnsup(_with_backend(_plus_config(config), backend))
 
 
 def popaccu_plus(
     gold_labels: dict[Triple, bool] | None = None,
     config: FusionConfig | None = None,
-    theta: float = 0.5,
     backend: str | None = None,
 ) -> PopAccu:
     """POPACCU+ (changes I-IV of §4.3.4).
@@ -102,5 +104,5 @@ def popaccu_plus(
     if gold_labels is not None and not isinstance(gold_labels, dict):
         raise ConfigError("gold_labels must be a dict[Triple, bool]")
     return PopAccuPlus(
-        _with_backend(_plus_config(config, theta), backend), gold_labels=gold_labels
+        _with_backend(_plus_config(config), backend), gold_labels=gold_labels
     )

@@ -108,6 +108,7 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
+    DEFAULT_ACCURACY,
     FusionConfig,
     FusionResult,
     backend_contract,
@@ -376,7 +377,7 @@ def _run_columnar(
     written in; nothing else differs between backends.
     """
     n_provs = len(cols.provenances)
-    accuracies = np.full(n_provs, config.default_accuracy, dtype=np.float64)
+    accuracies = np.full(n_provs, DEFAULT_ACCURACY, dtype=np.float64)
     evaluated = np.zeros(n_provs, dtype=bool)
 
     gold_initialized = 0

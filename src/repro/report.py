@@ -57,9 +57,7 @@ def format_series(
     points: Iterable[tuple[object, object]],
     x_label: str = "x",
     y_label: str = "y",
-    float_digits: int = 3,
 ) -> str:
-    """Render a named (x, y) series, one point per line."""
-    return format_table(
-        [x_label, y_label], list(points), title=name, float_digits=float_digits
-    )
+    """Render a named (x, y) series, one point per line, floats to three
+    decimals."""
+    return format_table([x_label, y_label], list(points), title=name)

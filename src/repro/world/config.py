@@ -1,30 +1,28 @@
-"""Configuration for world and web generation.
+"""Configuration for world and web generation: the four sizes.
 
-Two dataclasses: :class:`WorldConfig` shapes the latent truth (entities,
-predicates, truth multiplicity, how much of it Freebase knows) and
-:class:`WebConfig` shapes the observable web (sites, pages, error rates,
-copying, content-type mix).  Defaults are tuned so that the *shape*
-statistics of the generated corpus track the paper's Tables 1-3 and
-Figures 3-7 at laptop scale.
+:class:`WorldConfig` sizes the latent truth (how many entity types and
+entities) and :class:`WebConfig` sizes the observable web (how many sites
+and pages).  These are the only values the scale presets vary.  The shape
+statistics that make the generated corpus track the paper's Tables 1-3
+and Figures 3-7 at laptop scale (skews, fill and error rates, Freebase's
+imperfections, the content mix) are module constants next to the code
+that draws them: ``world/worldgen.py``, ``world/facts.py`` and
+``world/webgen.py``.  They sit under ``repro/world/``, so
+:func:`repro.artifacts.code_version` covers every one of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
 __all__ = ["WorldConfig", "WebConfig"]
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be a probability in [0, 1], got {value}")
-
-
 @dataclass(frozen=True)
 class WorldConfig:
-    """Parameters of the latent ground-truth world.
+    """The size of the latent ground-truth world.
 
     Attributes
     ----------
@@ -33,80 +31,21 @@ class WorldConfig:
     n_entities:
         Total entity budget, distributed across types with a Zipf skew
         (location/organization/business-heavy, like the paper's top types).
-    entity_zipf:
-        Skew exponent for entity popularity inside a type; popular entities
-        are mentioned by more pages (heavy head, long tail).
-    fact_fill_rate:
-        Probability that a given (entity, predicate) data item has any truth
-        in the world at all.
-    multi_truth_geometric:
-        For non-functional predicates the number of true values is
-        ``1 + Geometric(p)`` capped at the predicate's ``max_truths``;
-        this is the success probability ``p`` (high p ⇒ mostly 1-2 truths,
-        matching Figure 20).
-    alias_rate:
-        Probability an entity gets an extra alias.
-    confusable_rate:
-        Probability an entity *shares* an alias with another entity of the
-        catalogue's confusable pool (the raw material of entity-linkage
-        errors).
-    freebase_item_coverage:
-        Probability Freebase knows a data item (the paper's gold standard
-        covered ~40% of extracted triples).
-    freebase_value_recall:
-        For covered non-functional items, fraction of true values Freebase
-        stores (it "may only contain a subset of true triples").
-    freebase_generalization_rate:
-        For covered hierarchical items, probability Freebase stores an
-        ancestor (e.g. country) instead of the specific truth (city).
-    freebase_error_rate:
-        Small probability a covered item stores an outright wrong value
-        ("one false positive is due to Freebase having an obviously
-        incorrect value").
-    wrong_pool_size:
-        Number of plausible-but-wrong candidate values maintained per data
-        item; web sources draw their erroneous claims from this pool with a
-        Zipf popularity, which is what gives POPACCU its advantage.
     """
 
     n_types: int = 10
     n_entities: int = 1200
-    entity_zipf: float = 1.1
-    fact_fill_rate: float = 0.75
-    multi_truth_geometric: float = 0.62
-    alias_rate: float = 0.35
-    confusable_rate: float = 0.12
-    freebase_item_coverage: float = 0.55
-    freebase_value_recall: float = 0.75
-    freebase_generalization_rate: float = 0.08
-    freebase_error_rate: float = 0.01
-    wrong_pool_size: int = 8
 
     def __post_init__(self) -> None:
         if self.n_types < 2:
             raise ConfigError(f"n_types must be >= 2, got {self.n_types}")
         if self.n_entities < 10:
             raise ConfigError(f"n_entities must be >= 10, got {self.n_entities}")
-        if self.wrong_pool_size < 1:
-            raise ConfigError(
-                f"wrong_pool_size must be >= 1, got {self.wrong_pool_size}"
-            )
-        for name in (
-            "fact_fill_rate",
-            "multi_truth_geometric",
-            "alias_rate",
-            "confusable_rate",
-            "freebase_item_coverage",
-            "freebase_value_recall",
-            "freebase_generalization_rate",
-            "freebase_error_rate",
-        ):
-            _check_prob(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
 class WebConfig:
-    """Parameters of the observable web corpus.
+    """The size of the observable web corpus.
 
     Attributes
     ----------
@@ -115,42 +54,10 @@ class WebConfig:
         sites dominate (half the paper's pages contribute a single triple).
     n_pages:
         Total page budget.
-    facts_per_page_mean:
-        Mean number of assertions per page (geometric, long tail).
-    site_error_alpha / site_error_beta:
-        Beta distribution of per-site error rates (probability a given
-        assertion on the site carries a wrong value).
-    popular_wrong_rate:
-        When a page errs, probability it picks a *popular* wrong value from
-        the data item's shared wrong-value pool rather than a fresh random
-        one; popular wrong values recur across independent pages.
-    copy_rate:
-        Probability that a page copies (a slice of) a previously generated
-        page of the same site topic, errors included — the paper's copying
-        relationship between sources.
-    generalization_rate:
-        For hierarchical predicates, probability a page asserts a true but
-        more general value (state/country instead of city).
-    content_mix:
-        Relative propensity of each content type; pages get 1-2 content
-        renderings dominated by DOM, then TXT, then ANO, then TBL
-        (cf. Figure 3: DOM 80%, TXT 19%).
-    max_entities_per_page:
-        A page discusses up to this many entities (tables list many).
     """
 
     n_sites: int = 120
     n_pages: int = 1500
-    facts_per_page_mean: float = 8.0
-    site_error_alpha: float = 1.3
-    site_error_beta: float = 7.0
-    popular_wrong_rate: float = 0.65
-    copy_rate: float = 0.08
-    generalization_rate: float = 0.10
-    content_mix: dict[str, float] = field(
-        default_factory=lambda: {"DOM": 0.62, "TXT": 0.24, "ANO": 0.12, "TBL": 0.02}
-    )
-    max_entities_per_page: int = 6
 
     def __post_init__(self) -> None:
         if self.n_sites < 1:
@@ -159,20 +66,3 @@ class WebConfig:
             raise ConfigError(
                 f"n_pages ({self.n_pages}) must be >= n_sites ({self.n_sites})"
             )
-        if self.facts_per_page_mean <= 0:
-            raise ConfigError("facts_per_page_mean must be positive")
-        if self.site_error_alpha <= 0 or self.site_error_beta <= 0:
-            raise ConfigError("site error Beta parameters must be positive")
-        for name in ("popular_wrong_rate", "copy_rate", "generalization_rate"):
-            _check_prob(name, getattr(self, name))
-        if not self.content_mix:
-            raise ConfigError("content_mix must not be empty")
-        unknown = set(self.content_mix) - {"TXT", "DOM", "TBL", "ANO"}
-        if unknown:
-            raise ConfigError(f"unknown content types in content_mix: {unknown}")
-        if any(w < 0 for w in self.content_mix.values()):
-            raise ConfigError("content_mix weights must be non-negative")
-        if sum(self.content_mix.values()) <= 0:
-            raise ConfigError("content_mix weights must not all be zero")
-        if self.max_entities_per_page < 1:
-            raise ConfigError("max_entities_per_page must be >= 1")

@@ -39,6 +39,27 @@ from repro.world.config import WorldConfig
 
 __all__ = ["World", "SourceAssertion", "build_freebase_snapshot"]
 
+#: Plausible-but-wrong candidate values kept per data item; web sources
+#: draw their erroneous claims from this pool with a Zipf popularity,
+#: which is what gives POPACCU its advantage.
+WRONG_POOL_SIZE = 8
+
+# Freebase's documented imperfections, which the LCWA gold standard
+# inherits (§3.2 and Figure 17).
+
+#: Probability Freebase knows a data item (the paper's gold standard
+#: covered ~40% of extracted triples).
+FREEBASE_ITEM_COVERAGE = 0.55
+#: For a covered non-functional item, the share of true values Freebase
+#: stores (it "may only contain a subset of true triples").
+FREEBASE_VALUE_RECALL = 0.75
+#: For a covered hierarchical item, probability Freebase stores an ancestor
+#: (a country) instead of the specific truth (a city).
+FREEBASE_GENERALIZATION_RATE = 0.08
+#: Probability a covered item stores an outright wrong value ("one false
+#: positive is due to Freebase having an obviously incorrect value").
+FREEBASE_ERROR_RATE = 0.01
+
 
 @cache
 def _zipf_by_length(n: int) -> WeightedChoice:
@@ -235,7 +256,7 @@ class World:
         pool: list[Value] = []
         seen: set[Value] = set(truths)
         attempts = 0
-        while len(pool) < self.config.wrong_pool_size and attempts < 200:
+        while len(pool) < WRONG_POOL_SIZE and attempts < 200:
             attempts += 1
             candidate = self._plausible_wrong_value(predicate, item, rng)
             if candidate is None or candidate in seen:
@@ -347,20 +368,19 @@ def build_freebase_snapshot(
 ) -> KnowledgeBase:
     """Build the imperfect Freebase-like reference KB from ``world``.
 
-    Controlled by the world's :class:`~repro.world.config.WorldConfig`:
-    item coverage, per-value recall for non-functional predicates,
-    generalisation of hierarchical values, and a small outright error rate.
-    Deterministic given the world's master seed.
+    Controlled by this module's ``FREEBASE_*`` constants: item coverage,
+    per-value recall for non-functional predicates, generalisation of
+    hierarchical values, and a small outright error rate.  Deterministic
+    given the world's master seed.
     """
-    config = world.config
     rng = np.random.default_rng(split_seed(world.master_seed, seed_name))
     snapshot = KnowledgeBase(name="freebase")
     for item in sorted(world.truths):
         values = world.truths[item]
-        if not values or rng.random() >= config.freebase_item_coverage:
+        if not values or rng.random() >= FREEBASE_ITEM_COVERAGE:
             continue
         predicate = world.schema.predicate(item.predicate)
-        if rng.random() < config.freebase_error_rate:
+        if rng.random() < FREEBASE_ERROR_RATE:
             wrong = world.draw_wrong_value(item, rng, popular=False)
             if wrong is not None:
                 snapshot.add(Triple(item.subject, item.predicate, wrong))
@@ -370,13 +390,13 @@ def build_freebase_snapshot(
             stored.append(values[0])
         else:
             for value in values:
-                if rng.random() < config.freebase_value_recall:
+                if rng.random() < FREEBASE_VALUE_RECALL:
                     stored.append(value)
             if not stored:
                 stored.append(values[0])
         generalize = (
             predicate.hierarchical
-            and rng.random() < config.freebase_generalization_rate
+            and rng.random() < FREEBASE_GENERALIZATION_RATE
         )
         for value in stored:
             if (

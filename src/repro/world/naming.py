@@ -186,8 +186,9 @@ class NameForge:
         base = self._word(2)
         return base + _LANG_SUFFIX[self.rng.integers(len(_LANG_SUFFIX))]
 
-    def date(self, year_lo: int = 1900, year_hi: int = 2010) -> str:
-        year = int(self.rng.integers(year_lo, year_hi + 1))
+    def date(self) -> str:
+        """An ISO date in 1900-2010, day 1-28 of any month."""
+        year = int(self.rng.integers(1900, 2010 + 1))
         month = int(self.rng.integers(1, 13))
         day = int(self.rng.integers(1, 29))
         return f"{year:04d}-{month:02d}-{day:02d}"

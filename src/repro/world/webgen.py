@@ -58,6 +58,33 @@ __all__ = [
 
 _CATEGORIES = ("wiki", "news", "general")
 
+# The web's shape, fixed like the paper's model parameters; with the world's
+# constants in ``worldgen`` and ``facts`` they make the corpus track
+# Tables 1-3 and Figures 3-7 at every scale preset.
+
+#: Mean number of assertions per page (geometric, long tail).
+FACTS_PER_PAGE_MEAN = 8.0
+#: The Beta(alpha, beta) distribution of per-site error rates: the
+#: probability a given assertion on the site carries a wrong value.
+SITE_ERROR_ALPHA = 1.3
+SITE_ERROR_BETA = 7.0
+#: When a page errs, probability it picks a *popular* wrong value from the
+#: data item's shared pool rather than a one-off one; popular wrong values
+#: recur across independent pages.
+POPULAR_WRONG_RATE = 0.65
+#: Probability a page copies (a slice of) an earlier page of the same site
+#: topic, errors included: the paper's copying between sources.
+COPY_RATE = 0.08
+#: For hierarchical predicates, probability a page asserts a true but more
+#: general value (state/country instead of city).
+GENERALIZATION_RATE = 0.10
+#: Relative propensity of each content type.  Pages get 1-2 renderings,
+#: dominated by DOM, then TXT, then ANO, then TBL (cf. Figure 3: DOM 80%,
+#: TXT 19%).  Sites draw from it in sorted key order.
+CONTENT_MIX = {"DOM": 0.62, "TXT": 0.24, "ANO": 0.12, "TBL": 0.02}
+#: A page discusses up to this many entities (tables list many).
+MAX_ENTITIES_PER_PAGE = 6
+
 #: A general site's date style: ISO, US or EU.
 _DATE_STYLES = (DATE_STYLE_ISO, DATE_STYLE_US, DATE_STYLE_EU)
 _DATE_STYLE_CHOICE = WeightedChoice([0.4, 0.4, 0.2])
@@ -117,8 +144,8 @@ def _make_sites(
     n_wiki = max(1, config.n_sites // 40)
     n_news = max(1, config.n_sites // 10)
     sites: dict[str, SiteProfile] = {}
-    mix_names = sorted(config.content_mix)
-    mix_base = np.array([config.content_mix[k] for k in mix_names], dtype=float)
+    mix_names = sorted(CONTENT_MIX)
+    mix_base = np.array([CONTENT_MIX[k] for k in mix_names], dtype=float)
     mix_base = mix_base / mix_base.sum()
     for index in range(config.n_sites):
         if index < n_wiki:
@@ -130,7 +157,7 @@ def _make_sites(
         else:
             category = "general"
             domain = f"site{index:04d}.example.org"
-        error_rate = float(rng.beta(config.site_error_alpha, config.site_error_beta))
+        error_rate = float(rng.beta(SITE_ERROR_ALPHA, SITE_ERROR_BETA))
         if category == "wiki":
             error_rate *= 0.3
             date_style = DATE_STYLE_ISO
@@ -181,7 +208,6 @@ def _pick_entities(
 def _assert_item(
     world: World,
     site: SiteProfile,
-    config: WebConfig,
     item: DataItem,
     rng: np.random.Generator,
 ) -> list[SourceAssertion]:
@@ -192,7 +218,7 @@ def _assert_item(
     predicate = world.schema.predicate(item.predicate)
     assertions: list[SourceAssertion] = []
     if rng.random() < site.error_rate:
-        popular = rng.random() < config.popular_wrong_rate
+        popular = rng.random() < POPULAR_WRONG_RATE
         wrong = world.draw_wrong_value(item, rng, popular=popular)
         if wrong is None:
             return []
@@ -212,7 +238,7 @@ def _assert_item(
     if (
         predicate.hierarchical
         and isinstance(value, EntityRef)
-        and rng.random() < config.generalization_rate
+        and rng.random() < GENERALIZATION_RATE
     ):
         ancestors = world.hierarchy.ancestors(value.entity_id)
         if ancestors:
@@ -601,7 +627,7 @@ def _corpus_pages(
 
         assertions: list[SourceAssertion] = []
         # Copying: clone a slice of an earlier page (errors included).
-        if pool and rng.random() < config.copy_rate:
+        if pool and rng.random() < COPY_RATE:
             source = pool[int(rng.integers(len(pool)))]
             if source.assertions:
                 take = int(rng.integers(1, len(source.assertions) + 1))
@@ -619,8 +645,8 @@ def _corpus_pages(
                         )
                     )
 
-        entities = _pick_entities(world, site, rng, config.max_entities_per_page)
-        budget = 1 + int(rng.geometric(1.0 / config.facts_per_page_mean))
+        entities = _pick_entities(world, site, rng, MAX_ENTITIES_PER_PAGE)
+        budget = 1 + int(rng.geometric(1.0 / FACTS_PER_PAGE_MEAN))
         fresh_budget = max(0, budget - len(assertions))
         subject_items = [
             item for entity in entities for item in world.items_of(entity)
@@ -629,7 +655,7 @@ def _corpus_pages(
             picked_items = rng.permutation(len(subject_items))[:fresh_budget]
             for item_index in sorted(int(x) for x in picked_items):
                 assertions.extend(
-                    _assert_item(world, site, config, subject_items[item_index], rng)
+                    _assert_item(world, site, subject_items[item_index], rng)
                 )
 
         if not assertions:

@@ -34,6 +34,24 @@ _LOCATION_TYPE = "location/location"
 # Share of location entities at each hierarchy level, cities last.
 _LOCATION_LEVELS = (("continent", 0.03), ("country", 0.12), ("region", 0.25), ("city", 0.60))
 
+# The world's shape, fixed like the paper's model parameters; with the web's
+# constants in ``webgen`` they make the corpus track Tables 1-3 and Figures
+# 3-7 at every scale preset.
+
+#: Skew exponent for entity popularity inside a type: popular entities are
+#: mentioned by more pages (heavy head, long tail).
+ENTITY_ZIPF = 1.1
+#: Probability that an (entity, predicate) data item has any truth at all.
+FACT_FILL_RATE = 0.75
+#: A non-functional predicate has ``1 + Geometric(p)`` truths, capped at its
+#: ``max_truths``; this is ``p`` (mostly 1-2 truths, matching Figure 20).
+MULTI_TRUTH_GEOMETRIC = 0.62
+#: Probability an entity gets an extra alias.
+ALIAS_RATE = 0.35
+#: Probability an entity *shares* an alias with another entity (the raw
+#: material of entity-linkage errors).
+CONFUSABLE_RATE = 0.12
+
 
 def _allocate_entities(
     specs: tuple[TypeSpec, ...], n_entities: int
@@ -150,10 +168,10 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     final_registry = EntityRegistry()
     alias_plan: dict[str, list[str]] = {e.entity_id: [] for e in base_entities}
     for entity in base_entities:
-        if rng.random() < config.alias_rate:
+        if rng.random() < ALIAS_RATE:
             alias_plan[entity.entity_id].append(forge.alias_for(entity.name))
     for entity in base_entities:
-        if rng.random() < config.confusable_rate:
+        if rng.random() < CONFUSABLE_RATE:
             other = base_entities[int(rng.integers(len(base_entities)))]
             if other.entity_id != entity.entity_id:
                 # Share the other entity's canonical name as our alias: both
@@ -178,7 +196,7 @@ def generate_world(config: WorldConfig, seed: int) -> World:
         members = registry.of_type(type_id)
         if not members:
             continue
-        ranks = zipf_weights(len(members), config.entity_zipf)
+        ranks = zipf_weights(len(members), ENTITY_ZIPF)
         order = rng.permutation(len(members))
         for position, member_index in enumerate(order):
             entity = members[int(member_index)]
@@ -193,14 +211,14 @@ def generate_world(config: WorldConfig, seed: int) -> World:
     for entity in registry:
         type_spec = spec_by_type[entity.primary_type]
         for predicate in schema.predicates_of_type(entity.primary_type):
-            if rng.random() >= config.fact_fill_rate:
+            if rng.random() >= FACT_FILL_RATE:
                 continue
             pspec = predicate_spec(specs, predicate.pid)
             if predicate.functional:
                 n_truths = 1
             else:
                 n_truths = min(
-                    1 + int(rng.geometric(config.multi_truth_geometric)) - 1,
+                    1 + int(rng.geometric(MULTI_TRUTH_GEOMETRIC)) - 1,
                     predicate.max_truths,
                 )
                 n_truths = max(1, n_truths)

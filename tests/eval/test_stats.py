@@ -147,7 +147,7 @@ class TestConfidenceCurves:
             rec("d", "E1", "http://s.org/p", confidence=1.0),
         ]
         gold = {t("a"): False, t("b"): True, t("c"): False, t("d"): True}
-        points = confidence_accuracy_curve(records, gold, n_buckets=10)
+        points = confidence_accuracy_curve(records, gold)
         assert [(p.x, p.n, p.accuracy) for p in points] == [
             (0.0, 1, 0.0),
             (0.5, 2, 0.5),
@@ -170,7 +170,7 @@ class TestConfidenceCurves:
             for i, c in enumerate((0.1, 0.2, 0.2, 0.9))
         ]
         records.append(rec("none", "E1", "http://s.org/p", confidence=None))
-        points = dict(confidence_coverage_curve(records, n_buckets=10))
+        points = dict(confidence_coverage_curve(records))
         assert len(points) == 11
         assert points[0.0] == 0.0
         assert points[0.1] == pytest.approx(0.25)

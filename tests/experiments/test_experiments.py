@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentResult, experiment_ids, run_experiment
 
@@ -65,7 +66,7 @@ class TestSpecificOutputs:
 
     def test_table2_reports_all_running_extractors(self, tiny_scenario):
         data = run_experiment("table2", tiny_scenario).data
-        assert set(data) == {p.name for p in tiny_scenario.config.extractors}
+        assert set(data) == {p.name for p in EXTRACTOR_PROFILES}
 
     def test_table2_patterns_only_for_patterned(self, tiny_scenario):
         data = run_experiment("table2", tiny_scenario).data

@@ -17,6 +17,7 @@ from repro.extract.pipeline import ExtractionPipeline
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.world.config import WebConfig, WorldConfig
+from repro.world import webgen, worldgen
 from repro.world.labels import build_templates
 from repro.world.webgen import generate_corpus
 from repro.world.worldgen import generate_world
@@ -42,15 +43,13 @@ PERFECT = dict(
 def clean_world():
     """A world with no aliases at all: every surface is unambiguous.
 
-    ``alias_rate=0`` matters too — even honest aliases collide ("Acme
+    ``ALIAS_RATE = 0`` matters too — even honest aliases collide ("Acme
     Industries" and "Zork Industries" both answer to "Industries").
     """
-    return generate_world(
-        WorldConfig(
-            n_types=12, n_entities=180, confusable_rate=0.0, alias_rate=0.0
-        ),
-        seed=13,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worldgen, "CONFUSABLE_RATE", 0.0)
+        patch.setattr(worldgen, "ALIAS_RATE", 0.0)
+        return generate_world(WorldConfig(n_types=12, n_entities=180), seed=13)
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +57,11 @@ def clean_corpus(clean_world):
     # A table-heavy mix so the table extractors get real work; the default
     # mix renders almost no tables (matching the paper's tiny TBL share)
     # which would starve the faithfulness checks.
-    return generate_corpus(
-        clean_world,
-        WebConfig(
-            n_sites=15,
-            n_pages=120,
-            content_mix={"DOM": 0.4, "TXT": 0.3, "TBL": 0.2, "ANO": 0.1},
-        ),
-        seed=13,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            webgen, "CONTENT_MIX", {"DOM": 0.4, "TXT": 0.3, "TBL": 0.2, "ANO": 0.1}
+        )
+        return generate_corpus(clean_world, WebConfig(n_sites=15, n_pages=120), seed=13)
 
 
 @pytest.fixture(scope="module")

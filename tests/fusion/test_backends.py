@@ -207,8 +207,7 @@ class TestConfigSurface:
         assert popaccu_plus(None, backend=backend).config.backend == backend
 
     def test_preset_backend_preserves_other_config(self):
-        config = FusionConfig(max_rounds=3, n_false_values=50)
+        config = FusionConfig(max_rounds=3)
         fuser = accu(config, backend="vectorized")
         assert fuser.config.max_rounds == 3
-        assert fuser.config.n_false_values == 50
         assert fuser.config.backend == "vectorized"

@@ -3,7 +3,15 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fusion.base import BACKENDS, FusionConfig, FusionResult
+from dataclasses import fields
+
+from repro.fusion.base import (
+    BACKENDS,
+    DEFAULT_ACCURACY,
+    N_FALSE_VALUES,
+    FusionConfig,
+    FusionResult,
+)
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
@@ -16,12 +24,15 @@ class TestFusionConfig:
     def test_defaults_valid(self):
         FusionConfig()
 
+    def test_paper_n_and_a_are_constants_not_fields(self):
+        assert not {"n_false_values", "default_accuracy"} & {
+            f.name for f in fields(FusionConfig)
+        }
+        assert (N_FALSE_VALUES, DEFAULT_ACCURACY) == (100, 0.8)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"n_false_values": 0},
-            {"default_accuracy": 0.0},
-            {"default_accuracy": 1.0},
             {"max_rounds": 0},
             {"min_accuracy": 1.5},
             {"min_accuracy": -0.1},

@@ -72,11 +72,7 @@ class TestSerialEqualsOracle:
     def test_round_snapshots(self, tiny_scenario, method, variant):
         fuser = _fuser(method, variant, tiny_scenario.gold)
         ours, theirs = _inputs(tiny_scenario, fuser, "records")
-        kernel = (
-            AccuKernel(fuser.config.n_false_values)
-            if isinstance(fuser, Accu)
-            else PopAccuKernel()
-        )
+        kernel = AccuKernel() if isinstance(fuser, Accu) else PopAccuKernel()
         serial = run_bayesian_fusion(
             ours, fuser.config, kernel, fuser.name, fuser.gold_labels,
             track_rounds=True,

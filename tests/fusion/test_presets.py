@@ -12,6 +12,8 @@ from repro.fusion import (
     popaccu_plus_unsup,
     vote,
 )
+from repro.fusion.base import DEFAULT_ACCURACY, N_FALSE_VALUES
+from repro.fusion.presets import PLUS_THETA
 
 
 class TestNames:
@@ -42,9 +44,11 @@ class TestPlusConfiguration:
         with pytest.raises(ConfigError):
             popaccu_plus(gold_labels=[("not", "a dict")])
 
-    def test_custom_theta(self):
-        fuser = popaccu_plus_unsup(theta=0.3)
-        assert fuser.config.min_accuracy == pytest.approx(0.3)
+    def test_plus_presets_replace_a_callers_min_accuracy(self):
+        base = FusionConfig(min_accuracy=0.3)
+        assert PLUS_THETA == 0.5
+        assert popaccu_plus_unsup(base).config.min_accuracy == PLUS_THETA
+        assert popaccu_plus({}, base).config.min_accuracy == PLUS_THETA
 
     def test_base_config_preserved(self):
         base = FusionConfig(max_rounds=9, seed=42)
@@ -56,7 +60,7 @@ class TestPlusConfiguration:
 class TestDefaults:
     def test_paper_defaults(self):
         config = vote().config
-        assert config.n_false_values == 100
-        assert config.default_accuracy == pytest.approx(0.8)
+        assert N_FALSE_VALUES == 100
+        assert DEFAULT_ACCURACY == pytest.approx(0.8)
         assert config.max_rounds == 5
         assert config.sample_limit == 1_000_000

@@ -37,6 +37,11 @@ from tests.oracle.columns import dict_claims
 from tests.oracle.fusion import oracle_fuse
 from tests.oracle.posteriors import accu_item_posteriors
 
+# The paper's N and A: literal copies of repro.fusion.base's constants, so
+# the oracle stays independent of them.
+N_FALSE_VALUES = 100
+DEFAULT_ACCURACY = 0.8
+
 __all__ = [
     "ConfidenceWeightedFuser",
     "HierarchicalFuser",
@@ -97,8 +102,8 @@ class SplitQualityFuser(Fuser):
             ext_triples[extractor].add((triple, site))
             site_triples[site].add((triple, extractor))
 
-        q = {extractor: config.default_accuracy for extractor in ext_triples}
-        a = {site: config.default_accuracy for site in site_triples}
+        q = {extractor: DEFAULT_ACCURACY for extractor in ext_triples}
+        a = {site: DEFAULT_ACCURACY for site in site_triples}
 
         posteriors: dict[Triple, float] = {}
         rounds = 0
@@ -117,12 +122,12 @@ class SplitQualityFuser(Fuser):
                 item_posteriors = accu_item_posteriors(
                     {t: set(pairs) for t, pairs in triple_map.items()},
                     pair_accuracy,
-                    config.n_false_values,
+                    N_FALSE_VALUES,
                 )
                 posteriors.update(item_posteriors)
             # Stage II: re-estimate the factors, cross-weighted and shrunk
             # toward the prior (see module docstring).
-            prior = config.default_accuracy
+            prior = DEFAULT_ACCURACY
             delta = 0.0
             new_q = {}
             for extractor, observations in ext_triples.items():
@@ -373,7 +378,7 @@ class HierarchicalFuser(Fuser):
         baseline, which deliberately does *not* normalise across candidates
         (a chain of compatible values may all be true).
         """
-        n_false = self.config.n_false_values
+        n_false = N_FALSE_VALUES
         posteriors: dict[Triple, float] = {}
         for candidate in claims:
             votes = 0.0
@@ -396,7 +401,7 @@ class HierarchicalFuser(Fuser):
         config = self.config
         matrix = dict_claims(fusion_input, config.granularity)
         accuracies = {
-            prov: config.default_accuracy for prov in matrix.prov_triples
+            prov: DEFAULT_ACCURACY for prov in matrix.prov_triples
         }
 
         posteriors: dict[Triple, float] = {}
@@ -478,8 +483,8 @@ class ConfidenceWeightedFuser(Fuser):
         config = self.config
         matrix = dict_claims(fusion_input, config.granularity)
         weights = self._normalised_weights(fusion_input)
-        accuracies = {prov: config.default_accuracy for prov in matrix.prov_triples}
-        n_false = config.n_false_values
+        accuracies = {prov: DEFAULT_ACCURACY for prov in matrix.prov_triples}
+        n_false = N_FALSE_VALUES
 
         def item_posteriors(
             item: DataItem, triple_map

@@ -36,6 +36,8 @@ from typing import Callable
 
 from repro.fusion.accu import Accu
 from repro.fusion.base import (
+    DEFAULT_ACCURACY,
+    N_FALSE_VALUES,
     Fuser,
     FusionConfig,
     FusionResult,
@@ -106,7 +108,7 @@ def kernel_of(fuser: Fuser) -> ItemPosteriorFn:
     """The dict form of the per-item posterior a built-in Bayesian fuser
     scores with."""
     if isinstance(fuser, Accu):
-        return partial(accu_item_posteriors, n_false=fuser.config.n_false_values)
+        return partial(accu_item_posteriors, n_false=N_FALSE_VALUES)
     if isinstance(fuser, PopAccu):
         return popaccu_item_posteriors
     raise TypeError(f"no oracle for {type(fuser).__name__}")
@@ -279,7 +281,7 @@ def _run_mapreduce(
 ) -> FusionResult:
     """The scalar engine path (the serial reference)."""
     engine = MapReduceEngine()
-    default = config.default_accuracy
+    default = DEFAULT_ACCURACY
 
     all_provs = set(matrix.prov_triples)
     accuracies: dict[ProvKey, float] = {prov: default for prov in sorted(all_provs)}

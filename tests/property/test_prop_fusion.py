@@ -519,7 +519,7 @@ class TestSerialMetamorphic:
     )
     @settings(max_examples=100, deadline=None)
     def test_theta_filter_is_monotone(self, matrices, preset, by_coverage, thetas):
-        """In one round every provenance starts at ``default_accuracy``
+        """In one round every provenance starts at ``DEFAULT_ACCURACY``
         (0.8), so any θ ≤ 0.8 keeps them all active and the round's
         accuracies do not depend on θ; a higher θ then leaves no more
         provenances active."""

@@ -272,10 +272,8 @@ class TestStoredPages:
 class TestColumnStore:
     ARRAYS = {"row_ptr": np.array([0, 2, 3]), "claim_prov": np.array([1, 0, 1])}
 
-    def publish(self, cache_dir, granularity="extractor_site", arrays=None, objects=b"o"):
-        return artifacts.save_column_store(
-            cache_dir, granularity, arrays or self.ARRAYS, objects
-        )
+    def publish(self, cache_dir, granularity="extractor_site", arrays=None):
+        return artifacts.save_column_store(cache_dir, granularity, arrays or self.ARRAYS)
 
     def test_publish_is_content_addressed(self, tmp_path):
         handle = self.publish(tmp_path)
@@ -283,7 +281,6 @@ class TestColumnStore:
         assert self.publish(tmp_path) == handle
         changed = dict(self.ARRAYS, row_ptr=np.array([0, 1, 3]))
         assert self.publish(tmp_path, arrays=changed).key != handle.key
-        assert self.publish(tmp_path, objects=b"p").key != handle.key
 
     def test_granularity_is_part_of_the_key(self, tmp_path):
         site = self.publish(tmp_path, granularity="extractor_site")
@@ -293,7 +290,10 @@ class TestColumnStore:
     def test_manifest_matches_the_published_files(self, tmp_path):
         handle = self.publish(tmp_path)
         names = [name for name, _size, _digest in handle.files]
-        assert names == ["claim_prov.npy", "objects.pkl", "row_ptr.npy"]
+        assert names == ["claim_prov.npy", "row_ptr.npy"]
+        assert sorted(p.name for p in Path(handle.directory).iterdir()) == [
+            "claim_prov.npy", "meta.json", "row_ptr.npy"
+        ]
         for name, size, digest in handle.files:
             blob = handle.path_of(name).read_bytes()
             assert len(blob) == size
@@ -304,9 +304,9 @@ class TestColumnStore:
 
     def test_republish_keeps_the_existing_store(self, tmp_path):
         handle = self.publish(tmp_path)
-        inode = handle.path_of("objects.pkl").stat().st_ino
+        inode = handle.path_of("row_ptr.npy").stat().st_ino
         self.publish(tmp_path)
-        assert handle.path_of("objects.pkl").stat().st_ino == inode
+        assert handle.path_of("row_ptr.npy").stat().st_ino == inode
         assert [p.name for p in tmp_path.iterdir()] == [Path(handle.directory).name]
 
     def test_current_store_is_not_stale(self, tmp_path, monkeypatch):
@@ -314,3 +314,20 @@ class TestColumnStore:
         assert artifacts.prune_cache(tmp_path) == []
         monkeypatch.setattr(artifacts, "_code_version_cache", "deadbeef")
         assert len(artifacts.prune_cache(tmp_path)) == 1
+
+    def test_store_of_an_old_format_is_stale(self, tmp_path):
+        """A store republished as ``format: 1`` after the bump to 2 is
+        never loaded again, so prune must retire it."""
+        handle = self.publish(tmp_path)
+        meta_path = handle.path_of("meta.json")
+        meta = json.loads(meta_path.read_text())
+        assert meta["format"] == artifacts.COLUMN_FORMAT == 2
+        meta_path.write_text(json.dumps(dict(meta, format=1)))
+        assert artifacts.prune_cache(tmp_path) == [Path(handle.directory)]
+
+    def test_scenario_artifact_of_an_old_format_is_stale(self, tmp_path, monkeypatch):
+        artifacts.setup_worldgen(CONFIG.seed, CONFIG.world, CONFIG.web, tmp_path)
+        assert artifacts.prune_cache(tmp_path) == []
+        monkeypatch.setattr(artifacts, "ARTIFACT_FORMAT", artifacts.ARTIFACT_FORMAT + 1)
+        (stale,) = artifacts.prune_cache(tmp_path)
+        assert stale.name.startswith("scenario-")

@@ -56,9 +56,9 @@ class TestReport:
         assert table.splitlines()[2:] == ["True   3 ", "False  12"]
 
     def test_format_series_float_digits(self):
-        out = format_series("S", [(0.5, 0.123456)], float_digits=4)
-        assert out.splitlines() == ["S", "x       y     ", "------  ------",
-                                    "0.5000  0.1235"]
+        out = format_series("S", [(0.5, 0.123456)])
+        assert out.splitlines() == ["S", "x      y    ", "-----  -----",
+                                    "0.500  0.123"]
 
 
 class TestPackage:

@@ -1,9 +1,73 @@
 """Unit tests for world/web configuration validation."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
+from repro import artifacts
 from repro.errors import ConfigError
+from repro.world import facts, webgen, worldgen
 from repro.world.config import WebConfig, WorldConfig
+
+
+def test_only_the_four_sizes_are_fields():
+    assert [f.name for f in fields(WorldConfig)] == ["n_types", "n_entities"]
+    assert [f.name for f in fields(WebConfig)] == ["n_sites", "n_pages"]
+
+
+def test_shape_constants_live_where_code_version_hashes():
+    """The artifact key sees a shape constant only through
+    ``code_version()``, which hashes ``repro/world/``."""
+    world_dir = Path(artifacts.__file__).parent / "world"
+    for module in (worldgen, facts, webgen):
+        assert Path(module.__file__).parent == world_dir
+
+
+# The range checks the configs ran on these values when they were fields,
+# now run on the constants that replaced them.
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (worldgen, "FACT_FILL_RATE"),
+        (worldgen, "MULTI_TRUTH_GEOMETRIC"),
+        (worldgen, "ALIAS_RATE"),
+        (worldgen, "CONFUSABLE_RATE"),
+        (facts, "FREEBASE_ITEM_COVERAGE"),
+        (facts, "FREEBASE_VALUE_RECALL"),
+        (facts, "FREEBASE_GENERALIZATION_RATE"),
+        (facts, "FREEBASE_ERROR_RATE"),
+        (webgen, "POPULAR_WRONG_RATE"),
+        (webgen, "COPY_RATE"),
+        (webgen, "GENERALIZATION_RATE"),
+    ],
+)
+def test_probability_constant_in_unit_interval(module, name):
+    assert 0.0 <= getattr(module, name) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (worldgen, "ENTITY_ZIPF"),
+        (facts, "WRONG_POOL_SIZE"),
+        (webgen, "FACTS_PER_PAGE_MEAN"),
+        (webgen, "SITE_ERROR_ALPHA"),
+        (webgen, "SITE_ERROR_BETA"),
+        (webgen, "MAX_ENTITIES_PER_PAGE"),
+    ],
+)
+def test_shape_constant_positive(module, name):
+    assert getattr(module, name) > 0
+
+
+def test_content_mix_constant_is_valid():
+    mix = webgen.CONTENT_MIX
+    assert mix and set(mix) <= {"TXT", "DOM", "TBL", "ANO"}
+    assert all(w >= 0 for w in mix.values())
+    assert sum(mix.values()) > 0
 
 
 class TestWorldConfig:
@@ -15,30 +79,19 @@ class TestWorldConfig:
         [
             {"n_types": 1},
             {"n_entities": 5},
-            {"wrong_pool_size": 0},
-            {"fact_fill_rate": 1.5},
-            {"fact_fill_rate": -0.1},
-            {"freebase_item_coverage": 2.0},
-            {"confusable_rate": -1.0},
-            {"multi_truth_geometric": 1.01},
-            {"alias_rate": -0.01},
-            {"freebase_value_recall": 1.1},
-            {"freebase_generalization_rate": -0.5},
-            {"freebase_error_rate": 2.0},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
             WorldConfig(**kwargs)
 
-    @pytest.mark.parametrize("value", [0.0, 1.0])
-    def test_probability_bounds_are_inclusive(self, value):
-        config = WorldConfig(fact_fill_rate=value, freebase_error_rate=value)
-        assert config.fact_fill_rate == value
+    def test_size_bounds_are_inclusive(self):
+        config = WorldConfig(n_types=2, n_entities=10)
+        assert (config.n_types, config.n_entities) == (2, 10)
 
     def test_error_names_the_field(self):
-        with pytest.raises(ConfigError, match="alias_rate"):
-            WorldConfig(alias_rate=3.0)
+        with pytest.raises(ConfigError, match="n_entities"):
+            WorldConfig(n_entities=3)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -54,23 +107,12 @@ class TestWebConfig:
         [
             {"n_sites": 0},
             {"n_sites": 50, "n_pages": 10},
-            {"facts_per_page_mean": 0},
-            {"site_error_alpha": 0},
-            {"site_error_beta": -1.0},
-            {"copy_rate": 1.2},
-            {"popular_wrong_rate": -0.1},
-            {"generalization_rate": 1.5},
-            {"content_mix": {}},
-            {"content_mix": {"VIDEO": 1.0}},
-            {"content_mix": {"DOM": -1.0}},
-            {"content_mix": {"DOM": 0.0}},
-            {"max_entities_per_page": 0},
         ],
     )
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ConfigError):
             WebConfig(**kwargs)
 
-    def test_custom_mix_accepted(self):
-        config = WebConfig(content_mix={"DOM": 0.5, "TXT": 0.5})
-        assert set(dict(config.content_mix)) == {"DOM", "TXT"}
+    def test_size_bounds_are_inclusive(self):
+        config = WebConfig(n_sites=1, n_pages=1)
+        assert (config.n_sites, config.n_pages) == (1, 1)

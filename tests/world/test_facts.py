@@ -4,6 +4,7 @@ import pytest
 
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef
+from repro.world import facts
 from repro.world.config import WorldConfig
 from repro.world.facts import build_freebase_snapshot
 from repro.world.worldgen import generate_world
@@ -86,17 +87,16 @@ class TestFreebaseSnapshot:
     def test_snapshot_covers_subset_of_items(self, small_world):
         snapshot = build_freebase_snapshot(small_world)
         coverage = sum(map(snapshot.has_item, small_world.truths)) / len(small_world.truths)
-        expected = small_world.config.freebase_item_coverage
-        assert coverage == pytest.approx(expected, abs=0.12)
+        assert coverage == pytest.approx(facts.FREEBASE_ITEM_COVERAGE, abs=0.12)
 
     def test_snapshot_mostly_true(self, small_world):
         snapshot = build_freebase_snapshot(small_world)
         truths = sum(1 for t in snapshot._triples if small_world.is_true(t))
         assert truths / len(snapshot._triples) > 0.9
 
-    def test_snapshot_contains_some_errors(self):
-        config = WorldConfig(n_types=6, n_entities=300, freebase_error_rate=0.2)
-        world = generate_world(config, seed=9)
+    def test_snapshot_contains_some_errors(self, monkeypatch):
+        monkeypatch.setattr(facts, "FREEBASE_ERROR_RATE", 0.2)
+        world = generate_world(WorldConfig(n_types=6, n_entities=300), seed=9)
         snapshot = build_freebase_snapshot(world)
         wrong = sum(1 for t in snapshot._triples if not world.is_true(t))
         assert wrong > 0

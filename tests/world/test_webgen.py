@@ -9,6 +9,7 @@ from repro.world.content import (
     TextDocument,
     WebTable,
 )
+from repro.world import webgen
 from repro.world.webgen import generate_corpus
 from repro.world.worldgen import generate_world
 
@@ -79,9 +80,9 @@ class TestAssertions:
         errors = sum(a.source_error for p in corpus.pages for a in p.assertions)
         assert 0 < errors < total * 0.5
 
-    def test_copying_produces_copied_from(self, world):
-        config = WebConfig(n_sites=10, n_pages=200, copy_rate=0.5)
-        corpus = generate_corpus(world, config, seed=4)
+    def test_copying_produces_copied_from(self, world, monkeypatch):
+        monkeypatch.setattr(webgen, "COPY_RATE", 0.5)
+        corpus = generate_corpus(world, WebConfig(n_sites=10, n_pages=200), seed=4)
         copied = [
             a for p in corpus.pages for a in p.assertions if a.copied_from is not None
         ]

@@ -1,10 +1,12 @@
 #!/usr/bin/env python
-"""Reachability census: which functions in ``src/repro`` does a user run?
+"""Reachability census: which functions in ``src/repro`` does a user run,
+and which of their knobs does a user turn?
 
 Runs a fixed list of entry points under a standard-library profile hook
 and reports every function under ``src/repro`` that none of them entered:
 
-- every ``repro-kf`` subcommand, each method x backend, at ``tiny``;
+- every ``repro-kf`` subcommand, each method x backend, at ``tiny``,
+  and one ``pipeline`` at seed 1;
 - ``run_end_to_end`` streamed under every pipeline backend, with and
   without a column store;
 - ``repro-kf run all --out-dir`` at ``tiny`` and ``small``: every
@@ -25,21 +27,36 @@ A function counts as reached when a code object entered starts on its
 outermost function never entered: what is nested under it was never
 created.  ``@overload`` stubs are skipped; they never exist at run time.
 
+The same run is a *value census*.  A knob is a defaulted field of a
+``*Config`` dataclass under ``src/repro``, or a parameter of a function
+there whose default is an int or float literal.  Each call of a knob's
+function (each construction of its config) records the value the knob
+received; a knob that only ever held its default is *never varied*.  The
+function census already reports a function nobody entered, so its knobs
+are left out; a config has no ``def`` of its own, so the fields of a
+config nobody built count as never varied.
+
 ``tools/reach_census_allow.json`` is the committed outcome: it maps
-``module:qualname`` to the reason an unreached function stays, and each
-reason starts with one of :data:`REASONS`.  The census exits non-zero on
-an unreached function that is not listed, on a listed one that is now
-reached or no longer exists, and on a reason outside :data:`REASONS`.
+``module:qualname`` to the reason an unreached function stays, and
+``module:qualname:param`` to the reason a never-varied knob stays a
+parameter; each reason starts with one of :data:`REASONS`.  The census
+exits non-zero on an unreached function or a never-varied knob that is
+not listed, on a listed one that is now reached (varied) or no longer
+exists, and on a reason outside :data:`REASONS`.
 
 Usage::
 
-    python tools/reach_census.py    # about 2.5 minutes on 2 vCPUs; no options
+    python tools/reach_census.py    # about one minute on 2 vCPUs; no options
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
+import dis
+import enum
+import inspect
 import io
 import json
 import os
@@ -81,41 +98,150 @@ class Function:
     parent: str | None  # the enclosing function's key
 
 
-class Recorder:
-    """A profile hook that notes every code object under ``root`` it enters.
+@dataclass(frozen=True)
+class Knob:
+    """One knob: a defaulted ``*Config`` field or a literal-defaulted parameter."""
 
-    ``reached`` holds ``(path, first line)`` pairs.  A forked child keeps
-    the hook and appends each new pair to ``<spool>/<pid>.txt`` at once,
-    so nothing waits for the child to exit cleanly.
+    key: str  # "module:qualname:param"
+    owner: str  # "module:qualname" of the function or the config class
+    param: str
+    function: Function | None  # None for a config field
+    default: object = None  # a parameter's literal; a field's is read at run time
+
+
+#: Distinct values kept per knob for the report; the varied flag is exact.
+MAX_VALUES = 8
+
+_SCALARS = (int, float, str, bool, type(None))
+# What a dataclass ``__init__`` holds for a ``default_factory`` field the
+# caller left out.
+_FACTORY = getattr(dataclasses, "_HAS_DEFAULT_FACTORY", object())
+_GENERATOR_FLAGS = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+
+
+def _summary(value: object) -> object:
+    """A small, JSON-ready stand-in for ``value`` in the report."""
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, enum.Enum):
+        return repr(value)
+    return f"<{type(value).__name__}>"
+
+
+def _is_default(value: object, default: object) -> bool:
+    if value is default or value is _FACTORY:
+        return True
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    try:
+        return bool(value == default)
+    except Exception:  # an array, or a type that will not compare
+        return False
+
+
+class Recorder:
+    """A profile hook that notes every code object under ``root`` it enters,
+    and the value every knob in ``knobs`` receives on each call.
+
+    ``reached`` holds ``(path, first line)`` pairs; ``values`` maps a knob's
+    key to the summaries of the values it held (at most
+    :data:`MAX_VALUES`), and ``varied`` holds the keys of knobs that held
+    something other than their default.  A forked child keeps the hook and
+    appends each new fact to ``<spool>/<pid>.txt`` at once, so nothing
+    waits for the child to exit cleanly.
     """
 
-    def __init__(self, root: Path, spool: Path) -> None:
+    def __init__(self, root: Path, spool: Path, knobs: list[Knob] = ()) -> None:
         self.prefix = str(root.resolve()) + os.sep
         self.spool = spool
         self.pid = os.getpid()
         self.reached: set[tuple[str, int]] = set()
-        self._seen: set[int] = set()
+        self.values: dict[str, set] = {}
+        self.varied: set[str] = set()
+        # Code id -> what to record on each call: ``(generator start offset
+        # or None, ((param, default, key), ...))``, or ``()`` for nothing.
+        self._seen: dict[int, tuple] = {}
         # Seen code objects stay alive, so an id in ``_seen`` is never reused.
         self._alive: list = []
         self._paths: dict[str, str | None] = {}
+        self._by_line: dict[tuple[str, int], list[Knob]] = {}
+        self._fields: dict[str, set[str]] = {}
+        for knob in knobs:
+            if knob.function is None:
+                self._fields.setdefault(knob.owner, set()).add(knob.param)
+                continue
+            for line in knob.function.lines:
+                self._by_line.setdefault((knob.function.path, line), []).append(knob)
 
     def _hook(self, frame, event, _arg) -> None:
-        if event == "call" and id(frame.f_code) not in self._seen:
-            self._enter(frame.f_code)
+        if event != "call":
+            return
+        watch = self._seen.get(id(frame.f_code))
+        if watch is None:
+            watch = self._enter(frame)
+        if watch:
+            self._record(frame, *watch)
 
-    def _enter(self, code) -> None:
-        self._seen.add(id(code))
+    def _enter(self, frame) -> tuple:
+        code = frame.f_code
         self._alive.append(code)
         if code.co_filename not in self._paths:
             real = os.path.realpath(code.co_filename)
             self._paths[code.co_filename] = real if real.startswith(self.prefix) else None
         path = self._paths[code.co_filename]
         if path is None:
+            watch = self._config_watch(frame) if code.co_name == "__init__" else ()
+        else:
+            self.reached.add((path, code.co_firstlineno))
+            self._spool(["reach", code.co_firstlineno, path])
+            knobs = self._by_line.get((path, code.co_firstlineno), ())
+            start = None
+            if code.co_flags & _GENERATOR_FLAGS:
+                # A generator's later resumes are "call" events too; only
+                # the first, at its first RESUME, holds the arguments.
+                start = next(i.offset for i in dis.get_instructions(code) if i.opname == "RESUME")
+            watch = (start, tuple((k.param, k.default, k.key) for k in knobs)) if knobs else ()
+        self._seen[id(code)] = watch
+        return watch
+
+    def _config_watch(self, frame) -> tuple:
+        """What to record for a dataclass ``__init__`` of a watched config."""
+        cls = type(frame.f_locals.get("self"))
+        for klass in cls.__mro__:
+            if getattr(klass.__dict__.get("__init__"), "__code__", None) is frame.f_code:
+                break
+        else:
+            return ()
+        owner = f"{klass.__module__}:{klass.__qualname__}"
+        params = self._fields.get(owner)
+        if not params:
+            return ()
+        entries = []
+        for f in dataclasses.fields(klass):
+            if f.name in params:
+                default = f.default if f.default is not dataclasses.MISSING else f.default_factory()
+                entries.append((f.name, default, f"{owner}:{f.name}"))
+        return (None, tuple(entries))
+
+    def _record(self, frame, start: int | None, entries: tuple) -> None:
+        if start is not None and frame.f_lasti != start:
             return
-        self.reached.add((path, code.co_firstlineno))
+        local = frame.f_locals
+        for param, default, key in entries:
+            value = local[param]
+            held = self.values.setdefault(key, set())
+            summary = _summary(value)
+            if summary not in held and len(held) < MAX_VALUES:
+                held.add(summary)
+                self._spool(["value", key, summary])
+            if key not in self.varied and not _is_default(value, default):
+                self.varied.add(key)
+                self._spool(["varied", key])
+
+    def _spool(self, fact: list) -> None:
         if os.getpid() != self.pid:
             with open(self.spool / f"{os.getpid()}.txt", "a") as spool:
-                spool.write(f"{code.co_firstlineno} {path}\n")
+                spool.write(json.dumps(fact) + "\n")
 
     def __enter__(self) -> "Recorder":
         threading.setprofile(self._hook)
@@ -127,17 +253,21 @@ class Recorder:
         threading.setprofile(None)
         for spooled in sorted(self.spool.glob("*.txt")):
             for line in spooled.read_text().splitlines():
-                lineno, path = line.split(" ", 1)
-                self.reached.add((path, int(lineno)))
+                kind, *fact = json.loads(line)
+                if kind == "reach":
+                    self.reached.add((fact[1], fact[0]))
+                elif kind == "value":
+                    self.values.setdefault(fact[0], set()).add(fact[1])
+                else:
+                    self.varied.add(fact[0])
 
 
-def trace(root: Path, run: Callable[[], object]) -> set[tuple[str, int]]:
-    """``(path, first line)`` of every code object under ``root`` that
-    ``run`` entered."""
+def trace(root: Path, run: Callable[[], object], knobs: list[Knob] = ()) -> Recorder:
+    """Run ``run`` under a :class:`Recorder` of ``root`` and ``knobs``."""
     with tempfile.TemporaryDirectory(prefix="reach-spool-") as spool:
-        with Recorder(root, Path(spool)) as recorder:
+        with Recorder(root, Path(spool), knobs) as recorder:
             run()
-    return recorder.reached
+    return recorder
 
 
 def _is_overload(node: ast.AST) -> bool:
@@ -148,9 +278,65 @@ def _is_overload(node: ast.AST) -> bool:
     )
 
 
-def functions(src: Path, package: str) -> list[Function]:
-    """Every ``def`` under ``src/<package>``, outer before inner."""
+def _literal_number(node: ast.expr | None) -> int | float | None:
+    """The int or float an ``ast`` default spells, or None."""
+    try:
+        value = ast.literal_eval(node) if node is not None else None
+    except (ValueError, TypeError):
+        return None
+    return value if type(value) in (int, float) else None
+
+
+def _parameter_knobs(node: ast.FunctionDef | ast.AsyncFunctionDef, function: Function) -> list[Knob]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += list(zip(args.kwonlyargs, args.kw_defaults))
+    return [
+        Knob(f"{function.key}:{arg.arg}", function.key, arg.arg, function, default)
+        for arg, spelled in pairs
+        if (default := _literal_number(spelled)) is not None
+    ]
+
+
+def _is_config(node: ast.ClassDef) -> bool:
+    def named(d: ast.expr) -> bool:
+        d = d.func if isinstance(d, ast.Call) else d
+        return (isinstance(d, ast.Name) and d.id == "dataclass") or (
+            isinstance(d, ast.Attribute) and d.attr == "dataclass"
+        )
+
+    return node.name.endswith("Config") and any(named(d) for d in node.decorator_list)
+
+
+def _field_knobs(node: ast.ClassDef, owner: str) -> list[Knob]:
+    """The defaulted ``__init__`` fields of a config dataclass."""
+    found = []
+    for statement in node.body:
+        if not (
+            isinstance(statement, ast.AnnAssign)
+            and isinstance(statement.target, ast.Name)
+            and statement.value is not None
+            and "ClassVar" not in ast.unparse(statement.annotation)
+        ):
+            continue
+        value = statement.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            if not {"default", "default_factory"} & set(keywords):
+                continue
+        name = statement.target.id
+        found.append(Knob(f"{owner}:{name}", owner, name, None))
+    return found
+
+
+def parse(src: Path, package: str) -> tuple[list[Function], list[Knob]]:
+    """Every ``def`` under ``src/<package>``, outer before inner, and every knob."""
     found: list[Function] = []
+    knobs: list[Knob] = []
 
     def walk(node: ast.AST, module: str, path: str, prefix: str, parent: str | None) -> None:
         for child in ast.iter_child_nodes(node):
@@ -167,8 +353,11 @@ def functions(src: Path, package: str) -> list[Function]:
                     parent=parent,
                 )
                 found.append(function)
+                knobs.extend(_parameter_knobs(child, function))
                 walk(child, module, path, qualname + ".<locals>.", function.key)
             elif isinstance(child, ast.ClassDef):
+                if _is_config(child):
+                    knobs.extend(_field_knobs(child, f"{module}:{prefix}{child.name}"))
                 walk(child, module, path, prefix + child.name + ".", parent)
             else:
                 walk(child, module, path, prefix, parent)
@@ -178,7 +367,12 @@ def functions(src: Path, package: str) -> list[Function]:
         module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
         tree = ast.parse(source.read_text(), filename=str(source))
         walk(tree, module, os.path.realpath(source), "", None)
-    return found
+    return found, knobs
+
+
+def functions(src: Path, package: str) -> list[Function]:
+    """Every ``def`` under ``src/<package>``, outer before inner."""
+    return parse(src, package)[0]
 
 
 def never_entered(found: list[Function], reached: set[tuple[str, int]]) -> list[Function]:
@@ -191,16 +385,36 @@ def outermost(missed: list[Function]) -> list[Function]:
     return [f for f in missed if f.parent not in keys]
 
 
-def check(report: list[Function], allow: dict[str, str]) -> list[str]:
+def never_varied(knobs: list[Knob], recorder: Recorder) -> list[Knob]:
+    """The knobs that only ever held their default: a parameter of a
+    function that was called, or a field of any config."""
+    return [
+        knob
+        for knob in knobs
+        if knob.key not in recorder.varied
+        and (knob.function is None or knob.key in recorder.values)
+    ]
+
+
+def check(report: list[Function], allow: dict[str, str], fixed: list[Knob] = ()) -> list[str]:
     """Every way the census disagrees with the allow-list."""
     listed = {f.key for f in report}
+    listed_knobs = {k.key for k in fixed}
     problems = [
         f"unreached and not on the allow-list: {f.key} ({f.size} lines)"
         for f in report
         if f.key not in allow
     ]
+    problems += [
+        f"never varied and not on the allow-list: {k.key}" for k in fixed if k.key not in allow
+    ]
     for key, reason in sorted(allow.items()):
-        if key not in listed:
+        if key.count(":") == 2 and key not in listed_knobs:
+            problems.append(
+                f"stale allow-list entry: {key} is varied, belongs to an "
+                "unreached function, or gone"
+            )
+        elif key.count(":") != 2 and key not in listed:
             problems.append(
                 f"stale allow-list entry: {key} is reached, nested in an "
                 "unreached function, or gone"
@@ -215,10 +429,11 @@ def check(report: list[Function], allow: dict[str, str]) -> list[str]:
 
 def census(src: Path, package: str, run: Callable[[], object], allow_list: Path) -> int:
     """Trace ``run``, report, and check against ``allow_list``; the exit code."""
-    reached = trace(src / package, run)
-    found = functions(src, package)
-    missed = never_entered(found, reached)
+    found, knobs = parse(src, package)
+    recorder = trace(src / package, run, knobs)
+    missed = never_entered(found, recorder.reached)
     report = outermost(missed)
+    fixed = never_varied(knobs, recorder)
     allow = json.loads(allow_list.read_text()) if allow_list.exists() else {}
     print(
         f"{len(found)} functions in {src / package}: {len(missed)} never entered, "
@@ -227,7 +442,14 @@ def census(src: Path, package: str, run: Callable[[], object], allow_list: Path)
     for function in report:
         if function.key in allow:
             print(f"  allowed {function.size:>4}  {function.key}")
-    problems = check(report, allow)
+    print(
+        f"knobs: {len(knobs)}, never varied: {len(fixed)}, "
+        f"allow-listed: {sum(k.key in allow for k in fixed)}"
+    )
+    for knob in fixed:
+        if knob.key in allow:
+            print(f"  allowed knob  {knob.key} = {sorted(map(repr, recorder.values.get(knob.key, ())))}")
+    problems = check(report, allow, fixed)
     for problem in problems:
         print(f"error: {problem}")
     print("reach census: " + (f"{len(problems)} problem(s)" if problems else "OK"))
@@ -295,6 +517,7 @@ def run_entry_points(scratch: Path) -> None:
             repro_kf(["fuse", method, "--backend", backend, *tiny])
         for backend in PIPELINE_BACKENDS:
             repro_kf(["pipeline", method, "--backend", backend, *tiny])
+    repro_kf(["pipeline", "--scale", "tiny", "--seed", "1"])
     for backend in EXTRACTION_BACKENDS:
         repro_kf(["extract", "--backend", backend, *tiny])
     for _miss_then_hit in range(2):
