@@ -36,3 +36,7 @@ class EvaluationError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment id is unknown or an experiment failed to run."""
+
+
+class WorkerPoolError(ReproError):
+    """A process-pool worker died while running a job's shard."""

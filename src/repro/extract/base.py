@@ -22,11 +22,10 @@ import numpy as np
 from repro.errors import ConfigError
 from repro.extract.confidence import ConfidenceModel, make_confidence_model
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, _gc_paused
 from repro.extract.synthesis import (
     PageRNGBank,
     SynthesisCaches,
-    _gc_paused,
     make_emitter,
     seed_array,
 )

@@ -48,9 +48,12 @@ What crosses the process boundary, per pooled chunk:
   chunk (a fresh build, a streamed chunk) crosses as its ``WebPage``
   list.  The branch is on the chunk's type, never on the executor, so the
   in-process modes take the same items;
-- **out**, each page's records as compact tuples (the
-  :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec), not
-  pickled dataclass lists;
+- **out**, each shard's records as columns — one string table, one
+  table of distinct triples and int32 code columns (the
+  :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec) — plus
+  the shard's per-page record counts, not pickled dataclass lists.  The
+  parent decodes each shard once and its records share one object per
+  distinct string and triple;
 - **once per pool**, the 12-extractor fleet (entity linkers included),
   installed *pool-resident* via
   :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state` on
@@ -60,6 +63,7 @@ What crosses the process boundary, per pooled chunk:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.artifacts import LazyPageList, StoredPage, decode_page
@@ -74,6 +78,7 @@ from repro.extract.synthesis import SynthesisCaches, synthesize_batch
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Schema
+from repro.mapreduce.codec import WireCodec
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
     PIPELINE_MODES,
@@ -147,6 +152,25 @@ def _page_url(page: WebPage | StoredPage) -> str:
     return page.url
 
 
+def _pages_to_wire(per_page: list[list[ExtractionRecord]]) -> tuple:
+    """One shard's records as record columns plus per-page counts (worker side)."""
+    records = [record for page_records in per_page for record in page_records]
+    counts = [len(page_records) for page_records in per_page]
+    return RECORD_WIRE_CODEC.encode(records), counts
+
+
+def _pages_from_wire(wire: tuple) -> list[list[ExtractionRecord]]:
+    """Inverse of :func:`_pages_to_wire`: one record list per page (parent side)."""
+    columns, counts = wire
+    records = RECORD_WIRE_CODEC.decode(columns)
+    ends = itertools.accumulate(counts)
+    return [records[end - count : end] for count, end in zip(counts, ends)]
+
+
+#: The extraction job's codec: one shard's records cross as one set of columns.
+_PAGES_WIRE_CODEC = WireCodec(encode=_pages_to_wire, decode=_pages_from_wire)
+
+
 @dataclass
 class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
@@ -215,7 +239,7 @@ class ExtractionPipeline:
             name="extract.pages",
             map_shard=_extract_shard,
             key_fn=_page_url,
-            codec=RECORD_WIRE_CODEC,
+            codec=_PAGES_WIRE_CODEC,
         )
         try:
             for pages in chunks:

@@ -14,7 +14,11 @@ checks that fusion results are invariant to stripping the debug channel.
 from __future__ import annotations
 
 import enum
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.kb.triples import Triple
 from repro.mapreduce.codec import WireCodec
@@ -92,77 +96,153 @@ class ExtractionRecord:
         return self.debug is not None and self.debug.error_kind is not None
 
 
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic GC for a batch-allocation burst.
+
+    Record synthesis and record decoding allocate ~3 tracked objects per
+    record and keep them all live, so every generation-0 pass rescans a
+    growing survivor set for cycles that record graphs (frozen, acyclic)
+    cannot contain.  Pausing collection for the batch removes that
+    quadratic-ish scan cost; nothing is leaked — allocation still happens
+    normally and the GC resumes (and catches up) on exit.  Nested pauses
+    are no-ops.
+    """
+    if gc.isenabled():
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+    else:
+        yield
+
+
 # ---------------------------------------------------------------------------
 # Wire format for crossing process boundaries
 # ---------------------------------------------------------------------------
-# Pickling slotted dataclasses repeats every slot name per object; shuffled
-# extraction shards instead cross the worker→parent boundary as flat tuples
-# of primitives (triples via their canonical text), roughly halving the
-# per-record wire size.  The round-trip is exact: ``Triple.from_canonical``
-# inverts ``canonical()`` and value normalisation happens at construction.
-# ``RECORD_WIRE_CODEC`` (at the bottom of this module) packages the pair as
-# the shared codec-layer spelling (see repro/mapreduce/codec.py).
+# One shard's records cross the worker→parent boundary as columns, not as
+# pickled dataclasses: every distinct string (extractor, url, site,
+# content type, pattern) and every distinct triple (as canonical text)
+# appears once, and each record is a row of int32 codes into those tables
+# plus its numeric columns.  The parent parses each distinct triple once
+# and builds records that share one object per distinct string and
+# triple, as in-process synthesis does.  The round-trip is exact:
+# ``Triple.from_canonical`` inverts ``canonical()``, float columns keep
+# their bits, and every ``None`` has a presence mask or a -1 code.
+#
+# The wire is a flat tuple, in this order:
+#   strings        list[str]            the string table
+#   triples        list[str]            distinct triples, canonical text
+#   codes          int32[n, 6]          triple, extractor, url, site,
+#                                       content_type, pattern (-1: None)
+#   confidence     float64[n]           0.0 where absent
+#   has_confidence bool[n]
+#   has_debug      bool[n]
+#   asserted_index int32[n]             0 where absent
+#   has_asserted   bool[n]
+#   error_kind     int8[n]              index into ErrorKind (-1: None)
+#   flags          bool[n, 3]           source_error, span_corrupted,
+#                                       slot_mismatch
+# ``RECORD_WIRE_CODEC`` (at the bottom of this module) packages the pair
+# as the shared codec-layer spelling (see repro/mapreduce/codec.py).
+
+_ERROR_KINDS = (*ErrorKind, None)  # code -1 indexes the trailing None
+_ERROR_KIND_CODES = {kind: code for code, kind in enumerate(ErrorKind)} | {None: -1}
+_NO_DEBUG = ExtractionDebug(asserted_index=None)
 
 
-def records_to_wire(records: list[ExtractionRecord]) -> list[tuple]:
-    """Flatten records into compact picklable tuples (worker side)."""
-    wire = []
+def records_to_wire(records: list[ExtractionRecord]) -> tuple:
+    """One shard's records as string/triple tables plus columns (worker side)."""
+    strings: dict[str, int] = {}
+    triples: dict[Triple, int] = {}
+    string_code, triple_code = strings.setdefault, triples.setdefault
+    codes: list[int] = []
+    confidence: list[float] = []
+    has_confidence: list[bool] = []
+    has_debug: list[bool] = []
+    asserted: list[int] = []
+    has_asserted: list[bool] = []
+    error_kind: list[int] = []
+    flags: list[bool] = []
     for r in records:
+        pattern = r.pattern
+        codes += (
+            triple_code(r.triple, len(triples)),
+            string_code(r.extractor, len(strings)),
+            string_code(r.url, len(strings)),
+            string_code(r.site, len(strings)),
+            string_code(r.content_type, len(strings)),
+            -1 if pattern is None else string_code(pattern, len(strings)),
+        )
+        has_confidence.append(r.confidence is not None)
+        confidence.append(0.0 if r.confidence is None else r.confidence)
         d = r.debug
-        debug = (
-            None
-            if d is None
-            else (
-                d.asserted_index,
-                None if d.error_kind is None else d.error_kind.value,
-                d.source_error,
-                d.span_corrupted,
-                d.slot_mismatch,
+        has_debug.append(d is not None)
+        if d is None:
+            d = _NO_DEBUG
+        has_asserted.append(d.asserted_index is not None)
+        asserted.append(0 if d.asserted_index is None else d.asserted_index)
+        error_kind.append(_ERROR_KIND_CODES[d.error_kind])
+        flags += (d.source_error, d.span_corrupted, d.slot_mismatch)
+    n = len(records)
+    return (
+        list(strings),
+        [triple.canonical() for triple in triples],
+        np.array(codes, dtype=np.int32).reshape(n, 6),
+        np.array(confidence, dtype=np.float64),
+        np.array(has_confidence, dtype=np.bool_),
+        np.array(has_debug, dtype=np.bool_),
+        np.array(asserted, dtype=np.int32),
+        np.array(has_asserted, dtype=np.bool_),
+        np.array(error_kind, dtype=np.int8),
+        np.array(flags, dtype=np.bool_).reshape(n, 3),
+    )
+
+
+def _masked(values: list, present: np.ndarray) -> list:
+    """``values`` with ``None`` wherever ``present`` is False."""
+    if present.all():
+        return values
+    return [value if keep else None for value, keep in zip(values, present.tolist())]
+
+
+def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
+    """Inverse of :func:`records_to_wire` (parent side).
+
+    Each distinct triple is parsed once, and the records share one object
+    per distinct string and triple.  The GC is paused while they are
+    built (see :func:`_gc_paused`).
+    """
+    (
+        strings, triple_texts, codes, confidence, has_confidence, has_debug,
+        asserted, has_asserted, error_kind, flags,
+    ) = wire
+    with _gc_paused():
+        table = [*strings, None]  # pattern code -1 indexes the trailing None
+        lookup = table.__getitem__
+        triples = [Triple.from_canonical(text) for text in triple_texts]
+        triple_col, extractor, url, site, content_type, pattern = codes.T.tolist()
+        debug = map(
+            ExtractionDebug,
+            _masked(asserted.tolist(), has_asserted),
+            map(_ERROR_KINDS.__getitem__, error_kind.tolist()),
+            *flags.T.tolist(),
+        )
+        return list(
+            map(
+                ExtractionRecord,
+                map(triples.__getitem__, triple_col),
+                map(lookup, extractor),
+                map(lookup, url),
+                map(lookup, site),
+                map(lookup, content_type),
+                map(lookup, pattern),
+                _masked(confidence.tolist(), has_confidence),
+                _masked(list(debug), has_debug),
             )
         )
-        wire.append(
-            (
-                r.triple.canonical(),
-                r.extractor,
-                r.url,
-                r.site,
-                r.content_type,
-                r.pattern,
-                r.confidence,
-                debug,
-            )
-        )
-    return wire
 
 
-def records_from_wire(wire: list[tuple]) -> list[ExtractionRecord]:
-    """Inverse of :func:`records_to_wire` (parent side)."""
-    records = []
-    for triple, extractor, url, site, content_type, pattern, confidence, debug in wire:
-        records.append(
-            ExtractionRecord(
-                triple=Triple.from_canonical(triple),
-                extractor=extractor,
-                url=url,
-                site=site,
-                content_type=content_type,
-                pattern=pattern,
-                confidence=confidence,
-                debug=(
-                    None
-                    if debug is None
-                    else ExtractionDebug(
-                        asserted_index=debug[0],
-                        error_kind=None if debug[1] is None else ErrorKind(debug[1]),
-                        source_error=debug[2],
-                        span_corrupted=debug[3],
-                        slot_mismatch=debug[4],
-                    )
-                ),
-            )
-        )
-    return records
-
-
-#: The extraction shard codec: compact tuples on the wire, exact round-trip.
+#: The record codec: one string table, one triple table, int32 code columns.
 RECORD_WIRE_CODEC = WireCodec(encode=records_to_wire, decode=records_from_wire)

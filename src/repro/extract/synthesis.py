@@ -43,14 +43,12 @@ entry point behind ``ExtractionPipeline.run``.
 
 from __future__ import annotations
 
-import gc
 import math
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.extract.records import ExtractionDebug, ExtractionRecord
+from repro.extract.records import ExtractionDebug, ExtractionRecord, _gc_paused
 from repro.kb.schema import ValueKind
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
@@ -70,26 +68,6 @@ __all__ = [
     "synthesize_batch",
 ]
 
-
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic GC for a batch-allocation burst.
-
-    Synthesis allocates ~3 tracked objects per record and keeps them all
-    live, so every generation-0 pass rescans a growing survivor set for
-    cycles that record graphs (frozen, acyclic) cannot contain.  Pausing
-    collection for the batch removes that quadratic-ish scan cost;
-    nothing is leaked — allocation still happens normally and the GC
-    resumes (and catches up) on exit.  Nested pauses are no-ops.
-    """
-    if gc.isenabled():
-        gc.disable()
-        try:
-            yield
-        finally:
-            gc.enable()
-    else:
-        yield
 
 # ---------------------------------------------------------------------------
 # Seed arrays

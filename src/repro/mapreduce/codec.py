@@ -5,12 +5,14 @@ goes through :mod:`pickle`; *what* gets pickled is the difference between
 a shuffle that scales and one that drowns in serialization.  This module
 is the single place that contract lives:
 
-- :class:`WireCodec` — a symmetric ``encode`` (worker side, before the
-  payload crosses back to the parent) / ``decode`` (parent side) pair.
+- :class:`WireCodec` — a symmetric ``encode`` (worker side, once per
+  shard, over the shard's whole output list) / ``decode`` (parent side,
+  once per shard, back to one output per item) pair.
   :class:`~repro.mapreduce.executors.ShardedMapJob` accepts one; the
-  extraction stage's compact-tuple record codec
-  (:func:`repro.extract.records.records_to_wire` /
-  ``records_from_wire``) is the canonical instance.
+  extraction stage's columnar record codec
+  (:data:`repro.extract.records.RECORD_WIRE_CODEC`: a string table, a
+  table of distinct triples and int32 code columns) is the canonical
+  instance.
 - :func:`scan_payload_types` — a recursive audit of a payload's value
   types, used by the test suite to *prove* that shard payloads carry no
   heavyweight domain objects (``Triple``/``DataItem``/``ExtractionRecord``),
@@ -35,9 +37,13 @@ The contract both producers follow (see ``mapreduce/README.md``):
    (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`
    — one shared-memory segment per round); the spec carries
    only the tiny :class:`~repro.mapreduce.executors.RoundStateHandle`.
-4. **Codecs are exact.**  ``decode(encode(x))`` must round-trip ``x``
-   bit-for-bit; the serial path skips the codec entirely, so any lossy
-   codec would break serial/parallel parity.
+4. **Codecs work per shard and are exact.**  A worker encodes its
+   shard's whole output list once, and the parent decodes each shard's
+   wire once, as it collects it, into one output per item (a shard that
+   decodes to any other count is a ``ValueError`` naming the job).
+   ``decode(encode(xs))`` must round-trip ``xs`` bit-for-bit; the serial
+   path skips the codec entirely, so any lossy codec would break
+   serial/parallel parity.
 """
 
 from __future__ import annotations
@@ -53,12 +59,15 @@ __all__ = ["WireCodec", "scan_payload_types"]
 
 @dataclass(frozen=True)
 class WireCodec:
-    """A symmetric shard-output codec.
+    """A symmetric, per-shard output codec.
 
-    ``encode`` runs in the worker, compacting one shard output before it
-    crosses the process boundary; ``decode`` runs in the parent and must
-    invert it exactly.  ``encode`` must be picklable (it ships inside the
-    job spec); ``decode`` runs only in the parent and may be a closure.
+    ``encode`` runs in the worker, once per shard: it takes the shard's
+    whole output list (one output per item) and returns one wire value to
+    cross the process boundary, so a codec can share tables across the
+    shard's items.  ``decode`` runs in the parent, once per shard, and
+    must return the output list exactly — one output per item, in item
+    order.  ``encode`` must be picklable (it ships inside the job spec);
+    ``decode`` runs only in the parent and may be a closure.
     """
 
     encode: Callable[[Any], Any]

@@ -78,6 +78,7 @@ import os
 import pickle
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -85,7 +86,7 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, WorkerPoolError
 from repro.mapreduce.codec import WireCodec
 from repro.rng import split_seed
 
@@ -311,11 +312,12 @@ class ShardedMapJob:
     ``key_fn`` yields the stable shard key for an item (hashed with
     :func:`shard_for_key`; it runs only in the parent and need not
     pickle).  ``map_shard`` and the optional wire ``codec``'s ``encode``
-    must be picklable for the parallel backend: ``encode`` compacts each
-    output in the worker before it crosses the process boundary and
-    ``decode`` restores it in the parent — the extraction stage uses this
-    to ship records as compact tuples instead of full pickled dataclass
-    lists.
+    must be picklable for the parallel backend.  The codec works per
+    shard: ``encode`` turns a shard's whole output list into one wire
+    value in the worker, and ``decode`` turns that wire back into one
+    output per item in the parent — the extraction stage uses this to
+    ship a shard's records as one set of string/triple tables and code
+    columns instead of pickled dataclass lists.
     """
 
     name: str
@@ -348,11 +350,13 @@ def _frozen_heap(starting_pool: bool):
 
 def _map_shard_worker(
     spec_bytes: bytes, indexed_items: list[tuple[int, Any]]
-) -> list[tuple[int, Any]]:
+) -> tuple[list[int], Any]:
     """Worker body for one :class:`ShardedMapJob` shard.
 
-    Returns ``(input_index, encoded_output)`` pairs; the parent slots each
-    output back at its input index, restoring the serial emission order.
+    Returns ``(input_indices, wire)``: the shard's outputs, encoded once
+    as a whole by the job's codec (or the plain output list without
+    one).  The parent decodes the wire and slots each output back at its
+    input index, restoring the serial emission order.
     """
     map_shard, encode = pickle.loads(spec_bytes)
     outputs = map_shard([item for _index, item in indexed_items])
@@ -361,9 +365,8 @@ def _map_shard_worker(
             f"map_shard returned {len(outputs)} outputs for "
             f"{len(indexed_items)} items; the contract is one per item"
         )
-    if encode is not None:
-        outputs = [encode(output) for output in outputs]
-    return [(index, output) for (index, _item), output in zip(indexed_items, outputs)]
+    indices = [index for index, _item in indexed_items]
+    return indices, outputs if encode is None else encode(outputs)
 
 
 @runtime_checkable
@@ -594,6 +597,11 @@ class ParallelExecutor:
 
         An empty job returns ``[]`` without touching the pool; a work unit
         that will not pickle is a :class:`ConfigError` naming the job.
+        Each shard's wire is decoded once, as it is collected, and must
+        give one output per item (else a ``ValueError`` naming the job).
+        A worker that dies mid-job breaks the pool: that is a
+        :class:`~repro.errors.WorkerPoolError` naming the job, raised from
+        the pool's ``BrokenProcessPool``; nothing is retried.
         """
         items = list(items)
         if not items:
@@ -608,18 +616,37 @@ class ParallelExecutor:
         for index, item in enumerate(items):
             shards[shard_for_key(job.key_fn(item), n_shards)].append((index, item))
 
-        # A fresh pool forks its workers inside the first submit.
-        with _frozen_heap(self._pool is None):
-            pool = self._ensure_pool()
-            futures = [
-                pool.submit(_map_shard_worker, spec_bytes, shard)
-                for shard in shards
-                if shard
-            ]
+        decode = job.codec.decode if job.codec else None
         outputs: list[Any] = [None] * len(items)
-        for future in futures:
-            for index, output in future.result():
-                outputs[index] = job.codec.decode(output) if job.codec else output
+        try:
+            # A fresh pool forks its workers inside the first submit.
+            with _frozen_heap(self._pool is None):
+                pool = self._ensure_pool()
+                futures = [
+                    pool.submit(_map_shard_worker, spec_bytes, shard)
+                    for shard in shards
+                    if shard
+                ]
+            # One shard at a time, in submission order; popping each
+            # future drops its wire before the next shard is decoded.
+            futures.reverse()
+            while futures:
+                indices, wire = futures.pop().result()
+                shard_outputs = wire if decode is None else decode(wire)
+                del wire
+                if len(shard_outputs) != len(indices):
+                    raise ValueError(
+                        f"job {job.name!r}: decode returned {len(shard_outputs)} "
+                        f"outputs for {len(indices)} items; the contract is one "
+                        "per item"
+                    )
+                for index, output in zip(indices, shard_outputs):
+                    outputs[index] = output
+        except BrokenProcessPool as err:
+            raise WorkerPoolError(
+                f"job {job.name!r}: a process-pool worker died; the pool is "
+                "broken and the job was not retried"
+            ) from err
         return outputs
 
     def close(self) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for extraction records and the debug channel."""
 
+import numpy as np
+
 from repro.extract.records import (
     ErrorKind,
     ExtractionDebug,
@@ -9,6 +11,7 @@ from repro.extract.records import (
 )
 from repro.kb.triples import Triple
 from repro.kb.values import DateValue, EntityRef, NumberValue, StringValue
+from repro.mapreduce.codec import scan_payload_types
 
 
 def make_record(**kwargs):
@@ -51,8 +54,8 @@ class TestErrorFlags:
 
 
 class TestWireFormat:
-    """The compact tuple codec used to ship shard outputs between
-    processes must round-trip records exactly."""
+    """The columnar codec used to ship shard outputs between processes
+    must round-trip records exactly."""
 
     def test_round_trip_all_value_kinds(self):
         records = [
@@ -74,13 +77,42 @@ class TestWireFormat:
         ]
         assert records_from_wire(records_to_wire(records)) == records
 
-    def test_wire_is_flat_tuples(self):
-        wire = records_to_wire([make_record()])
-        assert isinstance(wire[0], tuple)
+    def test_wire_holds_only_primitives_and_numeric_arrays(self):
+        """The wire is tables of strings plus numeric columns: no
+        ``Triple``, value, record or debug object crosses the boundary."""
+        records = [
+            make_record(),
+            make_record(triple=Triple("/m/2", "p/t/b", EntityRef("/m/9"))),
+            make_record(pattern=None, confidence=None, debug=None),
+            make_record(
+                debug=ExtractionDebug(
+                    asserted_index=None, error_kind=ErrorKind.PREDICATE_LINKAGE
+                )
+            ),
+        ]
+        wire = records_to_wire(records)
+        types = scan_payload_types(wire)
+        assert types <= {str, int, float, bool, type(None), list, tuple, np.ndarray}
+        arrays = [part for part in wire if isinstance(part, np.ndarray)]
+        assert arrays
         assert all(
-            item is None or isinstance(item, (str, int, float, bool, tuple))
-            for item in wire[0]
+            array.dtype.kind in "biuf" and array.shape[0] == len(records)
+            for array in arrays
         )
+
+    def test_decoded_records_share_strings_and_triples(self):
+        """One shard decodes to one object per distinct triple and per
+        distinct string, as in-process synthesis builds them."""
+        records = [
+            make_record(url=f"http://s.org/p{index % 2}", pattern=f"TXT1:{index % 3}")
+            for index in range(6)
+        ] + [make_record(triple=Triple("/m/2", "p/t/b", EntityRef("/m/9")))]
+        decoded = records_from_wire(records_to_wire(records))
+        assert decoded == records
+        assert len({id(r.triple) for r in decoded}) == 2
+        for field in ("extractor", "url", "site", "content_type", "pattern"):
+            values = [getattr(r, field) for r in decoded]
+            assert len({id(value) for value in values}) == len(set(values)), field
 
 
 class TestErrorKinds:

@@ -1,9 +1,10 @@
-"""What a dead pool worker does to a pooled fuse (Linux only).
+"""What a dead pool worker does to a pooled fuse or extraction (Linux only).
 
-A worker killed mid-round is not retried and not replaced by an
-in-process run: the fuse raises ``BrokenProcessPool`` — promptly, not a
-hang — and leaves nothing behind in the parent: no new ``psm_*``
-shared-memory segment in ``/dev/shm`` and no extra open file descriptor.
+A worker killed mid-job is not retried and not replaced by an in-process
+run: the stage raises :class:`~repro.errors.WorkerPoolError` naming the
+job, from the pool's ``BrokenProcessPool`` — promptly, not a hang — and
+leaves nothing behind in the parent: no new ``psm_*`` shared-memory
+segment in ``/dev/shm`` and no extra open file descriptor.
 """
 
 import glob
@@ -16,6 +17,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.errors import WorkerPoolError
+from repro.extract.pipeline import ExtractionPipeline
 from repro.fusion import FusionConfig
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
@@ -39,6 +42,27 @@ class _KillsItsWorker(PopAccuKernel):
         return super().batch_round(cols, accuracies, active, require_repeated, keep)
 
 
+class _KillsItsShard:
+    """A one-extractor fleet that emits no record, except that the pool
+    worker whose shard holds ``url`` SIGKILLs itself inside
+    ``_extract_shard`` (in its coverage pass)."""
+
+    name = "KILLER"
+
+    def __init__(self, url: str) -> None:
+        self.url = url
+
+    def coverage_mask(self, pages):
+        if multiprocessing.parent_process() is not None and any(
+            page.url == self.url for page in pages
+        ):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.zeros(len(pages), dtype=bool)
+
+    def extract_pages_batch(self, pages, mask, caches):
+        return [[] for _page in pages]
+
+
 def _segments() -> set[str]:
     return set(glob.glob("/dev/shm/psm_*"))
 
@@ -55,28 +79,52 @@ def _hung(_signum, _frame):
     raise TimeoutError("the fuse hung on a dead worker")
 
 
-def test_killed_worker_fails_the_fuse_and_leaks_nothing(micro_scenario):
-    # One pool (and one segment) first: the resource tracker they start
-    # keeps its pipe open for the life of the process.
+@pytest.fixture
+def warm_pool_state():
+    """One pool (and one segment) first: the resource tracker they start
+    keeps its pipe open for the life of the process."""
     with ParallelExecutor(max_workers=2) as warm:
         warm.install_round_state("test.warm", {"values": np.zeros(4)})
         warm.run_map(
             list(range(4)), ShardedMapJob(name="warm", map_shard=_identity_shard, key_fn=int)
         )
-    fusion_input = micro_scenario.fusion_input()
+
+
+def _raises_worker_pool_error(job_name: str, run) -> None:
+    """``run()`` fails with a WorkerPoolError naming ``job_name``, raised
+    from ``BrokenProcessPool``, within 60 s, leaking no segment or fd."""
     segments, fds = _segments(), _open_fds()
     signal.signal(signal.SIGALRM, _hung)
     signal.alarm(60)
     try:
-        with pytest.raises(BrokenProcessPool):
-            run_bayesian_fusion(
-                fusion_input,
-                FusionConfig(backend="hybrid", n_workers=2),
-                _KillsItsWorker(),
-                "POPACCU",
-            )
+        with pytest.raises(WorkerPoolError, match=f"job {job_name!r}") as raised:
+            run()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    assert isinstance(raised.value.__cause__, BrokenProcessPool)
+    del raised
     assert _segments() <= segments
     assert _open_fds() == fds
+
+
+def test_killed_worker_fails_the_fuse_and_leaks_nothing(micro_scenario, warm_pool_state):
+    fusion_input = micro_scenario.fusion_input()
+    _raises_worker_pool_error(
+        "fusion.stage1",
+        lambda: run_bayesian_fusion(
+            fusion_input,
+            FusionConfig(backend="hybrid", n_workers=2),
+            _KillsItsWorker(),
+            "POPACCU",
+        ),
+    )
+
+
+def test_killed_worker_fails_extraction_and_leaks_nothing(micro_scenario, warm_pool_state):
+    corpus = micro_scenario.corpus
+    pipeline = ExtractionPipeline([_KillsItsShard(corpus.pages[0].url)])
+    _raises_worker_pool_error(
+        "extract.pages",
+        lambda: pipeline.run(corpus, backend="hybrid", n_workers=2),
+    )

@@ -98,14 +98,18 @@ def _pid_shard(items):
     return [os.getpid() for _item in items]
 
 
-def _encode_out(value):
-    return ("wire", value)
+def _encode_out(outputs):
+    return ("wire", list(outputs))
 
 
 def _decode_out(wire):
-    tag, value = wire
+    tag, outputs = wire
     assert tag == "wire"
-    return value
+    return outputs
+
+
+def _decode_drops_one(wire):
+    return _decode_out(wire)[1:]
 
 
 def square_map_job(codec=None):
@@ -131,6 +135,25 @@ class TestShardedMap:
     def test_wire_codec_round_trips(self, parallel):
         job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_out))
         assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
+
+    def test_codec_runs_once_per_shard(self, parallel):
+        """``encode`` sees a shard's whole output list and ``decode`` gets
+        one wire per shard back, never one per item."""
+        wires = []
+
+        def decode(wire):
+            wires.append(wire)
+            return _decode_out(wire)
+
+        job = square_map_job(WireCodec(encode=_encode_out, decode=decode))
+        assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
+        assert 1 < len(wires) <= parallel.max_workers * 4
+        assert sum(len(outputs) for _tag, outputs in wires) == len(self.ITEMS)
+
+    def test_decode_must_give_one_output_per_item(self, parallel):
+        job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_drops_one))
+        with pytest.raises(ValueError, match="job 'square': decode returned"):
+            parallel.run_map(self.ITEMS, job)
 
     def test_serial_path_skips_wire_codec(self):
         # In-process there is no boundary to cross; encode/decode must not run.

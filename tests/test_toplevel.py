@@ -12,6 +12,7 @@ from repro.errors import (
     FusionError,
     ReproError,
     SchemaError,
+    WorkerPoolError,
 )
 from repro.report import format_series, format_table
 
@@ -20,7 +21,7 @@ class TestErrors:
     @pytest.mark.parametrize(
         "exc",
         [ConfigError, SchemaError, ExtractionError, FusionError,
-         EvaluationError, ExperimentError],
+         EvaluationError, ExperimentError, WorkerPoolError],
     )
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)
