@@ -1,23 +1,24 @@
-"""Content-addressed scenario artifact cache.
+"""Content-addressed artifact store: scenario artifacts and column stores.
 
 Worldgen is deterministic in ``(config, seed)`` — and in the *code* that
-interprets them — so its output can be cached on disk and reloaded in
-milliseconds instead of regenerated in seconds.  This module serializes
-the worldgen bundle (world, Freebase snapshot, web corpus) into a
-columnar artifact directory keyed on
+interprets them — so its output is cached on disk and reloaded in
+milliseconds; the ``web`` tier persists its claim columns so fusion can
+map them.  Both go through one store.  An entry is a directory
+``<kind>-<key[:24]>/`` of files plus a ``meta.json`` manifest (format,
+kind, key, code version, the kind's details, each file's ``bytes`` and
+``sha256``).  :func:`_put` publishes one atomically (temp directory +
+rename); :func:`_get` returns its manifest only if it is *intact* —
+format, kind, key and code version current, every file at its recorded
+size and sha256.  That one check serves the scenario load, column-store
+reuse, a publish's lost rename race and :func:`prune_cache`, so a
+damaged entry of either kind misses, is republished and is pruned.
 
-    sha256(format version, code version, seed,
-           repr(WorldConfig), repr(WebConfig))
+The **code version** hashes the sources that determine worldgen output
+(``repro/world``, ``repro/kb``, ``repro/rng.py``); the scenario key
+``sha256(format, code version, seed, repr(WorldConfig), repr(WebConfig))``
+covers it, so invalidation is by construction, not by expiry.  A
+``scenario`` entry (details: seed and config reprs) holds::
 
-where the **code version** is a hash over the source files whose logic
-determines worldgen output (``repro/world``, ``repro/kb``,
-``repro/rng.py``): editing any of them bumps the key, so a stale
-artifact can never be loaded — invalidation is by construction, not by
-expiry.
-
-Layout of one artifact directory (``scenario-<key prefix>/``)::
-
-    meta.json     key, code version, configs, per-file sizes, checksum
     world.pkl     the World (with its lazily-derived wrong-value pools
                   cleared; they regenerate bit-identically on demand)
     freebase.pkl  the Freebase snapshot
@@ -26,6 +27,9 @@ Layout of one artifact directory (``scenario-<key prefix>/``)::
                   per-page columns (what coverage masks and sharding read)
     payload.bin   per-page pickled (assertions, elements) bodies,
     offsets.npy   concatenated, with int64 prefix offsets
+
+A ``columns`` entry (detail: granularity) holds one ``.npy`` per claim
+column, keyed on the granularity and the file digests.
 
 Pages load as a :class:`LazyPageList`: the columns materialize at load
 time (they are what setup-stage consumers touch), while each page's
@@ -38,11 +42,6 @@ decodes none.
 
 Correctness contract: a cache hit is **bit-identical** to a fresh build
 — same world, same corpus, and therefore the same extraction records.
-Writers publish atomically (temp directory + rename), and
-:func:`load_scenario_artifact` returns ``None`` on *any* mismatch —
-wrong key, wrong code version, missing or size-drifted files — so
-callers fall back to a fresh build instead of a corrupt read; tests use
-``verify=True`` for the full payload checksum.
 """
 
 from __future__ import annotations
@@ -65,8 +64,7 @@ from repro.world.webgen import WebCorpus, WebPage, generate_corpus
 from repro.world.worldgen import generate_world
 
 __all__ = [
-    "ARTIFACT_FORMAT",
-    "COLUMN_FORMAT",
+    "STORE_FORMAT",
     "ColumnHandle",
     "LazyPageList",
     "StoredPage",
@@ -81,14 +79,13 @@ __all__ = [
     "setup_worldgen",
 ]
 
-#: Bumped when the artifact layout itself changes shape.
-ARTIFACT_FORMAT = 1
-
-#: Bumped when the column-store layout changes shape.
-COLUMN_FORMAT = 2
+#: Bumped when an entry's layout or the manifest schema changes shape, so
+#: every older entry misses and ``cache prune`` retires it.  3 is above
+#: the formats scenario artifacts (1) and column stores (2) were written
+#: with before they shared one store.
+STORE_FORMAT = 3
 
 _META = "meta.json"
-_PICKLES = ("world.pkl", "freebase.pkl", "sites.pkl")
 _COLUMNS = ("url.npy", "site.npy", "category.npy")
 _PAYLOAD = "payload.bin"
 _OFFSETS = "offsets.npy"
@@ -172,7 +169,7 @@ def scenario_artifact_key(
     """The content address of one worldgen bundle."""
     material = "\n".join(
         (
-            f"format={ARTIFACT_FORMAT}",
+            f"format={STORE_FORMAT}",
             f"code={code_version()}",
             f"seed={seed}",
             repr(world_config),
@@ -182,8 +179,9 @@ def scenario_artifact_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def artifact_dir_for(cache_dir: Path | str, key: str) -> Path:
-    return Path(cache_dir) / f"scenario-{key[:24]}"
+def artifact_dir_for(cache_dir: Path | str, kind: str, key: str) -> Path:
+    """The directory of the ``kind`` entry under ``key``."""
+    return Path(cache_dir) / f"{kind}-{key[:24]}"
 
 
 class StoredPage(NamedTuple):
@@ -299,15 +297,65 @@ def _dump_world(world: World) -> bytes:
         world._wrong_pools = pools
 
 
-def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) -> None:
+def _put(cache_dir: Path | str, kind: str, key: str, files: dict[str, bytes], **details) -> Path:
+    """Publish ``files`` as the ``kind`` entry under ``key``; its directory.
+
+    An intact entry (:func:`_get`) under the key is reused as it stands;
+    anything else there is replaced.  The manifest records the format,
+    kind, key, code version, ``details`` and each file's size and sha256.
+    """
+    directory = artifact_dir_for(cache_dir, kind, key)
+    if _get(cache_dir, kind, key) is None:
+        manifest = {
+            "format": STORE_FORMAT,
+            "kind": kind,
+            "key": key,
+            "code_version": code_version(),
+            **details,
+            "files": {
+                name: {"bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()}
+                for name, blob in files.items()
+            },
+        }
+        _publish_atomically(directory, files, manifest)
+    return directory
+
+
+def _get(cache_dir: Path | str, kind: str, key: str) -> dict | None:
+    """The manifest of the ``kind`` entry under ``key`` if it is intact.
+
+    Intact = the manifest's format, kind, key and code version are
+    current and every file it names is present at its recorded size and
+    sha256.  Anything else — no entry, an unreadable manifest, a
+    truncated or bit-flipped file — is ``None``.
+    """
+    directory = artifact_dir_for(cache_dir, kind, key)
+    try:
+        manifest = json.loads((directory / _META).read_text())
+        header = [manifest[field] for field in ("format", "kind", "key", "code_version")]
+        if header != [STORE_FORMAT, kind, key, code_version()]:
+            return None
+        for name, entry in manifest["files"].items():
+            # Hashed in chunks: checking an entry never holds a whole file.
+            with (directory / name).open("rb") as handle:
+                digest = hashlib.file_digest(handle, "sha256").hexdigest()
+                if [handle.tell(), digest] != [entry["bytes"], entry["sha256"]]:
+                    return None
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return manifest
+
+
+def _publish_atomically(final_dir: Path, files: dict[str, bytes], manifest: dict) -> None:
     """Write ``files`` plus ``meta.json`` into ``final_dir``, all or nothing.
 
     Everything lands in a ``.tmp-<pid>`` sibling first and is renamed into
     place, so a crashed writer leaves no half-readable directory (only a
     ``.tmp-`` leftover for ``cache prune``) and any failure removes the
-    temp directory before re-raising.  An existing ``final_dir`` is kept
-    only if it holds exactly this publish (same ``meta``, every file at
-    its size); a damaged one is replaced.
+    temp directory before re-raising.  If ``final_dir`` already exists
+    (a concurrent writer of the same key won the rename race, or a
+    damaged entry sits there) it is kept only if :func:`_get` calls it
+    intact.
     """
     final_dir.parent.mkdir(parents=True, exist_ok=True)
     temp_dir = final_dir.with_name(final_dir.name + f".tmp-{os.getpid()}")
@@ -317,13 +365,13 @@ def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) ->
     try:
         for name, blob in files.items():
             (temp_dir / name).write_bytes(blob)
-        (temp_dir / _META).write_text(json.dumps(meta, indent=2) + "\n")
+        (temp_dir / _META).write_text(json.dumps(manifest, indent=2) + "\n")
         try:
             os.rename(temp_dir, final_dir)
         except OSError:
-            if _published(final_dir, files, meta):
-                # Lost the publish race to a concurrent writer of the same
-                # key: the published content is bit-equivalent, keep it.
+            if _get(final_dir.parent, manifest["kind"], manifest["key"]) is not None:
+                # The winner is intact, and the key is a content address:
+                # its content is this publish's, so keep it.
                 shutil.rmtree(temp_dir)
             else:
                 shutil.rmtree(final_dir, ignore_errors=True)
@@ -331,17 +379,6 @@ def _publish_atomically(final_dir: Path, files: dict[str, bytes], meta: dict) ->
     except Exception:
         shutil.rmtree(temp_dir, ignore_errors=True)
         raise
-
-
-def _published(directory: Path, files: dict[str, bytes], meta: dict) -> bool:
-    """True when ``directory`` holds ``meta`` and every file at its size."""
-    try:
-        return json.loads((directory / _META).read_text()) == meta and all(
-            (directory / name).stat().st_size == len(blob)
-            for name, blob in files.items()
-        )
-    except (OSError, json.JSONDecodeError):
-        return False
 
 
 def save_scenario_artifact(
@@ -353,25 +390,19 @@ def save_scenario_artifact(
 ) -> Path:
     """Serialize one worldgen bundle under its content address.
 
-    Returns the artifact directory.  Publication is atomic (temp
-    directory + rename): a crashed writer leaves no half-readable
-    artifact, a concurrent writer of the same key harmlessly loses the
-    rename race, and a damaged artifact under the key (one that
-    :func:`load_scenario_artifact` misses on) is replaced.
+    Returns the artifact directory.  Publication goes through
+    :func:`_put`: atomic, a no-op over an intact artifact, and a
+    replacement of a damaged one.
     """
-    key = scenario_artifact_key(seed, world.config, corpus.config)
-    final_dir = artifact_dir_for(cache_dir, key)
     pages = list(corpus.pages)
     bodies = [_dumps((page.assertions, page.elements)) for page in pages]
     offsets = np.zeros(len(bodies) + 1, dtype=np.int64)
     np.cumsum([len(body) for body in bodies], out=offsets[1:])
-    payload = b"".join(bodies)
-
     files: dict[str, bytes] = {
         "world.pkl": _dump_world(world),
         "freebase.pkl": _dumps(freebase),
         "sites.pkl": _dumps(corpus.sites),
-        _PAYLOAD: payload,
+        _PAYLOAD: b"".join(bodies),
     }
     for name, column in zip(
         _COLUMNS,
@@ -381,24 +412,17 @@ def save_scenario_artifact(
             [page.category for page in pages],
         ),
     ):
-        buffer = _npy_bytes(np.array(column))
-        files[name] = buffer
+        files[name] = _npy_bytes(np.array(column))
     files[_OFFSETS] = _npy_bytes(offsets)
-
-    meta = {
-        "format": ARTIFACT_FORMAT,
-        "key": key,
-        "code_version": code_version(),
-        "seed": seed,
-        "world_config": repr(world.config),
-        "web_config": repr(corpus.config),
-        "n_pages": len(pages),
-        "sizes": {name: len(blob) for name, blob in files.items()},
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-
-    _publish_atomically(final_dir, files, meta)
-    return final_dir
+    return _put(
+        cache_dir,
+        "scenario",
+        scenario_artifact_key(seed, world.config, corpus.config),
+        files,
+        seed=seed,
+        world_config=repr(world.config),
+        web_config=repr(corpus.config),
+    )
 
 
 def _npy_bytes(array: np.ndarray) -> bytes:
@@ -412,35 +436,18 @@ def load_scenario_artifact(
     seed: int,
     world_config: WorldConfig,
     web_config: WebConfig,
-    verify: bool = False,
 ) -> tuple[World, object, WebCorpus] | None:
     """Load ``(world, freebase, corpus)`` for the key, or None on miss.
 
-    A miss is any mismatch: no artifact, a different key or code
-    version, or files whose sizes drifted from the manifest.  With
-    ``verify=True`` the payload checksum is also recomputed (the tests'
-    corruption check; skipped on the hot path, where the bit-identity
-    contract is enforced by the benchmark parity assertions instead).
+    A miss is an artifact :func:`_get` does not call intact — none, a
+    different key, format or code version, or a file off its recorded
+    size or sha256 — or one whose files do not decode.
     """
     key = scenario_artifact_key(seed, world_config, web_config)
-    directory = artifact_dir_for(cache_dir, key)
-    meta_path = directory / _META
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, json.JSONDecodeError):
+    if _get(cache_dir, "scenario", key) is None:
         return None
-    if (
-        meta.get("format") != ARTIFACT_FORMAT
-        or meta.get("key") != key
-        or meta.get("code_version") != code_version()
-    ):
-        return None
-    sizes = meta.get("sizes", {})
-    names = (*_PICKLES, *_COLUMNS, _PAYLOAD, _OFFSETS)
+    directory = artifact_dir_for(cache_dir, "scenario", key)
     try:
-        for name in names:
-            if (directory / name).stat().st_size != sizes.get(name):
-                return None
         world: World = pickle.loads((directory / "world.pkl").read_bytes())
         freebase = pickle.loads((directory / "freebase.pkl").read_bytes())
         sites = pickle.loads((directory / "sites.pkl").read_bytes())
@@ -452,23 +459,17 @@ def load_scenario_artifact(
         payload = (directory / _PAYLOAD).read_bytes()
     except (OSError, pickle.UnpicklingError, ValueError):
         return None
-    if verify and hashlib.sha256(payload).hexdigest() != meta.get("payload_sha256"):
-        return None
     pages = LazyPageList(urls, site_col, categories, payload, offsets)
     corpus = WebCorpus(config=web_config, sites=sites, pages=pages)
     return world, freebase, corpus
 
 
 # ---------------------------------------------------------------------------
-# Column store: persisted ColumnarClaims columns for zero-copy worker views
+# Column store: persisted ColumnarClaims columns the parent maps
 # ---------------------------------------------------------------------------
 # The out-of-core `web` tier persists the claim matrix's CSR columns as
-# plain ``.npy`` files so fusion workers can map them read-only instead
-# of unpickling a full ``ColumnarClaims`` per pool.  The store is
-# content-addressed by the column *data* itself (sha256 over the file
-# digests), published atomically like the scenario artifact, and carries
-# the writer's code version so ``prune_cache`` can retire stores written
-# by code that no longer exists.
+# ``.npy`` files of a ``columns`` entry, content-addressed by the column
+# *data*, so the parent maps them read-only instead of holding them.
 
 
 @dataclasses.dataclass(frozen=True)
@@ -490,14 +491,10 @@ class ColumnHandle:
         return Path(self.directory) / name
 
 
-def column_store_dir_for(cache_dir: Path | str, key: str) -> Path:
-    return Path(cache_dir) / f"columns-{key[:24]}"
-
-
 def _column_store_key(granularity: str, digests: dict[str, str]) -> str:
     material = "\n".join(
         (
-            f"column-format={COLUMN_FORMAT}",
+            f"format={STORE_FORMAT}",
             f"granularity={granularity}",
             *(f"{name}={digests[name]}" for name in sorted(digests)),
         )
@@ -513,40 +510,20 @@ def save_column_store(
     """Publish claim columns under their content address.
 
     ``arrays`` maps column names to int64 arrays (saved as ``.npy``); the
-    key covers their digests.  Publication is atomic (temp directory + rename) and idempotent: a
-    store whose content already exists is reused, and a concurrent
-    writer of the same key harmlessly loses the rename race.
+    key covers their digests.  Publication goes through :func:`_put`:
+    atomic, a no-op over an intact store, and a replacement of a damaged
+    one.
     """
-    files: dict[str, bytes] = {
-        f"{name}.npy": _npy_bytes(array) for name, array in arrays.items()
-    }
+    files = {f"{name}.npy": _npy_bytes(array) for name, array in arrays.items()}
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in files.items()}
     key = _column_store_key(granularity, digests)
-    final_dir = column_store_dir_for(cache_dir, key)
-    handle = ColumnHandle(
-        directory=str(final_dir),
+    directory = _put(cache_dir, "columns", key, files, granularity=granularity)
+    return ColumnHandle(
+        directory=str(directory),
         key=key,
         granularity=granularity,
-        files=tuple(
-            (name, len(files[name]), digests[name]) for name in sorted(files)
-        ),
+        files=tuple((name, len(files[name]), digests[name]) for name in sorted(files)),
     )
-    if (final_dir / _META).exists():
-        return handle
-
-    meta = {
-        "format": COLUMN_FORMAT,
-        "kind": "columns",
-        "key": key,
-        "granularity": granularity,
-        "code_version": code_version(),
-        "files": {
-            name: {"bytes": len(blob), "sha256": digests[name]}
-            for name, blob in files.items()
-        },
-    }
-    _publish_atomically(final_dir, files, meta)
-    return handle
 
 
 # ---------------------------------------------------------------------------
@@ -560,38 +537,39 @@ def prune_cache(cache_dir: Path | str, apply: bool = False) -> list[Path]:
     The content-addressed key means a stale entry is never *loaded* —
     but nothing ever deleted it either, so directories written by old
     code versions or layouts accumulate forever.  Stale = a
-    ``scenario-*`` or ``columns-*`` entry whose recorded code version or
-    format (:data:`ARTIFACT_FORMAT` / :data:`COLUMN_FORMAT`) no longer
-    matches the current one, whose metadata is unreadable, or a leftover
-    ``.tmp-*`` publish directory from a crashed writer.  Returns the
-    stale paths (sorted); the default is a dry run.
+    ``scenario-*`` or ``columns-*`` directory that is not the intact
+    entry (:func:`_get`) its manifest names: an old code version or
+    :data:`STORE_FORMAT`, unreadable metadata, a damaged file, or a
+    leftover ``.tmp-*`` publish directory from a crashed writer.
+    Returns the stale paths (sorted); the default is a dry run.
     """
     cache_dir = Path(cache_dir)
-    stale: list[Path] = []
-    current = code_version()
     if not cache_dir.is_dir():
-        return stale
-    for entry in sorted(cache_dir.iterdir()):
-        if not entry.is_dir():
-            continue
-        name = entry.name
-        if not (name.startswith("scenario-") or name.startswith("columns-")):
-            continue
-        if ".tmp-" in name:
-            stale.append(entry)
-            continue
-        try:
-            meta = json.loads((entry / _META).read_text())
-        except (OSError, json.JSONDecodeError):
-            stale.append(entry)
-            continue
-        current_format = ARTIFACT_FORMAT if name.startswith("scenario-") else COLUMN_FORMAT
-        if meta.get("code_version") != current or meta.get("format") != current_format:
-            stale.append(entry)
+        return []
+    stale = [
+        entry
+        for entry in sorted(cache_dir.iterdir())
+        if entry.name.startswith(("scenario-", "columns-"))
+        and entry.is_dir()
+        and not _is_live(cache_dir, entry)
+    ]
     if apply:
         for entry in stale:
             shutil.rmtree(entry, ignore_errors=True)
     return stale
+
+
+def _is_live(cache_dir: Path, entry: Path) -> bool:
+    """True when ``entry`` is the intact entry its own manifest names."""
+    kind = entry.name.partition("-")[0]
+    try:
+        key = json.loads((entry / _META).read_text())["key"]
+        return (
+            artifact_dir_for(cache_dir, kind, key) == entry
+            and _get(cache_dir, kind, key) is not None
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
 
 
 def setup_worldgen(
@@ -604,7 +582,9 @@ def setup_worldgen(
 
     Returns ``(world, freebase, corpus, cache_status)`` where the status
     is ``"off"`` (no cache directory), ``"miss"`` (generated fresh and
-    saved), or ``"hit"`` (loaded from the artifact).  Used by
+    saved), ``"miss (publish fallback)"`` (generated fresh; the cache
+    directory could not be written, so nothing was saved) or ``"hit"``
+    (loaded from the artifact).  Used by
     :func:`repro.datasets.scenario.build_scenario`,
     :func:`repro.endtoend.run_end_to_end` and kfbench so all three share
     one cache discipline.
@@ -619,5 +599,10 @@ def setup_worldgen(
     corpus = generate_corpus(world, web_config, seed)
     if cache_dir is None:
         return world, freebase, corpus, "off"
-    save_scenario_artifact(cache_dir, seed, world, freebase, corpus)
+    try:
+        save_scenario_artifact(cache_dir, seed, world, freebase, corpus)
+    except OSError:
+        # An unwritable/full cache directory degrades to the bundle just
+        # generated — the same bits, as the column store's persist fallback.
+        return world, freebase, corpus, "miss (publish fallback)"
     return world, freebase, corpus, "miss"

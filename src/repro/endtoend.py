@@ -315,7 +315,7 @@ def run_end_to_end(
         n_records=n_records, n_pages=n_pages, n_chunks=len(chunk_sizes), **store
     )
     # Constant since extraction has one kernel; kfbench pins the key, so
-    # it goes with the [benchmark] PR of ROADMAP item 5(c).
+    # it goes with the [benchmark] PR of ROADMAP item 9(a).
     diagnostics["extraction_synthesis"] = "batched"
     if plan.pooled:
         diagnostics.update(executor.diagnostics())

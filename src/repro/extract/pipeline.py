@@ -263,7 +263,7 @@ class ExtractionPipeline:
         """Always ``()``: every extractor runs the one synthesis path.
 
         A stub for ``benchmarks/kfbench``, which counts the names it
-        returns; it goes with the ``[benchmark]`` PR of ROADMAP item 5(c).
+        returns; it goes with the ``[benchmark]`` PR of ROADMAP item 9(a).
         """
         return ()
 

@@ -9,6 +9,7 @@ and a loader that finds anything off (key, sizes, checksums) must miss,
 never guess.
 """
 
+import errno
 import hashlib
 import json
 from pathlib import Path
@@ -108,102 +109,153 @@ class TestKeying:
         assert loaded is None
 
 
+KEY = artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web)
+
+
+def worldgen(cache_dir):
+    return artifacts.setup_worldgen(CONFIG.seed, CONFIG.world, CONFIG.web, cache_dir)
+
+
 class TestCorruptionHandling:
-    def load(self, cache_dir, **kwargs):
+    def load(self, cache_dir):
         return artifacts.load_scenario_artifact(
-            cache_dir, CONFIG.seed, CONFIG.world, CONFIG.web, **kwargs
+            cache_dir, CONFIG.seed, CONFIG.world, CONFIG.web
         )
 
-    def artifact_dir(self, cache_dir):
-        key = artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web)
-        return artifacts.artifact_dir_for(cache_dir, key)
+    def clone(self, warm_cache, tmp_path):
+        """A copy of the warm artifact under ``tmp_path/clone``; its dir."""
+        source = artifacts.artifact_dir_for(warm_cache[0], "scenario", KEY)
+        target = artifacts.artifact_dir_for(tmp_path / "clone", "scenario", KEY)
+        target.mkdir(parents=True)
+        for entry in source.iterdir():
+            (target / entry.name).write_bytes(entry.read_bytes())
+        return target
 
-    def test_verified_load_succeeds(self, warm_cache):
-        cache_dir, *_ = warm_cache
-        assert self.load(cache_dir, verify=True) is not None
+    def test_intact_load_succeeds(self, warm_cache):
+        assert self.load(warm_cache[0]) is not None
+
+    def test_manifest_records_every_file(self, warm_cache):
+        directory = artifacts.artifact_dir_for(warm_cache[0], "scenario", KEY)
+        meta = json.loads((directory / "meta.json").read_text())
+        assert (meta["format"], meta["kind"], meta["key"], meta["seed"]) == (
+            artifacts.STORE_FORMAT, "scenario", KEY, CONFIG.seed
+        )
+        for path in directory.iterdir():
+            if path.name != "meta.json":
+                blob = path.read_bytes()
+                assert meta["files"][path.name] == {
+                    "bytes": len(blob), "sha256": hashlib.sha256(blob).hexdigest()
+                }
+        assert len(meta["files"]) == len(list(directory.iterdir())) - 1
 
     def test_size_drift_misses(self, warm_cache, tmp_path):
-        cache_dir, *_ = warm_cache
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        source = self.artifact_dir(cache_dir)
-        target = artifacts.artifact_dir_for(
-            clone,
-            artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web),
-        )
-        target.mkdir()
-        for entry in source.iterdir():
-            (target / entry.name).write_bytes(entry.read_bytes())
-        payload = target / "payload.bin"
+        payload = self.clone(warm_cache, tmp_path) / "payload.bin"
         payload.write_bytes(payload.read_bytes() + b"x")
-        assert self.load(clone) is None
+        assert self.load(tmp_path / "clone") is None
 
-    def test_checksum_corruption_detected_by_verify(self, warm_cache, tmp_path):
-        cache_dir, *_ = warm_cache
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        source = self.artifact_dir(cache_dir)
-        target = artifacts.artifact_dir_for(
-            clone,
-            artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web),
-        )
-        target.mkdir()
-        for entry in source.iterdir():
-            (target / entry.name).write_bytes(entry.read_bytes())
-        payload = target / "payload.bin"
-        data = bytearray(payload.read_bytes())
+    def test_flipped_byte_is_a_miss_then_a_republish(self, warm_cache, tmp_path):
+        """A same-size bit flip in ``world.pkl`` misses on every load (no
+        flag), and ``setup_worldgen`` regenerates and republishes it."""
+        world_pkl = self.clone(warm_cache, tmp_path) / "world.pkl"
+        data = bytearray(world_pkl.read_bytes())
         data[len(data) // 2] ^= 0xFF  # same size, different bytes
-        payload.write_bytes(bytes(data))
-        assert self.load(clone, verify=True) is None
+        world_pkl.write_bytes(bytes(data))
+        assert self.load(tmp_path / "clone") is None
+        assert worldgen(tmp_path / "clone")[3] == "miss"
+        world, _freebase, _corpus, status = worldgen(tmp_path / "clone")
+        assert status == "hit"
+        assert world.truths == warm_cache[1].truths
 
     def test_missing_meta_misses(self, tmp_path):
         assert self.load(tmp_path / "empty") is None
 
     def test_wrong_key_in_meta_misses(self, warm_cache, tmp_path):
-        cache_dir, *_ = warm_cache
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        source = self.artifact_dir(cache_dir)
-        target = artifacts.artifact_dir_for(
-            clone,
-            artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web),
-        )
-        target.mkdir()
-        for entry in source.iterdir():
-            (target / entry.name).write_bytes(entry.read_bytes())
-        meta = json.loads((target / "meta.json").read_text())
+        meta_path = self.clone(warm_cache, tmp_path) / "meta.json"
+        meta = json.loads(meta_path.read_text())
         meta["key"] = "0" * 64
-        (target / "meta.json").write_text(json.dumps(meta))
-        assert self.load(clone) is None
+        meta_path.write_text(json.dumps(meta))
+        assert self.load(tmp_path / "clone") is None
 
 
 class TestRepair:
     """A damaged artifact is republished, not missed on forever."""
 
-    def worldgen(self, cache_dir):
-        return artifacts.setup_worldgen(CONFIG.seed, CONFIG.world, CONFIG.web, cache_dir)
-
     def test_truncated_payload_is_republished(self, warm_cache, tmp_path):
         corpus = warm_cache[3]
-        assert self.worldgen(tmp_path)[3] == "miss"
-        key = artifacts.scenario_artifact_key(CONFIG.seed, CONFIG.world, CONFIG.web)
-        payload = artifacts.artifact_dir_for(tmp_path, key) / "payload.bin"
+        assert worldgen(tmp_path)[3] == "miss"
+        payload = artifacts.artifact_dir_for(tmp_path, "scenario", KEY) / "payload.bin"
         payload.write_bytes(payload.read_bytes()[:-1])
 
-        assert self.worldgen(tmp_path)[3] == "miss"
-        *_bundle, repaired, status = self.worldgen(tmp_path)
+        assert worldgen(tmp_path)[3] == "miss"
+        *_bundle, repaired, status = worldgen(tmp_path)
         assert status == "hit"
         assert list(repaired.pages) == list(corpus.pages)
         assert [p.name for p in tmp_path.iterdir()] == [payload.parent.name]
 
+    FILES = {"a.bin": b"abc", "b.bin": b"defg"}
+
+    def published(self, cache_dir):
+        """A ``columns`` entry put once, plus the manifest it carries."""
+        directory = artifacts._put(cache_dir, "columns", "x" * 64, self.FILES, granularity="g")
+        return directory, json.loads((directory / "meta.json").read_text())
+
     def test_lost_race_keeps_an_intact_publish(self, tmp_path):
-        final_dir = tmp_path / "scenario-x"
-        files, meta = {"a.bin": b"abc"}, {"key": "x"}
-        artifacts._publish_atomically(final_dir, files, meta)
+        final_dir, manifest = self.published(tmp_path)
         inode = (final_dir / "a.bin").stat().st_ino
-        artifacts._publish_atomically(final_dir, files, meta)
+        artifacts._publish_atomically(final_dir, self.FILES, manifest)
         assert (final_dir / "a.bin").stat().st_ino == inode
-        assert [p.name for p in tmp_path.iterdir()] == ["scenario-x"]
+        assert [p.name for p in tmp_path.iterdir()] == [final_dir.name]
+
+    def test_lost_race_replaces_a_damaged_winner(self, tmp_path):
+        final_dir, manifest = self.published(tmp_path)
+        (final_dir / "b.bin").write_bytes(b"de")  # truncated winner
+        inode = (final_dir / "a.bin").stat().st_ino
+        artifacts._publish_atomically(final_dir, self.FILES, manifest)
+        assert (final_dir / "a.bin").stat().st_ino != inode
+        assert (final_dir / "b.bin").read_bytes() == b"defg"
+        assert artifacts._get(tmp_path, "columns", "x" * 64) == manifest
+        assert [p.name for p in tmp_path.iterdir()] == [final_dir.name]
+
+
+class TestFailedPublish:
+    """A publish that cannot write leaves nothing behind and re-raises;
+    ``setup_worldgen`` carries on with the bundle it generated."""
+
+    @pytest.fixture
+    def disk_full(self, monkeypatch):
+        real_write = Path.write_bytes
+        calls = []
+
+        def write_bytes(path, blob):
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return real_write(path, blob)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        return calls
+
+    def test_enospc_mid_publish_leaves_no_tmp_dir(self, tmp_path, disk_full):
+        with pytest.raises(OSError) as raised:
+            artifacts._put(tmp_path, "columns", "k" * 64, TestRepair.FILES, granularity="g")
+        assert raised.value.errno == errno.ENOSPC
+        assert len(disk_full) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_setup_worldgen_falls_back_to_the_generated_bundle(
+        self, warm_cache, tmp_path, disk_full
+    ):
+        world, _freebase, corpus, status = worldgen(tmp_path)
+        assert status == "miss (publish fallback)"
+        assert list(tmp_path.iterdir()) == []
+        assert world.truths == warm_cache[1].truths
+        assert list(corpus.pages) == list(warm_cache[3].pages)
+
+    def test_unwritable_cache_dir_falls_back(self, tmp_path):
+        blocker = tmp_path / "blocked"
+        blocker.write_text("")  # a *file*: mkdir under it raises OSError
+        *_bundle, status = worldgen(blocker / "cache")
+        assert status == "miss (publish fallback)"
 
 
 class TestDownstreamBitIdentity:
@@ -277,7 +329,9 @@ class TestColumnStore:
 
     def test_publish_is_content_addressed(self, tmp_path):
         handle = self.publish(tmp_path)
-        assert Path(handle.directory) == artifacts.column_store_dir_for(tmp_path, handle.key)
+        assert Path(handle.directory) == artifacts.artifact_dir_for(
+            tmp_path, "columns", handle.key
+        )
         assert self.publish(tmp_path) == handle
         changed = dict(self.ARRAYS, row_ptr=np.array([0, 1, 3]))
         assert self.publish(tmp_path, arrays=changed).key != handle.key
@@ -316,18 +370,53 @@ class TestColumnStore:
         assert len(artifacts.prune_cache(tmp_path)) == 1
 
     def test_store_of_an_old_format_is_stale(self, tmp_path):
-        """A store republished as ``format: 1`` after the bump to 2 is
-        never loaded again, so prune must retire it."""
+        """A store written as ``format: 2`` (the column format before the
+        one store) is never loaded again, so prune must retire it."""
         handle = self.publish(tmp_path)
         meta_path = handle.path_of("meta.json")
         meta = json.loads(meta_path.read_text())
-        assert meta["format"] == artifacts.COLUMN_FORMAT == 2
-        meta_path.write_text(json.dumps(dict(meta, format=1)))
+        assert meta["format"] == artifacts.STORE_FORMAT == 3
+        meta_path.write_text(json.dumps(dict(meta, format=2)))
         assert artifacts.prune_cache(tmp_path) == [Path(handle.directory)]
 
     def test_scenario_artifact_of_an_old_format_is_stale(self, tmp_path, monkeypatch):
-        artifacts.setup_worldgen(CONFIG.seed, CONFIG.world, CONFIG.web, tmp_path)
+        worldgen(tmp_path)
         assert artifacts.prune_cache(tmp_path) == []
-        monkeypatch.setattr(artifacts, "ARTIFACT_FORMAT", artifacts.ARTIFACT_FORMAT + 1)
+        monkeypatch.setattr(artifacts, "STORE_FORMAT", artifacts.STORE_FORMAT + 1)
         (stale,) = artifacts.prune_cache(tmp_path)
         assert stale.name.startswith("scenario-")
+
+    def test_truncated_npy_is_republished(self, tmp_path):
+        """The damage a ``meta.json``-exists check used to reuse."""
+        handle = self.publish(tmp_path)
+        path = handle.path_of("row_ptr.npy")
+        inode = path.stat().st_ino
+        path.write_bytes(path.read_bytes()[:-8])
+        assert artifacts.prune_cache(tmp_path) == [Path(handle.directory)]
+        assert self.publish(tmp_path) == handle
+        assert path.stat().st_ino != inode
+        assert path.stat().st_size == dict((n, s) for n, s, _ in handle.files)["row_ptr.npy"]
+        assert np.array_equal(np.load(path), self.ARRAYS["row_ptr"])
+        assert artifacts.prune_cache(tmp_path) == []
+
+    def test_prune_lists_a_damaged_entry_of_each_kind(self, tmp_path):
+        worldgen(tmp_path)
+        handle = self.publish(tmp_path)
+        scenario = artifacts.artifact_dir_for(tmp_path, "scenario", KEY)
+        assert artifacts.prune_cache(tmp_path) == []
+        (scenario / "offsets.npy").write_bytes(b"")
+        blob = bytearray(handle.path_of("claim_prov.npy").read_bytes())
+        blob[-1] ^= 0x01  # same size, different bytes
+        handle.path_of("claim_prov.npy").write_bytes(bytes(blob))
+        assert artifacts.prune_cache(tmp_path) == sorted([Path(handle.directory), scenario])
+
+    def test_a_complete_tmp_dir_beside_its_entry_is_stale(self, tmp_path):
+        """A writer that crashed after its last write, before the rename,
+        leaves a full manifest in a ``.tmp-*`` dir; the intact entry that
+        manifest names is elsewhere, so the leftover is still stale."""
+        handle = self.publish(tmp_path)
+        leftover = Path(handle.directory + ".tmp-999")
+        leftover.mkdir()
+        for path in Path(handle.directory).iterdir():
+            (leftover / path.name).write_bytes(path.read_bytes())
+        assert artifacts.prune_cache(tmp_path) == [leftover]

@@ -137,12 +137,32 @@ class TestMappedEqualsMemory:
         assert mapped.diagnostics["column_store"] == "mapped"
         _assert_bitwise(mapped, memory)
 
-    def test_unwritable_cache_degrades_to_memory(self, batched_stream, tmp_path):
+    def test_damaged_store_is_republished_and_mapped(self, batched_stream, tmp_path):
+        """A truncated ``.npy`` is no intact entry: the next run
+        republishes the store and maps it, instead of failing to map it."""
+        _stream("batched", cache_dir=tmp_path)
+        (store,) = tmp_path.glob("columns-*")
+        npy = store / "row_ptr.npy"
+        npy.write_bytes(npy.read_bytes()[:-8])
+        mapped = _stream("batched", cache_dir=tmp_path)
+        assert mapped.diagnostics["column_store"] == "mapped"
+        assert list(tmp_path.glob("columns-*")) == [store]
+        _assert_bitwise(mapped, batched_stream)
+
+    def test_unwritable_cache_degrades_to_memory(
+        self, batched_stream, serial_record, tmp_path
+    ):
         blocker = tmp_path / "blocked"
         blocker.write_text("")  # a *file*: mkdir under it raises OSError
         degraded = _stream("batched", cache_dir=blocker / "cache")
         assert degraded.diagnostics["column_store"] == "memory (persist fallback)"
         _assert_bitwise(degraded, batched_stream)
+        # The materialised run takes the same policy for its scenario artifact.
+        materialised = run_end_to_end(
+            tiny_config(seed=SEED), backend="serial", cache_dir=blocker / "cache"
+        )
+        assert materialised.diagnostics["scenario_cache"] == "miss (publish fallback)"
+        _assert_bitwise(materialised, serial_record)
 
 
 class TestStreamingDeterminism:
