@@ -9,9 +9,10 @@ execute; the contract linter (:mod:`repro.analysis.lint` +
 :mod:`repro.analysis.rules`) checks the *source* for the patterns that
 break them, on every file, on every push.
 
-Entry points: ``repro-kf lint`` (CLI), ``python tools/contracts_lint.py``
-(standalone, what CI runs), and :func:`run_lint` (what the tier-1 wrapper
-test ``tests/test_contracts_lint.py`` calls).
+Entry points: ``repro-kf lint`` (the CLI, what CI runs) and
+:func:`run_lint` (what the tier-1 wrapper test
+``tests/test_contracts_lint.py`` calls).  A finding is fixed; there is
+no suppression.
 """
 
 from repro.analysis.lint import (
@@ -21,9 +22,7 @@ from repro.analysis.lint import (
     SourceFile,
     find_repo_root,
     lint_sources,
-    load_baseline,
     render_human,
-    render_json,
     run_lint,
 )
 
@@ -34,8 +33,6 @@ __all__ = [
     "SourceFile",
     "find_repo_root",
     "lint_sources",
-    "load_baseline",
     "render_human",
-    "render_json",
     "run_lint",
 ]

@@ -37,7 +37,6 @@ KERNEL_MODULES: tuple[str, ...] = (
 #: pool wire; DET003 audits their field annotations.
 PAYLOAD_MODULES: tuple[str, ...] = (
     "src/repro/fusion/shuffle.py",
-    "src/repro/extract/pipeline.py",
 )
 
 #: The one blessed ``hash()``-free stable-sharding site (it uses crc32,

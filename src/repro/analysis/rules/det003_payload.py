@@ -7,10 +7,8 @@ numpy buffers and rich domain objects at execution time; this rule is
 its static companion — it reads the dataclass *field annotations* so a
 smuggled ``np.ndarray`` or ``Triple`` fails review, not a parity test
 three PRs later.  Allowed: primitives, ids, containers of the same, and
-the two pointer types workers dereference locally — the ~300-byte
-``RoundStateHandle`` (shared-memory segments) and the
-:class:`~repro.artifacts.ColumnHandle` (memory-mapped claim columns on
-disk).
+the one pointer type workers dereference locally, the ~300-byte
+``RoundStateHandle`` (shared-memory segments).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ ALLOWED_TYPE_NAMES = {
     "Iterable",
     "Literal",
     "RoundStateHandle",
-    "ColumnHandle",
 }
 
 

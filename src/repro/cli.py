@@ -220,23 +220,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="statically check the determinism/payload/parity contracts",
     )
     lint_parser.add_argument(
-        "--format",
-        choices=("human", "json"),
-        default="human",
-        help="report format (default: human)",
-    )
-    lint_parser.add_argument(
         "--root",
         type=Path,
         default=None,
         help="repository root to lint (default: auto-detected)",
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline file of accepted findings "
-        "(default: tools/contracts_lint_baseline.json under the root)",
     )
     return parser
 
@@ -445,14 +432,16 @@ def _run_cache(args) -> int:
 
 
 def _run_lint(args) -> int:
-    from repro.analysis import find_repo_root, render_human, render_json, run_lint
+    from repro.analysis import find_repo_root, render_human, run_lint
+    from repro.errors import ConfigError
 
     root = args.root if args.root is not None else find_repo_root()
-    result = run_lint(root, baseline_path=args.baseline)
-    if args.format == "json":
-        print(render_json(result))
-    else:
-        print(render_human(result))
+    try:
+        result = run_lint(root)
+    except ConfigError as err:
+        print(f"repro-kf lint: error: {err}", file=sys.stderr)
+        return 2
+    print(render_human(result))
     return 0 if result.ok else 1
 
 

@@ -1,29 +1,18 @@
-"""The lint engine itself: pragmas, baseline, meta-findings, rendering.
+"""The lint engine itself: findings, the syntax-error finding, rendering.
 
-Rules are stubbed where possible so these tests pin the *engine*
-semantics — suppression lifecycles, stale detection, output shapes —
-independent of what the DET rules flag.
+The rule is stubbed so these tests pin the *engine* semantics —
+locations, sorting, output shape — independent of what the DET rules
+flag.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.analysis.lint import (
-    Finding,
-    Rule,
-    lint_sources,
-    parse_source,
-    render_human,
-    render_json,
-)
-
-#: A rule that flags every call to a function named ``bad()`` — enough
-#: surface to drive the pragma/baseline machinery.
 import ast
 
+from repro.analysis.lint import Finding, Rule, lint_sources, render_human
 
 def _flag_bad(files):
+    """A stub rule: flags every call to a function named ``bad()``."""
     for path, source in files.items():
         if source.tree is None:
             continue
@@ -63,95 +52,6 @@ class TestFindings:
         assert [f.rule for f in result.findings] == ["LNT000"]
 
 
-class TestPragmas:
-    def test_pragma_with_reason_suppresses(self):
-        result = lint_sources(
-            {"src/repro/m.py": "bad()  # det: ignore[DET001] -- fixture\n"},
-            rules=[STUB_RULE],
-        )
-        assert result.ok
-        assert [f.rule for f in result.suppressed] == ["DET001"]
-
-    def test_pragma_without_reason_is_lnt001_and_does_not_suppress(self):
-        result = lint_sources(
-            {"src/repro/m.py": "bad()  # det: ignore[DET001]\n"},
-            rules=[STUB_RULE],
-        )
-        rules = sorted(f.rule for f in result.findings)
-        assert rules == ["DET001", "LNT001"]
-
-    def test_pragma_on_wrong_line_does_not_suppress(self):
-        result = lint_sources(
-            {
-                "src/repro/m.py": (
-                    "x = 1  # det: ignore[DET001] -- wrong line\nbad()\n"
-                )
-            },
-            rules=[STUB_RULE],
-        )
-        rules = sorted(f.rule for f in result.findings)
-        # The finding survives AND the misplaced pragma is stale.
-        assert rules == ["DET001", "LNT002"]
-
-    def test_stale_pragma_is_lnt002(self):
-        result = lint_sources(
-            {"src/repro/m.py": "x = 1  # det: ignore[DET001] -- obsolete\n"},
-            rules=[STUB_RULE],
-        )
-        assert [f.rule for f in result.findings] == ["LNT002"]
-
-    def test_unknown_rule_id_is_lnt001(self):
-        result = lint_sources(
-            {"src/repro/m.py": "x = 1  # det: ignore[DET999x] -- typo\n"},
-            rules=[STUB_RULE],
-        )
-        assert [f.rule for f in result.findings] == ["LNT001"]
-
-    def test_pragma_in_string_literal_is_inert(self):
-        text = 's = "# det: ignore[DET001] -- not a comment"\nbad()\n'
-        result = lint_sources({"src/repro/m.py": text}, rules=[STUB_RULE])
-        assert [f.rule for f in result.findings] == ["DET001"]
-
-    def test_multi_rule_pragma(self):
-        source, errors = parse_source(
-            "m.py", "x = 1  # det: ignore[DET001, DET002] -- both\n"
-        )
-        assert errors == []
-        (pragma,) = source.pragmas
-        assert pragma.rules == ("DET001", "DET002")
-        assert pragma.reason == "both"
-
-
-class TestBaseline:
-    def test_baseline_suppresses_matching_finding(self):
-        result = lint_sources(
-            {"src/repro/m.py": "bad()\n"},
-            rules=[STUB_RULE],
-            baseline=[("DET001", "src/repro/m.py", "call to bad()")],
-        )
-        assert result.ok
-        assert len(result.suppressed) == 1
-
-    def test_baseline_is_line_insensitive(self):
-        result = lint_sources(
-            {"src/repro/m.py": "x = 1\ny = 2\nbad()\n"},
-            rules=[STUB_RULE],
-            baseline=[("DET001", "src/repro/m.py", "call to bad()")],
-        )
-        assert result.ok
-
-    def test_stale_baseline_entry_is_lnt003(self):
-        result = lint_sources(
-            {"src/repro/m.py": "x = 1\n"},
-            rules=[STUB_RULE],
-            baseline=[("DET001", "src/repro/m.py", "call to bad()")],
-            baseline_path="tools/contracts_lint_baseline.json",
-        )
-        assert [f.rule for f in result.findings] == ["LNT003"]
-        (finding,) = result.findings
-        assert finding.path == "tools/contracts_lint_baseline.json"
-
-
 class TestRendering:
     def test_render_human_ok(self):
         result = lint_sources({"src/repro/m.py": "x = 1\n"}, rules=[STUB_RULE])
@@ -162,19 +62,3 @@ class TestRendering:
         text = render_human(result)
         assert "1 problem(s)" in text
         assert "src/repro/m.py:1: DET001" in text
-
-    def test_render_json_shape(self):
-        result = lint_sources(
-            {"src/repro/m.py": "bad()  # det: ignore[DET001] -- fixture\n"},
-            rules=[STUB_RULE],
-        )
-        data = json.loads(render_json(result))
-        assert data["ok"] is True
-        assert data["n_files"] == 1
-        assert data["findings"] == []
-        assert data["suppressed"][0] == {
-            "rule": "DET001",
-            "path": "src/repro/m.py",
-            "line": 1,
-            "message": "call to bad()",
-        }

@@ -9,6 +9,11 @@ real scope (``KERNEL_MODULES`` / ``PAYLOAD_MODULES`` / ``src/repro``).
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import pytest
+
 from repro.analysis.lint import lint_sources
 from repro.analysis.rules import (
     ALL_RULES,
@@ -20,6 +25,8 @@ from repro.analysis.rules import (
     DET006,
 )
 from repro.analysis.rules.common import KERNEL_MODULES, PAYLOAD_MODULES
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: Any path inside src/repro works for the repo-wide rules.
 ANY_PATH = "src/repro/somewhere.py"
@@ -41,6 +48,11 @@ def test_registry_covers_all_six_rules():
         "DET005",
         "DET006",
     ]
+
+
+def test_kernel_modules_exist():
+    missing = [path for path in KERNEL_MODULES if not (REPO_ROOT / path).is_file()]
+    assert missing == []
 
 
 class TestDET001Rng:
@@ -183,6 +195,28 @@ class TestDET003Payload:
             "    state: RoundStateHandle\n"
         )
         assert _rules_fired({PAYLOAD_PATH: snippet}, DET003) == []
+
+    def test_bad_column_handle_field(self):
+        # No shard payload carries a ColumnHandle; mapped columns stay in
+        # the parent and cross as round-state CSR slices.
+        snippet = (
+            "from dataclasses import dataclass\n"
+            "from repro.artifacts import ColumnHandle\n"
+            "@dataclass(frozen=True)\n"
+            "class Stage1Shard:\n"
+            "    columns: ColumnHandle\n"
+        )
+        assert _rules_fired({PAYLOAD_PATH: snippet}, DET003) == ["DET003"]
+
+    def test_payload_modules_each_define_a_shard_dataclass(self):
+        for path in PAYLOAD_MODULES:
+            tree = ast.parse((REPO_ROOT / path).read_text())
+            shards = [
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Shard")
+            ]
+            assert shards, f"{path} defines no *Shard class for DET003 to audit"
 
     def test_non_shard_classes_are_ignored(self):
         snippet = (
@@ -347,3 +381,48 @@ class TestDET006Contracts:
     def test_absent_table_module_is_silent(self):
         # Fixture sets without executors.py have no contract surface to check.
         assert _rules_fired({ANY_PATH: "x = 1\n"}, DET006) == []
+
+
+PRAGMA = "  # det: ignore[{rule}] -- a well-formed reason"
+
+#: One violating fixture per rule, from the classes above, with the line
+#: each rule reports it on.
+VIOLATIONS = [
+    (DET001, ANY_PATH, "import random\n", 1),
+    (DET002, ANY_PATH, "def shard(key):\n    return hash(key) % 4\n", 2),
+    (
+        DET003,
+        PAYLOAD_PATH,
+        "import numpy as np\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Stage1Shard:\n"
+        "    accuracies: np.ndarray\n",
+        5,
+    ),
+    (
+        DET004,
+        ANY_PATH,
+        "def setup(executor, cols):\n    executor.install_state(KEY, cols)\n",
+        2,
+    ),
+    (DET005, KERNEL_PATH, "import time\nstamp = time.time()\n", 2),
+    (
+        DET006,
+        TestDET006Contracts.TABLE,
+        TABLE_OK.replace("pooled=True", "pooled=HAS_CORES"),
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "rule, path, snippet, line", VIOLATIONS, ids=[rule.id for rule, *_ in VIOLATIONS]
+)
+def test_ignore_comment_does_not_suppress(rule, path, snippet, line):
+    """There is no suppression: a pragma-shaped comment on the reported
+    line is an ordinary comment, and the finding still fails the run."""
+    lines = snippet.splitlines()
+    lines[line - 1] += PRAGMA.format(rule=rule.id)
+    result = lint_sources({path: "\n".join(lines) + "\n"}, rules=[rule])
+    assert [(f.rule, f.line) for f in result.findings] == [(rule.id, line)]

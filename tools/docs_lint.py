@@ -66,7 +66,6 @@ TOOL_DOCS = CLI_DOCS + ("ROADMAP.md",)
 #: is a checker nobody runs locally before CI tells them about it.
 REQUIRED_TOOLS = (
     "tools/docs_lint.py",
-    "tools/contracts_lint.py",
     "tools/reach_census.py",
 )
 

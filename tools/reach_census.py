@@ -511,7 +511,6 @@ def run_entry_points(scratch: Path) -> None:
     cache = str(scratch / "cli-cache")
     repro_kf(["list"])
     repro_kf(["lint"])
-    repro_kf(["lint", "--format", "json"])
     for method in PIPELINE_METHODS:
         for backend in BACKENDS:
             repro_kf(["fuse", method, "--backend", backend, *tiny])
