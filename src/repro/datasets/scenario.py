@@ -164,8 +164,9 @@ def build_scenario(
     extraction stage (the caller closes it), for callers that share one
     worker pool across scenario builds or with downstream fusion.  (:func:`repro.endtoend.run_end_to_end`
     builds the stages directly — it needs per-stage timings — but shares
-    :func:`build_extraction_pipeline` and :func:`label_gold_triples` with
-    this path.)
+    :func:`build_extraction_pipeline` with this path; it labels its
+    interned triples with :func:`label_gold_triples`, the definition the
+    :func:`label_gold` this path calls on its records wraps.)
 
     ``cache_dir`` points worldgen at the on-disk scenario artifact cache
     (:func:`repro.artifacts.setup_worldgen`): a hit loads the world,

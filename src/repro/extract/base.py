@@ -19,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.artifacts import StoredPage
 from repro.errors import ConfigError
 from repro.extract.confidence import ConfidenceModel, make_confidence_model
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionRecord, _gc_paused
+from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import (
     PageRNGBank,
     SynthesisCaches,
@@ -173,15 +174,19 @@ class Extractor(abc.ABC):
     # ------------------------------------------------------------------
     # Page eligibility
     # ------------------------------------------------------------------
-    def coverage_mask(self, pages: Sequence[WebPage]) -> np.ndarray:
+    def coverage_mask(
+        self, pages: Sequence[WebPage] | Sequence[StoredPage]
+    ) -> np.ndarray:
         """Deterministically decide which of ``pages`` this extractor processes.
 
         A page is covered when its site category is one the profile runs
         on and its draw ``split_seed(seed, "coverage", name, url)`` falls
-        under ``page_coverage``.  The seed derivation is factored into a
-        shared per-extractor prefix so each page costs one hash instead
-        of three — the coverage draws dominate pipeline dispatch on large
-        corpora (12 extractors × every page).
+        under ``page_coverage``.  Only ``url`` and ``category`` are read,
+        so undecoded :class:`~repro.artifacts.StoredPage` items give the
+        same mask as their decoded pages.  The seed derivation is
+        factored into a shared per-extractor prefix so each page costs
+        one hash instead of three — the coverage draws dominate pipeline
+        dispatch on large corpora (12 extractors × every page).
         """
         profile = self.profile
         n = len(pages)
@@ -232,7 +237,9 @@ class Extractor(abc.ABC):
         keyed ``(seed, "extract", name, url)``, the per-page generators
         are provisioned through one vectorised
         :class:`~repro.extract.synthesis.PageRNGBank`, and each page's
-        draws replay through :meth:`_synthesize_page`.
+        draws replay through :meth:`_synthesize_page`.  The GC pause for
+        the allocation burst is the caller's
+        (:func:`~repro.extract.synthesis.synthesize_batch`).
         """
         if mask is None:
             mask = self.coverage_mask(pages)
@@ -247,10 +254,9 @@ class Extractor(abc.ABC):
         emit = make_emitter(self, bank.generator, caches)
         synthesize_page = self._synthesize_page
         reset = bank.reset
-        with _gc_paused():
-            for slot, index in enumerate(covered):
-                reset(slot)
-                per_page[index] = synthesize_page(pages[index], emit)
+        for slot, index in enumerate(covered):
+            reset(slot)
+            per_page[index] = synthesize_page(pages[index], emit)
         return per_page
 
     def reliability_for(self, key: str) -> float:

@@ -23,11 +23,13 @@ every spelling).  All of them run the same kernels and emit the
 **bit-identical** record stream; the mode's
 :class:`~repro.mapreduce.executors.ExecutionPlan` only fixes **where**:
 
-- in-process is one shard — coverage masks, record synthesis
-  (:func:`~repro.extract.synthesis.synthesize_batch`: one seed-array pass
-  per extractor, per-predicate emit plans hoisted out of the record
-  loop) and classification (:func:`~repro.extract.kernels.classify_batch`)
-  over the whole page list, emitted page-major, extractor-major;
+- in-process is one shard — coverage masks over the whole page list,
+  then record synthesis (:func:`~repro.extract.synthesis.synthesize_batch`:
+  one seed-array pass per extractor, per-predicate emit plans hoisted out
+  of the record loop) and classification
+  (:func:`~repro.extract.kernels.classify_batch`) one window of
+  ``_WINDOW_PAGES`` pages at a time, emitted page-major,
+  extractor-major;
 - pooled, the corpus is sharded by stable page-URL hash
   (:func:`~repro.mapreduce.executors.shard_for_key`) and each shard runs
   that same body in a process-pool worker via the executors' map-only
@@ -43,11 +45,13 @@ What crosses the process boundary, per pooled chunk:
   its :class:`~repro.artifacts.StoredPage` slices — url, site, category
   and the artifact's own fast-pickled body bytes — and the shard decodes
   its pages with :func:`~repro.artifacts.decode_page`, the function the
-  list itself decodes with.  The parent decodes no page, and the wire
-  carries bytes instead of re-pickled ``WebPage`` dataclasses.  Any other
-  chunk (a fresh build, a streamed chunk) crosses as its ``WebPage``
-  list.  The branch is on the chunk's type, never on the executor, so the
-  in-process modes take the same items;
+  list itself decodes with, one window at a time: a window's pages are
+  dropped before the next is decoded, so a shard never holds more than
+  ``_WINDOW_PAGES`` decoded pages.  The parent decodes no page, and the
+  wire carries bytes instead of re-pickled ``WebPage`` dataclasses.  Any
+  other chunk (a fresh build, a streamed chunk) crosses as its
+  ``WebPage`` list.  The branch is on the chunk's type, never on the
+  executor, so the in-process modes take the same items;
 - **out**, each shard's records as columns — one string table, one
   table of distinct triples and int32 code columns (the
   :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec) — plus
@@ -73,7 +77,7 @@ from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.dom import DomExtractor
 from repro.extract.kernels import classify_batch
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import RECORD_WIRE_CODEC, ExtractionRecord
+from repro.extract.records import RECORD_WIRE_CODEC, ExtractionRecord, _gc_paused
 from repro.extract.synthesis import SynthesisCaches, synthesize_batch
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
@@ -124,6 +128,10 @@ def build_extractor(
     raise ExtractionError(f"no extractor family for content type {primary!r}")
 
 
+#: Pages a shard decodes and walks at a time (see :func:`_extract_shard`).
+_WINDOW_PAGES = 256
+
+
 def _extract_shard(
     items: list[WebPage] | list[StoredPage],
 ) -> list[list[ExtractionRecord]]:
@@ -132,19 +140,37 @@ def _extract_shard(
     Runs against the pool-resident fleet (``EXTRACT_FLEET_KEY``) — the
     shard task itself is just this function reference plus the page list,
     so the 12 extractors (linkers included) never ride in a shard
-    payload.  Stored pages are decoded here, in the shard.  One
+    payload.  Each extractor's coverage mask is computed once over the
+    whole shard from the items' ``url`` / ``category``, which a
+    :class:`~repro.artifacts.StoredPage` carries undecoded.  The items
+    are then walked in windows of :data:`_WINDOW_PAGES`: a window's
+    stored pages are decoded, synthesised with the sliced masks,
+    classified and dropped before the next window is decoded, so a shard
+    of stored pages holds at most one window decoded, whatever its size.  One
     :class:`~repro.extract.synthesis.SynthesisCaches` spans the shard, so
-    ambiguity/parse memos warm across pages *and* extractors.
+    ambiguity/parse memos warm across windows, pages *and* extractors;
+    every draw is keyed per ``(extractor, url)`` and every memo is pure,
+    so the records do not depend on the window.  The cyclic GC is paused
+    for the whole shard, page decoding included (see
+    :func:`~repro.extract.records._gc_paused`).
     """
-    pages = [
-        decode_page(item) if isinstance(item, StoredPage) else item for item in items
-    ]
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
-    masks = [extractor.coverage_mask(pages) for extractor in extractors]
-    per_page = synthesize_batch(
-        extractors, pages, masks=masks, caches=SynthesisCaches()
-    )
-    classify_batch(list(zip(pages, per_page)))
+    masks = [extractor.coverage_mask(items) for extractor in extractors]
+    caches = SynthesisCaches()
+    per_page: list[list[ExtractionRecord]] = []
+    with _gc_paused():
+        for start in range(0, len(items), _WINDOW_PAGES):
+            window = slice(start, start + _WINDOW_PAGES)
+            pages = [
+                decode_page(item) if isinstance(item, StoredPage) else item
+                for item in items[window]
+            ]
+            window_masks = [mask[window] for mask in masks]
+            records = synthesize_batch(
+                extractors, pages, masks=window_masks, caches=caches
+            )
+            classify_batch(list(zip(pages, records)))
+            per_page.extend(records)
     return per_page
 
 

@@ -107,6 +107,14 @@ def _gc_paused():
     quadratic-ish scan cost; nothing is leaked — allocation still happens
     normally and the GC resumes (and catches up) on exit.  Nested pauses
     are no-ops.
+
+    Where it sits: one pause spans a whole extraction shard
+    (:func:`repro.extract.pipeline._extract_shard`: page decoding,
+    synthesis and classification of every window),
+    :func:`~repro.extract.synthesis.synthesize_batch` holds one over
+    synthesis and stitching for callers outside a shard,
+    and :func:`records_from_wire` holds one while a shard's records are
+    rebuilt in the parent.
     """
     if gc.isenabled():
         gc.disable()

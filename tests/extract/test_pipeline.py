@@ -1,5 +1,6 @@
 """Unit tests for the extraction pipeline and error classification."""
 
+import gc
 import hashlib
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from repro.datasets import small_config, tiny_config
 from repro.datasets.scenario import build_extraction_pipeline
 from repro.errors import ConfigError, ExtractionError
 from repro.extract.kernels import classify_batch
+from repro.extract import pipeline as extract_pipeline
 from repro.extract.pipeline import EXTRACTION_BACKENDS
 from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
 from repro.kb.triples import Triple
@@ -362,3 +364,78 @@ class TestStoredPages:
         records = tiny_scenario.pipeline.run(corpus, executor=SerialExecutor())
         assert records == tiny_scenario.records
         assert corpus.pages._pages == [None] * len(corpus.pages)
+
+
+class TestWindowedShard:
+    """The shard body decodes, synthesises and classifies its items one
+    window of ``_WINDOW_PAGES`` pages at a time (patched to 7 here, so the
+    80-page ``tiny`` corpus ends in a 3-page window), under one GC pause."""
+
+    WINDOW = 7
+
+    @pytest.fixture
+    def hit_corpus(self, tiny_scenario, scenario_cache, monkeypatch):
+        monkeypatch.setattr(extract_pipeline, "_WINDOW_PAGES", self.WINDOW)
+        corpus = _cache_hit_pages(tiny_scenario, scenario_cache)
+        assert len(corpus.pages) == 80
+        return corpus
+
+    def test_synthesis_sees_one_window_at_a_time(
+        self, tiny_scenario, hit_corpus, monkeypatch
+    ):
+        windows = []
+        synthesize = extract_pipeline.synthesize_batch
+
+        def spy(extractors, pages, **kwargs):
+            windows.append([page.url for page in pages])
+            return synthesize(extractors, pages, **kwargs)
+
+        monkeypatch.setattr(extract_pipeline, "synthesize_batch", spy)
+        records = tiny_scenario.pipeline.run(hit_corpus, executor=SerialExecutor())
+        assert records == tiny_scenario.records
+        assert [len(urls) for urls in windows] == [self.WINDOW] * 11 + [3]
+        assert [url for urls in windows for url in urls] == [
+            page.url for page in hit_corpus.pages.stored_pages()
+        ]
+
+    @pytest.mark.parallel_backend
+    def test_pooled_windows_match_the_serial_stream(self, tiny_scenario, hit_corpus):
+        with ParallelExecutor(max_workers=2, start_method="fork") as executor:
+            records = tiny_scenario.pipeline.run(hit_corpus, executor=executor)
+        assert records == tiny_scenario.records
+
+    def test_page_decoding_runs_with_the_collector_paused(
+        self, tiny_scenario, hit_corpus, monkeypatch
+    ):
+        collector_enabled = []
+        decode = extract_pipeline.decode_page
+
+        def spy(stored):
+            collector_enabled.append(gc.isenabled())
+            return decode(stored)
+
+        monkeypatch.setattr(extract_pipeline, "decode_page", spy)
+        assert gc.isenabled()
+        records = tiny_scenario.pipeline.run(hit_corpus, executor=SerialExecutor())
+        assert records == tiny_scenario.records
+        assert collector_enabled == [False] * 80
+        assert gc.isenabled()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coverage_mask_reads_stored_pages_undecoded(tmp_path, seed):
+    """``coverage_mask`` reads only ``url`` / ``category``, so a shard can
+    mask its stored pages before decoding any of them."""
+    config = tiny_config(seed)
+    for expected_status in ("miss", "hit"):
+        world, _freebase, corpus, status = setup_worldgen(
+            config.seed, config.world, config.web, tmp_path
+        )
+        assert status == expected_status
+    pipeline = build_extraction_pipeline(config, world)
+    stored = corpus.pages.stored_pages()
+    decoded = list(corpus.pages)
+    for extractor in pipeline.extractors:
+        assert (
+            extractor.coverage_mask(stored) == extractor.coverage_mask(decoded)
+        ).all(), extractor.name
