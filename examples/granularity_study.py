@@ -33,7 +33,7 @@ def main() -> None:
 
     rows = []
     for label, granularity in LEVELS:
-        support = fusion_input.claims(granularity).columnar().prov_row_counts()
+        support = fusion_input.claims(granularity).prov_row_counts()
         singletons = (support == 1).mean()
         config = replace(FusionConfig(), granularity=granularity)
         result = popaccu(config).fuse(fusion_input)

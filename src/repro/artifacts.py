@@ -395,14 +395,18 @@ def save_scenario_artifact(
     replacement of a damaged one.
     """
     pages = list(corpus.pages)
-    bodies = [_dumps((page.assertions, page.elements)) for page in pages]
-    offsets = np.zeros(len(bodies) + 1, dtype=np.int64)
-    np.cumsum([len(body) for body in bodies], out=offsets[1:])
+    # One growing buffer: the payload is held once, never as a body list
+    # plus its join.
+    payload = bytearray()
+    offsets = np.zeros(len(pages) + 1, dtype=np.int64)
+    for i, page in enumerate(pages, 1):
+        payload += _dumps((page.assertions, page.elements))
+        offsets[i] = len(payload)
     files: dict[str, bytes] = {
         "world.pkl": _dump_world(world),
         "freebase.pkl": _dumps(freebase),
         "sites.pkl": _dumps(corpus.sites),
-        _PAYLOAD: b"".join(bodies),
+        _PAYLOAD: payload,
     }
     for name, column in zip(
         _COLUMNS,
@@ -584,10 +588,10 @@ def setup_worldgen(
     is ``"off"`` (no cache directory), ``"miss"`` (generated fresh and
     saved), ``"miss (publish fallback)"`` (generated fresh; the cache
     directory could not be written, so nothing was saved) or ``"hit"``
-    (loaded from the artifact).  Used by
-    :func:`repro.datasets.scenario.build_scenario`,
-    :func:`repro.endtoend.run_end_to_end` and kfbench so all three share
-    one cache discipline.
+    (loaded from the artifact).  Used by the pipeline's stage body
+    (:func:`repro.endtoend.run_end_to_end` and
+    :func:`repro.datasets.scenario.build_scenario`), ``repro-kf extract``
+    and kfbench, so all share one cache discipline.
     """
     if cache_dir is not None:
         loaded = load_scenario_artifact(cache_dir, seed, world_config, web_config)

@@ -268,11 +268,10 @@ def _run_fuse(args) -> int:
 def _run_extract(args) -> int:
     from collections import Counter
 
+    from repro.artifacts import setup_worldgen
     from repro.endtoend import timed_stage
     from repro.errors import ConfigError
     from repro.mapreduce.executors import EXECUTION_MODES
-    from repro.world.webgen import generate_corpus
-    from repro.world.worldgen import generate_world
 
     plan = EXECUTION_MODES[args.backend]
     try:
@@ -284,8 +283,9 @@ def _run_extract(args) -> int:
     try:
         config = _SCALES[args.scale](seed=args.seed)
         with timed_stage(timings, "setup"):
-            world = generate_world(config.world, config.seed)
-            corpus = generate_corpus(world, config.web, config.seed)
+            world, _freebase, corpus, _status = setup_worldgen(
+                config.seed, config.world, config.web
+            )
             pipeline = build_extraction_pipeline(config, world)
         # Clocked before the pool is torn down, like ``pipeline``'s
         # ``extraction`` stage for the same work.
@@ -301,7 +301,7 @@ def _run_extract(args) -> int:
     print(f"backend:       {args.backend}")
     print("synthesis:     batched")
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")
-    print(f"setup time:    {timings['setup']:.3f}s (world + corpus + extractors)")
+    print(f"setup time:    {timings['setup']:.3f}s (world + snapshot + corpus + extractors)")
     print(
         f"extract time:  {elapsed:.3f}s"
         + (f" ({len(records) / elapsed:.0f} records/s)" if elapsed > 0 else "")

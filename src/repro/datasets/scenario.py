@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.artifacts import setup_worldgen
 from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.extract.linkage import EntityLinker
 from repro.extract.pipeline import ExtractionPipeline, build_extractor
@@ -70,12 +69,10 @@ class Scenario:
     records: list[ExtractionRecord]
     gold: dict[Triple, bool]
 
-    _fusion_input: FusionInput | None = field(default=None, repr=False)
+    _fusion_input: FusionInput = field(repr=False)
 
     def fusion_input(self) -> FusionInput:
-        """The (cached) fusion input over all extraction records."""
-        if self._fusion_input is None:
-            self._fusion_input = FusionInput(self.records)
+        """The fusion input the records were interned into."""
         return self._fusion_input
 
     def unique_triples(self) -> list[Triple]:
@@ -102,7 +99,7 @@ _SCENARIO_CACHE: dict[str, Scenario] = {}
 
 def build_extraction_pipeline(config: ScenarioConfig, world: World) -> ExtractionPipeline:
     """The 12-extractor pipeline for ``config`` over an already-built world
-    (shared by :func:`build_scenario` and the ``repro-kf extract`` CLI)."""
+    (shared by the pipeline's stage body and the ``repro-kf extract`` CLI)."""
     templates = build_templates(world.schema)
     linkers = {
         name: EntityLinker(
@@ -125,13 +122,10 @@ def build_extraction_pipeline(config: ScenarioConfig, world: World) -> Extractio
 def label_gold(
     freebase: KnowledgeBase, records: list[ExtractionRecord]
 ) -> dict[Triple, bool]:
-    """The LCWA gold standard over the unique extracted triples.
-
-    :func:`build_scenario`'s spelling: the dedup/sort pass over a record
-    list, then :func:`label_gold_triples` — the one labeling definition,
-    which :func:`repro.endtoend.run_end_to_end` calls directly because its
-    records are already interned.
-    """
+    """The LCWA gold standard over the unique extracted triples of a
+    record list: the dedup/sort pass, then :func:`label_gold_triples` —
+    the one labeling definition, which the pipeline calls directly
+    because its records are already interned."""
     unique = sorted({record.triple for record in records}, key=Triple.canonical)
     return label_gold_triples(freebase, unique)
 
@@ -143,8 +137,8 @@ def label_gold_triples(
 
     The pipeline interns its records into a claim accumulator as they
     arrive (and, streamed, never holds them) — this is :func:`label_gold`
-    with the dedup/sort step supplied by the caller (the accumulated rows
-    are exactly the unique triples, so the two definitions coincide).
+    with the dedup/sort step supplied by the accumulator (its rows are
+    exactly the unique triples, so the two definitions coincide).
     """
     return LCWALabeler(freebase).label_many(unique)
 
@@ -156,49 +150,23 @@ def build_scenario(
     executor=None,
     cache_dir: str | Path | None = None,
 ) -> Scenario:
-    """Generate (or fetch from cache) the scenario for ``config``.
+    """Generate (or fetch from the in-process cache) the scenario for
+    ``config``: the materialised body of
+    :func:`repro.endtoend.run_end_to_end` without fusion.
 
-    ``backend`` selects the extraction execution backend; the records are
-    bit-identical under every one, so it is not part of the cache key.
-    ``executor`` optionally supplies a caller-managed executor for the
-    extraction stage (the caller closes it), for callers that share one
-    worker pool across scenario builds or with downstream fusion.  (:func:`repro.endtoend.run_end_to_end`
-    builds the stages directly — it needs per-stage timings — but shares
-    :func:`build_extraction_pipeline` with this path; it labels its
-    interned triples with :func:`label_gold_triples`, the definition the
-    :func:`label_gold` this path calls on its records wraps.)
-
-    ``cache_dir`` points worldgen at the on-disk scenario artifact cache
-    (:func:`repro.artifacts.setup_worldgen`): a hit loads the world,
-    Freebase snapshot and corpus bit-identically in milliseconds, a miss
-    generates them and publishes the artifact for next time.  It layers
-    under the in-process ``use_cache`` — the in-process cache still wins
-    when warm, and the artifact key already covers everything worldgen
-    depends on (seed, configs, code version), so ``cache_dir`` is not
-    part of the in-process key.
+    ``backend`` and ``executor`` (caller-managed, not closed here) pick
+    where extraction runs; the records are bit-identical under every
+    one, so neither is part of the cache key.  ``cache_dir`` is the
+    on-disk scenario artifact cache of
+    :func:`repro.artifacts.setup_worldgen`, which layers under
+    ``use_cache``.
     """
     key = config.cache_key()
     if use_cache and key in _SCENARIO_CACHE:
         return _SCENARIO_CACHE[key]
+    from repro.endtoend import _extract_and_label  # endtoend imports this module
 
-    world, freebase, corpus, _status = setup_worldgen(
-        config.seed, config.world, config.web, cache_dir
-    )
-
-    pipeline = build_extraction_pipeline(config, world)
-    records = pipeline.run(corpus, backend=backend, executor=executor)
-
-    gold = label_gold(freebase, records)
-
-    scenario = Scenario(
-        config=config,
-        world=world,
-        freebase=freebase,
-        corpus=corpus,
-        pipeline=pipeline,
-        records=records,
-        gold=gold,
-    )
+    scenario, *_ = _extract_and_label(config, backend, executor, {}, cache_dir)
     if use_cache:
         _SCENARIO_CACHE[key] = scenario
     return scenario

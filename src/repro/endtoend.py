@@ -3,7 +3,9 @@
 The paper's system is one pipeline — extract triples from a web corpus,
 then fuse them — and :func:`run_end_to_end` is its one body here: setup →
 extraction → gold labeling → (claim columns) → fusion, each stage written
-once and clocked by :func:`timed_stage`.  A *materialised* run is the
+once and clocked by :func:`timed_stage`.  Setup → extraction → labeling
+is one body, which :func:`repro.datasets.scenario.build_scenario` (the
+experiments, ``repro-kf fuse``) shares.  A *materialised* run is the
 single-chunk case of a *streamed* one (``chunk_pages`` picks; the web
 tier of docs/SCALING.md streams).  Either way each record is interned
 once, into one :class:`~repro.fusion.observations.ClaimAccumulator`, and
@@ -50,6 +52,7 @@ from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
@@ -230,50 +233,19 @@ def run_end_to_end(
             backend=fusion_mode_name(plan) if plan.pooled or streamed else "serial",
             n_workers=n_workers,
         )
+    for mode in (backend, fusion_config.backend):
+        EXECUTION_MODES[mode].check_executor(mode, executor)
 
     timings: dict[str, float] = {}
-    records: list = []  # a streamed run keeps none
-    chunk_sizes: list[int] = []
     with timed_stage(timings, "total"), ExitStack() as owned:
         if executor is None:
             executor = owned.enter_context(plan.executor(n_workers))
-
-        with timed_stage(timings, "setup"):
-            if streamed:
-                world = generate_world(config.world, config.seed)
-                freebase = build_freebase_snapshot(world)
-                chunks = stream_corpus(
-                    world, config.web, config.seed, chunk_pages, copy_window
-                )
-                store = {"chunk_pages": chunk_pages, "copy_window": copy_window}
-            else:
-                world, freebase, corpus, cache_status = setup_worldgen(
-                    config.seed, config.world, config.web, cache_dir
-                )
-                chunks = [corpus.pages]
-                store = {"scenario_cache": cache_status}
-            pipeline = build_extraction_pipeline(config, world)
-
-        with timed_stage(timings, "extraction"):
-            accumulator = ClaimAccumulator(fusion_config.granularity)
-
-            def counted(pages):
-                chunk_sizes.append(len(pages))
-                return pages
-
-            for chunk_records in pipeline.run_stream(
-                map(counted, chunks), backend=backend, executor=executor
-            ):
-                accumulator.add_records(chunk_records)
-                if not streamed:
-                    records.extend(chunk_records)
-
-        with timed_stage(timings, "labeling"):
-            gold = label_gold(freebase, accumulator.unique_triples())
-            fuser = make_fuser(method, fusion_config, gold)
+        scenario, accumulator, gold, chunk_sizes, store = _extract_and_label(
+            config, backend, executor, timings, cache_dir, chunk_pages, copy_window
+        )
+        fuser = make_fuser(method, fusion_config, gold)
 
         if streamed:
-            scenario = None
             with timed_stage(timings, "matrix"):
                 # The preset's granularity: POPACCU+ overrides the configured one.
                 cols = accumulator.build(fuser.config.granularity)
@@ -294,16 +266,6 @@ def run_end_to_end(
             # The records share the accumulator they were interned into, so
             # fusion (at any granularity) never walks them again, and
             # ``serial`` emits in record-arrival order.
-            scenario = Scenario(
-                config=config,
-                world=world,
-                freebase=freebase,
-                corpus=corpus,
-                pipeline=pipeline,
-                records=records,
-                gold=gold,
-                _fusion_input=FusionInput(records, accumulator=accumulator),
-            )
             fusion_input = scenario.fusion_input()
 
         with timed_stage(timings, "fusion"):
@@ -332,6 +294,73 @@ def run_end_to_end(
         metrics=headline_metrics(fusion_result, gold),
         diagnostics=diagnostics,
     )
+
+
+def _extract_and_label(
+    config: ScenarioConfig,
+    backend: str,
+    executor: Executor | None,
+    timings: dict[str, float],
+    cache_dir: str | Path | None = None,
+    chunk_pages: int | None = None,
+    copy_window: int | None = None,
+) -> tuple[Scenario | None, ClaimAccumulator, dict[Triple, bool], list[int], dict]:
+    """Setup → extraction → gold labeling, each stage clocked into
+    ``timings``: the body :func:`run_end_to_end` (both cases) and
+    :func:`repro.datasets.scenario.build_scenario` share.
+
+    Returns the scenario (None when streamed: its records were dropped
+    chunk by chunk), the accumulator every record was interned into, the
+    gold labels, the pages per chunk, and the setup's store diagnostics.
+    """
+    streamed = chunk_pages is not None
+    records: list = []  # a streamed run keeps none
+    chunk_sizes: list[int] = []
+    with timed_stage(timings, "setup"):
+        if streamed:
+            world = generate_world(config.world, config.seed)
+            freebase = build_freebase_snapshot(world)
+            chunks = stream_corpus(world, config.web, config.seed, chunk_pages, copy_window)
+            store = {"chunk_pages": chunk_pages, "copy_window": copy_window}
+        else:
+            world, freebase, corpus, cache_status = setup_worldgen(
+                config.seed, config.world, config.web, cache_dir
+            )
+            chunks = [corpus.pages]
+            store = {"scenario_cache": cache_status}
+        pipeline = build_extraction_pipeline(config, world)
+
+    with timed_stage(timings, "extraction"):
+        # The granularity is build()'s default only; every caller names its own.
+        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+
+        def counted(pages):
+            chunk_sizes.append(len(pages))
+            return pages
+
+        for chunk_records in pipeline.run_stream(
+            map(counted, chunks), backend=backend, executor=executor
+        ):
+            accumulator.add_records(chunk_records)
+            if not streamed:
+                records.extend(chunk_records)
+
+    with timed_stage(timings, "labeling"):
+        gold = label_gold(freebase, accumulator.unique_triples())
+
+    scenario = None
+    if not streamed:
+        scenario = Scenario(
+            config=config,
+            world=world,
+            freebase=freebase,
+            corpus=corpus,
+            pipeline=pipeline,
+            records=records,
+            gold=gold,
+            _fusion_input=FusionInput(records, accumulator=accumulator),
+        )
+    return scenario, accumulator, gold, chunk_sizes, store
 
 
 def run_streaming_pipeline(

@@ -26,7 +26,7 @@ tolerance one
 ``docs/ARCHITECTURE.md`` for the full backend matrix.
 """
 
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.provenance import Granularity
 from repro.fusion.observations import ColumnarClaims, ColumnarSlice, FusionInput
 from repro.fusion.base import (
     BACKENDS,
@@ -52,7 +52,6 @@ from repro.fusion.presets import (
 
 __all__ = [
     "Granularity",
-    "provenance_key",
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",

@@ -31,7 +31,6 @@ from repro.fusion import kernels
 from repro.fusion.base import DEFAULT_ACCURACY, N_FALSE_VALUES, Fuser, FusionResult
 from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
 from repro.fusion.observations import ColumnarClaims, FusionInput, _sorted_table
-from repro.fusion.provenance import provenance_key
 
 __all__ = ["ConfidenceWeightedFuser"]
 
@@ -55,22 +54,8 @@ class ConfidenceWeightedFuser(Fuser):
                 f"{self.name} weights claims by the extraction records' "
                 "confidences; this fusion input holds bare claim columns"
             )
-        n_provs = len(cols.provenances)
-        row_of = {triple: r for r, triple in enumerate(cols.triples)}
-        prov_of = {prov: p for p, prov in enumerate(cols.provenances)}
-        record_key = np.fromiter(
-            (
-                row_of[record.triple] * n_provs
-                + prov_of[provenance_key(record, cols.granularity)]
-                for record in records
-            ),
-            np.int64,
-            len(records),
-        )
-        # Claims are sorted by (row, provenance), so by this key.
-        record_claim = np.searchsorted(
-            claim_rows(cols) * n_provs + cols.claim_prov, record_key
-        )
+        # claims() interned the records into the input's accumulator.
+        record_claim = fusion_input.accumulator.record_claims(cols)
 
         confident = np.array([record.confidence is not None for record in records], dtype=bool)
         confidence = np.array(
@@ -94,7 +79,7 @@ class ConfidenceWeightedFuser(Fuser):
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        cols = fusion_input.claims(config.granularity).columnar()
+        cols = fusion_input.claims(config.granularity)
         weight = self.claim_weights(fusion_input, cols)
         claim_row = claim_rows(cols)
         n_provs = len(cols.provenances)

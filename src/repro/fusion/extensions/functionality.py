@@ -62,7 +62,7 @@ class MultiTruthFuser(Fuser):
         bootstrap = PopAccu(self.config, gold_labels=self.gold_labels).fuse(
             fusion_input, executor
         )
-        cols = fusion_input.claims(self.config.granularity).columnar()
+        cols = fusion_input.claims(self.config.granularity)
         probability = np.array(
             [bootstrap.probabilities.get(triple, np.nan) for triple in cols.triples],
             dtype=np.float64,
@@ -85,7 +85,7 @@ class MultiTruthFuser(Fuser):
         # the EM itself runs in-process.
         config = self.config
         functionality = self.learned_functionality(fusion_input, executor)
-        cols = fusion_input.claims(config.granularity).columnar()
+        cols = fusion_input.claims(config.granularity)
         n_provs = len(cols.provenances)
         row_item, claim_prov = cols.row_item, cols.claim_prov
         claim_row = claim_rows(cols)

@@ -120,7 +120,7 @@ class HierarchicalFuser(Fuser):
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        cols = fusion_input.claims(config.granularity).columnar()
+        cols = fusion_input.claims(config.granularity)
         candidate, claimed, weight = self.support(cols)
         n_false = N_FALSE_VALUES
 

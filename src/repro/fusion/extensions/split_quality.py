@@ -62,7 +62,7 @@ class SplitQualityFuser(Fuser):
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         # executor accepted per the Fuser contract; this fuser runs in-process.
         config = self.config
-        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE).columnar()
+        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE)
         extractors, prov_extractor = _sorted_table([e for e, _site in cols.provenances])
         sites, prov_site = _sorted_table([s for _extractor, s in cols.provenances])
         claim_row = claim_rows(cols)

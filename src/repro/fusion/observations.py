@@ -3,22 +3,19 @@
 Raw extraction is many-to-many — the same extractor may extract the same
 triple from the same page through two patterns, and certainly from many
 pages.  Fusion operates on the deduplicated *claim* matrix: for every data
-item, which provenances support which triple.  :class:`FusionInput` builds
-and caches that matrix per granularity, so the same extraction run can be
-fused under many configurations cheaply (the granularity sweep of
-Figure 10 does exactly that).
+item, which provenances support which triple.
 
-The matrix has one form, the **columnar** one (:class:`ColumnarClaims`, via
-:meth:`ClaimMatrix.columnar`): an int-coded CSR layout built by
-:class:`ClaimAccumulator` (or handed in prebuilt by a streamed pipeline
-run) and cached.  The accumulator interns each record once — a triple
-code and four provenance-string codes — and is shared by all of a
-:class:`FusionInput`'s granularities: the row layout is computed once per
-vocabulary, and each granularity's provenance ids and claim CSR are array
-operations over the code columns.  The column-native round loop, the
-shard workers, the vectorized posterior kernels of
-:mod:`repro.fusion.kernels` and the §5 extension fusers
-(:mod:`repro.fusion.extensions`) read nothing else.  A *row* is one unique
+The matrix has one form, :class:`ColumnarClaims`: an int-coded CSR layout
+built by :class:`ClaimAccumulator`.  The accumulator interns each record
+once — a triple code and four provenance-string codes — and builds any
+granularity from those codes: the row layout is computed once per
+vocabulary, and each granularity's provenance ids and claim CSR are
+array operations over the code columns.  :class:`FusionInput` is what a
+fuser reads: the records, the accumulator they were interned into, and
+the columns cached per granularity (``claims(g)``), so the same
+extraction run is fused under many configurations cheaply (the
+granularity sweep of Figure 10 does exactly that); a streamed pipeline
+run hands it one prebuilt column set instead.  A *row* is one unique
 ``(data item, triple)`` pair — and because a triple determines its data
 item, rows are exactly the unique triples; a *claim* is one
 ``(row, provenance)`` support edge.  Rows are grouped contiguously by
@@ -29,13 +26,11 @@ The per-item dict views this layout replaced (data item -> triple -> set
 of provenances) exist only in the test suite, as the oracles' input
 (``tests/oracle/columns.py``); what ``serial`` keeps of them is their
 iteration order, carried as one row permutation
-(:meth:`ClaimMatrix.arrival_rows`).
+(:meth:`FusionInput.arrival_rows`).
 """
 
 from __future__ import annotations
 
-import functools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,13 +53,15 @@ ProvKey = tuple[str, ...]
 
 @dataclass
 class FusionInput:
-    """Extraction records plus cached claim matrices per granularity.
+    """Extraction records plus their claim columns, cached per granularity.
 
     The records are interned once, into one :class:`ClaimAccumulator`
     every granularity's columns are built from — so the second and later
-    ``claims(g).columnar()`` of a granularity sweep cost array operations
-    only.  A caller that already folded these records into an accumulator
-    (a materialised pipeline run) passes it as ``accumulator``.
+    ``claims(g)`` of a granularity sweep cost array operations only.  A
+    caller that already folded these records into an accumulator (the
+    pipeline's stage body) passes it as ``accumulator``; otherwise the
+    records are folded on the first ``claims()`` / ``unique_triples()`` /
+    ``arrival_rows()`` call.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -73,39 +70,45 @@ class FusionInput:
     """
 
     records: list[ExtractionRecord] | None
-    _cache: dict[Granularity, "ClaimMatrix"] = field(default_factory=dict, repr=False)
     accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
+    _cache: dict[Granularity, "ColumnarClaims"] = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
-        matrix = ClaimMatrix(cols.granularity, columns=cols)
-        return FusionInput(None, {cols.granularity: matrix})
+        return FusionInput(None, _cache={cols.granularity: cols})
 
-    def claims(self, granularity: Granularity) -> "ClaimMatrix":
-        matrix = self._cache.get(granularity)
-        if matrix is None:
+    def claims(self, granularity: Granularity) -> "ColumnarClaims":
+        """The claim columns at ``granularity`` (built on first use)."""
+        cols = self._cache.get(granularity)
+        if cols is None:
             if self.records is None:
                 (held,) = self._cache
                 raise ValueError(
                     f"columns were accumulated at granularity {held.value!r}; "
                     f"re-extract to fuse at {granularity.value!r}"
                 )
-            matrix = ClaimMatrix(
-                granularity, records=self.records, accumulated=self._accumulated
-            )
-            self._cache[granularity] = matrix
-        return matrix
+            cols = self._cache[granularity] = self._accumulated().build(granularity)
+        return cols
 
     def _accumulated(self) -> "ClaimAccumulator":
         if self.accumulator is None:
-            self.accumulator = _accumulate(self.records)
+            # The granularity is build()'s default only; claims() names its own.
+            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+            self.accumulator.add_records(self.records)
         return self.accumulator
+
+    def arrival_rows(self) -> np.ndarray | None:
+        """The rows of every ``claims(g)`` in record-arrival order
+        (:meth:`ClaimAccumulator.arrival_rows`), or None over bare
+        columns, which carry no arrival order."""
+        if self.records is None:
+            return None
+        return self._accumulated().arrival_rows()
 
     def unique_triples(self) -> list[Triple]:
         """All distinct extracted triples (the paper's 1.6B 'unique')."""
         if self.records is None:
-            (matrix,) = self._cache.values()
-            cols = matrix.columnar()
+            (cols,) = self._cache.values()
             return [cols.triples[r] for r in np.argsort(cols.canonical_rank()).tolist()]
         return self._accumulated().unique_triples()
 
@@ -299,6 +302,11 @@ class ColumnarClaims:
         """A local CSR view over ``item_ids`` (:func:`slice_csr`)."""
         return slice_csr(self.item_ptr, self.row_ptr, self.claim_prov, item_ids)
 
+    def columnar(self) -> "ColumnarClaims":
+        """``self``: the pre-fold ``claims(g).columnar()`` spelling, kept
+        for ``benchmarks/kfbench`` only."""
+        return self
+
 
 class _Vocabulary(dict):
     """Key -> dense int code in first-arrival order (a miss assigns the next)."""
@@ -372,7 +380,7 @@ class ClaimAccumulator:
             extractor = record.extractor
             pattern = record.pattern
             if pattern is None:
-                pattern = f"{extractor}:-"  # as provenance_key spells it
+                pattern = f"{extractor}:-"  # as KEY_FIELDS reads a missing one
             extend(
                 (
                     row_of[record.triple],
@@ -440,12 +448,12 @@ class ClaimAccumulator:
         layout = self._laid_out()
         return [layout.triples[r] for r in np.argsort(layout.canonical_rank).tolist()]
 
-    def build(self, granularity: Granularity | None = None) -> ColumnarClaims:
-        """The claim columns at ``granularity`` (default: the constructor's)."""
-        if granularity is None:
-            granularity = self.granularity
+    def _record_provenances(
+        self, granularity: Granularity
+    ) -> tuple[np.ndarray, np.ndarray, list[ProvKey]]:
+        """Each record's canonical row and provenance id at
+        ``granularity``, and the sorted provenance table the ids index."""
         layout = self._laid_out()
-        n_rows = len(layout.triples)
         codes = np.concatenate(
             [np.zeros((len(_CODE_FIELDS), 0), dtype=np.int32), *self._codes], axis=1
         )
@@ -477,6 +485,24 @@ class ClaimAccumulator:
         provenances: list[ProvKey] = list(
             zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in decoded))
         )
+        return record_row, record_prov, provenances
+
+    def record_claims(self, cols: ColumnarClaims) -> np.ndarray:
+        """Each record's claim id in ``cols`` (this accumulator's
+        :meth:`build` at ``cols.granularity``), in record-arrival order:
+        the claims are the records' distinct ``(row, provenance)`` keys,
+        sorted."""
+        record_row, record_prov, provenances = self._record_provenances(cols.granularity)
+        keys = record_row * len(provenances) + record_prov
+        return np.unique(keys, return_inverse=True)[1]
+
+    def build(self, granularity: Granularity | None = None) -> ColumnarClaims:
+        """The claim columns at ``granularity`` (default: the constructor's)."""
+        if granularity is None:
+            granularity = self.granularity
+        layout = self._laid_out()
+        n_rows = len(layout.triples)
+        record_row, record_prov, provenances = self._record_provenances(granularity)
         n_provs = len(provenances)
 
         # Dedup + sort by (row, prov) in one encoded key: claims land
@@ -505,8 +531,8 @@ class ClaimAccumulator:
             _canonical_rank=layout.canonical_rank,
         )
 
-    def arrival_rows(self, cols: ColumnarClaims) -> np.ndarray:
-        """The rows of ``cols`` (this accumulator's :meth:`build`, at any
+    def arrival_rows(self) -> np.ndarray:
+        """The rows of this accumulator's :meth:`build` (at any
         granularity — the rows are the same) in record-arrival order:
         data items by first arrival, each item's triples by first arrival
         — how a dict keyed item -> triple nests over the same records."""
@@ -518,52 +544,3 @@ class ClaimAccumulator:
         self._string_of = _Vocabulary()
         self._codes = []
         self._layout = None
-
-
-def _accumulate(records: list[ExtractionRecord]) -> ClaimAccumulator:
-    # The granularity is build()'s default only; every caller names its own.
-    accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
-    accumulator.add_records(records)
-    return accumulator
-
-
-class ClaimMatrix:
-    """The deduplicated claim columns of one granularity, built on demand.
-
-    Built from extraction ``records`` or from prebuilt ``columns`` (exactly
-    one); ``accumulated`` supplies the records' accumulator when a
-    :class:`FusionInput` shares one between its granularities.
-    :meth:`columnar` is the matrix; :meth:`arrival_rows` is the order the
-    records first named its rows in — the ``serial`` backend emits in it,
-    so order-sensitive sums over its output (the calibration metrics) are
-    frozen against it.
-    """
-
-    def __init__(
-        self,
-        granularity: Granularity,
-        records: list[ExtractionRecord] | None = None,
-        columns: ColumnarClaims | None = None,
-        accumulated: Callable[[], ClaimAccumulator] | None = None,
-    ) -> None:
-        if (records is None) == (columns is None):
-            raise ValueError("ClaimMatrix takes exactly one of records= / columns=")
-        self.granularity = granularity
-        self._columnar = columns
-        self._accumulated = accumulated or functools.partial(_accumulate, records)
-        self._arrival_rows: np.ndarray | None = None
-
-    def columnar(self) -> ColumnarClaims:
-        """The cached int-coded CSR form (built on first use)."""
-        if self._columnar is None:
-            accumulator = self._accumulated()
-            self._columnar = accumulator.build(self.granularity)
-            self._arrival_rows = accumulator.arrival_rows(self._columnar)
-        return self._columnar
-
-    def arrival_rows(self) -> np.ndarray | None:
-        """The columns' rows in record-arrival order
-        (:meth:`ClaimAccumulator.arrival_rows`), or None over bare
-        columns, which carry no arrival order."""
-        self.columnar()
-        return self._arrival_rows

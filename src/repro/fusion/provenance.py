@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.errors import FusionError
-from repro.extract.records import ExtractionRecord
-
-__all__ = ["Granularity", "provenance_key", "KEY_FIELDS", "PROVENANCE_LEVELS"]
+__all__ = ["Granularity", "KEY_FIELDS", "PROVENANCE_LEVELS"]
 
 
 class Granularity(enum.Enum):
@@ -40,10 +37,9 @@ PROVENANCE_LEVELS: tuple[Granularity, ...] = (
 )
 
 
-#: The record fields each granularity keys on, in key order — the table
-#: form of :func:`provenance_key`, which the claim accumulator applies to
-#: whole code columns (``predicate`` is the triple's; a missing
-#: ``pattern`` reads ``"<extractor>:-"``).
+#: The record fields each granularity keys on, in key order, which the
+#: claim accumulator applies to whole code columns (``predicate`` is the
+#: triple's; a missing ``pattern`` reads ``"<extractor>:-"``).
 KEY_FIELDS: dict[Granularity, tuple[str, ...]] = {
     Granularity.EXTRACTOR_URL: ("extractor", "url"),
     Granularity.EXTRACTOR_SITE: ("extractor", "site"),
@@ -58,20 +54,3 @@ KEY_FIELDS: dict[Granularity, tuple[str, ...]] = {
     Granularity.URL_ONLY: ("url",),
 }
 
-
-def provenance_key(record: ExtractionRecord, granularity: Granularity) -> tuple[str, ...]:
-    """The data-fusion source this record belongs to under ``granularity``."""
-    pattern = record.pattern if record.pattern is not None else f"{record.extractor}:-"
-    if granularity is Granularity.EXTRACTOR_URL:
-        return (record.extractor, record.url)
-    if granularity is Granularity.EXTRACTOR_SITE:
-        return (record.extractor, record.site)
-    if granularity is Granularity.EXTRACTOR_SITE_PREDICATE:
-        return (record.extractor, record.site, record.triple.predicate)
-    if granularity is Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN:
-        return (record.extractor, record.site, record.triple.predicate, pattern)
-    if granularity is Granularity.EXTRACTOR_PATTERN_ONLY:
-        return (pattern,)
-    if granularity is Granularity.URL_ONLY:
-        return (record.url,)
-    raise FusionError(f"unknown granularity {granularity!r}")

@@ -114,12 +114,7 @@ from repro.fusion.base import (
     backend_contract,
     sampling_contract_of,
 )
-from repro.fusion.observations import (
-    ClaimMatrix,
-    ColumnarClaims,
-    FusionInput,
-    ragged_gather,
-)
+from repro.fusion.observations import ColumnarClaims, FusionInput, ragged_gather
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
@@ -225,14 +220,14 @@ def run_bayesian_fusion(
             f"backend {config.backend!r} needs a posterior with "
             f"{' and '.join(needed)}; {method_name}'s has no {' or '.join(missing)}"
         )
-    matrix = fusion_input.claims(config.granularity)
     return _run_columnar(
-        matrix.columnar(), config, item_posterior_fn, method_name, gold_labels,
-        track_rounds, plan, executor, _emission_order(matrix, plan),
+        fusion_input.claims(config.granularity), config, item_posterior_fn,
+        method_name, gold_labels, track_rounds, plan, executor,
+        _emission_order(fusion_input, plan),
     )
 
 
-def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | None:
+def _emission_order(fusion_input: FusionInput, plan: ExecutionPlan) -> np.ndarray | None:
     """The row order Stage III and the round snapshots emit in, as a
     permutation of row ids — None for the columns' canonical row order.
 
@@ -242,7 +237,7 @@ def _emission_order(matrix: ClaimMatrix, plan: ExecutionPlan) -> np.ndarray | No
     in record-arrival order; every other mode, and any matrix over bare
     columns, emits canonical rows.
     """
-    return matrix.arrival_rows() if plan.reference else None
+    return fusion_input.arrival_rows() if plan.reference else None
 
 
 @contextmanager
@@ -263,14 +258,10 @@ def _column_executor(
     if not plan.pooled:
         yield None
         return
+    plan.check_executor(config.backend, executor)
     owns_executor = executor is None
     if owns_executor:
         executor = plan.executor(config.n_workers)
-    elif not isinstance(executor, ParallelExecutor):
-        raise ConfigError(
-            f"backend {config.backend!r} runs on a process pool, but was "
-            f"handed a {type(executor).__name__}; pass a ParallelExecutor or none"
-        )
     try:
         yield executor
     finally:

@@ -74,7 +74,7 @@ class Vote(Fuser):
 
     def fuse(self, fusion_input: FusionInput, executor=None) -> FusionResult:
         plan = EXECUTION_MODES[self.config.backend]
-        cols = fusion_input.claims(self.config.granularity).columnar()
+        cols = fusion_input.claims(self.config.granularity)
         n_provs = len(cols.provenances)
         active = np.ones(n_provs, dtype=bool)
         keep = shuffle.stage1_keep(

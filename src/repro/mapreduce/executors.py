@@ -700,6 +700,16 @@ class ExecutionPlan:
             return ParallelExecutor(max_workers=n_workers)
         return SerialExecutor()
 
+    def check_executor(self, backend: str, executor: Executor | None) -> None:
+        """Reject a caller's ``executor`` that cannot run this mode (spelled
+        ``backend``): a pooled mode runs only on a ParallelExecutor."""
+        handed = self.pooled and executor is not None
+        if handed and not isinstance(executor, ParallelExecutor):
+            raise ConfigError(
+                f"backend {backend!r} runs on a process pool, but was "
+                f"handed a {type(executor).__name__}; pass a ParallelExecutor or none"
+            )
+
 
 #: Every public backend spelling and what it means.  The in-process
 #: batched mode has two: the extraction stage and the pipelines call it

@@ -306,7 +306,7 @@ def _fuse(scenario, method, backend, sample_limit):
     fuser = make_fuser(method, config, scenario.gold)
     fusion_input = scenario.fusion_input()
     result = fuser.fuse(fusion_input)
-    return result, fusion_input.claims(fuser.config.granularity).columnar()
+    return result, fusion_input.claims(fuser.config.granularity)
 
 
 class TestOneMapStagePerRound:

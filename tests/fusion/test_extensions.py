@@ -251,7 +251,7 @@ class TestConfidenceWeighted:
             rec("/m/6", "f", "EXT", "http://e3.org/p", confidence=0.99),
         ]
         fusion_input = FusionInput(records)
-        cols = fusion_input.claims(fuser.config.granularity).columnar()
+        cols = fusion_input.claims(fuser.config.granularity)
         weights = fuser.claim_weights(fusion_input, cols)
         # One claim per row here, so the weight column is indexed by row.
         by_subject = {
@@ -271,13 +271,13 @@ class TestConfidenceWeighted:
             rec("/m/c", "x", "E2", "http://s3.org/p"),
         ]
         fusion_input = FusionInput(records)
-        cols = fusion_input.claims(Granularity.EXTRACTOR_URL).columnar()
+        cols = fusion_input.claims(Granularity.EXTRACTOR_URL)
         weights = ConfidenceWeightedFuser().claim_weights(fusion_input, cols)
         assert weights.tolist() == [1.0, pytest.approx(2 / 3), 0.5]
 
     def test_bare_columns_are_rejected(self, tiny_scenario):
         """Confidences live on the records; columns alone cannot carry them."""
-        cols = tiny_scenario.fusion_input().claims(Granularity.EXTRACTOR_URL).columnar()
+        cols = tiny_scenario.fusion_input().claims(Granularity.EXTRACTOR_URL)
         with pytest.raises(FusionError, match="confidences"):
             ConfidenceWeightedFuser().fuse(FusionInput.from_columns(cols))
 
@@ -315,7 +315,7 @@ class TestReadTheClaimColumns:
                 if isinstance(fuser, SplitQualityFuser)
                 else fuser.config.granularity
             )
-            cols = from_records.claims(granularity).columnar()
+            cols = from_records.claims(granularity)
             ours = fuser.fuse(FusionInput.from_columns(cols))
             theirs = fuser.fuse(from_records)
             assert list(ours.probabilities.items()) == list(theirs.probabilities.items())

@@ -27,15 +27,16 @@ from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
 from repro.fusion.base import FusionConfig
 from repro.fusion.matrix import MappedColumnarClaims, persist_columns
-from repro.fusion.observations import (
-    ClaimAccumulator,
-    ClaimMatrix,
-    FusionInput,
-)
+from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import StringValue
-from tests.oracle.columns import DictClaims, assert_columns_equal, reference_columns
+from tests.oracle.columns import (
+    DictClaims,
+    assert_columns_equal,
+    record_claim_ids,
+    reference_columns,
+)
 
 GRANULARITIES = (
     Granularity.EXTRACTOR_SITE,
@@ -74,7 +75,7 @@ class TestClaimAccumulator:
             # Row-level outputs, by their definitions: the views' nesting
             # order and the rank in the global canonical-string order.
             assert [
-                built.triples[r] for r in accumulator.arrival_rows(built).tolist()
+                built.triples[r] for r in accumulator.arrival_rows().tolist()
             ] == [triple for triple_map in matrix.items.values() for triple in triple_map]
             assert [
                 built.triples[r] for r in np.argsort(built.canonical_rank()).tolist()
@@ -82,6 +83,15 @@ class TestClaimAccumulator:
         assert_columns_equal(
             accumulator.build(), accumulator.build(Granularity.EXTRACTOR_SITE)
         )
+
+    @pytest.mark.parametrize("granularity", list(Granularity))
+    def test_record_claims_is_the_per_record_claim_lookup(self, tiny_scenario, granularity):
+        """Each record's claim id comes off the accumulator's codes, equal
+        to looking its row and provenance key up in the built columns."""
+        records = tiny_scenario.records
+        accumulator = _accumulate(records, Granularity.EXTRACTOR_URL, 97)
+        cols = accumulator.build(granularity)
+        assert accumulator.record_claims(cols).tolist() == record_claim_ids(records, cols)
 
     def test_chunks_added_after_a_build_are_folded_in(self, tiny_scenario):
         records = tiny_scenario.records
@@ -112,7 +122,7 @@ class TestClaimAccumulator:
             Granularity.EXTRACTOR_URL,
             Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN,
         ):
-            cols = fusion_input.claims(granularity).columnar()
+            cols = fusion_input.claims(granularity)
             assert_columns_equal(
                 cols, reference_columns(tiny_scenario.records, granularity)[1]
             )
@@ -138,9 +148,8 @@ class TestClaimAccumulator:
 
         records = tiny_scenario.records
         fusion_input = FusionInput(records)
-        matrix = fusion_input.claims(Granularity.EXTRACTOR_SITE_PREDICATE)
-        cols = matrix.columnar()
-        matrix.arrival_rows()
+        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE_PREDICATE)
+        fusion_input.arrival_rows()
         cols.canonical_rank()
         fusion_input.unique_triples()
         FusionInput.from_columns(cols).unique_triples()
@@ -164,7 +173,7 @@ class TestClaimAccumulator:
 
 @pytest.fixture
 def tiny_columns(tiny_scenario):
-    return FusionInput(tiny_scenario.records).claims(Granularity.EXTRACTOR_SITE).columnar()
+    return FusionInput(tiny_scenario.records).claims(Granularity.EXTRACTOR_SITE)
 
 
 class TestMappedColumns:
@@ -239,25 +248,14 @@ class TestColumnarAdapters:
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_column_built_matrix_equals_record_built(self, tiny_scenario, granularity):
         reference, expected = reference_columns(tiny_scenario.records, granularity)
-        cols = FusionInput(tiny_scenario.records).claims(granularity).columnar()
+        cols = FusionInput(tiny_scenario.records).claims(granularity)
         assert_columns_equal(cols, expected)
-        from_columns = ClaimMatrix(granularity, columns=cols)
-        assert from_columns.columnar() is cols
+        assert FusionInput.from_columns(cols).claims(granularity) is cols
         assert reference.n_claims() == cols.n_claims
         # The dict views read back out of the columns are the records' own.
         views = DictClaims(granularity, columns=cols)
         assert views.items == reference.items
         assert views.prov_triples == reference.prov_triples
-
-    def test_matrix_takes_exactly_one_source(self, tiny_scenario, tiny_columns):
-        with pytest.raises(ValueError, match="exactly one"):
-            ClaimMatrix(Granularity.EXTRACTOR_SITE)
-        with pytest.raises(ValueError, match="exactly one"):
-            ClaimMatrix(
-                Granularity.EXTRACTOR_SITE,
-                records=tiny_scenario.records,
-                columns=tiny_columns,
-            )
 
     def test_record_views_keep_arrival_order(self, tiny_scenario):
         """The ``serial`` backend (like the oracle) emits in ``items``
@@ -272,26 +270,21 @@ class TestColumnarAdapters:
     def test_arrival_rows_is_the_view_nesting_order(self, tiny_scenario, tiny_columns):
         """The one row permutation ``serial`` carries instead of the dict
         views: item first arrival, then triple first arrival."""
-        matrix = FusionInput(tiny_scenario.records).claims(Granularity.EXTRACTOR_SITE)
-        rows = matrix.arrival_rows()
-        cols = matrix.columnar()
+        fusion_input = FusionInput(tiny_scenario.records)
+        rows = fusion_input.arrival_rows()
+        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE)
         assert sorted(rows.tolist()) == list(range(cols.n_rows))
         views = DictClaims(Granularity.EXTRACTOR_SITE, records=tiny_scenario.records)
         assert [cols.triples[r] for r in rows.tolist()] == [
             triple for triple_map in views.items.values() for triple in triple_map
         ]
         # Bare columns nest in row order already: no permutation to carry.
-        from_columns = ClaimMatrix(Granularity.EXTRACTOR_SITE, columns=tiny_columns)
-        assert from_columns.arrival_rows() is None
-        empty = FusionInput([]).claims(Granularity.EXTRACTOR_SITE)
-        assert empty.arrival_rows().tolist() == []
+        assert FusionInput.from_columns(tiny_columns).arrival_rows() is None
+        assert FusionInput([]).arrival_rows().tolist() == []
 
     def test_fusion_input_serves_one_granularity(self, tiny_columns):
         fusion_input = FusionInput.from_columns(tiny_columns)
-        assert (
-            fusion_input.claims(Granularity.EXTRACTOR_SITE).columnar()
-            is tiny_columns
-        )
+        assert fusion_input.claims(Granularity.EXTRACTOR_SITE) is tiny_columns
         with pytest.raises(ValueError, match="re-extract"):
             fusion_input.claims(Granularity.URL_ONLY)
         assert fusion_input.unique_triples() == sorted(tiny_columns.triples)
@@ -306,7 +299,7 @@ class TestColumnarAdapters:
         gold = tiny_scenario.gold
         fuser = make_fuser(method, FusionConfig(backend="serial"), gold)
         from_records = FusionInput(tiny_scenario.records)
-        cols = from_records.claims(fuser.config.granularity).columnar()
+        cols = from_records.claims(fuser.config.granularity)
         expected = fuser.fuse(from_records)
         actual = fuser.fuse(FusionInput.from_columns(cols))
         assert actual.probabilities == expected.probabilities

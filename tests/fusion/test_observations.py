@@ -27,19 +27,19 @@ class TestClaimMatrix:
         # Same extractor+url claiming the same triple twice is one claim.
         records = [rec("a", "E1", "http://s.org/p"), rec("a", "E1", "http://s.org/p")]
         matrix = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
-        assert matrix.columnar().n_claims == 1
+        assert matrix.n_claims == 1
 
     def test_distinct_extractors_distinct_claims(self):
         records = [rec("a", "E1", "http://s.org/p"), rec("a", "E2", "http://s.org/p")]
         matrix = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
-        assert matrix.columnar().n_claims == 2
+        assert matrix.n_claims == 2
 
     def test_items_grouping(self):
         records = [
             rec("a", "E1", "http://s.org/p"),
             rec("b", "E1", "http://s.org/q"),
         ]
-        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar()
+        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
         assert cols.items == [DataItem("/m/1", "t/t/p")]
         assert cols.item_ptr.tolist() == [0, 2]
 
@@ -49,7 +49,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/p", pattern="x"),
             rec("b", "E1", "http://s.org/p"),
         ]
-        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar()
+        cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
         assert cols.provenances == [("E1", "http://s.org/p")]
         assert cols.prov_row_counts().tolist() == [2]
 
@@ -59,7 +59,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/q"),
             rec("a", "E2", "http://s.org/p"),
         ]
-        triples = FusionInput(records).claims(Granularity.EXTRACTOR_URL).columnar().triples
+        triples = FusionInput(records).claims(Granularity.EXTRACTOR_URL).triples
         assert len(triples) == 2
         assert triples == sorted(triples)
 
@@ -121,7 +121,7 @@ class TestRaggedGather:
 class TestColumnarLayout:
     @pytest.fixture
     def cols(self):
-        return FusionInput(spread_records()).claims(Granularity.EXTRACTOR_URL).columnar()
+        return FusionInput(spread_records()).claims(Granularity.EXTRACTOR_URL)
 
     def test_item_claim_counts_partition_the_claims(self, cols):
         counts = cols.item_claim_counts()

@@ -54,7 +54,7 @@ def _inputs(scenario, fuser, source):
     """One fresh input per side, so neither run sees the other's caches."""
     if source == "records":
         return FusionInput(scenario.records), FusionInput(scenario.records)
-    cols = FusionInput(scenario.records).claims(fuser.config.granularity).columnar()
+    cols = FusionInput(scenario.records).claims(fuser.config.granularity)
     return FusionInput.from_columns(cols), FusionInput.from_columns(cols)
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.extract.records import ExtractionRecord
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
+from tests.oracle.columns import provenance_key
 
 
 @pytest.fixture
@@ -73,4 +74,4 @@ class TestKeys:
         fusion_input = tiny_scenario.fusion_input()
         fine = fusion_input.claims(Granularity.EXTRACTOR_URL)
         coarse = fusion_input.claims(Granularity.EXTRACTOR_SITE)
-        assert len(coarse.columnar().provenances) <= len(fine.columnar().provenances)
+        assert len(coarse.provenances) <= len(fine.provenances)

@@ -126,7 +126,7 @@ class TestMaskBuilder:
     @pytest.fixture(params=["micro", "prefix-subjects"])
     def cols(self, request, micro_scenario):
         if request.param == "micro":
-            return micro_scenario.fusion_input().claims(FusionConfig().granularity).columnar()
+            return micro_scenario.fusion_input().claims(FusionConfig().granularity)
         # Subjects that prefix each other sort one way as fields and the
         # other way as canonical strings ("/m/a" < "/m/aa", but
         # "/m/aa|..." < "/m/a|..."), so every provenance's rows are out of

@@ -11,16 +11,22 @@ extension fusers) went column-native:
 - :func:`columns_from_items` — the canonical column layout spelled out
   object by object from those views (was ``ColumnarClaims.from_items``):
   the executable specification ``ClaimAccumulator`` (the one production
-  builder) must reproduce exactly.
+  builder) must reproduce exactly;
+- :func:`provenance_key` — one record's source at a granularity, spelled
+  out per granularity (was ``repro.fusion.provenance.provenance_key``):
+  the reference for ``KEY_FIELDS``, which the accumulator applies to
+  whole code columns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import FusionError
+from repro.extract.records import ExtractionRecord
 from repro.fusion.matrix import NUMERIC_COLUMNS
 from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
@@ -28,8 +34,28 @@ __all__ = [
     "assert_columns_equal",
     "columns_from_items",
     "dict_claims",
+    "provenance_key",
+    "record_claim_ids",
     "reference_columns",
 ]
+
+
+def provenance_key(record: ExtractionRecord, granularity: Granularity) -> ProvKey:
+    """The data-fusion source this record belongs to under ``granularity``."""
+    pattern = record.pattern if record.pattern is not None else f"{record.extractor}:-"
+    if granularity is Granularity.EXTRACTOR_URL:
+        return (record.extractor, record.url)
+    if granularity is Granularity.EXTRACTOR_SITE:
+        return (record.extractor, record.site)
+    if granularity is Granularity.EXTRACTOR_SITE_PREDICATE:
+        return (record.extractor, record.site, record.triple.predicate)
+    if granularity is Granularity.EXTRACTOR_SITE_PREDICATE_PATTERN:
+        return (record.extractor, record.site, record.triple.predicate, pattern)
+    if granularity is Granularity.EXTRACTOR_PATTERN_ONLY:
+        return (pattern,)
+    if granularity is Granularity.URL_ONLY:
+        return (record.url,)
+    raise FusionError(f"unknown granularity {granularity!r}")
 
 
 class DictClaims:
@@ -100,7 +126,7 @@ def dict_claims(fusion_input: FusionInput, granularity: Granularity) -> DictClai
     records when it holds them, else from its one column set."""
     if fusion_input.records is not None:
         return DictClaims(granularity, records=fusion_input.records)
-    return DictClaims(granularity, columns=fusion_input.claims(granularity).columnar())
+    return DictClaims(granularity, columns=fusion_input.claims(granularity))
 
 
 def columns_from_items(
@@ -160,6 +186,24 @@ def reference_columns(records, granularity) -> tuple[DictClaims, ColumnarClaims]
     comparand of ``ClaimAccumulator.build``."""
     views = DictClaims(granularity, records=records)
     return views, columns_from_items(views.items, granularity)
+
+
+def record_claim_ids(records, cols: ColumnarClaims) -> list[int]:
+    """Each record's claim id in ``cols``, looked up by its triple's row
+    and its :func:`provenance_key` — the comparand of
+    ``ClaimAccumulator.record_claims``."""
+    row_of = {triple: r for r, triple in enumerate(cols.triples)}
+    prov_of = {prov: p for p, prov in enumerate(cols.provenances)}
+    row_ptr, claim_prov = cols.row_ptr.tolist(), cols.claim_prov.tolist()
+    claim_of = {
+        (r, claim_prov[c]): c
+        for r in range(cols.n_rows)
+        for c in range(row_ptr[r], row_ptr[r + 1])
+    }
+    return [
+        claim_of[row_of[record.triple], prov_of[provenance_key(record, cols.granularity)]]
+        for record in records
+    ]
 
 
 def assert_columns_equal(actual: ColumnarClaims, expected: ColumnarClaims) -> None:

@@ -28,12 +28,11 @@ from collections import defaultdict
 from repro.fusion.base import Fuser, FusionConfig, FusionResult
 from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.popaccu import PopAccu
-from repro.fusion.provenance import provenance_key
 from repro.kb.hierarchy import ValueHierarchy
 from repro.kb.schema import Schema
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import EntityRef
-from tests.oracle.columns import dict_claims
+from tests.oracle.columns import dict_claims, provenance_key
 from tests.oracle.fusion import oracle_fuse
 from tests.oracle.posteriors import accu_item_posteriors
 

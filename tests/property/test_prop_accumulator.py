@@ -15,10 +15,15 @@ from hypothesis import strategies as st
 
 from repro.extract.records import ExtractionRecord
 from repro.fusion.observations import ClaimAccumulator
-from repro.fusion.provenance import Granularity, provenance_key
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, NumberValue, StringValue
-from tests.oracle.columns import assert_columns_equal, reference_columns
+from tests.oracle.columns import (
+    assert_columns_equal,
+    provenance_key,
+    record_claim_ids,
+    reference_columns,
+)
 
 EXTRACTORS = ["E1", "E|2", "Éx", "E"]
 # No "|" in subjects / predicates: it would let two distinct triples share
@@ -69,9 +74,10 @@ def test_accumulator_equals_reference_layout(records, chunk_size):
         matrix, expected = reference_columns(records, granularity)
         built = accumulator.build(granularity)
         assert_columns_equal(built, expected)
-        assert [built.triples[r] for r in accumulator.arrival_rows(built).tolist()] == [
+        assert [built.triples[r] for r in accumulator.arrival_rows().tolist()] == [
             triple for triple_map in matrix.items.values() for triple in triple_map
         ]
+        assert accumulator.record_claims(built).tolist() == record_claim_ids(records, built)
 
 
 def test_missing_pattern_collides_with_its_literal_spelling():

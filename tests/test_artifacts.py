@@ -12,6 +12,7 @@ never guess.
 import errno
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 from repro import artifacts
 from repro.datasets import ScenarioConfig
 from repro.world.config import WebConfig, WorldConfig
+from repro.world.webgen import WebCorpus, WebPage
 
 CONFIG = ScenarioConfig(
     seed=11,
@@ -288,6 +290,37 @@ class TestDownstreamBitIdentity:
         assert isinstance(warm.corpus.pages, artifacts.LazyPageList)
         assert warm.records == cold.records
         assert warm.gold == cold.gold
+
+
+class TestSavePeak:
+    def test_save_holds_the_payload_once(self, warm_cache, tmp_path):
+        """The page bodies go into one growing buffer, so the save's
+        traced peak is about one payload, not a body list plus its join."""
+        _cache_dir, world, freebase, corpus = warm_cache
+        pages = [
+            WebPage(
+                url=f"http://s{i}.org/p",
+                site=f"s{i}.org",
+                category="news",
+                assertions=(),
+                elements=(bytes([i]) * 200_000,),
+            )
+            for i in range(40)
+        ]
+        big = WebCorpus(config=corpus.config, sites=corpus.sites, pages=pages)
+        tracemalloc.start()
+        try:
+            directory = artifacts.save_scenario_artifact(
+                tmp_path, CONFIG.seed, world, freebase, big
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (directory / "payload.bin").stat().st_size < 1.5
+        loaded = artifacts.load_scenario_artifact(
+            tmp_path, CONFIG.seed, CONFIG.world, CONFIG.web
+        )
+        assert list(loaded[2].pages) == pages
 
 
 class TestStoredPages:

@@ -20,17 +20,19 @@ module-scoped fixtures: results are read-only, so one run serves all.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import endtoend
+from repro.datasets import build_scenario, tiny_config
 from repro.datasets import scenario as scenario_module
-from repro.datasets import tiny_config
 from repro.endtoend import EndToEndResult, run_end_to_end, run_streaming_pipeline
-from repro.fusion import FusionConfig, observations
+from repro.fusion import FusionConfig
 from repro.fusion.base import ConfigError
 from repro.fusion.observations import ClaimAccumulator
 from repro.fusion.provenance import Granularity
 from repro.mapreduce.executors import SerialExecutor
+from tests.oracle.columns import assert_columns_equal
 
 SEED = 7
 TOLERANCE = 1e-9
@@ -207,16 +209,52 @@ class TestOneBody:
             add_records(self, records)
 
         monkeypatch.setattr(ClaimAccumulator, "add_records", counting)
-        monkeypatch.setattr(observations, "_accumulate", pytest.fail)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         assert endtoend.label_gold is scenario_module.label_gold_triples
         result = run_end_to_end(tiny_config(seed=SEED), backend="batched")
         assert sum(seen) == result.n_records == len(result.scenario.records)
         # A granularity the run did not fuse at (POPACCU+ picks its own)
-        # still comes off the shared accumulator.
+        # still comes off the shared accumulator: no second add_records.
         fusion_input = result.scenario.fusion_input()
-        assert fusion_input.claims(Granularity.EXTRACTOR_URL).columnar().n_claims > 0
+        assert fusion_input.accumulator.n_records == result.n_records
+        assert fusion_input.claims(Granularity.EXTRACTOR_URL).n_claims > 0
         assert sum(seen) == result.n_records
+
+    def test_build_scenario_interns_each_record_once(self, monkeypatch):
+        """``build_scenario`` is the same body: one fold of the records,
+        labelled off the accumulator, which the scenario's input carries."""
+        seen = []
+        add_records = ClaimAccumulator.add_records
+
+        def counting(self, records):
+            seen.append(len(records))
+            add_records(self, records)
+
+        monkeypatch.setattr(ClaimAccumulator, "add_records", counting)
+        monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
+        scenario = build_scenario(tiny_config(seed=SEED), use_cache=False)
+        assert sum(seen) == len(scenario.records) > 0
+        fusion_input = scenario.fusion_input()
+        assert fusion_input.accumulator is not None
+        fusion_input.claims(Granularity.EXTRACTOR_SITE)
+        assert sum(seen) == len(scenario.records)
+
+    @pytest.mark.parametrize(
+        "backend",
+        ["serial", pytest.param("hybrid", marks=pytest.mark.parallel_backend)],
+    )
+    def test_build_scenario_is_the_pipelines_scenario(self, backend):
+        config = tiny_config(seed=SEED)
+        built = build_scenario(config, use_cache=False, backend=backend)
+        ran = run_end_to_end(config, backend=backend).scenario
+        assert built.records == ran.records
+        assert list(built.gold.items()) == list(ran.gold.items())
+        built_input, ran_input = built.fusion_input(), ran.fusion_input()
+        assert np.array_equal(built_input.arrival_rows(), ran_input.arrival_rows())
+        for granularity in (Granularity.EXTRACTOR_URL, Granularity.EXTRACTOR_SITE):
+            assert_columns_equal(
+                built_input.claims(granularity), ran_input.claims(granularity)
+            )
 
     @pytest.mark.parametrize("chunk_pages", [None, 16])
     def test_the_fuser_is_made_once(self, chunk_pages, monkeypatch):
@@ -253,6 +291,24 @@ class TestStreamingSurface:
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ConfigError, match="unknown fusion method"):
             run_streaming_pipeline(tiny_config(seed=SEED), method="nope")
+
+    @pytest.mark.parametrize(
+        "chunk_pages, first_step", [(None, "setup_worldgen"), (16, "stream_corpus")]
+    )
+    def test_pooled_backend_rejects_an_in_process_executor_before_any_work(
+        self, chunk_pages, first_step, monkeypatch
+    ):
+        def spy(*args, **kwargs):
+            pytest.fail(f"{first_step} ran before the executor was checked")
+
+        monkeypatch.setattr(endtoend, first_step, spy)
+        with pytest.raises(ConfigError, match="SerialExecutor"):
+            run_end_to_end(
+                tiny_config(seed=0),
+                backend="hybrid",
+                executor=SerialExecutor(),
+                chunk_pages=chunk_pages,
+            )
 
     def test_diagnostics_and_timings(self, batched_stream):
         result = batched_stream
