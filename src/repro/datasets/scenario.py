@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.extract.linkage import EntityLinker
 from repro.extract.pipeline import ExtractionPipeline, build_extractor
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, RecordTables
 from repro.fusion.observations import FusionInput
 from repro.kb.lcwa import LCWALabeler
 from repro.kb.store import KnowledgeBase
@@ -59,20 +59,21 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A fully generated experimental environment."""
+    """A fully generated experimental environment; ``records`` decodes
+    its tables on first iteration, and the fusion input never needs it to."""
 
     config: ScenarioConfig
     world: World
     freebase: KnowledgeBase
     corpus: WebCorpus
     pipeline: ExtractionPipeline
-    records: list[ExtractionRecord]
+    records: RecordTables
     gold: dict[Triple, bool]
 
     _fusion_input: FusionInput = field(repr=False)
 
     def fusion_input(self) -> FusionInput:
-        """The fusion input the records were interned into."""
+        """The fusion input the records were folded into."""
         return self._fusion_input
 
     def unique_triples(self) -> list[Triple]:
@@ -120,13 +121,17 @@ def build_extraction_pipeline(config: ScenarioConfig, world: World) -> Extractio
 
 
 def label_gold(
-    freebase: KnowledgeBase, records: list[ExtractionRecord]
+    freebase: KnowledgeBase, records: RecordTables | list[ExtractionRecord]
 ) -> dict[Triple, bool]:
-    """The LCWA gold standard over the unique extracted triples of a
-    record list: the dedup/sort pass, then :func:`label_gold_triples` —
-    the one labeling definition, which the pipeline calls directly
-    because its records are already interned."""
-    unique = sorted({record.triple for record in records}, key=Triple.canonical)
+    """The LCWA gold standard over the unique extracted triples of
+    record tables (a list is encoded first, :meth:`RecordTables.of`;
+    no record is decoded): the dedup/sort pass over their triple texts,
+    then :func:`label_gold_triples` — the one labeling definition, which
+    the pipeline calls directly because its records are already folded
+    into an accumulator."""
+    records = RecordTables.of(records)
+    texts = {text for table in records.tables for text in table[1]}
+    unique = list(map(records.triples.__getitem__, sorted(texts)))
     return label_gold_triples(freebase, unique)
 
 
@@ -135,7 +140,7 @@ def label_gold_triples(
 ) -> dict[Triple, bool]:
     """LCWA labels for an already-deduplicated sorted triple list.
 
-    The pipeline interns its records into a claim accumulator as they
+    The pipeline folds its record tables into a claim accumulator as they
     arrive (and, streamed, never holds them) — this is :func:`label_gold`
     with the dedup/sort step supplied by the accumulator (its rows are
     exactly the unique triples, so the two definitions coincide).

@@ -7,8 +7,10 @@ once and clocked by :func:`timed_stage`.  Setup → extraction → labeling
 is one body, which :func:`repro.datasets.scenario.build_scenario` (the
 experiments, ``repro-kf fuse``) shares.  A *materialised* run is the
 single-chunk case of a *streamed* one (``chunk_pages`` picks; the web
-tier of docs/SCALING.md streams).  Either way each record is interned
-once, into one :class:`~repro.fusion.observations.ClaimAccumulator`, and
+tier of docs/SCALING.md streams).  Either way extraction hands on record
+tables, each folded once into one
+:class:`~repro.fusion.observations.ClaimAccumulator` without decoding a
+record, and
 both stages run on the same executor protocol
 (:mod:`repro.mapreduce.executors`): a single
 :class:`~repro.mapreduce.executors.ParallelExecutor` carries the
@@ -48,6 +50,7 @@ from repro.datasets.scenario import (
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
+from repro.extract.records import ParsedTriples, RecordTables
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
@@ -138,7 +141,7 @@ class EndToEndResult:
 
     ``timings`` holds per-stage wall-clock seconds under the keys
     ``setup`` (world + corpus + extractor construction), ``extraction``
-    (interning the records included), ``labeling`` (LCWA gold),
+    (folding the record tables included), ``labeling`` (LCWA gold),
     ``fusion``, and ``total``; a streamed run adds ``matrix``
     (claim-column assembly + persistence) and has no ``scenario`` —
     nothing corpus-sized survived it, only the counts.  ``metrics`` holds
@@ -195,7 +198,7 @@ def run_end_to_end(
     corpus of :func:`repro.artifacts.setup_worldgen` (``cache_dir`` is its
     on-disk artifact cache, bit-identical to a fresh build;
     ``diagnostics["scenario_cache"]`` reports ``hit`` / ``miss`` /
-    ``off``), with the records kept and returned in ``result.scenario``.
+    ``off``), with the record tables kept and returned in ``result.scenario``.
     A number is the *streamed* case: :func:`repro.world.webgen.stream_corpus`
     chunks of that many pages (``copy_window`` bounds its copy pool) are
     extracted, folded into the claim accumulator and dropped.  With
@@ -263,8 +266,8 @@ def run_end_to_end(
             # Bare columns: Stage III emits in canonical row order.
             fusion_input = FusionInput.from_columns(cols)
         else:
-            # The records share the accumulator they were interned into, so
-            # fusion (at any granularity) never walks them again, and
+            # The records share the accumulator their tables were folded
+            # into, so fusion (at any granularity) never walks them, and
             # ``serial`` emits in record-arrival order.
             fusion_input = scenario.fusion_input()
 
@@ -309,12 +312,13 @@ def _extract_and_label(
     ``timings``: the body :func:`run_end_to_end` (both cases) and
     :func:`repro.datasets.scenario.build_scenario` share.
 
-    Returns the scenario (None when streamed: its records were dropped
-    chunk by chunk), the accumulator every record was interned into, the
-    gold labels, the pages per chunk, and the setup's store diagnostics.
+    Returns the scenario (None when streamed: its record tables were
+    dropped chunk by chunk), the accumulator every table was folded into,
+    the gold labels, the pages per chunk, and the setup's store
+    diagnostics.
     """
     streamed = chunk_pages is not None
-    records: list = []  # a streamed run keeps none
+    tables: list[tuple] = []  # a streamed run keeps none
     chunk_sizes: list[int] = []
     with timed_stage(timings, "setup"):
         if streamed:
@@ -331,25 +335,29 @@ def _extract_and_label(
         pipeline = build_extraction_pipeline(config, world)
 
     with timed_stage(timings, "extraction"):
-        # The granularity is build()'s default only; every caller names its own.
-        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+        # The granularity is build()'s default only; every caller names its
+        # own.  A scenario's records share the accumulator's triples.
+        triples = None if streamed else ParsedTriples()
+        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, triples)
 
         def counted(pages):
             chunk_sizes.append(len(pages))
             return pages
 
-        for chunk_records in pipeline.run_stream(
+        for chunk in pipeline.run_stream(
             map(counted, chunks), backend=backend, executor=executor
         ):
-            accumulator.add_records(chunk_records)
+            for table in chunk.tables:
+                accumulator.add_table(table)
             if not streamed:
-                records.extend(chunk_records)
+                tables += chunk.tables
 
     with timed_stage(timings, "labeling"):
         gold = label_gold(freebase, accumulator.unique_triples())
 
     scenario = None
     if not streamed:
+        records = RecordTables(tables, triples)
         scenario = Scenario(
             config=config,
             world=world,

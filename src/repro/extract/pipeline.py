@@ -18,56 +18,36 @@ Fusion never sees these tags; the test suite checks that stripping the
 debug channel does not change fusion output.
 
 Execution modes (``ExtractionPipeline.run(backend=...)``, one of
-:data:`EXTRACTION_BACKENDS`; the README's "Execution backends" table has
-every spelling).  All of them run the same kernels and emit the
-**bit-identical** record stream; the mode's
-:class:`~repro.mapreduce.executors.ExecutionPlan` only fixes **where**:
-
-- in-process is one shard — coverage masks over the whole page list,
-  then record synthesis (:func:`~repro.extract.synthesis.synthesize_batch`:
-  one seed-array pass per extractor, per-predicate emit plans hoisted out
-  of the record loop) and classification
-  (:func:`~repro.extract.kernels.classify_batch`) one window of
-  ``_WINDOW_PAGES`` pages at a time, emitted page-major,
-  extractor-major;
-- pooled, the corpus is sharded by stable page-URL hash
-  (:func:`~repro.mapreduce.executors.shard_for_key`) and each shard runs
-  that same body in a process-pool worker via the executors' map-only
-  protocol (:class:`~repro.mapreduce.executors.ShardedMapJob`).
-  Extraction is order-insensitive by design — every noisy draw derives
-  from ``split_seed(seed, extractor, url)`` — and the parent re-emits
-  each page's records at the page's corpus position.
+:data:`EXTRACTION_BACKENDS`) run the same kernels and emit the
+**bit-identical** record stream; the mode only fixes **where**.  Every
+mode runs one map job (:class:`~repro.mapreduce.executors.ShardedMapJob`)
+whose work item is a *window* of ``_WINDOW_PAGES`` consecutive pages and
+whose output is that window's records as one record table
+(:func:`~repro.extract.records.records_to_wire`): in-process all windows
+are one shard; pooled, windows are sharded by their first page's URL
+(every noisy draw derives from ``split_seed(seed, extractor, url)``, so
+the sharding cannot shift one) and the executor re-emits the tables in
+window order.  The tables are all a run hands on
+(:class:`~repro.extract.records.RecordTables`), so no record object
+outlives its window unless a caller reads one.
 
 What crosses the process boundary, per pooled chunk:
 
-- **in**, the pages.  A chunk loaded from the scenario artifact (a
-  :class:`~repro.artifacts.LazyPageList`) is handed to the executor as
-  its :class:`~repro.artifacts.StoredPage` slices — url, site, category
-  and the artifact's own fast-pickled body bytes — and the shard decodes
-  its pages with :func:`~repro.artifacts.decode_page`, the function the
-  list itself decodes with, one window at a time: a window's pages are
-  dropped before the next is decoded, so a shard never holds more than
-  ``_WINDOW_PAGES`` decoded pages.  The parent decodes no page, and the
-  wire carries bytes instead of re-pickled ``WebPage`` dataclasses.  Any
-  other chunk (a fresh build, a streamed chunk) crosses as its
-  ``WebPage`` list.  The branch is on the chunk's type, never on the
-  executor, so the in-process modes take the same items;
-- **out**, each shard's records as columns — one string table, one
-  table of distinct triples and int32 code columns (the
-  :data:`~repro.extract.records.RECORD_WIRE_CODEC` wire codec) — plus
-  the shard's per-page record counts, not pickled dataclass lists.  The
-  parent decodes each shard once and its records share one object per
-  distinct string and triple;
+- **in**, the windows.  A chunk loaded from the scenario artifact (a
+  :class:`~repro.artifacts.LazyPageList`) crosses as its
+  :class:`~repro.artifacts.StoredPage` slices (url, site, category and
+  the artifact's own body bytes), which the shard decodes a window at a
+  time with :func:`~repro.artifacts.decode_page`, so the parent decodes
+  no page.  Any other chunk crosses as its ``WebPage`` list.  The branch
+  is on the chunk's type, never on the executor;
+- **out**, one record table per window;
 - **once per pool**, the 12-extractor fleet (entity linkers included),
   installed *pool-resident* via
-  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state` on
-  both fork and spawn start methods.  A fork pool starts from a frozen
-  parent heap (see :mod:`repro.mapreduce.executors`).
+  :meth:`~repro.mapreduce.executors.ParallelExecutor.install_state`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.artifacts import LazyPageList, StoredPage, decode_page
@@ -77,12 +57,11 @@ from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.dom import DomExtractor
 from repro.extract.kernels import classify_batch
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import RECORD_WIRE_CODEC, ExtractionRecord, _gc_paused
+from repro.extract.records import RecordTables, _gc_paused, records_to_wire
 from repro.extract.synthesis import SynthesisCaches, synthesize_batch
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Schema
-from repro.mapreduce.codec import WireCodec
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
     PIPELINE_MODES,
@@ -128,73 +107,45 @@ def build_extractor(
     raise ExtractionError(f"no extractor family for content type {primary!r}")
 
 
-#: Pages a shard decodes and walks at a time (see :func:`_extract_shard`).
+#: Pages per work item of the extraction job (see :func:`_extract_shard`).
 _WINDOW_PAGES = 256
 
 
-def _extract_shard(
-    items: list[WebPage] | list[StoredPage],
-) -> list[list[ExtractionRecord]]:
-    """One shard's extraction: one classified record list per page.
+def _extract_shard(windows: list[list[WebPage] | list[StoredPage]]) -> list[tuple]:
+    """One shard's extraction: one record table per page window.
 
-    Runs against the pool-resident fleet (``EXTRACT_FLEET_KEY``) — the
-    shard task itself is just this function reference plus the page list,
-    so the 12 extractors (linkers included) never ride in a shard
-    payload.  Each extractor's coverage mask is computed once over the
-    whole shard from the items' ``url`` / ``category``, which a
-    :class:`~repro.artifacts.StoredPage` carries undecoded.  The items
-    are then walked in windows of :data:`_WINDOW_PAGES`: a window's
-    stored pages are decoded, synthesised with the sliced masks,
-    classified and dropped before the next window is decoded, so a shard
-    of stored pages holds at most one window decoded, whatever its size.  One
-    :class:`~repro.extract.synthesis.SynthesisCaches` spans the shard, so
-    ambiguity/parse memos warm across windows, pages *and* extractors;
+    Runs against the pool-resident fleet (``EXTRACT_FLEET_KEY``), so the
+    12 extractors never ride in a shard payload.  Per window: coverage
+    masks from the items' ``url`` / ``category`` (a
+    :class:`~repro.artifacts.StoredPage` carries both undecoded), then
+    decode, synthesise, classify, encode with
+    :func:`~repro.extract.records.records_to_wire`, and drop pages and
+    records before the next window.  One
+    :class:`~repro.extract.synthesis.SynthesisCaches` spans the shard;
     every draw is keyed per ``(extractor, url)`` and every memo is pure,
     so the records do not depend on the window.  The cyclic GC is paused
-    for the whole shard, page decoding included (see
-    :func:`~repro.extract.records._gc_paused`).
+    for the whole shard (see :func:`~repro.extract.records._gc_paused`).
     """
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
-    masks = [extractor.coverage_mask(items) for extractor in extractors]
     caches = SynthesisCaches()
-    per_page: list[list[ExtractionRecord]] = []
+    tables = []
     with _gc_paused():
-        for start in range(0, len(items), _WINDOW_PAGES):
-            window = slice(start, start + _WINDOW_PAGES)
+        for items in windows:
+            masks = [extractor.coverage_mask(items) for extractor in extractors]
             pages = [
                 decode_page(item) if isinstance(item, StoredPage) else item
-                for item in items[window]
+                for item in items
             ]
-            window_masks = [mask[window] for mask in masks]
-            records = synthesize_batch(
-                extractors, pages, masks=window_masks, caches=caches
+            per_page = synthesize_batch(extractors, pages, masks=masks, caches=caches)
+            classify_batch(list(zip(pages, per_page)))
+            tables.append(
+                records_to_wire([record for records in per_page for record in records])
             )
-            classify_batch(list(zip(pages, records)))
-            per_page.extend(records)
-    return per_page
+    return tables
 
 
-def _page_url(page: WebPage | StoredPage) -> str:
-    return page.url
-
-
-def _pages_to_wire(per_page: list[list[ExtractionRecord]]) -> tuple:
-    """One shard's records as record columns plus per-page counts (worker side)."""
-    records = [record for page_records in per_page for record in page_records]
-    counts = [len(page_records) for page_records in per_page]
-    return RECORD_WIRE_CODEC.encode(records), counts
-
-
-def _pages_from_wire(wire: tuple) -> list[list[ExtractionRecord]]:
-    """Inverse of :func:`_pages_to_wire`: one record list per page (parent side)."""
-    columns, counts = wire
-    records = RECORD_WIRE_CODEC.decode(columns)
-    ends = itertools.accumulate(counts)
-    return [records[end - count : end] for count, end in zip(counts, ends)]
-
-
-#: The extraction job's codec: one shard's records cross as one set of columns.
-_PAGES_WIRE_CODEC = WireCodec(encode=_pages_to_wire, decode=_pages_from_wire)
+def _window_key(window: list[WebPage] | list[StoredPage]) -> str:
+    return window[0].url
 
 
 @dataclass
@@ -214,18 +165,15 @@ class ExtractionPipeline:
         backend: str = "serial",
         n_workers: int | None = None,
         executor: Executor | None = None,
-    ) -> list[ExtractionRecord]:
+    ) -> RecordTables:
         """All classified extraction records, page-major then extractor-major.
 
         ``executor`` supplies a caller-managed executor in place of the
         one ``backend`` / ``n_workers`` would create (the caller also
         closes it).  The single-chunk case of :meth:`run_stream`.
         """
-        return [
-            record
-            for records in self.run_stream([corpus.pages], backend, n_workers, executor)
-            for record in records
-        ]
+        (records,) = self.run_stream([corpus.pages], backend, n_workers, executor)
+        return records
 
     def run_stream(
         self,
@@ -237,14 +185,14 @@ class ExtractionPipeline:
         """Extract page chunks one at a time: the out-of-core form of :meth:`run`.
 
         ``chunks`` is an iterable of page lists (e.g.
-        :func:`repro.world.webgen.stream_corpus`); each chunk is sharded
-        through one map job — same backends, same wire codec, same
-        per-page record order — handed to the executor as received, and
-        yields that chunk's flattened record list.  The fleet is
+        :func:`repro.world.webgen.stream_corpus`); each chunk is cut into
+        windows and run through one map job — same backends, same record
+        tables, same record order — and yields that chunk's
+        :class:`~repro.extract.records.RecordTables`.  The fleet is
         installed pool-resident *once* for the whole stream (per-chunk
         install/withdraw would restart the pool on every chunk), and
         withdrawn when the stream ends; peak memory is one chunk of pages
-        plus its records.  ``backend`` / ``n_workers`` are validated at
+        plus its record tables.  ``backend`` / ``n_workers`` are validated at
         the call, not at the first ``next()``.
         """
         if backend not in EXTRACTION_BACKENDS:
@@ -262,19 +210,17 @@ class ExtractionPipeline:
         # pool instead of pickling it into every shard task.
         executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
         job = ShardedMapJob(
-            name="extract.pages",
-            map_shard=_extract_shard,
-            key_fn=_page_url,
-            codec=_PAGES_WIRE_CODEC,
+            name="extract.pages", map_shard=_extract_shard, key_fn=_window_key
         )
         try:
             for pages in chunks:
                 if isinstance(pages, LazyPageList):
                     pages = pages.stored_pages()
-                per_page = executor.run_map(pages, job)
-                yield [
-                    record for page_records in per_page for record in page_records
+                windows = [
+                    pages[start : start + _WINDOW_PAGES]
+                    for start in range(0, len(pages), _WINDOW_PAGES)
                 ]
+                yield RecordTables(executor.run_map(windows, job))
         finally:
             if owns_executor:
                 executor.close()

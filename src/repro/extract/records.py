@@ -27,6 +27,8 @@ __all__ = [
     "ErrorKind",
     "ExtractionDebug",
     "ExtractionRecord",
+    "ParsedTriples",
+    "RecordTables",
     "records_to_wire",
     "records_from_wire",
     "RECORD_WIRE_CODEC",
@@ -110,11 +112,11 @@ def _gc_paused():
 
     Where it sits: one pause spans a whole extraction shard
     (:func:`repro.extract.pipeline._extract_shard`: page decoding,
-    synthesis and classification of every window),
+    synthesis, classification and encoding of every window),
     :func:`~repro.extract.synthesis.synthesize_batch` holds one over
     synthesis and stitching for callers outside a shard,
-    and :func:`records_from_wire` holds one while a shard's records are
-    rebuilt in the parent.
+    and :func:`records_from_wire` holds one while a table's records are
+    rebuilt.
     """
     if gc.isenabled():
         gc.disable()
@@ -127,15 +129,15 @@ def _gc_paused():
 
 
 # ---------------------------------------------------------------------------
-# Wire format for crossing process boundaries
+# The record table: the one form records take outside a shard
 # ---------------------------------------------------------------------------
-# One shard's records cross the worker→parent boundary as columns, not as
-# pickled dataclasses: every distinct string (extractor, url, site,
-# content type, pattern) and every distinct triple (as canonical text)
-# appears once, and each record is a row of int32 codes into those tables
-# plus its numeric columns.  The parent parses each distinct triple once
-# and builds records that share one object per distinct string and
-# triple, as in-process synthesis does.  The round-trip is exact:
+# Each page window of an extraction shard leaves it as one table of
+# columns, in-process and pooled alike: every distinct string (extractor,
+# url, site, content type, pattern) and every distinct triple (canonical
+# text, in first-arrival order) appears once, and each record is a row of
+# int32 codes into those tables plus its numeric columns.  The claim
+# accumulator folds the tables as they are; :class:`RecordTables` decodes
+# them only when a caller reads a record.  The round-trip is exact:
 # ``Triple.from_canonical`` inverts ``canonical()``, float columns keep
 # their bits, and every ``None`` has a presence mask or a -1 code.
 #
@@ -161,7 +163,7 @@ _NO_DEBUG = ExtractionDebug(asserted_index=None)
 
 
 def records_to_wire(records: list[ExtractionRecord]) -> tuple:
-    """One shard's records as string/triple tables plus columns (worker side)."""
+    """Records as one table: string/triple tables plus columns."""
     strings: dict[str, int] = {}
     triples: dict[Triple, int] = {}
     string_code, triple_code = strings.setdefault, triples.setdefault
@@ -215,21 +217,40 @@ def _masked(values: list, present: np.ndarray) -> list:
     return [value if keep else None for value, keep in zip(values, present.tolist())]
 
 
-def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
-    """Inverse of :func:`records_to_wire` (parent side).
+class ParsedTriples(dict):
+    """Canonical triple text -> its :class:`Triple`, parsed on first lookup.
 
-    Each distinct triple is parsed once, and the records share one object
-    per distinct string and triple.  The GC is paused while they are
-    built (see :func:`_gc_paused`).
+    One per set of record tables, shared by their readers (the decode,
+    the claim accumulator, the gold labels), so each reader holds the
+    same objects and lookups between them stop at the identity check.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> Triple:
+        triple = self[text] = Triple.from_canonical(text)
+        return triple
+
+
+def records_from_wire(
+    wire: tuple, triples: ParsedTriples | None = None
+) -> list[ExtractionRecord]:
+    """Inverse of :func:`records_to_wire`.
+
+    Each distinct triple is parsed once (through ``triples`` when given),
+    and the records share one object per distinct string and triple.  The
+    GC is paused while they are built (see :func:`_gc_paused`).
     """
     (
         strings, triple_texts, codes, confidence, has_confidence, has_debug,
         asserted, has_asserted, error_kind, flags,
     ) = wire
+    if triples is None:
+        triples = ParsedTriples()
     with _gc_paused():
         table = [*strings, None]  # pattern code -1 indexes the trailing None
         lookup = table.__getitem__
-        triples = [Triple.from_canonical(text) for text in triple_texts]
+        parsed = list(map(triples.__getitem__, triple_texts))
         triple_col, extractor, url, site, content_type, pattern = codes.T.tolist()
         debug = map(
             ExtractionDebug,
@@ -240,7 +261,7 @@ def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
         return list(
             map(
                 ExtractionRecord,
-                map(triples.__getitem__, triple_col),
+                map(parsed.__getitem__, triple_col),
                 map(lookup, extractor),
                 map(lookup, url),
                 map(lookup, site),
@@ -250,6 +271,39 @@ def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
                 _masked(list(debug), has_debug),
             )
         )
+
+
+class RecordTables:
+    """Extraction records held as tables, decoded on first element access.
+
+    ``tables`` are :func:`records_to_wire` tables in record order, one
+    per page window; ``len`` reads their code columns, and the first
+    iteration decodes them once (through ``triples``) and keeps the
+    records.  The claim accumulator and the gold labels read ``tables``.
+    """
+
+    def __init__(self, tables: list[tuple], triples: ParsedTriples | None = None) -> None:
+        self.tables = tables
+        self.triples = ParsedTriples() if triples is None else triples
+        self._len = sum(len(table[2]) for table in tables)
+        self._records: list[ExtractionRecord] | None = None
+
+    @classmethod
+    def of(cls, records: RecordTables | list[ExtractionRecord]) -> RecordTables:
+        """``records`` as tables: returned as is, or a list encoded once."""
+        return records if isinstance(records, cls) else cls([records_to_wire(records)])
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        if self._records is None:
+            records: list[ExtractionRecord] = []
+            with _gc_paused():
+                for table in self.tables:
+                    records += records_from_wire(table, self.triples)
+            self._records = records
+        return iter(self._records)
 
 
 #: The record codec: one string table, one triple table, int32 code columns.

@@ -6,12 +6,14 @@ pages.  Fusion operates on the deduplicated *claim* matrix: for every data
 item, which provenances support which triple.
 
 The matrix has one form, :class:`ColumnarClaims`: an int-coded CSR layout
-built by :class:`ClaimAccumulator`.  The accumulator interns each record
-once — a triple code and four provenance-string codes — and builds any
-granularity from those codes: the row layout is computed once per
+built by :class:`ClaimAccumulator`.  The accumulator folds record tables
+(the extraction job's output, :func:`~repro.extract.records.records_to_wire`)
+into codes — a triple code and four provenance-string codes per record,
+each distinct string and triple interned once per table — and builds
+any granularity from those codes: the row layout is computed once per
 vocabulary, and each granularity's provenance ids and claim CSR are
 array operations over the code columns.  :class:`FusionInput` is what a
-fuser reads: the records, the accumulator they were interned into, and
+fuser reads: the records, the accumulator they were folded into, and
 the columns cached per granularity (``claims(g)``), so the same
 extraction run is fused under many configurations cheaply (the
 granularity sweep of Figure 10 does exactly that); a streamed pipeline
@@ -35,7 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import (
+    ExtractionRecord,
+    ParsedTriples,
+    RecordTables,
+    records_to_wire,
+)
 from repro.fusion.provenance import KEY_FIELDS, Granularity
 from repro.kb.triples import DataItem, Triple
 
@@ -55,13 +62,14 @@ ProvKey = tuple[str, ...]
 class FusionInput:
     """Extraction records plus their claim columns, cached per granularity.
 
-    The records are interned once, into one :class:`ClaimAccumulator`
+    The records are folded once, into one :class:`ClaimAccumulator`
     every granularity's columns are built from — so the second and later
     ``claims(g)`` of a granularity sweep cost array operations only.  A
     caller that already folded these records into an accumulator (the
     pipeline's stage body) passes it as ``accumulator``; otherwise the
     records are folded on the first ``claims()`` / ``unique_triples()`` /
-    ``arrival_rows()`` call.
+    ``arrival_rows()`` call — a :class:`~repro.extract.records.RecordTables`
+    table by table, without decoding a record.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -69,7 +77,7 @@ class FusionInput:
     built at — a granularity sweep needs the record path.
     """
 
-    records: list[ExtractionRecord] | None
+    records: RecordTables | list[ExtractionRecord] | None
     accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
     _cache: dict[Granularity, "ColumnarClaims"] = field(default_factory=dict, repr=False)
 
@@ -92,9 +100,11 @@ class FusionInput:
 
     def _accumulated(self) -> "ClaimAccumulator":
         if self.accumulator is None:
+            records = RecordTables.of(self.records)
             # The granularity is build()'s default only; claims() names its own.
-            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
-            self.accumulator.add_records(self.records)
+            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, records.triples)
+            for table in records.tables:
+                self.accumulator.add_table(table)
         return self.accumulator
 
     def arrival_rows(self) -> np.ndarray | None:
@@ -339,62 +349,77 @@ class _Layout:
     string_rank: np.ndarray  # string code -> index into strings
 
 
-#: Code columns ``add_records`` appends per record, in column order.
+#: Code columns ``add_table`` appends per record, in column order.
 _CODE_FIELDS = ("row", "extractor", "url", "site", "pattern")
 
 
 class ClaimAccumulator:
     """Fold extraction chunks into claim columns without keeping records.
 
-    Accumulation is granularity-free: ``add_records`` interns each
-    record's triple and its four provenance strings once, appending five
-    int32 codes per record against the accumulator's own vocabularies.
-    ``build`` is numpy from there, at any granularity: the row layout
-    (canonical item-major order, the arrival permutation, the canonical
-    rank) is computed once per vocabulary from precomputed string keys;
-    provenance ids are dense string ranks combined one key component at a
-    time, and ``ProvKey`` tuples are decoded for the unique keys only.
+    Accumulation is granularity-free: ``add_table`` interns each record
+    table's distinct triples (keyed by canonical text) and provenance
+    strings once, and appends five int32 codes per record against the
+    accumulator's own vocabularies, remapped with numpy.  ``build`` is
+    numpy from there, at any granularity: the row layout (canonical
+    item-major order, the arrival permutation, the canonical rank) is
+    computed once per vocabulary, each distinct triple parsed once
+    (through ``triples``, the record tables' :class:`ParsedTriples`, when
+    the tables have other readers);
+    provenance ids are dense string ranks combined one key component at
+    a time, and ``ProvKey`` tuples are decoded for the unique keys only.
     The result equals the layout spelled out object by object from the
     same records' dict views (``tests/oracle/columns.py``) field for
     field, under any chunking — the property the accumulator parity
-    tests pin.  Peak state is the
-    vocabularies plus 20 bytes per record.
+    tests pin.  Peak state is the vocabularies plus 20 bytes per record.
     """
 
-    def __init__(self, granularity: Granularity) -> None:
+    def __init__(
+        self, granularity: Granularity, triples: ParsedTriples | None = None
+    ) -> None:
         self.granularity = granularity
-        self._row_of = _Vocabulary()  # Triple -> arrival row code
-        self._string_of = _Vocabulary()  # extractor / url / site / pattern
+        self._triples = triples  # shared with the record tables' readers
+        self._row_of = _Vocabulary()  # canonical triple text -> arrival row code
+        self._string_of = _Vocabulary()  # the tables' strings, "<extractor>:-"
         self._codes: list[np.ndarray] = []  # per chunk: int32[5, n]
         self._layout: _Layout | None = None
         self.n_records = 0
 
-    def add_records(self, records: list[ExtractionRecord]) -> None:
-        if not records:
+    def add_table(self, table: tuple) -> None:
+        """Fold one :func:`~repro.extract.records.records_to_wire` table.
+
+        Its triple table lists each triple at its first record, so arrival
+        order is the records' order across tables."""
+        strings, triple_texts, codes = table[:3]
+        if not len(codes):
             return
-        row_of = self._row_of
-        string_of = self._string_of
-        codes: list[int] = []
-        extend = codes.extend
-        for record in records:
-            extractor = record.extractor
-            pattern = record.pattern
-            if pattern is None:
-                pattern = f"{extractor}:-"  # as KEY_FIELDS reads a missing one
-            extend(
+        triple, extractor, url, site, _content_type, pattern = codes.T
+        row_code = np.array([self._row_of[text] for text in triple_texts], dtype=np.int32)
+        string_code = np.array([self._string_of[text] for text in strings], dtype=np.int32)
+        pattern_code = string_code[pattern]
+        missing = pattern < 0
+        if missing.any():
+            # A missing pattern reads as "<extractor>:-", as KEY_FIELDS does.
+            implicit = np.zeros(len(strings), dtype=np.int32)
+            for e in np.unique(extractor[missing]).tolist():
+                implicit[e] = self._string_of[f"{strings[e]}:-"]
+            pattern_code = np.where(missing, implicit[extractor], pattern_code)
+        self._codes.append(
+            np.stack(
                 (
-                    row_of[record.triple],
-                    string_of[extractor],
-                    string_of[record.url],
-                    string_of[record.site],
-                    string_of[pattern],
+                    row_code[triple],
+                    string_code[extractor],
+                    string_code[url],
+                    string_code[site],
+                    pattern_code,
                 )
             )
-        self._codes.append(
-            np.array(codes, dtype=np.int32).reshape(-1, len(_CODE_FIELDS)).T
         )
         self._layout = None
-        self.n_records += len(records)
+        self.n_records += len(codes)
+
+    def add_records(self, records: list[ExtractionRecord]) -> None:
+        """Fold a record list: :meth:`add_table` over its encoded table."""
+        self.add_table(records_to_wire(records))
 
     def _laid_out(self) -> _Layout:
         if self._layout is None:
@@ -402,16 +427,16 @@ class ClaimAccumulator:
         return self._layout
 
     def _lay_out(self) -> _Layout:
-        arrival_triples = list(self._row_of)
+        arrival_texts = list(self._row_of)
+        parse = Triple.from_canonical if self._triples is None else self._triples.__getitem__
+        arrival_triples = list(map(parse, arrival_texts))
         n_rows = len(arrival_triples)
         # Dense ids in sorted-string order, for the two things rows sort by:
         # their data item (field-wise) and their canonical string.
         item_table, row_item = _sorted_table(
             [(triple.subject, triple.predicate) for triple in arrival_triples]
         )
-        _, row_canonical = _sorted_table(
-            [triple.canonical() for triple in arrival_triples]
-        )
+        _, row_canonical = _sorted_table(arrival_texts)
         # Canonical row order: items sorted, triples sorted within each item.
         order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
         row_of_arrival = _inverse(order)

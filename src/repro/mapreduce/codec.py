@@ -5,14 +5,12 @@ goes through :mod:`pickle`; *what* gets pickled is the difference between
 a shuffle that scales and one that drowns in serialization.  This module
 is the single place that contract lives:
 
-- :class:`WireCodec` — a symmetric ``encode`` (worker side, once per
-  shard, over the shard's whole output list) / ``decode`` (parent side,
-  once per shard, back to one output per item) pair.
-  :class:`~repro.mapreduce.executors.ShardedMapJob` accepts one; the
-  extraction stage's columnar record codec
+- :class:`WireCodec` — a symmetric ``encode`` / ``decode`` pair for a
+  value that must cross as flat columns; the canonical instance is the
+  extraction stage's record table
   (:data:`repro.extract.records.RECORD_WIRE_CODEC`: a string table, a
-  table of distinct triples and int32 code columns) is the canonical
-  instance.
+  table of distinct triples and int32 code columns), which every
+  extraction backend returns, one table per page window.
 - :func:`scan_payload_types` — a recursive audit of a payload's value
   types, used by the test suite to *prove* that shard payloads carry no
   heavyweight domain objects (``Triple``/``DataItem``/``ExtractionRecord``),
@@ -21,7 +19,7 @@ is the single place that contract lives:
 The contract both producers follow (see ``mapreduce/README.md``):
 
 1. **Shard task payloads are flat.**  Work items cross as primitives
-   (ints, strings) or numpy arrays.
+   (ints, strings) or numpy arrays, and so do shard outputs.
 2. **Heavyweight invariant state never rides in a payload.**  Objects
    that every shard needs but no shard changes (the extractor fleet) are
    installed *pool-resident* via
@@ -37,13 +35,6 @@ The contract both producers follow (see ``mapreduce/README.md``):
    (:meth:`~repro.mapreduce.executors.ParallelExecutor.install_round_state`
    — one shared-memory segment per round); the spec carries
    only the tiny :class:`~repro.mapreduce.executors.RoundStateHandle`.
-4. **Codecs work per shard and are exact.**  A worker encodes its
-   shard's whole output list once, and the parent decodes each shard's
-   wire once, as it collects it, into one output per item (a shard that
-   decodes to any other count is a ``ValueError`` naming the job).
-   ``decode(encode(xs))`` must round-trip ``xs`` bit-for-bit; the serial
-   path skips the codec entirely, so any lossy codec would break
-   serial/parallel parity.
 """
 
 from __future__ import annotations
@@ -59,16 +50,8 @@ __all__ = ["WireCodec", "scan_payload_types"]
 
 @dataclass(frozen=True)
 class WireCodec:
-    """A symmetric, per-shard output codec.
-
-    ``encode`` runs in the worker, once per shard: it takes the shard's
-    whole output list (one output per item) and returns one wire value to
-    cross the process boundary, so a codec can share tables across the
-    shard's items.  ``decode`` runs in the parent, once per shard, and
-    must return the output list exactly — one output per item, in item
-    order.  ``encode`` must be picklable (it ships inside the job spec);
-    ``decode`` runs only in the parent and may be a closure.
-    """
+    """A symmetric codec: ``decode(encode(xs))`` must give back ``xs``
+    bit for bit, so a value's columnar form loses nothing."""
 
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]

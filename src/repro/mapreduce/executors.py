@@ -87,7 +87,6 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import ConfigError, WorkerPoolError
-from repro.mapreduce.codec import WireCodec
 from repro.rng import split_seed
 
 __all__ = [
@@ -311,19 +310,15 @@ class ShardedMapJob:
 
     ``key_fn`` yields the stable shard key for an item (hashed with
     :func:`shard_for_key`; it runs only in the parent and need not
-    pickle).  ``map_shard`` and the optional wire ``codec``'s ``encode``
-    must be picklable for the parallel backend.  The codec works per
-    shard: ``encode`` turns a shard's whole output list into one wire
-    value in the worker, and ``decode`` turns that wire back into one
-    output per item in the parent — the extraction stage uses this to
-    ship a shard's records as one set of string/triple tables and code
-    columns instead of pickled dataclass lists.
+    pickle).  ``map_shard`` must be picklable for the parallel backend,
+    and its outputs cross back as they are, so a job whose natural output
+    is object-shaped returns flat columns instead (the extraction job's
+    record tables, :func:`repro.extract.records.records_to_wire`).
     """
 
     name: str
     map_shard: Callable[[list], list]
     key_fn: Callable[[Any], Any]
-    codec: WireCodec | None = None
 
 
 @contextmanager
@@ -353,20 +348,17 @@ def _map_shard_worker(
 ) -> tuple[list[int], Any]:
     """Worker body for one :class:`ShardedMapJob` shard.
 
-    Returns ``(input_indices, wire)``: the shard's outputs, encoded once
-    as a whole by the job's codec (or the plain output list without
-    one).  The parent decodes the wire and slots each output back at its
-    input index, restoring the serial emission order.
+    Returns ``(input_indices, outputs)``; the parent slots each output
+    back at its input index, restoring the serial emission order.
     """
-    map_shard, encode = pickle.loads(spec_bytes)
+    map_shard = pickle.loads(spec_bytes)
     outputs = map_shard([item for _index, item in indexed_items])
     if len(outputs) != len(indexed_items):
         raise ValueError(
             f"map_shard returned {len(outputs)} outputs for "
             f"{len(indexed_items)} items; the contract is one per item"
         )
-    indices = [index for index, _item in indexed_items]
-    return indices, outputs if encode is None else encode(outputs)
+    return [index for index, _item in indexed_items], outputs
 
 
 @runtime_checkable
@@ -398,7 +390,7 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """One in-process pass per job, no wire codec (reference behaviour)."""
+    """One in-process pass per job (reference behaviour)."""
 
     def __init__(self) -> None:
         self._installed: dict[str, Any] = {}
@@ -597,8 +589,6 @@ class ParallelExecutor:
 
         An empty job returns ``[]`` without touching the pool; a work unit
         that will not pickle is a :class:`ConfigError` naming the job.
-        Each shard's wire is decoded once, as it is collected, and must
-        give one output per item (else a ``ValueError`` naming the job).
         A worker that dies mid-job breaks the pool: that is a
         :class:`~repro.errors.WorkerPoolError` naming the job, raised from
         the pool's ``BrokenProcessPool``; nothing is retried.
@@ -606,17 +596,13 @@ class ParallelExecutor:
         items = list(items)
         if not items:
             return []
-        spec_bytes = _pickled(
-            (job.map_shard, job.codec.encode if job.codec else None),
-            f"job {job.name!r}",
-        )
+        spec_bytes = _pickled(job.map_shard, f"job {job.name!r}")
 
         n_shards = min(self.max_workers * 4, len(items))
         shards: list[list[tuple[int, Any]]] = [[] for _ in range(n_shards)]
         for index, item in enumerate(items):
             shards[shard_for_key(job.key_fn(item), n_shards)].append((index, item))
 
-        decode = job.codec.decode if job.codec else None
         outputs: list[Any] = [None] * len(items)
         try:
             # A fresh pool forks its workers inside the first submit.
@@ -627,19 +613,8 @@ class ParallelExecutor:
                     for shard in shards
                     if shard
                 ]
-            # One shard at a time, in submission order; popping each
-            # future drops its wire before the next shard is decoded.
-            futures.reverse()
-            while futures:
-                indices, wire = futures.pop().result()
-                shard_outputs = wire if decode is None else decode(wire)
-                del wire
-                if len(shard_outputs) != len(indices):
-                    raise ValueError(
-                        f"job {job.name!r}: decode returned {len(shard_outputs)} "
-                        f"outputs for {len(indices)} items; the contract is one "
-                        "per item"
-                    )
+            for future in futures:
+                indices, shard_outputs = future.result()
                 for index, output in zip(indices, shard_outputs):
                     outputs[index] = output
         except BrokenProcessPool as err:

@@ -70,7 +70,7 @@ class TestScenario:
         a = build_scenario(tiny_config(seed=22))
         b = build_scenario(tiny_config(seed=22), use_cache=False)
         assert a is not b
-        assert a.records == b.records
+        assert list(a.records) == list(b.records)
 
     def test_gold_labels_subset_of_unique_triples(self, tiny_scenario):
         unique = set(tiny_scenario.unique_triples())
@@ -90,7 +90,7 @@ class TestScenario:
         assert tiny_scenario.fusion_input() is tiny_scenario.fusion_input()
 
     def test_different_seeds_differ(self, tiny_scenario, tiny_scenario_alt_seed):
-        assert tiny_scenario.records != tiny_scenario_alt_seed.records
+        assert list(tiny_scenario.records) != list(tiny_scenario_alt_seed.records)
 
     @pytest.mark.parallel_backend
     def test_build_scenario_on_caller_managed_executor(self, tiny_scenario):
@@ -103,5 +103,5 @@ class TestScenario:
             scenario = build_scenario(
                 tiny_config(seed=7), use_cache=False, executor=executor
             )
-        assert scenario.records == tiny_scenario.records
+        assert list(scenario.records) == list(tiny_scenario.records)
         assert scenario.gold == tiny_scenario.gold

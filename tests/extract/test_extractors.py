@@ -248,7 +248,7 @@ class TestNoiseMechanisms:
         assert records
         pages = {page.url: page for page in clean_corpus.pages}
         reclassified = [classify_record(r, pages[r.url]) for r in records]
-        assert records == reclassified  # classification is idempotent
+        assert list(records) == reclassified  # classification is idempotent
         # A misgrab-heavy extractor must surface concrete error kinds.
         assert any(r.debug.error_kind is not None for r in records)
 

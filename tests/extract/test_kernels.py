@@ -175,4 +175,4 @@ class TestFleetParity:
         annotated = [record for records in per_page for record in records]
         assert annotated == expected
         # ... and both equal what the pipeline itself produced.
-        assert annotated == tiny_scenario.records
+        assert annotated == list(tiny_scenario.records)

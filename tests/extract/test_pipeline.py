@@ -11,9 +11,16 @@ from repro.datasets import small_config, tiny_config
 from repro.datasets.scenario import build_extraction_pipeline
 from repro.errors import ConfigError, ExtractionError
 from repro.extract.kernels import classify_batch
+from repro.endtoend import run_end_to_end
 from repro.extract import pipeline as extract_pipeline
+from repro.extract import records as records_module
 from repro.extract.pipeline import EXTRACTION_BACKENDS
-from repro.extract.records import ErrorKind, ExtractionDebug, ExtractionRecord
+from repro.extract.records import (
+    ErrorKind,
+    ExtractionDebug,
+    ExtractionRecord,
+    RecordTables,
+)
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
 from repro.mapreduce import executors
@@ -170,13 +177,13 @@ class TestPipeline:
 
     def test_deterministic_rerun(self, tiny_scenario):
         records = tiny_scenario.pipeline.run(tiny_scenario.corpus)
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
 
     def test_matches_the_scalar_oracle(self, tiny_scenario):
         per_page = oracle.extract_records(
             tiny_scenario.pipeline.extractors, tiny_scenario.corpus.pages
         )
-        assert [r for records in per_page for r in records] == tiny_scenario.records
+        assert [r for records in per_page for r in records] == list(tiny_scenario.records)
 
     @pytest.mark.parametrize(
         "kwargs", [{"backend": "bogus"}, {"backend": "hybrid", "n_workers": 0}]
@@ -223,6 +230,47 @@ class TestFrozenRecordStream:
             assert records_fingerprint(records) == expected, backend
 
 
+def _live_records() -> int:
+    return sum(isinstance(obj, ExtractionRecord) for obj in gc.get_objects())
+
+
+class TestRecordTables:
+    """A pipeline run hands on record tables: the parent builds no record
+    until the scenario's records are iterated, and then decodes the
+    committed stream."""
+
+    @pytest.mark.parametrize(
+        "backend", ["serial", pytest.param("hybrid", marks=pytest.mark.parallel_backend)]
+    )
+    def test_records_are_decoded_only_when_iterated(self, backend, monkeypatch):
+        decoded = []
+        records_from_wire = records_module.records_from_wire
+
+        def spy(table, triples=None):
+            decoded.append(len(table[2]))
+            return records_from_wire(table, triples)
+
+        monkeypatch.setattr(records_module, "records_from_wire", spy)
+        gc.collect()
+        before = _live_records()
+        result = run_end_to_end(tiny_config(0), backend=backend, n_workers=2)
+        gc.collect()
+        assert _live_records() == before
+        assert decoded == []
+        assert len(result.scenario.records) == result.n_records
+        records = list(result.scenario.records)
+        assert sum(decoded) == len(records) == result.n_records
+        assert records_fingerprint(records) == RECORD_FINGERPRINTS["tiny", 0]
+
+    def test_of_keeps_tables_and_encodes_a_list_once(self, tiny_scenario):
+        tables = tiny_scenario.records
+        assert RecordTables.of(tables) is tables
+        records = list(tables)
+        encoded = RecordTables.of(records)
+        assert len(encoded.tables) == 1 and len(encoded) == len(records)
+        assert list(encoded) == records
+
+
 @pytest.mark.parallel_backend
 class TestBackends:
     """Serial/parallel parity for the sharded extraction stage."""
@@ -238,7 +286,7 @@ class TestBackends:
             records = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, executor=executor
             )
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
 
     def test_unknown_backend_rejected(self, tiny_scenario):
         with pytest.raises(ConfigError):
@@ -247,7 +295,7 @@ class TestBackends:
     def test_batched_bit_identical_to_serial(self, tiny_scenario):
         # The other in-process spelling: same executor, same kernels.
         batched = tiny_scenario.pipeline.run(tiny_scenario.corpus, backend="batched")
-        assert batched == tiny_scenario.records
+        assert list(batched) == list(tiny_scenario.records)
 
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -263,7 +311,7 @@ class TestBackends:
             records = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, backend="hybrid", executor=executor
             )
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
 
     def test_caller_managed_executor_reused_and_counted(self, tiny_scenario):
         with ParallelExecutor(max_workers=2) as executor:
@@ -273,7 +321,7 @@ class TestBackends:
             second = tiny_scenario.pipeline.run(
                 tiny_scenario.corpus, executor=executor
             )
-            assert first == second == tiny_scenario.records
+            assert list(first) == list(second) == list(tiny_scenario.records)
 
     @pytest.mark.parametrize("backend", ["serial", "hybrid"])
     def test_page_order_shuffle_invariance(self, tiny_scenario, backend):
@@ -306,7 +354,7 @@ class TestBackends:
             for page in shuffled.pages
             for record in grouped.get(page.url, [])
         ]
-        assert records == expected
+        assert list(records) == expected
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +397,7 @@ class TestStoredPages:
         monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
         with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
             records = tiny_scenario.pipeline.run(corpus, executor=executor)
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
         assert corpus.pages._pages == [None] * len(corpus.pages)
         assert submitted, "no shard tasks were dispatched"
         for _spec_bytes, shard in submitted:
@@ -362,7 +410,7 @@ class TestStoredPages:
     ):
         corpus = _cache_hit_pages(tiny_scenario, scenario_cache)
         records = tiny_scenario.pipeline.run(corpus, executor=SerialExecutor())
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
         assert corpus.pages._pages == [None] * len(corpus.pages)
 
 
@@ -392,7 +440,7 @@ class TestWindowedShard:
 
         monkeypatch.setattr(extract_pipeline, "synthesize_batch", spy)
         records = tiny_scenario.pipeline.run(hit_corpus, executor=SerialExecutor())
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
         assert [len(urls) for urls in windows] == [self.WINDOW] * 11 + [3]
         assert [url for urls in windows for url in urls] == [
             page.url for page in hit_corpus.pages.stored_pages()
@@ -402,7 +450,7 @@ class TestWindowedShard:
     def test_pooled_windows_match_the_serial_stream(self, tiny_scenario, hit_corpus):
         with ParallelExecutor(max_workers=2, start_method="fork") as executor:
             records = tiny_scenario.pipeline.run(hit_corpus, executor=executor)
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
 
     def test_page_decoding_runs_with_the_collector_paused(
         self, tiny_scenario, hit_corpus, monkeypatch
@@ -417,7 +465,7 @@ class TestWindowedShard:
         monkeypatch.setattr(extract_pipeline, "decode_page", spy)
         assert gc.isenabled()
         records = tiny_scenario.pipeline.run(hit_corpus, executor=SerialExecutor())
-        assert records == tiny_scenario.records
+        assert list(records) == list(tiny_scenario.records)
         assert collector_enabled == [False] * 80
         assert gc.isenabled()
 

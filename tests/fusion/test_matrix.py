@@ -60,7 +60,7 @@ class TestClaimAccumulator:
     def test_one_accumulator_builds_every_granularity(self, tiny_scenario, chunk_size):
         """Accumulation is granularity-free: one fold of the records, any
         chunking, serves all six flattenings."""
-        records = tiny_scenario.records
+        records = list(tiny_scenario.records)
         accumulator = _accumulate(
             records, Granularity.EXTRACTOR_SITE, chunk_size or len(records)
         )
@@ -88,13 +88,13 @@ class TestClaimAccumulator:
     def test_record_claims_is_the_per_record_claim_lookup(self, tiny_scenario, granularity):
         """Each record's claim id comes off the accumulator's codes, equal
         to looking its row and provenance key up in the built columns."""
-        records = tiny_scenario.records
+        records = list(tiny_scenario.records)
         accumulator = _accumulate(records, Granularity.EXTRACTOR_URL, 97)
         cols = accumulator.build(granularity)
         assert accumulator.record_claims(cols).tolist() == record_claim_ids(records, cols)
 
     def test_chunks_added_after_a_build_are_folded_in(self, tiny_scenario):
-        records = tiny_scenario.records
+        records = list(tiny_scenario.records)
         granularity = Granularity.EXTRACTOR_SITE
         accumulator = ClaimAccumulator(granularity)
         accumulator.add_records(records[:100])
@@ -128,6 +128,32 @@ class TestClaimAccumulator:
             )
         assert records.iterations == 1
 
+    def test_record_tables_fold_like_their_records(self, tiny_scenario):
+        """A scenario's record tables fold, undecoded, to the columns and
+        arrival order of the decoded record list."""
+        from_tables = FusionInput(tiny_scenario.records)
+        from_list = FusionInput(list(tiny_scenario.records))
+        for granularity in GRANULARITIES:
+            assert_columns_equal(from_tables.claims(granularity), from_list.claims(granularity))
+        assert np.array_equal(from_tables.arrival_rows(), from_list.arrival_rows())
+        assert from_tables.unique_triples() == from_list.unique_triples()
+
+    def test_readers_of_the_tables_share_triple_objects(self, tiny_scenario):
+        """Each distinct triple is parsed once per set of record tables: the
+        scenario's gold labels, its decoded records and a fresh fold hold
+        the same objects, so gold lookups stop at the identity check."""
+        parsed = tiny_scenario.records.triples
+        folded = FusionInput(tiny_scenario.records).unique_triples()
+        decoded = [record.triple for record in tiny_scenario.records]
+        for triple in [*tiny_scenario.gold, *folded, *decoded]:
+            assert triple is parsed[triple.canonical()]
+
+    def test_gold_labels_read_the_record_tables(self, tiny_scenario):
+        freebase, records = tiny_scenario.freebase, tiny_scenario.records
+        from_tables = label_gold(freebase, records)
+        assert list(from_tables.items()) == list(label_gold(freebase, list(records)).items())
+        assert list(from_tables.items()) == list(tiny_scenario.gold.items())
+
     def test_build_never_compares_triples_or_items(self, tiny_scenario, monkeypatch):
         """Every sort on the build / labelling path keys on precomputed
         strings; a Python-level ``__lt__`` per comparison is what made the
@@ -146,19 +172,20 @@ class TestClaimAccumulator:
         assert calls == ["Triple"]  # the counter counts
         del calls[:]
 
-        records = tiny_scenario.records
-        fusion_input = FusionInput(records)
-        cols = fusion_input.claims(Granularity.EXTRACTOR_SITE_PREDICATE)
-        fusion_input.arrival_rows()
-        cols.canonical_rank()
-        fusion_input.unique_triples()
-        FusionInput.from_columns(cols).unique_triples()
-        label_gold(tiny_scenario.freebase, records)
+        # The record tables as a scenario holds them, and a decoded list.
+        for records in (tiny_scenario.records, list(tiny_scenario.records)):
+            fusion_input = FusionInput(records)
+            cols = fusion_input.claims(Granularity.EXTRACTOR_SITE_PREDICATE)
+            fusion_input.arrival_rows()
+            cols.canonical_rank()
+            fusion_input.unique_triples()
+            FusionInput.from_columns(cols).unique_triples()
+            label_gold(tiny_scenario.freebase, records)
         assert calls == []
 
     def test_release_drops_state(self, tiny_scenario):
         accumulator = _accumulate(
-            tiny_scenario.records, Granularity.EXTRACTOR_SITE, 50
+            list(tiny_scenario.records), Granularity.EXTRACTOR_SITE, 50
         )
         accumulator.release()
         assert accumulator.build().n_rows == 0
@@ -261,7 +288,7 @@ class TestColumnarAdapters:
         """The ``serial`` backend (like the oracle) emits in ``items``
         order, so views derived from records must not come out
         canonically sorted."""
-        records = tiny_scenario.records
+        records = list(tiny_scenario.records)
         views = DictClaims(Granularity.EXTRACTOR_SITE, records=records)
         arrival = list(dict.fromkeys(record.triple.data_item for record in records))
         assert list(views.items) == arrival

@@ -18,7 +18,7 @@ class TestDeterminism:
         )
         a = build_scenario(config, use_cache=False)
         b = build_scenario(config, use_cache=False)
-        assert a.records == b.records
+        assert list(a.records) == list(b.records)
         assert a.gold == b.gold
         assert a.freebase == b.freebase
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.mapreduce import executors
-from repro.mapreduce.codec import WireCodec, scan_payload_types
+from repro.mapreduce.codec import scan_payload_types
 from repro.mapreduce.executors import (
     Executor,
     ParallelExecutor,
@@ -98,24 +98,12 @@ def _pid_shard(items):
     return [os.getpid() for _item in items]
 
 
-def _encode_out(outputs):
-    return ("wire", list(outputs))
+def _drop_one_shard(items):
+    return _square_shard(items)[1:]
 
 
-def _decode_out(wire):
-    tag, outputs = wire
-    assert tag == "wire"
-    return outputs
-
-
-def _decode_drops_one(wire):
-    return _decode_out(wire)[1:]
-
-
-def square_map_job(codec=None):
-    return ShardedMapJob(
-        name="square", map_shard=_square_shard, key_fn=_identity_key, codec=codec
-    )
+def square_map_job():
+    return ShardedMapJob(name="square", map_shard=_square_shard, key_fn=_identity_key)
 
 
 class TestShardedMap:
@@ -131,39 +119,6 @@ class TestShardedMap:
         assert parallel.run_map(self.ITEMS, job) == SerialExecutor().run_map(
             self.ITEMS, job
         )
-
-    def test_wire_codec_round_trips(self, parallel):
-        job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_out))
-        assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
-
-    def test_codec_runs_once_per_shard(self, parallel):
-        """``encode`` sees a shard's whole output list and ``decode`` gets
-        one wire per shard back, never one per item."""
-        wires = []
-
-        def decode(wire):
-            wires.append(wire)
-            return _decode_out(wire)
-
-        job = square_map_job(WireCodec(encode=_encode_out, decode=decode))
-        assert parallel.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
-        assert 1 < len(wires) <= parallel.max_workers * 4
-        assert sum(len(outputs) for _tag, outputs in wires) == len(self.ITEMS)
-
-    def test_decode_must_give_one_output_per_item(self, parallel):
-        job = square_map_job(WireCodec(encode=_encode_out, decode=_decode_drops_one))
-        with pytest.raises(ValueError, match="job 'square': decode returned"):
-            parallel.run_map(self.ITEMS, job)
-
-    def test_serial_path_skips_wire_codec(self):
-        # In-process there is no boundary to cross; encode/decode must not run.
-        def boom(_value):
-            raise AssertionError("codec ran in-process")
-
-        job = square_map_job(WireCodec(encode=boom, decode=boom))
-        assert SerialExecutor().run_map(self.ITEMS, job) == [
-            i * i for i in self.ITEMS
-        ]
 
     def test_one_item_job_runs_in_the_pool(self):
         """No job is too small for the pool: one item is one shard in a
@@ -189,14 +144,11 @@ class TestShardedMap:
         with pytest.raises(ConfigError, match="job 'closure' cannot be pickled"):
             parallel.run_map(self.ITEMS, job)
 
-    def test_wrong_output_arity_rejected(self):
-        job = ShardedMapJob(
-            name="dropper",
-            map_shard=lambda items: items[:-1],
-            key_fn=_identity_key,
-        )
-        with pytest.raises(ValueError):
-            SerialExecutor().run_map(self.ITEMS, job)
+    def test_wrong_output_arity_rejected(self, parallel):
+        job = ShardedMapJob(name="dropper", map_shard=_drop_one_shard, key_fn=_identity_key)
+        for executor in (SerialExecutor(), parallel):
+            with pytest.raises(ValueError, match="the contract is one per item"):
+                executor.run_map(self.ITEMS, job)
 
 
 class TestFrozenFork:
@@ -366,16 +318,6 @@ class TestWorkerState:
 
 
 class TestWireCodecLayer:
-    def test_job_accepts_codec_object(self, parallel):
-        codec = WireCodec(encode=_encode_out, decode=_decode_out)
-        job = ShardedMapJob(
-            name="square", map_shard=_square_shard, key_fn=_identity_key,
-            codec=codec,
-        )
-        assert parallel.run_map(TestShardedMap.ITEMS, job) == [
-            i * i for i in TestShardedMap.ITEMS
-        ]
-
     def test_scan_payload_types_sees_through_containers(self):
         import numpy as np
 

@@ -6,14 +6,15 @@ objects themselves.  The two must agree for any strings — separators
 inside fields, non-ASCII code points, a subject that is a prefix of
 another (where item-major and canonical-string order part ways), and the
 ``pattern=None`` spelling ``"<extractor>:-"`` colliding with a literal
-pattern of the same text.
+pattern of the same text.  The records reach the accumulator either as
+one list or as record tables (``add_table``), chunked any way.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, records_to_wire
 from repro.fusion.observations import ClaimAccumulator
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
@@ -78,6 +79,28 @@ def test_accumulator_equals_reference_layout(records, chunk_size):
             triple for triple_map in matrix.items.values() for triple in triple_map
         ]
         assert accumulator.record_claims(built).tolist() == record_claim_ids(records, built)
+
+
+@given(records_strategy, st.lists(st.integers(min_value=0, max_value=7), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_any_tables_fold_like_the_record_list(records, cuts):
+    """Cut the records into tables anywhere (empty tables included): the
+    columns equal the oracle's and the arrival order is the list's."""
+    bounds = [0, *sorted(min(cut * 6, len(records)) for cut in cuts), len(records)]
+    tables = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+    for start, end in zip(bounds, bounds[1:]):
+        tables.add_table(records_to_wire(records[start:end]))
+    folded = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+    folded.add_records(list(records))
+    assert tables.n_records == len(records)
+    assert np.array_equal(tables.arrival_rows(), folded.arrival_rows())
+    for granularity in Granularity:
+        matrix, expected = reference_columns(records, granularity)
+        built = tables.build(granularity)
+        assert_columns_equal(built, expected)
+        assert [built.triples[r] for r in tables.arrival_rows().tolist()] == [
+            triple for triple_map in matrix.items.values() for triple in triple_map
+        ]
 
 
 def test_missing_pattern_collides_with_its_literal_spelling():

@@ -4,8 +4,9 @@
 field by field, types included: a ``bool`` stays a ``bool`` (not a numpy
 bool or an int), a ``None`` stays ``None``, an ``int`` stays an ``int``
 and a confidence keeps its float bits (``-0.0`` included).  The
-extraction job's codec, which wraps it with per-page record counts, must
-give back the same page lists, empty pages included.
+extraction job's output, one table per page window held as
+:class:`~repro.extract.records.RecordTables`, must give back the same
+record stream, empty windows included.
 """
 
 import struct
@@ -13,12 +14,13 @@ import struct
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.extract.pipeline import _PAGES_WIRE_CODEC
 from repro.extract.records import (
     RECORD_WIRE_CODEC,
     ErrorKind,
     ExtractionDebug,
     ExtractionRecord,
+    RecordTables,
+    records_to_wire,
 )
 from repro.kb.triples import Triple
 from repro.kb.values import DateValue, EntityRef, NumberValue, StringValue
@@ -121,9 +123,11 @@ class TestRecordCodec:
     @given(st.lists(st.lists(records, max_size=4), max_size=8))
     @example([])
     @example([[], EVERY_KIND[:2], [], EVERY_KIND[2:], []])
-    def test_page_lists_round_trip_with_empty_pages(self, per_page):
-        decoded = _PAGES_WIRE_CODEC.decode(_PAGES_WIRE_CODEC.encode(per_page))
-        assert [len(page) for page in decoded] == [len(page) for page in per_page]
-        for expected_page, actual_page in zip(per_page, decoded):
-            for expected, actual in zip(expected_page, actual_page):
-                assert_same_record(expected, actual)
+    def test_window_tables_round_trip_with_empty_windows(self, per_window):
+        tables = RecordTables([records_to_wire(window) for window in per_window])
+        expected = [record for window in per_window for record in window]
+        assert len(tables) == len(expected)
+        decoded = list(tables)
+        assert len(decoded) == len(expected)
+        for expected_record, actual in zip(expected, decoded):
+            assert_same_record(expected_record, actual)

@@ -277,7 +277,7 @@ class TestDownstreamBitIdentity:
         cached_records = build_extraction_pipeline(config, world2).run(
             corpus2, backend="serial"
         )
-        assert cached_records == fresh_records
+        assert list(cached_records) == list(fresh_records)
         assert label_gold(freebase2, cached_records) == label_gold(
             freebase, fresh_records
         )
@@ -288,7 +288,7 @@ class TestDownstreamBitIdentity:
         cold = build_scenario(CONFIG, use_cache=False, cache_dir=tmp_path)
         warm = build_scenario(CONFIG, use_cache=False, cache_dir=tmp_path)
         assert isinstance(warm.corpus.pages, artifacts.LazyPageList)
-        assert warm.records == cold.records
+        assert list(warm.records) == list(cold.records)
         assert warm.gold == cold.gold
 
 

@@ -198,39 +198,39 @@ class TestOneBody:
         assert serial_record.diagnostics["peak_rss_mb"] > 0
 
     def test_materialised_run_interns_each_record_once(self, monkeypatch):
-        """The records are folded into the accumulator as they arrive and
+        """The record tables are folded into the accumulator as they arrive and
         the scenario's fusion input shares it: no second walk for the gold
         labels, no third for the claim matrix."""
         seen = []
-        add_records = ClaimAccumulator.add_records
+        add_table = ClaimAccumulator.add_table
 
-        def counting(self, records):
-            seen.append(len(records))
-            add_records(self, records)
+        def counting(self, table):
+            seen.append(len(table[2]))
+            add_table(self, table)
 
-        monkeypatch.setattr(ClaimAccumulator, "add_records", counting)
+        monkeypatch.setattr(ClaimAccumulator, "add_table", counting)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         assert endtoend.label_gold is scenario_module.label_gold_triples
         result = run_end_to_end(tiny_config(seed=SEED), backend="batched")
         assert sum(seen) == result.n_records == len(result.scenario.records)
         # A granularity the run did not fuse at (POPACCU+ picks its own)
-        # still comes off the shared accumulator: no second add_records.
+        # still comes off the shared accumulator: no second fold.
         fusion_input = result.scenario.fusion_input()
         assert fusion_input.accumulator.n_records == result.n_records
         assert fusion_input.claims(Granularity.EXTRACTOR_URL).n_claims > 0
         assert sum(seen) == result.n_records
 
     def test_build_scenario_interns_each_record_once(self, monkeypatch):
-        """``build_scenario`` is the same body: one fold of the records,
+        """``build_scenario`` is the same body: one fold of the record tables,
         labelled off the accumulator, which the scenario's input carries."""
         seen = []
-        add_records = ClaimAccumulator.add_records
+        add_table = ClaimAccumulator.add_table
 
-        def counting(self, records):
-            seen.append(len(records))
-            add_records(self, records)
+        def counting(self, table):
+            seen.append(len(table[2]))
+            add_table(self, table)
 
-        monkeypatch.setattr(ClaimAccumulator, "add_records", counting)
+        monkeypatch.setattr(ClaimAccumulator, "add_table", counting)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         scenario = build_scenario(tiny_config(seed=SEED), use_cache=False)
         assert sum(seen) == len(scenario.records) > 0
@@ -247,7 +247,7 @@ class TestOneBody:
         config = tiny_config(seed=SEED)
         built = build_scenario(config, use_cache=False, backend=backend)
         ran = run_end_to_end(config, backend=backend).scenario
-        assert built.records == ran.records
+        assert list(built.records) == list(ran.records)
         assert list(built.gold.items()) == list(ran.gold.items())
         built_input, ran_input = built.fusion_input(), ran.fusion_input()
         assert np.array_equal(built_input.arrival_rows(), ran_input.arrival_rows())
