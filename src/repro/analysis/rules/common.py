@@ -27,6 +27,8 @@ KERNEL_MODULES: tuple[str, ...] = (
     "src/repro/fusion/extensions/confidence.py",
     "src/repro/extract/kernels.py",
     "src/repro/extract/synthesis.py",
+    "src/repro/extract/records.py",
+    "src/repro/extract/pipeline.py",
     "src/repro/eval/calibration.py",
     "src/repro/eval/pr.py",
     "src/repro/mapreduce/executors.py",

@@ -13,7 +13,6 @@ aggressive, hint-free linker and a corrupted map.
 from __future__ import annotations
 
 from repro.extract.base import Extractor
-from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
 from repro.rng import split_seed
 from repro.world.content import AnnotationBlock
@@ -61,8 +60,7 @@ class AnnotationExtractor(Extractor):
             mapping.setdefault(prop, target)
         return mapping
 
-    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
-        records: list[ExtractionRecord] = []
+    def _synthesize_page(self, page: WebPage, emit) -> None:
         resolve = self.linker.resolve
         plans = self._prop_plans
         for element in page.elements:
@@ -89,7 +87,4 @@ class AnnotationExtractor(Extractor):
                     )
                 if plan is None:
                     continue
-                record = emit(page, subject_id, plan, mention, 1.0, False, pool)
-                if record is not None:
-                    records.append(record)
-        return records
+                emit(page, subject_id, plan, mention, 1.0, False, pool)

@@ -23,13 +23,6 @@ from repro.artifacts import StoredPage
 from repro.errors import ConfigError
 from repro.extract.confidence import ConfidenceModel, make_confidence_model
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionRecord
-from repro.extract.synthesis import (
-    PageRNGBank,
-    SynthesisCaches,
-    make_emitter,
-    seed_array,
-)
 from repro.kb.schema import Schema
 from repro.rng import split_seed, stream_seed
 from repro.world.webgen import WebPage
@@ -146,8 +139,8 @@ class ExtractorProfile:
 
 
 class Extractor(abc.ABC):
-    """Base class: page eligibility and the per-page-seeded batch driver;
-    a family supplies the walk over its content (:meth:`_synthesize_page`)."""
+    """Base class: page eligibility and per-key reliability draws; a
+    family supplies the walk over its content (:meth:`_synthesize_page`)."""
 
     def __init__(
         self,
@@ -215,49 +208,14 @@ class Extractor(abc.ABC):
     # Extraction API
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
+    def _synthesize_page(self, page: WebPage, emit) -> None:
         """The family's walk over ``page``: every (subject, predicate,
         mention) it identifies goes through ``emit`` — the prebound record
         emitter of :func:`repro.extract.synthesis.make_emitter`, already
-        switched onto this page's RNG stream — with an
+        switched onto this page's RNG stream by
+        :func:`~repro.extract.synthesis.synthesize_window` — with an
         :func:`~repro.extract.synthesis.emit_plan` carrying the
         per-predicate constants."""
-
-    def extract_pages_batch(
-        self,
-        pages: Sequence[WebPage],
-        mask: np.ndarray | None = None,
-        caches: SynthesisCaches | None = None,
-    ) -> list[list[ExtractionRecord]]:
-        """The records of every page of ``pages``: one list per page.
-
-        ``mask`` (default :meth:`coverage_mask`) says which pages to
-        process; the others get an empty list without consuming any seed.
-        One seed per covered page comes from a shared-prefix seed array
-        keyed ``(seed, "extract", name, url)``, the per-page generators
-        are provisioned through one vectorised
-        :class:`~repro.extract.synthesis.PageRNGBank`, and each page's
-        draws replay through :meth:`_synthesize_page`.  The GC pause for
-        the allocation burst is the caller's
-        (:func:`~repro.extract.synthesis.synthesize_batch`).
-        """
-        if mask is None:
-            mask = self.coverage_mask(pages)
-        per_page: list[list[ExtractionRecord]] = [[] for _ in pages]
-        covered = np.flatnonzero(mask).tolist()
-        if not covered:
-            return per_page
-        if caches is None:
-            caches = SynthesisCaches()
-        urls = [pages[index].url for index in covered]
-        bank = PageRNGBank(seed_array(self.seed, ("extract", self.name), urls))
-        emit = make_emitter(self, bank.generator, caches)
-        synthesize_page = self._synthesize_page
-        reset = bank.reset
-        for slot, index in enumerate(covered):
-            reset(slot)
-            per_page[index] = synthesize_page(pages[index], emit)
-        return per_page
 
     def reliability_for(self, key: str) -> float:
         """Deterministic per-(extractor, key) reliability draw from the

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
 from repro.kb.schema import Schema
 from repro.rng import split_seed
@@ -171,14 +170,13 @@ class DomExtractor(Extractor):
             )
         return plans
 
-    def _synthesize_tree(self, page, tree, emit, records) -> None:
+    def _synthesize_tree(self, page, tree, emit) -> None:
         resolve = self.linker.resolve
         subject_id = resolve(tree.subject.surface)
         if subject_id is None:
             return
         subject_type = self.linker.registry.get(subject_id).primary_type
         handles_merged = self.profile.handles_merged
-        append = records.append
         row_plans = self._row_plans
         build_plan = self._row_plan
         merged_sub = _MERGED_CELL_SUB
@@ -204,9 +202,7 @@ class DomExtractor(Extractor):
                         continue  # the name cell — correctly skipped
                     if plan is None:
                         continue
-                    record = emit(page, subject_id, plan, cell)
-                    if record is not None:
-                        append(record)
+                    emit(page, subject_id, plan, cell)
                 continue
             plan = row_plans.get((subject_type, label), False)
             if plan is False:
@@ -217,20 +213,17 @@ class DomExtractor(Extractor):
             if pool is None:
                 pool = tuple(cell for pooled in rows for cell in pooled.cells)
             for cell in row.cells:
-                record = emit(
+                emit(
                     page, subject_id, plan, cell,
                     structure_penalty, row.merged, pool,
                 )
-                if record is not None:
-                    append(record)
 
-    def _synthesize_table_as_dom(self, page, table, emit, records) -> None:
+    def _synthesize_table_as_dom(self, page, table, emit) -> None:
         """Walk a table the way a generic tree-walker would: assume the
         first column is the subject and headers are row labels."""
         resolve = self.linker.resolve
         registry_get = self.linker.registry.get
         tbl_plans = self._tbl_plans
-        append = records.append
         headers = table.headers
         n_headers = len(headers)
         for row in table.rows:
@@ -264,19 +257,15 @@ class DomExtractor(Extractor):
                     )
                 if plan is None:
                     continue
-                record = emit(
+                emit(
                     page, subject_id, plan, row[column],
                     1.0, False, row_pool,
                 )
-                if record is not None:
-                    append(record)
 
-    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
-        records: list[ExtractionRecord] = []
+    def _synthesize_page(self, page: WebPage, emit) -> None:
         handles_tbl = "TBL" in self.profile.content_types
         for element in page.elements:
             if isinstance(element, DomTree):
-                self._synthesize_tree(page, element, emit, records)
+                self._synthesize_tree(page, element, emit)
             elif handles_tbl and isinstance(element, WebTable):
-                self._synthesize_table_as_dom(page, element, emit, records)
-        return records
+                self._synthesize_table_as_dom(page, element, emit)

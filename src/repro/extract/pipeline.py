@@ -1,7 +1,7 @@
 """Extraction pipeline: run extractors, classify injected errors.
 
 The pipeline drives every extractor over every page it covers and then
-fills each record's debug channel by comparing the extracted triple with
+fills each record's debug columns by comparing the extracted triple with
 the page's hidden assertion it came from:
 
 1. fabricated mention (no assertion behind it) → triple identification;
@@ -22,14 +22,14 @@ Execution modes (``ExtractionPipeline.run(backend=...)``, one of
 **bit-identical** record stream; the mode only fixes **where**.  Every
 mode runs one map job (:class:`~repro.mapreduce.executors.ShardedMapJob`)
 whose work item is a *window* of ``_WINDOW_PAGES`` consecutive pages and
-whose output is that window's records as one record table
-(:func:`~repro.extract.records.records_to_wire`): in-process all windows
+whose output is that window's records as one record table, written row
+by row (:class:`~repro.extract.records.TableBuilder`): in-process all windows
 are one shard; pooled, windows are sharded by their first page's URL
 (every noisy draw derives from ``split_seed(seed, extractor, url)``, so
 the sharding cannot shift one) and the executor re-emits the tables in
 window order.  The tables are all a run hands on
 (:class:`~repro.extract.records.RecordTables`), so no record object
-outlives its window unless a caller reads one.
+exists unless a caller reads one.
 
 What crosses the process boundary, per pooled chunk:
 
@@ -55,10 +55,10 @@ from repro.errors import ConfigError, ExtractionError
 from repro.extract.annotation import AnnotationExtractor
 from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.dom import DomExtractor
-from repro.extract.kernels import classify_batch
+from repro.extract.kernels import classify_table
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import RecordTables, _gc_paused, records_to_wire
-from repro.extract.synthesis import SynthesisCaches, synthesize_batch
+from repro.extract.records import RecordTables, TableBuilder, _gc_paused
+from repro.extract.synthesis import SynthesisCaches, synthesize_window
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Schema
@@ -118,13 +118,15 @@ def _extract_shard(windows: list[list[WebPage] | list[StoredPage]]) -> list[tupl
     12 extractors never ride in a shard payload.  Per window: coverage
     masks from the items' ``url`` / ``category`` (a
     :class:`~repro.artifacts.StoredPage` carries both undecoded), then
-    decode, synthesise, classify, encode with
-    :func:`~repro.extract.records.records_to_wire`, and drop pages and
-    records before the next window.  One
-    :class:`~repro.extract.synthesis.SynthesisCaches` spans the shard;
-    every draw is keyed per ``(extractor, url)`` and every memo is pure,
-    so the records do not depend on the window.  The cyclic GC is paused
-    for the whole shard (see :func:`~repro.extract.records._gc_paused`).
+    decode, synthesise into the window's
+    :class:`~repro.extract.records.TableBuilder`, classify its columns
+    and keep the finished table; pages are dropped before the next
+    window.  One :class:`~repro.extract.synthesis.SynthesisCaches` spans
+    the shard; every draw is keyed per ``(extractor, url)`` and every
+    memo is pure, so the table does not depend on the window.  The
+    cyclic GC is paused for the whole shard: a window's decoded pages
+    are its one burst of long-lived tracked objects, and they stay live
+    through its synthesis (see :func:`~repro.extract.records._gc_paused`).
     """
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
     caches = SynthesisCaches()
@@ -136,10 +138,10 @@ def _extract_shard(windows: list[list[WebPage] | list[StoredPage]]) -> list[tupl
                 decode_page(item) if isinstance(item, StoredPage) else item
                 for item in items
             ]
-            per_page = synthesize_batch(extractors, pages, masks=masks, caches=caches)
-            classify_batch(list(zip(pages, per_page)))
+            builder = TableBuilder()
+            page_ends = synthesize_window(extractors, pages, masks, caches, builder)
             tables.append(
-                records_to_wire([record for records in per_page for record in records])
+                classify_table(builder.finish(), builder.triples, pages, page_ends)
             )
     return tables
 

@@ -9,6 +9,11 @@ confidence).
 the record came from and what kind of extraction error (if any) it embodies.
 The fusion layer works from the record's public fields; the test suite
 checks that fusion results are invariant to stripping the debug channel.
+
+Extraction itself builds no record: synthesis writes each page window's
+rows into a :class:`TableBuilder` and classification fills columns of
+the finished table.  Record objects are the decoded view a caller gets
+by iterating :class:`RecordTables` (or from :func:`records_from_wire`).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "ExtractionRecord",
     "ParsedTriples",
     "RecordTables",
+    "TableBuilder",
     "records_to_wire",
     "records_from_wire",
     "RECORD_WIRE_CODEC",
@@ -76,11 +82,11 @@ class ExtractionRecord:
     is the extractor's self-reported confidence (None for extractors that
     do not emit one).
 
-    Records are deliberately *not* frozen: the synthesis and
-    classification kernels construct tens of thousands per run, and
-    ``__init__`` on a frozen dataclass pays an ``object.__setattr__``
-    call per field.  Identity-bearing state lives in ``triple``
-    (frozen, hashable); records themselves are never hashed.
+    Records are deliberately *not* frozen: a decoded view builds one per
+    table row, tens of thousands per run, and ``__init__`` on a frozen
+    dataclass pays an ``object.__setattr__`` call per field.
+    Identity-bearing state lives in ``triple`` (frozen, hashable);
+    records themselves are never hashed.
     """
 
     triple: Triple
@@ -102,21 +108,21 @@ class ExtractionRecord:
 def _gc_paused():
     """Pause the cyclic GC for a batch-allocation burst.
 
-    Record synthesis and record decoding allocate ~3 tracked objects per
-    record and keep them all live, so every generation-0 pass rescans a
-    growing survivor set for cycles that record graphs (frozen, acyclic)
-    cannot contain.  Pausing collection for the batch removes that
-    quadratic-ish scan cost; nothing is leaked — allocation still happens
-    normally and the GC resumes (and catches up) on exit.  Nested pauses
-    are no-ops.
+    Decoding allocates tracked objects in bulk and keeps them all live,
+    so every generation-0 pass rescans a growing survivor set for cycles
+    that these graphs (acyclic) cannot contain.  Pausing collection for
+    the batch removes that scan cost; nothing is leaked — allocation
+    still happens normally and the GC resumes (and catches up) on exit.
+    Nested pauses are no-ops.
 
     Where it sits: one pause spans a whole extraction shard
-    (:func:`repro.extract.pipeline._extract_shard`: page decoding,
-    synthesis, classification and encoding of every window),
-    :func:`~repro.extract.synthesis.synthesize_batch` holds one over
-    synthesis and stitching for callers outside a shard,
-    and :func:`records_from_wire` holds one while a table's records are
-    rebuilt.
+    (:func:`repro.extract.pipeline._extract_shard`), for its windows'
+    page decoding — the decoded pages stay live through the window's
+    synthesis, so re-enabling between the two would hand the debt to
+    synthesis — and :func:`records_from_wire` (with
+    :class:`RecordTables` iteration) holds one while a table's records
+    are built.  Synthesis and classification allocate no tracked object
+    per row.
     """
     if gc.isenabled():
         gc.disable()
@@ -129,10 +135,10 @@ def _gc_paused():
 
 
 # ---------------------------------------------------------------------------
-# The record table: the one form records take outside a shard
+# The record table: the one form extraction output takes
 # ---------------------------------------------------------------------------
-# Each page window of an extraction shard leaves it as one table of
-# columns, in-process and pooled alike: every distinct string (extractor,
+# Each page window of an extraction shard is synthesised into one table of
+# columns (:class:`TableBuilder`), in-process and pooled alike: every distinct string (extractor,
 # url, site, content type, pattern) and every distinct triple (canonical
 # text, in first-arrival order) appears once, and each record is a row of
 # int32 codes into those tables plus its numeric columns.  The claim
@@ -162,52 +168,102 @@ _ERROR_KIND_CODES = {kind: code for code, kind in enumerate(ErrorKind)} | {None:
 _NO_DEBUG = ExtractionDebug(asserted_index=None)
 
 
+class TableBuilder:
+    """One record table under construction, a row at a time.
+
+    The one interning loop of the wire: :meth:`add` gives each string and
+    each canonical triple text its code on first arrival, so the tables
+    list them in first-row order — the order the claim accumulator's
+    arrival order (and ``serial``'s emission order) follows.  The record
+    emitter (:func:`repro.extract.synthesis.make_emitter`) adds a row per
+    emission; :func:`records_to_wire` adds one per record.  ``triples``
+    stays readable after :meth:`finish`: classification looks assertions
+    up in it without inserting.
+    """
+
+    __slots__ = ("strings", "triples", "codes", "confidence", "asserted", "debug")
+
+    def __init__(self) -> None:
+        self.strings: dict[str, int] = {}
+        self.triples: dict[str, int] = {}
+        self.codes: list[int] = []  # six per row, as on the wire
+        self.confidence: list[float | None] = []
+        self.asserted: list[int | None] = []
+        # has_debug, error_kind, source_error, span_corrupted, slot_mismatch
+        self.debug: list[int | bool] = []
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def add(
+        self, triple, extractor, url, site, content_type, pattern, confidence,
+        asserted_index, span_corrupted, slot_mismatch, error_kind=-1,
+        source_error=False, has_debug=True,
+    ) -> None:
+        """One row: ``triple`` is the canonical text, ``error_kind`` an
+        index into :class:`ErrorKind` (-1: None)."""
+        strings = self.strings
+        code = strings.setdefault
+        triples = self.triples
+        self.codes += (
+            triples.setdefault(triple, len(triples)),
+            code(extractor, len(strings)),
+            code(url, len(strings)),
+            code(site, len(strings)),
+            code(content_type, len(strings)),
+            -1 if pattern is None else code(pattern, len(strings)),
+        )
+        self.confidence.append(confidence)
+        self.asserted.append(asserted_index)
+        self.debug += (has_debug, error_kind, source_error, span_corrupted, slot_mismatch)
+
+    def add_records(self, records: list[ExtractionRecord]) -> None:
+        """One row per record, fed from its fields."""
+        add = self.add
+        for r in records:
+            d = r.debug
+            if d is None:
+                d = _NO_DEBUG
+            add(
+                r.triple.canonical(), r.extractor, r.url, r.site, r.content_type,
+                r.pattern, r.confidence, d.asserted_index, d.span_corrupted,
+                d.slot_mismatch, _ERROR_KIND_CODES[d.error_kind], d.source_error,
+                r.debug is not None,
+            )
+
+    def finish(self) -> tuple:
+        """The rows so far as one wire table."""
+        n = len(self)
+        confidence, has_confidence = _present(self.confidence, 0.0)
+        asserted, has_asserted = _present(self.asserted, 0)
+        debug = np.array(self.debug, dtype=np.int8).reshape(n, 5)
+        return (
+            list(self.strings),
+            list(self.triples),
+            np.array(self.codes, dtype=np.int32).reshape(n, 6),
+            np.array(confidence, dtype=np.float64),
+            has_confidence,
+            debug[:, 0].astype(np.bool_),
+            np.array(asserted, dtype=np.int32),
+            has_asserted,
+            debug[:, 1].copy(),
+            debug[:, 2:].astype(np.bool_),
+        )
+
+
+def _present(values: list, fill) -> tuple[list, np.ndarray]:
+    """``values`` with ``fill`` for every ``None``, and the presence mask."""
+    present = np.array([value is not None for value in values], dtype=np.bool_)
+    if present.all():
+        return values, present
+    return [fill if value is None else value for value in values], present
+
+
 def records_to_wire(records: list[ExtractionRecord]) -> tuple:
     """Records as one table: string/triple tables plus columns."""
-    strings: dict[str, int] = {}
-    triples: dict[Triple, int] = {}
-    string_code, triple_code = strings.setdefault, triples.setdefault
-    codes: list[int] = []
-    confidence: list[float] = []
-    has_confidence: list[bool] = []
-    has_debug: list[bool] = []
-    asserted: list[int] = []
-    has_asserted: list[bool] = []
-    error_kind: list[int] = []
-    flags: list[bool] = []
-    for r in records:
-        pattern = r.pattern
-        codes += (
-            triple_code(r.triple, len(triples)),
-            string_code(r.extractor, len(strings)),
-            string_code(r.url, len(strings)),
-            string_code(r.site, len(strings)),
-            string_code(r.content_type, len(strings)),
-            -1 if pattern is None else string_code(pattern, len(strings)),
-        )
-        has_confidence.append(r.confidence is not None)
-        confidence.append(0.0 if r.confidence is None else r.confidence)
-        d = r.debug
-        has_debug.append(d is not None)
-        if d is None:
-            d = _NO_DEBUG
-        has_asserted.append(d.asserted_index is not None)
-        asserted.append(0 if d.asserted_index is None else d.asserted_index)
-        error_kind.append(_ERROR_KIND_CODES[d.error_kind])
-        flags += (d.source_error, d.span_corrupted, d.slot_mismatch)
-    n = len(records)
-    return (
-        list(strings),
-        [triple.canonical() for triple in triples],
-        np.array(codes, dtype=np.int32).reshape(n, 6),
-        np.array(confidence, dtype=np.float64),
-        np.array(has_confidence, dtype=np.bool_),
-        np.array(has_debug, dtype=np.bool_),
-        np.array(asserted, dtype=np.int32),
-        np.array(has_asserted, dtype=np.bool_),
-        np.array(error_kind, dtype=np.int8),
-        np.array(flags, dtype=np.bool_).reshape(n, 3),
-    )
+    builder = TableBuilder()
+    builder.add_records(records)
+    return builder.finish()
 
 
 def _masked(values: list, present: np.ndarray) -> list:

@@ -3,9 +3,11 @@
 An extractor turns a page into records by walking its content
 (:meth:`~repro.extract.base.Extractor._synthesize_page`, one per family)
 and pushing every (subject, predicate, mention) it identifies through one
-record emitter.  This module is everything around the walk; it is the one
-implementation of record synthesis, held bit for bit to the scalar walk
-it replaced (``tests/oracle/extract.py``) and to committed record-stream
+record emitter, which appends the record as a row of its window's table
+(:class:`~repro.extract.records.TableBuilder`).  This module is
+everything around the walk; it is the one implementation of record
+synthesis, held bit for bit to the scalar walk it replaced
+(``tests/oracle/extract.py``) and to committed record-stream
 fingerprints (``tests/extract/test_pipeline.py``).
 
 Why the draws themselves cannot be columnised: a page's generator is
@@ -28,17 +30,22 @@ golden metrics.  What *is* vectorised is everything around them:
   suite), then *reuses one* ``Generator`` whose PCG64 state is reset per
   page — the draw stream is bit-identical to a fresh
   ``default_rng(seed)`` at a fraction of the cost.
-- **Pure lookups** — ambiguity, literal parsing and value construction
-  are pure functions of their inputs; :class:`SynthesisCaches` memoises
-  them batch-wide, which is bitwise-safe because equal inputs produce
-  equal (``==``) values.
+- **Pure lookups** — ambiguity and the canonical text of a parsed
+  literal, linked entity or raw string are pure functions of their
+  inputs; :class:`SynthesisCaches` memoises them shard-wide, which is
+  bitwise-safe because equal inputs produce equal texts.
 - **Emission** — :func:`make_emitter` builds the emitter as a closure
-  with every attribute/method resolved once per batch instead of once
+  with every attribute/method resolved once per window instead of once
   per record, and :func:`emit_plan` carries the per-predicate constants.
+  An emission is one :meth:`~repro.extract.records.TableBuilder.add`:
+  the triple's canonical text, the provenance strings, the confidence,
+  the mention's ``fact_ref`` and the two mechanism flags.  No value,
+  triple or record object is built.
 
-:func:`synthesize_batch` drives a whole fleet over a page list in the
+:func:`synthesize_window` drives a whole fleet over a page window in the
 pipeline's canonical order (page-major, extractor-major) and is the
-entry point behind ``ExtractionPipeline.run``.
+entry point behind ``ExtractionPipeline.run``; :func:`synthesize_batch`
+is the same driver decoded into per-page record lists.
 """
 
 from __future__ import annotations
@@ -48,10 +55,8 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.extract.records import ExtractionDebug, ExtractionRecord, _gc_paused
+from repro.extract.records import ExtractionRecord, TableBuilder, records_from_wire
 from repro.kb.schema import ValueKind
-from repro.kb.triples import Triple
-from repro.kb.values import EntityRef, StringValue
 from repro.rng import split_seed, stream_seed
 from repro.world.literals import parse_literal, parse_literal_naive
 
@@ -66,6 +71,7 @@ __all__ = [
     "make_emitter",
     "seed_array",
     "synthesize_batch",
+    "synthesize_window",
 ]
 
 
@@ -217,33 +223,29 @@ class PageRNGBank:
     ``SeedSequence``/``Generator`` construction.
     """
 
-    __slots__ = ("generator", "_bit_generator", "_states")
+    __slots__ = ("generator", "_bit_generator", "_states", "_incs")
 
     def __init__(self, seeds: np.ndarray) -> None:
         seeds = np.ascontiguousarray(seeds, dtype=np.uint64)
         state_hi, state_lo, inc_hi, inc_lo = _pcg64_states(_seedseq_words(seeds))
-        # Fully-formed state dicts up front: reset() then costs exactly
-        # one state-setter call (~1 µs vs ~10 µs for default_rng).
+        # 128-bit python ints, which the collector does not track; the
+        # state dict is built per reset (one state-setter call, ~1 µs vs
+        # ~10 µs for default_rng).
         self._states = [
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            for s_hi, s_lo, i_hi, i_lo in zip(
-                state_hi.tolist(),
-                state_lo.tolist(),
-                inc_hi.tolist(),
-                inc_lo.tolist(),
-            )
+            (hi << 64) | lo for hi, lo in zip(state_hi.tolist(), state_lo.tolist())
         ]
+        self._incs = [(hi << 64) | lo for hi, lo in zip(inc_hi.tolist(), inc_lo.tolist())]
         self._bit_generator = np.random.PCG64(0)
         self.generator = np.random.Generator(self._bit_generator)
 
     def reset(self, slot: int) -> np.random.Generator:
         """Point the bank's generator at page ``slot``'s stream."""
-        self._bit_generator.state = self._states[slot]
+        self._bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self._states[slot], "inc": self._incs[slot]},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         return self.generator
 
 
@@ -253,17 +255,15 @@ class PageRNGBank:
 
 
 class SynthesisCaches:
-    """Pure-lookup memos shared across one ``synthesize_batch`` call.
+    """Pure-lookup memos shared across one extraction shard.
 
     Everything cached here is a deterministic function of its key —
-    linker ambiguity counts, parsed literals, and interned value objects
-    — so reuse across pages *and extractors* is bitwise-safe: records
-    compare by value (dataclass ``__eq__`` over every field), and an
-    interned ``StringValue``/``EntityRef`` equals a freshly constructed
-    one.
+    linker ambiguity counts and the canonical texts of parsed literals,
+    linked entities and raw strings — so reuse across pages, windows
+    *and extractors* is bitwise-safe.
     """
 
-    __slots__ = ("ambiguity", "parse", "entity_refs", "strings")
+    __slots__ = ("ambiguity", "parse", "entity_texts", "string_texts")
 
     def __init__(self) -> None:
         # linker_name -> {surface -> max(1, linker.ambiguity(surface))};
@@ -271,10 +271,11 @@ class SynthesisCaches:
         # (its hash is cached on the str object) instead of building and
         # hashing a key tuple per record.
         self.ambiguity: dict[str, dict[str, int]] = {}
-        # naive_dates -> {(kind, surface) -> parsed Value | None}
-        self.parse: dict[bool, dict[tuple[str, str], object]] = {}
-        self.entity_refs: dict[str, EntityRef] = {}
-        self.strings: dict[str, StringValue] = {}
+        # naive_dates -> {(kind, surface) -> value text | None}
+        self.parse: dict[bool, dict[tuple[str, str], str | None]] = {}
+        # entity id -> "entity:<id>"; surface -> "string:<surface>"
+        self.entity_texts: dict[str, str] = {}
+        self.string_texts: dict[str, str] = {}
 
 
 _MISSING = object()
@@ -312,20 +313,26 @@ def emit_plan(extractor: "Extractor", predicate, pattern, reliability: float) ->
     )
 
 
-def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches: SynthesisCaches):
+def make_emitter(
+    extractor: "Extractor",
+    generator: np.random.Generator,
+    caches: SynthesisCaches,
+    builder: TableBuilder,
+):
     """The record emitter of ``extractor``, drawing from ``generator``.
 
     The returned ``emit(page, subject_id, plan, mention,
     structure_penalty, slot_mismatch, alternates)`` turns one (subject,
-    predicate, object-mention) into a record, or None when the
-    extractor's checks reject the mention.  It applies misgrab
-    (wrong-mention association against ``alternates``), kind checking,
-    span mangling, entity linkage (with string fallback), literal parsing
-    and the confidence model, consuming draws in a fixed order (misgrab →
-    misgrab index → mangle → confidence) — the order every committed
-    record stream depends on.  Profile/linker/cache lookups are hoisted
-    out of the per-record path; the per-predicate derivations arrive in
-    the :func:`emit_plan` tuple.
+    predicate, object-mention) into one row of ``builder``, or into
+    nothing when the extractor's checks reject the mention.  It applies
+    misgrab (wrong-mention association against ``alternates``), kind
+    checking, span mangling, entity linkage (with string fallback),
+    literal parsing and the confidence model, consuming draws in a fixed
+    order (misgrab → misgrab index → mangle → confidence) — the order
+    every committed record stream depends on.  The object is needed only
+    as canonical text, so no value, triple or record object is built.
+    Profile/linker/cache lookups are hoisted out of the per-record path;
+    the per-predicate derivations arrive in the :func:`emit_plan` tuple.
     """
     profile = extractor.profile
     linker = extractor.linker
@@ -360,16 +367,14 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
         raw_ambiguity=linker.ambiguity,
         ambiguity_cache=caches.ambiguity.setdefault(linker.name, {}),
         parse_cache=caches.parse.setdefault(naive_dates, {}),
-        entity_refs=caches.entity_refs,
-        strings=caches.strings,
+        entity_texts=caches.entity_texts,
+        string_texts=caches.string_texts,
         rng_random=generator.random,
         rng_integers=generator.integers,
         report=None if model is None else model.bind(generator),
         parse=parse_literal_naive if naive_dates else parse_literal,
         sqrt=math.sqrt,
-        record_type=ExtractionRecord,
-        debug_type=ExtractionDebug,
-        triple_type=Triple,
+        add=builder.add,
         _missing=_MISSING,
         _pool_memo=[(), ()],
     ):
@@ -404,9 +409,9 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
                 structure_penalty *= 0.8
         kind = mention.kind
         if kind == "empty":
-            return None
+            return
         if value_kinds is not None and kind not in value_kinds:
-            return None
+            return
         if kind_checking and kind != expected_kind:
             # One exception: an entity mention can still satisfy a
             # *string*-valued predicate through the string fallback — the
@@ -415,7 +420,7 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
             if not (
                 kind == "entity" and expected_kind == "string" and string_fallback
             ):
-                return None
+                return
 
         span_corrupted = False
         surface = mention.surface
@@ -427,11 +432,11 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
         ambiguity = 1
         if kind == "entity" and kind_checking and expected_kind == "string":
             # Kind-checked string predicate (the exception above): emit the
-            # raw surface without linking — an EntityRef object would
+            # raw surface without linking — an entity object would
             # contradict the extractor's own kind check.
-            value = strings.get(surface)
-            if value is None:
-                value = strings[surface] = StringValue(surface)
+            text = string_texts.get(surface)
+            if text is None:
+                text = string_texts[surface] = "string:" + surface
         elif kind == "entity":
             ambiguity = ambiguity_cache.get(surface)
             if ambiguity is None:
@@ -440,38 +445,41 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
                 )
             linked = resolve(surface, type_hint)
             if linked is not None:
-                value = entity_refs.get(linked)
-                if value is None:
-                    value = entity_refs[linked] = EntityRef(linked)
+                text = entity_texts.get(linked)
+                if text is None:
+                    text = entity_texts[linked] = "entity:" + linked
             elif string_fallback and not kind_checking:
                 # A kind checker never downgrades an *entity*-valued
                 # predicate's object to a raw string.
-                value = strings.get(surface)
-                if value is None:
-                    value = strings[surface] = StringValue(surface)
+                text = string_texts.get(surface)
+                if text is None:
+                    text = string_texts[surface] = "string:" + surface
             else:
-                return None
+                return
         else:
-            value = parse_cache.get((kind, surface), _missing)
-            if value is _missing:
-                value = parse_cache[(kind, surface)] = parse(surface, kind)
-            if value is None:
-                return None
+            text = parse_cache.get((kind, surface), _missing)
+            if text is _missing:
+                value = parse(surface, kind)
+                text = parse_cache[(kind, surface)] = (
+                    None if value is None else value.canonical()
+                )
+            if text is None:
+                return
 
         # math.sqrt over np.sqrt: IEEE-identical on scalars and ~10x
         # cheaper than routing one float through a ufunc.
         signal = reliability * structure_penalty * (1.0 / sqrt(ambiguity))
-        confidence = None if report is None else report(signal)
-
-        return record_type(
-            triple_type(subject_id, pid, value),
+        add(
+            f"{subject_id}|{pid}|{text}",
             extractor_name,
             page.url,
             page.site,
             content_type,
             pattern,
-            confidence,
-            debug_type(mention.fact_ref, None, False, span_corrupted, slot_mismatch),
+            None if report is None else report(signal),
+            mention.fact_ref,
+            span_corrupted,
+            slot_mismatch,
         )
 
     return emit
@@ -482,39 +490,57 @@ def make_emitter(extractor: "Extractor", generator: np.random.Generator, caches:
 # ---------------------------------------------------------------------------
 
 
+def synthesize_window(
+    extractors: Sequence["Extractor"],
+    pages: Sequence["WebPage"],
+    masks: Sequence[np.ndarray],
+    caches: SynthesisCaches,
+    builder: TableBuilder,
+) -> list[int]:
+    """Synthesis for a whole fleet: every row of ``pages`` into ``builder``,
+    page-major then extractor-major (the pipeline's order), under one
+    coverage mask per extractor.  Each extractor keeps its own
+    :class:`PageRNGBank` (seeds keyed ``(seed, "extract", name, url)``
+    over the pages it covers) and emitter, so every ``(extractor, url)``
+    stream consumes the same draws whatever else the window holds.
+    Returns the row count of ``builder`` after each page."""
+    fleet = []
+    for extractor, mask in zip(extractors, masks):
+        urls = [pages[index].url for index in np.flatnonzero(mask).tolist()]
+        if not urls:
+            fleet.append(None)  # covers nothing here: no bank, no emitter
+            continue
+        bank = PageRNGBank(seed_array(extractor.seed, ("extract", extractor.name), urls))
+        emit = make_emitter(extractor, bank.generator, caches, builder)
+        fleet.append((bank.reset, extractor._synthesize_page, emit))
+    # (page, extractor, bank slot) in row order, as plain ints: the loop
+    # allocates nothing the cyclic collector tracks.
+    coverage = np.stack(masks, axis=1) if masks else np.zeros((len(pages), 0), bool)
+    page_of, extractor_of = np.nonzero(coverage)
+    slots = (np.cumsum(coverage, axis=0) - 1)[page_of, extractor_of]
+    pair_ends = [0]
+    for index, which, slot in zip(page_of.tolist(), extractor_of.tolist(), slots.tolist()):
+        reset, walk, emit = fleet[which]
+        reset(slot)
+        walk(pages[index], emit)
+        pair_ends.append(len(builder))
+    pages_done = np.searchsorted(page_of, np.arange(len(pages)), side="right")
+    return np.asarray(pair_ends)[pages_done].tolist()
+
+
 def synthesize_batch(
     extractors: Sequence["Extractor"],
     pages: Sequence["WebPage"],
     masks: Sequence[np.ndarray] | None = None,
     caches: SynthesisCaches | None = None,
 ) -> list[list[ExtractionRecord]]:
-    """Synthesis for a whole fleet: one (unclassified) record list per page.
-
-    Records come in the pipeline's canonical order (page-major,
-    extractor-major within a page) — each extractor's per-page sublists
-    are produced by :meth:`Extractor.extract_pages_batch` and stitched
-    back in fleet order.  ``masks`` (one boolean coverage mask per
-    extractor, as from :meth:`Extractor.coverage_mask`) and ``caches``
-    are computed fresh when not supplied.
-    """
+    """:func:`synthesize_window` decoded into one unclassified record list
+    per page; ``masks`` and ``caches`` are made fresh when not given."""
     if caches is None:
         caches = SynthesisCaches()
     if masks is None:
         masks = [extractor.coverage_mask(pages) for extractor in extractors]
-    # One pause across synthesis *and* stitching: re-enabling mid-way
-    # would hand the accumulated allocation debt to the very next
-    # allocation — the stitch loop — as one giant collection.
-    with _gc_paused():
-        per_extractor = [
-            extractor.extract_pages_batch(pages, mask=mask, caches=caches)
-            for extractor, mask in zip(extractors, masks)
-        ]
-        per_page: list[list[ExtractionRecord]] = []
-        for index in range(len(pages)):
-            records: list[ExtractionRecord] = []
-            for sublists in per_extractor:
-                page_records = sublists[index]
-                if page_records:
-                    records.extend(page_records)
-            per_page.append(records)
-    return per_page
+    builder = TableBuilder()
+    ends = synthesize_window(extractors, pages, masks, caches, builder)
+    records = records_from_wire(builder.finish())
+    return [records[start:end] for start, end in zip([0, *ends], ends)]

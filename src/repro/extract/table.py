@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.extract.base import Extractor
-from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
 from repro.world.content import WebTable
 from repro.world.labels import header_candidates
@@ -81,7 +80,7 @@ class TableExtractor(Extractor):
         return candidates[0]  # naive: global first candidate
 
     # ------------------------------------------------------------------
-    def _synthesize_table(self, page, table, emit, records) -> None:
+    def _synthesize_table(self, page, table, emit) -> None:
         subject_col = self._subject_column(table)
         subject_type = self._majority_type(table, subject_col)
         header_plans = self._header_plans
@@ -111,7 +110,6 @@ class TableExtractor(Extractor):
             )
         hint = subject_type if self.profile.use_type_hints else None
         resolve = self.linker.resolve
-        append = records.append
         for row in table.rows:
             if subject_col >= len(row) or row[subject_col].kind != "entity":
                 continue
@@ -125,15 +123,9 @@ class TableExtractor(Extractor):
             for col, eplan in plan:
                 if col >= n_cells:
                     continue
-                record = emit(
-                    page, subject_id, eplan, row[col], 1.0, False, row_pool
-                )
-                if record is not None:
-                    append(record)
+                emit(page, subject_id, eplan, row[col], 1.0, False, row_pool)
 
-    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
-        records: list[ExtractionRecord] = []
+    def _synthesize_page(self, page: WebPage, emit) -> None:
         for element in page.elements:
             if isinstance(element, WebTable):
-                self._synthesize_table(page, element, emit, records)
-        return records
+                self._synthesize_table(page, element, emit)

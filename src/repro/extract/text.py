@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.extract.base import Extractor, ExtractorProfile
 from repro.extract.linkage import EntityLinker
-from repro.extract.records import ExtractionRecord
 from repro.extract.synthesis import emit_plan
 from repro.kb.schema import Schema
 from repro.rng import split_seed
@@ -162,8 +161,7 @@ class TextExtractor(Extractor):
                 )
         return (type_hint, merged_penalty, tuple(slot_plans))
 
-    def _synthesize_page(self, page: WebPage, emit) -> list[ExtractionRecord]:
-        records: list[ExtractionRecord] = []
+    def _synthesize_page(self, page: WebPage, emit) -> None:
         plans = self._sentence_plans
         build_plan = self._sentence_plan
         resolve = self.linker.resolve
@@ -198,7 +196,7 @@ class TextExtractor(Extractor):
                     if entry is None:
                         continue
                     eplan, slot_mismatch = entry
-                    record = emit(
+                    emit(
                         page,
                         subject_id,
                         eplan,
@@ -207,6 +205,3 @@ class TextExtractor(Extractor):
                         slot_mismatch,
                         pool,
                     )
-                    if record is not None:
-                        records.append(record)
-        return records

@@ -313,7 +313,7 @@ class ShardedMapJob:
     pickle).  ``map_shard`` must be picklable for the parallel backend,
     and its outputs cross back as they are, so a job whose natural output
     is object-shaped returns flat columns instead (the extraction job's
-    record tables, :func:`repro.extract.records.records_to_wire`).
+    record tables, :class:`repro.extract.records.TableBuilder`).
     """
 
     name: str

@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.extract.base import ExtractorProfile
 from repro.extract.linkage import EntityLinker
+from repro.extract.records import TableBuilder, records_from_wire
 from repro.extract.synthesis import SynthesisCaches, emit_plan, make_emitter
 from repro.extract.text import TextExtractor
 from repro.kb.schema import Predicate, ValueKind
@@ -148,15 +149,19 @@ def emit_extractor(small_world, **profile_kwargs):
 
 
 def emit(extractor, predicate, mention, reliability, alternates=()):
-    """One record through the emitter, which must agree with the oracle's
-    scalar ``emit`` on the same draw stream."""
-    record = make_emitter(extractor, np.random.default_rng(0), SynthesisCaches())(
+    """One record through the emitter (as the row it adds, decoded), which
+    must agree with the oracle's scalar ``emit`` on the same draw stream."""
+    builder = TableBuilder()
+    make_emitter(extractor, np.random.default_rng(0), SynthesisCaches(), builder)(
         page(),
         "/m/1",
         emit_plan(extractor, predicate, None, reliability),
         mention,
         alternates=alternates,
     )
+    rows = records_from_wire(builder.finish())
+    assert len(rows) <= 1
+    record = rows[0] if rows else None
     assert record == oracle.emit(
         extractor,
         page=page(),

@@ -14,6 +14,7 @@ from repro.extract.base import ExtractorProfile
 from repro.extract.dom import DomExtractor
 from repro.extract.linkage import EntityLinker
 from repro.extract.pipeline import ExtractionPipeline
+from repro.extract.synthesis import synthesize_batch
 from repro.extract.table import TableExtractor
 from repro.extract.text import TextExtractor
 from repro.world.config import WebConfig, WorldConfig
@@ -80,8 +81,9 @@ def perfect_extractor(family, name, content, clean_world, linker, **extra):
 
 
 def extract_page(extractor, page):
-    """Every record ``extractor`` draws from ``page``, covered or not."""
-    return extractor.extract_pages_batch([page], mask=np.ones(1, dtype=bool))[0]
+    """Every record ``extractor`` draws from ``page``, covered or not: a
+    one-extractor fleet through the synthesis driver."""
+    return synthesize_batch([extractor], [page], masks=[np.ones(1, dtype=bool)])[0]
 
 
 def assert_faithful(extractor, corpus):

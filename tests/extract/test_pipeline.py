@@ -4,6 +4,7 @@ import gc
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.artifacts import LazyPageList, StoredPage, setup_worldgen
@@ -20,6 +21,7 @@ from repro.extract.records import (
     ExtractionDebug,
     ExtractionRecord,
     RecordTables,
+    records_to_wire,
 )
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
@@ -262,6 +264,51 @@ class TestRecordTables:
         assert sum(decoded) == len(records) == result.n_records
         assert records_fingerprint(records) == RECORD_FINGERPRINTS["tiny", 0]
 
+    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    def test_extraction_builds_no_record_object(
+        self, tiny_scenario, backend, monkeypatch
+    ):
+        # Synthesis writes rows and classification reads columns, so no
+        # record, debug channel or triple exists until the tables are
+        # iterated.  The corpus is in memory: a decoded stored page
+        # builds its assertions' triples.
+        calls = dict.fromkeys(("ExtractionRecord", "ExtractionDebug", "Triple"), 0)
+        for cls in (ExtractionRecord, ExtractionDebug, Triple):
+            def spy(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                calls[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", spy)
+        records = tiny_scenario.pipeline.run(tiny_scenario.corpus, backend=backend)
+        assert len(records) > 0
+        assert calls == dict.fromkeys(calls, 0)
+        decoded = list(records)
+        assert calls["ExtractionRecord"] == calls["ExtractionDebug"] == len(decoded)
+        assert calls["Triple"] == len({record.triple for record in decoded})
+        assert decoded == list(tiny_scenario.records)
+
+    def test_window_tables_are_the_oracle_records_encoded(
+        self, tiny_scenario, monkeypatch
+    ):
+        # Array for array, so the string and triple tables' first-arrival
+        # order is pinned too, not just the decoded stream.
+        window = 7
+        monkeypatch.setattr(extract_pipeline, "_WINDOW_PAGES", window)
+        pages = list(tiny_scenario.corpus.pages)
+        extractors = tiny_scenario.pipeline.extractors
+        tables = tiny_scenario.pipeline.run(tiny_scenario.corpus).tables
+        starts = range(0, len(pages), window)
+        assert len(tables) == len(starts) > 1
+        for table, start in zip(tables, starts):
+            per_page = oracle.extract_records(extractors, pages[start : start + window])
+            expected = records_to_wire([r for records in per_page for r in records])
+            for column, want in zip(table, expected):
+                if isinstance(want, list):
+                    assert column == want
+                else:
+                    assert column.dtype == want.dtype
+                    assert np.array_equal(column, want)
+
     def test_of_keeps_tables_and_encodes_a_list_once(self, tiny_scenario):
         tables = tiny_scenario.records
         assert RecordTables.of(tables) is tables
@@ -432,13 +479,13 @@ class TestWindowedShard:
         self, tiny_scenario, hit_corpus, monkeypatch
     ):
         windows = []
-        synthesize = extract_pipeline.synthesize_batch
+        synthesize = extract_pipeline.synthesize_window
 
-        def spy(extractors, pages, **kwargs):
+        def spy(extractors, pages, *args):
             windows.append([page.url for page in pages])
-            return synthesize(extractors, pages, **kwargs)
+            return synthesize(extractors, pages, *args)
 
-        monkeypatch.setattr(extract_pipeline, "synthesize_batch", spy)
+        monkeypatch.setattr(extract_pipeline, "synthesize_window", spy)
         records = tiny_scenario.pipeline.run(hit_corpus, executor=SerialExecutor())
         assert list(records) == list(tiny_scenario.records)
         assert [len(urls) for urls in windows] == [self.WINDOW] * 11 + [3]

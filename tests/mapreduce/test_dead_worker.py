@@ -43,9 +43,10 @@ class _KillsItsWorker(PopAccuKernel):
 
 
 class _KillsItsShard:
-    """A one-extractor fleet that emits no record, except that the pool
-    worker whose shard holds ``url`` SIGKILLs itself inside
-    ``_extract_shard`` (in its coverage pass)."""
+    """A one-extractor fleet that covers no page, so the synthesis driver
+    asks it for nothing but its coverage mask; the pool worker whose
+    shard holds ``url`` SIGKILLs itself inside ``_extract_shard`` (in
+    that coverage pass)."""
 
     name = "KILLER"
 
@@ -59,8 +60,6 @@ class _KillsItsShard:
             os.kill(os.getpid(), signal.SIGKILL)
         return np.zeros(len(pages), dtype=bool)
 
-    def extract_pages_batch(self, pages, mask, caches):
-        return [[] for _page in pages]
 
 
 def _segments() -> set[str]:

@@ -1,7 +1,7 @@
 """Record synthesis, coverage and classification as they were: the scalar walk.
 
-Until ``Extractor.extract_page`` became the one-page case of
-``extract_pages_batch``, every extractor family was implemented twice in
+Until ``Extractor.extract_page`` became the one-page case of the batch
+driver, every extractor family was implemented twice in
 ``src/repro/extract/``: a scalar walk (``Extractor.emit`` + the families'
 ``extract_page`` / ``_extract_*``, ``covers``, ``classify_record``,
 ``ConfidenceModel.transform``) and the batch kernels that had to reproduce

@@ -1,9 +1,8 @@
 """Synthesis kernels ↔ the scalar oracle's ``extract_page``, property-based.
 
-:meth:`~repro.extract.base.Extractor.extract_pages_batch` (whose
-one-page case is ``Extractor.extract_page``) and the fleet-level
-:func:`~repro.extract.synthesis.synthesize_batch` driver must reproduce
-the scalar walk of ``tests/oracle/extract.py`` — the same convention as
+The fleet-level :func:`~repro.extract.synthesis.synthesize_batch`
+driver — over the whole fleet, and over a one-extractor fleet with an
+explicit mask (the per-extractor cases) — must reproduce the scalar walk of ``tests/oracle/extract.py`` — the same convention as
 ``classify_record``/``classify_batch`` (see ``test_prop_kernels``), and
 the contract is **bitwise**: record lists must compare equal
 field-for-field, confidence floats and debug payloads included.  The
@@ -53,8 +52,16 @@ def select_pages(pages, indices):
     return [pages[index % len(pages)] for index in indices]
 
 
+def one_extractor(extractor, pages, mask=None, caches=None):
+    """``extractor``'s records per page: a one-extractor fleet through the
+    synthesis driver, under ``mask`` (default its coverage mask)."""
+    if mask is None:
+        mask = extractor.coverage_mask(pages)
+    return synthesize_batch([extractor], pages, masks=[mask], caches=caches)
+
+
 def scalar_reference(extractor, pages, mask):
-    """The frozen scalar loop ``extract_pages_batch`` must reproduce."""
+    """The frozen scalar loop a one-extractor fleet must reproduce."""
     return [
         extract_page(extractor, page) if covered else []
         for page, covered in zip(pages, mask)
@@ -170,7 +177,7 @@ class TestFleetBatchParity:
         pages = select_pages(list(tiny_scenario.corpus.pages), indices)
         for extractor in tiny_scenario.pipeline.extractors:
             mask = extractor.coverage_mask(pages)
-            batch = extractor.extract_pages_batch(pages)
+            batch = one_extractor(extractor, pages)
             assert batch == scalar_reference(extractor, pages, mask)
 
     @settings(max_examples=25, deadline=None)
@@ -190,7 +197,7 @@ class TestFleetBatchParity:
         # ... and so does the one-page case, covered or not.
         for extractor in extractors:
             for page in pages:
-                one_page = extractor.extract_pages_batch([page], mask=np.ones(1, dtype=bool))
+                one_page = one_extractor(extractor, [page], mask=np.ones(1, dtype=bool))
                 assert one_page[0] == extract_page(extractor, page)
 
     def test_record_equality_is_field_sensitive(self, tiny_scenario):
@@ -212,7 +219,7 @@ class TestFleetBatchParity:
         extractors = tiny_scenario.pipeline.extractors
         assert synthesize_batch(extractors, []) == []
         for extractor in extractors:
-            assert extractor.extract_pages_batch([]) == []
+            assert one_extractor(extractor, []) == []
 
     def test_empty_fleet(self, tiny_scenario):
         pages = list(tiny_scenario.corpus.pages)[:5]
@@ -267,7 +274,7 @@ class TestCoverageMasks:
         pages = list(tiny_scenario.corpus.pages)[:10]
         empty = np.zeros(len(pages), dtype=bool)
         for extractor in tiny_scenario.pipeline.extractors:
-            assert extractor.extract_pages_batch(pages, mask=empty) == [
+            assert one_extractor(extractor, pages, mask=empty) == [
                 [] for _ in pages
             ]
 
@@ -280,7 +287,7 @@ class TestCoverageMasks:
         pages = select_pages(list(tiny_scenario.corpus.pages), indices)
         mask = np.array(bits, dtype=bool)
         extractor = tiny_scenario.pipeline.extractors[pick]
-        batch = extractor.extract_pages_batch(pages, mask=mask)
+        batch = one_extractor(extractor, pages, mask=mask)
         assert batch == scalar_reference(extractor, pages, mask)
 
     @settings(max_examples=25, deadline=None)
@@ -296,17 +303,15 @@ class TestCoverageMasks:
         alone[target] = True
         full = np.ones(len(pages), dtype=bool)
         assert (
-            extractor.extract_pages_batch(pages, mask=alone)[target]
-            == extractor.extract_pages_batch(pages, mask=full)[target]
+            one_extractor(extractor, pages, mask=alone)[target]
+            == one_extractor(extractor, pages, mask=full)[target]
         )
 
     def test_default_mask_is_the_coverage_mask(self, tiny_scenario):
         pages = list(tiny_scenario.corpus.pages)[:15]
         for extractor in tiny_scenario.pipeline.extractors:
-            assert extractor.extract_pages_batch(pages) == (
-                extractor.extract_pages_batch(
-                    pages, mask=extractor.coverage_mask(pages)
-                )
+            assert synthesize_batch([extractor], pages) == (
+                one_extractor(extractor, pages, mask=extractor.coverage_mask(pages))
             )
 
 
@@ -368,7 +373,7 @@ class TestSyntheticPages:
         ]
         extractor = tiny_scenario.pipeline.extractors[pick]
         mask = extractor.coverage_mask(pages)
-        assert extractor.extract_pages_batch(pages, mask=mask) == scalar_reference(
+        assert one_extractor(extractor, pages, mask=mask) == scalar_reference(
             extractor, pages, mask
         )
 
@@ -441,9 +446,9 @@ class TestCachesSharing:
         with_shared = synthesize_batch(extractors, pages, caches=shared)
         assert with_shared == synthesize_batch(extractors, pages)
         for extractor in extractors:
-            assert extractor.extract_pages_batch(
-                pages, caches=SynthesisCaches()
-            ) == extractor.extract_pages_batch(pages, caches=shared)
+            assert one_extractor(
+                extractor, pages, caches=SynthesisCaches()
+            ) == one_extractor(extractor, pages, caches=shared)
 
     def test_warm_caches_replay_identically(self, tiny_scenario):
         # Second call reuses the warm SynthesisCaches — exactly how the
