@@ -7,7 +7,6 @@ constants so a module moving between scopes updates the tests for free.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 #: Modules that run inside reducers / kernels: the code whose iteration
 #: order and clock access decide bitwise parity (the metric sums included:
@@ -40,14 +39,6 @@ KERNEL_MODULES: tuple[str, ...] = (
 PAYLOAD_MODULES: tuple[str, ...] = (
     "src/repro/fusion/shuffle.py",
 )
-
-#: The one blessed ``hash()``-free stable-sharding site (it uses crc32,
-#: but the function is also the only place a builtin ``hash`` fallback
-#: would ever be contemplated).
-APPROVED_HASH_SITES: tuple[tuple[str, str], ...] = (
-    ("src/repro/mapreduce/executors.py", "shard_for_key"),
-)
-
 
 def dotted_name(node: ast.AST) -> str | None:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -94,22 +85,3 @@ def resolve(node: ast.AST, aliases: dict[str, str]) -> str | None:
     head, _, rest = dotted.partition(".")
     canonical_head = aliases.get(head, head)
     return f"{canonical_head}.{rest}" if rest else canonical_head
-
-
-def walk_scoped(tree: ast.Module) -> Iterator[tuple[ast.AST, str | None]]:
-    """Yield ``(node, enclosing_function_name)`` for every node.
-
-    The enclosing name is the nearest FunctionDef/AsyncFunctionDef, or
-    None at module/class level.
-    """
-
-    def visit(node: ast.AST, func: str | None) -> Iterator[tuple[ast.AST, str | None]]:
-        for child in ast.iter_child_nodes(node):
-            child_func = func
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_func = child.name
-            yield child, child_func
-            yield from visit(child, child_func)
-
-    yield tree, None
-    yield from visit(tree, None)

@@ -11,10 +11,9 @@ straight into order-sensitive folds (``sum``, ``list``, ``tuple``,
 insertion-ordered, and the repo's dicts are built in deterministic
 order.
 
-Separately (repo-wide): the builtin ``hash()`` is banned outside the
-blessed crc32-sharding site — ``shard_for_key`` in
-``mapreduce/executors.py`` — because its value for str/bytes changes per
-process under hash randomization.
+Separately (everywhere under ``src/repro``): the builtin ``hash()`` is
+banned, because its value for str/bytes changes per process under hash
+randomization.
 
 The type tracking is deliberately shallow and flow-insensitive: a name
 is "set-typed" if it is assigned from a set display / ``set()`` /
@@ -31,11 +30,7 @@ import ast
 from typing import Iterable, Iterator, Mapping
 
 from repro.analysis.lint import Finding, Rule, SourceFile
-from repro.analysis.rules.common import (
-    APPROVED_HASH_SITES,
-    KERNEL_MODULES,
-    walk_scoped,
-)
+from repro.analysis.rules.common import KERNEL_MODULES
 
 RULE_ID = "DET002"
 
@@ -238,23 +233,18 @@ def _check_hash(source: SourceFile) -> Iterator[Finding]:
     tree = source.tree
     if tree is None:
         return
-    approved = {
-        func for path, func in APPROVED_HASH_SITES if path == source.path
-    }
-    for node, func_name in walk_scoped(tree):
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id == "hash"
         ):
-            if func_name in approved:
-                continue
             yield Finding(
                 source.path,
                 node.lineno,
                 RULE_ID,
                 "builtin hash() is per-process under hash randomization; "
-                "use zlib.crc32 via shard_for_key for stable sharding",
+                "derive stable values with repro.rng.split_seed or zlib.crc32",
             )
 
 

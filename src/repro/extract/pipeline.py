@@ -24,10 +24,10 @@ mode runs one map job (:class:`~repro.mapreduce.executors.ShardedMapJob`)
 whose work item is a *window* of ``_WINDOW_PAGES`` consecutive pages and
 whose output is that window's records as one record table, written row
 by row (:class:`~repro.extract.records.TableBuilder`): in-process all windows
-are one shard; pooled, windows are sharded by their first page's URL
-(every noisy draw derives from ``split_seed(seed, extractor, url)``, so
-the sharding cannot shift one) and the executor re-emits the tables in
-window order.  The tables are all a run hands on
+are one shard; pooled, a chunk's windows spread evenly over the
+executor's contiguous shards (every noisy draw derives from
+``split_seed(seed, extractor, url)``, so the sharding cannot shift one)
+and the executor concatenates the tables in window order.  The tables are all a run hands on
 (:class:`~repro.extract.records.RecordTables`), so no record object
 exists unless a caller reads one.
 
@@ -146,10 +146,6 @@ def _extract_shard(windows: list[list[WebPage] | list[StoredPage]]) -> list[tupl
     return tables
 
 
-def _window_key(window: list[WebPage] | list[StoredPage]) -> str:
-    return window[0].url
-
-
 @dataclass
 class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
@@ -211,9 +207,7 @@ class ExtractionPipeline:
         # The fleet is heavyweight, invariant state: install it once per
         # pool instead of pickling it into every shard task.
         executor.install_state(EXTRACT_FLEET_KEY, tuple(self.extractors))
-        job = ShardedMapJob(
-            name="extract.pages", map_shard=_extract_shard, key_fn=_window_key
-        )
+        job = ShardedMapJob(name="extract.pages", map_shard=_extract_shard)
         try:
             for pages in chunks:
                 if isinstance(pages, LazyPageList):

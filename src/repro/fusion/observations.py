@@ -164,8 +164,8 @@ class ColumnarSlice:
     the CSR pointer/index arrays, so a *slice* carrying remapped local
     pointers over the selected items' rows and claims lets the same
     kernels score one pool shard — the ``hybrid`` backend's unit of
-    work.  ``rows`` maps each local row back to its global row id (for
-    re-emitting posteriors against the full matrix); ``claim_prov`` keeps
+    work.  ``rows`` maps each local row back to its global row id (the
+    θ-rescue writes its posteriors back through it); ``claim_prov`` keeps
     *global* provenance ids so the per-pool accuracy/active buffers index
     directly, and ``claims`` maps each local claim to its global claim id
     (so a round's claim keep-mask slices with one gather).
@@ -177,10 +177,6 @@ class ColumnarSlice:
     claim_prov: np.ndarray  # local claim -> GLOBAL provenance index
     row_ptr: np.ndarray  # local row r claims: [row_ptr[r], row_ptr[r+1])
     claims: np.ndarray  # local claim -> global claim id
-
-    @property
-    def n_items(self) -> int:
-        return len(self.item_ptr) - 1
 
     @property
     def n_rows(self) -> int:

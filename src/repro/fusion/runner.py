@@ -44,8 +44,8 @@ fields are the only thing that differs between them:
   CSR and round state as contiguous buffers in one shared-memory
   segment and dispatches Stage I as one
   :class:`~repro.mapreduce.executors.ShardedMapJob` map-only job over
-  integer item ids, each shard scoring its slice of the CSR with the
-  batched kernel — no ``Triple``/``DataItem`` objects in shard payloads,
+  contiguous item blocks, one per shard, each scoring its slice of the
+  CSR with the batched kernel — no ``Triple``/``DataItem`` objects in shard payloads,
   and nothing installed pool-resident.  Stage II is one
   in-process call over every provenance id in every mode — the same
   call, pooled or not.
@@ -291,15 +291,15 @@ def _column_stage1(
     Sharded, the round's CSR, accuracies, active mask and claim
     keep-mask (:func:`~repro.fusion.shuffle.stage1_keep`) cross once on
     the round-state channel (one shared-memory segment; the shard specs
-    carry only the tiny handle) and each shard of item ids
-    runs the batched kernel — the round's one map job, named ``name``.
+    carry only the tiny handle) and each shard runs the batched kernel
+    over one contiguous item block — the round's one map job, named
+    ``name``.
     """
     if executor is not None:
         state = shuffle.install_stage1_state(executor, cols, accuracies, active, keep)
-        job = shuffle.stage1_job(name, cols, kernel, state, require_repeated)
-        return shuffle.merge_stage1_outputs(
-            cols, executor.run_map(range(cols.n_items), job)
-        )
+        job = shuffle.stage1_job(name, kernel, state, require_repeated)
+        blocks = shuffle.stage1_blocks(cols, executor.n_shards(cols.n_items))
+        return shuffle.merge_stage1_outputs(executor.run_map(blocks, job))
     score = kernel.batch_round if batched else kernel.exact_round
     return score(cols, accuracies, active, require_repeated, keep)
 

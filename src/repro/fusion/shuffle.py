@@ -3,12 +3,11 @@
 **Sampling** (the paper's ``L``) is one draw, :func:`stage1_keep` /
 :func:`stage2_keep`, run in the parent once per stage per round: each
 group larger than ``L`` keeps ``L`` of its values, drawn by
-:func:`~repro.mapreduce.executors.sample_positions` in canonical (sorted)
-order — the columns' own layout order — so the subset depends only on
-the claim *set*.  The result is a claim keep-mask (None when no group
-exceeds ``L``) that every kernel of the round reads: the exact and the
-batched kernels (:mod:`repro.fusion.kernels`), the pooled shard, the
-θ-rescue.
+:func:`sample_positions` in canonical (sorted) order — the columns' own
+layout order — so the subset depends only on the claim *set*.  The
+result is a claim keep-mask (None when no group exceeds ``L``) that
+every kernel of the round reads: the exact and the batched kernels
+(:mod:`repro.fusion.kernels`), the pooled shard, the θ-rescue.
 
 **The columnar shuffle.**  Figure 8 shuffles both fusion stages; here
 only Stage I — the per-item posteriors, where the work is — is a map job,
@@ -20,16 +19,20 @@ the in-process modes make.  Pooled, one round is:
   keep-mask when sampling engages — crosses once per round, in one
   shared-memory segment on the round-state channel under
   :data:`FUSION_ROUND_KEY` (:func:`install_stage1_state`) — so a **shard
-  task payload** is a list of integer item ids plus the tiny
+  task payload** is one ``(start, end)`` item block plus the tiny
   :class:`~repro.mapreduce.executors.RoundStateHandle`: no ``Triple``,
   ``DataItem``, ``ExtractionRecord`` *or numpy buffer* (the test suite
   audits this with :func:`~repro.mapreduce.codec.scan_payload_types`);
   fusion installs no pool-resident state, so a pool shared with
   extraction is never restarted;
 - Stage I runs as one :class:`Stage1Shard` job on the executors' map-only
-  protocol: each shard slices the segment's CSR views
-  (:func:`~repro.fusion.observations.slice_csr`) and runs the batched
-  kernel once.
+  protocol, whose items are :func:`stage1_blocks`: one contiguous item
+  range per shard, of about equal claim counts.  Each shard slices its
+  block out of the segment's CSR views
+  (:func:`~repro.fusion.observations.slice_csr`), runs the batched kernel
+  once and returns the block's ``(posteriors, scored)`` row arrays.  An
+  item range owns one contiguous row range, so the round's result is the
+  blocks' arrays concatenated in order (:func:`merge_stage1_outputs`).
 
 Every batched aggregate is per item or per row, so a shard's slice
 scores exactly as the whole matrix does: ``hybrid`` equals in-process
@@ -40,8 +43,7 @@ full in :mod:`repro.fusion.runner`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -51,8 +53,8 @@ from repro.mapreduce.executors import (
     ParallelExecutor,
     RoundStateHandle,
     ShardedMapJob,
-    sample_positions,
 )
+from repro.rng import split_seed
 
 __all__ = [
     "FUSION_ROUND_KEY",
@@ -60,6 +62,8 @@ __all__ = [
     "uninstall_fusion_round_state",
     "stage1_keep",
     "stage2_keep",
+    "sample_positions",
+    "stage1_blocks",
     "Stage1Shard",
     "stage1_job",
     "merge_stage1_outputs",
@@ -98,6 +102,27 @@ def install_stage1_state(
     if keep is not None:
         arrays["keep"] = keep
     return executor.install_round_state(FUSION_ROUND_KEY, arrays)
+
+
+def sample_positions(
+    n_values: int, key: Any, name: str, sample_limit: int | None, seed: int
+) -> list[int] | None:
+    """The deterministic position draw behind reducer-input sampling (L).
+
+    Returns the ascending positions to keep out of ``n_values`` ordered
+    values, or None when sampling does not engage.  The draw depends only
+    on ``(seed, name, repr(key))`` and ``n_values`` — never on where the
+    values live — so any backend that can enumerate a key's values *in the
+    same order* reproduces the same subset bit-for-bit.  Fusion pins that
+    order to the canonical (sorted) one, the claim columns' layout order,
+    and draws once per round in the parent, into the claim keep-masks
+    every kernel reads (:func:`_sampled_keep`).
+    """
+    if sample_limit is None or n_values <= sample_limit:
+        return None
+    rng = np.random.default_rng(split_seed(seed, name, repr(key)))
+    picked = rng.choice(n_values, size=sample_limit, replace=False)
+    return sorted(int(x) for x in picked)
 
 
 def _sampled_keep(ptr, eligible, key_of, name, sample_limit, seed) -> np.ndarray | None:
@@ -152,79 +177,84 @@ def stage2_keep(cols: ColumnarClaims, scored, active, sample_limit, seed) -> np.
     return keep
 
 
+def stage1_blocks(cols: ColumnarClaims, n_blocks: int) -> list[tuple[int, int]]:
+    """Cut the items into ``min(n_blocks, n_items)`` contiguous, non-empty
+    ``(start, end)`` item ranges of about equal claim counts.
+
+    Cut ``k`` is the first item boundary at or past ``k / n_blocks`` of
+    the claims (``searchsorted`` on the claim offsets ``row_ptr[item_ptr]``),
+    then pushed right or left just enough that every block keeps at least
+    one item.  So no block holds more than the mean claim count plus the
+    claims of its largest item.
+    """
+    n_blocks = min(n_blocks, cols.n_items)
+    if not n_blocks:
+        return []
+    offsets = cols.row_ptr[cols.item_ptr]
+    k = np.arange(1, n_blocks)
+    cuts = np.searchsorted(offsets, offsets[-1] * k / n_blocks)
+    # Cut k lies in [k, n_items - n_blocks + k] and above cut k-1.
+    cuts = k + np.maximum.accumulate(np.clip(cuts - k, 0, cols.n_items - n_blocks))
+    bounds = [0, *cuts.tolist(), cols.n_items]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @dataclass(frozen=True)
 class Stage1Shard:
-    """One Stage-I dispatch over a shard of item ids.
+    """One Stage-I dispatch over a shard of item blocks.
 
     Pickled once per job; carries the picklable posterior kernel plus the
     :class:`~repro.mapreduce.executors.RoundStateHandle` naming the
     round's segment — Stage I's CSR, accuracy vector, active mask and
     (when sampling engaged) claim keep-mask, crossing once per round
-    (:func:`install_stage1_state`).  The shard runs one
-    ``kernel.batch_round`` call over a
+    (:func:`install_stage1_state`).  Per ``(start, end)`` item block the
+    shard runs one ``kernel.batch_round`` call over a
     :class:`~repro.fusion.observations.ColumnarSlice` of those views and
-    returns one list of ``(row_id, posterior)`` pairs per item.
+    returns the block's ``(posteriors, scored)`` row arrays, in row order.
     """
 
     kernel: Callable  # carries .batch_round
     state: RoundStateHandle  # names the round's CSR, accuracies, active (+ keep)
     require_repeated: bool
 
-    def __call__(self, item_ids: list[int]) -> list[list[tuple[int, float]]]:
+    def __call__(
+        self, blocks: list[tuple[int, int]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
         round_state = self.state.load()
-        part = slice_csr(
-            round_state["item_ptr"], round_state["row_ptr"],
-            round_state["claim_prov"], item_ids,
-        )
         keep = round_state.get("keep")
-        round_result = self.kernel.batch_round(
-            part,
-            round_state["accuracies"],
-            round_state["active"],
-            self.require_repeated,
-            None if keep is None else keep[part.claims],
-        )
-        scored = round_result.scored
-        posteriors = round_result.posteriors
-        return [
-            [
-                (int(part.rows[r]), float(posteriors[r]))
-                for r in range(part.item_ptr[i], part.item_ptr[i + 1])
-                if scored[r]
-            ]
-            for i in range(part.n_items)
-        ]
+        outputs = []
+        for start, end in blocks:
+            part = slice_csr(
+                round_state["item_ptr"], round_state["row_ptr"],
+                round_state["claim_prov"], np.arange(start, end),
+            )
+            round_result = self.kernel.batch_round(
+                part,
+                round_state["accuracies"],
+                round_state["active"],
+                self.require_repeated,
+                None if keep is None else keep[part.claims],
+            )
+            outputs.append((round_result.posteriors, round_result.scored))
+        return outputs
 
 
 def stage1_job(
-    name: str,
-    cols: ColumnarClaims,
-    kernel: Callable,
-    state: RoundStateHandle,
-    require_repeated: bool,
+    name: str, kernel: Callable, state: RoundStateHandle, require_repeated: bool
 ) -> ShardedMapJob:
-    """One Stage-I round as a map-only job over item ids.
-
-    ``state`` is the handle :func:`install_stage1_state` returned for this
-    round.  ``key_fn`` resolves the item's canonical key in the parent (it
-    never pickles), so shard assignment matches the stable crc32
-    partitioning every other sharded stage uses.
-    """
+    """One Stage-I round as a map-only job over item blocks
+    (:func:`stage1_blocks`).  ``state`` is the handle
+    :func:`install_stage1_state` returned for this round."""
     return ShardedMapJob(
         name=name,
         map_shard=Stage1Shard(kernel=kernel, state=state, require_repeated=require_repeated),
-        key_fn=lambda j: cols.items[j].canonical(),
     )
 
 
-def merge_stage1_outputs(
-    cols: ColumnarClaims, per_item: list[list[tuple[int, float]]]
-) -> RoundPosteriors:
-    """Collect the shards' ``(row_id, posterior)`` pairs into row arrays."""
-    pairs = list(chain.from_iterable(per_item))
-    rows = np.array([r for r, _value in pairs], dtype=np.int64)
-    posteriors = np.zeros(cols.n_rows, dtype=np.float64)
-    posteriors[rows] = [value for _r, value in pairs]
-    scored = np.zeros(cols.n_rows, dtype=bool)
-    scored[rows] = True
-    return RoundPosteriors(posteriors=posteriors, scored=scored)
+def merge_stage1_outputs(outputs: list[tuple[np.ndarray, np.ndarray]]) -> RoundPosteriors:
+    """The round's row arrays: the blocks' arrays, concatenated in block
+    order (block ``k``'s rows directly follow block ``k - 1``'s)."""
+    return RoundPosteriors(
+        posteriors=np.concatenate([np.zeros(0), *(p for p, _s in outputs)]),
+        scored=np.concatenate([np.zeros(0, dtype=bool), *(s for _p, s in outputs)]),
+    )

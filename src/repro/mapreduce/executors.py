@@ -1,26 +1,27 @@
 """Pluggable execution backends: one pooled job protocol, map-only.
 
 Every job an executor runs is a :class:`ShardedMapJob` — an
-order-insensitive map over keyed items, sharded by a *stable* hash (crc32
-of ``repr(key)``, immune to ``PYTHONHASHSEED``), with outputs re-emitted
-in the input order — and *where* its shards run is an :class:`Executor`
-policy:
+order-insensitive map over a list of items, cut into contiguous shards by
+position, with outputs concatenated in shard order (so in input order) —
+and *where* its shards run is an :class:`Executor` policy:
 
 - :class:`SerialExecutor` — one in-process pass.  The default, and the
   reference behaviour.
 - :class:`ParallelExecutor` — every non-empty job runs in a
-  ``concurrent.futures.ProcessPoolExecutor``, each shard in a worker, and
-  the parent slots every output back at its input index, so the output
+  ``concurrent.futures.ProcessPoolExecutor``: the items are cut into
+  ``min(4 × workers, n)`` contiguous runs whose lengths differ by at most
+  one (:meth:`ParallelExecutor.n_shards`), each run is one task, and
+  the parent concatenates the runs' outputs in order, so the output
   sequence is bit-identical to the serial backend.  A pooled job never
   runs in the parent.
 
-This is the protocol the extraction stage runs on — each shard of pages
-is extracted in a worker and the parent reassembles the corpus-order
-record stream — and fusion's Stage I as well, one job per round (items
-are integer item ids into the claim CSR the round's shared-memory
-segment carries; see :mod:`repro.fusion.shuffle`; Stage II runs in the
-parent).  The in-process fusion modes do not go through an executor at
-all.
+This is the protocol the extraction stage runs on — each shard of page
+windows is extracted in a worker and the parent concatenates the
+corpus-order record tables — and fusion's Stage I as well, one job per
+round (items are contiguous item blocks of the claim CSR the round's
+shared-memory segment carries, one block per shard; see
+:mod:`repro.fusion.shuffle`; Stage II runs in the parent).  The
+in-process fusion modes do not go through an executor at all.
 
 Bit-identity across start methods requires shard bodies whose float
 summation order does not depend on hash randomization: a body that sums a
@@ -76,7 +77,6 @@ import itertools
 import multiprocessing
 import os
 import pickle
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -87,7 +87,6 @@ from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.errors import ConfigError, WorkerPoolError
-from repro.rng import split_seed
 
 __all__ = [
     "EXECUTION_MODES",
@@ -100,8 +99,6 @@ __all__ = [
     "ParallelExecutor",
     "RoundStateHandle",
     "ShardedMapJob",
-    "shard_for_key",
-    "sample_positions",
     "worker_state",
 ]
 
@@ -271,54 +268,31 @@ def _round_segment_layout(
     return tuple(layout), max(offset, 1)
 
 
-def sample_positions(
-    n_values: int, key: Any, name: str, sample_limit: int | None, seed: int
-) -> list[int] | None:
-    """The deterministic position draw behind reducer-input sampling (L).
-
-    Returns the ascending positions to keep out of ``n_values`` ordered
-    values, or None when sampling does not engage.  The draw depends only
-    on ``(seed, name, repr(key))`` and ``n_values`` — never on where the
-    values live — so any backend that can enumerate a key's values *in the
-    same order* reproduces the same subset bit-for-bit.  Fusion pins that
-    order to the canonical (sorted) one, the claim columns' layout order,
-    and draws once per round in the parent, into the claim keep-masks
-    every kernel reads (:mod:`repro.fusion.shuffle`).
-    """
-    if sample_limit is None or n_values <= sample_limit:
-        return None
-    rng = np.random.default_rng(split_seed(seed, name, repr(key)))
-    picked = rng.choice(n_values, size=sample_limit, replace=False)
-    return sorted(int(x) for x in picked)
-
-
-def shard_for_key(key: Any, n_shards: int) -> int:
-    """Stable shard assignment: crc32 of ``repr(key)``, not ``hash()``."""
-    return zlib.crc32(repr(key).encode("utf-8")) % n_shards
-
-
 @dataclass(frozen=True)
 class ShardedMapJob:
-    """A map-only job: order-insensitive work over keyed items.
+    """A map-only job: order-insensitive work over a list of items.
 
-    ``map_shard(items)`` processes one shard's items (in the order given)
-    and returns exactly one output per item; the executor re-emits outputs
-    in the original input order, so serial and parallel execution are
-    indistinguishable.  The map must be *order-insensitive*: an item's
-    output may depend only on the item itself (the extraction stage
-    satisfies this — every noisy draw derives from the page URL).
+    ``map_shard(items)`` processes one shard's items (a contiguous run of
+    the input, in the order given) and returns exactly one output per
+    item; the executor concatenates the shards' outputs in order, so
+    serial and parallel execution are indistinguishable.  The map must be
+    *order-insensitive*: an item's output may depend only on the item
+    itself (the extraction stage satisfies this — every noisy draw
+    derives from the page URL).
 
-    ``key_fn`` yields the stable shard key for an item (hashed with
-    :func:`shard_for_key`; it runs only in the parent and need not
-    pickle).  ``map_shard`` must be picklable for the parallel backend,
-    and its outputs cross back as they are, so a job whose natural output
-    is object-shaped returns flat columns instead (the extraction job's
+    ``map_shard`` must be picklable for the parallel backend, and its
+    outputs cross back as they are, so a job whose natural output is
+    object-shaped returns flat columns instead (the extraction job's
     record tables, :class:`repro.extract.records.TableBuilder`).
+
+    ``key_fn`` is read by nothing: shards are cut by position.  A stub
+    for ``benchmarks/kfbench``, which still passes one; it goes with the
+    ``[benchmark]`` PR of ROADMAP item 9(a).
     """
 
     name: str
     map_shard: Callable[[list], list]
-    key_fn: Callable[[Any], Any]
+    key_fn: Callable[[Any], Any] | None = None
 
 
 @contextmanager
@@ -343,22 +317,21 @@ def _frozen_heap(starting_pool: bool):
         gc.unfreeze()
 
 
-def _map_shard_worker(
-    spec_bytes: bytes, indexed_items: list[tuple[int, Any]]
-) -> tuple[list[int], Any]:
-    """Worker body for one :class:`ShardedMapJob` shard.
-
-    Returns ``(input_indices, outputs)``; the parent slots each output
-    back at its input index, restoring the serial emission order.
-    """
-    map_shard = pickle.loads(spec_bytes)
-    outputs = map_shard([item for _index, item in indexed_items])
-    if len(outputs) != len(indexed_items):
+def _checked_outputs(name: str, n_items: int, outputs) -> list:
+    """``outputs`` as a list, or a ValueError unless there is one per item."""
+    outputs = list(outputs)
+    if len(outputs) != n_items:
         raise ValueError(
-            f"map_shard returned {len(outputs)} outputs for "
-            f"{len(indexed_items)} items; the contract is one per item"
+            f"job {name}: map_shard returned {len(outputs)} outputs "
+            f"for {n_items} items; the contract is one per item"
         )
-    return [index for index, _item in indexed_items], outputs
+    return outputs
+
+
+def _map_shard_worker(spec_bytes: bytes, items: list) -> list:
+    """Worker body for one :class:`ShardedMapJob` shard: its outputs, in
+    its items' order."""
+    return pickle.loads(spec_bytes)(items)
 
 
 @runtime_checkable
@@ -397,13 +370,7 @@ class SerialExecutor:
 
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
         items = list(items)
-        outputs = list(job.map_shard(items))
-        if len(outputs) != len(items):
-            raise ValueError(
-                f"job {job.name}: map_shard returned {len(outputs)} outputs "
-                f"for {len(items)} items; the contract is one per item"
-            )
-        return outputs
+        return _checked_outputs(job.name, len(items), job.map_shard(items))
 
     def install_state(self, key: str, value: Any) -> None:
         """Register ``value`` for :func:`worker_state` lookup (in-process)."""
@@ -439,7 +406,7 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """Process-pool map, sharded by stable key hash.
+    """Process-pool map over contiguous shards.
 
     ``max_workers`` defaults to the CPU count (minimum 2, so the backend is
     exercised even on single-core hosts); a value below 1 is a
@@ -584,6 +551,12 @@ class ParallelExecutor:
             )
         return self._pool
 
+    def n_shards(self, n_items: int) -> int:
+        """How many contiguous shards :meth:`run_map` cuts ``n_items``
+        items into: ``min(4 × workers, n_items)``.  A job that wants one
+        shard per item (fusion's Stage-I item blocks) makes this many."""
+        return min(self.max_workers * 4, n_items)
+
     def run_map(self, items: Iterable[Any], job: ShardedMapJob) -> list[Any]:
         """Run a map-only job over the process pool, outputs in input order.
 
@@ -598,25 +571,21 @@ class ParallelExecutor:
             return []
         spec_bytes = _pickled(job.map_shard, f"job {job.name!r}")
 
-        n_shards = min(self.max_workers * 4, len(items))
-        shards: list[list[tuple[int, Any]]] = [[] for _ in range(n_shards)]
-        for index, item in enumerate(items):
-            shards[shard_for_key(job.key_fn(item), n_shards)].append((index, item))
-
-        outputs: list[Any] = [None] * len(items)
+        # Contiguous runs whose lengths differ by at most one, longer first.
+        runs = self.n_shards(len(items))
+        size, extra = divmod(len(items), runs)
+        bounds = [k * size + min(k, extra) for k in range(runs + 1)]
+        outputs: list[Any] = []
         try:
             # A fresh pool forks its workers inside the first submit.
             with _frozen_heap(self._pool is None):
                 pool = self._ensure_pool()
                 futures = [
-                    pool.submit(_map_shard_worker, spec_bytes, shard)
-                    for shard in shards
-                    if shard
+                    pool.submit(_map_shard_worker, spec_bytes, items[start:end])
+                    for start, end in zip(bounds[:-1], bounds[1:])
                 ]
-            for future in futures:
-                indices, shard_outputs = future.result()
-                for index, output in zip(indices, shard_outputs):
-                    outputs[index] = output
+            for future, start, end in zip(futures, bounds[:-1], bounds[1:]):
+                outputs.extend(_checked_outputs(job.name, end - start, future.result()))
         except BrokenProcessPool as err:
             raise WorkerPoolError(
                 f"job {job.name!r}: a process-pool worker died; the pool is "

@@ -152,11 +152,13 @@ class TestDET002Order:
         snippet = "def shard(key):\n    return hash(key) % 4\n"
         assert _rules_fired({ANY_PATH: snippet}, DET002) == ["DET002"]
 
-    def test_good_hash_in_approved_site(self):
+    def test_bad_hash_in_executors_has_no_exemption(self):
+        """The executors shard by position: no function anywhere may call
+        ``hash()``, not even one named like the old sharding helper."""
         snippet = "def shard_for_key(key):\n    return hash(key) % 4\n"
         assert _rules_fired(
             {"src/repro/mapreduce/executors.py": snippet}, DET002
-        ) == []
+        ) == ["DET002"]
 
 
 class TestDET003Payload:

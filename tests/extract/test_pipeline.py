@@ -499,6 +499,29 @@ class TestWindowedShard:
             records = tiny_scenario.pipeline.run(hit_corpus, executor=executor)
         assert list(records) == list(tiny_scenario.records)
 
+    @pytest.mark.parallel_backend
+    def test_pooled_windows_spread_evenly_over_contiguous_shards(
+        self, tiny_scenario, hit_corpus, monkeypatch
+    ):
+        """Ten windows over 2 workers' 8 shards: ``[2, 2, 1, 1, 1, 1, 1, 1]``
+        windows per shard, in window order (the ``small`` chunk's shape)."""
+        monkeypatch.setattr(extract_pipeline, "_WINDOW_PAGES", 8)
+        shards = []
+        submit = executors.ProcessPoolExecutor.submit
+
+        def spy(pool, fn, *args):
+            if fn is executors._map_shard_worker:
+                shards.append([window[0].url for window in args[1]])
+            return submit(pool, fn, *args)
+
+        monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
+        with ParallelExecutor(max_workers=2, start_method="fork") as executor:
+            records = tiny_scenario.pipeline.run(hit_corpus, executor=executor)
+        assert list(records) == list(tiny_scenario.records)
+        assert [len(windows) for windows in shards] == [2, 2, 1, 1, 1, 1, 1, 1]
+        urls = [page.url for page in hit_corpus.pages.stored_pages()]
+        assert [url for windows in shards for url in windows] == urls[::8]
+
     def test_page_decoding_runs_with_the_collector_paused(
         self, tiny_scenario, hit_corpus, monkeypatch
     ):

@@ -25,6 +25,7 @@ Four properties, each load-bearing:
 import hashlib
 import pickle
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from repro.fusion import (
 from repro.fusion.observations import FusionInput
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
+from repro.fusion.shuffle import stage1_blocks
 from repro.kb.triples import DataItem, Triple
 from repro.mapreduce import executors
 from repro.mapreduce.codec import scan_payload_types
@@ -375,3 +377,88 @@ class TestOneMapStagePerRound:
         assert len(jobs) == len(installs) == rounds
         # The keep-mask crosses only when sampling engages.
         assert all(("keep" in arrays) == (sample_limit == 2) for arrays in installs)
+
+
+def _one_row_per_item(claims_per_item):
+    """The CSR arrays :func:`stage1_blocks` reads, one row per item."""
+    counts = np.asarray(claims_per_item, dtype=np.int64)
+    return SimpleNamespace(
+        n_items=len(counts),
+        item_ptr=np.arange(len(counts) + 1, dtype=np.int64),
+        row_ptr=np.concatenate(([0], np.cumsum(counts))),
+    )
+
+
+def assert_blocks_cover_and_balance(cols, n_blocks):
+    blocks = stage1_blocks(cols, n_blocks)
+    assert len(blocks) == min(n_blocks, cols.n_items)
+    bounds = [start for start, _end in blocks] + [cols.n_items]
+    assert blocks == list(zip(bounds[:-1], bounds[1:]))  # every item once, in order
+    assert all(end > start for start, end in blocks)
+    offsets = cols.row_ptr[cols.item_ptr]
+    largest_item = int(np.diff(offsets).max())
+    mean = offsets[-1] / len(blocks)
+    assert all(offsets[end] - offsets[start] <= mean + largest_item for start, end in blocks)
+
+
+class TestItemBlocks:
+    """Pooled Stage I's items are contiguous item blocks of about equal
+    claim counts, one per shard."""
+
+    @pytest.mark.parametrize(
+        "claims, n_blocks",
+        [
+            ([3] * 20, 1),
+            ([3] * 20, 8),
+            ([3] * 20, 20),
+            ([3] * 20, 25),
+            ([1] * 10 + [500] + [1] * 10, 8),
+            (list(range(1, 41)), 4),  # equal item counts would overfill the last
+            ([1000, 1, 1, 1], 4),  # the first cut must be pushed right
+            ([1, 1, 1, 1000], 4),  # the last cuts must be pulled left
+            ([7], 8),
+        ],
+    )
+    def test_blocks_on_synthetic_claim_counts(self, claims, n_blocks):
+        assert_blocks_cover_and_balance(_one_row_per_item(claims), n_blocks)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n_blocks", [2, 8, 16])
+    def test_blocks_on_random_claim_counts(self, seed, n_blocks):
+        rng = np.random.default_rng(seed)
+        claims = rng.integers(1, 60, size=int(rng.integers(1, 120)))
+        assert_blocks_cover_and_balance(_one_row_per_item(claims), n_blocks)
+
+    @pytest.mark.parametrize("n_blocks", [1, 8, 16])
+    def test_blocks_on_scenario_claims(self, tiny_seed0, n_blocks):
+        cols = tiny_seed0.fusion_input().claims(popaccu().config.granularity)
+        assert_blocks_cover_and_balance(cols, n_blocks)
+
+    def test_no_items_no_blocks(self):
+        assert stage1_blocks(_one_row_per_item([]), 8) == []
+
+    @pytest.mark.parametrize("n_items", [1, 3])
+    def test_more_shards_than_items_equals_vectorized(
+        self, micro_scenario, monkeypatch, n_items
+    ):
+        """Fewer items than shards: one single-item block per item, and
+        ``hybrid`` still equals ``vectorized`` bit for bit."""
+        records = list(micro_scenario.records)
+        kept = sorted({record.triple.data_item for record in records})[:n_items]
+        fusion_input = FusionInput([r for r in records if r.triple.data_item in kept])
+        submitted = []
+        run_map = ParallelExecutor.run_map
+
+        def spy(self, items, job):
+            submitted.append(list(items))
+            return run_map(self, items, job)
+
+        monkeypatch.setattr(ParallelExecutor, "run_map", spy)
+        vectorized = popaccu(backend="vectorized").fuse(fusion_input)
+        with ParallelExecutor(max_workers=2) as executor:
+            hybrid = popaccu(backend="hybrid").fuse(fusion_input, executor=executor)
+        assert hybrid.diagnostics["n_items"] == n_items
+        assert submitted and all(
+            blocks == [(j, j + 1) for j in range(n_items)] for blocks in submitted
+        )
+        assert_bit_identical(vectorized, hybrid)

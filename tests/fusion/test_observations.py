@@ -154,7 +154,7 @@ class TestColumnarLayout:
             *range(cols.item_ptr[0], cols.item_ptr[1]),
         ]
         assert piece.rows.tolist() == expected_rows
-        assert piece.n_items == 2 and piece.n_rows == len(expected_rows)
+        assert len(piece.item_ptr) == 3 and piece.n_rows == len(expected_rows)
         local_items = [0] * (cols.item_ptr[3] - cols.item_ptr[2])
         local_items += [1] * (cols.item_ptr[1] - cols.item_ptr[0])
         assert piece.row_item.tolist() == local_items

@@ -4,7 +4,7 @@ Sampling used to be defined positionally over each key's value *arrival
 order* — a property of the scalar dataflow no sharded backend could
 reproduce.  The contract now: when sampling engages, a key's values are
 put in canonical (sorted) order before the deterministic positional draw
-(``sample_positions`` in the executors; the oracle engine's
+(``sample_positions`` in ``repro.fusion.shuffle``; the oracle engine's
 ``MapReduceJob.sample_key``), made once per round in the parent into the
 claim keep-masks every kernel reads.  Consequences, each tested here:
 
@@ -33,10 +33,10 @@ from repro.fusion import (
     popaccu,
     popaccu_plus,
 )
-from repro.fusion.shuffle import stage1_keep, stage2_keep
+from repro.fusion.shuffle import sample_positions, stage1_keep, stage2_keep
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
-from repro.mapreduce.executors import ParallelExecutor, sample_positions
+from repro.mapreduce.executors import ParallelExecutor
 from tests.oracle.columns import columns_from_items
 from tests.oracle.engine import MapReduceEngine, MapReduceJob
 

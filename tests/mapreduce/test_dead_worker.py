@@ -85,7 +85,7 @@ def warm_pool_state():
     with ParallelExecutor(max_workers=2) as warm:
         warm.install_round_state("test.warm", {"values": np.zeros(4)})
         warm.run_map(
-            list(range(4)), ShardedMapJob(name="warm", map_shard=_identity_shard, key_fn=int)
+            list(range(4)), ShardedMapJob(name="warm", map_shard=_identity_shard)
         )
 
 

@@ -13,7 +13,6 @@ from repro.mapreduce.executors import (
     ParallelExecutor,
     SerialExecutor,
     ShardedMapJob,
-    shard_for_key,
     worker_state,
 )
 
@@ -90,10 +89,6 @@ def _square_shard(items):
     return [item * item for item in items]
 
 
-def _identity_key(item):
-    return item
-
-
 def _pid_shard(items):
     return [os.getpid() for _item in items]
 
@@ -103,7 +98,7 @@ def _drop_one_shard(items):
 
 
 def square_map_job():
-    return ShardedMapJob(name="square", map_shard=_square_shard, key_fn=_identity_key)
+    return ShardedMapJob(name="square", map_shard=_square_shard)
 
 
 class TestShardedMap:
@@ -123,7 +118,7 @@ class TestShardedMap:
     def test_one_item_job_runs_in_the_pool(self):
         """No job is too small for the pool: one item is one shard in a
         worker, never a run in the parent."""
-        job = ShardedMapJob(name="pid", map_shard=_pid_shard, key_fn=_identity_key)
+        job = ShardedMapJob(name="pid", map_shard=_pid_shard)
         with ParallelExecutor(max_workers=2) as executor:
             [pid] = executor.run_map([7], job)
             assert pid != os.getpid()
@@ -139,13 +134,12 @@ class TestShardedMap:
         job = ShardedMapJob(
             name="closure",
             map_shard=lambda items: [i * i for i in items],  # not picklable
-            key_fn=_identity_key,
         )
         with pytest.raises(ConfigError, match="job 'closure' cannot be pickled"):
             parallel.run_map(self.ITEMS, job)
 
     def test_wrong_output_arity_rejected(self, parallel):
-        job = ShardedMapJob(name="dropper", map_shard=_drop_one_shard, key_fn=_identity_key)
+        job = ShardedMapJob(name="dropper", map_shard=_drop_one_shard)
         for executor in (SerialExecutor(), parallel):
             with pytest.raises(ValueError, match="the contract is one per item"):
                 executor.run_map(self.ITEMS, job)
@@ -212,9 +206,7 @@ def _offset_shard(items):
 
 
 def offset_map_job():
-    return ShardedMapJob(
-        name="offset", map_shard=_offset_shard, key_fn=_identity_key
-    )
+    return ShardedMapJob(name="offset", map_shard=_offset_shard)
 
 
 class TestWorkerState:
@@ -342,9 +334,39 @@ class TestWireCodecLayer:
         assert Marker in scan_payload_types(Spec(inner=(Marker(),)))
 
 
-class TestSharding:
-    def test_shard_assignment_is_stable(self):
-        keys = ["alpha", ("a", "b"), ("a", "b", "c"), "omega"]
-        assignments = [shard_for_key(key, 8) for key in keys]
-        assert assignments == [shard_for_key(key, 8) for key in keys]
-        assert all(0 <= shard < 8 for shard in assignments)
+def _shard_span(items):
+    """Each item's output names its shard: ``(item, first item, size)``."""
+    return [(item, items[0], len(items)) for item in items]
+
+
+class TestContiguousShards:
+    """Pooled ``run_map`` cuts its items by position into ``min(4 ×
+    workers, n)`` contiguous runs whose sizes differ by at most one (the
+    longer first) and concatenates their outputs in input order."""
+
+    @pytest.mark.parametrize(
+        "n_items, sizes",
+        [
+            (5, [1] * 5),  # n < 4 × workers
+            (8, [1] * 8),  # n == 4 × workers
+            (10, [2, 2, 1, 1, 1, 1, 1, 1]),  # the 10-window ``small`` chunk
+            (37, [5, 5, 5, 5, 5, 4, 4, 4]),  # n > 4 × workers
+        ],
+    )
+    def test_shards_are_contiguous_runs_in_input_order(self, parallel, n_items, sizes):
+        items = list(range(n_items))
+        outputs = parallel.run_map(items, ShardedMapJob(name="span", map_shard=_shard_span))
+        assert [item for item, _start, _size in outputs] == items
+        spans = list(dict.fromkeys((start, size) for _item, start, size in outputs))
+        assert [size for _start, size in spans] == sizes
+        assert [start for start, _size in spans] == [sum(sizes[:k]) for k in range(len(sizes))]
+        assert all(start <= item < start + size for item, start, size in outputs)
+        assert parallel.n_shards(n_items) == len(sizes)
+
+    def test_a_web_chunk_is_one_window_per_shard(self):
+        """A 2,048-page ``web`` chunk is 8 windows: at 4 workers each is
+        its own shard.  ``n_shards`` starts no pool."""
+        executor = ParallelExecutor(max_workers=4)
+        assert executor.n_shards(8) == 8
+        assert executor.n_shards(100) == 16
+        assert executor._pool is None

@@ -51,9 +51,7 @@ class _HandleReader:
 
 
 def _reader_job(handle: RoundStateHandle) -> ShardedMapJob:
-    return ShardedMapJob(
-        name="round-state-reader", map_shard=_HandleReader(handle), key_fn=str
-    )
+    return ShardedMapJob(name="round-state-reader", map_shard=_HandleReader(handle))
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,7 @@ class _Probe:
 
 def _probe(executor: ParallelExecutor, items, acc, mask) -> list:
     handle = executor.install_round_state("test.round", {"mask": mask, "acc": acc})
-    job = ShardedMapJob(name="probe", map_shard=_Probe(handle), key_fn=str)
+    job = ShardedMapJob(name="probe", map_shard=_Probe(handle))
     return executor.run_map(items, job)
 
 
@@ -263,7 +261,7 @@ class TestNoLeaks:
             with ParallelExecutor(max_workers=2, start_method="fork") as executor:
                 executor.run_map(
                     list(range(4)),
-                    ShardedMapJob(name="warm", map_shard=identity, key_fn=int),
+                    ShardedMapJob(name="warm", map_shard=identity),
                 )
                 handle = executor.install_round_state(
                     "test.round", {"values": np.arange(4.0)}

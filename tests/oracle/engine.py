@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import FusionError
-from repro.mapreduce.executors import sample_positions
+from repro.fusion.shuffle import sample_positions
 
 __all__ = ["MapReduceJob", "MapReduceEngine"]
 
