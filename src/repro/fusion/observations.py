@@ -148,8 +148,9 @@ def _inverse(permutation: np.ndarray) -> np.ndarray:
 def _sorted_table(values: list) -> tuple[list, np.ndarray]:
     """The distinct ``values`` sorted, and each value's index in that table.
 
-    Values are strings or tuples of strings, so every comparison the sort
-    makes is C-level — never a ``Triple`` / ``DataItem`` ``__lt__``.
+    Values are strings, so every comparison the sort makes is C-level —
+    never a ``Triple`` / ``DataItem`` ``__lt__`` — and the table holds no
+    tuple for the collector to track.
     """
     table = sorted(set(values))
     index = {value: i for i, value in enumerate(table)}
@@ -428,18 +429,24 @@ class ClaimAccumulator:
         arrival_triples = list(map(parse, arrival_texts))
         n_rows = len(arrival_triples)
         # Dense ids in sorted-string order, for the two things rows sort by:
-        # their data item (field-wise) and their canonical string.
-        item_table, row_item = _sorted_table(
-            [(triple.subject, triple.predicate) for triple in arrival_triples]
+        # their data item (field-wise: subject rank, then predicate rank,
+        # numbered as one pair code) and their canonical string.
+        subjects, row_subject = _sorted_table([triple.subject for triple in arrival_triples])
+        predicates, row_predicate = _sorted_table(
+            [triple.predicate for triple in arrival_triples]
         )
+        item_codes, row_item = np.unique(
+            row_subject * len(predicates) + row_predicate, return_inverse=True
+        )
+        item_subject, item_predicate = np.divmod(item_codes, max(len(predicates), 1))
         _, row_canonical = _sorted_table(arrival_texts)
         # Canonical row order: items sorted, triples sorted within each item.
         order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
         row_of_arrival = _inverse(order)
         triples = [arrival_triples[a] for a in order.tolist()]
         row_item = row_item[order]
-        item_ptr = np.zeros(len(item_table) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_item, minlength=len(item_table)), out=item_ptr[1:])
+        item_ptr = np.zeros(len(item_codes) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_item, minlength=len(item_codes)), out=item_ptr[1:])
 
         # Record-arrival order: items by first arrival, each item's
         # triples by first arrival.
@@ -448,10 +455,12 @@ class ClaimAccumulator:
             item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
             arrival_rows = np.lexsort((order, item_arrival[row_item]))
 
-        predicates, item_predicate = _sorted_table([item[1] for item in item_table])
         strings, string_rank = _sorted_table(list(self._string_of))
         return _Layout(
-            items=[DataItem(*item) for item in item_table],
+            items=[
+                DataItem(subjects[s], predicates[p])
+                for s, p in zip(item_subject.tolist(), item_predicate.tolist())
+            ],
             triples=triples,
             row_item=row_item,
             item_ptr=item_ptr,
@@ -459,7 +468,7 @@ class ClaimAccumulator:
             arrival_rows=arrival_rows,
             row_of_arrival=row_of_arrival,
             predicates=predicates,
-            row_predicate=item_predicate[row_item],
+            row_predicate=row_predicate[order],
             strings=strings,
             string_rank=string_rank,
         )

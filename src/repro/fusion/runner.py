@@ -102,6 +102,7 @@ it is handed); a pooled mode handed an executor that is not a
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 
@@ -377,9 +378,7 @@ def _run_columnar(
         # One dict probe per row, then integer counts per provenance over
         # the transposed CSR (n_true / n_labelled is the labels' mean).
         row_label = np.fromiter(
-            (-1 if label is None else label for label in map(sampled.get, cols.triples)),
-            np.int8,
-            cols.n_rows,
+            map(sampled.get, cols.triples, repeat(-1)), np.int8, cols.n_rows
         )
         claim_label = row_label[cols.prov_rows]
         claim_prov = np.repeat(np.arange(n_provs), np.diff(cols.prov_ptr))

@@ -8,6 +8,7 @@ pair is the *data item* — the unit over which fusion resolves conflicts
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from repro.kb.values import DateValue, Value, parse_value  # DateValue used in doctests
@@ -26,7 +27,7 @@ class DataItem:
         return f"{self.subject}|{self.predicate}"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Triple:
     """An RDF-style knowledge triple.
 
@@ -36,11 +37,35 @@ class Triple:
     the fusion pipeline.  Ordering compares canonical strings, because the
     same data item can mix object kinds (an extractor's raw-string fallback
     next to a linked entity) and field-wise comparison would fail there.
+
+    The hash is ``zlib.crc32`` of the canonical text, computed on the
+    first ``__hash__`` (or taken from the text :meth:`from_canonical`
+    parsed) and kept in a slot outside the dataclass fields, so every
+    later probe is one attribute read.  It is the same in every process,
+    so a pickle carries no stale hash and ``set[Triple]`` iterates in an
+    order ``PYTHONHASHSEED`` cannot change.  Equality stays field-wise.
     """
+
+    __slots__ = ("subject", "predicate", "obj", "_key")
 
     subject: str
     predicate: str
     obj: Value
+
+    def __hash__(self) -> int:
+        try:
+            return self._key
+        except AttributeError:
+            return self._keyed(self.canonical())
+
+    def _keyed(self, canonical: str) -> int:
+        key = zlib.crc32(canonical.encode())
+        object.__setattr__(self, "_key", key)
+        return key
+
+    def __reduce__(self):
+        # The fields only: the key is recomputed where it is next needed.
+        return Triple, (self.subject, self.predicate, self.obj)
 
     def __lt__(self, other: "Triple") -> bool:
         if not isinstance(other, Triple):
@@ -66,4 +91,9 @@ class Triple:
         if len(parts) != 3:
             raise ValueError(f"not a canonical triple string: {text!r}")
         subject, predicate, value_text = parts
-        return Triple(subject, predicate, parse_value(value_text))
+        value = parse_value(value_text)
+        triple = Triple(subject, predicate, value)
+        # A number spelled otherwise than canonically ("number:1986.0")
+        # parses to a value whose text differs: key the canonical text.
+        triple._keyed(text if value.canonical() == value_text else triple.canonical())
+        return triple

@@ -25,6 +25,7 @@ import pytest
 from repro.artifacts import prune_cache
 from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
+from repro.extract.records import ExtractionRecord
 from repro.fusion.base import FusionConfig
 from repro.fusion.matrix import MappedColumnarClaims, persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
@@ -182,6 +183,45 @@ class TestClaimAccumulator:
             FusionInput.from_columns(cols).unique_triples()
             label_gold(tiny_scenario.freebase, records)
         assert calls == []
+
+    def test_layout_orders_items_field_wise_across_string_prefixes(self):
+        """Item order is field-wise — subject, then predicate — where one
+        subject (and one predicate) is a string prefix of another, so the
+        canonical-string order disagrees (``"|"`` sorts after ``"2"``)."""
+        texts = [
+            ("/m/12", "p2", "x"),
+            ("/m/1", "p2", "y"),
+            ("/m/12", "p", "x"),
+            ("/m/1", "p", "x"),
+            ("/m/1", "p2", "x"),
+        ]
+        records = [
+            ExtractionRecord(
+                Triple(subject, predicate, StringValue(obj)),
+                extractor="E",
+                url=f"http://s/{n}",
+                site="s",
+                content_type="TXT",
+            )
+            for n, (subject, predicate, obj) in enumerate(texts)
+        ]
+        for granularity in Granularity:
+            built = _accumulate(records, granularity, 2).build(granularity)
+            _, expected = reference_columns(records, granularity)
+            assert_columns_equal(built, expected)
+        assert built.items == [
+            DataItem("/m/1", "p"),
+            DataItem("/m/1", "p2"),
+            DataItem("/m/12", "p"),
+            DataItem("/m/12", "p2"),
+        ]
+        assert [t.canonical() for t in built.triples] == [
+            "/m/1|p|string:x",
+            "/m/1|p2|string:x",
+            "/m/1|p2|string:y",
+            "/m/12|p|string:x",
+            "/m/12|p2|string:x",
+        ]
 
     def test_release_drops_state(self, tiny_scenario):
         accumulator = _accumulate(

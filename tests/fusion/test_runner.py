@@ -1,5 +1,10 @@
 """Unit tests for the iterative runner: filters, gold init, fallbacks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.extract.records import ExtractionRecord
@@ -116,3 +121,54 @@ class TestDiagnostics:
         assert diagnostics["n_items"] > 0
         assert diagnostics["n_provenances"] > 0
         assert diagnostics["n_claims"] >= diagnostics["n_items"]
+
+
+#: Prints, for ``tiny`` seed 0 fused POPACCU+ and POPACCU+ without the θ
+#: fallback (which leaves the coverage filter's rows unpredicted): a
+#: sha256 over the probabilities and accuracies in result order, then the
+#: unpredicted triples in ``set`` iteration order.
+_HASH_SEED_SCRIPT = """
+import hashlib
+from dataclasses import replace
+from repro.datasets import build_scenario, tiny_config
+from repro.fusion import FusionConfig
+from repro.fusion.presets import PopAccuPlus, popaccu_plus
+
+scenario = build_scenario(tiny_config(seed=0))
+plus = popaccu_plus(scenario.gold, FusionConfig(seed=0))
+no_theta = PopAccuPlus(replace(plus.config, min_accuracy=None), gold_labels=scenario.gold)
+for fuser in (plus, no_theta):
+    result = fuser.fuse(scenario.fusion_input())
+    digest = hashlib.sha256()
+    digest.update(repr(list(result.probabilities.items())).encode())
+    digest.update(repr(list(result.accuracies.items())).encode())
+    print(digest.hexdigest())
+    print(len(result.unpredicted), *(t.canonical() for t in result.unpredicted), sep="\\n")
+"""
+
+
+class TestHashSeedIndependence:
+    def test_result_and_unpredicted_order_are_the_same_in_every_process(self):
+        """Triples hash by their canonical text, so two processes with
+        different ``PYTHONHASHSEED`` give the same result digest and
+        iterate ``result.unpredicted`` in the same order."""
+        root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", _HASH_SEED_SCRIPT],
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": hash_seed,
+                    "PYTHONPATH": str(root / "src"),
+                },
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.splitlines())
+        assert outputs[0] == outputs[1]
+        _, plus_unpredicted, _, n_unpredicted, *unpredicted = outputs[0]
+        assert plus_unpredicted == "0"  # θ scores every row
+        assert int(n_unpredicted) == len(unpredicted) > 1
