@@ -43,7 +43,7 @@ def main() -> None:
 
     rows = []
     for name, result in runs.items():
-        metrics = metrics_for(result.probabilities, gold)
+        metrics = metrics_for(result, gold)
         rows.append((name, metrics.dev, metrics.wdev, metrics.auc_pr))
     print(
         format_table(

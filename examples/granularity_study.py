@@ -37,7 +37,7 @@ def main() -> None:
         singletons = (support == 1).mean()
         config = replace(FusionConfig(), granularity=granularity)
         result = popaccu(config).fuse(fusion_input)
-        metrics = metrics_for(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold)
         rows.append(
             (
                 label,

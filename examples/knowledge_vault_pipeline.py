@@ -47,7 +47,7 @@ def main() -> None:
     results = standard_fusion_results(scenario)
     rows = []
     for name, result in results.items():
-        metrics = metrics_for(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold)
         rows.append(
             (name, metrics.dev, metrics.wdev, metrics.auc_pr, result.coverage())
         )
@@ -61,7 +61,7 @@ def main() -> None:
     )
 
     best = results["POPACCU+"]
-    curve = calibration_curve(best.probabilities, scenario.gold)
+    curve = calibration_curve(best, scenario.gold)
     print("\nPOPACCU+ calibration (predicted -> real, non-empty buckets):")
     for bucket in curve.buckets:
         if bucket.count:

@@ -256,11 +256,12 @@ def _run_fuse(args) -> int:
         print(f"round state:   {result.diagnostics['round_state']}")
     print(f"fusion time:   {timings['fusion']:.3f}s")
     print(f"rounds:        {result.rounds} (converged: {result.converged})")
-    print(f"triples:       {len(result.probabilities)}")
-    print(f"unpredicted:   {len(result.unpredicted)}")
+    predicted, unpredicted = result.counts()
+    print(f"triples:       {predicted}")
+    print(f"unpredicted:   {unpredicted}")
     print(f"coverage:      {result.coverage():.4f}")
-    if result.probabilities:
-        mean = sum(result.probabilities.values()) / len(result.probabilities)
+    if predicted:
+        mean = sum(result.columns.posteriors.tolist()) / predicted
         print(f"mean p(true):  {mean:.4f}")
     return 0
 
@@ -345,7 +346,7 @@ def _print_pipeline_report(result) -> None:
         print(f"{stage + ':':<15}{elapsed:.3f}s")
     print(f"peak rss:      {diagnostics['peak_rss_mb']:.1f} MiB")
     print(f"rounds:        {result.fusion.rounds} (converged: {result.fusion.converged})")
-    print(f"triples:       {len(result.fusion.probabilities)}")
+    print(f"triples:       {result.fusion.counts()[0]}")
     print(f"coverage:      {metrics['coverage']:.4f}")
     print(f"deviation:     {metrics['deviation']:.4f} (weighted: {metrics['weighted_deviation']:.4f})")
     print(f"auc-pr:        {metrics['auc_pr']:.4f}")

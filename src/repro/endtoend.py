@@ -141,9 +141,10 @@ class EndToEndResult:
 
     ``timings`` holds per-stage wall-clock seconds under the keys
     ``setup`` (world + corpus + extractor construction), ``extraction``
-    (folding the record tables included), ``labeling`` (LCWA gold),
-    ``fusion``, and ``total``; a streamed run adds ``matrix``
-    (claim-column assembly + persistence) and has no ``scenario`` —
+    (folding the record tables and laying out the accumulator's rows
+    included), ``labeling`` (LCWA gold only), ``fusion``, and ``total``;
+    a streamed run adds ``matrix`` (each granularity's claim columns
+    over that layout + persistence) and has no ``scenario`` —
     nothing corpus-sized survived it, only the counts.  ``metrics`` holds
     the headline numbers against the gold standard: calibration
     ``deviation`` / ``weighted_deviation``, ``auc_pr``, ``coverage``
@@ -168,9 +169,9 @@ def headline_metrics(
     """The frozen-by-the-golden-test summary of one fusion run.
 
     Delegates to :func:`repro.experiments.common.metrics_for` — the same
-    derivation the figure experiments use.
+    derivation the figure experiments use, read from the result's columns.
     """
-    metrics = metrics_for(result.probabilities, gold, coverage=result.coverage())
+    metrics = metrics_for(result, gold, coverage=result.coverage())
     return {
         "deviation": metrics.dev,
         "weighted_deviation": metrics.wdev,
@@ -351,9 +352,12 @@ def _extract_and_label(
                 accumulator.add_table(table)
             if not streamed:
                 tables += chunk.tables
+        # The row layout (every triple parsed, every sort) is the fold's
+        # last step, so ``labeling`` clocks LCWA only.
+        unique_triples = accumulator.unique_triples()
 
     with timed_stage(timings, "labeling"):
-        gold = label_gold(freebase, accumulator.unique_triples())
+        gold = label_gold(freebase, unique_triples)
 
     scenario = None
     if not streamed:

@@ -14,20 +14,28 @@ Only gold-labelled triples participate; unlabelled triples are invisible to
 the metric, exactly as in the paper's gold-standard protocol.
 
 The metrics are computed over arrays: :func:`labelled_arrays` turns a
-``{triple: probability}`` dict into ``(p, y)`` with one gold probe per
-triple, and the ``*_from_arrays`` functions here and in
-:mod:`repro.eval.pr` read only those.  The dict entry points are adapters.
+fusion result (its posterior column and the claim columns' gold row
+column) or a ``{triple: probability}`` dict (one gold probe per triple)
+into ``(p, y)``, and the ``*_from_arrays`` functions here and in
+:mod:`repro.eval.pr` read only those.  The curve entry points are adapters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.errors import EvaluationError
 from repro.kb.triples import Triple
+
+if TYPE_CHECKING:
+    from repro.fusion.base import FusionResult
+
+#: What the metrics read: a fusion result, or ``{triple: probability}``.
+Predictions = Union["FusionResult", dict[Triple, float]]
 
 __all__ = [
     "CalibrationBucket",
@@ -71,15 +79,19 @@ class CalibrationCurve:
 
 
 def labelled_arrays(
-    probabilities: dict[Triple, float], gold: dict[Triple, bool]
+    probabilities: Predictions, gold: dict[Triple, bool]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(p, y)`` over the gold-labelled keys of ``probabilities``, in its
     iteration order: float64 probabilities and bool labels — the input of
     every metric here and in :mod:`repro.eval.pr`.
 
-    One gold probe per key.  A labelled probability outside [0, 1]
-    raises, naming the first such triple.
+    A :class:`~repro.fusion.base.FusionResult` reads its own columns
+    (:meth:`~repro.fusion.base.FusionResult.labelled_arrays`).  A dict
+    costs one gold probe per key, and a labelled probability outside
+    [0, 1] raises, naming the first such triple.
     """
+    if not isinstance(probabilities, dict):
+        return probabilities.labelled_arrays(gold)
     n = len(probabilities)
     label = np.fromiter(map(gold.get, probabilities, repeat(-1)), np.int8, n)
     p = np.fromiter(probabilities.values(), np.float64, n)
@@ -94,7 +106,7 @@ def labelled_arrays(
 
 
 def calibration_curve(
-    probabilities: dict[Triple, float],
+    probabilities: Predictions,
     gold: dict[Triple, bool],
     n_buckets: int = DEFAULT_BUCKETS,
 ) -> CalibrationCurve:

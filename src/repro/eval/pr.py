@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.eval.calibration import labelled_arrays
+from repro.eval.calibration import Predictions, labelled_arrays
 from repro.kb.triples import Triple
 
 __all__ = ["PRCurve", "pr_curve", "pr_from_arrays", "auc_pr"]
@@ -33,9 +33,7 @@ class PRCurve:
         return list(zip(self.recalls, self.precisions))
 
 
-def pr_curve(
-    probabilities: dict[Triple, float], gold: dict[Triple, bool]
-) -> PRCurve:
+def pr_curve(probabilities: Predictions, gold: dict[Triple, bool]) -> PRCurve:
     """PR curve of ``probabilities`` against ``gold``."""
     return pr_from_arrays(*labelled_arrays(probabilities, gold))
 
@@ -68,13 +66,12 @@ def pr_from_arrays(p: np.ndarray, y: np.ndarray) -> PRCurve:
 def auc_pr(curve: PRCurve) -> float:
     """Trapezoid area under the PR curve (anchored at recall 0).
 
-    Summed left to right in a plain loop: ``np.sum`` adds pairwise, which
-    would move the last bits of every committed AUC-PR.
+    The trapezoids are added left to right: ``np.add.accumulate`` (one
+    ``cumsum``, whose last element is the area) adds sequentially, where
+    ``np.sum`` adds pairwise and would move the last bits of every
+    committed AUC-PR.
     """
-    recalls = (0.0, *curve.recalls)
-    precisions = (curve.precisions[0], *curve.precisions)
-    area = 0.0
-    for i in range(1, len(recalls)):
-        width = recalls[i] - recalls[i - 1]
-        area += width * (precisions[i] + precisions[i - 1]) / 2.0
-    return area
+    recalls = np.array((0.0, *curve.recalls))
+    precisions = np.array((curve.precisions[0], *curve.precisions))
+    terms = (recalls[1:] - recalls[:-1]) * (precisions[1:] + precisions[:-1]) / 2.0
+    return float(np.cumsum(terms)[-1])

@@ -72,13 +72,14 @@ class Metrics:
 
 
 def metrics_for(
-    probabilities: dict[Triple, float],
+    result: FusionResult | dict[Triple, float],
     gold: dict[Triple, bool],
     coverage: float = 1.0,
 ) -> Metrics:
-    """All measures from one ``(p, y)`` pass over ``probabilities``
-    (:func:`repro.eval.calibration.labelled_arrays`)."""
-    p, y = labelled_arrays(probabilities, gold)
+    """All measures from one ``(p, y)`` pass over a fusion result (its
+    posterior column and the gold row column) or a ``{triple:
+    probability}`` dict (:func:`repro.eval.calibration.labelled_arrays`)."""
+    p, y = labelled_arrays(result, gold)
     curve = calibration_from_arrays(p, y)
     pr = pr_from_arrays(p, y)  # raises unless p has labelled entries
     return Metrics(

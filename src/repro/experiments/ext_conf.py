@@ -21,8 +21,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     conf = ConfidenceWeightedFuser(FusionConfig()).fuse(scenario.fusion_input())
     baseline = standard_fusion_results(scenario)["ACCU"]
     metrics = {
-        "CONFACCU": metrics_for(conf.probabilities, scenario.gold),
-        "ACCU": metrics_for(baseline.probabilities, scenario.gold),
+        "CONFACCU": metrics_for(conf, scenario.gold),
+        "ACCU": metrics_for(baseline, scenario.gold),
     }
     text = format_table(
         ("model", "Dev.", "WDev.", "AUC-PR"),

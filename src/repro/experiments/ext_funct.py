@@ -41,8 +41,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     }
     functionality = multi.diagnostics["functionality"]
     rows = [
-        ("MULTITRUTH", *metrics_for(multi.probabilities, scenario.gold).row()),
-        ("POPACCU", *metrics_for(baseline.probabilities, scenario.gold).row()),
+        ("MULTITRUTH", *metrics_for(multi, scenario.gold).row()),
+        ("POPACCU", *metrics_for(baseline, scenario.gold).row()),
     ]
     text = (
         format_table(

@@ -42,8 +42,8 @@ def run(scenario: Scenario) -> ExperimentResult:
         "ACCU": hierarchical_recall(baseline.probabilities),
     }
     rows = [
-        ("HIERACCU", *metrics_for(hier.probabilities, scenario.gold).row()),
-        ("ACCU", *metrics_for(baseline.probabilities, scenario.gold).row()),
+        ("HIERACCU", *metrics_for(hier, scenario.gold).row()),
+        ("ACCU", *metrics_for(baseline, scenario.gold).row()),
     ]
     text = (
         format_table(

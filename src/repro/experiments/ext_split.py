@@ -23,8 +23,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     baseline = standard_fusion_results(scenario)["ACCU"]
     quality = split.diagnostics["extractor_quality"]
     rows = [
-        ("SPLITQ", *metrics_for(split.probabilities, scenario.gold).row()),
-        ("ACCU", *metrics_for(baseline.probabilities, scenario.gold).row()),
+        ("SPLITQ", *metrics_for(split, scenario.gold).row()),
+        ("ACCU", *metrics_for(baseline, scenario.gold).row()),
     ]
     text = (
         format_table(

@@ -36,8 +36,8 @@ def run(scenario: Scenario) -> ExperimentResult:
         result = popaccu(replace(FusionConfig(), granularity=granularity)).fuse(
             fusion_input
         )
-        metrics = metrics_for(result.probabilities, scenario.gold, result.coverage())
-        curve = calibration_curve(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold, result.coverage())
+        curve = calibration_curve(result, scenario.gold)
         rows.append((label, metrics.dev, metrics.wdev, metrics.auc_pr))
         data[label] = {
             "dev": metrics.dev,

@@ -40,7 +40,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     data = {}
     for label, config in configs:
         result = popaccu(config).fuse(fusion_input)
-        metrics = metrics_for(result.probabilities, scenario.gold, result.coverage())
+        metrics = metrics_for(result, scenario.gold, result.coverage())
         rows.append(
             (label, metrics.dev, metrics.wdev, metrics.auc_pr, result.coverage())
         )

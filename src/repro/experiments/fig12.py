@@ -28,20 +28,20 @@ def run(scenario: Scenario) -> ExperimentResult:
     rows = []
     data = {}
     baseline = PopAccu(FusionConfig()).fuse(fusion_input)
-    metrics = metrics_for(baseline.probabilities, scenario.gold)
+    metrics = metrics_for(baseline, scenario.gold)
     rows.append(("POPACCU (default init)", metrics.dev, metrics.wdev, metrics.auc_pr))
     data["default"] = {
         "dev": metrics.dev,
         "wdev": metrics.wdev,
         "auc_pr": metrics.auc_pr,
         "calibration_points": calibration_curve(
-            baseline.probabilities, scenario.gold
+            baseline, scenario.gold
         ).points(),
     }
     for rate in SAMPLE_RATES:
         config = replace(FusionConfig(), gold_sample_rate=rate)
         result = PopAccu(config, gold_labels=scenario.gold).fuse(fusion_input)
-        metrics = metrics_for(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold)
         label = f"INITACCU ({rate:.0%})"
         rows.append((label, metrics.dev, metrics.wdev, metrics.auc_pr))
         data[f"{rate:.0%}"] = {
@@ -50,7 +50,7 @@ def run(scenario: Scenario) -> ExperimentResult:
             "auc_pr": metrics.auc_pr,
             "gold_initialized": result.diagnostics["gold_initialized"],
             "calibration_points": calibration_curve(
-                result.probabilities, scenario.gold
+                result, scenario.gold
             ).points(),
         }
     text = format_table(

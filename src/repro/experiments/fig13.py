@@ -40,7 +40,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     data = {}
     for label, config, gold in steps:
         result = PopAccu(config, gold_labels=gold).fuse(fusion_input)
-        metrics = metrics_for(result.probabilities, scenario.gold, result.coverage())
+        metrics = metrics_for(result, scenario.gold, result.coverage())
         rows.append(
             (label, metrics.dev, metrics.wdev, metrics.auc_pr, result.coverage())
         )
@@ -50,7 +50,7 @@ def run(scenario: Scenario) -> ExperimentResult:
             "auc_pr": metrics.auc_pr,
             "predicted_share": result.coverage(),
             "calibration_points": calibration_curve(
-                result.probabilities, scenario.gold
+                result, scenario.gold
             ).points(),
         }
     text = format_table(

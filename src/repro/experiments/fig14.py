@@ -76,7 +76,7 @@ def run(scenario: Scenario) -> ExperimentResult:
             item_posterior_fn=PopAccuKernel(),
             method_name="POPACCU",
         )
-        metrics = metrics_for(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold)
         lr_rows.append((label, metrics.dev, metrics.wdev, metrics.auc_pr))
         lr_data[label] = {
             "dev": metrics.dev,

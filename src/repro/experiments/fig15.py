@@ -23,7 +23,7 @@ def run(scenario: Scenario) -> ExperimentResult:
     rows = []
     data = {}
     for name, result in results.items():
-        curve = pr_curve(result.probabilities, scenario.gold)
+        curve = pr_curve(result, scenario.gold)
         area = auc_pr(curve)
         # Downsample the curve at fixed recall grid for the report.
         sampled = []

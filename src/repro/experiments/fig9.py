@@ -39,8 +39,8 @@ def run(scenario: Scenario) -> ExperimentResult:
     rows = []
     data = {}
     for name, result in runs.items():
-        metrics = metrics_for(result.probabilities, scenario.gold, result.coverage())
-        curve = calibration_curve(result.probabilities, scenario.gold)
+        metrics = metrics_for(result, scenario.gold, result.coverage())
+        curve = calibration_curve(result, scenario.gold)
         rows.append((name, metrics.dev, metrics.wdev, metrics.auc_pr))
         data[name] = {
             "dev": metrics.dev,

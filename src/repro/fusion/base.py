@@ -14,10 +14,13 @@ fuser separately because they are data, not configuration.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from repro.errors import ConfigError
-from repro.fusion.observations import FusionInput, ProvKey
+from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.mapreduce.executors import EXECUTION_MODES, FUSION_MODES
@@ -34,6 +37,8 @@ __all__ = [
     "sampling_contract_of",
     "FusionConfig",
     "FusionResult",
+    "ResultColumns",
+    "check_unit_interval",
     "Fuser",
 ]
 
@@ -168,41 +173,108 @@ class FusionConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)  # ndarray fields: generated __eq__ would raise
+class ResultColumns:
+    """What a column-native fusion run emits, over the claim columns.
+
+    ``rows`` are the predicted rows in emission order and ``posteriors``
+    their probabilities, aligned; ``unpredicted`` marks, per row, the
+    triples the method declined to score; ``accuracies`` is the final
+    accuracy per provenance id (None when the method estimates none).
+    """
+
+    cols: ColumnarClaims
+    rows: np.ndarray
+    posteriors: np.ndarray
+    unpredicted: np.ndarray
+    accuracies: np.ndarray | None = None
+
+
+def check_unit_interval(triples: list[Triple], rows: np.ndarray, values: np.ndarray) -> None:
+    """Raise naming the first triple whose probability is outside [0, 1]
+    (``values[k]`` belongs to ``triples[rows[k]]``)."""
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        raise ConfigError(
+            f"probability out of range for "
+            f"{triples[rows[bad[0]]].canonical()}: {float(values[bad[0]])}"
+        )
+
+
 class FusionResult:
     """Output of one fusion run.
 
-    ``probabilities`` maps every predicted triple to its truthfulness
-    probability; ``unpredicted`` holds triples the method declined to score
-    (all their provenances were filtered — the paper reports 8.2% of
-    triples in that state under the coverage filter).  ``accuracies`` is
-    the final per-provenance accuracy estimate; ``rounds`` the number of
-    Stage I/II iterations actually run.
+    The run's output is its :class:`ResultColumns`.  ``probabilities``
+    maps every predicted triple to its truthfulness probability;
+    ``unpredicted`` holds triples the method declined to score (all their
+    provenances were filtered — the paper reports 8.2% of triples in that
+    state under the coverage filter); ``accuracies`` is the final
+    per-provenance accuracy estimate.  The three are views built from the
+    columns on first read, each at most once, in emission order;
+    assigning ``accuracies`` (as the §5 extensions do) replaces that view.
+    The metrics never build them: they read the columns
+    (:meth:`labelled_arrays`).  ``rounds`` is the number of Stage I/II
+    iterations actually run.  A posterior outside [0, 1] raises at
+    construction, naming its triple.
     """
 
-    method: str
-    probabilities: dict[Triple, float]
-    unpredicted: set[Triple] = field(default_factory=set)
-    accuracies: dict[ProvKey, float] = field(default_factory=dict)
-    rounds: int = 0
-    converged: bool = False
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        method: str,
+        columns: ResultColumns,
+        rounds: int = 0,
+        converged: bool = False,
+        diagnostics: dict | None = None,
+    ) -> None:
+        check_unit_interval(columns.cols.triples, columns.rows, columns.posteriors)
+        self.method = method
+        self.columns = columns
+        self.rounds = rounds
+        self.converged = converged
+        self.diagnostics = {} if diagnostics is None else diagnostics
+
+    @cached_property
+    def probabilities(self) -> dict[Triple, float]:
+        columns = self.columns
+        triples = columns.cols.triples
+        return dict(
+            zip(map(triples.__getitem__, columns.rows.tolist()), columns.posteriors.tolist())
+        )
+
+    @cached_property
+    def unpredicted(self) -> set[Triple]:
+        triples = self.columns.cols.triples
+        return set(map(triples.__getitem__, np.flatnonzero(self.columns.unpredicted).tolist()))
+
+    @cached_property
+    def accuracies(self) -> dict[ProvKey, float]:
+        columns = self.columns
+        if columns.accuracies is None:
+            return {}
+        return dict(zip(columns.cols.provenances, columns.accuracies.tolist()))
+
+    def counts(self) -> tuple[int, int]:
+        """``(predicted, unpredicted)`` triple counts."""
+        columns = self.columns
+        return len(columns.rows), int(np.count_nonzero(columns.unpredicted))
+
+    def labelled_arrays(self, gold: dict[Triple, bool]) -> tuple[np.ndarray, np.ndarray]:
+        """``(p, y)`` over the gold-labelled predictions, in emission order
+        (:func:`repro.eval.calibration.labelled_arrays` of
+        ``probabilities``), read from the posterior column and the claim
+        columns' gold row column (:meth:`ColumnarClaims.gold_rows`)."""
+        columns = self.columns
+        label = columns.cols.gold_rows(gold)[columns.rows]
+        labelled = label >= 0
+        return columns.posteriors[labelled], label[labelled] == 1
 
     def coverage(self) -> float:
         """Fraction of triples that received a probability."""
-        total = len(self.probabilities) + len(self.unpredicted)
+        predicted, unpredicted = self.counts()
+        total = predicted + unpredicted
         if total == 0:
             return 0.0
-        return len(self.probabilities) / total
-
-    def validate(self) -> None:
-        """Sanity-check all probabilities are in [0, 1]."""
-        for triple, probability in self.probabilities.items():
-            if not 0.0 <= probability <= 1.0:
-                raise ConfigError(
-                    f"probability out of range for {triple.canonical()}: "
-                    f"{probability}"
-                )
+        return predicted / total
 
 
 class Fuser(abc.ABC):

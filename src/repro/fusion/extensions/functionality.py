@@ -63,10 +63,8 @@ class MultiTruthFuser(Fuser):
             fusion_input, executor
         )
         cols = fusion_input.claims(self.config.granularity)
-        probability = np.array(
-            [bootstrap.probabilities.get(triple, np.nan) for triple in cols.triples],
-            dtype=np.float64,
-        )
+        probability = np.full(cols.n_rows, np.nan)
+        probability[bootstrap.columns.rows] = bootstrap.columns.posteriors
         scored = np.flatnonzero(~np.isnan(probability))
         expected = np.bincount(cols.row_item[scored], probability[scored], cols.n_items)
         # Items the bootstrap scored no value of say nothing about their predicate.

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.fusion.base import FusionConfig, FusionResult
+from repro.fusion.base import FusionConfig, FusionResult, ResultColumns
 from repro.fusion.observations import ColumnarClaims
 
 __all__ = ["claim_rows", "fuse_rounds"]
@@ -56,11 +56,12 @@ def fuse_rounds(
             converged = True
             break
     result = FusionResult(
-        method=method,
-        probabilities=dict(zip(cols.triples, posteriors.tolist())),
+        method,
+        ResultColumns(
+            cols, np.arange(cols.n_rows), posteriors, np.zeros(cols.n_rows, dtype=bool)
+        ),
         rounds=rounds,
         converged=converged,
         diagnostics={"n_items": cols.n_items},
     )
-    result.validate()
     return result, state

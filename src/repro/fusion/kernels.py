@@ -293,6 +293,18 @@ def _libm(fn, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, values.tolist()), np.float64, len(values))
 
 
+def _libm_at(fn, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``_libm(fn, values)[ids]``, calling ``fn`` once per distinct id
+    only: a θ-rescue slice reads a few dozen provenances of thousands.
+    Elementwise, so bitwise the same."""
+    read = np.zeros(len(values), dtype=bool)
+    read[ids] = True
+    at = np.flatnonzero(read)
+    out = np.zeros(len(values), dtype=np.float64)
+    out[at] = _libm(fn, values[at])
+    return out[ids]
+
+
 def _exact_layout(cols, active, require_repeated, keep):
     """The scored rows of a round and what the exact kernels read of them.
 
@@ -332,8 +344,8 @@ def accu_exact_round(
     if not scored.any():
         return _exact_result(scored, np.zeros(0))
     acc = np.clip(accuracies, ACC_FLOOR, ACC_CEIL)
-    tau = _libm(math.log, n_false * acc / (1.0 - acc))
-    votes = ordered_segment_sums(tau[provs], m)
+    tau = _libm_at(math.log, n_false * acc / (1.0 - acc), provs)
+    votes = ordered_segment_sums(tau, m)
     peak = np.maximum(np.maximum.reduceat(votes, np.cumsum(k) - k), 0.0)
     exps = _libm(math.exp, votes - peak[seg])
     unobserved = np.maximum(n_false + 1 - k, 0) * _libm(math.exp, -peak)
@@ -361,8 +373,8 @@ def popaccu_exact_round(
     if not scored.any():
         return _exact_result(scored, np.zeros(0))
     acc = np.clip(accuracies, ACC_FLOOR, ACC_CEIL)
-    log_true = ordered_segment_sums(_libm(math.log, acc)[provs], m)
-    log_false = ordered_segment_sums(_libm(math.log, 1.0 - acc)[provs], m)
+    log_true = ordered_segment_sums(_libm_at(math.log, acc, provs), m)
+    log_false = ordered_segment_sums(_libm_at(math.log, 1.0 - acc, provs), m)
 
     # Every (candidate, other) pair of rows of one item, other != candidate.
     n_rows, starts = len(m), np.cumsum(k) - k

@@ -22,6 +22,8 @@ Fusion consumes either kind of column set through
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.artifacts import ColumnHandle, save_column_store
@@ -78,13 +80,14 @@ class MappedColumnarClaims(ColumnarClaims):
         self._canonical_rank = np.load(
             handle.path_of(f"{RANK_COLUMN}.npy"), mmap_mode="r"
         )
+        self._gold_memo = [None, 0, None]
         self._closed = False
 
     def adopt_objects(
         self,
-        items: list[DataItem],
+        items: Sequence[DataItem],
         triples: list[Triple],
-        provenances: list[ProvKey],
+        provenances: Sequence[ProvKey],
     ) -> None:
         """Seed the object columns from lists the caller already holds
         (:func:`persist_columns` hands over the ones it published beside)."""

@@ -33,7 +33,9 @@ iteration order, carried as one row permutation
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",
+    "LazyNames",
     "ragged_gather",
     "slice_csr",
 ]
@@ -121,6 +124,39 @@ class FusionInput:
             (cols,) = self._cache.values()
             return [cols.triples[r] for r in np.argsort(cols.canonical_rank()).tolist()]
         return self._accumulated().unique_triples()
+
+
+class LazyNames(Sequence):
+    """A name column decoded on first read.
+
+    Its length is known up front, so ``len()`` (every count the round loop
+    needs) decodes nothing; the values — ``DataItem`` objects, ``ProvKey``
+    tuples — are built by ``decode`` the first time anything reads one,
+    then kept.
+    """
+
+    __slots__ = ("_n", "_decode", "_values")
+
+    def __init__(self, n: int, decode) -> None:
+        self._n = n
+        self._decode = decode
+        self._values: list | None = None
+
+    def __len__(self) -> int:
+        return self._n
+
+    def decoded(self) -> list:
+        """The values, decoding them on the first call."""
+        if self._values is None:
+            self._values = self._decode()
+            self._decode = None
+        return self._values
+
+    def __getitem__(self, index):
+        return self.decoded()[index]
+
+    def __iter__(self):
+        return iter(self.decoded())
 
 
 def ragged_gather(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -233,12 +269,15 @@ class ColumnarClaims:
     ``prov_rows``/``prov_ptr`` is the transposed CSR: provenance ``p``
     supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the unique
     triples of each provenance, feeding Stage II).
+
+    ``items`` and ``provenances`` are sequences: an accumulator's columns
+    hand out :class:`LazyNames`, decoded only when something reads a name.
     """
 
     granularity: Granularity
-    items: list[DataItem]
+    items: Sequence[DataItem]
     triples: list[Triple]
-    provenances: list[ProvKey]
+    provenances: Sequence[ProvKey]
     row_item: np.ndarray  # row -> item index
     item_ptr: np.ndarray  # item j rows: [item_ptr[j], item_ptr[j+1])
     claim_prov: np.ndarray  # claim -> provenance index
@@ -247,6 +286,8 @@ class ColumnarClaims:
     prov_ptr: np.ndarray  # prov p rows: [prov_ptr[p], prov_ptr[p+1])
     _canonical_rank: np.ndarray | None = field(default=None, repr=False)
     _canonical_prov_order: np.ndarray | None = field(default=None, repr=False)
+    # One-slot identity memo of gold_rows: [gold dict, its size, column].
+    _gold_memo: list = field(default_factory=lambda: [None, 0, None], repr=False)
 
     @property
     def n_items(self) -> int:
@@ -305,6 +346,23 @@ class ColumnarClaims:
             )
         return self._canonical_prov_order
 
+    def gold_rows(self, gold: dict[Triple, bool]) -> np.ndarray:
+        """Each row's gold label as int8: 1 true, 0 false, -1 unlabelled.
+
+        One dict probe per row, kept for the last ``gold`` dict seen (an
+        identity memo, shared by every granularity one accumulator
+        builds), so the ladder's five metric passes and POPACCU+'s
+        initialisation probe the gold standard once.  A gold dict must not
+        be mutated in place between reads.
+        """
+        memo = self._gold_memo
+        if memo[0] is not gold or memo[1] != len(gold):
+            memo[2] = np.fromiter(
+                map(gold.get, self.triples, repeat(-1)), np.int8, len(self.triples)
+            )
+            memo[0], memo[1] = gold, len(gold)
+        return memo[2]
+
     def slice_items(self, item_ids) -> ColumnarSlice:
         """A local CSR view over ``item_ids`` (:func:`slice_csr`)."""
         return slice_csr(self.item_ptr, self.row_ptr, self.claim_prov, item_ids)
@@ -329,11 +387,12 @@ class _Vocabulary(dict):
 class _Layout:
     """What no granularity changes: the row layout and the string order.
 
-    Computed once per vocabulary state and shared — list objects included
-    — by every ``ColumnarClaims`` one accumulator builds.
+    Computed once per vocabulary state and shared — list objects and the
+    gold-column memo included — by every ``ColumnarClaims`` one
+    accumulator builds.
     """
 
-    items: list[DataItem]
+    items: LazyNames
     triples: list[Triple]
     row_item: np.ndarray
     item_ptr: np.ndarray
@@ -344,6 +403,7 @@ class _Layout:
     row_predicate: np.ndarray  # canonical row -> index into predicates
     strings: list[str]  # the provenance strings, sorted
     string_rank: np.ndarray  # string code -> index into strings
+    gold_memo: list = field(default_factory=lambda: [None, 0, None])
 
 
 #: Code columns ``add_table`` appends per record, in column order.
@@ -363,7 +423,8 @@ class ClaimAccumulator:
     (through ``triples``, the record tables' :class:`ParsedTriples`, when
     the tables have other readers);
     provenance ids are dense string ranks combined one key component at
-    a time, and ``ProvKey`` tuples are decoded for the unique keys only.
+    a time; ``ProvKey`` tuples (for the unique keys only) and
+    ``DataItem`` objects are decoded when first read (:class:`LazyNames`).
     The result equals the layout spelled out object by object from the
     same records' dict views (``tests/oracle/columns.py``) field for
     field, under any chunking — the property the accumulator parity
@@ -457,10 +518,13 @@ class ClaimAccumulator:
 
         strings, string_rank = _sorted_table(list(self._string_of))
         return _Layout(
-            items=[
-                DataItem(subjects[s], predicates[p])
-                for s, p in zip(item_subject.tolist(), item_predicate.tolist())
-            ],
+            items=LazyNames(
+                len(item_codes),
+                lambda: [
+                    DataItem(subjects[s], predicates[p])
+                    for s, p in zip(item_subject.tolist(), item_predicate.tolist())
+                ],
+            ),
             triples=triples,
             row_item=row_item,
             item_ptr=item_ptr,
@@ -480,9 +544,10 @@ class ClaimAccumulator:
 
     def _record_provenances(
         self, granularity: Granularity
-    ) -> tuple[np.ndarray, np.ndarray, list[ProvKey]]:
+    ) -> tuple[np.ndarray, np.ndarray, LazyNames]:
         """Each record's canonical row and provenance id at
-        ``granularity``, and the sorted provenance table the ids index."""
+        ``granularity``, and the sorted provenance table the ids index —
+        its ``ProvKey`` tuples decoded when first read."""
         layout = self._laid_out()
         codes = np.concatenate(
             [np.zeros((len(_CODE_FIELDS), 0), dtype=np.int32), *self._codes], axis=1
@@ -511,9 +576,13 @@ class ClaimAccumulator:
                 return_index=True,
                 return_inverse=True,
             )
-        decoded = (component(name, first) for name in fields)
-        provenances: list[ProvKey] = list(
-            zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in decoded))
+        # The key components' ranks now, their strings on first read.
+        ranked = [component(name, first) for name in fields]
+        provenances = LazyNames(
+            len(first),
+            lambda: list(
+                zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in ranked))
+            ),
         )
         return record_row, record_prov, provenances
 
@@ -559,6 +628,7 @@ class ClaimAccumulator:
             prov_rows=prov_rows,
             prov_ptr=prov_ptr,
             _canonical_rank=layout.canonical_rank,
+            _gold_memo=layout.gold_memo,
         )
 
     def arrival_rows(self) -> np.ndarray:

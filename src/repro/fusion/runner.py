@@ -24,7 +24,8 @@ The §4.3 refinements plug in here:
 Execution modes (``FusionConfig.backend``; the README's "Execution
 backends" table has every spelling and its contract).  Every mode runs
 **one column-native round loop** (:func:`_run_columnar`: round state is
-arrays over the columnar claim index, dicts are built once in Stage III)
+arrays over the columnar claim index, and so is the result: its dicts
+are views over the emitted columns, built on first read)
 under an :class:`~repro.mapreduce.executors.ExecutionPlan` whose two
 fields are the only thing that differs between them:
 
@@ -78,8 +79,9 @@ subset is a property of the claim *set*, identical in every mode, and
 sampling never swaps a kernel.  ``result.diagnostics["sampling"]``
 records ``"canonical-order"`` whenever ``L`` is configured.
 
-**Output order.**  ``result.probabilities`` is written in canonical row
-order, except that ``serial`` over a records-built matrix writes it in
+**Output order.**  Rows are emitted (and ``result.probabilities`` is
+keyed) in canonical row order, except that ``serial`` over a
+records-built matrix emits them in
 record-arrival order (:func:`_emission_order`) — the order it has always
 had, which order-sensitive float sums downstream (the calibration
 metrics) are frozen against.
@@ -112,7 +114,9 @@ from repro.fusion.base import (
     DEFAULT_ACCURACY,
     FusionConfig,
     FusionResult,
+    ResultColumns,
     backend_contract,
+    check_unit_interval,
     sampling_contract_of,
 )
 from repro.fusion.observations import ColumnarClaims, FusionInput, ragged_gather
@@ -323,25 +327,26 @@ def _column_stage2(
     return update(cols, round_result, active, keep)
 
 
-def _scored_posteriors(
+def _emitted_rows(
+    round_result: kernels.RoundPosteriors, order: np.ndarray | None = None
+) -> np.ndarray:
+    """The scored rows of one Stage-I result, in ``order``
+    (:func:`_emission_order`)."""
+    if order is None:
+        return np.flatnonzero(round_result.scored)
+    return order[round_result.scored[order]]
+
+
+def _snapshot(
     cols: ColumnarClaims,
     round_result: kernels.RoundPosteriors,
-    order: np.ndarray | None = None,
+    order: np.ndarray | None,
 ) -> dict[Triple, float]:
-    """The scored rows of one Stage-I result as ``{triple: posterior}``,
-    in ``order`` (:func:`_emission_order`); a posterior outside [0, 1]
-    raises, naming its triple."""
-    if order is None:
-        rows = np.flatnonzero(round_result.scored)
-    else:
-        rows = order[round_result.scored[order]]
+    """One round's scored posteriors as ``{triple: posterior}``, in
+    emission order; a posterior outside [0, 1] raises, naming its triple."""
+    rows = _emitted_rows(round_result, order)
     values = round_result.posteriors[rows]
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        raise ConfigError(
-            f"probability out of range for "
-            f"{cols.triples[rows[bad[0]]].canonical()}: {float(values[bad[0]])}"
-        )
+    check_unit_interval(cols.triples, rows, values)
     return dict(zip(map(cols.triples.__getitem__, rows.tolist()), values.tolist()))
 
 
@@ -360,13 +365,14 @@ def _run_columnar(
 
     Round state is arrays only: accuracies in a float64 array indexed by
     provenance id, posteriors and the scored mask indexed by row (= unique
-    triple).  The Python dict outputs are materialised once at the end
-    (Stage III, one ``dict(zip(...))`` over the emitted rows), so no dict
-    claim view is ever required — which is what
-    lets the out-of-core path fuse straight from mapped columns.  ``plan``
-    fixes where Stage I runs and which kernel scores both stages,
-    ``order`` (:func:`_emission_order`) the order the dict outputs are
-    written in; nothing else differs between backends.
+    triple).  Stage III stays in columns too: the result holds the
+    emitted row ids, their posteriors, the unpredicted-row mask and the
+    accuracy array (:class:`~repro.fusion.base.ResultColumns`), and its
+    dicts are views built on first read — so no dict claim view is ever
+    required, which is what lets the out-of-core path fuse straight from
+    mapped columns.  ``plan`` fixes where Stage I runs and which kernel
+    scores both stages, ``order`` (:func:`_emission_order`) the order the
+    rows are emitted in; nothing else differs between backends.
     """
     n_provs = len(cols.provenances)
     accuracies = np.full(n_provs, DEFAULT_ACCURACY, dtype=np.float64)
@@ -375,11 +381,16 @@ def _run_columnar(
     gold_initialized = 0
     if gold_labels:
         sampled = _gold_subsample(gold_labels, config.gold_sample_rate, config.seed)
-        # One dict probe per row, then integer counts per provenance over
-        # the transposed CSR (n_true / n_labelled is the labels' mean).
-        row_label = np.fromiter(
-            map(sampled.get, cols.triples, repeat(-1)), np.int8, cols.n_rows
-        )
+        # One dict probe per row — the full gold standard's is the claim
+        # columns' memoised gold column, which the metrics read too — then
+        # integer counts per provenance over the transposed CSR
+        # (n_true / n_labelled is the labels' mean).
+        if sampled is gold_labels:
+            row_label = cols.gold_rows(gold_labels)
+        else:
+            row_label = np.fromiter(
+                map(sampled.get, cols.triples, repeat(-1)), np.int8, cols.n_rows
+            )
         claim_label = row_label[cols.prov_rows]
         claim_prov = np.repeat(np.arange(n_provs), np.diff(cols.prov_ptr))
         n_labelled = np.bincount(claim_prov[claim_label >= 0], minlength=n_provs)
@@ -440,9 +451,7 @@ def _run_columnar(
             evaluated |= updated
             rounds_run = round_index + 1
             if track_rounds:
-                round_probabilities.append(
-                    _scored_posteriors(cols, round_result, order)
-                )
+                round_probabilities.append(_snapshot(cols, round_result, order))
             if delta < config.convergence_tol:
                 converged = True
                 break
@@ -468,13 +477,10 @@ def _run_columnar(
             / counts
         )
 
+    rows = _emitted_rows(final, order)
     result = FusionResult(
-        method=method_name,
-        probabilities=_scored_posteriors(cols, final, order),
-        unpredicted=set(
-            map(cols.triples.__getitem__, np.flatnonzero(~final.scored).tolist())
-        ),
-        accuracies=dict(zip(cols.provenances, accuracies.tolist())),
+        method_name,
+        ResultColumns(cols, rows, final.posteriors[rows], ~final.scored, accuracies),
         rounds=rounds_run,
         converged=converged,
         diagnostics={

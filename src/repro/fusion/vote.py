@@ -25,11 +25,12 @@ from repro.fusion import kernels, shuffle
 from repro.fusion.base import (
     Fuser,
     FusionResult,
+    ResultColumns,
     backend_contract,
     sampling_contract_of,
 )
 from repro.fusion.observations import ColumnarClaims, FusionInput
-from repro.fusion.runner import _column_executor, _column_stage1, _scored_posteriors
+from repro.fusion.runner import _column_executor, _column_stage1, _emitted_rows
 from repro.mapreduce.executors import EXECUTION_MODES, ExecutionPlan
 
 __all__ = ["VoteKernel", "Vote"]
@@ -96,11 +97,15 @@ class Vote(Fuser):
         # Rows are already unique triples, so Stage III's dedup by triple
         # is structurally a no-op: the scored rows' ``m/n`` ratios are the
         # final probabilities.  Unscored rows (possible only under
-        # sampling) stay absent.
+        # sampling) stay absent, and are not reported unpredicted.
+        rows = _emitted_rows(round_result, _emission_order(cols, plan))
         return FusionResult(
-            method=self.name,
-            probabilities=_scored_posteriors(
-                cols, round_result, _emission_order(cols, plan)
+            self.name,
+            ResultColumns(
+                cols,
+                rows,
+                round_result.posteriors[rows],
+                np.zeros(cols.n_rows, dtype=bool),
             ),
             rounds=0,
             converged=True,

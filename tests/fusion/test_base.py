@@ -1,5 +1,6 @@
 """Unit tests for FusionConfig validation and FusionResult semantics."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -11,7 +12,10 @@ from repro.fusion.base import (
     N_FALSE_VALUES,
     FusionConfig,
     FusionResult,
+    ResultColumns,
 )
+from repro.fusion.observations import ColumnarClaims
+from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
@@ -61,24 +65,44 @@ class TestFusionConfig:
         assert FusionConfig(min_accuracy=None).min_accuracy is None
 
 
+def result_over(predicted: dict, unpredicted=()) -> FusionResult:
+    """A result over bare columns whose rows are ``predicted``'s triples,
+    then ``unpredicted``'s."""
+    triples = [*predicted, *unpredicted]
+    empty = np.zeros(0, dtype=np.int64)
+    cols = ColumnarClaims(
+        Granularity.EXTRACTOR_URL, [], triples, [], empty, empty, empty, empty, empty, empty
+    )
+    n = len(predicted)
+    return FusionResult(
+        "X",
+        ResultColumns(
+            cols,
+            np.arange(n),
+            np.array(list(predicted.values()), dtype=np.float64),
+            np.arange(len(triples)) >= n,
+        ),
+    )
+
+
 class TestFusionResult:
     def test_coverage_full(self):
-        result = FusionResult(method="X", probabilities={t("a"): 0.5})
+        result = result_over({t("a"): 0.5})
         assert result.coverage() == 1.0
 
     def test_coverage_partial(self):
-        result = FusionResult(
-            method="X", probabilities={t("a"): 0.5}, unpredicted={t("b")}
-        )
+        result = result_over({t("a"): 0.5}, [t("b")])
         assert result.coverage() == pytest.approx(0.5)
+        assert result.probabilities == {t("a"): 0.5}
+        assert result.unpredicted == {t("b")}
+        assert result.accuracies == {}
 
     def test_coverage_empty(self):
-        assert FusionResult(method="X", probabilities={}).coverage() == 0.0
+        assert result_over({}).coverage() == 0.0
 
     def test_validate_accepts_unit_interval(self):
-        FusionResult(method="X", probabilities={t("a"): 0.0, t("b"): 1.0}).validate()
+        result_over({t("a"): 0.0, t("b"): 1.0})
 
     def test_validate_rejects_out_of_range(self):
-        result = FusionResult(method="X", probabilities={t("a"): 1.1})
-        with pytest.raises(ConfigError):
-            result.validate()
+        with pytest.raises(ConfigError, match="/m/1"):
+            result_over({t("a"): 1.1})

@@ -209,7 +209,7 @@ class TestClaimAccumulator:
             built = _accumulate(records, granularity, 2).build(granularity)
             _, expected = reference_columns(records, granularity)
             assert_columns_equal(built, expected)
-        assert built.items == [
+        assert list(built.items) == [
             DataItem("/m/1", "p"),
             DataItem("/m/1", "p2"),
             DataItem("/m/12", "p"),

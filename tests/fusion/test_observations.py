@@ -40,7 +40,7 @@ class TestClaimMatrix:
             rec("b", "E1", "http://s.org/q"),
         ]
         cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
-        assert cols.items == [DataItem("/m/1", "t/t/p")]
+        assert list(cols.items) == [DataItem("/m/1", "t/t/p")]
         assert cols.item_ptr.tolist() == [0, 2]
 
     def test_prov_triples_unique(self):
@@ -50,7 +50,7 @@ class TestClaimMatrix:
             rec("b", "E1", "http://s.org/p"),
         ]
         cols = FusionInput(records).claims(Granularity.EXTRACTOR_URL)
-        assert cols.provenances == [("E1", "http://s.org/p")]
+        assert list(cols.provenances) == [("E1", "http://s.org/p")]
         assert cols.prov_row_counts().tolist() == [2]
 
     def test_all_triples_sorted_unique(self):

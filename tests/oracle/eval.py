@@ -8,6 +8,9 @@ Those loops moved here verbatim (bodies unchanged from
 ``CalibrationCurve`` / ``PRCurve`` values) and are the comparand of
 ``tests/property/test_prop_metrics.py``: the array core must equal them
 exactly — every bucket, every curve point and the AUC, float for float.
+:func:`auc_pr` is the left-to-right trapezoid loop the ``cumsum`` in
+``src/repro/eval/pr.py`` replaced (``tests/eval/test_pr.py`` pins the two
+equal bit for bit).
 """
 
 from __future__ import annotations

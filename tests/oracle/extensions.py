@@ -9,7 +9,8 @@ the edits are where the views come from —
 ``fusion_input.claims(...)`` — and where the posterior math comes from:
 the dict ACCU posterior of :mod:`tests.oracle.posteriors`, and MULTITRUTH's
 POPACCU bootstrap through :func:`tests.oracle.fusion.oracle_fuse`, so no
-posterior math is imported from ``src/``) and are the comparand of
+posterior math is imported from ``src/``; their results are the oracle's
+dict-valued :class:`tests.oracle.fusion.FusionResult`) and are the comparand of
 ``tests/fusion/test_extensions_oracle.py``: every probability, accuracy and
 learned factor of the column fusers must sit within 1e-9 of these, with
 identical ``rounds`` / ``converged``.
@@ -25,7 +26,7 @@ import bisect
 import math
 from collections import defaultdict
 
-from repro.fusion.base import Fuser, FusionConfig, FusionResult
+from repro.fusion.base import Fuser, FusionConfig
 from repro.fusion.observations import FusionInput, ProvKey
 from repro.fusion.popaccu import PopAccu
 from repro.kb.hierarchy import ValueHierarchy
@@ -33,7 +34,7 @@ from repro.kb.schema import Schema
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import EntityRef
 from tests.oracle.columns import dict_claims, provenance_key
-from tests.oracle.fusion import oracle_fuse
+from tests.oracle.fusion import FusionResult, oracle_fuse
 from tests.oracle.posteriors import accu_item_posteriors
 
 # The paper's N and A: literal copies of repro.fusion.base's constants, so

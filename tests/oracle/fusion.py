@@ -12,9 +12,13 @@ became functions of the fuser),
 so it shares no stage code with ``src/``, and no posterior math either:
 items are scored by the dict posterior functions ``src/``'s per-item
 kernels replaced (:mod:`tests.oracle.posteriors`).  From ``src/`` it
-takes ``FusionConfig`` / ``FusionResult``, the fuser classes (only to
-read their configuration) and the contract tags; the claim matrix's dict
-views live beside it (:mod:`tests.oracle.columns`).
+takes ``FusionConfig``, the fuser classes (only to read their
+configuration) and the contract tags; the claim matrix's dict views live
+beside it (:mod:`tests.oracle.columns`).  Its results are the
+dict-valued :class:`FusionResult` below — ``src/``'s result type as it
+was before its output stayed in columns — which has the same
+``probabilities`` / ``unpredicted`` / ``accuracies`` attributes as the
+column-backed one, so the two compare field by field.
 
 ``tests/fusion/test_oracle.py`` holds ``serial`` equal to it on every
 output — probabilities and accuracies *including iteration order*,
@@ -30,17 +34,17 @@ differential by hand::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+from repro.errors import ConfigError
 from repro.fusion.accu import Accu
 from repro.fusion.base import (
     DEFAULT_ACCURACY,
     N_FALSE_VALUES,
     Fuser,
     FusionConfig,
-    FusionResult,
     backend_contract,
     sampling_contract_of,
 )
@@ -58,12 +62,55 @@ from tests.oracle.posteriors import (
 )
 
 __all__ = [
+    "FusionResult",
     "assert_equal_in_order",
     "kernel_of",
     "oracle_bayesian_fusion",
     "oracle_fuse",
     "oracle_vote",
 ]
+
+# ---------------------------------------------------------------------------
+# Verbatim from src/repro/fusion/base.py at 10313ca
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FusionResult:
+    """Output of one fusion run.
+
+    ``probabilities`` maps every predicted triple to its truthfulness
+    probability; ``unpredicted`` holds triples the method declined to score
+    (all their provenances were filtered — the paper reports 8.2% of
+    triples in that state under the coverage filter).  ``accuracies`` is
+    the final per-provenance accuracy estimate; ``rounds`` the number of
+    Stage I/II iterations actually run.
+    """
+
+    method: str
+    probabilities: dict[Triple, float]
+    unpredicted: set[Triple] = field(default_factory=set)
+    accuracies: dict[ProvKey, float] = field(default_factory=dict)
+    rounds: int = 0
+    converged: bool = False
+    diagnostics: dict = field(default_factory=dict)
+
+    def coverage(self) -> float:
+        """Fraction of triples that received a probability."""
+        total = len(self.probabilities) + len(self.unpredicted)
+        if total == 0:
+            return 0.0
+        return len(self.probabilities) / total
+
+    def validate(self) -> None:
+        """Sanity-check all probabilities are in [0, 1]."""
+        for triple, probability in self.probabilities.items():
+            if not 0.0 <= probability <= 1.0:
+                raise ConfigError(
+                    f"probability out of range for {triple.canonical()}: "
+                    f"{probability}"
+                )
+
 
 ItemPosteriorFn = Callable[
     [dict[Triple, set[ProvKey]], dict[ProvKey, float]], dict[Triple, float]

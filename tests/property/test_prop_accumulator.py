@@ -113,5 +113,5 @@ def test_missing_pattern_collides_with_its_literal_spelling():
     accumulator = ClaimAccumulator(granularity)
     accumulator.add_records([implicit, literal, other])
     cols = accumulator.build()
-    assert cols.provenances == [("E1:-",), ("E:-",)]
+    assert list(cols.provenances) == [("E1:-",), ("E:-",)]
     assert np.array_equal(cols.claim_prov, [0, 1])

@@ -257,6 +257,27 @@ class TestOneBody:
             )
 
     @pytest.mark.parametrize("chunk_pages", [None, 16])
+    def test_the_row_layout_is_extractions_last_step(self, chunk_pages, monkeypatch):
+        """``labeling`` clocks LCWA only: the accumulator lays out its rows
+        (once) inside the ``extraction`` stage, before labeling starts."""
+        events = []
+        timed_stage, lay_out = endtoend.timed_stage, ClaimAccumulator._lay_out
+
+        def stage(timings, name):
+            events.append(name)
+            return timed_stage(timings, name)
+
+        def laying_out(self):
+            events.append("lay_out")
+            return lay_out(self)
+
+        monkeypatch.setattr(endtoend, "timed_stage", stage)
+        monkeypatch.setattr(ClaimAccumulator, "_lay_out", laying_out)
+        run_end_to_end(tiny_config(seed=SEED), chunk_pages=chunk_pages)
+        assert events.count("lay_out") == 1
+        assert events.index("extraction") < events.index("lay_out") < events.index("labeling")
+
+    @pytest.mark.parametrize("chunk_pages", [None, 16])
     def test_the_fuser_is_made_once(self, chunk_pages, monkeypatch):
         calls = []
         make_fuser = endtoend.make_fuser
