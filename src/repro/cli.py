@@ -48,10 +48,9 @@ from repro.datasets import (
     tiny_config,
     web_config,
 )
-from repro.endtoend import PIPELINE_BACKENDS, PIPELINE_METHODS
+from repro.endtoend import PIPELINE_METHODS
 from repro.experiments import experiment_ids, run_experiment
-from repro.extract.pipeline import EXTRACTION_BACKENDS
-from repro.fusion.base import BACKENDS
+from repro.mapreduce.executors import FUSION_MODES, PIPELINE_MODES
 
 _SCALES = {
     "tiny": tiny_config,
@@ -104,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fuse_parser.add_argument(
         "--backend",
-        choices=BACKENDS,
+        choices=FUSION_MODES,
         default="serial",
         help="execution backend (default: serial)",
     )
@@ -127,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     extract_parser.add_argument(
         "--backend",
-        choices=EXTRACTION_BACKENDS,
+        choices=PIPELINE_MODES,
         default="serial",
         help="extraction backend (default: serial)",
     )
@@ -158,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pipeline_parser.add_argument(
         "--backend",
-        choices=PIPELINE_BACKENDS,
+        choices=PIPELINE_MODES,
         default="serial",
         help="execution backend for both stages (default: serial); "
         "hybrid = pooled extraction + batched in-shard fusion kernels",
@@ -267,7 +266,7 @@ def _run_fuse(args) -> int:
 
 
 def _run_extract(args) -> int:
-    from collections import Counter
+    import numpy as np
 
     from repro.artifacts import setup_worldgen
     from repro.endtoend import timed_stage
@@ -296,9 +295,12 @@ def _run_extract(args) -> int:
         executor.close()
     elapsed = timings["extraction"]
 
-    per_extractor = Counter(record.extractor for record in records)
-    errors = sum(1 for record in records if record.is_extraction_error)
-    top = ", ".join(f"{name}:{n}" for name, n in per_extractor.most_common(4))
+    cols = records.columns
+    names, first, counts = np.unique(cols.codes[:, 1], return_index=True, return_counts=True)
+    # Most records first, ties in first-arrival order (``Counter.most_common``'s).
+    top_four = np.lexsort((first, -counts))[:4]
+    top = ", ".join(f"{cols.strings[names[i]]}:{counts[i]}" for i in top_four)
+    errors = int(np.count_nonzero(cols.has_debug & (cols.error_kind >= 0)))
     print(f"backend:       {args.backend}")
     print("synthesis:     batched")
     print(f"pages:         {len(corpus.pages)} ({len(corpus.sites)} sites)")

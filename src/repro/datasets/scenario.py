@@ -59,8 +59,8 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A fully generated experimental environment; ``records`` decodes
-    its tables on first iteration, and the fusion input never needs it to."""
+    """A fully generated experimental environment; ``records`` are the
+    record tables, which every reader reads as columns, never decoded."""
 
     config: ScenarioConfig
     world: World

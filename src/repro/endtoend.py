@@ -68,7 +68,6 @@ from repro.world.webgen import stream_corpus
 from repro.world.worldgen import generate_world
 
 __all__ = [
-    "PIPELINE_BACKENDS",
     "PIPELINE_METHODS",
     "EndToEndResult",
     "make_fuser",
@@ -90,9 +89,6 @@ _PRESETS = {
 
 #: Fusion method presets the pipeline (and the CLI) can run.
 PIPELINE_METHODS = tuple(_PRESETS)
-
-#: Execution backends the pipeline can run both stages under.
-PIPELINE_BACKENDS = PIPELINE_MODES
 
 
 def peak_rss_mb() -> float:
@@ -208,7 +204,7 @@ def run_end_to_end(
     (``diagnostics["column_store"] = "mapped"``), without it over the
     in-memory columns (``"memory"``) — bitwise-identical either way, by test.
 
-    ``backend`` (one of :data:`PIPELINE_BACKENDS`) selects the execution
+    ``backend`` (one of :data:`~repro.mapreduce.executors.PIPELINE_MODES`) selects the execution
     mode for *both* stages; extraction is bit-identical under every one.
     A caller-managed ``executor`` overrides the executor choice (and is
     not closed here).  The fusion configuration inherits the scenario
@@ -218,9 +214,9 @@ def run_end_to_end(
     """
     streamed = chunk_pages is not None
     # Rejected before any work: a typo must not waste minutes of extraction.
-    if backend not in PIPELINE_BACKENDS:
+    if backend not in PIPELINE_MODES:
         raise ConfigError(
-            f"pipeline backend must be one of {PIPELINE_BACKENDS}, got {backend!r}"
+            f"pipeline backend must be one of {PIPELINE_MODES}, got {backend!r}"
         )
     _preset(method)
     if streamed and chunk_pages < 1:

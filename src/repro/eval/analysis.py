@@ -68,7 +68,10 @@ class ErrorBreakdown:
         return {k: v / total for k, v in sorted(self.fn_categories.items())}
 
 
-def _categorize_fp(scenario: Scenario, triple: Triple, records) -> tuple[str, ErrorKind | None]:
+def _categorize_fp(
+    scenario: Scenario, triple: Triple, kinds: list[int]
+) -> tuple[str, ErrorKind | None]:
+    """``kinds``: the error-kind codes of ``triple``'s records, in record order."""
     world = scenario.world
     freebase = scenario.freebase
     if world.is_true_exact(triple) or world.is_generalization(triple):
@@ -100,14 +103,9 @@ def _categorize_fp(scenario: Scenario, triple: Triple, records) -> tuple[str, Er
                         return "more_general_value", None
         return "closed_world_assumption", None
     # Genuinely false in the world: extraction or source error?
-    kinds = Counter(
-        record.debug.error_kind
-        for record in records
-        if record.debug is not None and record.debug.error_kind is not None
-    )
     if kinds:
-        top_kind = kinds.most_common(1)[0][0]
-        return "common_extraction_error", top_kind
+        top_kind = Counter(kinds).most_common(1)[0][0]
+        return "common_extraction_error", tuple(ErrorKind)[top_kind]
     return "source_error", None
 
 
@@ -144,9 +142,13 @@ def analyze_errors(
             f"({fn_threshold}, {fp_threshold})"
         )
     gold = scenario.gold
-    records_by_triple = defaultdict(list)
-    for record in scenario.records:
-        records_by_triple[record.triple].append(record)
+    # Each triple's records' extraction-error kinds, in record order.
+    cols = scenario.records.columns
+    rows = cols.has_debug & (cols.error_kind >= 0)
+    triples = scenario.records.triple_objects()
+    kinds_by_triple = defaultdict(list)
+    for code, kind in zip(cols.codes[rows, 0].tolist(), cols.error_kind[rows].tolist()):
+        kinds_by_triple[triples[code]].append(kind)
     gold_true_by_item: dict = defaultdict(list)
     for triple, label in gold.items():
         if label:
@@ -164,9 +166,7 @@ def analyze_errors(
             continue
         if probability >= fp_threshold and not label:
             breakdown.n_false_positives += 1
-            category, kind = _categorize_fp(
-                scenario, triple, records_by_triple[triple]
-            )
+            category, kind = _categorize_fp(scenario, triple, kinds_by_triple[triple])
             breakdown.fp_categories[category] += 1
             if kind is not None:
                 breakdown.fp_extraction_kinds[kind.value] += 1

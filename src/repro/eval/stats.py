@@ -2,21 +2,25 @@
 
 Generic building blocks (skew summaries, accuracy-by-integer-count,
 histograms) plus the specific slices used by Figures 4-7, 16, 18, 20-22.
-All functions take plain data (triples, gold labels, extraction records)
-so they are reusable outside the packaged experiments.
+All functions take plain data (triples, gold labels, extraction records
+as record tables or a list) so they are reusable outside the packaged
+experiments; the record slices read the tables' columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import EvaluationError
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, RecordTables
 from repro.kb.triples import Triple
+
+Records = RecordTables | list[ExtractionRecord]
 
 __all__ = [
     "skew_summary",
@@ -27,6 +31,8 @@ __all__ = [
     "confidence_accuracy_curve",
     "confidence_coverage_curve",
     "coverage_by_confidence_threshold",
+    "triple_labels",
+    "triple_sets",
     "triple_support",
 ]
 
@@ -133,85 +139,100 @@ def truth_count_distribution(truth_counts: Iterable[int]) -> list[tuple[str, flo
     return [(key, counter.get(key, 0) / total) for key in order]
 
 
+def triple_labels(records: RecordTables, gold: dict[Triple, bool]) -> np.ndarray:
+    """Each triple code's gold label in ``records.columns`` as int8:
+    1 true, 0 false, -1 unlabelled."""
+    triples = records.triple_objects()
+    return np.fromiter(map(gold.get, triples, repeat(-1)), np.int8, len(triples))
+
+
+def triple_sets(records: RecordTables, field: int) -> dict[str, set[int]]:
+    """Each string of code column ``field`` (1: extractor, 4: content
+    type) -> the triple codes of its rows."""
+    cols = records.columns
+    triple, values = cols.codes[:, 0], cols.codes[:, field]
+    return {cols.strings[v]: set(triple[values == v].tolist()) for v in np.unique(values).tolist()}
+
+
+def _scored(records: Records, extractor: str | None) -> tuple[RecordTables, np.ndarray]:
+    """``records`` as tables, and the mask of their rows that carry a
+    confidence (and, when ``extractor`` is named, come from it)."""
+    records = RecordTables.of(records)
+    cols = records.columns
+    scored = cols.has_confidence
+    if extractor is not None:
+        code = cols.strings.index(extractor) if extractor in cols.strings else -1
+        scored = scored & (cols.codes[:, 1] == code)
+    return records, scored
+
+
 def confidence_accuracy_curve(
-    records: Iterable[ExtractionRecord], gold: dict[Triple, bool]
+    records: Records, gold: dict[Triple, bool], extractor: str | None = None
 ) -> list[AccuracyPoint]:
-    """Accuracy by extraction-confidence decile (Figure 21, right panel).
+    """Accuracy by extraction-confidence decile (Figure 21, right panel),
+    over ``extractor``'s records when one is named.
 
     Records without a confidence are excluded (the paper's no-confidence
     extractors are likewise absent from its Figure 21).
     """
-    pairs = [
-        (record.confidence, gold[record.triple])
-        for record in records
-        if record.confidence is not None and record.triple in gold
-    ]
+    records, scored = _scored(records, extractor)
+    cols = records.columns
+    label = triple_labels(records, gold)[cols.codes[:, 0]]
+    kept = scored & (label >= 0)
+    pairs = zip(cols.confidence[kept].tolist(), (label[kept] == 1).tolist())
     edges = [i / _CONFIDENCE_BUCKETS for i in range(_CONFIDENCE_BUCKETS)]
     return bucketize_accuracy(pairs, edges)
 
 
 def confidence_coverage_curve(
-    records: Iterable[ExtractionRecord],
+    records: Records, extractor: str | None = None
 ) -> list[tuple[float, float]]:
-    """Cumulative share of records with confidence ≤ x (Figure 21, left)."""
-    confidences = sorted(
-        record.confidence for record in records if record.confidence is not None
-    )
-    if not confidences:
+    """Cumulative share of records with confidence ≤ x (Figure 21, left),
+    over ``extractor``'s records when one is named."""
+    records, scored = _scored(records, extractor)
+    confidences = np.sort(records.columns.confidence[scored])
+    if not len(confidences):
         raise EvaluationError("no records carry a confidence")
-    total = len(confidences)
-    points = []
-    for i in range(_CONFIDENCE_BUCKETS + 1):
-        x = i / _CONFIDENCE_BUCKETS
-        covered = sum(1 for c in confidences if c <= x)
-        points.append((x, covered / total))
-    return points
+    grid = [i / _CONFIDENCE_BUCKETS for i in range(_CONFIDENCE_BUCKETS + 1)]
+    covered = np.searchsorted(confidences, grid, side="right").tolist()
+    return [(x, n / len(confidences)) for x, n in zip(grid, covered)]
 
 
 def coverage_by_confidence_threshold(
-    records: Iterable[ExtractionRecord],
+    records: Records,
     thresholds: Sequence[float] = tuple(i / 10 for i in range(1, 11)),
 ) -> list[tuple[float, float]]:
     """Share of unique triples retained when filtering by confidence ≥ t
     (Figure 22).  A triple survives if *any* of its records does; records
     without confidence count as unfiltered support (they cannot be
     filtered by a confidence they don't have)."""
-    by_triple: dict[Triple, list[float | None]] = defaultdict(list)
-    for record in records:
-        by_triple[record.triple].append(record.confidence)
-    if not by_triple:
+    cols = RecordTables.of(records).columns
+    total = len(cols.triples)
+    if total == 0:
         raise EvaluationError("no records given")
-    total = len(by_triple)
-    points = []
-    for threshold in thresholds:
-        kept = sum(
-            1
-            for confs in by_triple.values()
-            if any(c is None or c >= threshold for c in confs)
-        )
-        points.append((threshold, kept / total))
-    return points
+    # Each triple's best confidence; an unscored record passes every filter.
+    best = np.full(total, -np.inf)
+    np.maximum.at(best, cols.codes[:, 0], np.where(cols.has_confidence, cols.confidence, np.inf))
+    return [(t, int(np.count_nonzero(best >= t)) / total) for t in thresholds]
 
 
-def triple_support(
-    records: Iterable[ExtractionRecord],
-) -> dict[Triple, dict[str, int]]:
+def triple_support(records: Records) -> dict[Triple, dict[str, int]]:
     """Per-triple support counts: #extractors, #urls, #(extractor, url).
 
     The covariates of Figures 6, 7 and 18.
     """
-    extractors: dict[Triple, set[str]] = defaultdict(set)
-    urls: dict[Triple, set[str]] = defaultdict(set)
-    pairs: dict[Triple, set[tuple[str, str]]] = defaultdict(set)
-    for record in records:
-        extractors[record.triple].add(record.extractor)
-        urls[record.triple].add(record.url)
-        pairs[record.triple].add((record.extractor, record.url))
+    records = RecordTables.of(records)
+    triple, extractor, url = records.columns.codes[:, :3].T
+    n_triples = len(records.columns.triples)
+    pair = np.unique(extractor.astype(np.int64) << 32 | url, return_inverse=True)[1]
+
+    def distinct(key: np.ndarray) -> list[int]:
+        """Per triple code, its number of distinct ``key`` values."""
+        keys = np.unique(triple.astype(np.int64) << 32 | key)
+        return np.bincount(keys >> 32, minlength=n_triples).tolist()
+
+    counts = zip(distinct(extractor), distinct(url), distinct(pair))
     return {
-        triple: {
-            "extractors": len(extractors[triple]),
-            "urls": len(urls[triple]),
-            "provenances": len(pairs[triple]),
-        }
-        for triple in extractors
+        triple: {"extractors": e, "urls": u, "provenances": p}
+        for triple, (e, u, p) in zip(records.triple_objects(), counts)
     }

@@ -8,12 +8,12 @@ correlated — mostly cross-content pairs.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import combinations
 
 from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.datasets.scenario import Scenario
 from repro.eval.kappa import kappa
+from repro.eval.stats import triple_sets
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
 
@@ -24,10 +24,8 @@ INDEPENDENCE_BAND = 0.01
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    triples_by_extractor: dict[str, set] = defaultdict(set)
-    for record in scenario.records:
-        triples_by_extractor[record.extractor].add(record.triple)
-    universe = {record.triple for record in scenario.records}
+    triples_by_extractor = triple_sets(scenario.records, 1)
+    universe = range(len(scenario.records.columns.triples))
     primary_content = {
         profile.name: profile.content_types[0]
         for profile in EXTRACTOR_PROFILES

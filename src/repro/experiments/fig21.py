@@ -8,9 +8,8 @@ and TBL1's accuracy peaks at *medium* confidence.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.datasets.scenario import Scenario
+from repro.errors import EvaluationError
 from repro.eval.stats import confidence_accuracy_curve, confidence_coverage_curve
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
@@ -22,24 +21,20 @@ EXTRACTORS = ("TXT1", "DOM2", "TBL1", "ANO")
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    by_extractor = defaultdict(list)
-    for record in scenario.records:
-        by_extractor[record.extractor].append(record)
-
     data = {}
     coverage_rows = []
     accuracy_rows = []
     for name in EXTRACTORS:
-        records = by_extractor.get(name, [])
-        if not any(r.confidence is not None for r in records):
+        try:
+            coverage = confidence_coverage_curve(scenario.records, name)
+        except EvaluationError:
             # Tiny corpora may render no content for a niche extractor.
             data[name] = {"coverage": [], "accuracy": []}
             grid_size = 11
             coverage_rows.append((name, *["-"] * grid_size))
             accuracy_rows.append((name, *["-"] * (grid_size - 1)))
             continue
-        coverage = confidence_coverage_curve(records)
-        accuracy = confidence_accuracy_curve(records, scenario.gold)
+        accuracy = confidence_accuracy_curve(scenario.records, scenario.gold, name)
         data[name] = {
             "coverage": coverage,
             "accuracy": [(p.x, p.n, p.accuracy) for p in accuracy],

@@ -7,10 +7,10 @@ overlaps are *small* relative to the contributions.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from itertools import combinations
 
 from repro.datasets.scenario import Scenario
+from repro.eval.stats import triple_sets
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
 
@@ -21,13 +21,11 @@ CONTENT_TYPES = ("TXT", "DOM", "TBL", "ANO")
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    triples_by_type: dict[str, set] = defaultdict(set)
-    for record in scenario.records:
-        triples_by_type[record.content_type].add(record.triple)
+    triples_by_type = triple_sets(scenario.records, 4)
 
     contribution_rows = []
     contributions = {}
-    total = len({t for s in triples_by_type.values() for t in s})
+    total = len(scenario.records.columns.triples)
     for content_type in CONTENT_TYPES:
         count = len(triples_by_type.get(content_type, set()))
         contributions[content_type] = count

@@ -13,6 +13,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.datasets.scenario import Scenario
+from repro.eval.stats import triple_labels
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_series
 
@@ -25,14 +26,16 @@ BUCKETS = ((0.0, "0"), (0.0001, "0-.1"), (0.1, ".1-.2"), (0.2, ".2-.3"),
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    per_page: dict[str, dict[str, list[bool]]] = defaultdict(lambda: defaultdict(list))
-    for record in scenario.records:
-        label = scenario.gold.get(record.triple)
-        if label is not None:
-            per_page[record.url][record.extractor].append(label)
+    cols = scenario.records.columns
+    truth = triple_labels(scenario.records, scenario.gold)[cols.codes[:, 0]]
+    labelled = truth >= 0
+    per_page: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
+    url, extractor = cols.codes[labelled, 2].tolist(), cols.codes[labelled, 1].tolist()
+    for page, name, label in zip(url, extractor, truth[labelled].tolist()):
+        per_page[page][name].append(label)
 
     gaps: list[float] = []
-    for url, by_extractor in per_page.items():
+    for by_extractor in per_page.values():
         accuracies = [
             sum(labels) / len(labels)
             for labels in by_extractor.values()

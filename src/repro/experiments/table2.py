@@ -9,7 +9,7 @@ confidence ≥ 0.7 — the paper's signature spread from 0.09 (DOM2) to 0.78
 
 from __future__ import annotations
 
-from collections import defaultdict
+import numpy as np
 
 from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.datasets.scenario import Scenario
@@ -24,33 +24,33 @@ CONFIDENCE_THRESHOLD = 0.7
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    by_extractor: dict[str, list] = defaultdict(list)
-    for record in scenario.records:
-        by_extractor[record.extractor].append(record)
+    cols = scenario.records.columns
+    triple, extractor, url = cols.codes[:, :3].T
+    triples = scenario.records.triple_objects()
+    confident = cols.has_confidence & (cols.confidence >= CONFIDENCE_THRESHOLD)
+    code_of = {name: code for code, name in enumerate(cols.strings)}
+
+    def accuracy_of(rows) -> float | None:
+        unique = map(triples.__getitem__, np.unique(triple[rows]).tolist())
+        return unique_triple_accuracy(unique, scenario.gold)[1]
 
     rows = []
     data = {}
-    order = [p.name for p in EXTRACTOR_PROFILES]
-    for name in order:
-        records = by_extractor.get(name, [])
-        triples = {r.triple for r in records}
-        pages = {r.url for r in records}
-        extractor = scenario.pipeline.by_name(name)
-        n_patterns = getattr(extractor, "n_patterns", None)
-        _n, accuracy = unique_triple_accuracy(triples, scenario.gold)
-        confident = {
-            r.triple
-            for r in records
-            if r.confidence is not None and r.confidence >= CONFIDENCE_THRESHOLD
-        }
-        _n_conf, conf_accuracy = unique_triple_accuracy(confident, scenario.gold)
-        has_conf = any(r.confidence is not None for r in records)
+    for name in [p.name for p in EXTRACTOR_PROFILES]:
+        mine = extractor == code_of.get(name, -1)
+        n_records = int(np.count_nonzero(mine))
+        n_triples = len(np.unique(triple[mine]))
+        n_pages = len(np.unique(url[mine]))
+        n_patterns = getattr(scenario.pipeline.by_name(name), "n_patterns", None)
+        accuracy = accuracy_of(mine)
+        conf_accuracy = accuracy_of(mine & confident)
+        has_conf = bool(cols.has_confidence[mine].any())
         rows.append(
             (
                 name,
-                len(records),
-                len(triples),
-                len(pages),
+                n_records,
+                n_triples,
+                n_pages,
                 n_patterns if n_patterns is not None else "no pat.",
                 f"{accuracy:.2f}" if accuracy is not None else "-",
                 (
@@ -61,9 +61,9 @@ def run(scenario: Scenario) -> ExperimentResult:
             )
         )
         data[name] = {
-            "records": len(records),
-            "unique_triples": len(triples),
-            "pages": len(pages),
+            "records": n_records,
+            "unique_triples": n_triples,
+            "pages": n_pages,
             "patterns": n_patterns,
             "accuracy": accuracy,
             "accuracy_confident": conf_accuracy,

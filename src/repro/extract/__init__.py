@@ -14,10 +14,10 @@ each a concrete parser over the rendered content of
 - **per-extractor confidence models** with very different calibration
   (Figure 21).
 
-Extractors emit :class:`~repro.extract.records.ExtractionRecord` objects;
-the pipeline tags each record's debug channel with the injected error kind
-(triple identification / entity linkage / predicate linkage) by comparing
-against the page's hidden assertions — fusion never sees these tags.
+The pipeline emits record tables (:class:`~repro.extract.records.RecordTables`)
+and tags each row's debug columns with the injected error kind (triple
+identification / entity linkage / predicate linkage) by comparing against
+the page's hidden assertions — fusion never sees these tags.
 """
 
 from repro.extract.records import ExtractionRecord, ExtractionDebug, ErrorKind
@@ -28,14 +28,9 @@ from repro.extract.text import TextExtractor
 from repro.extract.dom import DomExtractor
 from repro.extract.table import TableExtractor
 from repro.extract.annotation import AnnotationExtractor
-from repro.extract.pipeline import (
-    EXTRACTION_BACKENDS,
-    ExtractionPipeline,
-    build_extractor,
-)
+from repro.extract.pipeline import ExtractionPipeline, build_extractor
 
 __all__ = [
-    "EXTRACTION_BACKENDS",
     "ExtractionRecord",
     "ExtractionDebug",
     "ErrorKind",

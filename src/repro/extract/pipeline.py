@@ -18,7 +18,7 @@ Fusion never sees these tags; the test suite checks that stripping the
 debug channel does not change fusion output.
 
 Execution modes (``ExtractionPipeline.run(backend=...)``, one of
-:data:`EXTRACTION_BACKENDS`) run the same kernels and emit the
+:data:`~repro.mapreduce.executors.PIPELINE_MODES`) run the same kernels and emit the
 **bit-identical** record stream; the mode only fixes **where**.  Every
 mode runs one map job (:class:`~repro.mapreduce.executors.ShardedMapJob`)
 whose work item is a *window* of ``_WINDOW_PAGES`` consecutive pages and
@@ -72,10 +72,7 @@ from repro.mapreduce.executors import (
 from repro.world.labels import TemplateSpec
 from repro.world.webgen import WebCorpus, WebPage
 
-__all__ = ["build_extractor", "ExtractionPipeline", "EXTRACTION_BACKENDS"]
-
-#: Execution backends for the extraction stage (see module docstring).
-EXTRACTION_BACKENDS = PIPELINE_MODES
+__all__ = ["build_extractor", "ExtractionPipeline"]
 
 #: Registry key the extractor fleet is installed under (pool-resident).
 EXTRACT_FLEET_KEY = "extract.fleet"
@@ -151,7 +148,7 @@ class ExtractionPipeline:
     """Runs a fleet of extractors over a corpus.
 
     The execution backend is chosen per :meth:`run` / :meth:`run_stream`
-    call from :data:`EXTRACTION_BACKENDS` (default ``serial``); all of
+    call from :data:`~repro.mapreduce.executors.PIPELINE_MODES` (default ``serial``); all of
     them emit the same bits, the name only picks in-process or pool.
     """
 
@@ -193,9 +190,9 @@ class ExtractionPipeline:
         plus its record tables.  ``backend`` / ``n_workers`` are validated at
         the call, not at the first ``next()``.
         """
-        if backend not in EXTRACTION_BACKENDS:
+        if backend not in PIPELINE_MODES:
             raise ConfigError(
-                f"extraction backend must be one of {EXTRACTION_BACKENDS}, "
+                f"extraction backend must be one of {PIPELINE_MODES}, "
                 f"got {backend!r}"
             )
         owns_executor = executor is None

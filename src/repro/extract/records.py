@@ -10,10 +10,10 @@ the record came from and what kind of extraction error (if any) it embodies.
 The fusion layer works from the record's public fields; the test suite
 checks that fusion results are invariant to stripping the debug channel.
 
-Extraction itself builds no record: synthesis writes each page window's
-rows into a :class:`TableBuilder` and classification fills columns of
-the finished table.  Record objects are the decoded view a caller gets
-by iterating :class:`RecordTables` (or from :func:`records_from_wire`).
+Record objects are an input form only (:meth:`RecordTables.of` encodes
+a list): extraction writes table rows (:class:`TableBuilder`), and every
+reader reads the tables' columns.  The decode (:func:`records_from_wire`,
+:class:`RecordTables` iteration) serves ``benchmarks/kfbench`` only.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import enum
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +35,7 @@ __all__ = [
     "ExtractionDebug",
     "ExtractionRecord",
     "ParsedTriples",
+    "RecordColumns",
     "RecordTables",
     "TableBuilder",
     "records_to_wire",
@@ -82,11 +85,8 @@ class ExtractionRecord:
     is the extractor's self-reported confidence (None for extractors that
     do not emit one).
 
-    Records are deliberately *not* frozen: a decoded view builds one per
-    table row, tens of thousands per run, and ``__init__`` on a frozen
-    dataclass pays an ``object.__setattr__`` call per field.
-    Identity-bearing state lives in ``triple`` (frozen, hashable);
-    records themselves are never hashed.
+    Not frozen: the decode builds one per row, and a frozen ``__init__``
+    pays an ``object.__setattr__`` per field.  Records are never hashed.
     """
 
     triple: Triple
@@ -97,11 +97,6 @@ class ExtractionRecord:
     pattern: str | None = None
     confidence: float | None = None
     debug: ExtractionDebug | None = None
-
-    @property
-    def is_extraction_error(self) -> bool:
-        """Analysis helper; requires the debug channel."""
-        return self.debug is not None and self.debug.error_kind is not None
 
 
 @contextmanager
@@ -115,14 +110,9 @@ def _gc_paused():
     still happens normally and the GC resumes (and catches up) on exit.
     Nested pauses are no-ops.
 
-    Where it sits: one pause spans a whole extraction shard
-    (:func:`repro.extract.pipeline._extract_shard`), for its windows'
-    page decoding — the decoded pages stay live through the window's
-    synthesis, so re-enabling between the two would hand the debt to
-    synthesis — and :func:`records_from_wire` (with
-    :class:`RecordTables` iteration) holds one while a table's records
-    are built.  Synthesis and classification allocate no tracked object
-    per row.
+    One pause spans a whole extraction shard (its decoded pages stay live
+    through synthesis, which allocates no tracked object per row), and
+    :func:`records_from_wire` holds one while a table's records are built.
     """
     if gc.isenabled():
         gc.disable()
@@ -137,31 +127,28 @@ def _gc_paused():
 # ---------------------------------------------------------------------------
 # The record table: the one form extraction output takes
 # ---------------------------------------------------------------------------
-# Each page window of an extraction shard is synthesised into one table of
-# columns (:class:`TableBuilder`), in-process and pooled alike: every distinct string (extractor,
-# url, site, content type, pattern) and every distinct triple (canonical
-# text, in first-arrival order) appears once, and each record is a row of
-# int32 codes into those tables plus its numeric columns.  The claim
-# accumulator folds the tables as they are; :class:`RecordTables` decodes
-# them only when a caller reads a record.  The round-trip is exact:
-# ``Triple.from_canonical`` inverts ``canonical()``, float columns keep
-# their bits, and every ``None`` has a presence mask or a -1 code.
-#
-# The wire is a flat tuple, in this order:
-#   strings        list[str]            the string table
-#   triples        list[str]            distinct triples, canonical text
-#   codes          int32[n, 6]          triple, extractor, url, site,
-#                                       content_type, pattern (-1: None)
-#   confidence     float64[n]           0.0 where absent
-#   has_confidence bool[n]
-#   has_debug      bool[n]
-#   asserted_index int32[n]             0 where absent
-#   has_asserted   bool[n]
-#   error_kind     int8[n]              index into ErrorKind (-1: None)
-#   flags          bool[n, 3]           source_error, span_corrupted,
-#                                       slot_mismatch
-# ``RECORD_WIRE_CODEC`` (at the bottom of this module) packages the pair
-# as the shared codec-layer spelling (see repro/mapreduce/codec.py).
+
+
+class RecordColumns(NamedTuple):
+    """One record table (a page window's, or all of a run's merged): the
+    wire's flat tuple, its fields by name.  Every distinct string and
+    triple (canonical text) appears once, in first-arrival order; a record
+    is a row of int32 codes into them plus numeric columns.  The round-trip
+    is exact: ``Triple.from_canonical`` inverts ``canonical()``, floats
+    keep their bits, and every ``None`` has a presence mask or a -1 code.
+    """
+
+    strings: list[str]  # the string table
+    triples: list[str]  # distinct triples, canonical text
+    codes: np.ndarray  # int32[n, 6]: triple, extractor, url, site, content type, pattern
+    confidence: np.ndarray  # float64[n], 0.0 where absent
+    has_confidence: np.ndarray  # bool[n]
+    has_debug: np.ndarray  # bool[n]
+    asserted: np.ndarray  # int32[n], 0 where absent
+    has_asserted: np.ndarray  # bool[n]
+    error_kind: np.ndarray  # int8[n], index into ErrorKind (-1: None)
+    flags: np.ndarray  # bool[n, 3]: source_error, span_corrupted, slot_mismatch
+
 
 _ERROR_KINDS = (*ErrorKind, None)  # code -1 indexes the trailing None
 _ERROR_KIND_CODES = {kind: code for code, kind in enumerate(ErrorKind)} | {None: -1}
@@ -273,6 +260,16 @@ def _masked(values: list, present: np.ndarray) -> list:
     return [value if keep else None for value, keep in zip(values, present.tolist())]
 
 
+class _Vocabulary(dict):
+    """Key -> dense int code in first-arrival order (a miss assigns the next)."""
+
+    __slots__ = ()
+
+    def __missing__(self, key) -> int:
+        code = self[key] = len(self)
+        return code
+
+
 class ParsedTriples(dict):
     """Canonical triple text -> its :class:`Triple`, parsed on first lookup.
 
@@ -330,19 +327,17 @@ def records_from_wire(
 
 
 class RecordTables:
-    """Extraction records held as tables, decoded on first element access.
-
-    ``tables`` are :func:`records_to_wire` tables in record order, one
-    per page window; ``len`` reads their code columns, and the first
-    iteration decodes them once (through ``triples``) and keeps the
-    records.  The claim accumulator and the gold labels read ``tables``.
+    """Extraction records as :func:`records_to_wire` tables in record
+    order, one per page window.  The claim accumulator and the gold labels
+    fold ``tables``; every other reader reads :attr:`columns` and finds a
+    triple code's :class:`Triple` through ``triples``, which the
+    accumulator and the gold dict share.  Iterating decodes the records
+    afresh, for ``benchmarks/kfbench`` only.
     """
 
     def __init__(self, tables: list[tuple], triples: ParsedTriples | None = None) -> None:
         self.tables = tables
         self.triples = ParsedTriples() if triples is None else triples
-        self._len = sum(len(table[2]) for table in tables)
-        self._records: list[ExtractionRecord] | None = None
 
     @classmethod
     def of(cls, records: RecordTables | list[ExtractionRecord]) -> RecordTables:
@@ -350,16 +345,34 @@ class RecordTables:
         return records if isinstance(records, cls) else cls([records_to_wire(records)])
 
     def __len__(self) -> int:
-        return self._len
+        return sum(len(table[2]) for table in self.tables)
 
     def __iter__(self):
-        if self._records is None:
-            records: list[ExtractionRecord] = []
-            with _gc_paused():
-                for table in self.tables:
-                    records += records_from_wire(table, self.triples)
-            self._records = records
-        return iter(self._records)
+        for table in self.tables:
+            yield from records_from_wire(table, self.triples)
+
+    @cached_property
+    def columns(self) -> RecordColumns:
+        """Every table as one, in record order, built on first read and
+        kept: strings and triples are re-coded in first-arrival order, so
+        the merge equals one :func:`records_to_wire` table over all the
+        records."""
+        tables = [records_to_wire([]), *self.tables]
+        strings, triples, codes = _Vocabulary(), _Vocabulary(), []
+        for table in tables:
+            # The trailing -1 keeps a missing pattern's code.
+            string_code = np.array([*map(strings.__getitem__, table[0]), -1], dtype=np.int32)
+            triple_code = np.array([triples[text] for text in table[1]], dtype=np.int32)
+            code = table[2]
+            codes.append(np.column_stack((triple_code[code[:, 0]], string_code[code[:, 1:]])))
+        rest = zip(*(table[3:] for table in tables))
+        return RecordColumns(
+            list(strings), list(triples), np.concatenate(codes), *map(np.concatenate, rest)
+        )
+
+    def triple_objects(self) -> list[Triple]:
+        """Each triple code's :class:`Triple` (of :attr:`columns`)."""
+        return list(map(self.triples.__getitem__, self.columns.triples))
 
 
 #: The record codec: one string table, one triple table, int32 code columns.

@@ -29,7 +29,6 @@ tolerance one
 from repro.fusion.provenance import Granularity
 from repro.fusion.observations import ColumnarClaims, ColumnarSlice, FusionInput
 from repro.fusion.base import (
-    BACKENDS,
     PARITY_BITWISE,
     PARITY_TOLERANCE,
     PARITY_TOLERANCE_ABS,
@@ -55,7 +54,6 @@ __all__ = [
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",
-    "BACKENDS",
     "PARITY_BITWISE",
     "PARITY_TOLERANCE",
     "PARITY_TOLERANCE_ABS",

@@ -28,7 +28,6 @@ from repro.mapreduce.executors import EXECUTION_MODES, FUSION_MODES
 __all__ = [
     "N_FALSE_VALUES",
     "DEFAULT_ACCURACY",
-    "BACKENDS",
     "PARITY_BITWISE",
     "PARITY_TOLERANCE",
     "PARITY_TOLERANCE_ABS",
@@ -49,11 +48,6 @@ N_FALSE_VALUES = 100
 #: The initial accuracy ``A`` of every provenance; the paper's 0.8.  One
 #: default provenance then gives a lone claim probability 0.8.
 DEFAULT_ACCURACY = 0.8
-
-#: Execution backends for the fusion pipeline: the fusion-stage view of
-#: the one mode table (:data:`repro.mapreduce.executors.EXECUTION_MODES`;
-#: the README's "Execution backends" table has the contracts).
-BACKENDS = FUSION_MODES
 
 #: Numeric parity contracts a fusion run can honour (recorded per run in
 #: ``result.diagnostics["parity"]``):
@@ -77,8 +71,8 @@ def parity_of(backend: str) -> str:
     """The numeric parity contract of fusion backend ``backend``:
     ``tolerance`` iff it runs the batched kernel.  A name that is no
     fusion backend is an error, never silently bitwise."""
-    if backend not in BACKENDS:
-        raise ConfigError(f"backend {backend!r} is not one of {BACKENDS}")
+    if backend not in FUSION_MODES:
+        raise ConfigError(f"backend {backend!r} is not one of {FUSION_MODES}")
     return PARITY_TOLERANCE if EXECUTION_MODES[backend].batched else PARITY_BITWISE
 
 
@@ -130,7 +124,7 @@ class FusionConfig:
     seed:
         Seed for deterministic reducer sampling and gold subsampling.
     backend:
-        Execution backend, one of :data:`BACKENDS` (default ``serial``).
+        Execution backend, one of ``FUSION_MODES`` (default ``serial``).
         The exact ``serial`` mode honours the ``bitwise`` parity
         contract, the batched-kernel modes the ``tolerance`` one (see
         :func:`parity_of`).
@@ -151,9 +145,9 @@ class FusionConfig:
     n_workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
+        if self.backend not in FUSION_MODES:
             raise ConfigError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+                f"backend must be one of {FUSION_MODES}, got {self.backend!r}"
             )
         if self.n_workers is not None and self.n_workers < 1:
             raise ConfigError(f"n_workers must be >= 1 or None, got {self.n_workers}")

@@ -18,8 +18,8 @@ Records without a confidence get weight 0.5.  Accuracy re-estimation is
 likewise weighted, so a provenance is judged mostly by the claims it was
 confident about.
 
-Confidences live on the extraction records, so this fuser — alone among
-the fusers — cannot fuse bare columns.
+Confidences live in the extraction records' columns, so this fuser —
+alone among the fusers — cannot fuse bare claim columns.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.errors import FusionError
 from repro.fusion import kernels
 from repro.fusion.base import DEFAULT_ACCURACY, N_FALSE_VALUES, Fuser, FusionResult
 from repro.fusion.extensions.rounds import claim_rows, fuse_rounds
-from repro.fusion.observations import ColumnarClaims, FusionInput, _sorted_table
+from repro.fusion.observations import ColumnarClaims, FusionInput
 
 __all__ = ["ConfidenceWeightedFuser"]
 
@@ -57,15 +57,10 @@ class ConfidenceWeightedFuser(Fuser):
         # claims() interned the records into the input's accumulator.
         record_claim = fusion_input.accumulator.record_claims(cols)
 
-        confident = np.array([record.confidence is not None for record in records], dtype=bool)
-        confidence = np.array(
-            [record.confidence or 0.0 for record in records], dtype=np.float64
-        )
-        extractors, record_extractor = _sorted_table(
-            [record.extractor for record in records]
-        )
+        confident, confidence = records.columns.has_confidence, records.columns.confidence
+        record_extractor = records.columns.codes[:, 1]
         weight = np.full(len(records), 0.5)
-        for e in range(len(extractors)):
+        for e in np.unique(record_extractor).tolist():
             # Rank within the extractor's own confidence distribution.
             mine = np.flatnonzero(confident & (record_extractor == e))
             ranks = np.sort(confidence[mine])

@@ -43,6 +43,7 @@ from repro.extract.records import (
     ExtractionRecord,
     ParsedTriples,
     RecordTables,
+    _Vocabulary,
     records_to_wire,
 )
 from repro.fusion.provenance import KEY_FIELDS, Granularity
@@ -65,14 +66,14 @@ ProvKey = tuple[str, ...]
 class FusionInput:
     """Extraction records plus their claim columns, cached per granularity.
 
-    The records are folded once, into one :class:`ClaimAccumulator`
-    every granularity's columns are built from — so the second and later
-    ``claims(g)`` of a granularity sweep cost array operations only.  A
-    caller that already folded these records into an accumulator (the
-    pipeline's stage body) passes it as ``accumulator``; otherwise the
-    records are folded on the first ``claims()`` / ``unique_triples()`` /
-    ``arrival_rows()`` call — a :class:`~repro.extract.records.RecordTables`
-    table by table, without decoding a record.
+    ``records`` are :class:`~repro.extract.records.RecordTables`; a
+    record list is encoded once, on construction.  They are folded once,
+    into one :class:`ClaimAccumulator` every granularity's columns are
+    built from — so the second and later ``claims(g)`` of a granularity
+    sweep cost array operations only.  A caller that already folded these
+    records into an accumulator (the pipeline's stage body) passes it as
+    ``accumulator``; otherwise the tables are folded on the first
+    ``claims()`` / ``unique_triples()`` / ``arrival_rows()`` call.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -83,6 +84,10 @@ class FusionInput:
     records: RecordTables | list[ExtractionRecord] | None
     accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
     _cache: dict[Granularity, "ColumnarClaims"] = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.records is not None:
+            self.records = RecordTables.of(self.records)
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
@@ -103,10 +108,9 @@ class FusionInput:
 
     def _accumulated(self) -> "ClaimAccumulator":
         if self.accumulator is None:
-            records = RecordTables.of(self.records)
             # The granularity is build()'s default only; claims() names its own.
-            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, records.triples)
-            for table in records.tables:
+            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, self.records.triples)
+            for table in self.records.tables:
                 self.accumulator.add_table(table)
         return self.accumulator
 
@@ -371,16 +375,6 @@ class ColumnarClaims:
         """``self``: the pre-fold ``claims(g).columnar()`` spelling, kept
         for ``benchmarks/kfbench`` only."""
         return self
-
-
-class _Vocabulary(dict):
-    """Key -> dense int code in first-arrival order (a miss assigns the next)."""
-
-    __slots__ = ()
-
-    def __missing__(self, key) -> int:
-        code = self[key] = len(self)
-        return code
 
 
 @dataclass(eq=False)

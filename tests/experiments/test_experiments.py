@@ -1,10 +1,17 @@
 """Every experiment runs on the tiny scenario and reports sane data."""
 
+import dataclasses
+
 import pytest
 
+from repro.cli import main
 from repro.datasets.profiles import EXTRACTOR_PROFILES
 from repro.errors import ExperimentError
 from repro.experiments import ExperimentResult, experiment_ids, run_experiment
+from repro.extract import records as records_module
+from repro.extract import synthesis
+from repro.extract.records import ExtractionRecord, RecordTables
+from repro.fusion.observations import FusionInput
 
 ALL_IDS = (
     "table1", "table2", "table3",
@@ -144,7 +151,7 @@ class TestSpecificOutputs:
 
     def test_fig19_pair_count(self, tiny_scenario):
         data = run_experiment("fig19", tiny_scenario).data
-        n_extractors = len({r.extractor for r in tiny_scenario.records})
+        n_extractors = len(set(tiny_scenario.records.columns.codes[:, 1].tolist()))
         assert len(data["pairs"]) == n_extractors * (n_extractors - 1) // 2
 
     def test_fig20_distribution_sums_to_one(self, tiny_scenario):
@@ -155,3 +162,34 @@ class TestSpecificOutputs:
         points = run_experiment("fig22", tiny_scenario).data["points"]
         coverages = [c for _t, c in points]
         assert coverages == sorted(coverages, reverse=True)
+
+
+class TestRecordsAreInputOnly:
+    """Every experiment and ``repro-kf extract`` read the record tables'
+    columns: none decodes a record table or builds a record object."""
+
+    def test_no_reader_decodes_a_record(self, tiny_scenario, monkeypatch):
+        # Fresh tables and fusion input: no decode or merge from another test.
+        records = RecordTables(tiny_scenario.records.tables, tiny_scenario.records.triples)
+        scenario = dataclasses.replace(
+            tiny_scenario, records=records, _fusion_input=FusionInput(records)
+        )
+        decoded = []
+        decode = records_module.records_from_wire
+
+        def spy_decode(*args, **kwargs):
+            decoded.append("records_from_wire")
+            return decode(*args, **kwargs)
+
+        def spy_init(self, *args, _init=ExtractionRecord.__init__, **kwargs):
+            decoded.append("ExtractionRecord")
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(records_module, "records_from_wire", spy_decode)
+        monkeypatch.setattr(synthesis, "records_from_wire", spy_decode)
+        monkeypatch.setattr(ExtractionRecord, "__init__", spy_init)
+        for experiment_id in ALL_IDS:
+            run_experiment(experiment_id, scenario)
+            assert decoded == [], experiment_id
+        assert main(["extract", "--scale", "tiny", "--seed", "7"]) == 0
+        assert decoded == []

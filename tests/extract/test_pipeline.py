@@ -15,7 +15,6 @@ from repro.extract.kernels import classify_batch
 from repro.endtoend import run_end_to_end
 from repro.extract import pipeline as extract_pipeline
 from repro.extract import records as records_module
-from repro.extract.pipeline import EXTRACTION_BACKENDS
 from repro.extract.records import (
     ErrorKind,
     ExtractionDebug,
@@ -27,6 +26,7 @@ from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, StringValue
 from repro.mapreduce import executors
 from repro.mapreduce.codec import scan_payload_types
+from repro.mapreduce.executors import PIPELINE_MODES
 from repro.mapreduce.executors import ParallelExecutor, SerialExecutor
 from repro.world.facts import SourceAssertion
 from repro.world.webgen import WebPage, generate_corpus
@@ -227,7 +227,7 @@ class TestFrozenRecordStream:
         corpus = generate_corpus(world, config.web, config.seed)
         pipeline = build_extraction_pipeline(config, world)
         expected = RECORD_FINGERPRINTS[preset, seed]
-        for backend in EXTRACTION_BACKENDS:
+        for backend in PIPELINE_MODES:
             records = pipeline.run(corpus, backend=backend, n_workers=2)
             assert records_fingerprint(records) == expected, backend
 

@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.fusion import (
-    BACKENDS,
     FusionConfig,
     accu,
     popaccu,
@@ -25,6 +24,7 @@ from repro.fusion import (
 )
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
+from repro.mapreduce.executors import FUSION_MODES
 
 
 def assert_close(result_a, result_b, tol=1e-9):
@@ -189,7 +189,7 @@ def run_popaccu_tracked(backend, fusion_input):
 
 class TestConfigSurface:
     def test_backend_constants(self):
-        assert BACKENDS == ("serial", "vectorized", "hybrid")
+        assert FUSION_MODES == ("serial", "vectorized", "hybrid")
         assert FusionConfig().backend == "serial"
 
     def test_invalid_backend_rejected(self):
@@ -200,7 +200,7 @@ class TestConfigSurface:
         with pytest.raises(ConfigError):
             FusionConfig(n_workers=0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", FUSION_MODES)
     def test_presets_thread_backend(self, backend):
         for preset in (vote, accu, popaccu, popaccu_plus_unsup):
             assert preset(backend=backend).config.backend == backend

@@ -7,7 +7,6 @@ from repro.errors import ConfigError
 from dataclasses import fields
 
 from repro.fusion.base import (
-    BACKENDS,
     DEFAULT_ACCURACY,
     N_FALSE_VALUES,
     FusionConfig,
@@ -16,6 +15,7 @@ from repro.fusion.base import (
 )
 from repro.fusion.observations import ColumnarClaims
 from repro.fusion.provenance import Granularity
+from repro.mapreduce.executors import FUSION_MODES
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
@@ -48,7 +48,7 @@ class TestFusionConfig:
             FusionConfig(**kwargs)
 
     @pytest.mark.parametrize("sample_limit", [0, -3])
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", FUSION_MODES)
     def test_rejects_sample_limit_below_one(self, backend, sample_limit):
         """Used to get past construction on every backend: ``parallel``
         then returned every triple unpredicted for 0 and died inside numpy

@@ -102,12 +102,9 @@ class TestSection44AndFigures:
     def test_extraction_errors_dominate_source_errors(self, tiny_scenario):
         """§3.2.1: 'extractions are responsible for the majority of the
         errors' (the paper's sample: only 4% were genuinely source-provided)."""
-        extraction = sum(
-            1 for r in tiny_scenario.records if r.is_extraction_error
-        )
-        source = sum(
-            1 for r in tiny_scenario.records if r.debug is not None and r.debug.source_error
-        )
+        cols = tiny_scenario.records.columns
+        extraction = (cols.has_debug & (cols.error_kind >= 0)).sum()
+        source = (cols.has_debug & cols.flags[:, 0]).sum()
         assert extraction > source
 
     def test_fp_mix_contains_cwa_artifacts(self, tiny_scenario):

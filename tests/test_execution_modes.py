@@ -1,8 +1,9 @@
 """The one execution-mode table, checked against every stage that reads it.
 
 ``EXECUTION_MODES`` maps each public backend spelling to an
-``ExecutionPlan(pooled, batched)``; the four public backend tuples are
-views of it and every reported contract is derived from the two fields.
+``ExecutionPlan(pooled, batched)``; ``FUSION_MODES`` and
+``PIPELINE_MODES`` are views of it, with no stage-local alias, and every
+reported contract is derived from the two fields.
 The expectations below are spelled out by hand on purpose — they are the
 public surface, so deriving them from the table would test nothing.
 """
@@ -10,13 +11,16 @@ public surface, so deriving them from the table would test nothing.
 import pytest
 
 from repro import endtoend
+from repro.extract import pipeline as extract_pipeline
+from repro.fusion import base as fusion_base
 from repro.datasets import tiny_config
-from repro.endtoend import PIPELINE_BACKENDS, PIPELINE_METHODS, run_end_to_end
+from repro.endtoend import PIPELINE_METHODS, run_end_to_end
 from repro.errors import ConfigError
-from repro.extract import EXTRACTION_BACKENDS
-from repro.fusion import BACKENDS, FusionConfig, parity_of
+from repro.fusion import FusionConfig, parity_of
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
+    FUSION_MODES,
+    PIPELINE_MODES,
     ExecutionPlan,
     ParallelExecutor,
     SerialExecutor,
@@ -68,10 +72,16 @@ class TestTable:
         } == {name: fields for name, (fields, _) in MODES.items()}
 
     def test_public_tuples_keep_contents_and_order(self):
-        assert BACKENDS == ("serial", "vectorized", "hybrid")
-        assert EXTRACTION_BACKENDS == ("serial", "batched", "hybrid")
-        assert PIPELINE_BACKENDS == ("serial", "batched", "hybrid")
-        assert not hasattr(endtoend, "STREAMING_PIPELINE_BACKENDS")  # one pipeline
+        assert FUSION_MODES == ("serial", "vectorized", "hybrid")
+        assert PIPELINE_MODES == ("serial", "batched", "hybrid")
+        # One name per vocabulary: the stage-local aliases are gone.
+        for module, alias in (
+            (endtoend, "PIPELINE_BACKENDS"),
+            (endtoend, "STREAMING_PIPELINE_BACKENDS"),
+            (extract_pipeline, "EXTRACTION_BACKENDS"),
+            (fusion_base, "BACKENDS"),
+        ):
+            assert not hasattr(module, alias), alias
         assert PIPELINE_METHODS == ("vote", "accu", "popaccu", "popaccu+unsup", "popaccu+")
 
     @pytest.mark.parametrize("name", [*MODES, "parallel", "gpu"])

@@ -154,6 +154,28 @@ class TestCLI:
         assert main([*argv, "--workers", workers]) == 2
         assert "n_workers must be >= 1" in capsys.readouterr().err
 
+    def test_extract_top_extractors_tie_in_first_arrival_order(self, capsys, monkeypatch):
+        """``Counter.most_common``'s order: most records first, ties in the
+        order the extractors first appear.  ``C`` is interned as a URL
+        before ``A`` extracts anything, so string-code order would differ."""
+        from repro.extract.pipeline import ExtractionPipeline
+        from repro.extract.records import ExtractionRecord, RecordTables
+        from repro.kb.triples import Triple
+        from repro.kb.values import StringValue
+
+        rows = [("B", "C"), ("A", "u"), ("A", "u"), ("C", "u"), ("C", "u"), ("B", "u"), ("D", "u")]
+        records = RecordTables.of(
+            [
+                ExtractionRecord(Triple("/m/1", "p/t/a", StringValue("x")), name, url, "s", "TXT")
+                for name, url in rows
+            ]
+        )
+        monkeypatch.setattr(ExtractionPipeline, "run", lambda *args, **kwargs: records)
+        assert main(["extract", "--scale", "tiny", "--seed", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "records:       7 (top extractors: B:2, A:2, C:2, D:1)" in out
+        assert "error records: 0 (0.0%)" in out
+
     def test_extract_backends_report_identical_record_counts(self, capsys):
         main(["extract", "--scale", "tiny", "--seed", "7"])
         serial_out = capsys.readouterr().out

@@ -503,28 +503,27 @@ def run_entry_points(scratch: Path) -> None:
     """The fixed list the census traces; every file written lands in ``scratch``."""
     from repro.cli import main as repro_kf
     from repro.datasets import tiny_config
-    from repro.endtoend import PIPELINE_BACKENDS, PIPELINE_METHODS, run_end_to_end
-    from repro.extract.pipeline import EXTRACTION_BACKENDS
-    from repro.fusion.base import BACKENDS
+    from repro.endtoend import PIPELINE_METHODS, run_end_to_end
+    from repro.mapreduce.executors import FUSION_MODES, PIPELINE_MODES
 
     tiny = ("--scale", "tiny", "--workers", "2")
     cache = str(scratch / "cli-cache")
     repro_kf(["list"])
     repro_kf(["lint"])
     for method in PIPELINE_METHODS:
-        for backend in BACKENDS:
+        for backend in FUSION_MODES:
             repro_kf(["fuse", method, "--backend", backend, *tiny])
-        for backend in PIPELINE_BACKENDS:
+        for backend in PIPELINE_MODES:
             repro_kf(["pipeline", method, "--backend", backend, *tiny])
     repro_kf(["pipeline", "--scale", "tiny", "--seed", "1"])
-    for backend in EXTRACTION_BACKENDS:
+    for backend in PIPELINE_MODES:
         repro_kf(["extract", "--backend", backend, *tiny])
     for _miss_then_hit in range(2):
         repro_kf(["pipeline", "--backend", "hybrid", *tiny, "--cache-dir", cache])
     repro_kf(["cache", "prune", "--cache-dir", cache])
     repro_kf(["cache", "prune", "--cache-dir", cache, "--apply"])
 
-    for backend in PIPELINE_BACKENDS:
+    for backend in PIPELINE_MODES:
         for columns in (None, scratch / f"columns-{backend}"):
             run_end_to_end(
                 tiny_config(seed=0),
