@@ -38,7 +38,6 @@ from repro.kb import (
     Entity,
     EntityRef,
     KnowledgeBase,
-    Label,
     LCWALabeler,
     NumberValue,
     Predicate,
@@ -56,7 +55,6 @@ __all__ = [
     "Entity",
     "EntityRef",
     "KnowledgeBase",
-    "Label",
     "LCWALabeler",
     "NumberValue",
     "Predicate",

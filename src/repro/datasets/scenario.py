@@ -25,7 +25,7 @@ from repro.extract.records import ExtractionRecord, RecordTables
 from repro.fusion.observations import FusionInput
 from repro.kb.lcwa import LCWALabeler
 from repro.kb.store import KnowledgeBase
-from repro.kb.triples import Triple
+from repro.kb.triples import Triple, item_text
 from repro.world.config import WebConfig, WorldConfig
 from repro.world.facts import World
 from repro.world.labels import build_templates
@@ -37,6 +37,7 @@ __all__ = [
     "build_scenario",
     "build_extraction_pipeline",
     "label_gold",
+    "label_gold_texts",
     "label_gold_triples",
 ]
 
@@ -60,7 +61,9 @@ class ScenarioConfig:
 @dataclass
 class Scenario:
     """A fully generated experimental environment; ``records`` are the
-    record tables, which every reader reads as columns, never decoded."""
+    record tables, which every reader reads as columns, never decoded.
+    ``gold`` maps a triple's canonical text to its LCWA label, in sorted
+    text order."""
 
     config: ScenarioConfig
     world: World
@@ -68,7 +71,7 @@ class Scenario:
     corpus: WebCorpus
     pipeline: ExtractionPipeline
     records: RecordTables
-    gold: dict[Triple, bool]
+    gold: dict[str, bool]
 
     _fusion_input: FusionInput = field(repr=False)
 
@@ -83,13 +86,13 @@ class Scenario:
     # Headline statistics (Table 1 shape)
     # ------------------------------------------------------------------
     def extraction_stats(self) -> dict[str, float]:
-        unique = self.unique_triples()
+        unique = self.fusion_input().unique_texts()
         labelled = [t for t in unique if t in self.gold]
         true_count = sum(1 for t in labelled if self.gold[t])
         return {
             "extracted_records": len(self.records),
             "unique_triples": len(unique),
-            "data_items": len({t.data_item for t in unique}),
+            "data_items": len(set(map(item_text, unique))),
             "gold_coverage": len(labelled) / len(unique) if unique else 0.0,
             "gold_accuracy": true_count / len(labelled) if labelled else 0.0,
         }
@@ -122,30 +125,32 @@ def build_extraction_pipeline(config: ScenarioConfig, world: World) -> Extractio
 
 def label_gold(
     freebase: KnowledgeBase, records: RecordTables | list[ExtractionRecord]
-) -> dict[Triple, bool]:
+) -> dict[str, bool]:
     """The LCWA gold standard over the unique extracted triples of
     record tables (a list is encoded first, :meth:`RecordTables.of`;
     no record is decoded): the dedup/sort pass over their triple texts,
-    then :func:`label_gold_triples` — the one labeling definition, which
-    the pipeline calls directly because its records are already folded
-    into an accumulator."""
+    then :func:`label_gold_texts`."""
     records = RecordTables.of(records)
     texts = {text for table in records.tables for text in table[1]}
-    unique = list(map(records.triples.__getitem__, sorted(texts)))
-    return label_gold_triples(freebase, unique)
+    return label_gold_texts(freebase, sorted(texts))
 
 
-def label_gold_triples(
-    freebase: KnowledgeBase, unique: list[Triple]
-) -> dict[Triple, bool]:
-    """LCWA labels for an already-deduplicated sorted triple list.
+def label_gold_texts(freebase: KnowledgeBase, unique: list[str]) -> dict[str, bool]:
+    """LCWA labels for already-deduplicated sorted canonical triple texts:
+    the one labeling definition, ``{text: is_true}`` in ``unique``'s order.
 
     The pipeline folds its record tables into a claim accumulator as they
     arrive (and, streamed, never holds them) — this is :func:`label_gold`
     with the dedup/sort step supplied by the accumulator (its rows are
     exactly the unique triples, so the two definitions coincide).
     """
-    return LCWALabeler(freebase).label_many(unique)
+    return LCWALabeler(freebase).label_texts(unique)
+
+
+def label_gold_triples(freebase: KnowledgeBase, unique: list[Triple]) -> dict[str, bool]:
+    """:func:`label_gold_texts` over ``Triple`` objects' canonical texts
+    (for ``benchmarks/kfbench``)."""
+    return label_gold_texts(freebase, [triple.canonical() for triple in unique])
 
 
 def build_scenario(

@@ -46,17 +46,16 @@ from repro.datasets.scenario import (
     ScenarioConfig,
     build_extraction_pipeline,
     # kfbench's planted-slowdown self-test wraps this name; see run_streaming_pipeline.
-    label_gold_triples as label_gold,
+    label_gold_texts as label_gold,
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
-from repro.extract.records import ParsedTriples, RecordTables
+from repro.extract.records import RecordTables
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
 from repro.fusion.provenance import Granularity
-from repro.kb.triples import Triple
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
     PIPELINE_MODES,
@@ -116,7 +115,7 @@ def _preset(method: str):
 def make_fuser(
     method: str,
     config: FusionConfig,
-    gold_labels: dict[Triple, bool] | None = None,
+    gold_labels: dict[str, bool] | None = None,
 ) -> Fuser:
     """Resolve a method name from :data:`PIPELINE_METHODS` to a fuser."""
     preset = _preset(method)
@@ -160,7 +159,7 @@ class EndToEndResult:
 
 
 def headline_metrics(
-    result: FusionResult, gold: dict[Triple, bool]
+    result: FusionResult, gold: dict[str, bool]
 ) -> dict[str, float]:
     """The frozen-by-the-golden-test summary of one fusion run.
 
@@ -304,7 +303,7 @@ def _extract_and_label(
     cache_dir: str | Path | None = None,
     chunk_pages: int | None = None,
     copy_window: int | None = None,
-) -> tuple[Scenario | None, ClaimAccumulator, dict[Triple, bool], list[int], dict]:
+) -> tuple[Scenario | None, ClaimAccumulator, dict[str, bool], list[int], dict]:
     """Setup → extraction → gold labeling, each stage clocked into
     ``timings``: the body :func:`run_end_to_end` (both cases) and
     :func:`repro.datasets.scenario.build_scenario` share.
@@ -332,10 +331,8 @@ def _extract_and_label(
         pipeline = build_extraction_pipeline(config, world)
 
     with timed_stage(timings, "extraction"):
-        # The granularity is build()'s default only; every caller names its
-        # own.  A scenario's records share the accumulator's triples.
-        triples = None if streamed else ParsedTriples()
-        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, triples)
+        # The granularity is build()'s default only; every caller names its own.
+        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
 
         def counted(pages):
             chunk_sizes.append(len(pages))
@@ -348,16 +345,16 @@ def _extract_and_label(
                 accumulator.add_table(table)
             if not streamed:
                 tables += chunk.tables
-        # The row layout (every triple parsed, every sort) is the fold's
-        # last step, so ``labeling`` clocks LCWA only.
-        unique_triples = accumulator.unique_triples()
+        # The row layout (every sort) is the fold's last step, so
+        # ``labeling`` clocks LCWA only.
+        unique_texts = accumulator.unique_texts()
 
     with timed_stage(timings, "labeling"):
-        gold = label_gold(freebase, unique_triples)
+        gold = label_gold(freebase, unique_texts)
 
     scenario = None
     if not streamed:
-        records = RecordTables(tables, triples)
+        records = RecordTables(tables)
         scenario = Scenario(
             config=config,
             world=world,

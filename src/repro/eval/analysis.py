@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from repro.datasets.scenario import Scenario
 from repro.errors import EvaluationError
 from repro.extract.records import ErrorKind
-from repro.kb.triples import Triple
+from repro.kb.triples import Triple, item_text
 from repro.kb.values import EntityRef
 
 __all__ = ["ErrorBreakdown", "analyze_errors"]
@@ -109,9 +109,11 @@ def _categorize_fp(
     return "source_error", None
 
 
-def _categorize_fn(scenario: Scenario, triple: Triple, gold_true_siblings) -> str:
+def _categorize_fn(scenario: Scenario, triple: Triple, gold_true_texts: list[str]) -> str:
+    """``gold_true_texts``: the gold-true triples of ``triple``'s data item."""
     world = scenario.world
-    siblings = [t for t in gold_true_siblings if t != triple]
+    text = triple.canonical()
+    siblings = [Triple.from_canonical(t) for t in gold_true_texts if t != text]
     if isinstance(triple.obj, EntityRef):
         for sibling in siblings:
             if isinstance(sibling.obj, EntityRef) and world.hierarchy.related(
@@ -145,14 +147,13 @@ def analyze_errors(
     # Each triple's records' extraction-error kinds, in record order.
     cols = scenario.records.columns
     rows = cols.has_debug & (cols.error_kind >= 0)
-    triples = scenario.records.triple_objects()
-    kinds_by_triple = defaultdict(list)
+    kinds_by_text = defaultdict(list)
     for code, kind in zip(cols.codes[rows, 0].tolist(), cols.error_kind[rows].tolist()):
-        kinds_by_triple[triples[code]].append(kind)
-    gold_true_by_item: dict = defaultdict(list)
-    for triple, label in gold.items():
+        kinds_by_text[cols.triples[code]].append(kind)
+    gold_true_by_item: dict[str, list[str]] = defaultdict(list)
+    for text, label in gold.items():
         if label:
-            gold_true_by_item[triple.data_item].append(triple)
+            gold_true_by_item[item_text(text)].append(text)
 
     breakdown = ErrorBreakdown(
         fp_threshold=fp_threshold,
@@ -161,21 +162,20 @@ def analyze_errors(
         n_false_negatives=0,
     )
     for triple, probability in probabilities.items():
-        label = gold.get(triple)
+        text = triple.canonical()
+        label = gold.get(text)
         if label is None:
             continue
         if probability >= fp_threshold and not label:
             breakdown.n_false_positives += 1
-            category, kind = _categorize_fp(scenario, triple, kinds_by_triple[triple])
+            category, kind = _categorize_fp(scenario, triple, kinds_by_text[text])
             breakdown.fp_categories[category] += 1
             if kind is not None:
                 breakdown.fp_extraction_kinds[kind.value] += 1
             breakdown.fp_examples.setdefault(category, triple)
         elif probability <= fn_threshold and label:
             breakdown.n_false_negatives += 1
-            category = _categorize_fn(
-                scenario, triple, gold_true_by_item[triple.data_item]
-            )
+            category = _categorize_fn(scenario, triple, gold_true_by_item[item_text(text)])
             breakdown.fn_categories[category] += 1
             breakdown.fn_examples.setdefault(category, triple)
     return breakdown

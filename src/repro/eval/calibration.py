@@ -15,9 +15,10 @@ the metric, exactly as in the paper's gold-standard protocol.
 
 The metrics are computed over arrays: :func:`labelled_arrays` turns a
 fusion result (its posterior column and the claim columns' gold row
-column) or a ``{triple: probability}`` dict (one gold probe per triple)
-into ``(p, y)``, and the ``*_from_arrays`` functions here and in
-:mod:`repro.eval.pr` read only those.  The curve entry points are adapters.
+column) or a ``{triple: probability}`` dict (one gold probe per triple,
+by its canonical text) into ``(p, y)``, and the ``*_from_arrays``
+functions here and in :mod:`repro.eval.pr` read only those.  The curve
+entry points are adapters.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class CalibrationCurve:
 
 
 def labelled_arrays(
-    probabilities: Predictions, gold: dict[Triple, bool]
+    probabilities: Predictions, gold: dict[str, bool]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(p, y)`` over the gold-labelled keys of ``probabilities``, in its
     iteration order: float64 probabilities and bool labels — the input of
@@ -87,13 +88,14 @@ def labelled_arrays(
 
     A :class:`~repro.fusion.base.FusionResult` reads its own columns
     (:meth:`~repro.fusion.base.FusionResult.labelled_arrays`).  A dict
-    costs one gold probe per key, and a labelled probability outside
-    [0, 1] raises, naming the first such triple.
+    costs one gold probe per key (by its canonical text), and a labelled
+    probability outside [0, 1] raises, naming the first such triple.
     """
     if not isinstance(probabilities, dict):
         return probabilities.labelled_arrays(gold)
     n = len(probabilities)
-    label = np.fromiter(map(gold.get, probabilities, repeat(-1)), np.int8, n)
+    texts = map(Triple.canonical, probabilities)
+    label = np.fromiter(map(gold.get, texts, repeat(-1)), np.int8, n)
     p = np.fromiter(probabilities.values(), np.float64, n)
     labelled = label >= 0
     bad = np.flatnonzero(labelled & ~((p >= 0.0) & (p <= 1.0)))
@@ -107,7 +109,7 @@ def labelled_arrays(
 
 def calibration_curve(
     probabilities: Predictions,
-    gold: dict[Triple, bool],
+    gold: dict[str, bool],
     n_buckets: int = DEFAULT_BUCKETS,
 ) -> CalibrationCurve:
     """Bucket ``probabilities`` against ``gold`` labels."""

@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.errors import EvaluationError
 from repro.eval.calibration import Predictions, labelled_arrays
-from repro.kb.triples import Triple
 
 __all__ = ["PRCurve", "pr_curve", "pr_from_arrays", "auc_pr"]
 
@@ -33,7 +32,7 @@ class PRCurve:
         return list(zip(self.recalls, self.precisions))
 
 
-def pr_curve(probabilities: Predictions, gold: dict[Triple, bool]) -> PRCurve:
+def pr_curve(probabilities: Predictions, gold: dict[str, bool]) -> PRCurve:
     """PR curve of ``probabilities`` against ``gold``."""
     return pr_from_arrays(*labelled_arrays(probabilities, gold))
 

@@ -2,9 +2,10 @@
 
 Generic building blocks (skew summaries, accuracy-by-integer-count,
 histograms) plus the specific slices used by Figures 4-7, 16, 18, 20-22.
-All functions take plain data (triples, gold labels, extraction records
-as record tables or a list) so they are reusable outside the packaged
-experiments; the record slices read the tables' columns.
+All functions take plain data (triples, gold labels keyed by canonical
+triple text, extraction records as record tables or a list) so they are
+reusable outside the packaged experiments; the record slices read the
+tables' columns, where a triple code names its text.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "coverage_by_confidence_threshold",
     "triple_labels",
     "triple_sets",
-    "triple_support",
 ]
 
 #: Figure 20 shows truth counts 0-5 exactly and folds the rest into ">5".
@@ -139,11 +139,11 @@ def truth_count_distribution(truth_counts: Iterable[int]) -> list[tuple[str, flo
     return [(key, counter.get(key, 0) / total) for key in order]
 
 
-def triple_labels(records: RecordTables, gold: dict[Triple, bool]) -> np.ndarray:
+def triple_labels(records: RecordTables, gold: dict[str, bool]) -> np.ndarray:
     """Each triple code's gold label in ``records.columns`` as int8:
     1 true, 0 false, -1 unlabelled."""
-    triples = records.triple_objects()
-    return np.fromiter(map(gold.get, triples, repeat(-1)), np.int8, len(triples))
+    texts = records.columns.triples
+    return np.fromiter(map(gold.get, texts, repeat(-1)), np.int8, len(texts))
 
 
 def triple_sets(records: RecordTables, field: int) -> dict[str, set[int]]:
@@ -167,7 +167,7 @@ def _scored(records: Records, extractor: str | None) -> tuple[RecordTables, np.n
 
 
 def confidence_accuracy_curve(
-    records: Records, gold: dict[Triple, bool], extractor: str | None = None
+    records: Records, gold: dict[str, bool], extractor: str | None = None
 ) -> list[AccuracyPoint]:
     """Accuracy by extraction-confidence decile (Figure 21, right panel),
     over ``extractor``'s records when one is named.
@@ -214,25 +214,3 @@ def coverage_by_confidence_threshold(
     best = np.full(total, -np.inf)
     np.maximum.at(best, cols.codes[:, 0], np.where(cols.has_confidence, cols.confidence, np.inf))
     return [(t, int(np.count_nonzero(best >= t)) / total) for t in thresholds]
-
-
-def triple_support(records: Records) -> dict[Triple, dict[str, int]]:
-    """Per-triple support counts: #extractors, #urls, #(extractor, url).
-
-    The covariates of Figures 6, 7 and 18.
-    """
-    records = RecordTables.of(records)
-    triple, extractor, url = records.columns.codes[:, :3].T
-    n_triples = len(records.columns.triples)
-    pair = np.unique(extractor.astype(np.int64) << 32 | url, return_inverse=True)[1]
-
-    def distinct(key: np.ndarray) -> list[int]:
-        """Per triple code, its number of distinct ``key`` values."""
-        keys = np.unique(triple.astype(np.int64) << 32 | key)
-        return np.bincount(keys >> 32, minlength=n_triples).tolist()
-
-    counts = zip(distinct(extractor), distinct(url), distinct(pair))
-    return {
-        triple: {"extractors": e, "urls": u, "provenances": p}
-        for triple, (e, u, p) in zip(records.triple_objects(), counts)
-    }

@@ -73,7 +73,7 @@ class Metrics:
 
 def metrics_for(
     result: FusionResult | dict[Triple, float],
-    gold: dict[Triple, bool],
+    gold: dict[str, bool],
     coverage: float = 1.0,
 ) -> Metrics:
     """All measures from one ``(p, y)`` pass over a fusion result (its
@@ -93,10 +93,10 @@ def metrics_for(
 
 
 def unique_triple_accuracy(
-    triples, gold: dict[Triple, bool]
+    texts, gold: dict[str, bool]
 ) -> tuple[int, float | None]:
-    """(#labelled, accuracy) over a set of unique triples."""
-    labelled = [gold[t] for t in triples if t in gold]
+    """(#labelled, accuracy) over unique triples, given by canonical text."""
+    labelled = [gold[t] for t in texts if t in gold]
     if not labelled:
         return 0, None
     return len(labelled), sum(labelled) / len(labelled)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.datasets.scenario import Scenario
-from repro.eval.stats import triple_support
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
 
@@ -32,7 +31,7 @@ def _bucket(value: int) -> int:
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    support = triple_support(scenario.records)
+    support = scenario.records.triple_support
     strata = {
         "any #extractors": lambda n: True,
         "1 extractor": lambda n: n == 1,
@@ -41,11 +40,11 @@ def run(scenario: Scenario) -> ExperimentResult:
     groups: dict[str, dict[int, list[bool]]] = {
         name: defaultdict(list) for name in strata
     }
-    for triple, label in scenario.gold.items():
-        if triple not in support:
+    for text, label in scenario.gold.items():
+        if text not in support:
             continue
-        n_prov = support[triple]["provenances"]
-        n_ext = support[triple]["extractors"]
+        n_prov = support[text]["provenances"]
+        n_ext = support[text]["extractors"]
         for name, predicate in strata.items():
             if predicate(n_ext):
                 groups[name][_bucket(n_prov)].append(label)

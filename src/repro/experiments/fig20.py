@@ -13,6 +13,7 @@ from collections import Counter
 from repro.datasets.scenario import Scenario
 from repro.eval.stats import truth_count_distribution
 from repro.experiments.registry import ExperimentResult
+from repro.kb.triples import item_text
 from repro.report import format_series
 
 EXPERIMENT_ID = "fig20"
@@ -22,10 +23,11 @@ TITLE = "Figure 20: #truths per data item in the gold standard"
 def run(scenario: Scenario) -> ExperimentResult:
     true_counts: Counter = Counter()
     labelled_items = set()
-    for triple, label in scenario.gold.items():
-        labelled_items.add(triple.data_item)
+    for text, label in scenario.gold.items():
+        item = item_text(text)
+        labelled_items.add(item)
         if label:
-            true_counts[triple.data_item] += 1
+            true_counts[item] += 1
     counts = [true_counts.get(item, 0) for item in labelled_items]
     distribution = truth_count_distribution(counts)
     text = format_series(TITLE, distribution, "#truths", "share of data items")

@@ -23,7 +23,7 @@ MIN_LABELLED = 5
 def run(scenario: Scenario) -> ExperimentResult:
     by_predicate: dict[str, set] = defaultdict(set)
     for triple in scenario.unique_triples():
-        by_predicate[triple.predicate].add(triple)
+        by_predicate[triple.predicate].add(triple.canonical())
 
     accuracies: dict[str, float] = {}
     for predicate, triples in by_predicate.items():

@@ -8,7 +8,7 @@ mistake (the paper sees a drop from 8 to 9 extractors).
 from __future__ import annotations
 
 from repro.datasets.scenario import Scenario
-from repro.eval.stats import accuracy_by_int, triple_support
+from repro.eval.stats import accuracy_by_int
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
 
@@ -17,11 +17,11 @@ TITLE = "Figure 6: triple accuracy by #extractors"
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    support = triple_support(scenario.records)
+    support = scenario.records.triple_support
     pairs = [
-        (support[triple]["extractors"], label)
-        for triple, label in scenario.gold.items()
-        if triple in support
+        (support[text]["extractors"], label)
+        for text, label in scenario.gold.items()
+        if text in support
     ]
     points = accuracy_by_int(pairs, max_exact=9)
     rows = [(int(p.x), p.n, p.accuracy) for p in points]

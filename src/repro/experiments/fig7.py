@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.datasets.scenario import Scenario
-from repro.eval.stats import triple_support
 from repro.experiments.registry import ExperimentResult
 from repro.report import format_table
 
@@ -23,12 +22,12 @@ BUCKETS = (1, 2, 3, 4, 5, 8, 12, 20, 40, 80)
 
 
 def run(scenario: Scenario) -> ExperimentResult:
-    support = triple_support(scenario.records)
+    support = scenario.records.triple_support
     groups: dict[int, list[bool]] = defaultdict(list)
-    for triple, label in scenario.gold.items():
-        if triple not in support:
+    for text, label in scenario.gold.items():
+        if text not in support:
             continue
-        urls = support[triple]["urls"]
+        urls = support[text]["urls"]
         bucket = BUCKETS[0]
         for edge in BUCKETS:
             if urls >= edge:

@@ -26,12 +26,12 @@ CONFIDENCE_THRESHOLD = 0.7
 def run(scenario: Scenario) -> ExperimentResult:
     cols = scenario.records.columns
     triple, extractor, url = cols.codes[:, :3].T
-    triples = scenario.records.triple_objects()
+    texts = cols.triples
     confident = cols.has_confidence & (cols.confidence >= CONFIDENCE_THRESHOLD)
     code_of = {name: code for code, name in enumerate(cols.strings)}
 
     def accuracy_of(rows) -> float | None:
-        unique = map(triples.__getitem__, np.unique(triple[rows]).tolist())
+        unique = map(texts.__getitem__, np.unique(triple[rows]).tolist())
         return unique_triple_accuracy(unique, scenario.gold)[1]
 
     rows = []

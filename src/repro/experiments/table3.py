@@ -11,6 +11,7 @@ from __future__ import annotations
 from repro.datasets.scenario import Scenario
 from repro.experiments.common import unique_triple_accuracy
 from repro.experiments.registry import ExperimentResult
+from repro.kb.triples import Triple
 from repro.report import format_table
 
 EXPERIMENT_ID = "table3"
@@ -29,7 +30,7 @@ def run(scenario: Scenario) -> ExperimentResult:
         }
         triples = [t for t in unique if t.predicate in pids]
         items = {t.data_item for t in triples}
-        _n, accuracy = unique_triple_accuracy(triples, scenario.gold)
+        _n, accuracy = unique_triple_accuracy(map(Triple.canonical, triples), scenario.gold)
         return {
             "predicates": len(pids),
             "data_items": len(items),

@@ -34,7 +34,6 @@ __all__ = [
     "ErrorKind",
     "ExtractionDebug",
     "ExtractionRecord",
-    "ParsedTriples",
     "RecordColumns",
     "RecordTables",
     "TableBuilder",
@@ -270,40 +269,21 @@ class _Vocabulary(dict):
         return code
 
 
-class ParsedTriples(dict):
-    """Canonical triple text -> its :class:`Triple`, parsed on first lookup.
-
-    One per set of record tables, shared by their readers (the decode,
-    the claim accumulator, the gold labels), so each reader holds the
-    same objects and lookups between them stop at the identity check.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, text: str) -> Triple:
-        triple = self[text] = Triple.from_canonical(text)
-        return triple
-
-
-def records_from_wire(
-    wire: tuple, triples: ParsedTriples | None = None
-) -> list[ExtractionRecord]:
+def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
     """Inverse of :func:`records_to_wire`.
 
-    Each distinct triple is parsed once (through ``triples`` when given),
-    and the records share one object per distinct string and triple.  The
-    GC is paused while they are built (see :func:`_gc_paused`).
+    Each distinct triple of the table is parsed once, and the records
+    share one object per distinct string and triple.  The GC is paused
+    while they are built (see :func:`_gc_paused`).
     """
     (
         strings, triple_texts, codes, confidence, has_confidence, has_debug,
         asserted, has_asserted, error_kind, flags,
     ) = wire
-    if triples is None:
-        triples = ParsedTriples()
     with _gc_paused():
         table = [*strings, None]  # pattern code -1 indexes the trailing None
         lookup = table.__getitem__
-        parsed = list(map(triples.__getitem__, triple_texts))
+        parsed = list(map(Triple.from_canonical, triple_texts))
         triple_col, extractor, url, site, content_type, pattern = codes.T.tolist()
         debug = map(
             ExtractionDebug,
@@ -329,15 +309,13 @@ def records_from_wire(
 class RecordTables:
     """Extraction records as :func:`records_to_wire` tables in record
     order, one per page window.  The claim accumulator and the gold labels
-    fold ``tables``; every other reader reads :attr:`columns` and finds a
-    triple code's :class:`Triple` through ``triples``, which the
-    accumulator and the gold dict share.  Iterating decodes the records
-    afresh, for ``benchmarks/kfbench`` only.
+    fold ``tables``; every other reader reads :attr:`columns`, where a
+    triple code names its triple's canonical text.  Iterating decodes the
+    records afresh, for ``benchmarks/kfbench`` only.
     """
 
-    def __init__(self, tables: list[tuple], triples: ParsedTriples | None = None) -> None:
+    def __init__(self, tables: list[tuple]) -> None:
         self.tables = tables
-        self.triples = ParsedTriples() if triples is None else triples
 
     @classmethod
     def of(cls, records: RecordTables | list[ExtractionRecord]) -> RecordTables:
@@ -349,7 +327,7 @@ class RecordTables:
 
     def __iter__(self):
         for table in self.tables:
-            yield from records_from_wire(table, self.triples)
+            yield from records_from_wire(table)
 
     @cached_property
     def columns(self) -> RecordColumns:
@@ -370,9 +348,25 @@ class RecordTables:
             list(strings), list(triples), np.concatenate(codes), *map(np.concatenate, rest)
         )
 
-    def triple_objects(self) -> list[Triple]:
-        """Each triple code's :class:`Triple` (of :attr:`columns`)."""
-        return list(map(self.triples.__getitem__, self.columns.triples))
+    @cached_property
+    def triple_support(self) -> dict[str, dict[str, int]]:
+        """Per triple text (in :attr:`columns` order), its support counts:
+        #extractors, #urls, #(extractor, url) — the covariates of Figures
+        6, 7 and 18, built on first read and kept."""
+        cols = self.columns
+        triple, extractor, url = cols.codes[:, :3].T
+        pair = np.unique(extractor.astype(np.int64) << 32 | url, return_inverse=True)[1]
+
+        def distinct(key: np.ndarray) -> list[int]:
+            """Per triple code, its number of distinct ``key`` values."""
+            keys = np.unique(triple.astype(np.int64) << 32 | key)
+            return np.bincount(keys >> 32, minlength=len(cols.triples)).tolist()
+
+        counts = zip(distinct(extractor), distinct(url), distinct(pair))
+        return {
+            text: {"extractors": e, "urls": u, "provenances": p}
+            for text, (e, u, p) in zip(cols.triples, counts)
+        }
 
 
 #: The record codec: one string table, one triple table, int32 code columns.

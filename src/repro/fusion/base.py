@@ -184,14 +184,13 @@ class ResultColumns:
     accuracies: np.ndarray | None = None
 
 
-def check_unit_interval(triples: list[Triple], rows: np.ndarray, values: np.ndarray) -> None:
+def check_unit_interval(texts: list[str], rows: np.ndarray, values: np.ndarray) -> None:
     """Raise naming the first triple whose probability is outside [0, 1]
-    (``values[k]`` belongs to ``triples[rows[k]]``)."""
+    (``values[k]`` belongs to the triple of text ``texts[rows[k]]``)."""
     bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
     if bad.size:
         raise ConfigError(
-            f"probability out of range for "
-            f"{triples[rows[bad[0]]].canonical()}: {float(values[bad[0]])}"
+            f"probability out of range for {texts[rows[bad[0]]]}: {float(values[bad[0]])}"
         )
 
 
@@ -220,7 +219,7 @@ class FusionResult:
         converged: bool = False,
         diagnostics: dict | None = None,
     ) -> None:
-        check_unit_interval(columns.cols.triples, columns.rows, columns.posteriors)
+        check_unit_interval(columns.cols.texts, columns.rows, columns.posteriors)
         self.method = method
         self.columns = columns
         self.rounds = rounds
@@ -252,7 +251,7 @@ class FusionResult:
         columns = self.columns
         return len(columns.rows), int(np.count_nonzero(columns.unpredicted))
 
-    def labelled_arrays(self, gold: dict[Triple, bool]) -> tuple[np.ndarray, np.ndarray]:
+    def labelled_arrays(self, gold: dict[str, bool]) -> tuple[np.ndarray, np.ndarray]:
         """``(p, y)`` over the gold-labelled predictions, in emission order
         (:func:`repro.eval.calibration.labelled_arrays` of
         ``probabilities``), read from the posterior column and the claim
@@ -272,12 +271,13 @@ class FusionResult:
 
 
 class Fuser(abc.ABC):
-    """A fusion method: FusionInput -> FusionResult."""
+    """A fusion method: FusionInput -> FusionResult.  ``gold_labels``
+    (POPACCU+'s initialisation) are keyed by canonical triple text."""
 
     def __init__(
         self,
         config: FusionConfig | None = None,
-        gold_labels: dict[Triple, bool] | None = None,
+        gold_labels: dict[str, bool] | None = None,
     ) -> None:
         self.config = config if config is not None else FusionConfig()
         self.gold_labels = gold_labels

@@ -86,12 +86,14 @@ class MappedColumnarClaims(ColumnarClaims):
     def adopt_objects(
         self,
         items: Sequence[DataItem],
-        triples: list[Triple],
+        texts: list[str],
+        triples: Sequence[Triple],
         provenances: Sequence[ProvKey],
     ) -> None:
         """Seed the object columns from lists the caller already holds
         (:func:`persist_columns` hands over the ones it published beside)."""
         self.items = items
+        self.texts = texts
         self.triples = triples
         self.provenances = provenances
 
@@ -130,5 +132,5 @@ def persist_columns(
     arrays[RANK_COLUMN] = np.ascontiguousarray(cols.canonical_rank())
     handle = save_column_store(cache_dir, cols.granularity.value, arrays)
     mapped = MappedColumnarClaims(handle)
-    mapped.adopt_objects(cols.items, cols.triples, cols.provenances)
+    mapped.adopt_objects(cols.items, cols.texts, cols.triples, cols.provenances)
     return mapped

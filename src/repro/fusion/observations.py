@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.extract.records import (
     ExtractionRecord,
-    ParsedTriples,
     RecordTables,
     _Vocabulary,
     records_to_wire,
@@ -73,7 +72,7 @@ class FusionInput:
     sweep cost array operations only.  A caller that already folded these
     records into an accumulator (the pipeline's stage body) passes it as
     ``accumulator``; otherwise the tables are folded on the first
-    ``claims()`` / ``unique_triples()`` / ``arrival_rows()`` call.
+    ``claims()`` / ``unique_texts()`` / ``arrival_rows()`` call.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -109,7 +108,7 @@ class FusionInput:
     def _accumulated(self) -> "ClaimAccumulator":
         if self.accumulator is None:
             # The granularity is build()'s default only; claims() names its own.
-            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, self.records.triples)
+            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
             for table in self.records.tables:
                 self.accumulator.add_table(table)
         return self.accumulator
@@ -122,12 +121,17 @@ class FusionInput:
             return None
         return self._accumulated().arrival_rows()
 
-    def unique_triples(self) -> list[Triple]:
-        """All distinct extracted triples (the paper's 1.6B 'unique')."""
+    def unique_texts(self) -> list[str]:
+        """The canonical texts of all distinct extracted triples (the
+        paper's 1.6B 'unique'), sorted."""
         if self.records is None:
             (cols,) = self._cache.values()
-            return [cols.triples[r] for r in np.argsort(cols.canonical_rank()).tolist()]
-        return self._accumulated().unique_triples()
+            return [cols.texts[r] for r in np.argsort(cols.canonical_rank()).tolist()]
+        return self._accumulated().unique_texts()
+
+    def unique_triples(self) -> list[Triple]:
+        """:meth:`unique_texts`, decoded."""
+        return list(map(Triple.from_canonical, self.unique_texts()))
 
 
 class LazyNames(Sequence):
@@ -262,9 +266,9 @@ class ColumnarClaims:
     Index spaces (all contiguous, all sorted so the layout is canonical):
 
     - **item** ``j``: ``items[j]`` (sorted :class:`DataItem`);
-    - **row** ``r``: one unique triple, ``triples[r]``; rows are grouped by
-      item — item ``j`` owns rows ``item_ptr[j]:item_ptr[j+1]`` — and
-      sorted canonically within the item;
+    - **row** ``r``: one unique triple, canonical text ``texts[r]``; rows
+      are grouped by item — item ``j`` owns rows ``item_ptr[j]:item_ptr[j+1]``
+      — and sorted canonically within the item;
     - **provenance** ``p``: ``provenances[p]`` (sorted tuples);
     - **claim** ``c``: one ``(row, provenance)`` support edge; claims are
       grouped by row — row ``r`` owns claims ``row_ptr[r]:row_ptr[r+1]``
@@ -274,13 +278,17 @@ class ColumnarClaims:
     supports rows ``prov_rows[prov_ptr[p]:prov_ptr[p+1]]`` (the unique
     triples of each provenance, feeding Stage II).
 
-    ``items`` and ``provenances`` are sequences: an accumulator's columns
-    hand out :class:`LazyNames`, decoded only when something reads a name.
+    A row's identity is its text: the gold column and the canonical rank
+    read ``texts``.  ``items``, ``triples`` (``texts`` parsed) and
+    ``provenances`` are sequences: an accumulator's columns hand out
+    :class:`LazyNames`, decoded only when something reads a name — the
+    result views, the §5 extensions, printed rows.
     """
 
     granularity: Granularity
     items: Sequence[DataItem]
-    triples: list[Triple]
+    texts: list[str]
+    triples: Sequence[Triple]
     provenances: Sequence[ProvKey]
     row_item: np.ndarray  # row -> item index
     item_ptr: np.ndarray  # item j rows: [item_ptr[j], item_ptr[j+1])
@@ -299,7 +307,7 @@ class ColumnarClaims:
 
     @property
     def n_rows(self) -> int:
-        return len(self.triples)
+        return len(self.texts)
 
     @property
     def n_claims(self) -> int:
@@ -328,7 +336,7 @@ class ColumnarClaims:
         (:meth:`canonical_prov_order`), built once and cached.
         """
         if self._canonical_rank is None:
-            _, canonical = _sorted_table([triple.canonical() for triple in self.triples])
+            _, canonical = _sorted_table(self.texts)
             self._canonical_rank = _inverse(np.argsort(canonical, kind="stable"))
         return self._canonical_rank
 
@@ -350,10 +358,10 @@ class ColumnarClaims:
             )
         return self._canonical_prov_order
 
-    def gold_rows(self, gold: dict[Triple, bool]) -> np.ndarray:
+    def gold_rows(self, gold: dict[str, bool]) -> np.ndarray:
         """Each row's gold label as int8: 1 true, 0 false, -1 unlabelled.
 
-        One dict probe per row, kept for the last ``gold`` dict seen (an
+        One dict probe per row text, kept for the last ``gold`` dict seen (an
         identity memo, shared by every granularity one accumulator
         builds), so the ladder's five metric passes and POPACCU+'s
         initialisation probe the gold standard once.  A gold dict must not
@@ -361,9 +369,7 @@ class ColumnarClaims:
         """
         memo = self._gold_memo
         if memo[0] is not gold or memo[1] != len(gold):
-            memo[2] = np.fromiter(
-                map(gold.get, self.triples, repeat(-1)), np.int8, len(self.triples)
-            )
+            memo[2] = np.fromiter(map(gold.get, self.texts, repeat(-1)), np.int8, self.n_rows)
             memo[0], memo[1] = gold, len(gold)
         return memo[2]
 
@@ -387,7 +393,9 @@ class _Layout:
     """
 
     items: LazyNames
-    triples: list[Triple]
+    texts: list[str]  # canonical row -> its triple's text
+    triples: LazyNames  # ``texts`` parsed
+    sorted_texts: list[str]  # the texts in canonical-string order
     row_item: np.ndarray
     item_ptr: np.ndarray
     canonical_rank: np.ndarray
@@ -413,23 +421,19 @@ class ClaimAccumulator:
     accumulator's own vocabularies, remapped with numpy.  ``build`` is
     numpy from there, at any granularity: the row layout (canonical
     item-major order, the arrival permutation, the canonical rank) is
-    computed once per vocabulary, each distinct triple parsed once
-    (through ``triples``, the record tables' :class:`ParsedTriples`, when
-    the tables have other readers);
-    provenance ids are dense string ranks combined one key component at
-    a time; ``ProvKey`` tuples (for the unique keys only) and
-    ``DataItem`` objects are decoded when first read (:class:`LazyNames`).
+    computed once per vocabulary from the triple texts, each row's data
+    item sliced out of its text, never parsed; provenance ids are dense
+    string ranks combined one key component at a time; ``ProvKey``
+    tuples (for the unique keys only), ``DataItem`` and ``Triple``
+    objects are decoded when first read (:class:`LazyNames`).
     The result equals the layout spelled out object by object from the
     same records' dict views (``tests/oracle/columns.py``) field for
     field, under any chunking — the property the accumulator parity
     tests pin.  Peak state is the vocabularies plus 20 bytes per record.
     """
 
-    def __init__(
-        self, granularity: Granularity, triples: ParsedTriples | None = None
-    ) -> None:
+    def __init__(self, granularity: Granularity) -> None:
         self.granularity = granularity
-        self._triples = triples  # shared with the record tables' readers
         self._row_of = _Vocabulary()  # canonical triple text -> arrival row code
         self._string_of = _Vocabulary()  # the tables' strings, "<extractor>:-"
         self._codes: list[np.ndarray] = []  # per chunk: int32[5, n]
@@ -480,25 +484,28 @@ class ClaimAccumulator:
 
     def _lay_out(self) -> _Layout:
         arrival_texts = list(self._row_of)
-        parse = Triple.from_canonical if self._triples is None else self._triples.__getitem__
-        arrival_triples = list(map(parse, arrival_texts))
-        n_rows = len(arrival_triples)
+        n_rows = len(arrival_texts)
         # Dense ids in sorted-string order, for the two things rows sort by:
         # their data item (field-wise: subject rank, then predicate rank,
-        # numbered as one pair code) and their canonical string.
-        subjects, row_subject = _sorted_table([triple.subject for triple in arrival_triples])
+        # numbered as one pair code) and their canonical string.  Subject
+        # and predicate are the text's first two "|"-separated fields,
+        # sliced out: no per-row list, tuple or Triple.
+        first = list(map(str.index, arrival_texts, repeat("|")))
+        subjects, row_subject = _sorted_table(
+            [text[:i] for text, i in zip(arrival_texts, first)]
+        )
         predicates, row_predicate = _sorted_table(
-            [triple.predicate for triple in arrival_triples]
+            [text[i + 1 : text.index("|", i + 1)] for text, i in zip(arrival_texts, first)]
         )
         item_codes, row_item = np.unique(
             row_subject * len(predicates) + row_predicate, return_inverse=True
         )
         item_subject, item_predicate = np.divmod(item_codes, max(len(predicates), 1))
-        _, row_canonical = _sorted_table(arrival_texts)
+        sorted_texts, row_canonical = _sorted_table(arrival_texts)
         # Canonical row order: items sorted, triples sorted within each item.
         order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
         row_of_arrival = _inverse(order)
-        triples = [arrival_triples[a] for a in order.tolist()]
+        texts = [arrival_texts[a] for a in order.tolist()]
         row_item = row_item[order]
         item_ptr = np.zeros(len(item_codes) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row_item, minlength=len(item_codes)), out=item_ptr[1:])
@@ -519,10 +526,13 @@ class ClaimAccumulator:
                     for s, p in zip(item_subject.tolist(), item_predicate.tolist())
                 ],
             ),
-            triples=triples,
+            texts=texts,
+            triples=LazyNames(n_rows, lambda: list(map(Triple.from_canonical, texts))),
+            sorted_texts=sorted_texts,
             row_item=row_item,
             item_ptr=item_ptr,
-            canonical_rank=_inverse(np.argsort(row_canonical[order], kind="stable")),
+            # The texts are distinct, so their sorted-table index is the rank.
+            canonical_rank=row_canonical[order],
             arrival_rows=arrival_rows,
             row_of_arrival=row_of_arrival,
             predicates=predicates,
@@ -531,10 +541,13 @@ class ClaimAccumulator:
             string_rank=string_rank,
         )
 
+    def unique_texts(self) -> list[str]:
+        """The distinct triples' canonical texts, sorted."""
+        return self._laid_out().sorted_texts
+
     def unique_triples(self) -> list[Triple]:
-        """The distinct triples in sorted (canonical-string) order."""
-        layout = self._laid_out()
-        return [layout.triples[r] for r in np.argsort(layout.canonical_rank).tolist()]
+        """:meth:`unique_texts`, decoded (for ``benchmarks/kfbench``)."""
+        return list(map(Triple.from_canonical, self.unique_texts()))
 
     def _record_provenances(
         self, granularity: Granularity
@@ -594,7 +607,7 @@ class ClaimAccumulator:
         if granularity is None:
             granularity = self.granularity
         layout = self._laid_out()
-        n_rows = len(layout.triples)
+        n_rows = len(layout.texts)
         record_row, record_prov, provenances = self._record_provenances(granularity)
         n_provs = len(provenances)
 
@@ -613,6 +626,7 @@ class ClaimAccumulator:
         return ColumnarClaims(
             granularity=granularity,
             items=layout.items,
+            texts=layout.texts,
             triples=layout.triples,
             provenances=provenances,
             row_item=layout.row_item,

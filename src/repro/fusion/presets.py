@@ -9,9 +9,8 @@
 - :func:`popaccu_plus` — the semi-supervised flagship: all of the above
   plus gold-standard accuracy initialisation.
 
-Every preset accepts ``backend=``
-(``serial``/``vectorized``/``hybrid``) as a convenience
-override of ``FusionConfig.backend``.
+Every preset takes a :class:`FusionConfig`; its ``backend`` picks the
+execution mode (``serial``/``vectorized``/``hybrid``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.fusion.base import FusionConfig
 from repro.fusion.popaccu import PopAccu
 from repro.fusion.provenance import Granularity
 from repro.fusion.vote import Vote
-from repro.kb.triples import Triple
 
 __all__ = ["vote", "accu", "popaccu", "popaccu_plus_unsup", "popaccu_plus", "PLUS_THETA"]
 
@@ -34,27 +32,19 @@ __all__ = ["vote", "accu", "popaccu", "popaccu_plus_unsup", "popaccu_plus", "PLU
 PLUS_THETA = 0.5
 
 
-def _with_backend(config: FusionConfig, backend: str | None) -> FusionConfig:
-    if backend is None:
-        return config
-    return replace(config, backend=backend)
-
-
-def vote(config: FusionConfig | None = None, backend: str | None = None) -> Vote:
+def vote(config: FusionConfig | None = None) -> Vote:
     """The VOTE baseline."""
-    return Vote(_with_backend(config or FusionConfig(), backend))
+    return Vote(config or FusionConfig())
 
 
-def accu(config: FusionConfig | None = None, backend: str | None = None) -> Accu:
+def accu(config: FusionConfig | None = None) -> Accu:
     """Basic ACCU with paper defaults."""
-    return Accu(_with_backend(config or FusionConfig(), backend))
+    return Accu(config or FusionConfig())
 
 
-def popaccu(
-    config: FusionConfig | None = None, backend: str | None = None
-) -> PopAccu:
+def popaccu(config: FusionConfig | None = None) -> PopAccu:
     """Basic POPACCU with paper defaults."""
-    return PopAccu(_with_backend(config or FusionConfig(), backend))
+    return PopAccu(config or FusionConfig())
 
 
 def _plus_config(base: FusionConfig | None) -> FusionConfig:
@@ -83,26 +73,22 @@ class PopAccuPlus(PopAccu):
         return "POPACCU+"
 
 
-def popaccu_plus_unsup(
-    config: FusionConfig | None = None, backend: str | None = None
-) -> PopAccu:
+def popaccu_plus_unsup(config: FusionConfig | None = None) -> PopAccu:
     """POPACCU+ without the gold standard (changes I-III of §4.3.4)."""
-    return PopAccuPlusUnsup(_with_backend(_plus_config(config), backend))
+    return PopAccuPlusUnsup(_plus_config(config))
 
 
 def popaccu_plus(
-    gold_labels: dict[Triple, bool] | None = None,
+    gold_labels: dict[str, bool] | None = None,
     config: FusionConfig | None = None,
-    backend: str | None = None,
 ) -> PopAccu:
     """POPACCU+ (changes I-IV of §4.3.4).
 
-    ``gold_labels`` are LCWA labels used for accuracy initialisation; when
-    omitted the preset degrades to the unsupervised variant but keeps the
-    POPACCU+ name, which is almost never what you want — pass the labels.
+    ``gold_labels`` are LCWA labels keyed by canonical triple text, used
+    for accuracy initialisation; when omitted the preset degrades to the
+    unsupervised variant but keeps the POPACCU+ name, which is almost
+    never what you want — pass the labels.
     """
     if gold_labels is not None and not isinstance(gold_labels, dict):
-        raise ConfigError("gold_labels must be a dict[Triple, bool]")
-    return PopAccuPlus(
-        _with_backend(_plus_config(config), backend), gold_labels=gold_labels
-    )
+        raise ConfigError("gold_labels must be a dict[str, bool]")
+    return PopAccuPlus(_plus_config(config), gold_labels=gold_labels)

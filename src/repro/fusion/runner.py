@@ -133,17 +133,18 @@ __all__ = ["run_bayesian_fusion"]
 
 
 def _gold_subsample(
-    gold_labels: dict[Triple, bool], rate: float, seed: int
-) -> dict[Triple, bool]:
-    """Deterministic per-triple subsample of the gold standard."""
+    gold_labels: dict[str, bool], rate: float, seed: int
+) -> dict[str, bool]:
+    """Deterministic per-triple subsample of the gold standard, drawn
+    from each triple's canonical text."""
     if rate >= 1.0:
         return gold_labels
-    sampled: dict[Triple, bool] = {}
     threshold = int(rate * 1_000_000)
-    for triple, label in gold_labels.items():
-        if split_seed(seed, "goldsample", triple.canonical()) % 1_000_000 < threshold:
-            sampled[triple] = label
-    return sampled
+    return {
+        text: label
+        for text, label in gold_labels.items()
+        if split_seed(seed, "goldsample", text) % 1_000_000 < threshold
+    }
 
 
 #: Half-width of the θ-boundary rescue band used by the tolerance-parity
@@ -202,7 +203,7 @@ def run_bayesian_fusion(
     config: FusionConfig,
     item_posterior_fn,
     method_name: str,
-    gold_labels: dict[Triple, bool] | None = None,
+    gold_labels: dict[str, bool] | None = None,
     track_rounds: bool = False,
     executor: Executor | None = None,
 ) -> FusionResult:
@@ -346,7 +347,7 @@ def _snapshot(
     emission order; a posterior outside [0, 1] raises, naming its triple."""
     rows = _emitted_rows(round_result, order)
     values = round_result.posteriors[rows]
-    check_unit_interval(cols.triples, rows, values)
+    check_unit_interval(cols.texts, rows, values)
     return dict(zip(map(cols.triples.__getitem__, rows.tolist()), values.tolist()))
 
 
@@ -355,7 +356,7 @@ def _run_columnar(
     config: FusionConfig,
     kernel,
     method_name: str,
-    gold_labels: dict[Triple, bool] | None,
+    gold_labels: dict[str, bool] | None,
     track_rounds: bool,
     plan: ExecutionPlan,
     executor: Executor | None,
@@ -389,7 +390,7 @@ def _run_columnar(
             row_label = cols.gold_rows(gold_labels)
         else:
             row_label = np.fromiter(
-                map(sampled.get, cols.triples, repeat(-1)), np.int8, cols.n_rows
+                map(sampled.get, cols.texts, repeat(-1)), np.int8, cols.n_rows
             )
         claim_label = row_label[cols.prov_rows]
         claim_prov = np.repeat(np.arange(n_provs), np.diff(cols.prov_ptr))

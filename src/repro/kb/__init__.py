@@ -22,7 +22,7 @@ from repro.kb.schema import Predicate, EntityType, Schema, ValueKind
 from repro.kb.entities import Entity, EntityRegistry
 from repro.kb.store import KnowledgeBase
 from repro.kb.hierarchy import ValueHierarchy
-from repro.kb.lcwa import LCWALabeler, Label
+from repro.kb.lcwa import LCWALabeler
 
 __all__ = [
     "Value",
@@ -41,5 +41,4 @@ __all__ = [
     "KnowledgeBase",
     "ValueHierarchy",
     "LCWALabeler",
-    "Label",
 ]

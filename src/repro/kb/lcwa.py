@@ -11,25 +11,22 @@ failure modes (extra true values for non-functional predicates and
 more-specific/more-general values are labelled false) — those failure modes
 are themselves measured by the paper's error analysis (Figure 17) and
 reproduced in :mod:`repro.eval.analysis`.
+
+A triple is labelled by its canonical text, the identity it has from the
+extractor to the fusion output: both membership tests are set probes on
+the snapshot's triple texts and data-item texts.  Two texts are equal
+exactly when their triples are (``tests/kb/test_text_identity.py``).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.kb.store import KnowledgeBase
-from repro.kb.triples import Triple
+from repro.kb.triples import item_text
 
-__all__ = ["Label", "LCWALabeler"]
-
-
-class Label(enum.Enum):
-    """Outcome of LCWA labelling for one triple."""
-
-    TRUE = "true"
-    FALSE = "false"
-    UNKNOWN = "unknown"
+__all__ = ["LCWALabeler"]
 
 
 @dataclass(frozen=True)
@@ -38,24 +35,18 @@ class LCWALabeler:
 
     reference: KnowledgeBase
 
-    def label(self, triple: Triple) -> Label:
-        if triple in self.reference:
-            return Label.TRUE
-        if self.reference.has_item(triple.data_item):
-            return Label.FALSE
-        return Label.UNKNOWN
+    def label_texts(self, texts: Iterable[str]) -> dict[str, bool]:
+        """Labels for every non-abstained canonical triple text, in the
+        order given: ``{text: is_true}``.
 
-    def label_many(self, triples) -> dict[Triple, bool]:
-        """Labels for every non-abstained triple: ``{triple: is_true}``.
-
-        Abstained (UNKNOWN) triples are simply absent from the result,
+        Abstained (unknown) triples are simply absent from the result,
         mirroring the paper's "exclude it from the gold standard".
         """
-        labels: dict[Triple, bool] = {}
-        for triple in triples:
-            label = self.label(triple)
-            if label is Label.TRUE:
-                labels[triple] = True
-            elif label is Label.FALSE:
-                labels[triple] = False
+        known, items = self.reference.canonical_texts()
+        labels: dict[str, bool] = {}
+        for text in texts:
+            if text in known:
+                labels[text] = True
+            elif item_text(text) in items:
+                labels[text] = False
         return labels

@@ -48,6 +48,14 @@ class KnowledgeBase:
         """
         return item in self._by_item
 
+    def canonical_texts(self) -> tuple[set[str], set[str]]:
+        """The canonical texts of the stored triples and of their data
+        items: the two sets LCWA labels a triple's text against."""
+        return (
+            {triple.canonical() for triple in self._triples},
+            {item.canonical() for item in self._by_item},
+        )
+
     def values_for(self, item: DataItem) -> list[Value]:
         """The object values the KB stores for ``item`` (possibly many)."""
         return [t.obj for t in self._by_item.get(item, [])]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.kb.values import DateValue, Value, parse_value  # DateValue used in doctests
 
-__all__ = ["DataItem", "Triple"]
+__all__ = ["DataItem", "Triple", "item_text"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -97,3 +97,14 @@ class Triple:
         # parses to a value whose text differs: key the canonical text.
         triple._keyed(text if value.canonical() == value_text else triple.canonical())
         return triple
+
+
+def item_text(text: str) -> str:
+    """The data item of a canonical triple text, as
+    :meth:`DataItem.canonical` spells it: the text before its second ``|``
+    (subjects and predicates hold none; an object may).
+
+    >>> item_text("/m/1|p/t/name|string:a|b")
+    '/m/1|p/t/name'
+    """
+    return text[: text.index("|", text.index("|") + 1)]

@@ -73,7 +73,7 @@ class TestScenario:
         assert list(a.records) == list(b.records)
 
     def test_gold_labels_subset_of_unique_triples(self, tiny_scenario):
-        unique = set(tiny_scenario.unique_triples())
+        unique = {triple.canonical() for triple in tiny_scenario.unique_triples()}
         assert set(tiny_scenario.gold) <= unique
 
     def test_gold_coverage_in_paper_ballpark(self, tiny_scenario):

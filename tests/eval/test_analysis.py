@@ -84,4 +84,4 @@ class TestGroundTruthConsistency:
         if example is None:
             pytest.skip("no CWA false positives in this run")
         assert tiny_scenario.world.is_true(example)
-        assert tiny_scenario.gold[example] is False
+        assert tiny_scenario.gold[example.canonical()] is False

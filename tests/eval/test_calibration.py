@@ -23,24 +23,29 @@ def t(name):
     return Triple("/m/1", "t/t/p", StringValue(name))
 
 
+def k(name):
+    """The gold key of ``t(name)``: its canonical text."""
+    return t(name).canonical()
+
+
 class TestBucketing:
     def test_probability_one_gets_own_bucket(self):
-        curve = calibration_curve({t("a"): 1.0}, {t("a"): True})
+        curve = calibration_curve({t("a"): 1.0}, {k("a"): True})
         assert curve.buckets[-1].count == 1
         assert curve.buckets[-1].low == 1.0
 
     def test_probability_below_one_in_regular_bucket(self):
-        curve = calibration_curve({t("a"): 0.97}, {t("a"): True})
+        curve = calibration_curve({t("a"): 0.97}, {k("a"): True})
         assert curve.buckets[19].count == 1
         assert curve.buckets[20].count == 0
 
     def test_unlabelled_triples_ignored(self):
-        curve = calibration_curve({t("a"): 0.5, t("b"): 0.5}, {t("a"): True})
+        curve = calibration_curve({t("a"): 0.5, t("b"): 0.5}, {k("a"): True})
         assert curve.n_labelled == 1
 
     def test_real_probability_is_true_fraction(self):
         probabilities = {t("a"): 0.42, t("b"): 0.44, t("c"): 0.41, t("d"): 0.43}
-        gold = {t("a"): True, t("b"): True, t("c"): False, t("d"): False}
+        gold = {k("a"): True, k("b"): True, k("c"): False, k("d"): False}
         curve = calibration_curve(probabilities, gold)
         bucket = curve.buckets[8]  # [0.40, 0.45)
         assert bucket.count == 4
@@ -48,20 +53,20 @@ class TestBucketing:
 
     def test_predicted_is_mean_probability(self):
         probabilities = {t("a"): 0.42, t("b"): 0.44}
-        gold = {t("a"): True, t("b"): False}
+        gold = {k("a"): True, k("b"): False}
         curve = calibration_curve(probabilities, gold)
         assert curve.buckets[8].predicted == pytest.approx(0.43)
 
     def test_out_of_range_probability_rejected(self):
         with pytest.raises(EvaluationError):
-            calibration_curve({t("a"): 1.5}, {t("a"): True})
+            calibration_curve({t("a"): 1.5}, {k("a"): True})
 
     def test_bad_bucket_count_rejected(self):
         with pytest.raises(EvaluationError):
-            calibration_curve({t("a"): 0.5}, {t("a"): True}, n_buckets=0)
+            calibration_curve({t("a"): 0.5}, {k("a"): True}, n_buckets=0)
 
     def test_points_skip_empty_buckets(self):
-        curve = calibration_curve({t("a"): 0.5}, {t("a"): True})
+        curve = calibration_curve({t("a"): 0.5}, {k("a"): True})
         assert len(curve.points()) == 1
 
 
@@ -73,14 +78,14 @@ class TestDeviation:
         for i in range(100):
             triple = t(f"x{i}")
             probabilities[triple] = 0.5
-            gold[triple] = i % 2 == 0
+            gold[triple.canonical()] = i % 2 == 0
         curve = calibration_curve(probabilities, gold)
         assert deviation(curve) == pytest.approx(0.0)
         assert weighted_deviation(curve) == pytest.approx(0.0)
 
     def test_total_miscalibration(self):
         probabilities = {t("a"): 1.0}
-        gold = {t("a"): False}
+        gold = {k("a"): False}
         curve = calibration_curve(probabilities, gold)
         assert deviation(curve) == pytest.approx(1.0)
         assert weighted_deviation(curve) == pytest.approx(1.0)
@@ -94,9 +99,9 @@ class TestDeviation:
         for i in range(98):
             triple = t(f"good{i}")
             probabilities[triple] = 0.5
-            gold[triple] = i % 2 == 0
+            gold[triple.canonical()] = i % 2 == 0
         probabilities[t("bad")] = 0.99
-        gold[t("bad")] = False
+        gold[k("bad")] = False
         curve = calibration_curve(probabilities, gold)
         assert weighted_deviation(curve) < deviation(curve)
 
@@ -111,19 +116,19 @@ class TestDeviation:
 class TestLabelledArrays:
     def test_keeps_iteration_order_and_drops_unlabelled(self):
         probabilities = {t("c"): 0.3, t("a"): 0.9, t("z"): 0.5, t("b"): 0.1}
-        gold = {t("a"): True, t("b"): False, t("c"): True}
+        gold = {k("a"): True, k("b"): False, k("c"): True}
         p, y = labelled_arrays(probabilities, gold)
         assert p.tolist() == [0.3, 0.9, 0.1]
         assert y.tolist() == [True, True, False]
         assert p.dtype == np.float64 and y.dtype == bool
 
     def test_unlabelled_out_of_range_is_ignored(self):
-        p, y = labelled_arrays({t("a"): 0.5, t("b"): 7.0}, {t("a"): True})
+        p, y = labelled_arrays({t("a"): 0.5, t("b"): 7.0}, {k("a"): True})
         assert p.tolist() == [0.5]
 
     def test_error_names_the_first_bad_triple(self):
         probabilities = {t("ok"): 0.5, t("low"): -0.25, t("high"): 1.5}
-        gold = dict.fromkeys(probabilities, True)
+        gold = dict.fromkeys(map(Triple.canonical, probabilities), True)
         with pytest.raises(EvaluationError, match="low"):
             labelled_arrays(probabilities, gold)
 
@@ -133,7 +138,7 @@ class TestFromArrays:
         rng = np.random.default_rng(3)
         probabilities = {t(f"x{i}"): float(rng.random()) for i in range(200)}
         probabilities[t("one")] = 1.0
-        gold = {triple: bool(rng.random() < 0.6) for triple in probabilities}
+        gold = {triple.canonical(): bool(rng.random() < 0.6) for triple in probabilities}
         curve = calibration_curve(probabilities, gold, n_buckets=10)
         assert curve == calibration_from_arrays(
             *labelled_arrays(probabilities, gold), n_buckets=10

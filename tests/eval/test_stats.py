@@ -12,16 +12,20 @@ from repro.eval.stats import (
     coverage_by_confidence_threshold,
     probability_histogram,
     skew_summary,
-    triple_support,
     truth_count_distribution,
 )
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, RecordTables
 from repro.kb.triples import Triple
 from repro.kb.values import StringValue
 
 
 def t(name):
     return Triple("/m/1", "t/t/p", StringValue(name))
+
+
+def k(name):
+    """The gold key of ``t(name)``: its canonical text."""
+    return t(name).canonical()
 
 
 def rec(obj, extractor, url, confidence=None):
@@ -107,7 +111,7 @@ class TestTripleSupport:
             rec("a", "E1", "http://s.org/q"),
             rec("a", "E2", "http://s.org/p"),
         ]
-        support = triple_support(records)[t("a")]
+        support = RecordTables.of(records).triple_support[k("a")]
         assert support == {"extractors": 2, "urls": 2, "provenances": 3}
 
 
@@ -146,7 +150,7 @@ class TestConfidenceCurves:
             rec("c", "E1", "http://s.org/p", confidence=0.58),
             rec("d", "E1", "http://s.org/p", confidence=1.0),
         ]
-        gold = {t("a"): False, t("b"): True, t("c"): False, t("d"): True}
+        gold = {k("a"): False, k("b"): True, k("c"): False, k("d"): True}
         points = confidence_accuracy_curve(records, gold)
         assert [(p.x, p.n, p.accuracy) for p in points] == [
             (0.0, 1, 0.0),
@@ -160,7 +164,7 @@ class TestConfidenceCurves:
             rec("b", "E1", "http://s.org/p", confidence=0.7),
             rec("c", "E1", "http://s.org/p", confidence=0.7),
         ]
-        gold = {t("a"): True, t("b"): True}
+        gold = {k("a"): True, k("b"): True}
         points = confidence_accuracy_curve(records, gold)
         assert points == [AccuracyPoint(x=0.7, n=1, accuracy=1.0)]
 

@@ -170,7 +170,7 @@ class TestRecordsAreInputOnly:
 
     def test_no_reader_decodes_a_record(self, tiny_scenario, monkeypatch):
         # Fresh tables and fusion input: no decode or merge from another test.
-        records = RecordTables(tiny_scenario.records.tables, tiny_scenario.records.triples)
+        records = RecordTables(tiny_scenario.records.tables)
         scenario = dataclasses.replace(
             tiny_scenario, records=records, _fusion_input=FusionInput(records)
         )

@@ -248,9 +248,9 @@ class TestRecordTables:
         decoded = []
         records_from_wire = records_module.records_from_wire
 
-        def spy(table, triples=None):
+        def spy(table):
             decoded.append(len(table[2]))
-            return records_from_wire(table, triples)
+            return records_from_wire(table)
 
         monkeypatch.setattr(records_module, "records_from_wire", spy)
         gc.collect()

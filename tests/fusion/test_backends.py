@@ -11,6 +11,8 @@ The contract, tested on real seeded scenarios:
   start-method matrix is tests/fusion/test_columnar_shuffle.py.)
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -47,17 +49,17 @@ class TestVectorizedParity:
     )
     def test_matches_serial(self, micro_scenario, preset):
         fusion_input = micro_scenario.fusion_input()
-        serial = preset(backend="serial").fuse(fusion_input)
-        vectorized = preset(backend="vectorized").fuse(fusion_input)
+        serial = preset(FusionConfig(backend="serial")).fuse(fusion_input)
+        vectorized = preset(FusionConfig(backend="vectorized")).fuse(fusion_input)
         assert vectorized.diagnostics["backend_used"] == "vectorized"
         assert_close(serial, vectorized)
 
     def test_popaccu_plus_with_gold_matches_serial(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu_plus(micro_scenario.gold, backend="serial").fuse(
+        serial = popaccu_plus(micro_scenario.gold, FusionConfig(backend="serial")).fuse(
             fusion_input
         )
-        vectorized = popaccu_plus(micro_scenario.gold, backend="vectorized").fuse(
+        vectorized = popaccu_plus(micro_scenario.gold, FusionConfig(backend="vectorized")).fuse(
             fusion_input
         )
         assert vectorized.diagnostics["gold_initialized"] == serial.diagnostics[
@@ -88,8 +90,8 @@ class TestVectorizedParity:
 
     def test_diagnostics_match_serial(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(backend="serial").fuse(fusion_input)
-        vectorized = popaccu(backend="vectorized").fuse(fusion_input)
+        serial = popaccu(FusionConfig(backend="serial")).fuse(fusion_input)
+        vectorized = popaccu(FusionConfig(backend="vectorized")).fuse(fusion_input)
         for key in ("n_items", "n_provenances", "n_claims", "n_active_final"):
             assert vectorized.diagnostics[key] == serial.diagnostics[key], key
 
@@ -203,11 +205,11 @@ class TestConfigSurface:
     @pytest.mark.parametrize("backend", FUSION_MODES)
     def test_presets_thread_backend(self, backend):
         for preset in (vote, accu, popaccu, popaccu_plus_unsup):
-            assert preset(backend=backend).config.backend == backend
-        assert popaccu_plus(None, backend=backend).config.backend == backend
+            assert preset(FusionConfig(backend=backend)).config.backend == backend
+        assert popaccu_plus(None, FusionConfig(backend=backend)).config.backend == backend
 
     def test_preset_backend_preserves_other_config(self):
         config = FusionConfig(max_rounds=3)
-        fuser = accu(config, backend="vectorized")
+        fuser = accu(replace(config, backend="vectorized"))
         assert fuser.config.max_rounds == 3
         assert fuser.config.backend == "vectorized"

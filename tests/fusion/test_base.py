@@ -70,8 +70,9 @@ def result_over(predicted: dict, unpredicted=()) -> FusionResult:
     then ``unpredicted``'s."""
     triples = [*predicted, *unpredicted]
     empty = np.zeros(0, dtype=np.int64)
+    texts = [triple.canonical() for triple in triples]
     cols = ColumnarClaims(
-        Granularity.EXTRACTOR_URL, [], triples, [], empty, empty, empty, empty, empty, empty
+        Granularity.EXTRACTOR_URL, [], texts, triples, [], empty, empty, empty, empty, empty, empty
     )
     n = len(predicted)
     return FusionResult(

@@ -75,13 +75,13 @@ class TestParity:
     ):
         """The flagship (filters + gold init) across the full matrix."""
         fusion_input = micro_scenario.fusion_input()
-        vectorized = popaccu_plus(micro_scenario.gold, backend="vectorized").fuse(
+        vectorized = popaccu_plus(micro_scenario.gold, FusionConfig(backend="vectorized")).fuse(
             fusion_input
         )
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
-            hybrid = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
+            hybrid = popaccu_plus(micro_scenario.gold, FusionConfig(backend="hybrid")).fuse(
                 fusion_input, executor=executor
             )
         assert hybrid.diagnostics["backend_used"] == "hybrid"
@@ -90,11 +90,11 @@ class TestParity:
     @pytest.mark.parametrize("start_method", START_METHODS)
     def test_vote_bit_identical(self, micro_scenario, start_method):
         fusion_input = micro_scenario.fusion_input()
-        vectorized = vote(backend="vectorized").fuse(fusion_input)
+        vectorized = vote(FusionConfig(backend="vectorized")).fuse(fusion_input)
         with ParallelExecutor(
             max_workers=2, start_method=start_method
         ) as executor:
-            hybrid = vote(backend="hybrid").fuse(fusion_input, executor=executor)
+            hybrid = vote(FusionConfig(backend="hybrid")).fuse(fusion_input, executor=executor)
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert_bit_identical(vectorized, hybrid)
 
@@ -118,8 +118,8 @@ class TestParity:
 
     def test_diagnostics_match_serial(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(backend="serial").fuse(fusion_input)
-        hybrid = popaccu(backend="hybrid").fuse(fusion_input)
+        serial = popaccu(FusionConfig(backend="serial")).fuse(fusion_input)
+        hybrid = popaccu(FusionConfig(backend="hybrid")).fuse(fusion_input)
         for key in ("n_items", "n_provenances", "n_claims", "n_active_final",
                     "gold_initialized"):
             assert hybrid.diagnostics[key] == serial.diagnostics[key], key
@@ -130,10 +130,12 @@ class TestShuffleInvariance:
     def test_record_order_does_not_change_pooled_output(
         self, micro_scenario, seed
     ):
-        vectorized = popaccu(backend="vectorized").fuse(micro_scenario.fusion_input())
+        vectorized = popaccu(FusionConfig(backend="vectorized")).fuse(
+            micro_scenario.fusion_input()
+        )
         shuffled = list(micro_scenario.records)
         random.Random(seed).shuffle(shuffled)
-        hybrid = popaccu(backend="hybrid").fuse(FusionInput(shuffled))
+        hybrid = popaccu(FusionConfig(backend="hybrid")).fuse(FusionInput(shuffled))
         assert_bit_identical(vectorized, hybrid)
 
 
@@ -229,15 +231,14 @@ class TestPayloadPurity:
         channel, never the spec."""
         recorded = self._record_submissions(monkeypatch)
         result = popaccu_plus(
-            micro_scenario.gold, FusionConfig(sample_limit=sample_limit),
-            backend="hybrid",
+            micro_scenario.gold, FusionConfig(sample_limit=sample_limit, backend="hybrid")
         ).fuse(micro_scenario.fusion_input())
         assert result.diagnostics["backend_used"] == "hybrid"
         self._assert_payloads_clean(recorded)
 
     def test_vote_shards_carry_no_claim_objects(self, micro_scenario, monkeypatch):
         recorded = self._record_submissions(monkeypatch)
-        vote(backend="hybrid").fuse(micro_scenario.fusion_input())
+        vote(FusionConfig(backend="hybrid")).fuse(micro_scenario.fusion_input())
         self._assert_payloads_clean(recorded)
 
     def test_extraction_shards_carry_no_extractor_objects(
@@ -454,9 +455,9 @@ class TestItemBlocks:
             return run_map(self, items, job)
 
         monkeypatch.setattr(ParallelExecutor, "run_map", spy)
-        vectorized = popaccu(backend="vectorized").fuse(fusion_input)
+        vectorized = popaccu(FusionConfig(backend="vectorized")).fuse(fusion_input)
         with ParallelExecutor(max_workers=2) as executor:
-            hybrid = popaccu(backend="hybrid").fuse(fusion_input, executor=executor)
+            hybrid = popaccu(FusionConfig(backend="hybrid")).fuse(fusion_input, executor=executor)
         assert hybrid.diagnostics["n_items"] == n_items
         assert submitted and all(
             blocks == [(j, j + 1) for j in range(n_items)] for blocks in submitted

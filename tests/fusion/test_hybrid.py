@@ -55,7 +55,7 @@ def small_scenario():
 
 @pytest.fixture(scope="module")
 def small_serial_reference(small_scenario):
-    return popaccu_plus(small_scenario.gold, backend="serial").fuse(
+    return popaccu_plus(small_scenario.gold, FusionConfig(backend="serial")).fuse(
         small_scenario.fusion_input()
     )
 
@@ -83,7 +83,7 @@ class TestHybridParity:
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
-            hybrid = popaccu_plus(small_scenario.gold, backend="hybrid").fuse(
+            hybrid = popaccu_plus(small_scenario.gold, FusionConfig(backend="hybrid")).fuse(
                 small_scenario.fusion_input(), executor=executor
             )
         assert hybrid.diagnostics["backend_used"] == "hybrid"
@@ -92,8 +92,8 @@ class TestHybridParity:
 
     def test_vote_hybrid(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
-        serial = vote(backend="serial").fuse(fusion_input)
-        hybrid = vote(backend="hybrid").fuse(fusion_input)
+        serial = vote(FusionConfig(backend="serial")).fuse(fusion_input)
+        hybrid = vote(FusionConfig(backend="hybrid")).fuse(fusion_input)
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert hybrid.diagnostics["parity"] == "tolerance"
         assert set(hybrid.probabilities) == set(serial.probabilities)
@@ -104,8 +104,8 @@ class TestHybridParity:
 
     def test_diagnostics_match_serial(self, micro_scenario):
         fusion_input = micro_scenario.fusion_input()
-        serial = popaccu(backend="serial").fuse(fusion_input)
-        hybrid = popaccu(backend="hybrid").fuse(fusion_input)
+        serial = popaccu(FusionConfig(backend="serial")).fuse(fusion_input)
+        hybrid = popaccu(FusionConfig(backend="hybrid")).fuse(fusion_input)
         for key in ("n_items", "n_provenances", "n_claims", "n_active_final",
                     "gold_initialized"):
             assert hybrid.diagnostics[key] == serial.diagnostics[key], key
@@ -143,7 +143,7 @@ class TestThetaBoundaryRescue:
         accuracies exactly at θ = 0.5) and the vectorized backend drifted
         to O(1) probability differences.  With the rescue, every active
         set matches serial and tolerance parity holds at scale."""
-        vectorized = popaccu_plus(small_scenario.gold, backend="vectorized").fuse(
+        vectorized = popaccu_plus(small_scenario.gold, FusionConfig(backend="vectorized")).fuse(
             small_scenario.fusion_input()
         )
         assert vectorized.diagnostics["backend_used"] == "vectorized"
@@ -201,7 +201,7 @@ class TestHybridPayloadPurity:
         self, micro_scenario, monkeypatch
     ):
         recorded = self._record_submissions(monkeypatch)
-        result = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
+        result = popaccu_plus(micro_scenario.gold, FusionConfig(backend="hybrid")).fuse(
             micro_scenario.fusion_input()
         )
         assert result.diagnostics["backend_used"] == "hybrid"
@@ -241,7 +241,7 @@ class TestOnePool:
 
     def test_fuse_ships_no_installed_state(self, micro_scenario, start_method):
         with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
-            result = popaccu_plus(micro_scenario.gold, backend="hybrid").fuse(
+            result = popaccu_plus(micro_scenario.gold, FusionConfig(backend="hybrid")).fuse(
                 micro_scenario.fusion_input(), executor=executor
             )
             assert executor.state_bytes_shipped == 0

@@ -139,15 +139,15 @@ class TestClaimAccumulator:
         assert np.array_equal(from_tables.arrival_rows(), from_list.arrival_rows())
         assert from_tables.unique_triples() == from_list.unique_triples()
 
-    def test_readers_of_the_tables_share_triple_objects(self, tiny_scenario):
-        """Each distinct triple is parsed once per set of record tables: the
-        scenario's gold labels, its decoded records and a fresh fold hold
-        the same objects, so gold lookups stop at the identity check."""
-        parsed = tiny_scenario.records.triples
-        folded = FusionInput(tiny_scenario.records).unique_triples()
-        decoded = [record.triple for record in tiny_scenario.records]
-        for triple in [*tiny_scenario.gold, *folded, *decoded]:
-            assert triple is parsed[triple.canonical()]
+    def test_gold_is_keyed_by_the_folds_texts(self, tiny_scenario):
+        """The gold labels key each triple by its canonical text, in the
+        fold's sorted text order; a fresh fold's texts are the decoded
+        records' triples, and its triples are those texts parsed."""
+        unique = FusionInput(tiny_scenario.records).unique_texts()
+        assert list(tiny_scenario.gold) == [text for text in unique if text in tiny_scenario.gold]
+        decoded = {record.triple for record in tiny_scenario.records}
+        assert unique == sorted(triple.canonical() for triple in decoded)
+        assert FusionInput(tiny_scenario.records).unique_triples() == sorted(decoded)
 
     def test_gold_labels_read_the_record_tables(self, tiny_scenario):
         freebase, records = tiny_scenario.freebase, tiny_scenario.records

@@ -59,7 +59,7 @@ class TestClaimMatrix:
             rec("a", "E1", "http://s.org/q"),
             rec("a", "E2", "http://s.org/p"),
         ]
-        triples = FusionInput(records).claims(Granularity.EXTRACTOR_URL).triples
+        triples = list(FusionInput(records).claims(Granularity.EXTRACTOR_URL).triples)
         assert len(triples) == 2
         assert triples == sorted(triples)
 

@@ -202,13 +202,13 @@ class TestMetricsReadColumns:
         column = fine.gold_rows(gold)
         assert column.dtype == np.int8
         assert coarse.gold_rows(gold) is column  # one memo per accumulator
-        expected = [-1 if t not in gold else int(gold[t]) for t in fine.triples]
+        expected = [-1 if t not in gold else int(gold[t]) for t in fine.texts]
         assert column.tolist() == expected
         other = dict(gold)
         assert fine.gold_rows(other) is not column
         assert fine.gold_rows(other).tolist() == expected
         grown = dict(other)
-        grown[Triple("/m/none", "t/t/p", StringValue("z"))] = True
+        grown[Triple("/m/none", "t/t/p", StringValue("z")).canonical()] = True
         assert fine.gold_rows(grown).tolist() == expected
 
 

@@ -72,7 +72,7 @@ class TestAccuracyFilter:
 class TestGoldInitialization:
     def test_gold_sets_initial_accuracy(self):
         fusion_input = lonely_plus_supported()
-        gold = {t("/m/1", "a"): True, t("/m/2", "x"): False}
+        gold = {t("/m/1", "a").canonical(): True, t("/m/2", "x").canonical(): False}
         config = FusionConfig(max_rounds=1)
         result = PopAccu(config, gold_labels=gold).fuse(fusion_input)
         assert result.diagnostics["gold_initialized"] == 3
@@ -81,18 +81,18 @@ class TestGoldInitialization:
         assert result.probabilities[t("/m/2", "x")] < 0.1
 
     def test_gold_subsample_deterministic(self):
-        gold = {t("/m/1", str(i)): bool(i % 2) for i in range(200)}
+        gold = {t("/m/1", str(i)).canonical(): bool(i % 2) for i in range(200)}
         a = _gold_subsample(gold, 0.5, seed=3)
         b = _gold_subsample(gold, 0.5, seed=3)
         assert a == b
         assert 40 <= len(a) <= 160
 
     def test_gold_subsample_full_rate_is_identity(self):
-        gold = {t("/m/1", "a"): True}
+        gold = {t("/m/1", "a").canonical(): True}
         assert _gold_subsample(gold, 1.0, seed=3) is gold
 
     def test_gold_subsample_rate_scales(self):
-        gold = {t("/m/1", str(i)): True for i in range(1000)}
+        gold = {t("/m/1", str(i)).canonical(): True for i in range(1000)}
         small = _gold_subsample(gold, 0.1, seed=3)
         large = _gold_subsample(gold, 0.9, seed=3)
         assert len(small) < len(large)

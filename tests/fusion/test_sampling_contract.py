@@ -21,6 +21,7 @@ claim keep-masks every kernel reads.  Consequences, each tested here:
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestSampledPooledParity:
     def references(self, micro_scenario):
         config = FusionConfig(sample_limit=TINY_L)
         return {
-            backend: popaccu_plus(micro_scenario.gold, config, backend=backend).fuse(
+            backend: popaccu_plus(micro_scenario.gold, replace(config, backend=backend)).fuse(
                 micro_scenario.fusion_input()
             )
             for backend in ("serial", "vectorized")
@@ -206,9 +207,9 @@ class TestSampledPooledParity:
         with ParallelExecutor(
             max_workers=n_workers, start_method=start_method
         ) as executor:
-            hybrid = popaccu_plus(
-                micro_scenario.gold, config, backend="hybrid"
-            ).fuse(micro_scenario.fusion_input(), executor=executor)
+            hybrid = popaccu_plus(micro_scenario.gold, replace(config, backend="hybrid")).fuse(
+                micro_scenario.fusion_input(), executor=executor
+            )
         assert hybrid.diagnostics["backend_used"] == "hybrid"
         assert hybrid.diagnostics["parity"] == "tolerance"
         assert_bit_identical(references["vectorized"], hybrid)
@@ -218,7 +219,7 @@ class TestSampledPooledParity:
         fusion_input = micro_scenario.fusion_input()
         config = FusionConfig(sample_limit=TINY_L)
         serial, vectorized, hybrid = (
-            accu(config, backend=backend).fuse(fusion_input)
+            accu(replace(config, backend=backend)).fuse(fusion_input)
             for backend in ("serial", "vectorized", "hybrid")
         )
         assert_bit_identical(vectorized, hybrid)

@@ -123,12 +123,11 @@ class TestPipelineHelpers:
 
         result = vote().fuse(tiny_scenario.fusion_input())
         metrics = headline_metrics(result, tiny_scenario.gold)
-        labelled = [t for t in result.probabilities if t in tiny_scenario.gold]
+        gold = tiny_scenario.gold
+        labelled = [t for t in result.probabilities if t.canonical() in gold]
         assert metrics["n_labelled"] == len(labelled) > 0
         assert metrics["coverage"] == result.coverage()
-        right = sum(
-            (result.probabilities[t] >= 0.5) == tiny_scenario.gold[t] for t in labelled
-        )
+        right = sum((result.probabilities[t] >= 0.5) == gold[t.canonical()] for t in labelled)
         assert metrics["gold_accuracy"] == right / len(labelled)
         assert 0.0 <= metrics["weighted_deviation"] <= 1.0
         assert 0.0 < metrics["auc_pr"] <= 1.0

@@ -181,12 +181,12 @@ class TestLoudFailure:
         """A pooled fuse whose second round cannot get a segment fails with
         that error — no silent switch to another channel — and the first
         round's segment is unlinked on the way out."""
-        from repro.fusion import popaccu
+        from repro.fusion import FusionConfig, popaccu
 
         created = _failing_shared_memory(monkeypatch, allowed=1)
         with ParallelExecutor(max_workers=2) as executor:
             with pytest.raises(OSError, match="no /dev/shm here"):
-                popaccu(backend="hybrid").fuse(
+                popaccu(FusionConfig(backend="hybrid")).fuse(
                     micro_scenario.fusion_input(), executor=executor
                 )
             assert executor._round_segments == {}
@@ -227,10 +227,10 @@ class TestNoLeaks:
             return segment
 
         monkeypatch.setattr(executors.shared_memory, "SharedMemory", recording)
-        from repro.fusion import popaccu
+        from repro.fusion import FusionConfig, popaccu
 
         with ParallelExecutor(max_workers=2) as executor:
-            result = popaccu(backend="hybrid").fuse(
+            result = popaccu(FusionConfig(backend="hybrid")).fuse(
                 micro_scenario.fusion_input(), executor=executor
             )
             assert result.diagnostics["round_state"] == "shared-memory"

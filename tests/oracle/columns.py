@@ -170,6 +170,7 @@ def columns_from_items(
     return ColumnarClaims(
         granularity=granularity,
         items=items,
+        texts=[triple.canonical() for triple in triples],
         triples=triples,
         provenances=provenances,
         row_item=np.asarray(row_item, dtype=np.int64),
@@ -209,6 +210,7 @@ def record_claim_ids(records, cols: ColumnarClaims) -> list[int]:
 def assert_columns_equal(actual: ColumnarClaims, expected: ColumnarClaims) -> None:
     assert actual.granularity == expected.granularity
     assert list(actual.items) == list(expected.items)
+    assert list(actual.texts) == list(expected.texts)
     assert list(actual.triples) == list(expected.triples)
     assert list(actual.provenances) == list(expected.provenances)
     for name in NUMERIC_COLUMNS:

@@ -5,7 +5,8 @@ calibration buckets and the PR curve were Python loops over the
 ``{triple: probability}`` dict, probing gold once per triple per metric.
 Those loops moved here verbatim (bodies unchanged from
 ``src/repro/eval/{calibration,pr}.py`` at fc42308; they build the same
-``CalibrationCurve`` / ``PRCurve`` values) and are the comparand of
+``CalibrationCurve`` / ``PRCurve`` values; the one edit since: gold is
+probed by the triple's canonical text, its key) and are the comparand of
 ``tests/property/test_prop_metrics.py``: the array core must equal them
 exactly — every bucket, every curve point and the AUC, float for float.
 :func:`auc_pr` is the left-to-right trapezoid loop the ``cumsum`` in
@@ -32,7 +33,7 @@ DEFAULT_BUCKETS = 20
 
 def calibration_curve(
     probabilities: dict[Triple, float],
-    gold: dict[Triple, bool],
+    gold: dict[str, bool],
     n_buckets: int = DEFAULT_BUCKETS,
 ) -> CalibrationCurve:
     """Bucket ``probabilities`` against ``gold`` labels.
@@ -45,7 +46,7 @@ def calibration_curve(
     trues = [0] * (n_buckets + 1)
     counts = [0] * (n_buckets + 1)
     for triple, probability in probabilities.items():
-        label = gold.get(triple)
+        label = gold.get(triple.canonical())
         if label is None:
             continue
         if not 0.0 <= probability <= 1.0:
@@ -82,13 +83,13 @@ def calibration_curve(
 
 
 def pr_curve(
-    probabilities: dict[Triple, float], gold: dict[Triple, bool]
+    probabilities: dict[Triple, float], gold: dict[str, bool]
 ) -> PRCurve:
     """PR curve of ``probabilities`` against ``gold``."""
     scored = [
-        (probability, gold[triple])
+        (probability, gold[triple.canonical()])
         for triple, probability in probabilities.items()
-        if triple in gold
+        if triple.canonical() in gold
     ]
     if not scored:
         raise EvaluationError("no labelled triples to build a PR curve from")

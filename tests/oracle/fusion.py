@@ -121,10 +121,14 @@ def oracle_bayesian_fusion(
     config: FusionConfig,
     item_posterior_fn: ItemPosteriorFn,
     method_name: str,
-    gold_labels: dict[Triple, bool] | None = None,
+    gold_labels: dict[str, bool] | None = None,
     track_rounds: bool = False,
 ) -> FusionResult:
-    """``run_bayesian_fusion`` through the dict engine."""
+    """``run_bayesian_fusion`` through the dict engine; the gold labels,
+    keyed by canonical text, are keyed by ``Triple`` as the engine reads
+    them."""
+    if gold_labels is not None:
+        gold_labels = {Triple.from_canonical(text): label for text, label in gold_labels.items()}
     return _run_mapreduce(
         dict_claims(fusion_input, config.granularity), config, item_posterior_fn,
         method_name, gold_labels, track_rounds,

@@ -3,7 +3,9 @@
 Until the stats helpers read the record tables' columns, each was a
 Python loop over decoded ``ExtractionRecord`` objects.  Those loops moved
 here verbatim (bodies unchanged from ``src/repro/eval/stats.py`` at
-167df80) and are the comparand of
+167df80; since then gold is probed by the triple's canonical text, its
+key, and :func:`triple_support`'s column form is
+``RecordTables.triple_support``, keyed by text) and are the comparand of
 ``tests/property/test_prop_record_columns.py``: the column group-bys must
 equal them exactly, for any cut of the records into tables.
 """
@@ -34,7 +36,7 @@ _CONFIDENCE_BUCKETS = 10
 
 
 def confidence_accuracy_curve(
-    records: Iterable[ExtractionRecord], gold: dict[Triple, bool]
+    records: Iterable[ExtractionRecord], gold: dict[str, bool]
 ) -> list[AccuracyPoint]:
     """Accuracy by extraction-confidence decile (Figure 21, right panel).
 
@@ -42,9 +44,9 @@ def confidence_accuracy_curve(
     extractors are likewise absent from its Figure 21).
     """
     pairs = [
-        (record.confidence, gold[record.triple])
+        (record.confidence, gold[record.triple.canonical()])
         for record in records
-        if record.confidence is not None and record.triple in gold
+        if record.confidence is not None and record.triple.canonical() in gold
     ]
     edges = [i / _CONFIDENCE_BUCKETS for i in range(_CONFIDENCE_BUCKETS)]
     return bucketize_accuracy(pairs, edges)

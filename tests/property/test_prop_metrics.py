@@ -36,10 +36,10 @@ def predictions(draw, min_size=1, require_true=False):
             st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
         )
         label = draw(st.booleans())
-        gold[t(i)] = label
+        gold[t(i).canonical()] = label
         any_true = any_true or label
     if require_true and not any_true:
-        gold[t(0)] = True
+        gold[t(0).canonical()] = True
     return probabilities, gold
 
 
@@ -74,7 +74,7 @@ class TestCalibrationProperties:
         """Predicting exactly 0/1 matching the gold labels is perfectly
         calibrated."""
         _probabilities, gold = prediction
-        oracle = {triple: 1.0 if label else 0.0 for triple, label in gold.items()}
+        oracle = {Triple.from_canonical(text): float(label) for text, label in gold.items()}
         curve = calibration_curve(oracle, gold)
         assert weighted_deviation(curve) == pytest.approx(0.0)
 
@@ -99,7 +99,7 @@ class TestPRProperties:
     @settings(max_examples=100, deadline=None)
     def test_oracle_ranking_auc_is_one(self, prediction):
         _probabilities, gold = prediction
-        oracle = {triple: 1.0 if label else 0.0 for triple, label in gold.items()}
+        oracle = {Triple.from_canonical(text): float(label) for text, label in gold.items()}
         assert auc_pr(pr_curve(oracle, gold)) == pytest.approx(1.0)
 
     @given(predictions(require_true=True))
@@ -133,9 +133,9 @@ def tied_predictions(draw):
         probabilities[t(i)] = draw(st.sampled_from(values))
         label = draw(st.sampled_from([True, False, None]))
         if label is not None:
-            gold[t(i)] = label
+            gold[t(i).canonical()] = label
     for i in range(n, n + draw(st.integers(min_value=0, max_value=5))):
-        gold[t(i)] = draw(st.booleans())
+        gold[t(i).canonical()] = draw(st.booleans())
     return probabilities, gold
 
 
@@ -182,15 +182,15 @@ class TestArrayCoreEqualsTheDictLoops:
 class TestEvaluationErrors:
     def test_no_labelled_triples(self):
         with pytest.raises(EvaluationError, match="no labelled triples"):
-            metrics_for({t(0): 0.5}, {t(1): True})
+            metrics_for({t(0): 0.5}, {t(1).canonical(): True})
 
     def test_no_true_triples(self):
         with pytest.raises(EvaluationError, match="no true triples"):
-            metrics_for({t(0): 0.5, t(1): 0.7}, {t(0): False, t(1): False})
+            metrics_for({t(0): 0.5, t(1): 0.7}, {t(0).canonical(): False, t(1).canonical(): False})
 
     def test_out_of_range_probability_names_the_triple(self):
         probabilities = {t(0): 0.5, t(1): 1.5, t(2): -0.5}
-        gold = {t(0): True, t(1): True, t(2): True}
+        gold = {t(i).canonical(): True for i in range(3)}
         message = f"probability out of range for {t(1).canonical()}: 1.5"
         for metric in (metrics_for, calibration_curve, oracle.calibration_curve):
             with pytest.raises(EvaluationError, match=re.escape(message)):
@@ -198,8 +198,9 @@ class TestEvaluationErrors:
 
     def test_unlabelled_out_of_range_probability_is_ignored(self):
         probabilities = {t(0): 0.5, t(1): 1.5}
-        assert calibration_curve(probabilities, {t(0): True}) == (
-            oracle.calibration_curve(probabilities, {t(0): True})
+        gold = {t(0).canonical(): True}
+        assert calibration_curve(probabilities, gold) == oracle.calibration_curve(
+            probabilities, gold
         )
 
 

@@ -210,7 +210,7 @@ class TestOneBody:
 
         monkeypatch.setattr(ClaimAccumulator, "add_table", counting)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
-        assert endtoend.label_gold is scenario_module.label_gold_triples
+        assert endtoend.label_gold is scenario_module.label_gold_texts
         result = run_end_to_end(tiny_config(seed=SEED), backend="batched")
         assert sum(seen) == result.n_records == len(result.scenario.records)
         # A granularity the run did not fuse at (POPACCU+ picks its own)
@@ -350,3 +350,39 @@ class TestStreamingSurface:
         result = _stream("hybrid", n_workers=2)
         assert result.diagnostics["state_bytes_shipped"] > 0
         assert result.diagnostics["round_state"] == "shared-memory"
+
+
+class TestTriplesStayText:
+    """From the emitter to Stage III a triple is its canonical text: the
+    claim layout slices it, LCWA probes it, fusion and the headline
+    metrics read row codes.  Only a result view parses it."""
+
+    @pytest.mark.parametrize("chunk_pages", [None, 16], ids=["materialised", "streamed"])
+    def test_no_triple_is_parsed_until_a_result_view_is_read(self, monkeypatch, chunk_pages):
+        from repro.kb import triples as triples_module
+        from repro.kb import values as values_module
+        from repro.kb.triples import Triple
+
+        calls = []
+
+        def counted(name, real):
+            def spy(text):
+                calls.append(name)
+                return real(text)
+
+            return spy
+
+        monkeypatch.setattr(
+            Triple, "from_canonical", staticmethod(counted("from_canonical", Triple.from_canonical))
+        )
+        for module in (triples_module, values_module):
+            monkeypatch.setattr(
+                module, "parse_value", counted("parse_value", module.parse_value)
+            )
+        result = run_end_to_end(
+            tiny_config(seed=SEED), "popaccu+", backend="batched", chunk_pages=chunk_pages
+        )
+        assert result.metrics["n_labelled"] > 0
+        assert calls == []
+        assert len(result.fusion.probabilities) > 0  # the view decodes its rows
+        assert "from_canonical" in calls and "parse_value" in calls

@@ -4,7 +4,11 @@
     python tools/kfbench_pairs.py --parent ../parent --change . \\
         --workload fuse-ladder --pairs 8 [--seed 0] [--seconds 12]
 
-Runs ``BENCHMARK.json``'s command (``benchmarks/kfbench/run.py --trace 0``)
+Byte-compiles ``src`` in both trees first (``python -m compileall -q``,
+with the benchmark command's interpreter): with ``PYTHONDONTWRITEBYTECODE``
+set, a tree whose ``__pycache__`` is older than its sources would
+recompile those modules in every run and read a higher peak RSS.  Then
+runs ``BENCHMARK.json``'s command (``benchmarks/kfbench/run.py --trace 0``)
 in both trees, one workload, ``--pairs`` times each; odd pairs run the
 parent first, even pairs the change, so drift in the machine's state
 falls on both sides alike.  Prints every run's end-to-end metrics and
@@ -43,6 +47,11 @@ def run_once(tree: Path, command: list[str], workload: str, seed: int, seconds: 
     return result
 
 
+def compile_sources(tree: Path, interpreter: str) -> None:
+    """Byte-compile ``tree/src`` so no run pays (or measures) a recompile."""
+    subprocess.run([interpreter, "-m", "compileall", "-q", "src"], cwd=tree, check=True)
+
+
 def quartile_gap(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -66,6 +75,9 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"P": args.parent.resolve(), "C": args.change.resolve()}
     runs: dict[str, list[dict]] = {"P": [], "C": []}
+    for tree in trees.values():
+        compile_sources(tree, spec["command"][0])
+    print(f"compiled src in both trees ({spec['command'][0]} -m compileall -q)", flush=True)
     for pair in range(1, args.pairs + 1):
         for side in ("P", "C") if pair % 2 else ("C", "P"):
             result = run_once(trees[side], spec["command"], args.workload, args.seed, args.seconds)
