@@ -60,10 +60,10 @@ class ScenarioConfig:
 
 @dataclass
 class Scenario:
-    """A fully generated experimental environment; ``records`` are the
-    record tables, which every reader reads as columns, never decoded.
-    ``gold`` maps a triple's canonical text to its LCWA label, in sorted
-    text order."""
+    """A fully generated experimental environment; ``records`` is the
+    run's record store, whose columns every reader (the fusion input's
+    claim accumulator included) reads, never decoded.  ``gold`` maps a
+    triple's canonical text to its LCWA label, in sorted text order."""
 
     config: ScenarioConfig
     world: World
@@ -126,23 +126,21 @@ def build_extraction_pipeline(config: ScenarioConfig, world: World) -> Extractio
 def label_gold(
     freebase: KnowledgeBase, records: RecordTables | list[ExtractionRecord]
 ) -> dict[str, bool]:
-    """The LCWA gold standard over the unique extracted triples of
-    record tables (a list is encoded first, :meth:`RecordTables.of`;
-    no record is decoded): the dedup/sort pass over their triple texts,
-    then :func:`label_gold_texts`."""
-    records = RecordTables.of(records)
-    texts = {text for table in records.tables for text in table[1]}
-    return label_gold_texts(freebase, sorted(texts))
+    """The LCWA gold standard over the unique extracted triples of a
+    record store (a list is encoded first, :meth:`RecordTables.of`; no
+    record is decoded): its distinct triple texts sorted, then
+    :func:`label_gold_texts`."""
+    return label_gold_texts(freebase, sorted(RecordTables.of(records).columns.triples))
 
 
 def label_gold_texts(freebase: KnowledgeBase, unique: list[str]) -> dict[str, bool]:
     """LCWA labels for already-deduplicated sorted canonical triple texts:
     the one labeling definition, ``{text: is_true}`` in ``unique``'s order.
 
-    The pipeline folds its record tables into a claim accumulator as they
-    arrive (and, streamed, never holds them) — this is :func:`label_gold`
-    with the dedup/sort step supplied by the accumulator (its rows are
-    exactly the unique triples, so the two definitions coincide).
+    The pipeline labels the sorted texts its claim accumulator lays out
+    — this is :func:`label_gold` with the sort step supplied by the
+    accumulator (its rows are exactly the store's distinct triples, so
+    the two definitions coincide).
     """
     return LCWALabeler(freebase).label_texts(unique)
 

@@ -8,10 +8,10 @@ is one body, which :func:`repro.datasets.scenario.build_scenario` (the
 experiments, ``repro-kf fuse``) shares.  A *materialised* run is the
 single-chunk case of a *streamed* one (``chunk_pages`` picks; the web
 tier of docs/SCALING.md streams).  Either way extraction hands on record
-tables, each folded once into one
-:class:`~repro.fusion.observations.ClaimAccumulator` without decoding a
-record, and
-both stages run on the same executor protocol
+tables, each re-coded once into the run's one record store
+(:class:`~repro.extract.records.RecordTables`) without decoding a record;
+the :class:`~repro.fusion.observations.ClaimAccumulator` is a view of
+that store, and both stages run on the same executor protocol
 (:mod:`repro.mapreduce.executors`): a single
 :class:`~repro.mapreduce.executors.ParallelExecutor` carries the
 extraction shards *and* every fusion round, so worker processes are paid
@@ -50,7 +50,6 @@ from repro.datasets.scenario import (
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
-from repro.extract.records import RecordTables
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
@@ -136,11 +135,13 @@ class EndToEndResult:
 
     ``timings`` holds per-stage wall-clock seconds under the keys
     ``setup`` (world + corpus + extractor construction), ``extraction``
-    (folding the record tables and laying out the accumulator's rows
-    included), ``labeling`` (LCWA gold only), ``fusion``, and ``total``;
-    a streamed run adds ``matrix`` (each granularity's claim columns
-    over that layout + persistence) and has no ``scenario`` —
-    nothing corpus-sized survived it, only the counts.  ``metrics`` holds
+    (appending the record tables to the run's store and laying out the
+    accumulator's rows included), ``labeling`` (LCWA gold only),
+    ``fusion``, and ``total``; a streamed run adds ``matrix`` (the
+    claim columns over that layout + persistence, after which the record
+    store is dropped) and has no ``scenario`` — nothing corpus-sized
+    survived it, only the counts.  A materialised run's
+    ``scenario.records`` is the run's record store itself.  ``metrics`` holds
     the headline numbers against the gold standard: calibration
     ``deviation`` / ``weighted_deviation``, ``auc_pr``, ``coverage``
     (fraction of unique triples scored), and ``gold_accuracy`` (fraction
@@ -194,10 +195,11 @@ def run_end_to_end(
     corpus of :func:`repro.artifacts.setup_worldgen` (``cache_dir`` is its
     on-disk artifact cache, bit-identical to a fresh build;
     ``diagnostics["scenario_cache"]`` reports ``hit`` / ``miss`` /
-    ``off``), with the record tables kept and returned in ``result.scenario``.
+    ``off``), with the record store kept and returned in ``result.scenario``.
     A number is the *streamed* case: :func:`repro.world.webgen.stream_corpus`
     chunks of that many pages (``copy_window`` bounds its copy pool) are
-    extracted, folded into the claim accumulator and dropped.  With
+    extracted and appended to the record store, which is dropped once
+    the claim columns are built.  With
     ``cache_dir`` its claim columns are published to the content-addressed
     column store and fusion runs over read-only memory-mapped views
     (``diagnostics["column_store"] = "mapped"``), without it over the
@@ -242,6 +244,7 @@ def run_end_to_end(
         scenario, accumulator, gold, chunk_sizes, store = _extract_and_label(
             config, backend, executor, timings, cache_dir, chunk_pages, copy_window
         )
+        n_records = len(accumulator.records)
         fuser = make_fuser(method, fusion_config, gold)
 
         if streamed:
@@ -262,15 +265,15 @@ def run_end_to_end(
             # Bare columns: Stage III emits in canonical row order.
             fusion_input = FusionInput.from_columns(cols)
         else:
-            # The records share the accumulator their tables were folded
-            # into, so fusion (at any granularity) never walks them, and
-            # ``serial`` emits in record-arrival order.
+            # The accumulator that laid the rows out during extraction is
+            # the input's, so fusion (at any granularity) lays out nothing,
+            # and ``serial`` emits in record-arrival order.
             fusion_input = scenario.fusion_input()
 
         with timed_stage(timings, "fusion"):
             fusion_result = fuser.fuse(fusion_input, executor=executor)
 
-    n_pages, n_records = sum(chunk_sizes), accumulator.n_records
+    n_pages = sum(chunk_sizes)
     diagnostics = dict(fusion_result.diagnostics)
     diagnostics.update(
         n_records=n_records, n_pages=n_pages, n_chunks=len(chunk_sizes), **store
@@ -308,13 +311,14 @@ def _extract_and_label(
     ``timings``: the body :func:`run_end_to_end` (both cases) and
     :func:`repro.datasets.scenario.build_scenario` share.
 
-    Returns the scenario (None when streamed: its record tables were
-    dropped chunk by chunk), the accumulator every table was folded into,
-    the gold labels, the pages per chunk, and the setup's store
-    diagnostics.
+    Every window table is re-coded once, into its chunk's record store;
+    the first chunk's store is the run's (so a materialised run keeps it,
+    not a copy) and every later chunk's columns are appended to it.
+    Returns the scenario (None when streamed), the accumulator over the
+    run's store, the gold labels, the pages per chunk, and the setup's
+    store diagnostics.
     """
     streamed = chunk_pages is not None
-    tables: list[tuple] = []  # a streamed run keeps none
     chunk_sizes: list[int] = []
     with timed_stage(timings, "setup"):
         if streamed:
@@ -331,20 +335,18 @@ def _extract_and_label(
         pipeline = build_extraction_pipeline(config, world)
 
     with timed_stage(timings, "extraction"):
-        # The granularity is build()'s default only; every caller names its own.
-        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
-
         def counted(pages):
             chunk_sizes.append(len(pages))
             return pages
 
-        for chunk in pipeline.run_stream(
+        chunk_stores = pipeline.run_stream(
             map(counted, chunks), backend=backend, executor=executor
-        ):
-            for table in chunk.tables:
-                accumulator.add_table(table)
-            if not streamed:
-                tables += chunk.tables
+        )
+        records = next(chunk_stores, None)  # the run's store: a one-chunk run keeps it
+        for chunk in chunk_stores:
+            records.add_table(chunk.columns)
+        # The granularity is build()'s default only; every caller names its own.
+        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, records)
         # The row layout (every sort) is the fold's last step, so
         # ``labeling`` clocks LCWA only.
         unique_texts = accumulator.unique_texts()
@@ -354,16 +356,15 @@ def _extract_and_label(
 
     scenario = None
     if not streamed:
-        records = RecordTables(tables)
         scenario = Scenario(
             config=config,
             world=world,
             freebase=freebase,
             corpus=corpus,
             pipeline=pipeline,
-            records=records,
+            records=accumulator.records,
             gold=gold,
-            _fusion_input=FusionInput(records, accumulator=accumulator),
+            _fusion_input=FusionInput(accumulator.records, accumulator=accumulator),
         )
     return scenario, accumulator, gold, chunk_sizes, store
 

@@ -11,8 +11,9 @@ The fusion layer works from the record's public fields; the test suite
 checks that fusion results are invariant to stripping the debug channel.
 
 Record objects are an input form only (:meth:`RecordTables.of` encodes
-a list): extraction writes table rows (:class:`TableBuilder`), and every
-reader reads the tables' columns.  The decode (:func:`records_from_wire`,
+a list): extraction writes table rows (:class:`TableBuilder`), a run
+appends its tables to one record store (:class:`RecordTables`), and
+every reader reads the store's columns.  The decode (:func:`records_from_wire`,
 :class:`RecordTables` iteration) serves ``benchmarks/kfbench`` only.
 """
 
@@ -23,7 +24,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -307,52 +308,74 @@ def records_from_wire(wire: tuple) -> list[ExtractionRecord]:
 
 
 class RecordTables:
-    """Extraction records as :func:`records_to_wire` tables in record
-    order, one per page window.  The claim accumulator and the gold labels
-    fold ``tables``; every other reader reads :attr:`columns`, where a
-    triple code names its triple's canonical text.  Iterating decodes the
-    records afresh, for ``benchmarks/kfbench`` only.
+    """A run's extraction records: one append-only store of record columns.
+
+    :meth:`add_table` re-codes one :func:`records_to_wire` table (a page
+    window's, or a chunk's :attr:`columns`) into the store's two
+    vocabularies — strings and canonical triple texts, in first-arrival
+    order — and appends its columns: the one re-coding loop of the
+    records.  Every reader reads :attr:`columns`, where a triple code
+    names its triple's canonical text; the claim accumulator
+    (:class:`~repro.fusion.observations.ClaimAccumulator`) is a view of
+    the same store.  Iterating decodes the records afresh, for
+    ``benchmarks/kfbench`` only.
     """
 
-    def __init__(self, tables: list[tuple]) -> None:
-        self.tables = tables
+    def __init__(self, tables: Iterable[tuple] = ()) -> None:
+        self._strings = _Vocabulary()
+        self._triples = _Vocabulary()
+        # Per column, the appended parts; the empty table fixes the dtypes.
+        self._parts = [[column] for column in records_to_wire([])[2:]]
+        self._n = 0
+        for table in tables:
+            self.add_table(table)
 
     @classmethod
     def of(cls, records: RecordTables | list[ExtractionRecord]) -> RecordTables:
-        """``records`` as tables: returned as is, or a list encoded once."""
+        """``records`` as a store: returned as is, or a list encoded once."""
         return records if isinstance(records, cls) else cls([records_to_wire(records)])
 
     def __len__(self) -> int:
-        return sum(len(table[2]) for table in self.tables)
+        return self._n
 
     def __iter__(self):
-        for table in self.tables:
-            yield from records_from_wire(table)
+        return iter(records_from_wire(self.columns))
+
+    def add_table(self, table: tuple) -> None:
+        """Append one wire table's records, re-coded into the store's
+        vocabularies, so the store equals one :func:`records_to_wire`
+        table over all the records added so far."""
+        codes = table[2]
+        if not len(codes):
+            return
+        # The trailing -1 keeps a missing pattern's code.
+        string_code = np.array([*map(self._strings.__getitem__, table[0]), -1], dtype=np.int32)
+        triple_code = np.array([*map(self._triples.__getitem__, table[1])], dtype=np.int32)
+        merged = np.column_stack((triple_code[codes[:, 0]], string_code[codes[:, 1:]]))
+        for parts, column in zip(self._parts, (merged, *table[3:]), strict=True):
+            parts.append(column)
+        self._n += len(codes)
+        vars(self).pop("columns", None)
+        vars(self).pop("triple_support", None)
 
     @cached_property
     def columns(self) -> RecordColumns:
-        """Every table as one, in record order, built on first read and
-        kept: strings and triples are re-coded in first-arrival order, so
-        the merge equals one :func:`records_to_wire` table over all the
-        records."""
-        tables = [records_to_wire([]), *self.tables]
-        strings, triples, codes = _Vocabulary(), _Vocabulary(), []
-        for table in tables:
-            # The trailing -1 keeps a missing pattern's code.
-            string_code = np.array([*map(strings.__getitem__, table[0]), -1], dtype=np.int32)
-            triple_code = np.array([triples[text] for text in table[1]], dtype=np.int32)
-            code = table[2]
-            codes.append(np.column_stack((triple_code[code[:, 0]], string_code[code[:, 1:]])))
-        rest = zip(*(table[3:] for table in tables))
+        """The store as one table, in record order, built on first read
+        after an append and kept.  Each column's parts are replaced by
+        their concatenation, one column at a time, so no column is held
+        twice."""
+        for parts in self._parts:
+            if len(parts) > 1:
+                parts[:] = [np.concatenate(parts)]
         return RecordColumns(
-            list(strings), list(triples), np.concatenate(codes), *map(np.concatenate, rest)
+            list(self._strings), list(self._triples), *(parts[0] for parts in self._parts)
         )
 
     @cached_property
     def triple_support(self) -> dict[str, dict[str, int]]:
         """Per triple text (in :attr:`columns` order), its support counts:
         #extractors, #urls, #(extractor, url) — the covariates of Figures
-        6, 7 and 18, built on first read and kept."""
+        6, 7 and 18, built on first read after an append and kept."""
         cols = self.columns
         triple, extractor, url = cols.codes[:, :3].T
         pair = np.unique(extractor.astype(np.int64) << 32 | url, return_inverse=True)[1]

@@ -6,14 +6,15 @@ pages.  Fusion operates on the deduplicated *claim* matrix: for every data
 item, which provenances support which triple.
 
 The matrix has one form, :class:`ColumnarClaims`: an int-coded CSR layout
-built by :class:`ClaimAccumulator`.  The accumulator folds record tables
-(the extraction job's output, :func:`~repro.extract.records.records_to_wire`)
-into codes — a triple code and four provenance-string codes per record,
-each distinct string and triple interned once per table — and builds
-any granularity from those codes: the row layout is computed once per
-vocabulary, and each granularity's provenance ids and claim CSR are
-array operations over the code columns.  :class:`FusionInput` is what a
-fuser reads: the records, the accumulator they were folded into, and
+built by :class:`ClaimAccumulator`.  Records sit at the information
+level and claims at the knowledge level, so the accumulator is a view of
+the run's one record store (:class:`~repro.extract.records.RecordTables`,
+where each distinct string and triple is coded once) and builds any
+granularity from the store's code columns — a triple code and four
+provenance-string codes per record: the row layout is computed once per
+store state, and each granularity's provenance ids and claim CSR are
+array operations over those columns.  :class:`FusionInput` is what a
+fuser reads: the records, the accumulator over them, and
 the columns cached per granularity (``claims(g)``), so the same
 extraction run is fused under many configurations cheaply (the
 granularity sweep of Figure 10 does exactly that); a streamed pipeline
@@ -39,12 +40,7 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.extract.records import (
-    ExtractionRecord,
-    RecordTables,
-    _Vocabulary,
-    records_to_wire,
-)
+from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
 from repro.fusion.provenance import KEY_FIELDS, Granularity
 from repro.kb.triples import DataItem, Triple
 
@@ -65,14 +61,16 @@ ProvKey = tuple[str, ...]
 class FusionInput:
     """Extraction records plus their claim columns, cached per granularity.
 
-    ``records`` are :class:`~repro.extract.records.RecordTables`; a
-    record list is encoded once, on construction.  They are folded once,
-    into one :class:`ClaimAccumulator` every granularity's columns are
-    built from — so the second and later ``claims(g)`` of a granularity
-    sweep cost array operations only.  A caller that already folded these
-    records into an accumulator (the pipeline's stage body) passes it as
-    ``accumulator``; otherwise the tables are folded on the first
-    ``claims()`` / ``unique_texts()`` / ``arrival_rows()`` call.
+    ``records`` are a :class:`~repro.extract.records.RecordTables`
+    store; a record list is encoded once, on construction.  The
+    ``accumulator`` is a :class:`ClaimAccumulator` over that same store
+    (a fresh one unless given; one over another store is a
+    ``ValueError``), so nothing is folded here: every granularity's
+    columns are array operations over the store's code columns, and
+    CONFACCU's per-record claim ids index the rows of ``records.columns``
+    by construction.  A caller that already laid the rows out (the
+    pipeline's stage body) passes its accumulator, so the layout is
+    computed once per run.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -85,8 +83,14 @@ class FusionInput:
     _cache: dict[Granularity, "ColumnarClaims"] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
-        if self.records is not None:
-            self.records = RecordTables.of(self.records)
+        if self.records is None:
+            return
+        self.records = RecordTables.of(self.records)
+        if self.accumulator is None:
+            # The granularity is build()'s default only; claims() names its own.
+            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, self.records)
+        elif self.accumulator.records is not self.records:
+            raise ValueError("the accumulator must be a view of this input's records")
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
@@ -102,16 +106,8 @@ class FusionInput:
                     f"columns were accumulated at granularity {held.value!r}; "
                     f"re-extract to fuse at {granularity.value!r}"
                 )
-            cols = self._cache[granularity] = self._accumulated().build(granularity)
+            cols = self._cache[granularity] = self.accumulator.build(granularity)
         return cols
-
-    def _accumulated(self) -> "ClaimAccumulator":
-        if self.accumulator is None:
-            # The granularity is build()'s default only; claims() names its own.
-            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
-            for table in self.records.tables:
-                self.accumulator.add_table(table)
-        return self.accumulator
 
     def arrival_rows(self) -> np.ndarray | None:
         """The rows of every ``claims(g)`` in record-arrival order
@@ -119,7 +115,7 @@ class FusionInput:
         columns, which carry no arrival order."""
         if self.records is None:
             return None
-        return self._accumulated().arrival_rows()
+        return self.accumulator.arrival_rows()
 
     def unique_texts(self) -> list[str]:
         """The canonical texts of all distinct extracted triples (the
@@ -127,7 +123,7 @@ class FusionInput:
         if self.records is None:
             (cols,) = self._cache.values()
             return [cols.texts[r] for r in np.argsort(cols.canonical_rank()).tolist()]
-        return self._accumulated().unique_texts()
+        return self.accumulator.unique_texts()
 
     def unique_triples(self) -> list[Triple]:
         """:meth:`unique_texts`, decoded."""
@@ -387,7 +383,7 @@ class ColumnarClaims:
 class _Layout:
     """What no granularity changes: the row layout and the string order.
 
-    Computed once per vocabulary state and shared — list objects and the
+    Computed once per store state and shared — list objects and the
     gold-column memo included — by every ``ColumnarClaims`` one
     accumulator builds.
     """
@@ -403,87 +399,57 @@ class _Layout:
     row_of_arrival: np.ndarray  # arrival row code -> canonical row
     predicates: list[str]  # the distinct predicates, sorted
     row_predicate: np.ndarray  # canonical row -> index into predicates
-    strings: list[str]  # the provenance strings, sorted
+    strings: list[str]  # the provenance strings and "<extractor>:-", sorted
     string_rank: np.ndarray  # string code -> index into strings
+    implicit_rank: np.ndarray  # extractor's string code -> "<extractor>:-"'s index
     gold_memo: list = field(default_factory=lambda: [None, 0, None])
 
 
-#: Code columns ``add_table`` appends per record, in column order.
-_CODE_FIELDS = ("row", "extractor", "url", "site", "pattern")
+#: Provenance key component -> its column of ``RecordColumns.codes``.
+_CODE_COLUMN = {"extractor": 1, "url": 2, "site": 3, "pattern": 5}
 
 
 class ClaimAccumulator:
-    """Fold extraction chunks into claim columns without keeping records.
+    """Claim columns as a view of a record store.
 
-    Accumulation is granularity-free: ``add_table`` interns each record
-    table's distinct triples (keyed by canonical text) and provenance
-    strings once, and appends five int32 codes per record against the
-    accumulator's own vocabularies, remapped with numpy.  ``build`` is
-    numpy from there, at any granularity: the row layout (canonical
-    item-major order, the arrival permutation, the canonical rank) is
-    computed once per vocabulary from the triple texts, each row's data
-    item sliced out of its text, never parsed; provenance ids are dense
-    string ranks combined one key component at a time; ``ProvKey``
-    tuples (for the unique keys only), ``DataItem`` and ``Triple``
-    objects are decoded when first read (:class:`LazyNames`).
-    The result equals the layout spelled out object by object from the
-    same records' dict views (``tests/oracle/columns.py``) field for
-    field, under any chunking — the property the accumulator parity
-    tests pin.  Peak state is the vocabularies plus 20 bytes per record.
+    The accumulator keeps no vocabulary and no code column of its own:
+    it reads ``records`` (a :class:`~repro.extract.records.RecordTables`
+    store, a fresh one when None), whose columns code every distinct
+    triple (keyed by canonical text) and provenance string once, in
+    first-arrival order.  ``build`` is numpy from there, at any
+    granularity: the row layout (canonical item-major order, the arrival
+    permutation, the canonical rank) is computed once per store state
+    from the triple texts, each row's data item sliced out of its text,
+    never parsed; provenance ids are dense string ranks combined one key
+    component at a time, a missing pattern reading as
+    ``"<extractor>:-"`` (resolved at layout); ``ProvKey`` tuples (for the
+    unique keys only), ``DataItem`` and ``Triple`` objects are decoded
+    when first read (:class:`LazyNames`).  The result equals the layout
+    spelled out object by object from the same records' dict views
+    (``tests/oracle/columns.py``) field for field, under any chunking —
+    the property the accumulator parity tests pin.  Its own state is the
+    layout: a few int64 per distinct triple and string.
     """
 
-    def __init__(self, granularity: Granularity) -> None:
+    def __init__(self, granularity: Granularity, records: RecordTables | None = None) -> None:
         self.granularity = granularity
-        self._row_of = _Vocabulary()  # canonical triple text -> arrival row code
-        self._string_of = _Vocabulary()  # the tables' strings, "<extractor>:-"
-        self._codes: list[np.ndarray] = []  # per chunk: int32[5, n]
-        self._layout: _Layout | None = None
-        self.n_records = 0
-
-    def add_table(self, table: tuple) -> None:
-        """Fold one :func:`~repro.extract.records.records_to_wire` table.
-
-        Its triple table lists each triple at its first record, so arrival
-        order is the records' order across tables."""
-        strings, triple_texts, codes = table[:3]
-        if not len(codes):
-            return
-        triple, extractor, url, site, _content_type, pattern = codes.T
-        row_code = np.array([self._row_of[text] for text in triple_texts], dtype=np.int32)
-        string_code = np.array([self._string_of[text] for text in strings], dtype=np.int32)
-        pattern_code = string_code[pattern]
-        missing = pattern < 0
-        if missing.any():
-            # A missing pattern reads as "<extractor>:-", as KEY_FIELDS does.
-            implicit = np.zeros(len(strings), dtype=np.int32)
-            for e in np.unique(extractor[missing]).tolist():
-                implicit[e] = self._string_of[f"{strings[e]}:-"]
-            pattern_code = np.where(missing, implicit[extractor], pattern_code)
-        self._codes.append(
-            np.stack(
-                (
-                    row_code[triple],
-                    string_code[extractor],
-                    string_code[url],
-                    string_code[site],
-                    pattern_code,
-                )
-            )
-        )
-        self._layout = None
-        self.n_records += len(codes)
+        self.records = RecordTables() if records is None else records
+        # The layout and the store size it was computed at: the store only grows.
+        self._layout: tuple[int, _Layout] | None = None
 
     def add_records(self, records: list[ExtractionRecord]) -> None:
-        """Fold a record list: :meth:`add_table` over its encoded table."""
-        self.add_table(records_to_wire(records))
+        """Append a record list to the store, encoded as one table."""
+        self.records.add_table(records_to_wire(records))
 
     def _laid_out(self) -> _Layout:
-        if self._layout is None:
-            self._layout = self._lay_out()
-        return self._layout
+        n_records = len(self.records)
+        if self._layout is None or self._layout[0] != n_records:
+            self._layout = (n_records, self._lay_out())
+        return self._layout[1]
 
     def _lay_out(self) -> _Layout:
-        arrival_texts = list(self._row_of)
+        cols = self.records.columns
+        arrival_texts = cols.triples
         n_rows = len(arrival_texts)
         # Dense ids in sorted-string order, for the two things rows sort by:
         # their data item (field-wise: subject rank, then predicate rank,
@@ -517,7 +483,15 @@ class ClaimAccumulator:
             item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
             arrival_rows = np.lexsort((order, item_arrival[row_item]))
 
-        strings, string_rank = _sorted_table(list(self._string_of))
+        # A missing pattern reads as "<extractor>:-", as KEY_FIELDS does:
+        # those strings join the provenance strings' sort.
+        extractor, pattern = cols.codes[:, 1], cols.codes[:, 5]
+        implicit = np.unique(extractor[pattern < 0])
+        strings, string_rank = _sorted_table(
+            [*cols.strings, *(f"{cols.strings[e]}:-" for e in implicit.tolist())]
+        )
+        implicit_rank = np.zeros(len(cols.strings), dtype=np.int64)
+        implicit_rank[implicit] = string_rank[len(cols.strings) :]
         return _Layout(
             items=LazyNames(
                 len(item_codes),
@@ -538,7 +512,8 @@ class ClaimAccumulator:
             predicates=predicates,
             row_predicate=row_predicate[order],
             strings=strings,
-            string_rank=string_rank,
+            string_rank=string_rank[: len(cols.strings)],
+            implicit_rank=implicit_rank,
         )
 
     def unique_texts(self) -> list[str]:
@@ -556,25 +531,26 @@ class ClaimAccumulator:
         ``granularity``, and the sorted provenance table the ids index —
         its ``ProvKey`` tuples decoded when first read."""
         layout = self._laid_out()
-        codes = np.concatenate(
-            [np.zeros((len(_CODE_FIELDS), 0), dtype=np.int32), *self._codes], axis=1
-        )
-        record_row = layout.row_of_arrival[codes[0]]
+        codes = self.records.columns.codes
+        record_row = layout.row_of_arrival[codes[:, 0]]
 
         def component(name: str, records) -> tuple[np.ndarray, list[str]]:
             """One key component of ``records``: each one's rank in the
             component's sorted string table, and that table."""
             if name == "predicate":
                 return layout.row_predicate[record_row[records]], layout.predicates
-            codes_of = codes[_CODE_FIELDS.index(name)]
-            return layout.string_rank[codes_of[records]], layout.strings
+            ranks = layout.string_rank[codes[records, _CODE_COLUMN[name]]]
+            if name == "pattern":
+                missing = codes[records, 5] < 0
+                ranks[missing] = layout.implicit_rank[codes[records, 1][missing]]
+            return ranks, layout.strings
 
         # Fold the components left to right into one dense id whose
         # integer order is the tuple order of the strings; re-densifying
         # after every component bounds the radix product by
         # n_records * table size.
         fields = KEY_FIELDS[granularity]
-        record_prov = np.zeros(codes.shape[1], dtype=np.int64)
+        record_prov = np.zeros(len(codes), dtype=np.int64)
         first = np.zeros(0, dtype=np.int64)  # first record of each provenance
         for name in fields:
             ranks, table = component(name, slice(None))
@@ -647,8 +623,6 @@ class ClaimAccumulator:
         return self._laid_out().arrival_rows
 
     def release(self) -> None:
-        """Drop the accumulation state (vocabularies, code chunks, layout)."""
-        self._row_of = _Vocabulary()
-        self._string_of = _Vocabulary()
-        self._codes = []
+        """Drop the store and the layout: the accumulator reads a fresh store."""
+        self.records = RecordTables()
         self._layout = None

@@ -169,8 +169,8 @@ class TestRecordsAreInputOnly:
     columns: none decodes a record table or builds a record object."""
 
     def test_no_reader_decodes_a_record(self, tiny_scenario, monkeypatch):
-        # Fresh tables and fusion input: no decode or merge from another test.
-        records = RecordTables(tiny_scenario.records.tables)
+        # A fresh store and fusion input: no decode or layout from another test.
+        records = RecordTables([tiny_scenario.records.columns])
         scenario = dataclasses.replace(
             tiny_scenario, records=records, _fusion_input=FusionInput(records)
         )

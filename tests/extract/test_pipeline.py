@@ -287,34 +287,48 @@ class TestRecordTables:
         assert calls["Triple"] == len({record.triple for record in decoded})
         assert decoded == list(tiny_scenario.records)
 
-    def test_window_tables_are_the_oracle_records_encoded(
-        self, tiny_scenario, monkeypatch
-    ):
-        # Array for array, so the string and triple tables' first-arrival
-        # order is pinned too, not just the decoded stream.
+    def test_window_tables_are_the_oracle_records_encoded(self, tiny_scenario):
+        # The extraction job's per-window output, array for array, so the
+        # string and triple tables' first-arrival order is pinned too,
+        # not just the decoded stream.
         window = 7
-        monkeypatch.setattr(extract_pipeline, "_WINDOW_PAGES", window)
         pages = list(tiny_scenario.corpus.pages)
         extractors = tiny_scenario.pipeline.extractors
-        tables = tiny_scenario.pipeline.run(tiny_scenario.corpus).tables
-        starts = range(0, len(pages), window)
-        assert len(tables) == len(starts) > 1
-        for table, start in zip(tables, starts):
-            per_page = oracle.extract_records(extractors, pages[start : start + window])
+        windows = [pages[start : start + window] for start in range(0, len(pages), window)]
+        executor = SerialExecutor()
+        executor.install_state(extract_pipeline.EXTRACT_FLEET_KEY, tuple(extractors))
+        try:
+            tables = extract_pipeline._extract_shard(windows)
+        finally:
+            executor.close()
+        assert len(tables) == len(windows) > 1
+        for table, pages_of in zip(tables, windows):
+            per_page = oracle.extract_records(extractors, pages_of)
             expected = records_to_wire([r for records in per_page for r in records])
-            for column, want in zip(table, expected):
+            for column, want in zip(table, expected, strict=True):
                 if isinstance(want, list):
                     assert column == want
                 else:
                     assert column.dtype == want.dtype
                     assert np.array_equal(column, want)
+        # The store those windows make equals them appended in order.
+        store = RecordTables(tables)
+        assert list(store) == list(tiny_scenario.records)
 
-    def test_of_keeps_tables_and_encodes_a_list_once(self, tiny_scenario):
-        tables = tiny_scenario.records
-        assert RecordTables.of(tables) is tables
-        records = list(tables)
+    def test_of_keeps_a_store_and_encodes_a_list_once(self, tiny_scenario, monkeypatch):
+        store = tiny_scenario.records
+        assert RecordTables.of(store) is store
+        records = list(store)
+        appended = []
+        add_table = RecordTables.add_table
+
+        def spy(self, table):
+            appended.append(len(table[2]))
+            add_table(self, table)
+
+        monkeypatch.setattr(RecordTables, "add_table", spy)
         encoded = RecordTables.of(records)
-        assert len(encoded.tables) == 1 and len(encoded) == len(records)
+        assert appended == [len(records)] and len(encoded) == len(records)
         assert list(encoded) == records
 
 

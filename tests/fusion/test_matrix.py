@@ -25,7 +25,7 @@ import pytest
 from repro.artifacts import prune_cache
 from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
-from repro.extract.records import ExtractionRecord
+from repro.extract.records import ExtractionRecord, RecordTables
 from repro.fusion.base import FusionConfig
 from repro.fusion.matrix import MappedColumnarClaims, persist_columns
 from repro.fusion.observations import ClaimAccumulator, FusionInput
@@ -65,7 +65,7 @@ class TestClaimAccumulator:
         accumulator = _accumulate(
             records, Granularity.EXTRACTOR_SITE, chunk_size or len(records)
         )
-        assert accumulator.n_records == len(records)
+        assert len(accumulator.records) == len(records)
         assert accumulator.unique_triples() == sorted(
             {record.triple for record in records}
         )
@@ -95,14 +95,39 @@ class TestClaimAccumulator:
         assert accumulator.record_claims(cols).tolist() == record_claim_ids(records, cols)
 
     def test_chunks_added_after_a_build_are_folded_in(self, tiny_scenario):
+        """The store grows after a read: its columns, its triple support
+        and the accumulator's layout all reflect the later table."""
         records = list(tiny_scenario.records)
         granularity = Granularity.EXTRACTOR_SITE
         accumulator = ClaimAccumulator(granularity)
+        store = accumulator.records
         accumulator.add_records(records[:100])
         partial = accumulator.build()
+        read = store.columns, store.triple_support, accumulator.unique_texts()
         accumulator.add_records(records[100:])
         assert partial.n_rows < accumulator.build().n_rows
         assert_columns_equal(accumulator.build(), reference_columns(records, granularity)[1])
+        whole = RecordTables.of(records)
+        assert len(read[0].codes) == 100 < len(store.columns.codes) == len(records)
+        assert store.columns.strings == whole.columns.strings
+        assert store.columns.triples == whole.columns.triples
+        for column, want in zip(store.columns[2:], whole.columns[2:], strict=True):
+            assert column.dtype == want.dtype and np.array_equal(column, want)
+        assert len(read[1]) < len(store.triple_support)
+        assert list(store.triple_support.items()) == list(whole.triple_support.items())
+        assert len(read[2]) < len(accumulator.unique_texts())
+        assert accumulator.unique_texts() == sorted(whole.columns.triples)
+
+    def test_fusion_input_rejects_an_accumulator_over_other_records(self, tiny_scenario):
+        """CONFACCU pairs the accumulator's per-record claim ids with the
+        input's ``records.columns``: both must index one row space."""
+        records = tiny_scenario.records
+        copy = RecordTables([records.columns])
+        with pytest.raises(ValueError, match="view of this input's records"):
+            FusionInput(records, accumulator=ClaimAccumulator(Granularity.EXTRACTOR_URL, copy))
+        own = ClaimAccumulator(Granularity.EXTRACTOR_URL, records)
+        assert FusionInput(records, accumulator=own).accumulator is own
+        assert FusionInput(records).accumulator.records is records
 
     def test_fusion_input_folds_its_records_once(self, tiny_scenario):
         """A granularity sweep (Fig. 10, the method ladder) re-fuses the

@@ -248,9 +248,8 @@ class TestLazyNames:
         assert calls == [1]
 
     def test_accumulator_names_decode_on_read(self, tiny_scenario):
-        accumulator = ClaimAccumulator(FusionConfig().granularity)
-        for table in tiny_scenario.records.tables:
-            accumulator.add_table(table)
+        # A fresh view of the scenario's store: a layout no other test read.
+        accumulator = ClaimAccumulator(FusionConfig().granularity, tiny_scenario.records)
         cols = accumulator.build()
         assert isinstance(cols.items, LazyNames) and isinstance(cols.provenances, LazyNames)
         assert cols.items._values is None and cols.provenances._values is None

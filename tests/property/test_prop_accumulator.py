@@ -6,15 +6,16 @@ objects themselves.  The two must agree for any strings — separators
 inside fields, non-ASCII code points, a subject that is a prefix of
 another (where item-major and canonical-string order part ways), and the
 ``pattern=None`` spelling ``"<extractor>:-"`` colliding with a literal
-pattern of the same text.  The records reach the accumulator either as
-one list or as record tables (``add_table``), chunked any way.
+pattern of the same text.  The records reach the accumulator's store
+either as one list or as record tables (``RecordTables.add_table``),
+chunked any way.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extract.records import ExtractionRecord, records_to_wire
+from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
 from repro.fusion.observations import ClaimAccumulator
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
@@ -87,12 +88,13 @@ def test_any_tables_fold_like_the_record_list(records, cuts):
     """Cut the records into tables anywhere (empty tables included): the
     columns equal the oracle's and the arrival order is the list's."""
     bounds = [0, *sorted(min(cut * 6, len(records)) for cut in cuts), len(records)]
-    tables = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+    store = RecordTables()
     for start, end in zip(bounds, bounds[1:]):
-        tables.add_table(records_to_wire(records[start:end]))
+        store.add_table(records_to_wire(records[start:end]))
+    tables = ClaimAccumulator(Granularity.EXTRACTOR_URL, store)
     folded = ClaimAccumulator(Granularity.EXTRACTOR_URL)
     folded.add_records(list(records))
-    assert tables.n_records == len(records)
+    assert len(tables.records) == len(records)
     assert np.array_equal(tables.arrival_rows(), folded.arrival_rows())
     for granularity in Granularity:
         matrix, expected = reference_columns(records, granularity)

@@ -1,10 +1,10 @@
 """The merged record columns and their readers, under any cut into tables.
 
 A run hands on its records as one table per page window, and the window
-size decides where the cuts fall.  ``RecordTables.columns`` merges the
-tables into one: it must equal the single table of all the records
-(string and triple codes in first-arrival order, every column array for
-array) and decode to the same records.  Every ``eval.stats`` record
+size decides where the cuts fall.  ``RecordTables.add_table`` appends
+each to one store, whose ``columns`` must equal the single table of all
+the records (string and triple codes in first-arrival order, every
+column array for array) and decode to the same records.  Every ``eval.stats`` record
 slice reads those columns; each must equal its record-object loop
 (``tests/oracle/stats.py``) on one ``tiny`` scenario's records, wherever
 the cuts fall.
@@ -27,10 +27,13 @@ def records(tiny_scenario):
 
 
 def cut(records, fractions) -> RecordTables:
-    """``records`` as one table per span between the cut points
-    (``fractions`` of the way through, empty spans included)."""
+    """A store of ``records`` appended as one table per span between the
+    cut points (``fractions`` of the way through, empty spans included)."""
     bounds = [0, *sorted(int(f * len(records)) for f in fractions), len(records)]
-    return RecordTables([records_to_wire(records[a:b]) for a, b in zip(bounds, bounds[1:])])
+    store = RecordTables()
+    for a, b in zip(bounds, bounds[1:]):
+        store.add_table(records_to_wire(records[a:b]))
+    return store
 
 
 cut_points = st.lists(st.floats(0, 1), max_size=12)
@@ -50,7 +53,7 @@ class TestMergedColumns:
         assert records_from_wire(columns) == records
 
     def test_no_tables_merge_to_an_empty_table(self):
-        columns = RecordTables([]).columns
+        columns = RecordTables().columns
         assert columns.codes.shape == (0, 6)
         assert records_from_wire(columns) == []
 

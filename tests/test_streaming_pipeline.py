@@ -27,6 +27,10 @@ from repro import endtoend
 from repro.datasets import build_scenario, tiny_config
 from repro.datasets import scenario as scenario_module
 from repro.endtoend import EndToEndResult, run_end_to_end, run_streaming_pipeline
+from repro.eval import stats
+from repro.experiments import run_experiment
+from repro.extract import pipeline as extract_pipeline
+from repro.extract.records import RecordColumns, RecordTables
 from repro.fusion import FusionConfig
 from repro.fusion.base import ConfigError
 from repro.fusion.observations import ClaimAccumulator
@@ -179,6 +183,45 @@ class TestStreamingDeterminism:
         assert coarse.diagnostics["n_chunks"] < fine.diagnostics["n_chunks"]
 
 
+#: The extraction window the one-fold spies patch in, so ``tiny``'s 80
+#: pages make many window tables.
+WINDOW = 7
+
+
+def _spy_recoding(monkeypatch) -> dict[str, list[int]]:
+    """The row count of every table the record store re-codes, window
+    tables and a chunk's merged columns apart."""
+    monkeypatch.setattr(extract_pipeline, "_WINDOW_PAGES", WINDOW)
+    seen = {"window": [], "chunk": []}
+    add_table = RecordTables.add_table
+
+    def counting(self, table):
+        seen["chunk" if isinstance(table, RecordColumns) else "window"].append(len(table[2]))
+        add_table(self, table)
+
+    monkeypatch.setattr(RecordTables, "add_table", counting)
+    return seen
+
+
+def _assert_reads_recode_nothing(scenario, seen) -> None:
+    """Every reader of a scenario's records, and its claim accumulator at
+    any granularity, reads the one store: nothing is re-coded."""
+    seen["window"].clear()
+    records = scenario.records
+    fusion_input = scenario.fusion_input()
+    assert fusion_input.accumulator.records is records
+    assert len(records.columns.codes) == len(records)
+    assert records.triple_support
+    for experiment_id in ("fig5", "table2"):
+        run_experiment(experiment_id, scenario)
+    stats.coverage_by_confidence_threshold(records)
+    stats.confidence_accuracy_curve(records, scenario.gold)
+    stats.triple_sets(records, 1)
+    for granularity in (Granularity.EXTRACTOR_URL, Granularity.EXTRACTOR_SITE):
+        assert fusion_input.claims(granularity).n_claims > 0
+    assert seen == {"window": [], "chunk": []}
+
+
 class TestOneBody:
     """The materialised run is the single-chunk case of the streamed one."""
 
@@ -197,47 +240,40 @@ class TestOneBody:
         ]
         assert serial_record.diagnostics["peak_rss_mb"] > 0
 
-    def test_materialised_run_interns_each_record_once(self, monkeypatch):
-        """The record tables are folded into the accumulator as they arrive and
-        the scenario's fusion input shares it: no second walk for the gold
-        labels, no third for the claim matrix."""
-        seen = []
-        add_table = ClaimAccumulator.add_table
-
-        def counting(self, table):
-            seen.append(len(table[2]))
-            add_table(self, table)
-
-        monkeypatch.setattr(ClaimAccumulator, "add_table", counting)
+    @pytest.mark.parametrize(
+        "backend", ["batched", pytest.param("hybrid", marks=pytest.mark.parallel_backend)]
+    )
+    @pytest.mark.parametrize("chunk_pages", [None, 16])
+    def test_the_run_recodes_each_record_table_once(self, backend, chunk_pages, monkeypatch):
+        """One fold: each window table is re-coded once, into its chunk's
+        store, and each chunk's columns at most once more, into the run's
+        store — which a materialised run keeps as its records, read by
+        every reader and by the claim accumulator with no second fold."""
+        seen = _spy_recoding(monkeypatch)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         assert endtoend.label_gold is scenario_module.label_gold_texts
-        result = run_end_to_end(tiny_config(seed=SEED), backend="batched")
-        assert sum(seen) == result.n_records == len(result.scenario.records)
-        # A granularity the run did not fuse at (POPACCU+ picks its own)
-        # still comes off the shared accumulator: no second fold.
-        fusion_input = result.scenario.fusion_input()
-        assert fusion_input.accumulator.n_records == result.n_records
-        assert fusion_input.claims(Granularity.EXTRACTOR_URL).n_claims > 0
-        assert sum(seen) == result.n_records
+        result = run_end_to_end(
+            tiny_config(seed=SEED), backend=backend, n_workers=2, chunk_pages=chunk_pages
+        )
+        chunks = [16] * 5 if chunk_pages else [80]
+        assert result.diagnostics["n_chunks"] == len(chunks)
+        assert len(seen["window"]) == sum(-(-pages // WINDOW) for pages in chunks)
+        assert sum(seen["window"]) == result.n_records
+        assert len(seen["chunk"]) < len(chunks)
+        if chunk_pages is None:
+            assert seen["chunk"] == []
+            _assert_reads_recode_nothing(result.scenario, seen)
 
-    def test_build_scenario_interns_each_record_once(self, monkeypatch):
-        """``build_scenario`` is the same body: one fold of the record tables,
-        labelled off the accumulator, which the scenario's input carries."""
-        seen = []
-        add_table = ClaimAccumulator.add_table
-
-        def counting(self, table):
-            seen.append(len(table[2]))
-            add_table(self, table)
-
-        monkeypatch.setattr(ClaimAccumulator, "add_table", counting)
+    def test_build_scenario_recodes_each_record_table_once(self, monkeypatch):
+        """``build_scenario`` is the same body: one fold, labelled off the
+        accumulator, whose store is the scenario's records."""
+        seen = _spy_recoding(monkeypatch)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         scenario = build_scenario(tiny_config(seed=SEED), use_cache=False)
-        assert sum(seen) == len(scenario.records) > 0
-        fusion_input = scenario.fusion_input()
-        assert fusion_input.accumulator is not None
-        fusion_input.claims(Granularity.EXTRACTOR_SITE)
-        assert sum(seen) == len(scenario.records)
+        assert len(seen["window"]) == -(-80 // WINDOW)
+        assert sum(seen["window"]) == len(scenario.records) > 0
+        assert seen["chunk"] == []
+        _assert_reads_recode_nothing(scenario, seen)
 
     @pytest.mark.parametrize(
         "backend",
