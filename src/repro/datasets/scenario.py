@@ -61,8 +61,8 @@ class ScenarioConfig:
 @dataclass
 class Scenario:
     """A fully generated experimental environment; ``records`` is the
-    run's record store, whose columns every reader (the fusion input's
-    claim accumulator included) reads, never decoded.  ``gold`` maps a
+    run's record store, whose columns every reader (its fusion input
+    included) reads, never decoded.  ``gold`` maps a
     triple's canonical text to its LCWA label, in sorted text order."""
 
     config: ScenarioConfig
@@ -76,7 +76,8 @@ class Scenario:
     _fusion_input: FusionInput = field(repr=False)
 
     def fusion_input(self) -> FusionInput:
-        """The fusion input the records were folded into."""
+        """The records' claim view, whose row layout the gold labels were
+        taken from."""
         return self._fusion_input
 
     def unique_triples(self) -> list[Triple]:
@@ -137,10 +138,10 @@ def label_gold_texts(freebase: KnowledgeBase, unique: list[str]) -> dict[str, bo
     """LCWA labels for already-deduplicated sorted canonical triple texts:
     the one labeling definition, ``{text: is_true}`` in ``unique``'s order.
 
-    The pipeline labels the sorted texts its claim accumulator lays out
-    — this is :func:`label_gold` with the sort step supplied by the
-    accumulator (its rows are exactly the store's distinct triples, so
-    the two definitions coincide).
+    The pipeline labels the sorted texts its fusion input lays out — this
+    is :func:`label_gold` with the sort step supplied by the input's
+    layout (its rows are exactly the store's distinct triples, so the
+    two definitions coincide).
     """
     return LCWALabeler(freebase).label_texts(unique)
 

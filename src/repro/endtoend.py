@@ -7,11 +7,11 @@ once and clocked by :func:`timed_stage`.  Setup → extraction → labeling
 is one body, which :func:`repro.datasets.scenario.build_scenario` (the
 experiments, ``repro-kf fuse``) shares.  A *materialised* run is the
 single-chunk case of a *streamed* one (``chunk_pages`` picks; the web
-tier of docs/SCALING.md streams).  Either way extraction hands on record
+tier of docs/SCALING.md streams).  Either way extraction hands on window
 tables, each re-coded once into the run's one record store
 (:class:`~repro.extract.records.RecordTables`) without decoding a record;
-the :class:`~repro.fusion.observations.ClaimAccumulator` is a view of
-that store, and both stages run on the same executor protocol
+the :class:`~repro.fusion.observations.FusionInput` is that store's one
+claim view, and both stages run on the same executor protocol
 (:mod:`repro.mapreduce.executors`): a single
 :class:`~repro.mapreduce.executors.ParallelExecutor` carries the
 extraction shards *and* every fusion round, so worker processes are paid
@@ -38,6 +38,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from repro.artifacts import setup_worldgen
@@ -50,11 +51,11 @@ from repro.datasets.scenario import (
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
+from repro.extract.records import RecordTables
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
-from repro.fusion.observations import ClaimAccumulator, FusionInput
+from repro.fusion.observations import FusionInput
 from repro.fusion.presets import accu, popaccu, popaccu_plus, popaccu_plus_unsup, vote
-from repro.fusion.provenance import Granularity
 from repro.mapreduce.executors import (
     EXECUTION_MODES,
     PIPELINE_MODES,
@@ -135,13 +136,14 @@ class EndToEndResult:
 
     ``timings`` holds per-stage wall-clock seconds under the keys
     ``setup`` (world + corpus + extractor construction), ``extraction``
-    (appending the record tables to the run's store and laying out the
-    accumulator's rows included), ``labeling`` (LCWA gold only),
+    (folding every window table into the run's store and laying out the
+    fusion input's rows included), ``labeling`` (LCWA gold only),
     ``fusion``, and ``total``; a streamed run adds ``matrix`` (the
-    claim columns over that layout + persistence, after which the record
-    store is dropped) and has no ``scenario`` — nothing corpus-sized
-    survived it, only the counts.  A materialised run's
-    ``scenario.records`` is the run's record store itself.  ``metrics`` holds
+    claim columns over that layout + persistence; the fusion input is
+    rebound to the bare columns, which drops the record store) and has
+    no ``scenario`` — nothing corpus-sized survived it, only the counts.
+    A materialised run's ``scenario.records`` is the run's record store
+    itself.  ``metrics`` holds
     the headline numbers against the gold standard: calibration
     ``deviation`` / ``weighted_deviation``, ``auc_pr``, ``coverage``
     (fraction of unique triples scored), and ``gold_accuracy`` (fraction
@@ -241,17 +243,20 @@ def run_end_to_end(
     with timed_stage(timings, "total"), ExitStack() as owned:
         if executor is None:
             executor = owned.enter_context(plan.executor(n_workers))
-        scenario, accumulator, gold, chunk_sizes, store = _extract_and_label(
+        scenario, fusion_input, gold, chunk_sizes, store = _extract_and_label(
             config, backend, executor, timings, cache_dir, chunk_pages, copy_window
         )
-        n_records = len(accumulator.records)
+        n_records = len(fusion_input.records)
         fuser = make_fuser(method, fusion_config, gold)
 
+        # Materialised, the input that laid the rows out during extraction
+        # is the scenario's, so fusion (at any granularity) lays out
+        # nothing, and ``serial`` emits in record-arrival order.
         if streamed:
             with timed_stage(timings, "matrix"):
                 # The preset's granularity: POPACCU+ overrides the configured one.
-                cols = accumulator.build(fuser.config.granularity)
-                accumulator.release()
+                cols = fusion_input.claims(fuser.config.granularity)
+                del fusion_input  # the record store goes with its claim view
                 store["column_store"] = "memory"
                 if cache_dir is not None:
                     try:
@@ -264,11 +269,6 @@ def run_end_to_end(
                         store["column_store"] = "memory (persist fallback)"
             # Bare columns: Stage III emits in canonical row order.
             fusion_input = FusionInput.from_columns(cols)
-        else:
-            # The accumulator that laid the rows out during extraction is
-            # the input's, so fusion (at any granularity) lays out nothing,
-            # and ``serial`` emits in record-arrival order.
-            fusion_input = scenario.fusion_input()
 
         with timed_stage(timings, "fusion"):
             fusion_result = fuser.fuse(fusion_input, executor=executor)
@@ -306,17 +306,17 @@ def _extract_and_label(
     cache_dir: str | Path | None = None,
     chunk_pages: int | None = None,
     copy_window: int | None = None,
-) -> tuple[Scenario | None, ClaimAccumulator, dict[str, bool], list[int], dict]:
+) -> tuple[Scenario | None, FusionInput, dict[str, bool], list[int], dict]:
     """Setup → extraction → gold labeling, each stage clocked into
     ``timings``: the body :func:`run_end_to_end` (both cases) and
     :func:`repro.datasets.scenario.build_scenario` share.
 
-    Every window table is re-coded once, into its chunk's record store;
-    the first chunk's store is the run's (so a materialised run keeps it,
-    not a copy) and every later chunk's columns are appended to it.
-    Returns the scenario (None when streamed), the accumulator over the
-    run's store, the gold labels, the pages per chunk, and the setup's
-    store diagnostics.
+    Every window table of every chunk is re-coded once, into the run's
+    one record store, which a materialised run keeps as its records.
+    Returns the scenario (None when streamed), the fusion input over the
+    run's store (the scenario's, whose layout the gold labels were taken
+    from), the gold labels, the pages per chunk, and the setup's store
+    diagnostics.
     """
     streamed = chunk_pages is not None
     chunk_sizes: list[int] = []
@@ -339,17 +339,13 @@ def _extract_and_label(
             chunk_sizes.append(len(pages))
             return pages
 
-        chunk_stores = pipeline.run_stream(
-            map(counted, chunks), backend=backend, executor=executor
+        chunk_tables = pipeline._window_tables(
+            map(counted, chunks), backend, executor=executor
         )
-        records = next(chunk_stores, None)  # the run's store: a one-chunk run keeps it
-        for chunk in chunk_stores:
-            records.add_table(chunk.columns)
-        # The granularity is build()'s default only; every caller names its own.
-        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, records)
+        fusion_input = FusionInput(RecordTables(chain.from_iterable(chunk_tables)))
         # The row layout (every sort) is the fold's last step, so
         # ``labeling`` clocks LCWA only.
-        unique_texts = accumulator.unique_texts()
+        unique_texts = fusion_input.unique_texts()
 
     with timed_stage(timings, "labeling"):
         gold = label_gold(freebase, unique_texts)
@@ -362,11 +358,11 @@ def _extract_and_label(
             freebase=freebase,
             corpus=corpus,
             pipeline=pipeline,
-            records=accumulator.records,
+            records=fusion_input.records,
             gold=gold,
-            _fusion_input=FusionInput(accumulator.records, accumulator=accumulator),
+            _fusion_input=fusion_input,
         )
-    return scenario, accumulator, gold, chunk_sizes, store
+    return scenario, fusion_input, gold, chunk_sizes, store
 
 
 def run_streaming_pipeline(

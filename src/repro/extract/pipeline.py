@@ -27,9 +27,13 @@ by row (:class:`~repro.extract.records.TableBuilder`): in-process all windows
 are one shard; pooled, a chunk's windows spread evenly over the
 executor's contiguous shards (every noisy draw derives from
 ``split_seed(seed, extractor, url)``, so the sharding cannot shift one)
-and the executor concatenates the tables in window order.  The tables are all a run hands on
-(:class:`~repro.extract.records.RecordTables`), so no record object
-exists unless a caller reads one.
+and the executor concatenates the tables in window order.  The window
+tables are all extraction hands on: one private generator yields each
+chunk's list of them, which :meth:`ExtractionPipeline.run` and
+:meth:`~ExtractionPipeline.run_stream` fold into record stores
+(:class:`~repro.extract.records.RecordTables`) and the end-to-end
+pipeline folds into the run's one store, so no record object exists
+unless a caller reads one.
 
 What crosses the process boundary, per pooled chunk:
 
@@ -49,6 +53,7 @@ What crosses the process boundary, per pooled chunk:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.artifacts import LazyPageList, StoredPage, decode_page
 from repro.errors import ConfigError, ExtractionError
@@ -167,8 +172,8 @@ class ExtractionPipeline:
         one ``backend`` / ``n_workers`` would create (the caller also
         closes it).  The single-chunk case of :meth:`run_stream`.
         """
-        (records,) = self.run_stream([corpus.pages], backend, n_workers, executor)
-        return records
+        chunks = self._window_tables([corpus.pages], backend, n_workers, executor)
+        return RecordTables(chain.from_iterable(chunks))
 
     def run_stream(
         self,
@@ -177,18 +182,30 @@ class ExtractionPipeline:
         n_workers: int | None = None,
         executor: Executor | None = None,
     ):
-        """Extract page chunks one at a time: the out-of-core form of :meth:`run`.
+        """Extract page chunks one at a time: the out-of-core form of
+        :meth:`run`, yielding each chunk's
+        :class:`~repro.extract.records.RecordTables` (see
+        :meth:`_window_tables`)."""
+        return map(RecordTables, self._window_tables(chunks, backend, n_workers, executor))
+
+    def _window_tables(
+        self,
+        chunks,
+        backend: str = "serial",
+        n_workers: int | None = None,
+        executor: Executor | None = None,
+    ):
+        """Each chunk's window tables, one list per chunk.
 
         ``chunks`` is an iterable of page lists (e.g.
         :func:`repro.world.webgen.stream_corpus`); each chunk is cut into
         windows and run through one map job — same backends, same record
-        tables, same record order — and yields that chunk's
-        :class:`~repro.extract.records.RecordTables`.  The fleet is
-        installed pool-resident *once* for the whole stream (per-chunk
-        install/withdraw would restart the pool on every chunk), and
-        withdrawn when the stream ends; peak memory is one chunk of pages
-        plus its record tables.  ``backend`` / ``n_workers`` are validated at
-        the call, not at the first ``next()``.
+        tables, same record order.  The fleet is installed pool-resident
+        *once* for the whole stream (per-chunk install/withdraw would
+        restart the pool on every chunk), and withdrawn when the stream
+        ends; peak memory is one chunk of pages plus its record tables.
+        ``backend`` / ``n_workers`` are validated at the call, not at the
+        first ``next()``.
         """
         if backend not in PIPELINE_MODES:
             raise ConfigError(
@@ -213,7 +230,7 @@ class ExtractionPipeline:
                     pages[start : start + _WINDOW_PAGES]
                     for start in range(0, len(pages), _WINDOW_PAGES)
                 ]
-                yield RecordTables(executor.run_map(windows, job))
+                yield executor.run_map(windows, job)
         finally:
             if owns_executor:
                 executor.close()

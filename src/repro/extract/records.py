@@ -160,7 +160,7 @@ class TableBuilder:
 
     The one interning loop of the wire: :meth:`add` gives each string and
     each canonical triple text its code on first arrival, so the tables
-    list them in first-row order — the order the claim accumulator's
+    list them in first-row order — the order the fusion input's
     arrival order (and ``serial``'s emission order) follows.  The record
     emitter (:func:`repro.extract.synthesis.make_emitter`) adds a row per
     emission; :func:`records_to_wire` adds one per record.  ``triples``
@@ -311,13 +311,13 @@ class RecordTables:
     """A run's extraction records: one append-only store of record columns.
 
     :meth:`add_table` re-codes one :func:`records_to_wire` table (a page
-    window's, or a chunk's :attr:`columns`) into the store's two
+    window's) into the store's two
     vocabularies — strings and canonical triple texts, in first-arrival
     order — and appends its columns: the one re-coding loop of the
     records.  Every reader reads :attr:`columns`, where a triple code
-    names its triple's canonical text; the claim accumulator
-    (:class:`~repro.fusion.observations.ClaimAccumulator`) is a view of
-    the same store.  Iterating decodes the records afresh, for
+    names its triple's canonical text; the store's one claim view
+    (:class:`~repro.fusion.observations.FusionInput`) reads the same
+    columns.  Iterating decodes the records afresh, for
     ``benchmarks/kfbench`` only.
     """
 

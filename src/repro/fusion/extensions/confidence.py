@@ -54,8 +54,7 @@ class ConfidenceWeightedFuser(Fuser):
                 f"{self.name} weights claims by the extraction records' "
                 "confidences; this fusion input holds bare claim columns"
             )
-        # claims() interned the records into the input's accumulator.
-        record_claim = fusion_input.accumulator.record_claims(cols)
+        record_claim = fusion_input.record_claims(cols)
 
         confident, confidence = records.columns.has_confidence, records.columns.confidence
         record_extractor = records.columns.codes[:, 1]

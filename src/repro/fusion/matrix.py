@@ -1,10 +1,9 @@
 """Out-of-core claim matrix: mapped columns over the column store.
 
 The `web` scale tier never materialises the whole corpus's extraction
-records.
-:class:`~repro.fusion.observations.ClaimAccumulator` folds each extraction
-chunk straight into the canonical claim columns; this module supplies the
-storage half:
+records as objects: its window tables fold into one record store, whose
+claim view (:class:`~repro.fusion.observations.FusionInput`) builds the
+canonical claim columns; this module supplies the storage half:
 
 - :class:`MappedColumnarClaims` is a ``ColumnarClaims`` whose numeric
   columns are read-only ``np.memmap`` views over a published column
@@ -27,12 +26,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.artifacts import ColumnHandle, save_column_store
-from repro.fusion.observations import (
-    ClaimAccumulator,
-    ColumnarClaims,
-    FusionInput,
-    ProvKey,
-)
+from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
+from repro.fusion.observations import ColumnarClaims, FusionInput, ProvKey
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 
@@ -46,6 +41,30 @@ __all__ = [
 #: The pre-fold spelling of :meth:`FusionInput.from_columns`, kept
 #: importable for ``benchmarks/kfbench``.
 ColumnarFusionInput = FusionInput.from_columns
+
+
+class ClaimAccumulator:
+    """The pre-store spelling of a :class:`FusionInput`, kept importable
+    for ``benchmarks/kfbench`` only: ``add_records`` appends to the
+    input's store, ``build`` reads ``claims``, ``release`` swaps in a
+    fresh store."""
+
+    def __init__(self, granularity: Granularity, records: RecordTables | None = None) -> None:
+        self.granularity = granularity
+        self._input = FusionInput(RecordTables() if records is None else records)
+
+    def add_records(self, records: list[ExtractionRecord]) -> None:
+        self._input.records.add_table(records_to_wire(records))
+
+    def build(self, granularity: Granularity | None = None) -> ColumnarClaims:
+        return self._input.claims(granularity or self.granularity)
+
+    def unique_triples(self) -> list[Triple]:
+        return self._input.unique_triples()
+
+    def release(self) -> None:
+        self._input = FusionInput(RecordTables())
+
 
 #: Numeric CSR columns, persisted one ``.npy`` each (plus the cached
 #: canonical rank, so mapped columns never re-sort triples to build it).

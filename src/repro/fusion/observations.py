@@ -6,16 +6,15 @@ pages.  Fusion operates on the deduplicated *claim* matrix: for every data
 item, which provenances support which triple.
 
 The matrix has one form, :class:`ColumnarClaims`: an int-coded CSR layout
-built by :class:`ClaimAccumulator`.  Records sit at the information
-level and claims at the knowledge level, so the accumulator is a view of
-the run's one record store (:class:`~repro.extract.records.RecordTables`,
-where each distinct string and triple is coded once) and builds any
-granularity from the store's code columns — a triple code and four
-provenance-string codes per record: the row layout is computed once per
-store state, and each granularity's provenance ids and claim CSR are
-array operations over those columns.  :class:`FusionInput` is what a
-fuser reads: the records, the accumulator over them, and
-the columns cached per granularity (``claims(g)``), so the same
+built by :class:`FusionInput`.  Records sit at the information level and
+claims at the knowledge level, so the fusion input is the one claim view
+of the run's one record store
+(:class:`~repro.extract.records.RecordTables`, where each distinct
+string and triple is coded once) and builds any granularity from the
+store's code columns — a triple code and four provenance-string codes
+per record: the row layout is computed once per store state, and each
+granularity's provenance ids and claim CSR are array operations over
+those columns, cached per granularity (``claims(g)``), so the same
 extraction run is fused under many configurations cheaply (the
 granularity sweep of Figure 10 does exactly that); a streamed pipeline
 run hands it one prebuilt column set instead.  A *row* is one unique
@@ -40,12 +39,11 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
+from repro.extract.records import ExtractionRecord, RecordColumns, RecordTables
 from repro.fusion.provenance import KEY_FIELDS, Granularity
 from repro.kb.triples import DataItem, Triple
 
 __all__ = [
-    "ClaimAccumulator",
     "ColumnarClaims",
     "ColumnarSlice",
     "FusionInput",
@@ -59,18 +57,23 @@ ProvKey = tuple[str, ...]
 
 @dataclass
 class FusionInput:
-    """Extraction records plus their claim columns, cached per granularity.
+    """A record store's one claim view: its claim columns per granularity.
 
     ``records`` are a :class:`~repro.extract.records.RecordTables`
-    store; a record list is encoded once, on construction.  The
-    ``accumulator`` is a :class:`ClaimAccumulator` over that same store
-    (a fresh one unless given; one over another store is a
-    ``ValueError``), so nothing is folded here: every granularity's
-    columns are array operations over the store's code columns, and
-    CONFACCU's per-record claim ids index the rows of ``records.columns``
-    by construction.  A caller that already laid the rows out (the
-    pipeline's stage body) passes its accumulator, so the layout is
-    computed once per run.
+    store; a record list is encoded once, on construction.  The input
+    keeps no vocabulary and no code column of its own: the row layout
+    (canonical item-major order, the arrival permutation, the canonical
+    rank) is computed from the store's triple texts, each row's data
+    item sliced out of its text, never parsed; provenance ids are dense
+    string ranks combined one key component at a time, a missing pattern
+    reading as ``"<extractor>:-"`` (resolved at layout); names are
+    decoded when first read (:class:`LazyNames`).  The layout and every
+    ``claims(g)`` are kept under the store size they were computed at,
+    so a store that grows is laid out afresh on the next read, and
+    CONFACCU's per-record claim ids (:meth:`record_claims`) index the
+    rows of ``records.columns`` by construction.  The columns equal the
+    layout spelled out object by object from the records' dict views
+    (``tests/oracle/columns.py``) field for field, under any chunking.
 
     :meth:`from_columns` wraps one prebuilt column set instead (a
     streamed pipeline run never holds a record list): ``records`` is then
@@ -79,43 +82,49 @@ class FusionInput:
     """
 
     records: RecordTables | list[ExtractionRecord] | None
-    accumulator: "ClaimAccumulator | None" = field(default=None, repr=False)
     _cache: dict[Granularity, "ColumnarClaims"] = field(default_factory=dict, repr=False)
+    # The layout and the store size it and ``_cache`` are for: the store only grows.
+    _layout: "tuple[int, _Layout] | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.records is None:
-            return
-        self.records = RecordTables.of(self.records)
-        if self.accumulator is None:
-            # The granularity is build()'s default only; claims() names its own.
-            self.accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL, self.records)
-        elif self.accumulator.records is not self.records:
-            raise ValueError("the accumulator must be a view of this input's records")
+        if self.records is not None:
+            self.records = RecordTables.of(self.records)
 
     @staticmethod
     def from_columns(cols: "ColumnarClaims") -> "FusionInput":
         return FusionInput(None, _cache={cols.granularity: cols})
 
+    def _laid_out(self) -> "_Layout":
+        n_records = len(self.records)
+        if self._layout is None or self._layout[0] != n_records:
+            self._layout = (n_records, _lay_out(self.records.columns))
+            self._cache.clear()
+        return self._layout[1]
+
     def claims(self, granularity: Granularity) -> "ColumnarClaims":
         """The claim columns at ``granularity`` (built on first use)."""
+        if self.records is not None:
+            layout = self._laid_out()
+            if granularity not in self._cache:
+                self._cache[granularity] = self._build(layout, granularity)
         cols = self._cache.get(granularity)
         if cols is None:
-            if self.records is None:
-                (held,) = self._cache
-                raise ValueError(
-                    f"columns were accumulated at granularity {held.value!r}; "
-                    f"re-extract to fuse at {granularity.value!r}"
-                )
-            cols = self._cache[granularity] = self.accumulator.build(granularity)
+            (held,) = self._cache
+            raise ValueError(
+                f"columns were accumulated at granularity {held.value!r}; "
+                f"re-extract to fuse at {granularity.value!r}"
+            )
         return cols
 
     def arrival_rows(self) -> np.ndarray | None:
-        """The rows of every ``claims(g)`` in record-arrival order
-        (:meth:`ClaimAccumulator.arrival_rows`), or None over bare
+        """The rows of every ``claims(g)`` (the rows are the same at any
+        granularity) in record-arrival order: data items by first
+        arrival, each item's triples by first arrival — how a dict keyed
+        item -> triple nests over the same records.  None over bare
         columns, which carry no arrival order."""
         if self.records is None:
             return None
-        return self.accumulator.arrival_rows()
+        return self._laid_out().arrival_rows
 
     def unique_texts(self) -> list[str]:
         """The canonical texts of all distinct extracted triples (the
@@ -123,11 +132,100 @@ class FusionInput:
         if self.records is None:
             (cols,) = self._cache.values()
             return [cols.texts[r] for r in np.argsort(cols.canonical_rank()).tolist()]
-        return self.accumulator.unique_texts()
+        return self._laid_out().sorted_texts
 
     def unique_triples(self) -> list[Triple]:
         """:meth:`unique_texts`, decoded."""
         return list(map(Triple.from_canonical, self.unique_texts()))
+
+    def _record_provenances(
+        self, layout: "_Layout", granularity: Granularity
+    ) -> tuple[np.ndarray, np.ndarray, LazyNames]:
+        """Each record's canonical row and provenance id at
+        ``granularity``, and the sorted provenance table the ids index —
+        its ``ProvKey`` tuples decoded when first read."""
+        codes = self.records.columns.codes
+        record_row = layout.row_of_arrival[codes[:, 0]]
+
+        def component(name: str, records) -> tuple[np.ndarray, list[str]]:
+            """One key component of ``records``: each one's rank in the
+            component's sorted string table, and that table."""
+            if name == "predicate":
+                return layout.row_predicate[record_row[records]], layout.predicates
+            ranks = layout.string_rank[codes[records, _CODE_COLUMN[name]]]
+            if name == "pattern":
+                missing = codes[records, 5] < 0
+                ranks[missing] = layout.implicit_rank[codes[records, 1][missing]]
+            return ranks, layout.strings
+
+        # Fold the components left to right into one dense id whose
+        # integer order is the tuple order of the strings; re-densifying
+        # after every component bounds the radix product by
+        # n_records * table size.
+        fields = KEY_FIELDS[granularity]
+        record_prov = np.zeros(len(codes), dtype=np.int64)
+        first = np.zeros(0, dtype=np.int64)  # first record of each provenance
+        for name in fields:
+            ranks, table = component(name, slice(None))
+            _, first, record_prov = np.unique(
+                record_prov * len(table) + ranks,
+                return_index=True,
+                return_inverse=True,
+            )
+        # The key components' ranks now, their strings on first read.
+        ranked = [component(name, first) for name in fields]
+        provenances = LazyNames(
+            len(first),
+            lambda: list(
+                zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in ranked))
+            ),
+        )
+        return record_row, record_prov, provenances
+
+    def record_claims(self, cols: "ColumnarClaims") -> np.ndarray:
+        """Each record's claim id in ``cols`` (this input's
+        ``claims(cols.granularity)``), in record-arrival order: the
+        claims are the records' distinct ``(row, provenance)`` keys,
+        sorted."""
+        record_row, record_prov, provenances = self._record_provenances(
+            self._laid_out(), cols.granularity
+        )
+        keys = record_row * len(provenances) + record_prov
+        return np.unique(keys, return_inverse=True)[1]
+
+    def _build(self, layout: "_Layout", granularity: Granularity) -> "ColumnarClaims":
+        """The claim columns at ``granularity`` over ``layout``."""
+        n_rows = len(layout.texts)
+        record_row, record_prov, provenances = self._record_provenances(layout, granularity)
+        n_provs = len(provenances)
+
+        # Dedup + sort by (row, prov) in one encoded key: claims land
+        # grouped by row with provenances ascending — CSR order.
+        claim_row, claim_prov = np.divmod(
+            np.unique(record_row * n_provs + record_prov), max(n_provs, 1)
+        )
+        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(claim_row, minlength=n_rows), out=row_ptr[1:])
+        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
+        prov_rows = claim_row[np.argsort(claim_prov, kind="stable")]
+        prov_ptr = np.zeros(n_provs + 1, dtype=np.int64)
+        np.cumsum(np.bincount(claim_prov, minlength=n_provs), out=prov_ptr[1:])
+
+        return ColumnarClaims(
+            granularity=granularity,
+            items=layout.items,
+            texts=layout.texts,
+            triples=layout.triples,
+            provenances=provenances,
+            row_item=layout.row_item,
+            item_ptr=layout.item_ptr,
+            claim_prov=claim_prov,
+            row_ptr=row_ptr,
+            prov_rows=prov_rows,
+            prov_ptr=prov_ptr,
+            _canonical_rank=layout.canonical_rank,
+            _gold_memo=layout.gold_memo,
+        )
 
 
 class LazyNames(Sequence):
@@ -276,7 +374,7 @@ class ColumnarClaims:
 
     A row's identity is its text: the gold column and the canonical rank
     read ``texts``.  ``items``, ``triples`` (``texts`` parsed) and
-    ``provenances`` are sequences: an accumulator's columns hand out
+    ``provenances`` are sequences: a fusion input's columns hand out
     :class:`LazyNames`, decoded only when something reads a name — the
     result views, the §5 extensions, printed rows.
     """
@@ -358,7 +456,7 @@ class ColumnarClaims:
         """Each row's gold label as int8: 1 true, 0 false, -1 unlabelled.
 
         One dict probe per row text, kept for the last ``gold`` dict seen (an
-        identity memo, shared by every granularity one accumulator
+        identity memo, shared by every granularity one fusion input
         builds), so the ladder's five metric passes and POPACCU+'s
         initialisation probe the gold standard once.  A gold dict must not
         be mutated in place between reads.
@@ -384,8 +482,8 @@ class _Layout:
     """What no granularity changes: the row layout and the string order.
 
     Computed once per store state and shared — list objects and the
-    gold-column memo included — by every ``ColumnarClaims`` one
-    accumulator builds.
+    gold-column memo included — by every ``ColumnarClaims`` one fusion
+    input builds.
     """
 
     items: LazyNames
@@ -409,220 +507,69 @@ class _Layout:
 _CODE_COLUMN = {"extractor": 1, "url": 2, "site": 3, "pattern": 5}
 
 
-class ClaimAccumulator:
-    """Claim columns as a view of a record store.
+def _lay_out(cols: RecordColumns) -> _Layout:
+    """The row layout and string order of a store's ``cols``."""
+    arrival_texts = cols.triples
+    n_rows = len(arrival_texts)
+    # Dense ids in sorted-string order, for the two things rows sort by:
+    # their data item (field-wise: subject rank, then predicate rank,
+    # numbered as one pair code) and their canonical string.  Subject
+    # and predicate are the text's first two "|"-separated fields,
+    # sliced out: no per-row list, tuple or Triple.
+    first = list(map(str.index, arrival_texts, repeat("|")))
+    subjects, row_subject = _sorted_table([text[:i] for text, i in zip(arrival_texts, first)])
+    predicates, row_predicate = _sorted_table(
+        [text[i + 1 : text.index("|", i + 1)] for text, i in zip(arrival_texts, first)]
+    )
+    item_codes, row_item = np.unique(
+        row_subject * len(predicates) + row_predicate, return_inverse=True
+    )
+    item_subject, item_predicate = np.divmod(item_codes, max(len(predicates), 1))
+    sorted_texts, row_canonical = _sorted_table(arrival_texts)
+    # Canonical row order: items sorted, triples sorted within each item.
+    order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
+    row_of_arrival = _inverse(order)
+    texts = [arrival_texts[a] for a in order.tolist()]
+    row_item = row_item[order]
+    item_ptr = np.zeros(len(item_codes) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_item, minlength=len(item_codes)), out=item_ptr[1:])
 
-    The accumulator keeps no vocabulary and no code column of its own:
-    it reads ``records`` (a :class:`~repro.extract.records.RecordTables`
-    store, a fresh one when None), whose columns code every distinct
-    triple (keyed by canonical text) and provenance string once, in
-    first-arrival order.  ``build`` is numpy from there, at any
-    granularity: the row layout (canonical item-major order, the arrival
-    permutation, the canonical rank) is computed once per store state
-    from the triple texts, each row's data item sliced out of its text,
-    never parsed; provenance ids are dense string ranks combined one key
-    component at a time, a missing pattern reading as
-    ``"<extractor>:-"`` (resolved at layout); ``ProvKey`` tuples (for the
-    unique keys only), ``DataItem`` and ``Triple`` objects are decoded
-    when first read (:class:`LazyNames`).  The result equals the layout
-    spelled out object by object from the same records' dict views
-    (``tests/oracle/columns.py``) field for field, under any chunking —
-    the property the accumulator parity tests pin.  Its own state is the
-    layout: a few int64 per distinct triple and string.
-    """
+    # Record-arrival order: items by first arrival, each item's
+    # triples by first arrival.
+    arrival_rows = order
+    if n_rows:
+        item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
+        arrival_rows = np.lexsort((order, item_arrival[row_item]))
 
-    def __init__(self, granularity: Granularity, records: RecordTables | None = None) -> None:
-        self.granularity = granularity
-        self.records = RecordTables() if records is None else records
-        # The layout and the store size it was computed at: the store only grows.
-        self._layout: tuple[int, _Layout] | None = None
-
-    def add_records(self, records: list[ExtractionRecord]) -> None:
-        """Append a record list to the store, encoded as one table."""
-        self.records.add_table(records_to_wire(records))
-
-    def _laid_out(self) -> _Layout:
-        n_records = len(self.records)
-        if self._layout is None or self._layout[0] != n_records:
-            self._layout = (n_records, self._lay_out())
-        return self._layout[1]
-
-    def _lay_out(self) -> _Layout:
-        cols = self.records.columns
-        arrival_texts = cols.triples
-        n_rows = len(arrival_texts)
-        # Dense ids in sorted-string order, for the two things rows sort by:
-        # their data item (field-wise: subject rank, then predicate rank,
-        # numbered as one pair code) and their canonical string.  Subject
-        # and predicate are the text's first two "|"-separated fields,
-        # sliced out: no per-row list, tuple or Triple.
-        first = list(map(str.index, arrival_texts, repeat("|")))
-        subjects, row_subject = _sorted_table(
-            [text[:i] for text, i in zip(arrival_texts, first)]
-        )
-        predicates, row_predicate = _sorted_table(
-            [text[i + 1 : text.index("|", i + 1)] for text, i in zip(arrival_texts, first)]
-        )
-        item_codes, row_item = np.unique(
-            row_subject * len(predicates) + row_predicate, return_inverse=True
-        )
-        item_subject, item_predicate = np.divmod(item_codes, max(len(predicates), 1))
-        sorted_texts, row_canonical = _sorted_table(arrival_texts)
-        # Canonical row order: items sorted, triples sorted within each item.
-        order = np.lexsort((row_canonical, row_item))  # canonical row -> arrival code
-        row_of_arrival = _inverse(order)
-        texts = [arrival_texts[a] for a in order.tolist()]
-        row_item = row_item[order]
-        item_ptr = np.zeros(len(item_codes) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_item, minlength=len(item_codes)), out=item_ptr[1:])
-
-        # Record-arrival order: items by first arrival, each item's
-        # triples by first arrival.
-        arrival_rows = order
-        if n_rows:
-            item_arrival = np.minimum.reduceat(order, item_ptr[:-1])
-            arrival_rows = np.lexsort((order, item_arrival[row_item]))
-
-        # A missing pattern reads as "<extractor>:-", as KEY_FIELDS does:
-        # those strings join the provenance strings' sort.
-        extractor, pattern = cols.codes[:, 1], cols.codes[:, 5]
-        implicit = np.unique(extractor[pattern < 0])
-        strings, string_rank = _sorted_table(
-            [*cols.strings, *(f"{cols.strings[e]}:-" for e in implicit.tolist())]
-        )
-        implicit_rank = np.zeros(len(cols.strings), dtype=np.int64)
-        implicit_rank[implicit] = string_rank[len(cols.strings) :]
-        return _Layout(
-            items=LazyNames(
-                len(item_codes),
-                lambda: [
-                    DataItem(subjects[s], predicates[p])
-                    for s, p in zip(item_subject.tolist(), item_predicate.tolist())
-                ],
-            ),
-            texts=texts,
-            triples=LazyNames(n_rows, lambda: list(map(Triple.from_canonical, texts))),
-            sorted_texts=sorted_texts,
-            row_item=row_item,
-            item_ptr=item_ptr,
-            # The texts are distinct, so their sorted-table index is the rank.
-            canonical_rank=row_canonical[order],
-            arrival_rows=arrival_rows,
-            row_of_arrival=row_of_arrival,
-            predicates=predicates,
-            row_predicate=row_predicate[order],
-            strings=strings,
-            string_rank=string_rank[: len(cols.strings)],
-            implicit_rank=implicit_rank,
-        )
-
-    def unique_texts(self) -> list[str]:
-        """The distinct triples' canonical texts, sorted."""
-        return self._laid_out().sorted_texts
-
-    def unique_triples(self) -> list[Triple]:
-        """:meth:`unique_texts`, decoded (for ``benchmarks/kfbench``)."""
-        return list(map(Triple.from_canonical, self.unique_texts()))
-
-    def _record_provenances(
-        self, granularity: Granularity
-    ) -> tuple[np.ndarray, np.ndarray, LazyNames]:
-        """Each record's canonical row and provenance id at
-        ``granularity``, and the sorted provenance table the ids index —
-        its ``ProvKey`` tuples decoded when first read."""
-        layout = self._laid_out()
-        codes = self.records.columns.codes
-        record_row = layout.row_of_arrival[codes[:, 0]]
-
-        def component(name: str, records) -> tuple[np.ndarray, list[str]]:
-            """One key component of ``records``: each one's rank in the
-            component's sorted string table, and that table."""
-            if name == "predicate":
-                return layout.row_predicate[record_row[records]], layout.predicates
-            ranks = layout.string_rank[codes[records, _CODE_COLUMN[name]]]
-            if name == "pattern":
-                missing = codes[records, 5] < 0
-                ranks[missing] = layout.implicit_rank[codes[records, 1][missing]]
-            return ranks, layout.strings
-
-        # Fold the components left to right into one dense id whose
-        # integer order is the tuple order of the strings; re-densifying
-        # after every component bounds the radix product by
-        # n_records * table size.
-        fields = KEY_FIELDS[granularity]
-        record_prov = np.zeros(len(codes), dtype=np.int64)
-        first = np.zeros(0, dtype=np.int64)  # first record of each provenance
-        for name in fields:
-            ranks, table = component(name, slice(None))
-            _, first, record_prov = np.unique(
-                record_prov * len(table) + ranks,
-                return_index=True,
-                return_inverse=True,
-            )
-        # The key components' ranks now, their strings on first read.
-        ranked = [component(name, first) for name in fields]
-        provenances = LazyNames(
-            len(first),
-            lambda: list(
-                zip(*([table[rank] for rank in ranks.tolist()] for ranks, table in ranked))
-            ),
-        )
-        return record_row, record_prov, provenances
-
-    def record_claims(self, cols: ColumnarClaims) -> np.ndarray:
-        """Each record's claim id in ``cols`` (this accumulator's
-        :meth:`build` at ``cols.granularity``), in record-arrival order:
-        the claims are the records' distinct ``(row, provenance)`` keys,
-        sorted."""
-        record_row, record_prov, provenances = self._record_provenances(cols.granularity)
-        keys = record_row * len(provenances) + record_prov
-        return np.unique(keys, return_inverse=True)[1]
-
-    def build(self, granularity: Granularity | None = None) -> ColumnarClaims:
-        """The claim columns at ``granularity`` (default: the constructor's)."""
-        if granularity is None:
-            granularity = self.granularity
-        layout = self._laid_out()
-        n_rows = len(layout.texts)
-        record_row, record_prov, provenances = self._record_provenances(granularity)
-        n_provs = len(provenances)
-
-        # Dedup + sort by (row, prov) in one encoded key: claims land
-        # grouped by row with provenances ascending — CSR order.
-        claim_row, claim_prov = np.divmod(
-            np.unique(record_row * n_provs + record_prov), max(n_provs, 1)
-        )
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(claim_row, minlength=n_rows), out=row_ptr[1:])
-        # Transpose: claims sorted by (prov, row) give the per-prov CSR.
-        prov_rows = claim_row[np.argsort(claim_prov, kind="stable")]
-        prov_ptr = np.zeros(n_provs + 1, dtype=np.int64)
-        np.cumsum(np.bincount(claim_prov, minlength=n_provs), out=prov_ptr[1:])
-
-        return ColumnarClaims(
-            granularity=granularity,
-            items=layout.items,
-            texts=layout.texts,
-            triples=layout.triples,
-            provenances=provenances,
-            row_item=layout.row_item,
-            item_ptr=layout.item_ptr,
-            claim_prov=claim_prov,
-            row_ptr=row_ptr,
-            prov_rows=prov_rows,
-            prov_ptr=prov_ptr,
-            _canonical_rank=layout.canonical_rank,
-            _gold_memo=layout.gold_memo,
-        )
-
-    def arrival_rows(self) -> np.ndarray:
-        """The rows of this accumulator's :meth:`build` (at any
-        granularity — the rows are the same) in record-arrival order:
-        data items by first arrival, each item's triples by first arrival
-        — how a dict keyed item -> triple nests over the same records."""
-        return self._laid_out().arrival_rows
-
-    def release(self) -> None:
-        """Drop the store and the layout: the accumulator reads a fresh store."""
-        self.records = RecordTables()
-        self._layout = None
+    # A missing pattern reads as "<extractor>:-", as KEY_FIELDS does:
+    # those strings join the provenance strings' sort.
+    extractor, pattern = cols.codes[:, 1], cols.codes[:, 5]
+    implicit = np.unique(extractor[pattern < 0])
+    strings, string_rank = _sorted_table(
+        [*cols.strings, *(f"{cols.strings[e]}:-" for e in implicit.tolist())]
+    )
+    implicit_rank = np.zeros(len(cols.strings), dtype=np.int64)
+    implicit_rank[implicit] = string_rank[len(cols.strings) :]
+    return _Layout(
+        items=LazyNames(
+            len(item_codes),
+            lambda: [
+                DataItem(subjects[s], predicates[p])
+                for s, p in zip(item_subject.tolist(), item_predicate.tolist())
+            ],
+        ),
+        texts=texts,
+        triples=LazyNames(n_rows, lambda: list(map(Triple.from_canonical, texts))),
+        sorted_texts=sorted_texts,
+        row_item=row_item,
+        item_ptr=item_ptr,
+        # The texts are distinct, so their sorted-table index is the rank.
+        canonical_rank=row_canonical[order],
+        arrival_rows=arrival_rows,
+        row_of_arrival=row_of_arrival,
+        predicates=predicates,
+        row_predicate=row_predicate[order],
+        strings=strings,
+        string_rank=string_rank[: len(cols.strings)],
+        implicit_rank=implicit_rank,
+    )

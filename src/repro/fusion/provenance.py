@@ -38,7 +38,7 @@ PROVENANCE_LEVELS: tuple[Granularity, ...] = (
 
 
 #: The record fields each granularity keys on, in key order, which the
-#: claim accumulator applies to whole code columns (``predicate`` is the
+#: fusion input applies to whole code columns (``predicate`` is the
 #: triple's; a missing ``pattern`` reads ``"<extractor>:-"``).
 KEY_FIELDS: dict[Granularity, tuple[str, ...]] = {
     Granularity.EXTRACTOR_URL: ("extractor", "url"),

@@ -1,10 +1,10 @@
-"""Out-of-core claim matrix: accumulator parity and the column store.
+"""Out-of-core claim matrix: claim-view parity and the column store.
 
 Two contracts pin the whole `web` tier to the record-path semantics:
 
-1. **Accumulator parity** — ``ClaimAccumulator`` (the one production
-   column builder) fed any chunking of the records builds a
-   ``ColumnarClaims`` equal field-for-field to the reference layout
+1. **Claim-view parity** — ``FusionInput`` (the only production code
+   that lays claims out) over a store fed any chunking of the records
+   builds a ``ColumnarClaims`` equal field-for-field to the reference layout
    ``tests.oracle.columns.columns_from_items`` spells out from the dict
    views.  Every downstream backend-parity guarantee rides on this.
 2. **Mapped == in-memory** — a ``MappedColumnarClaims`` re-opened from
@@ -25,10 +25,10 @@ import pytest
 from repro.artifacts import prune_cache
 from repro.datasets.scenario import label_gold
 from repro.endtoend import PIPELINE_METHODS, make_fuser
-from repro.extract.records import ExtractionRecord, RecordTables
+from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
 from repro.fusion.base import FusionConfig
-from repro.fusion.matrix import MappedColumnarClaims, persist_columns
-from repro.fusion.observations import ClaimAccumulator, FusionInput
+from repro.fusion.matrix import ClaimAccumulator, MappedColumnarClaims, persist_columns
+from repro.fusion.observations import FusionInput
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import DataItem, Triple
 from repro.kb.values import StringValue
@@ -49,64 +49,59 @@ def _chunks(records, size):
     return [records[i : i + size] for i in range(0, len(records), size)]
 
 
-def _accumulate(records, granularity, chunk_size):
-    accumulator = ClaimAccumulator(granularity)
-    for chunk in _chunks(records, chunk_size):
-        accumulator.add_records(chunk)
-    return accumulator
+def _accumulate(records, chunk_size):
+    """The claim view of a store the records were appended to in chunks."""
+    return FusionInput(RecordTables(map(records_to_wire, _chunks(records, chunk_size))))
 
 
-class TestClaimAccumulator:
+class TestClaimView:
     @pytest.mark.parametrize("chunk_size", [1, 13, None])
-    def test_one_accumulator_builds_every_granularity(self, tiny_scenario, chunk_size):
-        """Accumulation is granularity-free: one fold of the records, any
-        chunking, serves all six flattenings."""
+    def test_one_input_builds_every_granularity(self, tiny_scenario, chunk_size):
+        """The layout is granularity-free: one store of the records, any
+        chunking, serves all six flattenings, each built once."""
         records = list(tiny_scenario.records)
-        accumulator = _accumulate(
-            records, Granularity.EXTRACTOR_SITE, chunk_size or len(records)
-        )
-        assert len(accumulator.records) == len(records)
-        assert accumulator.unique_triples() == sorted(
+        fusion_input = _accumulate(records, chunk_size or len(records))
+        assert len(fusion_input.records) == len(records)
+        assert fusion_input.unique_triples() == sorted(
             {record.triple for record in records}
         )
         for granularity in Granularity:
             matrix, expected = reference_columns(records, granularity)
-            built = accumulator.build(granularity)
+            built = fusion_input.claims(granularity)
             assert_columns_equal(built, expected)
             # Row-level outputs, by their definitions: the views' nesting
             # order and the rank in the global canonical-string order.
             assert [
-                built.triples[r] for r in accumulator.arrival_rows().tolist()
+                built.triples[r] for r in fusion_input.arrival_rows().tolist()
             ] == [triple for triple_map in matrix.items.values() for triple in triple_map]
             assert [
                 built.triples[r] for r in np.argsort(built.canonical_rank()).tolist()
             ] == sorted(built.triples, key=lambda triple: triple.canonical())
-        assert_columns_equal(
-            accumulator.build(), accumulator.build(Granularity.EXTRACTOR_SITE)
-        )
+            assert fusion_input.claims(granularity) is built
 
     @pytest.mark.parametrize("granularity", list(Granularity))
     def test_record_claims_is_the_per_record_claim_lookup(self, tiny_scenario, granularity):
-        """Each record's claim id comes off the accumulator's codes, equal
-        to looking its row and provenance key up in the built columns."""
+        """Each record's claim id comes off the store's codes, equal to
+        looking its row and provenance key up in the built columns."""
         records = list(tiny_scenario.records)
-        accumulator = _accumulate(records, Granularity.EXTRACTOR_URL, 97)
-        cols = accumulator.build(granularity)
-        assert accumulator.record_claims(cols).tolist() == record_claim_ids(records, cols)
+        fusion_input = _accumulate(records, 97)
+        cols = fusion_input.claims(granularity)
+        assert fusion_input.record_claims(cols).tolist() == record_claim_ids(records, cols)
 
     def test_chunks_added_after_a_build_are_folded_in(self, tiny_scenario):
         """The store grows after a read: its columns, its triple support
-        and the accumulator's layout all reflect the later table."""
+        and the input's layout and claims all reflect the later table."""
         records = list(tiny_scenario.records)
         granularity = Granularity.EXTRACTOR_SITE
-        accumulator = ClaimAccumulator(granularity)
-        store = accumulator.records
-        accumulator.add_records(records[:100])
-        partial = accumulator.build()
-        read = store.columns, store.triple_support, accumulator.unique_texts()
-        accumulator.add_records(records[100:])
-        assert partial.n_rows < accumulator.build().n_rows
-        assert_columns_equal(accumulator.build(), reference_columns(records, granularity)[1])
+        store = RecordTables([records_to_wire(records[:100])])
+        fusion_input = FusionInput(store)
+        partial = fusion_input.claims(granularity)
+        read = store.columns, store.triple_support, fusion_input.unique_texts()
+        store.add_table(records_to_wire(records[100:]))
+        assert partial.n_rows < fusion_input.claims(granularity).n_rows
+        assert_columns_equal(
+            fusion_input.claims(granularity), reference_columns(records, granularity)[1]
+        )
         whole = RecordTables.of(records)
         assert len(read[0].codes) == 100 < len(store.columns.codes) == len(records)
         assert store.columns.strings == whole.columns.strings
@@ -115,24 +110,29 @@ class TestClaimAccumulator:
             assert column.dtype == want.dtype and np.array_equal(column, want)
         assert len(read[1]) < len(store.triple_support)
         assert list(store.triple_support.items()) == list(whole.triple_support.items())
-        assert len(read[2]) < len(accumulator.unique_texts())
-        assert accumulator.unique_texts() == sorted(whole.columns.triples)
+        assert len(read[2]) < len(fusion_input.unique_texts())
+        assert fusion_input.unique_texts() == sorted(whole.columns.triples)
 
-    def test_fusion_input_rejects_an_accumulator_over_other_records(self, tiny_scenario):
-        """CONFACCU pairs the accumulator's per-record claim ids with the
-        input's ``records.columns``: both must index one row space."""
-        records = tiny_scenario.records
-        copy = RecordTables([records.columns])
-        with pytest.raises(ValueError, match="view of this input's records"):
-            FusionInput(records, accumulator=ClaimAccumulator(Granularity.EXTRACTOR_URL, copy))
-        own = ClaimAccumulator(Granularity.EXTRACTOR_URL, records)
-        assert FusionInput(records, accumulator=own).accumulator is own
-        assert FusionInput(records).accumulator.records is records
+    def test_claims_follow_a_growing_store(self, tiny_scenario, tiny_scenario_alt_seed):
+        """A ``claims(g)`` read before the store grows is not served
+        after it: the columns, the texts and a fresh view agree."""
+        first, second = tiny_scenario.records.columns, tiny_scenario_alt_seed.records.columns
+        granularity = Granularity.EXTRACTOR_URL
+        store = RecordTables([first])
+        fusion_input = FusionInput(store)
+        before = fusion_input.claims(granularity)
+        store.add_table(second)
+        fresh = FusionInput(RecordTables([first, second]))
+        grown = fusion_input.claims(granularity)
+        assert grown.n_claims > before.n_claims
+        assert_columns_equal(grown, fresh.claims(granularity))
+        assert fusion_input.unique_texts() == fresh.unique_texts()
+        assert fusion_input.claims(granularity) is grown
 
     def test_fusion_input_folds_its_records_once(self, tiny_scenario):
         """A granularity sweep (Fig. 10, the method ladder) re-fuses the
         same extractions: every granularity after the first must come out
-        of the shared accumulator, not a second pass over the records."""
+        of the shared layout, not a second pass over the records."""
 
         class CountingList(list):
             iterations = 0
@@ -231,7 +231,7 @@ class TestClaimAccumulator:
             for n, (subject, predicate, obj) in enumerate(texts)
         ]
         for granularity in Granularity:
-            built = _accumulate(records, granularity, 2).build(granularity)
+            built = _accumulate(records, 2).claims(granularity)
             _, expected = reference_columns(records, granularity)
             assert_columns_equal(built, expected)
         assert list(built.items) == [
@@ -248,19 +248,31 @@ class TestClaimAccumulator:
             "/m/12|p2|string:x",
         ]
 
-    def test_release_drops_state(self, tiny_scenario):
-        accumulator = _accumulate(
-            list(tiny_scenario.records), Granularity.EXTRACTOR_SITE, 50
-        )
-        accumulator.release()
-        assert accumulator.build().n_rows == 0
-        assert accumulator.build().n_claims == 0
-
     def test_empty_chunks_are_noops(self):
-        accumulator = ClaimAccumulator(Granularity.EXTRACTOR_SITE)
-        accumulator.add_records([])
-        cols = accumulator.build()
-        assert cols.n_rows == 0 and cols.n_claims == 0
+        store = RecordTables([records_to_wire([])])
+        cols = FusionInput(store).claims(Granularity.EXTRACTOR_SITE)
+        assert len(store) == 0 and cols.n_rows == 0 and cols.n_claims == 0
+
+    def test_the_kfbench_shim_keeps_its_names(self, tiny_scenario):
+        """``benchmarks/kfbench`` spells a claim view
+        ``ClaimAccumulator(g, records=None)`` + ``add_records`` /
+        ``build(g=None)`` / ``unique_triples`` / ``release``: the same
+        columns as the fusion input over the same records."""
+        records = list(tiny_scenario.records)
+        granularity = Granularity.EXTRACTOR_SITE
+        accumulator = ClaimAccumulator(granularity)
+        for chunk in _chunks(records, 50):
+            accumulator.add_records(chunk)
+        expected = FusionInput(tiny_scenario.records)
+        assert_columns_equal(accumulator.build(), expected.claims(granularity))
+        assert_columns_equal(
+            accumulator.build(Granularity.URL_ONLY), expected.claims(Granularity.URL_ONLY)
+        )
+        assert accumulator.unique_triples() == expected.unique_triples()
+        over = ClaimAccumulator(granularity, tiny_scenario.records)
+        assert_columns_equal(over.build(), expected.claims(granularity))
+        accumulator.release()
+        assert accumulator.build().n_rows == accumulator.build().n_claims == 0
 
 
 @pytest.fixture

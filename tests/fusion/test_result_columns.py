@@ -32,7 +32,7 @@ from repro.fusion.base import FusionResult, ResultColumns
 from repro.fusion.extensions.confidence import ConfidenceWeightedFuser
 from repro.fusion.extensions.hierarchy import HierarchicalFuser
 from repro.fusion.kernels import _libm, _libm_at
-from repro.fusion.observations import ClaimAccumulator, LazyNames
+from repro.fusion.observations import LazyNames
 from repro.fusion.popaccu import PopAccuKernel
 from repro.fusion.runner import run_bayesian_fusion
 from repro.kb.triples import Triple
@@ -201,7 +201,7 @@ class TestMetricsReadColumns:
         assert fine is not coarse
         column = fine.gold_rows(gold)
         assert column.dtype == np.int8
-        assert coarse.gold_rows(gold) is column  # one memo per accumulator
+        assert coarse.gold_rows(gold) is column  # one memo per fusion input
         expected = [-1 if t not in gold else int(gold[t]) for t in fine.texts]
         assert column.tolist() == expected
         other = dict(gold)
@@ -247,10 +247,9 @@ class TestLazyNames:
         assert names[1] == ("b",) and list(names) == [("a",), ("b",)]
         assert calls == [1]
 
-    def test_accumulator_names_decode_on_read(self, tiny_scenario):
+    def test_claim_view_names_decode_on_read(self, tiny_scenario):
         # A fresh view of the scenario's store: a layout no other test read.
-        accumulator = ClaimAccumulator(FusionConfig().granularity, tiny_scenario.records)
-        cols = accumulator.build()
+        cols = FusionInput(tiny_scenario.records).claims(FusionConfig().granularity)
         assert isinstance(cols.items, LazyNames) and isinstance(cols.provenances, LazyNames)
         assert cols.items._values is None and cols.provenances._values is None
         assert cols.n_items == len(cols.items) and cols.items._values is None

@@ -10,11 +10,11 @@ extension fusers) went column-native:
   extension oracles (:mod:`tests.oracle.extensions`) iterate;
 - :func:`columns_from_items` — the canonical column layout spelled out
   object by object from those views (was ``ColumnarClaims.from_items``):
-  the executable specification ``ClaimAccumulator`` (the one production
-  builder) must reproduce exactly;
+  the executable specification ``FusionInput.claims`` (the only
+  production layout) must reproduce exactly;
 - :func:`provenance_key` — one record's source at a granularity, spelled
   out per granularity (was ``repro.fusion.provenance.provenance_key``):
-  the reference for ``KEY_FIELDS``, which the accumulator applies to
+  the reference for ``KEY_FIELDS``, which the fusion input applies to
   whole code columns.
 """
 
@@ -184,7 +184,7 @@ def columns_from_items(
 
 def reference_columns(records, granularity) -> tuple[DictClaims, ColumnarClaims]:
     """The records' dict views and the layout spelled out from them — the
-    comparand of ``ClaimAccumulator.build``."""
+    comparand of ``FusionInput.claims``."""
     views = DictClaims(granularity, records=records)
     return views, columns_from_items(views.items, granularity)
 
@@ -192,7 +192,7 @@ def reference_columns(records, granularity) -> tuple[DictClaims, ColumnarClaims]
 def record_claim_ids(records, cols: ColumnarClaims) -> list[int]:
     """Each record's claim id in ``cols``, looked up by its triple's row
     and its :func:`provenance_key` — the comparand of
-    ``ClaimAccumulator.record_claims``."""
+    ``FusionInput.record_claims``."""
     row_of = {triple: r for r, triple in enumerate(cols.triples)}
     prov_of = {prov: p for p, prov in enumerate(cols.provenances)}
     row_ptr, claim_prov = cols.row_ptr.tolist(), cols.claim_prov.tolist()

@@ -1,14 +1,14 @@
-"""Property-based accumulator parity over adversarial strings.
+"""Property-based claim-view parity over adversarial strings.
 
-``ClaimAccumulator`` orders rows and provenances through string ranks and
+``FusionInput`` orders rows and provenances through string ranks and
 radix-combined integer keys; ``ColumnarClaims.from_items`` sorts the
 objects themselves.  The two must agree for any strings — separators
 inside fields, non-ASCII code points, a subject that is a prefix of
 another (where item-major and canonical-string order part ways), and the
 ``pattern=None`` spelling ``"<extractor>:-"`` colliding with a literal
-pattern of the same text.  The records reach the accumulator's store
-either as one list or as record tables (``RecordTables.add_table``),
-chunked any way.
+pattern of the same text.  The records reach the input's store either
+as one list or as record tables (``RecordTables.add_table``), chunked
+any way.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.extract.records import ExtractionRecord, RecordTables, records_to_wire
-from repro.fusion.observations import ClaimAccumulator
+from repro.fusion.observations import FusionInput
 from repro.fusion.provenance import Granularity
 from repro.kb.triples import Triple
 from repro.kb.values import EntityRef, NumberValue, StringValue
@@ -65,21 +65,22 @@ records_strategy = st.lists(
 
 @given(records_strategy, st.integers(min_value=1, max_value=7))
 @settings(max_examples=150, deadline=None)
-def test_accumulator_equals_reference_layout(records, chunk_size):
-    accumulator = ClaimAccumulator(Granularity.EXTRACTOR_URL)
+def test_claim_view_equals_reference_layout(records, chunk_size):
+    store = RecordTables()
+    fusion_input = FusionInput(store)
     for start in range(0, len(records), chunk_size):
-        accumulator.add_records(records[start : start + chunk_size])
-    assert accumulator.unique_triples() == sorted(
+        store.add_table(records_to_wire(records[start : start + chunk_size]))
+    assert fusion_input.unique_triples() == sorted(
         {record.triple for record in records}
     )
     for granularity in Granularity:
         matrix, expected = reference_columns(records, granularity)
-        built = accumulator.build(granularity)
+        built = fusion_input.claims(granularity)
         assert_columns_equal(built, expected)
-        assert [built.triples[r] for r in accumulator.arrival_rows().tolist()] == [
+        assert [built.triples[r] for r in fusion_input.arrival_rows().tolist()] == [
             triple for triple_map in matrix.items.values() for triple in triple_map
         ]
-        assert accumulator.record_claims(built).tolist() == record_claim_ids(records, built)
+        assert fusion_input.record_claims(built).tolist() == record_claim_ids(records, built)
 
 
 @given(records_strategy, st.lists(st.integers(min_value=0, max_value=7), max_size=8))
@@ -91,14 +92,13 @@ def test_any_tables_fold_like_the_record_list(records, cuts):
     store = RecordTables()
     for start, end in zip(bounds, bounds[1:]):
         store.add_table(records_to_wire(records[start:end]))
-    tables = ClaimAccumulator(Granularity.EXTRACTOR_URL, store)
-    folded = ClaimAccumulator(Granularity.EXTRACTOR_URL)
-    folded.add_records(list(records))
+    tables = FusionInput(store)
+    folded = FusionInput(list(records))
     assert len(tables.records) == len(records)
     assert np.array_equal(tables.arrival_rows(), folded.arrival_rows())
     for granularity in Granularity:
         matrix, expected = reference_columns(records, granularity)
-        built = tables.build(granularity)
+        built = tables.claims(granularity)
         assert_columns_equal(built, expected)
         assert [built.triples[r] for r in tables.arrival_rows().tolist()] == [
             triple for triple_map in matrix.items.values() for triple in triple_map
@@ -112,8 +112,6 @@ def test_missing_pattern_collides_with_its_literal_spelling():
     other = ExtractionRecord(triple, "E", "u", "s", "TXT", pattern=None)
     granularity = Granularity.EXTRACTOR_PATTERN_ONLY
     assert provenance_key(implicit, granularity) == provenance_key(literal, granularity)
-    accumulator = ClaimAccumulator(granularity)
-    accumulator.add_records([implicit, literal, other])
-    cols = accumulator.build()
+    cols = FusionInput([implicit, literal, other]).claims(granularity)
     assert list(cols.provenances) == [("E1:-",), ("E:-",)]
     assert np.array_equal(cols.claim_prov, [0, 1])

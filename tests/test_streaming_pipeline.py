@@ -20,6 +20,8 @@ module-scoped fixtures: results are read-only, so one run serves all.
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,8 @@ from repro.eval import stats
 from repro.experiments import run_experiment
 from repro.extract import pipeline as extract_pipeline
 from repro.extract.records import RecordColumns, RecordTables
-from repro.fusion import FusionConfig
+from repro.fusion import FusionConfig, observations
 from repro.fusion.base import ConfigError
-from repro.fusion.observations import ClaimAccumulator
 from repro.fusion.provenance import Granularity
 from repro.mapreduce.executors import SerialExecutor
 from tests.oracle.columns import assert_columns_equal
@@ -204,12 +205,12 @@ def _spy_recoding(monkeypatch) -> dict[str, list[int]]:
 
 
 def _assert_reads_recode_nothing(scenario, seen) -> None:
-    """Every reader of a scenario's records, and its claim accumulator at
-    any granularity, reads the one store: nothing is re-coded."""
+    """Every reader of a scenario's records, and its fusion input at any
+    granularity, reads the one store: nothing is re-coded."""
     seen["window"].clear()
     records = scenario.records
     fusion_input = scenario.fusion_input()
-    assert fusion_input.accumulator.records is records
+    assert fusion_input.records is records
     assert len(records.columns.codes) == len(records)
     assert records.triple_support
     for experiment_id in ("fig5", "table2"):
@@ -245,10 +246,10 @@ class TestOneBody:
     )
     @pytest.mark.parametrize("chunk_pages", [None, 16])
     def test_the_run_recodes_each_record_table_once(self, backend, chunk_pages, monkeypatch):
-        """One fold: each window table is re-coded once, into its chunk's
-        store, and each chunk's columns at most once more, into the run's
-        store — which a materialised run keeps as its records, read by
-        every reader and by the claim accumulator with no second fold."""
+        """One fold: each window table is re-coded exactly once, into the
+        run's one store, and no chunk's columns are re-coded — streamed
+        or not.  A materialised run keeps the store as its records, read
+        by every reader and by its fusion input with no second fold."""
         seen = _spy_recoding(monkeypatch)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         assert endtoend.label_gold is scenario_module.label_gold_texts
@@ -259,14 +260,13 @@ class TestOneBody:
         assert result.diagnostics["n_chunks"] == len(chunks)
         assert len(seen["window"]) == sum(-(-pages // WINDOW) for pages in chunks)
         assert sum(seen["window"]) == result.n_records
-        assert len(seen["chunk"]) < len(chunks)
+        assert seen["chunk"] == []
         if chunk_pages is None:
-            assert seen["chunk"] == []
             _assert_reads_recode_nothing(result.scenario, seen)
 
     def test_build_scenario_recodes_each_record_table_once(self, monkeypatch):
         """``build_scenario`` is the same body: one fold, labelled off the
-        accumulator, whose store is the scenario's records."""
+        fusion input, whose store is the scenario's records."""
         seen = _spy_recoding(monkeypatch)
         monkeypatch.setattr(scenario_module, "label_gold", pytest.fail)
         scenario = build_scenario(tiny_config(seed=SEED), use_cache=False)
@@ -294,24 +294,37 @@ class TestOneBody:
 
     @pytest.mark.parametrize("chunk_pages", [None, 16])
     def test_the_row_layout_is_extractions_last_step(self, chunk_pages, monkeypatch):
-        """``labeling`` clocks LCWA only: the accumulator lays out its rows
-        (once) inside the ``extraction`` stage, before labeling starts."""
-        events = []
-        timed_stage, lay_out = endtoend.timed_stage, ClaimAccumulator._lay_out
+        """``labeling`` clocks LCWA only: the fusion input lays out its
+        rows (once per run) inside the ``extraction`` stage, before
+        labeling starts.  A materialised run's scenario holds that input:
+        its texts are the ones labelled, and a granularity sweep over it
+        lays out nothing and reads one object per granularity."""
+        events, layouts = [], []
+        timed_stage, lay_out = endtoend.timed_stage, observations._lay_out
 
         def stage(timings, name):
             events.append(name)
             return timed_stage(timings, name)
 
-        def laying_out(self):
+        def laying_out(cols):
             events.append("lay_out")
-            return lay_out(self)
+            layouts.append(lay_out(cols))
+            return layouts[-1]
 
         monkeypatch.setattr(endtoend, "timed_stage", stage)
-        monkeypatch.setattr(ClaimAccumulator, "_lay_out", laying_out)
-        run_end_to_end(tiny_config(seed=SEED), chunk_pages=chunk_pages)
+        monkeypatch.setattr(observations, "_lay_out", laying_out)
+        result = run_end_to_end(tiny_config(seed=SEED), chunk_pages=chunk_pages)
         assert events.count("lay_out") == 1
         assert events.index("extraction") < events.index("lay_out") < events.index("labeling")
+        if chunk_pages is None:
+            fusion_input = result.scenario.fusion_input()
+            assert fusion_input.unique_texts() is layouts[0].sorted_texts
+            assert set(result.scenario.gold) <= set(layouts[0].sorted_texts)
+            for granularity in (Granularity.EXTRACTOR_URL, Granularity.EXTRACTOR_SITE):
+                cols = fusion_input.claims(granularity)
+                assert fusion_input.claims(granularity) is cols
+                assert cols.texts is layouts[0].texts
+            assert events.count("lay_out") == 1
 
     @pytest.mark.parametrize("chunk_pages", [None, 16])
     def test_the_fuser_is_made_once(self, chunk_pages, monkeypatch):
@@ -422,3 +435,42 @@ class TestTriplesStayText:
         assert calls == []
         assert len(result.fusion.probabilities) > 0  # the view decodes its rows
         assert "from_canonical" in calls and "parse_value" in calls
+
+
+def _repro_garbage() -> list[str]:
+    """The ``repro`` types of the objects a ``tiny`` streamed run leaves
+    in reference cycles, saved by ``gc.DEBUG_SAVEALL`` instead of freed."""
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_end_to_end(tiny_config(seed=SEED), backend="batched", chunk_pages=16)
+        gc.collect()
+        garbage = gc.garbage[start:]
+        assert result.n_records > 0
+        return sorted(
+            {type(o).__qualname__ for o in garbage if type(o).__module__.split(".")[0] == "repro"}
+        )
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[start:]
+
+
+class TestNoReproGarbage:
+    """A streamed run frees its records, pages and columns by reference
+    counting: no ``repro`` object is left for the cyclic collector."""
+
+    def test_a_streamed_run_leaves_no_repro_object_in_a_cycle(self):
+        assert _repro_garbage() == []
+
+    def test_a_cycle_through_a_page_is_caught(self, monkeypatch):
+        stream_corpus = endtoend.stream_corpus
+
+        def planting(*args):
+            for chunk in stream_corpus(*args):
+                cycle = [chunk[0]]
+                cycle.append(cycle)
+                yield chunk
+
+        monkeypatch.setattr(endtoend, "stream_corpus", planting)
+        assert "WebPage" in _repro_garbage()
