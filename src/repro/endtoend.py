@@ -51,7 +51,7 @@ from repro.datasets.scenario import (
 )
 from repro.errors import ConfigError
 from repro.experiments.common import metrics_for
-from repro.extract.records import RecordTables
+from repro.extract.records import RecordTables, _gc_paused
 from repro.fusion.base import FusionConfig, FusionResult, Fuser
 from repro.fusion.matrix import persist_columns
 from repro.fusion.observations import FusionInput
@@ -206,6 +206,9 @@ def run_end_to_end(
     column store and fusion runs over read-only memory-mapped views
     (``diagnostics["column_store"] = "mapped"``), without it over the
     in-memory columns (``"memory"``) — bitwise-identical either way, by test.
+    The result owns the maps, which close with their last reader (a run
+    that raises closes them).  The cyclic GC is paused in the parent for
+    the ``extraction`` stage and never runs in a pool worker.
 
     ``backend`` (one of :data:`~repro.mapreduce.executors.PIPELINE_MODES`) selects the execution
     mode for *both* stages; extraction is bit-identical under every one.
@@ -261,7 +264,8 @@ def run_end_to_end(
                 if cache_dir is not None:
                     try:
                         cols = persist_columns(cols, cache_dir)
-                        owned.callback(cols.close)
+                        # The result owns the maps: only a raise closes them here.
+                        owned.push(lambda exc_type, *_: exc_type and cols.close())
                         store["column_store"] = "mapped"
                     except OSError:
                         # An unwritable/full cache directory degrades to
@@ -334,7 +338,9 @@ def _extract_and_label(
             store = {"scenario_cache": cache_status}
         pipeline = build_extraction_pipeline(config, world)
 
-    with timed_stage(timings, "extraction"):
+    # The parent's one collector pause, here and not in a generator, so
+    # a consumer that stops early cannot leave the collector off.
+    with timed_stage(timings, "extraction"), _gc_paused():
         def counted(pages):
             chunk_sizes.append(len(pages))
             return pages

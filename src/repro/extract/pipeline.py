@@ -125,26 +125,24 @@ def _extract_shard(windows: list[list[WebPage] | list[StoredPage]]) -> list[tupl
     and keep the finished table; pages are dropped before the next
     window.  One :class:`~repro.extract.synthesis.SynthesisCaches` spans
     the shard; every draw is keyed per ``(extractor, url)`` and every
-    memo is pure, so the table does not depend on the window.  The
-    cyclic GC is paused for the whole shard: a window's decoded pages
-    are its one burst of long-lived tracked objects, and they stay live
-    through its synthesis (see :func:`~repro.extract.records._gc_paused`).
+    memo is pure, so the table does not depend on the window.  The body
+    leaves the cyclic GC alone: its caller's extraction stage pauses it
+    (:func:`~repro.extract.records._gc_paused`), and a worker never runs it.
     """
     extractors: tuple[Extractor, ...] = worker_state(EXTRACT_FLEET_KEY)
     caches = SynthesisCaches()
     tables = []
-    with _gc_paused():
-        for items in windows:
-            masks = [extractor.coverage_mask(items) for extractor in extractors]
-            pages = [
-                decode_page(item) if isinstance(item, StoredPage) else item
-                for item in items
-            ]
-            builder = TableBuilder()
-            page_ends = synthesize_window(extractors, pages, masks, caches, builder)
-            tables.append(
-                classify_table(builder.finish(), builder.triples, pages, page_ends)
-            )
+    for items in windows:
+        masks = [extractor.coverage_mask(items) for extractor in extractors]
+        pages = [
+            decode_page(item) if isinstance(item, StoredPage) else item
+            for item in items
+        ]
+        builder = TableBuilder()
+        page_ends = synthesize_window(extractors, pages, masks, caches, builder)
+        tables.append(
+            classify_table(builder.finish(), builder.triples, pages, page_ends)
+        )
     return tables
 
 
@@ -170,10 +168,12 @@ class ExtractionPipeline:
 
         ``executor`` supplies a caller-managed executor in place of the
         one ``backend`` / ``n_workers`` would create (the caller also
-        closes it).  The single-chunk case of :meth:`run_stream`.
+        closes it).  The single-chunk case of :meth:`run_stream`; the GC
+        is paused for the fold (:func:`~repro.extract.records._gc_paused`).
         """
         chunks = self._window_tables([corpus.pages], backend, n_workers, executor)
-        return RecordTables(chain.from_iterable(chunks))
+        with _gc_paused():
+            return RecordTables(chain.from_iterable(chunks))
 
     def run_stream(
         self,

@@ -103,16 +103,14 @@ class ExtractionRecord:
 def _gc_paused():
     """Pause the cyclic GC for a batch-allocation burst.
 
-    Decoding allocates tracked objects in bulk and keeps them all live,
-    so every generation-0 pass rescans a growing survivor set for cycles
-    that these graphs (acyclic) cannot contain.  Pausing collection for
-    the batch removes that scan cost; nothing is leaked — allocation
-    still happens normally and the GC resumes (and catches up) on exit.
-    Nested pauses are no-ops.
-
-    One pause spans a whole extraction shard (its decoded pages stay live
-    through synthesis, which allocates no tracked object per row), and
-    :func:`records_from_wire` holds one while a table's records are built.
+    Extraction keeps tracked objects live in bulk (page trees, a chunk in
+    flight, the copy pool), so every pass rescans a growing survivor set
+    for cycles that these acyclic graphs do not contain.  Nothing is
+    leaked: the GC resumes (and catches up) on exit, raise or not.
+    Nested pauses are no-ops.  Entered in the parent only, once per
+    extraction stage (``endtoend._extract_and_label`` and
+    ``ExtractionPipeline.run``) and by :func:`records_from_wire`; pool
+    workers never collect.
     """
     if gc.isenabled():
         gc.disable()

@@ -31,8 +31,8 @@ bodies (extraction's, fusion's batched Stage I) only ever iterate arrays
 and lists in a fixed order, which makes in-process, ``fork``-pooled and
 ``spawn``-pooled output bit-identical; pools default to ``fork`` where
 available (cheapest state inheritance) and accept an explicit
-``start_method`` otherwise.  A fresh pool forks from a frozen parent
-heap (:func:`_frozen_heap`).
+``start_method`` otherwise.  A pool worker never runs the cyclic GC
+(:func:`_init_worker`).
 
 Work units shipped to workers must be picklable (module-level functions
 or dataclasses; the extraction and fusion shards satisfy this).  A work
@@ -79,7 +79,6 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
@@ -114,8 +113,11 @@ __all__ = [
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _init_worker_state(blobs: dict[str, bytes]) -> None:
-    """Pool initializer: unpickle each installed state once per worker."""
+def _init_worker(blobs: dict[str, bytes]) -> None:
+    """Pool initializer: disable the cyclic GC for the worker's life (its
+    heap is the installed state plus one shard's acyclic work, which
+    reference counting frees), then unpickle each installed state once."""
+    gc.disable()
     for key, blob in blobs.items():
         _WORKER_STATE[key] = pickle.loads(blob)
 
@@ -295,28 +297,6 @@ class ShardedMapJob:
     key_fn: Callable[[Any], Any] | None = None
 
 
-@contextmanager
-def _frozen_heap(starting_pool: bool):
-    """Freeze the parent's heap across a block that forks pool workers.
-
-    The ``gc.freeze()`` recipe of the CPython ``gc`` docs for fork pools:
-    a worker inherits the parent's objects in the permanent generation, so
-    its collections never traverse (or copy-on-write dirty) the heap it
-    inherited.  The parent unfreezes on the way out, raise or not.  A
-    caller that already froze objects keeps them frozen: ``unfreeze``
-    cannot tell its objects from ours, so then the block runs unfrozen and
-    the freeze count is left as found.
-    """
-    if not starting_pool or gc.get_freeze_count():
-        yield
-        return
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
-
-
 def _checked_outputs(name: str, n_items: int, outputs) -> list:
     """``outputs`` as a list, or a ValueError unless there is one per item."""
     outputs = list(outputs)
@@ -424,6 +404,8 @@ class ParallelExecutor:
     so new workers see the full registry — never per shard.  Per-round
     state (:meth:`install_round_state`) never restarts the pool: it
     crosses through shared-memory segments workers attach lazily.
+    A worker never runs the cyclic GC (:func:`_init_worker`, installed on
+    every pool); the caller's collector is left as found.
     """
 
     #: Always 0: every job runs in the pool, on one round-state channel.
@@ -546,8 +528,8 @@ class ParallelExecutor:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 mp_context=mp_context,
-                initializer=_init_worker_state if self._state_blobs else None,
-                initargs=(dict(self._state_blobs),) if self._state_blobs else (),
+                initializer=_init_worker,
+                initargs=(dict(self._state_blobs),),
             )
         return self._pool
 
@@ -577,13 +559,11 @@ class ParallelExecutor:
         bounds = [k * size + min(k, extra) for k in range(runs + 1)]
         outputs: list[Any] = []
         try:
-            # A fresh pool forks its workers inside the first submit.
-            with _frozen_heap(self._pool is None):
-                pool = self._ensure_pool()
-                futures = [
-                    pool.submit(_map_shard_worker, spec_bytes, items[start:end])
-                    for start, end in zip(bounds[:-1], bounds[1:])
-                ]
+            pool = self._ensure_pool()
+            futures = [
+                pool.submit(_map_shard_worker, spec_bytes, items[start:end])
+                for start, end in zip(bounds[:-1], bounds[1:])
+            ]
             for future, start, end in zip(futures, bounds[:-1], bounds[1:]):
                 outputs.extend(_checked_outputs(job.name, end - start, future.result()))
         except BrokenProcessPool as err:

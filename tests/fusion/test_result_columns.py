@@ -127,7 +127,7 @@ class TestViewsEqualEagerDicts:
         kwargs = dict(chunk_pages=16, copy_window=None)
         mapped = run_end_to_end(config, backend="batched", cache_dir=tmp_path, **kwargs)
         assert mapped.diagnostics["column_store"] == "mapped"
-        assert mapped.fusion.columns.cols._closed
+        assert not mapped.fusion.columns.cols._closed  # the result owns its maps
         assert not set(VIEWS) & set(vars(mapped.fusion))  # nothing read yet
         assert_views_are_eager(mapped.fusion)
         memory = run_end_to_end(config, backend="batched", **kwargs)

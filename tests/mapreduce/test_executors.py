@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.errors import ConfigError
-from repro.mapreduce import executors
 from repro.mapreduce.codec import scan_payload_types
 from repro.mapreduce.executors import (
     Executor,
@@ -145,58 +144,69 @@ class TestShardedMap:
                 executor.run_map(self.ITEMS, job)
 
 
-class TestFrozenFork:
-    """A fresh pool forks from a frozen heap; the caller's gc state is
-    left exactly as it was found."""
+def _collector_shard(items):
+    """A shard body reporting, per item, whether the worker collects."""
+    return [gc.isenabled() for _item in items]
+
+
+def _collector_at_unpickle():
+    return gc.isenabled()
+
+
+class _CollectorAtUnpickle:
+    """Installed state that unpickles to whether the collector was on."""
+
+    def __reduce__(self):
+        return (_collector_at_unpickle, ())
+
+
+def _installed_collector_shard(items):
+    return [worker_state("test.collector") for _item in items]
+
+
+class TestWorkersNeverCollect:
+    """A pool worker never runs the cyclic GC: the initializer, installed
+    on every pool, disables it before it unpickles the installed state.
+    The caller's collector is left as it was found."""
 
     ITEMS = list(range(17))
 
-    def _spy_submit(self, monkeypatch, fail=False):
-        """Record the freeze count at every submit (optionally failing it)."""
-        counts = []
-        submit = executors.ProcessPoolExecutor.submit
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_a_worker_runs_with_the_collector_off(self, start_method):
+        assert gc.isenabled()
+        with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
+            job = ShardedMapJob(name="collector", map_shard=_collector_shard)
+            assert executor.run_map(self.ITEMS, job) == [False] * len(self.ITEMS)
+            assert gc.isenabled()
+        assert gc.isenabled()
 
-        def spy(pool, fn, *args, **kwargs):
-            counts.append(gc.get_freeze_count())
-            if fail:
-                raise OSError("fork failed")
-            return submit(pool, fn, *args, **kwargs)
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_installed_state_is_unpickled_with_the_collector_off(self, start_method):
+        with ParallelExecutor(max_workers=2, start_method=start_method) as executor:
+            executor.install_state("test.collector", _CollectorAtUnpickle())
+            job = ShardedMapJob(name="state", map_shard=_installed_collector_shard)
+            assert executor.run_map(self.ITEMS, job) == [False] * len(self.ITEMS)
 
-        monkeypatch.setattr(executors.ProcessPoolExecutor, "submit", spy)
-        return counts
-
-    def test_fresh_pool_forks_frozen_and_gc_state_is_restored(self, monkeypatch):
-        entry = (gc.get_freeze_count(), gc.isenabled())
-        counts = self._spy_submit(monkeypatch)
+    def test_a_restarted_pool_runs_with_the_collector_off(self):
+        job = ShardedMapJob(name="collector", map_shard=_collector_shard)
         with ParallelExecutor(max_workers=2) as executor:
-            job = square_map_job()
-            assert executor.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
-            assert (gc.get_freeze_count(), gc.isenabled()) == entry
-            assert counts and all(count > entry[0] for count in counts)
-            # A warm pool forks nothing, so nothing is frozen.
-            del counts[:]
-            assert executor.run_map(self.ITEMS, job) == [i * i for i in self.ITEMS]
-            assert counts and all(count == entry[0] for count in counts)
-        assert (gc.get_freeze_count(), gc.isenabled()) == entry
+            executor.run_map(self.ITEMS, job)
+            first_pool = executor._pool
+            executor.install_state("test.offset", 1)  # restarts the pool
+            assert executor.run_map(self.ITEMS, job) == [False] * len(self.ITEMS)
+            assert executor._pool is not first_pool
 
-    def test_a_callers_freeze_survives(self):
-        gc.freeze()
+    def test_a_callers_paused_collector_stays_paused(self):
+        gc.disable()
         try:
-            frozen = gc.get_freeze_count()
             with ParallelExecutor(max_workers=2) as executor:
-                executor.run_map(self.ITEMS, square_map_job())
-                assert gc.get_freeze_count() == frozen
+                assert executor.run_map(self.ITEMS, square_map_job()) == [
+                    i * i for i in self.ITEMS
+                ]
+                assert not gc.isenabled()
+            assert not gc.isenabled()
         finally:
-            gc.unfreeze()
-
-    def test_a_pool_start_that_raises_still_unfreezes(self, monkeypatch):
-        entry = gc.get_freeze_count()
-        counts = self._spy_submit(monkeypatch, fail=True)
-        with ParallelExecutor(max_workers=2) as executor:
-            with pytest.raises(OSError, match="fork failed"):
-                executor.run_map(self.ITEMS, square_map_job())
-        assert counts and counts[0] > entry
-        assert gc.get_freeze_count() == entry
+            gc.enable()
 
 
 def _offset_shard(items):

@@ -21,6 +21,10 @@ module-scoped fixtures: results are read-only, so one run serves all.
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from repro.extract.records import RecordColumns, RecordTables
 from repro.fusion import FusionConfig, observations
 from repro.fusion.base import ConfigError
 from repro.fusion.provenance import Granularity
-from repro.mapreduce.executors import SerialExecutor
+from repro.mapreduce.executors import ParallelExecutor, SerialExecutor, ShardedMapJob
 from tests.oracle.columns import assert_columns_equal
 
 SEED = 7
@@ -170,6 +174,85 @@ class TestMappedEqualsMemory:
         )
         assert materialised.diagnostics["scenario_cache"] == "miss (publish fallback)"
         _assert_bitwise(materialised, serial_record)
+
+
+#: Reads every numeric column of a mapped streamed result after the run
+#: returns, against the same run over in-memory columns.  In its own
+#: process: a column unmapped under the result would kill the reader.
+_READ_MAPPED_SCRIPT = """
+import tempfile
+
+import numpy as np
+
+from repro.datasets import tiny_config
+from repro.endtoend import run_end_to_end
+from repro.fusion.matrix import NUMERIC_COLUMNS
+
+
+def run(cache_dir=None):
+    result = run_end_to_end(
+        tiny_config(0), "popaccu+", backend="batched", chunk_pages=16, cache_dir=cache_dir
+    )
+    cols = result.fusion.columns.cols
+    return result.diagnostics["column_store"], {
+        **{name: np.array(getattr(cols, name)) for name in NUMERIC_COLUMNS},
+        "canonical_rank": np.array(cols.canonical_rank()),
+        "item_claim_counts": cols.item_claim_counts(),
+        "prov_row_counts": cols.prov_row_counts(),
+    }
+
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    store, mapped = run(cache_dir)
+    assert store == "mapped", store
+    _, memory = run()
+    for name, column in memory.items():
+        assert np.array_equal(mapped[name], column), name
+        print(name, int(column.sum()))
+"""
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestAMappedResultOwnsItsColumns:
+    """A streamed run with a cache directory returns a result that reads
+    its mapped columns; the maps close with their last reader, or before
+    the error of a run that raises after publishing them."""
+
+    def test_every_column_reads_after_the_run_returns(self):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _READ_MAPPED_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert len(proc.stdout.splitlines()) == 9
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/fd is Linux-only")
+    def test_the_maps_close_when_the_result_is_dropped(self, tmp_path):
+        before = _open_fds()
+        result = _stream("batched", cache_dir=tmp_path)
+        assert result.diagnostics["column_store"] == "mapped"
+        assert _open_fds() > before
+        del result
+        assert _open_fds() == before
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="/proc/self/fd is Linux-only")
+    def test_a_run_that_raises_after_persisting_closes_the_maps(self, tmp_path, monkeypatch):
+        def failing(cols):
+            raise RuntimeError("fusion input failed")
+
+        monkeypatch.setattr(observations.FusionInput, "from_columns", staticmethod(failing))
+        before = _open_fds()
+        with pytest.raises(RuntimeError, match="fusion input failed"):
+            _stream("batched", cache_dir=tmp_path)
+        assert list(tmp_path.glob("columns-*"))  # the store was published
+        assert _open_fds() == before
 
 
 class TestStreamingDeterminism:
@@ -437,31 +520,63 @@ class TestTriplesStayText:
         assert "from_canonical" in calls and "parse_value" in calls
 
 
-def _repro_garbage() -> list[str]:
-    """The ``repro`` types of the objects a ``tiny`` streamed run leaves
-    in reference cycles, saved by ``gc.DEBUG_SAVEALL`` instead of freed."""
+def _repro_types(objects) -> list[str]:
+    return sorted(
+        {type(o).__qualname__ for o in objects if type(o).__module__.split(".")[0] == "repro"}
+    )
+
+
+def _repro_garbage(**kwargs) -> list[str]:
+    """The ``repro`` types of the objects a ``tiny`` run leaves in
+    reference cycles, saved by ``gc.DEBUG_SAVEALL`` instead of freed."""
     gc.collect()
     flags, start = gc.get_debug(), len(gc.garbage)
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        result = run_end_to_end(tiny_config(seed=SEED), backend="batched", chunk_pages=16)
+        result = run_end_to_end(tiny_config(seed=SEED), **kwargs)
         gc.collect()
-        garbage = gc.garbage[start:]
         assert result.n_records > 0
-        return sorted(
-            {type(o).__qualname__ for o in garbage if type(o).__module__.split(".")[0] == "repro"}
-        )
+        return _repro_types(gc.garbage[start:])
     finally:
         gc.set_debug(flags)
         del gc.garbage[start:]
+        gc.collect()  # a planted cycle must not reach a later fork
+
+
+def _worker_garbage_probe(items):
+    """A shard body reporting, per item, whether the worker collects and
+    which ``repro`` types its heap holds in reference cycles."""
+    enabled = gc.isenabled()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    gc.collect()
+    return [(enabled, _repro_types(gc.garbage))] * len(items)
+
+
+#: The runs the collector policy relies on: streamed and materialised
+#: in-process, and streamed on the pool.
+_RUNS = {
+    "streamed": dict(backend="batched", chunk_pages=16),
+    "materialised": dict(backend="batched"),
+    "pooled-streamed": dict(backend="hybrid", n_workers=2, chunk_pages=16),
+}
 
 
 class TestNoReproGarbage:
-    """A streamed run frees its records, pages and columns by reference
-    counting: no ``repro`` object is left for the cyclic collector."""
+    """A run frees its records, pages and columns by reference counting:
+    no ``repro`` object is left for the cyclic collector.  This is what
+    makes the collector policy safe: the parent pauses it for the
+    extraction stage, and a pool worker never runs it."""
 
-    def test_a_streamed_run_leaves_no_repro_object_in_a_cycle(self):
-        assert _repro_garbage() == []
+    @pytest.mark.parametrize(
+        "run",
+        [
+            "streamed",
+            "materialised",
+            pytest.param("pooled-streamed", marks=pytest.mark.parallel_backend),
+        ],
+    )
+    def test_a_run_leaves_no_repro_object_in_a_cycle(self, run):
+        assert _repro_garbage(**_RUNS[run]) == []
 
     def test_a_cycle_through_a_page_is_caught(self, monkeypatch):
         stream_corpus = endtoend.stream_corpus
@@ -473,4 +588,51 @@ class TestNoReproGarbage:
                 yield chunk
 
         monkeypatch.setattr(endtoend, "stream_corpus", planting)
-        assert "WebPage" in _repro_garbage()
+        assert "WebPage" in _repro_garbage(**_RUNS["streamed"])
+
+    @pytest.mark.parallel_backend
+    def test_pool_workers_never_collect_and_hold_no_repro_cycle(self):
+        gc.collect()  # the workers fork from this heap
+        with ParallelExecutor(max_workers=2) as executor:
+            result = _stream("hybrid", executor=executor)
+            assert result.n_records > 0
+            probe = ShardedMapJob(name="gc.probe", map_shard=_worker_garbage_probe)
+            reports = executor.run_map(range(8), probe)
+        assert reports == [(False, [])] * 8
+
+    def test_the_parent_pauses_the_collector_for_extraction_only(self, monkeypatch):
+        seen: dict[str, set[bool]] = {"extraction": set(), "labeling": set()}
+        stream_corpus, label_gold = endtoend.stream_corpus, endtoend.label_gold
+
+        def spying(*args):
+            for chunk in stream_corpus(*args):
+                seen["extraction"].add(gc.isenabled())
+                yield chunk
+
+        def labelling(*args):
+            seen["labeling"].add(gc.isenabled())
+            return label_gold(*args)
+
+        monkeypatch.setattr(endtoend, "stream_corpus", spying)
+        monkeypatch.setattr(endtoend, "label_gold", labelling)
+        assert gc.isenabled()
+        _stream("batched")
+        assert seen == {"extraction": {False}, "labeling": {True}}
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("chunk_pages", [None, 16])
+    def test_a_run_that_raises_mid_extraction_restores_the_collector(
+        self, chunk_pages, monkeypatch
+    ):
+        calls = []
+
+        def failing(*args):
+            calls.append(gc.isenabled())
+            raise RuntimeError("extraction failed")
+
+        monkeypatch.setattr(extract_pipeline, "classify_table", failing)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="extraction failed"):
+            run_end_to_end(tiny_config(seed=SEED), backend="batched", chunk_pages=chunk_pages)
+        assert calls == [False]
+        assert gc.isenabled()
